@@ -362,7 +362,9 @@ def bs_census(
     """Bohr-Sommerfeld census over a label range.
 
     Circle leaves are sampled at `count` labels; BS locations are then
-    root-solved to 1e-10 in the label from sign changes of sin(action/2).
+    root-solved to 1e-10 in the label from sign changes of sin(action/2);
+    on a periodic label window one period wide, the bracket from the last
+    sample round to the first one is searched too.
     Point leaves (declared singular points) are BS with trivial holonomy.
     Noncompact line leaves are excluded from the count unless
     include_lines is set (they all admit covariantly constant sections).
@@ -393,41 +395,59 @@ def bs_census(
             leaf = _thread_circle(cover, pol, c)
         return holonomy(cover, pol, leaf, transport).holonomy
 
+    def root_between(c0: float, h0: complex, c1: float, h1: complex):
+        """Label in (c0, c1) where Im(hol) changes sign, if the holonomy is
+        +1 rather than -1 there."""
+        lo_c, hi_c, lo_s = c0, c1, h0.imag
+        hol_root = h1
+        while hi_c - lo_c > 1e-12:
+            mid = 0.5 * (lo_c + hi_c)
+            hm = hol_at(mid)
+            if hm.imag == 0.0:
+                lo_c = hi_c = mid
+                hol_root = hm
+                break
+            if (hm.imag < 0.0) == (lo_s < 0.0):
+                lo_c = mid
+            else:
+                hi_c = mid
+                hol_root = hm
+        return 0.5 * (lo_c + hi_c) if hol_root.real > 0.0 else None
+
     # The holonomy is continuous in the label (the action is only defined
     # up to the threading), so we root-solve Im(hol) between sign changes
     # and keep the roots where the holonomy is +1 rather than -1.
+    hi = crange[1]
+    period = pol.label_range[1] - pol.label_range[0] if pol.label_periodic else None
     locations = []
     sampled.sort()
     for (c0, h0), (c1, h1) in zip(sampled, sampled[1:]):
-        s0, s1 = h0.imag, h1.imag
-        if abs(s0) < 1e-12:
+        if abs(h0.imag) < 1e-12:
             if h0.real > 0.0:
                 locations.append(c0)
             continue
-        if s0 * s1 < 0.0:
-            lo_c, hi_c, lo_s = c0, c1, s0
-            hol_root = h1
-            while hi_c - lo_c > 1e-12:
-                mid = 0.5 * (lo_c + hi_c)
-                hm = hol_at(mid)
-                if hm.imag == 0.0:
-                    lo_c = hi_c = mid
-                    hol_root = hm
-                    break
-                if (hm.imag < 0.0) == (lo_s < 0.0):
-                    lo_c = mid
-                else:
-                    hi_c = mid
-                    hol_root = hm
-            if hol_root.real > 0.0:
-                locations.append(0.5 * (lo_c + hi_c))
+        if h0.imag * h1.imag < 0.0:
+            root = root_between(c0, h0, c1, h1)
+            if root is not None:
+                locations.append(root)
     if sampled:
-        c_last, h_last = sampled[-1]
-        if abs(h_last.imag) < 1e-12 and h_last.real > 0.0:
-            locations.append(c_last)
+        (c_first, h_first), (c_last, h_last) = sampled[0], sampled[-1]
+        if abs(h_last.imag) < 1e-12:
+            if h_last.real > 0.0:
+                locations.append(c_last)
+        elif (
+            # a window one period wide closes on its first sample; a zero
+            # there is already located as that sample
+            period is not None
+            and c_last < c_first + period <= hi + 1e-9
+            and abs(h_first.imag) >= 1e-12
+            and h_last.imag * h_first.imag < 0.0
+        ):
+            root = root_between(c_last, h_last, c_first + period, h_first)
+            if root is not None:
+                locations.append(root - period if root >= hi else root)
 
     # dedupe, respecting label periodicity
-    period = pol.label_range[1] - pol.label_range[0] if pol.label_periodic else None
     unique = []
     for c in sorted(locations):
         dup = any(

@@ -587,6 +587,9 @@ def builtin_cover(name: str, **params) -> TrivializationCover:
     return example(name, **params).cover
 
 
+_MAP_ARITY = {"identity": 0, "shear": 0, "rot": 1, "translate": 2, "pshift": 1}
+
+
 def make_map(ex_: Example, spec: str) -> Symplectomorphism:
     """Build a symplectomorphism from a spec string like 'rot:0.7'.
 
@@ -594,10 +597,18 @@ def make_map(ex_: Example, spec: str) -> Symplectomorphism:
     follow a colon, comma separated.
     """
     name, _, argtext = spec.partition(":")
-    args = [float(v) for v in argtext.split(",")] if argtext else []
     if name not in ex_.map_specs:
         raise ConfigurationError(
             f"map {name!r} is not defined for {ex_.name}; have {ex_.map_specs}"
+        )
+    try:
+        args = [float(v) for v in argtext.split(",")] if argtext else []
+    except ValueError:
+        raise ConfigurationError(f"map arguments in {spec!r} must be numbers") from None
+    if len(args) > _MAP_ARITY[name] or not all(math.isfinite(v) for v in args):
+        raise ConfigurationError(
+            f"map {name!r} takes at most {_MAP_ARITY[name]} finite arguments, "
+            f"got {spec!r}"
         )
     coords = ex_.manifold.coords
     u, v = Var(coords[0]), Var(coords[1])

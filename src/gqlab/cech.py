@@ -471,16 +471,6 @@ def delta_matrix(grid: TransversalGrid, degree: int) -> tuple:
     return mat, (src_keys, src_off, n_src), (dst_keys, dst_off, n_dst)
 
 
-def cochain_to_vector(grid, cochain: TrivCochain) -> np.ndarray:
-    keys, off, total = _block_offsets(grid, cochain.degree)
-    vec = np.zeros(total, dtype=np.complex128)
-    for key in keys:
-        cg = grid.cells[key]
-        if cg.count:
-            vec[off[key] : off[key] + cg.count] = phi(grid, key, cochain.data[key])
-    return vec
-
-
 def vector_to_cochain(grid, degree: int, vec: np.ndarray) -> TrivCochain:
     keys, off, _ = _block_offsets(grid, degree)
     out = zero_cochain(grid, degree)
@@ -499,7 +489,7 @@ class DegreeRank:
     delta_rank: int
     sv_head: tuple
     sv_tail: tuple
-    sv_gap: float
+    sv_gap: float | None  # sv[rank-1] / sv[rank]; None when there is no gap
     betti: int
     betti_per_leaf: float | None
 
@@ -538,7 +528,7 @@ class RankReport:
 
 def _numerical_rank(mat: np.ndarray, threshold: float):
     if mat.size == 0:
-        return 0, (), (), math.inf
+        return 0, (), (), None
     sv = np.linalg.svd(mat, compute_uv=False)
     cut = threshold * sv[0] if sv[0] > 0 else threshold
     rank = int(np.sum(sv > cut))
@@ -547,7 +537,7 @@ def _numerical_rank(mat: np.ndarray, threshold: float):
     gap = (
         float(sv[rank - 1] / sv[rank])
         if 0 < rank < len(sv) and sv[rank] > 0
-        else math.inf
+        else None
     )
     return rank, head, tail, gap
 

@@ -13,6 +13,7 @@ import argparse
 import csv as csv_mod
 import dataclasses
 import json
+import math
 import sys
 import time
 
@@ -21,16 +22,16 @@ import numpy as np
 from . import __version__, catalog
 from . import expr as ex
 from .action import (
-    CocycleObstruction,
     InternalConsistencyError,
     build_complementary,
     verify_theorem_1,
     verify_theorem_2,
 )
-from .bohr import bs_census, lattice_count
+from .bohr import CoverageError, bs_census, lattice_count
 from .cech import ResolutionError, cohomology_ranks
 from .geometry import check_symplectomorphism
 from .prequantum import ConfigurationError, check_local_data
+from .quadrature import QuadratureError
 
 REPORT_SCHEMA = "gqlab.report/1"
 
@@ -54,6 +55,24 @@ class RunConfig:
     corrupt: str | None = None
     include_lines: bool = False
     verify: str = "thm1,thm2"
+
+    def validate(self) -> "RunConfig":
+        """Reject values no command can run with, before any work starts."""
+        if self.grid < 1:
+            raise ConfigurationError(f"grid must be >= 1, got {self.grid}")
+        if self.count < 1:
+            raise ConfigurationError(f"count must be >= 1, got {self.count}")
+        if not (math.isfinite(self.tol) and self.tol > 0.0):
+            raise ConfigurationError(f"tol must be a positive number, got {self.tol}")
+        if not 0.0 < self.rank_tol < 1.0:
+            raise ConfigurationError(f"rank-tol must lie in (0, 1), got {self.rank_tol}")
+        if self.range is not None:
+            lo, hi = self.range
+            if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+                raise ConfigurationError(
+                    f"range must be finite with lo < hi, got {lo}:{hi}"
+                )
+        return self
 
     def to_dict(self) -> dict:
         out = dataclasses.asdict(self)
@@ -121,7 +140,12 @@ def _report(cfg: RunConfig, payload: dict, passed: bool, seconds: float) -> dict
 
 
 def _emit(report: dict, args, summary_lines) -> None:
-    text = json.dumps(report, indent=2, sort_keys=True)
+    # strict RFC 8259 JSON: a value with no finite answer is written as null
+    # where it is produced, so a NaN or infinity reaching here is a fault
+    try:
+        text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise InternalConsistencyError(f"report is not strict JSON: {exc}") from None
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text + "\n")
@@ -274,19 +298,22 @@ def cmd_act(cfg: RunConfig, args) -> int:
     bad = [w for w in which if w not in ("thm1", "thm2")]
     if bad:
         raise ConfigurationError(f"unknown verification targets {bad}")
+    # one complementary cover (or obstruction) serves both theorems
+    built = build_complementary(phi, exm.cover) if which else None
+    pol_name = cfg.polarization if cfg.polarization != "default" else None
     payload: dict = {}
     passed = True
     status = "ok"
     for w in which:
         if w == "thm1":
             rep = verify_theorem_1(
-                exm, phi, cfg.polarization if cfg.polarization != "default" else None,
-                grid_n=cfg.grid, threshold=cfg.rank_tol, seed=cfg.seed,
+                exm, phi, pol_name, grid_n=cfg.grid, threshold=cfg.rank_tol,
+                seed=cfg.seed, complementary=built,
             )
         else:
             rep = verify_theorem_2(
-                exm, phi, cfg.polarization if cfg.polarization != "default" else None,
-                crange=cfg.range, count=cfg.count, tol=cfg.tol,
+                exm, phi, pol_name, crange=cfg.range, count=cfg.count,
+                tol=cfg.tol, complementary=built,
             )
         payload[w] = rep.as_dict()
         passed = passed and rep.passed
@@ -359,7 +386,7 @@ def _config_from_args(command: str, args) -> RunConfig:
         corrupt=args.corrupt,
         include_lines=args.include_lines,
         verify=args.verify,
-    )
+    ).validate()
 
 
 def main(argv=None) -> int:
@@ -413,7 +440,13 @@ def main(argv=None) -> int:
             "act": cmd_act,
         }[args.command]
         return handler(cfg, args)
-    except (ConfigurationError, ResolutionError, ex.ParseError) as exc:
+    except (
+        ConfigurationError,
+        ResolutionError,
+        ex.ParseError,
+        CoverageError,
+        QuadratureError,
+    ) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except InternalConsistencyError as exc:

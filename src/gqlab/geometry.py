@@ -10,7 +10,7 @@ enumeration and path integrals exact).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -221,11 +221,6 @@ class Polarization:
     singular_points: tuple = ()
     base: "Polarization | None" = None
     map: Symplectomorphism | None = None
-    _velocity: tuple = field(init=False, default=None, repr=False)
-
-    def __post_init__(self):
-        vel = tuple(ex.differentiate(c, "t") for c in self.curve)
-        object.__setattr__(self, "_velocity", vel)
 
     @property
     def root(self) -> "Polarization":

@@ -4,7 +4,9 @@ Error control pairs a 7-point and a 15-point Gauss-Legendre rule per
 subinterval and bisects where they disagree.  The integrand is expected to
 map a 1-d array of parameter values to a complex array, so node batches of
 every active subinterval are evaluated in a single call — this is what
-feeds the expression-evaluation kernel.
+feeds the expression-evaluation kernel.  integrate_many extends the batch
+across many integrals of one integrand family (after Shampine's vectorized
+quadgk): one loop runs over the subintervals of every target at once.
 """
 
 from __future__ import annotations
@@ -17,6 +19,30 @@ _X15, _W15 = np.polynomial.legendre.leggauss(15)
 
 class QuadratureError(RuntimeError):
     pass
+
+
+def _nodes(los: np.ndarray, his: np.ndarray):
+    """Midpoints, half-widths, and the 7-point nodes of every subinterval
+    followed by their 15-point nodes."""
+    mids = 0.5 * (los + his)
+    halfs = 0.5 * (his - los)
+    nodes = np.concatenate(
+        [
+            (mids[:, None] + halfs[:, None] * _X7[None, :]).ravel(),
+            (mids[:, None] + halfs[:, None] * _X15[None, :]).ravel(),
+        ]
+    )
+    return mids, halfs, nodes
+
+
+def _estimates(vals, halfs: np.ndarray, tol: float):
+    """15-point estimate, 7/15 disagreement and acceptance per subinterval."""
+    vals = np.asarray(vals, dtype=np.complex128)
+    n = len(halfs)
+    i7 = halfs * (vals[: 7 * n].reshape(n, 7) @ _W7)
+    i15 = halfs * (vals[7 * n :].reshape(n, 15) @ _W15)
+    err = np.abs(i15 - i7)
+    return i15, err, err <= tol * (1.0 + np.abs(i15))
 
 
 def integrate(f, a: float, b: float, tol: float = 1e-12, max_depth: int = 24):
@@ -36,22 +62,8 @@ def integrate(f, a: float, b: float, tol: float = 1e-12, max_depth: int = 24):
     while intervals:
         los = np.array([iv[0] for iv in intervals])
         his = np.array([iv[1] for iv in intervals])
-        mids = 0.5 * (los + his)
-        halfs = 0.5 * (his - los)
-        nodes = np.concatenate(
-            [
-                (mids[:, None] + halfs[:, None] * _X7[None, :]).ravel(),
-                (mids[:, None] + halfs[:, None] * _X15[None, :]).ravel(),
-            ]
-        )
-        vals = np.asarray(f(nodes), dtype=np.complex128)
-        n = len(intervals)
-        v7 = vals[: 7 * n].reshape(n, 7)
-        v15 = vals[7 * n :].reshape(n, 15)
-        i7 = halfs * (v7 @ _W7)
-        i15 = halfs * (v15 @ _W15)
-        err = np.abs(i15 - i7)
-        keep = err <= tol * (1.0 + np.abs(i15))
+        mids, halfs, nodes = _nodes(los, his)
+        i15, err, keep = _estimates(f(nodes), halfs, tol)
         next_intervals = []
         for j, (lo, hi, depth) in enumerate(intervals):
             if keep[j]:
@@ -66,3 +78,48 @@ def integrate(f, a: float, b: float, tol: float = 1e-12, max_depth: int = 24):
                 next_intervals.append((mid, hi, depth + 1))
         intervals = next_intervals
     return sign * total
+
+
+def integrate_many(f, a, b, tol: float = 1e-12, max_depth: int = 24):
+    """Integrals of f over [a_j, b_j] for every target j, in one loop.
+
+    a and b broadcast to a common 1-d shape.  f(ts, owner) receives the
+    nodes of every active subinterval together with the target index of
+    each node.  Each subinterval meets the same acceptance test as in
+    integrate, and target j agrees with integrate(lambda t: f(t, j), a_j,
+    b_j) up to rounding.
+    """
+    a, b = np.broadcast_arrays(
+        np.atleast_1d(np.asarray(a, dtype=float)),
+        np.atleast_1d(np.asarray(b, dtype=float)),
+    )
+    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
+        raise QuadratureError("integration bounds must be finite")
+    totals = np.zeros(a.shape, dtype=np.complex128)
+    sign = np.where(b < a, -1.0, 1.0)
+    live = np.flatnonzero(a != b)
+    los = np.minimum(a, b)[live]
+    his = np.maximum(a, b)[live]
+    owner = live
+    depth = 0
+    while len(owner):
+        mids, halfs, nodes = _nodes(los, his)
+        node_owner = np.concatenate([np.repeat(owner, 7), np.repeat(owner, 15)])
+        i15, err, keep = _estimates(f(nodes, node_owner), halfs, tol)
+        # in subinterval order per target, as integrate accumulates them
+        np.add.at(totals, owner[keep], i15[keep])
+        split = ~keep
+        if not split.any():
+            break
+        if depth >= max_depth:
+            j = np.flatnonzero(split)[0]
+            raise QuadratureError(
+                f"no convergence on [{los[j]}, {his[j]}] (err {err[j]:.3e})"
+            )
+        # children stay next to each other, so every target keeps the
+        # left-to-right order integrate uses
+        los = np.column_stack([los[split], mids[split]]).ravel()
+        his = np.column_stack([mids[split], his[split]]).ravel()
+        owner = np.repeat(owner[split], 2)
+        depth += 1
+    return sign * totals

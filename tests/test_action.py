@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from gqlab import catalog
+from gqlab import action, catalog
 from gqlab.action import (
     CocycleObstruction,
     ComplementaryCover,
@@ -19,6 +19,7 @@ from gqlab.bohr import enumerate_leaves, holonomy
 from gqlab.cech import TransversalGrid, delta, half_offset_labels, random_projected_cochain
 from gqlab.geometry import pushforward_polarization
 from gqlab.prequantum import ConfigurationError, check_local_data
+from gqlab.quadrature import integrate
 
 TWO_PI = 2.0 * math.pi
 
@@ -84,6 +85,55 @@ def test_cylinder_momentum_shift_dichotomy(models):
     ) < 1e-9
     whole = build_complementary(catalog.make_map(exm, "pshift:1.0"), exm.cover)
     assert isinstance(whole, ComplementaryCover)
+
+
+def _scalar_integrate_many(f, a, b, tol=1e-12, max_depth=24):
+    """One scalar adaptive integral per target, as the construction ran
+    before its gauge integrals were batched."""
+    a, b = np.broadcast_arrays(np.atleast_1d(a), np.atleast_1d(b))
+    return np.array(
+        [
+            integrate(
+                lambda ts, j=j: f(ts, np.full(len(ts), j)), a[j], b[j], tol, max_depth
+            )
+            for j in range(len(a))
+        ],
+        dtype=np.complex128,
+    )
+
+
+@pytest.mark.parametrize(
+    "name, params, spec",
+    [
+        ("torus", {"k": 2}, f"translate:{math.pi:.17g},0"),
+        ("torus", {"k": 2}, "translate:0.7,0"),
+        ("cylinder", {}, "pshift:1"),
+        ("cylinder", {}, "pshift:0.4"),
+        ("plane", {"granularity": 2}, "shear"),
+        # the only builtin gauge form whose y leg depends on the target's x
+        ("plane", {"granularity": 2}, "rot:0.3"),
+    ],
+)
+def test_batched_gauge_integrals_match_scalar_construction(
+    models, monkeypatch, name, params, spec
+):
+    exm = models(name, **params)
+    phi = catalog.make_map(exm, spec)
+    batched = build_complementary(phi, exm.cover)
+    monkeypatch.setattr(action, "integrate_many", _scalar_integrate_many)
+    scalar = build_complementary(phi, exm.cover)
+    assert type(batched) is type(scalar)
+    assert batched.constants.keys() == scalar.constants.keys()
+    for key, val in scalar.constants.items():
+        assert abs(batched.constants[key] - val) < 1e-12
+    if isinstance(scalar, CocycleObstruction):
+        assert batched.witness_cycle == scalar.witness_cycle
+        assert abs(batched.cycle_product - scalar.cycle_product) < 1e-12
+    else:
+        assert batched.certificate_max < 1e-9
+        assert batched.tree_solution.keys() == scalar.tree_solution.keys()
+        for v, w in scalar.tree_solution.items():
+            assert abs(batched.tree_solution[v] - w) < 1e-12
 
 
 def test_non_contractible_cover_rejected(models):
@@ -223,6 +273,17 @@ def test_theorem_1_obstructed_reports_hypothesis_failure(models):
     rep = verify_theorem_1(exm, catalog.make_map(exm, "translate:0.7,0"))
     assert rep.status == "hypothesis-failed" and not rep.passed
     assert rep.witness is not None and rep.witness["deviation"] > 1e-6
+
+
+def test_theorem_reuses_only_a_cover_built_for_its_map(models):
+    exm = models("cylinder")
+    phi = catalog.make_map(exm, "pshift:1")
+    comp = build_complementary(phi, exm.cover)
+    rep = verify_theorem_2(exm, phi, complementary=comp)
+    assert rep.passed and rep.payload["complementary"] == comp.as_dict()
+    other = catalog.make_map(exm, "pshift:2")
+    with pytest.raises(ConfigurationError, match="another map"):
+        verify_theorem_2(exm, other, complementary=comp)
 
 
 def test_theorem_2_identity(models):

@@ -152,6 +152,25 @@ def test_census_counts(models):
                        atol=1e-9)
 
 
+@pytest.mark.parametrize(
+    "k, count, crange",
+    [
+        (3, 33, (0.05, 6.3332)),
+        (8, 16, (0.1, 6.3832)),
+    ],
+)
+def test_census_closes_a_period_window(models, k, count, crange):
+    # the BS height 2 pi lies between the last sample and the first sample
+    # plus one period, so only the wrap-around bracket can find it
+    exm = models("torus", k=k)
+    rep = bs_census(exm.cover, exm.polarization(), crange, count)
+    want = [TWO_PI * m / k for m in range(1, k + 1)]
+    want = sorted(c if c < crange[1] else c - TWO_PI for c in want)
+    assert rep.q_bs == k
+    assert np.allclose(sorted(rep.bs_locations), want, atol=1e-8, rtol=0)
+    assert all(crange[0] - 1e-9 <= c < crange[1] for c in rep.bs_locations)
+
+
 def test_census_monotone_under_range_growth(models):
     exm = models("cylinder")
     pol = exm.polarization()

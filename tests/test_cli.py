@@ -198,3 +198,103 @@ def test_runconfig_round_trip():
 def test_runconfig_rejects_unknown_fields():
     with pytest.raises(ConfigurationError, match="unknown config"):
         RunConfig.from_dict({"command": "bs", "exampel": "torus"})
+
+
+def test_act_builds_the_complementary_cover_once(capsys, monkeypatch):
+    import gqlab.action as action
+    import gqlab.cli as cli
+
+    calls = []
+    real = action.build_complementary
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "build_complementary", counted)
+    monkeypatch.setattr(action, "build_complementary", counted)
+    code, report = run_json(
+        capsys, "act", "--example", "cylinder", "--map", "pshift:1",
+        "--verify", "thm1,thm2",
+    )
+    assert code == 0 and report["payload"]["status"] == "ok"
+    assert len(calls) == 1
+    calls.clear()
+    code, report = run_json(
+        capsys, "act", "--example", "cylinder", "--map", "pshift:0.4",
+        "--verify", "thm1,thm2",
+    )
+    assert code == 1 and report["payload"]["status"] == "hypothesis-failed"
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("cohomology", "--grid", "0"),
+        ("act", "--map", "translate:1,2,3"),
+        ("act", "--example", "plane", "--map", "rot:abc"),
+        ("act", "--map", "translate:nan,0"),
+        ("bs", "--example", "disk", "--range", "0:100"),
+        ("bs", "--range", "nan:1"),
+        ("bs", "--range", "3:1"),
+        ("bs", "--count", "0"),
+        ("bs", "--tol", "-1"),
+        ("cohomology", "--rank-tol", "2"),
+    ],
+)
+def test_bad_config_exits_2_without_traceback(capsys, argv):
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert err.startswith("config error:") and "Traceback" not in err
+
+
+def test_quadrature_failure_is_config_error(capsys, monkeypatch):
+    import gqlab.cli as cli
+    from gqlab.quadrature import QuadratureError
+
+    def diverges(*args, **kwargs):
+        raise QuadratureError("no convergence on [0, 1]")
+
+    monkeypatch.setattr(cli, "bs_census", diverges)
+    code, _, err = run_cli(capsys, "bs", "--example", "torus")
+    assert code == 2 and err.startswith("config error: no convergence")
+
+
+def _strict(text):
+    def reject(name):
+        raise ValueError(f"non-finite JSON constant {name}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("cohomology", "--example", "torus", "--k", "1", "--grid", "16"),
+        ("cohomology", "--example", "plane", "--grid", "8"),
+        ("act", "--example", "plane", "--map", "shear", "--grid", "16"),
+        ("act", "--example", "cylinder", "--map", "pshift:0.4"),
+        ("bs", "--example", "sphere", "--k", "2"),
+    ],
+)
+def test_reports_are_strict_json(capsys, argv):
+    code, out, _ = run_cli(capsys, *argv, "--json")
+    assert code in (0, 1)
+    report = _strict(out)
+    if argv[0] == "cohomology":
+        gaps = [d["sv_gap"] for d in report["payload"]["cohomology"]["degrees"]]
+        assert None in gaps
+
+
+def test_non_finite_report_value_is_internal_error(capsys, monkeypatch):
+    import gqlab.cli as cli
+
+    real = cli._report
+
+    def poisoned(cfg, payload, passed, seconds):
+        return real(cfg, {**payload, "bad": float("nan")}, passed, seconds)
+
+    monkeypatch.setattr(cli, "_report", poisoned)
+    code, out, err = run_cli(capsys, "bs", "--example", "sphere", "--k", "2")
+    assert code == 3 and out == "" and "not strict JSON" in err

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from gqlab.quadrature import QuadratureError, integrate
+from gqlab.quadrature import QuadratureError, integrate, integrate_many
 
 
 def test_chern_action_closed_form():
@@ -47,3 +47,44 @@ def test_divergence_reported():
 
 def test_empty_interval():
     assert integrate(lambda t: t, 2.0, 2.0) == 0.0
+
+
+def _per_target(f, a, b, **kw):
+    a, b = np.broadcast_arrays(np.atleast_1d(a), np.atleast_1d(b))
+    return np.array(
+        [
+            integrate(lambda t, j=j: f(t, np.full(len(t), j)), a[j], b[j], **kw)
+            for j in range(len(a))
+        ]
+    )
+
+
+def test_integrate_many_matches_integrate_per_target():
+    freqs = np.array([1.0, 7.0, 40.0, 3.0, 0.5, 25.0])
+    a = np.array([0.0, 1.0, -2.0, 0.7, 3.0, 0.0])
+    b = np.array([2.0, -1.5, 2.0, 0.7, 3.0 + 1e-9, 6.0])  # reversed, empty, tiny
+
+    def f(t, owner):
+        w = freqs[owner]
+        return np.exp(1j * w * t) * np.cos(w * t * t)
+
+    got = integrate_many(f, a, b)
+    want = _per_target(f, a, b)
+    assert got[3] == 0.0
+    assert np.all(np.abs(got - want) <= 1e-15 * np.maximum(1.0, np.abs(want)))
+
+
+def test_integrate_many_broadcasts_and_orients():
+    ends = np.linspace(-1.0, 2.0, 7)
+    got = integrate_many(lambda t, owner: np.cos(t) + 0j, 0.5, ends)
+    assert np.allclose(got, np.sin(ends) - np.sin(0.5), atol=1e-13, rtol=0)
+    back = integrate_many(lambda t, owner: np.cos(t) + 0j, ends, 0.5)
+    assert np.all(np.abs(got + back) < 1e-15)
+
+
+def test_integrate_many_empty_and_divergent():
+    assert np.all(integrate_many(lambda t, owner: t + 0j, [1.0, 2.0], [1.0, 2.0]) == 0)
+    with pytest.raises(QuadratureError):
+        integrate_many(lambda t, owner: 1.0 / (t + 0j), [0.0, 1.0], [1.0, 2.0], max_depth=12)
+    with pytest.raises(QuadratureError):
+        integrate_many(lambda t, owner: t + 0j, 0.0, [1.0, np.nan])
