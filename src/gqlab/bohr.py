@@ -198,6 +198,15 @@ def _thread_line(cover, pol, c: float) -> Leaf:
     return Leaf(c, "line", tuple(segments), _switch_coords(base, c, np.array(switches)))
 
 
+def _spans_a_period(pol: Polarization, lo: float, hi: float) -> bool:
+    """Whether a label window covers one full period of a periodic label.
+    enumerate_leaves samples such a window half-open, and bs_census closes
+    it with the bracket from the last sample to the first one plus a
+    period; any other window is sampled at both ends."""
+    period = pol.label_range[1] - pol.label_range[0]
+    return pol.label_periodic and hi - lo >= period - 1e-9
+
+
 def enumerate_leaves(
     cover: TrivializationCover,
     pol: Polarization,
@@ -230,7 +239,7 @@ def enumerate_leaves(
                      leaf.singular, point)
             )
         return out
-    if pol.label_periodic:
+    if _spans_a_period(pol, lo, hi):
         values = lo + (hi - lo) * np.arange(count) / count
     else:
         values = np.linspace(lo, hi, count) if count > 1 else np.array([lo])
@@ -438,8 +447,8 @@ def bs_census(
         elif (
             # a window one period wide closes on its first sample; a zero
             # there is already located as that sample
-            period is not None
-            and c_last < c_first + period <= hi + 1e-9
+            _spans_a_period(pol, *crange)
+            and c_last < c_first + period
             and abs(h_first.imag) >= 1e-12
             and h_last.imag * h_first.imag < 0.0
         ):

@@ -14,7 +14,7 @@ complementary-cover construction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,7 +54,6 @@ class Example:
     default_polarization: str
     map_specs: tuple  # names accepted by make_map
     census_range: tuple
-    data_builder: object = field(repr=False, default=None)  # boxes -> LocalData
 
     def polarization(self, name: str | None = None) -> Polarization:
         key = name or self.default_polarization
@@ -168,7 +167,6 @@ def _plane_example(granularity: int = 1, half_width: float = 4.0) -> Example:
         default_polarization="vertical",
         map_specs=("identity", "shear", "rot", "translate"),
         census_range=(-3.5, 3.5),
-        data_builder=data_builder,
     )
 
 
@@ -276,7 +274,6 @@ def _torus_example(k: int, granularity: int = 3) -> Example:
         default_polarization="horizontal-circles",
         map_specs=("identity", "translate"),
         census_range=(0.0, TWO_PI),
-        data_builder=data_builder,
     )
 
 
@@ -351,7 +348,6 @@ def _cylinder_example(p_max: float = 3.5, granularity: int = 3) -> Example:
         default_polarization="momentum-circles",
         map_specs=("identity", "translate", "pshift"),
         census_range=(-2.5, 2.5),
-        data_builder=data_builder,
     )
 
 
@@ -430,7 +426,6 @@ def _sphere_example(k: int) -> Example:
         default_polarization="latitude",
         map_specs=("identity", "rot"),
         census_range=(delta, k - delta),
-        data_builder=data_builder,
     )
 
 
@@ -489,7 +484,6 @@ def _disk_example(radius: float = 3.2) -> Example:
         default_polarization="radial-circles",
         map_specs=("identity", "rot"),
         census_range=(0.25, half_r2 - 0.25),
-        data_builder=data_builder,
     )
 
 
@@ -556,7 +550,6 @@ def untwisted_circle_example() -> Example:
         default_polarization="momentum-circles",
         map_specs=("identity",),
         census_range=(-0.9, 0.9),
-        data_builder=data_builder,
     )
 
 

@@ -8,9 +8,11 @@ differential, and the projection onto tuples representing honest sections
 all act on these per-leaf values, with parallel-transport factors supplied
 by adaptive quadrature of the connection potential along the leaf.
 
-Čech ranks are computed from the differential assembled as a dense matrix
-over the image subspaces (one coefficient per leaf label per nerve cell,
-taken in the trivialization of the cell's first member).
+Čech ranks are computed from the differential on the image subspaces (one
+coefficient per leaf label per nerve cell, taken in the trivialization of
+the cell's first member).  Transport never leaves a leaf, so it is
+assembled as one dense block per leaf label, and its singular values are
+the union of the blocks' (docs/conventions.md, "Ranks").
 """
 
 from __future__ import annotations
@@ -97,31 +99,27 @@ class TransversalGrid:
                 la, ta = base.label_axis, base.leaf_axis
                 lo, hi = cell.box.interval(la)
                 pperiod = manifold.periods[la]
-                kept, lifted = [], []
-                for j, c in enumerate(labels):
-                    c_lift = c
-                    if pperiod is not None:
-                        mid = 0.5 * (lo + hi)
-                        c_lift = c + pperiod * round((mid - c) / pperiod)
-                    if lo + 1e-9 < c_lift < hi - 1e-9:
-                        kept.append(j)
-                        lifted.append(c_lift)
+                lifted = labels
+                if pperiod is not None:
+                    mid = 0.5 * (lo + hi)
+                    lifted = labels + pperiod * np.round((mid - labels) / pperiod)
+                kept = np.flatnonzero((lo + 1e-9 < lifted) & (lifted < hi - 1e-9))
                 t_lo, t_hi = cell.box.interval(ta)
             else:  # radial: circle leaves inside a single rectangle
                 half = min(
                     cell.box.hi[0], cell.box.hi[1], -cell.box.lo[0], -cell.box.lo[1]
                 )
                 cmax = min(base.label_range[1], 0.5 * half * half)
-                kept = [j for j, c in enumerate(labels) if 1e-9 < c < cmax]
-                lifted = [labels[j] for j in kept]
+                lifted = labels
+                kept = np.flatnonzero((1e-9 < labels) & (labels < cmax))
                 t_lo, t_hi = 0.0, 2.0 * math.pi
             closed = period is not None and (t_hi - t_lo) >= period - 1e-9
             if closed:
                 closed_cells.append(key)
-                kept, lifted = [], []
+                kept = kept[:0]
             cells[key] = CellGrid(
-                label_idx=np.array(kept, dtype=int),
-                c_cell=np.array(lifted, dtype=float),
+                label_idx=kept,
+                c_cell=lifted[kept],
                 t_lo=t_lo,
                 t_hi=t_hi,
                 t_bp=0.5 * (t_lo + t_hi),
@@ -230,8 +228,10 @@ class TransversalGrid:
         all data in the member element's frame."""
         return self.leaf_transport.factor(member, c_elem, t0, t1)
 
-    def transport_between(self, member: int, from_key, to_key, pos_from, pos_to):
-        """Transport factor between two cells' basepoints on one leaf."""
+    def segment(self, member: int, from_key, to_key, pos_from):
+        """(c_elem, t0, t1) of the leaf segment between two cells'
+        basepoints, in the member element's frame; pos_from may be an array
+        of positions in the first cell."""
         cf, ct = self.cells[from_key], self.cells[to_key]
         base = self.polarization.root
         la = 1 if base.kind != "axis" else base.leaf_axis
@@ -241,13 +241,11 @@ class TransversalGrid:
         sh_t = self._elem_frame(to_key, member)
         t0 = cf.t_bp + sh_f[la] * p_leaf
         t1 = ct.t_bp + sh_t[la] * p_leaf
+        c_elem = cf.c_cell[pos_from]
         if base.kind == "axis":
             lab = base.label_axis
-            p_lab = periods[lab] or 0.0
-            c_elem = cf.c_cell[pos_from] + sh_f[lab] * p_lab
-        else:
-            c_elem = cf.c_cell[pos_from]
-        return self.transport(member, c_elem, t0, t1)
+            c_elem = c_elem + sh_f[lab] * (periods[lab] or 0.0)
+        return c_elem, t0, t1
 
 
 # ---------------------------------------------------------------------------
@@ -395,7 +393,8 @@ def res(grid: TransversalGrid, sub_key, super_key, values: np.ndarray) -> np.nda
     for k, member in enumerate(sub.indices):
         for pos_sup, gidx in enumerate(cg_sup.label_idx):
             pos_sub = cg_sub.position(int(gidx))
-            fac = grid.transport_between(member, sub_key, super_key, pos_sub, pos_sup)
+            seg = grid.segment(member, sub_key, super_key, pos_sub)
+            fac = grid.transport(member, *seg)
             moved[k, pos_sup] = values[k, pos_sub] * fac
     out = np.zeros((len(sup.indices), cg_sup.count), dtype=np.complex128)
     for j, bj in enumerate(sup.indices):
@@ -435,40 +434,84 @@ def _block_offsets(grid: TransversalGrid, degree: int):
     return keys, offsets, total
 
 
+@dataclass(frozen=True)
+class LeafBlocks:
+    """delta on image coefficients as one dense block per leaf label.
+
+    Transport never leaves a leaf, so delta couples only coefficients on
+    the same global label.  Each block is (label, rows, cols, matrix): the
+    matrix maps the degree-n coefficients at positions cols to the
+    degree-(n+1) ones at positions rows.  Rows of labels without a block
+    are zero.
+    """
+
+    shape: tuple  # (n_dst, n_src)
+    blocks: tuple
+
+    def __matmul__(self, vec: np.ndarray) -> np.ndarray:
+        out = np.zeros(self.shape[:1] + np.shape(vec)[1:], dtype=np.complex128)
+        for _, rows, cols, mat in self.blocks:
+            out[rows] = mat @ vec[cols]
+        return out
+
+    def toarray(self) -> np.ndarray:
+        return self @ np.eye(self.shape[1])
+
+    def singular_values(self) -> np.ndarray:
+        """The union of the blocks' singular values, descending, padded with
+        zeros to min(shape)."""
+        n = min(self.shape)
+        sv = [np.linalg.svd(b[3], compute_uv=False) for b in self.blocks]
+        return np.sort(np.concatenate(sv + [np.zeros(n)]))[::-1][:n]
+
+
 def delta_matrix(grid: TransversalGrid, degree: int) -> tuple:
-    """Dense matrix of delta on image coefficients, with index maps.
+    """delta on image coefficients as LeafBlocks, with index maps.
 
     Coefficients parameterize each cell's image tuples by the component in
     the first member's trivialization, one per retained leaf label.
     """
     src_keys, src_off, n_src = _block_offsets(grid, degree)
     dst_keys, dst_off, n_dst = _block_offsets(grid, degree + 1)
-    mat = np.zeros((n_dst, n_src), dtype=np.complex128)
+    rows, cols, vals = [np.empty(0, int)], [np.empty(0, int)], [np.empty(0, complex)]
     for key in dst_keys:
-        cell = grid.nerve.cells[key]
         cg = grid.cells[key]
         if cg.closed:
             continue
-        ref = cell.indices[0]
-        for j in range(len(cell.indices)):
-            face_key = grid.nerve.faces[key][j][0]
-            fcell = grid.nerve.cells[face_key]
+        ref = grid.nerve.cells[key].indices[0]
+        for j, (face_key, _) in enumerate(grid.nerve.faces[key]):
             fcg = grid.cells[face_key]
-            if fcg.closed:
+            if fcg.closed or fcg.count == 0:
                 continue
-            beta0 = fcell.indices[0]
-            lam = grid.transition_at_basepoints(key, beta0, ref)
-            sign = 1.0 if j % 2 == 0 else -1.0
-            for pos, gidx in enumerate(cg.label_idx):
-                try:
-                    fpos = fcg.position(int(gidx))
-                except LeafMismatchError:
-                    continue
-                fac = grid.transport_between(beta0, face_key, key, fpos, pos)
-                mat[dst_off[key] + pos, src_off[face_key] + fpos] += (
-                    sign * lam[pos] * fac
-                )
-    return mat, (src_keys, src_off, n_src), (dst_keys, dst_off, n_dst)
+            beta0 = grid.nerve.cells[face_key].indices[0]
+            # positions of the cell's labels that the face carries too
+            fpos = np.searchsorted(fcg.label_idx, cg.label_idx)
+            pos = np.flatnonzero(
+                fcg.label_idx[np.minimum(fpos, fcg.count - 1)] == cg.label_idx
+            )
+            fpos = fpos[pos]
+            lam = grid.transition_at_basepoints(key, beta0, ref)[pos]
+            c_elem, t0, t1 = grid.segment(beta0, face_key, key, fpos)
+            fac = [grid.transport(beta0, c, t0, t1) for c in c_elem.tolist()]
+            rows.append(dst_off[key] + pos)
+            cols.append(src_off[face_key] + fpos)
+            vals.append((-1) ** j * lam * np.array(fac, dtype=np.complex128))
+    rows, cols, vals = map(np.concatenate, (rows, cols, vals))
+    row_label, col_label = (
+        np.concatenate([grid.cells[k].label_idx for k in keys] + [np.empty(0, int)])
+        for keys in (dst_keys, src_keys)
+    )
+    entry_label = row_label[rows]
+    blocks = []
+    for g in np.intersect1d(row_label, col_label):
+        r, c = np.flatnonzero(row_label == g), np.flatnonzero(col_label == g)
+        e = entry_label == g
+        mat = np.zeros((len(r), len(c)), dtype=np.complex128)
+        place = np.searchsorted(r, rows[e]), np.searchsorted(c, cols[e])
+        np.add.at(mat, place, vals[e])
+        blocks.append((int(g), r, c, mat))
+    op = LeafBlocks((n_dst, n_src), tuple(blocks))
+    return op, (src_keys, src_off, n_src), (dst_keys, dst_off, n_dst)
 
 
 def vector_to_cochain(grid, degree: int, vec: np.ndarray) -> TrivCochain:
@@ -526,10 +569,11 @@ class RankReport:
         }
 
 
-def _numerical_rank(mat: np.ndarray, threshold: float):
-    if mat.size == 0:
+def _numerical_rank(sv: np.ndarray, threshold: float):
+    """Rank of an operator from its descending singular values: those above
+    threshold times the largest one."""
+    if sv.size == 0:
         return 0, (), (), None
-    sv = np.linalg.svd(mat, compute_uv=False)
     cut = threshold * sv[0] if sv[0] > 0 else threshold
     rank = int(np.sum(sv > cut))
     head = tuple(float(s) for s in sv[:3])
@@ -573,29 +617,22 @@ def cohomology_ranks(
             raise ResolutionError(
                 f"grid of {n_labels} labels resolves no leaf in element {key[0][0]}"
             )
-    ranks = []
-    dims = []
-    mats = []
-    for n in range(max_degree + 1):
-        _, _, dim = _block_offsets(grid, n)
-        dims.append(dim)
-        mat, _, _ = delta_matrix(grid, n)
-        mats.append(mat)
-    rank_info = [_numerical_rank(m, threshold) for m in mats]
+    mats = [delta_matrix(grid, n)[0] for n in range(max_degree + 1)]
+    rank_info = [_numerical_rank(m.singular_values(), threshold) for m in mats]
     retained = grid.n_labels_retained
-    for n in range(max_degree + 1):
-        rank_n = rank_info[n][0]
-        rank_prev = rank_info[n - 1][0] if n > 0 else 0
-        betti = dims[n] - rank_n - rank_prev
+    ranks = []
+    for n, mat in enumerate(mats):
+        rank, head, tail, gap = rank_info[n]
+        betti = mat.shape[1] - rank - (rank_info[n - 1][0] if n > 0 else 0)
         ranks.append(
             DegreeRank(
                 degree=n,
-                dim_cochains=dims[n],
-                delta_shape=mats[n].shape,
-                delta_rank=rank_n,
-                sv_head=rank_info[n][1],
-                sv_tail=rank_info[n][2],
-                sv_gap=rank_info[n][3],
+                dim_cochains=mat.shape[1],
+                delta_shape=mat.shape,
+                delta_rank=rank,
+                sv_head=head,
+                sv_tail=tail,
+                sv_gap=gap,
                 betti=betti,
                 betti_per_leaf=(betti / retained) if retained else None,
             )

@@ -358,10 +358,7 @@ def check_local_data(cover: TrivializationCover, tol: float = 1e-8) -> LocalData
         checked += 1
         if cell.degree == 0:
             (a,) = cell.indices
-            w = cover.omega.eval(manifold, pts) if cover.pullback_of is None else (
-                cover.omega.eval(manifold, pts)
-            )
-            resid = np.abs(cover.curvature(a, pts) - w)
+            resid = np.abs(cover.curvature(a, pts) - cover.omega.eval(manifold, pts))
             curv_max = max(curv_max, float(np.max(resid)))
         elif cell.degree == 1:
             a, b = cell.indices

@@ -171,6 +171,22 @@ def test_census_closes_a_period_window(models, k, count, crange):
     assert all(crange[0] - 1e-9 <= c < crange[1] for c in rep.bs_locations)
 
 
+@pytest.mark.parametrize(
+    "k,crange,want",
+    [
+        (2, (0.1, 3.2), [math.pi]),
+        (3, (0.2, 4.3), [TWO_PI / 3, 2 * TWO_PI / 3]),
+    ],
+)
+def test_census_samples_the_end_of_a_window_below_one_period(models, k, crange, want):
+    # the last BS height lies between the last half-open sample and the
+    # window end; a window narrower than one period samples its end
+    exm = models("torus", k=k)
+    rep = bs_census(exm.cover, exm.polarization(), crange, 33)
+    assert rep.q_bs == len(want)
+    assert np.allclose(rep.bs_locations, want, atol=1e-8, rtol=0)
+
+
 def test_census_monotone_under_range_growth(models):
     exm = models("cylinder")
     pol = exm.polarization()

@@ -5,7 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from gqlab import cech
+from gqlab import catalog, cech
+from gqlab.action import build_complementary
+from gqlab.bohr import bs_census
 from gqlab.cech import (
     LeafMismatchError,
     PolarizedFunction,
@@ -23,6 +25,7 @@ from gqlab.cech import (
     vector_to_cochain,
     zero_cochain,
 )
+from gqlab.geometry import pushforward_polarization
 from gqlab.prequantum import ConfigurationError
 from gqlab.transport import LeafTransport
 
@@ -330,3 +333,100 @@ def test_rank_report_shapes(models):
     assert doc["threshold"] == 1e-8
     for entry in doc["degrees"]:
         assert entry["delta_shape"][1] == entry["dim_cochains"]
+
+
+# --- per-leaf blocks ------------------------------------------------------------
+
+
+def _with_bs_labels(k, n):
+    """A generic half-offset torus grid plus the BS heights 2 pi m / k."""
+    generic = half_offset_labels(0.0, TWO_PI, n)
+    return np.sort(np.concatenate([generic, TWO_PI * np.arange(k) / k]))
+
+
+def _position_labels(grid, degree):
+    return np.concatenate(
+        [grid.cells[key].label_idx for key in grid.degree_keys(degree)]
+    )
+
+
+def _rank(sv, threshold=1e-8):
+    return int(np.sum(sv > threshold * sv[0])) if sv.size and sv[0] > 0 else 0
+
+
+def _blocks_cases():
+    cases = []
+    for k in (1, 2, 3):
+        for g in (3, 4):
+            cases.append(("torus", {"k": k, "granularity": g}, "generic"))
+            cases.append(("torus", {"k": k, "granularity": g}, "bs"))
+    return cases + [("cylinder", {}, "generic"), ("torus", {"k": 2}, "pullback")]
+
+
+def _blocks_grid(models, name, params, kind):
+    exm = models(name, **params)
+    pol = exm.polarization()
+    cover = exm.cover
+    labels = half_offset_labels(pol.label_range[0], pol.label_range[1], 16)
+    if kind == "bs":
+        labels = _with_bs_labels(params["k"], 16)
+    elif kind == "pullback":
+        translate = catalog.make_map(exm, f"translate:{math.pi},0")
+        cover = build_complementary(translate, exm.cover).base
+        pol = pushforward_polarization(translate, pol)
+    return TransversalGrid.build(cover, pol, labels)
+
+
+@pytest.mark.parametrize("name,params,kind", _blocks_cases())
+def test_leaf_blocks_match_pointwise_delta(models, name, params, kind):
+    grid = _blocks_grid(models, name, params, kind)
+    rng = np.random.default_rng(7)
+    for degree in (0, 1, 2):
+        op, (_, _, n_src), (_, _, n_dst) = delta_matrix(grid, degree)
+        assert op.shape == (n_dst, n_src)
+        vec = rng.normal(size=n_src) + 1j * rng.normal(size=n_src)
+        c = vector_to_cochain(grid, degree, vec)
+        direct = delta(grid, c)
+        via_blocks = vector_to_cochain(grid, degree + 1, op @ vec)
+        for key, want in direct.data.items():
+            assert np.allclose(via_blocks.data[key], want, atol=1e-10, rtol=0)
+
+
+@pytest.mark.parametrize("name,params,kind", _blocks_cases())
+def test_leaf_blocks_spectrum_matches_dense_svd(models, name, params, kind):
+    grid = _blocks_grid(models, name, params, kind)
+    for degree in (0, 1, 2):
+        op, _, _ = delta_matrix(grid, degree)
+        sv = op.singular_values()
+        sv_dense = np.linalg.svd(op.toarray(), compute_uv=False)
+        assert _rank(sv) == _rank(sv_dense)
+        assert np.all(np.abs(sv[:3] - sv_dense[:3]) <= 1e-12 * sv_dense[:3])
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_sheaf_cohomology_sits_on_the_bs_leaves(models, k):
+    exm = models("torus", k=k)
+    pol = exm.polarization()
+    generic = half_offset_labels(0.0, TWO_PI, 16)
+    rep = cohomology_ranks(exm.cover, pol, 16, labels=generic)
+    assert [d.betti for d in rep.degrees] == [0, 0, 0]
+    labels = _with_bs_labels(k, 16)
+    rep = cohomology_ranks(exm.cover, pol, len(labels), labels=labels)
+    assert [d.betti for d in rep.degrees] == [k, k, 0]
+    # degree 0: the labels whose coefficients delta does not fill
+    grid = TransversalGrid.build(exm.cover, pol, labels)
+    op, _, _ = delta_matrix(grid, 0)
+    cut = rep.threshold * op.singular_values()[0]
+    block_rank = {
+        g: int(np.sum(np.linalg.svd(mat, compute_uv=False) > cut))
+        for g, _, _, mat in op.blocks
+    }
+    col_label = _position_labels(grid, 0)
+    kernel = [
+        labels[g]
+        for g in np.unique(col_label)
+        if np.sum(col_label == g) > block_rank.get(g, 0)
+    ]
+    census = bs_census(exm.cover, pol, (0.0, TWO_PI), 33)
+    assert len(kernel) == census.q_bs_smooth == k
+    assert np.allclose(kernel, sorted(census.bs_locations), atol=1e-8, rtol=0)
