@@ -5,7 +5,7 @@ with switch points in consecutive double overlaps; its holonomy is the
 product of segment transport factors exp(-i integral theta) and transition
 values at the switches.  A leaf is Bohr-Sommerfeld exactly when that
 product is 1, i.e. when the accumulated action lands in 2 pi Z.  The census
-locates BS leaves by root-solving the action phase between sampled sign
+locates BS leaves by root-solving Im(holonomy) between sampled sign
 changes, so BS values need not be hit by the sample grid.
 """
 
@@ -322,6 +322,63 @@ def holonomy(
 # Census
 
 
+def _brent_root(f, a: float, fa: float, b: float, fb: float, xtol: float) -> float:
+    """A root of f in the bracket [a, b], where fa = f(a) and fb = f(b) have
+    opposite signs, to within xtol.
+
+    Brent's method (R. P. Brent, Algorithms for Minimization without
+    Derivatives, 1973, ch. 4), laid out as in scipy.optimize.brentq: the
+    bracket [x_cur, x_blk] always holds a sign change, x_cur is its end with
+    the smaller |f|, and each step is a secant or inverse quadratic step
+    when that shrinks the bracket fast enough, a bisection otherwise.  The
+    returned point is a, b or one that f was evaluated at.
+    """
+    if fa == 0.0:
+        return a
+    if fb == 0.0:
+        return b
+    x_pre, f_pre, x_cur, f_cur = a, fa, b, fb
+    x_blk, f_blk, s_pre, s_cur = a, fa, 0.0, 0.0  # set on the first pass
+    while True:
+        if (f_pre < 0.0) != (f_cur < 0.0):
+            x_blk, f_blk = x_pre, f_pre
+            s_pre = s_cur = x_cur - x_pre
+        if abs(f_blk) < abs(f_cur):
+            x_pre, x_cur, x_blk = x_cur, x_blk, x_cur
+            f_pre, f_cur, f_blk = f_cur, f_blk, f_cur
+        delta = 0.5 * xtol
+        s_bis = 0.5 * (x_blk - x_cur)
+        if f_cur == 0.0 or abs(s_bis) < delta:
+            return x_cur
+        s_try = None
+        if abs(s_pre) > delta and abs(f_cur) < abs(f_pre):
+            if x_pre == x_blk:  # secant
+                s_try = -f_cur * (x_cur - x_pre) / (f_cur - f_pre)
+            else:  # inverse quadratic interpolation
+                d_pre = (f_pre - f_cur) / (x_pre - x_cur)
+                d_blk = (f_blk - f_cur) / (x_blk - x_cur)
+                s_try = -f_cur * (f_blk * d_blk - f_pre * d_pre) / (
+                    d_blk * d_pre * (f_blk - f_pre)
+                )
+        if s_try is not None and 2.0 * abs(s_try) < min(
+            abs(s_pre), 3.0 * abs(s_bis) - delta
+        ):
+            s_pre, s_cur = s_cur, s_try
+        else:
+            s_pre = s_cur = s_bis
+        x_pre, f_pre = x_cur, f_cur
+        x_next = x_cur + (s_cur if abs(s_cur) > delta else math.copysign(delta, s_bis))
+        if x_next == x_cur:
+            # xtol is below the float spacing at x_cur: bisect down to
+            # neighbouring floats instead of stepping in place forever
+            s_pre = s_cur = s_bis
+            x_next = x_cur + s_bis
+            if x_next in (x_cur, x_blk):
+                return x_cur
+        x_cur = x_next
+        f_cur = f(x_cur)
+
+
 @dataclass(frozen=True)
 class BSEntry:
     leaf: Leaf
@@ -338,6 +395,9 @@ class BSReport:
     q_bs: int
     lines_excluded: int
     tol: float
+    # root-solving work, reported under timing rather than in the payload
+    root_brackets: int
+    root_holonomy_evaluations: int
 
     def as_dict(self) -> dict:
         return {
@@ -370,10 +430,14 @@ def bs_census(
 ) -> BSReport:
     """Bohr-Sommerfeld census over a label range.
 
-    Circle leaves are sampled at `count` labels; BS locations are then
-    root-solved to 1e-10 in the label from sign changes of sin(action/2);
-    on a periodic label window one period wide, the bracket from the last
-    sample round to the first one is searched too.
+    Circle leaves are sampled at `count` labels.  Each pair of neighbouring
+    samples where Im(holonomy) changes sign brackets a crossing, which
+    Brent's method locates to 1e-12 in the label; it is a BS location when
+    the holonomy there is +1, not -1.  On a periodic label window one
+    period wide, the bracket from the last sample round to the first one
+    is searched too.  The samples must be fine enough that the holonomy
+    crosses the real axis at most once between neighbours
+    (docs/conventions.md, "Census").
     Point leaves (declared singular points) are BS with trivial holonomy.
     Noncompact line leaves are excluded from the count unless
     include_lines is set (they all admit covariantly constant sections).
@@ -404,24 +468,21 @@ def bs_census(
             leaf = _thread_circle(cover, pol, c)
         return holonomy(cover, pol, leaf, transport).holonomy
 
+    spent: list = []  # holonomy evaluations of each root-solved bracket
+
     def root_between(c0: float, h0: complex, c1: float, h1: complex):
         """Label in (c0, c1) where Im(hol) changes sign, if the holonomy is
         +1 rather than -1 there."""
-        lo_c, hi_c, lo_s = c0, c1, h0.imag
-        hol_root = h1
-        while hi_c - lo_c > 1e-12:
-            mid = 0.5 * (lo_c + hi_c)
-            hm = hol_at(mid)
-            if hm.imag == 0.0:
-                lo_c = hi_c = mid
-                hol_root = hm
-                break
-            if (hm.imag < 0.0) == (lo_s < 0.0):
-                lo_c = mid
-            else:
-                hi_c = mid
-                hol_root = hm
-        return 0.5 * (lo_c + hi_c) if hol_root.real > 0.0 else None
+        hols = {c0: h0, c1: h1}
+
+        def im_hol(c: float) -> float:
+            if c not in hols:
+                hols[c] = hol_at(c)
+            return hols[c].imag
+
+        root = _brent_root(im_hol, c0, h0.imag, c1, h1.imag, 1e-12)
+        spent.append(len(hols) - 2)
+        return root if hols[root].real > 0.0 else None
 
     # The holonomy is continuous in the label (the action is only defined
     # up to the threading), so we root-solve Im(hol) between sign changes
@@ -477,6 +538,8 @@ def bs_census(
         q_bs=q_total,
         lines_excluded=0 if include_lines else lines,
         tol=tol,
+        root_brackets=len(spent),
+        root_holonomy_evaluations=sum(spent),
     )
 
 

@@ -66,6 +66,8 @@ class RunConfig:
             raise ConfigurationError(f"tol must be a positive number, got {self.tol}")
         if not 0.0 < self.rank_tol < 1.0:
             raise ConfigurationError(f"rank-tol must lie in (0, 1), got {self.rank_tol}")
+        if self.max_degree < 0:
+            raise ConfigurationError(f"max-degree must be >= 0, got {self.max_degree}")
         if self.range is not None:
             lo, hi = self.range
             if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
@@ -122,6 +124,11 @@ def _apply_corruption(exm: catalog.Example, spec: str) -> None:
         ) from None
     if kind != "lam":
         raise ConfigurationError(f"unknown corruption target {kind!r}")
+    if not math.isfinite(factor) or factor == 0.0:
+        # a transition must stay a finite nonvanishing function
+        raise ConfigurationError(
+            f"corruption factor must be finite and nonzero, got {factor}"
+        )
     data = exm.cover.data
     if (a, b) not in data.transitions:
         raise ConfigurationError(f"no transition ({a}, {b}) to corrupt")
@@ -234,6 +241,10 @@ def cmd_bs(cfg: RunConfig, args) -> int:
         }
     passed = True
     report = _report(cfg, payload, passed, time.perf_counter() - t0)
+    report["timing"]["counters"] = {
+        "root_brackets": census.root_brackets,
+        "root_holonomy_evaluations": census.root_holonomy_evaluations,
+    }
     if args.csv:
         _write_leaf_csv(args.csv, census)
     locs = ", ".join(f"{c:.10g}" for c in census.bs_locations)

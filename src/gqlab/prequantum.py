@@ -335,6 +335,12 @@ class LocalDataReport:
         }
 
 
+def _fold_max(acc: float, resid: np.ndarray) -> float:
+    """Running maximum of residuals that keeps a NaN (Python's max drops
+    it), so a residual with no value fails the check."""
+    return float(np.maximum(acc, np.max(resid)))
+
+
 def check_local_data(cover: TrivializationCover, tol: float = 1e-8) -> LocalDataReport:
     """Verify every law the bundle imposes on (lambda, theta).
 
@@ -359,25 +365,25 @@ def check_local_data(cover: TrivializationCover, tol: float = 1e-8) -> LocalData
         if cell.degree == 0:
             (a,) = cell.indices
             resid = np.abs(cover.curvature(a, pts) - cover.omega.eval(manifold, pts))
-            curv_max = max(curv_max, float(np.max(resid)))
+            curv_max = _fold_max(curv_max, resid)
         elif cell.degree == 1:
             a, b = cell.indices
             lam_ab = cover.transition(a, b, pts)
             lam_ba = cover.transition(b, a, pts)
-            inv_max = max(inv_max, float(np.max(np.abs(lam_ab * lam_ba - 1.0))))
+            inv_max = _fold_max(inv_max, np.abs(lam_ab * lam_ba - 1.0))
             ta = cover.potential(a, pts)
             tb = cover.potential(b, pts)
             dlog = cover.transition_dlog(a, b, pts)
             for comp in range(2):
                 resid = np.abs(ta[comp] - tb[comp] + 1j * dlog[comp])
-                compat_max = max(compat_max, float(np.max(resid)))
+                compat_max = _fold_max(compat_max, resid)
         elif cell.degree == 2:
             a, b, c = cell.indices
             resid = np.abs(
                 cover.transition(a, b, pts) * cover.transition(b, c, pts)
                 - cover.transition(a, c, pts)
             )
-            cocycle_max = max(cocycle_max, float(np.max(resid)))
+            cocycle_max = _fold_max(cocycle_max, resid)
     return LocalDataReport(
         cocycle_max=cocycle_max,
         inverse_max=inv_max,

@@ -1,15 +1,17 @@
 """Leaves, holonomy, and the Bohr-Sommerfeld census."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from gqlab import catalog
+from gqlab import bohr, catalog
 from gqlab.bohr import (
     CoverageError,
     HolonomyUndefinedError,
     Leaf,
+    _brent_root,
     bs_census,
     enumerate_leaves,
     holonomy,
@@ -235,3 +237,140 @@ def test_sphere_census_against_lattice_oracle(models, k):
     rep = bs_census(exm.cover, exm.polarization(), exm.census_range, 4 * k + 9)
     assert rep.q_bs_smooth == lattice_count(1e-6, k - 1e-6) == k - 1
     assert rep.q_bs == lattice_count(0.0, float(k)) == k + 1
+
+
+# ---------------------------------------------------------------------------
+# Root solving
+
+
+def _counted(f):
+    calls = []
+
+    def g(x):
+        calls.append(x)
+        return f(x)
+
+    return g, calls
+
+
+@pytest.mark.parametrize(
+    "f, a, b, root",
+    [
+        (math.sin, 3.0, 3.5, math.pi),
+        (lambda x: math.exp(x) - 2.0, -5.0, 5.0, math.log(2.0)),
+        (lambda x: math.atan(1e6 * (x - 0.3)), 0.0, 1.0, 0.3),  # steep
+        (lambda x: (x - 0.7) ** 3, 0.0, 1.0, 0.7),  # flat: a triple root
+        (lambda x: math.tanh(x - 2.0) * 1e-9, 1.0, 4.0, 2.0),  # flat bracket
+        (lambda x: 1.0 - math.cos(x) - 1e-3, 0.0, 1.5, math.acos(1.0 - 1e-3)),
+    ],
+)
+def test_brent_root_on_closed_forms(f, a, b, root):
+    bisections = math.ceil(math.log2((b - a) / 1e-12))
+    for lo, hi in ((a, b), (b, a)):
+        g, calls = _counted(f)
+        got = _brent_root(g, lo, f(lo), hi, f(hi), 1e-12)
+        assert abs(got - root) <= 1e-12
+        assert got in calls  # the root is a label f was evaluated at
+        assert len(calls) <= 3 * bisections
+
+
+def test_brent_root_at_a_bracket_end():
+    g, calls = _counted(lambda x: x - 0.3)
+    assert _brent_root(g, 0.3, 0.0, 1.0, 0.7, 1e-12) == 0.3
+    assert _brent_root(g, -1.0, -1.3, 0.3, 0.0, 1e-12) == 0.3
+    assert calls == []
+
+
+def test_brent_root_returns_on_an_exact_zero():
+    # zero on a whole interval: the first label inside it ends the search
+    g, calls = _counted(lambda x: min(0.0, x - 0.49) + max(0.0, x - 0.51))
+    got = _brent_root(g, 0.0, -0.49, 1.0, 0.49, 1e-12)
+    assert 0.49 <= got <= 0.51 and calls[-1] == got
+    assert [x for x in calls if 0.49 <= x <= 0.51] == [got]
+    # a secant step that lands on the root exactly
+    g, calls = _counted(lambda x: x - 0.25)
+    assert _brent_root(g, 0.0, -0.25, 1.0, 0.75, 1e-12) == 0.25
+    assert calls == [0.25]
+
+
+@pytest.mark.parametrize("root", [Fraction(100003, 10), -Fraction(500000001, 10)])
+def test_brent_root_stops_at_the_float_spacing_of_large_labels(root):
+    # the spacing of floats near these roots exceeds xtol, so the bracket
+    # can only close down to neighbouring floats; f has the exact sign
+    def f(x):
+        if len(calls) > 200:
+            raise RuntimeError("root search does not stop")
+        calls.append(x)
+        return float(Fraction(x) - root)
+
+    calls = []
+    a = math.floor(root)
+    got = _brent_root(f, a, f(a), a + 1, f(a + 1), 1e-12)
+    assert abs(Fraction(got) - root) <= math.ulp(float(root))
+
+
+def _in_window(labels, lo, period):
+    return sorted(lo + (c - lo) % period for c in labels)
+
+
+def _assert_located(rep, want):
+    got = sorted(rep.bs_locations)
+    assert len(got) == len(want)
+    assert np.max(np.abs(np.array(got) - want), initial=0.0) <= 1e-11
+    # Brent: about 37 holonomies a bracket would mean bisection
+    assert rep.root_holonomy_evaluations <= 12 * rep.root_brackets
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_census_locations_on_the_torus(models, k):
+    exm = models("torus", k=k)
+    pol = exm.polarization()
+    labels = [TWO_PI * m / k for m in range(k)]
+    for count in (24, 48, 96):
+        for lo in (0.0, 0.37 * TWO_PI / k, 1.9):
+            rep = bs_census(exm.cover, pol, (lo, lo + TWO_PI), count)
+            _assert_located(rep, _in_window(labels, lo, TWO_PI))
+            assert rep.q_bs == k
+
+
+@pytest.mark.parametrize("crange", [(-2.5, 2.5), (-1.7, 1.9), (-3.2, 0.45)])
+def test_census_locations_on_the_cylinder(models, crange):
+    exm = models("cylinder")
+    rep = bs_census(exm.cover, exm.polarization(), crange, 33)
+    want = [m for m in range(-4, 5) if crange[0] < m < crange[1]]
+    _assert_located(rep, want)
+    assert rep.root_brackets >= len(want)
+
+
+@pytest.mark.parametrize("k", range(2, 7))
+def test_census_locations_on_the_sphere(models, k):
+    exm = models("sphere", k=k)
+    for crange in ((0.3, k - 0.25), (0.45, k - 0.6)):
+        rep = bs_census(exm.cover, exm.polarization(), crange, 4 * k + 9)
+        _assert_located(rep, list(range(1, k)))
+        assert rep.q_bs_singular == 2
+
+
+def test_census_minus_one_crossing_gives_no_location(models):
+    # the torus k=1 holonomy exp(-i c) is -1 at c = pi, the only crossing
+    exm = models("torus", k=1)
+    rep = bs_census(exm.cover, exm.polarization(), (2.5, 3.8), 9)
+    assert rep.root_brackets == 1 and rep.root_holonomy_evaluations > 0
+    assert rep.bs_locations == () and rep.q_bs == 0
+
+
+def test_census_computes_each_holonomy_once(models, monkeypatch):
+    calls = []
+    real = bohr.holonomy
+
+    def counting(*args, **kwargs):
+        calls.append(args[2].label)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(bohr, "holonomy", counting)
+    exm = models("torus", k=3)
+    rep = bs_census(exm.cover, exm.polarization(), (0.05, 6.3332), 33)
+    assert rep.q_bs == 3
+    # the final +1/-1 test reuses the holonomies of the search
+    assert len(calls) == len(rep.entries) + rep.root_holonomy_evaluations
+    assert len(set(calls)) == len(calls)

@@ -249,6 +249,33 @@ def test_bad_config_exits_2_without_traceback(capsys, argv):
     assert err.startswith("config error:") and "Traceback" not in err
 
 
+def test_negative_max_degree_exits_2_without_traceback(capsys):
+    code, out, err = run_cli(capsys, "cohomology", "--max-degree", "-1")
+    assert code == 2 and out == ""
+    assert err.startswith("config error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["check", "bs"])
+@pytest.mark.parametrize("factor", ["nan", "inf", "-inf", "0"])
+def test_corruption_factor_must_be_a_transition(capsys, command, factor):
+    code, _, err = run_cli(
+        capsys, command, "--example", "torus", "--corrupt", f"lam:0,1:{factor}"
+    )
+    assert code == 2
+    assert err.startswith("config error:") and "Traceback" not in err
+
+
+def test_bs_reports_root_solving_counters(capsys):
+    code, report = run_json(
+        capsys, "bs", "--example", "torus", "--k", "3", "--range", "0.05:6.3332"
+    )
+    assert code == 0
+    counters = report["timing"]["counters"]
+    assert counters["root_brackets"] >= 3
+    assert 0 < counters["root_holonomy_evaluations"] <= 12 * counters["root_brackets"]
+    assert "counters" not in json.dumps(report["payload"])
+
+
 def test_quadrature_failure_is_config_error(capsys, monkeypatch):
     import gqlab.cli as cli
     from gqlab.quadrature import QuadratureError

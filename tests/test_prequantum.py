@@ -1,5 +1,7 @@
 """Covers, local-data laws, refinement, serialization."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -56,6 +58,18 @@ def test_corrupted_transition_fails_cocycle():
     assert not rep.passed
     assert 0.005 < rep.cocycle_max < 0.02
     assert 0.005 < rep.inverse_max < 0.02
+
+
+@pytest.mark.parametrize("factor", [float("nan"), 0.0])
+def test_transition_without_a_value_fails_the_check(factor):
+    # the residuals are NaN on that pair; Python's max() would drop them
+    exm = catalog.example("torus", k=1)
+    lam = exm.cover.data.transitions[(0, 1)]
+    exm.cover.data.transitions[(0, 1)] = ex.mul(ex.Num(factor), lam)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        rep = check_local_data(exm.cover, tol=1e-8)
+    assert not rep.passed
+    assert math.isnan(rep.compatibility_max)
 
 
 def test_transition_antisymmetry_on_random_samples(models):
