@@ -583,21 +583,39 @@ def builtin_cover(name: str, **params) -> TrivializationCover:
 _MAP_ARITY = {"identity": 0, "shear": 0, "rot": 1, "translate": 2, "pshift": 1}
 
 
+def _map_argument(text: str, spec: str) -> float:
+    """Value of one map argument: a real constant in the expression
+    language, such as 0.7, pi or 2*pi/3."""
+    try:
+        node = parse_expr(text, set())
+    except ex.ParseError as exc:
+        raise ConfigurationError(
+            f"map argument {text!r} in {spec!r} is not a constant: {exc}"
+        ) from None
+    if isinstance(node, Num):  # a literal keeps its float exactly, -0.0 too
+        return node.value
+    with np.errstate(all="ignore"):
+        value = complex(ex.evaluate(node, {}))
+    if not (math.isfinite(value.real) and math.isfinite(value.imag)):
+        raise ConfigurationError(f"map argument {text!r} in {spec!r} is not finite")
+    if value.imag != 0.0:
+        raise ConfigurationError(f"map argument {text!r} in {spec!r} is not real")
+    return value.real
+
+
 def make_map(ex_: Example, spec: str) -> Symplectomorphism:
     """Build a symplectomorphism from a spec string like 'rot:0.7'.
 
     Accepted forms per example are listed in Example.map_specs; arguments
-    follow a colon, comma separated.
+    follow a colon, comma separated, each a real constant expression
+    (translate:2*pi/3,0).
     """
     name, _, argtext = spec.partition(":")
     if name not in ex_.map_specs:
         raise ConfigurationError(
             f"map {name!r} is not defined for {ex_.name}; have {ex_.map_specs}"
         )
-    try:
-        args = [float(v) for v in argtext.split(",")] if argtext else []
-    except ValueError:
-        raise ConfigurationError(f"map arguments in {spec!r} must be numbers") from None
+    args = [_map_argument(v, spec) for v in argtext.split(",")] if argtext else []
     if len(args) > _MAP_ARITY[name] or not all(math.isfinite(v) for v in args):
         raise ConfigurationError(
             f"map {name!r} takes at most {_MAP_ARITY[name]} finite arguments, "

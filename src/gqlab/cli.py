@@ -108,12 +108,17 @@ def _example_from_config(cfg: RunConfig) -> catalog.Example:
         params["p_max"] = cfg.p_max if cfg.p_max is not None else max(3.5, reach)
     exm = catalog.example(cfg.example, **params)
     if cfg.corrupt:
-        _apply_corruption(exm, cfg.corrupt)
+        exm = _apply_corruption(exm, cfg.corrupt)
     return exm
 
 
-def _apply_corruption(exm: catalog.Example, spec: str) -> None:
-    """Perturb local data in place, e.g. 'lam:0,1:1.01'."""
+def _apply_corruption(exm: catalog.Example, spec: str) -> catalog.Example:
+    """A copy of the example with one transition scaled, e.g. 'lam:0,1:1.01'.
+
+    The copy gets its own transitions dict and shares everything else,
+    the nerve included (it depends only on the element boxes); the given
+    example is left as it was.
+    """
     try:
         kind, pair, factor = spec.split(":")
         a, b = (int(v) for v in pair.split(","))
@@ -132,7 +137,12 @@ def _apply_corruption(exm: catalog.Example, spec: str) -> None:
     data = exm.cover.data
     if (a, b) not in data.transitions:
         raise ConfigurationError(f"no transition ({a}, {b}) to corrupt")
-    data.transitions[(a, b)] = ex.mul(ex.Num(factor), data.transitions[(a, b)])
+    transitions = dict(data.transitions)
+    transitions[(a, b)] = ex.mul(ex.Num(factor), transitions[(a, b)])
+    cover = dataclasses.replace(
+        exm.cover, data=dataclasses.replace(data, transitions=transitions)
+    )
+    return dataclasses.replace(exm, cover=cover)
 
 
 def _report(cfg: RunConfig, payload: dict, passed: bool, seconds: float) -> dict:

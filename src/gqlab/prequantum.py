@@ -221,57 +221,91 @@ def _period_vec(manifold: Manifold) -> np.ndarray:
     return np.array([p if p is not None else 0.0 for p in manifold.periods])
 
 
-def _cell_samples(manifold: Manifold, box: Box, degree: int) -> np.ndarray:
+def _degree_samples(manifold: Manifold, lo: np.ndarray, hi: np.ndarray,
+                    degree: int) -> list:
+    """Interior sample grid of each box (rows of lo, hi) of one degree.
+
+    Each box gets the ij meshgrid of n points per axis, inset by 1e-3 of
+    its width, that Box.grid(n) gives; points outside the domain (the
+    disk) are dropped.
+    """
     n = max(3, 10 - 2 * degree)
-    pts = box.grid(n)
-    keep = manifold.in_domain(manifold.reduce(pts))
-    return pts[keep]
+    inset = 1e-3 * (hi - lo)
+    axes = np.linspace(lo + inset, hi - inset, n, axis=1)  # (boxes, n, 2)
+    grid = np.empty((len(lo), n, n, 2))
+    grid[..., 0] = axes[:, :, None, 0]
+    grid[..., 1] = axes[:, None, :, 1]
+    grid = grid.reshape(len(lo), n * n, 2)
+    if manifold.disk_radius is None:
+        return list(grid)
+    keep = manifold.in_domain(manifold.reduce(grid.reshape(-1, 2)))
+    return [pts[k] for pts, k in zip(grid, keep.reshape(len(lo), n * n))]
 
 
 def build_nerve(cover: TrivializationCover, max_tuple: int = MAX_TUPLE) -> Nerve:
-    """Enumerate multi-overlap components up to tuples of max_tuple indices."""
+    """Enumerate multi-overlap components up to tuples of max_tuple indices.
+
+    Degree by degree, every frontier cell is intersected with every element
+    of higher index under every period shift (_shift_candidates) in one
+    broadcast; overlaps narrower than 1e-9 on either axis are empty.  The
+    survivors register in (frontier cell, element, shift) order, and the
+    k-th cell on an index tuple gets comp k.  See docs/conventions.md
+    "Nerve".
+    """
     manifold = cover.manifold
-    periods = _period_vec(manifold)
     shift_cands = _shift_candidates(manifold)
+    offsets = -np.array(shift_cands) * _period_vec(manifold)  # (shifts, 2)
+    ids = [el.index for el in cover.elements]
+    id_arr = np.array(ids)
+    el_lo = np.array([el.box.lo for el in cover.elements], dtype=float).reshape(-1, 2)
+    el_hi = np.array([el.box.hi for el in cover.elements], dtype=float).reshape(-1, 2)
+    # every element box under every shift: (elements, shifts, 2)
+    shifted_lo = el_lo[:, None, :] + offsets
+    shifted_hi = el_hi[:, None, :] + offsets
     cells: dict = {}
     faces: dict = {}
     by_shape: dict = {}  # (indices, shifts) -> key
+    comps: dict = {}  # indices -> cells registered on it so far
 
-    def register(indices, shifts, box):
-        comp = 0
-        while (indices, comp) in cells:
-            comp += 1
-        cell = NerveCell(
-            indices=indices,
-            comp=comp,
-            box=box,
-            shifts=shifts,
-            samples=_cell_samples(manifold, box, len(indices) - 1),
+    def register(degree, indices, shifts, boxes, lo, hi):
+        out = []
+        samples = _degree_samples(manifold, lo, hi, degree)
+        for idx, sh, box, pts in zip(indices, shifts, boxes, samples):
+            comp = comps.get(idx, 0)
+            comps[idx] = comp + 1
+            cell = NerveCell(indices=idx, comp=comp, box=box, shifts=sh, samples=pts)
+            cells[cell.key] = cell
+            by_shape[(idx, sh)] = cell.key
+            out.append(cell)
+        return out
+
+    frontier = register(
+        0,
+        [(i,) for i in ids],
+        [((0, 0),)] * len(cover.elements),
+        [el.box for el in cover.elements],
+        el_lo,
+        el_hi,
+    )
+    lo, hi = el_lo, el_hi
+    for degree in range(1, max_tuple):
+        # (frontier cell, element, shift, axis)
+        new_lo = np.maximum(lo[:, None, None, :], shifted_lo)
+        new_hi = np.minimum(hi[:, None, None, :], shifted_hi)
+        last = np.array([cell.indices[-1] for cell in frontier])
+        keep = ~np.any(new_hi - new_lo < 1e-9, axis=-1)
+        keep &= (id_arr > last[:, None])[:, :, None]
+        f, e, s = np.nonzero(keep)
+        lo, hi = new_lo[f, e, s], new_hi[f, e, s]
+        f, e, s = f.tolist(), e.tolist(), s.tolist()
+        frontier = register(
+            degree,
+            [frontier[i].indices + (ids[j],) for i, j in zip(f, e)],
+            [frontier[i].shifts + (shift_cands[j],) for i, j in zip(f, s)],
+            [Box(tuple(l), tuple(h)) for l, h in zip(lo.tolist(), hi.tolist())],
+            lo,
+            hi,
         )
-        cells[cell.key] = cell
-        by_shape[(indices, shifts)] = cell.key
-        return cell
-
-    for el in cover.elements:
-        register((el.index,), ((0, 0),), el.box)
-
-    frontier = [c for c in cells.values()]
-    for _size in range(2, max_tuple + 1):
-        new_cells = []
-        for cell in frontier:
-            for el in cover.elements:
-                if el.index <= cell.indices[-1]:
-                    continue
-                for s in shift_cands:
-                    cand = el.box.shifted((-s[0] * periods[0], -s[1] * periods[1]))
-                    inter = cell.box.intersect(cand)
-                    if inter is None:
-                        continue
-                    new = register(
-                        cell.indices + (el.index,), cell.shifts + (s,), inter
-                    )
-                    new_cells.append(new)
-        frontier = new_cells
 
     # Face links: deleting the j-th index lands in a unique smaller cell.
     for cell in cells.values():

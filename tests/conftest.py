@@ -5,8 +5,8 @@ from gqlab import catalog
 
 @pytest.fixture(scope="session")
 def models():
-    """Builtin examples, built once per session (nerve building is the
-    expensive part)."""
+    """Builtin examples, built once per session; tests that change an
+    example build their own."""
     cache = {}
 
     def get(name, **params):

@@ -5,8 +5,10 @@ import json
 
 import pytest
 
-from gqlab.cli import RunConfig, main
-from gqlab.prequantum import ConfigurationError
+from gqlab import catalog
+from gqlab import expr as ex
+from gqlab.cli import RunConfig, _apply_corruption, main
+from gqlab.prequantum import ConfigurationError, check_local_data
 
 
 def run_cli(capsys, *argv):
@@ -325,3 +327,90 @@ def test_non_finite_report_value_is_internal_error(capsys, monkeypatch):
     monkeypatch.setattr(cli, "_report", poisoned)
     code, out, err = run_cli(capsys, "bs", "--example", "sphere", "--k", "2")
     assert code == 3 and out == "" and "not strict JSON" in err
+
+
+@pytest.mark.parametrize(
+    "argv,want",
+    [
+        (("act", "--example", "torus", "--k", "2", "--map", "translate:pi,0"), 0),
+        (("act", "--example", "torus", "--k", "2", "--map", "translate:2*pi/3,0"), 1),
+        (("act", "--example", "torus", "--k", "3", "--map", "translate:2*pi/3,0"), 0),
+        (("act", "--example", "plane", "--map", "rot:pi/4"), 0),
+        (("act", "--example", "sphere", "--k", "2", "--map", "rot:pi/4"), 0),
+    ],
+)
+def test_map_arguments_are_constant_expressions(capsys, argv, want):
+    code, report = run_json(capsys, *argv, "--grid", "12", "--count", "12")
+    assert code == want
+    assert report["pass"] is (want == 0)
+
+
+def _builtin(name):
+    return catalog.example(name, **({"k": 1} if name in ("torus", "sphere") else {}))
+
+
+@pytest.mark.parametrize(
+    "example,spec,literal",
+    [
+        ("torus", "translate:pi,0", "translate:3.141592653589793,0"),
+        ("torus", "translate:2*pi/3,0", "translate:2.0943951023931953,0"),
+        ("plane", "rot:pi/4", "rot:0.7853981633974483"),
+        ("cylinder", "pshift:1/2", "pshift:0.5"),
+    ],
+)
+def test_map_expression_equals_its_decimal_value(example, spec, literal):
+    exm = _builtin(example)
+    got, want = catalog.make_map(exm, spec), catalog.make_map(exm, literal)
+    assert (got.name, got.forward, got.inverse) == (want.name, want.forward, want.inverse)
+
+
+@pytest.mark.parametrize(
+    "example,spec,name",
+    [
+        ("torus", "translate:0.7,0", "translate:0.7,0.0"),
+        ("torus", "translate:-0,1e-3", "translate:-0.0,0.001"),
+        ("torus", "translate:3.141592653589793", "translate:3.141592653589793,0.0"),
+        ("plane", "rot:.5", "rot:0.5"),
+        ("sphere", "rot:-2", "rot:-2.0"),
+        ("cylinder", "pshift:1", "pshift:1.0"),
+    ],
+)
+def test_numeric_map_arguments_keep_their_float_names(example, spec, name):
+    exm = _builtin(example)
+    assert catalog.make_map(exm, spec).name == name
+
+
+@pytest.mark.parametrize(
+    "spec",
+    ["translate:x,0", "translate:i,0", "translate:1/0,0", "translate:log(0),0",
+     "translate:1e400,0", "translate:pi+,0", "translate:,0"],
+)
+def test_map_argument_must_be_a_finite_real_constant(capsys, spec):
+    code, out, err = run_cli(capsys, "act", "--example", "torus", "--map", spec)
+    assert code == 2 and out == ""
+    assert err.startswith("config error:") and "Traceback" not in err
+
+
+def test_corruption_leaves_the_example_untouched():
+    exm = catalog.example("torus", k=1)
+    before = dict(exm.cover.data.transitions)
+    bad = _apply_corruption(exm, "lam:0,1:1.01")
+    assert exm.cover.data.transitions == before
+    assert all(exm.cover.data.transitions[p] is lam for p, lam in before.items())
+    assert bad.cover.data.transitions[(0, 1)] != before[(0, 1)]
+    assert bad.cover.nerve is exm.cover.nerve
+    assert check_local_data(exm.cover).passed
+    assert not check_local_data(bad.cover).passed
+
+
+def test_corrupted_check_matches_corruption_in_place(capsys):
+    # the residuals of a copy equal those of scaling the transition in place
+    code, report = run_json(
+        capsys, "check", "--example", "torus", "--k", "1",
+        "--corrupt", "lam:0,1:1.01",
+    )
+    exm = catalog.example("torus", k=1)
+    lams = exm.cover.data.transitions
+    lams[(0, 1)] = ex.mul(ex.Num(1.01), lams[(0, 1)])
+    assert code == 1
+    assert report["payload"]["local_data"] == check_local_data(exm.cover).as_dict()

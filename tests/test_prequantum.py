@@ -8,8 +8,14 @@ import pytest
 from gqlab import catalog
 from gqlab import expr as ex
 from gqlab.prequantum import (
+    MAX_TUPLE,
     ConfigurationError,
+    Nerve,
+    NerveCell,
     RefinementError,
+    _period_vec,
+    _shift_candidates,
+    build_nerve,
     check_local_data,
     cover_from_json,
     cover_to_json,
@@ -179,3 +185,98 @@ def test_torus_rejects_degenerate_granularity():
 def test_unknown_example_rejected():
     with pytest.raises(ConfigurationError):
         catalog.example("klein-bottle")
+
+
+# ---------------------------------------------------------------------------
+# Nerve identity: the broadcast build against the pairwise construction
+
+
+def _reference_nerve(cover, max_tuple=MAX_TUPLE):
+    """The nerve built one (frontier cell, element, shift) triple at a time
+    with Box operations, in the enumeration order build_nerve keeps."""
+    manifold = cover.manifold
+    periods = _period_vec(manifold)
+    cells, by_shape, faces = {}, {}, {}
+
+    def register(indices, shifts, box):
+        comp = 0
+        while (indices, comp) in cells:
+            comp += 1
+        pts = box.grid(max(3, 10 - 2 * (len(indices) - 1)))
+        samples = pts[manifold.in_domain(manifold.reduce(pts))]
+        cells[(indices, comp)] = NerveCell(indices, comp, box, shifts, samples)
+        by_shape[(indices, shifts)] = (indices, comp)
+        return cells[(indices, comp)]
+
+    frontier = [register((el.index,), ((0, 0),), el.box) for el in cover.elements]
+    for _size in range(2, max_tuple + 1):
+        new = []
+        for cell in frontier:
+            for el in cover.elements:
+                if el.index <= cell.indices[-1]:
+                    continue
+                for s in _shift_candidates(manifold):
+                    shift = (-s[0] * periods[0], -s[1] * periods[1])
+                    inter = cell.box.intersect(el.box.shifted(shift))
+                    if inter is not None:
+                        new.append(register(cell.indices + (el.index,),
+                                            cell.shifts + (s,), inter))
+        frontier = new
+    for cell in cells.values():
+        links = []
+        for j in range(len(cell.indices)) if cell.degree else ():
+            sub = cell.shifts[:j] + cell.shifts[j + 1:]
+            norm = tuple((a - sub[0][0], b - sub[0][1]) for a, b in sub)
+            links.append((by_shape[(cell.indices[:j] + cell.indices[j + 1:], norm)], sub[0]))
+        if links:
+            faces[cell.key] = tuple(links)
+    return Nerve(cells=cells, faces=faces, max_degree=max_tuple - 1)
+
+
+def _assert_same_nerve(got, want):
+    assert list(got.cells) == list(want.cells)  # keys and their order
+    assert got.max_degree == want.max_degree
+    for key, w in want.cells.items():
+        g = got.cells[key]
+        assert (g.indices, g.comp, g.shifts) == (w.indices, w.comp, w.shifts)
+        assert g.box == w.box, key
+        for mine, theirs in ((g.box.lo, w.box.lo), (g.box.hi, w.box.hi)):
+            assert np.array(mine, float).tobytes() == np.array(theirs, float).tobytes()
+        assert g.samples.dtype == w.samples.dtype
+        assert g.samples.shape == w.samples.shape, key
+        assert g.samples.tobytes() == w.samples.tobytes(), key
+    assert list(got.faces.items()) == list(want.faces.items())
+
+
+NERVE_CASES = (
+    [("torus", {"k": k, "granularity": g}) for k in (1, 3, 8) for g in (3, 4, 5)]
+    + [("cylinder", {"granularity": g}) for g in (2, 3, 4, 5)]
+    + [("sphere", {"k": 1}), ("sphere", {"k": 3}), ("disk", {}),
+       ("plane", {"granularity": 1}), ("plane", {"granularity": 2}),
+       ("circle-flat", {})]
+)
+
+
+@pytest.mark.parametrize("name,params", NERVE_CASES)
+def test_nerve_matches_pairwise_construction(models, name, params):
+    cover = models(name, **params).cover
+    _assert_same_nerve(build_nerve(cover), _reference_nerve(cover))
+
+
+@pytest.mark.parametrize("name,params", [
+    ("torus", {"k": 2}), ("cylinder", {}), ("sphere", {"k": 2}), ("disk", {}),
+])
+def test_nerve_matches_pairwise_construction_after_refine(models, name, params):
+    fine, _ = refine(models(name, **params).cover,
+                     split_boxes(models(name, **params).cover))
+    _assert_same_nerve(fine.nerve, _reference_nerve(fine))
+
+
+@pytest.mark.parametrize("name,params", [
+    ("torus", {"k": 3}), ("cylinder", {}), ("plane", {"granularity": 2}),
+])
+def test_nerve_matches_pairwise_construction_after_json_round_trip(
+    models, name, params
+):
+    back = cover_from_json(cover_to_json(models(name, **params).cover))
+    _assert_same_nerve(back.nerve, _reference_nerve(back))
