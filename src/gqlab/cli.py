@@ -4,7 +4,7 @@ Subcommands: examples, check, bs, cohomology, act, parse-expr.  Every run
 echoes its configuration into a versioned JSON report; payloads are
 deterministic for a fixed config and seed (timing lives outside the
 payload).  Exit codes: 0 pass, 1 verification failure, 2 usage or config
-error, 3 internal invariant violation.
+error, 3 internal error (an invariant violation or any other exception).
 """
 
 from __future__ import annotations
@@ -68,6 +68,8 @@ class RunConfig:
             raise ConfigurationError(f"rank-tol must lie in (0, 1), got {self.rank_tol}")
         if self.max_degree < 0:
             raise ConfigurationError(f"max-degree must be >= 0, got {self.max_degree}")
+        if self.p_max is not None and not (math.isfinite(self.p_max) and self.p_max > 0.0):
+            raise ConfigurationError(f"p-max must be a positive number, got {self.p_max}")
         if self.range is not None:
             lo, hi = self.range
             if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
@@ -201,10 +203,25 @@ def cmd_parse_expr(args) -> int:
         values = {}
         for item in args.at.split(","):
             name, _, val = item.partition("=")
-            values[name] = complex(val)
-        val = ex.evaluate(e, values)
+            try:
+                values[name] = complex(val)
+            except ValueError:
+                raise ConfigurationError(
+                    f"bad --at value {item!r}; expected name=<number>"
+                ) from None
+        try:
+            val = ex.evaluate(e, values)
+        except ValueError as exc:  # a variable --at gives no value
+            raise ConfigurationError(str(exc)) from None
         print(f"value: {val}")
     return 0
+
+
+def _local_data_line(local) -> str:
+    return (
+        f"local data: cocycle={local.cocycle_max:.3e} inverse={local.inverse_max:.3e} "
+        f"curvature={local.curvature_max:.3e} compatibility={local.compatibility_max:.3e}"
+    )
 
 
 def cmd_check(cfg: RunConfig, args) -> int:
@@ -226,8 +243,7 @@ def cmd_check(cfg: RunConfig, args) -> int:
         passed = passed and mrep.passed
     report = _report(cfg, payload, passed, time.perf_counter() - t0)
     lines = [
-        f"local data: cocycle={local.cocycle_max:.3e} inverse={local.inverse_max:.3e} "
-        f"curvature={local.curvature_max:.3e} compatibility={local.compatibility_max:.3e}",
+        _local_data_line(local),
         f"check: {'pass' if passed else 'FAIL'} (tol {cfg.tol:g})",
     ]
     _emit(report, args, lines)
@@ -319,6 +335,14 @@ def cmd_act(cfg: RunConfig, args) -> int:
     bad = [w for w in which if w not in ("thm1", "thm2")]
     if bad:
         raise ConfigurationError(f"unknown verification targets {bad}")
+    # invariance means nothing for data that breaks the bundle laws
+    local = check_local_data(exm.cover, cfg.tol)
+    if not local.passed:
+        status = "invalid_local_data"
+        payload = {"local_data": local.as_dict(), "status": status}
+        report = _report(cfg, payload, False, time.perf_counter() - t0)
+        _emit(report, args, [_local_data_line(local), f"status: {status}"])
+        return 1
     # one complementary cover (or obstruction) serves both theorems
     built = build_complementary(phi, exm.cover) if which else None
     pol_name = cfg.polarization if cfg.polarization != "default" else None
@@ -472,6 +496,9 @@ def main(argv=None) -> int:
         return 2
     except InternalConsistencyError as exc:
         print(f"internal invariant violation: {exc}", file=sys.stderr)
+        return 3
+    except Exception as exc:  # a fault of the program, never a traceback
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
 
 

@@ -4,7 +4,7 @@ Every formula in the workbench (symplectic coefficients, connection
 potentials, transition functions, maps, leaf curves) is an immutable syntax
 tree over named coordinates.  Trees support exact symbolic differentiation,
 substitution, a canonical printer whose output re-parses to the same tree,
-and compilation to a flat program for the numeric backends.
+and compilation to a flat program for the array evaluator.
 
 Supported nodes: numeric literals, ``pi``, the imaginary unit ``i``, named
 variables, ``+ - * / ^`` (``**`` is accepted as a synonym for ``^``), unary
@@ -13,6 +13,7 @@ minus, and the functions ``exp log sin cos sqrt atan2``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -239,6 +240,8 @@ def _tokenize(source: str):
                 value = float(text)
             except ValueError:
                 raise ParseError(f"bad number {text!r}", i) from None
+            if not math.isfinite(value):
+                raise ParseError(f"number {text!r} is out of range", i)
             tokens.append((_TOKEN_NUMBER, value, i))
             i = j
             continue

@@ -1,56 +1,84 @@
-"""Backend selection and the array evaluation entry point.
+"""The expression evaluator: a NumPy stack machine over compiled programs.
 
-At import we pick the compiled core if it built, else the pure-NumPy
-fallback.  `GQLAB_PURE=1` in the environment forces the fallback (used by
-the backend-comparison benchmark and by tests that need both).
+Operates on whole arrays per opcode: complex128 throughout, principal
+branches for log/sqrt/pow, atan2 on real parts, and invalid operations
+produce nan/inf rather than raising.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-from . import _progeval_py
-from .program import compile_expr
-
-if os.environ.get("GQLAB_PURE", "") not in ("", "0"):
-    _impl = _progeval_py
-else:
-    try:
-        from . import _progeval as _impl  # type: ignore[attr-defined]
-    except ImportError:
-        _impl = _progeval_py
-
-# The compiled stack is fixed-size; overly deep programs fall back per call.
-_MAX_COMPILED_STACK = 64
-# The point-at-a-time compiled loop wins on small batches (quadrature
-# nodes); NumPy's vectorized ops win on large sweeps.  Crossover measured
-# by benchmarks/bench_backends.py.
-_BATCH_CROSSOVER = 256
-
-
-def backend_name() -> str:
-    return _impl.BACKEND
+from .program import (
+    OP_ADD,
+    OP_ATAN2,
+    OP_CONST,
+    OP_COS,
+    OP_DIV,
+    OP_EXP,
+    OP_LOG,
+    OP_MUL,
+    OP_NEG,
+    OP_POW,
+    OP_POWI,
+    OP_SIN,
+    OP_SQRT,
+    OP_SUB,
+    OP_VAR,
+    compile_expr,
+)
 
 
 def run(prog, cols: np.ndarray) -> np.ndarray:
-    if _impl is not _progeval_py and (
-        prog.max_stack > _MAX_COMPILED_STACK or cols.shape[1] > _BATCH_CROSSOVER
-    ):
-        return _progeval_py.run_program(prog, cols)
-    return _impl.run_program(prog, cols)
-
-
-def run_with(backend: str, prog, cols: np.ndarray) -> np.ndarray:
-    """Evaluate on an explicit backend ('pure' or 'compiled')."""
-    if backend == "pure":
-        return _progeval_py.run_program(prog, cols)
-    if backend == "compiled":
-        from . import _progeval  # noqa: F401  (ImportError if not built)
-
-        return _progeval.run_program(prog, cols)
-    raise ValueError(f"unknown backend {backend!r}")
+    """Evaluate prog at cols (nvars, n); returns complex128 (n,)."""
+    n = cols.shape[1] if cols.ndim == 2 else 0
+    stack = np.empty((prog.max_stack, n), dtype=np.complex128)
+    top = -1
+    with np.errstate(all="ignore"):
+        for op, arg in prog.code:
+            if op == OP_CONST:
+                top += 1
+                stack[top] = prog.consts[arg]
+            elif op == OP_VAR:
+                top += 1
+                stack[top] = cols[arg]
+            elif op == OP_ADD:
+                stack[top - 1] += stack[top]
+                top -= 1
+            elif op == OP_SUB:
+                stack[top - 1] -= stack[top]
+                top -= 1
+            elif op == OP_MUL:
+                stack[top - 1] *= stack[top]
+                top -= 1
+            elif op == OP_DIV:
+                stack[top - 1] /= stack[top]
+                top -= 1
+            elif op == OP_NEG:
+                np.negative(stack[top], out=stack[top])
+            elif op == OP_POW:
+                stack[top - 1] **= stack[top]
+                top -= 1
+            elif op == OP_POWI:
+                stack[top] **= int(arg)
+            elif op == OP_EXP:
+                np.exp(stack[top], out=stack[top])
+            elif op == OP_LOG:
+                np.log(stack[top], out=stack[top])
+            elif op == OP_SIN:
+                np.sin(stack[top], out=stack[top])
+            elif op == OP_COS:
+                np.cos(stack[top], out=stack[top])
+            elif op == OP_SQRT:
+                np.sqrt(stack[top], out=stack[top])
+            elif op == OP_ATAN2:
+                stack[top - 1] = np.arctan2(
+                    stack[top - 1].real, stack[top].real
+                ).astype(np.complex128)
+                top -= 1
+            else:  # pragma: no cover
+                raise RuntimeError(f"bad opcode {op}")
+    return stack[0].copy()
 
 
 def evaluate(e, values: dict):

@@ -1,8 +1,7 @@
 """Compilation of expression trees to flat stack programs.
 
-A program is the shared input format of the two evaluation backends (the
-compiled core and the pure-NumPy fallback): a postorder opcode tape over a
-complex stack, with a constant pool and positional variables.
+A program is the input of the evaluator in kernels.py: a postorder opcode
+tape over a complex stack, with a constant pool and positional variables.
 """
 
 from __future__ import annotations

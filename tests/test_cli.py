@@ -243,6 +243,12 @@ def test_act_builds_the_complementary_cover_once(capsys, monkeypatch):
         ("bs", "--count", "0"),
         ("bs", "--tol", "-1"),
         ("cohomology", "--rank-tol", "2"),
+        ("bs", "--example", "cylinder", "--p-max", "1e400"),
+        ("bs", "--example", "cylinder", "--p-max", "0"),
+        ("parse-expr", "x", "--at", "x="),
+        ("parse-expr", "x", "--at", "y"),
+        ("parse-expr", "x+y", "--at", "x=1"),
+        ("parse-expr", "1e400"),
     ],
 )
 def test_bad_config_exits_2_without_traceback(capsys, argv):
@@ -276,6 +282,31 @@ def test_bs_reports_root_solving_counters(capsys):
     assert counters["root_brackets"] >= 3
     assert 0 < counters["root_holonomy_evaluations"] <= 12 * counters["root_brackets"]
     assert "counters" not in json.dumps(report["payload"])
+
+
+def test_act_on_broken_local_data_fails_before_the_theorems(capsys):
+    code, report = run_json(
+        capsys, "act", "--example", "plane", "--granularity", "2",
+        "--corrupt", "lam:0,1:1.01", "--map", "shear",
+    )
+    payload = report["payload"]
+    assert code == 1 and report["pass"] is False
+    assert payload["status"] == "invalid_local_data"
+    assert not payload["local_data"]["pass"]
+    assert 0.005 < payload["local_data"]["inverse_max"] < 0.02
+    assert "thm1" not in payload and "thm2" not in payload
+
+
+def test_unexpected_exception_is_internal_error(capsys, monkeypatch):
+    import gqlab.cli as cli
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "bs_census", broken)
+    code, out, err = run_cli(capsys, "bs", "--example", "torus", "--json")
+    assert code == 3 and out == ""
+    assert err == "internal error: RuntimeError: boom\n"
 
 
 def test_quadrature_failure_is_config_error(capsys, monkeypatch):

@@ -1,50 +1,13 @@
-"""Backend selection and compiled/pure evaluator parity."""
+"""The array evaluator: scalar and array calls, deep programs, totality."""
 
 import numpy as np
-import pytest
 
 from gqlab import kernels
 from gqlab import expr as ex
 from gqlab.program import compile_expr
 
-SOURCES = [
-    "x + y*i",
-    "(x - y)*exp(i*x)/(1 + y^2)",
-    "atan2(y, x) + sqrt(x^2 + 4)",
-    "log(x^2 + 1) - cos(x*y)^3",
-    "x^y",
-    "-(x^7)",
-]
 
-
-def _have_compiled() -> bool:
-    try:
-        import gqlab._progeval  # noqa: F401
-
-        return True
-    except ImportError:
-        return False
-
-
-@pytest.mark.skipif(not _have_compiled(), reason="compiled core not built")
-@pytest.mark.parametrize("source", SOURCES)
-def test_backend_parity(source):
-    e = ex.parse_expr(source)
-    prog = compile_expr(e, ("x", "y"))
-    rng = np.random.default_rng(3)
-    cols = rng.normal(size=(2, 512)) + 1j * rng.normal(size=(2, 512)) * 0.1
-    pure = kernels.run_with("pure", prog, cols)
-    compiled = kernels.run_with("compiled", prog, cols)
-    scale = 1.0 + np.abs(pure)
-    assert np.max(np.abs(pure - compiled) / scale) < 1e-13
-
-
-def test_backend_name_is_declared():
-    assert kernels.backend_name() in ("pure", "compiled")
-
-
-def test_deep_expression_falls_back():
-    # deeper than the compiled stack: still evaluates (pure path per call)
+def test_program_deeper_than_64_evaluates():
     e = ex.Var("x")
     for _ in range(70):
         e = ex.BinOp("+", ex.Num(1.0), e)
