@@ -157,19 +157,8 @@ def _thread_circle(cover, pol, c: float) -> Leaf:
         segments.append(LeafSegment(idx, u_prev + off, u_next + off, c_elem))
         u_prev = u_next
     base = pol.root
-    switch_pts = cover.manifold.reduce(_switch_coords(base, c, np.array(switches)))
+    switch_pts = cover.manifold.reduce(base.curve_points(c, np.array(switches)))
     return Leaf(c, "circle", tuple(segments), switch_pts)
-
-
-def _switch_coords(base_pol, c: float, ts: np.ndarray) -> np.ndarray:
-    if len(ts) == 0:
-        return np.empty((0, 2))
-    from . import expr as ex
-
-    cols = {"c": complex(c), "t": ts + 0j}
-    return np.column_stack(
-        [np.real(ex.evaluate(comp, cols)) for comp in base_pol.curve]
-    )
 
 
 def _thread_line(cover, pol, c: float) -> Leaf:
@@ -195,7 +184,7 @@ def _thread_line(cover, pol, c: float) -> Leaf:
         cur_end = n1
     segments.append(LeafSegment(cur[0], cur[1], cur_end, cur[2]))
     base = pol.root
-    return Leaf(c, "line", tuple(segments), _switch_coords(base, c, np.array(switches)))
+    return Leaf(c, "line", tuple(segments), base.curve_points(c, np.array(switches)))
 
 
 def _spans_a_period(pol: Polarization, lo: float, hi: float) -> bool:

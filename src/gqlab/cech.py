@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import expr as ex
 from .geometry import Polarization
 from .prequantum import ConfigurationError, TrivializationCover
 from .transport import LeafTransport
@@ -154,23 +153,7 @@ class TransversalGrid:
         cg = self.cells[key]
         if cg.base_points is None:
             base = self.polarization.root
-            if cg.count == 0:
-                pts = np.empty((0, 2))
-            else:
-                pts = np.column_stack(
-                    [
-                        np.real(
-                            ex.evaluate(
-                                comp,
-                                {
-                                    "c": cg.c_cell + 0j,
-                                    "t": np.full(cg.count, cg.t_bp) + 0j,
-                                },
-                            )
-                        )
-                        for comp in base.curve
-                    ]
-                )
+            pts = base.curve_points(cg.c_cell, np.full(cg.count, cg.t_bp))
             source = self.cover.source
             pts = source.manifold.reduce(pts)
             if self.cover.pullback_of is not None:

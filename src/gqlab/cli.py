@@ -158,6 +158,17 @@ def _report(cfg: RunConfig, payload: dict, passed: bool, seconds: float) -> dict
     }
 
 
+def _open_for_writing(path: str, what: str, **kwargs):
+    """open(path, "w"), with an OS refusal (no such directory, no
+    permission) reported as a configuration error."""
+    try:
+        return open(path, "w", **kwargs)
+    except OSError as exc:
+        raise ConfigurationError(
+            f"cannot write {what} to {path!r}: {exc.strerror or exc}"
+        ) from None
+
+
 def _emit(report: dict, args, summary_lines) -> None:
     # strict RFC 8259 JSON: a value with no finite answer is written as null
     # where it is produced, so a NaN or infinity reaching here is a fault
@@ -166,7 +177,7 @@ def _emit(report: dict, args, summary_lines) -> None:
     except ValueError as exc:
         raise InternalConsistencyError(f"report is not strict JSON: {exc}") from None
     if args.out:
-        with open(args.out, "w") as fh:
+        with _open_for_writing(args.out, "report") as fh:
             fh.write(text + "\n")
     if args.json:
         print(text)
@@ -284,7 +295,7 @@ def cmd_bs(cfg: RunConfig, args) -> int:
 
 
 def _write_leaf_csv(path: str, census) -> None:
-    with open(path, "w", newline="") as fh:
+    with _open_for_writing(path, "leaf CSV", newline="") as fh:
         writer = csv_mod.writer(fh)
         writer.writerow(
             ["label", "topology", "singular", "is_bs", "action", "phase",

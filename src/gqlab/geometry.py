@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from . import expr as ex
-from . import kernels
+from . import kernels, program
 
 TWO_PI = 2.0 * math.pi
 
@@ -146,7 +147,8 @@ class SymplecticForm:
         return eval_at(self.coefficient, manifold.coords, arr)
 
 
-def eval_at(e: ex.Expr, coords: tuple, pts: np.ndarray, extra: dict | None = None):
+def eval_at(e, coords: tuple, pts: np.ndarray, extra: dict | None = None):
+    """Evaluate an expression, or a program over coords, at (n, 2) points."""
     values = {coords[0]: pts[:, 0] + 0j, coords[1]: pts[:, 1] + 0j}
     if extra:
         values.update(extra)
@@ -156,6 +158,11 @@ def eval_at(e: ex.Expr, coords: tuple, pts: np.ndarray, extra: dict | None = Non
     return out
 
 
+def _rows(vals: np.ndarray) -> np.ndarray:
+    """Real parts of a tuple program's (outputs, n) result as (n, outputs)."""
+    return np.ascontiguousarray(vals.real.T)
+
+
 @dataclass(frozen=True)
 class Symplectomorphism:
     name: str
@@ -163,17 +170,27 @@ class Symplectomorphism:
     inverse: tuple
     coords: tuple
 
+    @cached_property
+    def _programs(self) -> dict:
+        """The map and its Jacobian (entries row by row), forward and
+        inverse, each one tuple program: ("map" | "jacobian", inverse)."""
+        out = {}
+        for inverse in (False, True):
+            comps = self.inverse if inverse else self.forward
+            out[("map", inverse)] = program.compile_expr(comps, self.coords)
+            out[("jacobian", inverse)] = program.compile_expr(
+                tuple(e for row in self.jacobian_exprs(inverse) for e in row),
+                self.coords,
+            )
+        return out
+
     def apply(self, pts) -> np.ndarray:
-        arr = as_points(pts)
-        return np.column_stack(
-            [eval_at(c, self.coords, arr).real for c in self.forward]
-        )
+        prog = self._programs[("map", False)]
+        return _rows(eval_at(prog, self.coords, as_points(pts)))
 
     def apply_inverse(self, pts) -> np.ndarray:
-        arr = as_points(pts)
-        return np.column_stack(
-            [eval_at(c, self.coords, arr).real for c in self.inverse]
-        )
+        prog = self._programs[("map", True)]
+        return _rows(eval_at(prog, self.coords, as_points(pts)))
 
     def jacobian_exprs(self, inverse: bool = False):
         comps = self.inverse if inverse else self.forward
@@ -183,13 +200,8 @@ class Symplectomorphism:
 
     def jacobian(self, pts, inverse: bool = False) -> np.ndarray:
         """DPhi at pts, shape (n, 2, 2)."""
-        arr = as_points(pts)
-        rows = self.jacobian_exprs(inverse)
-        out = np.empty((len(arr), 2, 2))
-        for a in range(2):
-            for b in range(2):
-                out[:, a, b] = eval_at(rows[a][b], self.coords, arr).real
-        return out
+        prog = self._programs[("jacobian", inverse)]
+        return _rows(eval_at(prog, self.coords, as_points(pts))).reshape(-1, 2, 2)
 
 
 def identity_map(manifold: Manifold) -> Symplectomorphism:
@@ -241,12 +253,19 @@ class Polarization:
             return np.arctan2(arr[:, 1], arr[:, 0])
         return self.base.param_of(self.map.apply(arr))
 
-    def curve_points(self, c: float, ts) -> np.ndarray:
-        ts = np.asarray(ts, dtype=float)
-        cols = {"c": np.full(ts.shape, c) + 0j, "t": ts + 0j}
-        return np.column_stack(
-            [np.real(kernels.evaluate(comp, cols)) for comp in self.curve]
-        )
+    @cached_property
+    def _curve_program(self) -> program.Program:
+        """The two leaf-curve components as one program over ("c", "t")."""
+        return program.compile_expr(self.curve, ("c", "t"))
+
+    def curve_points(self, c, ts) -> np.ndarray:
+        """Points curve(c, t), (n, 2), for a 1-d array ts and a label c
+        that is a scalar or an array like ts."""
+        values = {
+            "c": np.asarray(c, dtype=float) + 0j,
+            "t": np.asarray(ts, dtype=float) + 0j,
+        }
+        return _rows(kernels.evaluate(self._curve_program, values))
 
     def generator_at(self, pts) -> np.ndarray:
         arr = as_points(pts)

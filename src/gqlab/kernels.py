@@ -2,7 +2,8 @@
 
 Operates on whole arrays per opcode: complex128 throughout, principal
 branches for log/sqrt/pow, atan2 on real parts, and invalid operations
-produce nan/inf rather than raising.
+produce nan/inf rather than raising.  A tuple program leaves one row per
+part; each row sees exactly the ufunc sequence of the part's own program.
 """
 
 from __future__ import annotations
@@ -25,20 +26,23 @@ from .program import (
     OP_SQRT,
     OP_SUB,
     OP_VAR,
+    Program,
     compile_expr,
 )
 
 
 def run(prog, cols: np.ndarray) -> np.ndarray:
-    """Evaluate prog at cols (nvars, n); returns complex128 (n,)."""
+    """Evaluate prog at cols (nvars, n); returns complex128 (n,), or
+    (outputs, n) for a tuple program."""
     n = cols.shape[1] if cols.ndim == 2 else 0
     stack = np.empty((prog.max_stack, n), dtype=np.complex128)
+    consts = prog.consts
     top = -1
     with np.errstate(all="ignore"):
         for op, arg in prog.code:
             if op == OP_CONST:
                 top += 1
-                stack[top] = prog.consts[arg]
+                stack[top] = consts[arg]
             elif op == OP_VAR:
                 top += 1
                 stack[top] = cols[arg]
@@ -60,7 +64,7 @@ def run(prog, cols: np.ndarray) -> np.ndarray:
                 stack[top - 1] **= stack[top]
                 top -= 1
             elif op == OP_POWI:
-                stack[top] **= int(arg)
+                stack[top] **= arg
             elif op == OP_EXP:
                 np.exp(stack[top], out=stack[top])
             elif op == OP_LOG:
@@ -78,21 +82,37 @@ def run(prog, cols: np.ndarray) -> np.ndarray:
                 top -= 1
             else:  # pragma: no cover
                 raise RuntimeError(f"bad opcode {op}")
-    return stack[0].copy()
+    if prog.outputs is None:
+        return stack[0].copy()
+    return stack[: prog.outputs].copy()
 
 
 def evaluate(e, values: dict):
-    """Evaluate an expression at named scalars or 1-d arrays."""
-    names = tuple(sorted(values))
-    prog = compile_expr(e, names)
-    scalar = all(np.ndim(values[k]) == 0 for k in names)
+    """Evaluate an expression or a compiled program at named scalars or
+    equal-length 1-d arrays.
+
+    An expression is compiled over sorted(values); a program lays out its
+    columns by its own var_names, which values must all name.  Returns a
+    complex scalar for scalar inputs, else a complex (n,) array; a tuple
+    program gives (outputs,) or (outputs, n).
+    """
+    if isinstance(e, Program):
+        prog = e
+        names = prog.var_names
+    else:
+        names = tuple(sorted(values))
+        prog = compile_expr(e, names)
+    scalar = True
     n = 1
     for k in names:
         if np.ndim(values[k]) > 0:
+            scalar = False
             n = len(values[k])
             break
     cols = np.empty((len(names), n), dtype=np.complex128)
     for j, k in enumerate(names):
         cols[j] = values[k]
     out = run(prog, cols)
-    return complex(out[0]) if scalar else out
+    if not scalar:
+        return out
+    return complex(out[0]) if prog.outputs is None else out[:, 0]

@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import expr as ex
+from . import program
 from .geometry import Box, Manifold, SymplecticForm, as_points, eval_at
 
 MAX_TUPLE = 4  # tuples up to 4 indices: cochain degrees 0..3
@@ -113,6 +114,8 @@ class TrivializationCover:
     nerve: Nerve | None = None
     pullback_of: tuple | None = None  # (source cover, map)
     meta: dict = field(default_factory=dict)
+    # compiled local data, filled on first use: key -> program
+    _programs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     # -- structure ---------------------------------------------------------
 
@@ -139,6 +142,16 @@ class TrivializationCover:
 
     # -- local data evaluation (canonical coordinate inputs) ----------------
 
+    def _evaluate(self, key, parts, pts) -> np.ndarray:
+        """The formulas of key at points in this cover's coordinates.
+        parts() gives them and is compiled on the first call for key, so
+        the data behind a key must not change after that."""
+        prog = self._programs.get(key)
+        if prog is None:
+            prog = program.compile_expr(parts(), self.manifold.coords)
+            self._programs[key] = prog
+        return eval_at(prog, self.manifold.coords, pts)
+
     def transition(self, a: int, b: int, pts) -> np.ndarray:
         pts = as_points(pts)
         if a == b:
@@ -146,8 +159,8 @@ class TrivializationCover:
         if self.pullback_of is not None:
             src, phi = self.pullback_of
             return src.transition(a, b, src.manifold.reduce(phi.apply(pts)))
-        return eval_at(
-            self.data.transition_expr(a, b), self.manifold.coords, pts
+        return self._evaluate(
+            ("transition", a, b), lambda: self.data.transition_expr(a, b), pts
         )
 
     def transition_dlog(self, a: int, b: int, pts) -> tuple:
@@ -162,12 +175,14 @@ class TrivializationCover:
                 g0 * jac[:, 0, 0] + g1 * jac[:, 1, 0],
                 g0 * jac[:, 0, 1] + g1 * jac[:, 1, 1],
             )
-        lam = self.data.transition_expr(a, b)
-        coords = self.manifold.coords
-        vals = eval_at(lam, coords, pts)
-        return tuple(
-            eval_at(ex.differentiate(lam, c), coords, pts) / vals for c in coords
-        )
+
+        def parts():  # lambda and its two partial derivatives
+            lam = self.data.transition_expr(a, b)
+            c0, c1 = self.manifold.coords
+            return (lam, ex.differentiate(lam, c0), ex.differentiate(lam, c1))
+
+        lam, d0, d1 = self._evaluate(("dlog", a, b), parts, pts)
+        return d0 / lam, d1 / lam
 
     def potential(self, a: int, pts) -> tuple:
         """Connection potential components at canonical points."""
@@ -186,8 +201,9 @@ class TrivializationCover:
             raise ConfigurationError(
                 f"potential of element {a} requested outside the element"
             )
-        comps = self.data.potentials[a]
-        return tuple(eval_at(c, self.manifold.coords, lifted) for c in comps)
+        return tuple(
+            self._evaluate(("potential", a), lambda: self.data.potentials[a], lifted)
+        )
 
     def curvature(self, a: int, pts) -> np.ndarray:
         """d(theta_a) coefficient (the dx^dy component) at canonical points."""
@@ -199,10 +215,13 @@ class TrivializationCover:
             det = np.linalg.det(phi.jacobian(pts))
             return w * det
         lifted = self.member_points(a, pts)
-        t0, t1 = self.data.potentials[a]
-        coords = self.manifold.coords
-        d0t1 = eval_at(ex.differentiate(t1, coords[0]), coords, lifted)
-        d1t0 = eval_at(ex.differentiate(t0, coords[1]), coords, lifted)
+
+        def parts():
+            t0, t1 = self.data.potentials[a]
+            c0, c1 = self.manifold.coords
+            return (ex.differentiate(t1, c0), ex.differentiate(t0, c1))
+
+        d0t1, d1t0 = self._evaluate(("curvature", a), parts, lifted)
         return d0t1 - d1t0
 
 

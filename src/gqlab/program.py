@@ -2,6 +2,19 @@
 
 A program is the input of the evaluator in kernels.py: a postorder opcode
 tape over a complex stack, with a constant pool and positional variables.
+The tape and the pool are tuples of Python ints and complex numbers, so
+the evaluator dispatches without unpacking NumPy scalars.
+
+A program computes one expression or a tuple of them.  The parts of a
+tuple are emitted one after another, the way the arguments of a function
+call are: part j is computed on top of the finished parts 0..j-1 and ends
+in stack row j.  Each part runs exactly the operations of its own
+single-expression program, so its values are bit-identical to that
+program's.
+
+The objects that own formulas (maps, covers, polarizations, leaf
+transport) compile them once and keep the program; compile_expr is also
+an LRU cache, which serves one-off formulas.
 """
 
 from __future__ import annotations
@@ -9,8 +22,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-
-import numpy as np
 
 from . import expr as ex
 
@@ -42,10 +53,11 @@ _FN_OPS = {
 
 @dataclass(frozen=True)
 class Program:
-    code: np.ndarray  # int32 (n, 2): opcode, argument
-    consts: np.ndarray  # complex128 pool
-    var_names: tuple
+    code: tuple  # ((opcode, argument), ...) of Python ints
+    consts: tuple  # pool of Python complex numbers
+    var_names: tuple  # variable j is input column j
     max_stack: int
+    outputs: int | None = None  # number of parts; None for one expression
 
     @property
     def nvars(self) -> int:
@@ -88,26 +100,36 @@ def _emit(e, code, consts, const_index, var_index):
         code.append((op, 0))
         return max(d1, 1 + d2)
     if isinstance(e, ex.Call):
-        depth = 0
-        for j, a in enumerate(e.args):
-            depth = max(depth, j + _emit(a, code, consts, const_index, var_index))
+        depth = _emit_parts(e.args, code, consts, const_index, var_index)
         code.append((_FN_OPS[e.fn], 0))
         return depth
     raise TypeError(f"cannot compile {e!r}")
 
 
+def _emit_parts(parts, code, consts, const_index, var_index):
+    """Emit parts one after another, part j ending in stack row j; return
+    the stack high-water mark."""
+    depth = 0
+    for j, part in enumerate(parts):
+        depth = max(depth, j + _emit(part, code, consts, const_index, var_index))
+    return depth
+
+
 @lru_cache(maxsize=8192)
 def compile_expr(e, var_names: tuple) -> Program:
+    """Program for an expression, or for a tuple of them (one output each)."""
+    parts = e if isinstance(e, tuple) else (e,)
+    missing = frozenset().union(*map(ex.free_vars, parts)) - set(var_names)
+    if missing:
+        raise ValueError(f"unbound variables {sorted(missing)}")
     code: list = []
     consts: list = []
     var_index = {name: j for j, name in enumerate(var_names)}
-    missing = ex.free_vars(e) - set(var_names)
-    if missing:
-        raise ValueError(f"unbound variables {sorted(missing)}")
-    max_stack = _emit(e, code, consts, {}, var_index)
+    max_stack = _emit_parts(parts, code, consts, {}, var_index)
     return Program(
-        code=np.array(code, dtype=np.int32).reshape(-1, 2),
-        consts=np.array(consts, dtype=np.complex128),
+        code=tuple(code),
+        consts=tuple(consts),
         var_names=var_names,
         max_stack=max_stack,
+        outputs=len(parts) if isinstance(e, tuple) else None,
     )

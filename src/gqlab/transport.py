@@ -7,7 +7,8 @@ so the sign conventions (docs/conventions.md) cannot drift apart.
 For a base cover the integrand theta(leaf'(t)) is composed symbolically
 (potential components substituted with the leaf curve) and compiled once
 per element; for a pullback cover it is evaluated through the defining
-chain: source curve, inverse map, pulled-back potential, inverse Jacobian.
+chain: source curve, inverse map, pulled-back potential, inverse Jacobian,
+with the source curve and its velocity compiled once as one program.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import expr as ex
+from . import kernels, program
 from .quadrature import integrate
 
 
@@ -45,27 +47,23 @@ class LeafTransport:
                     ex.differentiate(base.curve[1], "t"),
                 ),
             )
+            prog = program.compile_expr(integrand, ("c", "t"))
 
             def run(c_val: float, ts: np.ndarray) -> np.ndarray:
-                out = ex.evaluate(integrand, {"c": complex(c_val), "t": ts + 0j})
+                out = kernels.evaluate(prog, {"c": complex(c_val), "t": ts + 0j})
                 if np.ndim(out) == 0:
                     out = np.full(len(ts), out, dtype=np.complex128)
                 return np.asarray(out)
 
         else:
             src, phi = cover.pullback_of
+            velocity = tuple(ex.differentiate(comp, "t") for comp in base.curve)
+            prog = program.compile_expr(tuple(base.curve) + velocity, ("c", "t"))
 
             def run(c_val: float, ts: np.ndarray) -> np.ndarray:
-                cols = {"c": complex(c_val), "t": ts + 0j}
-                up = np.column_stack(
-                    [np.real(ex.evaluate(comp, cols)) for comp in base.curve]
-                )
-                vel = np.column_stack(
-                    [
-                        np.real(ex.evaluate(ex.differentiate(comp, "t"), cols))
-                        for comp in base.curve
-                    ]
-                )
+                vals = kernels.evaluate(prog, {"c": complex(c_val), "t": ts + 0j}).real
+                up = np.ascontiguousarray(vals[:2].T)
+                vel = np.ascontiguousarray(vals[2:].T)
                 down = cover.manifold.reduce(phi.apply_inverse(up))
                 jac_inv = phi.jacobian(src.manifold.reduce(up), inverse=True)
                 v = np.einsum("nab,nb->na", jac_inv, vel)

@@ -249,6 +249,8 @@ def test_act_builds_the_complementary_cover_once(capsys, monkeypatch):
         ("parse-expr", "x", "--at", "y"),
         ("parse-expr", "x+y", "--at", "x=1"),
         ("parse-expr", "1e400"),
+        ("check", "--example", "plane", "--out", "/nonexistent/dir/r.json"),
+        ("bs", "--example", "torus", "--csv", "/nonexistent/dir/r.csv"),
     ],
 )
 def test_bad_config_exits_2_without_traceback(capsys, argv):
