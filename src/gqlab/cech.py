@@ -6,7 +6,8 @@ the element; the discretization stores exactly those values on a shared
 transversal grid of leaf labels.  The lambda-weighted restriction maps, the
 differential, and the projection onto tuples representing honest sections
 all act on these per-leaf values, with parallel-transport factors supplied
-by adaptive quadrature of the connection potential along the leaf.
+by adaptive quadrature of the connection potential along the leaf: the
+labels of one nerve face share a leaf segment and one quadrature sweep.
 
 Čech ranks are computed from the differential on the image subspaces (one
 coefficient per leaf label per nerve cell, taken in the trivialization of
@@ -60,11 +61,13 @@ class CellGrid:
     def count(self) -> int:
         return len(self.label_idx)
 
-    def position(self, global_idx: int) -> int:
-        pos = int(np.searchsorted(self.label_idx, global_idx))
-        if pos >= len(self.label_idx) or self.label_idx[pos] != global_idx:
-            raise LeafMismatchError(f"label {global_idx} does not cross the cell")
-        return pos
+    def position(self, global_idx):
+        """Position of a global label index, or of an array of them."""
+        missing = np.setdiff1d(global_idx, self.label_idx)
+        if missing.size:
+            raise LeafMismatchError(f"label {missing[0]} does not cross the cell")
+        pos = np.searchsorted(self.label_idx, global_idx)
+        return int(pos) if np.ndim(pos) == 0 else pos
 
 
 @dataclass
@@ -373,12 +376,10 @@ def res(grid: TransversalGrid, sub_key, super_key, values: np.ndarray) -> np.nda
     moved = np.zeros((n1, cg_sup.count), dtype=np.complex128)
     if cg_sub.closed or cg_sup.closed:
         return np.zeros((len(sup.indices), cg_sup.count), dtype=np.complex128)
+    pos_sub = cg_sub.position(cg_sup.label_idx)
     for k, member in enumerate(sub.indices):
-        for pos_sup, gidx in enumerate(cg_sup.label_idx):
-            pos_sub = cg_sub.position(int(gidx))
-            seg = grid.segment(member, sub_key, super_key, pos_sub)
-            fac = grid.transport(member, *seg)
-            moved[k, pos_sup] = values[k, pos_sub] * fac
+        seg = grid.segment(member, sub_key, super_key, pos_sub)
+        moved[k] = values[k, pos_sub] * grid.leaf_transport.factor(member, *seg)
     out = np.zeros((len(sup.indices), cg_sup.count), dtype=np.complex128)
     for j, bj in enumerate(sup.indices):
         for k, ak in enumerate(sub.indices):
@@ -442,17 +443,31 @@ class LeafBlocks:
 
     def singular_values(self) -> np.ndarray:
         """The union of the blocks' singular values, descending, padded with
-        zeros to min(shape)."""
+        zeros to min(shape); one stacked SVD per block shape."""
         n = min(self.shape)
-        sv = [np.linalg.svd(b[3], compute_uv=False) for b in self.blocks]
+        by_shape: dict = {}
+        for *_, mat in self.blocks:
+            by_shape.setdefault(mat.shape, []).append(mat)
+        sv = [
+            np.linalg.svd(np.stack(mats), compute_uv=False).ravel()
+            for mats in by_shape.values()
+        ]
         return np.sort(np.concatenate(sv + [np.zeros(n)]))[::-1][:n]
+
+
+def _group_by_label(labels: np.ndarray) -> dict:
+    """label -> the ascending indices that carry it."""
+    order = np.argsort(labels, kind="stable")
+    uniq, starts = np.unique(labels[order], return_index=True)
+    return dict(zip(uniq.tolist(), np.split(order, starts[1:])))
 
 
 def delta_matrix(grid: TransversalGrid, degree: int) -> tuple:
     """delta on image coefficients as LeafBlocks, with index maps.
 
     Coefficients parameterize each cell's image tuples by the component in
-    the first member's trivialization, one per retained leaf label.
+    the first member's trivialization, one per retained leaf label.  Each
+    face's transport factors come from one batched LeafTransport call.
     """
     src_keys, src_off, n_src = _block_offsets(grid, degree)
     dst_keys, dst_off, n_dst = _block_offsets(grid, degree + 1)
@@ -474,21 +489,24 @@ def delta_matrix(grid: TransversalGrid, degree: int) -> tuple:
             )
             fpos = fpos[pos]
             lam = grid.transition_at_basepoints(key, beta0, ref)[pos]
-            c_elem, t0, t1 = grid.segment(beta0, face_key, key, fpos)
-            fac = [grid.transport(beta0, c, t0, t1) for c in c_elem.tolist()]
+            fac = grid.leaf_transport.factor(
+                beta0, *grid.segment(beta0, face_key, key, fpos)
+            )
             rows.append(dst_off[key] + pos)
             cols.append(src_off[face_key] + fpos)
-            vals.append((-1) ** j * lam * np.array(fac, dtype=np.complex128))
+            vals.append((-1) ** j * lam * fac)
     rows, cols, vals = map(np.concatenate, (rows, cols, vals))
     row_label, col_label = (
         np.concatenate([grid.cells[k].label_idx for k in keys] + [np.empty(0, int)])
         for keys in (dst_keys, src_keys)
     )
-    entry_label = row_label[rows]
+    by_row, by_col, by_entry = (
+        _group_by_label(lab) for lab in (row_label, col_label, row_label[rows])
+    )
     blocks = []
     for g in np.intersect1d(row_label, col_label):
-        r, c = np.flatnonzero(row_label == g), np.flatnonzero(col_label == g)
-        e = entry_label == g
+        r, c = by_row[g], by_col[g]
+        e = by_entry.get(g, r[:0])  # in entry order, as np.add.at needs
         mat = np.zeros((len(r), len(c)), dtype=np.complex128)
         place = np.searchsorted(r, rows[e]), np.searchsorted(c, cols[e])
         np.add.at(mat, place, vals[e])
@@ -539,6 +557,7 @@ class RankReport:
     n_labels: int
     n_labels_retained: int
     threshold: float
+    counters: dict = field(default_factory=dict, compare=False)  # work done
 
     def betti(self, degree: int) -> int:
         return self.degrees[degree].betti
@@ -620,9 +639,16 @@ def cohomology_ranks(
                 betti_per_leaf=(betti / retained) if retained else None,
             )
         )
+    transport = grid.leaf_transport
     return RankReport(
         degrees=tuple(ranks),
         n_labels=int(n_labels),
         n_labels_retained=retained,
         threshold=threshold,
+        counters={
+            "transport_integrals": transport.integrals_computed,
+            "transport_batches": transport.batches,
+            "leaf_blocks": sum(len(m.blocks) for m in mats),
+            "svd_calls": sum(len({b[3].shape for b in m.blocks}) for m in mats),
+        },
     )

@@ -326,6 +326,7 @@ def cmd_cohomology(cfg: RunConfig, args) -> int:
     )
     payload = {"cohomology": rank.as_dict()}
     report = _report(cfg, payload, True, time.perf_counter() - t0)
+    report["timing"]["counters"] = rank.counters
     lines = [
         "degree  dim   rank(delta)  betti  betti/leaf",
         *(

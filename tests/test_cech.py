@@ -430,3 +430,193 @@ def test_sheaf_cohomology_sits_on_the_bs_leaves(models, k):
     census = bs_census(exm.cover, pol, (0.0, TWO_PI), 33)
     assert len(kernel) == census.q_bs_smooth == k
     assert np.allclose(kernel, sorted(census.bs_locations), atol=1e-8, rtol=0)
+
+
+# --- batched transport and block assembly ------------------------------------
+
+
+def _face_segments(grid):
+    """(member, c_elem, t0, t1) of every face segment delta_matrix uses."""
+    for key in grid.degree_keys(1):
+        cg = grid.cells[key]
+        for face_key, _ in grid.nerve.faces[key]:
+            fcg = grid.cells[face_key]
+            carried = cg.label_idx[np.isin(cg.label_idx, fcg.label_idx)]
+            if fcg.closed or carried.size == 0:
+                continue
+            member = grid.nerve.cells[face_key].indices[0]
+            yield (member,) + grid.segment(
+                member, face_key, key, fcg.position(carried)
+            )
+
+
+@pytest.mark.parametrize("kind", ["generic", "pullback"])
+def test_label_array_integral_matches_scalar_calls(models, kind):
+    grid = _blocks_grid(models, "torus", {"k": 2}, kind)
+    segments = list(_face_segments(grid))
+    assert segments
+    batched = LeafTransport(grid.cover, grid.polarization)
+    scalar = LeafTransport(grid.cover, grid.polarization)
+    for member, c_elem, t0, t1 in segments:
+        got = batched.integral(member, c_elem, t0, t1)
+        want = np.array([scalar.integral(member, c, t0, t1) for c in c_elem])
+        assert got.shape == c_elem.shape
+        assert np.all(np.abs(got - want) <= 1e-14 * np.maximum(1.0, np.abs(want)))
+        fac = batched.factor(member, c_elem, t0, t1)
+        assert np.array_equal(fac, np.exp(-1j * got))
+    # one quadrature call per segment at most; later scalar calls hit the cache
+    assert batched.batches <= len(segments) < batched.integrals_computed
+    batches = batched.batches
+    for member, c_elem, t0, t1 in segments:
+        for c, val in zip(c_elem, batched.integral(member, c_elem, t0, t1)):
+            assert batched.integral(member, c, t0, t1) == val
+    assert batched.batches == batches
+
+
+def test_label_array_integral_of_empty_interval_or_no_labels(models):
+    exm = models("torus", k=2)
+    transport = LeafTransport(exm.cover, exm.polarization())
+    got = transport.integral(0, np.array([0.5, 1.0, 1.5]), 0.3, 0.3)
+    assert got.shape == (3,) and np.all(got == 0)
+    assert transport.integral(0, np.empty(0), 0.0, 1.0).shape == (0,)
+    assert transport.batches == 0
+
+
+def _reference_blocks(grid, degree):
+    """delta_matrix's blocks assembled label by label, with one scalar
+    transport call per entry."""
+    src_keys, src_off, _ = cech._block_offsets(grid, degree)
+    dst_keys, dst_off, _ = cech._block_offsets(grid, degree + 1)
+    transport = LeafTransport(grid.cover, grid.polarization)
+    rows, cols, vals = [], [], [np.empty(0, complex)]
+    for key in dst_keys:
+        cg = grid.cells[key]
+        if cg.closed:
+            continue
+        ref = grid.nerve.cells[key].indices[0]
+        for j, (face_key, _) in enumerate(grid.nerve.faces[key]):
+            fcg = grid.cells[face_key]
+            beta0 = grid.nerve.cells[face_key].indices[0]
+            lam = grid.transition_at_basepoints(key, beta0, ref)
+            pos_face, fac = [], []
+            for pos, gidx in enumerate(cg.label_idx):
+                if fcg.closed or gidx not in fcg.label_idx:
+                    continue
+                fpos = fcg.position(int(gidx))
+                c, t0, t1 = grid.segment(beta0, face_key, key, fpos)
+                rows.append(dst_off[key] + pos)
+                cols.append(src_off[face_key] + fpos)
+                pos_face.append(pos)
+                fac.append(transport.factor(beta0, c, t0, t1))
+            # the products of delta_matrix, one array per face
+            vals.append((-1) ** j * lam[pos_face] * np.array(fac, complex))
+    rows, cols, vals = np.array(rows, int), np.array(cols, int), np.concatenate(vals)
+    row_label = np.concatenate([grid.cells[k].label_idx for k in dst_keys] + [[]])
+    col_label = np.concatenate([grid.cells[k].label_idx for k in src_keys] + [[]])
+    blocks = []
+    for g in np.intersect1d(row_label, col_label):
+        r, c = np.flatnonzero(row_label == g), np.flatnonzero(col_label == g)
+        e = row_label[rows] == g if rows.size else np.zeros(0, bool)
+        mat = np.zeros((len(r), len(c)), dtype=np.complex128)
+        np.add.at(mat, (np.searchsorted(r, rows[e]), np.searchsorted(c, cols[e])), vals[e])
+        blocks.append((int(g), r, c, mat))
+    return blocks
+
+
+def _assembly_grids(models):
+    from gqlab.prequantum import refine, split_boxes
+
+    def grid(exm, cover=None, pol=None, n=16):
+        pol = pol or exm.polarization()
+        labels = half_offset_labels(pol.label_range[0], pol.label_range[1], n)
+        return TransversalGrid.build(cover or exm.cover, pol, labels)
+
+    torus, cyl = models("torus", k=2), models("cylinder")
+    plane = models("plane", granularity=2)
+    translate = catalog.make_map(torus, f"translate:{math.pi},0")
+    pshift = catalog.make_map(cyl, "pshift:1")
+    return {
+        "torus": grid(torus, n=33),
+        "torus-bs": TransversalGrid.build(
+            torus.cover, torus.polarization(), _with_bs_labels(2, 16)
+        ),
+        "cylinder": grid(cyl),
+        "plane-vertical": grid(plane, pol=plane.polarization("vertical")),
+        "plane-horizontal": grid(plane, pol=plane.polarization("horizontal")),
+        "sphere": grid(models("sphere", k=3)),
+        "disk": grid(models("disk")),
+        "torus-refined": grid(torus, cover=refine(torus.cover, split_boxes(torus.cover))[0]),
+        "torus-pullback": grid(
+            torus,
+            cover=build_complementary(translate, torus.cover).base,
+            pol=pushforward_polarization(translate, torus.polarization()),
+        ),
+        "cylinder-pullback": grid(
+            cyl,
+            cover=build_complementary(pshift, cyl.cover).base,
+            pol=pushforward_polarization(pshift, cyl.polarization()),
+        ),
+    }
+
+
+def test_delta_matrix_blocks_equal_the_per_label_assembly(models):
+    n_blocks = 0
+    for name, grid in _assembly_grids(models).items():
+        for degree in range(min(3, grid.nerve.max_degree)):
+            got = delta_matrix(grid, degree)[0].blocks
+            want = _reference_blocks(grid, degree)
+            assert len(got) == len(want), (name, degree)
+            for (g, r, c, mat), (g2, r2, c2, mat2) in zip(got, want):
+                assert g == g2 and np.array_equal(r, r2) and np.array_equal(c, c2)
+                assert np.array_equal(mat, mat2), (name, degree, g)
+            n_blocks += len(got)
+    assert n_blocks > 150
+
+
+def test_stacked_block_spectrum_is_the_per_block_union(models):
+    for name, grid in _assembly_grids(models).items():
+        for degree in range(min(3, grid.nerve.max_degree)):
+            op = delta_matrix(grid, degree)[0]
+            sv = [np.linalg.svd(b[3], compute_uv=False) for b in op.blocks]
+            n = min(op.shape)
+            want = np.sort(np.concatenate(sv + [np.zeros(n)]))[::-1][:n]
+            assert np.array_equal(op.singular_values(), want), (name, degree)
+
+
+def test_cell_position_of_label_arrays(models):
+    exm, grid = _grid(models, "torus", n=12, k=2)
+    cg = grid.cells[grid.degree_keys(0)[0]]
+    assert np.array_equal(cg.position(cg.label_idx[::-1]), np.arange(cg.count)[::-1])
+    assert cg.position(int(cg.label_idx[1])) == 1
+    absent = np.setdiff1d(np.arange(12), cg.label_idx)[:1]
+    with pytest.raises(LeafMismatchError):
+        cg.position(np.concatenate([cg.label_idx, absent]))
+
+
+@pytest.mark.parametrize("kind", ["generic", "pullback"])
+def test_batched_res_matches_per_label_transport(models, kind):
+    grid = _blocks_grid(models, "torus", {"k": 2}, kind)
+    transport = LeafTransport(grid.cover, grid.polarization)
+    rng = np.random.default_rng(3)
+    checked = 0
+    for key in grid.degree_keys(1):
+        sup, cg_sup = grid.nerve.cells[key], grid.cells[key]
+        for face_key, _ in grid.nerve.faces[key]:
+            cg_sub = grid.cells[face_key]
+            sub = grid.nerve.cells[face_key].indices
+            vals = rng.normal(size=(len(sub), cg_sub.count)) + 0j
+            moved = np.zeros((len(sub), cg_sup.count), dtype=complex)
+            for k, member in enumerate(sub):
+                for p, gidx in enumerate(cg_sup.label_idx):
+                    q = cg_sub.position(int(gidx))
+                    seg = grid.segment(member, face_key, key, q)
+                    moved[k, p] = vals[k, q] * transport.factor(member, *seg)
+            ref = sup.indices[0]  # component 0 of the super tuple
+            want = sum(
+                grid.transition_at_basepoints(key, a, ref) * moved[k]
+                for k, a in enumerate(sub)
+            ) / len(sub)
+            got = res(grid, face_key, key, vals)[0]
+            assert np.allclose(got, want, atol=1e-14, rtol=0)
+            checked += cg_sup.count
+    assert checked > 0

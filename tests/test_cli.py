@@ -447,3 +447,19 @@ def test_corrupted_check_matches_corruption_in_place(capsys):
     lams[(0, 1)] = ex.mul(ex.Num(1.01), lams[(0, 1)])
     assert code == 1
     assert report["payload"]["local_data"] == check_local_data(exm.cover).as_dict()
+
+
+def test_cohomology_reports_work_counters(capsys):
+    argv = ("cohomology", "--example", "torus", "--k", "2", "--grid", "16")
+    code, report = run_json(capsys, *argv)
+    assert code == 0
+    counters = report["timing"]["counters"]
+    assert set(counters) == {
+        "transport_integrals", "transport_batches", "leaf_blocks", "svd_calls",
+    }
+    # one quadrature sweep per face, each for several labels
+    assert 0 < counters["transport_batches"] < counters["transport_integrals"]
+    assert 0 < counters["svd_calls"] < counters["leaf_blocks"]
+    assert "counters" not in json.dumps(report["payload"])
+    _, again = run_json(capsys, *argv)
+    assert again["timing"]["counters"] == counters

@@ -88,3 +88,86 @@ def test_integrate_many_empty_and_divergent():
         integrate_many(lambda t, owner: 1.0 / (t + 0j), [0.0, 1.0], [1.0, 2.0], max_depth=12)
     with pytest.raises(QuadratureError):
         integrate_many(lambda t, owner: t + 0j, 0.0, [1.0, np.nan])
+
+
+# --- vector-valued integrands ---------------------------------------------------
+
+_FREQS = np.array([1.0, 7.0, 40.0, 3.0, 0.5])
+
+
+def _row(w):
+    return lambda t: np.exp(1j * w * t) * np.cos(w * t * t)
+
+
+def _rows(freqs):
+    return lambda t: np.array([_row(w)(t) for w in freqs])
+
+
+def test_one_row_vector_integrand_is_the_scalar_integral():
+    for w in _FREQS:
+        got = integrate(_rows([w]), 0.0, 2.0)
+        assert got.shape == (1,) and got[0] == integrate(_row(w), 0.0, 2.0)
+
+
+def test_rows_share_a_subdivision_and_match_per_row_integrals():
+    for a, b in ((0.0, 2.0), (1.0, -1.5), (0.7, 0.7 + 1e-9)):
+        got = integrate(_rows(_FREQS), a, b)
+        want = np.array([integrate(_row(w), a, b) for w in _FREQS])
+        assert got.shape == (len(_FREQS),)
+        assert np.all(np.abs(got - want) <= 1e-13 * np.maximum(1.0, np.abs(want)))
+
+
+def test_rows_whose_subdivision_is_their_own_are_bit_identical():
+    # a row repeated next to rows that need no finer subdivision
+    got = integrate(_rows([40.0, 40.0, 40.0]), 0.0, 2.0)
+    assert np.all(got == integrate(_row(40.0), 0.0, 2.0))
+
+
+def test_empty_interval_gives_zero_rows():
+    got = integrate(_rows(_FREQS), 1.5, 1.5)
+    assert got.shape == (len(_FREQS),) and np.all(got == 0)
+
+
+def _counting(f):
+    seen = [0]
+
+    def g(*args):
+        seen[0] += len(args[0])
+        return f(*args)
+
+    return g, seen
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize(
+    "f",
+    [
+        lambda t: np.full(len(t), np.nan + 0j),
+        lambda t: np.full((3, len(t)), np.nan + 0j),
+        lambda t: np.vstack([np.cos(t) + 0j, np.full(len(t), np.inf + 0j)]),
+    ],
+    ids=["scalar-nan", "rows-nan", "one-infinite-row"],
+)
+def test_non_finite_estimate_raises_at_once(f):
+    g, seen = _counting(f)
+    with pytest.raises(QuadratureError, match=r"non-finite estimate on \[0.0, 1.0\]"):
+        integrate(g, 0.0, 1.0)
+    assert seen[0] == 22  # the first 7+15 nodes, no bisection
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_overflowing_estimate_is_not_accepted():
+    # huge values on the 15-point nodes only: I15 overflows while I7 = 0, and
+    # err = inf passes the relative test tol * (1 + |I15|) = inf
+    x15 = np.polynomial.legendre.leggauss(15)[0]
+    nodes = 0.5 + 0.5 * np.delete(x15, 7)  # all but the shared midpoint
+    f = lambda t: np.where(np.isin(t, nodes), 1.5e308, 0.0) + 0j  # noqa: E731
+    with pytest.raises(QuadratureError, match=r"non-finite estimate on \[0.0, 1.0\]"):
+        integrate(f, 0.0, 1.0)
+
+
+def test_integrate_many_non_finite_estimate_raises_at_once():
+    g, seen = _counting(lambda t, owner: np.where(owner == 1, np.nan, t) + 0j)
+    with pytest.raises(QuadratureError, match=r"non-finite estimate on \[1.0, 2.0\]"):
+        integrate_many(g, [0.0, 1.0], [1.0, 2.0])
+    assert seen[0] == 44
