@@ -20,7 +20,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bohr import Leaf, bs_census, enumerate_leaves, holonomy
+# enumerate_leaves stays bound here: perfbench/tracing.py wraps
+# action.enumerate_leaves
+from .bohr import Leaf, bs_census, enumerate_leaves, holonomy  # noqa: F401
 from .cech import (
     TransversalGrid,
     TrivCochain,
@@ -43,6 +45,7 @@ from .prequantum import (
     TrivializationCover,
     check_local_data,
 )
+from .transport import LeafTransport
 # integrate stays bound here: perfbench/tracing.py wraps action.integrate
 from .quadrature import integrate, integrate_many  # noqa: F401
 
@@ -353,8 +356,11 @@ def transport_leaf(
     complementary: ComplementaryCover,
     pol: Polarization,
     pol_pushed: Polarization,
+    transport: LeafTransport | None = None,
 ):
-    """Image leaf under phi^{-1} with its holonomy in the complementary cover."""
+    """Image leaf under phi^{-1} with its holonomy in the complementary cover.
+    `transport` is a LeafTransport of the complementary cover and pol_pushed
+    whose cached integrals the holonomy may reuse."""
     manifold = complementary.base.manifold
     switch = (
         manifold.reduce(phi.apply_inverse(leaf.switch_points))
@@ -369,7 +375,7 @@ def transport_leaf(
     moved = Leaf(leaf.label, leaf.topology, leaf.segments, switch, leaf.singular, point)
     if moved.topology == "line":
         return moved, None
-    return moved, holonomy(complementary.base, pol_pushed, moved)
+    return moved, holonomy(complementary.base, pol_pushed, moved, transport)
 
 
 # ---------------------------------------------------------------------------
@@ -494,16 +500,20 @@ def verify_theorem_2(
     pol = example.polarization(pol_name)
     pushed = pushforward_polarization(phi, pol)
     crange = crange or example.census_range
+    # the leaf pairs below read the source census's holonomies and the
+    # target census's segment integrals
+    transport_dst = LeafTransport(comp.base, pushed)
     census_src = bs_census(example.cover, pol, crange, count, tol)
-    census_dst = bs_census(comp.base, pushed, crange, count, tol)
+    census_dst = bs_census(
+        comp.base, pushed, crange, count, tol, transport=transport_dst
+    )
     hol_max = 0.0
     pairs = []
-    leaves = enumerate_leaves(example.cover, pol, crange, count)
-    for leaf in leaves:
+    for entry in census_src.entries:
+        leaf, here = entry.leaf, entry.holonomy
         if leaf.topology == "line":
             continue
-        here = holonomy(example.cover, pol, leaf)
-        moved, there = transport_leaf(leaf, phi, comp, pol, pushed)
+        moved, there = transport_leaf(leaf, phi, comp, pol, pushed, transport_dst)
         diff = abs(here.holonomy - there.holonomy)
         hol_max = max(hol_max, diff)
         pairs.append(

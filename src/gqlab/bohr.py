@@ -307,13 +307,26 @@ def holonomy(
     )
 
 
+def _prefetch(transport: LeafTransport, leaves) -> None:
+    """Compute the segment integrals of leaves into the transport cache,
+    one array call to transport.integral per distinct (element, t0, t1),
+    so that holonomy then finds every integral it needs there."""
+    groups: dict = {}
+    for leaf in leaves:
+        for seg in leaf.segments:
+            groups.setdefault((seg.element, seg.t0, seg.t1), {})[seg.c_elem] = None
+    for (element, t0, t1), labels in groups.items():
+        transport.integral(element, np.array(list(labels)), t0, t1)
+
+
 # ---------------------------------------------------------------------------
 # Census
 
 
-def _brent_root(f, a: float, fa: float, b: float, fb: float, xtol: float) -> float:
-    """A root of f in the bracket [a, b], where fa = f(a) and fb = f(b) have
-    opposite signs, to within xtol.
+def _brent_steps(a: float, fa: float, b: float, fb: float, xtol: float):
+    """Brent's method as a generator: it yields each label at which f is
+    needed, is sent f there, and returns a root of f in the bracket [a, b],
+    where fa = f(a) and fb = f(b) have opposite signs, to within xtol.
 
     Brent's method (R. P. Brent, Algorithms for Minimization without
     Derivatives, 1973, ch. 4), laid out as in scipy.optimize.brentq: the
@@ -365,7 +378,50 @@ def _brent_root(f, a: float, fa: float, b: float, fb: float, xtol: float) -> flo
             if x_next in (x_cur, x_blk):
                 return x_cur
         x_cur = x_next
-        f_cur = f(x_cur)
+        f_cur = yield x_cur
+
+
+def _brent_root(f, a: float, fa: float, b: float, fb: float, xtol: float) -> float:
+    """A root of f in the bracket [a, b] by _brent_steps, evaluating f at
+    each label the method asks for."""
+    steps = _brent_steps(a, fa, b, fb, xtol)
+    try:
+        x = next(steps)
+        while True:
+            x = steps.send(f(x))
+    except StopIteration as stop:
+        return stop.value
+
+
+def _lockstep_roots(brackets, holonomies_at) -> list:
+    """Brent searches on Im(hol) of every bracket (c0, h0, c1, h1), stepped
+    together: holonomies_at(labels) returns the holonomies at the next
+    label of each unfinished search, as one batch.  Each search takes
+    exactly the steps it takes alone; a label it has seen is not asked for
+    again.  Returns (root, holonomies by label) per bracket."""
+    hols = [{c0: h0, c1: h1} for c0, h0, c1, h1 in brackets]
+    roots = [None] * len(brackets)
+    sends = [  # (bracket, search, value to send it; None starts it)
+        (i, _brent_steps(c0, h0.imag, c1, h1.imag, 1e-12), None)
+        for i, (c0, h0, c1, h1) in enumerate(brackets)
+    ]
+    while True:
+        asks = []
+        for i, steps, value in sends:
+            try:
+                x = steps.send(value)
+                while x in hols[i]:
+                    x = steps.send(hols[i][x].imag)
+                asks.append((i, steps, x))
+            except StopIteration as stop:
+                roots[i] = stop.value
+        if not asks:
+            return list(zip(roots, hols))
+        values = holonomies_at([x for _, _, x in asks])
+        sends = []
+        for (i, steps, x), h in zip(asks, values):
+            hols[i][x] = h
+            sends.append((i, steps, h.imag))
 
 
 @dataclass(frozen=True)
@@ -384,9 +440,12 @@ class BSReport:
     q_bs: int
     lines_excluded: int
     tol: float
-    # root-solving work, reported under timing rather than in the payload
+    # root-solving and transport work, reported under timing rather than in
+    # the payload
     root_brackets: int
     root_holonomy_evaluations: int
+    transport_integrals: int  # label integrals computed
+    transport_batches: int  # quadrature calls
 
     def as_dict(self) -> dict:
         return {
@@ -416,6 +475,7 @@ def bs_census(
     count: int,
     tol: float = 1e-8,
     include_lines: bool = False,
+    transport: LeafTransport | None = None,
 ) -> BSReport:
     """Bohr-Sommerfeld census over a label range.
 
@@ -426,13 +486,26 @@ def bs_census(
     period wide, the bracket from the last sample round to the first one
     is searched too.  The samples must be fine enough that the holonomy
     crosses the real axis at most once between neighbours
-    (docs/conventions.md, "Census").
+    (docs/conventions.md, "Census").  Locations that differ by a multiple
+    of the label period are one leaf and are counted once.
     Point leaves (declared singular points) are BS with trivial holonomy.
     Noncompact line leaves are excluded from the count unless
     include_lines is set (they all admit covariantly constant sections).
+
+    The sampled leaves share one transport sweep per leaf segment
+    (element, t0, t1).  All brackets are then searched together: each
+    lockstep step threads the next label of every unfinished bracket and
+    shares one sweep per segment again, while each bracket takes exactly
+    the Brent steps it takes alone.  `transport` is a LeafTransport of
+    this cover and polarization to fill and reuse; a new one by default.
     """
-    transport = LeafTransport(cover, pol)
+    if transport is None:
+        transport = LeafTransport(cover, pol)
+    elif transport.cover is not cover or transport.polarization is not pol:
+        raise ConfigurationError("transport is for another cover or polarization")
+    integrals0, batches0 = transport.integrals_computed, transport.batches
     leaves = enumerate_leaves(cover, pol, crange, count)
+    _prefetch(transport, [leaf for leaf in leaves if leaf.topology != "line"])
     entries = []
     sampled: list = []
     lines = 0
@@ -450,28 +523,16 @@ def bs_census(
             sampled.append((leaf.label, hres.holonomy))
         entries.append(BSEntry(leaf, hres, is_bs))
 
-    def hol_at(c: float) -> complex:
+    def holonomies_at(labels: list) -> list:
         if cover.pullback_of is not None:
-            leaf = enumerate_leaves(cover, pol, (c, c), 1, include_singular=False)[0]
+            threaded = [
+                enumerate_leaves(cover, pol, (c, c), 1, include_singular=False)[0]
+                for c in labels
+            ]
         else:
-            leaf = _thread_circle(cover, pol, c)
-        return holonomy(cover, pol, leaf, transport).holonomy
-
-    spent: list = []  # holonomy evaluations of each root-solved bracket
-
-    def root_between(c0: float, h0: complex, c1: float, h1: complex):
-        """Label in (c0, c1) where Im(hol) changes sign, if the holonomy is
-        +1 rather than -1 there."""
-        hols = {c0: h0, c1: h1}
-
-        def im_hol(c: float) -> float:
-            if c not in hols:
-                hols[c] = hol_at(c)
-            return hols[c].imag
-
-        root = _brent_root(im_hol, c0, h0.imag, c1, h1.imag, 1e-12)
-        spent.append(len(hols) - 2)
-        return root if hols[root].real > 0.0 else None
+            threaded = [_thread_circle(cover, pol, c) for c in labels]
+        _prefetch(transport, threaded)
+        return [holonomy(cover, pol, leaf, transport).holonomy for leaf in threaded]
 
     # The holonomy is continuous in the label (the action is only defined
     # up to the threading), so we root-solve Im(hol) between sign changes
@@ -479,6 +540,8 @@ def bs_census(
     hi = crange[1]
     period = pol.label_range[1] - pol.label_range[0] if pol.label_periodic else None
     locations = []
+    brackets = []
+    wrap = None  # index of the bracket that closes a period window
     sampled.sort()
     for (c0, h0), (c1, h1) in zip(sampled, sampled[1:]):
         if abs(h0.imag) < 1e-12:
@@ -486,9 +549,7 @@ def bs_census(
                 locations.append(c0)
             continue
         if h0.imag * h1.imag < 0.0:
-            root = root_between(c0, h0, c1, h1)
-            if root is not None:
-                locations.append(root)
+            brackets.append((c0, h0, c1, h1))
     if sampled:
         (c_first, h_first), (c_last, h_last) = sampled[0], sampled[-1]
         if abs(h_last.imag) < 1e-12:
@@ -502,19 +563,26 @@ def bs_census(
             and abs(h_first.imag) >= 1e-12
             and h_last.imag * h_first.imag < 0.0
         ):
-            root = root_between(c_last, h_last, c_first + period, h_first)
-            if root is not None:
-                locations.append(root - period if root >= hi else root)
+            wrap = len(brackets)
+            brackets.append((c_last, h_last, c_first + period, h_first))
 
-    # dedupe, respecting label periodicity
+    solved = _lockstep_roots(brackets, holonomies_at)
+    for i, (root, hols) in enumerate(solved):
+        if hols[root].real > 0.0:  # +1, not -1
+            if i == wrap and root >= hi:
+                root -= period
+            locations.append(root)
+
+    # one location per leaf: labels a multiple of the period apart coincide
+    def same_leaf(c: float, u: float) -> bool:
+        d = c - u
+        if period is not None:
+            d -= period * round(d / period)
+        return abs(d) < 1e-9
+
     unique = []
     for c in sorted(locations):
-        dup = any(
-            abs(c - u) < 1e-9
-            or (period is not None and abs(abs(c - u) - period) < 1e-9)
-            for u in unique
-        )
-        if not dup:
+        if not any(same_leaf(c, u) for u in unique):
             unique.append(c)
 
     q_smooth = len(unique)
@@ -527,8 +595,10 @@ def bs_census(
         q_bs=q_total,
         lines_excluded=0 if include_lines else lines,
         tol=tol,
-        root_brackets=len(spent),
-        root_holonomy_evaluations=sum(spent),
+        root_brackets=len(solved),
+        root_holonomy_evaluations=sum(len(hols) - 2 for _, hols in solved),
+        transport_integrals=transport.integrals_computed - integrals0,
+        transport_batches=transport.batches - batches0,
     )
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv as csv_mod
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -281,6 +282,8 @@ def cmd_bs(cfg: RunConfig, args) -> int:
     report["timing"]["counters"] = {
         "root_brackets": census.root_brackets,
         "root_holonomy_evaluations": census.root_holonomy_evaluations,
+        "transport_integrals": census.transport_integrals,
+        "transport_batches": census.transport_batches,
     }
     if args.csv:
         _write_leaf_csv(args.csv, census)
@@ -446,7 +449,10 @@ def _config_from_args(command: str, args) -> RunConfig:
     ).validate()
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> _Parser:
+    """The argument parser, built once per process: parsing leaves it as it
+    was, and no default is mutable."""
     parser = _Parser(prog="gqlab", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -466,7 +472,10 @@ def main(argv=None) -> int:
         ("act", "verify symplectomorphism invariance theorems"),
     ):
         _add_common(sub.add_parser(name, help=help_text))
+    return parser
 
+
+def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     # join "--range -2.5:2.5" so argparse does not read the value as a flag
@@ -484,7 +493,7 @@ def main(argv=None) -> int:
     argv = joined
 
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         if args.command == "examples":
             return cmd_examples(args)
         if args.command == "parse-expr":

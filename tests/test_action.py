@@ -306,3 +306,53 @@ def test_theorem_2_disk_rotation(models):
     exm = models("disk")
     rep = verify_theorem_2(exm, catalog.make_map(exm, "rot:0.9"))
     assert rep.passed and rep.payload["q_bs"]["source"] == 5
+
+
+@pytest.mark.parametrize(
+    "name,params,spec",
+    [
+        ("sphere", {"k": 3}, "rot:1.0"),
+        ("disk", {}, "rot:0.9"),
+        ("torus", {"k": 2}, "translate:3.141592653589793,0"),
+    ],
+)
+def test_theorem_2_leaf_pairs_reuse_the_census_integrals(models, monkeypatch, name,
+                                                         params, spec):
+    # the leaf-pair loop reads every segment integral from the transports
+    # the two censuses filled: it makes no quadrature call
+    from gqlab import transport as transport_mod
+
+    transports, after_censuses = [], []
+    real_init = transport_mod.LeafTransport.__init__
+
+    def recording_init(self, *args, **kwargs):
+        real_init(self, *args, **kwargs)
+        transports.append(self)
+
+    real_census = action.bs_census
+
+    def census(*args, **kwargs):
+        rep = real_census(*args, **kwargs)
+        after_censuses.append([t.integrals_computed for t in transports])
+        return rep
+
+    monkeypatch.setattr(transport_mod.LeafTransport, "__init__", recording_init)
+    monkeypatch.setattr(action, "bs_census", census)
+    exm = models(name, **params)
+    phi = catalog.make_map(exm, spec)
+    rep = verify_theorem_2(exm, phi)
+    assert rep.passed and len(after_censuses) == 2 and len(transports) == 2
+    assert all(t.integrals_computed > 0 for t in transports)
+    assert [t.integrals_computed for t in transports] == after_censuses[-1]
+    # and the pairs are the holonomies a fresh transport gives, exactly
+    pol = exm.polarization()
+    comp = build_complementary(phi, exm.cover)
+    pushed = pushforward_polarization(phi, pol)
+    leaves = {leaf.label: leaf for leaf in enumerate_leaves(
+        exm.cover, pol, exm.census_range, 33)}
+    for pair in rep.payload["leaf_pairs"]:
+        leaf = leaves[pair["label"]]
+        here = holonomy(exm.cover, pol, leaf).holonomy
+        there = transport_leaf(leaf, phi, comp, pol, pushed)[1].holonomy
+        assert pair["holonomy_source"] == [here.real, here.imag]
+        assert pair["holonomy_target"] == [there.real, there.imag]

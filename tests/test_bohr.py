@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from gqlab import bohr, catalog
+from gqlab.action import build_complementary
 from gqlab.bohr import (
     CoverageError,
     HolonomyUndefinedError,
@@ -17,6 +18,7 @@ from gqlab.bohr import (
     holonomy,
     lattice_count,
 )
+from gqlab.geometry import pushforward_polarization
 
 TWO_PI = 2.0 * math.pi
 
@@ -374,3 +376,180 @@ def test_census_computes_each_holonomy_once(models, monkeypatch):
     # the final +1/-1 test reuses the holonomies of the search
     assert len(calls) == len(rep.entries) + rep.root_holonomy_evaluations
     assert len(set(calls)) == len(calls)
+
+
+# ---------------------------------------------------------------------------
+# Batched census: prefetched transport and lockstep root solving
+
+
+def _bracket_cases(seed: int) -> tuple:
+    """Disjoint brackets (a, fa, b, fb) of a piecewise function f: smooth,
+    steep, flat, exact-zero, zero-at-an-end and wrap-around cases, one per
+    unit-10 cell of the label line."""
+    rng = np.random.default_rng(seed)
+    shapes, brackets = [], []
+    for i in range(40):
+        base = 10.0 * i
+        r = base + rng.uniform(3.0, 7.0)
+        kind = ("smooth", "steep", "cubic", "plateau", "end", "wrap")[i % 6]
+        w0, w1 = rng.uniform(0.2, 1.4, size=2)
+        if kind == "smooth":
+            g = lambda x, r=r: math.sin(x - r)
+        elif kind == "steep":
+            g = lambda x, r=r: math.atan(1e6 * (x - r))
+        elif kind == "cubic":
+            g = lambda x, r=r: (x - r) ** 3
+        elif kind == "plateau":
+            g = lambda x, r=r: min(0.0, x - r + 0.01) + max(0.0, x - r - 0.01)
+        elif kind == "end":
+            g = lambda x, r=r: x - r
+            w0 = 0.0
+        else:  # sin(k x) of period P: last sample round to first + P
+            k = int(rng.integers(1, 4))
+            period = TWO_PI / k
+            g = lambda x, k=k, r=r: math.sin(k * (x - r))
+            # samples a little below the zero at r + P / 2 and a little
+            # above the zero at r, as a window [r, r + P) closes
+            c_last, c_first = r + 0.5 * period - 0.1 * w0, r + 0.1 * w1
+            shapes.append(g)
+            brackets.append((c_last, g(c_last), c_first + period, g(c_first)))
+            continue
+        shapes.append(g)
+        a, b = r - w0, r + w1
+        brackets.append((a, g(a), b, g(b)) if rng.random() < 0.5 else (b, g(b), a, g(a)))
+
+    def f(x: float) -> float:
+        return shapes[int(x // 10.0)](x)
+
+    return brackets, f
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_lockstep_brackets_take_the_steps_they_take_alone(seed):
+    brackets, f = _bracket_cases(seed)
+    alone = []
+    for a, fa, b, fb in brackets:
+        g, calls = _counted(f)
+        root = _brent_root(g, a, fa, b, fb, 1e-12)
+        alone.append((root, len(set(calls) - {a, b})))
+    batches = []
+
+    def holonomies_at(labels):
+        batches.append(len(labels))
+        return [complex(1.0, f(c)) for c in labels]
+
+    solved = bohr._lockstep_roots(
+        [(a, complex(1.0, fa), b, complex(1.0, fb)) for a, fa, b, fb in brackets],
+        holonomies_at,
+    )
+    together = [(root, len(hols) - 2) for root, hols in solved]
+    assert together == alone
+    # one batch per lockstep step, holding each unfinished bracket once
+    assert len(batches) == max(n for _, n in alone)
+    assert batches == sorted(batches, reverse=True)
+    assert sum(batches) == sum(n for _, n in alone)
+    assert any(n == 0 for _, n in alone)  # brackets with a zero at an end
+
+
+def _census_cases(models):
+    cases = []
+    for k in range(1, 9):
+        exm = models("torus", k=k)
+        cases.append((f"torus-{k}", exm.cover, exm.polarization(),
+                      (0.4, 0.4 + TWO_PI), 24))
+    cyl = models("cylinder")
+    cases.append(("cylinder", cyl.cover, cyl.polarization(), (-2.5, 2.5), 33))
+    for k in range(2, 7):
+        exm = models("sphere", k=k)
+        cases.append((f"sphere-{k}", exm.cover, exm.polarization(),
+                      (0.3, k - 0.25), 4 * k + 9))
+    disk = models("disk")
+    cases.append(("disk", disk.cover, disk.polarization(), disk.census_range, 17))
+    sph = models("sphere", k=3)
+    phi = catalog.make_map(sph, "rot:1")
+    comp = build_complementary(phi, sph.cover)
+    pushed = pushforward_polarization(phi, sph.polarization())
+    cases.append(("sphere-3-rot:1", comp.base, pushed, (0.3, 2.75), 21))
+    return cases
+
+
+def test_census_holonomies_equal_fresh_transport_bit_for_bit(models, monkeypatch):
+    # every holonomy of a census, sampled or root-solved, reads prefetched
+    # integrals; it equals a per-leaf holonomy with a fresh transport exactly
+    seen = []
+    real = bohr.holonomy
+
+    def recording(cover, pol, leaf, transport=None):
+        out = real(cover, pol, leaf, transport)
+        seen.append((cover, pol, leaf, out))
+        return out
+
+    monkeypatch.setattr(bohr, "holonomy", recording)
+    for name, cover, pol, crange, count in _census_cases(models):
+        seen.clear()
+        rep = bs_census(cover, pol, crange, count)
+        assert rep.root_holonomy_evaluations > 0 or name.startswith("disk"), name
+        assert rep.transport_batches < rep.transport_integrals, name
+        for cover_, pol_, leaf, got in seen:
+            assert real(cover_, pol_, leaf) == got, (name, leaf.label)
+
+
+@pytest.mark.parametrize(
+    "name,params,crange,count,include_lines",
+    [
+        ("torus", {"k": 3}, (0.05, 6.3332), 33, False),  # wrap bracket
+        ("torus", {"k": 5}, (-4.0, 9.0), 80, False),  # two periods wide
+        ("cylinder", {}, (-1.7, 1.9), 33, False),
+        ("sphere", {"k": 4}, (0.3, 3.75), 25, False),  # point leaves
+        ("plane", {}, (-2.0, 2.0), 9, True),  # line leaves
+    ],
+)
+def test_census_holonomy_calls_add_up(models, monkeypatch, name, params, crange,
+                                      count, include_lines):
+    # holonomy calls of a census minus its sampled non-line leaves are the
+    # root-solving evaluations it reports
+    calls = []
+    real = bohr.holonomy
+
+    def counting(*args, **kwargs):
+        calls.append(args[2].label)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(bohr, "holonomy", counting)
+    exm = models(name, **params)
+    rep = bs_census(exm.cover, exm.polarization(), crange, count,
+                    include_lines=include_lines)
+    sampled = sum(1 for e in rep.entries if e.leaf.topology != "line")
+    assert len(calls) - sampled == rep.root_holonomy_evaluations
+
+
+def test_census_transport_is_reused_and_checked(models):
+    exm = models("torus", k=2)
+    pol = exm.polarization()
+    transport = bohr.LeafTransport(exm.cover, pol)
+    first = bs_census(exm.cover, pol, (0.0, TWO_PI), 24, transport=transport)
+    assert first.transport_integrals == transport.integrals_computed > 0
+    assert first.transport_batches == transport.batches > 0
+    again = bs_census(exm.cover, pol, (0.0, TWO_PI), 24, transport=transport)
+    assert again.as_dict() == first.as_dict()
+    assert again.transport_integrals == again.transport_batches == 0
+    other = models("torus", k=3)
+    with pytest.raises(bohr.ConfigurationError):
+        bs_census(other.cover, other.polarization(), (0.0, TWO_PI), 24,
+                  transport=transport)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_census_counts_each_leaf_once_on_wide_periodic_windows(models, k):
+    # labels c and c + 2 pi are the same torus leaf
+    exm = models("torus", k=k)
+    pol = exm.polarization()
+    for periods in (1.5, 2.0, 2.5, 3.2):
+        for lo in (-7.0, 0.0, 0.3 * TWO_PI / k, 2.9):
+            hi = lo + periods * TWO_PI
+            rep = bs_census(exm.cover, pol, (lo, hi), int(12 * k * periods) + 3)
+            assert rep.q_bs_smooth == rep.q_bs == k, (periods, lo)
+            # k distinct leaves, each at a multiple of 2 pi / k
+            phases = np.sort(np.mod(np.array(rep.bs_locations) * k / TWO_PI, k))
+            assert np.allclose(phases, np.round(phases), atol=1e-8)
+            assert len(set(np.round(phases).astype(int) % k)) == k

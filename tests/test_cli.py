@@ -2,7 +2,9 @@
 
 import csv
 import json
+import math
 
+import numpy as np
 import pytest
 
 from gqlab import catalog
@@ -463,3 +465,42 @@ def test_cohomology_reports_work_counters(capsys):
     assert "counters" not in json.dumps(report["payload"])
     _, again = run_json(capsys, *argv)
     assert again["timing"]["counters"] == counters
+
+
+def test_bs_reports_transport_counters(capsys):
+    argv = ("bs", "--example", "torus", "--k", "3", "--range", "0.05:6.3332")
+    code, report = run_json(capsys, *argv)
+    assert code == 0
+    counters = report["timing"]["counters"]
+    assert set(counters) == {
+        "root_brackets", "root_holonomy_evaluations",
+        "transport_integrals", "transport_batches",
+    }
+    # the sampled leaves and each lockstep step share one sweep per segment
+    assert 0 < counters["transport_batches"] < counters["transport_integrals"]
+    assert "transport" not in json.dumps(report["payload"])
+    _, again = run_json(capsys, *argv)
+    assert again["timing"]["counters"] == counters
+
+
+@pytest.mark.parametrize(
+    "k,crange,want",
+    [(1, "-7:7", [-2.0 * math.pi]), (2, "0:20", [0.0, math.pi])],
+)
+def test_bs_wide_periodic_window_counts_each_leaf_once(capsys, k, crange, want):
+    code, report = run_json(
+        capsys, "bs", "--example", "torus", "--k", str(k), "--range", crange
+    )
+    census = report["payload"]["census"]
+    assert code == 0 and census["q_bs"] == k
+    assert np.allclose(census["bs_locations"], want, atol=1e-9)
+
+
+def test_parser_is_built_once(capsys):
+    import gqlab.cli as cli
+
+    assert cli._parser() is cli._parser()
+    # a parse leaves no state behind: a bad argv, then a good one
+    assert run_cli(capsys, "bs", "--count", "x")[0] == 2
+    code, report = run_json(capsys, "bs", "--example", "cylinder")
+    assert code == 0 and report["config"]["count"] == 33
