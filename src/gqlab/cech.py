@@ -7,13 +7,16 @@ transversal grid of leaf labels.  The lambda-weighted restriction maps, the
 differential, and the projection onto tuples representing honest sections
 all act on these per-leaf values, with parallel-transport factors supplied
 by adaptive quadrature of the connection potential along the leaf: the
-labels of one nerve face share a leaf segment and one quadrature sweep.
+labels of one leaf segment share one quadrature sweep.
 
 Čech ranks are computed from the differential on the image subspaces (one
 coefficient per leaf label per nerve cell, taken in the trivialization of
 the cell's first member).  Transport never leaves a leaf, so it is
 assembled as one dense block per leaf label, and its singular values are
-the union of the blocks' (docs/conventions.md, "Ranks").
+the union of the blocks' (docs/conventions.md, "Ranks").  Each degree is
+assembled in one pass: one sweep per distinct leaf segment for all of its
+labels, one transition evaluation per distinct pair of elements, and one
+accumulation per block shape into a stack of blocks.
 """
 
 from __future__ import annotations
@@ -62,11 +65,16 @@ class CellGrid:
         return len(self.label_idx)
 
     def position(self, global_idx):
-        """Position of a global label index, or of an array of them."""
-        missing = np.setdiff1d(global_idx, self.label_idx)
-        if missing.size:
-            raise LeafMismatchError(f"label {missing[0]} does not cross the cell")
+        """Position of a global label index, or of an array of them; a label
+        the cell does not carry raises, naming the smallest such label."""
         pos = np.searchsorted(self.label_idx, global_idx)
+        if self.count:
+            found = self.label_idx[np.minimum(pos, self.count - 1)] == global_idx
+        else:
+            found = np.zeros(np.shape(global_idx), dtype=bool)
+        if not np.all(found):
+            missing = np.min(np.asarray(global_idx)[~found])
+            raise LeafMismatchError(f"label {missing} does not cross the cell")
         return int(pos) if np.ndim(pos) == 0 else pos
 
 
@@ -153,17 +161,26 @@ class TransversalGrid:
 
     def base_points(self, key) -> np.ndarray:
         """Canonical coordinates of the cell's leaf basepoints, (L, 2)."""
-        cg = self.cells[key]
-        if cg.base_points is None:
-            base = self.polarization.root
-            pts = base.curve_points(cg.c_cell, np.full(cg.count, cg.t_bp))
-            source = self.cover.source
-            pts = source.manifold.reduce(pts)
+        return self.base_points_of([key])
+
+    def base_points_of(self, keys) -> np.ndarray:
+        """The basepoints of several cells, concatenated in key order; the
+        cells not yet computed are computed in one batch."""
+        todo = [self.cells[k] for k in keys if self.cells[k].base_points is None]
+        if todo:
+            counts = [cg.count for cg in todo]
+            c = np.concatenate([cg.c_cell for cg in todo])
+            t = np.repeat([cg.t_bp for cg in todo], counts)
+            pts = self.polarization.root.curve_points(c, t)
+            pts = self.cover.source.manifold.reduce(pts)
             if self.cover.pullback_of is not None:
                 _, phi = self.cover.pullback_of
                 pts = self.cover.manifold.reduce(phi.apply_inverse(pts))
-            cg.base_points = pts
-        return cg.base_points
+            for cg, part in zip(todo, np.split(pts, np.cumsum(counts)[:-1])):
+                cg.base_points = part
+        if len(keys) == 1:
+            return self.cells[keys[0]].base_points
+        return np.concatenate([self.cells[k].base_points for k in keys])
 
     def transition_at_basepoints(self, key, a: int, b: int) -> np.ndarray:
         return self.cover.transition(a, b, self.base_points(key))
@@ -209,11 +226,6 @@ class TransversalGrid:
             self._transport = LeafTransport(self.cover, self.polarization)
         return self._transport
 
-    def transport(self, member: int, c_elem: float, t0: float, t1: float) -> complex:
-        """exp(-i * integral of theta_member) along the leaf from t0 to t1,
-        all data in the member element's frame."""
-        return self.leaf_transport.factor(member, c_elem, t0, t1)
-
     def segment(self, member: int, from_key, to_key, pos_from):
         """(c_elem, t0, t1) of the leaf segment between two cells'
         basepoints, in the member element's frame; pos_from may be an array
@@ -236,14 +248,6 @@ class TransversalGrid:
 
 # ---------------------------------------------------------------------------
 # Cochain data
-
-
-@dataclass
-class PolarizedFunction:
-    """Values of a polarized function at the leaf basepoints of one element."""
-
-    element: int
-    values: np.ndarray
 
 
 @dataclass
@@ -277,47 +281,6 @@ def random_projected_cochain(grid, degree: int, rng) -> TrivCochain:
 
 # ---------------------------------------------------------------------------
 # Operations
-
-
-def propagate(grid: TransversalGrid, f: PolarizedFunction, frm, to) -> complex:
-    """Value of the polarized function at `to`, transported from `frm`.
-
-    Both points must lie on one leaf segment inside f's element; `frm` is
-    located on the element's leaf grid, so its stored basepoint value fixes
-    the function on the whole leaf.
-    """
-    pol = grid.polarization
-    c_from = float(pol.label_of(frm)[0])
-    c_to = float(pol.label_of(to)[0])
-    if abs(c_from - c_to) > 1e-8:
-        raise LeafMismatchError(
-            f"points lie on different leaves ({c_from} vs {c_to})"
-        )
-    key = ((f.element,), 0)
-    cg = grid.cells[key]
-    base = pol.root
-    pos = int(np.argmin(np.abs(grid.labels[cg.label_idx] - c_from)))
-    if abs(grid.labels[cg.label_idx][pos] - c_from) > 1e-8:
-        raise LeafMismatchError(f"leaf {c_from} is not on the element grid")
-    manifold = grid.cover.source.manifold
-    pts = np.vstack([frm, to]).astype(float)
-    if grid.cover.pullback_of is not None:
-        _, phi = grid.cover.pullback_of
-        pts = phi.apply(pts)
-    box = grid.cover.source.elements[f.element].box
-    lifted = manifold.lift_into(manifold.reduce(pts), box)
-    if np.any(np.isnan(lifted)):
-        raise LeafMismatchError("points do not lie in the element")
-    if base.kind == "axis":
-        ts = lifted[:, base.leaf_axis]
-        c_elem = lifted[0, base.label_axis]
-    else:
-        ts = np.arctan2(lifted[:, 1], lifted[:, 0])
-        c_elem = c_from
-    value_at_from = f.values[pos] * grid.transport(
-        f.element, c_elem, cg.t_bp, float(ts[0])
-    )
-    return value_at_from * grid.transport(f.element, c_elem, float(ts[0]), float(ts[1]))
 
 
 def project_to_image(grid: TransversalGrid, key, tup: np.ndarray) -> np.ndarray:
@@ -426,11 +389,14 @@ class LeafBlocks:
     the same global label.  Each block is (label, rows, cols, matrix): the
     matrix maps the degree-n coefficients at positions cols to the
     degree-(n+1) ones at positions rows.  Rows of labels without a block
-    are zero.
+    are zero.  The matrices are views into stacks, one (n, rows, cols)
+    array per block shape.
     """
 
     shape: tuple  # (n_dst, n_src)
-    blocks: tuple
+    blocks: tuple  # (label, rows, cols, matrix), ascending label
+    stacks: tuple
+    transition_batches: int = 0  # cover.transition calls made to assemble it
 
     def __matmul__(self, vec: np.ndarray) -> np.ndarray:
         out = np.zeros(self.shape[:1] + np.shape(vec)[1:], dtype=np.complex128)
@@ -445,74 +411,136 @@ class LeafBlocks:
         """The union of the blocks' singular values, descending, padded with
         zeros to min(shape); one stacked SVD per block shape."""
         n = min(self.shape)
-        by_shape: dict = {}
-        for *_, mat in self.blocks:
-            by_shape.setdefault(mat.shape, []).append(mat)
-        sv = [
-            np.linalg.svd(np.stack(mats), compute_uv=False).ravel()
-            for mats in by_shape.values()
-        ]
+        sv = [np.linalg.svd(stack, compute_uv=False).ravel() for stack in self.stacks]
         return np.sort(np.concatenate(sv + [np.zeros(n)]))[::-1][:n]
 
 
-def _group_by_label(labels: np.ndarray) -> dict:
-    """label -> the ascending indices that carry it."""
+def _coefficient_table(grid: TransversalGrid, keys, total: int):
+    """cells x global labels: the coefficient index of each cell's label,
+    -1 where the cell does not carry it; and the label of each index."""
+    idx = [grid.cells[key].label_idx for key in keys]
+    labels = np.concatenate(idx + [np.empty(0, int)])
+    table = np.full((len(keys), len(grid.labels)), -1)
+    table[np.repeat(np.arange(len(keys)), [len(i) for i in idx]), labels] = (
+        np.arange(total)
+    )
+    return table, labels
+
+
+def _by_label(labels: np.ndarray, n_labels: int):
+    """Counts per label, each index's rank among the indices carrying its
+    label, and per label the slice of the ascending order it occupies."""
+    counts = np.bincount(labels, minlength=n_labels)
     order = np.argsort(labels, kind="stable")
-    uniq, starts = np.unique(labels[order], return_index=True)
-    return dict(zip(uniq.tolist(), np.split(order, starts[1:])))
+    starts = np.cumsum(counts) - counts
+    rank = np.empty(len(labels), dtype=int)
+    rank[order] = np.arange(len(labels)) - np.repeat(starts, counts)
+    return counts, rank, order, starts
+
+
+def _entry_factors(grid: TransversalGrid, pairs, pair, fpos):
+    """Transport factor of every entry: one LeafTransport call per distinct
+    leaf segment (member, t0, t1), with that segment's distinct labels."""
+    c_elem = np.empty(len(pair))
+    seg_id = np.empty(len(pair), dtype=int)
+    segments: dict = {}
+    starts = np.flatnonzero(np.diff(pair, prepend=-1)).tolist()
+    for a, b, p in zip(starts, starts[1:] + [len(pair)], pair[starts].tolist()):
+        member, face_key, key = pairs[p]
+        c_elem[a:b], t0, t1 = grid.segment(member, face_key, key, fpos[a:b])
+        seg_id[a:b] = segments.setdefault((member, t0, t1), len(segments))
+    order = np.lexsort((c_elem, seg_id))
+    seg_sorted, c_sorted = seg_id[order], c_elem[order]
+    first = np.diff(seg_sorted, prepend=-1) != 0
+    first[1:] |= c_sorted[1:] != c_sorted[:-1]
+    u_seg, u_c = seg_sorted[first], c_sorted[first]
+    u_fac = np.empty(len(u_c), dtype=np.complex128)
+    edges = np.searchsorted(u_seg, np.arange(len(segments) + 1)).tolist()
+    for s, (member, t0, t1) in enumerate(segments):
+        lo, hi = edges[s], edges[s + 1]
+        u_fac[lo:hi] = grid.leaf_transport.factor(member, u_c[lo:hi], t0, t1)
+    fac = np.empty(len(pair), dtype=np.complex128)
+    fac[order] = u_fac[np.cumsum(first) - 1]
+    return fac
 
 
 def delta_matrix(grid: TransversalGrid, degree: int) -> tuple:
     """delta on image coefficients as LeafBlocks, with index maps.
 
     Coefficients parameterize each cell's image tuples by the component in
-    the first member's trivialization, one per retained leaf label.  Each
-    face's transport factors come from one batched LeafTransport call.
+    the first member's trivialization, one per retained leaf label.  The
+    degree is assembled in one pass (docs/conventions.md, "Ranks"): its
+    entries, in (cell, face, label) order, come from one broadcast of
+    cells x labels tables; transitions are evaluated once per distinct
+    element pair and transport once per distinct leaf segment.
     """
     src_keys, src_off, n_src = _block_offsets(grid, degree)
     dst_keys, dst_off, n_dst = _block_offsets(grid, degree + 1)
-    rows, cols, vals = [np.empty(0, int)], [np.empty(0, int)], [np.empty(0, complex)]
-    for key in dst_keys:
-        cg = grid.cells[key]
-        if cg.closed:
-            continue
-        ref = grid.nerve.cells[key].indices[0]
-        for j, (face_key, _) in enumerate(grid.nerve.faces[key]):
-            fcg = grid.cells[face_key]
-            if fcg.closed or fcg.count == 0:
-                continue
-            beta0 = grid.nerve.cells[face_key].indices[0]
-            # positions of the cell's labels that the face carries too
-            fpos = np.searchsorted(fcg.label_idx, cg.label_idx)
-            pos = np.flatnonzero(
-                fcg.label_idx[np.minimum(fpos, fcg.count - 1)] == cg.label_idx
-            )
-            fpos = fpos[pos]
-            lam = grid.transition_at_basepoints(key, beta0, ref)[pos]
-            fac = grid.leaf_transport.factor(
-                beta0, *grid.segment(beta0, face_key, key, fpos)
-            )
-            rows.append(dst_off[key] + pos)
-            cols.append(src_off[face_key] + fpos)
-            vals.append((-1) ** j * lam * fac)
-    rows, cols, vals = map(np.concatenate, (rows, cols, vals))
-    row_label, col_label = (
-        np.concatenate([grid.cells[k].label_idx for k in keys] + [np.empty(0, int)])
-        for keys in (dst_keys, src_keys)
+    index_maps = (src_keys, src_off, n_src), (dst_keys, dst_off, n_dst)
+    if n_dst == 0 or n_src == 0:
+        return LeafBlocks((n_dst, n_src), (), ()), *index_maps
+    n_labels = len(grid.labels)
+    dst_tab, row_label = _coefficient_table(grid, dst_keys, n_dst)
+    src_tab, col_label = _coefficient_table(grid, src_keys, n_src)
+    cells = grid.nerve.cells
+    src_index = {key: i for i, key in enumerate(src_keys)}
+    pairs = [  # (first member of the face, face, cell) in (cell, face) order
+        (cells[face_key].indices[0], face_key, key)
+        for key in dst_keys
+        for face_key, _ in grid.nerve.faces[key]
+    ]
+    n_faces = degree + 2
+    faces = np.array([src_index[f] for _, f, _ in pairs]).reshape(-1, n_faces)
+    face_tab = src_tab[faces]  # cells x faces x labels
+    cell, j, g = np.nonzero((dst_tab[:, None, :] >= 0) & (face_tab >= 0))
+    rows, cols = dst_tab[cell, g], face_tab[cell, j, g]
+    pair = cell * n_faces + j
+    face_start = np.array([src_off[f] for _, f, _ in pairs])
+
+    # lambda_{beta0, ref} at the cell's basepoints; ones when beta0 == ref
+    lam = np.ones(len(rows), dtype=np.complex128)
+    beta0 = np.array([p[0] for p in pairs])[pair]
+    ref = np.array([cells[key].indices[0] for key in dst_keys])[cell]
+    moved = np.flatnonzero(beta0 != ref)
+    n_elem = len(grid.cover.source.elements)
+    codes, which = np.unique(beta0[moved] * n_elem + ref[moved], return_inverse=True)
+    if len(codes):
+        base = grid.base_points_of(dst_keys)
+        for u, code in enumerate(codes.tolist()):
+            e = moved[which == u]
+            lam[e] = grid.cover.transition(*divmod(code, n_elem), base[rows[e]])
+    sign = 1 - 2 * (j % 2)
+    vals = sign * lam * _entry_factors(grid, pairs, pair, cols - face_start[pair])
+
+    # one zero stack per block shape, filled in entry order
+    n_rows, row_rank, row_order, row_start = _by_label(row_label, n_labels)
+    n_cols, col_rank, col_order, col_start = _by_label(col_label, n_labels)
+    labels = np.flatnonzero((n_rows > 0) & (n_cols > 0))
+    shapes, stack_of = np.unique(
+        n_rows[labels] * (n_src + 1) + n_cols[labels], return_inverse=True
     )
-    by_row, by_col, by_entry = (
-        _group_by_label(lab) for lab in (row_label, col_label, row_label[rows])
+    sizes, slot, _, _ = _by_label(stack_of, len(shapes))
+    stacks = tuple(
+        np.zeros((size, *divmod(shape, n_src + 1)), dtype=np.complex128)
+        for size, shape in zip(sizes.tolist(), shapes.tolist())
     )
+    block_of = np.full(n_labels, -1)
+    block_of[labels] = np.arange(len(labels))
+    entry_block = block_of[g]
+    entry_stack = stack_of[entry_block]
+    for s, stack in enumerate(stacks):
+        e = np.flatnonzero(entry_stack == s)
+        place = slot[entry_block[e]], row_rank[rows[e]], col_rank[cols[e]]
+        np.add.at(stack, place, vals[e])
     blocks = []
-    for g in np.intersect1d(row_label, col_label):
-        r, c = by_row[g], by_col[g]
-        e = by_entry.get(g, r[:0])  # in entry order, as np.add.at needs
-        mat = np.zeros((len(r), len(c)), dtype=np.complex128)
-        place = np.searchsorted(r, rows[e]), np.searchsorted(c, cols[e])
-        np.add.at(mat, place, vals[e])
-        blocks.append((int(g), r, c, mat))
-    op = LeafBlocks((n_dst, n_src), tuple(blocks))
-    return op, (src_keys, src_off, n_src), (dst_keys, dst_off, n_dst)
+    for g, s, k, r0, c0 in zip(
+        *(a.tolist() for a in (labels, stack_of, slot, row_start[labels], col_start[labels]))
+    ):
+        mat = stacks[s][k]
+        r, c = mat.shape
+        blocks.append((g, row_order[r0 : r0 + r], col_order[c0 : c0 + c], mat))
+    op = LeafBlocks((n_dst, n_src), tuple(blocks), stacks, len(codes))
+    return op, *index_maps
 
 
 def vector_to_cochain(grid, degree: int, vec: np.ndarray) -> TrivCochain:
@@ -649,6 +677,7 @@ def cohomology_ranks(
             "transport_integrals": transport.integrals_computed,
             "transport_batches": transport.batches,
             "leaf_blocks": sum(len(m.blocks) for m in mats),
-            "svd_calls": sum(len({b[3].shape for b in m.blocks}) for m in mats),
+            "svd_calls": sum(len(m.stacks) for m in mats),
+            "transition_batches": sum(m.transition_batches for m in mats),
         },
     )

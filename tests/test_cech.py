@@ -10,7 +10,6 @@ from gqlab.action import build_complementary
 from gqlab.bohr import bs_census
 from gqlab.cech import (
     LeafMismatchError,
-    PolarizedFunction,
     ResolutionError,
     TransversalGrid,
     cohomology_ranks,
@@ -39,18 +38,7 @@ def _grid(models, name, n=24, **params):
     return exm, TransversalGrid.build(exm.cover, pol, labels)
 
 
-# --- propagation ------------------------------------------------------------
-
-
-def test_propagate_with_zero_potential_is_constant(models):
-    exm, grid = _grid(models, "circle-flat", n=6)
-    cg = grid.cells[((0,), 0)]
-    c = grid.labels[cg.label_idx[2]]
-    f = PolarizedFunction(0, np.zeros(cg.count, dtype=complex))
-    f.values[2] = 1.5 + 0.5j
-    frm = np.array([1.0, c])
-    to = np.array([2.0, c])
-    assert abs(cech.propagate(grid, f, frm, to) - (1.5 + 0.5j)) < 1e-15
+# --- transport --------------------------------------------------------------
 
 
 def test_full_loop_integral_matches_closed_form(models):
@@ -63,37 +51,6 @@ def test_full_loop_integral_matches_closed_form(models):
     assert abs(val - 1 * c) < 1e-10
     factor = transport.factor(0, c, 0.0, TWO_PI)
     assert abs(factor - np.exp(-1j * c)) < 1e-10
-
-
-def test_propagate_round_trip(models):
-    exm, grid = _grid(models, "torus", n=12, k=2)
-    cg = grid.cells[((4,), 0)]
-    pos = cg.count // 2
-    c = grid.labels[cg.label_idx[pos]]
-    f = PolarizedFunction(4, np.zeros(cg.count, dtype=complex))
-    f.values[pos] = 2.0 - 1.0j
-    box = exm.cover.elements[4].box
-    frm = np.array([box.lo[0] + 0.2, c])
-    to = np.array([box.hi[0] - 0.2, c])
-    out = cech.propagate(grid, f, frm, to)
-    back = cech.propagate(grid, PolarizedFunction(4, _put(cg, pos, out)), to, frm)
-    assert abs(back - (2.0 - 1.0j)) < 1e-12
-    assert abs(abs(out) - abs(2.0 - 1.0j)) < 1e-12  # transport is unitary
-
-
-def _put(cg, pos, value):
-    vals = np.zeros(cg.count, dtype=complex)
-    vals[pos] = value
-    return vals
-
-
-def test_propagate_rejects_leaf_mismatch(models):
-    exm, grid = _grid(models, "torus", n=12, k=1)
-    cg = grid.cells[((0,), 0)]
-    f = PolarizedFunction(0, np.zeros(cg.count, dtype=complex))
-    c = grid.labels[cg.label_idx[0]]
-    with pytest.raises(LeafMismatchError):
-        cech.propagate(grid, f, np.array([0.5, c]), np.array([0.5, c + 0.3]))
 
 
 # --- image projection and the psi/phi pair ----------------------------------
@@ -556,6 +513,9 @@ def _assembly_grids(models):
             cover=build_complementary(pshift, cyl.cover).base,
             pol=pushforward_polarization(pshift, cyl.polarization()),
         ),
+        # the sizes of the perfbench ranks workload
+        "torus-k3-g5": grid(models("torus", k=3, granularity=5), n=64),
+        "cylinder-g5": grid(models("cylinder", granularity=5), n=128),
     }
 
 
@@ -588,9 +548,17 @@ def test_cell_position_of_label_arrays(models):
     cg = grid.cells[grid.degree_keys(0)[0]]
     assert np.array_equal(cg.position(cg.label_idx[::-1]), np.arange(cg.count)[::-1])
     assert cg.position(int(cg.label_idx[1])) == 1
-    absent = np.setdiff1d(np.arange(12), cg.label_idx)[:1]
-    with pytest.raises(LeafMismatchError):
-        cg.position(np.concatenate([cg.label_idx, absent]))
+    absent = np.setdiff1d(np.arange(12), cg.label_idx)
+    with pytest.raises(LeafMismatchError, match=f"label {absent[0]} "):
+        cg.position(np.concatenate([cg.label_idx, absent[::-1]]))
+    with pytest.raises(LeafMismatchError, match=f"label {absent[0]} "):
+        cg.position(int(absent[0]))
+    assert cg.position(np.empty(0, int)).shape == (0,)
+    empty = cech.CellGrid(np.empty(0, int), np.empty(0), 0.0, 1.0, 0.5, closed=True)
+    assert empty.position(np.empty(0, int)).shape == (0,)
+    for idx in (3, np.array([5, 3])):
+        with pytest.raises(LeafMismatchError, match="label 3 "):
+            empty.position(idx)
 
 
 @pytest.mark.parametrize("kind", ["generic", "pullback"])
@@ -620,3 +588,102 @@ def test_batched_res_matches_per_label_transport(models, kind):
             assert np.allclose(got, want, atol=1e-14, rtol=0)
             checked += cg_sup.count
     assert checked > 0
+
+
+def test_closed_degrees_assemble_the_empty_operator(models):
+    grids = _assembly_grids(models)
+    for name in ("sphere", "disk"):
+        grid = grids[name]
+        assert set(grid.closed_cells) == set(grid.nerve.cells)
+        for degree in range(min(3, grid.nerve.max_degree)):
+            op, (_, _, n_src), (_, _, n_dst) = delta_matrix(grid, degree)
+            assert op.shape == (n_dst, n_src) == (0, 0)
+            assert op.blocks == () and op.stacks == ()
+            assert op.singular_values().shape == (0,)
+            assert op.transition_batches == 0
+
+
+def _assembly_work(grid, degree):
+    """The distinct leaf segments and non-identity element pairs of the
+    entries of one degree, found pair by pair."""
+    segments, pairs = set(), set()
+    for key in grid.degree_keys(degree + 1):
+        cg = grid.cells[key]
+        ref = grid.nerve.cells[key].indices[0]
+        for face_key, _ in grid.nerve.faces[key]:
+            fcg = grid.cells[face_key]
+            carried = cg.label_idx[np.isin(cg.label_idx, fcg.label_idx)]
+            if carried.size == 0:
+                continue
+            beta0 = grid.nerve.cells[face_key].indices[0]
+            _, t0, t1 = grid.segment(beta0, face_key, key, fcg.position(carried))
+            segments.add((beta0, t0, t1))
+            if beta0 != ref:
+                pairs.add((beta0, ref))
+    return segments, pairs
+
+
+@pytest.mark.parametrize(
+    "name,params,n", [("torus", {"k": 2, "granularity": 4}, 48), ("cylinder", {}, 35)]
+)
+def test_delta_matrix_sweeps_each_segment_and_pair_once(models, monkeypatch, name,
+                                                        params, n):
+    from gqlab.prequantum import TrivializationCover
+
+    exm = models(name, **params)
+    pol = exm.polarization()
+    labels = half_offset_labels(pol.label_range[0], pol.label_range[1], n)
+    grid = TransversalGrid.build(exm.cover, pol, labels)
+    calls = {"integral": [], "transition": []}
+    integral, transition = LeafTransport.integral, TrivializationCover.transition
+
+    def counted_integral(self, member, c_elem, t0, t1):
+        calls["integral"].append((member, float(t0), float(t1)))
+        return integral(self, member, c_elem, t0, t1)
+
+    def counted_transition(self, a, b, pts):
+        calls["transition"].append((a, b))
+        return transition(self, a, b, pts)
+
+    monkeypatch.setattr(LeafTransport, "integral", counted_integral)
+    monkeypatch.setattr(TrivializationCover, "transition", counted_transition)
+    checked = 0
+    for degree in range(3):
+        for found in calls.values():
+            found.clear()
+        op = delta_matrix(grid, degree)[0]
+        segments, pairs = _assembly_work(grid, degree)
+        checked += len(calls["integral"]) > 0 and len(calls["transition"]) > 0
+        assert len(calls["integral"]) == len(set(calls["integral"]))
+        assert set(calls["integral"]) <= segments
+        assert len(calls["transition"]) == len(set(calls["transition"]))
+        assert set(calls["transition"]) <= pairs
+        assert op.transition_batches == len(calls["transition"])
+    assert checked
+
+
+@pytest.mark.parametrize("name,k", [("torus", 1), ("torus", 2), ("torus", 3),
+                                    ("cylinder", None)])
+def test_bs_betti_numbers_survive_refinement_and_label_shifts(models, name, k):
+    from gqlab.prequantum import refine, split_boxes
+
+    exm = models(name, k=k) if k else models(name)
+    pol = exm.polarization()
+    lo, hi = pol.label_range
+    if name == "torus":
+        labels, n_bs = _with_bs_labels(k, 16), k
+    else:  # BS at the integer momenta
+        bs = np.arange(np.ceil(lo), hi)
+        labels = np.sort(np.concatenate([half_offset_labels(lo, hi, 16), bs]))
+        n_bs = len(bs)
+
+    def betti(cover, labels):
+        rep = cohomology_ranks(cover, pol, len(labels), labels=labels)
+        return [d.betti for d in rep.degrees]
+
+    want = betti(exm.cover, labels)
+    assert want == [n_bs, n_bs, 0]
+    fine, _ = refine(exm.cover, split_boxes(exm.cover))
+    assert betti(fine, labels) == want
+    if name == "torus":  # labels one period up name the same leaves
+        assert betti(exm.cover, labels + TWO_PI) == want

@@ -458,6 +458,7 @@ def test_cohomology_reports_work_counters(capsys):
     counters = report["timing"]["counters"]
     assert set(counters) == {
         "transport_integrals", "transport_batches", "leaf_blocks", "svd_calls",
+        "transition_batches",
     }
     # one quadrature sweep per face, each for several labels
     assert 0 < counters["transport_batches"] < counters["transport_integrals"]
