@@ -22,7 +22,7 @@ import numpy as np
 
 # enumerate_leaves stays bound here: perfbench/tracing.py wraps
 # action.enumerate_leaves
-from .bohr import Leaf, bs_census, enumerate_leaves, holonomy  # noqa: F401
+from .bohr import Leaf, bs_census, enumerate_leaves, holonomy, pull_leaf  # noqa: F401
 from .cech import (
     TransversalGrid,
     TrivCochain,
@@ -39,11 +39,9 @@ from .geometry import (
 )
 from .prequantum import (
     ConfigurationError,
-    CoverElement,
-    Nerve,
-    NerveCell,
     TrivializationCover,
     check_local_data,
+    pullback,
 )
 from .transport import LeafTransport
 # integrate stays bound here: perfbench/tracing.py wraps action.integrate
@@ -97,41 +95,6 @@ class ComplementaryCover:
         }
 
 
-def _shift_vector(phi: Symplectomorphism, manifold) -> np.ndarray | None:
-    """Constant translation vector of phi, if it is one."""
-    pts = manifold.window.grid(3)
-    diff = phi.apply(pts) - pts
-    if np.max(np.abs(diff - diff[0])) < 1e-12:
-        return diff[0]
-    return None
-
-
-def _pullback_skeleton(cover: TrivializationCover, phi: Symplectomorphism):
-    """Pullback cover shell: same combinatorics, transported samples."""
-    manifold = cover.manifold
-    shift = _shift_vector(phi, manifold)
-    elements = []
-    for el in cover.elements:
-        box = el.box if shift is None else el.box.shifted(tuple(-shift))
-        elements.append(
-            CoverElement(el.index, box, el.contractible, f"pulled-{el.name}")
-        )
-    cells = {}
-    for key, cell in cover.nerve.cells.items():
-        samples = manifold.reduce(
-            phi.apply_inverse(manifold.reduce(cell.samples))
-        )
-        cells[key] = NerveCell(
-            indices=cell.indices,
-            comp=cell.comp,
-            box=cell.box,
-            shifts=cell.shifts,
-            samples=samples,
-        )
-    nerve = Nerve(cells=cells, faces=cover.nerve.faces, max_degree=cover.nerve.max_degree)
-    return elements, nerve
-
-
 def build_complementary(
     phi: Symplectomorphism,
     cover: TrivializationCover,
@@ -163,23 +126,15 @@ def build_complementary(
             "no naive pulled-back data available for this cover"
         )
     manifold = cover.manifold
-    elements, nerve = _pullback_skeleton(cover, phi)
+    pulled = pullback(cover, phi)
+    nerve = pulled.nerve
     naive = TrivializationCover(
         manifold=manifold,
         omega=cover.omega,
-        elements=elements,
-        data=builder([el.box for el in elements]),
+        elements=pulled.elements,
+        data=builder([el.box for el in pulled.elements]),
         nerve=nerve,
         meta={"name": f"naive-pullback({cover.meta.get('name')})"},
-    )
-    pullback = TrivializationCover(
-        manifold=manifold,
-        omega=cover.omega,
-        elements=elements,
-        data=naive.data,  # never consulted; accessors delegate to the source
-        nerve=nerve,
-        pullback_of=(cover, phi),
-        meta={"name": f"pullback({cover.meta.get('name')})"},
     )
 
     # Step 2: the gauge 1-form g = theta_naive - phi^* theta must be closed.
@@ -190,7 +145,7 @@ def build_complementary(
         pts = manifold.reduce(cell.samples)
         resid = np.abs(
             naive.curvature(cell.indices[0], pts)
-            - pullback.curvature(cell.indices[0], pts)
+            - pulled.curvature(cell.indices[0], pts)
         )
         closed_max = max(closed_max, float(np.max(resid)))
     if closed_max > tol:
@@ -201,7 +156,7 @@ def build_complementary(
 
     def gauge_form(a: int, pts: np.ndarray):
         ga = naive.potential(a, pts)
-        gb = pullback.potential(a, pts)
+        gb = pulled.potential(a, pts)
         return ga[0] - gb[0], ga[1] - gb[1]
 
     def f_alpha(a: int, targets: np.ndarray) -> np.ndarray:
@@ -234,7 +189,7 @@ def build_complementary(
         ratio = (
             naive.transition(a, b, pts)
             * np.exp(-1j * (f_alpha(a, pts) - f_alpha(b, pts)))
-            / pullback.transition(a, b, pts)
+            / pulled.transition(a, b, pts)
         )
         mean = complex(np.mean(ratio))
         spread = float(np.max(np.abs(ratio - mean)))
@@ -311,7 +266,7 @@ def build_complementary(
         resid = np.abs(ratio * w[a] / w[b] - 1.0)
         cert = max(cert, float(np.max(resid)))
     return ComplementaryCover(
-        base=pullback,
+        base=pulled,
         source=cover,
         phi=phi,
         constants=constants,
@@ -361,18 +316,7 @@ def transport_leaf(
     """Image leaf under phi^{-1} with its holonomy in the complementary cover.
     `transport` is a LeafTransport of the complementary cover and pol_pushed
     whose cached integrals the holonomy may reuse."""
-    manifold = complementary.base.manifold
-    switch = (
-        manifold.reduce(phi.apply_inverse(leaf.switch_points))
-        if len(leaf.switch_points)
-        else leaf.switch_points
-    )
-    point = (
-        tuple(phi.apply_inverse(np.array([leaf.point]))[0])
-        if leaf.point is not None
-        else None
-    )
-    moved = Leaf(leaf.label, leaf.topology, leaf.segments, switch, leaf.singular, point)
+    moved = pull_leaf(leaf, phi, complementary.base.manifold)
     if moved.topology == "line":
         return moved, None
     return moved, holonomy(complementary.base, pol_pushed, moved, transport)

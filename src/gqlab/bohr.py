@@ -12,7 +12,7 @@ changes, so BS values need not be hit by the sample grid.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -187,6 +187,22 @@ def _thread_line(cover, pol, c: float) -> Leaf:
     return Leaf(c, "line", tuple(segments), base.curve_points(c, np.array(switches)))
 
 
+def pull_leaf(leaf: Leaf, phi, manifold) -> Leaf:
+    """The leaf moved through phi^{-1}: its switch points (reduced) and its
+    point; segments and label stay, as they live in the source frame."""
+    switch = (
+        manifold.reduce(phi.apply_inverse(leaf.switch_points))
+        if len(leaf.switch_points)
+        else leaf.switch_points
+    )
+    point = (
+        tuple(phi.apply_inverse(np.array([leaf.point]))[0])
+        if leaf.point is not None
+        else None
+    )
+    return replace(leaf, switch_points=switch, point=point)
+
+
 def _spans_a_period(pol: Polarization, lo: float, hi: float) -> bool:
     """Whether a label window covers one full period of a periodic label.
     enumerate_leaves samples such a window half-open, and bs_census closes
@@ -211,23 +227,7 @@ def enumerate_leaves(
     if cover.pullback_of is not None:
         src, phi_map = cover.pullback_of
         up = enumerate_leaves(src, pol.base, crange, count, include_singular)
-        out = []
-        for leaf in up:
-            switch = (
-                cover.manifold.reduce(phi_map.apply_inverse(leaf.switch_points))
-                if len(leaf.switch_points)
-                else leaf.switch_points
-            )
-            point = (
-                tuple(phi_map.apply_inverse(np.array([leaf.point]))[0])
-                if leaf.point is not None
-                else None
-            )
-            out.append(
-                Leaf(leaf.label, leaf.topology, leaf.segments, switch,
-                     leaf.singular, point)
-            )
-        return out
+        return [pull_leaf(leaf, phi_map, cover.manifold) for leaf in up]
     if _spans_a_period(pol, lo, hi):
         values = lo + (hi - lo) * np.arange(count) / count
     else:

@@ -89,6 +89,7 @@ class TransversalGrid:
     closed_cells: tuple
     _transport: LeafTransport | None = field(default=None, repr=False)
     _subcell_cache: dict = field(default_factory=dict, repr=False)
+    _degree_keys: dict | None = field(default=None, repr=False)
 
     # -- construction -------------------------------------------------------
 
@@ -147,8 +148,14 @@ class TransversalGrid:
     def nerve(self):
         return self.cover.source.nerve
 
-    def degree_keys(self, n: int):
-        return sorted(k for k, c in self.nerve.cells.items() if c.degree == n)
+    def degree_keys(self, n: int) -> tuple:
+        """The keys of the nerve cells of degree n, sorted once per grid."""
+        if self._degree_keys is None:
+            by_degree: dict = {}
+            for key in sorted(self.nerve.cells):
+                by_degree.setdefault(len(key[0]) - 1, []).append(key)
+            self._degree_keys = {d: tuple(keys) for d, keys in by_degree.items()}
+        return self._degree_keys.get(n, ())
 
     @property
     def n_labels_retained(self) -> int:

@@ -7,7 +7,8 @@ rectangle crossing a periodic seam keeps a single consistent branch of the
 periodic coordinate; potentials attached to an element are always evaluated
 in that unrolled frame.  Transition expressions must be well defined on the
 manifold itself (periodic in the periodic coordinates), which every builtin
-family satisfies.
+family satisfies.  A pullback cover (`pullback`) holds the pulled-back pair
+as formulas too, so every accessor reads local data the same way.
 
 The nerve records every nonempty multi-overlap up to degree 3, one cell per
 connected component, with interior sample points, per-member unrolling
@@ -19,13 +20,20 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import expr as ex
 from . import program
-from .geometry import Box, Manifold, SymplecticForm, as_points, eval_at
+from .geometry import (
+    Box,
+    Manifold,
+    SymplecticForm,
+    Symplectomorphism,
+    as_points,
+    eval_at,
+)
 
 MAX_TUPLE = 4  # tuples up to 4 indices: cochain degrees 0..3
 
@@ -112,7 +120,7 @@ class TrivializationCover:
     elements: list
     data: LocalData
     nerve: Nerve | None = None
-    pullback_of: tuple | None = None  # (source cover, map)
+    pullback_of: tuple | None = None  # (source cover, map): geometry only
     meta: dict = field(default_factory=dict)
     # compiled local data, filled on first use: key -> program
     _programs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -156,9 +164,6 @@ class TrivializationCover:
         pts = as_points(pts)
         if a == b:
             return np.ones(len(pts), dtype=np.complex128)
-        if self.pullback_of is not None:
-            src, phi = self.pullback_of
-            return src.transition(a, b, src.manifold.reduce(phi.apply(pts)))
         return self._evaluate(
             ("transition", a, b), lambda: self.data.transition_expr(a, b), pts
         )
@@ -166,15 +171,6 @@ class TrivializationCover:
     def transition_dlog(self, a: int, b: int, pts) -> tuple:
         """(d lambda / lambda) components; branch free."""
         pts = as_points(pts)
-        if self.pullback_of is not None:
-            src, phi = self.pullback_of
-            up = src.manifold.reduce(phi.apply(pts))
-            g0, g1 = src.transition_dlog(a, b, up)
-            jac = phi.jacobian(pts)
-            return (
-                g0 * jac[:, 0, 0] + g1 * jac[:, 1, 0],
-                g0 * jac[:, 0, 1] + g1 * jac[:, 1, 1],
-            )
 
         def parts():  # lambda and its two partial derivatives
             lam = self.data.transition_expr(a, b)
@@ -186,16 +182,6 @@ class TrivializationCover:
 
     def potential(self, a: int, pts) -> tuple:
         """Connection potential components at canonical points."""
-        pts = as_points(pts)
-        if self.pullback_of is not None:
-            src, phi = self.pullback_of
-            up = src.manifold.reduce(phi.apply(pts))
-            t0, t1 = src.potential(a, up)
-            jac = phi.jacobian(pts)
-            return (
-                t0 * jac[:, 0, 0] + t1 * jac[:, 1, 0],
-                t0 * jac[:, 0, 1] + t1 * jac[:, 1, 1],
-            )
         lifted = self.member_points(a, pts)
         if np.any(np.isnan(lifted)):
             raise ConfigurationError(
@@ -207,13 +193,6 @@ class TrivializationCover:
 
     def curvature(self, a: int, pts) -> np.ndarray:
         """d(theta_a) coefficient (the dx^dy component) at canonical points."""
-        pts = as_points(pts)
-        if self.pullback_of is not None:
-            src, phi = self.pullback_of
-            up = src.manifold.reduce(phi.apply(pts))
-            w = src.omega.eval(src.manifold, up)
-            det = np.linalg.det(phi.jacobian(pts))
-            return w * det
         lifted = self.member_points(a, pts)
 
         def parts():
@@ -223,6 +202,68 @@ class TrivializationCover:
 
         d0t1, d1t0 = self._evaluate(("curvature", a), parts, lifted)
         return d0t1 - d1t0
+
+
+def _shift_vector(phi: Symplectomorphism, manifold: Manifold) -> np.ndarray | None:
+    """Constant translation vector of phi, if it is one."""
+    pts = manifold.window.grid(3)
+    diff = phi.apply(pts) - pts
+    if np.max(np.abs(diff - diff[0])) < 1e-12:
+        return diff[0]
+    return None
+
+
+def pullback(cover: TrivializationCover, phi: Symplectomorphism) -> TrivializationCover:
+    """The cover phi^* cover, with the pulled-back local data as formulas.
+
+    Transitions become lambda o phi and potentials (theta o phi) . Dphi,
+    composed once by substitution (docs/conventions.md, "Pullback").  An
+    element is its source box moved by -s when phi is a translation by s,
+    and otherwise the source box, with membership read through phi.  The
+    nerve keeps the source cells and faces; its samples are the
+    phi-preimages of the source samples.
+    """
+    manifold = cover.manifold
+    shift = _shift_vector(phi, manifold)
+    elements = [
+        replace(
+            el,
+            box=el.box if shift is None else el.box.shifted(tuple(-shift)),
+            name=f"pulled-{el.name}",
+        )
+        for el in cover.elements
+    ]
+    cells = {
+        key: replace(
+            cell, samples=manifold.reduce(phi.apply_inverse(manifold.reduce(cell.samples)))
+        )
+        for key, cell in cover.nerve.cells.items()
+    }
+    nerve = Nerve(cells=cells, faces=cover.nerve.faces, max_degree=cover.nerve.max_degree)
+    up = dict(zip(manifold.coords, phi.forward))
+    jac = phi.jacobian_exprs()
+
+    def pulled_form(theta):
+        t0, t1 = (ex.substitute(t, up) for t in theta)
+        return tuple(
+            ex.add(ex.mul(t0, jac[0][j]), ex.mul(t1, jac[1][j])) for j in range(2)
+        )
+
+    data = LocalData(
+        transitions={
+            pair: ex.substitute(lam, up) for pair, lam in cover.data.transitions.items()
+        },
+        potentials={a: pulled_form(theta) for a, theta in cover.data.potentials.items()},
+    )
+    return TrivializationCover(
+        manifold=manifold,
+        omega=cover.omega,
+        elements=elements,
+        data=data,
+        nerve=nerve,
+        pullback_of=(cover, phi),
+        meta={"name": f"pullback({cover.meta.get('name')})"},
+    )
 
 
 # ---------------------------------------------------------------------------

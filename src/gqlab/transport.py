@@ -4,13 +4,13 @@ One shared implementation of the transport factor exp(-i integral theta)
 serves the cochain machinery, the holonomy computation, and the chain map,
 so the sign conventions (docs/conventions.md) cannot drift apart.
 
-For a base cover the integrand theta(leaf'(t)) is composed symbolically
-(potential components substituted with the leaf curve) and compiled once
-per element; for a pullback cover it is evaluated through the defining
-chain: source curve, inverse map, pulled-back potential, inverse Jacobian,
-with the source curve and its velocity compiled once as one program.
-Both integrands take one leaf label or an array of labels, and integral
-takes the labels of one segment as an array: their cache misses go to the
+The integrand theta(leaf'(t)) is composed symbolically, the potential
+components substituted with the polarization's leaf curve, and compiled
+once per element.  A pullback cover holds the pulled-back potentials as
+formulas and is paired with the pushforward polarization, whose curve is
+the preimage of the source curve, so it needs no other integrand.  The
+integrand takes one leaf label or an array of labels, and integral takes
+the labels of one segment as an array: their cache misses go to the
 quadrature as one vector-valued integrand, labels by nodes.
 """
 
@@ -36,41 +36,18 @@ class LeafTransport:
         run = self._integrands.get(member)
         if run is not None:
             return run
-        cover = self.cover
-        base = self.polarization.root
-        if cover.pullback_of is None:
-            coords = cover.manifold.coords
-            theta = cover.data.potentials[member]
-            sub = {coords[0]: base.curve[0], coords[1]: base.curve[1]}
-            integrand = ex.add(
-                ex.mul(
-                    ex.substitute(theta[0], sub),
-                    ex.differentiate(base.curve[0], "t"),
-                ),
-                ex.mul(
-                    ex.substitute(theta[1], sub),
-                    ex.differentiate(base.curve[1], "t"),
-                ),
-            )
-            prog = program.compile_expr(integrand, ("c", "t"))
+        coords = self.cover.manifold.coords
+        theta = self.cover.data.potentials[member]
+        curve = self.polarization.curve
+        sub = {coords[0]: curve[0], coords[1]: curve[1]}
+        integrand = ex.add(
+            ex.mul(ex.substitute(theta[0], sub), ex.differentiate(curve[0], "t")),
+            ex.mul(ex.substitute(theta[1], sub), ex.differentiate(curve[1], "t")),
+        )
+        prog = program.compile_expr(integrand, ("c", "t"))
 
-            def pointwise(c, t):
-                return kernels.evaluate(prog, {"c": c, "t": t})
-
-        else:
-            src, phi = cover.pullback_of
-            velocity = tuple(ex.differentiate(comp, "t") for comp in base.curve)
-            prog = program.compile_expr(tuple(base.curve) + velocity, ("c", "t"))
-
-            def pointwise(c, t):
-                vals = kernels.evaluate(prog, {"c": c, "t": t}).real
-                up = np.ascontiguousarray(vals[:2].T)
-                vel = np.ascontiguousarray(vals[2:].T)
-                down = cover.manifold.reduce(phi.apply_inverse(up))
-                jac_inv = phi.jacobian(src.manifold.reduce(up), inverse=True)
-                v = np.einsum("nab,nb->na", jac_inv, vel)
-                t0, t1 = cover.potential(member, down)
-                return t0 * v[:, 0] + t1 * v[:, 1]
+        def pointwise(c, t):
+            return kernels.evaluate(prog, {"c": c, "t": t})
 
         run = _over_labels(pointwise)
         self._integrands[member] = run

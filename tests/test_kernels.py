@@ -7,7 +7,7 @@ import pytest
 from gqlab import bohr, catalog, kernels, program
 from gqlab import expr as ex
 from gqlab.geometry import pushforward_polarization
-from gqlab.prequantum import TrivializationCover
+from gqlab.prequantum import pullback
 from gqlab.program import compile_expr
 from gqlab.transport import LeafTransport
 
@@ -197,17 +197,6 @@ def _pullback_integrand(pullback, pol, member, c, ts):
     return t0 * v[:, 0] + t1 * v[:, 1]
 
 
-def _pullback_cover(cover, phi):
-    return TrivializationCover(
-        manifold=cover.manifold,
-        omega=cover.omega,
-        elements=cover.elements,
-        data=cover.data,
-        nerve=cover.nerve,
-        pullback_of=(cover, phi),
-    )
-
-
 @pytest.mark.parametrize("name,params,maps", CASES, ids=CASE_IDS)
 def test_transport_integrands_match_per_expression(models, name, params, maps):
     exm = models(name, **params)
@@ -222,14 +211,19 @@ def test_transport_integrands_match_per_expression(models, name, params, maps):
         _same(transport.integrand(seg.element)(seg.c_elem, ts), want)
     for spec in maps:
         phi = catalog.make_map(exm, spec)
-        pullback = _pullback_cover(exm.cover, phi)
-        moved = LeafTransport(pullback, pushforward_polarization(phi, pol))
+        pulled = pullback(exm.cover, phi)
+        pushed = pushforward_polarization(phi, pol)
+        moved = LeafTransport(pulled, pushed)
         for seg in segments:
             ts = _segment_ts(seg)
-            _same(
-                moved.integrand(seg.element)(seg.c_elem, ts),
-                _pullback_integrand(pullback, pol, seg.element, seg.c_elem, ts),
-            )
+            values = {"c": complex(seg.c_elem), "t": ts + 0j}
+            got = moved.integrand(seg.element)(seg.c_elem, ts)
+            # the pulled potentials along the pushed curve, bit for bit
+            want = kernels.evaluate(_base_integrand(pulled, pushed, seg.element), values)
+            _same(got, want)
+            # and the chain rule through the map, to rounding
+            chain = _pullback_integrand(pulled, pol, seg.element, seg.c_elem, ts)
+            assert np.all(np.abs(got - chain) <= 1e-12 * np.maximum(1.0, np.abs(chain)))
 
 
 def test_owners_compile_once(models, monkeypatch):
@@ -243,7 +237,7 @@ def test_owners_compile_once(models, monkeypatch):
     b = next(q for (p, q) in cover.data.transitions if p == a)
     transport = LeafTransport(cover, pol)
     pushed = pushforward_polarization(phi, pol)
-    moved = LeafTransport(_pullback_cover(cover, phi), pushed)
+    moved = LeafTransport(pullback(cover, phi), pushed)
 
     def use():
         phi.apply(pts)

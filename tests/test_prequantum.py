@@ -20,11 +20,14 @@ from gqlab.prequantum import (
     cover_from_json,
     cover_to_json,
     coverage_gaps,
+    pullback,
     refine,
     split_boxes,
     verify_refinement,
 )
-from gqlab.geometry import Box
+from gqlab.bohr import enumerate_leaves
+from gqlab.geometry import Box, Symplectomorphism, pushforward_polarization
+from gqlab.transport import LeafTransport
 
 BUILTINS = [
     ("plane", {}),
@@ -280,3 +283,85 @@ def test_nerve_matches_pairwise_construction_after_json_round_trip(
 ):
     back = cover_from_json(cover_to_json(models(name, **params).cover))
     _assert_same_nerve(back.nerve, _reference_nerve(back))
+
+
+# ---------------------------------------------------------------------------
+# Pullback covers
+
+# Every map the catalog offers other than the identity, with an argument
+# that moves points.
+PULLBACKS = [
+    ("plane", {}, "shear"),
+    ("plane", {}, "rot:0.3"),
+    ("plane", {}, "translate:0.5,0.25"),
+    ("plane", {"granularity": 2}, "shear"),
+    ("cylinder", {}, "translate:1.5"),
+    ("cylinder", {}, "pshift:0.4"),
+    ("torus", {"k": 2}, "translate:0.7,0.3"),
+    ("sphere", {"k": 2}, "rot:1.0"),
+    ("disk", {}, "rot:0.7"),
+]
+
+
+def test_pullback_cases_cover_every_catalog_map(models):
+    params = {"torus": {"k": 1}, "sphere": {"k": 1}}
+    offered = {
+        (name, spec)
+        for name in catalog.EXAMPLE_NAMES
+        for spec in models(name, **params.get(name, {})).map_specs
+        if spec != "identity"
+    }
+    assert {(name, spec.partition(":")[0]) for name, _, spec in PULLBACKS} == offered
+
+
+def _close(got, want):
+    assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
+
+
+@pytest.mark.parametrize("name,params,spec", PULLBACKS)
+def test_pullback_data_is_the_chain_through_the_map(models, monkeypatch, name, params, spec):
+    exm = models(name, **params)
+    src, pol = exm.cover, exm.polarization()
+    phi = catalog.make_map(exm, spec)
+    pulled = pullback(src, phi)
+    assert check_local_data(pulled).passed
+    manifold = src.manifold
+    cells = [
+        (cell, manifold.reduce(cell.samples))
+        for cell in pulled.nerve.cells.values()
+        if cell.degree <= 1 and len(cell.samples)
+    ]
+    for cell, pts in cells:
+        up = manifold.reduce(phi.apply(pts))
+        jac = phi.jacobian(pts)
+        for a in cell.indices:
+            s0, s1 = src.potential(a, up)
+            t0, t1 = pulled.potential(a, pts)
+            _close(t0, s0 * jac[:, 0, 0] + s1 * jac[:, 1, 0])
+            _close(t1, s0 * jac[:, 0, 1] + s1 * jac[:, 1, 1])
+        if cell.degree == 1:
+            a, b = cell.indices
+            _close(pulled.transition(a, b, pts), src.transition(a, b, up))
+            _close(pulled.transition(b, a, pts), src.transition(b, a, up))
+
+    # the pulled data are formulas: compiling and reading them evaluates
+    # no map
+    pulled = pullback(src, phi)
+    transport = LeafTransport(pulled, pushforward_polarization(phi, pol))
+    seg = enumerate_leaves(src, pol, exm.census_range, 3, False)[0].segments[0]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the map was evaluated")
+
+    for method in ("apply", "apply_inverse", "jacobian"):
+        monkeypatch.setattr(Symplectomorphism, method, refuse)
+    for cell, pts in cells:
+        for a in cell.indices:
+            pulled.potential(a, pts)
+            pulled.curvature(a, pts)
+        if cell.degree == 1:
+            a, b = cell.indices
+            pulled.transition(a, b, pts)
+            pulled.transition_dlog(a, b, pts)
+    values = transport.integrand(seg.element)(seg.c_elem, np.linspace(seg.t0, seg.t1, 5))
+    assert np.all(np.isfinite(values))

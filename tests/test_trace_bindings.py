@@ -33,3 +33,27 @@ def test_compile_expr_is_still_an_lru_cache():
     from gqlab import program
 
     assert hasattr(program.compile_expr, "cache_info")
+
+
+# One small command line per workload; tracing.EXPECTED lists the layers
+# each must reach.
+WORKLOAD_LINES = {
+    "census": ["bs", "--example", "torus", "--k", "2", "--count", "8"],
+    "ranks": ["cohomology", "--example", "torus", "--k", "2", "--grid", "8"],
+    "invariance": ["act", "--example", "sphere", "--k", "2", "--map", "rot:1.0",
+                   "--verify", "thm1,thm2"],
+}
+
+
+@pytest.mark.parametrize("workload", sorted(WORKLOAD_LINES))
+def test_each_workload_reaches_its_traced_layers(tracing, workload, capsys):
+    from gqlab import cli
+
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        code = cli.main(WORKLOAD_LINES[workload])
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    tracer.require(workload)
