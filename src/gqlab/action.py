@@ -20,6 +20,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import expr as ex
+from . import program
 # enumerate_leaves stays bound here: perfbench/tracing.py wraps
 # action.enumerate_leaves
 from .bohr import Leaf, bs_census, enumerate_leaves, holonomy, pull_leaf  # noqa: F401
@@ -35,6 +37,7 @@ from .geometry import (
     Polarization,
     Symplectomorphism,
     as_points,
+    eval_at,
     pushforward_polarization,
 )
 from .prequantum import (
@@ -154,10 +157,26 @@ def build_complementary(
             "naive pulled-back data is inconsistent"
         )
 
+    gauge_programs: dict = {}
+
     def gauge_form(a: int, pts: np.ndarray):
-        ga = naive.potential(a, pts)
-        gb = pulled.potential(a, pts)
-        return ga[0] - gb[0], ga[1] - gb[1]
+        """theta_naive - phi^* theta on element a, one program per element
+        at one lift of the points (both covers share the element boxes).
+        BinOp, not ex.sub, which folds 0 - x into -x and can flip the sign
+        of a zero that the difference of the two potentials keeps."""
+        prog = gauge_programs.get(a)
+        if prog is None:
+            pairs = zip(naive.data.potentials[a], pulled.data.potentials[a])
+            prog = program.compile_expr(
+                tuple(ex.BinOp("-", tn, tp) for tn, tp in pairs), manifold.coords
+            )
+            gauge_programs[a] = prog
+        lifted = naive.member_points(a, pts)
+        if np.any(np.isnan(lifted)):
+            raise ConfigurationError(
+                f"potential of element {a} requested outside the element"
+            )
+        return eval_at(prog, manifold.coords, lifted)
 
     def f_alpha(a: int, targets: np.ndarray) -> np.ndarray:
         """Integral of the gauge form from the element basepoint, two legs:
@@ -306,20 +325,25 @@ def chain_map(
 
 
 def transport_leaf(
-    leaf: Leaf,
+    leaves,
     phi: Symplectomorphism,
     complementary: ComplementaryCover,
     pol: Polarization,
     pol_pushed: Polarization,
     transport: LeafTransport | None = None,
 ):
-    """Image leaf under phi^{-1} with its holonomy in the complementary cover.
-    `transport` is a LeafTransport of the complementary cover and pol_pushed
-    whose cached integrals the holonomy may reuse."""
-    moved = pull_leaf(leaf, phi, complementary.base.manifold)
-    if moved.topology == "line":
-        return moved, None
-    return moved, holonomy(complementary.base, pol_pushed, moved, transport)
+    """Image leaves under phi^{-1} with their holonomies in the
+    complementary cover: (moved leaf, holonomy) for one Leaf, with None for
+    a line leaf, and a list of such pairs for a sequence of leaves, whose
+    holonomies are one batch.  `transport` is a LeafTransport of the
+    complementary cover and pol_pushed whose cached integrals the
+    holonomies may reuse."""
+    batch = [leaves] if isinstance(leaves, Leaf) else list(leaves)
+    moved = [pull_leaf(leaf, phi, complementary.base.manifold) for leaf in batch]
+    closed = [leaf for leaf in moved if leaf.topology != "line"]
+    hols = iter(holonomy(complementary.base, pol_pushed, closed, transport))
+    out = [(leaf, None if leaf.topology == "line" else next(hols)) for leaf in moved]
+    return out[0] if isinstance(leaves, Leaf) else out
 
 
 # ---------------------------------------------------------------------------
@@ -453,11 +477,12 @@ def verify_theorem_2(
     )
     hol_max = 0.0
     pairs = []
-    for entry in census_src.entries:
+    closed = [e for e in census_src.entries if e.leaf.topology != "line"]
+    moved = transport_leaf(
+        [e.leaf for e in closed], phi, comp, pol, pushed, transport_dst
+    )
+    for entry, (_, there) in zip(closed, moved):
         leaf, here = entry.leaf, entry.holonomy
-        if leaf.topology == "line":
-            continue
-        moved, there = transport_leaf(leaf, phi, comp, pol, pushed, transport_dst)
         diff = abs(here.holonomy - there.holonomy)
         hol_max = max(hol_max, diff)
         pairs.append(

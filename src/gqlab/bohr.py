@@ -7,12 +7,19 @@ values at the switches.  A leaf is Bohr-Sommerfeld exactly when that
 product is 1, i.e. when the accumulated action lands in 2 pi Z.  The census
 locates BS leaves by root-solving Im(holonomy) between sampled sign
 changes, so BS values need not be hit by the sample grid.
+
+Leaves come from a LeafAtlas, which threads each membership pattern (the
+set of elements a leaf crosses) once and builds the leaves of a batch of
+labels from those threadings.  holonomy takes a batch of leaves and shares
+its transport sweeps and transition evaluations, with the arithmetic of a
+scalar product so that batching moves no bit of a result.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,8 +38,7 @@ class HolonomyUndefinedError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class LeafSegment:
+class LeafSegment(NamedTuple):
     element: int
     t0: float  # element-frame leaf parameter bounds
     t1: float
@@ -71,52 +77,28 @@ class HolonomyResult:
 # Leaf construction
 
 
-def _axis_candidates(cover, pol, c: float):
-    """(element, t-interval, c lifted into the element frame) per crossing."""
-    out = []
-    manifold = cover.manifold
-    la, ta = pol.label_axis, pol.leaf_axis
-    period_label = manifold.periods[la]
-    for el in cover.elements:
-        lo, hi = el.box.interval(la)
-        c_lift = c
-        if period_label is not None:
-            mid = 0.5 * (lo + hi)
-            c_lift = c + period_label * round((mid - c) / period_label)
-        if lo + 1e-9 < c_lift < hi - 1e-9:
-            t0, t1 = el.box.interval(ta)
-            out.append((el.index, t0, t1, c_lift))
-    return out
+def _thread_circle(cands: list, period: float, c: float) -> tuple:
+    """Thread a circle leaf through the elements it crosses.
 
-
-def _thread_circle(cover, pol, c: float) -> Leaf:
-    period = pol.leaf_period
-    cands = _axis_candidates(cover, pol, c) if pol.kind == "axis" else None
-    if pol.kind == "radial":
-        cands = []
-        for el in cover.elements:
-            half = min(el.box.hi[0], el.box.hi[1], -el.box.lo[0], -el.box.lo[1])
-            if 0.0 < c < 0.5 * half * half:
-                cands.append((el.index, 0.0, TWO_PI, c))
-    if not cands:
-        raise CoverageError(f"leaf {c} crosses no cover element")
-
+    cands holds (element, t0, t1) per crossed element, in cover order.
+    Returns the segments as (element, t0, t1, position in cands) and the
+    switch parameters; c is a label of the leaf, named in errors.
+    """
     # Whole-circle elements carry the leaf in one segment.
-    for idx, t0, t1, c_elem in cands:
+    for j, (idx, t0, t1) in enumerate(cands):
         if t1 - t0 >= period - 1e-9:
             start = t0 + 0.5 * ((t1 - t0) - period)
-            seg = LeafSegment(idx, start, start + period, c_elem)
-            return Leaf(c, "circle", (seg,), np.empty((0, 2)))
+            return [(idx, start, start + period, j)], []
 
     # Greedy interval chain around the circle in the unwrapped parameter:
-    # placements carry (walk start, walk end, element, frame offset, label)
-    # with element-frame t = walk t + offset.
+    # placements carry (walk start, walk end, element, frame offset,
+    # position) with element-frame t = walk t + offset.
     items = []
-    for idx, t0, t1, c_elem in cands:
+    for j, (idx, t0, t1) in enumerate(cands):
         a = math.fmod(t0, period)
         if a < 0:
             a += period
-        items.append((a, a + (t1 - t0), idx, t0 - a, c_elem))
+        items.append((a, a + (t1 - t0), idx, t0 - a, j))
     items.sort()
     start = items[0]
     placements = [start]
@@ -153,38 +135,166 @@ def _thread_circle(cover, pol, c: float) -> Leaf:
     segments = []
     u_prev = switches[-1] - period
     for placement, u_next in zip(placements, switches):
-        _, _, idx, off, c_elem = placement
-        segments.append(LeafSegment(idx, u_prev + off, u_next + off, c_elem))
+        _, _, idx, off, j = placement
+        segments.append((idx, u_prev + off, u_next + off, j))
         u_prev = u_next
-    base = pol.root
-    switch_pts = cover.manifold.reduce(base.curve_points(c, np.array(switches)))
-    return Leaf(c, "circle", tuple(segments), switch_pts)
+    return segments, switches
 
 
-def _thread_line(cover, pol, c: float) -> Leaf:
-    cands = _axis_candidates(cover, pol, c)
-    if not cands:
-        raise CoverageError(f"leaf {c} crosses no cover element")
-    lo = min(t0 for _, t0, _, _ in cands)
-    cands.sort(key=lambda r: (r[1], r[0]))
+def _thread_line(cands: list, c: float) -> tuple:
+    """Thread a line leaf through the elements it crosses, as
+    _thread_circle does a circle leaf."""
+    order = sorted(range(len(cands)), key=lambda j: (cands[j][1], cands[j][0]))
     segments = []
     switches = []
-    idx, t0, t1, c_elem = cands[0]
+    idx, t0, t1 = cands[order[0]]
     cur_end = t1
-    cur = (idx, t0, c_elem)
-    for nidx, n0, n1, nc in cands[1:]:
+    cur = (idx, t0, order[0])
+    for j in order[1:]:
+        nidx, n0, n1 = cands[j]
         if n0 >= cur_end - 1e-12:
             raise CoverageError(f"cover leaves a gap on the line leaf {c}")
         if n1 <= cur_end:
             continue
         switch = 0.5 * (n0 + cur_end)
-        segments.append(LeafSegment(cur[0], cur[1], switch, cur[2]))
+        segments.append((cur[0], cur[1], switch, cur[2]))
         switches.append(switch)
-        cur = (nidx, switch, nc)
+        cur = (nidx, switch, j)
         cur_end = n1
-    segments.append(LeafSegment(cur[0], cur[1], cur_end, cur[2]))
-    base = pol.root
-    return Leaf(c, "line", tuple(segments), base.curve_points(c, np.array(switches)))
+    segments.append((cur[0], cur[1], cur_end, cur[2]))
+    return segments, switches
+
+
+class LeafAtlas:
+    """The leaves of a polarization on a cover, threaded once per
+    membership pattern.
+
+    A label's membership pattern is the set of elements its leaf crosses.
+    On box covers the threading of a leaf, its segments (element, t0, t1)
+    and the parameters of its switch points, depends on the label only
+    through that pattern: the label enters as each segment's lifted label
+    and through the switch points on its curve.  So a batch of labels is
+    lifted into every element in one broadcast (Manifold.lift_labels) and
+    grouped by pattern; a pattern is threaded the first time it is met,
+    and the switch points of the whole batch come from one curve_points
+    call.  A pullback cover is threaded on its source cover with the root
+    polarization, and the switch points of a batch are moved through
+    phi^{-1} in one map call.
+    """
+
+    def __init__(self, cover: TrivializationCover, pol: Polarization):
+        self.cover = cover
+        self.polarization = pol
+        geom = cover.source  # threading lives upstairs for pullbacks
+        self._root = root = pol.root
+        self._manifold = geom.manifold
+        self._map = cover.pullback_of[1] if cover.pullback_of is not None else None
+        self._elements = [el.index for el in geom.elements]
+        boxes = [el.box for el in geom.elements]
+        if root.kind == "radial":  # circles about the origin, squared radius 2c
+            half = np.array([min(b.hi[0], b.hi[1], -b.lo[0], -b.lo[1]) for b in boxes])
+            self.label_lo = np.zeros(len(boxes))
+            self.label_hi = 0.5 * half * half
+            self.leaf_lo = np.zeros(len(boxes))
+            self.leaf_hi = np.full(len(boxes), TWO_PI)
+        else:
+            la, ta = root.label_axis, root.leaf_axis
+            self.label_lo = np.array([b.lo[la] for b in boxes], dtype=float)
+            self.label_hi = np.array([b.hi[la] for b in boxes], dtype=float)
+            self.leaf_lo = np.array([b.lo[ta] for b in boxes], dtype=float)
+            self.leaf_hi = np.array([b.hi[ta] for b in boxes], dtype=float)
+        self._threadings: dict = {}  # membership pattern -> threading
+        self.threadings = 0  # patterns threaded
+
+    def _lift(self, labels: np.ndarray) -> tuple:
+        """(labels lifted into every element, whether each crosses it)."""
+        if self._root.kind == "radial":
+            lifted = np.repeat(labels[:, None], len(self.label_lo), axis=1)
+            return lifted, (self.label_lo < lifted) & (lifted < self.label_hi)
+        return self._manifold.lift_labels(
+            labels, self._root.label_axis, self.label_lo, self.label_hi
+        )
+
+    def _threading(self, pattern: tuple, c: float) -> tuple:
+        """Segments (element, t0, t1, element position) and switch
+        parameters of the leaves of one membership pattern."""
+        found = self._threadings.get(pattern)
+        if found is not None:
+            return found
+        positions = [p for p, crossed in enumerate(pattern) if crossed]
+        if not positions:
+            raise CoverageError(f"leaf {c} crosses no cover element")
+        lo, hi = self.leaf_lo.tolist(), self.leaf_hi.tolist()
+        cands = [(self._elements[p], lo[p], hi[p]) for p in positions]
+        period = self._root.leaf_period
+        if period is None:
+            segments, switches = _thread_line(cands, c)
+        else:
+            segments, switches = _thread_circle(cands, period, c)
+        found = (
+            [(el, t0, t1, positions[j]) for el, t0, t1, j in segments],
+            np.array(switches),
+        )
+        self._threadings[pattern] = found
+        self.threadings += 1
+        return found
+
+    def leaves(self, labels) -> list:
+        """The leaves through labels, in their order: circle leaves when the
+        polarization's leaves close, line leaves otherwise.  A label whose
+        leaf crosses no element, or finds a gap, raises CoverageError."""
+        labels = np.asarray(labels, dtype=float)
+        if not len(labels):
+            return []
+        lifted, inside = self._lift(labels)
+        groups: dict = {}  # membership pattern -> label rows, in first use
+        for row, crossed in enumerate(inside.tolist()):
+            groups.setdefault(tuple(crossed), []).append(row)
+        values = labels.tolist()
+        threaded = [  # (rows, segments, switch parameters) per pattern
+            (rows, *self._threading(pattern, values[rows[0]]))
+            for pattern, rows in groups.items()
+        ]
+        # the switch points of the whole batch, by one curve call (and one
+        # map call on a pullback); points are computed row by row, so each
+        # is what a call for its leaf alone gives
+        closed = self._root.leaf_period is not None
+        crossing = [(rows, sw) for rows, _, sw in threaded if len(sw)]
+        pts = np.empty((0, 2))
+        if crossing:
+            cs = np.concatenate(
+                [np.repeat(labels[rows], len(sw)) for rows, sw in crossing]
+            )
+            ts = np.concatenate(  # each pattern's parameters, once per label
+                [np.repeat(sw[None, :], len(rows), axis=0).ravel()
+                 for rows, sw in crossing]
+            )
+            pts = self._root.curve_points(cs, ts)
+            if closed:
+                pts = self._manifold.reduce(pts)
+            if self._map is not None:
+                pts = self.cover.manifold.reduce(self._map.apply_inverse(pts))
+        topology = "circle" if closed else "line"
+        leaves = [None] * len(values)
+        start = 0
+        for rows, segments, switches in threaded:
+            n, k = len(rows), len(switches)
+            switch_pts = pts[start : start + n * k].reshape(n, k, 2)
+            start += n * k
+            lifts = lifted[rows][:, [p for _, _, _, p in segments]].tolist()
+            for row, lift, here in zip(rows, lifts, switch_pts):
+                leaves[row] = Leaf(
+                    values[row],
+                    topology,
+                    tuple(
+                        [
+                            LeafSegment(el, t0, t1, c_elem)
+                            for (el, t0, t1, _), c_elem in zip(segments, lift)
+                        ]
+                    ),
+                    here,
+                )
+        return leaves
 
 
 def pull_leaf(leaf: Leaf, phi, manifold) -> Leaf:
@@ -218,37 +328,38 @@ def enumerate_leaves(
     crange: tuple,
     count: int,
     include_singular: bool = True,
+    atlas: LeafAtlas | None = None,
 ) -> list:
     """Leaves at `count` fiber-map values in crange, plus declared singular
-    points as point leaves."""
+    points as point leaves.  `atlas` is a LeafAtlas of this cover and
+    polarization to thread with and reuse; a new one by default."""
     if count < 1:
         raise ConfigurationError("count must be >= 1")
+    if atlas is None:
+        atlas = LeafAtlas(cover, pol)
+    elif atlas.cover is not cover or atlas.polarization is not pol:
+        raise ConfigurationError("atlas is for another cover or polarization")
     lo, hi = crange
-    if cover.pullback_of is not None:
-        src, phi_map = cover.pullback_of
-        up = enumerate_leaves(src, pol.base, crange, count, include_singular)
-        return [pull_leaf(leaf, phi_map, cover.manifold) for leaf in up]
     if _spans_a_period(pol, lo, hi):
         values = lo + (hi - lo) * np.arange(count) / count
     else:
         values = np.linspace(lo, hi, count) if count > 1 else np.array([lo])
-    singular_labels = pol.label_of(np.array(pol.singular_points)) if (
-        pol.singular_points
-    ) else np.array([])
-    leaves = []
-    for c in values:
-        if len(singular_labels) and np.min(np.abs(singular_labels - c)) < 1e-9:
-            continue  # the point leaf below represents this label
-        if pol.leaf_period is None:
-            leaves.append(_thread_line(cover, pol, float(c)))
-        else:
-            leaves.append(_thread_circle(cover, pol, float(c)))
-    if include_singular:
+    root = pol.root  # a pullback's singular points are its source's, moved
+    singular = np.array(root.singular_points, dtype=float).reshape(-1, 2)
+    singular_labels = root.label_of(singular) if len(singular) else np.array([])
+    if len(singular_labels):
+        # the point leaves below represent these labels
+        near = np.abs(values[:, None] - singular_labels[None, :]) < 1e-9
+        values = values[~near.any(axis=1)]
+    leaves = atlas.leaves(values)
+    if include_singular and len(singular):
         # Declared singular points always join the census as point leaves.
-        for p, c in zip(pol.singular_points, singular_labels):
+        if cover.pullback_of is not None:
+            singular = cover.pullback_of[1].apply_inverse(singular)
+        for p, c in zip(singular.tolist(), singular_labels.tolist()):
             leaves.append(
                 Leaf(
-                    label=float(c),
+                    label=c,
                     topology="point",
                     segments=(),
                     switch_points=np.empty((0, 2)),
@@ -266,57 +377,96 @@ def enumerate_leaves(
 def holonomy(
     cover: TrivializationCover,
     pol: Polarization,
-    leaf: Leaf,
+    leaves,
     transport: LeafTransport | None = None,
-) -> HolonomyResult:
-    """Parallel transport around a closed leaf.
+):
+    """Parallel transport around closed leaves: a HolonomyResult for one
+    Leaf, a list of them, in order, for a sequence of leaves.
 
     The convention matches the cochain transport: a value f in the alpha
     trivialization becomes lambda_{alpha beta} f in the beta trivialization,
     and moving along the leaf multiplies by exp(-i integral theta).
+
+    The leaves of a batch share their kernel work: one transport.integral
+    array call per leaf segment (element, t0, t1) for the distinct labels
+    on it, one cover.transition call per element pair for all switch
+    points between that pair, and one exp call.  Each holonomy is then the
+    product of its segment factors and its transitions, in leaf order, of
+    Python complex numbers, with math.atan2 for the phases.  NumPy's array
+    complex multiply can round differently from a scalar product, and
+    np.arctan2 from math.atan2, so neither is used: a batch gives every
+    result bit for bit as a single leaf does.  `transport` is a
+    LeafTransport of this cover and polarization whose cache to fill and
+    reuse; it also counts the transition calls.
     """
-    if leaf.topology == "line":
+    batch = [leaves] if isinstance(leaves, Leaf) else list(leaves)
+    if any(leaf.topology == "line" for leaf in batch):
         raise HolonomyUndefinedError(
             "holonomy is undefined for noncompact (line) leaves"
         )
-    if leaf.topology == "point":
-        return HolonomyResult(1.0 + 0.0j, 0.0, 0.0, 0, 0.0)
-    if transport is None:
+    circles = [leaf for leaf in batch if leaf.topology != "point"]
+    if circles and transport is None:
         transport = LeafTransport(cover, pol)
-    action = 0.0
-    hol = 1.0 + 0.0j
-    for seg in leaf.segments:
-        val = transport.integral(seg.element, seg.c_elem, seg.t0, seg.t1)
-        action += val.real
-        hol *= np.exp(-1j * val)
-    nseg = len(leaf.segments)
-    for j in range(len(leaf.switch_points)):
-        a = leaf.segments[j].element
-        b = leaf.segments[(j + 1) % nseg].element
-        lam = cover.transition(a, b, leaf.switch_points[j])[0]
-        hol *= lam
-        action -= math.atan2(lam.imag, lam.real)
-    phase = math.atan2(hol.imag, hol.real)
-    nearest = int(round(action / TWO_PI))
-    return HolonomyResult(
-        holonomy=complex(hol),
-        phase=phase,
-        action=action,
-        nearest_multiple=nearest,
-        residual=action - TWO_PI * nearest,
-    )
 
+    # the segment integrals and switch transitions of the batch, flat in
+    # leaf order
+    on_segment: dict = {}  # (element, t0, t1) -> label -> flat positions
+    between: dict = {}  # (a, b) -> flat switch positions
+    k = j = 0
+    for leaf in circles:
+        segs = leaf.segments
+        for seg in segs:
+            at = on_segment.setdefault((seg.element, seg.t0, seg.t1), {})
+            at.setdefault(seg.c_elem, []).append(k)
+            k += 1
+        for s in range(len(leaf.switch_points)):
+            pair = (segs[s].element, segs[(s + 1) % len(segs)].element)
+            between.setdefault(pair, []).append(j)
+            j += 1
+    integrals = np.empty(k, dtype=np.complex128)
+    for (element, t0, t1), at in on_segment.items():
+        vals = transport.integral(element, np.array(list(at)), t0, t1)
+        integrals[[p for where in at.values() for p in where]] = np.repeat(
+            vals, [len(where) for where in at.values()]
+        )
+    lams = np.empty(j, dtype=np.complex128)
+    if j:
+        points = np.concatenate([leaf.switch_points for leaf in circles])
+        for (a, b), where in between.items():
+            if a != b:
+                transport.transition_batches += 1
+            lams[where] = cover.transition(a, b, points[where])
+    integrals = integrals.tolist()
+    factors = np.exp([-1j * val for val in integrals]).tolist()
+    lams = lams.tolist()
 
-def _prefetch(transport: LeafTransport, leaves) -> None:
-    """Compute the segment integrals of leaves into the transport cache,
-    one array call to transport.integral per distinct (element, t0, t1),
-    so that holonomy then finds every integral it needs there."""
-    groups: dict = {}
-    for leaf in leaves:
-        for seg in leaf.segments:
-            groups.setdefault((seg.element, seg.t0, seg.t1), {})[seg.c_elem] = None
-    for (element, t0, t1), labels in groups.items():
-        transport.integral(element, np.array(list(labels)), t0, t1)
+    out = []
+    k = j = 0
+    for leaf in batch:
+        if leaf.topology == "point":
+            out.append(HolonomyResult(1.0 + 0.0j, 0.0, 0.0, 0, 0.0))
+            continue
+        action = 0.0
+        hol = 1.0 + 0.0j
+        for s in range(k, k + len(leaf.segments)):
+            action += integrals[s].real
+            hol *= factors[s]
+        for lam in lams[j : j + len(leaf.switch_points)]:
+            hol *= lam
+            action -= math.atan2(lam.imag, lam.real)
+        k += len(leaf.segments)
+        j += len(leaf.switch_points)
+        nearest = int(round(action / TWO_PI))
+        out.append(
+            HolonomyResult(
+                holonomy=hol,
+                phase=math.atan2(hol.imag, hol.real),
+                action=action,
+                nearest_multiple=nearest,
+                residual=action - TWO_PI * nearest,
+            )
+        )
+    return out[0] if isinstance(leaves, Leaf) else out
 
 
 # ---------------------------------------------------------------------------
@@ -446,6 +596,8 @@ class BSReport:
     root_holonomy_evaluations: int
     transport_integrals: int  # label integrals computed
     transport_batches: int  # quadrature calls
+    leaf_patterns: int  # membership patterns threaded
+    transition_batches: int  # cover.transition calls of the holonomies
 
     def as_dict(self) -> dict:
         return {
@@ -492,20 +644,26 @@ def bs_census(
     Noncompact line leaves are excluded from the count unless
     include_lines is set (they all admit covariantly constant sections).
 
-    The sampled leaves share one transport sweep per leaf segment
-    (element, t0, t1).  All brackets are then searched together: each
-    lockstep step threads the next label of every unfinished bracket and
-    shares one sweep per segment again, while each bracket takes exactly
-    the Brent steps it takes alone.  `transport` is a LeafTransport of
-    this cover and polarization to fill and reuse; a new one by default.
+    The census threads on one LeafAtlas, so each membership pattern is
+    threaded once.  The sampled leaves take one holonomy batch, which
+    shares one transport sweep per leaf segment (element, t0, t1) and one
+    transition call per element pair.  All brackets are then searched
+    together: each lockstep step threads the next label of every
+    unfinished bracket and takes one holonomy batch again, while each
+    bracket takes exactly the Brent steps it takes alone.  `transport` is
+    a LeafTransport of this cover and polarization to fill and reuse; a
+    new one by default.
     """
     if transport is None:
         transport = LeafTransport(cover, pol)
     elif transport.cover is not cover or transport.polarization is not pol:
         raise ConfigurationError("transport is for another cover or polarization")
     integrals0, batches0 = transport.integrals_computed, transport.batches
-    leaves = enumerate_leaves(cover, pol, crange, count)
-    _prefetch(transport, [leaf for leaf in leaves if leaf.topology != "line"])
+    transitions0 = transport.transition_batches
+    atlas = LeafAtlas(cover, pol)
+    leaves = enumerate_leaves(cover, pol, crange, count, atlas=atlas)
+    closed = [leaf for leaf in leaves if leaf.topology != "line"]
+    hols = iter(holonomy(cover, pol, closed, transport))
     entries = []
     sampled: list = []
     lines = 0
@@ -515,7 +673,7 @@ def bs_census(
             lines += 1
             entries.append(BSEntry(leaf, None, include_lines))
             continue
-        hres = holonomy(cover, pol, leaf, transport)
+        hres = next(hols)
         is_bs = abs(hres.phase) < tol
         if leaf.topology == "point":
             singular_bs += 1
@@ -524,15 +682,8 @@ def bs_census(
         entries.append(BSEntry(leaf, hres, is_bs))
 
     def holonomies_at(labels: list) -> list:
-        if cover.pullback_of is not None:
-            threaded = [
-                enumerate_leaves(cover, pol, (c, c), 1, include_singular=False)[0]
-                for c in labels
-            ]
-        else:
-            threaded = [_thread_circle(cover, pol, c) for c in labels]
-        _prefetch(transport, threaded)
-        return [holonomy(cover, pol, leaf, transport).holonomy for leaf in threaded]
+        threaded = atlas.leaves(labels)
+        return [h.holonomy for h in holonomy(cover, pol, threaded, transport)]
 
     # The holonomy is continuous in the label (the action is only defined
     # up to the threading), so we root-solve Im(hol) between sign changes
@@ -599,6 +750,8 @@ def bs_census(
         root_holonomy_evaluations=sum(len(hols) - 2 for _, hols in solved),
         transport_integrals=transport.integrals_computed - integrals0,
         transport_batches=transport.batches - batches0,
+        leaf_patterns=atlas.threadings,
+        transition_batches=transport.transition_batches - transitions0,
     )
 
 

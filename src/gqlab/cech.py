@@ -105,16 +105,16 @@ class TransversalGrid:
         period = pol.leaf_period
         cells = {}
         closed_cells = []
-        for key, cell in geom_cover.nerve.cells.items():
+        if base.kind == "axis":
+            la, ta = base.label_axis, base.leaf_axis
+            boxes = [cell.box for cell in geom_cover.nerve.cells.values()]
+            lifts, insides = manifold.lift_labels(
+                labels, la, [b.lo[la] for b in boxes], [b.hi[la] for b in boxes]
+            )
+        for j, (key, cell) in enumerate(geom_cover.nerve.cells.items()):
             if base.kind == "axis":
-                la, ta = base.label_axis, base.leaf_axis
-                lo, hi = cell.box.interval(la)
-                pperiod = manifold.periods[la]
-                lifted = labels
-                if pperiod is not None:
-                    mid = 0.5 * (lo + hi)
-                    lifted = labels + pperiod * np.round((mid - labels) / pperiod)
-                kept = np.flatnonzero((lo + 1e-9 < lifted) & (lifted < hi - 1e-9))
+                lifted = lifts[:, j]
+                kept = np.flatnonzero(insides[:, j])
                 t_lo, t_hi = cell.box.interval(ta)
             else:  # radial: circle leaves inside a single rectangle
                 half = min(

@@ -284,6 +284,8 @@ def cmd_bs(cfg: RunConfig, args) -> int:
         "root_holonomy_evaluations": census.root_holonomy_evaluations,
         "transport_integrals": census.transport_integrals,
         "transport_batches": census.transport_batches,
+        "leaf_patterns": census.leaf_patterns,
+        "transition_batches": census.transition_batches,
     }
     if args.csv:
         _write_leaf_csv(args.csv, census)

@@ -117,6 +117,24 @@ class Manifold:
             arr[bad] = np.nan
         return arr
 
+    def lift_labels(self, labels, axis: int, lo, hi) -> tuple:
+        """Leaf labels on a label axis lifted into intervals (lo, hi) of it:
+        (lifted, inside), both (labels, intervals).
+
+        On a periodic axis a label moves by whole periods toward each
+        interval's midpoint, as lift_into moves points; it is inside when
+        it lies strictly within the interval, 1e-9 clear of either end.
+        """
+        labels = np.asarray(labels, dtype=float)[:, None]
+        lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+        period = self.periods[axis]
+        if period is None:
+            lifted = np.repeat(labels, len(lo), axis=1)
+        else:
+            mid = 0.5 * (lo + hi)
+            lifted = labels + period * np.round((mid - labels) / period)
+        return lifted, (lo + 1e-9 < lifted) & (lifted < hi - 1e-9)
+
     def wrap_difference(self, a, b) -> np.ndarray:
         """Per-axis difference a - b, shortest representative mod periods."""
         d = as_points(a) - as_points(b)

@@ -233,11 +233,16 @@ def pullback(cover: TrivializationCover, phi: Symplectomorphism) -> Trivializati
         )
         for el in cover.elements
     ]
+    # the samples of every cell move in one map call; the map acts row by
+    # row, so each cell gets what a call on its own samples gives
+    source_cells = cover.nerve.cells
+    sizes = np.cumsum([len(cell.samples) for cell in source_cells.values()])
+    samples = np.concatenate([cell.samples for cell in source_cells.values()])
+    moved = manifold.reduce(phi.apply_inverse(manifold.reduce(samples)))
+    parts = np.split(moved, sizes[:-1])
     cells = {
-        key: replace(
-            cell, samples=manifold.reduce(phi.apply_inverse(manifold.reduce(cell.samples)))
-        )
-        for key, cell in cover.nerve.cells.items()
+        key: replace(cell, samples=part)
+        for (key, cell), part in zip(source_cells.items(), parts)
     }
     nerve = Nerve(cells=cells, faces=cover.nerve.faces, max_degree=cover.nerve.max_degree)
     up = dict(zip(manifold.coords, phi.forward))

@@ -31,6 +31,7 @@ class LeafTransport:
         self._integrals: dict = {}
         self.integrals_computed = 0  # label integrals, cache misses
         self.batches = 0  # quadrature calls
+        self.transition_batches = 0  # cover.transition calls of holonomies
 
     def integrand(self, member: int):
         run = self._integrands.get(member)

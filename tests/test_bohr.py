@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from gqlab import bohr, catalog
+from gqlab import expr as ex
 from gqlab.action import build_complementary
 from gqlab.bohr import (
     CoverageError,
@@ -19,6 +20,7 @@ from gqlab.bohr import (
     lattice_count,
 )
 from gqlab.geometry import pushforward_polarization
+from gqlab.prequantum import LocalData, TrivializationCover, pullback
 
 TWO_PI = 2.0 * math.pi
 
@@ -361,13 +363,18 @@ def test_census_minus_one_crossing_gives_no_location(models):
     assert rep.bs_locations == () and rep.q_bs == 0
 
 
+def _batch(leaves) -> list:
+    """The leaves of a holonomy call: one Leaf or a sequence of them."""
+    return [leaves] if isinstance(leaves, Leaf) else list(leaves)
+
+
 def test_census_computes_each_holonomy_once(models, monkeypatch):
     calls = []
     real = bohr.holonomy
 
-    def counting(*args, **kwargs):
-        calls.append(args[2].label)
-        return real(*args, **kwargs)
+    def counting(cover, pol, leaves, transport=None):
+        calls.extend(leaf.label for leaf in _batch(leaves))
+        return real(cover, pol, leaves, transport)
 
     monkeypatch.setattr(bohr, "holonomy", counting)
     exm = models("torus", k=3)
@@ -479,9 +486,10 @@ def test_census_holonomies_equal_fresh_transport_bit_for_bit(models, monkeypatch
     seen = []
     real = bohr.holonomy
 
-    def recording(cover, pol, leaf, transport=None):
-        out = real(cover, pol, leaf, transport)
-        seen.append((cover, pol, leaf, out))
+    def recording(cover, pol, leaves, transport=None):
+        out = real(cover, pol, leaves, transport)
+        got = [out] if isinstance(leaves, Leaf) else out
+        seen.extend((cover, pol, leaf, h) for leaf, h in zip(_batch(leaves), got))
         return out
 
     monkeypatch.setattr(bohr, "holonomy", recording)
@@ -511,9 +519,9 @@ def test_census_holonomy_calls_add_up(models, monkeypatch, name, params, crange,
     calls = []
     real = bohr.holonomy
 
-    def counting(*args, **kwargs):
-        calls.append(args[2].label)
-        return real(*args, **kwargs)
+    def counting(cover, pol, leaves, transport=None):
+        calls.extend(leaf.label for leaf in _batch(leaves))
+        return real(cover, pol, leaves, transport)
 
     monkeypatch.setattr(bohr, "holonomy", counting)
     exm = models(name, **params)
@@ -553,3 +561,344 @@ def test_census_counts_each_leaf_once_on_wide_periodic_windows(models, k):
             phases = np.sort(np.mod(np.array(rep.bs_locations) * k / TWO_PI, k))
             assert np.allclose(phases, np.round(phases), atol=1e-8)
             assert len(set(np.round(phases).astype(int) % k)) == k
+
+
+# ---------------------------------------------------------------------------
+# Leaf atlas and batched holonomy, against per-label references
+
+
+def _reference_candidates(cover, pol, c):
+    """(element, t0, t1, lifted label) per element the leaf c crosses."""
+    out = []
+    if pol.kind == "radial":
+        for el in cover.elements:
+            half = min(el.box.hi[0], el.box.hi[1], -el.box.lo[0], -el.box.lo[1])
+            if 0.0 < c < 0.5 * half * half:
+                out.append((el.index, 0.0, TWO_PI, c))
+        return out
+    la, ta = pol.label_axis, pol.leaf_axis
+    period_label = cover.manifold.periods[la]
+    for el in cover.elements:
+        lo, hi = el.box.interval(la)
+        c_lift = c
+        if period_label is not None:
+            mid = 0.5 * (lo + hi)
+            c_lift = c + period_label * round((mid - c) / period_label)
+        if lo + 1e-9 < c_lift < hi - 1e-9:
+            t0, t1 = el.box.interval(ta)
+            out.append((el.index, t0, t1, c_lift))
+    return out
+
+
+def _reference_circle(cover, pol, c):
+    """One circle leaf threaded on its own, scalar by scalar."""
+    period = pol.leaf_period
+    cands = _reference_candidates(cover, pol, c)
+    if not cands:
+        raise CoverageError(f"leaf {c} crosses no cover element")
+    for idx, t0, t1, c_elem in cands:
+        if t1 - t0 >= period - 1e-9:
+            start = t0 + 0.5 * ((t1 - t0) - period)
+            seg = bohr.LeafSegment(idx, start, start + period, c_elem)
+            return Leaf(c, "circle", (seg,), np.empty((0, 2)))
+    items = []
+    for idx, t0, t1, c_elem in cands:
+        a = math.fmod(t0, period)
+        if a < 0:
+            a += period
+        items.append((a, a + (t1 - t0), idx, t0 - a, c_elem))
+    items.sort()
+    start = items[0]
+    placements, switches, cur_end = [start], [], start[1]
+    guard, closed = 4 * len(items) + 4, False
+    while guard and not closed:
+        guard -= 1
+        best = None
+        for it in items:
+            for s in (0.0, period):
+                a, b = it[0] + s, it[1] + s
+                if a < cur_end - 1e-12 and b > cur_end + 1e-12:
+                    cand = (b, -it[2], -s, a, it, s)
+                    if best is None or cand > best:
+                        best = cand
+        if best is None:
+            raise CoverageError(f"cover leaves a gap on the leaf {c} near t={cur_end}")
+        _, _, _, a, it, s = best
+        switches.append(0.5 * (a + cur_end))
+        if it is start and s == period:
+            closed = True
+        else:
+            placements.append((a, it[1] + s, it[2], it[3] - s, it[4]))
+            cur_end = it[1] + s
+    if not closed:
+        raise CoverageError(f"leaf {c} did not close while threading the cover")
+    segments, u_prev = [], switches[-1] - period
+    for (_, _, idx, off, c_elem), u_next in zip(placements, switches):
+        segments.append(bohr.LeafSegment(idx, u_prev + off, u_next + off, c_elem))
+        u_prev = u_next
+    pts = cover.manifold.reduce(pol.curve_points(c, np.array(switches)))
+    return Leaf(c, "circle", tuple(segments), pts)
+
+
+def _reference_line(cover, pol, c):
+    cands = _reference_candidates(cover, pol, c)
+    if not cands:
+        raise CoverageError(f"leaf {c} crosses no cover element")
+    cands.sort(key=lambda r: (r[1], r[0]))
+    segments, switches = [], []
+    idx, t0, t1, c_elem = cands[0]
+    cur_end, cur = t1, (idx, t0, c_elem)
+    for nidx, n0, n1, nc in cands[1:]:
+        if n0 >= cur_end - 1e-12:
+            raise CoverageError(f"cover leaves a gap on the line leaf {c}")
+        if n1 <= cur_end:
+            continue
+        switch = 0.5 * (n0 + cur_end)
+        segments.append(bohr.LeafSegment(cur[0], cur[1], switch, cur[2]))
+        switches.append(switch)
+        cur, cur_end = (nidx, switch, nc), n1
+    segments.append(bohr.LeafSegment(cur[0], cur[1], cur_end, cur[2]))
+    return Leaf(c, "line", tuple(segments), pol.curve_points(c, np.array(switches)))
+
+
+def _reference_leaf(cover, pol, c):
+    """The leaf through c threaded per label; on a pullback cover threaded
+    on the source and moved through phi^{-1}."""
+    if cover.pullback_of is not None:
+        src, phi = cover.pullback_of
+        return bohr.pull_leaf(_reference_leaf(src, pol.base, c), phi, cover.manifold)
+    if pol.leaf_period is None:
+        return _reference_line(cover, pol, c)
+    return _reference_circle(cover, pol, c)
+
+
+def _bits(x) -> str:
+    return float(x).hex()
+
+
+def _assert_same_leaf(got, want):
+    assert _bits(got.label) == _bits(want.label)
+    assert got.topology == want.topology
+    assert len(got.segments) == len(want.segments)
+    for s, r in zip(got.segments, want.segments):
+        assert s.element == r.element
+        assert [_bits(v) for v in (s.t0, s.t1, s.c_elem)] == [
+            _bits(v) for v in (r.t0, r.t1, r.c_elem)
+        ]
+    assert got.switch_points.shape == want.switch_points.shape
+    assert got.switch_points.dtype == want.switch_points.dtype
+    assert got.switch_points.tobytes() == want.switch_points.tobytes()
+
+
+def _atlas_cases(models):
+    """(name, cover, polarization, labels): census-range labels, labels
+    within 1e-9 of the elements' label edges, and on the torus labels
+    shifted by a period."""
+    cases = []
+
+    def labels_for(cover, pol, lo, hi, periodic):
+        labels = list(np.linspace(lo, hi, 13))
+        geom = cover.source
+        root = pol.root
+        if root.kind == "radial":
+            for el in geom.elements:
+                b = el.box
+                half = min(b.hi[0], b.hi[1], -b.lo[0], -b.lo[1])
+                edge = 0.5 * half * half
+                labels += [edge - 5e-10, edge - 2e-9, edge + 5e-10]
+        else:
+            for el in geom.elements:
+                for edge in el.box.interval(root.label_axis):
+                    labels += [edge + d for d in (-2e-9, -9e-10, -5e-10, 0.0,
+                                                  5e-10, 9e-10, 1.1e-9, 2e-9)]
+        if periodic:
+            labels += [c + TWO_PI for c in labels[:13]] + [c - TWO_PI for c in labels[:5]]
+        return labels
+
+    for k in range(1, 9):
+        exm = models("torus", k=k)
+        pol = exm.polarization()
+        cases.append((f"torus-{k}", exm.cover, pol,
+                      labels_for(exm.cover, pol, 0.0, TWO_PI, True)))
+    for name, params in [("cylinder", {}), ("disk", {}), ("plane", {})] + [
+        ("sphere", {"k": k}) for k in range(2, 7)
+    ]:
+        exm = models(name, **params)
+        pol = exm.polarization()
+        lo, hi = exm.census_range
+        cases.append((name + str(params.get("k", "")), exm.cover, pol,
+                      labels_for(exm.cover, pol, lo, hi, False)))
+    for name, params, spec in [
+        ("sphere", {"k": 3}, "rot:1"),
+        ("cylinder", {}, "pshift:1"),
+        ("torus", {"k": 2}, "translate:pi,0"),
+        ("plane", {"granularity": 2}, "shear"),
+    ]:
+        exm = models(name, **params)
+        phi = catalog.make_map(exm, spec)
+        comp = build_complementary(phi, exm.cover)
+        pushed = pushforward_polarization(phi, exm.polarization())
+        lo, hi = exm.census_range
+        cases.append((f"{name}-{spec}", comp.base, pushed,
+                      labels_for(comp.base, pushed, lo, hi, name == "torus")))
+    return cases
+
+
+def test_atlas_leaves_equal_per_label_threading(models, monkeypatch):
+    threaded = []
+    real_circle, real_line = bohr._thread_circle, bohr._thread_line
+    monkeypatch.setattr(bohr, "_thread_circle",
+                        lambda *a: threaded.append(a) or real_circle(*a))
+    monkeypatch.setattr(bohr, "_thread_line",
+                        lambda *a: threaded.append(a) or real_line(*a))
+    for name, cover, pol, labels in _atlas_cases(models):
+        want, failing = {}, {}
+        for c in labels:
+            try:
+                want[c] = _reference_leaf(cover, pol, c)
+            except CoverageError as exc:
+                failing[c] = str(exc)
+        good = [c for c in labels if c in want]
+        assert len(good) > 13, name
+        threaded.clear()
+        atlas = bohr.LeafAtlas(cover, pol)
+        for got, c in zip(atlas.leaves(good), good):
+            _assert_same_leaf(got, want[c])
+        # one threading per membership pattern, and none on a second pass
+        src, root = cover.source, pol.root
+        patterns = {
+            frozenset(r[0] for r in _reference_candidates(src, root, c)) for c in good
+        }
+        assert atlas.threadings == len(threaded) == len(patterns), name
+        for got, c in zip(atlas.leaves(good[::-1]), good[::-1]):
+            _assert_same_leaf(got, want[c])
+        assert atlas.threadings == len(threaded) == len(patterns), name
+        for c, message in failing.items():
+            with pytest.raises(CoverageError) as exc:
+                atlas.leaves([good[0], c, good[-1]])
+            assert str(exc.value) == message, name
+
+
+def test_atlas_names_a_label_that_crosses_no_element(models):
+    exm = models("cylinder")  # labels lie within 3.5 + pad
+    atlas = bohr.LeafAtlas(exm.cover, exm.polarization())
+    with pytest.raises(CoverageError, match=r"^leaf 9\.0 crosses no cover element$"):
+        atlas.leaves([0.5, 9.0, 1.0, -9.5])
+    other = models("torus", k=1)
+    with pytest.raises(bohr.ConfigurationError):
+        enumerate_leaves(other.cover, other.polarization(), (0.0, 1.0), 3, atlas=atlas)
+
+
+def _reference_holonomy(cover, pol, leaf, transport):
+    """The holonomy of one leaf as a product of scalars, one integral and
+    one single-point transition call at a time."""
+    if leaf.topology == "point":
+        return bohr.HolonomyResult(1.0 + 0.0j, 0.0, 0.0, 0, 0.0)
+    action, hol = 0.0, 1.0 + 0.0j
+    for seg in leaf.segments:
+        val = transport.integral(seg.element, seg.c_elem, seg.t0, seg.t1)
+        action += val.real
+        hol *= np.exp(-1j * val)
+    nseg = len(leaf.segments)
+    for j in range(len(leaf.switch_points)):
+        a = leaf.segments[j].element
+        b = leaf.segments[(j + 1) % nseg].element
+        lam = cover.transition(a, b, leaf.switch_points[j])[0]
+        hol *= lam
+        action -= math.atan2(lam.imag, lam.real)
+    nearest = int(round(action / TWO_PI))
+    return bohr.HolonomyResult(complex(hol), math.atan2(hol.imag, hol.real), action,
+                               nearest, action - TWO_PI * nearest)
+
+
+def _same_result(got, want) -> bool:
+    return (
+        type(got.holonomy) is complex
+        and [_bits(v) for v in (got.holonomy.real, got.holonomy.imag, got.phase,
+                                got.action, got.residual)]
+        == [_bits(v) for v in (want.holonomy.real, want.holonomy.imag, want.phase,
+                               want.action, want.residual)]
+        and got.nearest_multiple == want.nearest_multiple
+    )
+
+
+def _gauged(cover):
+    """The cover in another gauge: transitions lambda_ab exp(i (f_b - f_a))
+    and potentials theta_a - d f_a, with f_a varying along the leaves, so
+    that transitions at switch points are not 1.  Holonomies stay."""
+    c0, c1 = cover.manifold.coords
+    names = set(cover.manifold.coords)
+    f = {
+        a: ex.parse_expr(f"{0.3 + 0.11 * a}*sin({c0} + 2*{c1}) + {0.7 * a}", names)
+        for a in cover.data.potentials
+    }
+    transitions = {
+        (a, b): ex.mul(lam, ex.call("exp", ex.mul(ex.Imag(), ex.sub(f[b], f[a]))))
+        for (a, b), lam in cover.data.transitions.items()
+    }
+    potentials = {
+        a: (ex.sub(t0, ex.differentiate(f[a], c0)), ex.sub(t1, ex.differentiate(f[a], c1)))
+        for a, (t0, t1) in cover.data.potentials.items()
+    }
+    return TrivializationCover(
+        manifold=cover.manifold, omega=cover.omega, elements=cover.elements,
+        data=LocalData(transitions, potentials), nerve=cover.nerve,
+    )
+
+
+def _gauged_cases(models):
+    """(name, cover, polarization, label range, the ungauged pair) on gauged
+    covers and on pullbacks of them."""
+    cases = []
+    for name, params, crange in [
+        ("torus", {"k": 3}, (0.0, TWO_PI)),
+        ("torus", {"k": 8}, (0.0, TWO_PI)),
+        ("cylinder", {}, (-2.5, 2.5)),
+        ("sphere", {"k": 4}, (0.3, 3.75)),
+    ]:
+        exm = models(name, **params)
+        pol = exm.polarization()
+        cases.append((name, _gauged(exm.cover), pol, crange, (exm.cover, pol)))
+    for name, params, spec, crange in [
+        ("sphere", {"k": 3}, "rot:1", (0.3, 2.75)),
+        ("cylinder", {}, "pshift:1", (-2.5, 2.5)),
+        ("torus", {"k": 2}, "translate:pi,0", (0.0, TWO_PI)),
+    ]:
+        exm = models(name, **params)
+        phi = catalog.make_map(exm, spec)
+        pushed = pushforward_polarization(phi, exm.polarization())
+        cases.append((f"{name}-{spec}", pullback(_gauged(exm.cover), phi), pushed,
+                      crange, (pullback(exm.cover, phi), pushed)))
+    return cases
+
+
+def test_batched_holonomy_equals_the_per_leaf_product_bit_for_bit(models):
+    # NumPy's array complex multiply and np.arctan2 round differently from
+    # scalar products and math.atan2 on some inputs; the batch must not
+    cases = [
+        (name, cover, pol, (labels[0], labels[12]), None)
+        for name, cover, pol, labels in _atlas_cases(models)
+        if pol.leaf_period is not None
+    ] + _gauged_cases(models)
+    switches = gauged_switches = 0
+    for name, cover, pol, crange, plain in cases:
+        leaves = enumerate_leaves(cover, pol, crange, 60)
+        transport = bohr.LeafTransport(cover, pol)
+        got = holonomy(cover, pol, leaves, transport)
+        batches = transport.transition_batches
+        for leaf, h in zip(leaves, got):
+            want = _reference_holonomy(cover, pol, leaf, transport)
+            assert _same_result(h, want), (name, leaf.label, h, want)
+            assert _same_result(holonomy(cover, pol, leaf, transport), want)
+        pairs = {
+            (leaf.segments[j].element, leaf.segments[(j + 1) % len(leaf.segments)].element)
+            for leaf in leaves for j in range(len(leaf.switch_points))
+        }
+        assert batches == sum(a != b for a, b in pairs), name
+        switches += sum(len(leaf.switch_points) for leaf in leaves)
+        if plain is not None:  # a change of gauge leaves every holonomy
+            base = holonomy(*plain, enumerate_leaves(*plain, crange, 60))
+            for h, h0 in zip(got, base):
+                assert abs(h.holonomy - h0.holonomy) < 1e-10, name
+            gauged_switches += sum(len(leaf.switch_points) for leaf in leaves)
+    assert gauged_switches > 500 and switches > 2000

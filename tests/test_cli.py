@@ -476,9 +476,19 @@ def test_bs_reports_transport_counters(capsys):
     assert set(counters) == {
         "root_brackets", "root_holonomy_evaluations",
         "transport_integrals", "transport_batches",
+        "leaf_patterns", "transition_batches",
     }
     # the sampled leaves and each lockstep step share one sweep per segment
     assert 0 < counters["transport_batches"] < counters["transport_integrals"]
+    # each membership pattern is threaded once; each holonomy batch makes
+    # one transition call per element pair, fewer than one per leaf (one
+    # per switch would be three per leaf on this granularity-3 torus)
+    threaded = (
+        len(report["payload"]["census"]["leaves"])
+        + counters["root_holonomy_evaluations"]
+    )
+    assert 0 < counters["leaf_patterns"] <= 9 < threaded
+    assert 0 < counters["transition_batches"] < threaded
     assert "transport" not in json.dumps(report["payload"])
     _, again = run_json(capsys, *argv)
     assert again["timing"]["counters"] == counters
