@@ -10,21 +10,25 @@ returned as a witness instead of a cover.
 
 The theorem verifications compare the two computable quantizations across
 the map: equal cohomology ranks plus a commuting chain map, and a
-Bohr-Sommerfeld census bijection with matching holonomies.
+Bohr-Sommerfeld census bijection with matching holonomies.  The target
+side is the pullback cover with the pushforward polarization, which carry
+phi between them (pulled-back formulas, moved leaf curves and singular
+points), so no point is moved through the map here: theorem 2 pairs the
+leaves of the source census with those of the target census, label by
+label.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import expr as ex
 from . import program
-# enumerate_leaves stays bound here: perfbench/tracing.py wraps
-# action.enumerate_leaves
-from .bohr import Leaf, bs_census, enumerate_leaves, holonomy, pull_leaf  # noqa: F401
+# enumerate_leaves and holonomy stay bound here: perfbench/tracing.py wraps
+# action.enumerate_leaves and action.holonomy
+from .bohr import bs_census, enumerate_leaves, holonomy  # noqa: F401
 from .cech import (
     TransversalGrid,
     TrivCochain,
@@ -34,7 +38,6 @@ from .cech import (
     random_projected_cochain,
 )
 from .geometry import (
-    Polarization,
     Symplectomorphism,
     as_points,
     eval_at,
@@ -43,10 +46,8 @@ from .geometry import (
 from .prequantum import (
     ConfigurationError,
     TrivializationCover,
-    check_local_data,
     pullback,
 )
-from .transport import LeafTransport
 # integrate stays bound here: perfbench/tracing.py wraps action.integrate
 from .quadrature import integrate, integrate_many  # noqa: F401
 
@@ -297,7 +298,7 @@ def build_complementary(
 
 
 # ---------------------------------------------------------------------------
-# Chain map and leaf transport
+# Chain map
 
 
 def chain_map(
@@ -322,28 +323,6 @@ def chain_map(
     ):
         raise ConfigurationError("chain_map requires matching label grids")
     return TrivCochain(cochain.degree, {k: v.copy() for k, v in cochain.data.items()})
-
-
-def transport_leaf(
-    leaves,
-    phi: Symplectomorphism,
-    complementary: ComplementaryCover,
-    pol: Polarization,
-    pol_pushed: Polarization,
-    transport: LeafTransport | None = None,
-):
-    """Image leaves under phi^{-1} with their holonomies in the
-    complementary cover: (moved leaf, holonomy) for one Leaf, with None for
-    a line leaf, and a list of such pairs for a sequence of leaves, whose
-    holonomies are one batch.  `transport` is a LeafTransport of the
-    complementary cover and pol_pushed whose cached integrals the
-    holonomies may reuse."""
-    batch = [leaves] if isinstance(leaves, Leaf) else list(leaves)
-    moved = [pull_leaf(leaf, phi, complementary.base.manifold) for leaf in batch]
-    closed = [leaf for leaf in moved if leaf.topology != "line"]
-    hols = iter(holonomy(complementary.base, pol_pushed, closed, transport))
-    out = [(leaf, None if leaf.topology == "line" else next(hols)) for leaf in moved]
-    return out[0] if isinstance(leaves, Leaf) else out
 
 
 # ---------------------------------------------------------------------------
@@ -461,6 +440,12 @@ def verify_theorem_2(
 ) -> CorrespondenceReport:
     """Bohr-Sommerfeld invariance: the leaf map is a label-preserving
     bijection matching holonomies, and the BS censuses agree.
+
+    phi carries the leaf of P through a label to the leaf of phi(P) through
+    the same label, so the two censuses sample the same labels and the leaf
+    pairs are their closed entries side by side: the source holonomy in
+    the cover, the target one in the complementary cover.  A sampled label
+    that differs between them raises InternalConsistencyError.
     `complementary` reuses a build_complementary result for this phi."""
     comp, failed = _complementary_or_report(example, phi, 2, complementary)
     if failed is not None:
@@ -468,29 +453,32 @@ def verify_theorem_2(
     pol = example.polarization(pol_name)
     pushed = pushforward_polarization(phi, pol)
     crange = crange or example.census_range
-    # the leaf pairs below read the source census's holonomies and the
-    # target census's segment integrals
-    transport_dst = LeafTransport(comp.base, pushed)
     census_src = bs_census(example.cover, pol, crange, count, tol)
-    census_dst = bs_census(
-        comp.base, pushed, crange, count, tol, transport=transport_dst
-    )
+    census_dst = bs_census(comp.base, pushed, crange, count, tol)
+    if len(census_src.entries) != len(census_dst.entries):
+        raise InternalConsistencyError(
+            f"censuses sample {len(census_src.entries)} and "
+            f"{len(census_dst.entries)} leaves across the map"
+        )
     hol_max = 0.0
     pairs = []
-    closed = [e for e in census_src.entries if e.leaf.topology != "line"]
-    moved = transport_leaf(
-        [e.leaf for e in closed], phi, comp, pol, pushed, transport_dst
-    )
-    for entry, (_, there) in zip(closed, moved):
-        leaf, here = entry.leaf, entry.holonomy
-        diff = abs(here.holonomy - there.holonomy)
+    for src, dst in zip(census_src.entries, census_dst.entries):
+        if src.leaf.label != dst.leaf.label:
+            raise InternalConsistencyError(
+                f"census leaf {src.leaf.label!r} meets label "
+                f"{dst.leaf.label!r} across the map"
+            )
+        if src.leaf.topology == "line":
+            continue
+        here, there = src.holonomy.holonomy, dst.holonomy.holonomy
+        diff = abs(here - there)
         hol_max = max(hol_max, diff)
         pairs.append(
             {
-                "label": leaf.label,
-                "topology": leaf.topology,
-                "holonomy_source": [here.holonomy.real, here.holonomy.imag],
-                "holonomy_target": [there.holonomy.real, there.holonomy.imag],
+                "label": src.leaf.label,
+                "topology": src.leaf.topology,
+                "holonomy_source": [here.real, here.imag],
+                "holonomy_target": [there.real, there.imag],
                 "difference": diff,
             }
         )

@@ -18,7 +18,7 @@ scalar product so that batching moves no bit of a result.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -177,20 +177,22 @@ class LeafAtlas:
     lifted into every element in one broadcast (Manifold.lift_labels) and
     grouped by pattern; a pattern is threaded the first time it is met,
     and the switch points of the whole batch come from one curve_points
-    call.  A pullback cover is threaded on its source cover with the root
-    polarization, and the switch points of a batch are moved through
-    phi^{-1} in one map call.
+    call.  The element boxes are the degree-0 cells of the cover's nerve,
+    which a pullback cover keeps from its source, and the switch points lie
+    on the polarization's own curve (phi^{-1} o gamma for a pushforward),
+    so a pullback cover is threaded like any other.
     """
 
     def __init__(self, cover: TrivializationCover, pol: Polarization):
         self.cover = cover
         self.polarization = pol
-        geom = cover.source  # threading lives upstairs for pullbacks
+        if cover.nerve is None:
+            raise ConfigurationError("cover has no nerve")
         self._root = root = pol.root
-        self._manifold = geom.manifold
-        self._map = cover.pullback_of[1] if cover.pullback_of is not None else None
-        self._elements = [el.index for el in geom.elements]
-        boxes = [el.box for el in geom.elements]
+        self._manifold = cover.manifold
+        cells = cover.nerve.degree(0)
+        self._elements = [cell.indices[0] for cell in cells]
+        boxes = [cell.box for cell in cells]
         if root.kind == "radial":  # circles about the origin, squared radius 2c
             half = np.array([min(b.hi[0], b.hi[1], -b.lo[0], -b.lo[1]) for b in boxes])
             self.label_lo = np.zeros(len(boxes))
@@ -255,9 +257,9 @@ class LeafAtlas:
             (rows, *self._threading(pattern, values[rows[0]]))
             for pattern, rows in groups.items()
         ]
-        # the switch points of the whole batch, by one curve call (and one
-        # map call on a pullback); points are computed row by row, so each
-        # is what a call for its leaf alone gives
+        # the switch points of the whole batch, by one curve call; points
+        # are computed row by row, so each is what a call for its leaf
+        # alone gives
         closed = self._root.leaf_period is not None
         crossing = [(rows, sw) for rows, _, sw in threaded if len(sw)]
         pts = np.empty((0, 2))
@@ -269,11 +271,7 @@ class LeafAtlas:
                 [np.repeat(sw[None, :], len(rows), axis=0).ravel()
                  for rows, sw in crossing]
             )
-            pts = self._root.curve_points(cs, ts)
-            if closed:
-                pts = self._manifold.reduce(pts)
-            if self._map is not None:
-                pts = self.cover.manifold.reduce(self._map.apply_inverse(pts))
+            pts = self._manifold.reduce(self.polarization.curve_points(cs, ts))
         topology = "circle" if closed else "line"
         leaves = [None] * len(values)
         start = 0
@@ -297,22 +295,6 @@ class LeafAtlas:
         return leaves
 
 
-def pull_leaf(leaf: Leaf, phi, manifold) -> Leaf:
-    """The leaf moved through phi^{-1}: its switch points (reduced) and its
-    point; segments and label stay, as they live in the source frame."""
-    switch = (
-        manifold.reduce(phi.apply_inverse(leaf.switch_points))
-        if len(leaf.switch_points)
-        else leaf.switch_points
-    )
-    point = (
-        tuple(phi.apply_inverse(np.array([leaf.point]))[0])
-        if leaf.point is not None
-        else None
-    )
-    return replace(leaf, switch_points=switch, point=point)
-
-
 def _spans_a_period(pol: Polarization, lo: float, hi: float) -> bool:
     """Whether a label window covers one full period of a periodic label.
     enumerate_leaves samples such a window half-open, and bs_census closes
@@ -330,9 +312,11 @@ def enumerate_leaves(
     include_singular: bool = True,
     atlas: LeafAtlas | None = None,
 ) -> list:
-    """Leaves at `count` fiber-map values in crange, plus declared singular
-    points as point leaves.  `atlas` is a LeafAtlas of this cover and
-    polarization to thread with and reuse; a new one by default."""
+    """Leaves at `count` fiber-map values in crange, plus the polarization's
+    singular points as point leaves, labelled by the root polarization
+    (a pushforward keeps labels leafwise).  `atlas` is a LeafAtlas of this
+    cover and polarization to thread with and reuse; a new one by
+    default."""
     if count < 1:
         raise ConfigurationError("count must be >= 1")
     if atlas is None:
@@ -344,7 +328,7 @@ def enumerate_leaves(
         values = lo + (hi - lo) * np.arange(count) / count
     else:
         values = np.linspace(lo, hi, count) if count > 1 else np.array([lo])
-    root = pol.root  # a pullback's singular points are its source's, moved
+    root = pol.root
     singular = np.array(root.singular_points, dtype=float).reshape(-1, 2)
     singular_labels = root.label_of(singular) if len(singular) else np.array([])
     if len(singular_labels):
@@ -354,9 +338,8 @@ def enumerate_leaves(
     leaves = atlas.leaves(values)
     if include_singular and len(singular):
         # Declared singular points always join the census as point leaves.
-        if cover.pullback_of is not None:
-            singular = cover.pullback_of[1].apply_inverse(singular)
-        for p, c in zip(singular.tolist(), singular_labels.tolist()):
+        points = np.array(pol.singular_points, dtype=float).reshape(-1, 2)
+        for p, c in zip(points.tolist(), singular_labels.tolist()):
             leaves.append(
                 Leaf(
                     label=c,
@@ -627,7 +610,6 @@ def bs_census(
     count: int,
     tol: float = 1e-8,
     include_lines: bool = False,
-    transport: LeafTransport | None = None,
 ) -> BSReport:
     """Bohr-Sommerfeld census over a label range.
 
@@ -650,16 +632,9 @@ def bs_census(
     transition call per element pair.  All brackets are then searched
     together: each lockstep step threads the next label of every
     unfinished bracket and takes one holonomy batch again, while each
-    bracket takes exactly the Brent steps it takes alone.  `transport` is
-    a LeafTransport of this cover and polarization to fill and reuse; a
-    new one by default.
+    bracket takes exactly the Brent steps it takes alone.
     """
-    if transport is None:
-        transport = LeafTransport(cover, pol)
-    elif transport.cover is not cover or transport.polarization is not pol:
-        raise ConfigurationError("transport is for another cover or polarization")
-    integrals0, batches0 = transport.integrals_computed, transport.batches
-    transitions0 = transport.transition_batches
+    transport = LeafTransport(cover, pol)
     atlas = LeafAtlas(cover, pol)
     leaves = enumerate_leaves(cover, pol, crange, count, atlas=atlas)
     closed = [leaf for leaf in leaves if leaf.topology != "line"]
@@ -748,10 +723,10 @@ def bs_census(
         tol=tol,
         root_brackets=len(solved),
         root_holonomy_evaluations=sum(len(hols) - 2 for _, hols in solved),
-        transport_integrals=transport.integrals_computed - integrals0,
-        transport_batches=transport.batches - batches0,
+        transport_integrals=transport.integrals_computed,
+        transport_batches=transport.batches,
         leaf_patterns=atlas.threadings,
-        transition_batches=transport.transition_batches - transitions0,
+        transition_batches=transport.transition_batches,
     )
 
 

@@ -97,21 +97,20 @@ class TransversalGrid:
     def build(cls, cover, polarization, labels) -> "TransversalGrid":
         labels = np.asarray(labels, dtype=float)
         pol = polarization
-        geom_cover = cover.source  # cell geometry lives upstairs for pullbacks
         base = pol.root
-        if geom_cover.nerve is None:
+        if cover.nerve is None:
             raise ConfigurationError("cover has no nerve")
-        manifold = geom_cover.manifold
+        manifold = cover.manifold
         period = pol.leaf_period
         cells = {}
         closed_cells = []
         if base.kind == "axis":
             la, ta = base.label_axis, base.leaf_axis
-            boxes = [cell.box for cell in geom_cover.nerve.cells.values()]
+            boxes = [cell.box for cell in cover.nerve.cells.values()]
             lifts, insides = manifold.lift_labels(
                 labels, la, [b.lo[la] for b in boxes], [b.hi[la] for b in boxes]
             )
-        for j, (key, cell) in enumerate(geom_cover.nerve.cells.items()):
+        for j, (key, cell) in enumerate(cover.nerve.cells.items()):
             if base.kind == "axis":
                 lifted = lifts[:, j]
                 kept = np.flatnonzero(insides[:, j])
@@ -146,7 +145,7 @@ class TransversalGrid:
 
     @property
     def nerve(self):
-        return self.cover.source.nerve
+        return self.cover.nerve
 
     def degree_keys(self, n: int) -> tuple:
         """The keys of the nerve cells of degree n, sorted once per grid."""
@@ -178,11 +177,7 @@ class TransversalGrid:
             counts = [cg.count for cg in todo]
             c = np.concatenate([cg.c_cell for cg in todo])
             t = np.repeat([cg.t_bp for cg in todo], counts)
-            pts = self.polarization.root.curve_points(c, t)
-            pts = self.cover.source.manifold.reduce(pts)
-            if self.cover.pullback_of is not None:
-                _, phi = self.cover.pullback_of
-                pts = self.cover.manifold.reduce(phi.apply_inverse(pts))
+            pts = self.cover.manifold.reduce(self.polarization.curve_points(c, t))
             for cg, part in zip(todo, np.split(pts, np.cumsum(counts)[:-1])):
                 cg.base_points = part
         if len(keys) == 1:
@@ -204,7 +199,7 @@ class TransversalGrid:
         if ck in self._subcell_cache:
             return self._subcell_cache[ck]
         sup = self.nerve.cells[super_key]
-        manifold = self.cover.source.manifold
+        manifold = self.cover.manifold
         periods = [p if p is not None else 0.0 for p in manifold.periods]
         anchor = sub_indices[0]
         off = sup.shifts[sup.indices.index(anchor)]
@@ -240,7 +235,7 @@ class TransversalGrid:
         cf, ct = self.cells[from_key], self.cells[to_key]
         base = self.polarization.root
         la = 1 if base.kind != "axis" else base.leaf_axis
-        periods = self.cover.source.manifold.periods
+        periods = self.cover.manifold.periods
         p_leaf = periods[la] or 0.0
         sh_f = self._elem_frame(from_key, member)
         sh_t = self._elem_frame(to_key, member)
@@ -509,7 +504,7 @@ def delta_matrix(grid: TransversalGrid, degree: int) -> tuple:
     beta0 = np.array([p[0] for p in pairs])[pair]
     ref = np.array([cells[key].indices[0] for key in dst_keys])[cell]
     moved = np.flatnonzero(beta0 != ref)
-    n_elem = len(grid.cover.source.elements)
+    n_elem = len(grid.cover.elements)
     codes, which = np.unique(beta0[moved] * n_elem + ref[moved], return_inverse=True)
     if len(codes):
         base = grid.base_points_of(dst_keys)
@@ -637,12 +632,12 @@ def cohomology_ranks(
     report keeps the spectrum edges and the gap at the cut so borderline
     decisions are auditable.
     """
-    if cover.source.nerve is None:
+    if cover.nerve is None:
         raise ConfigurationError("cover has no nerve")
-    if max_degree > cover.source.nerve.max_degree - 1:
+    if max_degree > cover.nerve.max_degree - 1:
         raise ConfigurationError(
             f"degree cap {max_degree} exceeds nerve bound "
-            f"{cover.source.nerve.max_degree - 1}"
+            f"{cover.nerve.max_degree - 1}"
         )
     base = polarization.root
     if labels is None:

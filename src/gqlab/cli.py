@@ -77,7 +77,21 @@ class RunConfig:
                 raise ConfigurationError(
                     f"range must be finite with lo < hi, got {lo}:{hi}"
                 )
+        if self.command == "act":
+            if not self.verify_targets:
+                raise ConfigurationError(
+                    f"verify names no target, got {self.verify!r}; "
+                    "expected thm1, thm2 or both"
+                )
+            bad = [w for w in self.verify_targets if w not in ("thm1", "thm2")]
+            if bad:
+                raise ConfigurationError(f"unknown verification targets {bad}")
         return self
+
+    @property
+    def verify_targets(self) -> list:
+        """The theorems `act` verifies, in the order given."""
+        return [w.strip() for w in self.verify.split(",") if w.strip()]
 
     def to_dict(self) -> dict:
         out = dataclasses.asdict(self)
@@ -348,10 +362,7 @@ def cmd_act(cfg: RunConfig, args) -> int:
     t0 = time.perf_counter()
     exm = _example_from_config(cfg)
     phi = catalog.make_map(exm, cfg.map)
-    which = [w.strip() for w in cfg.verify.split(",") if w.strip()]
-    bad = [w for w in which if w not in ("thm1", "thm2")]
-    if bad:
-        raise ConfigurationError(f"unknown verification targets {bad}")
+    which = cfg.verify_targets
     # invariance means nothing for data that breaks the bundle laws
     local = check_local_data(exm.cover, cfg.tol)
     if not local.passed:
@@ -361,7 +372,7 @@ def cmd_act(cfg: RunConfig, args) -> int:
         _emit(report, args, [_local_data_line(local), f"status: {status}"])
         return 1
     # one complementary cover (or obstruction) serves both theorems
-    built = build_complementary(phi, exm.cover) if which else None
+    built = build_complementary(phi, exm.cover)
     pol_name = cfg.polarization if cfg.polarization != "default" else None
     payload: dict = {}
     passed = True

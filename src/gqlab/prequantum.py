@@ -120,7 +120,7 @@ class TrivializationCover:
     elements: list
     data: LocalData
     nerve: Nerve | None = None
-    pullback_of: tuple | None = None  # (source cover, map): geometry only
+    pullback_of: tuple | None = None  # (source cover, map): membership only
     meta: dict = field(default_factory=dict)
     # compiled local data, filled on first use: key -> program
     _programs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -129,10 +129,6 @@ class TrivializationCover:
 
     def element(self, index: int) -> CoverElement:
         return self.elements[index]
-
-    @property
-    def source(self) -> "TrivializationCover":
-        return self.pullback_of[0] if self.pullback_of else self
 
     def member_points(self, index: int, pts) -> np.ndarray:
         """Lift canonical points into the element's unrolled frame."""

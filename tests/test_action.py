@@ -1,4 +1,4 @@
-"""Complementary covers, the chain map, leaf transport, both theorems."""
+"""Complementary covers, the chain map, both theorems and their leaf pairing."""
 
 import math
 
@@ -8,14 +8,14 @@ import pytest
 from gqlab import action, catalog
 from gqlab.action import (
     CocycleObstruction,
+    InternalConsistencyError,
     ComplementaryCover,
     build_complementary,
     chain_map,
-    transport_leaf,
     verify_theorem_1,
     verify_theorem_2,
 )
-from gqlab.bohr import enumerate_leaves, holonomy
+from gqlab.bohr import HolonomyUndefinedError, bs_census, enumerate_leaves, holonomy
 from gqlab.cech import TransversalGrid, delta, half_offset_labels, random_projected_cochain
 from gqlab.geometry import pushforward_polarization
 from gqlab.prequantum import ConfigurationError, check_local_data
@@ -189,31 +189,39 @@ def test_chain_map_commutes_with_delta(models):
         assert worst < 1e-9
 
 
+def _circle_pairs(rep) -> list:
+    return [p for p in rep.payload["leaf_pairs"] if p["topology"] == "circle"]
+
+
 def test_transport_leaf_identity(models):
+    # the identity carries each leaf to itself with its holonomy
     exm = models("sphere", k=2)
     pol = exm.polarization()
-    phi = catalog.make_map(exm, "identity")
-    comp = build_complementary(phi, exm.cover)
-    pushed = pushforward_polarization(phi, pol)
-    leaf = enumerate_leaves(exm.cover, pol, (0.8, 0.8), 1)[0]
-    moved, h2 = transport_leaf(leaf, phi, comp, pol, pushed)
-    h1 = holonomy(exm.cover, pol, leaf)
-    assert moved.label == leaf.label
-    assert abs(h1.holonomy - h2.holonomy) < 1e-12
+    rep = verify_theorem_2(exm, catalog.make_map(exm, "identity"),
+                           crange=(0.4, 1.2), count=3)
+    pairs = _circle_pairs(rep)
+    assert np.allclose([p["label"] for p in pairs], [0.4, 0.8, 1.2], atol=1e-12)
+    for pair in pairs:
+        c = pair["label"]
+        h1 = holonomy(exm.cover, pol, enumerate_leaves(exm.cover, pol, (c, c), 1)[0])
+        assert pair["holonomy_source"] == [h1.holonomy.real, h1.holonomy.imag]
+        assert abs(complex(*pair["holonomy_source"])
+                   - complex(*pair["holonomy_target"])) < 1e-12
 
 
 def test_transport_leaf_sphere_rotation_preserves_holonomy(models):
     exm = models("sphere", k=3)
     pol = exm.polarization()
     phi = catalog.make_map(exm, "rot:1.3")
-    comp = build_complementary(phi, exm.cover)
     pushed = pushforward_polarization(phi, pol)
-    for c in (0.4, 1.0, 2.2):
-        leaf = enumerate_leaves(exm.cover, pol, (c, c), 1)[0]
-        moved, there = transport_leaf(leaf, phi, comp, pol, pushed)
-        here = holonomy(exm.cover, pol, leaf)
-        assert abs(here.holonomy - there.holonomy) < 1e-9
-        assert moved.label == leaf.label
+    rep = verify_theorem_2(exm, phi, crange=(0.4, 2.2), count=4)
+    pairs = _circle_pairs(rep)
+    assert np.allclose([p["label"] for p in pairs], [0.4, 1.0, 1.6, 2.2], atol=1e-12)
+    for pair in pairs:
+        c = pair["label"]
+        here = complex(*pair["holonomy_source"])
+        there = complex(*pair["holonomy_target"])
+        assert abs(here - there) < 1e-9
         # a latitude circle maps to itself as a set: phi-preimages of its
         # points still lie on the latitude circle of the pushed polarization
         ts = np.linspace(0.0, TWO_PI, 7)
@@ -227,9 +235,14 @@ def test_transport_leaf_shear_maps_lines_to_lines(models):
     phi = catalog.make_map(exm, "shear")
     comp = build_complementary(phi, exm.cover)
     pushed = pushforward_polarization(phi, pol)
-    leaf = enumerate_leaves(exm.cover, pol, (0.5, 0.5), 1)[0]
-    moved, hol_res = transport_leaf(leaf, phi, comp, pol, pushed)
-    assert moved.topology == "line" and hol_res is None
+    moved = enumerate_leaves(comp.base, pushed, (0.5, 0.5), 1)[0]
+    assert moved.topology == "line" and moved.label == 0.5
+    with pytest.raises(HolonomyUndefinedError):
+        holonomy(comp.base, pushed, moved)
+    # so the census pairing has no pair to compare across the map
+    rep = verify_theorem_2(exm, phi, crange=(-1.0, 1.0), count=5,
+                           complementary=comp)
+    assert rep.passed and rep.payload["leaf_pairs"] == []
 
 
 def test_leaf_transport_round_trip_is_identity_on_labels(models):
@@ -350,9 +363,41 @@ def test_theorem_2_leaf_pairs_reuse_the_census_integrals(models, monkeypatch, na
     pushed = pushforward_polarization(phi, pol)
     leaves = {leaf.label: leaf for leaf in enumerate_leaves(
         exm.cover, pol, exm.census_range, 33)}
+    moved = {leaf.label: leaf for leaf in enumerate_leaves(
+        comp.base, pushed, exm.census_range, 33)}
+    assert len(rep.payload["leaf_pairs"]) == len(leaves) == len(moved)
     for pair in rep.payload["leaf_pairs"]:
-        leaf = leaves[pair["label"]]
-        here = holonomy(exm.cover, pol, leaf).holonomy
-        there = transport_leaf(leaf, phi, comp, pol, pushed)[1].holonomy
+        here = holonomy(exm.cover, pol, leaves[pair["label"]]).holonomy
+        there = holonomy(comp.base, pushed, moved[pair["label"]]).holonomy
         assert pair["holonomy_source"] == [here.real, here.imag]
         assert pair["holonomy_target"] == [there.real, there.imag]
+
+
+def test_theorem_2_names_a_label_the_censuses_do_not_share(models, monkeypatch,
+                                                            capsys):
+    # the leaf pairs zip the two censuses; a target census that samples
+    # another label is a fault of the program, not a failed theorem
+    from dataclasses import replace
+
+    from gqlab import cli
+
+    calls = []
+
+    def census(*args, **kwargs):
+        rep = bs_census(*args, **kwargs)
+        calls.append(rep)
+        if len(calls) % 2:
+            return rep
+        entries = list(rep.entries)
+        entries[3] = replace(entries[3], leaf=replace(entries[3].leaf, label=0.1234))
+        return replace(rep, entries=tuple(entries))
+
+    monkeypatch.setattr(action, "bs_census", census)
+    exm = models("torus", k=2)
+    with pytest.raises(InternalConsistencyError, match="0.1234"):
+        verify_theorem_2(exm, catalog.make_map(exm, "translate:pi,0"))
+    code = cli.main(["act", "--example", "torus", "--k", "2",
+                     "--map", "translate:pi,0", "--verify", "thm2"])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("internal invariant violation:") and "0.1234" in err

@@ -239,6 +239,11 @@ def test_act_builds_the_complementary_cover_once(capsys, monkeypatch):
         ("act", "--map", "translate:1,2,3"),
         ("act", "--example", "plane", "--map", "rot:abc"),
         ("act", "--map", "translate:nan,0"),
+        ("act", "--example", "torus", "--k", "2", "--map", "translate:pi,0",
+         "--verify", ","),
+        ("act", "--example", "torus", "--k", "2", "--map", "translate:pi,0",
+         "--verify", ""),
+        ("act", "--verify", "thm3"),
         ("bs", "--example", "disk", "--range", "0:100"),
         ("bs", "--range", "nan:1"),
         ("bs", "--range", "3:1"),
