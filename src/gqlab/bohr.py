@@ -370,10 +370,11 @@ def holonomy(
     trivialization becomes lambda_{alpha beta} f in the beta trivialization,
     and moving along the leaf multiplies by exp(-i integral theta).
 
-    The leaves of a batch share their kernel work: one transport.integral
-    array call per leaf segment (element, t0, t1) for the distinct labels
-    on it, one cover.transition call per element pair for all switch
-    points between that pair, and one exp call.  Each holonomy is then the
+    The leaves of a batch share their kernel work: one transport.integrals
+    call for all their leaf segments, which integrates each distinct
+    segment (element, t0, t1) once for the distinct labels on it, one
+    cover.transition call per element pair for all switch points between
+    that pair, and one exp call.  Each holonomy is then the
     product of its segment factors and its transitions, in leaf order, of
     Python complex numbers, with math.atan2 for the phases.  NumPy's array
     complex multiply can round differently from a scalar product, and
@@ -393,25 +394,17 @@ def holonomy(
 
     # the segment integrals and switch transitions of the batch, flat in
     # leaf order
-    on_segment: dict = {}  # (element, t0, t1) -> label -> flat positions
     between: dict = {}  # (a, b) -> flat switch positions
-    k = j = 0
+    j = 0
     for leaf in circles:
         segs = leaf.segments
-        for seg in segs:
-            at = on_segment.setdefault((seg.element, seg.t0, seg.t1), {})
-            at.setdefault(seg.c_elem, []).append(k)
-            k += 1
         for s in range(len(leaf.switch_points)):
             pair = (segs[s].element, segs[(s + 1) % len(segs)].element)
             between.setdefault(pair, []).append(j)
             j += 1
-    integrals = np.empty(k, dtype=np.complex128)
-    for (element, t0, t1), at in on_segment.items():
-        vals = transport.integral(element, np.array(list(at)), t0, t1)
-        integrals[[p for where in at.values() for p in where]] = np.repeat(
-            vals, [len(where) for where in at.values()]
-        )
+    segments = [seg for leaf in circles for seg in leaf.segments]
+    # LeafSegment columns: element, t0, t1, c_elem
+    integrals = transport.integrals(*zip(*segments)) if segments else np.empty(0)
     lams = np.empty(j, dtype=np.complex128)
     if j:
         points = np.concatenate([leaf.switch_points for leaf in circles])

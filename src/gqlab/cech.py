@@ -441,29 +441,17 @@ def _by_label(labels: np.ndarray, n_labels: int):
 
 
 def _entry_factors(grid: TransversalGrid, pairs, pair, fpos):
-    """Transport factor of every entry: one LeafTransport call per distinct
-    leaf segment (member, t0, t1), with that segment's distinct labels."""
-    c_elem = np.empty(len(pair))
-    seg_id = np.empty(len(pair), dtype=int)
-    segments: dict = {}
+    """Transport factor of every entry, from the leaf segment (member, t0,
+    t1) and label of its face: LeafTransport.integrals integrates each
+    distinct segment once, for that segment's distinct labels."""
+    members = np.empty(len(pair), dtype=int)
+    t0s, t1s, c_elem = np.empty(len(pair)), np.empty(len(pair)), np.empty(len(pair))
     starts = np.flatnonzero(np.diff(pair, prepend=-1)).tolist()
     for a, b, p in zip(starts, starts[1:] + [len(pair)], pair[starts].tolist()):
         member, face_key, key = pairs[p]
-        c_elem[a:b], t0, t1 = grid.segment(member, face_key, key, fpos[a:b])
-        seg_id[a:b] = segments.setdefault((member, t0, t1), len(segments))
-    order = np.lexsort((c_elem, seg_id))
-    seg_sorted, c_sorted = seg_id[order], c_elem[order]
-    first = np.diff(seg_sorted, prepend=-1) != 0
-    first[1:] |= c_sorted[1:] != c_sorted[:-1]
-    u_seg, u_c = seg_sorted[first], c_sorted[first]
-    u_fac = np.empty(len(u_c), dtype=np.complex128)
-    edges = np.searchsorted(u_seg, np.arange(len(segments) + 1)).tolist()
-    for s, (member, t0, t1) in enumerate(segments):
-        lo, hi = edges[s], edges[s + 1]
-        u_fac[lo:hi] = grid.leaf_transport.factor(member, u_c[lo:hi], t0, t1)
-    fac = np.empty(len(pair), dtype=np.complex128)
-    fac[order] = u_fac[np.cumsum(first) - 1]
-    return fac
+        members[a:b] = member
+        c_elem[a:b], t0s[a:b], t1s[a:b] = grid.segment(member, face_key, key, fpos[a:b])
+    return np.exp(-1j * grid.leaf_transport.integrals(members, t0s, t1s, c_elem))
 
 
 def delta_matrix(grid: TransversalGrid, degree: int) -> tuple:

@@ -407,8 +407,7 @@ def cmd_act(cfg: RunConfig, args) -> int:
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # exit code 2 on usage errors
-        self.print_usage(sys.stderr)
-        raise ConfigurationError(message)
+        raise ConfigurationError(f"{message}\n{self.format_usage().rstrip()}")
 
 
 def _add_common(sp):
@@ -427,7 +426,6 @@ def _add_common(sp):
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--corrupt", default=None)
     sp.add_argument("--include-lines", action="store_true", dest="include_lines")
-    sp.add_argument("--verify", default="thm1,thm2")
     sp.add_argument("--out", default=None, help="write the JSON report here")
     sp.add_argument("--csv", default=None, help="write a per-leaf CSV here")
     sp.add_argument("--json", action="store_true", help="print the JSON report")
@@ -458,7 +456,7 @@ def _config_from_args(command: str, args) -> RunConfig:
         seed=args.seed,
         corrupt=args.corrupt,
         include_lines=args.include_lines,
-        verify=args.verify,
+        verify=getattr(args, "verify", RunConfig.verify),
     ).validate()
 
 
@@ -484,7 +482,10 @@ def _parser() -> _Parser:
         ("cohomology", "cohomology ranks of the trivialization complex"),
         ("act", "verify symplectomorphism invariance theorems"),
     ):
-        _add_common(sub.add_parser(name, help=help_text))
+        sp = sub.add_parser(name, help=help_text)
+        _add_common(sp)
+        if name == "act":
+            sp.add_argument("--verify", default=RunConfig.verify)
     return parser
 
 

@@ -263,14 +263,6 @@ class Polarization:
             vals = self.label_range[0] + np.mod(vals - self.label_range[0], period)
         return vals
 
-    def param_of(self, pts) -> np.ndarray:
-        arr = as_points(pts)
-        if self.kind == "axis":
-            return arr[:, self.leaf_axis].copy()
-        if self.kind == "radial":
-            return np.arctan2(arr[:, 1], arr[:, 0])
-        return self.base.param_of(self.map.apply(arr))
-
     @cached_property
     def _curve_program(self) -> program.Program:
         """The two leaf-curve components as one program over ("c", "t")."""

@@ -8,10 +8,12 @@ The integrand theta(leaf'(t)) is composed symbolically, the potential
 components substituted with the polarization's leaf curve, and compiled
 once per element.  A pullback cover holds the pulled-back potentials as
 formulas and is paired with the pushforward polarization, whose curve is
-the preimage of the source curve, so it needs no other integrand.  The
-integrand takes one leaf label or an array of labels, and integral takes
-the labels of one segment as an array: their cache misses go to the
-quadrature as one vector-valued integrand, labels by nodes.
+the preimage of the source curve, so it needs no other integrand.  Every
+call works on batches of labels: integral takes the labels of one leaf
+segment as an array and sends its cache misses to the quadrature as one
+vector-valued integrand, labels by nodes; integrals takes entries on many
+segments, as holonomies and the differential need them, and makes one
+integral call per distinct segment.
 """
 
 from __future__ import annotations
@@ -34,6 +36,8 @@ class LeafTransport:
         self.transition_batches = 0  # cover.transition calls of holonomies
 
     def integrand(self, member: int):
+        """run(cs, ts): theta_member(leaf'(t)) at every label of the array
+        cs and every node of ts, as a (len(cs), len(ts)) array."""
         run = self._integrands.get(member)
         if run is not None:
             return run
@@ -47,37 +51,23 @@ class LeafTransport:
         )
         prog = program.compile_expr(integrand, ("c", "t"))
 
-        def pointwise(c, t):
-            return kernels.evaluate(prog, {"c": c, "t": t})
+        def run(cs: np.ndarray, ts: np.ndarray) -> np.ndarray:
+            m, n = len(cs), len(ts)
+            columns = {"c": np.repeat(cs, n) + 0j, "t": np.tile(ts, m) + 0j}
+            return kernels.evaluate(prog, columns).reshape(m, n)
 
-        run = _over_labels(pointwise)
         self._integrands[member] = run
         return run
 
-    def integral(self, member: int, c_elem, t0: float, t1: float):
-        """Integral of theta_member along the leaf segment (element frame).
+    def integral(self, member: int, c_elem, t0: float, t1: float) -> np.ndarray:
+        """Integrals of theta_member along the leaf segment [t0, t1], in the
+        element frame, one per label of the array c_elem.
 
-        c_elem may be a NumPy array of labels sharing the segment; the
-        result is then an array, and the labels missing from the cache are
-        integrated in one quadrature sweep that shares its subdivision.  An
-        empty segment gives zero without quadrature.
+        The labels missing from the cache are integrated in one quadrature
+        sweep that shares its subdivision.  An empty segment gives zeros
+        without quadrature.
         """
         t0, t1 = float(t0), float(t1)
-        if isinstance(c_elem, np.ndarray):
-            return self._integrals_of(member, c_elem, t0, t1)
-        if t0 == t1:
-            return 0j
-        key = (member, float(c_elem), t0, t1)
-        val = self._integrals.get(key)
-        if val is None:
-            run = self.integrand(member)
-            val = complex(integrate(lambda ts: run(c_elem, ts), t0, t1))
-            self._integrals[key] = val
-            self.integrals_computed += 1
-            self.batches += 1
-        return val
-
-    def _integrals_of(self, member: int, c_elem, t0: float, t1: float):
         labels = np.asarray(c_elem, dtype=float).tolist()
         if t0 == t1:
             return np.zeros(len(labels), dtype=np.complex128)
@@ -94,21 +84,36 @@ class LeafTransport:
             self.batches += 1
         return np.array([cache[key] for key in keys], dtype=np.complex128)
 
-    def factor(self, member: int, c_elem, t0: float, t1: float):
-        out = np.exp(-1j * self.integral(member, c_elem, t0, t1))
-        return out if isinstance(c_elem, np.ndarray) else complex(out)
+    def factor(self, member: int, c_elem, t0: float, t1: float) -> np.ndarray:
+        return np.exp(-1j * self.integral(member, c_elem, t0, t1))
 
+    def integrals(self, elements, t0, t1, labels) -> np.ndarray:
+        """The integral of every entry i, a leaf segment (elements[i],
+        t0[i], t1[i]) and a label labels[i], as integral gives it.
 
-def _over_labels(pointwise):
-    """The integrand run(c, ts) of a pointwise(c, t) on equal-length complex
-    columns: (len(ts),) values for one label c, (len(c), len(ts)) for a
-    NumPy array of labels."""
-
-    def run(c_val, ts: np.ndarray) -> np.ndarray:
-        if not isinstance(c_val, np.ndarray):
-            return pointwise(complex(c_val), ts + 0j)
-        m, n = len(c_val), len(ts)
-        out = pointwise(np.repeat(c_val, n) + 0j, np.tile(ts, m) + 0j)
-        return out.reshape(m, n)
-
-    return run
+        Entries that share a leaf segment share one integral call, on the
+        segment's distinct labels in ascending order, so its cache misses
+        are one quadrature sweep.  The four arguments are equal-length
+        sequences, one column each.
+        """
+        element = np.asarray(elements, dtype=int)
+        t0, t1, label = (np.asarray(x, dtype=float) for x in (t0, t1, labels))
+        order = np.lexsort((label, t1, t0, element))
+        element, t0, t1, label = element[order], t0[order], t1[order], label[order]
+        segment = np.ones(len(order), dtype=bool)
+        segment[1:] = (
+            (element[1:] != element[:-1]) | (t0[1:] != t0[:-1]) | (t1[1:] != t1[:-1])
+        )
+        first = segment.copy()
+        first[1:] |= label[1:] != label[:-1]
+        distinct = np.flatnonzero(first)
+        vals = np.empty(len(distinct), dtype=np.complex128)
+        edges = np.flatnonzero(segment[distinct]).tolist() + [len(distinct)]
+        for lo, hi in zip(edges, edges[1:]):
+            i = distinct[lo]
+            vals[lo:hi] = self.integral(
+                int(element[i]), label[distinct[lo:hi]], t0[i], t1[i]
+            )
+        out = np.empty(len(order), dtype=np.complex128)
+        out[order] = vals[np.cumsum(first) - 1]
+        return out

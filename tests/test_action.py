@@ -87,15 +87,15 @@ def test_cylinder_momentum_shift_dichotomy(models):
     assert isinstance(whole, ComplementaryCover)
 
 
-def _scalar_integrate_many(f, a, b, tol=1e-12, max_depth=24):
-    """One scalar adaptive integral per target, as the construction ran
+def _per_target_integrate_many(f, a, b, tol=1e-12, max_depth=24):
+    """One adaptive integral of one row per target, as the construction ran
     before its gauge integrals were batched."""
     a, b = np.broadcast_arrays(np.atleast_1d(a), np.atleast_1d(b))
     return np.array(
         [
             integrate(
-                lambda ts, j=j: f(ts, np.full(len(ts), j)), a[j], b[j], tol, max_depth
-            )
+                lambda ts, j=j: [f(ts, np.full(len(ts), j))], a[j], b[j], tol, max_depth
+            )[0]
             for j in range(len(a))
         ],
         dtype=np.complex128,
@@ -120,7 +120,7 @@ def test_batched_gauge_integrals_match_scalar_construction(
     exm = models(name, **params)
     phi = catalog.make_map(exm, spec)
     batched = build_complementary(phi, exm.cover)
-    monkeypatch.setattr(action, "integrate_many", _scalar_integrate_many)
+    monkeypatch.setattr(action, "integrate_many", _per_target_integrate_many)
     scalar = build_complementary(phi, exm.cover)
     assert type(batched) is type(scalar)
     assert batched.constants.keys() == scalar.constants.keys()

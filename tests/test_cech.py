@@ -47,10 +47,10 @@ def test_full_loop_integral_matches_closed_form(models):
     pol = exm.polarization()
     transport = LeafTransport(exm.cover, pol)
     c = 1.3
-    val = transport.integral(0, c, 0.0, TWO_PI)
-    assert abs(val - 1 * c) < 1e-10
-    factor = transport.factor(0, c, 0.0, TWO_PI)
-    assert abs(factor - np.exp(-1j * c)) < 1e-10
+    val = transport.integral(0, np.array([c]), 0.0, TWO_PI)
+    assert val.shape == (1,) and abs(val[0] - 1 * c) < 1e-10
+    factor = transport.factor(0, np.array([c]), 0.0, TWO_PI)
+    assert factor.shape == (1,) and abs(factor[0] - np.exp(-1j * c)) < 1e-10
 
 
 # --- image projection and the psi/phi pair ----------------------------------
@@ -413,20 +413,21 @@ def test_label_array_integral_matches_scalar_calls(models, kind):
     segments = list(_face_segments(grid))
     assert segments
     batched = LeafTransport(grid.cover, grid.polarization)
-    scalar = LeafTransport(grid.cover, grid.polarization)
+    scalar = LeafTransport(grid.cover, grid.polarization)  # one label a call
     for member, c_elem, t0, t1 in segments:
         got = batched.integral(member, c_elem, t0, t1)
-        want = np.array([scalar.integral(member, c, t0, t1) for c in c_elem])
+        want = np.concatenate([scalar.integral(member, [c], t0, t1) for c in c_elem])
         assert got.shape == c_elem.shape
         assert np.all(np.abs(got - want) <= 1e-14 * np.maximum(1.0, np.abs(want)))
         fac = batched.factor(member, c_elem, t0, t1)
         assert np.array_equal(fac, np.exp(-1j * got))
-    # one quadrature call per segment at most; later scalar calls hit the cache
+    # one quadrature call per segment at most; later one-label calls hit
+    # the cache
     assert batched.batches <= len(segments) < batched.integrals_computed
     batches = batched.batches
     for member, c_elem, t0, t1 in segments:
         for c, val in zip(c_elem, batched.integral(member, c_elem, t0, t1)):
-            assert batched.integral(member, c, t0, t1) == val
+            assert batched.integral(member, [c], t0, t1) == [val]
     assert batched.batches == batches
 
 
@@ -439,8 +440,49 @@ def test_label_array_integral_of_empty_interval_or_no_labels(models):
     assert transport.batches == 0
 
 
+@pytest.mark.parametrize("kind", ["generic", "pullback"])
+def test_entry_integrals_group_by_segment(models, kind):
+    grid = _blocks_grid(models, "torus", {"k": 2}, kind)
+    rng = np.random.default_rng(5)
+    rows = [
+        (member, t0, t1, c)
+        for member, c_elem, t0, t1 in _face_segments(grid)
+        for c in c_elem[: 1 + len(c_elem) // 2]
+    ]
+    rows += [rows[i] for i in rng.integers(len(rows), size=len(rows))]  # repeats
+    entries = np.array(rows)[rng.permutation(len(rows))]
+    segments = {(int(m), t0, t1) for m, t0, t1, _ in entries.tolist()}
+    misses = sum(t0 != t1 for _, t0, t1 in segments)
+    assert len(segments) > 1 and misses > 0
+
+    transport = LeafTransport(grid.cover, grid.polarization)
+    calls = []
+    integral = transport.integral
+
+    def counted(member, c_elem, t0, t1):
+        calls.append((member, t0, t1, list(c_elem)))
+        return integral(member, c_elem, t0, t1)
+
+    transport.integral = counted
+    got = transport.integrals(*entries.T)
+    # one call per distinct segment, on its distinct labels in ascending order
+    assert sorted((m, a, b) for m, a, b, _ in calls) == sorted(segments)
+    for member, t0, t1, labels in calls:
+        on = (entries[:, 0] == member) & (entries[:, 1] == t0) & (entries[:, 2] == t1)
+        assert labels == sorted(set(entries[on, 3].tolist()))
+    assert transport.batches == misses
+    # every entry is its one-label batch, bit for bit
+    one = LeafTransport(grid.cover, grid.polarization)
+    want = [one.integral(int(m), [c], t0, t1)[0] for m, t0, t1, c in entries.tolist()]
+    assert got.view(float).tolist() == np.array(want).view(float).tolist()
+    # the cache answers a second batch in another order without quadrature
+    again = transport.integrals(*entries[::-1].T)
+    assert np.array_equal(again, got[::-1]) and transport.batches == misses
+    assert transport.integrals([], [], [], []).shape == (0,)
+
+
 def _reference_blocks(grid, degree):
-    """delta_matrix's blocks assembled label by label, with one scalar
+    """delta_matrix's blocks assembled label by label, with one one-label
     transport call per entry."""
     src_keys, src_off, _ = cech._block_offsets(grid, degree)
     dst_keys, dst_off, _ = cech._block_offsets(grid, degree + 1)
@@ -464,7 +506,7 @@ def _reference_blocks(grid, degree):
                 rows.append(dst_off[key] + pos)
                 cols.append(src_off[face_key] + fpos)
                 pos_face.append(pos)
-                fac.append(transport.factor(beta0, c, t0, t1))
+                fac.append(transport.factor(beta0, [c], t0, t1)[0])
             # the products of delta_matrix, one array per face
             vals.append((-1) ** j * lam[pos_face] * np.array(fac, complex))
     rows, cols, vals = np.array(rows, int), np.array(cols, int), np.concatenate(vals)
@@ -577,8 +619,8 @@ def test_batched_res_matches_per_label_transport(models, kind):
             for k, member in enumerate(sub):
                 for p, gidx in enumerate(cg_sup.label_idx):
                     q = cg_sub.position(int(gidx))
-                    seg = grid.segment(member, face_key, key, q)
-                    moved[k, p] = vals[k, q] * transport.factor(member, *seg)
+                    c, t0, t1 = grid.segment(member, face_key, key, q)
+                    moved[k, p] = vals[k, q] * transport.factor(member, [c], t0, t1)[0]
             ref = sup.indices[0]  # component 0 of the super tuple
             want = sum(
                 grid.transition_at_basepoints(key, a, ref) * moved[k]

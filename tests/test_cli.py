@@ -80,7 +80,8 @@ def test_bs_csv_output(tmp_path, capsys):
         capsys, "bs", "--example", "cylinder", "--count", "7", "--csv", str(path)
     )
     assert code == 0
-    rows = list(csv.DictReader(path.open()))
+    with path.open() as fh:
+        rows = list(csv.DictReader(fh))
     assert len(rows) == 7
     assert {"label", "topology", "is_bs", "action"} <= set(rows[0])
 
@@ -244,6 +245,8 @@ def test_act_builds_the_complementary_cover_once(capsys, monkeypatch):
         ("act", "--example", "torus", "--k", "2", "--map", "translate:pi,0",
          "--verify", ""),
         ("act", "--verify", "thm3"),
+        ("bs", "--example", "torus", "--count", "8", "--verify", "thm3"),
+        ("cohomology", "--example", "torus", "--verify", ","),
         ("bs", "--example", "disk", "--range", "0:100"),
         ("bs", "--range", "nan:1"),
         ("bs", "--range", "3:1"),

@@ -208,7 +208,7 @@ def test_transport_integrands_match_per_expression(models, name, params, maps):
         ts = _segment_ts(seg)
         values = {"c": complex(seg.c_elem), "t": ts + 0j}
         want = kernels.evaluate(_base_integrand(exm.cover, pol, seg.element), values)
-        _same(transport.integrand(seg.element)(seg.c_elem, ts), want)
+        _same(transport.integrand(seg.element)(np.array([seg.c_elem]), ts)[0], want)
     for spec in maps:
         phi = catalog.make_map(exm, spec)
         pulled = pullback(exm.cover, phi)
@@ -217,7 +217,7 @@ def test_transport_integrands_match_per_expression(models, name, params, maps):
         for seg in segments:
             ts = _segment_ts(seg)
             values = {"c": complex(seg.c_elem), "t": ts + 0j}
-            got = moved.integrand(seg.element)(seg.c_elem, ts)
+            got = moved.integrand(seg.element)(np.array([seg.c_elem]), ts)[0]
             # the pulled potentials along the pushed curve, bit for bit
             want = kernels.evaluate(_base_integrand(pulled, pushed, seg.element), values)
             _same(got, want)
@@ -247,8 +247,8 @@ def test_owners_compile_once(models, monkeypatch):
         cover.potential(a, _element_points(cover, a))
         cover.transition(a, b, pts)
         pol.curve_points(seg.c_elem, ts)
-        transport.integrand(a)(seg.c_elem, ts)
-        moved.integrand(a)(seg.c_elem, ts)
+        transport.integrand(a)(np.array([seg.c_elem]), ts)
+        moved.integrand(a)(np.array([seg.c_elem]), ts)
 
     use()
     misses = program.compile_expr.cache_info().misses

@@ -363,5 +363,6 @@ def test_pullback_data_is_the_chain_through_the_map(models, monkeypatch, name, p
             a, b = cell.indices
             pulled.transition(a, b, pts)
             pulled.transition_dlog(a, b, pts)
-    values = transport.integrand(seg.element)(seg.c_elem, np.linspace(seg.t0, seg.t1, 5))
+    ts = np.linspace(seg.t0, seg.t1, 5)
+    values = transport.integrand(seg.element)(np.array([seg.c_elem]), ts)
     assert np.all(np.isfinite(values))
