@@ -77,7 +77,7 @@ class CocycleObstruction:
         }
 
 
-@dataclass
+@dataclass(frozen=True)
 class ComplementaryCover:
     base: TrivializationCover  # pullback cover carrying the exact pulled-back data
     source: TrivializationCover
@@ -329,7 +329,7 @@ def chain_map(
 # Theorem verification
 
 
-@dataclass
+@dataclass(frozen=True)
 class CorrespondenceReport:
     theorem: int
     status: str  # ok | hypothesis-failed

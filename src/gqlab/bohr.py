@@ -186,8 +186,6 @@ class LeafAtlas:
     def __init__(self, cover: TrivializationCover, pol: Polarization):
         self.cover = cover
         self.polarization = pol
-        if cover.nerve is None:
-            raise ConfigurationError("cover has no nerve")
         self._root = root = pol.root
         self._manifold = cover.manifold
         cells = cover.nerve.degree(0)

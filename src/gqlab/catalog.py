@@ -1,6 +1,6 @@
 """Builtin model catalog: manifolds, covers with local data, polarizations,
 and symplectomorphism factories, addressable by the name strings used in
-the CLI and in config JSON.
+the CLI.
 
 Every cover here is constructed to satisfy the local-data laws exactly
 under the conventions in docs/conventions.md (curvature dtheta = omega,
@@ -41,7 +41,7 @@ TWO_PI = 2.0 * math.pi
 EXAMPLE_NAMES = ("plane", "cylinder", "torus", "sphere", "disk")
 
 
-@dataclass
+@dataclass(frozen=True)
 class Example:
     """A fully assembled model: cover, form, polarizations, map factory."""
 
@@ -71,11 +71,6 @@ def _require_positive_k(k) -> int:
     if not isinstance(k, (int, np.integer)) or k <= 0:
         raise ConfigurationError(f"k must be a positive integer, got {k!r}")
     return int(k)
-
-
-def _finish(cover: TrivializationCover) -> TrivializationCover:
-    cover.nerve = build_nerve(cover)
-    return cover
 
 
 # ---------------------------------------------------------------------------
@@ -130,6 +125,7 @@ def _plane_example(granularity: int = 1, half_width: float = 4.0) -> Example:
         omega=omega,
         elements=elements,
         data=data,
+        nerve=build_nerve(manifold, elements),
         meta={"name": "plane", "granularity": granularity,
               "data_builder": data_builder},
     )
@@ -162,7 +158,7 @@ def _plane_example(granularity: int = 1, half_width: float = 4.0) -> Example:
         params={"granularity": granularity},
         manifold=manifold,
         omega=omega,
-        cover=_finish(cover),
+        cover=cover,
         polarizations={"vertical": vertical, "horizontal": horizontal},
         default_polarization="vertical",
         map_specs=("identity", "shear", "rot", "translate"),
@@ -248,6 +244,7 @@ def _torus_example(k: int, granularity: int = 3) -> Example:
         omega=omega,
         elements=elements,
         data=data_builder(boxes),
+        nerve=build_nerve(manifold, elements),
         meta={"name": "torus", "k": k, "granularity": g,
               "data_builder": data_builder},
     )
@@ -269,7 +266,7 @@ def _torus_example(k: int, granularity: int = 3) -> Example:
         params={"k": k, "granularity": g},
         manifold=manifold,
         omega=omega,
-        cover=_finish(cover),
+        cover=cover,
         polarizations={"horizontal-circles": pol},
         default_polarization="horizontal-circles",
         map_specs=("identity", "translate"),
@@ -323,6 +320,7 @@ def _cylinder_example(p_max: float = 3.5, granularity: int = 3) -> Example:
         omega=omega,
         elements=elements,
         data=data_builder(boxes),
+        nerve=build_nerve(manifold, elements),
         meta={"name": "cylinder", "p_max": p_max, "granularity": g,
               "data_builder": data_builder},
     )
@@ -343,7 +341,7 @@ def _cylinder_example(p_max: float = 3.5, granularity: int = 3) -> Example:
         params={"p_max": p_max, "granularity": g},
         manifold=manifold,
         omega=omega,
-        cover=_finish(cover),
+        cover=cover,
         polarizations={"momentum-circles": pol},
         default_polarization="momentum-circles",
         map_specs=("identity", "translate", "pshift"),
@@ -400,6 +398,7 @@ def _sphere_example(k: int) -> Example:
         omega=omega,
         elements=elements,
         data=data_builder(boxes),
+        nerve=build_nerve(manifold, elements),
         meta={"name": "sphere", "k": k, "data_builder": data_builder},
     )
     pol = Polarization(
@@ -421,7 +420,7 @@ def _sphere_example(k: int) -> Example:
         params={"k": k},
         manifold=manifold,
         omega=omega,
-        cover=_finish(cover),
+        cover=cover,
         polarizations={"latitude": pol},
         default_polarization="latitude",
         map_specs=("identity", "rot"),
@@ -456,6 +455,7 @@ def _disk_example(radius: float = 3.2) -> Example:
         omega=omega,
         elements=elements,
         data=data_builder(None),
+        nerve=build_nerve(manifold, elements),
         meta={"name": "disk", "radius": radius, "data_builder": data_builder},
     )
     half_r2 = 0.5 * radius * radius
@@ -479,7 +479,7 @@ def _disk_example(radius: float = 3.2) -> Example:
         params={"radius": radius},
         manifold=manifold,
         omega=omega,
-        cover=_finish(cover),
+        cover=cover,
         polarizations={"radial-circles": pol},
         default_polarization="radial-circles",
         map_specs=("identity", "rot"),
@@ -526,6 +526,7 @@ def untwisted_circle_example() -> Example:
         omega=omega,
         elements=elements,
         data=data_builder(boxes),
+        nerve=build_nerve(manifold, elements),
         meta={"name": "circle-flat", "data_builder": data_builder},
     )
     pol = Polarization(
@@ -545,7 +546,7 @@ def untwisted_circle_example() -> Example:
         params={},
         manifold=manifold,
         omega=omega,
-        cover=_finish(cover),
+        cover=cover,
         polarizations={"momentum-circles": pol},
         default_polarization="momentum-circles",
         map_specs=("identity",),
@@ -573,11 +574,6 @@ def example(name: str, **params) -> Example:
         return builders[name](**params)
     except TypeError as exc:
         raise ConfigurationError(f"bad parameters for {name}: {exc}") from None
-
-
-def builtin_cover(name: str, **params) -> TrivializationCover:
-    """The trivialization cover of a builtin example (spec surface)."""
-    return example(name, **params).cover
 
 
 _MAP_ARITY = {"identity": 0, "shear": 0, "rot": 1, "translate": 2, "pshift": 1}

@@ -50,15 +50,13 @@ def half_offset_labels(lo: float, hi: float, count: int) -> np.ndarray:
     return lo + step * (np.arange(count) + 0.5)
 
 
-@dataclass
+@dataclass(frozen=True)
 class CellGrid:
     label_idx: np.ndarray  # indices into the global label array
     c_cell: np.ndarray  # label values lifted into the cell frame
-    t_lo: float
-    t_hi: float
-    t_bp: float
+    t_bp: float  # leaf parameter of the basepoints: mid-cell
     closed: bool  # leaf closes inside the cell: no nonzero polarized values
-    base_points: np.ndarray | None = None  # canonical coords of basepoints
+    base_points: np.ndarray  # canonical coords of the leaf basepoints, (L, 2)
 
     @property
     def count(self) -> int:
@@ -78,18 +76,22 @@ class CellGrid:
         return int(pos) if np.ndim(pos) == 0 else pos
 
 
-@dataclass
+@dataclass(frozen=True)
 class TransversalGrid:
-    """Shared leaf discretization of a cover for one polarization."""
+    """Shared leaf discretization of a cover for one polarization.
+
+    build makes it complete: every cell's labels and basepoints, the nerve
+    keys by degree, and the leaf transport whose integral cache is the only
+    state that changes after construction.
+    """
 
     cover: TrivializationCover
     polarization: Polarization
     labels: np.ndarray
     cells: dict  # nerve cell key -> CellGrid
     closed_cells: tuple
-    _transport: LeafTransport | None = field(default=None, repr=False)
-    _subcell_cache: dict = field(default_factory=dict, repr=False)
-    _degree_keys: dict | None = field(default=None, repr=False)
+    keys_by_degree: dict = field(repr=False)  # degree -> sorted nerve keys
+    leaf_transport: LeafTransport = field(repr=False, compare=False)
 
     # -- construction -------------------------------------------------------
 
@@ -98,12 +100,9 @@ class TransversalGrid:
         labels = np.asarray(labels, dtype=float)
         pol = polarization
         base = pol.root
-        if cover.nerve is None:
-            raise ConfigurationError("cover has no nerve")
         manifold = cover.manifold
         period = pol.leaf_period
-        cells = {}
-        closed_cells = []
+        rows = []  # per cell: key, kept labels, their lifts, t_bp, closed
         if base.kind == "axis":
             la, ta = base.label_axis, base.leaf_axis
             boxes = [cell.box for cell in cover.nerve.cells.values()]
@@ -125,22 +124,27 @@ class TransversalGrid:
                 t_lo, t_hi = 0.0, 2.0 * math.pi
             closed = period is not None and (t_hi - t_lo) >= period - 1e-9
             if closed:
-                closed_cells.append(key)
                 kept = kept[:0]
-            cells[key] = CellGrid(
-                label_idx=kept,
-                c_cell=lifted[kept],
-                t_lo=t_lo,
-                t_hi=t_hi,
-                t_bp=0.5 * (t_lo + t_hi),
-                closed=closed,
-            )
+            rows.append((key, kept, lifted[kept], 0.5 * (t_lo + t_hi), closed))
+        # the basepoints of every cell in one curve call; it acts point by
+        # point, so each cell gets what a call on its own labels gives
+        counts = [len(kept) for _, kept, *_ in rows]
+        c = np.concatenate([c_cell for _, _, c_cell, *_ in rows] + [np.empty(0)])
+        t = np.repeat([t_bp for *_, t_bp, _ in rows], counts)
+        points = manifold.reduce(pol.curve_points(c, t))
+        parts = np.split(points, np.cumsum(counts)[:-1])
+        cells = {key: CellGrid(*row, part) for (key, *row), part in zip(rows, parts)}
+        by_degree: dict = {}
+        for key in sorted(cover.nerve.cells):
+            by_degree.setdefault(len(key[0]) - 1, []).append(key)
         return cls(
             cover=cover,
             polarization=pol,
             labels=labels,
             cells=cells,
-            closed_cells=tuple(closed_cells),
+            closed_cells=tuple(key for key, *_, closed in rows if closed),
+            keys_by_degree={d: tuple(keys) for d, keys in by_degree.items()},
+            leaf_transport=LeafTransport(cover, pol),
         )
 
     @property
@@ -148,13 +152,8 @@ class TransversalGrid:
         return self.cover.nerve
 
     def degree_keys(self, n: int) -> tuple:
-        """The keys of the nerve cells of degree n, sorted once per grid."""
-        if self._degree_keys is None:
-            by_degree: dict = {}
-            for key in sorted(self.nerve.cells):
-                by_degree.setdefault(len(key[0]) - 1, []).append(key)
-            self._degree_keys = {d: tuple(keys) for d, keys in by_degree.items()}
-        return self._degree_keys.get(n, ())
+        """The keys of the nerve cells of degree n, sorted."""
+        return self.keys_by_degree.get(n, ())
 
     @property
     def n_labels_retained(self) -> int:
@@ -165,27 +164,8 @@ class TransversalGrid:
 
     # -- geometry helpers ----------------------------------------------------
 
-    def base_points(self, key) -> np.ndarray:
-        """Canonical coordinates of the cell's leaf basepoints, (L, 2)."""
-        return self.base_points_of([key])
-
-    def base_points_of(self, keys) -> np.ndarray:
-        """The basepoints of several cells, concatenated in key order; the
-        cells not yet computed are computed in one batch."""
-        todo = [self.cells[k] for k in keys if self.cells[k].base_points is None]
-        if todo:
-            counts = [cg.count for cg in todo]
-            c = np.concatenate([cg.c_cell for cg in todo])
-            t = np.repeat([cg.t_bp for cg in todo], counts)
-            pts = self.cover.manifold.reduce(self.polarization.curve_points(c, t))
-            for cg, part in zip(todo, np.split(pts, np.cumsum(counts)[:-1])):
-                cg.base_points = part
-        if len(keys) == 1:
-            return self.cells[keys[0]].base_points
-        return np.concatenate([self.cells[k].base_points for k in keys])
-
     def transition_at_basepoints(self, key, a: int, b: int) -> np.ndarray:
-        return self.cover.transition(a, b, self.base_points(key))
+        return self.cover.transition(a, b, self.cells[key].base_points)
 
     def _elem_frame(self, key, member: int):
         """(shift vector) for converting cell-frame data to the member's."""
@@ -195,9 +175,6 @@ class TransversalGrid:
 
     def sub_cell_for(self, super_key, sub_indices: tuple):
         """Nerve cell of sub_indices whose overlap contains the super cell."""
-        ck = (super_key, sub_indices)
-        if ck in self._subcell_cache:
-            return self._subcell_cache[ck]
         sup = self.nerve.cells[super_key]
         manifold = self.cover.manifold
         periods = [p if p is not None else 0.0 for p in manifold.periods]
@@ -214,19 +191,12 @@ class TransversalGrid:
                 and shifted.hi[a] <= cell.box.hi[a] + 1e-6
                 for a in range(2)
             ):
-                self._subcell_cache[ck] = (key, off)
                 return key, off
         raise ConfigurationError(
             f"no cell of {sub_indices} contains the overlap {super_key}"
         )
 
     # -- parallel transport --------------------------------------------------
-
-    @property
-    def leaf_transport(self) -> LeafTransport:
-        if self._transport is None:
-            self._transport = LeafTransport(self.cover, self.polarization)
-        return self._transport
 
     def segment(self, member: int, from_key, to_key, pos_from):
         """(c_elem, t0, t1) of the leaf segment between two cells'
@@ -252,7 +222,7 @@ class TransversalGrid:
 # Cochain data
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrivCochain:
     degree: int
     data: dict  # cell key -> ndarray (degree + 1, n_labels(cell))
@@ -495,7 +465,7 @@ def delta_matrix(grid: TransversalGrid, degree: int) -> tuple:
     n_elem = len(grid.cover.elements)
     codes, which = np.unique(beta0[moved] * n_elem + ref[moved], return_inverse=True)
     if len(codes):
-        base = grid.base_points_of(dst_keys)
+        base = np.concatenate([grid.cells[key].base_points for key in dst_keys])
         for u, code in enumerate(codes.tolist()):
             e = moved[which == u]
             lam[e] = grid.cover.transition(*divmod(code, n_elem), base[rows[e]])
@@ -620,8 +590,6 @@ def cohomology_ranks(
     report keeps the spectrum edges and the gap at the cut so borderline
     decisions are auditable.
     """
-    if cover.nerve is None:
-        raise ConfigurationError("cover has no nerve")
     if max_degree > cover.nerve.max_degree - 1:
         raise ConfigurationError(
             f"degree cap {max_degree} exceeds nerve bound "

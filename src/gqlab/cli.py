@@ -37,7 +37,7 @@ from .quadrature import QuadratureError
 REPORT_SCHEMA = "gqlab.report/1"
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(frozen=True)
 class RunConfig:
     command: str
     example: str = "torus"
@@ -57,7 +57,7 @@ class RunConfig:
     include_lines: bool = False
     verify: str = "thm1,thm2"
 
-    def validate(self) -> "RunConfig":
+    def __post_init__(self):
         """Reject values no command can run with, before any work starts."""
         if self.grid < 1:
             raise ConfigurationError(f"grid must be >= 1, got {self.grid}")
@@ -86,7 +86,6 @@ class RunConfig:
             bad = [w for w in self.verify_targets if w not in ("thm1", "thm2")]
             if bad:
                 raise ConfigurationError(f"unknown verification targets {bad}")
-        return self
 
     @property
     def verify_targets(self) -> list:
@@ -97,17 +96,6 @@ class RunConfig:
         out = dataclasses.asdict(self)
         out["range"] = list(self.range) if self.range is not None else None
         return out
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "RunConfig":
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(doc) - known
-        if unknown:
-            raise ConfigurationError(f"unknown config fields {sorted(unknown)}")
-        doc = dict(doc)
-        if doc.get("range") is not None:
-            doc["range"] = tuple(doc["range"])
-        return cls(**doc)
 
 
 def _example_from_config(cfg: RunConfig) -> catalog.Example:
@@ -132,9 +120,9 @@ def _example_from_config(cfg: RunConfig) -> catalog.Example:
 def _apply_corruption(exm: catalog.Example, spec: str) -> catalog.Example:
     """A copy of the example with one transition scaled, e.g. 'lam:0,1:1.01'.
 
-    The copy gets its own transitions dict and shares everything else,
-    the nerve included (it depends only on the element boxes); the given
-    example is left as it was.
+    The copy gets its own transitions and compiles its own formulas; it
+    shares everything else, the nerve included (it depends only on the
+    element boxes).  The given example is left as it was.
     """
     try:
         kind, pair, factor = spec.split(":")
@@ -457,7 +445,7 @@ def _config_from_args(command: str, args) -> RunConfig:
         corrupt=args.corrupt,
         include_lines=args.include_lines,
         verify=getattr(args, "verify", RunConfig.verify),
-    ).validate()
+    )
 
 
 @functools.cache

@@ -13,7 +13,11 @@ as formulas too, so every accessor reads local data the same way.
 The nerve records every nonempty multi-overlap up to degree 3, one cell per
 connected component, with interior sample points, per-member unrolling
 shifts, and face links; this is the combinatorial carrier for the cochain
-complex, the consistency checks, and the holonomy loop threading.
+complex, the consistency checks, and the holonomy loop threading.  It
+depends only on the manifold and the element boxes, so every constructor
+builds it from those (build_nerve) before the cover, and hands the cover
+complete: a cover, its local data and its nerve are frozen, their dicts
+read-only, and the formulas a cover compiles on first use stay valid.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, replace
+from types import MappingProxyType
 
 import numpy as np
 
@@ -63,16 +68,21 @@ class CoverElement:
         return tuple(out)
 
 
-@dataclass
+@dataclass(frozen=True)
 class LocalData:
     """Transition functions and connection potentials as expressions.
 
     transitions holds both orientations of every overlapping pair;
-    potentials holds the two 1-form components per element.
+    potentials holds the two 1-form components per element.  Both are
+    read-only copies of the mappings given.
     """
 
-    transitions: dict  # (a, b) -> Expr
-    potentials: dict  # a -> (Expr, Expr)
+    transitions: MappingProxyType  # (a, b) -> Expr
+    potentials: MappingProxyType  # a -> (Expr, Expr)
+
+    def __post_init__(self):
+        object.__setattr__(self, "transitions", MappingProxyType(dict(self.transitions)))
+        object.__setattr__(self, "potentials", MappingProxyType(dict(self.potentials)))
 
     def transition_expr(self, a: int, b: int) -> ex.Expr:
         if a == b:
@@ -100,11 +110,15 @@ class NerveCell:
         return len(self.indices) - 1
 
 
-@dataclass
+@dataclass(frozen=True)
 class Nerve:
-    cells: dict  # key -> NerveCell
-    faces: dict  # key -> tuple of (face key, frame offset (int, int))
+    cells: MappingProxyType  # key -> NerveCell
+    faces: MappingProxyType  # key -> tuple of (face key, frame offset (int, int))
     max_degree: int
+
+    def __post_init__(self):
+        object.__setattr__(self, "cells", MappingProxyType(dict(self.cells)))
+        object.__setattr__(self, "faces", MappingProxyType(dict(self.faces)))
 
     def degree(self, n: int):
         return [c for c in self.cells.values() if c.degree == n]
@@ -113,22 +127,22 @@ class Nerve:
         return len(self.cells)
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrivializationCover:
     manifold: Manifold
     omega: SymplecticForm
-    elements: list
+    elements: tuple
     data: LocalData
-    nerve: Nerve | None = None
+    nerve: Nerve  # build_nerve(manifold, elements)
     pullback_of: tuple | None = None  # (source cover, map): membership only
     meta: dict = field(default_factory=dict)
     # compiled local data, filled on first use: key -> program
     _programs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    # -- structure ---------------------------------------------------------
+    def __post_init__(self):
+        object.__setattr__(self, "elements", tuple(self.elements))
 
-    def element(self, index: int) -> CoverElement:
-        return self.elements[index]
+    # -- structure ---------------------------------------------------------
 
     def member_points(self, index: int, pts) -> np.ndarray:
         """Lift canonical points into the element's unrolled frame."""
@@ -303,8 +317,9 @@ def _degree_samples(manifold: Manifold, lo: np.ndarray, hi: np.ndarray,
     return [pts[k] for pts, k in zip(grid, keep.reshape(len(lo), n * n))]
 
 
-def build_nerve(cover: TrivializationCover, max_tuple: int = MAX_TUPLE) -> Nerve:
-    """Enumerate multi-overlap components up to tuples of max_tuple indices.
+def build_nerve(manifold: Manifold, elements, max_tuple: int = MAX_TUPLE) -> Nerve:
+    """Enumerate the multi-overlap components of the element boxes on the
+    manifold, up to tuples of max_tuple indices.
 
     Degree by degree, every frontier cell is intersected with every element
     of higher index under every period shift (_shift_candidates) in one
@@ -313,13 +328,12 @@ def build_nerve(cover: TrivializationCover, max_tuple: int = MAX_TUPLE) -> Nerve
     k-th cell on an index tuple gets comp k.  See docs/conventions.md
     "Nerve".
     """
-    manifold = cover.manifold
     shift_cands = _shift_candidates(manifold)
     offsets = -np.array(shift_cands) * _period_vec(manifold)  # (shifts, 2)
-    ids = [el.index for el in cover.elements]
+    ids = [el.index for el in elements]
     id_arr = np.array(ids)
-    el_lo = np.array([el.box.lo for el in cover.elements], dtype=float).reshape(-1, 2)
-    el_hi = np.array([el.box.hi for el in cover.elements], dtype=float).reshape(-1, 2)
+    el_lo = np.array([el.box.lo for el in elements], dtype=float).reshape(-1, 2)
+    el_hi = np.array([el.box.hi for el in elements], dtype=float).reshape(-1, 2)
     # every element box under every shift: (elements, shifts, 2)
     shifted_lo = el_lo[:, None, :] + offsets
     shifted_hi = el_hi[:, None, :] + offsets
@@ -343,8 +357,8 @@ def build_nerve(cover: TrivializationCover, max_tuple: int = MAX_TUPLE) -> Nerve
     frontier = register(
         0,
         [(i,) for i in ids],
-        [((0, 0),)] * len(cover.elements),
-        [el.box for el in cover.elements],
+        [((0, 0),)] * len(elements),
+        [el.box for el in elements],
         el_lo,
         el_hi,
     )
@@ -444,8 +458,8 @@ def check_local_data(cover: TrivializationCover, tol: float = 1e-8) -> LocalData
     on each element (exact symbolic exterior derivative), and the
     compatibility theta_a - theta_b = -i dlambda_ab / lambda_ab.
     """
-    if cover.nerve is None or len(cover.nerve) == 0:
-        raise ConfigurationError("cover has no nerve; build_nerve first")
+    if len(cover.nerve) == 0:
+        raise ConfigurationError("cover has an empty nerve")
     manifold = cover.manifold
     curv_max = 0.0
     inv_max = 0.0
@@ -550,25 +564,25 @@ def refine(cover: TrivializationCover, targets: list) -> tuple:
                 f"target element {fine_index} with box {box} fits in no source element"
             )
 
+    nerve = build_nerve(manifold, fine_elements)
     transitions = {}
-    potentials = {}
-    refmap = RefinementMap(assignment)
+    for cell in nerve.degree(1):
+        a, b = cell.indices
+        ca, cb = assignment[a], assignment[b]
+        transitions[(a, b)] = cover.data.transition_expr(ca, cb)
+        transitions[(b, a)] = cover.data.transition_expr(cb, ca)
+    potentials = {
+        el.index: cover.data.potentials[assignment[el.index]] for el in fine_elements
+    }
     fine = TrivializationCover(
         manifold=manifold,
         omega=cover.omega,
         elements=fine_elements,
         data=LocalData(transitions, potentials),
+        nerve=nerve,
         meta={"refined_from": cover.meta.get("name", "?")},
     )
-    fine.nerve = build_nerve(fine)
-    for el in fine_elements:
-        potentials[el.index] = cover.data.potentials[assignment[el.index]]
-    for cell in fine.nerve.degree(1):
-        a, b = cell.indices
-        ca, cb = assignment[a], assignment[b]
-        transitions[(a, b)] = cover.data.transition_expr(ca, cb)
-        transitions[(b, a)] = cover.data.transition_expr(cb, ca)
-    return fine, refmap
+    return fine, RefinementMap(assignment)
 
 
 def split_boxes(cover: TrivializationCover, factor: int = 2, overlap: float = 0.25):
@@ -688,11 +702,10 @@ def cover_from_json(text: str) -> TrivializationCover:
             for p in doc["potentials"]
         },
     )
-    cover = TrivializationCover(
+    return TrivializationCover(
         manifold=manifold,
         omega=SymplecticForm(ex.parse_expr(doc["omega"], names)),
         elements=elements,
         data=data,
+        nerve=build_nerve(manifold, elements),
     )
-    cover.nerve = build_nerve(cover)
-    return cover

@@ -139,11 +139,13 @@ def test_batched_gauge_integrals_match_scalar_construction(
 def test_non_contractible_cover_rejected(models):
     import dataclasses
 
-    exm = catalog.example("plane")
-    el = exm.cover.elements[0]
-    exm.cover.elements[0] = dataclasses.replace(el, contractible=False)
+    exm = models("plane")
+    el, *rest = exm.cover.elements
+    cover = dataclasses.replace(
+        exm.cover, elements=(dataclasses.replace(el, contractible=False), *rest)
+    )
     with pytest.raises(ConfigurationError, match="contractible"):
-        build_complementary(catalog.make_map(exm, "identity"), exm.cover)
+        build_complementary(catalog.make_map(exm, "identity"), cover)
 
 
 def _grids_for(exm, phi, comp, n):

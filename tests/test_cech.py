@@ -585,6 +585,17 @@ def test_stacked_block_spectrum_is_the_per_block_union(models):
             assert np.array_equal(op.singular_values(), want), (name, degree)
 
 
+def test_grid_basepoints_equal_a_curve_call_per_cell(models):
+    # build places every cell's basepoints in one curve call; each cell
+    # gets, bit for bit, what a call on its own labels gives
+    for name, grid in _assembly_grids(models).items():
+        pol, manifold = grid.polarization, grid.cover.manifold
+        for key, cg in grid.cells.items():
+            own = manifold.reduce(pol.curve_points(cg.c_cell, np.full(cg.count, cg.t_bp)))
+            assert cg.base_points.shape == (cg.count, 2), (name, key)
+            assert cg.base_points.tobytes() == own.tobytes(), (name, key)
+
+
 def test_cell_position_of_label_arrays(models):
     exm, grid = _grid(models, "torus", n=12, k=2)
     cg = grid.cells[grid.degree_keys(0)[0]]
@@ -596,7 +607,7 @@ def test_cell_position_of_label_arrays(models):
     with pytest.raises(LeafMismatchError, match=f"label {absent[0]} "):
         cg.position(int(absent[0]))
     assert cg.position(np.empty(0, int)).shape == (0,)
-    empty = cech.CellGrid(np.empty(0, int), np.empty(0), 0.0, 1.0, 0.5, closed=True)
+    empty = cech.CellGrid(np.empty(0, int), np.empty(0), 0.5, True, np.empty((0, 2)))
     assert empty.position(np.empty(0, int)).shape == (0,)
     for idx in (3, np.array([5, 3])):
         with pytest.raises(LeafMismatchError, match="label 3 "):

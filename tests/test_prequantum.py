@@ -1,6 +1,7 @@
 """Covers, local-data laws, refinement, serialization."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -59,24 +60,27 @@ def test_plane_single_element_residuals_vanish(models):
     assert rep.compatibility_max == 0.0
 
 
-def test_corrupted_transition_fails_cocycle():
-    exm = catalog.example("torus", k=1)
-    lam = exm.cover.data.transitions[(0, 1)]
-    exm.cover.data.transitions[(0, 1)] = ex.mul(ex.Num(1.01), lam)
-    rep = check_local_data(exm.cover, tol=1e-8)
+def _scaled_transition(cover, pair, factor):
+    """A copy of the cover with the transition of pair scaled by factor."""
+    transitions = dict(cover.data.transitions)
+    transitions[pair] = ex.mul(ex.Num(factor), transitions[pair])
+    return replace(cover, data=replace(cover.data, transitions=transitions))
+
+
+def test_corrupted_transition_fails_cocycle(models):
+    cover = _scaled_transition(models("torus", k=1).cover, (0, 1), 1.01)
+    rep = check_local_data(cover, tol=1e-8)
     assert not rep.passed
     assert 0.005 < rep.cocycle_max < 0.02
     assert 0.005 < rep.inverse_max < 0.02
 
 
 @pytest.mark.parametrize("factor", [float("nan"), 0.0])
-def test_transition_without_a_value_fails_the_check(factor):
+def test_transition_without_a_value_fails_the_check(models, factor):
     # the residuals are NaN on that pair; Python's max() would drop them
-    exm = catalog.example("torus", k=1)
-    lam = exm.cover.data.transitions[(0, 1)]
-    exm.cover.data.transitions[(0, 1)] = ex.mul(ex.Num(factor), lam)
+    cover = _scaled_transition(models("torus", k=1).cover, (0, 1), factor)
     with np.errstate(invalid="ignore", divide="ignore"):
-        rep = check_local_data(exm.cover, tol=1e-8)
+        rep = check_local_data(cover, tol=1e-8)
     assert not rep.passed
     assert math.isnan(rep.compatibility_max)
 
@@ -173,13 +177,6 @@ def test_cover_serialization_round_trips_bitwise(models):
         assert check_local_data(back, tol=1e-10).passed
 
 
-def test_check_requires_nerve():
-    exm = catalog.example("plane")
-    exm.cover.nerve = None
-    with pytest.raises(ConfigurationError):
-        check_local_data(exm.cover)
-
-
 def test_torus_rejects_degenerate_granularity():
     with pytest.raises(ConfigurationError):
         catalog.example("torus", k=1, granularity=2)
@@ -194,10 +191,9 @@ def test_unknown_example_rejected():
 # Nerve identity: the broadcast build against the pairwise construction
 
 
-def _reference_nerve(cover, max_tuple=MAX_TUPLE):
+def _reference_nerve(manifold, elements, max_tuple=MAX_TUPLE):
     """The nerve built one (frontier cell, element, shift) triple at a time
     with Box operations, in the enumeration order build_nerve keeps."""
-    manifold = cover.manifold
     periods = _period_vec(manifold)
     cells, by_shape, faces = {}, {}, {}
 
@@ -211,11 +207,11 @@ def _reference_nerve(cover, max_tuple=MAX_TUPLE):
         by_shape[(indices, shifts)] = (indices, comp)
         return cells[(indices, comp)]
 
-    frontier = [register((el.index,), ((0, 0),), el.box) for el in cover.elements]
+    frontier = [register((el.index,), ((0, 0),), el.box) for el in elements]
     for _size in range(2, max_tuple + 1):
         new = []
         for cell in frontier:
-            for el in cover.elements:
+            for el in elements:
                 if el.index <= cell.indices[-1]:
                     continue
                 for s in _shift_candidates(manifold):
@@ -263,7 +259,10 @@ NERVE_CASES = (
 @pytest.mark.parametrize("name,params", NERVE_CASES)
 def test_nerve_matches_pairwise_construction(models, name, params):
     cover = models(name, **params).cover
-    _assert_same_nerve(build_nerve(cover), _reference_nerve(cover))
+    _assert_same_nerve(
+        build_nerve(cover.manifold, cover.elements),
+        _reference_nerve(cover.manifold, cover.elements),
+    )
 
 
 @pytest.mark.parametrize("name,params", [
@@ -272,7 +271,7 @@ def test_nerve_matches_pairwise_construction(models, name, params):
 def test_nerve_matches_pairwise_construction_after_refine(models, name, params):
     fine, _ = refine(models(name, **params).cover,
                      split_boxes(models(name, **params).cover))
-    _assert_same_nerve(fine.nerve, _reference_nerve(fine))
+    _assert_same_nerve(fine.nerve, _reference_nerve(fine.manifold, fine.elements))
 
 
 @pytest.mark.parametrize("name,params", [
@@ -282,7 +281,7 @@ def test_nerve_matches_pairwise_construction_after_json_round_trip(
     models, name, params
 ):
     back = cover_from_json(cover_to_json(models(name, **params).cover))
-    _assert_same_nerve(back.nerve, _reference_nerve(back))
+    _assert_same_nerve(back.nerve, _reference_nerve(back.manifold, back.elements))
 
 
 # ---------------------------------------------------------------------------
