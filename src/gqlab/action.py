@@ -20,12 +20,13 @@ label.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import expr as ex
-from . import program
+from . import kernels, program
 # enumerate_leaves and holonomy stay bound here: perfbench/tracing.py wraps
 # action.enumerate_leaves and action.holonomy
 from .bohr import bs_census, enumerate_leaves, holonomy  # noqa: F401
@@ -39,8 +40,6 @@ from .cech import (
 )
 from .geometry import (
     Symplectomorphism,
-    as_points,
-    eval_at,
     pushforward_polarization,
 )
 from .prequantum import (
@@ -63,6 +62,7 @@ class CocycleObstruction:
     cycle_product: complex
     deviation: float  # |product - 1|
     constancy_max: float
+    counters: dict = field(default_factory=dict, compare=False)  # work done
 
     def as_dict(self) -> dict:
         return {
@@ -87,6 +87,7 @@ class ComplementaryCover:
     gauge_closedness_max: float
     constancy_max: float
     certificate_max: float  # gauged naive data vs pulled-back data, sampled
+    counters: dict = field(default_factory=dict, compare=False)  # work done
 
     def as_dict(self) -> dict:
         return {
@@ -97,6 +98,60 @@ class ComplementaryCover:
                 str(a): [w.real, w.imag] for a, w in sorted(self.tree_solution.items())
             },
         }
+
+
+def gauge_potentials(naive, pulled, targets: dict, counters: dict) -> dict:
+    """f_a, the primitive of the closed gauge 1-form theta_naive - phi^* theta
+    on element a that vanishes at the element's center, at targets[a]: a
+    list of (n, 2) arrays of canonical points.  Returns the values in the
+    same layout, a list of (n,) arrays per element.
+
+    The path to a target runs along x from the center to the target's x0,
+    then along y at x0, both legs in the element's own frame
+    (docs/conventions.md, "Gauge integrals").  One integrate_many call per
+    element integrates the x leg once per distinct x0 and the y leg once per
+    target.  counters gains the leg integrals and quadrature nodes spent.
+    """
+    coords = naive.manifold.coords
+    out = {}
+    for a, parts in targets.items():
+        lifted = naive.member_points(a, np.concatenate(parts))
+        if np.any(np.isnan(lifted)):
+            raise ConfigurationError(
+                f"potential of element {a} requested outside the element"
+            )
+        # BinOp, not ex.sub, which folds 0 - x into -x and can flip the sign
+        # of a zero that the difference of the two potentials keeps
+        g_x, g_y = (
+            program.compile_expr(ex.BinOp("-", tn, tp), coords)
+            for tn, tp in zip(naive.data.potentials[a], pulled.data.potentials[a])
+        )
+        x_base, y_base = naive.elements[a].box.center()
+        x0s, x_leg = np.unique(lifted[:, 0], return_inverse=True)
+        n_x = len(x0s)
+
+        def legs(ts, owner):
+            """g_x at (t, y_base) on the x legs, g_y at (x0, t) on the y legs."""
+            on_x = owner < n_x
+            on_y = ~on_x
+            vals = np.empty(len(ts), dtype=np.complex128)
+            vals[on_x] = kernels.evaluate(
+                g_x, {coords[0]: ts[on_x] + 0j, coords[1]: y_base + 0j}
+            )
+            x_y = lifted[owner[on_y] - n_x, 0]
+            vals[on_y] = kernels.evaluate(
+                g_y, {coords[0]: x_y + 0j, coords[1]: ts[on_y] + 0j}
+            )
+            counters["gauge_nodes"] += len(ts)
+            return vals
+
+        starts = np.repeat([x_base, y_base], [n_x, len(lifted)])
+        ends = np.concatenate([x0s, lifted[:, 1]])
+        legs_int = integrate_many(legs, starts, ends)
+        counters["gauge_integrals"] += int(np.count_nonzero(starts != ends))
+        f = legs_int[:n_x][x_leg] + legs_int[n_x:]
+        out[a] = np.split(f, np.cumsum([len(p) for p in parts[:-1]]))
+    return out
 
 
 def build_complementary(
@@ -158,57 +213,31 @@ def build_complementary(
             "naive pulled-back data is inconsistent"
         )
 
-    gauge_programs: dict = {}
-
-    def gauge_form(a: int, pts: np.ndarray):
-        """theta_naive - phi^* theta on element a, one program per element
-        at one lift of the points (both covers share the element boxes).
-        BinOp, not ex.sub, which folds 0 - x into -x and can flip the sign
-        of a zero that the difference of the two potentials keeps."""
-        prog = gauge_programs.get(a)
-        if prog is None:
-            pairs = zip(naive.data.potentials[a], pulled.data.potentials[a])
-            prog = program.compile_expr(
-                tuple(ex.BinOp("-", tn, tp) for tn, tp in pairs), manifold.coords
-            )
-            gauge_programs[a] = prog
-        lifted = naive.member_points(a, pts)
-        if np.any(np.isnan(lifted)):
-            raise ConfigurationError(
-                f"potential of element {a} requested outside the element"
-            )
-        return eval_at(prog, manifold.coords, lifted)
-
-    def f_alpha(a: int, targets: np.ndarray) -> np.ndarray:
-        """Integral of the gauge form from the element basepoint, two legs:
-        along x to each target's x0, then along y at that x0."""
-        box = naive.elements[a].box
-        base = box.center()
-        lift = manifold.lift_into(as_points(targets), box)
-        x0s, x1s = lift[:, 0], lift[:, 1]
-
-        def leg0(ts, owner):
-            pts = np.column_stack([ts, np.full(len(ts), base[1])])
-            return gauge_form(a, manifold.reduce(pts))[0]
-
-        def leg1(ts, owner):
-            pts = np.column_stack([x0s[owner], ts])
-            return gauge_form(a, manifold.reduce(pts))[1]
-
-        return integrate_many(leg0, base[0], x0s) + integrate_many(leg1, base[1], x1s)
-
     # Step 3: constants e = lambda_naive e^{-i(f_a - f_b)} / phi^* lambda.
+    cells = [
+        (key, cell, manifold.reduce(cell.samples))
+        for key, cell in sorted(nerve.cells.items())
+        if cell.degree == 1 and len(cell.samples)
+    ]
+    targets: dict = {}
+    for _, cell, pts in cells:
+        for a in cell.indices:
+            targets.setdefault(a, []).append(pts)
+    counters = {"gauge_integrals": 0, "gauge_nodes": 0}
+    # each element's values come back in the order its cells were added
+    f_alpha = {
+        a: iter(values)
+        for a, values in gauge_potentials(naive, pulled, targets, counters).items()
+    }
     constants = {}
     constancy_max = 0.0
     certificate_samples = {}
-    for key, cell in sorted(nerve.cells.items()):
-        if cell.degree != 1 or len(cell.samples) == 0:
-            continue
+    for key, cell, pts in cells:
         a, b = cell.indices
-        pts = manifold.reduce(cell.samples)
+        f_a, f_b = next(f_alpha[a]), next(f_alpha[b])
         ratio = (
             naive.transition(a, b, pts)
-            * np.exp(-1j * (f_alpha(a, pts) - f_alpha(b, pts)))
+            * np.exp(-1j * (f_a - f_b))
             / pulled.transition(a, b, pts)
         )
         mean = complex(np.mean(ratio))
@@ -277,6 +306,7 @@ def build_complementary(
             cycle_product=worst[1],
             deviation=worst[0],
             constancy_max=constancy_max,
+            counters=counters,
         )
 
     # Step 5: certificate that the gauged naive data equals the pullback.
@@ -294,6 +324,7 @@ def build_complementary(
         gauge_closedness_max=closed_max,
         constancy_max=constancy_max,
         certificate_max=cert,
+        counters=counters,
     )
 
 
@@ -336,6 +367,7 @@ class CorrespondenceReport:
     passed: bool
     witness: dict | None = None
     payload: dict = field(default_factory=dict)
+    counters: dict = field(default_factory=dict, compare=False)  # work done
 
     def as_dict(self) -> dict:
         return {
@@ -385,16 +417,16 @@ def verify_theorem_1(
         return failed
     pol = example.polarization(pol_name)
     pushed = pushforward_polarization(phi, pol)
-    ranks_src = cohomology_ranks(example.cover, pol, grid_n, threshold)
-    ranks_dst = cohomology_ranks(comp.base, pushed, grid_n, threshold)
+    # one grid per side serves the ranks and then, from its transport
+    # cache, the commutation check
+    labels = half_offset_labels(pol.label_range[0], pol.label_range[1], grid_n)
+    grid_src = TransversalGrid.build(example.cover, pol, labels)
+    grid_dst = TransversalGrid.build(comp.base, pushed, labels)
+    ranks_src = cohomology_ranks(example.cover, pol, grid_n, threshold, grid=grid_src)
+    ranks_dst = cohomology_ranks(comp.base, pushed, grid_n, threshold, grid=grid_dst)
     equal = all(
         a.betti == b.betti for a, b in zip(ranks_src.degrees, ranks_dst.degrees)
     )
-    labels = half_offset_labels(
-        pol.label_range[0], pol.label_range[1], grid_n
-    )
-    grid_src = TransversalGrid.build(example.cover, pol, labels)
-    grid_dst = TransversalGrid.build(comp.base, pushed, labels)
     rng = np.random.default_rng(seed)
     commute = 0.0
     for degree in (0, 1):
@@ -410,10 +442,18 @@ def verify_theorem_1(
                     commute, float(np.max(np.abs(lhs.data[key] - rhs.data[key])))
                 )
     passed = equal and commute < commutation_tol
+    counters = Counter(grid_builds=2)
+    for rep in (ranks_src, ranks_dst):
+        counters.update(rep.counters)
+    # the grids' transport counts include the commutation check's misses
+    transports = (grid_src.leaf_transport, grid_dst.leaf_transport)
+    counters["transport_integrals"] = sum(t.integrals_computed for t in transports)
+    counters["transport_batches"] = sum(t.batches for t in transports)
     return CorrespondenceReport(
         theorem=1,
         status="ok",
         passed=passed,
+        counters=dict(counters),
         payload={
             "ranks": {
                 "source": [d.betti for d in ranks_src.degrees],
@@ -492,10 +532,13 @@ def verify_theorem_2(
         and census_src.q_bs == census_dst.q_bs
         and hol_max < holonomy_tol
     )
+    counters = Counter(census_src.counters)
+    counters.update(census_dst.counters)
     return CorrespondenceReport(
         theorem=2,
         status="ok",
         passed=passed,
+        counters=dict(counters),
         payload={
             "q_bs": {"source": census_src.q_bs, "target": census_dst.q_bs},
             "bs_locations": {

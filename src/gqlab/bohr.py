@@ -322,10 +322,15 @@ def enumerate_leaves(
     elif atlas.cover is not cover or atlas.polarization is not pol:
         raise ConfigurationError("atlas is for another cover or polarization")
     lo, hi = crange
-    if _spans_a_period(pol, lo, hi):
-        values = lo + (hi - lo) * np.arange(count) / count
-    else:
-        values = np.linspace(lo, hi, count) if count > 1 else np.array([lo])
+    with np.errstate(over="ignore", invalid="ignore"):
+        if _spans_a_period(pol, lo, hi):
+            values = lo + (hi - lo) * np.arange(count) / count
+        else:
+            values = np.linspace(lo, hi, count) if count > 1 else np.array([lo])
+    if not np.all(np.isfinite(values)):
+        raise ConfigurationError(
+            f"range {lo}:{hi} is too wide to sample: its labels overflow"
+        )
     root = pol.root
     singular = np.array(root.singular_points, dtype=float).reshape(-1, 2)
     singular_labels = root.label_of(singular) if len(singular) else np.array([])
@@ -572,6 +577,17 @@ class BSReport:
     transport_batches: int  # quadrature calls
     leaf_patterns: int  # membership patterns threaded
     transition_batches: int  # cover.transition calls of the holonomies
+
+    @property
+    def counters(self) -> dict:
+        return {
+            "root_brackets": self.root_brackets,
+            "root_holonomy_evaluations": self.root_holonomy_evaluations,
+            "transport_integrals": self.transport_integrals,
+            "transport_batches": self.transport_batches,
+            "leaf_patterns": self.leaf_patterns,
+            "transition_batches": self.transition_batches,
+        }
 
     def as_dict(self) -> dict:
         return {

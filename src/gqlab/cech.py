@@ -582,23 +582,34 @@ def cohomology_ranks(
     n_labels: int,
     threshold: float = 1e-8,
     max_degree: int = 2,
-    labels: np.ndarray | None = None,
+    grid: TransversalGrid | None = None,
 ) -> RankReport:
     """Betti numbers of the discretized trivialization complex.
 
     Ranks come from singular values with the stated relative threshold; the
     report keeps the spectrum edges and the gap at the cut so borderline
-    decisions are auditable.
+    decisions are auditable.  The complex lives on `grid`, a
+    TransversalGrid of this cover and polarization with n_labels labels;
+    by default one is built on the half-offset labels of the polarization's
+    label range.  A grid handed in keeps its transport integrals for the
+    caller to reuse.
     """
     if max_degree > cover.nerve.max_degree - 1:
         raise ConfigurationError(
             f"degree cap {max_degree} exceeds nerve bound "
             f"{cover.nerve.max_degree - 1}"
         )
-    base = polarization.root
-    if labels is None:
-        labels = half_offset_labels(base.label_range[0], base.label_range[1], n_labels)
-    grid = TransversalGrid.build(cover, polarization, labels)
+    if grid is None:
+        lo, hi = polarization.root.label_range
+        grid = TransversalGrid.build(
+            cover, polarization, half_offset_labels(lo, hi, n_labels)
+        )
+    elif grid.cover is not cover or grid.polarization is not polarization:
+        raise ConfigurationError("grid is for another cover or polarization")
+    elif len(grid.labels) != n_labels:
+        raise ConfigurationError(
+            f"grid holds {len(grid.labels)} labels, not {n_labels}"
+        )
     for key in grid.degree_keys(0):
         cg = grid.cells[key]
         if cg.count == 0 and not cg.closed:

@@ -17,6 +17,7 @@ import json
 import math
 import sys
 import time
+from collections import Counter
 
 import numpy as np
 
@@ -281,14 +282,7 @@ def cmd_bs(cfg: RunConfig, args) -> int:
         }
     passed = True
     report = _report(cfg, payload, passed, time.perf_counter() - t0)
-    report["timing"]["counters"] = {
-        "root_brackets": census.root_brackets,
-        "root_holonomy_evaluations": census.root_holonomy_evaluations,
-        "transport_integrals": census.transport_integrals,
-        "transport_batches": census.transport_batches,
-        "leaf_patterns": census.leaf_patterns,
-        "transition_batches": census.transition_batches,
-    }
+    report["timing"]["counters"] = census.counters
     if args.csv:
         _write_leaf_csv(args.csv, census)
     locs = ", ".join(f"{c:.10g}" for c in census.bs_locations)
@@ -363,6 +357,7 @@ def cmd_act(cfg: RunConfig, args) -> int:
     built = build_complementary(phi, exm.cover)
     pol_name = cfg.polarization if cfg.polarization != "default" else None
     payload: dict = {}
+    counters = Counter(built.counters)
     passed = True
     status = "ok"
     for w in which:
@@ -377,11 +372,13 @@ def cmd_act(cfg: RunConfig, args) -> int:
                 tol=cfg.tol, complementary=built,
             )
         payload[w] = rep.as_dict()
+        counters.update(rep.counters)
         passed = passed and rep.passed
         if rep.status != "ok":
             status = rep.status
     payload["status"] = status
     report = _report(cfg, payload, passed, time.perf_counter() - t0)
+    report["timing"]["counters"] = dict(counters)
     lines = [f"status: {status}"]
     for w in which:
         lines.append(f"{w}: {'pass' if payload[w]['pass'] else 'FAIL'}")

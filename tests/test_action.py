@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from gqlab import action, catalog
+from gqlab import action, catalog, cech, program
+from gqlab import expr as ex
 from gqlab.action import (
     CocycleObstruction,
     InternalConsistencyError,
@@ -17,9 +18,9 @@ from gqlab.action import (
 )
 from gqlab.bohr import HolonomyUndefinedError, bs_census, enumerate_leaves, holonomy
 from gqlab.cech import TransversalGrid, delta, half_offset_labels, random_projected_cochain
-from gqlab.geometry import pushforward_polarization
+from gqlab.geometry import as_points, eval_at, pushforward_polarization
 from gqlab.prequantum import ConfigurationError, check_local_data
-from gqlab.quadrature import integrate
+from gqlab.quadrature import integrate, integrate_many
 
 TWO_PI = 2.0 * math.pi
 
@@ -134,6 +135,102 @@ def test_batched_gauge_integrals_match_scalar_construction(
         assert batched.tree_solution.keys() == scalar.tree_solution.keys()
         for v, w in scalar.tree_solution.items():
             assert abs(batched.tree_solution[v] - w) < 1e-12
+
+
+def _per_cell_gauge_potentials(naive, pulled, targets, counters):
+    """f_a at each overlap cell's samples as the construction computed it
+    before its gauge integrals were gathered by element: per cell, both
+    legs at every target, each node reduced to canonical coordinates and
+    lifted back into the element to evaluate the gauge form as one
+    two-part program."""
+    manifold = naive.manifold
+    out = {}
+    for a, parts in targets.items():
+        pairs = zip(naive.data.potentials[a], pulled.data.potentials[a])
+        prog = program.compile_expr(
+            tuple(ex.BinOp("-", tn, tp) for tn, tp in pairs), manifold.coords
+        )
+        box = naive.elements[a].box
+        base = box.center()
+
+        def gauge_form(pts, a=a, prog=prog):
+            lifted = naive.member_points(a, pts)
+            if np.any(np.isnan(lifted)):
+                raise ConfigurationError(
+                    f"potential of element {a} requested outside the element"
+                )
+            return eval_at(prog, manifold.coords, lifted)
+
+        def f_alpha(targets, base=base, box=box, gauge_form=gauge_form):
+            lift = manifold.lift_into(as_points(targets), box)
+            x0s, x1s = lift[:, 0], lift[:, 1]
+
+            def leg0(ts, owner):
+                pts = np.column_stack([ts, np.full(len(ts), base[1])])
+                return gauge_form(manifold.reduce(pts))[0]
+
+            def leg1(ts, owner):
+                pts = np.column_stack([x0s[owner], ts])
+                return gauge_form(manifold.reduce(pts))[1]
+
+            return integrate_many(leg0, base[0], x0s) + integrate_many(
+                leg1, base[1], x1s
+            )
+
+        out[a] = [f_alpha(pts) for pts in parts]
+    return out
+
+
+@pytest.mark.parametrize(
+    "name, params, spec",
+    [
+        ("torus", {"k": 2}, f"translate:{math.pi:.17g},0"),
+        ("torus", {"k": 2}, "translate:0.7,0"),
+        ("cylinder", {}, "pshift:1"),
+        ("cylinder", {}, "pshift:0.4"),
+        ("sphere", {"k": 3}, "rot:1.0"),
+        ("plane", {"granularity": 2}, "shear"),
+        ("plane", {"granularity": 2}, "rot:0.3"),
+    ],
+)
+def test_gauge_integrals_by_element_match_the_per_cell_construction(
+    models, monkeypatch, name, params, spec
+):
+    # one quadrature per element, x legs once per distinct x0, the gauge
+    # form evaluated in the element frame: the same bits as per cell
+    exm = models(name, **params)
+    phi = catalog.make_map(exm, spec)
+    by_element = build_complementary(phi, exm.cover)
+    monkeypatch.setattr(action, "gauge_potentials", _per_cell_gauge_potentials)
+    per_cell = build_complementary(phi, exm.cover)
+    assert type(by_element) is type(per_cell)
+    assert by_element.constants == per_cell.constants
+    assert by_element.constancy_max == per_cell.constancy_max
+    if isinstance(per_cell, ComplementaryCover):
+        assert by_element.tree_solution == per_cell.tree_solution
+        assert by_element.certificate_max == per_cell.certificate_max
+    else:
+        assert by_element.witness_cycle == per_cell.witness_cycle
+        assert by_element.cycle_product == per_cell.cycle_product
+    counters = by_element.counters
+    assert 0 < counters["gauge_integrals"] < counters["gauge_nodes"]
+
+
+def test_gauge_potential_outside_its_element_is_a_config_error(models):
+    # the lifted targets are checked before any quadrature, so the error
+    # names the element instead of a non-finite integration bound
+    exm = models("torus", k=2)
+    box = exm.cover.elements[0].box
+    x, y = box.center()
+    outside = np.array([[x + math.pi, y]])
+    assert not exm.cover.contains(0, outside).any()
+    inside = np.array([[x + 0.1, y]])
+    counters = {"gauge_integrals": 0, "gauge_nodes": 0}
+    with pytest.raises(ConfigurationError, match="element 0 requested outside"):
+        action.gauge_potentials(
+            exm.cover, exm.cover, {0: [inside, outside]}, counters
+        )
+    assert counters == {"gauge_integrals": 0, "gauge_nodes": 0}
 
 
 def test_non_contractible_cover_rejected(models):
@@ -288,6 +385,60 @@ def test_theorem_1_obstructed_reports_hypothesis_failure(models):
     rep = verify_theorem_1(exm, catalog.make_map(exm, "translate:0.7,0"))
     assert rep.status == "hypothesis-failed" and not rep.passed
     assert rep.witness is not None and rep.witness["deviation"] > 1e-6
+
+
+def test_theorem_1_builds_one_grid_per_side(models, monkeypatch):
+    exm = models("torus", k=2)
+    phi = catalog.make_map(exm, f"translate:{math.pi:.17g},0")
+    comp = build_complementary(phi, exm.cover)
+    build = TransversalGrid.build.__func__
+    grids = []
+
+    def counted(cls, *args, **kwargs):
+        grids.append(build(cls, *args, **kwargs))
+        return grids[-1]
+
+    monkeypatch.setattr(TransversalGrid, "build", classmethod(counted))
+    rep = verify_theorem_1(exm, phi, grid_n=16, complementary=comp)
+    assert rep.passed and len(grids) == 2
+    assert rep.counters["grid_builds"] == 2
+    # the commutation check's transport integrals are counted with the ranks'
+    assert rep.counters["transport_integrals"] == sum(
+        g.leaf_transport.integrals_computed for g in grids
+    )
+    # a handed-in grid gives the report a grid of its own gives
+    pol = exm.polarization()
+    for grid, cover, polarization in zip(
+        grids, (exm.cover, comp.base), (pol, pushforward_polarization(phi, pol))
+    ):
+        assert grid.cover is cover
+        given = cech.cohomology_ranks(cover, grid.polarization, 16, grid=grid)
+        own = cech.cohomology_ranks(cover, polarization, 16)
+        assert given.as_dict() == own.as_dict()
+    with pytest.raises(ConfigurationError, match="another cover"):
+        cech.cohomology_ranks(comp.base, pol, 16, grid=grids[0])
+    with pytest.raises(ConfigurationError, match="holds 16 labels"):
+        cech.cohomology_ranks(exm.cover, pol, 8, grid=grids[0])
+
+
+def test_theorem_1_fails_on_a_corrupted_target_transition(models):
+    import dataclasses
+
+    exm = models("torus", k=2)
+    phi = catalog.make_map(exm, f"translate:{math.pi:.17g},0")
+    comp = build_complementary(phi, exm.cover)
+    data = comp.base.data
+    pair = sorted(data.transitions)[0]
+    transitions = dict(data.transitions)
+    transitions[pair] = ex.mul(ex.Num(1.01), transitions[pair])
+    base = dataclasses.replace(
+        comp.base, data=dataclasses.replace(data, transitions=transitions)
+    )
+    corrupted = dataclasses.replace(comp, base=base)
+    assert verify_theorem_1(exm, phi, grid_n=16, complementary=comp).passed
+    rep = verify_theorem_1(exm, phi, grid_n=16, complementary=corrupted)
+    assert rep.status == "ok" and not rep.passed
+    assert rep.payload["commutation_residual"] > 1e-6
 
 
 def test_theorem_reuses_only_a_cover_built_for_its_map(models):

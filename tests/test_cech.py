@@ -365,13 +365,14 @@ def test_sheaf_cohomology_sits_on_the_bs_leaves(models, k):
     exm = models("torus", k=k)
     pol = exm.polarization()
     generic = half_offset_labels(0.0, TWO_PI, 16)
-    rep = cohomology_ranks(exm.cover, pol, 16, labels=generic)
+    grid = TransversalGrid.build(exm.cover, pol, generic)
+    rep = cohomology_ranks(exm.cover, pol, 16, grid=grid)
     assert [d.betti for d in rep.degrees] == [0, 0, 0]
     labels = _with_bs_labels(k, 16)
-    rep = cohomology_ranks(exm.cover, pol, len(labels), labels=labels)
+    grid = TransversalGrid.build(exm.cover, pol, labels)
+    rep = cohomology_ranks(exm.cover, pol, len(labels), grid=grid)
     assert [d.betti for d in rep.degrees] == [k, k, 0]
     # degree 0: the labels whose coefficients delta does not fill
-    grid = TransversalGrid.build(exm.cover, pol, labels)
     op, _, _ = delta_matrix(grid, 0)
     cut = rep.threshold * op.singular_values()[0]
     block_rank = {
@@ -731,7 +732,8 @@ def test_bs_betti_numbers_survive_refinement_and_label_shifts(models, name, k):
         n_bs = len(bs)
 
     def betti(cover, labels):
-        rep = cohomology_ranks(cover, pol, len(labels), labels=labels)
+        grid = TransversalGrid.build(cover, pol, labels)
+        rep = cohomology_ranks(cover, pol, len(labels), grid=grid)
         return [d.betti for d in rep.degrees]
 
     want = betti(exm.cover, labels)

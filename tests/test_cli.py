@@ -499,6 +499,33 @@ def test_bs_reports_transport_counters(capsys):
     assert again["timing"]["counters"] == counters
 
 
+def test_act_reports_work_counters(capsys):
+    argv = ("act", "--example", "torus", "--k", "2", "--grid", "16",
+            "--map", f"translate:{math.pi:.17g},0")
+    code, report = run_json(capsys, *argv)
+    assert code == 0
+    counters = report["timing"]["counters"]
+    assert set(counters) == {
+        "gauge_integrals", "gauge_nodes", "grid_builds",
+        "transport_integrals", "transport_batches", "leaf_blocks", "svd_calls",
+        "transition_batches", "root_brackets", "root_holonomy_evaluations",
+        "leaf_patterns",
+    }
+    assert counters["grid_builds"] == 2
+    # each leg integral takes at least one 7/15-point pass
+    assert 0 < 22 * counters["gauge_integrals"] <= counters["gauge_nodes"]
+    assert "counters" not in json.dumps(report["payload"])
+    _, again = run_json(capsys, *argv)
+    assert again["timing"]["counters"] == counters
+    # theorem 2 alone builds no grid; an obstructed map integrates the gauge
+    # form and stops there
+    code, report = run_json(capsys, *argv[:-1], "translate:0.7,0")
+    assert code == 1
+    assert set(report["timing"]["counters"]) == {"gauge_integrals", "gauge_nodes"}
+    code, report = run_json(capsys, *argv, "--verify", "thm2")
+    assert code == 0 and "grid_builds" not in report["timing"]["counters"]
+
+
 @pytest.mark.parametrize(
     "k,crange,want",
     [(1, "-7:7", [-2.0 * math.pi]), (2, "0:20", [0.0, math.pi])],

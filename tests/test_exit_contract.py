@@ -12,7 +12,9 @@ import io
 import json
 import os
 import tempfile
+import warnings
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -124,3 +126,24 @@ def test_every_argv_keeps_the_exit_code_contract(argv):
         if "--out" in argv and code in (0, 1):
             with open(argv[argv.index("--out") + 1]) as fh:
                 _strict(fh.read())
+
+
+# command lines that must end in a config error, with nothing on stderr but
+# the one-line message: no NumPy warning on the way there
+BAD_CONFIG = [
+    ("bs", "--example", "torus", "--range", "0:1e308"),
+    ("bs", "--example", "torus", "--range", "-1e308:1e308"),
+]
+
+
+@pytest.mark.parametrize("argv", BAD_CONFIG)
+def test_bad_config_exits_2_with_no_warning(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(list(argv))
+    assert code == 2
+    assert err.getvalue().startswith("config error:")
+    assert err.getvalue().count("\n") == 1 and "Warning" not in err.getvalue()
+    assert [str(w.message) for w in caught] == []
