@@ -47,8 +47,7 @@ from .prequantum import (
     TrivializationCover,
     pullback,
 )
-# integrate stays bound here: perfbench/tracing.py wraps action.integrate
-from .quadrature import integrate, integrate_many  # noqa: F401
+from .quadrature import integrate
 
 
 class InternalConsistencyError(RuntimeError):
@@ -108,9 +107,10 @@ def gauge_potentials(naive, pulled, targets: dict, counters: dict) -> dict:
 
     The path to a target runs along x from the center to the target's x0,
     then along y at x0, both legs in the element's own frame
-    (docs/conventions.md, "Gauge integrals").  One integrate_many call per
+    (docs/conventions.md, "Gauge integrals").  One integrate call per
     element integrates the x leg once per distinct x0 and the y leg once per
-    target.  counters gains the leg integrals and quadrature nodes spent.
+    target, one row per leg that is not empty.  counters gains the leg
+    integrals and the points evaluated.
     """
     coords = naive.manifold.coords
     out = {}
@@ -128,28 +128,32 @@ def gauge_potentials(naive, pulled, targets: dict, counters: dict) -> dict:
         )
         x_base, y_base = naive.elements[a].box.center()
         x0s, x_leg = np.unique(lifted[:, 0], return_inverse=True)
-        n_x = len(x0s)
-
-        def legs(ts, owner):
-            """g_x at (t, y_base) on the x legs, g_y at (x0, t) on the y legs."""
-            on_x = owner < n_x
-            on_y = ~on_x
-            vals = np.empty(len(ts), dtype=np.complex128)
-            vals[on_x] = kernels.evaluate(
-                g_x, {coords[0]: ts[on_x] + 0j, coords[1]: y_base + 0j}
-            )
-            x_y = lifted[owner[on_y] - n_x, 0]
-            vals[on_y] = kernels.evaluate(
-                g_y, {coords[0]: x_y + 0j, coords[1]: ts[on_y] + 0j}
-            )
-            counters["gauge_nodes"] += len(ts)
-            return vals
-
-        starts = np.repeat([x_base, y_base], [n_x, len(lifted)])
+        # the x legs, then the y legs; empty legs are 0 and not evaluated
+        starts = np.repeat([x_base, y_base], [len(x0s), len(lifted)])
         ends = np.concatenate([x0s, lifted[:, 1]])
-        legs_int = integrate_many(legs, starts, ends)
-        counters["gauge_integrals"] += int(np.count_nonzero(starts != ends))
-        f = legs_int[:n_x][x_leg] + legs_int[n_x:]
+        live = np.flatnonzero(starts != ends)
+        n_x = int(np.count_nonzero(live < len(x0s)))  # the live x legs
+        x_y = lifted[live[n_x:] - len(x0s), 0]
+
+        def legs(ts):
+            """g_x at (t, y_base) on the x legs, g_y at (x0, t) on the y legs."""
+            n = ts.shape[1]
+            tx, ty = ts[:n_x].ravel(), ts[n_x:].ravel()
+            vals = np.concatenate(
+                [
+                    kernels.evaluate(g_x, {coords[0]: tx + 0j, coords[1]: y_base + 0j}),
+                    kernels.evaluate(
+                        g_y, {coords[0]: np.repeat(x_y, n) + 0j, coords[1]: ty + 0j}
+                    ),
+                ]
+            )
+            counters["gauge_nodes"] += ts.size
+            return vals.reshape(ts.shape)
+
+        legs_int = np.zeros(len(starts), dtype=np.complex128)
+        legs_int[live] = integrate(legs, starts[live], ends[live])
+        counters["gauge_integrals"] += len(live)
+        f = legs_int[: len(x0s)][x_leg] + legs_int[len(x0s) :]
         out[a] = np.split(f, np.cumsum([len(p) for p in parts[:-1]]))
     return out
 

@@ -11,8 +11,8 @@ changes, so BS values need not be hit by the sample grid.
 Leaves come from a LeafAtlas, which threads each membership pattern (the
 set of elements a leaf crosses) once and builds the leaves of a batch of
 labels from those threadings.  holonomy takes a batch of leaves and shares
-its transport sweeps and transition evaluations, with the arithmetic of a
-scalar product so that batching moves no bit of a result.
+its transport quadrature and transition evaluations, with the arithmetic of
+a scalar product so that batching moves no bit of a result.
 """
 
 from __future__ import annotations
@@ -373,11 +373,11 @@ def holonomy(
     trivialization becomes lambda_{alpha beta} f in the beta trivialization,
     and moving along the leaf multiplies by exp(-i integral theta).
 
-    The leaves of a batch share their kernel work: one transport.integrals
-    call for all their leaf segments, which integrates each distinct
-    segment (element, t0, t1) once for the distinct labels on it, one
-    cover.transition call per element pair for all switch points between
-    that pair, and one exp call.  Each holonomy is then the
+    The leaves of a batch share their kernel work: one transport.integral
+    call for all their leaf segments, which integrates the distinct ones
+    missing from its cache in one quadrature call, one cover.transition
+    call per element pair for all switch points between that pair, and one
+    exp call.  Each holonomy is then the
     product of its segment factors and its transitions, in leaf order, of
     Python complex numbers, with math.atan2 for the phases.  NumPy's array
     complex multiply can round differently from a scalar product, and
@@ -407,7 +407,7 @@ def holonomy(
             j += 1
     segments = [seg for leaf in circles for seg in leaf.segments]
     # LeafSegment columns: element, t0, t1, c_elem
-    integrals = transport.integrals(*zip(*segments)) if segments else np.empty(0)
+    integrals = transport.integral(*zip(*segments)) if segments else np.empty(0)
     lams = np.empty(j, dtype=np.complex128)
     if j:
         points = np.concatenate([leaf.switch_points for leaf in circles])
@@ -635,8 +635,8 @@ def bs_census(
 
     The census threads on one LeafAtlas, so each membership pattern is
     threaded once.  The sampled leaves take one holonomy batch, which
-    shares one transport sweep per leaf segment (element, t0, t1) and one
-    transition call per element pair.  All brackets are then searched
+    makes at most one transport quadrature call and one transition call
+    per element pair.  All brackets are then searched
     together: each lockstep step threads the next label of every
     unfinished bracket and takes one holonomy batch again, while each
     bracket takes exactly the Brent steps it takes alone.

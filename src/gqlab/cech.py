@@ -7,15 +7,16 @@ transversal grid of leaf labels.  The lambda-weighted restriction maps, the
 differential, and the projection onto tuples representing honest sections
 all act on these per-leaf values, with parallel-transport factors supplied
 by adaptive quadrature of the connection potential along the leaf: the
-labels of one leaf segment share one quadrature sweep.
+transport integrals of one call share one quadrature loop.
 
 Čech ranks are computed from the differential on the image subspaces (one
 coefficient per leaf label per nerve cell, taken in the trivialization of
 the cell's first member).  Transport never leaves a leaf, so it is
 assembled as one dense block per leaf label, and its singular values are
 the union of the blocks' (docs/conventions.md, "Ranks").  Each degree is
-assembled in one pass: one sweep per distinct leaf segment for all of its
-labels, one transition evaluation per distinct pair of elements, and one
+assembled in one pass: its leaf segments gathered from per-cell frame
+tables, one transport call (one quadrature loop) for all of its entries,
+one transition evaluation per distinct pair of elements, and one
 accumulation per block shape into a stack of blocks.
 """
 
@@ -167,12 +168,6 @@ class TransversalGrid:
     def transition_at_basepoints(self, key, a: int, b: int) -> np.ndarray:
         return self.cover.transition(a, b, self.cells[key].base_points)
 
-    def _elem_frame(self, key, member: int):
-        """(shift vector) for converting cell-frame data to the member's."""
-        cell = self.nerve.cells[key]
-        j = cell.indices.index(member)
-        return cell.shifts[j]
-
     def sub_cell_for(self, super_key, sub_indices: tuple):
         """Nerve cell of sub_indices whose overlap contains the super cell."""
         sup = self.nerve.cells[super_key]
@@ -198,24 +193,21 @@ class TransversalGrid:
 
     # -- parallel transport --------------------------------------------------
 
-    def segment(self, member: int, from_key, to_key, pos_from):
-        """(c_elem, t0, t1) of the leaf segment between two cells'
-        basepoints, in the member element's frame; pos_from may be an array
-        of positions in the first cell."""
-        cf, ct = self.cells[from_key], self.cells[to_key]
+    def frames(self, keys):
+        """The leaf parameter of the basepoints and the shift of the labels
+        of every cell of keys, all of one degree, in the frame of each of
+        its members: two (cells, members) arrays t and shift.  In member
+        m's frame the leaf segment from cell f to cell k runs from t[f, m]
+        to t[k, m], at the labels c_cell of f plus shift[f, m]."""
         base = self.polarization.root
-        la = 1 if base.kind != "axis" else base.leaf_axis
         periods = self.cover.manifold.periods
+        la, lab = (base.leaf_axis, base.label_axis) if base.kind == "axis" else (1, 0)
         p_leaf = periods[la] or 0.0
-        sh_f = self._elem_frame(from_key, member)
-        sh_t = self._elem_frame(to_key, member)
-        t0 = cf.t_bp + sh_f[la] * p_leaf
-        t1 = ct.t_bp + sh_t[la] * p_leaf
-        c_elem = cf.c_cell[pos_from]
-        if base.kind == "axis":
-            lab = base.label_axis
-            c_elem = c_elem + sh_f[lab] * (periods[lab] or 0.0)
-        return c_elem, t0, t1
+        p_lab = (periods[lab] or 0.0) if base.kind == "axis" else 0.0
+        cells = [(self.cells[key].t_bp, self.nerve.cells[key].shifts) for key in keys]
+        t = [[t_bp + s[la] * p_leaf for s in shifts] for t_bp, shifts in cells]
+        shift = [[s[lab] * p_lab for s in shifts] for _, shifts in cells]
+        return np.array(t), np.array(shift)
 
 
 # ---------------------------------------------------------------------------
@@ -308,13 +300,19 @@ def res(grid: TransversalGrid, sub_key, super_key, values: np.ndarray) -> np.nda
     cg_sup = grid.cells[super_key]
     cg_sub = grid.cells[sub_key]
     n1 = len(sub.indices)
-    moved = np.zeros((n1, cg_sup.count), dtype=np.complex128)
     if cg_sub.closed or cg_sup.closed:
         return np.zeros((len(sup.indices), cg_sup.count), dtype=np.complex128)
     pos_sub = cg_sub.position(cg_sup.label_idx)
-    for k, member in enumerate(sub.indices):
-        seg = grid.segment(member, sub_key, super_key, pos_sub)
-        moved[k] = values[k, pos_sub] * grid.leaf_transport.factor(member, *seg)
+    (t0,), (shift,) = grid.frames([sub_key])
+    t1 = grid.frames([super_key])[0][0, [sup.indices.index(m) for m in sub.indices]]
+    count = cg_sup.count
+    integrals = grid.leaf_transport.integral(
+        np.array(sub.indices).repeat(count),
+        t0.repeat(count),
+        t1.repeat(count),
+        (cg_sub.c_cell[pos_sub] + shift[:, None]).ravel(),
+    )
+    moved = values[:, pos_sub] * np.exp(-1j * integrals).reshape(n1, count)
     out = np.zeros((len(sup.indices), cg_sup.count), dtype=np.complex128)
     for j, bj in enumerate(sup.indices):
         for k, ak in enumerate(sub.indices):
@@ -410,20 +408,6 @@ def _by_label(labels: np.ndarray, n_labels: int):
     return counts, rank, order, starts
 
 
-def _entry_factors(grid: TransversalGrid, pairs, pair, fpos):
-    """Transport factor of every entry, from the leaf segment (member, t0,
-    t1) and label of its face: LeafTransport.integrals integrates each
-    distinct segment once, for that segment's distinct labels."""
-    members = np.empty(len(pair), dtype=int)
-    t0s, t1s, c_elem = np.empty(len(pair)), np.empty(len(pair)), np.empty(len(pair))
-    starts = np.flatnonzero(np.diff(pair, prepend=-1)).tolist()
-    for a, b, p in zip(starts, starts[1:] + [len(pair)], pair[starts].tolist()):
-        member, face_key, key = pairs[p]
-        members[a:b] = member
-        c_elem[a:b], t0s[a:b], t1s[a:b] = grid.segment(member, face_key, key, fpos[a:b])
-    return np.exp(-1j * grid.leaf_transport.integrals(members, t0s, t1s, c_elem))
-
-
 def delta_matrix(grid: TransversalGrid, degree: int) -> tuple:
     """delta on image coefficients as LeafBlocks, with index maps.
 
@@ -432,7 +416,8 @@ def delta_matrix(grid: TransversalGrid, degree: int) -> tuple:
     degree is assembled in one pass (docs/conventions.md, "Ranks"): its
     entries, in (cell, face, label) order, come from one broadcast of
     cells x labels tables; transitions are evaluated once per distinct
-    element pair and transport once per distinct leaf segment.
+    element pair, and the transport integrals of all entries are one
+    LeafTransport.integral call.
     """
     src_keys, src_off, n_src = _block_offsets(grid, degree)
     dst_keys, dst_off, n_dst = _block_offsets(grid, degree + 1)
@@ -442,25 +427,21 @@ def delta_matrix(grid: TransversalGrid, degree: int) -> tuple:
     n_labels = len(grid.labels)
     dst_tab, row_label = _coefficient_table(grid, dst_keys, n_dst)
     src_tab, col_label = _coefficient_table(grid, src_keys, n_src)
-    cells = grid.nerve.cells
     src_index = {key: i for i, key in enumerate(src_keys)}
-    pairs = [  # (first member of the face, face, cell) in (cell, face) order
-        (cells[face_key].indices[0], face_key, key)
-        for key in dst_keys
-        for face_key, _ in grid.nerve.faces[key]
-    ]
-    n_faces = degree + 2
-    faces = np.array([src_index[f] for _, f, _ in pairs]).reshape(-1, n_faces)
+    faces = np.array(  # cells x faces, in the nerve's face order
+        [[src_index[f] for f, _ in grid.nerve.faces[key]] for key in dst_keys]
+    )
     face_tab = src_tab[faces]  # cells x faces x labels
     cell, j, g = np.nonzero((dst_tab[:, None, :] >= 0) & (face_tab >= 0))
     rows, cols = dst_tab[cell, g], face_tab[cell, j, g]
-    pair = cell * n_faces + j
-    face_start = np.array([src_off[f] for _, f, _ in pairs])
+    # face j drops the cell's j-th member, so the face's first member, beta0,
+    # sits at position 1 of the cell for face 0 and at position 0 otherwise
+    at = (j == 0).astype(int)
+    members = np.array([grid.nerve.cells[key].indices for key in dst_keys])
+    beta0, ref = members[cell, at], members[cell, 0]
 
     # lambda_{beta0, ref} at the cell's basepoints; ones when beta0 == ref
     lam = np.ones(len(rows), dtype=np.complex128)
-    beta0 = np.array([p[0] for p in pairs])[pair]
-    ref = np.array([cells[key].indices[0] for key in dst_keys])[cell]
     moved = np.flatnonzero(beta0 != ref)
     n_elem = len(grid.cover.elements)
     codes, which = np.unique(beta0[moved] * n_elem + ref[moved], return_inverse=True)
@@ -469,8 +450,17 @@ def delta_matrix(grid: TransversalGrid, degree: int) -> tuple:
         for u, code in enumerate(codes.tolist()):
             e = moved[which == u]
             lam[e] = grid.cover.transition(*divmod(code, n_elem), base[rows[e]])
+    # transport in beta0's frame from the face's basepoints to the cell's,
+    # on the face's labels: one integral call for the whole degree
+    face = faces[cell, j]
+    face_t, face_shift = grid.frames(src_keys)
+    cell_t = grid.frames(dst_keys)[0]
+    c_cell = np.concatenate([grid.cells[key].c_cell for key in src_keys])
+    integrals = grid.leaf_transport.integral(
+        beta0, face_t[face, 0], cell_t[cell, at], c_cell[cols] + face_shift[face, 0]
+    )
     sign = 1 - 2 * (j % 2)
-    vals = sign * lam * _entry_factors(grid, pairs, pair, cols - face_start[pair])
+    vals = sign * lam * np.exp(-1j * integrals)
 
     # one zero stack per block shape, filled in entry order
     n_rows, row_rank, row_order, row_start = _by_label(row_label, n_labels)

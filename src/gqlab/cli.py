@@ -78,6 +78,10 @@ class RunConfig:
                 raise ConfigurationError(
                     f"range must be finite with lo < hi, got {lo}:{hi}"
                 )
+        if self.example == "cylinder" and not math.isfinite(2.0 * self.cylinder_p_max):
+            raise ConfigurationError(
+                f"cylinder height 2 * p-max must be finite, got p-max {self.cylinder_p_max}"
+            )
         if self.command == "act":
             if not self.verify_targets:
                 raise ConfigurationError(
@@ -87,6 +91,15 @@ class RunConfig:
             bad = [w for w in self.verify_targets if w not in ("thm1", "thm2")]
             if bad:
                 raise ConfigurationError(f"unknown verification targets {bad}")
+
+    @property
+    def cylinder_p_max(self) -> float:
+        """The cylinder's p_max: --p-max, or by default room for the range."""
+        if self.p_max is not None:
+            return self.p_max
+        if self.range is None:
+            return 3.5
+        return max(3.5, max(abs(self.range[0]), abs(self.range[1])) + 1.0)
 
     @property
     def verify_targets(self) -> list:
@@ -110,8 +123,7 @@ def _example_from_config(cfg: RunConfig) -> catalog.Example:
             )
         params["granularity"] = cfg.granularity
     if cfg.example == "cylinder":
-        reach = 3.5 if cfg.range is None else max(abs(cfg.range[0]), abs(cfg.range[1])) + 1.0
-        params["p_max"] = cfg.p_max if cfg.p_max is not None else max(3.5, reach)
+        params["p_max"] = cfg.cylinder_p_max
     exm = catalog.example(cfg.example, **params)
     if cfg.corrupt:
         exm = _apply_corruption(exm, cfg.corrupt)

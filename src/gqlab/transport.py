@@ -9,14 +9,15 @@ components substituted with the polarization's leaf curve, and compiled
 once per element.  A pullback cover holds the pulled-back potentials as
 formulas and is paired with the pushforward polarization, whose curve is
 the preimage of the source curve, so it needs no other integrand.  Every
-call works on batches of labels: integral takes the labels of one leaf
-segment as an array and sends its cache misses to the quadrature as one
-vector-valued integrand, labels by nodes; integrals takes entries on many
-segments, as holonomies and the differential need them, and makes one
-integral call per distinct segment.
+call works on a batch of entries, each a leaf segment (element, t0, t1)
+and a label, as holonomies and the differential need them: integral
+integrates the distinct entries missing from its cache in one quadrature
+call, one row per entry, each row bit for bit its one-entry batch.
 """
 
 from __future__ import annotations
+
+from itertools import compress, repeat
 
 import numpy as np
 
@@ -36,8 +37,9 @@ class LeafTransport:
         self.transition_batches = 0  # cover.transition calls of holonomies
 
     def integrand(self, member: int):
-        """run(cs, ts): theta_member(leaf'(t)) at every label of the array
-        cs and every node of ts, as a (len(cs), len(ts)) array."""
+        """run(cs, ts): theta_member(leaf'(t)) at the labels cs and the
+        nodes ts, an array (len(cs), k) of each label's nodes or k nodes
+        shared by all labels; returns (len(cs), k) values."""
         run = self._integrands.get(member)
         if run is not None:
             return run
@@ -52,68 +54,54 @@ class LeafTransport:
         prog = program.compile_expr(integrand, ("c", "t"))
 
         def run(cs: np.ndarray, ts: np.ndarray) -> np.ndarray:
-            m, n = len(cs), len(ts)
-            columns = {"c": np.repeat(cs, n) + 0j, "t": np.tile(ts, m) + 0j}
-            return kernels.evaluate(prog, columns).reshape(m, n)
+            ts = np.broadcast_to(ts, (len(cs), np.shape(ts)[-1]))
+            columns = {"c": np.repeat(cs, ts.shape[1]) + 0j, "t": ts.ravel() + 0j}
+            return kernels.evaluate(prog, columns).reshape(ts.shape)
 
         self._integrands[member] = run
         return run
 
-    def integral(self, member: int, c_elem, t0: float, t1: float) -> np.ndarray:
-        """Integrals of theta_member along the leaf segment [t0, t1], in the
-        element frame, one per label of the array c_elem.
+    def integral(self, elements, t0, t1, labels) -> np.ndarray:
+        """The integral of theta along every entry i, the leaf segment
+        (elements[i], t0[i], t1[i]) at the label labels[i] in the element
+        frame.  The four arguments are equal-length sequences, one column
+        each.
 
-        The labels missing from the cache are integrated in one quadrature
-        sweep that shares its subdivision.  An empty segment gives zeros
-        without quadrature.
+        An entry is cached under the bytes of its four values.  An empty
+        segment gives 0 without quadrature.  The distinct entries missing
+        from the cache go to one quadrature call, one row each, in which
+        every element's integrand is evaluated once per bisection level, on
+        that element's rows.
         """
-        t0, t1 = float(t0), float(t1)
-        labels = np.asarray(c_elem, dtype=float).tolist()
-        if t0 == t1:
-            return np.zeros(len(labels), dtype=np.complex128)
+        rows = np.empty((len(t0), 4))
+        rows[:, 0], rows[:, 1], rows[:, 2], rows[:, 3] = elements, labels, t0, t1
+        # bytes keys are hashed once each and never tracked by the garbage
+        # collector, unlike tuples of floats
+        keys = rows.view(np.dtype((np.void, 32))).ravel().tolist()
         cache = self._integrals
-        keys = [(member, c, t0, t1) for c in labels]
-        miss = [i for i, key in enumerate(keys) if key not in cache]
-        if miss:
-            run = self.integrand(member)
-            cs = np.array([labels[i] for i in miss])
-            vals = integrate(lambda ts: run(cs, ts), t0, t1)
-            for i, val in zip(miss, vals.tolist()):
-                cache[keys[i]] = val
-            self.integrals_computed += len(miss)
-            self.batches += 1
-        return np.array([cache[key] for key in keys], dtype=np.complex128)
+        vals = list(map(cache.get, keys))
+        if None in vals:
+            # the distinct misses, in order of appearance
+            miss = dict.fromkeys([key for key, val in zip(keys, vals) if val is None])
+            new = np.frombuffer(b"".join(miss), dtype=float).reshape(-1, 4)
+            live = new[:, 2] != new[:, 3]  # an empty segment stays 0
+            if live.any():
+                new = new[live]
+                members, cs = new[:, 0].astype(int), new[:, 1]
+                runs = [
+                    (self.integrand(member), np.flatnonzero(members == member))
+                    for member in np.unique(members).tolist()
+                ]
 
-    def factor(self, member: int, c_elem, t0: float, t1: float) -> np.ndarray:
-        return np.exp(-1j * self.integral(member, c_elem, t0, t1))
+                def f(ts):
+                    out = np.empty(ts.shape, dtype=np.complex128)
+                    for run, r in runs:
+                        out[r] = run(cs[r], ts[r])
+                    return out
 
-    def integrals(self, elements, t0, t1, labels) -> np.ndarray:
-        """The integral of every entry i, a leaf segment (elements[i],
-        t0[i], t1[i]) and a label labels[i], as integral gives it.
-
-        Entries that share a leaf segment share one integral call, on the
-        segment's distinct labels in ascending order, so its cache misses
-        are one quadrature sweep.  The four arguments are equal-length
-        sequences, one column each.
-        """
-        element = np.asarray(elements, dtype=int)
-        t0, t1, label = (np.asarray(x, dtype=float) for x in (t0, t1, labels))
-        order = np.lexsort((label, t1, t0, element))
-        element, t0, t1, label = element[order], t0[order], t1[order], label[order]
-        segment = np.ones(len(order), dtype=bool)
-        segment[1:] = (
-            (element[1:] != element[:-1]) | (t0[1:] != t0[:-1]) | (t1[1:] != t1[:-1])
-        )
-        first = segment.copy()
-        first[1:] |= label[1:] != label[:-1]
-        distinct = np.flatnonzero(first)
-        vals = np.empty(len(distinct), dtype=np.complex128)
-        edges = np.flatnonzero(segment[distinct]).tolist() + [len(distinct)]
-        for lo, hi in zip(edges, edges[1:]):
-            i = distinct[lo]
-            vals[lo:hi] = self.integral(
-                int(element[i]), label[distinct[lo:hi]], t0[i], t1[i]
-            )
-        out = np.empty(len(order), dtype=np.complex128)
-        out[order] = vals[np.cumsum(first) - 1]
-        return out
+                got = integrate(f, new[:, 2], new[:, 3]).tolist()
+                cache.update(zip(compress(miss, live.tolist()), got))
+                self.integrals_computed += len(got)
+                self.batches += 1
+            vals = list(map(cache.get, keys, repeat(0j)))
+        return np.array(vals, dtype=np.complex128)

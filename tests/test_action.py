@@ -20,7 +20,7 @@ from gqlab.bohr import HolonomyUndefinedError, bs_census, enumerate_leaves, holo
 from gqlab.cech import TransversalGrid, delta, half_offset_labels, random_projected_cochain
 from gqlab.geometry import as_points, eval_at, pushforward_polarization
 from gqlab.prequantum import ConfigurationError, check_local_data
-from gqlab.quadrature import integrate, integrate_many
+from gqlab.quadrature import integrate
 
 TWO_PI = 2.0 * math.pi
 
@@ -88,16 +88,19 @@ def test_cylinder_momentum_shift_dichotomy(models):
     assert isinstance(whole, ComplementaryCover)
 
 
-def _per_target_integrate_many(f, a, b, tol=1e-12, max_depth=24):
+def _per_row_integrate(f, a, b, tol=1e-12, max_depth=24):
     """One adaptive integral of one row per target, as the construction ran
-    before its gauge integrals were batched."""
+    before its gauge integrals were batched: f sees the row's nodes in
+    every row, and only the row's own values are read."""
     a, b = np.broadcast_arrays(np.atleast_1d(a), np.atleast_1d(b))
+    m = len(a)
     return np.array(
         [
             integrate(
-                lambda ts, j=j: [f(ts, np.full(len(ts), j))], a[j], b[j], tol, max_depth
+                lambda ts, j=j: f(np.repeat(ts, m, axis=0))[j : j + 1],
+                a[j], b[j], tol, max_depth,
             )[0]
-            for j in range(len(a))
+            for j in range(m)
         ],
         dtype=np.complex128,
     )
@@ -121,7 +124,7 @@ def test_batched_gauge_integrals_match_scalar_construction(
     exm = models(name, **params)
     phi = catalog.make_map(exm, spec)
     batched = build_complementary(phi, exm.cover)
-    monkeypatch.setattr(action, "integrate_many", _per_target_integrate_many)
+    monkeypatch.setattr(action, "integrate", _per_row_integrate)
     scalar = build_complementary(phi, exm.cover)
     assert type(batched) is type(scalar)
     assert batched.constants.keys() == scalar.constants.keys()
@@ -165,17 +168,15 @@ def _per_cell_gauge_potentials(naive, pulled, targets, counters):
             lift = manifold.lift_into(as_points(targets), box)
             x0s, x1s = lift[:, 0], lift[:, 1]
 
-            def leg0(ts, owner):
-                pts = np.column_stack([ts, np.full(len(ts), base[1])])
-                return gauge_form(manifold.reduce(pts))[0]
+            def leg0(ts):
+                pts = np.column_stack([ts.ravel(), np.full(ts.size, base[1])])
+                return gauge_form(manifold.reduce(pts))[0].reshape(ts.shape)
 
-            def leg1(ts, owner):
-                pts = np.column_stack([x0s[owner], ts])
-                return gauge_form(manifold.reduce(pts))[1]
+            def leg1(ts):
+                pts = np.column_stack([np.repeat(x0s, ts.shape[1]), ts.ravel()])
+                return gauge_form(manifold.reduce(pts))[1].reshape(ts.shape)
 
-            return integrate_many(leg0, base[0], x0s) + integrate_many(
-                leg1, base[1], x1s
-            )
+            return integrate(leg0, base[0], x0s) + integrate(leg1, base[1], x1s)
 
         out[a] = [f_alpha(pts) for pts in parts]
     return out

@@ -786,13 +786,13 @@ def test_atlas_names_a_label_that_crosses_no_element(models):
 
 
 def _reference_holonomy(cover, pol, leaf, transport):
-    """The holonomy of one leaf as a product of scalars, one one-label
+    """The holonomy of one leaf as a product of scalars, one one-entry
     integral and one single-point transition call at a time."""
     if leaf.topology == "point":
         return bohr.HolonomyResult(1.0 + 0.0j, 0.0, 0.0, 0, 0.0)
     action, hol = 0.0, 1.0 + 0.0j
     for seg in leaf.segments:
-        val = complex(transport.integral(seg.element, [seg.c_elem], seg.t0, seg.t1)[0])
+        val = complex(transport.integral([seg.element], [seg.t0], [seg.t1], [seg.c_elem])[0])
         action += val.real
         hol *= np.exp(-1j * val)
     nseg = len(leaf.segments)

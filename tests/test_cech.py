@@ -47,10 +47,36 @@ def test_full_loop_integral_matches_closed_form(models):
     pol = exm.polarization()
     transport = LeafTransport(exm.cover, pol)
     c = 1.3
-    val = transport.integral(0, np.array([c]), 0.0, TWO_PI)
+    val = transport.integral([0], [0.0], [TWO_PI], np.array([c]))
     assert val.shape == (1,) and abs(val[0] - 1 * c) < 1e-10
-    factor = transport.factor(0, np.array([c]), 0.0, TWO_PI)
+    factor = np.exp(-1j * transport.integral([0], [0.0], [TWO_PI], np.array([c])))
     assert factor.shape == (1,) and abs(factor[0] - np.exp(-1j * c)) < 1e-10
+
+
+def _segment(grid, member, from_key, to_key, pos_from):
+    """(c_elem, t0, t1) of the leaf segment between two cells' basepoints,
+    in the member element's frame, read off the nerve cell by cell: the
+    reference for the tables of TransversalGrid.frames."""
+    cf, ct = grid.cells[from_key], grid.cells[to_key]
+    base = grid.polarization.root
+    la = 1 if base.kind != "axis" else base.leaf_axis
+    periods = grid.cover.manifold.periods
+    p_leaf = periods[la] or 0.0
+    nerve = grid.nerve.cells
+    sh_f = nerve[from_key].shifts[nerve[from_key].indices.index(member)]
+    sh_t = nerve[to_key].shifts[nerve[to_key].indices.index(member)]
+    t0 = cf.t_bp + sh_f[la] * p_leaf
+    t1 = ct.t_bp + sh_t[la] * p_leaf
+    c_elem = cf.c_cell[pos_from]
+    if base.kind == "axis":
+        lab = base.label_axis
+        c_elem = c_elem + sh_f[lab] * (periods[lab] or 0.0)
+    return c_elem, t0, t1
+
+
+def _one(transport, member, c, t0, t1):
+    """The integral of one entry, as a batch of one."""
+    return transport.integral([member], [t0], [t1], [c])[0]
 
 
 # --- image projection and the psi/phi pair ----------------------------------
@@ -403,8 +429,8 @@ def _face_segments(grid):
             if fcg.closed or carried.size == 0:
                 continue
             member = grid.nerve.cells[face_key].indices[0]
-            yield (member,) + grid.segment(
-                member, face_key, key, fcg.position(carried)
+            yield (member,) + _segment(
+                grid, member, face_key, key, fcg.position(carried)
             )
 
 
@@ -416,33 +442,36 @@ def test_label_array_integral_matches_scalar_calls(models, kind):
     batched = LeafTransport(grid.cover, grid.polarization)
     scalar = LeafTransport(grid.cover, grid.polarization)  # one label a call
     for member, c_elem, t0, t1 in segments:
-        got = batched.integral(member, c_elem, t0, t1)
-        want = np.concatenate([scalar.integral(member, [c], t0, t1) for c in c_elem])
+        n = len(c_elem)
+        got = batched.integral([member] * n, [t0] * n, [t1] * n, c_elem)
+        want = np.array([_one(scalar, member, c, t0, t1) for c in c_elem])
         assert got.shape == c_elem.shape
         assert np.all(np.abs(got - want) <= 1e-14 * np.maximum(1.0, np.abs(want)))
-        fac = batched.factor(member, c_elem, t0, t1)
-        assert np.array_equal(fac, np.exp(-1j * got))
     # one quadrature call per segment at most; later one-label calls hit
     # the cache
     assert batched.batches <= len(segments) < batched.integrals_computed
     batches = batched.batches
     for member, c_elem, t0, t1 in segments:
-        for c, val in zip(c_elem, batched.integral(member, c_elem, t0, t1)):
-            assert batched.integral(member, [c], t0, t1) == [val]
+        n = len(c_elem)
+        vals = batched.integral([member] * n, [t0] * n, [t1] * n, c_elem)
+        for c, val in zip(c_elem, vals):
+            assert _one(batched, member, c, t0, t1) == val
     assert batched.batches == batches
 
 
 def test_label_array_integral_of_empty_interval_or_no_labels(models):
     exm = models("torus", k=2)
     transport = LeafTransport(exm.cover, exm.polarization())
-    got = transport.integral(0, np.array([0.5, 1.0, 1.5]), 0.3, 0.3)
+    got = transport.integral([0] * 3, [0.3] * 3, [0.3] * 3, np.array([0.5, 1.0, 1.5]))
     assert got.shape == (3,) and np.all(got == 0)
-    assert transport.integral(0, np.empty(0), 0.0, 1.0).shape == (0,)
+    assert transport.integral([], [], [], np.empty(0)).shape == (0,)
     assert transport.batches == 0
 
 
 @pytest.mark.parametrize("kind", ["generic", "pullback"])
 def test_entry_integrals_group_by_segment(models, kind):
+    # shuffled entries with repeats: one quadrature row per distinct entry
+    # missing from the cache, all of them in one quadrature call
     grid = _blocks_grid(models, "torus", {"k": 2}, kind)
     rng = np.random.default_rng(5)
     rows = [
@@ -453,33 +482,27 @@ def test_entry_integrals_group_by_segment(models, kind):
     rows += [rows[i] for i in rng.integers(len(rows), size=len(rows))]  # repeats
     entries = np.array(rows)[rng.permutation(len(rows))]
     segments = {(int(m), t0, t1) for m, t0, t1, _ in entries.tolist()}
-    misses = sum(t0 != t1 for _, t0, t1 in segments)
-    assert len(segments) > 1 and misses > 0
+    distinct = {(int(m), t0, t1, c) for m, t0, t1, c in entries.tolist() if t0 != t1}
+    assert len(segments) > 1 and len(distinct) < len(entries)
 
     transport = LeafTransport(grid.cover, grid.polarization)
-    calls = []
-    integral = transport.integral
-
-    def counted(member, c_elem, t0, t1):
-        calls.append((member, t0, t1, list(c_elem)))
-        return integral(member, c_elem, t0, t1)
-
-    transport.integral = counted
-    got = transport.integrals(*entries.T)
-    # one call per distinct segment, on its distinct labels in ascending order
-    assert sorted((m, a, b) for m, a, b, _ in calls) == sorted(segments)
-    for member, t0, t1, labels in calls:
-        on = (entries[:, 0] == member) & (entries[:, 1] == t0) & (entries[:, 2] == t1)
-        assert labels == sorted(set(entries[on, 3].tolist()))
-    assert transport.batches == misses
-    # every entry is its one-label batch, bit for bit
+    got = transport.integral(*entries.T)
+    assert transport.batches == 1 and transport.integrals_computed == len(distinct)
+    # every entry is its one-entry batch, bit for bit
     one = LeafTransport(grid.cover, grid.polarization)
-    want = [one.integral(int(m), [c], t0, t1)[0] for m, t0, t1, c in entries.tolist()]
+    want = [_one(one, int(m), c, t0, t1) for m, t0, t1, c in entries.tolist()]
     assert got.view(float).tolist() == np.array(want).view(float).tolist()
     # the cache answers a second batch in another order without quadrature
-    again = transport.integrals(*entries[::-1].T)
-    assert np.array_equal(again, got[::-1]) and transport.batches == misses
-    assert transport.integrals([], [], [], []).shape == (0,)
+    again = transport.integral(*entries[::-1].T)
+    assert np.array_equal(again, got[::-1]) and transport.batches == 1
+    assert transport.integral([], [], [], []).shape == (0,)
+    # a batch with some misses makes one more call, for the misses alone
+    extra = entries[entries[:, 1] != entries[:, 2]][:3].copy()
+    extra[:, 3] += 1e-3
+    transport.integral(*np.concatenate([entries, extra]).T)
+    misses = {(int(m), t0, t1, c) for m, t0, t1, c in extra.tolist()} - distinct
+    assert transport.batches == 2
+    assert transport.integrals_computed == len(distinct) + len(misses) > len(distinct)
 
 
 def _reference_blocks(grid, degree):
@@ -503,11 +526,11 @@ def _reference_blocks(grid, degree):
                 if fcg.closed or gidx not in fcg.label_idx:
                     continue
                 fpos = fcg.position(int(gidx))
-                c, t0, t1 = grid.segment(beta0, face_key, key, fpos)
+                c, t0, t1 = _segment(grid, beta0, face_key, key, fpos)
                 rows.append(dst_off[key] + pos)
                 cols.append(src_off[face_key] + fpos)
                 pos_face.append(pos)
-                fac.append(transport.factor(beta0, [c], t0, t1)[0])
+                fac.append(np.exp(-1j * transport.integral([beta0], [t0], [t1], [c]))[0])
             # the products of delta_matrix, one array per face
             vals.append((-1) ** j * lam[pos_face] * np.array(fac, complex))
     rows, cols, vals = np.array(rows, int), np.array(cols, int), np.concatenate(vals)
@@ -631,8 +654,8 @@ def test_batched_res_matches_per_label_transport(models, kind):
             for k, member in enumerate(sub):
                 for p, gidx in enumerate(cg_sup.label_idx):
                     q = cg_sub.position(int(gidx))
-                    c, t0, t1 = grid.segment(member, face_key, key, q)
-                    moved[k, p] = vals[k, q] * transport.factor(member, [c], t0, t1)[0]
+                    c, t0, t1 = _segment(grid, member, face_key, key, q)
+                    moved[k, p] = vals[k, q] * np.exp(-1j * _one(transport, member, c, t0, t1))
             ref = sup.indices[0]  # component 0 of the super tuple
             want = sum(
                 grid.transition_at_basepoints(key, a, ref) * moved[k]
@@ -670,7 +693,7 @@ def _assembly_work(grid, degree):
             if carried.size == 0:
                 continue
             beta0 = grid.nerve.cells[face_key].indices[0]
-            _, t0, t1 = grid.segment(beta0, face_key, key, fcg.position(carried))
+            _, t0, t1 = _segment(grid, beta0, face_key, key, fcg.position(carried))
             segments.add((beta0, t0, t1))
             if beta0 != ref:
                 pairs.add((beta0, ref))
@@ -691,9 +714,11 @@ def test_delta_matrix_sweeps_each_segment_and_pair_once(models, monkeypatch, nam
     calls = {"integral": [], "transition": []}
     integral, transition = LeafTransport.integral, TrivializationCover.transition
 
-    def counted_integral(self, member, c_elem, t0, t1):
-        calls["integral"].append((member, float(t0), float(t1)))
-        return integral(self, member, c_elem, t0, t1)
+    def counted_integral(self, elements, t0, t1, labels):
+        calls["integral"].append(
+            {(int(m), a, b) for m, a, b in zip(elements, t0.tolist(), t1.tolist())}
+        )
+        return integral(self, elements, t0, t1, labels)
 
     def counted_transition(self, a, b, pts):
         calls["transition"].append((a, b))
@@ -705,11 +730,15 @@ def test_delta_matrix_sweeps_each_segment_and_pair_once(models, monkeypatch, nam
     for degree in range(3):
         for found in calls.values():
             found.clear()
+        batches = grid.leaf_transport.batches
         op = delta_matrix(grid, degree)[0]
         segments, pairs = _assembly_work(grid, degree)
         checked += len(calls["integral"]) > 0 and len(calls["transition"]) > 0
-        assert len(calls["integral"]) == len(set(calls["integral"]))
-        assert set(calls["integral"]) <= segments
+        # one integral call, and at most one quadrature sweep, per degree,
+        # on the leaf segments the entries need
+        assert len(calls["integral"]) <= 1
+        assert grid.leaf_transport.batches - batches <= 1
+        assert set().union(*calls["integral"]) <= segments
         assert len(calls["transition"]) == len(set(calls["transition"]))
         assert set(calls["transition"]) <= pairs
         assert op.transition_batches == len(calls["transition"])

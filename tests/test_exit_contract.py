@@ -133,6 +133,9 @@ def test_every_argv_keeps_the_exit_code_contract(argv):
 BAD_CONFIG = [
     ("bs", "--example", "torus", "--range", "0:1e308"),
     ("bs", "--example", "torus", "--range", "-1e308:1e308"),
+    ("bs", "--example", "cylinder", "--range", "0:1e308"),
+    ("bs", "--example", "cylinder", "--range", "-1e308:1e308"),
+    ("cohomology", "--example", "cylinder", "--p-max", "1e308"),
 ]
 
 
