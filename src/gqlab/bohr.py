@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import Polarization
+from .geometry import LeafFrame, Polarization
 from .prequantum import ConfigurationError, TrivializationCover
 from .transport import LeafTransport
 
@@ -77,16 +77,17 @@ class HolonomyResult:
 # Leaf construction
 
 
-def _thread_circle(cands: list, period: float, c: float) -> tuple:
+def _thread_circle(cands: list, whole: list, period: float, c: float) -> tuple:
     """Thread a circle leaf through the elements it crosses.
 
-    cands holds (element, t0, t1) per crossed element, in cover order.
+    cands holds (element, t0, t1) per crossed element, in cover order, and
+    whole says of each whether it holds a whole leaf (LeafFrame.whole).
     Returns the segments as (element, t0, t1, position in cands) and the
     switch parameters; c is a label of the leaf, named in errors.
     """
     # Whole-circle elements carry the leaf in one segment.
     for j, (idx, t0, t1) in enumerate(cands):
-        if t1 - t0 >= period - 1e-9:
+        if whole[j]:
             start = t0 + 0.5 * ((t1 - t0) - period)
             return [(idx, start, start + period, j)], []
 
@@ -174,10 +175,10 @@ class LeafAtlas:
     and the parameters of its switch points, depends on the label only
     through that pattern: the label enters as each segment's lifted label
     and through the switch points on its curve.  So a batch of labels is
-    lifted into every element in one broadcast (Manifold.lift_labels) and
-    grouped by pattern; a pattern is threaded the first time it is met,
-    and the switch points of the whole batch come from one curve_points
-    call.  The element boxes are the degree-0 cells of the cover's nerve,
+    lifted into every element in one broadcast (LeafFrame.lift, the rule
+    the transversal grid uses for its cells) and grouped by pattern; a
+    pattern is threaded the first time it is met, and the switch points of
+    the whole batch come from one curve_points call.  The element boxes are the degree-0 cells of the cover's nerve,
     which a pullback cover keeps from its source, and the switch points lie
     on the polarization's own curve (phi^{-1} o gamma for a pushforward),
     so a pullback cover is threaded like any other.
@@ -186,34 +187,11 @@ class LeafAtlas:
     def __init__(self, cover: TrivializationCover, pol: Polarization):
         self.cover = cover
         self.polarization = pol
-        self._root = root = pol.root
-        self._manifold = cover.manifold
         cells = cover.nerve.degree(0)
         self._elements = [cell.indices[0] for cell in cells]
-        boxes = [cell.box for cell in cells]
-        if root.kind == "radial":  # circles about the origin, squared radius 2c
-            half = np.array([min(b.hi[0], b.hi[1], -b.lo[0], -b.lo[1]) for b in boxes])
-            self.label_lo = np.zeros(len(boxes))
-            self.label_hi = 0.5 * half * half
-            self.leaf_lo = np.zeros(len(boxes))
-            self.leaf_hi = np.full(len(boxes), TWO_PI)
-        else:
-            la, ta = root.label_axis, root.leaf_axis
-            self.label_lo = np.array([b.lo[la] for b in boxes], dtype=float)
-            self.label_hi = np.array([b.hi[la] for b in boxes], dtype=float)
-            self.leaf_lo = np.array([b.lo[ta] for b in boxes], dtype=float)
-            self.leaf_hi = np.array([b.hi[ta] for b in boxes], dtype=float)
+        self.frame = LeafFrame.of(cover.manifold, pol, [cell.box for cell in cells])
         self._threadings: dict = {}  # membership pattern -> threading
         self.threadings = 0  # patterns threaded
-
-    def _lift(self, labels: np.ndarray) -> tuple:
-        """(labels lifted into every element, whether each crosses it)."""
-        if self._root.kind == "radial":
-            lifted = np.repeat(labels[:, None], len(self.label_lo), axis=1)
-            return lifted, (self.label_lo < lifted) & (lifted < self.label_hi)
-        return self._manifold.lift_labels(
-            labels, self._root.label_axis, self.label_lo, self.label_hi
-        )
 
     def _threading(self, pattern: tuple, c: float) -> tuple:
         """Segments (element, t0, t1, element position) and switch
@@ -224,13 +202,14 @@ class LeafAtlas:
         positions = [p for p, crossed in enumerate(pattern) if crossed]
         if not positions:
             raise CoverageError(f"leaf {c} crosses no cover element")
-        lo, hi = self.leaf_lo.tolist(), self.leaf_hi.tolist()
+        lo, hi = self.frame.leaf_lo.tolist(), self.frame.leaf_hi.tolist()
         cands = [(self._elements[p], lo[p], hi[p]) for p in positions]
-        period = self._root.leaf_period
+        period = self.polarization.leaf_period
         if period is None:
             segments, switches = _thread_line(cands, c)
         else:
-            segments, switches = _thread_circle(cands, period, c)
+            whole = self.frame.whole[positions].tolist()
+            segments, switches = _thread_circle(cands, whole, period, c)
         found = (
             [(el, t0, t1, positions[j]) for el, t0, t1, j in segments],
             np.array(switches),
@@ -246,7 +225,7 @@ class LeafAtlas:
         labels = np.asarray(labels, dtype=float)
         if not len(labels):
             return []
-        lifted, inside = self._lift(labels)
+        lifted, inside = self.frame.lift(labels)
         groups: dict = {}  # membership pattern -> label rows, in first use
         for row, crossed in enumerate(inside.tolist()):
             groups.setdefault(tuple(crossed), []).append(row)
@@ -258,7 +237,7 @@ class LeafAtlas:
         # the switch points of the whole batch, by one curve call; points
         # are computed row by row, so each is what a call for its leaf
         # alone gives
-        closed = self._root.leaf_period is not None
+        closed = self.polarization.leaf_period is not None
         crossing = [(rows, sw) for rows, _, sw in threaded if len(sw)]
         pts = np.empty((0, 2))
         if crossing:
@@ -269,7 +248,7 @@ class LeafAtlas:
                 [np.repeat(sw[None, :], len(rows), axis=0).ravel()
                  for rows, sw in crossing]
             )
-            pts = self._manifold.reduce(self.polarization.curve_points(cs, ts))
+            pts = self.cover.manifold.reduce(self.polarization.curve_points(cs, ts))
         topology = "circle" if closed else "line"
         leaves = [None] * len(values)
         start = 0
@@ -360,6 +339,15 @@ def enumerate_leaves(
 # Holonomy
 
 
+def nearest_multiple(action: float) -> int:
+    """The m for which 2 pi m is nearest to action.  An action within 1e-9
+    multiples of an odd multiple of pi is a tie, which rounding noise would
+    otherwise decide; it takes the lower multiple, so its residual is +pi."""
+    x = action / TWO_PI
+    lower = math.floor(x)
+    return lower if x - lower <= 0.5 + 1e-9 else lower + 1
+
+
 def holonomy(
     cover: TrivializationCover,
     pol: Polarization,
@@ -435,7 +423,7 @@ def holonomy(
             action -= math.atan2(lam.imag, lam.real)
         k += len(leaf.segments)
         j += len(leaf.switch_points)
-        nearest = int(round(action / TWO_PI))
+        nearest = nearest_multiple(action)
         out.append(
             HolonomyResult(
                 holonomy=hol,

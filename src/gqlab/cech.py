@@ -22,12 +22,11 @@ accumulation per block shape into a stack of blocks.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import Polarization
+from .geometry import LeafFrame, Polarization
 from .prequantum import ConfigurationError, TrivializationCover
 from .transport import LeafTransport
 
@@ -82,8 +81,9 @@ class TransversalGrid:
     """Shared leaf discretization of a cover for one polarization.
 
     build makes it complete: every cell's labels and basepoints, the nerve
-    keys by degree, and the leaf transport whose integral cache is the only
-    state that changes after construction.
+    keys by degree, the LeafFrame of the nerve's cells (how leaves cross
+    them, the rule the leaf atlas uses too), and the leaf transport whose
+    integral cache is the only state that changes after construction.
     """
 
     cover: TrivializationCover
@@ -92,6 +92,7 @@ class TransversalGrid:
     cells: dict  # nerve cell key -> CellGrid
     closed_cells: tuple
     keys_by_degree: dict = field(repr=False)  # degree -> sorted nerve keys
+    frame: LeafFrame = field(repr=False, compare=False)  # of the nerve's cells
     leaf_transport: LeafTransport = field(repr=False, compare=False)
 
     # -- construction -------------------------------------------------------
@@ -100,51 +101,38 @@ class TransversalGrid:
     def build(cls, cover, polarization, labels) -> "TransversalGrid":
         labels = np.asarray(labels, dtype=float)
         pol = polarization
-        base = pol.root
         manifold = cover.manifold
-        period = pol.leaf_period
-        rows = []  # per cell: key, kept labels, their lifts, t_bp, closed
-        if base.kind == "axis":
-            la, ta = base.label_axis, base.leaf_axis
-            boxes = [cell.box for cell in cover.nerve.cells.values()]
-            lifts, insides = manifold.lift_labels(
-                labels, la, [b.lo[la] for b in boxes], [b.hi[la] for b in boxes]
-            )
-        for j, (key, cell) in enumerate(cover.nerve.cells.items()):
-            if base.kind == "axis":
-                lifted = lifts[:, j]
-                kept = np.flatnonzero(insides[:, j])
-                t_lo, t_hi = cell.box.interval(ta)
-            else:  # radial: circle leaves inside a single rectangle
-                half = min(
-                    cell.box.hi[0], cell.box.hi[1], -cell.box.lo[0], -cell.box.lo[1]
-                )
-                cmax = min(base.label_range[1], 0.5 * half * half)
-                lifted = labels
-                kept = np.flatnonzero((1e-9 < labels) & (labels < cmax))
-                t_lo, t_hi = 0.0, 2.0 * math.pi
-            closed = period is not None and (t_hi - t_lo) >= period - 1e-9
-            if closed:
-                kept = kept[:0]
-            rows.append((key, kept, lifted[kept], 0.5 * (t_lo + t_hi), closed))
+        keys = list(cover.nerve.cells)
+        frame = LeafFrame.of(
+            manifold, pol, [cell.box for cell in cover.nerve.cells.values()]
+        )
+        lifted, inside = frame.lift(labels)
+        # a cell that holds a whole leaf carries no nonzero polarized values
+        kept = [np.flatnonzero(col) for col in (inside & ~frame.whole).T]
+        c_cells = [lifted[idx, j] for j, idx in enumerate(kept)]
+        t_bps = (0.5 * (frame.leaf_lo + frame.leaf_hi)).tolist()
+        closed = frame.whole.tolist()
         # the basepoints of every cell in one curve call; it acts point by
         # point, so each cell gets what a call on its own labels gives
-        counts = [len(kept) for _, kept, *_ in rows]
-        c = np.concatenate([c_cell for _, _, c_cell, *_ in rows] + [np.empty(0)])
-        t = np.repeat([t_bp for *_, t_bp, _ in rows], counts)
-        points = manifold.reduce(pol.curve_points(c, t))
+        counts = [len(idx) for idx in kept]
+        c = np.concatenate(c_cells + [np.empty(0)])
+        points = manifold.reduce(pol.curve_points(c, np.repeat(t_bps, counts)))
         parts = np.split(points, np.cumsum(counts)[:-1])
-        cells = {key: CellGrid(*row, part) for (key, *row), part in zip(rows, parts)}
+        cells = {
+            key: CellGrid(*row)
+            for key, *row in zip(keys, kept, c_cells, t_bps, closed, parts)
+        }
         by_degree: dict = {}
-        for key in sorted(cover.nerve.cells):
+        for key in sorted(keys):
             by_degree.setdefault(len(key[0]) - 1, []).append(key)
         return cls(
             cover=cover,
             polarization=pol,
             labels=labels,
             cells=cells,
-            closed_cells=tuple(key for key, *_, closed in rows if closed),
-            keys_by_degree={d: tuple(keys) for d, keys in by_degree.items()},
+            closed_cells=tuple(key for key, shut in zip(keys, closed) if shut),
+            keys_by_degree={d: tuple(ks) for d, ks in by_degree.items()},
+            frame=frame,
             leaf_transport=LeafTransport(cover, pol),
         )
 
@@ -169,27 +157,19 @@ class TransversalGrid:
         return self.cover.transition(a, b, self.cells[key].base_points)
 
     def sub_cell_for(self, super_key, sub_indices: tuple):
-        """Nerve cell of sub_indices whose overlap contains the super cell."""
+        """Nerve cell of sub_indices whose overlap contains the super cell,
+        and the shift of its first member in the super cell's frame: the
+        face of the super cell that drops the other members, one at a time."""
         sup = self.nerve.cells[super_key]
-        manifold = self.cover.manifold
-        periods = [p if p is not None else 0.0 for p in manifold.periods]
-        anchor = sub_indices[0]
-        off = sup.shifts[sup.indices.index(anchor)]
-        shifted = sup.box.shifted((off[0] * periods[0], off[1] * periods[1]))
-        for comp in range(8):
-            key = (sub_indices, comp)
-            cell = self.nerve.cells.get(key)
-            if cell is None:
-                break
-            if cell.box.intersect(shifted, min_width=-1e-9) is not None and all(
-                shifted.lo[a] >= cell.box.lo[a] - 1e-6
-                and shifted.hi[a] <= cell.box.hi[a] + 1e-6
-                for a in range(2)
-            ):
-                return key, off
-        raise ConfigurationError(
-            f"no cell of {sub_indices} contains the overlap {super_key}"
-        )
+        key = super_key
+        for m in sup.indices:
+            if m not in sub_indices and len(key[0]) > 1:
+                key = self.nerve.faces[key][key[0].index(m)][0]
+        if not sub_indices or key[0] != tuple(sub_indices):
+            raise ConfigurationError(
+                f"{tuple(sub_indices)} is not a sub-tuple of {sup.indices}"
+            )
+        return key, sup.shifts[sup.indices.index(sub_indices[0])]
 
     # -- parallel transport --------------------------------------------------
 
@@ -199,15 +179,9 @@ class TransversalGrid:
         its members: two (cells, members) arrays t and shift.  In member
         m's frame the leaf segment from cell f to cell k runs from t[f, m]
         to t[k, m], at the labels c_cell of f plus shift[f, m]."""
-        base = self.polarization.root
-        periods = self.cover.manifold.periods
-        la, lab = (base.leaf_axis, base.label_axis) if base.kind == "axis" else (1, 0)
-        p_leaf = periods[la] or 0.0
-        p_lab = (periods[lab] or 0.0) if base.kind == "axis" else 0.0
-        cells = [(self.cells[key].t_bp, self.nerve.cells[key].shifts) for key in keys]
-        t = [[t_bp + s[la] * p_leaf for s in shifts] for t_bp, shifts in cells]
-        shift = [[s[lab] * p_lab for s in shifts] for _, shifts in cells]
-        return np.array(t), np.array(shift)
+        t_bp = np.array([self.cells[key].t_bp for key in keys])
+        dt, shift = self.frame.offsets([self.nerve.cells[key].shifts for key in keys])
+        return t_bp[:, None] + dt, shift
 
 
 # ---------------------------------------------------------------------------
@@ -222,9 +196,6 @@ class TrivCochain:
     def norm(self) -> float:
         vals = [np.max(np.abs(v)) for v in self.data.values() if v.size]
         return float(max(vals)) if vals else 0.0
-
-    def copy(self) -> "TrivCochain":
-        return TrivCochain(self.degree, {k: v.copy() for k, v in self.data.items()})
 
 
 def zero_cochain(grid: TransversalGrid, degree: int) -> TrivCochain:

@@ -82,6 +82,11 @@ class RunConfig:
             raise ConfigurationError(
                 f"cylinder height 2 * p-max must be finite, got p-max {self.cylinder_p_max}"
             )
+        if self.command in ("bs", "cohomology") and self.map != "identity":
+            raise ConfigurationError(
+                f"{self.command} takes no map, got {self.map!r}; "
+                "only act and check read --map"
+            )
         if self.command == "act":
             if not self.verify_targets:
                 raise ConfigurationError(

@@ -33,36 +33,6 @@ FUNCTIONS = {"exp": 1, "log": 1, "sin": 1, "cos": 1, "sqrt": 1, "atan2": 2}
 class Expr:
     """Base class; all nodes are frozen and hashable."""
 
-    def __add__(self, other):
-        return add(self, as_expr(other))
-
-    def __radd__(self, other):
-        return add(as_expr(other), self)
-
-    def __sub__(self, other):
-        return sub(self, as_expr(other))
-
-    def __rsub__(self, other):
-        return sub(as_expr(other), self)
-
-    def __mul__(self, other):
-        return mul(self, as_expr(other))
-
-    def __rmul__(self, other):
-        return mul(as_expr(other), self)
-
-    def __truediv__(self, other):
-        return div(self, as_expr(other))
-
-    def __rtruediv__(self, other):
-        return div(as_expr(other), self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __pow__(self, other):
-        return pow_(self, as_expr(other))
-
 
 @dataclass(frozen=True)
 class Num(Expr):
@@ -104,18 +74,6 @@ class Call(Expr):
 
 ZERO = Num(0.0)
 ONE = Num(1.0)
-
-
-def as_expr(value) -> Expr:
-    if isinstance(value, Expr):
-        return value
-    if isinstance(value, complex):
-        if value.imag == 0.0:
-            return Num(float(value.real))
-        return add(Num(value.real), mul(Num(value.imag), Imag()))
-    if isinstance(value, (int, float)):
-        return Num(float(value))
-    raise TypeError(f"cannot interpret {value!r} as an expression")
 
 
 def _num(e: Expr):

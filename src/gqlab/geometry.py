@@ -117,24 +117,6 @@ class Manifold:
             arr[bad] = np.nan
         return arr
 
-    def lift_labels(self, labels, axis: int, lo, hi) -> tuple:
-        """Leaf labels on a label axis lifted into intervals (lo, hi) of it:
-        (lifted, inside), both (labels, intervals).
-
-        On a periodic axis a label moves by whole periods toward each
-        interval's midpoint, as lift_into moves points; it is inside when
-        it lies strictly within the interval, 1e-9 clear of either end.
-        """
-        labels = np.asarray(labels, dtype=float)[:, None]
-        lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
-        period = self.periods[axis]
-        if period is None:
-            lifted = np.repeat(labels, len(lo), axis=1)
-        else:
-            mid = 0.5 * (lo + hi)
-            lifted = labels + period * np.round((mid - labels) / period)
-        return lifted, (lo + 1e-9 < lifted) & (lifted < hi - 1e-9)
-
     def wrap_difference(self, a, b) -> np.ndarray:
         """Per-axis difference a - b, shortest representative mod periods."""
         d = as_points(a) - as_points(b)
@@ -282,6 +264,81 @@ class Polarization:
         return np.column_stack(
             [eval_at(g, self.coords, arr).real for g in self.generator]
         )
+
+
+@dataclass(frozen=True)
+class LeafFrame:
+    """How the leaves of a polarization cross a list of coordinate boxes:
+    the one rule that the leaf atlas and the transversal grid share.
+
+    LeafFrame.of reads the root polarization, so a pushforward crosses its
+    boxes as its base does.  Each box gets a label window, a leaf-parameter
+    window and a flag saying whether it holds a whole leaf (its leaf window
+    spans the leaf period, to 1e-9).  An axis polarization's windows are the
+    box's intervals on its label and leaf axes, and a leaf crosses a box
+    when its label, lifted by whole periods toward the window's midpoint,
+    lies in the window 1e-9 clear of either end.  A radial polarization's
+    leaf c, the circle of squared radius 2c about the origin, crosses a box
+    that holds the whole circle: the label window is (0, half^2 / 2), half
+    the distance from the origin to the box's nearest side, open with no
+    margin, and the leaf window is one turn.  A period shift of a nerve
+    cell's frame moves the leaf parameter along the leaf axis and the label
+    along the label axis, by the manifold's periods there; radial leaves
+    live on a plane and do not move.
+    """
+
+    label_lo: np.ndarray  # per box
+    label_hi: np.ndarray
+    leaf_lo: np.ndarray
+    leaf_hi: np.ndarray
+    whole: np.ndarray  # per box: it holds a whole leaf
+    label_period: float | None  # labels lift by whole periods when set
+    margin: float  # how far clear of a label window's ends a label must be
+    shift_axes: tuple  # (leaf, label): the axes a frame shift moves along
+    shift_periods: tuple  # (leaf, label): by how far, per unit shift
+
+    @classmethod
+    def of(cls, manifold: Manifold, pol: Polarization, boxes) -> "LeafFrame":
+        root = pol.root
+        lo = np.array([b.lo for b in boxes], dtype=float).reshape(-1, 2)
+        hi = np.array([b.hi for b in boxes], dtype=float).reshape(-1, 2)
+        if root.kind == "radial":
+            half = np.min(np.column_stack([hi, -lo]), axis=1)
+            windows = (np.zeros(len(lo)), 0.5 * half * half,
+                       np.zeros(len(lo)), np.full(len(lo), TWO_PI))
+            rules = (None, 0.0, (0, 0), (0.0, 0.0))
+        else:
+            label_axis, leaf_axis = root.label_axis, root.leaf_axis
+            windows = (lo[:, label_axis], hi[:, label_axis],
+                       lo[:, leaf_axis], hi[:, leaf_axis])
+            axes = (leaf_axis, label_axis)
+            periods = tuple(manifold.periods[a] or 0.0 for a in axes)
+            rules = (manifold.periods[label_axis], 1e-9, axes, periods)
+        period = root.leaf_period
+        if period is None:
+            whole = np.zeros(len(lo), dtype=bool)
+        else:
+            whole = windows[3] - windows[2] >= period - 1e-9
+        return cls(*windows, whole, *rules)
+
+    def lift(self, labels) -> tuple:
+        """(lifted, inside), both (labels, boxes): each label lifted into
+        every box's label window, and whether its leaf crosses the box."""
+        labels = np.asarray(labels, dtype=float)[:, None]
+        lo, hi, period = self.label_lo, self.label_hi, self.label_period
+        if period is None:
+            lifted = np.repeat(labels, len(lo), axis=1)
+        else:
+            mid = 0.5 * (lo + hi)
+            lifted = labels + period * np.round((mid - labels) / period)
+        return lifted, (lo + self.margin < lifted) & (lifted < hi - self.margin)
+
+    def offsets(self, shifts) -> tuple:
+        """The leaf-parameter and label offsets of integer frame shifts,
+        an array (..., 2)."""
+        shifts = np.asarray(shifts)
+        (leaf_axis, label_axis), (p_leaf, p_label) = self.shift_axes, self.shift_periods
+        return shifts[..., leaf_axis] * p_leaf, shifts[..., label_axis] * p_label
 
 
 @dataclass(frozen=True)

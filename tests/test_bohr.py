@@ -85,6 +85,35 @@ def test_cylinder_action_closed_form(models):
     assert h.nearest_multiple == 1 and abs(h.residual) < 1e-10
 
 
+def test_a_tie_takes_the_lower_multiple():
+    # an odd multiple of pi is a tie: whatever its last bit, the lower
+    # multiple wins and the residual is +pi
+    for m, lower in ((3, 1), (-5, -3)):
+        for action in (m * math.pi * (1 - 2.0**-52), m * math.pi,
+                       m * math.pi * (1 + 2.0**-52)):
+            assert bohr.nearest_multiple(action) == lower
+            assert abs(action - TWO_PI * lower - math.pi) < 1e-14
+    # within 1e-9 multiples of the tie, and beyond it
+    x = 2.5 * TWO_PI
+    assert bohr.nearest_multiple(x * (1 + 1e-10)) == 2
+    assert bohr.nearest_multiple(x * (1 + 1e-9)) == 3
+    assert bohr.nearest_multiple(x * (1 - 1e-9)) == 2
+    others = (0.0, 2.9 * math.pi, 3.1 * math.pi, -0.9 * math.pi)
+    assert [bohr.nearest_multiple(a) for a in others] == [0, 1, 2, 0]
+
+
+def test_tie_leaves_report_residual_plus_pi(models):
+    # leaf 3 pi / 2 of the Chern-2 torus has action 3 pi and holonomy -1
+    exm = models("torus", k=2)
+    rep = bs_census(exm.cover, exm.polarization(), (0.0, TWO_PI), 24)
+    ties = [e.holonomy for e in rep.entries
+            if abs(abs(e.holonomy.phase) - math.pi) < 1e-9]
+    assert len(ties) == 2
+    for h in ties:
+        assert abs(h.residual - math.pi) < 1e-9
+        assert h.nearest_multiple == math.floor(h.action / TWO_PI)
+
+
 def test_torus_holonomy_closed_form(models):
     exm = models("torus", k=3)
     pol = exm.polarization()
@@ -802,7 +831,7 @@ def _reference_holonomy(cover, pol, leaf, transport):
         lam = cover.transition(a, b, leaf.switch_points[j])[0]
         hol *= lam
         action -= math.atan2(lam.imag, lam.real)
-    nearest = int(round(action / TWO_PI))
+    nearest = bohr.nearest_multiple(action)
     return bohr.HolonomyResult(complex(hol), math.atan2(hol.imag, hol.real), action,
                                nearest, action - TWO_PI * nearest)
 

@@ -1,5 +1,6 @@
 """The trivialization complex: transport, projections, delta, ranks."""
 
+import itertools
 import math
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 
 from gqlab import catalog, cech
 from gqlab.action import build_complementary
-from gqlab.bohr import bs_census
+from gqlab.bohr import LeafAtlas, bs_census
 from gqlab.cech import (
     LeafMismatchError,
     ResolutionError,
@@ -25,7 +26,7 @@ from gqlab.cech import (
     zero_cochain,
 )
 from gqlab.geometry import pushforward_polarization
-from gqlab.prequantum import ConfigurationError
+from gqlab.prequantum import ConfigurationError, pullback, refine, split_boxes
 from gqlab.transport import LeafTransport
 
 TWO_PI = 2.0 * math.pi
@@ -618,6 +619,71 @@ def test_grid_basepoints_equal_a_curve_call_per_cell(models):
             own = manifold.reduce(pol.curve_points(cg.c_cell, np.full(cg.count, cg.t_bp)))
             assert cg.base_points.shape == (cg.count, 2), (name, key)
             assert cg.base_points.tobytes() == own.tobytes(), (name, key)
+
+
+def _frame_cases(models):
+    """(name, cover, polarization) of each model, and of its pushforward
+    by a map on the pullback cover."""
+    cases = []
+    for name, params, spec in [
+        ("plane", {"granularity": 2}, "shear"),
+        ("cylinder", {}, "pshift:0.3"),
+        ("torus", {"k": 2}, "translate:pi,0"),
+        ("sphere", {"k": 3}, "rot:1.0"),
+        ("disk", {}, "rot:0.5"),
+        ("plane", {"granularity": 1}, "rot:0.3"),
+    ]:
+        exm = models(name, **params)
+        pol = exm.polarization()
+        phi = catalog.make_map(exm, spec)
+        cases.append((f"{name}{params}", exm.cover, pol))
+        cases.append((f"{name}{params}-{spec}", pullback(exm.cover, phi),
+                      pushforward_polarization(phi, pol)))
+    return cases
+
+
+def test_grid_cells_cross_leaves_as_the_atlas_elements_do(models):
+    # the grid's degree-0 cells and the atlas's elements are the same
+    # boxes: they agree on which labels cross, lifted where, and on which
+    # boxes hold a whole leaf
+    for name, cover, pol in _frame_cases(models):
+        lo, hi = pol.root.label_range
+        grid = TransversalGrid.build(cover, pol, half_offset_labels(lo, hi, 24))
+        atlas = LeafAtlas(cover, pol)
+        lifted, inside = atlas.frame.lift(grid.labels)
+        for p, cell in enumerate(cover.nerve.degree(0)):
+            cg = grid.cells[cell.key]
+            assert cg.closed == bool(atlas.frame.whole[p]), (name, cell.key)
+            if not cg.closed:
+                assert np.array_equal(cg.label_idx, np.flatnonzero(inside[:, p])), name
+                assert cg.c_cell.tobytes() == lifted[cg.label_idx, p].tobytes(), name
+            else:
+                assert cg.count == 0, (name, cell.key)
+
+
+def test_sub_cell_for_follows_the_faces_of_the_refined_torus(models):
+    torus = models("torus", k=2)
+    fine = refine(torus.cover, split_boxes(torus.cover))[0]
+    pol = torus.polarization()
+    grid = TransversalGrid.build(fine, pol, half_offset_labels(0.0, TWO_PI, 8))
+    periods = [p or 0.0 for p in fine.manifold.periods]
+    checked = 0
+    for key, sup in fine.nerve.cells.items():
+        for n in range(1, len(sup.indices) + 1):
+            for sub in itertools.combinations(sup.indices, n):
+                sub_key, off = grid.sub_cell_for(key, sub)
+                assert sub_key[0] == sub
+                box = fine.nerve.cells[sub_key].box
+                shifted = sup.box.shifted((off[0] * periods[0], off[1] * periods[1]))
+                for a in range(2):
+                    assert box.lo[a] <= shifted.lo[a] + 1e-12, (key, sub)
+                    assert shifted.hi[a] <= box.hi[a] + 1e-12, (key, sub)
+                checked += 1
+        others = [m for m in range(len(fine.elements)) if m not in sup.indices]
+        for bad in ((), (others[0],), tuple(reversed(sup.indices))[:2] if sup.degree else ()):
+            with pytest.raises(ConfigurationError):
+                grid.sub_cell_for(key, bad)
+    assert checked > 1000
 
 
 def test_cell_position_of_label_arrays(models):

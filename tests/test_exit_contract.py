@@ -136,6 +136,8 @@ BAD_CONFIG = [
     ("bs", "--example", "cylinder", "--range", "0:1e308"),
     ("bs", "--example", "cylinder", "--range", "-1e308:1e308"),
     ("cohomology", "--example", "cylinder", "--p-max", "1e308"),
+    ("bs", "--example", "torus", "--k", "2", "--map", "shear", "--count", "8", "--json"),
+    ("cohomology", "--example", "torus", "--map", "translate:1,0"),
 ]
 
 
