@@ -364,15 +364,16 @@ def holonomy(
     The leaves of a batch share their kernel work: one transport.integral
     call for all their leaf segments, which integrates the distinct ones
     missing from its cache in one quadrature call, one cover.transition
-    call per element pair for all switch points between that pair, and one
-    exp call.  Each holonomy is then the
-    product of its segment factors and its transitions, in leaf order, of
-    Python complex numbers, with math.atan2 for the phases.  NumPy's array
-    complex multiply can round differently from a scalar product, and
-    np.arctan2 from math.atan2, so neither is used: a batch gives every
-    result bit for bit as a single leaf does.  `transport` is a
-    LeafTransport of this cover and polarization whose cache to fill and
-    reuse; it also counts the transition calls.
+    call for the switch points between two distinct elements, which
+    evaluates each distinct transition formula once, and one exp call.
+    Each holonomy is then the product of its segment factors and its
+    transitions, in leaf order, of Python complex numbers, with math.atan2
+    for the phases.  NumPy's array complex multiply can round differently
+    from a scalar product, and np.arctan2 from math.atan2, so neither is
+    used: a batch gives every result bit for bit as a single leaf does.
+    `transport` is a LeafTransport of this cover and polarization whose
+    cache to fill and reuse; it also counts the transition formulas
+    evaluated.
     """
     batch = [leaves] if isinstance(leaves, Leaf) else list(leaves)
     if any(leaf.topology == "line" for leaf in batch):
@@ -385,24 +386,23 @@ def holonomy(
 
     # the segment integrals and switch transitions of the batch, flat in
     # leaf order
-    between: dict = {}  # (a, b) -> flat switch positions
-    j = 0
+    before, after = [], []  # the elements either side of each switch
     for leaf in circles:
         segs = leaf.segments
         for s in range(len(leaf.switch_points)):
-            pair = (segs[s].element, segs[(s + 1) % len(segs)].element)
-            between.setdefault(pair, []).append(j)
-            j += 1
+            before.append(segs[s].element)
+            after.append(segs[(s + 1) % len(segs)].element)
     segments = [seg for leaf in circles for seg in leaf.segments]
     # LeafSegment columns: element, t0, t1, c_elem
     integrals = transport.integral(*zip(*segments)) if segments else np.empty(0)
-    lams = np.empty(j, dtype=np.complex128)
-    if j:
-        points = np.concatenate([leaf.switch_points for leaf in circles])
-        for (a, b), where in between.items():
-            if a != b:
-                transport.transition_batches += 1
-            lams[where] = cover.transition(a, b, points[where])
+    lams = np.ones(len(before), dtype=np.complex128)
+    if before:  # one transition call, on the switches between two elements
+        a, b = np.array(before), np.array(after)
+        moved = np.flatnonzero(a != b)
+        points = np.concatenate([leaf.switch_points for leaf in circles])[moved]
+        a, b = a[moved], b[moved]
+        transport.transition_batches += len(set(cover.transition_formulas(a, b).tolist()))
+        lams[moved] = cover.transition(a, b, points)
     integrals = integrals.tolist()
     factors = np.exp([-1j * val for val in integrals]).tolist()
     lams = lams.tolist()
@@ -564,7 +564,7 @@ class BSReport:
     transport_integrals: int  # label integrals computed
     transport_batches: int  # quadrature calls
     leaf_patterns: int  # membership patterns threaded
-    transition_batches: int  # cover.transition calls of the holonomies
+    transition_batches: int  # transition formulas evaluated by the holonomies
 
     @property
     def counters(self) -> dict:
@@ -623,9 +623,9 @@ def bs_census(
 
     The census threads on one LeafAtlas, so each membership pattern is
     threaded once.  The sampled leaves take one holonomy batch, which
-    makes at most one transport quadrature call and one transition call
-    per element pair.  All brackets are then searched
-    together: each lockstep step threads the next label of every
+    makes at most one transport quadrature call and one transition call,
+    one evaluator run per distinct transition formula.  All brackets are
+    then searched together: each lockstep step threads the next label of every
     unfinished bracket and takes one holonomy batch again, while each
     bracket takes exactly the Brent steps it takes alone.
     """

@@ -16,8 +16,9 @@ assembled as one dense block per leaf label, and its singular values are
 the union of the blocks' (docs/conventions.md, "Ranks").  Each degree is
 assembled in one pass: its leaf segments gathered from per-cell frame
 tables, one transport call (one quadrature loop) for all of its entries,
-one transition evaluation per distinct pair of elements, and one
-accumulation per block shape into a stack of blocks.
+one transition call for all of them (one evaluator run per distinct
+transition formula), and one accumulation per block shape into a stack of
+blocks.
 """
 
 from __future__ import annotations
@@ -337,7 +338,7 @@ class LeafBlocks:
     shape: tuple  # (n_dst, n_src)
     blocks: tuple  # (label, rows, cols, matrix), ascending label
     stacks: tuple
-    transition_batches: int = 0  # cover.transition calls made to assemble it
+    transition_batches: int = 0  # transition formulas evaluated to assemble it
 
     def __matmul__(self, vec: np.ndarray) -> np.ndarray:
         out = np.zeros(self.shape[:1] + np.shape(vec)[1:], dtype=np.complex128)
@@ -386,8 +387,8 @@ def delta_matrix(grid: TransversalGrid, degree: int) -> tuple:
     the first member's trivialization, one per retained leaf label.  The
     degree is assembled in one pass (docs/conventions.md, "Ranks"): its
     entries, in (cell, face, label) order, come from one broadcast of
-    cells x labels tables; transitions are evaluated once per distinct
-    element pair, and the transport integrals of all entries are one
+    cells x labels tables; the transitions of all entries are one
+    cover.transition call, and their transport integrals one
     LeafTransport.integral call.
     """
     src_keys, src_off, n_src = _block_offsets(grid, degree)
@@ -411,16 +412,16 @@ def delta_matrix(grid: TransversalGrid, degree: int) -> tuple:
     members = np.array([grid.nerve.cells[key].indices for key in dst_keys])
     beta0, ref = members[cell, at], members[cell, 0]
 
-    # lambda_{beta0, ref} at the cell's basepoints; ones when beta0 == ref
+    # lambda_{beta0, ref} at the cell's basepoints, ones when beta0 == ref:
+    # one transition call for the degree
     lam = np.ones(len(rows), dtype=np.complex128)
     moved = np.flatnonzero(beta0 != ref)
-    n_elem = len(grid.cover.elements)
-    codes, which = np.unique(beta0[moved] * n_elem + ref[moved], return_inverse=True)
-    if len(codes):
+    formulas = 0
+    if len(moved):
+        cover = grid.cover
+        formulas = len(set(cover.transition_formulas(beta0[moved], ref[moved]).tolist()))
         base = np.concatenate([grid.cells[key].base_points for key in dst_keys])
-        for u, code in enumerate(codes.tolist()):
-            e = moved[which == u]
-            lam[e] = grid.cover.transition(*divmod(code, n_elem), base[rows[e]])
+        lam[moved] = cover.transition(beta0[moved], ref[moved], base[rows[moved]])
     # transport in beta0's frame from the face's basepoints to the cell's,
     # on the face's labels: one integral call for the whole degree
     face = faces[cell, j]
@@ -460,7 +461,7 @@ def delta_matrix(grid: TransversalGrid, degree: int) -> tuple:
         mat = stacks[s][k]
         r, c = mat.shape
         blocks.append((g, row_order[r0 : r0 + r], col_order[c0 : c0 + c], mat))
-    op = LeafBlocks((n_dst, n_src), tuple(blocks), stacks, len(codes))
+    op = LeafBlocks((n_dst, n_src), tuple(blocks), stacks, formulas)
     return op, *index_maps
 
 

@@ -37,6 +37,18 @@ from .quadrature import QuadratureError
 
 REPORT_SCHEMA = "gqlab.report/1"
 
+# The flags each subcommand reads, by argparse dest; any other is refused.
+# Every one of them reads the example flags, --corrupt, --out and --json.
+_READS_ALWAYS = frozenset({"example", "k", "granularity", "p_max", "corrupt", "out", "json"})
+READS = {
+    "check": _READS_ALWAYS | {"map", "tol"},
+    "bs": _READS_ALWAYS | {"polarization", "range", "count", "tol", "include_lines", "csv"},
+    "cohomology": _READS_ALWAYS | {"polarization", "grid", "max_degree", "rank_tol"},
+    "act": _READS_ALWAYS | {
+        "map", "polarization", "range", "count", "grid", "tol", "rank_tol", "seed", "verify",
+    },
+}
+
 
 @dataclasses.dataclass(frozen=True)
 class RunConfig:
@@ -57,9 +69,15 @@ class RunConfig:
     corrupt: str | None = None
     include_lines: bool = False
     verify: str = "thm1,thm2"
+    flags: tuple = ()  # the flags given on the command line, by dest
 
     def __post_init__(self):
-        """Reject values no command can run with, before any work starts."""
+        """Reject flags the command does not read, and values no command
+        can run with, before any work starts."""
+        unread = sorted(set(self.flags) - READS[self.command])
+        if unread:
+            names = ", ".join("--" + dest.replace("_", "-") for dest in unread)
+            raise ConfigurationError(f"{self.command} does not read {names}")
         if self.grid < 1:
             raise ConfigurationError(f"grid must be >= 1, got {self.grid}")
         if self.count < 1:
@@ -81,11 +99,6 @@ class RunConfig:
         if self.example == "cylinder" and not math.isfinite(2.0 * self.cylinder_p_max):
             raise ConfigurationError(
                 f"cylinder height 2 * p-max must be finite, got p-max {self.cylinder_p_max}"
-            )
-        if self.command in ("bs", "cohomology") and self.map != "identity":
-            raise ConfigurationError(
-                f"{self.command} takes no map, got {self.map!r}; "
-                "only act and check read --map"
             )
         if self.command == "act":
             if not self.verify_targets:
@@ -112,8 +125,10 @@ class RunConfig:
         return [w.strip() for w in self.verify.split(",") if w.strip()]
 
     def to_dict(self) -> dict:
+        """The config echo of a report: every setting, not the flags."""
         out = dataclasses.asdict(self)
         out["range"] = list(self.range) if self.range is not None else None
+        del out["flags"]
         return out
 
 
@@ -197,16 +212,17 @@ def _emit(report: dict, args, summary_lines) -> None:
         text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
     except ValueError as exc:
         raise InternalConsistencyError(f"report is not strict JSON: {exc}") from None
-    if args.out:
-        with _open_for_writing(args.out, "report") as fh:
+    out = getattr(args, "out", None)
+    if out:
+        with _open_for_writing(out, "report") as fh:
             fh.write(text + "\n")
-    if args.json:
+    if getattr(args, "json", False):
         print(text)
     else:
         for line in summary_lines:
             print(line)
-        if args.out:
-            print(f"report written to {args.out}")
+        if out:
+            print(f"report written to {out}")
 
 
 # ---------------------------------------------------------------------------
@@ -262,7 +278,7 @@ def cmd_check(cfg: RunConfig, args) -> int:
     local = check_local_data(exm.cover, cfg.tol)
     payload = {"local_data": local.as_dict()}
     passed = local.passed
-    if cfg.map != "identity" or args.map is not None:
+    if "map" in cfg.flags:
         phi = catalog.make_map(exm, cfg.map)
         mrep = check_symplectomorphism(exm.manifold, exm.omega, phi, tol=cfg.tol)
         payload["symplectomorphism"] = {
@@ -300,7 +316,7 @@ def cmd_bs(cfg: RunConfig, args) -> int:
     passed = True
     report = _report(cfg, payload, passed, time.perf_counter() - t0)
     report["timing"]["counters"] = census.counters
-    if args.csv:
+    if getattr(args, "csv", None):
         _write_leaf_csv(args.csv, census)
     locs = ", ".join(f"{c:.10g}" for c in census.bs_locations)
     lines = [
@@ -413,53 +429,43 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_common(sp):
-    sp.add_argument("--example", default="torus", choices=catalog.EXAMPLE_NAMES)
-    sp.add_argument("--k", type=int, default=1)
-    sp.add_argument("--granularity", type=int, default=None)
-    sp.add_argument("--p-max", type=float, default=None, dest="p_max")
-    sp.add_argument("--map", default=None, help="e.g. shear, rot:0.7, translate:0.5,0")
-    sp.add_argument("--polarization", default="default")
-    sp.add_argument("--range", default=None, help="label range lo:hi")
-    sp.add_argument("--count", type=int, default=33)
-    sp.add_argument("--grid", type=int, default=32)
-    sp.add_argument("--max-degree", type=int, default=2, dest="max_degree")
-    sp.add_argument("--tol", type=float, default=1e-8)
-    sp.add_argument("--rank-tol", type=float, default=1e-8, dest="rank_tol")
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--corrupt", default=None)
+    """The flags of check, bs, cohomology and act.  They have no argparse
+    defaults, so the parsed namespace holds exactly the flags given; the
+    settings not given take RunConfig's defaults."""
+    sp.add_argument("--example", choices=catalog.EXAMPLE_NAMES)
+    sp.add_argument("--k", type=int)
+    sp.add_argument("--granularity", type=int)
+    sp.add_argument("--p-max", type=float, dest="p_max")
+    sp.add_argument("--map", help="e.g. shear, rot:0.7, translate:0.5,0")
+    sp.add_argument("--polarization")
+    sp.add_argument("--range", help="label range lo:hi")
+    sp.add_argument("--count", type=int)
+    sp.add_argument("--grid", type=int)
+    sp.add_argument("--max-degree", type=int, dest="max_degree")
+    sp.add_argument("--tol", type=float)
+    sp.add_argument("--rank-tol", type=float, dest="rank_tol")
+    sp.add_argument("--seed", type=int)
+    sp.add_argument("--corrupt")
     sp.add_argument("--include-lines", action="store_true", dest="include_lines")
-    sp.add_argument("--out", default=None, help="write the JSON report here")
-    sp.add_argument("--csv", default=None, help="write a per-leaf CSV here")
+    sp.add_argument("--out", help="write the JSON report here")
+    sp.add_argument("--csv", help="write a per-leaf CSV here")
     sp.add_argument("--json", action="store_true", help="print the JSON report")
 
 
 def _config_from_args(command: str, args) -> RunConfig:
-    crange = None
-    if args.range:
+    given = {dest: value for dest, value in vars(args).items() if dest != "command"}
+    settings = {f.name for f in dataclasses.fields(RunConfig)}
+    values = {dest: value for dest, value in given.items() if dest in settings}
+    for dest in ("range", "map"):  # an empty value means the default
+        if values.get(dest) == "":
+            del values[dest]
+    if "range" in values:
         try:
-            lo, _, hi = args.range.partition(":")
-            crange = (float(lo), float(hi))
+            lo, _, hi = values["range"].partition(":")
+            values["range"] = (float(lo), float(hi))
         except ValueError:
-            raise ConfigurationError(f"bad range {args.range!r}; expected lo:hi")
-    return RunConfig(
-        command=command,
-        example=args.example,
-        k=args.k,
-        granularity=args.granularity,
-        p_max=args.p_max,
-        map=args.map or "identity",
-        polarization=args.polarization,
-        range=crange,
-        count=args.count,
-        grid=args.grid,
-        max_degree=args.max_degree,
-        tol=args.tol,
-        rank_tol=args.rank_tol,
-        seed=args.seed,
-        corrupt=args.corrupt,
-        include_lines=args.include_lines,
-        verify=getattr(args, "verify", RunConfig.verify),
-    )
+            raise ConfigurationError(f"bad range {given['range']!r}; expected lo:hi")
+    return RunConfig(command=command, flags=tuple(sorted(given)), **values)
 
 
 @functools.cache
@@ -484,10 +490,10 @@ def _parser() -> _Parser:
         ("cohomology", "cohomology ranks of the trivialization complex"),
         ("act", "verify symplectomorphism invariance theorems"),
     ):
-        sp = sub.add_parser(name, help=help_text)
+        sp = sub.add_parser(name, help=help_text, argument_default=argparse.SUPPRESS)
         _add_common(sp)
         if name == "act":
-            sp.add_argument("--verify", default=RunConfig.verify)
+            sp.add_argument("--verify")
     return parser
 
 

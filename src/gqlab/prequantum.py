@@ -136,7 +136,8 @@ class TrivializationCover:
     nerve: Nerve  # build_nerve(manifold, elements)
     pullback_of: tuple | None = None  # (source cover, map): membership only
     meta: dict = field(default_factory=dict)
-    # compiled local data, filled on first use: key -> program
+    # compiled local data, filled on first use: key -> program, and the
+    # transition table of batched calls (_transition_table)
     _programs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -170,13 +171,53 @@ class TrivializationCover:
             self._programs[key] = prog
         return eval_at(prog, self.manifold.coords, pts)
 
-    def transition(self, a: int, b: int, pts) -> np.ndarray:
+    def transition(self, a, b, pts) -> np.ndarray:
+        """lambda_ab at points; a and b are element indices, or int arrays
+        of one pair per point.  A batch evaluates each distinct transition
+        formula among its pairs once, on all of that formula's points."""
         pts = as_points(pts)
-        if a == b:
-            return np.ones(len(pts), dtype=np.complex128)
-        return self._evaluate(
-            ("transition", a, b), lambda: self.data.transition_expr(a, b), pts
-        )
+        if np.ndim(a) == 0 and np.ndim(b) == 0:
+            if a == b:
+                return np.ones(len(pts), dtype=np.complex128)
+            return self._evaluate(
+                ("transition", a, b), lambda: self.data.transition_expr(a, b), pts
+            )
+        form = self.transition_formulas(a, b)
+        programs = self._transition_table()[1]
+        out = np.ones(len(pts), dtype=np.complex128)
+        for f in sorted(set(form.tolist()) - {-1}):
+            rows = np.flatnonzero(form == f)
+            out[rows] = eval_at(programs[f], self.manifold.coords, pts[rows])
+        return out
+
+    def transition_formulas(self, a, b) -> np.ndarray:
+        """The number of the transition formula of each pair (a[i], b[i]),
+        -1 where a[i] == b[i]; pairs with equal expressions share a number.
+        A pair of distinct elements without a transition raises."""
+        form = self._transition_table()[0][a, b]
+        missing = form == -2
+        if missing.any():
+            i = np.flatnonzero(missing)[0]
+            raise ConfigurationError(f"no transition for pair ({a[i]}, {b[i]})")
+        return form
+
+    def _transition_table(self) -> tuple:
+        """(elements x elements formula numbers, one program per formula):
+        -1 on the diagonal, -2 for a pair without a transition.  Formulas
+        are keyed by their expression, compiled on first use."""
+        table = self._programs.get("transition table")
+        if table is None:
+            n = len(self.elements)
+            pair_form = np.full((n, n), -2)
+            np.fill_diagonal(pair_form, -1)
+            numbers: dict = {}  # expression -> formula number
+            for (a, b), lam in self.data.transitions.items():
+                if a != b:
+                    pair_form[a, b] = numbers.setdefault(lam, len(numbers))
+            coords = self.manifold.coords
+            programs = [program.compile_expr(lam, coords) for lam in numbers]
+            table = self._programs["transition table"] = (pair_form, programs)
+        return table
 
     def transition_dlog(self, a: int, b: int, pts) -> tuple:
         """(d lambda / lambda) components; branch free."""
@@ -321,12 +362,16 @@ def build_nerve(manifold: Manifold, elements, max_tuple: int = MAX_TUPLE) -> Ner
     """Enumerate the multi-overlap components of the element boxes on the
     manifold, up to tuples of max_tuple indices.
 
-    Degree by degree, every frontier cell is intersected with every element
-    of higher index under every period shift (_shift_candidates) in one
-    broadcast; overlaps narrower than 1e-9 on either axis are empty.  The
-    survivors register in (frontier cell, element, shift) order, and the
-    k-th cell on an index tuple gets comp k.  See docs/conventions.md
-    "Nerve".
+    Degree 1 intersects every element with every element of higher index
+    under every period shift (_shift_candidates) in one broadcast; overlaps
+    narrower than 1e-9 on either axis are empty.  From degree 2 on, a
+    frontier cell lies inside its first member's box, so it meets no
+    (element, shift) pair that box does not: its candidates are the
+    degree-1 overlaps of its first member with elements above its last
+    member, all intersected in one gather.  The survivors register in
+    (frontier cell, element, shift) order, and the k-th cell on an index
+    tuple gets comp k.  The build stops at the first degree with no cells.
+    See docs/conventions.md "Nerve".
     """
     shift_cands = _shift_candidates(manifold)
     offsets = -np.array(shift_cands) * _period_vec(manifold)  # (shifts, 2)
@@ -363,15 +408,39 @@ def build_nerve(manifold: Manifold, elements, max_tuple: int = MAX_TUPLE) -> Ner
         el_hi,
     )
     lo, hi = el_lo, el_hi
+    position = {i: p for p, i in enumerate(ids)}
     for degree in range(1, max_tuple):
-        # (frontier cell, element, shift, axis)
-        new_lo = np.maximum(lo[:, None, None, :], shifted_lo)
-        new_hi = np.minimum(hi[:, None, None, :], shifted_hi)
+        if not frontier:
+            break
         last = np.array([cell.indices[-1] for cell in frontier])
-        keep = ~np.any(new_hi - new_lo < 1e-9, axis=-1)
-        keep &= (id_arr > last[:, None])[:, :, None]
-        f, e, s = np.nonzero(keep)
-        lo, hi = new_lo[f, e, s], new_hi[f, e, s]
+        if degree == 1:
+            # (element, element, shift, axis)
+            new_lo = np.maximum(lo[:, None, None, :], shifted_lo)
+            new_hi = np.minimum(hi[:, None, None, :], shifted_hi)
+            keep = ~np.any(new_hi - new_lo < 1e-9, axis=-1)
+            keep &= (id_arr > last[:, None])[:, :, None]
+            f, e, s = np.nonzero(keep)
+            lo, hi = new_lo[f, e, s], new_hi[f, e, s]
+            # the (element, shift) pairs each element's box meets, in order
+            pair_e, pair_s = e, s
+            n_pairs = np.bincount(f, minlength=len(ids))
+            pair_start = np.cumsum(n_pairs) - n_pairs
+        else:
+            # the candidates of each frontier cell: its first member's pairs
+            # with elements above its last member
+            first = np.array([position[cell.indices[0]] for cell in frontier])
+            counts = n_pairs[first]
+            f = np.repeat(np.arange(len(frontier)), counts)
+            skip = pair_start[first] - (np.cumsum(counts) - counts)
+            p = np.arange(len(f)) + np.repeat(skip, counts)
+            e, s = pair_e[p], pair_s[p]
+            above = id_arr[e] > last[f]
+            f, e, s = f[above], e[above], s[above]
+            new_lo = np.maximum(lo[f], shifted_lo[e, s])
+            new_hi = np.minimum(hi[f], shifted_hi[e, s])
+            keep = ~np.any(new_hi - new_lo < 1e-9, axis=-1)
+            f, e, s = f[keep], e[keep], s[keep]
+            lo, hi = new_lo[keep], new_hi[keep]
         f, e, s = f.tolist(), e.tolist(), s.tolist()
         frontier = register(
             degree,

@@ -34,7 +34,7 @@ class LeafTransport:
         self._integrals: dict = {}
         self.integrals_computed = 0  # label integrals, cache misses
         self.batches = 0  # quadrature calls
-        self.transition_batches = 0  # cover.transition calls of holonomies
+        self.transition_batches = 0  # transition formulas run by holonomies
 
     def integrand(self, member: int):
         """run(cs, ts): theta_member(leaf'(t)) at the labels cs and the

@@ -147,7 +147,7 @@ def test_unknown_map_is_config_error(capsys):
 def test_reports_are_deterministic(capsys):
     def payload():
         _, report = run_json(
-            capsys, "bs", "--example", "torus", "--k", "2", "--seed", "11"
+            capsys, "bs", "--example", "torus", "--k", "2"
         )
         report.pop("timing")
         return json.dumps(report, sort_keys=True)
@@ -473,7 +473,17 @@ def test_cohomology_reports_work_counters(capsys):
     assert again["timing"]["counters"] == counters
 
 
-def test_bs_reports_transport_counters(capsys):
+def test_bs_reports_transport_counters(capsys, monkeypatch):
+    import gqlab.bohr as bohr
+
+    covers = []  # the cover of each holonomy batch
+    holonomy = bohr.holonomy
+
+    def counted(cover, *args):
+        covers.append(cover)
+        return holonomy(cover, *args)
+
+    monkeypatch.setattr(bohr, "holonomy", counted)
     argv = ("bs", "--example", "torus", "--k", "3", "--range", "0.05:6.3332")
     code, report = run_json(capsys, *argv)
     assert code == 0
@@ -486,14 +496,18 @@ def test_bs_reports_transport_counters(capsys):
     # the sampled leaves and each lockstep step share one sweep per segment
     assert 0 < counters["transport_batches"] < counters["transport_integrals"]
     # each membership pattern is threaded once; each holonomy batch makes
-    # one transition call per element pair, fewer than one per leaf (one
-    # per switch would be three per leaf on this granularity-3 torus)
+    # one transition call, which runs each distinct transition formula of
+    # its switches once: at least one and at most the cover's formulas per
+    # batch, fewer than one per leaf (one per switch would be three per
+    # leaf on this granularity-3 torus)
     threaded = (
         len(report["payload"]["census"]["leaves"])
         + counters["root_holonomy_evaluations"]
     )
     assert 0 < counters["leaf_patterns"] <= 9 < threaded
-    assert 0 < counters["transition_batches"] < threaded
+    formulas = len(set(covers[0].data.transitions.values()))
+    assert 0 < len(covers) <= counters["transition_batches"] <= formulas * len(covers)
+    assert counters["transition_batches"] < threaded
     assert "transport" not in json.dumps(report["payload"])
     _, again = run_json(capsys, *argv)
     assert again["timing"]["counters"] == counters

@@ -138,6 +138,10 @@ BAD_CONFIG = [
     ("cohomology", "--example", "cylinder", "--p-max", "1e308"),
     ("bs", "--example", "torus", "--k", "2", "--map", "shear", "--count", "8", "--json"),
     ("cohomology", "--example", "torus", "--map", "translate:1,0"),
+    # flags the command does not read
+    ("cohomology", "--example", "torus", "--grid", "8", "--range", "0:1",
+     "--csv", "/tmp/x.csv", "--json"),
+    ("bs", "--grid", "8", "--max-degree", "1", "--rank-tol", "0.1", "--seed", "3"),
 ]
 
 

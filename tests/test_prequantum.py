@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from gqlab import catalog
+from gqlab import catalog, kernels
 from gqlab import expr as ex
 from gqlab.prequantum import (
     MAX_TUPLE,
@@ -14,6 +14,7 @@ from gqlab.prequantum import (
     Nerve,
     NerveCell,
     RefinementError,
+    _degree_samples,
     _period_vec,
     _shift_candidates,
     build_nerve,
@@ -284,6 +285,83 @@ def test_nerve_matches_pairwise_construction_after_json_round_trip(
     _assert_same_nerve(back.nerve, _reference_nerve(back.manifold, back.elements))
 
 
+def _dense_nerve(manifold, elements, max_tuple=MAX_TUPLE):
+    """The nerve as one dense broadcast per degree: every frontier cell
+    against every element under every shift, the (frontier cell, element,
+    shift) survivors in order."""
+    shift_cands = _shift_candidates(manifold)
+    offsets = -np.array(shift_cands) * _period_vec(manifold)
+    ids = np.array([el.index for el in elements])
+    el_lo = np.array([el.box.lo for el in elements], dtype=float).reshape(-1, 2)
+    el_hi = np.array([el.box.hi for el in elements], dtype=float).reshape(-1, 2)
+    shifted_lo = el_lo[:, None, :] + offsets
+    shifted_hi = el_hi[:, None, :] + offsets
+    cells, by_shape, faces, comps = {}, {}, {}, {}
+
+    def register(degree, indices, shifts, boxes, lo, hi):
+        out = []
+        samples = _degree_samples(manifold, lo, hi, degree)
+        for idx, sh, box, pts in zip(indices, shifts, boxes, samples):
+            comp = comps[idx] = comps.get(idx, -1) + 1
+            cells[(idx, comp)] = NerveCell(idx, comp, box, sh, pts)
+            by_shape[(idx, sh)] = (idx, comp)
+            out.append(cells[(idx, comp)])
+        return out
+
+    frontier = register(0, [(i,) for i in ids.tolist()], [((0, 0),)] * len(elements),
+                        [el.box for el in elements], el_lo, el_hi)
+    lo, hi = el_lo, el_hi
+    for degree in range(1, max_tuple):
+        new_lo = np.maximum(lo[:, None, None, :], shifted_lo)
+        new_hi = np.minimum(hi[:, None, None, :], shifted_hi)
+        last = np.array([cell.indices[-1] for cell in frontier], dtype=int)
+        keep = ~np.any(new_hi - new_lo < 1e-9, axis=-1)
+        keep &= (ids > last[:, None])[:, :, None]
+        f, e, s = np.nonzero(keep)
+        lo, hi = new_lo[f, e, s], new_hi[f, e, s]
+        frontier = register(
+            degree,
+            [frontier[i].indices + (int(ids[j]),) for i, j in zip(f, e)],
+            [frontier[i].shifts + (shift_cands[j],) for i, j in zip(f, s)],
+            [Box(tuple(a), tuple(b)) for a, b in zip(lo.tolist(), hi.tolist())],
+            lo, hi,
+        )
+    for cell in cells.values():
+        links = []
+        for j in range(len(cell.indices)) if cell.degree else ():
+            sub = cell.shifts[:j] + cell.shifts[j + 1:]
+            norm = tuple((a - sub[0][0], b - sub[0][1]) for a, b in sub)
+            links.append((by_shape[(cell.indices[:j] + cell.indices[j + 1:], norm)], sub[0]))
+        if links:
+            faces[cell.key] = tuple(links)
+    return Nerve(cells=cells, faces=faces, max_degree=max_tuple - 1)
+
+
+DENSE_CASES = (
+    [("torus", {"k": 2, "granularity": g}) for g in range(3, 9)]
+    + [("cylinder", {"granularity": g}) for g in (3, 4, 5)]
+    + [("sphere", {"k": k}) for k in range(2, 7)]
+    + [("disk", {}), ("plane", {"granularity": 1}), ("plane", {"granularity": 2})]
+)
+
+
+@pytest.mark.parametrize("name,params", DENSE_CASES)
+def test_nerve_matches_the_dense_broadcast(models, name, params):
+    # a cell's candidates are its first member's overlaps; the dense
+    # broadcast tries every element under every shift
+    cover = models(name, **params).cover
+    _assert_same_nerve(
+        build_nerve(cover.manifold, cover.elements),
+        _dense_nerve(cover.manifold, cover.elements),
+    )
+
+
+def test_refined_nerve_matches_the_dense_broadcast(models):
+    fine, _ = refine(models("torus", k=2).cover, split_boxes(models("torus", k=2).cover))
+    assert fine.nerve.degree(3)  # the refined torus has cells of every degree
+    _assert_same_nerve(fine.nerve, _dense_nerve(fine.manifold, fine.elements))
+
+
 # ---------------------------------------------------------------------------
 # Pullback covers
 
@@ -365,3 +443,75 @@ def test_pullback_data_is_the_chain_through_the_map(models, monkeypatch, name, p
     ts = np.linspace(seg.t0, seg.t1, 5)
     values = transport.integrand(seg.element)(np.array([seg.c_elem]), ts)
     assert np.all(np.isfinite(values))
+
+
+# ---------------------------------------------------------------------------
+# Batched transitions
+
+
+def _transition_cases(models):
+    # a granularity-5 torus has pairs of elements that do not overlap
+    builtins = BUILTINS + [("torus", {"k": 2, "granularity": 5})]
+    cases = [(f"{name}{params}", models(name, **params).cover) for name, params in builtins]
+    for name, params, spec in PULLBACKS:
+        exm = models(name, **params)
+        cases.append((f"{name}{params}-{spec}", pullback(exm.cover, catalog.make_map(exm, spec))))
+    return cases
+
+
+def test_pullback_transition_cases_cover_the_catalog_maps():
+    assert {spec.partition(":")[0] for _, _, spec in PULLBACKS} == {
+        "translate", "pshift", "rot", "shear"
+    }
+
+
+def test_batched_transitions_equal_the_per_pair_calls_bit_for_bit(models, monkeypatch):
+    rng = np.random.default_rng(5)
+    moved = missing_checked = 0
+    for name, cover in _transition_cases(models):
+        cover = replace(cover)  # compiles its own formulas
+        manifold = cover.manifold
+        a, b, pts = [], [], []
+        for cell in cover.nerve.cells.values():
+            if cell.degree > 1 or len(cell.samples) == 0:
+                continue
+            x = manifold.reduce(cell.samples)
+            first, last = cell.indices[0], cell.indices[-1]  # equal in degree 0
+            for i, j in ((first, last), (last, first)):
+                a += [i] * len(x)
+                b += [j] * len(x)
+                pts.append(x)
+        order = rng.permutation(len(a))
+        a, b = np.array(a)[order], np.array(b)[order]
+        pts = np.concatenate(pts)[order]
+        assert np.any(a == b), name
+        moved += int(np.sum(a != b))
+
+        runs = []
+        evaluate = kernels.evaluate
+
+        def counted(e, values):
+            runs.append(e)
+            return evaluate(e, values)
+
+        monkeypatch.setattr(kernels, "evaluate", counted)
+        got = cover.transition(a, b, pts)
+        monkeypatch.undo()
+        formulas = {cover.data.transition_expr(i, j) for i, j in zip(a, b) if i != j}
+        assert len(runs) == len(formulas), name
+        for i, j in set(zip(a.tolist(), b.tolist())):
+            rows = np.flatnonzero((a == i) & (b == j))
+            want = cover.transition(i, j, pts[rows])
+            assert got[rows].tobytes() == want.tobytes(), (name, i, j)
+        assert np.all(got[a == b] == 1.0)
+
+        empty = cover.transition(np.array([], int), np.array([], int), np.empty((0, 2)))
+        assert empty.shape == (0,) and empty.dtype == np.complex128
+        n = len(cover.elements)
+        gaps = [(i, j) for i in range(n) for j in range(n)
+                if i != j and (i, j) not in cover.data.transitions]
+        for i, j in gaps[:1]:
+            with pytest.raises(ConfigurationError, match=rf"\({i}, {j}\)"):
+                cover.transition(np.array([0, i]), np.array([0, j]), pts[:2])
+        missing_checked += len(gaps[:1])
+    assert moved > 10000 and missing_checked > 0
