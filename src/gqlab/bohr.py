@@ -5,8 +5,10 @@ with switch points in consecutive double overlaps; its holonomy is the
 product of segment transport factors exp(-i integral theta) and transition
 values at the switches.  A leaf is Bohr-Sommerfeld exactly when that
 product is 1, i.e. when the accumulated action lands in 2 pi Z.  The census
-locates BS leaves by root-solving Im(holonomy) between sampled sign
-changes, so BS values need not be hit by the sample grid.
+locates BS leaves by root-solving each real-axis crossing of the holonomy
+between sampled sign changes of Im(holonomy), on the branch of its phase
+that is continuous through the crossing, so BS values need not be hit by
+the sample grid.
 
 Leaves come from a LeafAtlas, which threads each membership pattern (the
 set of elements a leaf crosses) once and builds the leaves of a batch of
@@ -510,35 +512,81 @@ def _brent_root(f, a: float, fa: float, b: float, fb: float, xtol: float) -> flo
         return stop.value
 
 
+def _tightest_sign_change(seen: dict, f) -> tuple:
+    """The closest pair of neighbouring labels of seen (label -> holonomy)
+    between which f of the holonomy changes sign or at which it is 0."""
+    labels = sorted(seen)
+    values = [f(seen[c]) for c in labels]
+    _, a, b = min(
+        (b - a, a, b)
+        for a, b, fa, fb in zip(labels, labels[1:], values, values[1:])
+        if fa * fb <= 0.0
+    )
+    return a, b
+
+
+def _crossing_steps(c0: float, h0: complex, c1: float, h1: complex):
+    """The real-axis crossing of the holonomy in the bracket [c0, c1], whose
+    end holonomies h0 and h1 have imaginary parts of opposite sign, as a
+    generator: it yields each label at which it needs the holonomy, never
+    one it has seen, is sent the holonomy there, and returns (root,
+    holonomies by label).  The root is one of those labels, within 1e-12 of
+    the crossing.
+
+    Brent's method runs on the branch of the phase that is continuous
+    through the crossing, atan2(s Im h, s Re h): s = +1 when the shorter way
+    between the two end phases passes through 0, -1 when it passes through
+    pi.  Either branch has the sign of s Im(h) wherever Im(h) is not 0, so
+    its sign changes are the crossings; near one the phase is close to
+    linear in the label, and a secant step lands on the root.  A wrong
+    guess (the phase stepped by more than pi between the ends) leaves a
+    jump of 2 pi at the crossing instead, which Brent only closes in on by
+    bisection.  So a search that has not finished after 4 steps restarts on
+    the tightest sign change seen, with the other branch, and after 4 more
+    with Im(h), on which Brent always finishes.
+    """
+    seen = {c0: h0, c1: h1}
+    phases = abs(math.atan2(h0.imag, h0.real)) + abs(math.atan2(h1.imag, h1.real))
+    s = 1.0 if phases <= math.pi else -1.0
+    stages = (
+        (lambda h: math.atan2(s * h.imag, s * h.real), 4),
+        (lambda h: math.atan2(-s * h.imag, -s * h.real), 4),
+        (lambda h: h.imag, math.inf),
+    )
+    for f, limit in stages:
+        a, b = _tightest_sign_change(seen, f)
+        steps = _brent_steps(a, f(seen[a]), b, f(seen[b]), 1e-12)
+        taken = 0
+        try:
+            x = next(steps)
+            while taken < limit:
+                if x not in seen:
+                    seen[x] = yield x
+                taken += 1
+                x = steps.send(f(seen[x]))
+        except StopIteration as stop:
+            return stop.value, seen
+
+
 def _lockstep_roots(brackets, holonomies_at) -> list:
-    """Brent searches on Im(hol) of every bracket (c0, h0, c1, h1), stepped
-    together: holonomies_at(labels) returns the holonomies at the next
-    label of each unfinished search, as one batch.  Each search takes
-    exactly the steps it takes alone; a label it has seen is not asked for
-    again.  Returns (root, holonomies by label) per bracket."""
-    hols = [{c0: h0, c1: h1} for c0, h0, c1, h1 in brackets]
-    roots = [None] * len(brackets)
-    sends = [  # (bracket, search, value to send it; None starts it)
-        (i, _brent_steps(c0, h0.imag, c1, h1.imag, 1e-12), None)
-        for i, (c0, h0, c1, h1) in enumerate(brackets)
-    ]
+    """The crossing searches (_crossing_steps) of every bracket (c0, h0,
+    c1, h1), stepped together: holonomies_at(labels) returns the holonomies
+    at the next label of each unfinished search, as one batch.  Each search
+    takes exactly the steps it takes alone.  Returns (root, holonomies by
+    label) per bracket."""
+    solved = [None] * len(brackets)
+    sends = [(i, _crossing_steps(*bracket), None) for i, bracket in enumerate(brackets)]
     while True:
         asks = []
-        for i, steps, value in sends:
+        for i, search, h in sends:
             try:
-                x = steps.send(value)
-                while x in hols[i]:
-                    x = steps.send(hols[i][x].imag)
-                asks.append((i, steps, x))
+                asks.append((i, search, search.send(h)))
             except StopIteration as stop:
-                roots[i] = stop.value
+                solved[i] = stop.value
         if not asks:
-            return list(zip(roots, hols))
+            return solved
         values = holonomies_at([x for _, _, x in asks])
-        sends = []
-        for (i, steps, x), h in zip(asks, values):
-            hols[i][x] = h
-            sends.append((i, steps, h.imag))
+        sends = [(i, search, h) for (i, search, _), h in zip(asks, values)]
 
 
 @dataclass(frozen=True)
@@ -561,6 +609,7 @@ class BSReport:
     # the payload
     root_brackets: int
     root_holonomy_evaluations: int
+    root_steps: int  # lockstep holonomy batches of the searches
     transport_integrals: int  # label integrals computed
     transport_batches: int  # quadrature calls
     leaf_patterns: int  # membership patterns threaded
@@ -571,6 +620,7 @@ class BSReport:
         return {
             "root_brackets": self.root_brackets,
             "root_holonomy_evaluations": self.root_holonomy_evaluations,
+            "root_steps": self.root_steps,
             "transport_integrals": self.transport_integrals,
             "transport_batches": self.transport_batches,
             "leaf_patterns": self.leaf_patterns,
@@ -609,9 +659,10 @@ def bs_census(
     """Bohr-Sommerfeld census over a label range.
 
     Circle leaves are sampled at `count` labels.  Each pair of neighbouring
-    samples where Im(holonomy) changes sign brackets a crossing, which
-    Brent's method locates to 1e-12 in the label; it is a BS location when
-    the holonomy there is +1, not -1.  On a periodic label window one
+    samples where Im(holonomy) changes sign brackets a crossing of the real
+    axis, which Brent's method locates to 1e-12 in the label, on the branch
+    of the phase that is continuous through it (_crossing_steps); it is a
+    BS location when the holonomy there is +1, not -1.  On a periodic label window one
     period wide, the bracket from the last sample round to the first one
     is searched too.  The samples must be fine enough that the holonomy
     crosses the real axis at most once between neighbours
@@ -627,7 +678,7 @@ def bs_census(
     one evaluator run per distinct transition formula.  All brackets are
     then searched together: each lockstep step threads the next label of every
     unfinished bracket and takes one holonomy batch again, while each
-    bracket takes exactly the Brent steps it takes alone.
+    bracket takes exactly the steps it takes alone.
     """
     transport = LeafTransport(cover, pol)
     atlas = LeafAtlas(cover, pol)
@@ -651,13 +702,18 @@ def bs_census(
             sampled.append((leaf.label, hres.holonomy))
         entries.append(BSEntry(leaf, hres, is_bs))
 
+    root_steps = 0
+
     def holonomies_at(labels: list) -> list:
+        nonlocal root_steps
+        root_steps += 1
         threaded = atlas.leaves(labels)
         return [h.holonomy for h in holonomy(cover, pol, threaded, transport)]
 
     # The holonomy is continuous in the label (the action is only defined
-    # up to the threading), so we root-solve Im(hol) between sign changes
-    # and keep the roots where the holonomy is +1 rather than -1.
+    # up to the threading, so it cannot choose the branch), so we root-solve
+    # each sign change of Im(hol) on the phase branch its ends suggest and
+    # keep the roots where the holonomy is +1 rather than -1.
     hi = crange[1]
     period = pol.label_range[1] - pol.label_range[0] if pol.label_periodic else None
     locations = []
@@ -718,6 +774,7 @@ def bs_census(
         tol=tol,
         root_brackets=len(solved),
         root_holonomy_evaluations=sum(len(hols) - 2 for _, hols in solved),
+        root_steps=root_steps,
         transport_integrals=transport.integrals_computed,
         transport_batches=transport.batches,
         leaf_patterns=atlas.threadings,

@@ -424,8 +424,9 @@ def cmd_act(cfg: RunConfig, args) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
-    def error(self, message):  # exit code 2 on usage errors
-        raise ConfigurationError(f"{message}\n{self.format_usage().rstrip()}")
+    def error(self, message, command=None):  # exit 2 on usage errors, one line
+        prog = f"{self.prog} {command}" if command else self.prog
+        raise ConfigurationError(f"{prog}: {message} (see {prog} --help)")
 
 
 def _add_common(sp):
@@ -515,7 +516,9 @@ def main(argv=None) -> int:
     argv = joined
 
     try:
-        args = _parser().parse_args(argv)
+        args, unknown = _parser().parse_known_args(argv)
+        if unknown:  # named with the subcommand whose parser lacks them
+            _parser().error(f"unrecognized arguments: {' '.join(unknown)}", args.command)
         if args.command == "examples":
             return cmd_examples(args)
         if args.command == "parse-expr":

@@ -443,10 +443,11 @@ def _bracket_cases(seed: int) -> tuple:
         else:  # sin(k x) of period P: last sample round to first + P
             k = int(rng.integers(1, 4))
             period = TWO_PI / k
+            r = base + 0.5 + (r - base - 3.0) / 8.0  # [r, r + P] inside the cell
             g = lambda x, k=k, r=r: math.sin(k * (x - r))
-            # samples a little below the zero at r + P / 2 and a little
-            # above the zero at r, as a window [r, r + P) closes
-            c_last, c_first = r + 0.5 * period - 0.1 * w0, r + 0.1 * w1
+            # samples a little below the zero at r + P and a little above
+            # the zero at r, as a window [r, r + P) closes
+            c_last, c_first = r + period - 0.1 * w0, r + 0.1 * w1
             shapes.append(g)
             brackets.append((c_last, g(c_last), c_first + period, g(c_first)))
             continue
@@ -460,13 +461,28 @@ def _bracket_cases(seed: int) -> tuple:
     return brackets, f
 
 
+def _search_alone(hol, c0: float, h0: complex, c1: float, h1: complex) -> tuple:
+    """The crossing search of one bracket, run on its own against the
+    holonomy function hol: (root, holonomies by label, labels asked)."""
+    g, calls = _counted(hol)
+    search = bohr._crossing_steps(c0, h0, c1, h1)
+    try:
+        x = next(search)
+        while True:
+            x = search.send(g(x))
+    except StopIteration as stop:
+        root, seen = stop.value
+    return root, seen, calls
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_lockstep_brackets_take_the_steps_they_take_alone(seed):
     brackets, f = _bracket_cases(seed)
     alone = []
     for a, fa, b, fb in brackets:
-        g, calls = _counted(f)
-        root = _brent_root(g, a, fa, b, fb, 1e-12)
+        root, _, calls = _search_alone(
+            lambda c: complex(1.0, f(c)), a, complex(1.0, fa), b, complex(1.0, fb)
+        )
         alone.append((root, len(set(calls) - {a, b})))
     batches = []
 
@@ -485,6 +501,29 @@ def test_lockstep_brackets_take_the_steps_they_take_alone(seed):
     assert batches == sorted(batches, reverse=True)
     assert sum(batches) == sum(n for _, n in alone)
     assert any(n == 0 for _, n in alone)  # brackets with a zero at an end
+
+
+@pytest.mark.parametrize(
+    "start,turn,sign",
+    [
+        (0.7, -1.3, 1.0),  # 0.7 pi down through 0 to -0.6 pi: +1
+        (0.45, 1.2, -1.0),  # 0.45 pi up through pi to -0.35 pi: -1
+        (-0.9, 1.75, 1.0),  # -0.9 pi up through 0 to 0.85 pi: +1
+    ],
+)
+def test_crossing_search_when_the_phase_takes_the_long_way_round(start, turn, sign):
+    # the end phases guess the other way round, so the first branch has a
+    # jump at the crossing; the search still returns the crossing Brent on
+    # Im(hol) finds, with the same +1/-1 verdict
+    def hol(c):
+        theta = math.pi * (start + turn * c + 0.05 * c * c)
+        return complex(math.cos(theta), math.sin(theta))
+
+    root, seen, calls = _search_alone(hol, 0.0, hol(0.0), 1.0, hol(1.0))
+    want = _brent_root(lambda c: hol(c).imag, 0.0, hol(0.0).imag, 1.0, hol(1.0).imag, 1e-12)
+    assert abs(root - want) <= 1e-12
+    assert math.copysign(1.0, seen[root].real) == sign == math.copysign(1.0, hol(want).real)
+    assert len(calls) == len(seen) - 2 <= 20
 
 
 def _census_cases(models):
@@ -546,10 +585,12 @@ def test_census_holonomy_calls_add_up(models, monkeypatch, name, params, crange,
     # holonomy calls of a census minus its sampled non-line leaves are the
     # root-solving evaluations it reports
     calls = []
+    batches = []
     real = bohr.holonomy
 
     def counting(cover, pol, leaves, transport=None):
         calls.extend(leaf.label for leaf in _batch(leaves))
+        batches.append(len(_batch(leaves)))
         return real(cover, pol, leaves, transport)
 
     monkeypatch.setattr(bohr, "holonomy", counting)
@@ -558,6 +599,8 @@ def test_census_holonomy_calls_add_up(models, monkeypatch, name, params, crange,
                     include_lines=include_lines)
     sampled = sum(1 for e in rep.entries if e.leaf.topology != "line")
     assert len(calls) - sampled == rep.root_holonomy_evaluations
+    # one batch of sampled leaves, then one per lockstep step
+    assert len(batches) == 1 + rep.root_steps
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])

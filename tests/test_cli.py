@@ -1,9 +1,11 @@
 """CLI behavior: exit codes, reports, determinism, CSV."""
 
 import csv
+import importlib
 import json
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -291,6 +293,42 @@ def test_bs_reports_root_solving_counters(capsys):
     assert "counters" not in json.dumps(report["payload"])
 
 
+def test_bs_root_solving_stays_cheap_on_the_benchmark_census(capsys, monkeypatch):
+    # about 2 holonomies a bracket on the phase branch that is smooth
+    # through each crossing; Brent on Im(hol) spent about 4.5
+    perfbench = Path(__file__).resolve().parent.parent / "perfbench"
+    monkeypatch.syspath_prepend(str(perfbench))
+    workloads = importlib.import_module("workloads")
+    ops = workloads.warmup_ops("census")
+    for seed in (1, 2, 3):
+        ops += workloads.round_ops("census", seed)
+    for op in ops:
+        code = main(list(op.argv))
+        report = json.loads(capsys.readouterr().out)
+        counters = report["timing"]["counters"]
+        assert code == op.exit_code and op.check(report) == [], op.argv
+        assert (
+            counters["root_holonomy_evaluations"] <= 3 * counters["root_brackets"]
+        ), op.argv
+
+
+@pytest.mark.parametrize("count,most", [(12, 40), (10, 18)])
+def test_bs_root_solving_when_the_phase_steps_past_pi(capsys, count, most):
+    # the phase advances 1.6 pi (count 10) or 4 pi / 3 (count 12) between
+    # samples, so some brackets start on the wrong branch; they still find
+    # BS heights only, at most twice the holonomies Brent on Im(hol) spent
+    code, report = run_json(
+        capsys, "bs", "--example", "torus", "--k", "8", "--count", str(count)
+    )
+    assert code == 0
+    locations = np.array(report["payload"]["census"]["bs_locations"])
+    heights = np.round(locations / (math.pi / 4))
+    assert np.all(np.abs(locations - heights * math.pi / 4) <= 1e-12)
+    if count == 12:
+        assert heights.tolist() == list(range(8))
+    assert 0 < report["timing"]["counters"]["root_holonomy_evaluations"] <= most
+
+
 def test_act_on_broken_local_data_fails_before_the_theorems(capsys):
     code, report = run_json(
         capsys, "act", "--example", "plane", "--granularity", "2",
@@ -489,7 +527,7 @@ def test_bs_reports_transport_counters(capsys, monkeypatch):
     assert code == 0
     counters = report["timing"]["counters"]
     assert set(counters) == {
-        "root_brackets", "root_holonomy_evaluations",
+        "root_brackets", "root_holonomy_evaluations", "root_steps",
         "transport_integrals", "transport_batches",
         "leaf_patterns", "transition_batches",
     }
@@ -523,7 +561,7 @@ def test_act_reports_work_counters(capsys):
         "gauge_integrals", "gauge_nodes", "grid_builds",
         "transport_integrals", "transport_batches", "leaf_blocks", "svd_calls",
         "transition_batches", "root_brackets", "root_holonomy_evaluations",
-        "leaf_patterns",
+        "root_steps", "leaf_patterns",
     }
     assert counters["grid_builds"] == 2
     # each leg integral takes at least one 7/15-point pass

@@ -142,6 +142,8 @@ BAD_CONFIG = [
     ("cohomology", "--example", "torus", "--grid", "8", "--range", "0:1",
      "--csv", "/tmp/x.csv", "--json"),
     ("bs", "--grid", "8", "--max-degree", "1", "--rank-tol", "0.1", "--seed", "3"),
+    # a flag the command's parser does not define
+    ("bs", "--verify", "thm3"),
 ]
 
 
