@@ -177,6 +177,7 @@ def build_complementary(
     """
     if cover.pullback_of is not None:
         raise ConfigurationError("complementary covers are built over base covers")
+    cover.nerve.require_degree(1, "build_complementary")
     for el in cover.elements:
         if not el.contractible:
             raise ConfigurationError(

@@ -29,6 +29,7 @@ from .geometry import (
     identity_map,
 )
 from .prequantum import (
+    MAX_DEGREE,
     ConfigurationError,
     CoverElement,
     LocalData,
@@ -77,7 +78,9 @@ def _require_positive_k(k) -> int:
 # plane
 
 
-def _plane_example(granularity: int = 1, half_width: float = 4.0) -> Example:
+def _plane_example(
+    granularity: int = 1, half_width: float = 4.0, nerve_degree: int = MAX_DEGREE
+) -> Example:
     x, y = Var("x"), Var("y")
     manifold = Manifold(
         name="plane",
@@ -125,7 +128,7 @@ def _plane_example(granularity: int = 1, half_width: float = 4.0) -> Example:
         omega=omega,
         elements=elements,
         data=data,
-        nerve=build_nerve(manifold, elements),
+        nerve=build_nerve(manifold, elements, nerve_degree),
         meta={"name": "plane", "granularity": granularity,
               "data_builder": data_builder},
     )
@@ -170,20 +173,25 @@ def _plane_example(granularity: int = 1, half_width: float = 4.0) -> Example:
 # torus
 
 
-def _torus_row_offset(int_a: tuple, int_b: tuple) -> int | None:
-    """Multiple nu of the period with lift_a = lift_b + nu * period on the
-    overlap of two unrolled intervals; None when they do not meet."""
-
-    def meets(a, b):
-        return min(a[1], b[1]) - max(a[0], b[0]) > 1e-9
-
-    for nu in (0, 1, -1):
-        if meets(int_a, (int_b[0] + nu * TWO_PI, int_b[1] + nu * TWO_PI)):
-            return nu
-    return None
+_TORUS_NU = np.array([0, 1, -1])  # period offsets, in the order they are tried
 
 
-def _torus_example(k: int, granularity: int = 3) -> Example:
+def _torus_row_offsets(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """For every ordered pair (a, b) of intervals (rows of lo, hi), the first
+    nu of (0, 1, -1) for which [lo_b, hi_b] + nu * period meets [lo_a, hi_a]
+    by more than 1e-9, so that lift_a = lift_b + nu * period on their
+    overlap; 2 where no nu does."""
+    shift = _TORUS_NU * TWO_PI  # (nu,)
+    meets = (
+        np.minimum(hi[:, None, None], hi[None, :, None] + shift)
+        - np.maximum(lo[:, None, None], lo[None, :, None] + shift)
+    ) > 1e-9  # (a, b, nu)
+    return np.where(meets.any(axis=2), _TORUS_NU[meets.argmax(axis=2)], 2)
+
+
+def _torus_example(
+    k: int, granularity: int = 3, nerve_degree: int = MAX_DEGREE
+) -> Example:
     k = _require_positive_k(k)
     g = int(granularity)
     if g < 3:
@@ -212,27 +220,26 @@ def _torus_example(k: int, granularity: int = 3) -> Example:
             i1, i2 = interval(col), interval(row)
             boxes.append(Box((i1[0], i2[0]), (i1[1], i2[1])))
 
+    # the transition across a row offset nu is exp(i k nu x1), one formula
+    # per offset shared by every pair with that offset
+    by_offset = {
+        nu: ex.ONE if nu == 0 else call("exp", mul(Imag(), mul(Num(float(k * nu)), x1)))
+        for nu in (0, 1, -1)
+    }
+
     def data_builder(layout):
-        transitions = {}
-        potentials = {b: theta for b in range(len(layout))}
-        for a in range(len(layout)):
-            for b in range(len(layout)):
-                if a == b:
-                    continue
-                nu_row = _torus_row_offset(
-                    layout[a].interval(1), layout[b].interval(1)
-                )
-                nu_col = _torus_row_offset(
-                    layout[a].interval(0), layout[b].interval(0)
-                )
-                if nu_row is None or nu_col is None:
-                    continue  # no overlap, no transition
-                if nu_row == 0:
-                    transitions[(a, b)] = ex.ONE
-                else:
-                    transitions[(a, b)] = call(
-                        "exp", mul(Imag(), mul(Num(float(k * nu_row)), x1))
-                    )
+        lo = np.array([box.lo for box in layout], dtype=float)
+        hi = np.array([box.hi for box in layout], dtype=float)
+        nu_col = _torus_row_offsets(lo[:, 0], hi[:, 0])
+        nu_row = _torus_row_offsets(lo[:, 1], hi[:, 1])
+        overlap = (nu_col != 2) & (nu_row != 2)
+        np.fill_diagonal(overlap, False)
+        a, b = np.nonzero(overlap)  # in (a, b) order
+        transitions = {
+            (i, j): by_offset[nu]
+            for i, j, nu in zip(a.tolist(), b.tolist(), nu_row[a, b].tolist())
+        }
+        potentials = {n: theta for n in range(len(layout))}
         return LocalData(transitions=transitions, potentials=potentials)
 
     elements = [
@@ -244,7 +251,7 @@ def _torus_example(k: int, granularity: int = 3) -> Example:
         omega=omega,
         elements=elements,
         data=data_builder(boxes),
-        nerve=build_nerve(manifold, elements),
+        nerve=build_nerve(manifold, elements, nerve_degree),
         meta={"name": "torus", "k": k, "granularity": g,
               "data_builder": data_builder},
     )
@@ -278,7 +285,9 @@ def _torus_example(k: int, granularity: int = 3) -> Example:
 # cylinder
 
 
-def _cylinder_example(p_max: float = 3.5, granularity: int = 3) -> Example:
+def _cylinder_example(
+    p_max: float = 3.5, granularity: int = 3, nerve_degree: int = MAX_DEGREE
+) -> Example:
     g = int(granularity)
     if g < 2:
         raise ConfigurationError("cylinder cover needs granularity >= 2")
@@ -320,7 +329,7 @@ def _cylinder_example(p_max: float = 3.5, granularity: int = 3) -> Example:
         omega=omega,
         elements=elements,
         data=data_builder(boxes),
-        nerve=build_nerve(manifold, elements),
+        nerve=build_nerve(manifold, elements, nerve_degree),
         meta={"name": "cylinder", "p_max": p_max, "granularity": g,
               "data_builder": data_builder},
     )
@@ -353,7 +362,7 @@ def _cylinder_example(p_max: float = 3.5, granularity: int = 3) -> Example:
 # sphere (moment coordinates)
 
 
-def _sphere_example(k: int) -> Example:
+def _sphere_example(k: int, nerve_degree: int = MAX_DEGREE) -> Example:
     k = _require_positive_k(k)
     z, phi = Var("z"), Var("phi")
     manifold = Manifold(
@@ -398,7 +407,7 @@ def _sphere_example(k: int) -> Example:
         omega=omega,
         elements=elements,
         data=data_builder(boxes),
-        nerve=build_nerve(manifold, elements),
+        nerve=build_nerve(manifold, elements, nerve_degree),
         meta={"name": "sphere", "k": k, "data_builder": data_builder},
     )
     pol = Polarization(
@@ -432,7 +441,7 @@ def _sphere_example(k: int) -> Example:
 # disk
 
 
-def _disk_example(radius: float = 3.2) -> Example:
+def _disk_example(radius: float = 3.2, nerve_degree: int = MAX_DEGREE) -> Example:
     x, y = Var("x"), Var("y")
     manifold = Manifold(
         name="disk",
@@ -455,7 +464,7 @@ def _disk_example(radius: float = 3.2) -> Example:
         omega=omega,
         elements=elements,
         data=data_builder(None),
-        nerve=build_nerve(manifold, elements),
+        nerve=build_nerve(manifold, elements, nerve_degree),
         meta={"name": "disk", "radius": radius, "data_builder": data_builder},
     )
     half_r2 = 0.5 * radius * radius
@@ -558,7 +567,10 @@ def untwisted_circle_example() -> Example:
 # public entry points
 
 
-def example(name: str, **params) -> Example:
+def example(name: str, nerve_degree: int = MAX_DEGREE, **params) -> Example:
+    """The builtin model `name` with its cover's nerve built to degree
+    nerve_degree: 0 for leaf threading alone, 2 for the local-data laws,
+    n + 1 for cohomology through degree n."""
     builders = {
         "plane": _plane_example,
         "cylinder": _cylinder_example,
@@ -571,7 +583,7 @@ def example(name: str, **params) -> Example:
             f"unknown example {name!r}; choose from {sorted(builders)}"
         )
     try:
-        return builders[name](**params)
+        return builders[name](nerve_degree=nerve_degree, **params)
     except TypeError as exc:
         raise ConfigurationError(f"bad parameters for {name}: {exc}") from None
 

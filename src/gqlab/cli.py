@@ -32,7 +32,7 @@ from .action import (
 from .bohr import CoverageError, bs_census, lattice_count
 from .cech import ResolutionError, cohomology_ranks
 from .geometry import check_symplectomorphism
-from .prequantum import ConfigurationError, check_local_data
+from .prequantum import MAX_DEGREE, ConfigurationError, check_local_data
 from .quadrature import QuadratureError
 
 REPORT_SCHEMA = "gqlab.report/1"
@@ -47,6 +47,19 @@ READS = {
     "act": _READS_ALWAYS | {
         "map", "polarization", "range", "count", "grid", "tol", "rank_tol", "seed", "verify",
     },
+}
+
+# The nerve degree each subcommand reads, so its example builds no deeper
+# (docs/conventions.md, "Nerve"): bs threads leaves through the elements
+# (degree 0); the cocycle law lives on triple overlaps (degree 2);
+# cohomology through degree n needs the differential into degree n + 1,
+# with the cap above MAX_DEGREE left to cohomology_ranks to refuse; act
+# checks the local data, and theorem 1 computes cohomology through degree 2.
+NERVE_DEGREE = {
+    "check": lambda cfg: 2,
+    "bs": lambda cfg: 0,
+    "cohomology": lambda cfg: min(cfg.max_degree + 1, MAX_DEGREE),
+    "act": lambda cfg: 3 if "thm1" in cfg.verify_targets else 2,
 }
 
 
@@ -125,10 +138,14 @@ class RunConfig:
         return [w.strip() for w in self.verify.split(",") if w.strip()]
 
     def to_dict(self) -> dict:
-        """The config echo of a report: every setting, not the flags."""
-        out = dataclasses.asdict(self)
-        out["range"] = list(self.range) if self.range is not None else None
-        del out["flags"]
+        """The config echo of a report: the command and the settings it
+        reads."""
+        out = {"command": self.command}
+        for f in dataclasses.fields(self):
+            if f.name in READS[self.command]:
+                out[f.name] = getattr(self, f.name)
+        if out.get("range") is not None:
+            out["range"] = list(self.range)
         return out
 
 
@@ -144,7 +161,8 @@ def _example_from_config(cfg: RunConfig) -> catalog.Example:
         params["granularity"] = cfg.granularity
     if cfg.example == "cylinder":
         params["p_max"] = cfg.cylinder_p_max
-    exm = catalog.example(cfg.example, **params)
+    nerve_degree = NERVE_DEGREE[cfg.command](cfg)
+    exm = catalog.example(cfg.example, nerve_degree=nerve_degree, **params)
     if cfg.corrupt:
         exm = _apply_corruption(exm, cfg.corrupt)
     return exm
@@ -194,6 +212,12 @@ def _report(cfg: RunConfig, payload: dict, passed: bool, seconds: float) -> dict
     }
 
 
+def _counters(exm: catalog.Example, work=None) -> dict:
+    """A report's timing.counters: the work counters of the run and the
+    number of nerve cells its example built."""
+    return {**(work or {}), "nerve_cells": len(exm.cover.nerve)}
+
+
 def _open_for_writing(path: str, what: str, **kwargs):
     """open(path, "w"), with an OS refusal (no such directory, no
     permission) reported as a configuration error."""
@@ -230,8 +254,9 @@ def _emit(report: dict, args, summary_lines) -> None:
 
 
 def cmd_examples(args) -> int:
-    for name in catalog.EXAMPLE_NAMES:
-        exm = catalog.example(name, **({"k": 1} if name in ("torus", "sphere") else {}))
+    for name in catalog.EXAMPLE_NAMES:  # the listing reads no nerve cell
+        params = {"k": 1} if name in ("torus", "sphere") else {}
+        exm = catalog.example(name, nerve_degree=0, **params)
         print(
             f"{name:<10} elements={len(exm.cover.elements):<3} "
             f"polarizations={','.join(sorted(exm.polarizations))} "
@@ -290,6 +315,7 @@ def cmd_check(cfg: RunConfig, args) -> int:
         }
         passed = passed and mrep.passed
     report = _report(cfg, payload, passed, time.perf_counter() - t0)
+    report["timing"]["counters"] = _counters(exm)
     lines = [
         _local_data_line(local),
         f"check: {'pass' if passed else 'FAIL'} (tol {cfg.tol:g})",
@@ -315,7 +341,7 @@ def cmd_bs(cfg: RunConfig, args) -> int:
         }
     passed = True
     report = _report(cfg, payload, passed, time.perf_counter() - t0)
-    report["timing"]["counters"] = census.counters
+    report["timing"]["counters"] = _counters(exm, census.counters)
     if getattr(args, "csv", None):
         _write_leaf_csv(args.csv, census)
     locs = ", ".join(f"{c:.10g}" for c in census.bs_locations)
@@ -360,7 +386,7 @@ def cmd_cohomology(cfg: RunConfig, args) -> int:
     )
     payload = {"cohomology": rank.as_dict()}
     report = _report(cfg, payload, True, time.perf_counter() - t0)
-    report["timing"]["counters"] = rank.counters
+    report["timing"]["counters"] = _counters(exm, rank.counters)
     lines = [
         "degree  dim   rank(delta)  betti  betti/leaf",
         *(
@@ -384,6 +410,7 @@ def cmd_act(cfg: RunConfig, args) -> int:
         status = "invalid_local_data"
         payload = {"local_data": local.as_dict(), "status": status}
         report = _report(cfg, payload, False, time.perf_counter() - t0)
+        report["timing"]["counters"] = _counters(exm)
         _emit(report, args, [_local_data_line(local), f"status: {status}"])
         return 1
     # one complementary cover (or obstruction) serves both theorems
@@ -411,7 +438,7 @@ def cmd_act(cfg: RunConfig, args) -> int:
             status = rep.status
     payload["status"] = status
     report = _report(cfg, payload, passed, time.perf_counter() - t0)
-    report["timing"]["counters"] = dict(counters)
+    report["timing"]["counters"] = _counters(exm, counters)
     lines = [f"status: {status}"]
     for w in which:
         lines.append(f"{w}: {'pass' if payload[w]['pass'] else 'FAIL'}")

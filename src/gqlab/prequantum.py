@@ -10,14 +10,17 @@ manifold itself (periodic in the periodic coordinates), which every builtin
 family satisfies.  A pullback cover (`pullback`) holds the pulled-back pair
 as formulas too, so every accessor reads local data the same way.
 
-The nerve records every nonempty multi-overlap up to degree 3, one cell per
-connected component, with interior sample points, per-member unrolling
-shifts, and face links; this is the combinatorial carrier for the cochain
-complex, the consistency checks, and the holonomy loop threading.  It
-depends only on the manifold and the element boxes, so every constructor
-builds it from those (build_nerve) before the cover, and hands the cover
-complete: a cover, its local data and its nerve are frozen, their dicts
-read-only, and the formulas a cover compiles on first use stay valid.
+The nerve records every nonempty multi-overlap up to a degree its builder
+chooses (MAX_DEGREE unless told otherwise, see docs/conventions.md
+"Nerve"), one cell per connected component, with interior sample points,
+per-member unrolling shifts, and face links; this is the combinatorial
+carrier for the cochain complex, the consistency checks, and the holonomy
+loop threading.  It depends only on the manifold and the element boxes, so
+every constructor builds it from those (build_nerve) before the cover, and
+hands the cover complete to that degree: a cover, its local data and its
+nerve are frozen, their dicts read-only, and the formulas a cover compiles
+on first use stay valid.  A reader of degree-n cells refuses a nerve that
+stops below n (require_degree).
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ from .geometry import (
     eval_at,
 )
 
-MAX_TUPLE = 4  # tuples up to 4 indices: cochain degrees 0..3
+MAX_DEGREE = 3  # the default nerve: tuples up to 4 indices, cochain degrees 0..3
 
 
 class ConfigurationError(ValueError):
@@ -122,6 +125,15 @@ class Nerve:
 
     def degree(self, n: int):
         return [c for c in self.cells.values() if c.degree == n]
+
+    def require_degree(self, n: int, reader: str) -> None:
+        """Refuse a reader of degree-n cells when this nerve stops below n:
+        it would find none and read that as an empty overlap."""
+        if n > self.max_degree:
+            raise ConfigurationError(
+                f"{reader} reads degree-{n} nerve cells; this nerve stops at "
+                f"degree {self.max_degree}"
+            )
 
     def __len__(self):
         return len(self.cells)
@@ -358,9 +370,9 @@ def _degree_samples(manifold: Manifold, lo: np.ndarray, hi: np.ndarray,
     return [pts[k] for pts, k in zip(grid, keep.reshape(len(lo), n * n))]
 
 
-def build_nerve(manifold: Manifold, elements, max_tuple: int = MAX_TUPLE) -> Nerve:
+def build_nerve(manifold: Manifold, elements, max_degree: int = MAX_DEGREE) -> Nerve:
     """Enumerate the multi-overlap components of the element boxes on the
-    manifold, up to tuples of max_tuple indices.
+    manifold, up to degree max_degree (tuples of max_degree + 1 indices).
 
     Degree 1 intersects every element with every element of higher index
     under every period shift (_shift_candidates) in one broadcast; overlaps
@@ -409,7 +421,7 @@ def build_nerve(manifold: Manifold, elements, max_tuple: int = MAX_TUPLE) -> Ner
     )
     lo, hi = el_lo, el_hi
     position = {i: p for p, i in enumerate(ids)}
-    for degree in range(1, max_tuple):
+    for degree in range(1, max_degree + 1):
         if not frontier:
             break
         last = np.array([cell.indices[-1] for cell in frontier])
@@ -467,7 +479,7 @@ def build_nerve(manifold: Manifold, elements, max_tuple: int = MAX_TUPLE) -> Ner
             links.append((key, base))
         faces[cell.key] = tuple(links)
 
-    return Nerve(cells=cells, faces=faces, max_degree=max_tuple - 1)
+    return Nerve(cells=cells, faces=faces, max_degree=max_degree)
 
 
 def coverage_gaps(cover: TrivializationCover, grid: int = 40) -> int:
@@ -525,10 +537,13 @@ def check_local_data(cover: TrivializationCover, tol: float = 1e-8) -> LocalData
     Checks, each as a max residual over nerve cell samples: the cocycle law
     on triple overlaps, lambda_ab lambda_ba = 1 on pairs, d theta_a = omega
     on each element (exact symbolic exterior derivative), and the
-    compatibility theta_a - theta_b = -i dlambda_ab / lambda_ab.
+    compatibility theta_a - theta_b = -i dlambda_ab / lambda_ab.  The
+    cocycle law needs the nerve's degree-2 cells; cells of higher degree
+    carry no law and are not counted.
     """
     if len(cover.nerve) == 0:
         raise ConfigurationError("cover has an empty nerve")
+    cover.nerve.require_degree(2, "check_local_data")
     manifold = cover.manifold
     curv_max = 0.0
     inv_max = 0.0
@@ -537,7 +552,7 @@ def check_local_data(cover: TrivializationCover, tol: float = 1e-8) -> LocalData
     checked = 0
     for cell in cover.nerve.cells.values():
         pts = manifold.reduce(cell.samples)
-        if len(pts) == 0:
+        if len(pts) == 0 or cell.degree > 2:
             continue
         checked += 1
         if cell.degree == 0:
@@ -590,7 +605,9 @@ def refine(cover: TrivializationCover, targets: list) -> tuple:
     targets is a list of Boxes (or (Box, contractible) pairs), each of which
     must fit inside some element of the source cover, possibly after a
     period shift; the stored fine box is then expressed in the containing
-    coarse element's frame so that potentials keep their branch.
+    coarse element's frame so that potentials keep their branch.  The fine
+    nerve goes as deep as the coarse one, and at least to degree 1, whose
+    cells give the fine transitions.
     """
     if cover.pullback_of is not None:
         raise RefinementError("refine operates on base covers")
@@ -633,7 +650,7 @@ def refine(cover: TrivializationCover, targets: list) -> tuple:
                 f"target element {fine_index} with box {box} fits in no source element"
             )
 
-    nerve = build_nerve(manifold, fine_elements)
+    nerve = build_nerve(manifold, fine_elements, max(1, cover.nerve.max_degree))
     transitions = {}
     for cell in nerve.degree(1):
         a, b = cell.indices

@@ -246,6 +246,18 @@ def test_non_contractible_cover_rejected(models):
         build_complementary(catalog.make_map(exm, "identity"), cover)
 
 
+def test_complementary_cover_refuses_a_nerve_without_overlaps(models):
+    # the construction solves its constants over the degree-1 cells; a
+    # degree-0 nerve has none and would leave the elements unconnected
+    shallow = catalog.example("torus", k=2, nerve_degree=0)
+    phi = catalog.make_map(shallow, "translate:pi,0")
+    with pytest.raises(ConfigurationError, match="degree-1"):
+        build_complementary(phi, shallow.cover)
+    at_1 = build_complementary(phi, catalog.example("torus", k=2, nerve_degree=1).cover)
+    full = build_complementary(phi, models("torus", k=2).cover)
+    assert at_1.as_dict() == full.as_dict()
+
+
 def _grids_for(exm, phi, comp, n):
     pol = exm.polarization()
     pushed = pushforward_polarization(phi, pol)

@@ -4,7 +4,7 @@ import csv
 import importlib
 import json
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +12,7 @@ import pytest
 
 from gqlab import catalog
 from gqlab import expr as ex
-from gqlab.cli import RunConfig, _apply_corruption, main
+from gqlab.cli import READS, RunConfig, _apply_corruption, main
 from gqlab.prequantum import ConfigurationError, check_local_data
 
 
@@ -200,6 +200,85 @@ def test_runconfig_round_trip():
     cfg = RunConfig(command="bs", example="torus", k=3, range=(0.0, 6.2))
     doc = cfg.to_dict()
     assert json.loads(json.dumps(doc, allow_nan=False)) == doc
+
+
+def _built_nerves(monkeypatch) -> list:
+    """(degree, cells) of each nerve catalog.build_nerve builds from now on."""
+    built = []
+    real = catalog.build_nerve
+
+    def spy(*args, **kwargs):
+        nerve = real(*args, **kwargs)
+        built.append((nerve.max_degree, len(nerve)))
+        return nerve
+
+    monkeypatch.setattr(catalog, "build_nerve", spy)
+    return built
+
+
+TORUS = ("--example", "torus", "--k", "2", "--grid", "8")
+ACT = ("act", *TORUS, "--map", "translate:pi,0")
+
+
+@pytest.mark.parametrize("argv,want", [
+    (("bs", "--example", "torus", "--k", "2"), 0),
+    (("check", "--example", "torus", "--k", "2"), 2),
+    (("cohomology", *TORUS, "--max-degree", "0"), 1),
+    (("cohomology", *TORUS, "--max-degree", "1"), 2),
+    (("cohomology", *TORUS, "--max-degree", "2"), 3),
+    (ACT, 3),
+    ((*ACT, "--verify", "thm1"), 3),
+    ((*ACT, "--verify", "thm2"), 2),
+])
+def test_each_command_builds_the_nerve_it_reads(capsys, monkeypatch, argv, want):
+    built = _built_nerves(monkeypatch)
+    code, report = run_json(capsys, *argv)
+    assert code == 0
+    assert [degree for degree, _ in built] == [want]
+    assert report["timing"]["counters"]["nerve_cells"] == built[0][1]
+
+
+def test_examples_listing_builds_no_overlaps(capsys, monkeypatch):
+    built = _built_nerves(monkeypatch)
+    assert run_cli(capsys, "examples")[0] == 0
+    assert [degree for degree, _ in built] == [0] * len(catalog.EXAMPLE_NAMES)
+
+
+@pytest.mark.parametrize("example", ["torus", "cylinder", "plane"])
+@pytest.mark.parametrize("max_degree", ["0", "1"])
+def test_low_degree_cohomology_equals_the_full_nerve_build(
+    capsys, monkeypatch, example, max_degree
+):
+    argv = ("cohomology", "--example", example, "--grid", "16", "--max-degree", max_degree)
+    code, report = run_json(capsys, *argv)
+    assert code == 0
+    real = catalog.build_nerve
+    monkeypatch.setattr(  # every nerve as deep as the library builds it
+        catalog, "build_nerve", lambda manifold, elements, _: real(manifold, elements)
+    )
+    code, full = run_json(capsys, *argv)
+    assert code == 0
+    cells = (report["timing"]["counters"]["nerve_cells"],
+             full["timing"]["counters"]["nerve_cells"])
+    assert cells[0] < cells[1] if example == "torus" else cells[0] == cells[1]
+    assert json.dumps(report["payload"]) == json.dumps(full["payload"])
+
+
+@pytest.mark.parametrize("argv", [
+    ("check", "--example", "plane", "--map", "shear"),
+    ("bs", "--example", "cylinder", "--range", "-1:1"),
+    ("cohomology", "--example", "plane", "--grid", "8"),
+    ("act", "--example", "plane", "--map", "shear", "--grid", "8", "--verify", "thm2"),
+])
+def test_config_echo_lists_the_settings_the_command_reads(capsys, argv):
+    code, report = run_json(capsys, *argv)
+    assert code == 0
+    settings = {f.name for f in fields(RunConfig)}
+    assert set(report["config"]) == {"command"} | (READS[argv[0]] & settings)
+    assert report["config"]["command"] == argv[0]
+    if argv[0] == "bs":
+        assert report["config"]["range"] == [-1.0, 1.0]
+        assert not {"grid", "max_degree", "rank_tol", "seed", "verify"} & set(report["config"])
 
 
 def test_act_builds_the_complementary_cover_once(capsys, monkeypatch):
@@ -501,7 +580,7 @@ def test_cohomology_reports_work_counters(capsys):
     counters = report["timing"]["counters"]
     assert set(counters) == {
         "transport_integrals", "transport_batches", "leaf_blocks", "svd_calls",
-        "transition_batches",
+        "transition_batches", "nerve_cells",
     }
     # one quadrature sweep per face, each for several labels
     assert 0 < counters["transport_batches"] < counters["transport_integrals"]
@@ -529,7 +608,7 @@ def test_bs_reports_transport_counters(capsys, monkeypatch):
     assert set(counters) == {
         "root_brackets", "root_holonomy_evaluations", "root_steps",
         "transport_integrals", "transport_batches",
-        "leaf_patterns", "transition_batches",
+        "leaf_patterns", "transition_batches", "nerve_cells",
     }
     # the sampled leaves and each lockstep step share one sweep per segment
     assert 0 < counters["transport_batches"] < counters["transport_integrals"]
@@ -561,7 +640,7 @@ def test_act_reports_work_counters(capsys):
         "gauge_integrals", "gauge_nodes", "grid_builds",
         "transport_integrals", "transport_batches", "leaf_blocks", "svd_calls",
         "transition_batches", "root_brackets", "root_holonomy_evaluations",
-        "root_steps", "leaf_patterns",
+        "root_steps", "leaf_patterns", "nerve_cells",
     }
     assert counters["grid_builds"] == 2
     # each leg integral takes at least one 7/15-point pass
@@ -573,7 +652,9 @@ def test_act_reports_work_counters(capsys):
     # form and stops there
     code, report = run_json(capsys, *argv[:-1], "translate:0.7,0")
     assert code == 1
-    assert set(report["timing"]["counters"]) == {"gauge_integrals", "gauge_nodes"}
+    assert set(report["timing"]["counters"]) == {
+        "gauge_integrals", "gauge_nodes", "nerve_cells",
+    }
     code, report = run_json(capsys, *argv, "--verify", "thm2")
     assert code == 0 and "grid_builds" not in report["timing"]["counters"]
 

@@ -9,8 +9,9 @@ import pytest
 from gqlab import catalog, kernels
 from gqlab import expr as ex
 from gqlab.prequantum import (
-    MAX_TUPLE,
+    MAX_DEGREE,
     ConfigurationError,
+    LocalData,
     Nerve,
     NerveCell,
     RefinementError,
@@ -192,7 +193,7 @@ def test_unknown_example_rejected():
 # Nerve identity: the broadcast build against the pairwise construction
 
 
-def _reference_nerve(manifold, elements, max_tuple=MAX_TUPLE):
+def _reference_nerve(manifold, elements, max_tuple=MAX_DEGREE + 1):
     """The nerve built one (frontier cell, element, shift) triple at a time
     with Box operations, in the enumeration order build_nerve keeps."""
     periods = _period_vec(manifold)
@@ -285,7 +286,7 @@ def test_nerve_matches_pairwise_construction_after_json_round_trip(
     _assert_same_nerve(back.nerve, _reference_nerve(back.manifold, back.elements))
 
 
-def _dense_nerve(manifold, elements, max_tuple=MAX_TUPLE):
+def _dense_nerve(manifold, elements, max_tuple=MAX_DEGREE + 1):
     """The nerve as one dense broadcast per degree: every frontier cell
     against every element under every shift, the (frontier cell, element,
     shift) survivors in order."""
@@ -360,6 +361,97 @@ def test_refined_nerve_matches_the_dense_broadcast(models):
     fine, _ = refine(models("torus", k=2).cover, split_boxes(models("torus", k=2).cover))
     assert fine.nerve.degree(3)  # the refined torus has cells of every degree
     _assert_same_nerve(fine.nerve, _dense_nerve(fine.manifold, fine.elements))
+
+
+# ---------------------------------------------------------------------------
+# Nerve depth: a shallower nerve is the deeper one cut off, and each reader
+# of degree-n cells refuses a nerve that stops below n
+
+
+@pytest.mark.parametrize("name,params", [
+    ("torus", {"k": 2}), ("cylinder", {}), ("sphere", {"k": 2}),
+    ("plane", {"granularity": 2}), ("disk", {}),
+])
+def test_shallow_nerve_is_the_full_nerve_cut_off(models, name, params):
+    cover = models(name, **params).cover
+    full = cover.nerve
+    for depth in range(MAX_DEGREE):
+        got = build_nerve(cover.manifold, cover.elements, depth)
+        assert got.max_degree == depth
+        cells = {key: cell for key, cell in full.cells.items() if cell.degree <= depth}
+        want = Nerve(
+            cells=cells,
+            faces={key: f for key, f in full.faces.items() if key in cells},
+            max_degree=depth,
+        )
+        _assert_same_nerve(got, want)
+        shallow = catalog.example(name, nerve_degree=depth, **params).cover
+        _assert_same_nerve(shallow.nerve, want)
+
+
+def test_check_local_data_refuses_a_nerve_below_degree_2(models):
+    # without degree-2 cells the cocycle law would go unchecked and pass
+    cover = models("torus", k=1).cover
+    lam = dict(cover.data.transitions)
+    lam[(0, 1)] = ex.mul(ex.Num(1.01), lam[(0, 1)])
+    corrupt = replace(cover, data=LocalData(lam, cover.data.potentials))
+    assert not check_local_data(corrupt).passed
+    for depth in (0, 1):
+        nerve = build_nerve(cover.manifold, cover.elements, depth)
+        with pytest.raises(ConfigurationError, match="degree-2"):
+            check_local_data(replace(corrupt, nerve=nerve))
+    # cells above degree 2 carry no law, so depth 2 checks what depth 3 does
+    nerve = build_nerve(cover.manifold, cover.elements, 2)
+    assert check_local_data(replace(cover, nerve=nerve)) == check_local_data(cover)
+
+
+def test_refine_builds_its_nerve_at_least_to_degree_1(models):
+    for depth, want in ((0, 1), (1, 1), (2, 2), (3, 3)):
+        cover = catalog.example("torus", k=2, nerve_degree=depth).cover
+        fine, _ = refine(cover, split_boxes(cover))
+        assert fine.nerve.max_degree == want
+        deep, _ = refine(models("torus", k=2).cover, split_boxes(cover))
+        assert fine.data == deep.data
+
+
+def test_torus_transitions_equal_the_per_pair_construction(models):
+    def row_offset(int_a, int_b):
+        for nu in (0, 1, -1):
+            lo = max(int_a[0], int_b[0] + nu * 2.0 * math.pi)
+            hi = min(int_a[1], int_b[1] + nu * 2.0 * math.pi)
+            if hi - lo > 1e-9:
+                return nu
+        return None
+
+    def reference(layout, k):
+        x1 = ex.Var("x1")
+        out = {}
+        for a in range(len(layout)):
+            for b in range(len(layout)):
+                nu_row = row_offset(layout[a].interval(1), layout[b].interval(1))
+                nu_col = row_offset(layout[a].interval(0), layout[b].interval(0))
+                if a == b or nu_row is None or nu_col is None:
+                    continue
+                out[(a, b)] = ex.ONE if nu_row == 0 else ex.call(
+                    "exp", ex.mul(ex.Imag(), ex.mul(ex.Num(float(k * nu_row)), x1))
+                )
+        return out
+
+    pairs = 0
+    for k in (1, 3):
+        for g in range(3, 9):
+            cover = models("torus", k=k, granularity=g).cover
+            build = cover.meta["data_builder"]
+            for layout in ([el.box for el in cover.elements],
+                           split_boxes(cover),
+                           [el.box.shifted((0.7, -2.0)) for el in cover.elements]):
+                got = build(layout).transitions
+                want = reference(layout, k)
+                assert list(got.items()) == list(want.items()), (k, g)
+                pairs += len(got)
+            # one formula object per row offset
+            assert len({id(lam) for lam in cover.data.transitions.values()}) <= 3
+    assert pairs > 3000
 
 
 # ---------------------------------------------------------------------------
