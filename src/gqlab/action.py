@@ -50,6 +50,14 @@ from .prequantum import (
 from .quadrature import integrate
 
 
+# the gauge 1-form of build_complementary must be closed to CLOSEDNESS_TOL;
+# theorem 1 passes when the chain map commutes with the differential to
+# COMMUTATION_TOL, theorem 2 when paired holonomies agree to HOLONOMY_TOL
+CLOSEDNESS_TOL = 1e-9
+COMMUTATION_TOL = 1e-9
+HOLONOMY_TOL = 1e-9
+
+
 class InternalConsistencyError(RuntimeError):
     """Builtin data violated an identity the construction relies on."""
 
@@ -158,25 +166,20 @@ def gauge_potentials(naive, pulled, targets: dict, counters: dict) -> dict:
     return out
 
 
-def build_complementary(
-    phi: Symplectomorphism,
-    cover: TrivializationCover,
-    naive_builder=None,
-    tol: float = 1e-9,
-):
-    """Complementary cover for phi, or the obstruction witness.
+def build_complementary(phi: Symplectomorphism, example):
+    """Complementary cover for phi over example.cover, or the obstruction
+    witness.
 
     Mirrors the existence argument: (1) instantiate naive local data on the
-    pulled-back elements, (2) gauge its potentials onto the pullback of the
-    source potentials by integrating the (verified closed) difference along
-    axis-aligned two-segment paths, (3) compare gauged transitions with
-    pulled-back ones, check the ratios are constant on each overlap
-    component, and solve them as a coboundary over the nerve graph.  Any
-    independent cycle whose product of constants is away from 1 certifies
-    that no complementary cover exists for this choice.
+    pulled-back elements with example.data_builder, (2) gauge its potentials
+    onto the pullback of the source potentials by integrating the (verified
+    closed) difference along axis-aligned two-segment paths, (3) compare
+    gauged transitions with pulled-back ones, check the ratios are constant
+    on each overlap component, and solve them as a coboundary over the nerve
+    graph.  Any independent cycle whose product of constants is away from 1
+    certifies that no complementary cover exists for this choice.
     """
-    if cover.pullback_of is not None:
-        raise ConfigurationError("complementary covers are built over base covers")
+    cover = example.cover
     cover.nerve.require_degree(1, "build_complementary")
     for el in cover.elements:
         if not el.contractible:
@@ -184,11 +187,6 @@ def build_complementary(
                 f"element {el.index} is not contractible; the construction "
                 "requires a good cover"
             )
-    builder = naive_builder or cover.meta.get("data_builder")
-    if builder is None:
-        raise ConfigurationError(
-            "no naive pulled-back data available for this cover"
-        )
     manifold = cover.manifold
     pulled = pullback(cover, phi)
     nerve = pulled.nerve
@@ -196,9 +194,8 @@ def build_complementary(
         manifold=manifold,
         omega=cover.omega,
         elements=pulled.elements,
-        data=builder([el.box for el in pulled.elements]),
+        data=example.data_builder([el.box for el in pulled.elements]),
         nerve=nerve,
-        meta={"name": f"naive-pullback({cover.meta.get('name')})"},
     )
 
     # Step 2: the gauge 1-form g = theta_naive - phi^* theta must be closed.
@@ -212,7 +209,7 @@ def build_complementary(
             - pulled.curvature(cell.indices[0], pts)
         )
         closed_max = max(closed_max, float(np.max(resid)))
-    if closed_max > tol:
+    if closed_max > CLOSEDNESS_TOL:
         raise InternalConsistencyError(
             f"gauge 1-form is not closed (residual {closed_max:.3e}); "
             "naive pulled-back data is inconsistent"
@@ -386,9 +383,9 @@ class CorrespondenceReport:
 
 def _complementary_or_report(example, phi, theorem: int, built=None):
     """The complementary cover, or the hypothesis-failed report; `built` is
-    a result of build_complementary(phi, example.cover) to reuse."""
+    a result of build_complementary(phi, example) to reuse."""
     if built is None:
-        built = build_complementary(phi, example.cover)
+        built = build_complementary(phi, example)
     elif isinstance(built, ComplementaryCover) and (
         built.phi is not phi or built.source is not example.cover
     ):
@@ -410,7 +407,6 @@ def verify_theorem_1(
     grid_n: int = 32,
     threshold: float = 1e-8,
     seed: int = 0,
-    commutation_tol: float = 1e-9,
     complementary=None,
 ) -> CorrespondenceReport:
     """Sheaf-quantization invariance at one cover: per-degree rank equality
@@ -446,7 +442,7 @@ def verify_theorem_1(
                 commute = max(
                     commute, float(np.max(np.abs(lhs.data[key] - rhs.data[key])))
                 )
-    passed = equal and commute < commutation_tol
+    passed = equal and commute < COMMUTATION_TOL
     counters = Counter(grid_builds=2)
     for rep in (ranks_src, ranks_dst):
         counters.update(rep.counters)
@@ -480,7 +476,6 @@ def verify_theorem_2(
     crange: tuple | None = None,
     count: int = 33,
     tol: float = 1e-8,
-    holonomy_tol: float = 1e-9,
     complementary=None,
 ) -> CorrespondenceReport:
     """Bohr-Sommerfeld invariance: the leaf map is a label-preserving
@@ -535,7 +530,7 @@ def verify_theorem_2(
     passed = (
         bijection
         and census_src.q_bs == census_dst.q_bs
-        and hol_max < holonomy_tol
+        and hol_max < HOLONOMY_TOL
     )
     counters = Counter(census_src.counters)
     counters.update(census_dst.counters)

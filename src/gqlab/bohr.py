@@ -288,7 +288,6 @@ def enumerate_leaves(
     pol: Polarization,
     crange: tuple,
     count: int,
-    include_singular: bool = True,
     atlas: LeafAtlas | None = None,
 ) -> list:
     """Leaves at `count` fiber-map values in crange, plus the polarization's
@@ -320,7 +319,7 @@ def enumerate_leaves(
         near = np.abs(values[:, None] - singular_labels[None, :]) < 1e-9
         values = values[~near.any(axis=1)]
     leaves = atlas.leaves(values)
-    if include_singular and len(singular):
+    if len(singular):
         # Declared singular points always join the census as point leaves.
         points = np.array(pol.singular_points, dtype=float).reshape(-1, 2)
         for p, c in zip(points.tolist(), singular_labels.tolist()):

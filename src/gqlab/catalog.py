@@ -7,19 +7,21 @@ under the conventions in docs/conventions.md (curvature dtheta = omega,
 compatibility theta_a - theta_b = -i dlambda/lambda, parallel transport
 factor exp(-i integral theta)); the consistency checker is the oracle for
 that claim.  Each family also knows how to re-instantiate its local data on
-a translated/pulled-back element layout, which is what seeds the
-complementary-cover construction.
+a translated/pulled-back element layout (Example.data_builder), which is
+what seeds the complementary-cover construction.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
 from . import expr as ex
-from .expr import Imag, Num, Pi, Var, call, mul, parse_expr
+from .expr import Imag, Num, Var, call, mul, parse_expr
 from .geometry import (
     Box,
     Manifold,
@@ -44,17 +46,26 @@ EXAMPLE_NAMES = ("plane", "cylinder", "torus", "sphere", "disk")
 
 @dataclass(frozen=True)
 class Example:
-    """A fully assembled model: cover, form, polarizations, map factory."""
+    """A fully assembled model: cover, form, polarizations, map factory.
+
+    data_builder gives the family's local data on any layout of element
+    boxes (a list of Boxes, one per element index); the cover's data is
+    its value on the cover's own boxes.  polarizations is a read-only copy
+    of the mapping given.
+    """
 
     name: str
-    params: dict
     manifold: Manifold
     omega: SymplecticForm
     cover: TrivializationCover
-    polarizations: dict
+    data_builder: Callable  # list of Boxes -> LocalData
+    polarizations: MappingProxyType  # name -> Polarization
     default_polarization: str
     map_specs: tuple  # names accepted by make_map
     census_range: tuple
+
+    def __post_init__(self):
+        object.__setattr__(self, "polarizations", MappingProxyType(dict(self.polarizations)))
 
     def polarization(self, name: str | None = None) -> Polarization:
         key = name or self.default_polarization
@@ -93,7 +104,7 @@ def _plane_example(
     big = half_width + pad
     if granularity == 1:
         elements = [
-            CoverElement(0, Box((-big, -big), (big, big)), True, "u0")
+            CoverElement(0, Box((-big, -big), (big, big)), True)
         ]
         # theta = (x dy - y dx) / 2
         data = LocalData(
@@ -103,8 +114,8 @@ def _plane_example(
     elif granularity == 2:
         strip = 0.6
         elements = [
-            CoverElement(0, Box((-big, -big), (strip, big)), True, "left"),
-            CoverElement(1, Box((-strip, -big), (big, big)), True, "right"),
+            CoverElement(0, Box((-big, -big), (strip, big)), True),
+            CoverElement(1, Box((-strip, -big), (big, big)), True),
         ]
         # left: theta = x dy, right: theta = -y dx; the forced transition is
         # exp(i x y) since theta_L - theta_R = d(xy).
@@ -117,11 +128,8 @@ def _plane_example(
     else:
         raise ConfigurationError("plane granularity must be 1 or 2")
 
-    def data_builder(boxes):
-        return LocalData(
-            transitions=dict(data.transitions),
-            potentials=dict(data.potentials),
-        )
+    def data_builder(layout):
+        return data
 
     cover = TrivializationCover(
         manifold=manifold,
@@ -129,8 +137,6 @@ def _plane_example(
         elements=elements,
         data=data,
         nerve=build_nerve(manifold, elements, nerve_degree),
-        meta={"name": "plane", "granularity": granularity,
-              "data_builder": data_builder},
     )
     vertical = Polarization(
         name="vertical",
@@ -158,10 +164,10 @@ def _plane_example(
     )
     return Example(
         name="plane",
-        params={"granularity": granularity},
         manifold=manifold,
         omega=omega,
         cover=cover,
+        data_builder=data_builder,
         polarizations={"vertical": vertical, "horizontal": horizontal},
         default_polarization="vertical",
         map_specs=("identity", "shear", "rot", "translate"),
@@ -242,18 +248,13 @@ def _torus_example(
         potentials = {n: theta for n in range(len(layout))}
         return LocalData(transitions=transitions, potentials=potentials)
 
-    elements = [
-        CoverElement(idx, box, True, f"r{idx // g}c{idx % g}")
-        for idx, box in enumerate(boxes)
-    ]
+    elements = [CoverElement(n, box, True) for n, box in enumerate(boxes)]
     cover = TrivializationCover(
         manifold=manifold,
         omega=omega,
         elements=elements,
         data=data_builder(boxes),
         nerve=build_nerve(manifold, elements, nerve_degree),
-        meta={"name": "torus", "k": k, "granularity": g,
-              "data_builder": data_builder},
     )
     pol = Polarization(
         name="horizontal-circles",
@@ -270,10 +271,10 @@ def _torus_example(
     )
     return Example(
         name="torus",
-        params={"k": k, "granularity": g},
         manifold=manifold,
         omega=omega,
         cover=cover,
+        data_builder=data_builder,
         polarizations={"horizontal-circles": pol},
         default_polarization="horizontal-circles",
         map_specs=("identity", "translate"),
@@ -321,17 +322,13 @@ def _cylinder_example(
             potentials={n: (p, ex.ZERO) for n in range(len(layout))},
         )
 
-    elements = [
-        CoverElement(n, box, True, f"arc{n}") for n, box in enumerate(boxes)
-    ]
+    elements = [CoverElement(n, box, True) for n, box in enumerate(boxes)]
     cover = TrivializationCover(
         manifold=manifold,
         omega=omega,
         elements=elements,
         data=data_builder(boxes),
         nerve=build_nerve(manifold, elements, nerve_degree),
-        meta={"name": "cylinder", "p_max": p_max, "granularity": g,
-              "data_builder": data_builder},
     )
     pol = Polarization(
         name="momentum-circles",
@@ -347,10 +344,10 @@ def _cylinder_example(
     )
     return Example(
         name="cylinder",
-        params={"p_max": p_max, "granularity": g},
         manifold=manifold,
         omega=omega,
         cover=cover,
+        data_builder=data_builder,
         polarizations={"momentum-circles": pol},
         default_polarization="momentum-circles",
         map_specs=("identity", "translate", "pshift"),
@@ -398,17 +395,13 @@ def _sphere_example(k: int, nerve_degree: int = MAX_DEGREE) -> Example:
                     )
         return LocalData(transitions=transitions, potentials=potentials)
 
-    elements = [
-        CoverElement(0, boxes[0], True, "north"),
-        CoverElement(1, boxes[1], True, "south"),
-    ]
+    elements = [CoverElement(n, box, True) for n, box in enumerate(boxes)]
     cover = TrivializationCover(
         manifold=manifold,
         omega=omega,
         elements=elements,
         data=data_builder(boxes),
         nerve=build_nerve(manifold, elements, nerve_degree),
-        meta={"name": "sphere", "k": k, "data_builder": data_builder},
     )
     pol = Polarization(
         name="latitude",
@@ -426,10 +419,10 @@ def _sphere_example(k: int, nerve_degree: int = MAX_DEGREE) -> Example:
     delta = 0.25
     return Example(
         name="sphere",
-        params={"k": k},
         manifold=manifold,
         omega=omega,
         cover=cover,
+        data_builder=data_builder,
         polarizations={"latitude": pol},
         default_polarization="latitude",
         map_specs=("identity", "rot"),
@@ -453,7 +446,7 @@ def _disk_example(radius: float = 3.2, nerve_degree: int = MAX_DEGREE) -> Exampl
     omega = SymplecticForm(Num(1.0))
     pad = 0.2
     big = radius + pad
-    elements = [CoverElement(0, Box((-big, -big), (big, big)), True, "u0")]
+    elements = [CoverElement(0, Box((-big, -big), (big, big)), True)]
     theta = (mul(Num(-0.5), y), mul(Num(0.5), x))
 
     def data_builder(layout):
@@ -465,7 +458,6 @@ def _disk_example(radius: float = 3.2, nerve_degree: int = MAX_DEGREE) -> Exampl
         elements=elements,
         data=data_builder(None),
         nerve=build_nerve(manifold, elements, nerve_degree),
-        meta={"name": "disk", "radius": radius, "data_builder": data_builder},
     )
     half_r2 = 0.5 * radius * radius
     c, t = Var("c"), Var("t")
@@ -485,10 +477,10 @@ def _disk_example(radius: float = 3.2, nerve_degree: int = MAX_DEGREE) -> Exampl
     )
     return Example(
         name="disk",
-        params={"radius": radius},
         manifold=manifold,
         omega=omega,
         cover=cover,
+        data_builder=data_builder,
         polarizations={"radial-circles": pol},
         default_polarization="radial-circles",
         map_specs=("identity", "rot"),
@@ -526,17 +518,13 @@ def untwisted_circle_example() -> Example:
             potentials={0: zero_form, 1: zero_form},
         )
 
-    elements = [
-        CoverElement(0, boxes[0], True, "arc0"),
-        CoverElement(1, boxes[1], True, "arc1"),
-    ]
+    elements = [CoverElement(n, box, True) for n, box in enumerate(boxes)]
     cover = TrivializationCover(
         manifold=manifold,
         omega=omega,
         elements=elements,
         data=data_builder(boxes),
         nerve=build_nerve(manifold, elements),
-        meta={"name": "circle-flat", "data_builder": data_builder},
     )
     pol = Polarization(
         name="momentum-circles",
@@ -552,10 +540,10 @@ def untwisted_circle_example() -> Example:
     )
     return Example(
         name="circle-flat",
-        params={},
         manifold=manifold,
         omega=omega,
         cover=cover,
+        data_builder=data_builder,
         polarizations={"momentum-circles": pol},
         default_polarization="momentum-circles",
         map_specs=("identity",),

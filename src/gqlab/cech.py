@@ -509,9 +509,6 @@ class RankReport:
     threshold: float
     counters: dict = field(default_factory=dict, compare=False)  # work done
 
-    def betti(self, degree: int) -> int:
-        return self.degrees[degree].betti
-
     def as_dict(self) -> dict:
         return {
             "degrees": [d.as_dict() for d in self.degrees],

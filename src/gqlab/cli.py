@@ -19,8 +19,6 @@ import sys
 import time
 from collections import Counter
 
-import numpy as np
-
 from . import __version__, catalog
 from . import expr as ex
 from .action import (
@@ -39,15 +37,15 @@ REPORT_SCHEMA = "gqlab.report/1"
 
 # The flags each subcommand reads, by argparse dest; any other is refused.
 # Every one of them reads the example flags, --corrupt, --out and --json.
+# act reads the flags of the theorems it verifies too (ACT_READS).
 _READS_ALWAYS = frozenset({"example", "k", "granularity", "p_max", "corrupt", "out", "json"})
 READS = {
     "check": _READS_ALWAYS | {"map", "tol"},
     "bs": _READS_ALWAYS | {"polarization", "range", "count", "tol", "include_lines", "csv"},
     "cohomology": _READS_ALWAYS | {"polarization", "grid", "max_degree", "rank_tol"},
-    "act": _READS_ALWAYS | {
-        "map", "polarization", "range", "count", "grid", "tol", "rank_tol", "seed", "verify",
-    },
+    "act": _READS_ALWAYS | {"map", "polarization", "tol", "verify"},
 }
+ACT_READS = {"thm1": {"grid", "rank_tol", "seed"}, "thm2": {"range", "count"}}
 
 # The nerve degree each subcommand reads, so its example builds no deeper
 # (docs/conventions.md, "Nerve"): bs threads leaves through the elements
@@ -87,7 +85,16 @@ class RunConfig:
     def __post_init__(self):
         """Reject flags the command does not read, and values no command
         can run with, before any work starts."""
-        unread = sorted(set(self.flags) - READS[self.command])
+        if self.command == "act":  # what act reads depends on its targets
+            if not self.verify_targets:
+                raise ConfigurationError(
+                    f"verify names no target, got {self.verify!r}; "
+                    "expected thm1, thm2 or both"
+                )
+            bad = [w for w in self.verify_targets if w not in ACT_READS]
+            if bad:
+                raise ConfigurationError(f"unknown verification targets {bad}")
+        unread = sorted(set(self.flags) - self.reads)
         if unread:
             names = ", ".join("--" + dest.replace("_", "-") for dest in unread)
             raise ConfigurationError(f"{self.command} does not read {names}")
@@ -113,15 +120,6 @@ class RunConfig:
             raise ConfigurationError(
                 f"cylinder height 2 * p-max must be finite, got p-max {self.cylinder_p_max}"
             )
-        if self.command == "act":
-            if not self.verify_targets:
-                raise ConfigurationError(
-                    f"verify names no target, got {self.verify!r}; "
-                    "expected thm1, thm2 or both"
-                )
-            bad = [w for w in self.verify_targets if w not in ("thm1", "thm2")]
-            if bad:
-                raise ConfigurationError(f"unknown verification targets {bad}")
 
     @property
     def cylinder_p_max(self) -> float:
@@ -137,12 +135,21 @@ class RunConfig:
         """The theorems `act` verifies, in the order given."""
         return [w.strip() for w in self.verify.split(",") if w.strip()]
 
+    @property
+    def reads(self) -> frozenset:
+        """The settings the command reads: READS, and for act the settings
+        of each theorem it verifies."""
+        if self.command != "act":
+            return READS[self.command]
+        return READS["act"].union(*(ACT_READS[w] for w in self.verify_targets))
+
     def to_dict(self) -> dict:
         """The config echo of a report: the command and the settings it
         reads."""
         out = {"command": self.command}
+        reads = self.reads
         for f in dataclasses.fields(self):
-            if f.name in READS[self.command]:
+            if f.name in reads:
                 out[f.name] = getattr(self, f.name)
         if out.get("range") is not None:
             out["range"] = list(self.range)
@@ -414,7 +421,7 @@ def cmd_act(cfg: RunConfig, args) -> int:
         _emit(report, args, [_local_data_line(local), f"status: {status}"])
         return 1
     # one complementary cover (or obstruction) serves both theorems
-    built = build_complementary(phi, exm.cover)
+    built = build_complementary(phi, exm)
     pol_name = cfg.polarization if cfg.polarization != "default" else None
     payload: dict = {}
     counters = Counter(built.counters)

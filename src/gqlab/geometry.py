@@ -62,15 +62,6 @@ class Box:
             return None
         return Box(lo, hi)
 
-    def contains(self, pts, tol: float = 1e-12) -> np.ndarray:
-        arr = as_points(pts)
-        ok = np.ones(len(arr), dtype=bool)
-        for axis in range(2):
-            ok &= (arr[:, axis] >= self.lo[axis] - tol) & (
-                arr[:, axis] <= self.hi[axis] + tol
-            )
-        return ok
-
     def grid(self, n: int) -> np.ndarray:
         """Deterministic interior sample grid, (n*n, 2)."""
         axes = [
@@ -147,11 +138,9 @@ class SymplecticForm:
         return eval_at(self.coefficient, manifold.coords, arr)
 
 
-def eval_at(e, coords: tuple, pts: np.ndarray, extra: dict | None = None):
+def eval_at(e, coords: tuple, pts: np.ndarray):
     """Evaluate an expression, or a program over coords, at (n, 2) points."""
     values = {coords[0]: pts[:, 0] + 0j, coords[1]: pts[:, 1] + 0j}
-    if extra:
-        values.update(extra)
     out = kernels.evaluate(e, values)
     if np.ndim(out) == 0:
         out = np.full(len(pts), out, dtype=np.complex128)

@@ -25,8 +25,6 @@ stops below n (require_degree).
 
 from __future__ import annotations
 
-import json
-import math
 from dataclasses import dataclass, field, replace
 from types import MappingProxyType
 
@@ -59,16 +57,6 @@ class CoverElement:
     index: int
     box: Box
     contractible: bool
-    name: str = ""
-
-    def wraps(self, manifold: Manifold) -> tuple:
-        out = []
-        for axis, period in enumerate(manifold.periods):
-            if period is None:
-                out.append(False)
-            else:
-                out.append(self.box.lo[axis] < 0.0 or self.box.hi[axis] > period)
-        return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -146,8 +134,7 @@ class TrivializationCover:
     elements: tuple
     data: LocalData
     nerve: Nerve  # build_nerve(manifold, elements)
-    pullback_of: tuple | None = None  # (source cover, map): membership only
-    meta: dict = field(default_factory=dict)
+    pullback_of: tuple | None = None  # (source cover, map), for refine's guard
     # compiled local data, filled on first use: key -> program, and the
     # transition table of batched calls (_transition_table)
     _programs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -160,16 +147,6 @@ class TrivializationCover:
     def member_points(self, index: int, pts) -> np.ndarray:
         """Lift canonical points into the element's unrolled frame."""
         return self.manifold.lift_into(as_points(pts), self.elements[index].box)
-
-    def contains(self, index: int, pts) -> np.ndarray:
-        if self.pullback_of is not None:
-            src, phi = self.pullback_of
-            return src.contains(index, src.manifold.reduce(phi.apply(pts)))
-        lifted = self.member_points(index, pts)
-        inside = ~np.isnan(lifted[:, 0]) & ~np.isnan(lifted[:, 1])
-        good = np.nan_to_num(lifted, nan=np.inf)
-        inside &= self.elements[index].box.contains(good, tol=1e-9)
-        return inside & self.manifold.in_domain(pts)
 
     # -- local data evaluation (canonical coordinate inputs) ----------------
 
@@ -282,18 +259,15 @@ def pullback(cover: TrivializationCover, phi: Symplectomorphism) -> Trivializati
     Transitions become lambda o phi and potentials (theta o phi) . Dphi,
     composed once by substitution (docs/conventions.md, "Pullback").  An
     element is its source box moved by -s when phi is a translation by s,
-    and otherwise the source box, with membership read through phi.  The
-    nerve keeps the source cells and faces; its samples are the
-    phi-preimages of the source samples.
+    and otherwise the source box, though the element is phi^-1 of that box
+    (which is why refine refuses a pullback cover).  The nerve keeps the
+    source cells and faces; its samples are the phi-preimages of the
+    source samples.
     """
     manifold = cover.manifold
     shift = _shift_vector(phi, manifold)
     elements = [
-        replace(
-            el,
-            box=el.box if shift is None else el.box.shifted(tuple(-shift)),
-            name=f"pulled-{el.name}",
-        )
+        el if shift is None else replace(el, box=el.box.shifted(tuple(-shift)))
         for el in cover.elements
     ]
     # the samples of every cell move in one map call; the map acts row by
@@ -330,7 +304,6 @@ def pullback(cover: TrivializationCover, phi: Symplectomorphism) -> Trivializati
         data=data,
         nerve=nerve,
         pullback_of=(cover, phi),
-        meta={"name": f"pullback({cover.meta.get('name')})"},
     )
 
 
@@ -482,15 +455,6 @@ def build_nerve(manifold: Manifold, elements, max_degree: int = MAX_DEGREE) -> N
     return Nerve(cells=cells, faces=faces, max_degree=max_degree)
 
 
-def coverage_gaps(cover: TrivializationCover, grid: int = 40) -> int:
-    """Number of window grid points lying in no element."""
-    pts = cover.manifold.sample_grid(grid)
-    covered = np.zeros(len(pts), dtype=bool)
-    for el in cover.elements:
-        covered |= cover.contains(el.index, pts)
-    return int(np.sum(~covered))
-
-
 # ---------------------------------------------------------------------------
 # Consistency checks
 
@@ -591,14 +555,6 @@ def check_local_data(cover: TrivializationCover, tol: float = 1e-8) -> LocalData
 # Refinement
 
 
-@dataclass(frozen=True)
-class RefinementMap:
-    assignment: dict  # fine index -> coarse index
-
-    def __call__(self, fine_index: int) -> int:
-        return self.assignment[fine_index]
-
-
 def refine(cover: TrivializationCover, targets: list) -> tuple:
     """Restricted refinement: fine data is the coarse data through the map.
 
@@ -607,7 +563,8 @@ def refine(cover: TrivializationCover, targets: list) -> tuple:
     period shift; the stored fine box is then expressed in the containing
     coarse element's frame so that potentials keep their branch.  The fine
     nerve goes as deep as the coarse one, and at least to degree 1, whose
-    cells give the fine transitions.
+    cells give the fine transitions.  Returns the fine cover and the
+    read-only assignment fine index -> coarse index.
     """
     if cover.pullback_of is not None:
         raise RefinementError("refine operates on base covers")
@@ -637,7 +594,6 @@ def refine(cover: TrivializationCover, targets: list) -> tuple:
                             contractible=(
                                 el.contractible if contractible is None else contractible
                             ),
-                            name=f"{el.name}/{fine_index}",
                         )
                     )
                     assignment[fine_index] = el.index
@@ -666,9 +622,8 @@ def refine(cover: TrivializationCover, targets: list) -> tuple:
         elements=fine_elements,
         data=LocalData(transitions, potentials),
         nerve=nerve,
-        meta={"refined_from": cover.meta.get("name", "?")},
     )
-    return fine, RefinementMap(assignment)
+    return fine, MappingProxyType(assignment)
 
 
 def split_boxes(cover: TrivializationCover, factor: int = 2, overlap: float = 0.25):
@@ -699,99 +654,3 @@ def _axis_splits(box: Box, factor: int, overlap: float):
             pieces.append(Box(lo, hi))
     return pieces
 
-
-def verify_refinement(
-    fine: TrivializationCover,
-    coarse: TrivializationCover,
-    refmap: RefinementMap,
-    samples: int = 6,
-) -> float:
-    """Max containment violation of V_beta inside U_phi(beta) (0 when good)."""
-    worst = 0.0
-    for el in fine.elements:
-        pts = fine.manifold.reduce(el.box.grid(samples))
-        inside = coarse.contains(refmap(el.index), pts)
-        worst = max(worst, float(np.mean(~inside)))
-    return worst
-
-
-# ---------------------------------------------------------------------------
-# Serialization (base covers)
-
-
-def cover_to_json(cover: TrivializationCover) -> str:
-    if cover.pullback_of is not None:
-        raise ConfigurationError("pullback covers serialize via their provenance")
-    m = cover.manifold
-    doc = {
-        "schema": "gqlab.cover/1",
-        "manifold": {
-            "name": m.name,
-            "coords": list(m.coords),
-            "periods": [p for p in m.periods],
-            "window": {"lo": list(m.window.lo), "hi": list(m.window.hi)},
-            "disk_radius": m.disk_radius,
-        },
-        "omega": ex.to_source(cover.omega.coefficient),
-        "elements": [
-            {
-                "index": el.index,
-                "name": el.name,
-                "lo": list(el.box.lo),
-                "hi": list(el.box.hi),
-                "contractible": el.contractible,
-                "wraps": list(el.wraps(m)),
-            }
-            for el in cover.elements
-        ],
-        "transitions": [
-            {"pair": [a, b], "source": ex.to_source(lam)}
-            for (a, b), lam in sorted(cover.data.transitions.items())
-        ],
-        "potentials": [
-            {"index": a, "sources": [ex.to_source(c) for c in comps]}
-            for a, comps in sorted(cover.data.potentials.items())
-        ],
-    }
-    return json.dumps(doc, indent=2, sort_keys=True)
-
-
-def cover_from_json(text: str) -> TrivializationCover:
-    doc = json.loads(text)
-    if doc.get("schema") != "gqlab.cover/1":
-        raise ConfigurationError("unrecognized cover schema")
-    md = doc["manifold"]
-    manifold = Manifold(
-        name=md["name"],
-        coords=tuple(md["coords"]),
-        periods=tuple(md["periods"]),
-        window=Box(tuple(md["window"]["lo"]), tuple(md["window"]["hi"])),
-        disk_radius=md["disk_radius"],
-    )
-    names = set(manifold.coords)
-    elements = [
-        CoverElement(
-            index=el["index"],
-            box=Box(tuple(el["lo"]), tuple(el["hi"])),
-            contractible=el["contractible"],
-            name=el["name"],
-        )
-        for el in sorted(doc["elements"], key=lambda e: e["index"])
-    ]
-    data = LocalData(
-        transitions={
-            (t["pair"][0], t["pair"][1]): ex.parse_expr(t["source"], names)
-            for t in doc["transitions"]
-        },
-        potentials={
-            p["index"]: tuple(ex.parse_expr(s, names) for s in p["sources"])
-            for p in doc["potentials"]
-        },
-    )
-    return TrivializationCover(
-        manifold=manifold,
-        omega=SymplecticForm(ex.parse_expr(doc["omega"], names)),
-        elements=elements,
-        data=data,
-        nerve=build_nerve(manifold, elements),
-    )

@@ -59,10 +59,6 @@ class Program:
     max_stack: int
     outputs: int | None = None  # number of parts; None for one expression
 
-    @property
-    def nvars(self) -> int:
-        return len(self.var_names)
-
 
 def _emit(e, code, consts, const_index, var_index):
     """Append postorder ops for e; return stack growth high-water mark."""

@@ -28,7 +28,7 @@ TWO_PI = 2.0 * math.pi
 def test_identity_complementary_reproduces_original_data(models):
     exm = models("torus", k=2)
     phi = catalog.make_map(exm, "identity")
-    comp = build_complementary(phi, exm.cover)
+    comp = build_complementary(phi, exm)
     assert isinstance(comp, ComplementaryCover)
     assert comp.certificate_max < 1e-12
     assert all(abs(w - 1.0) < 1e-12 for w in comp.tree_solution.values())
@@ -47,7 +47,7 @@ def test_identity_complementary_reproduces_original_data(models):
 def test_plane_shear_complementary_succeeds(models):
     exm = models("plane", granularity=2)
     phi = catalog.make_map(exm, "shear")
-    comp = build_complementary(phi, exm.cover)
+    comp = build_complementary(phi, exm)
     assert isinstance(comp, ComplementaryCover)
     # the shear gauges by a genuine quadratic phase; certificate is honest
     assert comp.certificate_max < 1e-9
@@ -58,7 +58,7 @@ def test_torus_translation_obstruction_matches_theory(models):
     exm = models("torus", k=2)
     a = 0.7
     phi = catalog.make_map(exm, f"translate:{a},0")
-    result = build_complementary(phi, exm.cover)
+    result = build_complementary(phi, exm)
     assert isinstance(result, CocycleObstruction)
     assert result.deviation > 1e-6
     assert result.constancy_max < 1e-8
@@ -71,7 +71,7 @@ def test_torus_translation_obstruction_matches_theory(models):
 def test_torus_translation_solvable_when_k_a_in_two_pi_z(models):
     exm = models("torus", k=2)
     phi = catalog.make_map(exm, f"translate:{math.pi:.17g},0")
-    comp = build_complementary(phi, exm.cover)
+    comp = build_complementary(phi, exm)
     assert isinstance(comp, ComplementaryCover)
     assert comp.certificate_max < 1e-9
     assert check_local_data(comp.base, 1e-9).passed
@@ -79,12 +79,12 @@ def test_torus_translation_solvable_when_k_a_in_two_pi_z(models):
 
 def test_cylinder_momentum_shift_dichotomy(models):
     exm = models("cylinder")
-    frac = build_complementary(catalog.make_map(exm, "pshift:0.4"), exm.cover)
+    frac = build_complementary(catalog.make_map(exm, "pshift:0.4"), exm)
     assert isinstance(frac, CocycleObstruction)
     assert abs(frac.cycle_product - np.exp(2j * math.pi * 0.4)) < 1e-9 or abs(
         frac.cycle_product - np.exp(-2j * math.pi * 0.4)
     ) < 1e-9
-    whole = build_complementary(catalog.make_map(exm, "pshift:1.0"), exm.cover)
+    whole = build_complementary(catalog.make_map(exm, "pshift:1.0"), exm)
     assert isinstance(whole, ComplementaryCover)
 
 
@@ -123,9 +123,9 @@ def test_batched_gauge_integrals_match_scalar_construction(
 ):
     exm = models(name, **params)
     phi = catalog.make_map(exm, spec)
-    batched = build_complementary(phi, exm.cover)
+    batched = build_complementary(phi, exm)
     monkeypatch.setattr(action, "integrate", _per_row_integrate)
-    scalar = build_complementary(phi, exm.cover)
+    scalar = build_complementary(phi, exm)
     assert type(batched) is type(scalar)
     assert batched.constants.keys() == scalar.constants.keys()
     for key, val in scalar.constants.items():
@@ -201,9 +201,9 @@ def test_gauge_integrals_by_element_match_the_per_cell_construction(
     # form evaluated in the element frame: the same bits as per cell
     exm = models(name, **params)
     phi = catalog.make_map(exm, spec)
-    by_element = build_complementary(phi, exm.cover)
+    by_element = build_complementary(phi, exm)
     monkeypatch.setattr(action, "gauge_potentials", _per_cell_gauge_potentials)
-    per_cell = build_complementary(phi, exm.cover)
+    per_cell = build_complementary(phi, exm)
     assert type(by_element) is type(per_cell)
     assert by_element.constants == per_cell.constants
     assert by_element.constancy_max == per_cell.constancy_max
@@ -224,7 +224,7 @@ def test_gauge_potential_outside_its_element_is_a_config_error(models):
     box = exm.cover.elements[0].box
     x, y = box.center()
     outside = np.array([[x + math.pi, y]])
-    assert not exm.cover.contains(0, outside).any()
+    assert np.isnan(exm.cover.member_points(0, outside)).all()  # both axes periodic
     inside = np.array([[x + 0.1, y]])
     counters = {"gauge_integrals": 0, "gauge_nodes": 0}
     with pytest.raises(ConfigurationError, match="element 0 requested outside"):
@@ -243,7 +243,9 @@ def test_non_contractible_cover_rejected(models):
         exm.cover, elements=(dataclasses.replace(el, contractible=False), *rest)
     )
     with pytest.raises(ConfigurationError, match="contractible"):
-        build_complementary(catalog.make_map(exm, "identity"), cover)
+        build_complementary(
+            catalog.make_map(exm, "identity"), dataclasses.replace(exm, cover=cover)
+        )
 
 
 def test_complementary_cover_refuses_a_nerve_without_overlaps(models):
@@ -252,9 +254,9 @@ def test_complementary_cover_refuses_a_nerve_without_overlaps(models):
     shallow = catalog.example("torus", k=2, nerve_degree=0)
     phi = catalog.make_map(shallow, "translate:pi,0")
     with pytest.raises(ConfigurationError, match="degree-1"):
-        build_complementary(phi, shallow.cover)
-    at_1 = build_complementary(phi, catalog.example("torus", k=2, nerve_degree=1).cover)
-    full = build_complementary(phi, models("torus", k=2).cover)
+        build_complementary(phi, shallow)
+    at_1 = build_complementary(phi, catalog.example("torus", k=2, nerve_degree=1))
+    full = build_complementary(phi, models("torus", k=2))
     assert at_1.as_dict() == full.as_dict()
 
 
@@ -271,7 +273,7 @@ def _grids_for(exm, phi, comp, n):
 def test_chain_map_identity_and_linearity(models):
     exm = models("torus", k=1)
     phi = catalog.make_map(exm, "identity")
-    comp = build_complementary(phi, exm.cover)
+    comp = build_complementary(phi, exm)
     gs, gd = _grids_for(exm, phi, comp, 16)
     rng = np.random.default_rng(0)
     c = random_projected_cochain(gs, 0, rng)
@@ -286,7 +288,7 @@ def test_chain_map_identity_and_linearity(models):
 def test_chain_map_commutes_with_delta(models):
     exm = models("torus", k=2)
     phi = catalog.make_map(exm, f"translate:{math.pi:.17g},0")
-    comp = build_complementary(phi, exm.cover)
+    comp = build_complementary(phi, exm)
     gs, gd = _grids_for(exm, phi, comp, 16)
     rng = np.random.default_rng(1)
     for degree in (0, 1):
@@ -345,7 +347,7 @@ def test_transport_leaf_shear_maps_lines_to_lines(models):
     exm = models("plane")
     pol = exm.polarization()
     phi = catalog.make_map(exm, "shear")
-    comp = build_complementary(phi, exm.cover)
+    comp = build_complementary(phi, exm)
     pushed = pushforward_polarization(phi, pol)
     moved = enumerate_leaves(comp.base, pushed, (0.5, 0.5), 1)[0]
     assert moved.topology == "line" and moved.label == 0.5
@@ -361,7 +363,7 @@ def test_leaf_transport_round_trip_is_identity_on_labels(models):
     exm = models("torus", k=1)
     pol = exm.polarization()
     phi = catalog.make_map(exm, "translate:%.17g,0" % TWO_PI)  # k a in 2 pi Z
-    comp = build_complementary(phi, exm.cover)
+    comp = build_complementary(phi, exm)
     assert isinstance(comp, ComplementaryCover)
     pushed = pushforward_polarization(phi, pol)
     labels = [l.label for l in enumerate_leaves(exm.cover, pol, (0, TWO_PI), 6)]
@@ -403,7 +405,7 @@ def test_theorem_1_obstructed_reports_hypothesis_failure(models):
 def test_theorem_1_builds_one_grid_per_side(models, monkeypatch):
     exm = models("torus", k=2)
     phi = catalog.make_map(exm, f"translate:{math.pi:.17g},0")
-    comp = build_complementary(phi, exm.cover)
+    comp = build_complementary(phi, exm)
     build = TransversalGrid.build.__func__
     grids = []
 
@@ -439,7 +441,7 @@ def test_theorem_1_fails_on_a_corrupted_target_transition(models):
 
     exm = models("torus", k=2)
     phi = catalog.make_map(exm, f"translate:{math.pi:.17g},0")
-    comp = build_complementary(phi, exm.cover)
+    comp = build_complementary(phi, exm)
     data = comp.base.data
     pair = sorted(data.transitions)[0]
     transitions = dict(data.transitions)
@@ -457,7 +459,7 @@ def test_theorem_1_fails_on_a_corrupted_target_transition(models):
 def test_theorem_reuses_only_a_cover_built_for_its_map(models):
     exm = models("cylinder")
     phi = catalog.make_map(exm, "pshift:1")
-    comp = build_complementary(phi, exm.cover)
+    comp = build_complementary(phi, exm)
     rep = verify_theorem_2(exm, phi, complementary=comp)
     assert rep.passed and rep.payload["complementary"] == comp.as_dict()
     other = catalog.make_map(exm, "pshift:2")
@@ -525,7 +527,7 @@ def test_theorem_2_leaf_pairs_reuse_the_census_integrals(models, monkeypatch, na
     assert [t.integrals_computed for t in transports] == after_censuses[-1]
     # and the pairs are the holonomies a fresh transport gives, exactly
     pol = exm.polarization()
-    comp = build_complementary(phi, exm.cover)
+    comp = build_complementary(phi, exm)
     pushed = pushforward_polarization(phi, pol)
     leaves = {leaf.label: leaf for leaf in enumerate_leaves(
         exm.cover, pol, exm.census_range, 33)}

@@ -356,7 +356,7 @@ def _blocks_grid(models, name, params, kind):
         labels = _with_bs_labels(params["k"], 16)
     elif kind == "pullback":
         translate = catalog.make_map(exm, f"translate:{math.pi},0")
-        cover = build_complementary(translate, exm.cover).base
+        cover = build_complementary(translate, exm).base
         pol = pushforward_polarization(translate, pol)
     return TransversalGrid.build(cover, pol, labels)
 
@@ -572,12 +572,12 @@ def _assembly_grids(models):
         "torus-refined": grid(torus, cover=refine(torus.cover, split_boxes(torus.cover))[0]),
         "torus-pullback": grid(
             torus,
-            cover=build_complementary(translate, torus.cover).base,
+            cover=build_complementary(translate, torus).base,
             pol=pushforward_polarization(translate, torus.polarization()),
         ),
         "cylinder-pullback": grid(
             cyl,
-            cover=build_complementary(pshift, cyl.cover).base,
+            cover=build_complementary(pshift, cyl).base,
             pol=pushforward_polarization(pshift, cyl.polarization()),
         ),
         # the sizes of the perfbench ranks workload

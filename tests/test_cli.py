@@ -12,7 +12,7 @@ import pytest
 
 from gqlab import catalog
 from gqlab import expr as ex
-from gqlab.cli import READS, RunConfig, _apply_corruption, main
+from gqlab.cli import ACT_READS, READS, RunConfig, _apply_corruption, main
 from gqlab.prequantum import ConfigurationError, check_local_data
 
 
@@ -228,7 +228,7 @@ ACT = ("act", *TORUS, "--map", "translate:pi,0")
     (("cohomology", *TORUS, "--max-degree", "2"), 3),
     (ACT, 3),
     ((*ACT, "--verify", "thm1"), 3),
-    ((*ACT, "--verify", "thm2"), 2),
+    (("act", *TORUS[:4], "--map", "translate:pi,0", "--verify", "thm2"), 2),  # no --grid
 ])
 def test_each_command_builds_the_nerve_it_reads(capsys, monkeypatch, argv, want):
     built = _built_nerves(monkeypatch)
@@ -268,17 +268,44 @@ def test_low_degree_cohomology_equals_the_full_nerve_build(
     ("check", "--example", "plane", "--map", "shear"),
     ("bs", "--example", "cylinder", "--range", "-1:1"),
     ("cohomology", "--example", "plane", "--grid", "8"),
-    ("act", "--example", "plane", "--map", "shear", "--grid", "8", "--verify", "thm2"),
+    ("act", "--example", "plane", "--map", "shear", "--count", "8", "--verify", "thm2"),
 ])
 def test_config_echo_lists_the_settings_the_command_reads(capsys, argv):
     code, report = run_json(capsys, *argv)
     assert code == 0
     settings = {f.name for f in fields(RunConfig)}
-    assert set(report["config"]) == {"command"} | (READS[argv[0]] & settings)
+    reads = READS[argv[0]] | (ACT_READS["thm2"] if argv[0] == "act" else set())
+    assert set(report["config"]) == {"command"} | (reads & settings)
     assert report["config"]["command"] == argv[0]
     if argv[0] == "bs":
         assert report["config"]["range"] == [-1.0, 1.0]
         assert not {"grid", "max_degree", "rank_tol", "seed", "verify"} & set(report["config"])
+
+
+_ACT_ECHO = {"command", "example", "k", "granularity", "p_max", "corrupt",
+             "map", "polarization", "tol", "verify"}
+
+
+@pytest.mark.parametrize("verify,flags,echo,refused", [
+    ("thm1", ("--grid", "8", "--rank-tol", "1e-9", "--seed", "3"),
+     {"grid", "rank_tol", "seed"}, ("--count", "8")),
+    ("thm2", ("--range", "-1:1", "--count", "8"), {"range", "count"}, ("--grid", "8")),
+    ("thm1,thm2", ("--grid", "8", "--count", "8"),
+     {"grid", "rank_tol", "seed", "range", "count"}, ("--max-degree", "1")),
+])
+def test_act_reads_the_settings_of_the_theorems_it_verifies(
+    capsys, verify, flags, echo, refused
+):
+    argv = ("act", "--example", "plane", "--map", "shear", "--verify", verify)
+    code, report = run_json(capsys, *argv, *flags)
+    assert code == 0
+    assert set(report["config"]) == _ACT_ECHO | echo
+    code, out, err = run_cli(capsys, *argv, *flags, *refused)
+    assert (code, out) == (2, "")
+    assert err == f"config error: act does not read {refused[0]}\n"
+    # the targets are validated before the flags they read
+    code, _, err = run_cli(capsys, "act", "--verify", "thm3", *refused)
+    assert code == 2 and err.startswith("config error: unknown verification targets")
 
 
 def test_act_builds_the_complementary_cover_once(capsys, monkeypatch):
@@ -655,7 +682,8 @@ def test_act_reports_work_counters(capsys):
     assert set(report["timing"]["counters"]) == {
         "gauge_integrals", "gauge_nodes", "nerve_cells",
     }
-    code, report = run_json(capsys, *argv, "--verify", "thm2")
+    # (theorem 2 reads no --grid)
+    code, report = run_json(capsys, *argv[:5], *argv[7:], "--verify", "thm2")
     assert code == 0 and "grid_builds" not in report["timing"]["counters"]
 
 

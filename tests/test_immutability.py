@@ -5,6 +5,7 @@ import dataclasses
 import importlib
 import inspect
 import pkgutil
+from types import MappingProxyType
 
 import numpy as np
 import pytest
@@ -15,8 +16,6 @@ from gqlab import expr as ex
 from gqlab.cli import _apply_corruption
 from gqlab.prequantum import (
     LocalData,
-    cover_from_json,
-    cover_to_json,
     pullback,
     refine,
     split_boxes,
@@ -39,7 +38,7 @@ def test_every_gqlab_dataclass_is_frozen():
     assert mutable == []
 
 
-KINDS = ("builtin", "json", "pullback", "refine")
+KINDS = ("builtin", "pullback", "refine")
 
 
 @pytest.fixture(scope="module")
@@ -49,7 +48,6 @@ def covers():
     cover = exm.cover
     return {
         "builtin": cover,
-        "json": cover_from_json(cover_to_json(cover)),
         "pullback": pullback(cover, catalog.make_map(exm, "translate:0.7,0.3")),
         "refine": refine(cover, split_boxes(cover))[0],
     }
@@ -58,7 +56,7 @@ def covers():
 @pytest.mark.parametrize("kind", KINDS)
 def test_cover_attributes_cannot_be_assigned(covers, kind):
     cover = covers[kind]
-    for name in ("nerve", "data", "elements", "meta"):
+    for name in ("nerve", "data", "elements"):
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(cover, name, getattr(cover, name))
     with pytest.raises(dataclasses.FrozenInstanceError):
@@ -82,6 +80,37 @@ def test_cover_contents_are_read_only(covers, kind):
         cover.nerve.faces[key] = ()
     with pytest.raises(TypeError):
         cover.elements[0] = cover.elements[0]
+
+
+def _mutable_values(obj, path, seen):
+    """The paths under obj to a dict or list value, following dataclass
+    fields, mappings and tuples; a cover's compile cache is exempt."""
+    if id(obj) in seen:
+        return []
+    seen.add(id(obj))
+    if isinstance(obj, (dict, list)):
+        return [path]
+    if isinstance(obj, tuple):
+        items = enumerate(obj)
+    elif isinstance(obj, MappingProxyType):
+        items = obj.items()
+    elif dataclasses.is_dataclass(obj):
+        items = (
+            (f.name, getattr(obj, f.name)) for f in dataclasses.fields(obj)
+            if f.name != "_programs"  # filled on first use, see prequantum
+        )
+    else:
+        return []
+    return [p for key, value in items for p in _mutable_values(value, f"{path}.{key}", seen)]
+
+
+@pytest.mark.parametrize("name", catalog.EXAMPLE_NAMES)
+def test_builtin_example_holds_no_mutable_value(name):
+    # the example, its cover, local data, nerve and polarizations
+    exm = catalog.example(name, **({"k": 2} if name in ("torus", "sphere") else {}))
+    assert _mutable_values(exm, name, set()) == []
+    with pytest.raises(TypeError):
+        exm.polarizations["other"] = exm.polarization()
 
 
 def test_local_data_keeps_its_own_copy():

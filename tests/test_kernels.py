@@ -79,8 +79,8 @@ def _element_points(cover, a):
 
 
 def _segments(exm, pol):
-    leaves = bohr.enumerate_leaves(exm.cover, pol, exm.census_range, 3, False)
-    return [seg for leaf in leaves for seg in leaf.segments]
+    leaves = bohr.enumerate_leaves(exm.cover, pol, exm.census_range, 3)
+    return [seg for leaf in leaves if leaf.topology != "point" for seg in leaf.segments]
 
 
 def _segment_ts(seg):

@@ -1,4 +1,4 @@
-"""Covers, local-data laws, refinement, serialization."""
+"""Covers, local-data laws, refinement."""
 
 import math
 from dataclasses import replace
@@ -20,13 +20,9 @@ from gqlab.prequantum import (
     _shift_candidates,
     build_nerve,
     check_local_data,
-    cover_from_json,
-    cover_to_json,
-    coverage_gaps,
     pullback,
     refine,
     split_boxes,
-    verify_refinement,
 )
 from gqlab.bohr import enumerate_leaves
 from gqlab.geometry import Box, Symplectomorphism, pushforward_polarization
@@ -50,9 +46,39 @@ def test_builtin_covers_satisfy_local_data_laws(models, name, params):
     assert rep.passed, rep.as_dict()
 
 
+def _inside(cover, index, pts):
+    """Whether each canonical point lies in element index of a cover that
+    is not a pullback: in the element's box once unrolled into its frame
+    (within 1e-9), and in the domain."""
+    box = cover.elements[index].box
+    lifted = cover.member_points(index, pts)  # nan where no unrolling reaches
+    inside = (lifted >= np.array(box.lo) - 1e-9) & (lifted <= np.array(box.hi) + 1e-9)
+    return inside.all(axis=1) & cover.manifold.in_domain(pts)
+
+
+def _coverage_gaps(cover, grid=40):
+    """The number of window grid points that lie in no element."""
+    pts = cover.manifold.sample_grid(grid)
+    covered = np.zeros(len(pts), dtype=bool)
+    for el in cover.elements:
+        covered |= _inside(cover, el.index, pts)
+    return int(np.sum(~covered))
+
+
+def _refinement_gaps(fine, coarse, assignment, samples=6):
+    """The fine elements with a grid sample outside their coarse element."""
+    return [
+        el.index
+        for el in fine.elements
+        if not _inside(
+            coarse, assignment[el.index], fine.manifold.reduce(el.box.grid(samples))
+        ).all()
+    ]
+
+
 @pytest.mark.parametrize("name,params", BUILTINS)
 def test_builtin_covers_cover_the_manifold(models, name, params):
-    assert coverage_gaps(models(name, **params).cover) == 0
+    assert _coverage_gaps(models(name, **params).cover) == 0
 
 
 def test_plane_single_element_residuals_vanish(models):
@@ -125,18 +151,20 @@ def test_nerve_closed_under_faces(models):
 def test_self_refinement_is_identity(models):
     cover = models("torus", k=1).cover
     fine, refmap = refine(cover, [el.box for el in cover.elements])
-    assert refmap.assignment == {el.index: el.index for el in cover.elements}
-    assert verify_refinement(fine, cover, refmap) == 0.0
+    assert dict(refmap) == {el.index: el.index for el in cover.elements}
+    with pytest.raises(TypeError):
+        refmap[0] = 1
+    assert _refinement_gaps(fine, cover, refmap) == []
 
 
 def test_split_refinement_passes_checks(models):
     cover = models("torus", k=2).cover
     fine, refmap = refine(cover, split_boxes(cover))
     assert len(fine.elements) == 4 * len(cover.elements)
-    assert verify_refinement(fine, cover, refmap) == 0.0
+    assert _refinement_gaps(fine, cover, refmap) == []
     rep = check_local_data(fine, tol=1e-10)
     assert rep.passed, rep.as_dict()
-    assert coverage_gaps(fine) == 0
+    assert _coverage_gaps(fine) == 0
 
 
 def test_refinement_functoriality(models):
@@ -144,9 +172,9 @@ def test_refinement_functoriality(models):
     cover = models("plane", granularity=2).cover
     fine1, map1 = refine(cover, split_boxes(cover))
     fine2, map2 = refine(fine1, split_boxes(fine1))
-    composite = {f: map1(map2(f)) for f in map2.assignment}
+    composite = {f: map1[map2[f]] for f in map2}
     direct, dmap = refine(cover, [el.box for el in fine2.elements])
-    assert composite == dmap.assignment
+    assert composite == dict(dmap)
     rng = np.random.default_rng(1)
     for el in fine2.elements:
         pts = cover.manifold.reduce(
@@ -167,16 +195,6 @@ def test_overhanging_target_is_rejected(models):
     huge = Box((-1.0, -1.0), (5.0, 5.0))
     with pytest.raises(RefinementError, match="element 0"):
         refine(cover, [huge])
-
-
-def test_cover_serialization_round_trips_bitwise(models):
-    for name, params in (("torus", {"k": 2}), ("plane", {"granularity": 2}),
-                         ("sphere", {"k": 3})):
-        cover = models(name, **params).cover
-        text = cover_to_json(cover)
-        back = cover_from_json(text)
-        assert cover_to_json(back) == text
-        assert check_local_data(back, tol=1e-10).passed
 
 
 def test_torus_rejects_degenerate_granularity():
@@ -274,16 +292,6 @@ def test_nerve_matches_pairwise_construction_after_refine(models, name, params):
     fine, _ = refine(models(name, **params).cover,
                      split_boxes(models(name, **params).cover))
     _assert_same_nerve(fine.nerve, _reference_nerve(fine.manifold, fine.elements))
-
-
-@pytest.mark.parametrize("name,params", [
-    ("torus", {"k": 3}), ("cylinder", {}), ("plane", {"granularity": 2}),
-])
-def test_nerve_matches_pairwise_construction_after_json_round_trip(
-    models, name, params
-):
-    back = cover_from_json(cover_to_json(models(name, **params).cover))
-    _assert_same_nerve(back.nerve, _reference_nerve(back.manifold, back.elements))
 
 
 def _dense_nerve(manifold, elements, max_tuple=MAX_DEGREE + 1):
@@ -440,8 +448,8 @@ def test_torus_transitions_equal_the_per_pair_construction(models):
     pairs = 0
     for k in (1, 3):
         for g in range(3, 9):
-            cover = models("torus", k=k, granularity=g).cover
-            build = cover.meta["data_builder"]
+            exm = models("torus", k=k, granularity=g)
+            cover, build = exm.cover, exm.data_builder
             for layout in ([el.box for el in cover.elements],
                            split_boxes(cover),
                            [el.box.shifted((0.7, -2.0)) for el in cover.elements]):
@@ -517,7 +525,11 @@ def test_pullback_data_is_the_chain_through_the_map(models, monkeypatch, name, p
     # no map
     pulled = pullback(src, phi)
     transport = LeafTransport(pulled, pushforward_polarization(phi, pol))
-    seg = enumerate_leaves(src, pol, exm.census_range, 3, False)[0].segments[0]
+    circles = [
+        leaf for leaf in enumerate_leaves(src, pol, exm.census_range, 3)
+        if leaf.topology != "point"
+    ]
+    seg = circles[0].segments[0]
 
     def refuse(*args, **kwargs):
         raise AssertionError("the map was evaluated")
