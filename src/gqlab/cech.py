@@ -18,7 +18,10 @@ assembled in one pass: its leaf segments gathered from per-cell frame
 tables, one transport call (one quadrature loop) for all of its entries,
 one transition call for all of them (one evaluator run per distinct
 transition formula), and one accumulation per block shape into a stack of
-blocks.
+blocks.  The pointwise differential on cochains (delta, through res) is an
+independent implementation of the same operator, on tuples over all
+members of each cell; it too makes one transport call and one transition
+call per degree, and the block assembly is tested against it.
 """
 
 from __future__ import annotations
@@ -62,19 +65,6 @@ class CellGrid:
     @property
     def count(self) -> int:
         return len(self.label_idx)
-
-    def position(self, global_idx):
-        """Position of a global label index, or of an array of them; a label
-        the cell does not carry raises, naming the smallest such label."""
-        pos = np.searchsorted(self.label_idx, global_idx)
-        if self.count:
-            found = self.label_idx[np.minimum(pos, self.count - 1)] == global_idx
-        else:
-            found = np.zeros(np.shape(global_idx), dtype=bool)
-        if not np.all(found):
-            missing = np.min(np.asarray(global_idx)[~found])
-            raise LeafMismatchError(f"label {missing} does not cross the cell")
-        return int(pos) if np.ndim(pos) == 0 else pos
 
 
 @dataclass(frozen=True)
@@ -154,9 +144,6 @@ class TransversalGrid:
 
     # -- geometry helpers ----------------------------------------------------
 
-    def transition_at_basepoints(self, key, a: int, b: int) -> np.ndarray:
-        return self.cover.transition(a, b, self.cells[key].base_points)
-
     def sub_cell_for(self, super_key, sub_indices: tuple):
         """Nerve cell of sub_indices whose overlap contains the super cell,
         and the shift of its first member in the super cell's frame: the
@@ -207,16 +194,60 @@ def zero_cochain(grid: TransversalGrid, degree: int) -> TrivCochain:
     return TrivCochain(degree, data)
 
 
+def _side_by_side(grid: TransversalGrid, keys, degree: int, values) -> TrivCochain:
+    """The cochain of degree on keys whose tuples sit side by side in the
+    columns of values, one cell after another in key order (views)."""
+    data, start = {}, 0
+    for key in keys:
+        stop = start + grid.cells[key].count
+        data[key], start = values[:, start:stop], stop
+    return TrivCochain(degree, data)
+
+
 def random_projected_cochain(grid, degree: int, rng) -> TrivCochain:
-    out = zero_cochain(grid, degree)
-    for key, arr in out.data.items():
-        raw = rng.normal(size=arr.shape) + 1j * rng.normal(size=arr.shape)
-        out.data[key] = project_to_image(grid, key, raw)
-    return out
+    """A random cochain in the image: each cell's tuple drawn from rng in key
+    order, then all of them projected by one project_to_image call."""
+    keys = list(grid.degree_keys(degree))
+    raw = [np.empty((degree + 1, 0))]
+    for key in keys:
+        shape = (degree + 1, grid.cells[key].count)
+        raw.append(rng.normal(size=shape) + 1j * rng.normal(size=shape))
+    projected = project_to_image(grid, keys, np.concatenate(raw, axis=1))
+    return _side_by_side(grid, keys, degree, projected)
 
 
 # ---------------------------------------------------------------------------
 # Operations
+
+
+def _member_transitions(grid: TransversalGrid, keys) -> np.ndarray:
+    """lambda_{a_k a_j} between the members a of every cell of keys, all of
+    one degree, at the cell's basepoints: a (members, members, labels)
+    array, the cells' labels side by side in key order.  One transition
+    call, which evaluates each distinct transition formula once."""
+    cells = [grid.cells[key] for key in keys]
+    members = np.repeat(_members(keys), [cg.count for cg in cells], axis=0).T
+    base = np.concatenate([cg.base_points for cg in cells])
+    n = len(members)
+    lam = grid.cover.transition(
+        np.repeat(members, n, axis=0).ravel(),
+        np.concatenate([members] * n).ravel(),
+        np.concatenate([base] * (n * n)),
+    )
+    return lam.reshape(n, n, len(base))
+
+
+def _members(keys) -> np.ndarray:
+    """The member indices of nerve cells of one degree, a (cells, members)
+    array."""
+    return np.array([key[0] for key in keys], dtype=int).reshape(len(keys), -1)
+
+
+def _distinct(keys) -> tuple:
+    """The distinct keys, in order of first appearance, and the index of
+    each key among them."""
+    index = {key: i for i, key in enumerate(dict.fromkeys(keys))}
+    return list(index), np.array([index[key] for key in keys], dtype=int)
 
 
 def project_to_image(grid: TransversalGrid, key, tup: np.ndarray) -> np.ndarray:
@@ -224,90 +255,129 @@ def project_to_image(grid: TransversalGrid, key, tup: np.ndarray) -> np.ndarray:
 
     Components become f_j = (1/(n+1)) sum_k lambda_{a_k a_j} f_k; the map is
     idempotent and fixes exactly the tuples representing honest sections.
+    key is one cell, or a list of cells of one degree whose tuples sit side
+    by side in the columns of tup; either way the transitions are one
+    transition call at the cells' basepoints.
     """
-    indices = key[0]
-    n1 = len(indices)
-    out = np.zeros_like(tup)
-    for j in range(n1):
+    n1 = tup.shape[0]
+    out = np.zeros(tup.shape, dtype=np.complex128)
+    if tup.shape[1]:
+        lam = _member_transitions(grid, key if isinstance(key, list) else [key])
         for k in range(n1):
-            lam = grid.transition_at_basepoints(key, indices[k], indices[j])
-            out[j] += lam * tup[k]
+            out += lam[k] * tup[k]
     return out / n1
 
 
 def psi(grid: TransversalGrid, key, g: np.ndarray) -> np.ndarray:
     """Tuple representation of a section given in the cell's reference
     trivialization (the first member)."""
-    indices = key[0]
+    indices, base = key[0], grid.cells[key].base_points
     out = np.empty((len(indices), len(g)), dtype=np.complex128)
     for j, b in enumerate(indices):
-        out[j] = grid.transition_at_basepoints(key, indices[0], b) * g
+        out[j] = grid.cover.transition(indices[0], b, base) * g
     return out
 
 
 def phi(grid: TransversalGrid, key, tup: np.ndarray) -> np.ndarray:
     """Left inverse of psi: average back to the reference trivialization."""
-    indices = key[0]
+    indices, base = key[0], grid.cells[key].base_points
     acc = np.zeros(tup.shape[1], dtype=np.complex128)
     for j, b in enumerate(indices):
-        acc += grid.transition_at_basepoints(key, b, indices[0]) * tup[j]
+        acc += grid.cover.transition(b, indices[0], base) * tup[j]
     return acc / len(indices)
 
 
-def _tuple_leq(sub: tuple, sup: tuple) -> bool:
-    return set(sub) <= set(sup)
-
-
-def res(grid: TransversalGrid, sub_key, super_key, values: np.ndarray) -> np.ndarray:
+def res(grid: TransversalGrid, sub_key, super_key, values) -> np.ndarray:
     """Weighted restriction from a sub-tuple's overlap to a super-tuple's.
 
     Component j on the super tuple is (1/(n+1)) sum_k lambda_{sub_k, sup_j}
     f_k, each f_k first transported along its own element from the
-    sub-cell's basepoints to the super-cell's.
+    sub-cell's basepoints to the super-cell's; a pair with a closed cell
+    gives zeros.  One pair of keys with the sub cell's (n+1, count) values
+    gives the restriction.  Lists of keys, pair by pair (subs of one
+    degree, supers of one degree), with a mapping from each sub key to its
+    values (a cochain's data) give the restrictions of all pairs side by
+    side in the columns of one array.  Either way the entries (pair, super
+    label, sub member) are gathered from tables of the distinct cells:
+    one frames call per degree, one transport call and one transition
+    call (docs/conventions.md, "Ranks").
     """
-    sub = grid.nerve.cells[sub_key]
-    sup = grid.nerve.cells[super_key]
-    if not _tuple_leq(sub.indices, sup.indices):
-        raise ConfigurationError(f"{sub.indices} is not a sub-tuple of {sup.indices}")
-    cg_sup = grid.cells[super_key]
-    cg_sub = grid.cells[sub_key]
-    n1 = len(sub.indices)
-    if cg_sub.closed or cg_sup.closed:
-        return np.zeros((len(sup.indices), cg_sup.count), dtype=np.complex128)
-    pos_sub = cg_sub.position(cg_sup.label_idx)
-    (t0,), (shift,) = grid.frames([sub_key])
-    t1 = grid.frames([super_key])[0][0, [sup.indices.index(m) for m in sub.indices]]
-    count = cg_sup.count
+    if not isinstance(sub_key, list):
+        sub_key, super_key, values = [sub_key], [super_key], {sub_key: values}
+    subs, sub_of = _distinct(sub_key)
+    sups, sup_of = _distinct(super_key)
+    sub, sup = _members(subs)[sub_of], _members(sups)[sup_of]  # per pair
+    same = sup[:, :, None] == sub[:, None, :]  # pairs x super x sub members
+    outside = np.flatnonzero(~same.any(axis=1).all(axis=1))
+    if len(outside):
+        b = outside[0]
+        raise ConfigurationError(
+            f"{sub_key[b][0]} is not a sub-tuple of {super_key[b][0]}"
+        )
+    sub_cells = [grid.cells[key] for key in subs]
+    sup_cells = [grid.cells[key] for key in sups]
+    n1, n = sub.shape[1], sup.shape[1]
+    sup_count = np.array([cg.count for cg in sup_cells], dtype=int)
+    n_sup = sup_count[sup_of]
+    out = np.zeros((n, int(n_sup.sum())), dtype=np.complex128)
+    if not out.shape[1]:
+        return out
+    # entry: a pair and a label of its super cell, at position `row` of the
+    # super cells' labels side by side, and at column `col` of the sub
+    # cells' values side by side (-1 where the sub cell does not carry it)
+    pair = np.repeat(np.arange(len(sub_key)), n_sup)
+    shift_rows = (np.cumsum(sup_count) - sup_count)[sup_of] - (np.cumsum(n_sup) - n_sup)
+    row = np.arange(len(pair)) + np.repeat(shift_rows, n_sup)
+    labels = np.concatenate([cg.label_idx for cg in sup_cells])[row]
+    sub_table, _ = _coefficient_table(grid, subs, sum(cg.count for cg in sub_cells))
+    col = sub_table[sub_of[pair], labels]
+    closed = np.array([cg.closed for cg in sub_cells])[sub_of[pair]]
+    if np.any((col < 0) & ~closed):
+        missing = labels[(col < 0) & ~closed].min()
+        raise LeafMismatchError(f"label {missing} does not cross the cell")
+    e = np.flatnonzero(col >= 0)
+    pe, col, row = pair[e], col[e], row[e]
+    s, u = sub_of[pe], sup_of[pe]
+    at = same.argmax(axis=1)[pe].T  # each sub member's place in the super cell
+    # transport of every sub member in its own frame, from the sub cell's
+    # basepoints to the super cell's
+    t0, shift = grid.frames(subs)
+    t1 = grid.frames(sups)[0]
+    c_sub = np.concatenate([cg.c_cell for cg in sub_cells])
     integrals = grid.leaf_transport.integral(
-        np.array(sub.indices).repeat(count),
-        t0.repeat(count),
-        t1.repeat(count),
-        (cg_sub.c_cell[pos_sub] + shift[:, None]).ravel(),
+        sub[pe].T.ravel(), t0[s].T.ravel(), t1[u, at].ravel(),
+        (c_sub[col] + shift[s].T).ravel(),
     )
-    moved = values[:, pos_sub] * np.exp(-1j * integrals).reshape(n1, count)
-    out = np.zeros((len(sup.indices), cg_sup.count), dtype=np.complex128)
-    for j, bj in enumerate(sup.indices):
-        for k, ak in enumerate(sub.indices):
-            lam = grid.transition_at_basepoints(super_key, ak, bj)
-            out[j] += lam * moved[k]
-    return out / n1
+    f = np.concatenate([values[key] for key in subs], axis=1)
+    moved = f[:, col] * np.exp(-1j * integrals).reshape(n1, len(e))
+    lam = _member_transitions(grid, sups)
+    lam = lam[at[:, None, :], np.arange(n)[None, :, None], row]
+    acc = np.zeros((n, len(e)), dtype=np.complex128)
+    for k in range(n1):
+        acc += lam[k] * moved[k]
+    out[:, e] = acc / n1
+    return out
 
 
 def delta(grid: TransversalGrid, cochain: TrivCochain) -> TrivCochain:
-    """The twisted Cech differential via the restriction maps."""
-    if cochain.degree + 1 > grid.nerve.max_degree:
-        raise ConfigurationError(
-            f"nerve holds no degree-{cochain.degree + 1} cells"
-        )
-    out = zero_cochain(grid, cochain.degree + 1)
-    for key in grid.degree_keys(cochain.degree + 1):
-        cell = grid.nerve.cells[key]
-        acc = out.data[key]
-        for j in range(len(cell.indices)):
-            face_key = grid.nerve.faces[key][j][0]
-            term = res(grid, face_key, key, cochain.data[face_key])
-            acc += term if j % 2 == 0 else -term
-    return out
+    """The twisted Cech differential via the restriction maps: on each cell,
+    the alternating sum over its faces j of res(face j, cell), all cells
+    and faces of the degree in one res call.  A degree whose cells are all
+    closed is zero."""
+    degree = cochain.degree + 1
+    if degree > grid.nerve.max_degree:
+        raise ConfigurationError(f"nerve holds no degree-{degree} cells")
+    keys = list(grid.degree_keys(degree))
+    total = sum(grid.cells[key].count for key in keys)
+    if not total:
+        return zero_cochain(grid, degree)
+    faces = [grid.nerve.faces[key][j][0] for j in range(degree + 1) for key in keys]
+    terms = res(grid, faces, keys * (degree + 1), cochain.data)
+    terms = terms.reshape(degree + 1, degree + 1, total)
+    acc = np.zeros((degree + 1, total), dtype=np.complex128)
+    for j in range(degree + 1):
+        acc += terms[:, j] if j % 2 == 0 else -terms[:, j]
+    return _side_by_side(grid, keys, degree, acc)
 
 
 # ---------------------------------------------------------------------------

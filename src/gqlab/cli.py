@@ -322,7 +322,7 @@ def cmd_check(cfg: RunConfig, args) -> int:
         }
         passed = passed and mrep.passed
     report = _report(cfg, payload, passed, time.perf_counter() - t0)
-    report["timing"]["counters"] = _counters(exm)
+    report["timing"]["counters"] = _counters(exm, local.counters)
     lines = [
         _local_data_line(local),
         f"check: {'pass' if passed else 'FAIL'} (tol {cfg.tol:g})",
@@ -417,7 +417,7 @@ def cmd_act(cfg: RunConfig, args) -> int:
         status = "invalid_local_data"
         payload = {"local_data": local.as_dict(), "status": status}
         report = _report(cfg, payload, False, time.perf_counter() - t0)
-        report["timing"]["counters"] = _counters(exm)
+        report["timing"]["counters"] = _counters(exm, local.counters)
         _emit(report, args, [_local_data_line(local), f"status: {status}"])
         return 1
     # one complementary cover (or obstruction) serves both theorems
@@ -425,6 +425,7 @@ def cmd_act(cfg: RunConfig, args) -> int:
     pol_name = cfg.polarization if cfg.polarization != "default" else None
     payload: dict = {}
     counters = Counter(built.counters)
+    counters.update(local.counters)
     passed = True
     status = "ok"
     for w in which:

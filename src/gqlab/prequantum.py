@@ -467,6 +467,7 @@ class LocalDataReport:
     compatibility_max: float
     tol: float
     cells_checked: int
+    counters: dict = field(default_factory=dict, compare=False)  # work done
 
     @property
     def passed(self) -> bool:
@@ -492,7 +493,7 @@ class LocalDataReport:
 def _fold_max(acc: float, resid: np.ndarray) -> float:
     """Running maximum of residuals that keeps a NaN (Python's max drops
     it), so a residual with no value fails the check."""
-    return float(np.maximum(acc, np.max(resid)))
+    return float(np.maximum(acc, np.max(resid))) if resid.size else acc
 
 
 def check_local_data(cover: TrivializationCover, tol: float = 1e-8) -> LocalDataReport:
@@ -504,50 +505,94 @@ def check_local_data(cover: TrivializationCover, tol: float = 1e-8) -> LocalData
     compatibility theta_a - theta_b = -i dlambda_ab / lambda_ab.  The
     cocycle law needs the nerve's degree-2 cells; cells of higher degree
     carry no law and are not counted.
+
+    The samples of each degree are reduced in one call, and each law is
+    evaluated on all of them at once: one transition call per law on
+    arrays of pairs, one curvature and one potential call per element, and
+    one transition_dlog call per distinct transition formula.  The maximum
+    over all cells is the maximum of the per-cell maxima, so every residual
+    is the one a cell-by-cell check gives.  counters["local_data_formulas"]
+    counts the evaluator runs.
     """
     if len(cover.nerve) == 0:
         raise ConfigurationError("cover has an empty nerve")
     cover.nerve.require_degree(2, "check_local_data")
     manifold = cover.manifold
-    curv_max = 0.0
-    inv_max = 0.0
-    compat_max = 0.0
-    cocycle_max = 0.0
-    checked = 0
+    by_degree: tuple = ([], [], [])
     for cell in cover.nerve.cells.values():
-        pts = manifold.reduce(cell.samples)
-        if len(pts) == 0 or cell.degree > 2:
-            continue
-        checked += 1
-        if cell.degree == 0:
-            (a,) = cell.indices
-            resid = np.abs(cover.curvature(a, pts) - cover.omega.eval(manifold, pts))
-            curv_max = _fold_max(curv_max, resid)
-        elif cell.degree == 1:
-            a, b = cell.indices
-            lam_ab = cover.transition(a, b, pts)
-            lam_ba = cover.transition(b, a, pts)
-            inv_max = _fold_max(inv_max, np.abs(lam_ab * lam_ba - 1.0))
-            ta = cover.potential(a, pts)
-            tb = cover.potential(b, pts)
-            dlog = cover.transition_dlog(a, b, pts)
-            for comp in range(2):
-                resid = np.abs(ta[comp] - tb[comp] + 1j * dlog[comp])
-                compat_max = _fold_max(compat_max, resid)
-        elif cell.degree == 2:
-            a, b, c = cell.indices
-            resid = np.abs(
-                cover.transition(a, b, pts) * cover.transition(b, c, pts)
-                - cover.transition(a, c, pts)
-            )
-            cocycle_max = _fold_max(cocycle_max, resid)
+        if cell.degree <= 2 and len(cell.samples):
+            by_degree[cell.degree].append(cell)
+    laws = ("cocycle", "inverse", "curvature", "compatibility")
+    resid = dict.fromkeys(laws, np.empty(0))
+    runs = 0
+
+    def samples(group):
+        """The samples of cells of one degree, reduced in one call, the
+        cells' members (a row per cell) and the cells' sample counts."""
+        pts = manifold.reduce(np.concatenate([cell.samples for cell in group]))
+        members = np.array([cell.indices for cell in group])
+        return pts, members, [len(cell.samples) for cell in group]
+
+    def transitions(pairs, sizes, pts):
+        """lambda of each (a, b) of pairs, cell arrays, at the samples pts of
+        the cells, all in one transition call."""
+        nonlocal runs
+        a = np.concatenate([pair[0] for pair in pairs])
+        b = np.concatenate([pair[1] for pair in pairs])
+        runs += len(set(cover.transition_formulas(a, b).tolist()) - {-1})
+        n = len(pts)
+        lam = cover.transition(
+            np.repeat(a, sizes * len(pairs)),
+            np.repeat(b, sizes * len(pairs)),
+            np.concatenate([pts] * len(pairs)),
+        )
+        return [lam[i * n : (i + 1) * n] for i in range(len(pairs))]
+
+    if by_degree[0]:  # d theta_a = omega on each element: one cell each
+        pts, members, sizes = samples(by_degree[0])
+        curv = np.empty(len(pts), dtype=np.complex128)
+        stop = np.cumsum(sizes).tolist()
+        for el, start, end in zip(members[:, 0].tolist(), [0] + stop, stop):
+            curv[start:end] = cover.curvature(el, pts[start:end])
+        resid["curvature"] = np.abs(curv - cover.omega.eval(manifold, pts))
+        runs += len(sizes) + 1
+    if by_degree[1]:  # lambda_ab lambda_ba = 1, and the compatibility
+        pts, members, sizes = samples(by_degree[1])
+        a, b = members.T
+        lam_ab, lam_ba = transitions([(a, b), (b, a)], sizes, pts)
+        resid["inverse"] = np.abs(lam_ab * lam_ba - 1.0)
+        # theta_a and theta_b side by side: one potential call per element
+        role = np.repeat(np.concatenate([a, b]), sizes * 2)
+        twice = np.concatenate([pts, pts])
+        theta = np.empty((2, len(twice)), dtype=np.complex128)
+        for el in sorted(set(members.ravel().tolist())):
+            rows = np.flatnonzero(role == el)
+            theta[:, rows] = cover.potential(el, twice[rows])
+            runs += 1
+        # the pairs of one formula share its derivatives
+        form = cover.transition_formulas(a, b)
+        per_point = np.repeat(form, sizes)
+        dlog = np.empty((2, len(pts)), dtype=np.complex128)
+        for f in sorted(set(form.tolist())):
+            rows = np.flatnonzero(per_point == f)
+            i = form.tolist().index(f)
+            dlog[:, rows] = cover.transition_dlog(int(a[i]), int(b[i]), pts[rows])
+            runs += 1
+        ta, tb = theta[:, : len(pts)], theta[:, len(pts) :]
+        resid["compatibility"] = np.abs(ta - tb + 1j * dlog)
+    if by_degree[2]:  # the cocycle law
+        pts, members, sizes = samples(by_degree[2])
+        a, b, c = members.T
+        lam_ab, lam_bc, lam_ac = transitions([(a, b), (b, c), (a, c)], sizes, pts)
+        resid["cocycle"] = np.abs(lam_ab * lam_bc - lam_ac)
     return LocalDataReport(
-        cocycle_max=cocycle_max,
-        inverse_max=inv_max,
-        curvature_max=curv_max,
-        compatibility_max=compat_max,
+        cocycle_max=_fold_max(0.0, resid["cocycle"]),
+        inverse_max=_fold_max(0.0, resid["inverse"]),
+        curvature_max=_fold_max(0.0, resid["curvature"]),
+        compatibility_max=_fold_max(0.0, resid["compatibility"]),
         tol=tol,
-        cells_checked=checked,
+        cells_checked=sum(map(len, by_degree)),
+        counters={"local_data_formulas": runs},
     )
 
 

@@ -1,5 +1,6 @@
 """The trivialization complex: transport, projections, delta, ranks."""
 
+import dataclasses
 import itertools
 import math
 
@@ -75,6 +76,11 @@ def _segment(grid, member, from_key, to_key, pos_from):
     return c_elem, t0, t1
 
 
+def _lam(grid, key, a, b):
+    """lambda_ab at the basepoints of a cell."""
+    return grid.cover.transition(a, b, grid.cells[key].base_points)
+
+
 def _one(transport, member, c, t0, t1):
     """The integral of one entry, as a batch of one."""
     return transport.integral([member], [t0], [t1], [c])[0]
@@ -130,7 +136,7 @@ def test_psi_output_satisfies_image_characterization(models):
     for j in range(len(indices)):
         avg = np.zeros_like(g)
         for k in range(len(indices)):
-            lam = grid.transition_at_basepoints(key, indices[k], indices[j])
+            lam = _lam(grid, key, indices[k], indices[j])
             avg += lam * tup[k]
         assert np.max(np.abs(avg / len(indices) - tup[j])) < 1e-12
 
@@ -185,7 +191,8 @@ def test_untwisted_res_is_plain_averaging(models):
     vals = (np.arange(L) + 1.0 + 0.5j).reshape(1, L)
     out = res(grid, sub_key, key, vals)
     Lp = grid.cells[key].count
-    positions = [grid.cells[sub_key].position(int(g)) for g in grid.cells[key].label_idx]
+    sub_labels = grid.cells[sub_key].label_idx
+    positions = np.searchsorted(sub_labels, grid.cells[key].label_idx)
     expected = vals[0][positions]
     assert np.array_equal(out[0], expected)
     assert np.array_equal(out[1], expected)
@@ -244,6 +251,127 @@ def test_delta_beyond_nerve_degree_errors(models):
     c3 = zero_cochain(grid, 3)
     with pytest.raises(ConfigurationError):
         delta(grid, c3)
+
+
+# --- the batched differential against its per-face reference -----------------
+
+
+def _pointwise_res(grid, transport, sub_key, super_key, values):
+    """res one (sub, super) pair at a time, as delta ran it face by face:
+    one transport call per pair, one transition call per member pair.  The
+    reference for the batched res."""
+    sub = grid.nerve.cells[sub_key].indices
+    sup = grid.nerve.cells[super_key].indices
+    cg_sub, cg_sup = grid.cells[sub_key], grid.cells[super_key]
+    n1, count = len(sub), cg_sup.count
+    if cg_sub.closed or cg_sup.closed:
+        return np.zeros((len(sup), count), dtype=np.complex128)
+    pos_sub = np.searchsorted(cg_sub.label_idx, cg_sup.label_idx)
+    assert np.array_equal(cg_sub.label_idx[pos_sub], cg_sup.label_idx)
+    (t0,), (shift,) = grid.frames([sub_key])
+    t1 = grid.frames([super_key])[0][0, [sup.index(m) for m in sub]]
+    integrals = transport.integral(
+        np.array(sub).repeat(count), t0.repeat(count), t1.repeat(count),
+        (cg_sub.c_cell[pos_sub] + shift[:, None]).ravel(),
+    )
+    moved = values[:, pos_sub] * np.exp(-1j * integrals).reshape(n1, count)
+    out = np.zeros((len(sup), count), dtype=np.complex128)
+    for j, bj in enumerate(sup):
+        for k, ak in enumerate(sub):
+            out[j] += _lam(grid, super_key, ak, bj) * moved[k]
+    return out / n1
+
+
+def _pointwise_delta(grid, cochain):
+    """delta as the alternating sum of its per-face restrictions."""
+    transport = LeafTransport(grid.cover, grid.polarization)
+    out = zero_cochain(grid, cochain.degree + 1)
+    for key, acc in out.data.items():
+        for j, (face_key, _) in enumerate(grid.nerve.faces[key]):
+            values = cochain.data[face_key]
+            term = _pointwise_res(grid, transport, face_key, key, values)
+            acc += term if j % 2 == 0 else -term
+    return out
+
+
+def _pointwise_projected_cochain(grid, degree, rng):
+    """random_projected_cochain cell by cell, one transition call per
+    member pair."""
+    out = zero_cochain(grid, degree)
+    for key, arr in out.data.items():
+        raw = rng.normal(size=arr.shape) + 1j * rng.normal(size=arr.shape)
+        indices = key[0]
+        for j, b in enumerate(indices):
+            for k, a in enumerate(indices):
+                arr[j] += _lam(grid, key, a, b) * raw[k]
+        out.data[key] = arr / len(indices)
+    return out
+
+
+def _assert_same_cochain(got, want):
+    assert got.degree == want.degree and list(got.data) == list(want.data)
+    for key, arr in want.data.items():
+        assert got.data[key].shape == arr.shape, key
+        assert got.data[key].tobytes() == arr.tobytes(), key
+
+
+_POINTWISE_CASES = [
+    *(("torus", {"k": k, "granularity": g}, f"translate:2*pi/{k},0")
+      for k in (1, 2, 3) for g in (3, 4)),
+    ("cylinder", {}, "pshift:1"),
+    ("sphere", {"k": 3}, "rot:1.0"),
+    ("disk", {}, "rot:0.5"),
+    ("plane", {"granularity": 1}, "shear"),
+    ("plane", {"granularity": 2}, "shear"),
+]
+
+
+@pytest.mark.parametrize("side", ["source", "complementary"])
+@pytest.mark.parametrize("name,params,spec", _POINTWISE_CASES)
+def test_delta_and_projection_equal_the_per_face_reference(models, monkeypatch, name,
+                                                           params, spec, side):
+    from gqlab.prequantum import TrivializationCover
+
+    exm = models(name, **params)
+    pol = exm.polarization()
+    labels = half_offset_labels(pol.label_range[0], pol.label_range[1], 16)
+    cover = exm.cover
+    if side == "complementary":  # the target side of theorem 1
+        phi_map = catalog.make_map(exm, spec)
+        cover = build_complementary(phi_map, exm).base
+        pol = pushforward_polarization(phi_map, pol)
+    grid = TransversalGrid.build(cover, pol, labels)
+    calls = {"integral": 0, "transition": 0}
+    integral, transition = LeafTransport.integral, TrivializationCover.transition
+
+    def counted_integral(self, *args):
+        calls["integral"] += 1
+        return integral(self, *args)
+
+    def counted_transition(self, *args):
+        calls["transition"] += 1
+        return transition(self, *args)
+
+    monkeypatch.setattr(LeafTransport, "integral", counted_integral)
+    monkeypatch.setattr(TrivializationCover, "transition", counted_transition)
+    nonzero = 0
+    # degree 2 sums three face members, where the order of the sums shows
+    for degree in (0, 1, 2):
+        calls.update(integral=0, transition=0)
+        c = random_projected_cochain(grid, degree, np.random.default_rng(degree))
+        assert calls["integral"] == 0 and calls["transition"] <= 1
+        _assert_same_cochain(
+            c, _pointwise_projected_cochain(grid, degree, np.random.default_rng(degree))
+        )
+        calls.update(integral=0, transition=0)
+        d = delta(grid, c)
+        assert calls["integral"] <= 1 and calls["transition"] <= 1
+        _assert_same_cochain(d, _pointwise_delta(grid, c))
+        nonzero += sum(int(np.count_nonzero(v)) for v in d.data.values())
+    # every cell of the sphere and the disk is closed, and the one-element
+    # plane has no overlaps
+    closed_or_single = name in ("sphere", "disk") or params == {"granularity": 1}
+    assert (nonzero > 0) == (not closed_or_single)
 
 
 def test_matrix_delta_matches_pointwise_delta(models):
@@ -431,7 +559,7 @@ def _face_segments(grid):
                 continue
             member = grid.nerve.cells[face_key].indices[0]
             yield (member,) + _segment(
-                grid, member, face_key, key, fcg.position(carried)
+                grid, member, face_key, key, np.searchsorted(fcg.label_idx, carried)
             )
 
 
@@ -521,12 +649,12 @@ def _reference_blocks(grid, degree):
         for j, (face_key, _) in enumerate(grid.nerve.faces[key]):
             fcg = grid.cells[face_key]
             beta0 = grid.nerve.cells[face_key].indices[0]
-            lam = grid.transition_at_basepoints(key, beta0, ref)
+            lam = _lam(grid, key, beta0, ref)
             pos_face, fac = [], []
             for pos, gidx in enumerate(cg.label_idx):
                 if fcg.closed or gidx not in fcg.label_idx:
                     continue
-                fpos = fcg.position(int(gidx))
+                fpos = int(np.searchsorted(fcg.label_idx, gidx))
                 c, t0, t1 = _segment(grid, beta0, face_key, key, fpos)
                 rows.append(dst_off[key] + pos)
                 cols.append(src_off[face_key] + fpos)
@@ -686,22 +814,31 @@ def test_sub_cell_for_follows_the_faces_of_the_refined_torus(models):
     assert checked > 1000
 
 
-def test_cell_position_of_label_arrays(models):
+def test_res_names_the_smallest_label_its_sub_cell_lacks(models):
     exm, grid = _grid(models, "torus", n=12, k=2)
-    cg = grid.cells[grid.degree_keys(0)[0]]
-    assert np.array_equal(cg.position(cg.label_idx[::-1]), np.arange(cg.count)[::-1])
-    assert cg.position(int(cg.label_idx[1])) == 1
-    absent = np.setdiff1d(np.arange(12), cg.label_idx)
-    with pytest.raises(LeafMismatchError, match=f"label {absent[0]} "):
-        cg.position(np.concatenate([cg.label_idx, absent[::-1]]))
-    with pytest.raises(LeafMismatchError, match=f"label {absent[0]} "):
-        cg.position(int(absent[0]))
-    assert cg.position(np.empty(0, int)).shape == (0,)
-    empty = cech.CellGrid(np.empty(0, int), np.empty(0), 0.5, True, np.empty((0, 2)))
-    assert empty.position(np.empty(0, int)).shape == (0,)
-    for idx in (3, np.array([5, 3])):
-        with pytest.raises(LeafMismatchError, match="label 3 "):
-            empty.position(idx)
+    key = next(k for k in grid.degree_keys(1) if grid.cells[k].count >= 2)
+    face_key = grid.nerve.faces[key][0][0]
+    cg = grid.cells[face_key]
+    carried = grid.cells[key].label_idx
+    keep = ~np.isin(cg.label_idx, carried[:2])
+    trimmed = dataclasses.replace(
+        cg, label_idx=cg.label_idx[keep], c_cell=cg.c_cell[keep],
+        base_points=cg.base_points[keep],
+    )
+    broken = dataclasses.replace(grid, cells={**grid.cells, face_key: trimmed})
+    with pytest.raises(LeafMismatchError, match=f"label {carried[0]} "):
+        res(broken, face_key, key, np.ones((1, trimmed.count), dtype=complex))
+    # in a batch too: delta restricts from every face at once
+    with pytest.raises(LeafMismatchError, match=f"label {carried[0]} "):
+        delta(broken, zero_cochain(broken, 0))
+    # a closed sub cell carries no labels and restricts to zeros
+    closed = dataclasses.replace(
+        trimmed, label_idx=np.empty(0, int), c_cell=np.empty(0),
+        base_points=np.empty((0, 2)), closed=True,
+    )
+    shut = dataclasses.replace(grid, cells={**grid.cells, face_key: closed})
+    out = res(shut, face_key, key, np.empty((1, 0), dtype=complex))
+    assert out.shape == (2, grid.cells[key].count) and not out.any()
 
 
 @pytest.mark.parametrize("kind", ["generic", "pullback"])
@@ -719,12 +856,12 @@ def test_batched_res_matches_per_label_transport(models, kind):
             moved = np.zeros((len(sub), cg_sup.count), dtype=complex)
             for k, member in enumerate(sub):
                 for p, gidx in enumerate(cg_sup.label_idx):
-                    q = cg_sub.position(int(gidx))
+                    q = int(np.searchsorted(cg_sub.label_idx, gidx))
                     c, t0, t1 = _segment(grid, member, face_key, key, q)
                     moved[k, p] = vals[k, q] * np.exp(-1j * _one(transport, member, c, t0, t1))
             ref = sup.indices[0]  # component 0 of the super tuple
             want = sum(
-                grid.transition_at_basepoints(key, a, ref) * moved[k]
+                _lam(grid, key, a, ref) * moved[k]
                 for k, a in enumerate(sub)
             ) / len(sub)
             got = res(grid, face_key, key, vals)[0]
@@ -759,7 +896,8 @@ def _assembly_work(grid, degree):
             if carried.size == 0:
                 continue
             beta0 = grid.nerve.cells[face_key].indices[0]
-            _, t0, t1 = _segment(grid, beta0, face_key, key, fcg.position(carried))
+            pos = np.searchsorted(fcg.label_idx, carried)
+            _, t0, t1 = _segment(grid, beta0, face_key, key, pos)
             segments.add((beta0, t0, t1))
             if beta0 != ref:
                 pairs.add((beta0, ref))

@@ -657,6 +657,15 @@ def test_bs_reports_transport_counters(capsys, monkeypatch):
     assert again["timing"]["counters"] == counters
 
 
+def test_check_reports_the_evaluator_runs_of_its_law_check(capsys):
+    code, report = run_json(capsys, "check", "--example", "torus", "--k", "3")
+    assert code == 0
+    counters = report["timing"]["counters"]
+    assert set(counters) == {"local_data_formulas", "nerve_cells"}
+    assert 0 < counters["local_data_formulas"] < counters["nerve_cells"]
+    assert "counters" not in json.dumps(report["payload"])
+
+
 def test_act_reports_work_counters(capsys):
     argv = ("act", "--example", "torus", "--k", "2", "--grid", "16",
             "--map", f"translate:{math.pi:.17g},0")
@@ -667,7 +676,7 @@ def test_act_reports_work_counters(capsys):
         "gauge_integrals", "gauge_nodes", "grid_builds",
         "transport_integrals", "transport_batches", "leaf_blocks", "svd_calls",
         "transition_batches", "root_brackets", "root_holonomy_evaluations",
-        "root_steps", "leaf_patterns", "nerve_cells",
+        "root_steps", "leaf_patterns", "nerve_cells", "local_data_formulas",
     }
     assert counters["grid_builds"] == 2
     # each leg integral takes at least one 7/15-point pass
@@ -680,7 +689,7 @@ def test_act_reports_work_counters(capsys):
     code, report = run_json(capsys, *argv[:-1], "translate:0.7,0")
     assert code == 1
     assert set(report["timing"]["counters"]) == {
-        "gauge_integrals", "gauge_nodes", "nerve_cells",
+        "gauge_integrals", "gauge_nodes", "nerve_cells", "local_data_formulas",
     }
     # (theorem 2 reads no --grid)
     code, report = run_json(capsys, *argv[:5], *argv[7:], "--verify", "thm2")

@@ -12,6 +12,7 @@ from gqlab.prequantum import (
     MAX_DEGREE,
     ConfigurationError,
     LocalData,
+    LocalDataReport,
     Nerve,
     NerveCell,
     RefinementError,
@@ -395,6 +396,109 @@ def test_shallow_nerve_is_the_full_nerve_cut_off(models, name, params):
         _assert_same_nerve(got, want)
         shallow = catalog.example(name, nerve_degree=depth, **params).cover
         _assert_same_nerve(shallow.nerve, want)
+
+
+def _per_cell_local_data(cover, tol=1e-8):
+    """check_local_data cell by cell, with one call per law, cell and
+    member: the reference for its batched laws."""
+    manifold = cover.manifold
+    worst = {"cocycle": 0.0, "inverse": 0.0, "curvature": 0.0, "compatibility": 0.0}
+
+    def fold(law, resid):
+        worst[law] = float(np.maximum(worst[law], np.max(resid)))
+
+    checked = 0
+    for cell in cover.nerve.cells.values():
+        pts = manifold.reduce(cell.samples)
+        if len(pts) == 0 or cell.degree > 2:
+            continue
+        checked += 1
+        if cell.degree == 0:
+            (a,) = cell.indices
+            omega = cover.omega.eval(manifold, pts)
+            fold("curvature", np.abs(cover.curvature(a, pts) - omega))
+        elif cell.degree == 1:
+            a, b = cell.indices
+            lam_ab = cover.transition(a, b, pts)
+            lam_ba = cover.transition(b, a, pts)
+            fold("inverse", np.abs(lam_ab * lam_ba - 1.0))
+            ta, tb = cover.potential(a, pts), cover.potential(b, pts)
+            dlog = cover.transition_dlog(a, b, pts)
+            for comp in range(2):
+                fold("compatibility", np.abs(ta[comp] - tb[comp] + 1j * dlog[comp]))
+        else:
+            a, b, c = cell.indices
+            fold("cocycle", np.abs(
+                cover.transition(a, b, pts) * cover.transition(b, c, pts)
+                - cover.transition(a, c, pts)
+            ))
+    return LocalDataReport(
+        cocycle_max=worst["cocycle"],
+        inverse_max=worst["inverse"],
+        curvature_max=worst["curvature"],
+        compatibility_max=worst["compatibility"],
+        tol=tol,
+        cells_checked=checked,
+    )
+
+
+_MAP_OF_KIND = {
+    "identity": "identity", "shear": "shear", "rot": "rot:1.0",
+    "translate": "translate:0.7,0.3", "pshift": "pshift:0.3",
+}
+
+
+def _law_check_covers(models):
+    """(name, cover) of every builtin cover, its pullback under each map
+    kind of its model, a refined torus, and corrupted copies: one
+    transition scaled by each factor the check tests use."""
+    covers = []
+    for name, params in BUILTINS:
+        exm = models(name, **params)
+        name = f"{name}{params}"
+        covers.append((name, exm.cover))
+        for kind in exm.map_specs:
+            spec = _MAP_OF_KIND[kind]
+            phi = catalog.make_map(exm, spec)
+            covers.append((f"{name}-{spec}", pullback(exm.cover, phi)))
+        if exm.cover.data.transitions:
+            pair = sorted(exm.cover.data.transitions)[0]
+            for factor in (1.01, float("nan"), 0.0):
+                bad = _scaled_transition(exm.cover, pair, factor)
+                covers.append((f"{name}-{pair}x{factor}", bad))
+    torus = models("torus", k=2).cover
+    covers.append(("torus-refined", refine(torus, split_boxes(torus))[0]))
+    return covers
+
+
+def test_batched_local_data_equals_the_per_cell_check(models):
+    kinds = set()
+    failing = 0
+    for name, cover in _law_check_covers(models):
+        with np.errstate(invalid="ignore", divide="ignore"):
+            got = check_local_data(cover)
+            want = _per_cell_local_data(cover)
+        # repr tells NaNs apart from numbers and keeps every bit
+        assert repr(got.as_dict()) == repr(want.as_dict()), name
+        assert got.cells_checked == want.cells_checked > 0, name
+        kinds.update(k for k in _MAP_OF_KIND.values() if name.endswith(k))
+        failing += not got.passed
+    assert kinds == set(_MAP_OF_KIND.values())
+    assert failing >= 3 * 6  # three corruptions of each builtin with overlaps
+
+
+def test_local_data_check_counts_its_evaluator_runs(models):
+    cover = models("torus", k=3).cover
+    rep = check_local_data(cover)
+    n = len(cover.elements)
+    formulas = len(set(cover.data.transitions.values()))
+    # curvature and potential: one run per element, and one for omega;
+    # the inverse, cocycle and dlog laws: at most one per formula each; a
+    # cell by cell check runs 2, 5 and 3 programs per cell of degree 0, 1, 2
+    runs = rep.counters["local_data_formulas"]
+    cells = [c for c in cover.nerve.cells.values() if c.degree <= 2]
+    per_cell = sum((2, 5, 3)[c.degree] for c in cells)
+    assert 2 * n + 1 < runs <= 2 * n + 1 + 3 * formulas < per_cell / 10
 
 
 def test_check_local_data_refuses_a_nerve_below_degree_2(models):
