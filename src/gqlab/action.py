@@ -31,14 +31,14 @@ from . import kernels, program
 # action.enumerate_leaves and action.holonomy
 from .bohr import bs_census, enumerate_leaves, holonomy  # noqa: F401
 from .cech import (
-    TransversalGrid,
     TrivCochain,
     cohomology_ranks,
     delta,
-    half_offset_labels,
+    half_offset_grid,
     random_projected_cochain,
 )
 from .geometry import (
+    Polarization,
     Symplectomorphism,
     pushforward_polarization,
 )
@@ -334,27 +334,14 @@ def build_complementary(phi: Symplectomorphism, example):
 # Chain map
 
 
-def chain_map(
-    cochain: TrivCochain,
-    phi: Symplectomorphism,
-    complementary: ComplementaryCover,
-    grid_src: TransversalGrid,
-    grid_dst: TransversalGrid,
-) -> TrivCochain:
-    """Composition with phi, as a cochain on the complementary cover.
+def chain_map(cochain: TrivCochain) -> TrivCochain:
+    """Composition with phi, as a cochain on the complementary cover, for
+    a cochain on the source grid and a destination grid of the same labels.
 
     Grid basepoints of the pullback cover are the phi-preimages of the
     source basepoints, so the component functions f o phi take the same
     values there; the data transports verbatim onto the transported grid.
     """
-    if complementary.phi is not phi:
-        raise ConfigurationError("chain_map must use the complementary cover's map")
-    if grid_dst.cover is not complementary.base:
-        raise ConfigurationError("destination grid is not on the complementary cover")
-    if len(grid_src.labels) != len(grid_dst.labels) or np.any(
-        grid_src.labels != grid_dst.labels
-    ):
-        raise ConfigurationError("chain_map requires matching label grids")
     return TrivCochain(cochain.degree, {k: v.copy() for k, v in cochain.data.items()})
 
 
@@ -381,50 +368,24 @@ class CorrespondenceReport:
         }
 
 
-def _complementary_or_report(example, phi, theorem: int, built=None):
-    """The complementary cover, or the hypothesis-failed report; `built` is
-    a result of build_complementary(phi, example) to reuse."""
-    if built is None:
-        built = build_complementary(phi, example)
-    elif isinstance(built, ComplementaryCover) and (
-        built.phi is not phi or built.source is not example.cover
-    ):
-        raise ConfigurationError("complementary cover is for another map or cover")
-    if isinstance(built, CocycleObstruction):
-        return None, CorrespondenceReport(
-            theorem=theorem,
-            status="hypothesis-failed",
-            passed=False,
-            witness=built.as_dict(),
-        )
-    return built, None
-
-
 def verify_theorem_1(
-    example,
-    phi: Symplectomorphism,
-    pol_name: str | None = None,
+    comp: ComplementaryCover,
+    pol: Polarization,
     grid_n: int = 32,
     threshold: float = 1e-8,
     seed: int = 0,
-    complementary=None,
 ) -> CorrespondenceReport:
     """Sheaf-quantization invariance at one cover: per-degree rank equality
-    between (cover, P) and (complementary, phi(P)), plus the chain map
-    commuting with the differential on random projected cochains.
-    `complementary` reuses a build_complementary result for this phi."""
-    comp, failed = _complementary_or_report(example, phi, 1, complementary)
-    if failed is not None:
-        return failed
-    pol = example.polarization(pol_name)
-    pushed = pushforward_polarization(phi, pol)
-    # one grid per side serves the ranks and then, from its transport
-    # cache, the commutation check
-    labels = half_offset_labels(pol.label_range[0], pol.label_range[1], grid_n)
-    grid_src = TransversalGrid.build(example.cover, pol, labels)
-    grid_dst = TransversalGrid.build(comp.base, pushed, labels)
-    ranks_src = cohomology_ranks(example.cover, pol, grid_n, threshold, grid=grid_src)
-    ranks_dst = cohomology_ranks(comp.base, pushed, grid_n, threshold, grid=grid_dst)
+    between (comp.source, pol) and (comp.base, comp.phi(pol)), plus the
+    chain map commuting with the differential on random projected
+    cochains."""
+    pushed = pushforward_polarization(comp.phi, pol)
+    # one grid per side, on the same labels, serves the ranks and then,
+    # from its transport cache, the commutation check
+    grid_src = half_offset_grid(comp.source, pol, grid_n)
+    grid_dst = half_offset_grid(comp.base, pushed, grid_n)
+    ranks_src = cohomology_ranks(grid_src, threshold)
+    ranks_dst = cohomology_ranks(grid_dst, threshold)
     equal = all(
         a.betti == b.betti for a, b in zip(ranks_src.degrees, ranks_dst.degrees)
     )
@@ -434,9 +395,8 @@ def verify_theorem_1(
         if not grid_src.degree_keys(degree + 1):
             continue
         c = random_projected_cochain(grid_src, degree, rng)
-        lhs = delta(grid_dst, chain_map(c, phi, comp, grid_src, grid_dst))
-        rhs_src = delta(grid_src, c)
-        rhs = chain_map(rhs_src, phi, comp, grid_src, grid_dst)
+        lhs = delta(grid_dst, chain_map(c))
+        rhs = chain_map(delta(grid_src, c))
         for key in lhs.data:
             if lhs.data[key].size:
                 commute = max(
@@ -470,30 +430,22 @@ def verify_theorem_1(
 
 
 def verify_theorem_2(
-    example,
-    phi: Symplectomorphism,
-    pol_name: str | None = None,
-    crange: tuple | None = None,
+    comp: ComplementaryCover,
+    pol: Polarization,
+    crange: tuple,
     count: int = 33,
     tol: float = 1e-8,
-    complementary=None,
 ) -> CorrespondenceReport:
     """Bohr-Sommerfeld invariance: the leaf map is a label-preserving
     bijection matching holonomies, and the BS censuses agree.
 
-    phi carries the leaf of P through a label to the leaf of phi(P) through
-    the same label, so the two censuses sample the same labels and the leaf
-    pairs are their closed entries side by side: the source holonomy in
-    the cover, the target one in the complementary cover.  A sampled label
-    that differs between them raises InternalConsistencyError.
-    `complementary` reuses a build_complementary result for this phi."""
-    comp, failed = _complementary_or_report(example, phi, 2, complementary)
-    if failed is not None:
-        return failed
-    pol = example.polarization(pol_name)
-    pushed = pushforward_polarization(phi, pol)
-    crange = crange or example.census_range
-    census_src = bs_census(example.cover, pol, crange, count, tol)
+    comp.phi carries the leaf of P through a label to the leaf of phi(P)
+    through the same label, so the two censuses sample the same labels and
+    the leaf pairs are their closed entries side by side: the source
+    holonomy in comp.source, the target one in comp.base.  A sampled label
+    that differs between them raises InternalConsistencyError."""
+    pushed = pushforward_polarization(comp.phi, pol)
+    census_src = bs_census(comp.source, pol, crange, count, tol)
     census_dst = bs_census(comp.base, pushed, crange, count, tol)
     if len(census_src.entries) != len(census_dst.entries):
         raise InternalConsistencyError(

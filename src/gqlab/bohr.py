@@ -283,24 +283,13 @@ def _spans_a_period(pol: Polarization, lo: float, hi: float) -> bool:
     return pol.label_periodic and hi - lo >= period - 1e-9
 
 
-def enumerate_leaves(
-    cover: TrivializationCover,
-    pol: Polarization,
-    crange: tuple,
-    count: int,
-    atlas: LeafAtlas | None = None,
-) -> list:
-    """Leaves at `count` fiber-map values in crange, plus the polarization's
-    singular points as point leaves, labelled by the root polarization
-    (a pushforward keeps labels leafwise).  `atlas` is a LeafAtlas of this
-    cover and polarization to thread with and reuse; a new one by
-    default."""
+def enumerate_leaves(atlas: LeafAtlas, crange: tuple, count: int) -> list:
+    """Leaves at `count` fiber-map values in crange, threaded on atlas,
+    plus its polarization's singular points as point leaves, labelled by
+    the root polarization (a pushforward keeps labels leafwise)."""
     if count < 1:
         raise ConfigurationError("count must be >= 1")
-    if atlas is None:
-        atlas = LeafAtlas(cover, pol)
-    elif atlas.cover is not cover or atlas.polarization is not pol:
-        raise ConfigurationError("atlas is for another cover or polarization")
+    pol = atlas.polarization
     lo, hi = crange
     with np.errstate(over="ignore", invalid="ignore"):
         if _spans_a_period(pol, lo, hi):
@@ -349,14 +338,10 @@ def nearest_multiple(action: float) -> int:
     return lower if x - lower <= 0.5 + 1e-9 else lower + 1
 
 
-def holonomy(
-    cover: TrivializationCover,
-    pol: Polarization,
-    leaves,
-    transport: LeafTransport | None = None,
-):
-    """Parallel transport around closed leaves: a HolonomyResult for one
-    Leaf, a list of them, in order, for a sequence of leaves.
+def holonomy(transport: LeafTransport, leaves) -> list:
+    """Parallel transport around closed leaves: a HolonomyResult for each
+    leaf of a sequence, in order, on the cover and polarization of
+    transport.
 
     The convention matches the cochain transport: a value f in the alpha
     trivialization becomes lambda_{alpha beta} f in the beta trivialization,
@@ -372,18 +357,15 @@ def holonomy(
     for the phases.  NumPy's array complex multiply can round differently
     from a scalar product, and np.arctan2 from math.atan2, so neither is
     used: a batch gives every result bit for bit as a single leaf does.
-    `transport` is a LeafTransport of this cover and polarization whose
-    cache to fill and reuse; it also counts the transition formulas
-    evaluated.
+    transport fills and reuses its cache, and counts the transition
+    formulas evaluated.
     """
-    batch = [leaves] if isinstance(leaves, Leaf) else list(leaves)
+    batch = list(leaves)
     if any(leaf.topology == "line" for leaf in batch):
         raise HolonomyUndefinedError(
             "holonomy is undefined for noncompact (line) leaves"
         )
     circles = [leaf for leaf in batch if leaf.topology != "point"]
-    if circles and transport is None:
-        transport = LeafTransport(cover, pol)
 
     # the segment integrals and switch transitions of the batch, flat in
     # leaf order
@@ -402,6 +384,7 @@ def holonomy(
         moved = np.flatnonzero(a != b)
         points = np.concatenate([leaf.switch_points for leaf in circles])[moved]
         a, b = a[moved], b[moved]
+        cover = transport.cover
         transport.transition_batches += len(set(cover.transition_formulas(a, b).tolist()))
         lams[moved] = cover.transition(a, b, points)
     integrals = integrals.tolist()
@@ -434,7 +417,7 @@ def holonomy(
                 residual=action - TWO_PI * nearest,
             )
         )
-    return out[0] if isinstance(leaves, Leaf) else out
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -681,9 +664,9 @@ def bs_census(
     """
     transport = LeafTransport(cover, pol)
     atlas = LeafAtlas(cover, pol)
-    leaves = enumerate_leaves(cover, pol, crange, count, atlas=atlas)
+    leaves = enumerate_leaves(atlas, crange, count)
     closed = [leaf for leaf in leaves if leaf.topology != "line"]
-    hols = iter(holonomy(cover, pol, closed, transport))
+    hols = iter(holonomy(transport, closed))
     entries = []
     sampled: list = []
     lines = 0
@@ -707,7 +690,7 @@ def bs_census(
         nonlocal root_steps
         root_steps += 1
         threaded = atlas.leaves(labels)
-        return [h.holonomy for h in holonomy(cover, pol, threaded, transport)]
+        return [h.holonomy for h in holonomy(transport, threaded)]
 
     # The holonomy is continuous in the label (the action is only defined
     # up to the threading, so it cannot choose the branch), so we root-solve

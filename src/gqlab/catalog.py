@@ -42,6 +42,15 @@ from .prequantum import (
 TWO_PI = 2.0 * math.pi
 
 EXAMPLE_NAMES = ("plane", "cylinder", "torus", "sphere", "disk")
+# the parameters each model takes from the command line: the Chern number
+# k, the cover's granularity, the cylinder's half height p_max
+PARAMETERS = {
+    "plane": ("granularity",),
+    "cylinder": ("granularity", "p_max"),
+    "torus": ("k", "granularity"),
+    "sphere": ("k",),
+    "disk": (),
+}
 
 
 @dataclass(frozen=True)
@@ -558,7 +567,8 @@ def untwisted_circle_example() -> Example:
 def example(name: str, nerve_degree: int = MAX_DEGREE, **params) -> Example:
     """The builtin model `name` with its cover's nerve built to degree
     nerve_degree: 0 for leaf threading alone, 2 for the local-data laws,
-    n + 1 for cohomology through degree n."""
+    n + 1 for cohomology through degree n.  params are keywords of
+    PARAMETERS[name]."""
     builders = {
         "plane": _plane_example,
         "cylinder": _cylinder_example,
@@ -570,10 +580,7 @@ def example(name: str, nerve_degree: int = MAX_DEGREE, **params) -> Example:
         raise ConfigurationError(
             f"unknown example {name!r}; choose from {sorted(builders)}"
         )
-    try:
-        return builders[name](nerve_degree=nerve_degree, **params)
-    except TypeError as exc:
-        raise ConfigurationError(f"bad parameters for {name}: {exc}") from None
+    return builders[name](nerve_degree=nerve_degree, **params)
 
 
 _MAP_ARITY = {"identity": 0, "shear": 0, "rot": 1, "translate": 2, "pshift": 1}

@@ -172,6 +172,14 @@ class TransversalGrid:
         return t_bp[:, None] + dt, shift
 
 
+def half_offset_grid(cover, polarization, count: int) -> TransversalGrid:
+    """The grid of `count` half-offset labels across the label range of
+    the polarization's root, which a pushforward shares: the grid of
+    `cohomology`, and of both sides of theorem 1."""
+    lo, hi = polarization.root.label_range
+    return TransversalGrid.build(cover, polarization, half_offset_labels(lo, hi, count))
+
+
 # ---------------------------------------------------------------------------
 # Cochain data
 
@@ -606,39 +614,21 @@ def _numerical_rank(sv: np.ndarray, threshold: float):
 
 
 def cohomology_ranks(
-    cover: TrivializationCover,
-    polarization: Polarization,
-    n_labels: int,
-    threshold: float = 1e-8,
-    max_degree: int = 2,
-    grid: TransversalGrid | None = None,
+    grid: TransversalGrid, threshold: float = 1e-8, max_degree: int = 2
 ) -> RankReport:
-    """Betti numbers of the discretized trivialization complex.
+    """Betti numbers of the discretized trivialization complex on grid.
 
     Ranks come from singular values with the stated relative threshold; the
     report keeps the spectrum edges and the gap at the cut so borderline
-    decisions are auditable.  The complex lives on `grid`, a
-    TransversalGrid of this cover and polarization with n_labels labels;
-    by default one is built on the half-offset labels of the polarization's
-    label range.  A grid handed in keeps its transport integrals for the
-    caller to reuse.
+    decisions are auditable.  The grid keeps its transport integrals for
+    the caller to reuse.
     """
-    if max_degree > cover.nerve.max_degree - 1:
+    nerve_bound = grid.nerve.max_degree - 1
+    if max_degree > nerve_bound:
         raise ConfigurationError(
-            f"degree cap {max_degree} exceeds nerve bound "
-            f"{cover.nerve.max_degree - 1}"
+            f"degree cap {max_degree} exceeds nerve bound {nerve_bound}"
         )
-    if grid is None:
-        lo, hi = polarization.root.label_range
-        grid = TransversalGrid.build(
-            cover, polarization, half_offset_labels(lo, hi, n_labels)
-        )
-    elif grid.cover is not cover or grid.polarization is not polarization:
-        raise ConfigurationError("grid is for another cover or polarization")
-    elif len(grid.labels) != n_labels:
-        raise ConfigurationError(
-            f"grid holds {len(grid.labels)} labels, not {n_labels}"
-        )
+    n_labels = len(grid.labels)
     for key in grid.degree_keys(0):
         cg = grid.cells[key]
         if cg.count == 0 and not cg.closed:
@@ -668,7 +658,7 @@ def cohomology_ranks(
     transport = grid.leaf_transport
     return RankReport(
         degrees=tuple(ranks),
-        n_labels=int(n_labels),
+        n_labels=n_labels,
         n_labels_retained=retained,
         threshold=threshold,
         counters={

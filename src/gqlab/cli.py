@@ -22,13 +22,15 @@ from collections import Counter
 from . import __version__, catalog
 from . import expr as ex
 from .action import (
+    CocycleObstruction,
+    CorrespondenceReport,
     InternalConsistencyError,
     build_complementary,
     verify_theorem_1,
     verify_theorem_2,
 )
 from .bohr import CoverageError, bs_census, lattice_count
-from .cech import ResolutionError, cohomology_ranks
+from .cech import ResolutionError, cohomology_ranks, half_offset_grid
 from .geometry import check_symplectomorphism
 from .prequantum import MAX_DEGREE, ConfigurationError, check_local_data
 from .quadrature import QuadratureError
@@ -38,7 +40,8 @@ REPORT_SCHEMA = "gqlab.report/1"
 # The flags each subcommand reads, by argparse dest; any other is refused.
 # Every one of them reads the example flags, --corrupt, --out and --json.
 # act reads the flags of the theorems it verifies too (ACT_READS).
-_READS_ALWAYS = frozenset({"example", "k", "granularity", "p_max", "corrupt", "out", "json"})
+MODEL_FLAGS = ("k", "granularity", "p_max")  # each model takes some (catalog.PARAMETERS)
+_READS_ALWAYS = frozenset({"example", *MODEL_FLAGS, "corrupt", "out", "json"})
 READS = {
     "check": _READS_ALWAYS | {"map", "tol"},
     "bs": _READS_ALWAYS | {"polarization", "range", "count", "tol", "include_lines", "csv"},
@@ -157,17 +160,13 @@ class RunConfig:
 
 
 def _example_from_config(cfg: RunConfig) -> catalog.Example:
-    params: dict = {}
-    if cfg.example in ("torus", "sphere"):
-        params["k"] = cfg.k
-    if cfg.granularity is not None:
-        if cfg.example not in ("plane", "torus", "cylinder"):
-            raise ConfigurationError(
-                f"granularity does not apply to {cfg.example}"
-            )
-        params["granularity"] = cfg.granularity
-    if cfg.example == "cylinder":
-        params["p_max"] = cfg.cylinder_p_max
+    takes = catalog.PARAMETERS[cfg.example]
+    refused = [dest for dest in MODEL_FLAGS if dest in cfg.flags and dest not in takes]
+    if refused:
+        names = ", ".join("--" + dest.replace("_", "-") for dest in refused)
+        raise ConfigurationError(f"{cfg.example} does not take {names}")
+    values = {"k": cfg.k, "granularity": cfg.granularity, "p_max": cfg.cylinder_p_max}
+    params = {name: values[name] for name in takes if values[name] is not None}
     nerve_degree = NERVE_DEGREE[cfg.command](cfg)
     exm = catalog.example(cfg.example, nerve_degree=nerve_degree, **params)
     if cfg.corrupt:
@@ -262,7 +261,7 @@ def _emit(report: dict, args, summary_lines) -> None:
 
 def cmd_examples(args) -> int:
     for name in catalog.EXAMPLE_NAMES:  # the listing reads no nerve cell
-        params = {"k": 1} if name in ("torus", "sphere") else {}
+        params = {"k": 1} if "k" in catalog.PARAMETERS[name] else {}
         exm = catalog.example(name, nerve_degree=0, **params)
         print(
             f"{name:<10} elements={len(exm.cover.elements):<3} "
@@ -388,9 +387,8 @@ def cmd_cohomology(cfg: RunConfig, args) -> int:
     t0 = time.perf_counter()
     exm = _example_from_config(cfg)
     pol = exm.polarization(cfg.polarization)
-    rank = cohomology_ranks(
-        exm.cover, pol, cfg.grid, cfg.rank_tol, max_degree=cfg.max_degree
-    )
+    grid = half_offset_grid(exm.cover, pol, cfg.grid)
+    rank = cohomology_ranks(grid, cfg.rank_tol, cfg.max_degree)
     payload = {"cohomology": rank.as_dict()}
     report = _report(cfg, payload, True, time.perf_counter() - t0)
     report["timing"]["counters"] = _counters(exm, rank.counters)
@@ -410,6 +408,8 @@ def cmd_act(cfg: RunConfig, args) -> int:
     t0 = time.perf_counter()
     exm = _example_from_config(cfg)
     phi = catalog.make_map(exm, cfg.map)
+    pol = exm.polarization(cfg.polarization)
+    crange = cfg.range or exm.census_range
     which = cfg.verify_targets
     # invariance means nothing for data that breaks the bundle laws
     local = check_local_data(exm.cover, cfg.tol)
@@ -422,23 +422,26 @@ def cmd_act(cfg: RunConfig, args) -> int:
         return 1
     # one complementary cover (or obstruction) serves both theorems
     built = build_complementary(phi, exm)
-    pol_name = cfg.polarization if cfg.polarization != "default" else None
-    payload: dict = {}
     counters = Counter(built.counters)
     counters.update(local.counters)
+    if isinstance(built, CocycleObstruction):  # no theorem has its hypothesis
+        reports = [
+            CorrespondenceReport(
+                int(w.removeprefix("thm")), "hypothesis-failed", False, built.as_dict()
+            )
+            for w in which
+        ]
+    else:
+        reports = [
+            verify_theorem_1(built, pol, cfg.grid, cfg.rank_tol, cfg.seed)
+            if w == "thm1"
+            else verify_theorem_2(built, pol, crange, cfg.count, cfg.tol)
+            for w in which
+        ]
+    payload: dict = {}
     passed = True
     status = "ok"
-    for w in which:
-        if w == "thm1":
-            rep = verify_theorem_1(
-                exm, phi, pol_name, grid_n=cfg.grid, threshold=cfg.rank_tol,
-                seed=cfg.seed, complementary=built,
-            )
-        else:
-            rep = verify_theorem_2(
-                exm, phi, pol_name, crange=cfg.range, count=cfg.count,
-                tol=cfg.tol, complementary=built,
-            )
+    for w, rep in zip(which, reports):
         payload[w] = rep.as_dict()
         counters.update(rep.counters)
         passed = passed and rep.passed

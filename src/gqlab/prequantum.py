@@ -136,7 +136,7 @@ class TrivializationCover:
     nerve: Nerve  # build_nerve(manifold, elements)
     pullback_of: tuple | None = None  # (source cover, map), for refine's guard
     # compiled local data, filled on first use: key -> program, and the
-    # transition table of batched calls (_transition_table)
+    # transition table (_transition_table)
     _programs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -162,15 +162,11 @@ class TrivializationCover:
 
     def transition(self, a, b, pts) -> np.ndarray:
         """lambda_ab at points; a and b are element indices, or int arrays
-        of one pair per point.  A batch evaluates each distinct transition
-        formula among its pairs once, on all of that formula's points."""
+        of one pair per point, broadcast against each other and the points.
+        A call evaluates each distinct transition formula among its pairs
+        once, on all of that formula's points."""
         pts = as_points(pts)
-        if np.ndim(a) == 0 and np.ndim(b) == 0:
-            if a == b:
-                return np.ones(len(pts), dtype=np.complex128)
-            return self._evaluate(
-                ("transition", a, b), lambda: self.data.transition_expr(a, b), pts
-            )
+        a, b = (np.broadcast_to(v, len(pts)) for v in (a, b))
         form = self.transition_formulas(a, b)
         programs = self._transition_table()[1]
         out = np.ones(len(pts), dtype=np.complex128)

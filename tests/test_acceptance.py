@@ -14,12 +14,13 @@ import numpy as np
 import pytest
 
 from gqlab import catalog, cli
-from gqlab.action import verify_theorem_1, verify_theorem_2
+from gqlab.action import build_complementary, verify_theorem_1, verify_theorem_2
 from gqlab.bohr import bs_census, lattice_count
 from gqlab.cech import (
     TransversalGrid,
     cohomology_ranks,
     delta,
+    half_offset_grid,
     half_offset_labels,
     phi,
     psi,
@@ -178,7 +179,7 @@ def test_res_laws(models):
 def test_untwisted_degeneration(models):
     exm = models("circle-flat")
     n = 6
-    report = cohomology_ranks(exm.cover, exm.polarization(), n)
+    report = cohomology_ranks(half_offset_grid(exm.cover, exm.polarization(), n))
     # classical oracle: the circle nerve has two vertices and two edges;
     # its coboundary [[-1, 1], [-1, 1]] has rank 1, so H0 = H1 = 1 per leaf
     classical = np.array([[-1.0, 1.0], [-1.0, 1.0]])
@@ -197,13 +198,17 @@ def test_untwisted_degeneration(models):
 def test_main_theorem_1_plane_shear(models):
     exm = models("plane")
     phi_map = catalog.make_map(exm, "shear")
-    report = verify_theorem_1(exm, phi_map, grid_n=32, threshold=1e-8)
+    pol = exm.polarization()
+    report = verify_theorem_1(
+        build_complementary(phi_map, exm), pol, grid_n=32, threshold=1e-8
+    )
     assert report.status == "ok" and report.passed
     assert report.payload["ranks"]["source"] == report.payload["ranks"]["target"]
     assert report.payload["commutation_residual"] < 1e-9
     # same criterion on the two-element cover, where transitions are real
     exm2 = models("plane", granularity=2)
-    report2 = verify_theorem_1(exm2, catalog.make_map(exm2, "shear"), grid_n=32)
+    comp2 = build_complementary(catalog.make_map(exm2, "shear"), exm2)
+    report2 = verify_theorem_1(comp2, exm2.polarization(), grid_n=32)
     assert report2.passed
     assert report2.payload["commutation_residual"] < 1e-9
 
@@ -213,7 +218,8 @@ def test_main_theorem_2_sphere_rotations(models):
     for k in range(1, 6):
         start = time.perf_counter()
         exm = models("sphere", k=k)
-        report = verify_theorem_2(exm, catalog.make_map(exm, "rot:1.0"))
+        comp = build_complementary(catalog.make_map(exm, "rot:1.0"), exm)
+        report = verify_theorem_2(comp, exm.polarization(), exm.census_range)
         elapsed = time.perf_counter() - start
         assert report.status == "ok" and report.passed
         assert report.payload["q_bs"]["source"] == report.payload["q_bs"]["target"]
@@ -221,7 +227,8 @@ def test_main_theorem_2_sphere_rotations(models):
         assert elapsed < 10.0, f"sphere k={k} took {elapsed:.2f}s"
     # an irrational rotation angle exercises the same bijection
     exm = models("sphere", k=3)
-    report = verify_theorem_2(exm, catalog.make_map(exm, f"rot:{math.sqrt(2)}"))
+    comp = build_complementary(catalog.make_map(exm, f"rot:{math.sqrt(2)}"), exm)
+    report = verify_theorem_2(comp, exm.polarization(), exm.census_range)
     assert report.passed
 
 
@@ -250,10 +257,10 @@ def test_rank_stability(models):
     for name, params in (("plane", {}), ("torus", {"k": 2})):
         exm = models(name, **params)
         pol = exm.polarization()
-        base = cohomology_ranks(exm.cover, pol, 32)
-        doubled = cohomology_ranks(exm.cover, pol, 64)
+        base = cohomology_ranks(half_offset_grid(exm.cover, pol, 32))
+        doubled = cohomology_ranks(half_offset_grid(exm.cover, pol, 64))
         fine, _ = refine(exm.cover, split_boxes(exm.cover))
-        refined = cohomology_ranks(fine, pol, 32)
+        refined = cohomology_ranks(half_offset_grid(fine, pol, 32))
         for b, d, r in zip(base.degrees, doubled.degrees, refined.degrees):
             assert b.betti_per_leaf == d.betti_per_leaf == r.betti_per_leaf
             assert b.betti == r.betti  # identical label grid

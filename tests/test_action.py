@@ -1,11 +1,12 @@
 """Complementary covers, the chain map, both theorems and their leaf pairing."""
 
+import json
 import math
 
 import numpy as np
 import pytest
 
-from gqlab import action, catalog, cech, program
+from gqlab import action, catalog, program
 from gqlab import expr as ex
 from gqlab.action import (
     CocycleObstruction,
@@ -16,11 +17,18 @@ from gqlab.action import (
     verify_theorem_1,
     verify_theorem_2,
 )
-from gqlab.bohr import HolonomyUndefinedError, bs_census, enumerate_leaves, holonomy
+from gqlab.bohr import (
+    HolonomyUndefinedError,
+    LeafAtlas,
+    bs_census,
+    enumerate_leaves,
+    holonomy,
+)
 from gqlab.cech import TransversalGrid, delta, half_offset_labels, random_projected_cochain
 from gqlab.geometry import as_points, eval_at, pushforward_polarization
 from gqlab.prequantum import ConfigurationError, check_local_data
 from gqlab.quadrature import integrate
+from gqlab.transport import LeafTransport
 
 TWO_PI = 2.0 * math.pi
 
@@ -277,12 +285,12 @@ def test_chain_map_identity_and_linearity(models):
     gs, gd = _grids_for(exm, phi, comp, 16)
     rng = np.random.default_rng(0)
     c = random_projected_cochain(gs, 0, rng)
-    moved = chain_map(c, phi, comp, gs, gd)
+    moved = chain_map(c)
     assert all(np.array_equal(c.data[k], moved.data[k]) for k in c.data)
     z = random_projected_cochain(gs, 0, rng)
     for k in z.data:
         z.data[k][:] = 0
-    assert chain_map(z, phi, comp, gs, gd).norm() == 0.0
+    assert chain_map(z).norm() == 0.0
 
 
 def test_chain_map_commutes_with_delta(models):
@@ -293,14 +301,21 @@ def test_chain_map_commutes_with_delta(models):
     rng = np.random.default_rng(1)
     for degree in (0, 1):
         c = random_projected_cochain(gs, degree, rng)
-        lhs = delta(gd, chain_map(c, phi, comp, gs, gd))
-        rhs = chain_map(delta(gs, c), phi, comp, gs, gd)
+        lhs = delta(gd, chain_map(c))
+        rhs = chain_map(delta(gs, c))
         worst = max(
             (np.max(np.abs(lhs.data[k] - rhs.data[k]))
              for k in lhs.data if lhs.data[k].size),
             default=0.0,
         )
         assert worst < 1e-9
+
+
+def _complementary(exm, spec):
+    """The complementary cover of the map spec over the example."""
+    comp = build_complementary(catalog.make_map(exm, spec), exm)
+    assert isinstance(comp, ComplementaryCover)
+    return comp
 
 
 def _circle_pairs(rep) -> list:
@@ -311,13 +326,13 @@ def test_transport_leaf_identity(models):
     # the identity carries each leaf to itself with its holonomy
     exm = models("sphere", k=2)
     pol = exm.polarization()
-    rep = verify_theorem_2(exm, catalog.make_map(exm, "identity"),
-                           crange=(0.4, 1.2), count=3)
+    rep = verify_theorem_2(_complementary(exm, "identity"), pol, (0.4, 1.2), count=3)
     pairs = _circle_pairs(rep)
     assert np.allclose([p["label"] for p in pairs], [0.4, 0.8, 1.2], atol=1e-12)
     for pair in pairs:
         c = pair["label"]
-        h1 = holonomy(exm.cover, pol, enumerate_leaves(exm.cover, pol, (c, c), 1)[0])
+        leaves = enumerate_leaves(LeafAtlas(exm.cover, pol), (c, c), 1)
+        h1 = holonomy(LeafTransport(exm.cover, pol), leaves)[0]
         assert pair["holonomy_source"] == [h1.holonomy.real, h1.holonomy.imag]
         assert abs(complex(*pair["holonomy_source"])
                    - complex(*pair["holonomy_target"])) < 1e-12
@@ -328,7 +343,7 @@ def test_transport_leaf_sphere_rotation_preserves_holonomy(models):
     pol = exm.polarization()
     phi = catalog.make_map(exm, "rot:1.3")
     pushed = pushforward_polarization(phi, pol)
-    rep = verify_theorem_2(exm, phi, crange=(0.4, 2.2), count=4)
+    rep = verify_theorem_2(build_complementary(phi, exm), pol, (0.4, 2.2), count=4)
     pairs = _circle_pairs(rep)
     assert np.allclose([p["label"] for p in pairs], [0.4, 1.0, 1.6, 2.2], atol=1e-12)
     for pair in pairs:
@@ -349,13 +364,12 @@ def test_transport_leaf_shear_maps_lines_to_lines(models):
     phi = catalog.make_map(exm, "shear")
     comp = build_complementary(phi, exm)
     pushed = pushforward_polarization(phi, pol)
-    moved = enumerate_leaves(comp.base, pushed, (0.5, 0.5), 1)[0]
+    moved = enumerate_leaves(LeafAtlas(comp.base, pushed), (0.5, 0.5), 1)[0]
     assert moved.topology == "line" and moved.label == 0.5
     with pytest.raises(HolonomyUndefinedError):
-        holonomy(comp.base, pushed, moved)
+        holonomy(LeafTransport(comp.base, pushed), [moved])
     # so the census pairing has no pair to compare across the map
-    rep = verify_theorem_2(exm, phi, crange=(-1.0, 1.0), count=5,
-                           complementary=comp)
+    rep = verify_theorem_2(comp, pol, (-1.0, 1.0), count=5)
     assert rep.passed and rep.payload["leaf_pairs"] == []
 
 
@@ -366,23 +380,25 @@ def test_leaf_transport_round_trip_is_identity_on_labels(models):
     comp = build_complementary(phi, exm)
     assert isinstance(comp, ComplementaryCover)
     pushed = pushforward_polarization(phi, pol)
-    labels = [l.label for l in enumerate_leaves(exm.cover, pol, (0, TWO_PI), 6)]
+    labels = [
+        l.label for l in enumerate_leaves(LeafAtlas(exm.cover, pol), (0, TWO_PI), 6)
+    ]
     back = [
-        l.label for l in enumerate_leaves(comp.base, pushed, (0, TWO_PI), 6)
+        l.label for l in enumerate_leaves(LeafAtlas(comp.base, pushed), (0, TWO_PI), 6)
     ]
     assert np.allclose(sorted(labels), sorted(back), atol=1e-10)
 
 
 def test_theorem_1_identity(models):
     exm = models("torus", k=1)
-    rep = verify_theorem_1(exm, catalog.make_map(exm, "identity"), grid_n=24)
+    rep = verify_theorem_1(_complementary(exm, "identity"), exm.polarization(), grid_n=24)
     assert rep.status == "ok" and rep.passed
     assert rep.payload["ranks"]["source"] == rep.payload["ranks"]["target"]
 
 
 def test_theorem_1_plane_shear(models):
     exm = models("plane")
-    rep = verify_theorem_1(exm, catalog.make_map(exm, "shear"), grid_n=32)
+    rep = verify_theorem_1(_complementary(exm, "shear"), exm.polarization(), grid_n=32)
     assert rep.passed
     assert rep.payload["ranks"]["source"] == [32, 0, 0]
     assert rep.payload["commutation_residual"] < 1e-9
@@ -390,16 +406,26 @@ def test_theorem_1_plane_shear(models):
 
 def test_theorem_1_two_element_plane_shear(models):
     exm = models("plane", granularity=2)
-    rep = verify_theorem_1(exm, catalog.make_map(exm, "shear"), grid_n=24)
+    rep = verify_theorem_1(_complementary(exm, "shear"), exm.polarization(), grid_n=24)
     assert rep.passed and rep.payload["ranks"]["equal"]
     assert rep.payload["commutation_residual"] < 1e-9
 
 
-def test_theorem_1_obstructed_reports_hypothesis_failure(models):
-    exm = models("torus", k=2)
-    rep = verify_theorem_1(exm, catalog.make_map(exm, "translate:0.7,0"))
-    assert rep.status == "hypothesis-failed" and not rep.passed
-    assert rep.witness is not None and rep.witness["deviation"] > 1e-6
+def test_theorem_1_obstructed_reports_hypothesis_failure(capsys):
+    # act finds the obstruction once; each theorem it verifies reports it
+    from gqlab import cli
+
+    argv = ["act", "--example", "torus", "--k", "2", "--map", "translate:0.7,0"]
+    for which in ("thm1", "thm2", "thm1,thm2"):
+        code = cli.main(argv + ["--verify", which, "--json"])
+        payload = json.loads(capsys.readouterr().out)["payload"]
+        assert code == 1
+        assert payload["status"] == "hypothesis-failed"
+        for w in which.split(","):
+            rep = payload[w]
+            assert rep["theorem"] == int(w[-1])
+            assert rep["status"] == "hypothesis-failed" and not rep["pass"]
+            assert rep["witness"] is not None and rep["witness"]["deviation"] > 1e-6
 
 
 def test_theorem_1_builds_one_grid_per_side(models, monkeypatch):
@@ -414,26 +440,14 @@ def test_theorem_1_builds_one_grid_per_side(models, monkeypatch):
         return grids[-1]
 
     monkeypatch.setattr(TransversalGrid, "build", classmethod(counted))
-    rep = verify_theorem_1(exm, phi, grid_n=16, complementary=comp)
+    rep = verify_theorem_1(comp, exm.polarization(), grid_n=16)
     assert rep.passed and len(grids) == 2
     assert rep.counters["grid_builds"] == 2
+    assert grids[0].cover is exm.cover and grids[1].cover is comp.base
     # the commutation check's transport integrals are counted with the ranks'
     assert rep.counters["transport_integrals"] == sum(
         g.leaf_transport.integrals_computed for g in grids
     )
-    # a handed-in grid gives the report a grid of its own gives
-    pol = exm.polarization()
-    for grid, cover, polarization in zip(
-        grids, (exm.cover, comp.base), (pol, pushforward_polarization(phi, pol))
-    ):
-        assert grid.cover is cover
-        given = cech.cohomology_ranks(cover, grid.polarization, 16, grid=grid)
-        own = cech.cohomology_ranks(cover, polarization, 16)
-        assert given.as_dict() == own.as_dict()
-    with pytest.raises(ConfigurationError, match="another cover"):
-        cech.cohomology_ranks(comp.base, pol, 16, grid=grids[0])
-    with pytest.raises(ConfigurationError, match="holds 16 labels"):
-        cech.cohomology_ranks(exm.cover, pol, 8, grid=grids[0])
 
 
 def test_theorem_1_fails_on_a_corrupted_target_transition(models):
@@ -450,8 +464,9 @@ def test_theorem_1_fails_on_a_corrupted_target_transition(models):
         comp.base, data=dataclasses.replace(data, transitions=transitions)
     )
     corrupted = dataclasses.replace(comp, base=base)
-    assert verify_theorem_1(exm, phi, grid_n=16, complementary=comp).passed
-    rep = verify_theorem_1(exm, phi, grid_n=16, complementary=corrupted)
+    pol = exm.polarization()
+    assert verify_theorem_1(comp, pol, grid_n=16).passed
+    rep = verify_theorem_1(corrupted, pol, grid_n=16)
     assert rep.status == "ok" and not rep.passed
     assert rep.payload["commutation_residual"] > 1e-6
 
@@ -460,23 +475,25 @@ def test_theorem_reuses_only_a_cover_built_for_its_map(models):
     exm = models("cylinder")
     phi = catalog.make_map(exm, "pshift:1")
     comp = build_complementary(phi, exm)
-    rep = verify_theorem_2(exm, phi, complementary=comp)
+    # the theorem reads the map and both covers from the complementary cover
+    rep = verify_theorem_2(comp, exm.polarization(), exm.census_range)
     assert rep.passed and rep.payload["complementary"] == comp.as_dict()
-    other = catalog.make_map(exm, "pshift:2")
-    with pytest.raises(ConfigurationError, match="another map"):
-        verify_theorem_2(exm, other, complementary=comp)
 
 
 def test_theorem_2_identity(models):
     exm = models("sphere", k=2)
-    rep = verify_theorem_2(exm, catalog.make_map(exm, "identity"))
+    rep = verify_theorem_2(
+        _complementary(exm, "identity"), exm.polarization(), exm.census_range
+    )
     assert rep.passed
     assert rep.payload["q_bs"]["source"] == rep.payload["q_bs"]["target"]
 
 
 def test_theorem_2_sphere_rotation(models):
     exm = models("sphere", k=3)
-    rep = verify_theorem_2(exm, catalog.make_map(exm, "rot:1.0"))
+    rep = verify_theorem_2(
+        _complementary(exm, "rot:1.0"), exm.polarization(), exm.census_range
+    )
     assert rep.passed
     assert rep.payload["q_bs"] == {"source": 4, "target": 4}
     assert rep.payload["holonomy_max_difference"] < 1e-9
@@ -485,7 +502,9 @@ def test_theorem_2_sphere_rotation(models):
 
 def test_theorem_2_disk_rotation(models):
     exm = models("disk")
-    rep = verify_theorem_2(exm, catalog.make_map(exm, "rot:0.9"))
+    rep = verify_theorem_2(
+        _complementary(exm, "rot:0.9"), exm.polarization(), exm.census_range
+    )
     assert rep.passed and rep.payload["q_bs"]["source"] == 5
 
 
@@ -521,22 +540,22 @@ def test_theorem_2_leaf_pairs_reuse_the_census_integrals(models, monkeypatch, na
     monkeypatch.setattr(action, "bs_census", census)
     exm = models(name, **params)
     phi = catalog.make_map(exm, spec)
-    rep = verify_theorem_2(exm, phi)
+    pol = exm.polarization()
+    comp = build_complementary(phi, exm)
+    rep = verify_theorem_2(comp, pol, exm.census_range)
     assert rep.passed and len(after_censuses) == 2 and len(transports) == 2
     assert all(t.integrals_computed > 0 for t in transports)
     assert [t.integrals_computed for t in transports] == after_censuses[-1]
     # and the pairs are the holonomies a fresh transport gives, exactly
-    pol = exm.polarization()
-    comp = build_complementary(phi, exm)
     pushed = pushforward_polarization(phi, pol)
     leaves = {leaf.label: leaf for leaf in enumerate_leaves(
-        exm.cover, pol, exm.census_range, 33)}
+        LeafAtlas(exm.cover, pol), exm.census_range, 33)}
     moved = {leaf.label: leaf for leaf in enumerate_leaves(
-        comp.base, pushed, exm.census_range, 33)}
+        LeafAtlas(comp.base, pushed), exm.census_range, 33)}
     assert len(rep.payload["leaf_pairs"]) == len(leaves) == len(moved)
     for pair in rep.payload["leaf_pairs"]:
-        here = holonomy(exm.cover, pol, leaves[pair["label"]]).holonomy
-        there = holonomy(comp.base, pushed, moved[pair["label"]]).holonomy
+        here = holonomy(LeafTransport(exm.cover, pol), [leaves[pair["label"]]])[0].holonomy
+        there = holonomy(LeafTransport(comp.base, pushed), [moved[pair["label"]]])[0].holonomy
         assert pair["holonomy_source"] == [here.real, here.imag]
         assert pair["holonomy_target"] == [there.real, there.imag]
 
@@ -563,7 +582,9 @@ def test_theorem_2_names_a_label_the_censuses_do_not_share(models, monkeypatch,
     monkeypatch.setattr(action, "bs_census", census)
     exm = models("torus", k=2)
     with pytest.raises(InternalConsistencyError, match="0.1234"):
-        verify_theorem_2(exm, catalog.make_map(exm, "translate:pi,0"))
+        verify_theorem_2(
+            _complementary(exm, "translate:pi,0"), exm.polarization(), exm.census_range
+        )
     code = cli.main(["act", "--example", "torus", "--k", "2",
                      "--map", "translate:pi,0", "--verify", "thm2"])
     err = capsys.readouterr().err

@@ -13,6 +13,7 @@ from gqlab.bohr import (
     CoverageError,
     HolonomyUndefinedError,
     Leaf,
+    LeafAtlas,
     _brent_root,
     bs_census,
     enumerate_leaves,
@@ -21,13 +22,14 @@ from gqlab.bohr import (
 )
 from gqlab.geometry import pushforward_polarization
 from gqlab.prequantum import LocalData, TrivializationCover, pullback
+from gqlab.transport import LeafTransport
 
 TWO_PI = 2.0 * math.pi
 
 
 def test_cylinder_leaf_enumeration(models):
     exm = models("cylinder")
-    leaves = enumerate_leaves(exm.cover, exm.polarization(), (-2.5, 2.5), 11)
+    leaves = enumerate_leaves(LeafAtlas(exm.cover, exm.polarization()), (-2.5, 2.5), 11)
     circles = [l for l in leaves if l.topology == "circle"]
     assert len(circles) == 11 and len(leaves) == 11  # no singular leaves
     assert np.allclose([l.label for l in circles], np.linspace(-2.5, 2.5, 11))
@@ -35,7 +37,7 @@ def test_cylinder_leaf_enumeration(models):
 
 def test_sphere_enumeration_includes_poles(models):
     exm = models("sphere", k=2)
-    leaves = enumerate_leaves(exm.cover, exm.polarization(), (0.25, 1.75), 7)
+    leaves = enumerate_leaves(LeafAtlas(exm.cover, exm.polarization()), (0.25, 1.75), 7)
     points = [l for l in leaves if l.topology == "point"]
     assert len(points) == 2 and all(l.singular for l in points)
     assert sorted(l.label for l in points) == [0.0, 2.0]
@@ -44,7 +46,7 @@ def test_sphere_enumeration_includes_poles(models):
 def test_torus_loops_close_through_the_cover(models):
     exm = models("torus", k=1)
     pol = exm.polarization()
-    leaves = enumerate_leaves(exm.cover, pol, (0.0, TWO_PI), 8)
+    leaves = enumerate_leaves(LeafAtlas(exm.cover, pol), (0.0, TWO_PI), 8)
     assert len(leaves) == 8
     for leaf in leaves:
         total = sum(seg.t1 - seg.t0 for seg in leaf.segments)
@@ -60,28 +62,28 @@ def test_torus_loops_close_through_the_cover(models):
 
 def test_plane_line_leaves(models):
     exm = models("plane")
-    leaves = enumerate_leaves(exm.cover, exm.polarization(), (-2.0, 2.0), 5)
+    leaves = enumerate_leaves(LeafAtlas(exm.cover, exm.polarization()), (-2.0, 2.0), 5)
     assert all(l.topology == "line" for l in leaves)
     with pytest.raises(HolonomyUndefinedError):
-        holonomy(exm.cover, exm.polarization(), leaves[0])
+        holonomy(LeafTransport(exm.cover, exm.polarization()), leaves[:1])
 
 
 def test_point_leaf_holonomy_is_trivial(models):
     exm = models("sphere", k=1)
     point = [
         l
-        for l in enumerate_leaves(exm.cover, exm.polarization(), (0.3, 0.7), 3)
+        for l in enumerate_leaves(LeafAtlas(exm.cover, exm.polarization()), (0.3, 0.7), 3)
         if l.topology == "point"
     ][0]
-    h = holonomy(exm.cover, exm.polarization(), point)
+    h = holonomy(LeafTransport(exm.cover, exm.polarization()), [point])[0]
     assert h.holonomy == 1.0 and h.action == 0.0
 
 
 def test_cylinder_action_closed_form(models):
     exm = models("cylinder")
     pol = exm.polarization()
-    leaf = enumerate_leaves(exm.cover, pol, (1.0, 1.0), 1)[0]
-    h = holonomy(exm.cover, pol, leaf)
+    leaf = enumerate_leaves(LeafAtlas(exm.cover, pol), (1.0, 1.0), 1)[0]
+    h = holonomy(LeafTransport(exm.cover, pol), [leaf])[0]
     assert abs(h.action - TWO_PI) < 1e-10  # loop integral of p dx at p = 1
     assert abs(h.holonomy - 1.0) < 1e-10 and abs(h.phase) < 1e-10
     assert h.nearest_multiple == 1 and abs(h.residual) < 1e-10
@@ -120,8 +122,8 @@ def test_torus_holonomy_closed_form(models):
     exm = models("torus", k=3)
     pol = exm.polarization()
     for c, is_bs in ((2 * math.pi / 5, False), (2 * math.pi / 3, True)):
-        leaf = enumerate_leaves(exm.cover, pol, (c, c), 1)[0]
-        h = holonomy(exm.cover, pol, leaf)
+        leaf = enumerate_leaves(LeafAtlas(exm.cover, pol), (c, c), 1)[0]
+        h = holonomy(LeafTransport(exm.cover, pol), [leaf])[0]
         assert abs(h.holonomy - np.exp(-1j * 3 * c)) < 1e-10
         assert (abs(h.phase) < 1e-10) == is_bs
         assert abs(h.action - 3 * c) < 1e-10
@@ -139,18 +141,18 @@ def test_torus_holonomy_closed_form(models):
 def test_holonomy_is_unitary(models, name, params, crange):
     exm = models(name, **params)
     pol = exm.polarization()
-    for leaf in enumerate_leaves(exm.cover, pol, crange, 9):
+    for leaf in enumerate_leaves(LeafAtlas(exm.cover, pol), crange, 9):
         if leaf.topology == "line":
             continue
-        h = holonomy(exm.cover, pol, leaf)
+        h = holonomy(LeafTransport(exm.cover, pol), [leaf])[0]
         assert abs(abs(h.holonomy) - 1.0) < 1e-10
 
 
 def test_holonomy_independent_of_starting_segment(models):
     exm = models("torus", k=2)
     pol = exm.polarization()
-    leaf = enumerate_leaves(exm.cover, pol, (1.1, 1.1), 1)[0]
-    h = holonomy(exm.cover, pol, leaf)
+    leaf = enumerate_leaves(LeafAtlas(exm.cover, pol), (1.1, 1.1), 1)[0]
+    h = holonomy(LeafTransport(exm.cover, pol), [leaf])[0]
     for shift in range(1, len(leaf.segments)):
         rotated = Leaf(
             leaf.label,
@@ -158,7 +160,7 @@ def test_holonomy_independent_of_starting_segment(models):
             leaf.segments[shift:] + leaf.segments[:shift],
             np.vstack([leaf.switch_points[shift:], leaf.switch_points[:shift]]),
         )
-        h2 = holonomy(exm.cover, pol, rotated)
+        h2 = holonomy(LeafTransport(exm.cover, pol), [rotated])[0]
         assert abs(h.holonomy - h2.holonomy) < 1e-10
 
 
@@ -169,11 +171,11 @@ def test_holonomy_invariant_under_refinement(models):
     pol = exm.polarization()
     fine, _ = refine(exm.cover, split_boxes(exm.cover))
     for c in (0.7, 2.9, 5.1):
-        leaf = enumerate_leaves(exm.cover, pol, (c, c), 1)[0]
-        leaf_f = enumerate_leaves(fine, pol, (c, c), 1)[0]
+        leaf = enumerate_leaves(LeafAtlas(exm.cover, pol), (c, c), 1)[0]
+        leaf_f = enumerate_leaves(LeafAtlas(fine, pol), (c, c), 1)[0]
         assert len(leaf_f.segments) > len(leaf.segments)
-        h = holonomy(exm.cover, pol, leaf)
-        hf = holonomy(fine, pol, leaf_f)
+        h = holonomy(LeafTransport(exm.cover, pol), [leaf])[0]
+        hf = holonomy(LeafTransport(fine, pol), [leaf_f])[0]
         assert abs(h.holonomy - hf.holonomy) < 1e-10
 
 
@@ -255,7 +257,7 @@ def test_lines_excluded_by_default(models):
 def test_coverage_error_outside_cover(models):
     exm = models("cylinder")  # p window 3.5 + pad
     with pytest.raises(CoverageError):
-        enumerate_leaves(exm.cover, exm.polarization(), (9.0, 9.0), 1)
+        enumerate_leaves(LeafAtlas(exm.cover, exm.polarization()), (9.0, 9.0), 1)
 
 
 def test_lattice_count():
@@ -394,18 +396,13 @@ def test_census_minus_one_crossing_gives_no_location(models):
     assert rep.bs_locations == () and rep.q_bs == 0
 
 
-def _batch(leaves) -> list:
-    """The leaves of a holonomy call: one Leaf or a sequence of them."""
-    return [leaves] if isinstance(leaves, Leaf) else list(leaves)
-
-
 def test_census_computes_each_holonomy_once(models, monkeypatch):
     calls = []
     real = bohr.holonomy
 
-    def counting(cover, pol, leaves, transport=None):
-        calls.extend(leaf.label for leaf in _batch(leaves))
-        return real(cover, pol, leaves, transport)
+    def counting(transport, leaves):
+        calls.extend(leaf.label for leaf in leaves)
+        return real(transport, leaves)
 
     monkeypatch.setattr(bohr, "holonomy", counting)
     exm = models("torus", k=3)
@@ -556,10 +553,12 @@ def test_census_holonomies_equal_fresh_transport_bit_for_bit(models, monkeypatch
     seen = []
     real = bohr.holonomy
 
-    def recording(cover, pol, leaves, transport=None):
-        out = real(cover, pol, leaves, transport)
-        got = [out] if isinstance(leaves, Leaf) else out
-        seen.extend((cover, pol, leaf, h) for leaf, h in zip(_batch(leaves), got))
+    def recording(transport, leaves):
+        out = real(transport, leaves)
+        seen.extend(
+            (transport.cover, transport.polarization, leaf, h)
+            for leaf, h in zip(leaves, out)
+        )
         return out
 
     monkeypatch.setattr(bohr, "holonomy", recording)
@@ -569,7 +568,7 @@ def test_census_holonomies_equal_fresh_transport_bit_for_bit(models, monkeypatch
         assert rep.root_holonomy_evaluations > 0 or name.startswith("disk"), name
         assert rep.transport_batches < rep.transport_integrals, name
         for cover_, pol_, leaf, got in seen:
-            assert real(cover_, pol_, leaf) == got, (name, leaf.label)
+            assert real(LeafTransport(cover_, pol_), [leaf]) == [got], (name, leaf.label)
 
 
 @pytest.mark.parametrize(
@@ -590,10 +589,10 @@ def test_census_holonomy_calls_add_up(models, monkeypatch, name, params, crange,
     batches = []
     real = bohr.holonomy
 
-    def counting(cover, pol, leaves, transport=None):
-        calls.extend(leaf.label for leaf in _batch(leaves))
-        batches.append(len(_batch(leaves)))
-        return real(cover, pol, leaves, transport)
+    def counting(transport, leaves):
+        calls.extend(leaf.label for leaf in leaves)
+        batches.append(len(leaves))
+        return real(transport, leaves)
 
     monkeypatch.setattr(bohr, "holonomy", counting)
     exm = models(name, **params)
@@ -854,9 +853,6 @@ def test_atlas_names_a_label_that_crosses_no_element(models):
     atlas = bohr.LeafAtlas(exm.cover, exm.polarization())
     with pytest.raises(CoverageError, match=r"^leaf 9\.0 crosses no cover element$"):
         atlas.leaves([0.5, 9.0, 1.0, -9.5])
-    other = models("torus", k=1)
-    with pytest.raises(bohr.ConfigurationError):
-        enumerate_leaves(other.cover, other.polarization(), (0.0, 1.0), 3, atlas=atlas)
 
 
 def _reference_holonomy(cover, pol, leaf, transport):
@@ -952,14 +948,14 @@ def test_batched_holonomy_equals_the_per_leaf_product_bit_for_bit(models):
     ] + _gauged_cases(models)
     switches = gauged_switches = 0
     for name, cover, pol, crange, plain in cases:
-        leaves = enumerate_leaves(cover, pol, crange, 60)
-        transport = bohr.LeafTransport(cover, pol)
-        got = holonomy(cover, pol, leaves, transport)
+        leaves = enumerate_leaves(LeafAtlas(cover, pol), crange, 60)
+        transport = LeafTransport(cover, pol)
+        got = holonomy(transport, leaves)
         batches = transport.transition_batches
         for leaf, h in zip(leaves, got):
             want = _reference_holonomy(cover, pol, leaf, transport)
             assert _same_result(h, want), (name, leaf.label, h, want)
-            assert _same_result(holonomy(cover, pol, leaf, transport), want)
+            assert _same_result(holonomy(transport, [leaf])[0], want)
         pairs = {
             (leaf.segments[j].element, leaf.segments[(j + 1) % len(leaf.segments)].element)
             for leaf in leaves for j in range(len(leaf.switch_points))
@@ -969,7 +965,9 @@ def test_batched_holonomy_equals_the_per_leaf_product_bit_for_bit(models):
         assert batches == len(formulas), name
         switches += sum(len(leaf.switch_points) for leaf in leaves)
         if plain is not None:  # a change of gauge leaves every holonomy
-            base = holonomy(*plain, enumerate_leaves(*plain, crange, 60))
+            base = holonomy(
+                LeafTransport(*plain), enumerate_leaves(LeafAtlas(*plain), crange, 60)
+            )
             for h, h0 in zip(got, base):
                 assert abs(h.holonomy - h0.holonomy) < 1e-10, name
             gauged_switches += sum(len(leaf.switch_points) for leaf in leaves)

@@ -17,6 +17,7 @@ from gqlab.cech import (
     cohomology_ranks,
     delta,
     delta_matrix,
+    half_offset_grid,
     half_offset_labels,
     phi,
     project_to_image,
@@ -398,14 +399,14 @@ def test_matrix_delta_matches_pointwise_delta(models):
 
 def test_plane_ranks(models):
     exm = models("plane")
-    rep = cohomology_ranks(exm.cover, exm.polarization(), 16)
+    rep = cohomology_ranks(half_offset_grid(exm.cover, exm.polarization(), 16))
     assert [d.betti for d in rep.degrees] == [16, 0, 0]
     assert rep.degrees[0].betti_per_leaf == 1.0
 
 
 def test_untwisted_circle_ranks_match_classical(models):
     exm = models("circle-flat")
-    rep = cohomology_ranks(exm.cover, exm.polarization(), 8)
+    rep = cohomology_ranks(half_offset_grid(exm.cover, exm.polarization(), 8))
     assert rep.n_labels_retained == 8
     assert [d.betti for d in rep.degrees] == [8, 8, 0]
     assert rep.degrees[0].betti_per_leaf == 1.0
@@ -417,10 +418,10 @@ def test_torus_ranks_stable_under_grid_and_refinement(models):
 
     exm = models("torus", k=2)
     pol = exm.polarization()
-    base = cohomology_ranks(exm.cover, pol, 32)
-    doubled = cohomology_ranks(exm.cover, pol, 64)
+    base = cohomology_ranks(half_offset_grid(exm.cover, pol, 32))
+    doubled = cohomology_ranks(half_offset_grid(exm.cover, pol, 64))
     fine, _ = refine(exm.cover, split_boxes(exm.cover))
-    refined = cohomology_ranks(fine, pol, 32)
+    refined = cohomology_ranks(half_offset_grid(fine, pol, 32))
     for a, b, c in zip(base.degrees, doubled.degrees, refined.degrees):
         assert a.betti_per_leaf == b.betti_per_leaf == c.betti_per_leaf
         assert a.betti == c.betti  # same label grid
@@ -429,18 +430,19 @@ def test_torus_ranks_stable_under_grid_and_refinement(models):
 def test_resolution_error_when_grid_misses_an_element(models):
     exm = models("torus", k=1)
     with pytest.raises(ResolutionError):
-        cohomology_ranks(exm.cover, exm.polarization(), 1)
+        cohomology_ranks(half_offset_grid(exm.cover, exm.polarization(), 1))
 
 
 def test_degree_cap_validated(models):
     exm = models("torus", k=1)
     with pytest.raises(ConfigurationError):
-        cohomology_ranks(exm.cover, exm.polarization(), 16, max_degree=3)
+        grid = half_offset_grid(exm.cover, exm.polarization(), 16)
+        cohomology_ranks(grid, max_degree=3)
 
 
 def test_rank_report_shapes(models):
     exm = models("torus", k=1)
-    rep = cohomology_ranks(exm.cover, exm.polarization(), 24)
+    rep = cohomology_ranks(half_offset_grid(exm.cover, exm.polarization(), 24))
     doc = rep.as_dict()
     assert doc["threshold"] == 1e-8
     for entry in doc["degrees"]:
@@ -521,11 +523,11 @@ def test_sheaf_cohomology_sits_on_the_bs_leaves(models, k):
     pol = exm.polarization()
     generic = half_offset_labels(0.0, TWO_PI, 16)
     grid = TransversalGrid.build(exm.cover, pol, generic)
-    rep = cohomology_ranks(exm.cover, pol, 16, grid=grid)
+    rep = cohomology_ranks(grid)
     assert [d.betti for d in rep.degrees] == [0, 0, 0]
     labels = _with_bs_labels(k, 16)
     grid = TransversalGrid.build(exm.cover, pol, labels)
-    rep = cohomology_ranks(exm.cover, pol, len(labels), grid=grid)
+    rep = cohomology_ranks(grid)
     assert [d.betti for d in rep.degrees] == [k, k, 0]
     # degree 0: the labels whose coefficients delta does not fill
     op, _, _ = delta_matrix(grid, 0)
@@ -970,7 +972,7 @@ def test_bs_betti_numbers_survive_refinement_and_label_shifts(models, name, k):
 
     def betti(cover, labels):
         grid = TransversalGrid.build(cover, pol, labels)
-        rep = cohomology_ranks(cover, pol, len(labels), grid=grid)
+        rep = cohomology_ranks(grid)
         return [d.betti for d in rep.degrees]
 
     want = betti(exm.cover, labels)

@@ -372,6 +372,19 @@ def test_bad_config_exits_2_without_traceback(capsys, argv):
     assert err.startswith("config error:") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("name", catalog.EXAMPLE_NAMES)
+def test_each_model_takes_the_flags_the_catalog_declares(capsys, name):
+    valid = {"--k": "1", "--granularity": "1" if name == "plane" else "3",
+             "--p-max": "3.5"}
+    for flag, value in valid.items():
+        code, _, err = run_cli(capsys, "bs", "--example", name, "--count", "3",
+                               flag, value)
+        if flag[2:].replace("-", "_") in catalog.PARAMETERS[name]:
+            assert code == 0, (flag, err)
+        else:
+            assert (code, err) == (2, f"config error: {name} does not take {flag}\n")
+
+
 def test_negative_max_degree_exits_2_without_traceback(capsys):
     code, out, err = run_cli(capsys, "cohomology", "--max-degree", "-1")
     assert code == 2 and out == ""
@@ -623,9 +636,9 @@ def test_bs_reports_transport_counters(capsys, monkeypatch):
     covers = []  # the cover of each holonomy batch
     holonomy = bohr.holonomy
 
-    def counted(cover, *args):
-        covers.append(cover)
-        return holonomy(cover, *args)
+    def counted(transport, leaves):
+        covers.append(transport.cover)
+        return holonomy(transport, leaves)
 
     monkeypatch.setattr(bohr, "holonomy", counted)
     argv = ("bs", "--example", "torus", "--k", "3", "--range", "0.05:6.3332")

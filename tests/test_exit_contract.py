@@ -144,6 +144,12 @@ BAD_CONFIG = [
     ("bs", "--grid", "8", "--max-degree", "1", "--rank-tol", "0.1", "--seed", "3"),
     # a flag the command's parser does not define
     ("bs", "--verify", "thm3"),
+    # a polarization the model lacks, refused before the map's obstruction
+    ("act", "--example", "torus", "--k", "1", "--map", "translate:0.7,0",
+     "--polarization", "nope"),
+    # a model flag the model does not take
+    ("bs", "--example", "plane", "--k", "5", "--json"),
+    ("bs", "--example", "torus", "--p-max", "2"),
 ]
 
 

@@ -79,7 +79,7 @@ def _element_points(cover, a):
 
 
 def _segments(exm, pol):
-    leaves = bohr.enumerate_leaves(exm.cover, pol, exm.census_range, 3)
+    leaves = bohr.enumerate_leaves(bohr.LeafAtlas(exm.cover, pol), exm.census_range, 3)
     return [seg for leaf in leaves if leaf.topology != "point" for seg in leaf.segments]
 
 

@@ -25,7 +25,7 @@ from gqlab.prequantum import (
     refine,
     split_boxes,
 )
-from gqlab.bohr import enumerate_leaves
+from gqlab.bohr import LeafAtlas, enumerate_leaves
 from gqlab.geometry import Box, Symplectomorphism, pushforward_polarization
 from gqlab.transport import LeafTransport
 
@@ -630,7 +630,7 @@ def test_pullback_data_is_the_chain_through_the_map(models, monkeypatch, name, p
     pulled = pullback(src, phi)
     transport = LeafTransport(pulled, pushforward_polarization(phi, pol))
     circles = [
-        leaf for leaf in enumerate_leaves(src, pol, exm.census_range, 3)
+        leaf for leaf in enumerate_leaves(LeafAtlas(src, pol), exm.census_range, 3)
         if leaf.topology != "point"
     ]
     seg = circles[0].segments[0]
