@@ -1,0 +1,24 @@
+"""Every line of the golden corpus gives the exit code, stderr and
+discrete outcomes it was recorded with (tests/golden_corpus.py).
+
+A change that means to move one records the corpus anew with
+`python tests/golden_corpus.py --write` and names the moved lines."""
+
+import pytest
+
+import golden_corpus
+from test_exit_contract import BAD_CONFIG
+
+CORPUS = golden_corpus.load()
+
+
+@pytest.mark.parametrize("entry", CORPUS, ids=[entry["name"] for entry in CORPUS])
+def test_line_gives_its_recorded_outcomes(entry):
+    got = golden_corpus.run_line(entry["argv"])
+    assert (got["exit_code"], got["stderr"]) == (entry["exit_code"], entry["stderr"])
+    assert got["digest"] == entry["digest"]
+
+
+def test_the_corpus_holds_every_bad_config_line():
+    lines = {tuple(entry["argv"]) for entry in CORPUS}
+    assert [argv for argv in BAD_CONFIG if argv not in lines] == []
