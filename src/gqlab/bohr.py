@@ -423,6 +423,9 @@ def holonomy(transport: LeafTransport, leaves) -> list:
 # ---------------------------------------------------------------------------
 # Census
 
+CROSSING_XTOL = 1e-12  # the label tolerance of a crossing search
+PROBE = 0.5 * CROSSING_XTOL  # Brent's smallest step, as _brent_steps takes it
+
 
 def _brent_steps(a: float, fa: float, b: float, fb: float, xtol: float):
     """Brent's method as a generator: it yields each label at which f is
@@ -537,7 +540,7 @@ def _crossing_steps(c0: float, h0: complex, c1: float, h1: complex):
     )
     for f, limit in stages:
         a, b = _tightest_sign_change(seen, f)
-        steps = _brent_steps(a, f(seen[a]), b, f(seen[b]), 1e-12)
+        steps = _brent_steps(a, f(seen[a]), b, f(seen[b]), CROSSING_XTOL)
         taken = 0
         try:
             x = next(steps)
@@ -553,22 +556,41 @@ def _crossing_steps(c0: float, h0: complex, c1: float, h1: complex):
 def _lockstep_roots(brackets, holonomies_at) -> list:
     """The crossing searches (_crossing_steps) of every bracket (c0, h0,
     c1, h1), stepped together: holonomies_at(labels) returns the holonomies
-    at the next label of each unfinished search, as one batch.  Each search
-    takes exactly the steps it takes alone.  Returns (root, holonomies by
-    label) per bracket."""
+    at a list of labels as one batch.  Each search takes exactly the steps
+    it takes alone.  Returns (root, holonomies by label) per bracket.
+
+    A lockstep step batches the next label x of each unfinished search with
+    its probes x - PROBE and x + PROBE, those strictly inside the sampled
+    bracket.  When a secant step lands within PROBE of the crossing, Brent's
+    next step is the smallest one, to x +- PROBE, which confirms the sign
+    change; the search reads it from the probes, so it ends in the same
+    lockstep step.  A probe outside the bracket is never asked for, and a
+    probe no search reads is work for nothing."""
     solved = [None] * len(brackets)
+    known = [{} for _ in brackets]  # holonomies batched for each search
     sends = [(i, _crossing_steps(*bracket), None) for i, bracket in enumerate(brackets)]
     while True:
         asks = []
         for i, search, h in sends:
             try:
-                asks.append((i, search, search.send(h)))
+                x = search.send(h)
+                while x in known[i]:  # a probe: a search asks no label twice
+                    x = search.send(known[i][x])
             except StopIteration as stop:
                 solved[i] = stop.value
+                continue
+            lo, hi = sorted((brackets[i][0], brackets[i][2]))
+            asks.append((i, search, [x] + [
+                p for p in (x - PROBE, x + PROBE)
+                if lo < p < hi and p != x and p not in known[i]
+            ]))
         if not asks:
             return solved
-        values = holonomies_at([x for _, _, x in asks])
-        sends = [(i, search, h) for (i, search, _), h in zip(asks, values)]
+        values = iter(holonomies_at([x for _, _, labels in asks for x in labels]))
+        sends = []
+        for i, search, labels in asks:
+            known[i].update((x, next(values)) for x in labels)
+            sends.append((i, search, known[i][labels[0]]))
 
 
 @dataclass(frozen=True)
@@ -592,6 +614,7 @@ class BSReport:
     root_brackets: int
     root_holonomy_evaluations: int
     root_steps: int  # lockstep holonomy batches of the searches
+    root_probes: int  # probe holonomies of those batches that no search read
     transport_integrals: int  # label integrals computed
     transport_batches: int  # quadrature calls
     leaf_patterns: int  # membership patterns threaded
@@ -603,6 +626,7 @@ class BSReport:
             "root_brackets": self.root_brackets,
             "root_holonomy_evaluations": self.root_holonomy_evaluations,
             "root_steps": self.root_steps,
+            "root_probes": self.root_probes,
             "transport_integrals": self.transport_integrals,
             "transport_batches": self.transport_batches,
             "leaf_patterns": self.leaf_patterns,
@@ -659,8 +683,10 @@ def bs_census(
     makes at most one transport quadrature call and one transition call,
     one evaluator run per distinct transition formula.  All brackets are
     then searched together: each lockstep step threads the next label of every
-    unfinished bracket and takes one holonomy batch again, while each
-    bracket takes exactly the steps it takes alone.
+    unfinished bracket, with its two probes (_lockstep_roots), and takes
+    one holonomy batch again, while each bracket takes exactly the steps it
+    takes alone.  A crossing that a secant step lands within PROBE of
+    needs one lockstep step.
     """
     transport = LeafTransport(cover, pol)
     atlas = LeafAtlas(cover, pol)
@@ -684,11 +710,12 @@ def bs_census(
             sampled.append((leaf.label, hres.holonomy))
         entries.append(BSEntry(leaf, hres, is_bs))
 
-    root_steps = 0
+    root_steps = root_labels = 0
 
     def holonomies_at(labels: list) -> list:
-        nonlocal root_steps
+        nonlocal root_steps, root_labels
         root_steps += 1
+        root_labels += len(labels)
         threaded = atlas.leaves(labels)
         return [h.holonomy for h in holonomy(transport, threaded)]
 
@@ -745,6 +772,7 @@ def bs_census(
             unique.append(c)
 
     q_smooth = len(unique)
+    evaluations = sum(len(hols) - 2 for _, hols in solved)
     q_total = q_smooth + singular_bs + (lines if include_lines else 0)
     return BSReport(
         entries=tuple(entries),
@@ -755,8 +783,9 @@ def bs_census(
         lines_excluded=0 if include_lines else lines,
         tol=tol,
         root_brackets=len(solved),
-        root_holonomy_evaluations=sum(len(hols) - 2 for _, hols in solved),
+        root_holonomy_evaluations=evaluations,
         root_steps=root_steps,
+        root_probes=root_labels - evaluations,
         transport_integrals=transport.integrals_computed,
         transport_batches=transport.batches,
         leaf_patterns=atlas.threadings,

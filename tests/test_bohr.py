@@ -408,8 +408,11 @@ def test_census_computes_each_holonomy_once(models, monkeypatch):
     exm = models("torus", k=3)
     rep = bs_census(exm.cover, exm.polarization(), (0.05, 6.3332), 33)
     assert rep.q_bs == 3
-    # the final +1/-1 test reuses the holonomies of the search
-    assert len(calls) == len(rep.entries) + rep.root_holonomy_evaluations
+    # the final +1/-1 test reuses the holonomies of the search, and a probe
+    # no search read is counted apart
+    assert len(calls) == (
+        len(rep.entries) + rep.root_holonomy_evaluations + rep.root_probes
+    )
     assert len(set(calls)) == len(calls)
 
 
@@ -474,6 +477,26 @@ def _search_alone(hol, c0: float, h0: complex, c1: float, h1: complex) -> tuple:
     return root, seen, calls
 
 
+def _lockstep(brackets, f) -> tuple:
+    """_lockstep_roots on brackets (a, fa, b, fb) in distinct unit-10 cells
+    of the label line, with holonomy 1 + i f: (solved, batches), a batch
+    being the labels it asked for by cell, in the order asked."""
+    batches = []
+
+    def holonomies_at(labels):
+        batch = {}
+        for c in labels:
+            batch.setdefault(int(c // 10.0), []).append(c)
+        batches.append(batch)
+        return [complex(1.0, f(c)) for c in labels]
+
+    solved = bohr._lockstep_roots(
+        [(a, complex(1.0, fa), b, complex(1.0, fb)) for a, fa, b, fb in brackets],
+        holonomies_at,
+    )
+    return solved, batches
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_lockstep_brackets_take_the_steps_they_take_alone(seed):
     brackets, f = _bracket_cases(seed)
@@ -483,23 +506,62 @@ def test_lockstep_brackets_take_the_steps_they_take_alone(seed):
             lambda c: complex(1.0, f(c)), a, complex(1.0, fa), b, complex(1.0, fb)
         )
         alone.append((root, len(set(calls) - {a, b})))
-    batches = []
-
-    def holonomies_at(labels):
-        batches.append(len(labels))
-        return [complex(1.0, f(c)) for c in labels]
-
-    solved = bohr._lockstep_roots(
-        [(a, complex(1.0, fa), b, complex(1.0, fb)) for a, fa, b, fb in brackets],
-        holonomies_at,
-    )
+    solved, batches = _lockstep(brackets, f)
     together = [(root, len(hols) - 2) for root, hols in solved]
     assert together == alone
-    # one batch per lockstep step, holding each unfinished bracket once
-    assert len(batches) == max(n for _, n in alone)
-    assert batches == sorted(batches, reverse=True)
-    assert sum(batches) == sum(n for _, n in alone)
+    # one batch per lockstep step, holding each unfinished bracket once: its
+    # next label, then the probes of that label strictly inside the bracket
+    steps = {}
+    for batch in batches:
+        for cell, (x, *probes) in batch.items():
+            a, _, b, _ = brackets[cell]
+            steps.setdefault(cell, []).append(x)
+            assert set(probes) <= {x - bohr.PROBE, x + bohr.PROBE}
+            assert all(min(a, b) < p < max(a, b) for p in probes)
+    sizes = [len(batch) for batch in batches]
+    assert len(batches) == max(len(xs) for xs in steps.values())
+    assert sizes == sorted(sizes, reverse=True)
+    # a bracket reads one fresh label per step and the probes it needs:
+    # the labels it takes alone, in fewer steps
+    for cell, (root, hols) in enumerate(solved):
+        a, _, b, _ = brackets[cell]
+        read = set(hols) - {a, b}
+        asked = [c for batch in batches for c in batch.get(cell, ())]
+        assert read <= set(asked) and len(set(asked)) == len(asked)
+        assert len(read) == len(steps.get(cell, [])) + len(read - set(steps.get(cell, [])))
+    assert sum(len(xs) for xs in steps.values()) < sum(n for _, n in alone)
     assert any(n == 0 for _, n in alone)  # brackets with a zero at an end
+
+
+def test_lockstep_asks_no_probe_outside_the_bracket():
+    # crossings within 1e-12 of a bracket end: Brent's step from that end is
+    # its smallest, PROBE, and a probe past the end is never asked for
+    brackets, shapes = [], []
+    offsets = [0.0, 0.3e-13, 1e-13, 2.5e-13, 4.9e-13, 5e-13, 5.1e-13, 7e-13, 1e-12]
+    for i, d in enumerate(offsets * 4):
+        lo, hi = 10.0 * i + 1.0, 10.0 * i + 2.0
+        r = hi - d if i % 2 else lo + d
+        slope = (0.3, -0.3, 2.0, -2.0)[i // len(offsets)]
+        g = lambda x, r=r, slope=slope: slope * (x - r)
+        shapes.append(g)
+        brackets.append((lo, g(lo), hi, g(hi)) if i % 4 < 2 else (hi, g(hi), lo, g(lo)))
+
+    def f(x):
+        return shapes[int(x // 10.0)](x)
+
+    solved, batches = _lockstep(brackets, f)
+    for (a, fa, b, fb), (root, _) in zip(brackets, solved):
+        want, _, _ = _search_alone(
+            lambda c: complex(1.0, f(c)), a, complex(1.0, fa), b, complex(1.0, fb)
+        )
+        assert root == want
+    skipped = 0
+    for batch in batches:
+        for cell, (x, *probes) in batch.items():
+            lo, hi = sorted(brackets[cell][::2])
+            assert all(lo < c < hi for c in (x, *probes))
+            skipped += not lo < x - bohr.PROBE < x + bohr.PROBE < hi
+    assert skipped > 0  # the case arose
 
 
 @pytest.mark.parametrize(
@@ -599,7 +661,7 @@ def test_census_holonomy_calls_add_up(models, monkeypatch, name, params, crange,
     rep = bs_census(exm.cover, exm.polarization(), crange, count,
                     include_lines=include_lines)
     sampled = sum(1 for e in rep.entries if e.leaf.topology != "line")
-    assert len(calls) - sampled == rep.root_holonomy_evaluations
+    assert len(calls) - sampled == rep.root_holonomy_evaluations + rep.root_probes
     # one batch of sampled leaves, then one per lockstep step
     assert len(batches) == 1 + rep.root_steps
 

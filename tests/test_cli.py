@@ -431,6 +431,21 @@ def test_bs_root_solving_stays_cheap_on_the_benchmark_census(capsys, monkeypatch
         ), op.argv
 
 
+def test_each_benchmark_census_line_takes_one_lockstep_step(capsys, monkeypatch):
+    # every crossing search of a seed 1-3 census line ends in the batch of
+    # its first label: Brent's confirming step reads a probe of that batch
+    perfbench = Path(__file__).resolve().parent.parent / "perfbench"
+    monkeypatch.syspath_prepend(str(perfbench))
+    workloads = importlib.import_module("workloads")
+    for seed in (1, 2, 3):
+        for op in workloads.round_ops("census", seed):
+            assert main(list(op.argv)) == 0
+            counters = json.loads(capsys.readouterr().out)["timing"]["counters"]
+            assert counters["root_brackets"] > 0, op.argv
+            assert counters["root_steps"] == 1, op.argv
+            assert 0 <= counters["root_probes"] <= 2 * counters["root_brackets"], op.argv
+
+
 @pytest.mark.parametrize("count,most", [(12, 40), (10, 18)])
 def test_bs_root_solving_when_the_phase_steps_past_pi(capsys, count, most):
     # the phase advances 1.6 pi (count 10) or 4 pi / 3 (count 12) between
@@ -646,7 +661,7 @@ def test_bs_reports_transport_counters(capsys, monkeypatch):
     assert code == 0
     counters = report["timing"]["counters"]
     assert set(counters) == {
-        "root_brackets", "root_holonomy_evaluations", "root_steps",
+        "root_brackets", "root_holonomy_evaluations", "root_steps", "root_probes",
         "transport_integrals", "transport_batches",
         "leaf_patterns", "transition_batches", "nerve_cells",
     }
@@ -689,7 +704,8 @@ def test_act_reports_work_counters(capsys):
         "gauge_integrals", "gauge_nodes", "grid_builds",
         "transport_integrals", "transport_batches", "leaf_blocks", "svd_calls",
         "transition_batches", "root_brackets", "root_holonomy_evaluations",
-        "root_steps", "leaf_patterns", "nerve_cells", "local_data_formulas",
+        "root_steps", "root_probes", "leaf_patterns", "nerve_cells",
+        "local_data_formulas",
     }
     assert counters["grid_builds"] == 2
     # each leg integral takes at least one 7/15-point pass

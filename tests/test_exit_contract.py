@@ -150,6 +150,11 @@ BAD_CONFIG = [
     # a model flag the model does not take
     ("bs", "--example", "plane", "--k", "5", "--json"),
     ("bs", "--example", "torus", "--p-max", "2"),
+    # a theorem named twice
+    ("act", "--example", "torus", "--k", "2", "--map", "translate:pi,0",
+     "--verify", "thm1,thm1"),
+    ("act", "--example", "torus", "--k", "2", "--map", "translate:pi,0",
+     "--verify", "thm2,thm1,thm2", "--json"),
 ]
 
 
