@@ -521,14 +521,14 @@ def test_lockstep_brackets_take_the_steps_they_take_alone(seed):
     sizes = [len(batch) for batch in batches]
     assert len(batches) == max(len(xs) for xs in steps.values())
     assert sizes == sorted(sizes, reverse=True)
-    # a bracket reads one fresh label per step and the probes it needs:
-    # the labels it takes alone, in fewer steps
+    # a bracket reads the label of each of its steps, and the other labels
+    # it takes alone from probes, each asked for once: so in fewer steps
     for cell, (root, hols) in enumerate(solved):
         a, _, b, _ = brackets[cell]
         read = set(hols) - {a, b}
         asked = [c for batch in batches for c in batch.get(cell, ())]
-        assert read <= set(asked) and len(set(asked)) == len(asked)
-        assert len(read) == len(steps.get(cell, [])) + len(read - set(steps.get(cell, [])))
+        assert set(steps.get(cell, [])) <= read <= set(asked)
+        assert len(set(asked)) == len(asked)
     assert sum(len(xs) for xs in steps.values()) < sum(n for _, n in alone)
     assert any(n == 0 for _, n in alone)  # brackets with a zero at an end
 
