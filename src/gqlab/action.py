@@ -29,7 +29,7 @@ from . import expr as ex
 from . import kernels, program
 # enumerate_leaves and holonomy stay bound here: perfbench/tracing.py wraps
 # action.enumerate_leaves and action.holonomy
-from .bohr import bs_census, enumerate_leaves, holonomy  # noqa: F401
+from .bohr import UnresolvedCensusError, bs_census, enumerate_leaves, holonomy  # noqa: F401
 from .cech import (
     TrivCochain,
     cohomology_ranks,
@@ -352,7 +352,7 @@ def chain_map(cochain: TrivCochain) -> TrivCochain:
 @dataclass(frozen=True)
 class CorrespondenceReport:
     theorem: int
-    status: str  # ok | hypothesis-failed
+    status: str  # ok | hypothesis-failed | census-unresolved
     passed: bool
     witness: dict | None = None
     payload: dict = field(default_factory=dict)
@@ -445,8 +445,13 @@ def verify_theorem_2(
     holonomy in comp.source, the target one in comp.base.  A sampled label
     that differs between them raises InternalConsistencyError."""
     pushed = pushforward_polarization(comp.phi, pol)
-    census_src = bs_census(comp.source, pol, crange, count, tol)
-    census_dst = bs_census(comp.base, pushed, crange, count, tol)
+    try:
+        census_src = bs_census(comp.source, pol, crange, count, tol)
+        census_dst = bs_census(comp.base, pushed, crange, count, tol)
+    except UnresolvedCensusError as exc:
+        return CorrespondenceReport(
+            2, "census-unresolved", False, payload={"unresolved": str(exc)}
+        )
     if len(census_src.entries) != len(census_dst.entries):
         raise InternalConsistencyError(
             f"censuses sample {len(census_src.entries)} and "

@@ -5,10 +5,9 @@ with switch points in consecutive double overlaps; its holonomy is the
 product of segment transport factors exp(-i integral theta) and transition
 values at the switches.  A leaf is Bohr-Sommerfeld exactly when that
 product is 1, i.e. when the accumulated action lands in 2 pi Z.  The census
-locates BS leaves by root-solving each real-axis crossing of the holonomy
-between sampled sign changes of Im(holonomy), on the branch of its phase
-that is continuous through the crossing, so BS values need not be hit by
-the sample grid.
+unwraps the sampled actions by their label derivative, the flux of omega,
+and root-solves each multiple of 2 pi that the unwrapped action crosses,
+so BS values need not be hit by the sample grid.
 
 Leaves come from a LeafAtlas, which threads each membership pattern (the
 set of elements a leaf crosses) once and builds the leaves of a batch of
@@ -57,8 +56,7 @@ class Leaf:
     point: tuple | None = None
 
 
-@dataclass(frozen=True)
-class HolonomyResult:
+class HolonomyResult(NamedTuple):
     holonomy: complex
     phase: float  # principal argument of the holonomy, in (-pi, pi]
     action: float  # accumulated integral of theta plus transition phases
@@ -258,27 +256,19 @@ class LeafAtlas:
             n, k = len(rows), len(switches)
             switch_pts = pts[start : start + n * k].reshape(n, k, 2)
             start += n * k
-            lifts = lifted[rows][:, [p for _, _, _, p in segments]].tolist()
+            els, t0s, t1s, positions = zip(*segments)
+            lifts = lifted[rows][:, list(positions)].tolist()
             for row, lift, here in zip(rows, lifts, switch_pts):
-                leaves[row] = Leaf(
-                    values[row],
-                    topology,
-                    tuple(
-                        [
-                            LeafSegment(el, t0, t1, c_elem)
-                            for (el, t0, t1, _), c_elem in zip(segments, lift)
-                        ]
-                    ),
-                    here,
-                )
+                segs = tuple(map(LeafSegment, els, t0s, t1s, lift))
+                leaves[row] = Leaf(values[row], topology, segs, here)
         return leaves
 
 
 def _spans_a_period(pol: Polarization, lo: float, hi: float) -> bool:
     """Whether a label window covers one full period of a periodic label.
     enumerate_leaves samples such a window half-open, and bs_census closes
-    it with the bracket from the last sample to the first one plus a
-    period; any other window is sampled at both ends."""
+    it with a step from the last sample to the first one plus a period; any
+    other window is sampled at both ends."""
     period = pol.label_range[1] - pol.label_range[0]
     return pol.label_periodic and hi - lo >= period - 1e-9
 
@@ -368,13 +358,14 @@ def holonomy(transport: LeafTransport, leaves) -> list:
     circles = [leaf for leaf in batch if leaf.topology != "point"]
 
     # the segment integrals and switch transitions of the batch, flat in
-    # leaf order
+    # leaf order; switch s of a circle leaf joins its segments s and s + 1,
+    # cyclically, and a leaf in one segment has no switch
     before, after = [], []  # the elements either side of each switch
     for leaf in circles:
-        segs = leaf.segments
-        for s in range(len(leaf.switch_points)):
-            before.append(segs[s].element)
-            after.append(segs[(s + 1) % len(segs)].element)
+        if len(leaf.switch_points):
+            elements = [seg.element for seg in leaf.segments]
+            before += elements
+            after += elements[1:] + elements[:1]
     segments = [seg for leaf in circles for seg in leaf.segments]
     # LeafSegment columns: element, t0, t1, c_elem
     integrals = transport.integral(*zip(*segments)) if segments else np.empty(0)
@@ -388,8 +379,10 @@ def holonomy(transport: LeafTransport, leaves) -> list:
         transport.transition_batches += len(set(cover.transition_formulas(a, b).tolist()))
         lams[moved] = cover.transition(a, b, points)
     integrals = integrals.tolist()
+    reals = [val.real for val in integrals]
     factors = np.exp([-1j * val for val in integrals]).tolist()
     lams = lams.tolist()
+    turns = [math.atan2(lam.imag, lam.real) for lam in lams]
 
     out = []
     k = j = 0
@@ -399,14 +392,15 @@ def holonomy(transport: LeafTransport, leaves) -> list:
             continue
         action = 0.0
         hol = 1.0 + 0.0j
-        for s in range(k, k + len(leaf.segments)):
-            action += integrals[s].real
+        n, m = len(leaf.segments), len(leaf.switch_points)
+        for s in range(k, k + n):
+            action += reals[s]
             hol *= factors[s]
-        for lam in lams[j : j + len(leaf.switch_points)]:
-            hol *= lam
-            action -= math.atan2(lam.imag, lam.real)
-        k += len(leaf.segments)
-        j += len(leaf.switch_points)
+        for s in range(j, j + m):
+            hol *= lams[s]
+            action -= turns[s]
+        k += n
+        j += m
         nearest = nearest_multiple(action)
         out.append(
             HolonomyResult(
@@ -424,7 +418,14 @@ def holonomy(transport: LeafTransport, leaves) -> list:
 # Census
 
 CROSSING_XTOL = 1e-12  # the label tolerance of a crossing search
-PROBE = 0.5 * CROSSING_XTOL  # Brent's smallest step, as _brent_steps takes it
+PROBE = 0.5 * CROSSING_XTOL  # how far either side of its secant estimate a search looks
+REFINE_ROUNDS = 4  # midpoint rounds a census may take to resolve its action steps
+MISMATCH = 0.5 * math.pi  # the most, mod 2 pi, by which a step may miss its prediction
+
+
+class UnresolvedCensusError(ValueError):
+    """The sampled action steps still disagree with the flux after
+    REFINE_ROUNDS rounds of midpoints."""
 
 
 def _brent_steps(a: float, fa: float, b: float, fb: float, xtol: float):
@@ -485,112 +486,85 @@ def _brent_steps(a: float, fa: float, b: float, fb: float, xtol: float):
         f_cur = yield x_cur
 
 
-def _brent_root(f, a: float, fa: float, b: float, fb: float, xtol: float) -> float:
-    """A root of f in the bracket [a, b] by _brent_steps, evaluating f at
-    each label the method asks for."""
-    steps = _brent_steps(a, fa, b, fb, xtol)
+def _crossing_steps(c0: float, u0: float, c1: float, u1: float):
+    """The label in the bracket c0 < c1 at which the unwrapped action less
+    2 pi m crosses 0, where u0 and u1, its values at the ends, have opposite
+    signs, as a generator: it yields lists of labels, is sent the leaf
+    actions there, on whatever branch the threading gives, and returns the
+    root, within CROSSING_XTOL of the crossing: an end of the bracket or a
+    label it was sent the action at.
+
+    An action a at the label c counts on the branch nearest the secant line
+    d through the ends: a less the multiple of 2 pi nearest a - d(c).  The
+    first step asks for the labels within PROBE either side of the secant
+    estimate of the root, those inside the bracket; when their values
+    straddle the root they close the bracket.  Otherwise Brent's method
+    (_brent_steps) continues from the tightest sign change, a label a step.
+    """
+    slope = (u1 - u0) / (c1 - c0)
+
+    def value(c: float, a: float) -> float:
+        return a - TWO_PI * round((a - u0 - (c - c0) * slope) / TWO_PI)
+
+    x = c0 - u0 / slope
+    known = [(c0, u0), (c1, u1)]
+    pair = (x - PROBE, x + PROBE)  # or the floats just inside, if rounded out
+    pair = [math.nextafter(p, x) if abs(p - x) > PROBE else p for p in pair]
+    labels = [p for p in pair if c0 < p < c1]
+    if labels:
+        actions = yield labels
+        known[1:1] = [(c, value(c, a)) for c, a in zip(labels, actions)]
+    _, a, fa, b, fb = min(
+        (b - a, a, fa, b, fb)
+        for (a, fa), (b, fb) in zip(known, known[1:])
+        if fa * fb <= 0.0
+    )
+    if b - a <= CROSSING_XTOL:
+        return a if abs(fa) <= abs(fb) else b
+    steps = _brent_steps(a, fa, b, fb, CROSSING_XTOL)
     try:
         x = next(steps)
         while True:
-            x = steps.send(f(x))
+            (action,) = yield [x]
+            x = steps.send(value(x, action))
     except StopIteration as stop:
         return stop.value
 
 
-def _tightest_sign_change(seen: dict, f) -> tuple:
-    """The closest pair of neighbouring labels of seen (label -> holonomy)
-    between which f of the holonomy changes sign or at which it is 0."""
-    labels = sorted(seen)
-    values = [f(seen[c]) for c in labels]
-    _, a, b = min(
-        (b - a, a, b)
-        for a, b, fa, fb in zip(labels, labels[1:], values, values[1:])
-        if fa * fb <= 0.0
-    )
-    return a, b
-
-
-def _crossing_steps(c0: float, h0: complex, c1: float, h1: complex):
-    """The real-axis crossing of the holonomy in the bracket [c0, c1], whose
-    end holonomies h0 and h1 have imaginary parts of opposite sign, as a
-    generator: it yields each label at which it needs the holonomy, never
-    one it has seen, is sent the holonomy there, and returns (root,
-    holonomies by label).  The root is one of those labels, within 1e-12 of
-    the crossing.
-
-    Brent's method runs on the branch of the phase that is continuous
-    through the crossing, atan2(s Im h, s Re h): s = +1 when the shorter way
-    between the two end phases passes through 0, -1 when it passes through
-    pi.  Either branch has the sign of s Im(h) wherever Im(h) is not 0, so
-    its sign changes are the crossings; near one the phase is close to
-    linear in the label, and a secant step lands on the root.  A wrong
-    guess (the phase stepped by more than pi between the ends) leaves a
-    jump of 2 pi at the crossing instead, which Brent only closes in on by
-    bisection.  So a search that has not finished after 4 steps restarts on
-    the tightest sign change seen, with the other branch, and after 4 more
-    with Im(h), on which Brent always finishes.
-    """
-    seen = {c0: h0, c1: h1}
-    phases = abs(math.atan2(h0.imag, h0.real)) + abs(math.atan2(h1.imag, h1.real))
-    s = 1.0 if phases <= math.pi else -1.0
-    stages = (
-        (lambda h: math.atan2(s * h.imag, s * h.real), 4),
-        (lambda h: math.atan2(-s * h.imag, -s * h.real), 4),
-        (lambda h: h.imag, math.inf),
-    )
-    for f, limit in stages:
-        a, b = _tightest_sign_change(seen, f)
-        steps = _brent_steps(a, f(seen[a]), b, f(seen[b]), CROSSING_XTOL)
-        taken = 0
-        try:
-            x = next(steps)
-            while taken < limit:
-                if x not in seen:
-                    seen[x] = yield x
-                taken += 1
-                x = steps.send(f(seen[x]))
-        except StopIteration as stop:
-            return stop.value, seen
-
-
-def _lockstep_roots(brackets, holonomies_at) -> list:
-    """The crossing searches (_crossing_steps) of every bracket (c0, h0,
-    c1, h1), stepped together: holonomies_at(labels) returns the holonomies
-    at a list of labels as one batch.  Each search takes exactly the steps
-    it takes alone.  Returns (root, holonomies by label) per bracket.
-
-    A lockstep step batches the next label x of each unfinished search with
-    its probes x - PROBE and x + PROBE, those strictly inside the sampled
-    bracket.  When a secant step lands within PROBE of the crossing, Brent's
-    next step is the smallest one, to x +- PROBE, which confirms the sign
-    change; the search reads it from the probes, so it ends in the same
-    lockstep step.  A probe outside the bracket is never asked for, and a
-    probe no search reads is work for nothing."""
-    solved = [None] * len(brackets)
-    known = [{} for _ in brackets]  # holonomies batched for each search
-    sends = [(i, _crossing_steps(*bracket), None) for i, bracket in enumerate(brackets)]
+def _lockstep(searches, actions_at) -> list:
+    """The results of the searches (generators like _crossing_steps), run
+    together: each lockstep step sends every unfinished search the actions
+    at the labels it asked for, all from one actions_at(labels) batch."""
+    results = [None] * len(searches)
+    sends = [(i, search, None) for i, search in enumerate(searches)]
     while True:
         asks = []
-        for i, search, h in sends:
+        for i, search, actions in sends:
             try:
-                x = search.send(h)
-                while x in known[i]:  # a probe: a search asks no label twice
-                    x = search.send(known[i][x])
+                asks.append((i, search, search.send(actions)))
             except StopIteration as stop:
-                solved[i] = stop.value
-                continue
-            lo, hi = sorted((brackets[i][0], brackets[i][2]))
-            asks.append((i, search, [x] + [
-                p for p in (x - PROBE, x + PROBE)
-                if lo < p < hi and p != x and p not in known[i]
-            ]))
+                results[i] = stop.value
         if not asks:
-            return solved
-        values = iter(holonomies_at([x for _, _, labels in asks for x in labels]))
-        sends = []
-        for i, search, labels in asks:
-            known[i].update((x, next(values)) for x in labels)
-            sends.append((i, search, known[i][labels[0]]))
+            return results
+        got = iter(actions_at([c for _, _, labels in asks for c in labels]))
+        sends = [(i, search, [next(got) for _ in labels]) for i, search, labels in asks]
+
+
+def _branches(rows: np.ndarray) -> tuple:
+    """The unwrapping of sampled leaf actions by the flux: rows are (label,
+    action, flux, ...) in label order.  Returns (n, missed): the unwrapped
+    action of sample i is its action + 2 pi n[i], with n[0] = 0, and
+    missed holds the steps i, from sample i to i + 1, that miss their
+    prediction by more than MISMATCH.
+
+    A step is predicted by the trapezoid rule on the flux; its unwrapped
+    value is the observed action step on the branch nearest the prediction.
+    """
+    c, a, f = rows[:, 0], rows[:, 1], rows[:, 2]
+    off = np.diff(a) - 0.5 * (f[1:] + f[:-1]) * np.diff(c)
+    turns = np.round(off / TWO_PI)
+    missed = np.flatnonzero(np.abs(off - TWO_PI * turns) > MISMATCH)
+    return np.concatenate([[0.0], -np.cumsum(turns)]), missed
 
 
 @dataclass(frozen=True)
@@ -609,12 +583,16 @@ class BSReport:
     q_bs: int
     lines_excluded: int
     tol: float
+    # the unwrapped action's change over the samples: the integral of omega
+    # between the first sampled circle leaf and the last (or the first one a
+    # period on, on a window that closes)
+    action_change: float
     # root-solving and transport work, reported under timing rather than in
     # the payload
     root_brackets: int
     root_holonomy_evaluations: int
     root_steps: int  # lockstep holonomy batches of the searches
-    root_probes: int  # probe holonomies of those batches that no search read
+    census_refinements: int  # midpoint rounds of the unwrapping
     transport_integrals: int  # label integrals computed
     transport_batches: int  # quadrature calls
     leaf_patterns: int  # membership patterns threaded
@@ -622,16 +600,10 @@ class BSReport:
 
     @property
     def counters(self) -> dict:
-        return {
-            "root_brackets": self.root_brackets,
-            "root_holonomy_evaluations": self.root_holonomy_evaluations,
-            "root_steps": self.root_steps,
-            "root_probes": self.root_probes,
-            "transport_integrals": self.transport_integrals,
-            "transport_batches": self.transport_batches,
-            "leaf_patterns": self.leaf_patterns,
-            "transition_batches": self.transition_batches,
-        }
+        names = ("root_brackets", "root_holonomy_evaluations", "root_steps",
+                 "census_refinements", "transport_integrals", "transport_batches",
+                 "leaf_patterns", "transition_batches")
+        return {name: getattr(self, name) for name in names}
 
     def as_dict(self) -> dict:
         return {
@@ -654,6 +626,11 @@ class BSReport:
         }
 
 
+def _at_bs(h: HolonomyResult) -> bool:
+    """Whether a sampled leaf is itself a BS location."""
+    return abs(h.holonomy.imag) < 1e-12 and h.holonomy.real > 0.0
+
+
 def bs_census(
     cover: TrivializationCover,
     pol: Polarization,
@@ -664,29 +641,27 @@ def bs_census(
 ) -> BSReport:
     """Bohr-Sommerfeld census over a label range.
 
-    Circle leaves are sampled at `count` labels.  Each pair of neighbouring
-    samples where Im(holonomy) changes sign brackets a crossing of the real
-    axis, which Brent's method locates to 1e-12 in the label, on the branch
-    of the phase that is continuous through it (_crossing_steps); it is a
-    BS location when the holonomy there is +1, not -1.  On a periodic label window one
-    period wide, the bracket from the last sample round to the first one
-    is searched too.  The samples must be fine enough that the holonomy
-    crosses the real axis at most once between neighbours
-    (docs/conventions.md, "Census").  Locations that differ by a multiple
-    of the label period are one leaf and are counted once.
-    Point leaves (declared singular points) are BS with trivial holonomy.
+    Circle leaves are sampled at `count` labels, and their actions are
+    unwrapped by the flux (_branches): A' at every sample, from one
+    LeafTransport.flux call, predicts each step between neighbours.  A
+    step that misses its prediction by more than MISMATCH gets its midpoint
+    sampled, all such midpoints in one batch a round; after REFINE_ROUNDS
+    rounds UnresolvedCensusError names the step.  On a periodic label
+    window one period wide, the step from the last sample to the first one
+    plus a period closes the window.  Each multiple of 2 pi that the
+    unwrapped action crosses within a step opens one bracket, whose root is
+    located to 1e-12 in the label (_crossing_steps); a sample whose
+    holonomy is 1 is a location itself, and a crossing of -1 opens nothing.
+    Locations a multiple of the label period apart are one leaf.  Point
+    leaves (declared singular points) are BS with trivial holonomy.
     Noncompact line leaves are excluded from the count unless
     include_lines is set (they all admit covariantly constant sections).
 
     The census threads on one LeafAtlas, so each membership pattern is
-    threaded once.  The sampled leaves take one holonomy batch, which
-    makes at most one transport quadrature call and one transition call,
-    one evaluator run per distinct transition formula.  All brackets are
-    then searched together: each lockstep step threads the next label of every
-    unfinished bracket, with its two probes (_lockstep_roots), and takes
-    one holonomy batch again, while each bracket takes exactly the steps it
-    takes alone.  A crossing that a secant step lands within PROBE of
-    needs one lockstep step.
+    threaded once.  The sampled leaves take one holonomy batch, with at
+    most one transport quadrature call and one transition call.  The
+    brackets are searched together (_lockstep), one holonomy batch a step;
+    on a near-linear action the first step, two labels a bracket, ends all.
     """
     transport = LeafTransport(cover, pol)
     atlas = LeafAtlas(cover, pol)
@@ -694,7 +669,7 @@ def bs_census(
     closed = [leaf for leaf in leaves if leaf.topology != "line"]
     hols = iter(holonomy(transport, closed))
     entries = []
-    sampled: list = []
+    sampled = []  # (label, action, whether a BS location) of the circle leaves
     lines = 0
     singular_bs = 0
     for leaf in leaves:
@@ -707,64 +682,71 @@ def bs_census(
         if leaf.topology == "point":
             singular_bs += 1
         else:
-            sampled.append((leaf.label, hres.holonomy))
+            sampled.append((leaf.label, hres.action, _at_bs(hres)))
         entries.append(BSEntry(leaf, hres, is_bs))
+
+    def sample(found: list) -> np.ndarray:
+        """Rows (label, action, flux, whether a BS location) in label order."""
+        rows = np.array(found)
+        rows = rows[np.argsort(rows[:, 0], kind="stable")]
+        return np.insert(rows, 2, transport.flux(rows[:, 0]), axis=1)
+
+    hi = crange[1]
+    period = pol.label_range[1] - pol.label_range[0] if pol.label_periodic else None
+    locations = [c for c, _, at_bs in sampled if at_bs]
+    spans = bool(sampled) and _spans_a_period(pol, *crange)
+    rows = sample(sampled) if spans or len(sampled) > 1 else np.empty((0, 4))
+    closes = spans and rows[-1, 0] < rows[0, 0] + period
+    if closes:  # the first sample again, one period on
+        rows = np.vstack([rows, rows[:1] + [period, 0.0, 0.0, 0.0]])
+
+    refinements = 0
+    while True:
+        branches, missed = _branches(rows)
+        if not len(missed):
+            break
+        if refinements == REFINE_ROUNDS:
+            c0, c1 = rows[missed[0] : missed[0] + 2, 0].tolist()
+            raise UnresolvedCensusError(
+                f"the leaf action between labels {c0!r} and {c1!r} still misses the "
+                f"step the flux predicts after {REFINE_ROUNDS} refinement rounds"
+            )
+        refinements += 1
+        mids = (0.5 * (rows[missed, 0] + rows[missed + 1, 0])).tolist()
+        found = holonomy(transport, atlas.leaves(mids))
+        new = sample([(c, h.action, _at_bs(h)) for c, h in zip(mids, found)])
+        locations += new[new[:, 3] > 0.0, 0].tolist()
+        rows = np.vstack([rows, new])
+        rows = rows[np.argsort(rows[:, 0], kind="stable")]
+
+    # one bracket per multiple of 2 pi that a step of the unwrapped action
+    # crosses, unless a sample at its end is located there already
+    searches = []
+    turns = np.floor((rows[:, 1] + TWO_PI * branches) / TWO_PI)
+    c, a, bs = (rows[:, j].tolist() for j in (0, 1, 3))
+    n, k = branches.tolist(), turns.tolist()
+    for i in np.flatnonzero(turns[1:] != turns[:-1]).tolist():
+        ends = {round(a[j] / TWO_PI + n[j]) for j in (i, i + 1) if bs[j]}
+        for m in range(int(min(k[i], k[i + 1])), int(max(k[i], k[i + 1])) + 1):
+            v0, v1 = a[i] + TWO_PI * (n[i] - m), a[i + 1] + TWO_PI * (n[i + 1] - m)
+            if v0 * v1 < 0.0 and m not in ends:
+                searches.append(_crossing_steps(c[i], v0, c[i + 1], v1))
 
     root_steps = root_labels = 0
 
-    def holonomies_at(labels: list) -> list:
+    def actions_at(labels: list) -> list:
         nonlocal root_steps, root_labels
         root_steps += 1
         root_labels += len(labels)
-        threaded = atlas.leaves(labels)
-        return [h.holonomy for h in holonomy(transport, threaded)]
+        return [h.action for h in holonomy(transport, atlas.leaves(labels))]
 
-    # The holonomy is continuous in the label (the action is only defined
-    # up to the threading, so it cannot choose the branch), so we root-solve
-    # each sign change of Im(hol) on the phase branch its ends suggest and
-    # keep the roots where the holonomy is +1 rather than -1.
-    hi = crange[1]
-    period = pol.label_range[1] - pol.label_range[0] if pol.label_periodic else None
-    locations = []
-    brackets = []
-    wrap = None  # index of the bracket that closes a period window
-    sampled.sort()
-    for (c0, h0), (c1, h1) in zip(sampled, sampled[1:]):
-        if abs(h0.imag) < 1e-12:
-            if h0.real > 0.0:
-                locations.append(c0)
-            continue
-        if h0.imag * h1.imag < 0.0:
-            brackets.append((c0, h0, c1, h1))
-    if sampled:
-        (c_first, h_first), (c_last, h_last) = sampled[0], sampled[-1]
-        if abs(h_last.imag) < 1e-12:
-            if h_last.real > 0.0:
-                locations.append(c_last)
-        elif (
-            # a window one period wide closes on its first sample; a zero
-            # there is already located as that sample
-            _spans_a_period(pol, *crange)
-            and c_last < c_first + period
-            and abs(h_first.imag) >= 1e-12
-            and h_last.imag * h_first.imag < 0.0
-        ):
-            wrap = len(brackets)
-            brackets.append((c_last, h_last, c_first + period, h_first))
-
-    solved = _lockstep_roots(brackets, holonomies_at)
-    for i, (root, hols) in enumerate(solved):
-        if hols[root].real > 0.0:  # +1, not -1
-            if i == wrap and root >= hi:
-                root -= period
-            locations.append(root)
+    locations += _lockstep(searches, actions_at)
+    if closes:  # the closing step's locations, back into the window
+        locations = [c - period if c >= hi else c for c in locations]
 
     # one location per leaf: labels a multiple of the period apart coincide
     def same_leaf(c: float, u: float) -> bool:
-        d = c - u
-        if period is not None:
-            d -= period * round(d / period)
-        return abs(d) < 1e-9
+        return abs(math.remainder(c - u, period) if period else c - u) < 1e-9
 
     unique = []
     for c in sorted(locations):
@@ -772,8 +754,8 @@ def bs_census(
             unique.append(c)
 
     q_smooth = len(unique)
-    evaluations = sum(len(hols) - 2 for _, hols in solved)
     q_total = q_smooth + singular_bs + (lines if include_lines else 0)
+    change = rows[-1, 1] - rows[0, 1] + TWO_PI * branches[-1] if len(rows) else 0.0
     return BSReport(
         entries=tuple(entries),
         bs_locations=tuple(unique),
@@ -782,10 +764,11 @@ def bs_census(
         q_bs=q_total,
         lines_excluded=0 if include_lines else lines,
         tol=tol,
-        root_brackets=len(solved),
-        root_holonomy_evaluations=evaluations,
+        action_change=float(change),
+        root_brackets=len(searches),
+        root_holonomy_evaluations=root_labels,
         root_steps=root_steps,
-        root_probes=root_labels - evaluations,
+        census_refinements=refinements,
         transport_integrals=transport.integrals_computed,
         transport_batches=transport.batches,
         leaf_patterns=atlas.threadings,

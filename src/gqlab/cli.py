@@ -29,7 +29,7 @@ from .action import (
     verify_theorem_1,
     verify_theorem_2,
 )
-from .bohr import CoverageError, bs_census, lattice_count
+from .bohr import CoverageError, UnresolvedCensusError, bs_census, lattice_count
 from .cech import ResolutionError, cohomology_ranks, half_offset_grid
 from .geometry import check_symplectomorphism
 from .prequantum import MAX_DEGREE, ConfigurationError, check_local_data
@@ -436,9 +436,16 @@ def cmd_bs(cfg: RunConfig, args) -> int:
     exm = _example_from_config(cfg)
     pol = exm.polarization(cfg.polarization)
     crange = cfg.range or exm.census_range
-    census = bs_census(
-        exm.cover, pol, crange, cfg.count, cfg.tol, cfg.include_lines
-    )
+    try:
+        census = bs_census(
+            exm.cover, pol, crange, cfg.count, cfg.tol, cfg.include_lines
+        )
+    except UnresolvedCensusError as exc:  # a count the census cannot vouch for
+        payload = {"census": {"unresolved": str(exc)}, "range": list(crange)}
+        report = _report(cfg, payload, False, time.perf_counter() - t0)
+        report["timing"]["counters"] = _counters(exm)
+        _emit(report, args, [f"census unresolved: {exc}"])
+        return 1
     payload = {"census": census.as_dict(), "range": list(crange)}
     if cfg.example == "sphere":
         payload["lattice"] = {

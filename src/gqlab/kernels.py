@@ -31,10 +31,13 @@ from .program import (
 )
 
 
-def run(prog, cols: np.ndarray) -> np.ndarray:
-    """Evaluate prog at cols (nvars, n); returns complex128 (n,), or
-    (outputs, n) for a tuple program."""
-    n = cols.shape[1] if cols.ndim == 2 else 0
+def run(prog, cols, n: int | None = None) -> np.ndarray:
+    """Evaluate prog at cols, an (nvars, n) array or a sequence of nvars
+    columns (arrays of length n or scalars, cast to complex as they are
+    loaded); returns complex128 (n,), or (outputs, n) for a tuple
+    program."""
+    if n is None:
+        n = cols.shape[1] if cols.ndim == 2 else 0
     stack = np.empty((prog.max_stack, n), dtype=np.complex128)
     consts = prog.consts
     top = -1
@@ -109,10 +112,10 @@ def evaluate(e, values: dict):
             scalar = False
             n = len(values[k])
             break
-    cols = np.empty((len(names), n), dtype=np.complex128)
-    for j, k in enumerate(names):
-        cols[j] = values[k]
-    out = run(prog, cols)
+    # each input is cast into the stack as it is loaded: no (nvars, n)
+    # complex copy of the inputs, which on large batches costs more than the
+    # arithmetic
+    out = run(prog, [values[k] for k in names], n)
     if not scalar:
         return out
     return complex(out[0]) if prog.outputs is None else out[:, 0]

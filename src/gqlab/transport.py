@@ -12,7 +12,9 @@ the preimage of the source curve, so it needs no other integrand.  Every
 call works on a batch of entries, each a leaf segment (element, t0, t1)
 and a label, as holonomies and the differential need them: integral
 integrates the distinct entries missing from its cache in one quadrature
-call, one row per entry, each row bit for bit its one-entry batch.
+call, one row per entry, each row bit for bit its one-entry batch.  flux
+gives the label derivative of the leaf action, the census's prediction of
+how far the action steps between two labels.
 """
 
 from __future__ import annotations
@@ -26,12 +28,28 @@ from . import kernels, program
 from .quadrature import integrate
 
 
+def _runner(prog: program.Program):
+    """run(cs, ts) of a program over ("c", "t"): its values at the labels cs
+    and the nodes ts, an array (len(cs), k) of each label's nodes or k
+    nodes shared by all labels, as a (len(cs), k) array.  The columns go to
+    the evaluator as real arrays, which it casts into its stack as it
+    loads them, without the copies that adding 0j would allocate."""
+
+    def run(cs: np.ndarray, ts: np.ndarray) -> np.ndarray:
+        ts = np.broadcast_to(ts, (len(cs), np.shape(ts)[-1]))
+        columns = {"c": np.repeat(cs, ts.shape[1]), "t": ts.ravel()}
+        return kernels.evaluate(prog, columns).reshape(ts.shape)
+
+    return run
+
+
 class LeafTransport:
     def __init__(self, cover, polarization):
         self.cover = cover
         self.polarization = polarization
-        self._integrands: dict = {}
+        self._integrands: dict = {}  # member, and its program -> run
         self._integrals: dict = {}
+        self._flux = None  # (run of the flux integrand, whether it reads t)
         self.integrals_computed = 0  # label integrals, cache misses
         self.batches = 0  # quadrature calls
         self.transition_batches = 0  # transition formulas run by holonomies
@@ -39,7 +57,8 @@ class LeafTransport:
     def integrand(self, member: int):
         """run(cs, ts): theta_member(leaf'(t)) at the labels cs and the
         nodes ts, an array (len(cs), k) of each label's nodes or k nodes
-        shared by all labels; returns (len(cs), k) values."""
+        shared by all labels; returns (len(cs), k) values.  Members whose
+        integrands are one formula share one run."""
         run = self._integrands.get(member)
         if run is not None:
             return run
@@ -52,14 +71,36 @@ class LeafTransport:
             ex.mul(ex.substitute(theta[1], sub), ex.differentiate(curve[1], "t")),
         )
         prog = program.compile_expr(integrand, ("c", "t"))
-
-        def run(cs: np.ndarray, ts: np.ndarray) -> np.ndarray:
-            ts = np.broadcast_to(ts, (len(cs), np.shape(ts)[-1]))
-            columns = {"c": np.repeat(cs, ts.shape[1]) + 0j, "t": ts.ravel() + 0j}
-            return kernels.evaluate(prog, columns).reshape(ts.shape)
-
+        run = self._integrands.setdefault(prog, _runner(prog))
         self._integrands[member] = run
         return run
+
+    def flux(self, labels) -> np.ndarray:
+        """The label derivative of the leaf action at each label:
+        A'(c) = integral of omega(d_c gamma, d_t gamma) dt over one leaf
+        period, which no gauge choice changes.  One quadrature call, one
+        row per label; the integrand is compiled on the first call.  An
+        integrand that does not depend on t integrates to the period times
+        its value, with no quadrature."""
+        if self._flux is None:
+            (u, v), (x, y) = self.cover.manifold.coords, self.polarization.curve
+            w = ex.substitute(self.cover.omega.coefficient, {u: x, v: y})
+            jac = ex.sub(
+                ex.mul(ex.differentiate(x, "c"), ex.differentiate(y, "t")),
+                ex.mul(ex.differentiate(y, "c"), ex.differentiate(x, "t")),
+            )
+            integrand = ex.mul(w, jac)
+            run = _runner(program.compile_expr(integrand, ("c", "t")))
+            self._flux = (run, "t" in ex.free_vars(integrand))
+        run, along = self._flux
+        cs = np.asarray(labels, dtype=float)
+        period = self.polarization.leaf_period
+        if not along:
+            return period * run(cs, np.zeros(1))[:, 0].real
+        out = integrate(lambda ts: run(cs, ts), 0.0, np.full(len(cs), period)).real
+        self.integrals_computed += len(cs)
+        self.batches += 1
+        return out
 
     def integral(self, elements, t0, t1, labels) -> np.ndarray:
         """The integral of theta along every entry i, the leaf segment
@@ -70,8 +111,8 @@ class LeafTransport:
         An entry is cached under the bytes of its four values.  An empty
         segment gives 0 without quadrature.  The distinct entries missing
         from the cache go to one quadrature call, one row each, in which
-        every element's integrand is evaluated once per bisection level, on
-        that element's rows.
+        every distinct integrand is evaluated once per bisection level, on
+        the rows of the elements it belongs to.
         """
         rows = np.empty((len(t0), 4))
         rows[:, 0], rows[:, 1], rows[:, 2], rows[:, 3] = elements, labels, t0, t1
@@ -88,12 +129,20 @@ class LeafTransport:
             if live.any():
                 new = new[live]
                 members, cs = new[:, 0].astype(int), new[:, 1]
-                runs = [
-                    (self.integrand(member), np.flatnonzero(members == member))
-                    for member in np.unique(members).tolist()
-                ]
+                # one run per distinct integrand, on the rows of every
+                # element whose integrand it is
+                shared: dict = {}  # run -> its number
+                number = np.zeros(members.max() + 1, dtype=int)  # by member
+                for member in np.unique(members).tolist():
+                    run = self.integrand(member)
+                    number[member] = shared.setdefault(run, len(shared))
+                row_run = number[members]
+                runs = [(run, np.flatnonzero(row_run == j))
+                        for run, j in shared.items()]
 
                 def f(ts):
+                    if len(runs) == 1:  # every row: no copies of rows
+                        return runs[0][0](cs, ts)
                     out = np.empty(ts.shape, dtype=np.complex128)
                     for run, r in runs:
                         out[r] = run(cs[r], ts[r])

@@ -12,14 +12,20 @@ move in the last bits between NumPy and BLAS builds.
 
     python tests/golden_corpus.py          # the lines whose sha256 or more moved
     python tests/golden_corpus.py --write  # record what every line gives now
+    python tests/golden_corpus.py --dump reports.json  # every line's report
+    python tests/golden_corpus.py --diff reports.json  # how far they moved
 
 A change that means to move an outcome records the corpus anew with
 --write and names the moved lines.  To add a line, add an entry with its
-name and argv to corpus.json and run --write.
+name and argv to corpus.json and run --write.  To say how far a change
+moves the reports, dump them on a checkout of its parent and diff the dump
+on the change: the diff prints the largest change of each float field
+(list indices written *), and every other value that differs.
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -69,23 +75,31 @@ def _sha(value) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def run_line(argv: list) -> dict:
-    """Run one command line in process: its exit code, stderr, and the
-    sha256 and outcome digest of its report minus timing (None when it
-    printed no report).  A printed report must be exactly the text
-    json.dumps(indent=2, sort_keys=True) gives for it."""
+def _run(argv: list) -> tuple:
+    """Run one command line in process: (exit code, stderr, its report minus
+    timing, or None when it printed none).  A printed report must be
+    exactly the text json.dumps(indent=2, sort_keys=True) gives for it."""
     from gqlab.cli import main
 
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(list(argv))
-    got = {"exit_code": code, "stderr": err.getvalue(), "sha256": None, "digest": None}
     text = out.getvalue()
+    report = None
     if text:
         report = json.loads(text)
         if text != json.dumps(report, indent=2, sort_keys=True) + "\n":
             raise AssertionError(f"report of {argv} is not json.dumps text")
         report.pop("timing")
+    return code, err.getvalue(), report
+
+
+def run_line(argv: list) -> dict:
+    """The exit code, stderr, and the sha256 and outcome digest of the
+    report minus timing (None when it printed no report) of one line."""
+    code, err, report = _run(argv)
+    got = {"exit_code": code, "stderr": err, "sha256": None, "digest": None}
+    if report is not None:
         outcomes: list = []
         _outcomes(report, "", outcomes)
         got["sha256"] = _sha(report)
@@ -97,9 +111,72 @@ def load() -> list:
     return json.loads(CORPUS.read_text())
 
 
+def _compare(old, new, path: str, field: str, floats: dict, other: list) -> None:
+    """Walk two reports side by side: floats[field] holds the largest
+    change of each float field and where it is, other every other value
+    that differs."""
+    if isinstance(old, dict) and isinstance(new, dict):
+        for key in sorted(old.keys() | new.keys()):
+            if key in old and key in new:
+                _compare(old[key], new[key], f"{path}/{key}", f"{field}/{key}", floats, other)
+            else:
+                other.append(f"{path}/{key} {'added' if key in new else 'removed'}")
+    elif isinstance(old, list) and isinstance(new, list) and len(old) == len(new):
+        for i, (a, b) in enumerate(zip(old, new)):
+            _compare(a, b, f"{path}/{i}", f"{field}/*", floats, other)
+    elif type(old) is float and type(new) is float:
+        change = abs(new - old)
+        if change >= floats.get(field, (0.0,))[0]:
+            floats[field] = (change, path)
+    elif old != new:
+        other.append(f"{path}: {old!r} -> {new!r}")
+
+
+def diff(dump: dict, corpus: list) -> None:
+    """Print how far every line's report moved against a dump."""
+    floats: dict = {}  # field -> (largest change, line and path)
+    other = []
+    for entry in corpus:
+        name = entry["name"]
+        if name not in dump:
+            other.append(f"{name}: not in the dump")
+            continue
+        was, now = dump[name], _run(entry["argv"])
+        if was["exit_code"] != now[0] or was["stderr"] != now[1]:
+            other.append(f"{name}: exit {was['exit_code']} -> {now[0]}, stderr "
+                         f"{was['stderr']!r} -> {now[1]!r}")
+        here: dict = {}
+        _compare(was["report"], now[2], name, "", here, other)
+        for field, (change, where) in here.items():
+            if change >= floats.get(field, (0.0,))[0]:
+                floats[field] = (change, where)
+    moved = {field: got for field, got in floats.items() if got[0] > 0.0}
+    print(f"{len(moved)} of {len(floats)} float fields moved; largest change of each:")
+    for field, (change, where) in sorted(moved.items()):
+        print(f"  {change:.3e}  {field}  (at {where})")
+    print(f"{len(other)} other differences")
+    for line in other:
+        print(f"  {line}")
+
+
 def main(argv=None) -> int:
-    write = "--write" in (sys.argv[1:] if argv is None else argv)
+    parser = argparse.ArgumentParser(description="The golden corpus of gqlab lines.")
+    parser.add_argument("--write", action="store_true", help="record the corpus anew")
+    parser.add_argument("--dump", metavar="FILE", help="write every line's report")
+    parser.add_argument("--diff", metavar="FILE", help="compare a dump with this tree")
+    args = parser.parse_args(argv)
     corpus = load()
+    if args.dump:
+        dump = {}
+        for entry in corpus:
+            code, err, report = _run(entry["argv"])
+            dump[entry["name"]] = {"exit_code": code, "stderr": err, "report": report}
+        Path(args.dump).write_text(json.dumps(dump, indent=1, sort_keys=True) + "\n")
+        print(f"wrote the reports of {len(dump)} lines to {args.dump}")
+        return 0
+    if args.diff:
+        diff(json.loads(Path(args.diff).read_text()), corpus)
+        return 0
     moved = 0
     for entry in corpus:
         got = run_line(entry["argv"])
@@ -109,7 +186,7 @@ def main(argv=None) -> int:
             print(f"{entry['name']}: {', '.join(changed)} moved  ({' '.join(entry['argv'])})")
         entry.update(got)
     print(f"{moved} of {len(corpus)} lines moved")
-    if write:
+    if args.write:
         CORPUS.write_text(json.dumps(corpus, indent=1) + "\n")
         print(f"wrote {CORPUS}")
     return 0

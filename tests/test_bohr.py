@@ -1,5 +1,6 @@
 """Leaves, holonomy, and the Bohr-Sommerfeld census."""
 
+import json
 import math
 from fractions import Fraction
 
@@ -14,12 +15,12 @@ from gqlab.bohr import (
     HolonomyUndefinedError,
     Leaf,
     LeafAtlas,
-    _brent_root,
     bs_census,
     enumerate_leaves,
     holonomy,
     lattice_count,
 )
+from gqlab.cli import main
 from gqlab.geometry import pushforward_polarization
 from gqlab.prequantum import LocalData, TrivializationCover, pullback
 from gqlab.transport import LeafTransport
@@ -280,6 +281,18 @@ def test_sphere_census_against_lattice_oracle(models, k):
 # Root solving
 
 
+def _brent_root(f, a: float, fa: float, b: float, fb: float, xtol: float) -> float:
+    """A root of f in the bracket [a, b] by bohr._brent_steps, evaluating f
+    at each label the method asks for."""
+    steps = bohr._brent_steps(a, fa, b, fb, xtol)
+    try:
+        x = next(steps)
+        while True:
+            x = steps.send(f(x))
+    except StopIteration as stop:
+        return stop.value
+
+
 def _counted(f):
     calls = []
 
@@ -376,7 +389,9 @@ def test_census_locations_on_the_cylinder(models, crange):
     rep = bs_census(exm.cover, exm.polarization(), crange, 33)
     want = [m for m in range(-4, 5) if crange[0] < m < crange[1]]
     _assert_located(rep, want)
-    assert rep.root_brackets >= len(want)
+    # one bracket per location that is not a sample
+    sampled = {e.leaf.label for e in rep.entries}
+    assert rep.root_brackets == len(set(rep.bs_locations) - sampled)
 
 
 @pytest.mark.parametrize("k", range(2, 7))
@@ -389,10 +404,11 @@ def test_census_locations_on_the_sphere(models, k):
 
 
 def test_census_minus_one_crossing_gives_no_location(models):
-    # the torus k=1 holonomy exp(-i c) is -1 at c = pi, the only crossing
+    # the torus k=1 holonomy exp(-i c) is -1 at c = pi, the only crossing of
+    # the real axis; the action crosses no multiple of 2 pi, so no bracket
     exm = models("torus", k=1)
     rep = bs_census(exm.cover, exm.polarization(), (2.5, 3.8), 9)
-    assert rep.root_brackets == 1 and rep.root_holonomy_evaluations > 0
+    assert rep.root_brackets == 0 and rep.root_holonomy_evaluations == 0
     assert rep.bs_locations == () and rep.q_bs == 0
 
 
@@ -407,13 +423,59 @@ def test_census_computes_each_holonomy_once(models, monkeypatch):
     monkeypatch.setattr(bohr, "holonomy", counting)
     exm = models("torus", k=3)
     rep = bs_census(exm.cover, exm.polarization(), (0.05, 6.3332), 33)
-    assert rep.q_bs == 3
-    # the final +1/-1 test reuses the holonomies of the search, and a probe
-    # no search read is counted apart
-    assert len(calls) == (
-        len(rep.entries) + rep.root_holonomy_evaluations + rep.root_probes
-    )
+    assert rep.q_bs == 3 and rep.census_refinements == 0
+    # every label a search evaluates is read
+    assert len(calls) == len(rep.entries) + rep.root_holonomy_evaluations
     assert len(set(calls)) == len(calls)
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_census_steps_add_up_to_the_volume(models, k):
+    # over one label period the unwrapped action steps by the integral of
+    # omega over the torus, 2 pi k, whatever the sampling
+    exm = models("torus", k=k)
+    pol = exm.polarization()
+    for crange, count in (((0.0, TWO_PI), 24), ((0.4, 0.4 + TWO_PI), 33),
+                          ((-1.9, TWO_PI - 1.9), 10), ((0.0, TWO_PI), 3)):
+        rep = bs_census(exm.cover, pol, crange, count)
+        assert abs(rep.action_change - TWO_PI * k) <= 1e-9, (crange, count)
+        assert rep.q_bs_smooth == k, (crange, count)
+
+
+@pytest.mark.parametrize("count", [10, 3])
+def test_coarse_counts_find_every_bs_leaf(models, count):
+    # the phase steps by 1.6 pi (count 10) or 16 pi / 3 (count 3) between
+    # samples, yet the flux puts each step on its branch: no refinement
+    exm = models("torus", k=8)
+    rep = bs_census(exm.cover, exm.polarization(), exm.census_range, count)
+    _assert_located(rep, [TWO_PI * m / 8 for m in range(8)])
+    assert rep.q_bs == 8 and rep.census_refinements == 0
+
+
+def test_a_flux_the_steps_disagree_with_exits_1(capsys, monkeypatch):
+    # a flux three times too large misses the action steps of the coarse
+    # Chern-8 census by more than pi/2 at every refinement round
+    real = LeafTransport.flux
+    monkeypatch.setattr(LeafTransport, "flux", lambda self, labels: 3.0 * real(self, labels))
+    argv = ["bs", "--example", "torus", "--k", "8", "--count", "3"]
+    assert main(argv + ["--json"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["pass"] is False
+    message = report["payload"]["census"]["unresolved"]
+    assert "between labels 0.0 and 0.13" in message
+    assert f"after {bohr.REFINE_ROUNDS} refinement rounds" in message
+    assert main(argv) == 1
+    assert capsys.readouterr().out.startswith("census unresolved: the leaf action between")
+    # theorem 2 runs two censuses: it fails with the census's reason
+    argv = ["act", "--example", "torus", "--k", "8", "--map", "translate:pi,0",
+            "--verify", "thm2", "--count", "3", "--json"]
+    assert main(argv) == 1
+    thm2 = json.loads(capsys.readouterr().out)["payload"]["thm2"]
+    assert thm2["status"] == "census-unresolved" and thm2["pass"] is False
+    # with the same flux, a finer census resolves its steps in a few rounds
+    exm = catalog.example("torus", k=8)
+    rep = bs_census(exm.cover, exm.polarization(), exm.census_range, 24)
+    assert 0 < rep.census_refinements <= bohr.REFINE_ROUNDS
 
 
 # ---------------------------------------------------------------------------
@@ -421,9 +483,9 @@ def test_census_computes_each_holonomy_once(models, monkeypatch):
 
 
 def _bracket_cases(seed: int) -> tuple:
-    """Disjoint brackets (a, fa, b, fb) of a piecewise function f: smooth,
-    steep, flat, exact-zero, zero-at-an-end and wrap-around cases, one per
-    unit-10 cell of the label line."""
+    """Disjoint brackets (a, fa, b, fb), a < b, of a piecewise function f:
+    smooth, steep, flat, exact-zero, zero-at-an-end and wrap-around cases,
+    one per unit-10 cell of the label line."""
     rng = np.random.default_rng(seed)
     shapes, brackets = [], []
     for i in range(40):
@@ -455,7 +517,7 @@ def _bracket_cases(seed: int) -> tuple:
             continue
         shapes.append(g)
         a, b = r - w0, r + w1
-        brackets.append((a, g(a), b, g(b)) if rng.random() < 0.5 else (b, g(b), a, g(a)))
+        brackets.append((a, g(a), b, g(b)))
 
     def f(x: float) -> float:
         return shapes[int(x // 10.0)](x)
@@ -463,80 +525,67 @@ def _bracket_cases(seed: int) -> tuple:
     return brackets, f
 
 
-def _search_alone(hol, c0: float, h0: complex, c1: float, h1: complex) -> tuple:
-    """The crossing search of one bracket, run on its own against the
-    holonomy function hol: (root, holonomies by label, labels asked)."""
-    g, calls = _counted(hol)
-    search = bohr._crossing_steps(c0, h0, c1, h1)
+def _search_alone(f, a: float, fa: float, b: float, fb: float) -> tuple:
+    """The crossing search of one bracket of f, run on its own: (root, the
+    labels of each step)."""
+    search = bohr._crossing_steps(a, fa, b, fb)
+    steps = []
     try:
-        x = next(search)
+        labels = next(search)
         while True:
-            x = search.send(g(x))
+            steps.append(labels)
+            labels = search.send([f(c) for c in labels])
     except StopIteration as stop:
-        root, seen = stop.value
-    return root, seen, calls
+        return stop.value, steps
 
 
 def _lockstep(brackets, f) -> tuple:
-    """_lockstep_roots on brackets (a, fa, b, fb) in distinct unit-10 cells
-    of the label line, with holonomy 1 + i f: (solved, batches), a batch
-    being the labels it asked for by cell, in the order asked."""
+    """bohr._lockstep on the searches of brackets (a, fa, b, fb) in distinct
+    unit-10 cells of the label line: (roots, batches), a batch being the
+    labels it asked for by cell, in the order asked."""
     batches = []
 
-    def holonomies_at(labels):
+    def actions_at(labels):
         batch = {}
         for c in labels:
             batch.setdefault(int(c // 10.0), []).append(c)
         batches.append(batch)
-        return [complex(1.0, f(c)) for c in labels]
+        return [f(c) for c in labels]
 
-    solved = bohr._lockstep_roots(
-        [(a, complex(1.0, fa), b, complex(1.0, fb)) for a, fa, b, fb in brackets],
-        holonomies_at,
-    )
-    return solved, batches
+    searches = [bohr._crossing_steps(*bracket) for bracket in brackets]
+    return bohr._lockstep(searches, actions_at), batches
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_lockstep_brackets_take_the_steps_they_take_alone(seed):
     brackets, f = _bracket_cases(seed)
-    alone = []
-    for a, fa, b, fb in brackets:
-        root, _, calls = _search_alone(
-            lambda c: complex(1.0, f(c)), a, complex(1.0, fa), b, complex(1.0, fb)
-        )
-        alone.append((root, len(set(calls) - {a, b})))
-    solved, batches = _lockstep(brackets, f)
-    together = [(root, len(hols) - 2) for root, hols in solved]
-    assert together == alone
-    # one batch per lockstep step, holding each unfinished bracket once: its
-    # next label, then the probes of that label strictly inside the bracket
-    steps = {}
-    for batch in batches:
-        for cell, (x, *probes) in batch.items():
-            a, _, b, _ = brackets[cell]
-            steps.setdefault(cell, []).append(x)
-            assert set(probes) <= {x - bohr.PROBE, x + bohr.PROBE}
-            assert all(min(a, b) < p < max(a, b) for p in probes)
+    alone = [_search_alone(f, *bracket) for bracket in brackets]
+    roots, batches = _lockstep(brackets, f)
+    assert roots == [root for root, _ in alone]
+    # lockstep step j batches step j of every search that takes one
+    for cell, (_, steps) in enumerate(alone):
+        assert [batch[cell] for batch in batches if cell in batch] == steps
     sizes = [len(batch) for batch in batches]
-    assert len(batches) == max(len(xs) for xs in steps.values())
+    assert len(batches) == max(len(steps) for _, steps in alone)
     assert sizes == sorted(sizes, reverse=True)
-    # a bracket reads the label of each of its steps, and the other labels
-    # it takes alone from probes, each asked for once: so in fewer steps
-    for cell, (root, hols) in enumerate(solved):
+    # the first step asks for two labels a bracket, PROBE either side of one
+    # point; a Brent step after it asks for one
+    for cell, labels in batches[0].items():
         a, _, b, _ = brackets[cell]
-        read = set(hols) - {a, b}
-        asked = [c for batch in batches for c in batch.get(cell, ())]
-        assert set(steps.get(cell, [])) <= read <= set(asked)
-        assert len(set(asked)) == len(asked)
-    assert sum(len(xs) for xs in steps.values()) < sum(n for _, n in alone)
-    assert any(n == 0 for _, n in alone)  # brackets with a zero at an end
+        assert len(labels) <= 2 and all(a < c < b for c in labels)
+        assert labels[-1] - labels[0] <= bohr.CROSSING_XTOL
+    assert all(len(labels) == 1 for batch in batches[1:] for labels in batch.values())
+    # every root is within 1e-12 of a sign change of f
+    for root in roots:
+        assert f(root - 1e-12) * f(root + 1e-12) <= 0.0
+    finished = [len(steps) for _, steps in alone]
+    assert 1 in finished and max(finished) > 1
 
 
 def test_lockstep_asks_no_probe_outside_the_bracket():
-    # crossings within 1e-12 of a bracket end: Brent's step from that end is
-    # its smallest, PROBE, and a probe past the end is never asked for
-    brackets, shapes = [], []
+    # crossings within 1e-12 of a bracket end: the secant estimate is the
+    # crossing, and a label PROBE past the end is never asked for
+    brackets, shapes, crossings = [], [], []
     offsets = [0.0, 0.3e-13, 1e-13, 2.5e-13, 4.9e-13, 5e-13, 5.1e-13, 7e-13, 1e-12]
     for i, d in enumerate(offsets * 4):
         lo, hi = 10.0 * i + 1.0, 10.0 * i + 2.0
@@ -544,47 +593,50 @@ def test_lockstep_asks_no_probe_outside_the_bracket():
         slope = (0.3, -0.3, 2.0, -2.0)[i // len(offsets)]
         g = lambda x, r=r, slope=slope: slope * (x - r)
         shapes.append(g)
-        brackets.append((lo, g(lo), hi, g(hi)) if i % 4 < 2 else (hi, g(hi), lo, g(lo)))
+        crossings.append(r)
+        brackets.append((lo, g(lo), hi, g(hi)))
 
     def f(x):
         return shapes[int(x // 10.0)](x)
 
-    solved, batches = _lockstep(brackets, f)
-    for (a, fa, b, fb), (root, _) in zip(brackets, solved):
-        want, _, _ = _search_alone(
-            lambda c: complex(1.0, f(c)), a, complex(1.0, fa), b, complex(1.0, fb)
-        )
-        assert root == want
+    roots, batches = _lockstep(brackets, f)
+    assert len(batches) == 1  # a linear action closes every bracket at once
+    assert np.max(np.abs(np.array(roots) - crossings)) <= 1e-12
     skipped = 0
-    for batch in batches:
-        for cell, (x, *probes) in batch.items():
-            lo, hi = sorted(brackets[cell][::2])
-            assert all(lo < c < hi for c in (x, *probes))
-            skipped += not lo < x - bohr.PROBE < x + bohr.PROBE < hi
+    for cell, labels in batches[0].items():
+        lo, _, hi, _ = brackets[cell]
+        assert all(lo < c < hi for c in labels)
+        skipped += len(labels) < 2
     assert skipped > 0  # the case arose
 
 
 @pytest.mark.parametrize(
     "start,turn,sign",
     [
-        (0.7, -1.3, 1.0),  # 0.7 pi down through 0 to -0.6 pi: +1
-        (0.45, 1.2, -1.0),  # 0.45 pi up through pi to -0.35 pi: -1
-        (-0.9, 1.75, 1.0),  # -0.9 pi up through 0 to 0.85 pi: +1
+        (0.7, -1.3, 1.0),  # 0.7 pi down through 0 to -0.55 pi: +1
+        (0.45, 1.2, -1.0),  # 0.45 pi up through pi to 1.7 pi: -1
+        (-0.9, 1.75, 1.0),  # -0.9 pi up through 0 to 0.9 pi: +1
     ],
 )
 def test_crossing_search_when_the_phase_takes_the_long_way_round(start, turn, sign):
-    # the end phases guess the other way round, so the first branch has a
-    # jump at the crossing; the search still returns the crossing Brent on
-    # Im(hol) finds, with the same +1/-1 verdict
-    def hol(c):
-        theta = math.pi * (start + turn * c + 0.05 * c * c)
-        return complex(math.cos(theta), math.sin(theta))
+    # the action steps by more than pi across the bracket and is not linear,
+    # so the secant estimate misses and Brent continues; sent the action
+    # less its target on the principal branch, the search still returns the
+    # crossing Brent on the action itself finds
+    def action(c):
+        return math.pi * (start + turn * c + 0.05 * c * c)
 
-    root, seen, calls = _search_alone(hol, 0.0, hol(0.0), 1.0, hol(1.0))
-    want = _brent_root(lambda c: hol(c).imag, 0.0, hol(0.0).imag, 1.0, hol(1.0).imag, 1e-12)
+    target = 0.0 if sign > 0 else math.pi  # the holonomy is +1 or -1 there
+
+    def f(c):
+        return math.remainder(action(c) - target, TWO_PI)
+
+    u0, u1 = action(0.0) - target, action(1.0) - target
+    root, steps = _search_alone(f, 0.0, u0, 1.0, u1)
+    want = _brent_root(lambda c: action(c) - target, 0.0, u0, 1.0, u1, 1e-12)
     assert abs(root - want) <= 1e-12
-    assert math.copysign(1.0, seen[root].real) == sign == math.copysign(1.0, hol(want).real)
-    assert len(calls) == len(seen) - 2 <= 20
+    assert math.copysign(1.0, math.cos(action(root))) == sign
+    assert 1 < len(steps) and sum(map(len, steps)) <= 20
 
 
 def _census_cases(models):
@@ -661,7 +713,8 @@ def test_census_holonomy_calls_add_up(models, monkeypatch, name, params, crange,
     rep = bs_census(exm.cover, exm.polarization(), crange, count,
                     include_lines=include_lines)
     sampled = sum(1 for e in rep.entries if e.leaf.topology != "line")
-    assert len(calls) - sampled == rep.root_holonomy_evaluations + rep.root_probes
+    assert rep.census_refinements == 0
+    assert len(calls) - sampled == rep.root_holonomy_evaluations
     # one batch of sampled leaves, then one per lockstep step
     assert len(batches) == 1 + rep.root_steps
 

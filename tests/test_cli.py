@@ -432,8 +432,9 @@ def test_bs_root_solving_stays_cheap_on_the_benchmark_census(capsys, monkeypatch
 
 
 def test_each_benchmark_census_line_takes_one_lockstep_step(capsys, monkeypatch):
-    # every crossing search of a seed 1-3 census line ends in the batch of
-    # its first label: Brent's confirming step reads a probe of that batch
+    # every crossing search of a seed 1-3 census line ends in its first
+    # step: the two labels either side of its secant estimate straddle the
+    # root, and the census reads both
     perfbench = Path(__file__).resolve().parent.parent / "perfbench"
     monkeypatch.syspath_prepend(str(perfbench))
     workloads = importlib.import_module("workloads")
@@ -443,24 +444,29 @@ def test_each_benchmark_census_line_takes_one_lockstep_step(capsys, monkeypatch)
             counters = json.loads(capsys.readouterr().out)["timing"]["counters"]
             assert counters["root_brackets"] > 0, op.argv
             assert counters["root_steps"] == 1, op.argv
-            assert 0 <= counters["root_probes"] <= 2 * counters["root_brackets"], op.argv
+            assert (
+                counters["root_holonomy_evaluations"] == 2 * counters["root_brackets"]
+            ), op.argv
+            assert counters["census_refinements"] == 0, op.argv
 
 
 @pytest.mark.parametrize("count,most", [(12, 40), (10, 18)])
 def test_bs_root_solving_when_the_phase_steps_past_pi(capsys, count, most):
     # the phase advances 1.6 pi (count 10) or 4 pi / 3 (count 12) between
-    # samples, so some brackets start on the wrong branch; they still find
-    # BS heights only, at most twice the holonomies Brent on Im(hol) spent
+    # samples; the flux unwraps each step, so every BS height is found, by
+    # two holonomies a bracket
     code, report = run_json(
         capsys, "bs", "--example", "torus", "--k", "8", "--count", str(count)
     )
     assert code == 0
-    locations = np.array(report["payload"]["census"]["bs_locations"])
+    census = report["payload"]["census"]
+    locations = np.array(census["bs_locations"])
     heights = np.round(locations / (math.pi / 4))
     assert np.all(np.abs(locations - heights * math.pi / 4) <= 1e-12)
-    if count == 12:
-        assert heights.tolist() == list(range(8))
-    assert 0 < report["timing"]["counters"]["root_holonomy_evaluations"] <= most
+    assert heights.tolist() == list(range(8)) and census["q_bs"] == 8
+    counters = report["timing"]["counters"]
+    assert 0 < counters["root_holonomy_evaluations"] <= most
+    assert counters["root_holonomy_evaluations"] == 2 * counters["root_brackets"]
 
 
 def test_act_on_broken_local_data_fails_before_the_theorems(capsys):
@@ -661,8 +667,8 @@ def test_bs_reports_transport_counters(capsys, monkeypatch):
     assert code == 0
     counters = report["timing"]["counters"]
     assert set(counters) == {
-        "root_brackets", "root_holonomy_evaluations", "root_steps", "root_probes",
-        "transport_integrals", "transport_batches",
+        "root_brackets", "root_holonomy_evaluations", "root_steps",
+        "census_refinements", "transport_integrals", "transport_batches",
         "leaf_patterns", "transition_batches", "nerve_cells",
     }
     # the sampled leaves and each lockstep step share one sweep per segment
@@ -704,7 +710,7 @@ def test_act_reports_work_counters(capsys):
         "gauge_integrals", "gauge_nodes", "grid_builds",
         "transport_integrals", "transport_batches", "leaf_blocks", "svd_calls",
         "transition_batches", "root_brackets", "root_holonomy_evaluations",
-        "root_steps", "root_probes", "leaf_patterns", "nerve_cells",
+        "root_steps", "census_refinements", "leaf_patterns", "nerve_cells",
         "local_data_formulas",
     }
     assert counters["grid_builds"] == 2
