@@ -149,10 +149,8 @@ def gauge_potentials(naive, pulled, targets: dict, counters: dict) -> dict:
             tx, ty = ts[:n_x].ravel(), ts[n_x:].ravel()
             vals = np.concatenate(
                 [
-                    kernels.evaluate(g_x, {coords[0]: tx + 0j, coords[1]: y_base + 0j}),
-                    kernels.evaluate(
-                        g_y, {coords[0]: np.repeat(x_y, n) + 0j, coords[1]: ty + 0j}
-                    ),
+                    kernels.evaluate(g_x, {coords[0]: tx, coords[1]: y_base}),
+                    kernels.evaluate(g_y, {coords[0]: np.repeat(x_y, n), coords[1]: ty}),
                 ]
             )
             counters["gauge_nodes"] += ts.size

@@ -1,7 +1,8 @@
 """Command line interface and report emission.
 
 Subcommands: examples, check, bs, cohomology, act, parse-expr.  Every run
-echoes its configuration into a versioned JSON report; payloads are
+echoes its configuration into a versioned JSON report, written as one line
+of compact JSON with sorted keys (json.dumps's C encoder); payloads are
 deterministic for a fixed config and seed (timing lives outside the
 payload).  Exit codes: 0 pass, 1 verification failure, 2 usage or config
 error, 3 internal error (an invariant violation or any other exception).
@@ -239,108 +240,12 @@ def _open_for_writing(path: str, what: str, **kwargs):
         ) from None
 
 
-# ---------------------------------------------------------------------------
-# Report text: json.dumps(value, indent=2, sort_keys=True, allow_nan=False),
-# byte for byte.  With an indent, json.dumps runs its pure-Python encoder, a
-# chain of generators; this writer makes one recursive pass that dispatches
-# on the exact types a report holds and falls back to json.dumps's
-# isinstance order for anything else, so subclasses encode as there.
-
-_QUOTE = json.encoder.encode_basestring_ascii  # the quoting json.dumps uses
-_NOT_FINITE = frozenset(("nan", "inf", "-inf"))  # float.__repr__ of NaN and infinities
-
-
-def _float_json(value) -> str:
-    text = float.__repr__(value)
-    if text in _NOT_FINITE:
-        raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
-    return text
-
-
-def _scalar_json(value):
-    """The JSON text of a value, in json.dumps's isinstance order; None for
-    a list, tuple or dict."""
-    if isinstance(value, str):
-        return _QUOTE(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):
-        return _float_json(value)
-    if isinstance(value, (list, tuple, dict)):
-        return None
-    raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
-
-
-def _key_json(key) -> str:
-    """A dict key as json.dumps writes it, before quoting."""
-    if isinstance(key, str):
-        return key
-    if isinstance(key, (int, float)) or key is None:
-        return _scalar_json(key)
-    raise TypeError(
-        f"keys must be str, int, float, bool or None, not {key.__class__.__name__}"
-    )
-
-
-def _write_json(value, nl: str, out: list) -> None:
-    """Append the JSON text of value to out; nl is a newline and the indent
-    of the line value starts on."""
-    kind = type(value)
-    if kind is not dict and kind is not list and kind is not tuple:
-        text = _scalar_json(value)
-        if text is not None:
-            out.append(text)
-            return
-    if not value:
-        out.append("{}" if isinstance(value, dict) else "[]")
-        return
-    inner = nl + "  "
-    comma = "," + inner
-    is_dict = isinstance(value, dict)
-    out.append("{" if is_dict else "[")
-    head = inner
-    for item in sorted(value.items()) if is_dict else value:
-        if is_dict:
-            key, item = item
-            head = f"{head}{_QUOTE(key if type(key) is str else _key_json(key))}: "
-        kind = type(item)  # the scalars of a report, inline
-        if kind is float:
-            text = float.__repr__(item)
-            out.append(head + (text if text not in _NOT_FINITE else _float_json(item)))
-        elif kind is str:
-            out.append(head + _QUOTE(item))
-        elif kind is int:
-            out.append(head + int.__repr__(item))
-        elif kind is bool:
-            out.append(head + ("true" if item else "false"))
-        elif item is None:
-            out.append(head + "null")
-        else:
-            out.append(head)
-            _write_json(item, inner, out)
-        head = comma
-    out.append(nl + ("}" if is_dict else "]"))
-
-
-def _json_text(value) -> str:
-    """json.dumps(value, indent=2, sort_keys=True, allow_nan=False), with
-    its text and its ValueError and TypeError."""
-    out: list = []
-    _write_json(value, "\n", out)
-    return "".join(out)
-
-
 def _emit(report: dict, args, summary_lines) -> None:
-    # strict RFC 8259 JSON: a value with no finite answer is written as null
-    # where it is produced, so a NaN or infinity reaching here is a fault
+    # strict RFC 8259 JSON on one line: a value with no finite answer is
+    # written as null where it is produced, so a NaN or infinity reaching
+    # here is a fault
     try:
-        text = _json_text(report)
+        text = json.dumps(report, sort_keys=True, allow_nan=False)
     except ValueError as exc:
         raise InternalConsistencyError(f"report is not strict JSON: {exc}") from None
     out = getattr(args, "out", None)

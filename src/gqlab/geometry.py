@@ -140,7 +140,7 @@ class SymplecticForm:
 
 def eval_at(e, coords: tuple, pts: np.ndarray):
     """Evaluate an expression, or a program over coords, at (n, 2) points."""
-    values = {coords[0]: pts[:, 0] + 0j, coords[1]: pts[:, 1] + 0j}
+    values = {coords[0]: pts[:, 0], coords[1]: pts[:, 1]}
     out = kernels.evaluate(e, values)
     if np.ndim(out) == 0:
         out = np.full(len(pts), out, dtype=np.complex128)
@@ -242,10 +242,7 @@ class Polarization:
     def curve_points(self, c, ts) -> np.ndarray:
         """Points curve(c, t), (n, 2), for a 1-d array ts and a label c
         that is a scalar or an array like ts."""
-        values = {
-            "c": np.asarray(c, dtype=float) + 0j,
-            "t": np.asarray(ts, dtype=float) + 0j,
-        }
+        values = {"c": np.asarray(c, dtype=float), "t": np.asarray(ts, dtype=float)}
         return _rows(kernels.evaluate(self._curve_program, values))
 
     def generator_at(self, pts) -> np.ndarray:

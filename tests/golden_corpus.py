@@ -8,7 +8,10 @@ defaults on every model, `check`, `bs` and `act` with corrupted transitions,
 and the command lines that must end in a config error.
 tests/test_golden.py asserts the exit code, stderr and digest of every
 line.  The sha256 is not asserted: residual and singular-value fields can
-move in the last bits between NumPy and BLAS builds.
+move in the last bits between NumPy and BLAS builds.  A printed report
+must be exactly the one line json.dumps(sort_keys=True) gives for it.  The
+sha256 is taken over the parsed report encoded anew with indent=2, not over
+the printed text, so it does not move with the report's layout.
 
     python tests/golden_corpus.py          # the lines whose sha256 or more moved
     python tests/golden_corpus.py --write  # record what every line gives now
@@ -78,7 +81,7 @@ def _sha(value) -> str:
 def _run(argv: list) -> tuple:
     """Run one command line in process: (exit code, stderr, its report minus
     timing, or None when it printed none).  A printed report must be
-    exactly the text json.dumps(indent=2, sort_keys=True) gives for it."""
+    exactly the one line json.dumps(sort_keys=True) gives for it."""
     from gqlab.cli import main
 
     out, err = io.StringIO(), io.StringIO()
@@ -88,8 +91,8 @@ def _run(argv: list) -> tuple:
     report = None
     if text:
         report = json.loads(text)
-        if text != json.dumps(report, indent=2, sort_keys=True) + "\n":
-            raise AssertionError(f"report of {argv} is not json.dumps text")
+        if text != json.dumps(report, sort_keys=True) + "\n":
+            raise AssertionError(f"report of {argv} is not compact json.dumps text")
         report.pop("timing")
     return code, err.getvalue(), report
 

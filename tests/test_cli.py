@@ -523,10 +523,15 @@ def _strict(text):
         ("bs", "--example", "sphere", "--k", "2"),
     ],
 )
-def test_reports_are_strict_json(capsys, argv):
-    code, out, _ = run_cli(capsys, *argv, "--json")
+def test_reports_are_strict_json(tmp_path, capsys, argv):
+    path = tmp_path / "report.json"
+    code, out, _ = run_cli(capsys, *argv, "--out", str(path), "--json")
     assert code in (0, 1)
+    assert path.read_bytes() == out.encode()  # --out writes what --json prints
     report = _strict(out)
+    # compact and on one line: exactly the text json.dumps gives for it
+    assert out == json.dumps(report, sort_keys=True) + "\n"
+    assert out.count("\n") == 1
     if argv[0] == "cohomology":
         gaps = [d["sv_gap"] for d in report["payload"]["cohomology"]["degrees"]]
         assert None in gaps

@@ -27,10 +27,6 @@ KEEP = {
     "bohr._brent_steps": "tests/test_bohr.py::test_brent_root_on_closed_forms",
     "catalog.untwisted_circle_example": "criterion untwisted-degeneration",
     "catalog.untwisted_circle_example.data_builder": "criterion untwisted-degeneration",
-    # the report writer's paths for types and keys no report holds, which
-    # keep its text and errors those of json.dumps
-    "cli._scalar_json": "tests/test_json_text.py::test_writer_matches_json_dumps",
-    "cli._key_json": "tests/test_json_text.py::test_writer_matches_json_dumps",
     "cech.TransversalGrid.sub_cell_for": "criterion res-laws",
     "cech.TrivCochain.norm": "criterion delta-squared-zero",
     "cech.psi": "criterion psi-phi-isomorphism",
