@@ -428,126 +428,57 @@ class UnresolvedCensusError(ValueError):
     REFINE_ROUNDS rounds of midpoints."""
 
 
-def _brent_steps(a: float, fa: float, b: float, fb: float, xtol: float):
-    """Brent's method as a generator: it yields each label at which f is
-    needed, is sent f there, and returns a root of f in the bracket [a, b],
-    where fa = f(a) and fb = f(b) have opposite signs, to within xtol.
-
-    Brent's method (R. P. Brent, Algorithms for Minimization without
-    Derivatives, 1973, ch. 4), laid out as in scipy.optimize.brentq: the
-    bracket [x_cur, x_blk] always holds a sign change, x_cur is its end with
-    the smaller |f|, and each step is a secant or inverse quadratic step
-    when that shrinks the bracket fast enough, a bisection otherwise.  The
-    returned point is a, b or one that f was evaluated at.
-    """
-    if fa == 0.0:
-        return a
-    if fb == 0.0:
-        return b
-    x_pre, f_pre, x_cur, f_cur = a, fa, b, fb
-    x_blk, f_blk, s_pre, s_cur = a, fa, 0.0, 0.0  # set on the first pass
-    while True:
-        if (f_pre < 0.0) != (f_cur < 0.0):
-            x_blk, f_blk = x_pre, f_pre
-            s_pre = s_cur = x_cur - x_pre
-        if abs(f_blk) < abs(f_cur):
-            x_pre, x_cur, x_blk = x_cur, x_blk, x_cur
-            f_pre, f_cur, f_blk = f_cur, f_blk, f_cur
-        delta = 0.5 * xtol
-        s_bis = 0.5 * (x_blk - x_cur)
-        if f_cur == 0.0 or abs(s_bis) < delta:
-            return x_cur
-        s_try = None
-        if abs(s_pre) > delta and abs(f_cur) < abs(f_pre):
-            if x_pre == x_blk:  # secant
-                s_try = -f_cur * (x_cur - x_pre) / (f_cur - f_pre)
-            else:  # inverse quadratic interpolation
-                d_pre = (f_pre - f_cur) / (x_pre - x_cur)
-                d_blk = (f_blk - f_cur) / (x_blk - x_cur)
-                s_try = -f_cur * (f_blk * d_blk - f_pre * d_pre) / (
-                    d_blk * d_pre * (f_blk - f_pre)
-                )
-        if s_try is not None and 2.0 * abs(s_try) < min(
-            abs(s_pre), 3.0 * abs(s_bis) - delta
-        ):
-            s_pre, s_cur = s_cur, s_try
-        else:
-            s_pre = s_cur = s_bis
-        x_pre, f_pre = x_cur, f_cur
-        x_next = x_cur + (s_cur if abs(s_cur) > delta else math.copysign(delta, s_bis))
-        if x_next == x_cur:
-            # xtol is below the float spacing at x_cur: bisect down to
-            # neighbouring floats instead of stepping in place forever
-            s_pre = s_cur = s_bis
-            x_next = x_cur + s_bis
-            if x_next in (x_cur, x_blk):
-                return x_cur
-        x_cur = x_next
-        f_cur = yield x_cur
-
-
-def _crossing_steps(c0: float, u0: float, c1: float, u1: float):
-    """The label in the bracket c0 < c1 at which the unwrapped action less
-    2 pi m crosses 0, where u0 and u1, its values at the ends, have opposite
-    signs, as a generator: it yields lists of labels, is sent the leaf
-    actions there, on whatever branch the threading gives, and returns the
-    root, within CROSSING_XTOL of the crossing: an end of the bracket or a
-    label it was sent the action at.
+def _crossings(brackets: list, actions_at) -> list:
+    """The label in each bracket (c0, u0, c1, u1), c0 < c1, at which the
+    unwrapped action less 2 pi m crosses 0, where u0 and u1, its values at
+    the ends, have opposite signs: an end of the bracket or a label whose
+    action actions_at(labels) gave, within CROSSING_XTOL of the crossing.
+    Every call of actions_at is one batch, for all the brackets still open.
 
     An action a at the label c counts on the branch nearest the secant line
     d through the ends: a less the multiple of 2 pi nearest a - d(c).  The
-    first step asks for the labels within PROBE either side of the secant
-    estimate of the root, those inside the bracket; when their values
-    straddle the root they close the bracket.  Otherwise Brent's method
-    (_brent_steps) continues from the tightest sign change, a label a step.
+    first batch asks for the labels within PROBE either side of the secant
+    estimate of the root, those inside the bracket.  Each later batch asks
+    for the midpoint of the tightest sign change.  A bracket closes, at the
+    end of its tightest sign change with the smaller |value|, when that is
+    at most CROSSING_XTOL wide, when an end's value is exactly 0, or when
+    the midpoint is an end (the float spacing exceeds CROSSING_XTOL there).
     """
-    slope = (u1 - u0) / (c1 - c0)
-
-    def value(c: float, a: float) -> float:
-        return a - TWO_PI * round((a - u0 - (c - c0) * slope) / TWO_PI)
-
-    x = c0 - u0 / slope
-    known = [(c0, u0), (c1, u1)]
-    pair = (x - PROBE, x + PROBE)  # or the floats just inside, if rounded out
-    pair = [math.nextafter(p, x) if abs(p - x) > PROBE else p for p in pair]
-    labels = [p for p in pair if c0 < p < c1]
-    if labels:
-        actions = yield labels
-        known[1:1] = [(c, value(c, a)) for c, a in zip(labels, actions)]
-    _, a, fa, b, fb = min(
-        (b - a, a, fa, b, fb)
-        for (a, fa), (b, fb) in zip(known, known[1:])
-        if fa * fb <= 0.0
-    )
-    if b - a <= CROSSING_XTOL:
-        return a if abs(fa) <= abs(fb) else b
-    steps = _brent_steps(a, fa, b, fb, CROSSING_XTOL)
-    try:
-        x = next(steps)
-        while True:
-            (action,) = yield [x]
-            x = steps.send(value(x, action))
-    except StopIteration as stop:
-        return stop.value
-
-
-def _lockstep(searches, actions_at) -> list:
-    """The results of the searches (generators like _crossing_steps), run
-    together: each lockstep step sends every unfinished search the actions
-    at the labels it asked for, all from one actions_at(labels) batch."""
-    results = [None] * len(searches)
-    sends = [(i, search, None) for i, search in enumerate(searches)]
-    while True:
-        asks = []
-        for i, search, actions in sends:
-            try:
-                asks.append((i, search, search.send(actions)))
-            except StopIteration as stop:
-                results[i] = stop.value
-        if not asks:
-            return results
-        got = iter(actions_at([c for _, _, labels in asks for c in labels]))
-        sends = [(i, search, [next(got) for _ in labels]) for i, search, labels in asks]
+    roots = [0.0] * len(brackets)
+    lines, known, asks = [], [], []
+    for c0, u0, c1, u1 in brackets:
+        slope = (u1 - u0) / (c1 - c0)
+        x = c0 - u0 / slope
+        pair = (x - PROBE, x + PROBE)  # or the floats just inside, if rounded out
+        pair = [math.nextafter(p, x) if abs(p - x) > PROBE else p for p in pair]
+        lines.append((c0, u0, slope))
+        known.append([(c0, u0), (c1, u1)])
+        asks.append([p for p in pair if c0 < p < c1])
+    unclosed = range(len(brackets))
+    while unclosed:
+        labels = [c for i in unclosed for c in asks[i]]
+        got = iter(actions_at(labels) if labels else ())
+        still = []
+        for i in unclosed:
+            c0, u0, slope = lines[i]
+            actions = [next(got) for _ in asks[i]]
+            known[i][1:1] = [
+                (c, a - TWO_PI * round((a - u0 - (c - c0) * slope) / TWO_PI))
+                for c, a in zip(asks[i], actions)
+            ]
+            _, a, fa, b, fb = min(
+                (b - a, a, fa, b, fb)
+                for (a, fa), (b, fb) in zip(known[i], known[i][1:])
+                if fa * fb <= 0.0
+            )
+            mid = 0.5 * (a + b)
+            if b - a <= CROSSING_XTOL or mid in (a, b) or 0.0 in (fa, fb):
+                roots[i] = a if abs(fa) <= abs(fb) else b
+            else:
+                known[i], asks[i] = [(a, fa), (b, fb)], [mid]
+                still.append(i)
+        unclosed = still
+    return roots
 
 
 def _branches(rows: np.ndarray) -> tuple:
@@ -591,7 +522,7 @@ class BSReport:
     # the payload
     root_brackets: int
     root_holonomy_evaluations: int
-    root_steps: int  # lockstep holonomy batches of the searches
+    root_steps: int  # holonomy batches of the crossing searches
     census_refinements: int  # midpoint rounds of the unwrapping
     transport_integrals: int  # label integrals computed
     transport_batches: int  # quadrature calls
@@ -650,7 +581,7 @@ def bs_census(
     window one period wide, the step from the last sample to the first one
     plus a period closes the window.  Each multiple of 2 pi that the
     unwrapped action crosses within a step opens one bracket, whose root is
-    located to 1e-12 in the label (_crossing_steps); a sample whose
+    located to 1e-12 in the label (_crossings); a sample whose
     holonomy is 1 is a location itself, and a crossing of -1 opens nothing.
     Locations a multiple of the label period apart are one leaf.  Point
     leaves (declared singular points) are BS with trivial holonomy.
@@ -660,8 +591,9 @@ def bs_census(
     The census threads on one LeafAtlas, so each membership pattern is
     threaded once.  The sampled leaves take one holonomy batch, with at
     most one transport quadrature call and one transition call.  The
-    brackets are searched together (_lockstep), one holonomy batch a step;
-    on a near-linear action the first step, two labels a bracket, ends all.
+    brackets are searched together, one holonomy batch for every bracket
+    still open; on a near-linear action the first batch, two labels either
+    side of each secant estimate, closes all of them.
     """
     transport = LeafTransport(cover, pol)
     atlas = LeafAtlas(cover, pol)
@@ -721,7 +653,7 @@ def bs_census(
 
     # one bracket per multiple of 2 pi that a step of the unwrapped action
     # crosses, unless a sample at its end is located there already
-    searches = []
+    brackets = []
     turns = np.floor((rows[:, 1] + TWO_PI * branches) / TWO_PI)
     c, a, bs = (rows[:, j].tolist() for j in (0, 1, 3))
     n, k = branches.tolist(), turns.tolist()
@@ -730,7 +662,7 @@ def bs_census(
         for m in range(int(min(k[i], k[i + 1])), int(max(k[i], k[i + 1])) + 1):
             v0, v1 = a[i] + TWO_PI * (n[i] - m), a[i + 1] + TWO_PI * (n[i + 1] - m)
             if v0 * v1 < 0.0 and m not in ends:
-                searches.append(_crossing_steps(c[i], v0, c[i + 1], v1))
+                brackets.append((c[i], v0, c[i + 1], v1))
 
     root_steps = root_labels = 0
 
@@ -740,7 +672,7 @@ def bs_census(
         root_labels += len(labels)
         return [h.action for h in holonomy(transport, atlas.leaves(labels))]
 
-    locations += _lockstep(searches, actions_at)
+    locations += _crossings(brackets, actions_at)
     if closes:  # the closing step's locations, back into the window
         locations = [c - period if c >= hi else c for c in locations]
 
@@ -765,7 +697,7 @@ def bs_census(
         lines_excluded=0 if include_lines else lines,
         tol=tol,
         action_change=float(change),
-        root_brackets=len(searches),
+        root_brackets=len(brackets),
         root_holonomy_evaluations=root_labels,
         root_steps=root_steps,
         census_refinements=refinements,

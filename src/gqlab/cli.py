@@ -116,6 +116,8 @@ class RunConfig:
             raise ConfigurationError(f"rank-tol must lie in (0, 1), got {self.rank_tol}")
         if self.max_degree < 0:
             raise ConfigurationError(f"max-degree must be >= 0, got {self.max_degree}")
+        if self.seed < 0:
+            raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
         if self.p_max is not None and not (math.isfinite(self.p_max) and self.p_max > 0.0):
             raise ConfigurationError(f"p-max must be a positive number, got {self.p_max}")
         if self.range is not None:
@@ -309,6 +311,19 @@ def _local_data_line(local) -> str:
     )
 
 
+def _map_check(exm: catalog.Example, phi, tol: float) -> dict:
+    """The sampled check that phi is a symplectomorphism of the example, as
+    a report's `symplectomorphism` entry."""
+    mrep = check_symplectomorphism(exm.manifold, exm.omega, phi, tol=tol)
+    return {
+        "symplectic_max": mrep.symplectic_max,
+        "inverse_max": mrep.inverse_max,
+        "samples": mrep.samples,
+        "flagged": mrep.flagged,
+        "pass": mrep.passed,
+    }
+
+
 def cmd_check(cfg: RunConfig, args) -> int:
     t0 = time.perf_counter()
     exm = _example_from_config(cfg)
@@ -317,15 +332,8 @@ def cmd_check(cfg: RunConfig, args) -> int:
     passed = local.passed
     if "map" in cfg.flags:
         phi = catalog.make_map(exm, cfg.map)
-        mrep = check_symplectomorphism(exm.manifold, exm.omega, phi, tol=cfg.tol)
-        payload["symplectomorphism"] = {
-            "symplectic_max": mrep.symplectic_max,
-            "inverse_max": mrep.inverse_max,
-            "samples": mrep.samples,
-            "flagged": mrep.flagged,
-            "pass": mrep.passed,
-        }
-        passed = passed and mrep.passed
+        payload["symplectomorphism"] = _map_check(exm, phi, cfg.tol)
+        passed = passed and payload["symplectomorphism"]["pass"]
     report = _report(cfg, payload, passed, time.perf_counter() - t0)
     report["timing"]["counters"] = _counters(exm, local.counters)
     lines = [
@@ -424,17 +432,31 @@ def cmd_act(cfg: RunConfig, args) -> int:
     pol = exm.polarization(cfg.polarization)
     crange = cfg.range or exm.census_range
     which = cfg.verify_targets
-    # invariance means nothing for data that breaks the bundle laws
     local = check_local_data(exm.cover, cfg.tol)
-    if not local.passed:
-        status = "invalid_local_data"
-        payload = {"local_data": local.as_dict(), "status": status}
-        report = _report(cfg, payload, False, time.perf_counter() - t0)
+
+    def refuse(status: str, payload: dict, line: str) -> int:
+        report = _report(cfg, {**payload, "status": status}, False, time.perf_counter() - t0)
         report["timing"]["counters"] = _counters(exm, local.counters)
-        _emit(report, args, [_local_data_line(local), f"status: {status}"])
+        _emit(report, args, [line, f"status: {status}"])
         return 1
+
+    # invariance means nothing for data that breaks the bundle laws
+    if not local.passed:
+        return refuse("invalid_local_data", {"local_data": local.as_dict()},
+                      _local_data_line(local))
     # one complementary cover (or obstruction) serves both theorems
-    built = build_complementary(phi, exm)
+    try:
+        built = build_complementary(phi, exm)
+    except InternalConsistencyError:
+        # a map whose arguments swamp float precision breaks the cover's
+        # invariants; when it is no symplectomorphism to tol, that is the
+        # verdict, as `check --map` gives it
+        mapped = _map_check(exm, phi, cfg.tol)
+        if mapped["pass"]:
+            raise
+        return refuse("invalid_map", {"symplectomorphism": mapped},
+                      f"map: symplectic={mapped['symplectic_max']:.3e} "
+                      f"inverse={mapped['inverse_max']:.3e}")
     counters = Counter(built.counters)
     counters.update(local.counters)
     if isinstance(built, CocycleObstruction):  # no theorem has its hypothesis

@@ -278,29 +278,27 @@ def test_sphere_census_against_lattice_oracle(models, k):
 
 
 # ---------------------------------------------------------------------------
-# Root solving
+# Root solving: bohr._crossings on one bracket.  The test_brent_root_* names
+# date from when the search past the first batch was Brent's method; they
+# now check the bisection that replaced it.
 
 
-def _brent_root(f, a: float, fa: float, b: float, fb: float, xtol: float) -> float:
-    """A root of f in the bracket [a, b] by bohr._brent_steps, evaluating f
-    at each label the method asks for."""
-    steps = bohr._brent_steps(a, fa, b, fb, xtol)
-    try:
-        x = next(steps)
-        while True:
-            x = steps.send(f(x))
-    except StopIteration as stop:
-        return stop.value
+def _root(f, a: float, fa: float, b: float, fb: float) -> tuple:
+    """The root bohr._crossings gives the one bracket (a, fa, b, fb) of f,
+    a < b, and the labels of each batch it asked f for."""
+    batches = []
+
+    def actions_at(labels):
+        batches.append(list(labels))
+        return [f(c) for c in labels]
+
+    (root,) = bohr._crossings([(a, fa, b, fb)], actions_at)
+    return root, batches
 
 
-def _counted(f):
-    calls = []
-
-    def g(x):
-        calls.append(x)
-        return f(x)
-
-    return g, calls
+def _most_labels(a: float, b: float) -> int:
+    """The probe pair, then one bisection a batch down to 1e-12."""
+    return 2 + math.ceil(math.log2((b - a) / bohr.CROSSING_XTOL))
 
 
 @pytest.mark.parametrize(
@@ -315,32 +313,33 @@ def _counted(f):
     ],
 )
 def test_brent_root_on_closed_forms(f, a, b, root):
-    bisections = math.ceil(math.log2((b - a) / 1e-12))
-    for lo, hi in ((a, b), (b, a)):
-        g, calls = _counted(f)
-        got = _brent_root(g, lo, f(lo), hi, f(hi), 1e-12)
-        assert abs(got - root) <= 1e-12
-        assert got in calls  # the root is a label f was evaluated at
-        assert len(calls) <= 3 * bisections
+    # each f is monotone on its bracket; scaled to at most 1 there, it stays
+    # within pi of its secant line, so every value is on its own branch
+    scale = 1.0 / max(abs(f(a)), abs(f(b)))
+    got, batches = _root(lambda x: scale * f(x), a, scale * f(a), b, scale * f(b))
+    assert abs(got - root) <= 1e-12
+    assert any(got in labels for labels in batches)  # a label f was evaluated at
+    assert len(batches) > 1  # the secant estimate missed: bisection ran
+    assert sum(map(len, batches)) <= _most_labels(a, b)
 
 
 def test_brent_root_at_a_bracket_end():
-    g, calls = _counted(lambda x: x - 0.3)
-    assert _brent_root(g, 0.3, 0.0, 1.0, 0.7, 1e-12) == 0.3
-    assert _brent_root(g, -1.0, -1.3, 0.3, 0.0, 1e-12) == 0.3
-    assert calls == []
+    # a crossing at an end: one probe lies inside, and the end is the root
+    for bracket in ((0.3, 0.0, 1.0, 0.7), (-1.0, -1.3, 0.3, 0.0)):
+        got, batches = _root(lambda x: x - 0.3, *bracket)
+        assert got == 0.3 and len(batches) == 1
 
 
 def test_brent_root_returns_on_an_exact_zero():
-    # zero on a whole interval: the first label inside it ends the search
-    g, calls = _counted(lambda x: min(0.0, x - 0.49) + max(0.0, x - 0.51))
-    got = _brent_root(g, 0.0, -0.49, 1.0, 0.49, 1e-12)
-    assert 0.49 <= got <= 0.51 and calls[-1] == got
-    assert [x for x in calls if 0.49 <= x <= 0.51] == [got]
-    # a secant step that lands on the root exactly
-    g, calls = _counted(lambda x: x - 0.25)
-    assert _brent_root(g, 0.0, -0.25, 1.0, 0.75, 1e-12) == 0.25
-    assert calls == [0.25]
+    # zero on a short interval the secant estimate misses: the first
+    # midpoint inside it ends the search
+    def f(x):
+        return min(0.0, x - 0.2) + max(0.0, 10.0 * (x - 0.21))
+
+    got, batches = _root(f, 0.0, f(0.0), 1.0, f(1.0))
+    assert 0.2 <= got <= 0.21 and f(got) == 0.0
+    assert batches[-1] == [got] and len(batches) > 2
+    assert [x for labels in batches for x in labels if 0.2 <= x <= 0.21] == [got]
 
 
 @pytest.mark.parametrize("root", [Fraction(100003, 10), -Fraction(500000001, 10)])
@@ -355,7 +354,7 @@ def test_brent_root_stops_at_the_float_spacing_of_large_labels(root):
 
     calls = []
     a = math.floor(root)
-    got = _brent_root(f, a, f(a), a + 1, f(a + 1), 1e-12)
+    got, _ = _root(f, a, f(a), a + 1, f(a + 1))
     assert abs(Fraction(got) - root) <= math.ulp(float(root))
 
 
@@ -367,7 +366,7 @@ def _assert_located(rep, want):
     got = sorted(rep.bs_locations)
     assert len(got) == len(want)
     assert np.max(np.abs(np.array(got) - want), initial=0.0) <= 1e-11
-    # Brent: about 37 holonomies a bracket would mean bisection
+    # the probe pair closes each bracket; bisection would take about 37
     assert rep.root_holonomy_evaluations <= 12 * rep.root_brackets
 
 
@@ -479,7 +478,7 @@ def test_a_flux_the_steps_disagree_with_exits_1(capsys, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# Batched census: prefetched transport and lockstep root solving
+# Batched census: prefetched transport and root solving in shared batches
 
 
 def _bracket_cases(seed: int) -> tuple:
@@ -525,24 +524,10 @@ def _bracket_cases(seed: int) -> tuple:
     return brackets, f
 
 
-def _search_alone(f, a: float, fa: float, b: float, fb: float) -> tuple:
-    """The crossing search of one bracket of f, run on its own: (root, the
-    labels of each step)."""
-    search = bohr._crossing_steps(a, fa, b, fb)
-    steps = []
-    try:
-        labels = next(search)
-        while True:
-            steps.append(labels)
-            labels = search.send([f(c) for c in labels])
-    except StopIteration as stop:
-        return stop.value, steps
-
-
-def _lockstep(brackets, f) -> tuple:
-    """bohr._lockstep on the searches of brackets (a, fa, b, fb) in distinct
-    unit-10 cells of the label line: (roots, batches), a batch being the
-    labels it asked for by cell, in the order asked."""
+def _batched(brackets, f) -> tuple:
+    """bohr._crossings on brackets (a, fa, b, fb) in distinct unit-10 cells
+    of the label line: (roots, batches), a batch being the labels it asked
+    for by cell, in the order asked."""
     batches = []
 
     def actions_at(labels):
@@ -552,32 +537,33 @@ def _lockstep(brackets, f) -> tuple:
         batches.append(batch)
         return [f(c) for c in labels]
 
-    searches = [bohr._crossing_steps(*bracket) for bracket in brackets]
-    return bohr._lockstep(searches, actions_at), batches
+    return bohr._crossings(brackets, actions_at), batches
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_lockstep_brackets_take_the_steps_they_take_alone(seed):
     brackets, f = _bracket_cases(seed)
-    alone = [_search_alone(f, *bracket) for bracket in brackets]
-    roots, batches = _lockstep(brackets, f)
+    alone = [_root(f, *bracket) for bracket in brackets]
+    roots, batches = _batched(brackets, f)
     assert roots == [root for root, _ in alone]
-    # lockstep step j batches step j of every search that takes one
+    # batch j holds batch j of every bracket still open
     for cell, (_, steps) in enumerate(alone):
         assert [batch[cell] for batch in batches if cell in batch] == steps
     sizes = [len(batch) for batch in batches]
     assert len(batches) == max(len(steps) for _, steps in alone)
     assert sizes == sorted(sizes, reverse=True)
-    # the first step asks for two labels a bracket, PROBE either side of one
-    # point; a Brent step after it asks for one
+    # the first batch asks for two labels a bracket, PROBE either side of
+    # one point; a bisection after it asks for one
     for cell, labels in batches[0].items():
         a, _, b, _ = brackets[cell]
         assert len(labels) <= 2 and all(a < c < b for c in labels)
         assert labels[-1] - labels[0] <= bohr.CROSSING_XTOL
     assert all(len(labels) == 1 for batch in batches[1:] for labels in batch.values())
-    # every root is within 1e-12 of a sign change of f
-    for root in roots:
+    # every root is within 1e-12 of a sign change of f, within bisection's
+    # bound on the labels
+    for root, (a, _, b, _), (_, steps) in zip(roots, brackets, alone):
         assert f(root - 1e-12) * f(root + 1e-12) <= 0.0
+        assert sum(map(len, steps)) <= _most_labels(a, b)
     finished = [len(steps) for _, steps in alone]
     assert 1 in finished and max(finished) > 1
 
@@ -599,7 +585,7 @@ def test_lockstep_asks_no_probe_outside_the_bracket():
     def f(x):
         return shapes[int(x // 10.0)](x)
 
-    roots, batches = _lockstep(brackets, f)
+    roots, batches = _batched(brackets, f)
     assert len(batches) == 1  # a linear action closes every bracket at once
     assert np.max(np.abs(np.array(roots) - crossings)) <= 1e-12
     skipped = 0
@@ -620,9 +606,9 @@ def test_lockstep_asks_no_probe_outside_the_bracket():
 )
 def test_crossing_search_when_the_phase_takes_the_long_way_round(start, turn, sign):
     # the action steps by more than pi across the bracket and is not linear,
-    # so the secant estimate misses and Brent continues; sent the action
+    # so the secant estimate misses and bisection continues; sent the action
     # less its target on the principal branch, the search still returns the
-    # crossing Brent on the action itself finds
+    # crossing of the action itself
     def action(c):
         return math.pi * (start + turn * c + 0.05 * c * c)
 
@@ -632,11 +618,13 @@ def test_crossing_search_when_the_phase_takes_the_long_way_round(start, turn, si
         return math.remainder(action(c) - target, TWO_PI)
 
     u0, u1 = action(0.0) - target, action(1.0) - target
-    root, steps = _search_alone(f, 0.0, u0, 1.0, u1)
-    want = _brent_root(lambda c: action(c) - target, 0.0, u0, 1.0, u1, 1e-12)
-    assert abs(root - want) <= 1e-12
+    root, steps = _root(f, 0.0, u0, 1.0, u1)
+    # action(c) = target: 0.05 c^2 + turn c + start - target / pi = 0
+    q = start - target / math.pi
+    want = 2.0 * q / (-turn - math.copysign(math.sqrt(turn * turn - 0.2 * q), turn))
+    assert 0.0 < want < 1.0 and abs(root - want) <= 1e-12
     assert math.copysign(1.0, math.cos(action(root))) == sign
-    assert 1 < len(steps) and sum(map(len, steps)) <= 20
+    assert 1 < len(steps) and sum(map(len, steps)) <= _most_labels(0.0, 1.0)
 
 
 def _census_cases(models):
@@ -715,7 +703,7 @@ def test_census_holonomy_calls_add_up(models, monkeypatch, name, params, crange,
     sampled = sum(1 for e in rep.entries if e.leaf.topology != "line")
     assert rep.census_refinements == 0
     assert len(calls) - sampled == rep.root_holonomy_evaluations
-    # one batch of sampled leaves, then one per lockstep step
+    # one batch of sampled leaves, then one per batch of the crossing searches
     assert len(batches) == 1 + rep.root_steps
 
 

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gqlab import catalog
+from gqlab import action, catalog
 from gqlab import expr as ex
 from gqlab.cli import ACT_READS, READS, RunConfig, _apply_corruption, main
 from gqlab.prequantum import ConfigurationError, check_local_data
@@ -309,7 +309,6 @@ def test_act_reads_the_settings_of_the_theorems_it_verifies(
 
 
 def test_act_builds_the_complementary_cover_once(capsys, monkeypatch):
-    import gqlab.action as action
     import gqlab.cli as cli
 
     calls = []
@@ -433,7 +432,7 @@ def test_bs_root_solving_stays_cheap_on_the_benchmark_census(capsys, monkeypatch
 
 def test_each_benchmark_census_line_takes_one_lockstep_step(capsys, monkeypatch):
     # every crossing search of a seed 1-3 census line ends in its first
-    # step: the two labels either side of its secant estimate straddle the
+    # batch: the two labels either side of its secant estimate straddle the
     # root, and the census reads both
     perfbench = Path(__file__).resolve().parent.parent / "perfbench"
     monkeypatch.syspath_prepend(str(perfbench))
@@ -448,6 +447,31 @@ def test_each_benchmark_census_line_takes_one_lockstep_step(capsys, monkeypatch)
                 counters["root_holonomy_evaluations"] == 2 * counters["root_brackets"]
             ), op.argv
             assert counters["census_refinements"] == 0, op.argv
+    # so does each of the two censuses of theorem 2 on an invariance line
+    # that passes; a census with no bracket (the plane's) takes no batch
+    censuses = []
+    census = action.bs_census
+
+    def recording(*args):
+        censuses.append(census(*args))
+        return censuses[-1]
+
+    monkeypatch.setattr(action, "bs_census", recording)
+    searched = 0
+    for seed in (1, 2, 3):
+        for op in workloads.round_ops("invariance", seed):
+            if op.exit_code != 0:
+                continue
+            censuses.clear()
+            assert main(list(op.argv)) == 0
+            capsys.readouterr()
+            assert len(censuses) == 2, op.argv
+            for rep in censuses:
+                assert rep.root_steps == (rep.root_brackets > 0), op.argv
+                assert rep.root_holonomy_evaluations == 2 * rep.root_brackets, op.argv
+                assert rep.census_refinements == 0, op.argv
+                searched += rep.root_brackets > 0
+    assert searched > 0
 
 
 @pytest.mark.parametrize("count,most", [(12, 40), (10, 18)])
@@ -676,7 +700,7 @@ def test_bs_reports_transport_counters(capsys, monkeypatch):
         "census_refinements", "transport_integrals", "transport_batches",
         "leaf_patterns", "transition_batches", "nerve_cells",
     }
-    # the sampled leaves and each lockstep step share one sweep per segment
+    # the sampled leaves and each root batch share one sweep per segment
     assert 0 < counters["transport_batches"] < counters["transport_integrals"]
     # each membership pattern is threaded once; each holonomy batch makes
     # one transition call, which runs each distinct transition formula of

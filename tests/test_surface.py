@@ -22,9 +22,6 @@ SRC = Path(gqlab.__file__).resolve().parent
 # module.qualified name -> the test or acceptance criterion that reads it,
 # the one reason it stays though no command line reaches it
 KEEP = {
-    # the crossing search past its first step, which only an action that is
-    # not near-linear across a step needs; every builtin model's is linear
-    "bohr._brent_steps": "tests/test_bohr.py::test_brent_root_on_closed_forms",
     "catalog.untwisted_circle_example": "criterion untwisted-degeneration",
     "catalog.untwisted_circle_example.data_builder": "criterion untwisted-degeneration",
     "cech.TransversalGrid.sub_cell_for": "criterion res-laws",
