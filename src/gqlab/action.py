@@ -21,7 +21,9 @@ label.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from collections.abc import Mapping
+from types import MappingProxyType
+from typing import NamedTuple
 
 import numpy as np
 
@@ -62,14 +64,13 @@ class InternalConsistencyError(RuntimeError):
     """Builtin data violated an identity the construction relies on."""
 
 
-@dataclass(frozen=True)
-class CocycleObstruction:
+class CocycleObstruction(NamedTuple):
     constants: dict  # (a, b, comp) -> complex, a < b
     witness_cycle: tuple  # element indices around an unsolvable cycle
     cycle_product: complex
     deviation: float  # |product - 1|
     constancy_max: float
-    counters: dict = field(default_factory=dict, compare=False)  # work done
+    counters: Mapping = MappingProxyType({})  # work done
 
     def as_dict(self) -> dict:
         return {
@@ -84,8 +85,7 @@ class CocycleObstruction:
         }
 
 
-@dataclass(frozen=True)
-class ComplementaryCover:
+class ComplementaryCover(NamedTuple):
     base: TrivializationCover  # pullback cover carrying the exact pulled-back data
     source: TrivializationCover
     phi: Symplectomorphism
@@ -94,7 +94,7 @@ class ComplementaryCover:
     gauge_closedness_max: float
     constancy_max: float
     certificate_max: float  # gauged naive data vs pulled-back data, sampled
-    counters: dict = field(default_factory=dict, compare=False)  # work done
+    counters: Mapping = MappingProxyType({})  # work done
 
     def as_dict(self) -> dict:
         return {
@@ -347,14 +347,13 @@ def chain_map(cochain: TrivCochain) -> TrivCochain:
 # Theorem verification
 
 
-@dataclass(frozen=True)
-class CorrespondenceReport:
+class CorrespondenceReport(NamedTuple):
     theorem: int
     status: str  # ok | hypothesis-failed | census-unresolved
     passed: bool
     witness: dict | None = None
-    payload: dict = field(default_factory=dict)
-    counters: dict = field(default_factory=dict, compare=False)  # work done
+    payload: Mapping = MappingProxyType({})
+    counters: Mapping = MappingProxyType({})  # work done
 
     def as_dict(self) -> dict:
         return {

@@ -19,7 +19,6 @@ a scalar product so that batching moves no bit of a result.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -46,8 +45,7 @@ class LeafSegment(NamedTuple):
     c_elem: float  # transverse label lifted into the element frame
 
 
-@dataclass(frozen=True)
-class Leaf:
+class Leaf(NamedTuple):
     label: float
     topology: str  # circle | line | point
     segments: tuple
@@ -498,15 +496,13 @@ def _branches(rows: np.ndarray) -> tuple:
     return np.concatenate([[0.0], -np.cumsum(turns)]), missed
 
 
-@dataclass(frozen=True)
-class BSEntry:
+class BSEntry(NamedTuple):
     leaf: Leaf
     holonomy: HolonomyResult | None
     is_bs: bool
 
 
-@dataclass(frozen=True)
-class BSReport:
+class BSReport(NamedTuple):
     entries: tuple
     bs_locations: tuple  # root-solved labels of smooth BS circle leaves
     q_bs_smooth: int
@@ -582,7 +578,8 @@ def bs_census(
     plus a period closes the window.  Each multiple of 2 pi that the
     unwrapped action crosses within a step opens one bracket, whose root is
     located to 1e-12 in the label (_crossings); a sample whose
-    holonomy is 1 is a location itself, and a crossing of -1 opens nothing.
+    holonomy is 1, or whose unwrapped action is a multiple of 2 pi to the
+    last bit, is a location itself, and a crossing of -1 opens nothing.
     Locations a multiple of the label period apart are one leaf.  Point
     leaves (declared singular points) are BS with trivial holonomy.
     Noncompact line leaves are excluded from the count unless
@@ -657,6 +654,13 @@ def bs_census(
     turns = np.floor((rows[:, 1] + TWO_PI * branches) / TWO_PI)
     c, a, bs = (rows[:, j].tolist() for j in (0, 1, 3))
     n, k = branches.tolist(), turns.tolist()
+    # a sample whose unwrapped action is a multiple of 2 pi to the last bit
+    # is a location: no step opens a bracket at a value of exactly 0, and
+    # at large labels its holonomy rounds too far from 1 for _at_bs
+    for j, (cj, aj, nj) in enumerate(zip(c, a, n)):
+        if not bs[j] and aj + TWO_PI * (nj - round(aj / TWO_PI + nj)) == 0.0:
+            bs[j] = True
+            locations.append(cj)
     for i in np.flatnonzero(turns[1:] != turns[:-1]).tolist():
         ends = {round(a[j] / TWO_PI + n[j]) for j in (i, i + 1) if bs[j]}
         for m in range(int(min(k[i], k[i + 1])), int(max(k[i], k[i + 1])) + 1):

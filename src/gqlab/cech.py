@@ -26,7 +26,9 @@ call per degree, and the block assembly is tested against it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Mapping
+from types import MappingProxyType
+from typing import NamedTuple
 
 import numpy as np
 
@@ -54,8 +56,7 @@ def half_offset_labels(lo: float, hi: float, count: int) -> np.ndarray:
     return lo + step * (np.arange(count) + 0.5)
 
 
-@dataclass(frozen=True)
-class CellGrid:
+class CellGrid(NamedTuple):
     label_idx: np.ndarray  # indices into the global label array
     c_cell: np.ndarray  # label values lifted into the cell frame
     t_bp: float  # leaf parameter of the basepoints: mid-cell
@@ -67,8 +68,7 @@ class CellGrid:
         return len(self.label_idx)
 
 
-@dataclass(frozen=True)
-class TransversalGrid:
+class TransversalGrid(NamedTuple):
     """Shared leaf discretization of a cover for one polarization.
 
     build makes it complete: every cell's labels and basepoints, the nerve
@@ -82,9 +82,9 @@ class TransversalGrid:
     labels: np.ndarray
     cells: dict  # nerve cell key -> CellGrid
     closed_cells: tuple
-    keys_by_degree: dict = field(repr=False)  # degree -> sorted nerve keys
-    frame: LeafFrame = field(repr=False, compare=False)  # of the nerve's cells
-    leaf_transport: LeafTransport = field(repr=False, compare=False)
+    keys_by_degree: dict  # degree -> sorted nerve keys
+    frame: LeafFrame  # of the nerve's cells
+    leaf_transport: LeafTransport
 
     # -- construction -------------------------------------------------------
 
@@ -184,8 +184,7 @@ def half_offset_grid(cover, polarization, count: int) -> TransversalGrid:
 # Cochain data
 
 
-@dataclass(frozen=True)
-class TrivCochain:
+class TrivCochain(NamedTuple):
     degree: int
     data: dict  # cell key -> ndarray (degree + 1, n_labels(cell))
 
@@ -401,8 +400,7 @@ def _block_offsets(grid: TransversalGrid, degree: int):
     return keys, offsets, total
 
 
-@dataclass(frozen=True)
-class LeafBlocks:
+class LeafBlocks(NamedTuple):
     """delta on image coefficients as one dense block per leaf label.
 
     Transport never leaves a leaf, so delta couples only coefficients on
@@ -553,8 +551,7 @@ def vector_to_cochain(grid, degree: int, vec: np.ndarray) -> TrivCochain:
     return out
 
 
-@dataclass(frozen=True)
-class DegreeRank:
+class DegreeRank(NamedTuple):
     degree: int
     dim_cochains: int
     delta_shape: tuple
@@ -579,13 +576,12 @@ class DegreeRank:
         }
 
 
-@dataclass(frozen=True)
-class RankReport:
+class RankReport(NamedTuple):
     degrees: tuple
     n_labels: int
     n_labels_retained: int
     threshold: float
-    counters: dict = field(default_factory=dict, compare=False)  # work done
+    counters: Mapping = MappingProxyType({})  # work done
 
     def as_dict(self) -> dict:
         return {

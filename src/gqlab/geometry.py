@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,8 +33,7 @@ def as_points(pts) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
-class Box:
+class Box(NamedTuple):
     """Closed coordinate rectangle; bounds live in unrolled coordinates,
     so on a periodic axis lo may be negative or hi may exceed the period."""
 
@@ -73,8 +73,7 @@ class Box:
         return np.column_stack([gx.ravel(), gy.ravel()])
 
 
-@dataclass(frozen=True)
-class Manifold:
+class Manifold(NamedTuple):
     name: str
     coords: tuple  # two coordinate names
     periods: tuple  # per axis: period or None
@@ -127,8 +126,7 @@ class Manifold:
         return pts[self.in_domain(pts)]
 
 
-@dataclass(frozen=True)
-class SymplecticForm:
+class SymplecticForm(NamedTuple):
     """omega = W dc0 ^ dc1 in the model coordinates."""
 
     coefficient: ex.Expr
@@ -252,8 +250,7 @@ class Polarization:
         )
 
 
-@dataclass(frozen=True)
-class LeafFrame:
+class LeafFrame(NamedTuple):
     """How the leaves of a polarization cross a list of coordinate boxes:
     the one rule that the leaf atlas and the transversal grid share.
 
@@ -327,8 +324,7 @@ class LeafFrame:
         return shifts[..., leaf_axis] * p_leaf, shifts[..., label_axis] * p_label
 
 
-@dataclass(frozen=True)
-class MapCheckReport:
+class MapCheckReport(NamedTuple):
     symplectic_max: float
     inverse_max: float
     samples: int

@@ -25,8 +25,10 @@ stops below n (require_degree).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from collections.abc import Mapping
+from dataclasses import dataclass, field
 from types import MappingProxyType
+from typing import NamedTuple
 
 import numpy as np
 
@@ -52,8 +54,7 @@ class RefinementError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class CoverElement:
+class CoverElement(NamedTuple):
     index: int
     box: Box
     contractible: bool
@@ -84,8 +85,7 @@ class LocalData:
             raise ConfigurationError(f"no transition for pair ({a}, {b})") from None
 
 
-@dataclass(frozen=True)
-class NerveCell:
+class NerveCell(NamedTuple):
     indices: tuple  # strictly increasing element indices
     comp: int  # component number within this index tuple
     box: Box  # in the frame of the first member
@@ -263,7 +263,7 @@ def pullback(cover: TrivializationCover, phi: Symplectomorphism) -> Trivializati
     manifold = cover.manifold
     shift = _shift_vector(phi, manifold)
     elements = [
-        el if shift is None else replace(el, box=el.box.shifted(tuple(-shift)))
+        el if shift is None else el._replace(box=el.box.shifted(tuple(-shift)))
         for el in cover.elements
     ]
     # the samples of every cell move in one map call; the map acts row by
@@ -274,7 +274,7 @@ def pullback(cover: TrivializationCover, phi: Symplectomorphism) -> Trivializati
     moved = manifold.reduce(phi.apply_inverse(manifold.reduce(samples)))
     parts = np.split(moved, sizes[:-1])
     cells = {
-        key: replace(cell, samples=part)
+        key: cell._replace(samples=part)
         for (key, cell), part in zip(source_cells.items(), parts)
     }
     nerve = Nerve(cells=cells, faces=cover.nerve.faces, max_degree=cover.nerve.max_degree)
@@ -455,15 +455,14 @@ def build_nerve(manifold: Manifold, elements, max_degree: int = MAX_DEGREE) -> N
 # Consistency checks
 
 
-@dataclass(frozen=True)
-class LocalDataReport:
+class LocalDataReport(NamedTuple):
     cocycle_max: float
     inverse_max: float
     curvature_max: float
     compatibility_max: float
     tol: float
     cells_checked: int
-    counters: dict = field(default_factory=dict, compare=False)  # work done
+    counters: Mapping = MappingProxyType({})  # work done
 
     @property
     def passed(self) -> bool:
@@ -616,7 +615,7 @@ def refine(cover: TrivializationCover, targets: list) -> tuple:
     assignment = {}
     for fine_index, target in enumerate(targets):
         box, contractible = (
-            target if isinstance(target, tuple) else (target, None)
+            (target, None) if isinstance(target, Box) else target
         )
         placed = False
         for el in cover.elements:

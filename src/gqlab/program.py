@@ -20,8 +20,8 @@ an LRU cache, which serves one-off formulas.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from . import expr as ex
 
@@ -51,8 +51,7 @@ _FN_OPS = {
 }
 
 
-@dataclass(frozen=True)
-class Program:
+class Program(NamedTuple):
     code: tuple  # ((opcode, argument), ...) of Python ints
     consts: tuple  # pool of Python complex numbers
     var_names: tuple  # variable j is input column j

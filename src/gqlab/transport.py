@@ -133,7 +133,7 @@ class LeafTransport:
                 # element whose integrand it is
                 shared: dict = {}  # run -> its number
                 number = np.zeros(members.max() + 1, dtype=int)  # by member
-                for member in np.unique(members).tolist():
+                for member in sorted(set(members.tolist())):
                     run = self.integrand(member)
                     number[member] = shared.setdefault(run, len(shared))
                 row_run = number[members]

@@ -248,7 +248,7 @@ def test_non_contractible_cover_rejected(models):
     exm = models("plane")
     el, *rest = exm.cover.elements
     cover = dataclasses.replace(
-        exm.cover, elements=(dataclasses.replace(el, contractible=False), *rest)
+        exm.cover, elements=(el._replace(contractible=False), *rest)
     )
     with pytest.raises(ConfigurationError, match="contractible"):
         build_complementary(
@@ -463,7 +463,7 @@ def test_theorem_1_fails_on_a_corrupted_target_transition(models):
     base = dataclasses.replace(
         comp.base, data=dataclasses.replace(data, transitions=transitions)
     )
-    corrupted = dataclasses.replace(comp, base=base)
+    corrupted = comp._replace(base=base)
     pol = exm.polarization()
     assert verify_theorem_1(comp, pol, grid_n=16).passed
     rep = verify_theorem_1(corrupted, pol, grid_n=16)
@@ -564,8 +564,6 @@ def test_theorem_2_names_a_label_the_censuses_do_not_share(models, monkeypatch,
                                                             capsys):
     # the leaf pairs zip the two censuses; a target census that samples
     # another label is a fault of the program, not a failed theorem
-    from dataclasses import replace
-
     from gqlab import cli
 
     calls = []
@@ -576,8 +574,8 @@ def test_theorem_2_names_a_label_the_censuses_do_not_share(models, monkeypatch,
         if len(calls) % 2:
             return rep
         entries = list(rep.entries)
-        entries[3] = replace(entries[3], leaf=replace(entries[3].leaf, label=0.1234))
-        return replace(rep, entries=tuple(entries))
+        entries[3] = entries[3]._replace(leaf=entries[3].leaf._replace(label=0.1234))
+        return rep._replace(entries=tuple(entries))
 
     monkeypatch.setattr(action, "bs_census", census)
     exm = models("torus", k=2)

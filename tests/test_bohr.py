@@ -393,6 +393,18 @@ def test_census_locations_on_the_cylinder(models, crange):
     assert rep.root_brackets == len(set(rep.bs_locations) - sampled)
 
 
+def test_census_counts_a_sample_exactly_on_a_multiple_of_2pi(models):
+    # at 1000001 the unwrapped action is 2 pi m to the last bit, so neither
+    # step opens a bracket, and the holonomy's rounding (about 1e-9) is
+    # above _at_bs's 1e-12: the sample itself is the location (the cylinder
+    # is the one `bs --range 999999.5:1000002.5` builds)
+    exm = models("cylinder", p_max=1000003.5)
+    rep = bs_census(exm.cover, exm.polarization(), (999999.5, 1000002.5), 7)
+    assert rep.q_bs_smooth == 3
+    assert [round(c) for c in rep.bs_locations] == [1000000, 1000001, 1000002]
+    assert all(abs(c - round(c)) < 1e-8 for c in rep.bs_locations)
+
+
 @pytest.mark.parametrize("k", range(2, 7))
 def test_census_locations_on_the_sphere(models, k):
     exm = models("sphere", k=k)

@@ -1,6 +1,5 @@
 """The trivialization complex: transport, projections, delta, ranks."""
 
-import dataclasses
 import itertools
 import math
 
@@ -823,22 +822,22 @@ def test_res_names_the_smallest_label_its_sub_cell_lacks(models):
     cg = grid.cells[face_key]
     carried = grid.cells[key].label_idx
     keep = ~np.isin(cg.label_idx, carried[:2])
-    trimmed = dataclasses.replace(
-        cg, label_idx=cg.label_idx[keep], c_cell=cg.c_cell[keep],
+    trimmed = cg._replace(
+        label_idx=cg.label_idx[keep], c_cell=cg.c_cell[keep],
         base_points=cg.base_points[keep],
     )
-    broken = dataclasses.replace(grid, cells={**grid.cells, face_key: trimmed})
+    broken = grid._replace(cells={**grid.cells, face_key: trimmed})
     with pytest.raises(LeafMismatchError, match=f"label {carried[0]} "):
         res(broken, face_key, key, np.ones((1, trimmed.count), dtype=complex))
     # in a batch too: delta restricts from every face at once
     with pytest.raises(LeafMismatchError, match=f"label {carried[0]} "):
         delta(broken, zero_cochain(broken, 0))
     # a closed sub cell carries no labels and restricts to zeros
-    closed = dataclasses.replace(
-        trimmed, label_idx=np.empty(0, int), c_cell=np.empty(0),
+    closed = trimmed._replace(
+        label_idx=np.empty(0, int), c_cell=np.empty(0),
         base_points=np.empty((0, 2)), closed=True,
     )
-    shut = dataclasses.replace(grid, cells={**grid.cells, face_key: closed})
+    shut = grid._replace(cells={**grid.cells, face_key: closed})
     out = res(shut, face_key, key, np.empty((1, 0), dtype=complex))
     assert out.shape == (2, grid.cells[key].count) and not out.any()
 

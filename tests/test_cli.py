@@ -781,3 +781,32 @@ def test_parser_is_built_once(capsys):
     assert run_cli(capsys, "bs", "--count", "x")[0] == 2
     code, report = run_json(capsys, "bs", "--example", "cylinder")
     assert code == 0 and report["config"]["count"] == 33
+
+
+def test_commands_never_import_numpy_ma():
+    # numpy.ma costs a cold process 20-37 ms; a bare np.unique call imports
+    # it (np.ma.is_masked), so a fresh interpreter runs each command and
+    # then looks
+    import os
+    import subprocess
+    import sys
+
+    import gqlab
+
+    script = (
+        "import contextlib, io, sys\n"
+        "from gqlab.cli import main\n"
+        "for argv in (['bs', '--example', 'torus', '--k', '2'],\n"
+        "             ['cohomology', '--example', 'torus', '--k', '2'],\n"
+        "             ['act', '--example', 'torus', '--k', '2',\n"
+        "              '--map', 'translate:pi,0', '--verify', 'thm1,thm2']):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert main(argv) == 0, argv\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    src = str(Path(gqlab.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": src},
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "False\n"

@@ -22,20 +22,58 @@ from gqlab.prequantum import (
 )
 
 
-def _gqlab_dataclasses():
+# The classes that stay frozen dataclasses (README, "Immutability"): as
+# tuples, expression nodes with equal parts would compare equal across
+# types; the others normalize their input in __post_init__, keep a cache
+# or need an instance __dict__ for cached_property.  Every other record is
+# a NamedTuple.
+DATACLASSES = {
+    "expr.Expr", "expr.Num", "expr.Pi", "expr.Imag", "expr.Var", "expr.Neg",
+    "expr.BinOp", "expr.Call",
+    "prequantum.LocalData", "prequantum.Nerve", "prequantum.TrivializationCover",
+    "catalog.Example", "cli.RunConfig",
+    "geometry.Symplectomorphism", "geometry.Polarization",
+}
+
+
+def _is_named_tuple(cls) -> bool:
+    return issubclass(cls, tuple) and hasattr(cls, "_fields")
+
+
+def _gqlab_records():
     for info in pkgutil.iter_modules(gqlab.__path__):
         module = importlib.import_module(f"gqlab.{info.name}")
         for _, obj in inspect.getmembers(module, inspect.isclass):
-            if obj.__module__ == module.__name__ and dataclasses.is_dataclass(obj):
+            if obj.__module__ == module.__name__ and (
+                dataclasses.is_dataclass(obj) or _is_named_tuple(obj)
+            ):
                 yield obj
 
 
-def test_every_gqlab_dataclass_is_frozen():
-    found = list(_gqlab_dataclasses())
+def _name(cls) -> str:
+    return f"{cls.__module__.removeprefix('gqlab.')}.{cls.__qualname__}"
+
+
+def test_every_gqlab_record_is_immutable():
+    found = list(_gqlab_records())
     assert len(found) > 20
-    mutable = [f"{c.__module__}.{c.__qualname__}" for c in found
-               if not c.__dataclass_params__.frozen]
+    mutable = [_name(c) for c in found
+               if dataclasses.is_dataclass(c) and not c.__dataclass_params__.frozen]
     assert mutable == []
+    for cls in found:
+        if dataclasses.is_dataclass(cls):
+            continue
+        record = cls._make([None] * len(cls._fields))
+        for name in cls._fields:
+            with pytest.raises(AttributeError):
+                setattr(record, name, None)
+        with pytest.raises(AttributeError):
+            record.extra = None
+
+
+def test_only_the_listed_classes_are_dataclasses():
+    found = {_name(c) for c in _gqlab_records() if dataclasses.is_dataclass(c)}
+    assert found == DATACLASSES
 
 
 KINDS = ("builtin", "pullback", "refine")
@@ -84,14 +122,15 @@ def test_cover_contents_are_read_only(covers, kind):
 
 def _mutable_values(obj, path, seen):
     """The paths under obj to a dict or list value, following dataclass
-    fields, mappings and tuples; a cover's compile cache is exempt."""
+    fields, mappings and tuples (a NamedTuple's by field name); a cover's
+    compile cache is exempt."""
     if id(obj) in seen:
         return []
     seen.add(id(obj))
     if isinstance(obj, (dict, list)):
         return [path]
     if isinstance(obj, tuple):
-        items = enumerate(obj)
+        items = zip(obj._fields, obj) if _is_named_tuple(type(obj)) else enumerate(obj)
     elif isinstance(obj, MappingProxyType):
         items = obj.items()
     elif dataclasses.is_dataclass(obj):

@@ -158,6 +158,20 @@ def test_self_refinement_is_identity(models):
     assert _refinement_gaps(fine, cover, refmap) == []
 
 
+def test_refine_takes_boxes_and_box_contractible_pairs(models):
+    # a Box is a tuple too: a bare box keeps its source element's flag, and
+    # a (box, contractible) pair sets its own
+    cover = models("torus", k=2).cover
+    boxes = [el.box for el in cover.elements]
+    flags = [not el.contractible for el in cover.elements]
+    plain, _ = refine(cover, boxes)
+    paired, _ = refine(cover, list(zip(boxes, flags)))
+    assert [el.box for el in plain.elements] == boxes
+    assert [el.box for el in paired.elements] == boxes
+    assert [el.contractible for el in plain.elements] == [not f for f in flags]
+    assert [el.contractible for el in paired.elements] == flags
+
+
 def test_split_refinement_passes_checks(models):
     cover = models("torus", k=2).cover
     fine, refmap = refine(cover, split_boxes(cover))
