@@ -176,10 +176,11 @@ class LeafAtlas:
     lifted into every element in one broadcast (LeafFrame.lift, the rule
     the transversal grid uses for its cells) and grouped by pattern; a
     pattern is threaded the first time it is met, and the switch points of
-    the whole batch come from one curve_points call.  The element boxes are the degree-0 cells of the cover's nerve,
-    which a pullback cover keeps from its source, and the switch points lie
-    on the polarization's own curve (phi^{-1} o gamma for a pushforward),
-    so a pullback cover is threaded like any other.
+    the whole batch come from one curve_points call.  The element boxes
+    are the degree-0 cells of the cover's nerve, which a pullback cover
+    keeps from its source, and the switch points lie on the polarization's
+    own curve (phi^{-1} o gamma for a pushforward), so a pullback cover is
+    threaded like any other.
     """
 
     def __init__(self, cover: TrivializationCover, pol: Polarization):
@@ -419,6 +420,7 @@ CROSSING_XTOL = 1e-12  # the label tolerance of a crossing search
 PROBE = 0.5 * CROSSING_XTOL  # how far either side of its secant estimate a search looks
 REFINE_ROUNDS = 4  # midpoint rounds a census may take to resolve its action steps
 MISMATCH = 0.5 * math.pi  # the most, mod 2 pi, by which a step may miss its prediction
+ROUNDING = 4 * 2.0**-52  # a sampled action's rounding, relative to its size
 
 
 class UnresolvedCensusError(ValueError):
@@ -481,7 +483,7 @@ def _crossings(brackets: list, actions_at) -> list:
 
 def _branches(rows: np.ndarray) -> tuple:
     """The unwrapping of sampled leaf actions by the flux: rows are (label,
-    action, flux, ...) in label order.  Returns (n, missed): the unwrapped
+    action, flux) in label order.  Returns (n, missed): the unwrapped
     action of sample i is its action + 2 pi n[i], with n[0] = 0, and
     missed holds the steps i, from sample i to i + 1, that miss their
     prediction by more than MISMATCH.
@@ -553,11 +555,6 @@ class BSReport(NamedTuple):
         }
 
 
-def _at_bs(h: HolonomyResult) -> bool:
-    """Whether a sampled leaf is itself a BS location."""
-    return abs(h.holonomy.imag) < 1e-12 and h.holonomy.real > 0.0
-
-
 def bs_census(
     cover: TrivializationCover,
     pol: Polarization,
@@ -575,11 +572,15 @@ def bs_census(
     sampled, all such midpoints in one batch a round; after REFINE_ROUNDS
     rounds UnresolvedCensusError names the step.  On a periodic label
     window one period wide, the step from the last sample to the first one
-    plus a period closes the window.  Each multiple of 2 pi that the
-    unwrapped action crosses within a step opens one bracket, whose root is
-    located to 1e-12 in the label (_crossings); a sample whose
-    holonomy is 1, or whose unwrapped action is a multiple of 2 pi to the
-    last bit, is a location itself, and a crossing of -1 opens nothing.
+    plus a period closes the window.  One r per sample, its unwrapped
+    action U less the nearest multiple 2 pi m, gives both the locations and
+    the brackets: the sample is a location when |r| <= ROUNDING (|U| +
+    |c A'(c)|), the rounding of the action and of the label as the flux
+    carries it, and its turn is m - (r < 0).  A step brackets each multiple
+    above the lower of its two turns up to the higher one, unless an end of
+    the step is located at it, and its root is located to 1e-12 in the
+    label (_crossings).  A crossing of -1 opens nothing.  A window whose
+    action rounds by more than MISMATCH raises ConfigurationError.
     Locations a multiple of the label period apart are one leaf.  Point
     leaves (declared singular points) are BS with trivial holonomy.
     Noncompact line leaves are excluded from the count unless
@@ -598,7 +599,7 @@ def bs_census(
     closed = [leaf for leaf in leaves if leaf.topology != "line"]
     hols = iter(holonomy(transport, closed))
     entries = []
-    sampled = []  # (label, action, whether a BS location) of the circle leaves
+    sampled = []  # (label, action) of the circle leaves
     lines = 0
     singular_bs = 0
     for leaf in leaves:
@@ -611,27 +612,32 @@ def bs_census(
         if leaf.topology == "point":
             singular_bs += 1
         else:
-            sampled.append((leaf.label, hres.action, _at_bs(hres)))
+            sampled.append((leaf.label, hres.action))
         entries.append(BSEntry(leaf, hres, is_bs))
 
     def sample(found: list) -> np.ndarray:
-        """Rows (label, action, flux, whether a BS location) in label order."""
+        """Rows (label, action, flux) in label order."""
         rows = np.array(found)
         rows = rows[np.argsort(rows[:, 0], kind="stable")]
-        return np.insert(rows, 2, transport.flux(rows[:, 0]), axis=1)
+        return np.column_stack([rows, transport.flux(rows[:, 0])])
 
-    hi = crange[1]
     period = pol.label_range[1] - pol.label_range[0] if pol.label_periodic else None
-    locations = [c for c, _, at_bs in sampled if at_bs]
+    rows = sample(sampled) if sampled else np.empty((0, 3))
     spans = bool(sampled) and _spans_a_period(pol, *crange)
-    rows = sample(sampled) if spans or len(sampled) > 1 else np.empty((0, 4))
     closes = spans and rows[-1, 0] < rows[0, 0] + period
     if closes:  # the first sample again, one period on
-        rows = np.vstack([rows, rows[:1] + [period, 0.0, 0.0, 0.0]])
+        rows = np.vstack([rows, rows[:1] + [period, 0.0, 0.0]])
 
     refinements = 0
     while True:
         branches, missed = _branches(rows)
+        unwrapped = rows[:, 1] + TWO_PI * branches
+        # the action's size, and the label's rounding as the flux carries it
+        size = np.abs(unwrapped) + np.abs(rows[:, 0] * rows[:, 2])
+        if ROUNDING * np.max(size, initial=0.0) > MISMATCH:
+            c = rows[np.argmax(size), 0].item()
+            raise ConfigurationError(f"the leaf action at label {c!r} rounds by "
+                                     "more than a quarter turn; no count is sound there")
         if not len(missed):
             break
         if refinements == REFINE_ROUNDS:
@@ -643,29 +649,21 @@ def bs_census(
         refinements += 1
         mids = (0.5 * (rows[missed, 0] + rows[missed + 1, 0])).tolist()
         found = holonomy(transport, atlas.leaves(mids))
-        new = sample([(c, h.action, _at_bs(h)) for c, h in zip(mids, found)])
-        locations += new[new[:, 3] > 0.0, 0].tolist()
-        rows = np.vstack([rows, new])
+        rows = np.vstack([rows, sample([(c, h.action) for c, h in zip(mids, found)])])
         rows = rows[np.argsort(rows[:, 0], kind="stable")]
 
-    # one bracket per multiple of 2 pi that a step of the unwrapped action
-    # crosses, unless a sample at its end is located there already
+    # one r per sample decides its location, its turn and its brackets' signs
+    m = np.round(unwrapped / TWO_PI)
+    r = rows[:, 1] + TWO_PI * (branches - m)
+    at = np.abs(r) <= ROUNDING * size
+    turns = m - (r < 0.0)
+    c, a, n, m, k = (x.tolist() for x in (rows[:, 0], rows[:, 1], branches, m, turns))
     brackets = []
-    turns = np.floor((rows[:, 1] + TWO_PI * branches) / TWO_PI)
-    c, a, bs = (rows[:, j].tolist() for j in (0, 1, 3))
-    n, k = branches.tolist(), turns.tolist()
-    # a sample whose unwrapped action is a multiple of 2 pi to the last bit
-    # is a location: no step opens a bracket at a value of exactly 0, and
-    # at large labels its holonomy rounds too far from 1 for _at_bs
-    for j, (cj, aj, nj) in enumerate(zip(c, a, n)):
-        if not bs[j] and aj + TWO_PI * (nj - round(aj / TWO_PI + nj)) == 0.0:
-            bs[j] = True
-            locations.append(cj)
     for i in np.flatnonzero(turns[1:] != turns[:-1]).tolist():
-        ends = {round(a[j] / TWO_PI + n[j]) for j in (i, i + 1) if bs[j]}
-        for m in range(int(min(k[i], k[i + 1])), int(max(k[i], k[i + 1])) + 1):
-            v0, v1 = a[i] + TWO_PI * (n[i] - m), a[i + 1] + TWO_PI * (n[i + 1] - m)
-            if v0 * v1 < 0.0 and m not in ends:
+        ends = {m[j] for j in (i, i + 1) if at[j]}
+        for t in range(int(min(k[i : i + 2])) + 1, int(max(k[i : i + 2])) + 1):
+            if t not in ends:
+                v0, v1 = a[i] + TWO_PI * (n[i] - t), a[i + 1] + TWO_PI * (n[i + 1] - t)
                 brackets.append((c[i], v0, c[i + 1], v1))
 
     root_steps = root_labels = 0
@@ -676,9 +674,9 @@ def bs_census(
         root_labels += len(labels)
         return [h.action for h in holonomy(transport, atlas.leaves(labels))]
 
-    locations += _crossings(brackets, actions_at)
+    locations = rows[at, 0].tolist() + _crossings(brackets, actions_at)
     if closes:  # the closing step's locations, back into the window
-        locations = [c - period if c >= hi else c for c in locations]
+        locations = [c - period if c >= crange[1] else c for c in locations]
 
     # one location per leaf: labels a multiple of the period apart coincide
     def same_leaf(c: float, u: float) -> bool:

@@ -394,15 +394,98 @@ def test_census_locations_on_the_cylinder(models, crange):
 
 
 def test_census_counts_a_sample_exactly_on_a_multiple_of_2pi(models):
-    # at 1000001 the unwrapped action is 2 pi m to the last bit, so neither
-    # step opens a bracket, and the holonomy's rounding (about 1e-9) is
-    # above _at_bs's 1e-12: the sample itself is the location (the cylinder
-    # is the one `bs --range 999999.5:1000002.5` builds)
+    # at 1000001 the unwrapped action is 2 pi m to the last bit, so r is 0,
+    # within the action's rounding, and the sample itself is the location;
+    # its holonomy reads a phase of about 1e-9 there (the cylinder is the
+    # one `bs --range 999999.5:1000002.5` builds)
     exm = models("cylinder", p_max=1000003.5)
     rep = bs_census(exm.cover, exm.polarization(), (999999.5, 1000002.5), 7)
     assert rep.q_bs_smooth == 3
     assert [round(c) for c in rep.bs_locations] == [1000000, 1000001, 1000002]
     assert all(abs(c - round(c)) < 1e-8 for c in rep.bs_locations)
+
+
+@pytest.mark.parametrize("j", range(14))
+def test_census_finds_every_integer_on_cylinder_windows_aligned_at_10_to_the_j(j):
+    # samples at multiples of the step hit the BS labels, the integers, where
+    # r rounds to either sign; a window holds 3 or 4 of them
+    base = 10.0**j
+    exm = catalog.example("cylinder", p_max=base + 4.0)
+    pol = exm.polarization()
+    for off in (-0.5, -0.25, 0.0, 0.25, 0.5):
+        for step in (1.0, 0.5, 0.25, 0.125):
+            lo, hi = base + off, base + off + 3.0
+            rep = bs_census(exm.cover, pol, (lo, hi), int(3.0 / step) + 1)
+            want = range(math.ceil(lo), math.floor(hi) + 1)
+            assert [round(c) for c in rep.bs_locations] == list(want), (off, step)
+            assert all(abs(c - round(c)) <= 1e-8 * c for c in rep.bs_locations)
+
+
+@pytest.mark.parametrize(
+    "crange, count, want",
+    [
+        ("9999.5:10002.5", "7", [10000, 10001, 10002]),
+        ("10000.25:10003.25", "13", [10001, 10002, 10003]),
+        ("1e6:1000002", "9", [1000000, 1000001, 1000002]),
+        ("1000:1003", "4", [1000, 1001, 1002, 1003]),
+    ],
+)
+def test_bs_finds_the_integers_of_a_cylinder_window_far_from_0(capsys, crange, count,
+                                                                 want):
+    argv = ["bs", "--example", "cylinder", "--range", crange, "--count", count, "--json"]
+    assert main(argv) == 0
+    census = json.loads(capsys.readouterr().out)["payload"]["census"]
+    assert census["q_bs"] == len(want)
+    assert np.max(np.abs(np.array(census["bs_locations"]) - want)) <= 1e-8
+
+
+@pytest.mark.parametrize("k", [1, 3, 8])
+def test_census_locations_on_torus_windows_many_periods_out(models, k):
+    # labels c and c + 2 pi N are the same leaf: k BS leaves per period
+    # window, whatever N, each at a multiple of 2 pi / k to the label's
+    # rounding; a half-period window starting on a BS label holds both ends
+    exm = models("torus", k=k)
+    pol = exm.polarization()
+    for j in range(4, 13):
+        for off in (0.37 * TWO_PI / k, 1.9):
+            lo = TWO_PI * 10.0**j + off
+            rep = bs_census(exm.cover, pol, (lo, lo + TWO_PI), 24)
+            phases = np.array(rep.bs_locations) * k / TWO_PI
+            assert rep.q_bs == k and len(set(np.round(phases) % k)) == k, (j, off)
+            assert np.max(np.abs(phases - np.round(phases))) <= 1e-3
+        lo = TWO_PI * 10.0**j
+        rep = bs_census(exm.cover, pol, (lo, lo + 0.5 * TWO_PI), 24)
+        assert rep.q_bs == k // 2 + 1, j
+
+
+@pytest.mark.parametrize("k", [4, 5, 7, 8])
+def test_census_counts_both_ends_of_torus_windows_between_bs_labels(models, k):
+    # a BS label away from 0 lifts into the elements with a rounding that
+    # the flux carries into the action (r is -1.2e-14 at -26 pi / 7 for
+    # k = 7, where |U| is 2 pi): the location rule weighs r against it too
+    exm = models("torus", k=k)
+    pol = exm.polarization()
+    for j in range(-2 * k, 2 * k + 1):
+        lo, hi = TWO_PI * j / k, TWO_PI * (j + 1) / k
+        for crange in ((lo, hi), (-hi, -lo)):
+            rep = bs_census(exm.cover, pol, crange, 2)
+            assert rep.q_bs == 2, crange
+            assert np.allclose(rep.bs_locations, crange)
+
+
+@pytest.mark.parametrize(
+    "argv, q_bs",
+    [
+        (("cylinder", "--range", "1:2"), 1),
+        (("torus", "--k", "2", "--range", "0:1"), 1),
+        (("sphere", "--k", "3", "--range", "1:2"), 3),  # two poles and label 1
+    ],
+)
+def test_a_single_sample_window_counts_its_sample(capsys, argv, q_bs):
+    assert main(["bs", "--example", *argv, "--count", "1", "--json"]) == 0
+    census = json.loads(capsys.readouterr().out)["payload"]["census"]
+    lo = float(argv[-1].split(":")[0])  # the one sample, a BS label
+    assert census["q_bs"] == q_bs and census["bs_locations"] == [lo]
 
 
 @pytest.mark.parametrize("k", range(2, 7))

@@ -155,6 +155,8 @@ BAD_CONFIG = [
      "--verify", "thm2,thm1,thm2", "--json"),
     # a seed NumPy's generator refuses
     ("act", "--example", "torus", "--k", "2", "--map", "translate:pi,0", "--seed", "-3"),
+    # labels whose leaf action rounds by more than a quarter turn
+    ("bs", "--example", "cylinder", "--range", "1e15:1000000000000003", "--count", "7"),
 ]
 
 
