@@ -572,19 +572,18 @@ def bs_census(
     sampled, all such midpoints in one batch a round; after REFINE_ROUNDS
     rounds UnresolvedCensusError names the step.  On a periodic label
     window one period wide, the step from the last sample to the first one
-    plus a period closes the window.  One r per sample, its unwrapped
-    action U less the nearest multiple 2 pi m, gives both the locations and
-    the brackets: the sample is a location when |r| <= ROUNDING (|U| +
-    |c A'(c)|), the rounding of the action and of the label as the flux
-    carries it, and its turn is m - (r < 0).  A step brackets each multiple
-    above the lower of its two turns up to the higher one, unless an end of
-    the step is located at it, and its root is located to 1e-12 in the
-    label (_crossings).  A crossing of -1 opens nothing.  A window whose
-    action rounds by more than MISMATCH raises ConfigurationError.
-    Locations a multiple of the label period apart are one leaf.  Point
-    leaves (declared singular points) are BS with trivial holonomy.
-    Noncompact line leaves are excluded from the count unless
-    include_lines is set (they all admit covariantly constant sections).
+    plus a period closes the window.  A window whose action rounds by more
+    than MISMATCH raises ConfigurationError.  One r per sample, its
+    unwrapped action U less the nearest multiple 2 pi m, decides it: it is
+    located at m when |r| <= ROUNDING (|U| + |c A'(c)|), its rounding, and
+    its turn is m - (r < 0).  Neighbours located at one multiple are one
+    location, the one with the least |r|.  A step brackets each multiple
+    above the lower of its turns up to the higher one, unless an end is
+    located at it; _crossings locates the root to 1e-12 in the label.  A
+    crossing of -1 opens nothing.  Locations a period apart are one leaf.
+    Point leaves (declared singular points) are BS with trivial holonomy.
+    Noncompact line leaves are excluded from the count unless include_lines
+    is set (they all admit covariantly constant sections).
 
     The census threads on one LeafAtlas, so each membership pattern is
     threaded once.  The sampled leaves take one holonomy batch, with at
@@ -596,24 +595,21 @@ def bs_census(
     transport = LeafTransport(cover, pol)
     atlas = LeafAtlas(cover, pol)
     leaves = enumerate_leaves(atlas, crange, count)
-    closed = [leaf for leaf in leaves if leaf.topology != "line"]
-    hols = iter(holonomy(transport, closed))
+    hols = iter(holonomy(transport, [leaf for leaf in leaves if leaf.topology != "line"]))
     entries = []
     sampled = []  # (label, action) of the circle leaves
-    lines = 0
-    singular_bs = 0
+    lines = singular_bs = 0
     for leaf in leaves:
         if leaf.topology == "line":
             lines += 1
             entries.append(BSEntry(leaf, None, include_lines))
             continue
         hres = next(hols)
-        is_bs = abs(hres.phase) < tol
         if leaf.topology == "point":
             singular_bs += 1
         else:
             sampled.append((leaf.label, hres.action))
-        entries.append(BSEntry(leaf, hres, is_bs))
+        entries.append(BSEntry(leaf, hres, abs(hres.phase) < tol))
 
     def sample(found: list) -> np.ndarray:
         """Rows (label, action, flux) in label order."""
@@ -632,7 +628,8 @@ def bs_census(
     while True:
         branches, missed = _branches(rows)
         unwrapped = rows[:, 1] + TWO_PI * branches
-        # the action's size, and the label's rounding as the flux carries it
+        # the action's size and the label's rounding as the flux carries it,
+        # checked each round: beyond the limit refinement may end unresolved
         size = np.abs(unwrapped) + np.abs(rows[:, 0] * rows[:, 2])
         if ROUNDING * np.max(size, initial=0.0) > MISMATCH:
             c = rows[np.argmax(size), 0].item()
@@ -656,10 +653,17 @@ def bs_census(
     m = np.round(unwrapped / TWO_PI)
     r = rows[:, 1] + TWO_PI * (branches - m)
     at = np.abs(r) <= ROUNDING * size
-    turns = m - (r < 0.0)
-    c, a, n, m, k = (x.tolist() for x in (rows[:, 0], rows[:, 1], branches, m, turns))
+    c, a, n, m, k = (x.tolist() for x in (rows[:, 0], rows[:, 1], branches, m, m - (r < 0.0)))
+    located = []  # (|r|, label): at large labels neighbours share a location
+    for i in np.flatnonzero(at).tolist():
+        if i and at[i - 1] and m[i - 1] == m[i]:
+            located[-1] = min(located[-1], (abs(r[i]), c[i]))
+        else:
+            located.append((abs(r[i]), c[i]))
+    if closes and at[0] and at[-1] and len(located) > 1:  # one run, across the close
+        located[0] = min(located[0], located.pop())
     brackets = []
-    for i in np.flatnonzero(turns[1:] != turns[:-1]).tolist():
+    for i in np.flatnonzero(np.diff(k)).tolist():
         ends = {m[j] for j in (i, i + 1) if at[j]}
         for t in range(int(min(k[i : i + 2])) + 1, int(max(k[i : i + 2])) + 1):
             if t not in ends:
@@ -674,7 +678,7 @@ def bs_census(
         root_labels += len(labels)
         return [h.action for h in holonomy(transport, atlas.leaves(labels))]
 
-    locations = rows[at, 0].tolist() + _crossings(brackets, actions_at)
+    locations = [c for _, c in located] + _crossings(brackets, actions_at)
     if closes:  # the closing step's locations, back into the window
         locations = [c - period if c >= crange[1] else c for c in locations]
 
@@ -687,15 +691,13 @@ def bs_census(
         if not any(same_leaf(c, u) for u in unique):
             unique.append(c)
 
-    q_smooth = len(unique)
-    q_total = q_smooth + singular_bs + (lines if include_lines else 0)
     change = rows[-1, 1] - rows[0, 1] + TWO_PI * branches[-1] if len(rows) else 0.0
     return BSReport(
         entries=tuple(entries),
         bs_locations=tuple(unique),
-        q_bs_smooth=q_smooth,
+        q_bs_smooth=len(unique),
         q_bs_singular=singular_bs,
-        q_bs=q_total,
+        q_bs=len(unique) + singular_bs + (lines if include_lines else 0),
         lines_excluded=0 if include_lines else lines,
         tol=tol,
         action_change=float(change),

@@ -421,22 +421,35 @@ def test_census_finds_every_integer_on_cylinder_windows_aligned_at_10_to_the_j(j
             assert all(abs(c - round(c)) <= 1e-8 * c for c in rep.bs_locations)
 
 
-@pytest.mark.parametrize(
-    "crange, count, want",
-    [
-        ("9999.5:10002.5", "7", [10000, 10001, 10002]),
-        ("10000.25:10003.25", "13", [10001, 10002, 10003]),
-        ("1e6:1000002", "9", [1000000, 1000001, 1000002]),
-        ("1000:1003", "4", [1000, 1001, 1002, 1003]),
-    ],
-)
-def test_bs_finds_the_integers_of_a_cylinder_window_far_from_0(capsys, crange, count,
-                                                                 want):
-    argv = ["bs", "--example", "cylinder", "--range", crange, "--count", count, "--json"]
+def test_bs_finds_the_integers_of_a_cylinder_window_far_from_0(capsys):
+    # a width-2 window, which the aligned windows above do not cover
+    argv = ["bs", "--example", "cylinder", "--range", "1e6:1000002", "--count", "9", "--json"]
     assert main(argv) == 0
     census = json.loads(capsys.readouterr().out)["payload"]["census"]
-    assert census["q_bs"] == len(want)
-    assert np.max(np.abs(np.array(census["bs_locations"]) - want)) <= 1e-8
+    assert census["bs_locations"] == [1000000.0, 1000001.0, 1000002.0]
+
+
+@pytest.mark.parametrize("base, count", [(1e13, 301), (1e12, 3001)])
+def test_census_counts_each_integer_once_when_samples_are_finer_than_the_rounding(
+    base, count
+):
+    # the rounding at 10^13 is about 0.02 in the label: several samples in a
+    # row are located at each integer, and they are one location
+    exm = catalog.example("cylinder", p_max=base + 4.0)
+    rep = bs_census(exm.cover, exm.polarization(), (base, base + 3.0), count)
+    assert rep.bs_locations == (base, base + 1.0, base + 2.0, base + 3.0)
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_census_counts_k_leaves_on_a_fine_torus_period_far_out(models, k):
+    # at 2 pi 10^12 the rounding is about 0.005 in the label, more than a
+    # step of 2 pi / 1001; a run of located samples can reach the closing
+    # step and go on into the first samples, and is still one location
+    exm = models("torus", k=k)
+    pol = exm.polarization()
+    for i in range(-6, 7):
+        lo = TWO_PI * 1e12 + 0.001 * i
+        assert bs_census(exm.cover, pol, (lo, lo + TWO_PI), 1001).q_bs == k, i
 
 
 @pytest.mark.parametrize("k", [1, 3, 8])
