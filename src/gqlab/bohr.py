@@ -263,13 +263,19 @@ class LeafAtlas:
         return leaves
 
 
+def _label_slack(a: float, b: float) -> float:
+    """How far apart two labels a and b may lie and still be one label:
+    1e-9, plus the rounding of labels that large."""
+    return 1e-9 + ROUNDING * max(abs(a), abs(b))
+
+
 def _spans_a_period(pol: Polarization, lo: float, hi: float) -> bool:
-    """Whether a label window covers one full period of a periodic label.
-    enumerate_leaves samples such a window half-open, and bs_census closes
-    it with a step from the last sample to the first one plus a period; any
-    other window is sampled at both ends."""
+    """Whether a label window covers one full period of a periodic label,
+    to within _label_slack.  enumerate_leaves samples such a window
+    half-open, and bs_census closes it with a step from the last sample to
+    the first one plus a period; any other window is sampled at both ends."""
     period = pol.label_range[1] - pol.label_range[0]
-    return pol.label_periodic and hi - lo >= period - 1e-9
+    return pol.label_periodic and hi - lo >= period - _label_slack(lo, hi)
 
 
 def enumerate_leaves(atlas: LeafAtlas, crange: tuple, count: int) -> list:
@@ -280,11 +286,17 @@ def enumerate_leaves(atlas: LeafAtlas, crange: tuple, count: int) -> list:
         raise ConfigurationError("count must be >= 1")
     pol = atlas.polarization
     lo, hi = crange
+    spans = _spans_a_period(pol, lo, hi)
+    if count < 2 and lo != hi and not spans:
+        raise ConfigurationError(
+            f"range {lo}:{hi} needs count >= 2: one sample stands for one "
+            "label or for one full period of a periodic label"
+        )
     with np.errstate(over="ignore", invalid="ignore"):
-        if _spans_a_period(pol, lo, hi):
+        if spans:
             values = lo + (hi - lo) * np.arange(count) / count
         else:
-            values = np.linspace(lo, hi, count) if count > 1 else np.array([lo])
+            values = np.linspace(lo, hi, count)
     if not np.all(np.isfinite(values)):
         raise ConfigurationError(
             f"range {lo}:{hi} is too wide to sample: its labels overflow"
@@ -684,7 +696,8 @@ def bs_census(
 
     # one location per leaf: labels a multiple of the period apart coincide
     def same_leaf(c: float, u: float) -> bool:
-        return abs(math.remainder(c - u, period) if period else c - u) < 1e-9
+        gap = math.remainder(c - u, period) if period else c - u
+        return abs(gap) < _label_slack(c, u)
 
     unique = []
     for c in sorted(locations):

@@ -28,6 +28,7 @@ from .geometry import (
     Polarization,
     SymplecticForm,
     Symplectomorphism,
+    axis_polarization,
     identity_map,
 )
 from .prequantum import (
@@ -59,8 +60,7 @@ class Example:
 
     data_builder gives the family's local data on any layout of element
     boxes (a list of Boxes, one per element index); the cover's data is
-    its value on the cover's own boxes.  polarizations is a read-only copy
-    of the mapping given.
+    its value on the cover's own boxes.
     """
 
     name: str
@@ -73,13 +73,8 @@ class Example:
     map_specs: tuple  # names accepted by make_map
     census_range: tuple
 
-    def __post_init__(self):
-        object.__setattr__(self, "polarizations", MappingProxyType(dict(self.polarizations)))
-
     def polarization(self, name: str | None = None) -> Polarization:
-        key = name or self.default_polarization
-        if key in ("default", None):
-            key = self.default_polarization
+        key = self.default_polarization if name in (None, "", "default") else name
         if key not in self.polarizations:
             raise ConfigurationError(
                 f"unknown polarization {key!r} for {self.name}; "
@@ -92,6 +87,40 @@ def _require_positive_k(k) -> int:
     if not isinstance(k, (int, np.integer)) or k <= 0:
         raise ConfigurationError(f"k must be a positive integer, got {k!r}")
     return int(k)
+
+
+def _assemble(
+    manifold: Manifold,
+    omega: SymplecticForm,
+    boxes: list,
+    data_builder: Callable,
+    polarizations: tuple,
+    map_specs: tuple,
+    census_range: tuple,
+    nerve_degree: int = MAX_DEGREE,
+) -> Example:
+    """The model on `manifold`: one contractible cover element per box,
+    with the family's local data on those boxes and the nerve built to
+    nerve_degree.  The first of `polarizations` is the default."""
+    elements = [CoverElement(n, box, True) for n, box in enumerate(boxes)]
+    cover = TrivializationCover(
+        manifold=manifold,
+        omega=omega,
+        elements=elements,
+        data=data_builder(boxes),
+        nerve=build_nerve(manifold, elements, nerve_degree),
+    )
+    return Example(
+        name=manifold.name,
+        manifold=manifold,
+        omega=omega,
+        cover=cover,
+        data_builder=data_builder,
+        polarizations=MappingProxyType({pol.name: pol for pol in polarizations}),
+        default_polarization=polarizations[0].name,
+        map_specs=map_specs,
+        census_range=census_range,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -108,13 +137,10 @@ def _plane_example(
         periods=(None, None),
         window=Box((-half_width, -half_width), (half_width, half_width)),
     )
-    omega = SymplecticForm(Num(1.0))
     pad = 0.4
     big = half_width + pad
     if granularity == 1:
-        elements = [
-            CoverElement(0, Box((-big, -big), (big, big)), True)
-        ]
+        boxes = [Box((-big, -big), (big, big))]
         # theta = (x dy - y dx) / 2
         data = LocalData(
             transitions={},
@@ -122,10 +148,7 @@ def _plane_example(
         )
     elif granularity == 2:
         strip = 0.6
-        elements = [
-            CoverElement(0, Box((-big, -big), (strip, big)), True),
-            CoverElement(1, Box((-strip, -big), (big, big)), True),
-        ]
+        boxes = [Box((-big, -big), (strip, big)), Box((-strip, -big), (big, big))]
         # left: theta = x dy, right: theta = -y dx; the forced transition is
         # exp(i x y) since theta_L - theta_R = d(xy).
         lam = call("exp", mul(Imag(), mul(x, y)))
@@ -140,47 +163,15 @@ def _plane_example(
     def data_builder(layout):
         return data
 
-    cover = TrivializationCover(
-        manifold=manifold,
-        omega=omega,
-        elements=elements,
-        data=data,
-        nerve=build_nerve(manifold, elements, nerve_degree),
-    )
-    vertical = Polarization(
-        name="vertical",
-        fiber_map=x,
-        generator=(ex.ZERO, ex.ONE),
-        coords=("x", "y"),
-        kind="axis",
-        curve=(Var("c"), Var("t")),
-        leaf_axis=1,
-        label_axis=0,
-        leaf_period=None,
-        label_range=(-half_width, half_width),
-    )
-    horizontal = Polarization(
-        name="horizontal",
-        fiber_map=y,
-        generator=(ex.ONE, ex.ZERO),
-        coords=("x", "y"),
-        kind="axis",
-        curve=(Var("t"), Var("c")),
-        leaf_axis=0,
-        label_axis=1,
-        leaf_period=None,
-        label_range=(-half_width, half_width),
-    )
-    return Example(
-        name="plane",
-        manifold=manifold,
-        omega=omega,
-        cover=cover,
-        data_builder=data_builder,
-        polarizations={"vertical": vertical, "horizontal": horizontal},
-        default_polarization="vertical",
+    return _assemble(
+        manifold, SymplecticForm(Num(1.0)), boxes, data_builder,
+        (
+            axis_polarization("vertical", manifold, leaf_axis=1),
+            axis_polarization("horizontal", manifold, leaf_axis=0),
+        ),
         map_specs=("identity", "shear", "rot", "translate"),
         census_range=(-3.5, 3.5),
+        nerve_degree=nerve_degree,
     )
 
 
@@ -223,17 +214,10 @@ def _torus_example(
     )
     # theta = (k/2pi) x2 dx1 on every patch (branch from the patch frame),
     # hence omega = d theta = -(k/2pi) dx1 ^ dx2.
-    omega = SymplecticForm(Num(-k / TWO_PI))
     theta = (mul(Num(k / TWO_PI), x2), ex.ZERO)
 
-    def interval(n: int) -> tuple:
-        return (n * TWO_PI / g - m, (n + 1) * TWO_PI / g + m)
-
-    boxes = []
-    for row in range(g):
-        for col in range(g):
-            i1, i2 = interval(col), interval(row)
-            boxes.append(Box((i1[0], i2[0]), (i1[1], i2[1])))
+    cuts = [(n * TWO_PI / g - m, (n + 1) * TWO_PI / g + m) for n in range(g)]
+    boxes = [Box((i1[0], i2[0]), (i1[1], i2[1])) for i2 in cuts for i1 in cuts]
 
     # the transition across a row offset nu is exp(i k nu x1), one formula
     # per offset shared by every pair with that offset
@@ -257,37 +241,12 @@ def _torus_example(
         potentials = {n: theta for n in range(len(layout))}
         return LocalData(transitions=transitions, potentials=potentials)
 
-    elements = [CoverElement(n, box, True) for n, box in enumerate(boxes)]
-    cover = TrivializationCover(
-        manifold=manifold,
-        omega=omega,
-        elements=elements,
-        data=data_builder(boxes),
-        nerve=build_nerve(manifold, elements, nerve_degree),
-    )
-    pol = Polarization(
-        name="horizontal-circles",
-        fiber_map=x2,
-        generator=(ex.ONE, ex.ZERO),
-        coords=("x1", "x2"),
-        kind="axis",
-        curve=(Var("t"), Var("c")),
-        leaf_axis=0,
-        label_axis=1,
-        leaf_period=TWO_PI,
-        label_range=(0.0, TWO_PI),
-        label_periodic=True,
-    )
-    return Example(
-        name="torus",
-        manifold=manifold,
-        omega=omega,
-        cover=cover,
-        data_builder=data_builder,
-        polarizations={"horizontal-circles": pol},
-        default_polarization="horizontal-circles",
+    return _assemble(
+        manifold, SymplecticForm(Num(-k / TWO_PI)), boxes, data_builder,
+        (axis_polarization("horizontal-circles", manifold, leaf_axis=0),),
         map_specs=("identity", "translate"),
         census_range=(0.0, TWO_PI),
+        nerve_degree=nerve_degree,
     )
 
 
@@ -302,15 +261,13 @@ def _cylinder_example(
     if g < 2:
         raise ConfigurationError("cylinder cover needs granularity >= 2")
     m = min(0.35, 0.9 * math.pi / g)
-    x, p = Var("x"), Var("p")
+    p = Var("p")
     manifold = Manifold(
         name="cylinder",
         coords=("x", "p"),
         periods=(TWO_PI, None),
         window=Box((0.0, -p_max), (TWO_PI, p_max)),
     )
-    # theta = p dx, so omega = dp ^ dx = -(dx ^ dp).
-    omega = SymplecticForm(Num(-1.0))
     pad = 0.2
     boxes = [
         Box(
@@ -321,46 +278,19 @@ def _cylinder_example(
     ]
 
     def data_builder(layout):
-        transitions = {}
-        for a in range(len(layout)):
-            for b in range(len(layout)):
-                if a != b:
-                    transitions[(a, b)] = ex.ONE
+        n = len(layout)
         return LocalData(
-            transitions=transitions,
-            potentials={n: (p, ex.ZERO) for n in range(len(layout))},
+            transitions={(a, b): ex.ONE for a in range(n) for b in range(n) if a != b},
+            potentials={a: (p, ex.ZERO) for a in range(n)},
         )
 
-    elements = [CoverElement(n, box, True) for n, box in enumerate(boxes)]
-    cover = TrivializationCover(
-        manifold=manifold,
-        omega=omega,
-        elements=elements,
-        data=data_builder(boxes),
-        nerve=build_nerve(manifold, elements, nerve_degree),
-    )
-    pol = Polarization(
-        name="momentum-circles",
-        fiber_map=p,
-        generator=(ex.ONE, ex.ZERO),
-        coords=("x", "p"),
-        kind="axis",
-        curve=(Var("t"), Var("c")),
-        leaf_axis=0,
-        label_axis=1,
-        leaf_period=TWO_PI,
-        label_range=(-p_max, p_max),
-    )
-    return Example(
-        name="cylinder",
-        manifold=manifold,
-        omega=omega,
-        cover=cover,
-        data_builder=data_builder,
-        polarizations={"momentum-circles": pol},
-        default_polarization="momentum-circles",
+    # theta = p dx, so omega = dp ^ dx = -(dx ^ dp).
+    return _assemble(
+        manifold, SymplecticForm(Num(-1.0)), boxes, data_builder,
+        (axis_polarization("momentum-circles", manifold, leaf_axis=0),),
         map_specs=("identity", "translate", "pshift"),
         census_range=(-2.5, 2.5),
+        nerve_degree=nerve_degree,
     )
 
 
@@ -377,65 +307,36 @@ def _sphere_example(k: int, nerve_degree: int = MAX_DEGREE) -> Example:
         periods=(None, TWO_PI),
         window=Box((0.0, 0.0), (float(k), TWO_PI)),
     )
-    omega = SymplecticForm(Num(1.0))  # omega = dz ^ dphi, total area 2 pi k
     boxes = [
         Box((0.0, 0.0), (0.65 * k, TWO_PI)),  # north patch, contains z = 0 pole
         Box((0.35 * k, 0.0), (float(k), TWO_PI)),  # south patch
     ]
 
     def data_builder(layout):
-        anchors = [
-            0.0 if box.lo[0] <= 1e-9 else float(k) for box in layout
-        ]
+        anchors = [0.0 if box.lo[0] <= 1e-9 else float(k) for box in layout]
         transitions = {}
         potentials = {}
-        for a, box in enumerate(layout):
+        for a, anchor in enumerate(anchors):
             # theta = (z - anchor) dphi vanishes at the pole the patch owns
-            potentials[a] = (ex.ZERO, ex.sub(z, Num(anchors[a])))
-            for b in range(len(layout)):
-                if a == b:
-                    continue
-                diff = anchors[b] - anchors[a]
-                if diff == 0.0:
-                    transitions[(a, b)] = ex.ONE
-                else:
-                    transitions[(a, b)] = call(
-                        "exp", mul(Imag(), mul(Num(diff), phi))
+            potentials[a] = (ex.ZERO, ex.sub(z, Num(anchor)))
+            for b, other in enumerate(anchors):
+                if a != b:
+                    diff = other - anchor
+                    transitions[(a, b)] = (
+                        ex.ONE if diff == 0.0
+                        else call("exp", mul(Imag(), mul(Num(diff), phi)))
                     )
         return LocalData(transitions=transitions, potentials=potentials)
 
-    elements = [CoverElement(n, box, True) for n, box in enumerate(boxes)]
-    cover = TrivializationCover(
-        manifold=manifold,
-        omega=omega,
-        elements=elements,
-        data=data_builder(boxes),
-        nerve=build_nerve(manifold, elements, nerve_degree),
-    )
-    pol = Polarization(
-        name="latitude",
-        fiber_map=z,
-        generator=(ex.ZERO, ex.ONE),
-        coords=("z", "phi"),
-        kind="axis",
-        curve=(Var("c"), Var("t")),
-        leaf_axis=1,
-        label_axis=0,
-        leaf_period=TWO_PI,
-        label_range=(0.0, float(k)),
-        singular_points=((0.0, 0.0), (float(k), 0.0)),
-    )
+    poles = ((0.0, 0.0), (float(k), 0.0))
     delta = 0.25
-    return Example(
-        name="sphere",
-        manifold=manifold,
-        omega=omega,
-        cover=cover,
-        data_builder=data_builder,
-        polarizations={"latitude": pol},
-        default_polarization="latitude",
+    # omega = dz ^ dphi, total area 2 pi k
+    return _assemble(
+        manifold, SymplecticForm(Num(1.0)), boxes, data_builder,
+        (axis_polarization("latitude", manifold, leaf_axis=1, singular_points=poles),),
         map_specs=("identity", "rot"),
         census_range=(delta, k - delta),
+        nerve_degree=nerve_degree,
     )
 
 
@@ -452,48 +353,31 @@ def _disk_example(radius: float = 3.2, nerve_degree: int = MAX_DEGREE) -> Exampl
         window=Box((-radius, -radius), (radius, radius)),
         disk_radius=radius,
     )
-    omega = SymplecticForm(Num(1.0))
-    pad = 0.2
-    big = radius + pad
-    elements = [CoverElement(0, Box((-big, -big), (big, big)), True)]
+    big = radius + 0.2
+    boxes = [Box((-big, -big), (big, big))]
     theta = (mul(Num(-0.5), y), mul(Num(0.5), x))
 
     def data_builder(layout):
         return LocalData(transitions={}, potentials={0: theta})
 
-    cover = TrivializationCover(
-        manifold=manifold,
-        omega=omega,
-        elements=elements,
-        data=data_builder(None),
-        nerve=build_nerve(manifold, elements, nerve_degree),
-    )
     half_r2 = 0.5 * radius * radius
-    c, t = Var("c"), Var("t")
-    rad = call("sqrt", mul(Num(2.0), c))
+    t = Var("t")
+    rad = call("sqrt", mul(Num(2.0), Var("c")))
     pol = Polarization(
         name="radial-circles",
         fiber_map=mul(Num(0.5), ex.add(mul(x, x), mul(y, y))),
-        generator=(ex.neg(y), x),
         coords=("x", "y"),
         kind="radial",
         curve=(mul(rad, call("cos", t)), mul(rad, call("sin", t))),
-        leaf_axis=None,
-        label_axis=None,
         leaf_period=TWO_PI,
         label_range=(0.0, half_r2),
         singular_points=((0.0, 0.0),),
     )
-    return Example(
-        name="disk",
-        manifold=manifold,
-        omega=omega,
-        cover=cover,
-        data_builder=data_builder,
-        polarizations={"radial-circles": pol},
-        default_polarization="radial-circles",
+    return _assemble(
+        manifold, SymplecticForm(Num(1.0)), boxes, data_builder, (pol,),
         map_specs=("identity", "rot"),
         census_range=(0.25, half_r2 - 0.25),
+        nerve_degree=nerve_degree,
     )
 
 
@@ -507,14 +391,12 @@ def untwisted_circle_example() -> Example:
     The pair overlap has two components, so the complex degenerates to the
     classical constant-coefficient Cech complex of the circle nerve.
     """
-    x, p = Var("x"), Var("p")
     manifold = Manifold(
         name="circle-flat",
         coords=("x", "p"),
         periods=(TWO_PI, None),
         window=Box((0.0, -1.0), (TWO_PI, 1.0)),
     )
-    omega = SymplecticForm(ex.ZERO)
     boxes = [
         Box((-0.4, -1.2), (math.pi + 0.4, 1.2)),
         Box((math.pi - 0.4, -1.2), (TWO_PI + 0.4, 1.2)),
@@ -527,34 +409,9 @@ def untwisted_circle_example() -> Example:
             potentials={0: zero_form, 1: zero_form},
         )
 
-    elements = [CoverElement(n, box, True) for n, box in enumerate(boxes)]
-    cover = TrivializationCover(
-        manifold=manifold,
-        omega=omega,
-        elements=elements,
-        data=data_builder(boxes),
-        nerve=build_nerve(manifold, elements),
-    )
-    pol = Polarization(
-        name="momentum-circles",
-        fiber_map=p,
-        generator=(ex.ONE, ex.ZERO),
-        coords=("x", "p"),
-        kind="axis",
-        curve=(Var("t"), Var("c")),
-        leaf_axis=0,
-        label_axis=1,
-        leaf_period=TWO_PI,
-        label_range=(-1.0, 1.0),
-    )
-    return Example(
-        name="circle-flat",
-        manifold=manifold,
-        omega=omega,
-        cover=cover,
-        data_builder=data_builder,
-        polarizations={"momentum-circles": pol},
-        default_polarization="momentum-circles",
+    return _assemble(
+        manifold, SymplecticForm(ex.ZERO), boxes, data_builder,
+        (axis_polarization("momentum-circles", manifold, leaf_axis=0),),
         map_specs=("identity",),
         census_range=(-0.9, 0.9),
     )

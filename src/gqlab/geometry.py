@@ -202,13 +202,13 @@ class Polarization:
 
     The leaf through label c is the curve t -> curve(c, t); for 'axis'
     polarizations the curve runs along one coordinate axis at transverse
-    value c, for 'radial' it is the circle of squared radius 2c, and a
-    pushforward wraps a base polarization composed with a map.
+    value c (see axis_polarization), for 'radial' it is the circle of
+    squared radius 2c, and a pushforward wraps a base polarization composed
+    with a map.
     """
 
     name: str
     fiber_map: ex.Expr
-    generator: tuple
     coords: tuple
     kind: str  # axis | radial | pushforward
     curve: tuple  # two Exprs in variables ("c", "t")
@@ -243,11 +243,32 @@ class Polarization:
         values = {"c": np.asarray(c, dtype=float), "t": np.asarray(ts, dtype=float)}
         return _rows(kernels.evaluate(self._curve_program, values))
 
-    def generator_at(self, pts) -> np.ndarray:
-        arr = as_points(pts)
-        return np.column_stack(
-            [eval_at(g, self.coords, arr).real for g in self.generator]
-        )
+
+def axis_polarization(
+    name: str, manifold: Manifold, leaf_axis: int, singular_points: tuple = ()
+) -> Polarization:
+    """The polarization whose leaves run along coordinate axis leaf_axis.
+
+    The other axis is the label axis and the fiber map its coordinate: the
+    leaf at label c is the curve (t, c) or (c, t).  The leaf period is the
+    manifold's period on the leaf axis, the label range the window's
+    interval on the label axis, and labels wrap when that axis is periodic.
+    """
+    label_axis = 1 - leaf_axis
+    c, t = ex.Var("c"), ex.Var("t")
+    return Polarization(
+        name=name,
+        fiber_map=ex.Var(manifold.coords[label_axis]),
+        coords=manifold.coords,
+        kind="axis",
+        curve=(t, c) if leaf_axis == 0 else (c, t),
+        leaf_axis=leaf_axis,
+        label_axis=label_axis,
+        leaf_period=manifold.periods[leaf_axis],
+        label_range=manifold.window.interval(label_axis),
+        label_periodic=manifold.periods[label_axis] is not None,
+        singular_points=singular_points,
+    )
 
 
 class LeafFrame(NamedTuple):
@@ -372,22 +393,12 @@ def check_symplectomorphism(
 def pushforward_polarization(phi: Symplectomorphism, pol: Polarization) -> Polarization:
     """The polarization phi(P), with P's leaf data transported through phi.
 
-    Fiber map becomes f o phi (so labels are preserved leafwise), the
-    generator is Dphi^{-1}(phi(x)) X(phi(x)), and leaf curves are the
-    phi^{-1}-images of the base curves.
+    Fiber map becomes f o phi (so labels are preserved leafwise), and leaf
+    curves are the phi^{-1}-images of the base curves.
     """
     coords = pol.coords
     fwd = {name: comp for name, comp in zip(coords, phi.forward)}
     fiber = ex.substitute(pol.fiber_map, fwd)
-    jac_inv = tuple(
-        tuple(ex.substitute(ex.differentiate(comp, name), fwd) for name in coords)
-        for comp in phi.inverse
-    )
-    gen_at_phi = tuple(ex.substitute(g, fwd) for g in pol.generator)
-    generator = tuple(
-        ex.add(ex.mul(jac_inv[i][0], gen_at_phi[0]), ex.mul(jac_inv[i][1], gen_at_phi[1]))
-        for i in range(2)
-    )
     curve_map = {name: comp for name, comp in zip(coords, pol.curve)}
     curve = tuple(ex.substitute(comp, curve_map) for comp in phi.inverse)
     singular = tuple(
@@ -396,12 +407,9 @@ def pushforward_polarization(phi: Symplectomorphism, pol: Polarization) -> Polar
     return Polarization(
         name=f"{phi.name}*{pol.name}",
         fiber_map=fiber,
-        generator=generator,
         coords=coords,
         kind="pushforward",
         curve=curve,
-        leaf_axis=None,
-        label_axis=None,
         leaf_period=pol.leaf_period,
         label_range=pol.label_range,
         label_periodic=pol.label_periodic,

@@ -5,8 +5,8 @@ stderr, the sha256 of its report minus `timing`, and a digest of the
 report's discrete outcomes.  The lines are every round and warm-up line of
 the perfbench workloads for seeds 1-3, `check`, `bs` and `cohomology` with
 defaults on every model, `check`, `bs` and `act` with corrupted transitions,
-`bs` on cylinder windows far from label 0, and the command lines that must
-end in a config error.
+`bs` on cylinder and torus windows far from label 0, and the command lines
+that must end in a config error.
 tests/test_golden.py asserts the exit code, stderr and digest of every
 line.  The sha256 is not asserted: residual and singular-value fields can
 move in the last bits between NumPy and BLAS builds.  A printed report

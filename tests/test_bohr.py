@@ -452,6 +452,17 @@ def test_census_counts_k_leaves_on_a_fine_torus_period_far_out(models, k):
         assert bs_census(exm.cover, pol, (lo, lo + TWO_PI), 1001).q_bs == k, i
 
 
+@pytest.mark.parametrize("j", [6, 9, 11, 12])
+def test_census_counts_k_leaves_on_a_period_window_from_a_far_bs_label(models, j):
+    # once rounded, (2 pi 10^9, 2 pi 10^9 + 2 pi) is 3e-7 narrower than a
+    # period: it is still one period, and its two ends are one leaf
+    lo = TWO_PI * 10.0**j
+    for k in range(1, 9):
+        exm = models("torus", k=k)
+        rep = bs_census(exm.cover, exm.polarization(), (lo, lo + TWO_PI), 4 * k + 9)
+        assert rep.q_bs == k, k
+
+
 @pytest.mark.parametrize("k", [1, 3, 8])
 def test_census_locations_on_torus_windows_many_periods_out(models, k):
     # labels c and c + 2 pi N are the same leaf: k BS leaves per period
@@ -487,18 +498,41 @@ def test_census_counts_both_ends_of_torus_windows_between_bs_labels(models, k):
 
 
 @pytest.mark.parametrize(
-    "argv, q_bs",
+    "argv",
     [
-        (("cylinder", "--range", "1:2"), 1),
-        (("torus", "--k", "2", "--range", "0:1"), 1),
-        (("sphere", "--k", "3", "--range", "1:2"), 3),  # two poles and label 1
+        ("cylinder", "--range", "1:2"),
+        ("torus", "--k", "2", "--range", "0:1"),
+        ("sphere", "--k", "3", "--range", "1:2"),
+        ("sphere", "--k", "3", "--range", "0.5:2.5"),
     ],
 )
-def test_a_single_sample_window_counts_its_sample(capsys, argv, q_bs):
-    assert main(["bs", "--example", *argv, "--count", "1", "--json"]) == 0
-    census = json.loads(capsys.readouterr().out)["payload"]["census"]
-    lo = float(argv[-1].split(":")[0])  # the one sample, a BS label
-    assert census["q_bs"] == q_bs and census["bs_locations"] == [lo]
+def test_a_single_sample_window_wider_than_one_label_is_refused(capsys, argv):
+    # one sample cannot tell how many BS labels such a window holds
+    assert main(["bs", "--example", *argv, "--count", "1"]) == 2
+    lo, hi = map(float, argv[-1].split(":"))
+    assert f"range {lo}:{hi} needs count >= 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "name, params, c, q_bs",
+    [
+        ("cylinder", {}, 1.0, 1),
+        ("torus", {"k": 2}, 0.0, 1),
+        ("sphere", {"k": 3}, 1.0, 3),  # two poles and label 1
+    ],
+)
+def test_a_single_sample_window_counts_its_sample(models, name, params, c, q_bs):
+    exm = models(name, **params)
+    rep = bs_census(exm.cover, exm.polarization(), (c, c), 1)
+    assert rep.q_bs == q_bs and rep.bs_locations == (c,)
+
+
+def test_a_single_sample_torus_period_counts_k_leaves(capsys):
+    argv = ["bs", "--example", "torus", "--k", "2", "--range", f"0:{TWO_PI!r}",
+            "--count", "1", "--json"]
+    assert main(argv) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["pass"] and report["payload"]["census"]["q_bs"] == 2
 
 
 @pytest.mark.parametrize("k", range(2, 7))

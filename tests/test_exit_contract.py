@@ -157,6 +157,8 @@ BAD_CONFIG = [
     ("act", "--example", "torus", "--k", "2", "--map", "translate:pi,0", "--seed", "-3"),
     # labels whose leaf action rounds by more than a quarter turn
     ("bs", "--example", "cylinder", "--range", "1e15:1000000000000003", "--count", "7"),
+    # one sample across a window wider than one label
+    ("bs", "--example", "cylinder", "--range", "1:2", "--count", "1"),
 ]
 
 

@@ -90,6 +90,33 @@ def test_pushforward_translation_preserves_torus_leaves(models):
     assert np.allclose(pushed.label_of(pts), pol.label_of(pts))
 
 
+def _assert_leaves_lie_on_their_labels(pol):
+    """label_of(curve_points(c, t)) == c for labels across the label range
+    and parameters along one turn."""
+    lo, hi = pol.label_range
+    ts = np.linspace(0.0, 2 * math.pi, 9)
+    for c in lo + (hi - lo) * np.array([0.1, 0.35, 0.5, 0.8, 0.95]):
+        labels = pol.label_of(pol.curve_points(c, ts))
+        assert np.max(np.abs(labels - c)) < 1e-12, (pol.name, c)
+
+
+@pytest.mark.parametrize(
+    "name,params",
+    [
+        ("plane", {}),
+        ("plane", {"granularity": 2}),
+        ("torus", {"k": 2}),
+        ("cylinder", {}),
+        ("sphere", {"k": 3}),
+        ("disk", {}),
+        ("circle-flat", {}),
+    ],
+)
+def test_builtin_leaves_are_level_sets_of_the_fiber_map(models, name, params):
+    for pol in models(name, **params).polarizations.values():
+        _assert_leaves_lie_on_their_labels(pol)
+
+
 @pytest.mark.parametrize(
     "name,params,map_spec",
     [
@@ -100,21 +127,11 @@ def test_pushforward_translation_preserves_torus_leaves(models):
         ("disk", {}, "rot:0.5"),
     ],
 )
-def test_pushforward_is_integrable(models, name, params, map_spec):
-    """d(f o phi) annihilates the pushforward generator at sampled points."""
+def test_pushforward_leaves_are_level_sets_of_the_fiber_map(models, name, params, map_spec):
+    """The pushed leaf curves phi^-1(curve) lie on the level sets of f o phi."""
     exm = models(name, **params)
-    pol = exm.polarization()
     phi = catalog.make_map(exm, map_spec)
-    pushed = pushforward_polarization(phi, pol)
-    coords = pol.coords
-    df = [ex.differentiate(pushed.fiber_map, c) for c in coords]
-    pts = exm.manifold.sample_grid(8)
-    gen = pushed.generator_at(pts)
-    pairing = (
-        eval_at(df[0], coords, pts).real * gen[:, 0]
-        + eval_at(df[1], coords, pts).real * gen[:, 1]
-    )
-    assert np.max(np.abs(pairing)) < 1e-8
+    _assert_leaves_lie_on_their_labels(pushforward_polarization(phi, exm.polarization()))
 
 
 def test_wrap_difference_shortest_representative(models):

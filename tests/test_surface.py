@@ -32,12 +32,8 @@ KEEP = {
     "cech.LeafBlocks.toarray":
         "tests/test_cech.py::test_leaf_blocks_spectrum_matches_dense_svd",
     "cech.vector_to_cochain": "tests/test_cech.py::test_leaf_blocks_match_pointwise_delta",
-    "geometry.Box.interval":
-        "tests/test_prequantum.py::test_torus_transitions_equal_the_per_pair_construction",
     "geometry.Box.intersect":
         "tests/test_prequantum.py::test_nerve_matches_pairwise_construction",
-    "geometry.Polarization.generator_at":
-        "tests/test_geometry.py::test_pushforward_is_integrable",
     "prequantum.refine": "criterion rank-stability",
     "prequantum.split_boxes": "criterion rank-stability",
     "prequantum._axis_splits": "criterion rank-stability (through split_boxes)",
