@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass
 from types import MappingProxyType
 
 import numpy as np
@@ -39,6 +38,7 @@ from .prequantum import (
     TrivializationCover,
     build_nerve,
 )
+from .record import Record
 
 TWO_PI = 2.0 * math.pi
 
@@ -54,8 +54,7 @@ PARAMETERS = {
 }
 
 
-@dataclass(frozen=True)
-class Example:
+class Example(Record):
     """A fully assembled model: cover, form, polarizations, map factory.
 
     data_builder gives the family's local data on any layout of element
@@ -63,15 +62,19 @@ class Example:
     its value on the cover's own boxes.
     """
 
-    name: str
-    manifold: Manifold
-    omega: SymplecticForm
-    cover: TrivializationCover
-    data_builder: Callable  # list of Boxes -> LocalData
-    polarizations: MappingProxyType  # name -> Polarization
-    default_polarization: str
-    map_specs: tuple  # names accepted by make_map
-    census_range: tuple
+    def __init__(
+        self,
+        name: str,
+        manifold: Manifold,
+        omega: SymplecticForm,
+        cover: TrivializationCover,
+        data_builder: Callable,  # list of Boxes -> LocalData
+        polarizations: MappingProxyType,  # name -> Polarization
+        default_polarization: str,
+        map_specs: tuple,  # names accepted by make_map
+        census_range: tuple,
+    ):
+        self._set(locals())
 
     def polarization(self, name: str | None = None) -> Polarization:
         key = self.default_polarization if name in (None, "", "default") else name

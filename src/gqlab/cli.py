@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import csv as csv_mod
-import dataclasses
 import functools
 import json
 import math
@@ -35,6 +34,7 @@ from .cech import ResolutionError, cohomology_ranks, half_offset_grid
 from .geometry import check_symplectomorphism
 from .prequantum import MAX_DEGREE, ConfigurationError, check_local_data
 from .quadrature import QuadratureError
+from .record import Record
 
 REPORT_SCHEMA = "gqlab.report/1"
 
@@ -65,30 +65,31 @@ NERVE_DEGREE = {
 }
 
 
-@dataclasses.dataclass(frozen=True)
-class RunConfig:
-    command: str
-    example: str = "torus"
-    k: int = 1
-    granularity: int | None = None
-    p_max: float | None = None
-    map: str = "identity"
-    polarization: str = "default"
-    range: tuple | None = None
-    count: int = 33
-    grid: int = 32
-    max_degree: int = 2
-    tol: float = 1e-8
-    rank_tol: float = 1e-8
-    seed: int = 0
-    corrupt: str | None = None
-    include_lines: bool = False
-    verify: str = "thm1,thm2"
-    flags: tuple = ()  # the flags given on the command line, by dest
-
-    def __post_init__(self):
-        """Reject flags the command does not read, and values no command
-        can run with, before any work starts."""
+class RunConfig(Record):
+    def __init__(
+        self,
+        command: str,
+        example: str = "torus",
+        k: int = 1,
+        granularity: int | None = None,
+        p_max: float | None = None,
+        map: str = "identity",
+        polarization: str = "default",
+        range: tuple | None = None,
+        count: int = 33,
+        grid: int = 32,
+        max_degree: int = 2,
+        tol: float = 1e-8,
+        rank_tol: float = 1e-8,
+        seed: int = 0,
+        corrupt: str | None = None,
+        include_lines: bool = False,
+        verify: str = "thm1,thm2",
+        flags: tuple = (),  # the flags given on the command line, by dest
+    ):
+        self._set(locals())
+        # reject flags the command does not read, and values no command can
+        # run with, before any work starts
         if self.command == "act":  # what act reads depends on its targets
             if not self.verify_targets:
                 raise ConfigurationError(
@@ -158,9 +159,9 @@ class RunConfig:
         reads."""
         out = {"command": self.command}
         reads = self.reads
-        for f in dataclasses.fields(self):
-            if f.name in reads:
-                out[f.name] = getattr(self, f.name)
+        for name in self._fields:
+            if name in reads:
+                out[name] = getattr(self, name)
         if out.get("range") is not None:
             out["range"] = list(self.range)
         return out
@@ -208,10 +209,8 @@ def _apply_corruption(exm: catalog.Example, spec: str) -> catalog.Example:
         raise ConfigurationError(f"no transition ({a}, {b}) to corrupt")
     transitions = dict(data.transitions)
     transitions[(a, b)] = ex.mul(ex.Num(factor), transitions[(a, b)])
-    cover = dataclasses.replace(
-        exm.cover, data=dataclasses.replace(data, transitions=transitions)
-    )
-    return dataclasses.replace(exm, cover=cover)
+    cover = exm.cover._replace(data=data._replace(transitions=transitions))
+    return exm._replace(cover=cover)
 
 
 def _report(cfg: RunConfig, payload: dict, passed: bool, seconds: float) -> dict:
@@ -528,8 +527,7 @@ def _add_common(sp):
 
 def _config_from_args(command: str, args) -> RunConfig:
     given = {dest: value for dest, value in vars(args).items() if dest != "command"}
-    settings = {f.name for f in dataclasses.fields(RunConfig)}
-    values = {dest: value for dest, value in given.items() if dest in settings}
+    values = {dest: value for dest, value in given.items() if dest in RunConfig._fields}
     for dest in ("range", "map"):  # an empty value means the default
         if values.get(dest) == "":
             del values[dest]

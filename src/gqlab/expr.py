@@ -14,8 +14,9 @@ minus, and the functions ``exp log sin cos sqrt atan2``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
+
+from .record import Record
 
 
 class ParseError(ValueError):
@@ -29,47 +30,83 @@ class ParseError(ValueError):
 FUNCTIONS = {"exp": 1, "log": 1, "sin": 1, "cos": 1, "sqrt": 1, "atan2": 2}
 
 
-@dataclass(frozen=True)
-class Expr:
-    """Base class; all nodes are frozen and hashable."""
+_set = object.__setattr__
 
 
-@dataclass(frozen=True)
+class Expr(Record):
+    """Base class: a node is immutable, equals a node of its own type with
+    equal fields, and hashes its fields once, when it is built.  Each
+    node's __init__ sets its fields directly and then calls _seal, the
+    quickest build for the nodes that parsing, differentiation and
+    substitution make in bulk."""
+
+    __slots__ = ("_key", "_hash")  # the tuple of the fields, and its hash
+
+    def __init__(self):
+        self._seal(())
+
+    def _seal(self, key: tuple) -> None:
+        _set(self, "_key", key)
+        _set(self, "_hash", hash(key))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key == other._key
+
+    def __hash__(self) -> int:
+        return self._hash
+
+
 class Num(Expr):
-    value: float
+    __slots__ = ("value",)
+
+    def __init__(self, value: float):
+        _set(self, "value", value)
+        self._seal((value,))
 
 
-@dataclass(frozen=True)
 class Pi(Expr):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Imag(Expr):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Var(Expr):
-    name: str
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        _set(self, "name", name)
+        self._seal((name,))
 
 
-@dataclass(frozen=True)
 class Neg(Expr):
-    arg: Expr
+    __slots__ = ("arg",)
+
+    def __init__(self, arg: Expr):
+        _set(self, "arg", arg)
+        self._seal((arg,))
 
 
-@dataclass(frozen=True)
 class BinOp(Expr):
-    op: str  # one of + - * / ^
-    left: Expr
-    right: Expr
+    __slots__ = ("op", "left", "right")
+
+    def __init__(self, op: str, left: Expr, right: Expr):  # op: one of + - * / ^
+        _set(self, "op", op)
+        _set(self, "left", left)
+        _set(self, "right", right)
+        self._seal((op, left, right))
 
 
-@dataclass(frozen=True)
 class Call(Expr):
-    fn: str
-    args: tuple
+    __slots__ = ("fn", "args")
+
+    def __init__(self, fn: str, args: tuple):
+        _set(self, "fn", fn)
+        _set(self, "args", args)
+        self._seal((fn, args))
 
 
 ZERO = Num(0.0)

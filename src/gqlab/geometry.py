@@ -10,7 +10,6 @@ enumeration and path integrals exact).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
@@ -18,6 +17,7 @@ import numpy as np
 
 from . import expr as ex
 from . import kernels, program
+from .record import Record
 
 TWO_PI = 2.0 * math.pi
 
@@ -150,12 +150,10 @@ def _rows(vals: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(vals.real.T)
 
 
-@dataclass(frozen=True)
-class Symplectomorphism:
-    name: str
-    forward: tuple  # two Exprs in the model coordinates
-    inverse: tuple
-    coords: tuple
+class Symplectomorphism(Record):
+    def __init__(self, name: str, forward: tuple, inverse: tuple, coords: tuple):
+        # forward and inverse: two Exprs each, in the model coordinates
+        self._set(locals())
 
     @cached_property
     def _programs(self) -> dict:
@@ -196,8 +194,7 @@ def identity_map(manifold: Manifold) -> Symplectomorphism:
     return Symplectomorphism("identity", (x, y), (x, y), manifold.coords)
 
 
-@dataclass(frozen=True)
-class Polarization:
+class Polarization(Record):
     """Fibration polarization: leaves are level sets of fiber_map.
 
     The leaf through label c is the curve t -> curve(c, t); for 'axis'
@@ -207,19 +204,23 @@ class Polarization:
     with a map.
     """
 
-    name: str
-    fiber_map: ex.Expr
-    coords: tuple
-    kind: str  # axis | radial | pushforward
-    curve: tuple  # two Exprs in variables ("c", "t")
-    leaf_axis: int | None = None
-    label_axis: int | None = None
-    leaf_period: float | None = None
-    label_range: tuple = (0.0, 1.0)
-    label_periodic: bool = False
-    singular_points: tuple = ()
-    base: "Polarization | None" = None
-    map: Symplectomorphism | None = None
+    def __init__(
+        self,
+        name: str,
+        fiber_map: ex.Expr,
+        coords: tuple,
+        kind: str,  # axis | radial | pushforward
+        curve: tuple,  # two Exprs in variables ("c", "t")
+        leaf_axis: int | None = None,
+        label_axis: int | None = None,
+        leaf_period: float | None = None,
+        label_range: tuple = (0.0, 1.0),
+        label_periodic: bool = False,
+        singular_points: tuple = (),
+        base: Polarization | None = None,
+        map: Symplectomorphism | None = None,
+    ):
+        self._set(locals())
 
     @property
     def root(self) -> "Polarization":

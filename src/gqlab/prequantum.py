@@ -26,7 +26,6 @@ stops below n (require_degree).
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -42,6 +41,7 @@ from .geometry import (
     as_points,
     eval_at,
 )
+from .record import Record
 
 MAX_DEGREE = 3  # the default nerve: tuples up to 4 indices, cochain degrees 0..3
 
@@ -60,8 +60,7 @@ class CoverElement(NamedTuple):
     contractible: bool
 
 
-@dataclass(frozen=True)
-class LocalData:
+class LocalData(Record):
     """Transition functions and connection potentials as expressions.
 
     transitions holds both orientations of every overlapping pair;
@@ -69,12 +68,10 @@ class LocalData:
     read-only copies of the mappings given.
     """
 
-    transitions: MappingProxyType  # (a, b) -> Expr
-    potentials: MappingProxyType  # a -> (Expr, Expr)
-
-    def __post_init__(self):
-        object.__setattr__(self, "transitions", MappingProxyType(dict(self.transitions)))
-        object.__setattr__(self, "potentials", MappingProxyType(dict(self.potentials)))
+    def __init__(self, transitions: Mapping, potentials: Mapping):
+        transitions = MappingProxyType(dict(transitions))  # (a, b) -> Expr
+        potentials = MappingProxyType(dict(potentials))  # a -> (Expr, Expr)
+        self._set(locals())
 
     def transition_expr(self, a: int, b: int) -> ex.Expr:
         if a == b:
@@ -101,15 +98,12 @@ class NerveCell(NamedTuple):
         return len(self.indices) - 1
 
 
-@dataclass(frozen=True)
-class Nerve:
-    cells: MappingProxyType  # key -> NerveCell
-    faces: MappingProxyType  # key -> tuple of (face key, frame offset (int, int))
-    max_degree: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "cells", MappingProxyType(dict(self.cells)))
-        object.__setattr__(self, "faces", MappingProxyType(dict(self.faces)))
+class Nerve(Record):
+    def __init__(self, cells: Mapping, faces: Mapping, max_degree: int):
+        cells = MappingProxyType(dict(cells))  # key -> NerveCell
+        # key -> tuple of (face key, frame offset (int, int))
+        faces = MappingProxyType(dict(faces))
+        self._set(locals())
 
     def degree(self, n: int):
         return [c for c in self.cells.values() if c.degree == n]
@@ -127,20 +121,21 @@ class Nerve:
         return len(self.cells)
 
 
-@dataclass(frozen=True)
-class TrivializationCover:
-    manifold: Manifold
-    omega: SymplecticForm
-    elements: tuple
-    data: LocalData
-    nerve: Nerve  # build_nerve(manifold, elements)
-    pullback_of: tuple | None = None  # (source cover, map), for refine's guard
-    # compiled local data, filled on first use: key -> program, and the
-    # transition table (_transition_table)
-    _programs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "elements", tuple(self.elements))
+class TrivializationCover(Record):
+    def __init__(
+        self,
+        manifold: Manifold,
+        omega: SymplecticForm,
+        elements: tuple,
+        data: LocalData,
+        nerve: Nerve,  # build_nerve(manifold, elements)
+        pullback_of: tuple | None = None,  # (source cover, map), for refine's guard
+    ):
+        elements = tuple(elements)
+        self._set(locals())
+        # compiled local data, filled on first use: key -> program, and the
+        # transition table (_transition_table); a copy starts its own
+        object.__setattr__(self, "_programs", {})
 
     # -- structure ---------------------------------------------------------
 

@@ -14,7 +14,8 @@ must be exactly the one line json.dumps(sort_keys=True) gives for it.  The
 sha256 is taken over the parsed report encoded anew with indent=2, not over
 the printed text, so it does not move with the report's layout.
 
-    python tests/golden_corpus.py          # the lines whose sha256 or more moved
+    python tests/golden_corpus.py          # the lines whose sha256 or more moved;
+                                           # exits 1 if any did
     python tests/golden_corpus.py --write  # record what every line gives now
     python tests/golden_corpus.py --dump reports.json  # every line's report
     python tests/golden_corpus.py --diff reports.json  # how far they moved
@@ -193,7 +194,8 @@ def main(argv=None) -> int:
     if args.write:
         CORPUS.write_text(json.dumps(corpus, indent=1) + "\n")
         print(f"wrote {CORPUS}")
-    return 0
+        return 0
+    return 1 if moved else 0
 
 
 if __name__ == "__main__":

@@ -243,17 +243,11 @@ def test_gauge_potential_outside_its_element_is_a_config_error(models):
 
 
 def test_non_contractible_cover_rejected(models):
-    import dataclasses
-
     exm = models("plane")
     el, *rest = exm.cover.elements
-    cover = dataclasses.replace(
-        exm.cover, elements=(el._replace(contractible=False), *rest)
-    )
+    cover = exm.cover._replace(elements=(el._replace(contractible=False), *rest))
     with pytest.raises(ConfigurationError, match="contractible"):
-        build_complementary(
-            catalog.make_map(exm, "identity"), dataclasses.replace(exm, cover=cover)
-        )
+        build_complementary(catalog.make_map(exm, "identity"), exm._replace(cover=cover))
 
 
 def test_complementary_cover_refuses_a_nerve_without_overlaps(models):
@@ -451,8 +445,6 @@ def test_theorem_1_builds_one_grid_per_side(models, monkeypatch):
 
 
 def test_theorem_1_fails_on_a_corrupted_target_transition(models):
-    import dataclasses
-
     exm = models("torus", k=2)
     phi = catalog.make_map(exm, f"translate:{math.pi:.17g},0")
     comp = build_complementary(phi, exm)
@@ -460,9 +452,7 @@ def test_theorem_1_fails_on_a_corrupted_target_transition(models):
     pair = sorted(data.transitions)[0]
     transitions = dict(data.transitions)
     transitions[pair] = ex.mul(ex.Num(1.01), transitions[pair])
-    base = dataclasses.replace(
-        comp.base, data=dataclasses.replace(data, transitions=transitions)
-    )
+    base = comp.base._replace(data=data._replace(transitions=transitions))
     corrupted = comp._replace(base=base)
     pol = exm.polarization()
     assert verify_theorem_1(comp, pol, grid_n=16).passed

@@ -161,3 +161,49 @@ def _exprs(depth):
 @given(_exprs(4))
 def test_printer_round_trip(e):
     assert ex.parse_expr(ex.to_source(e)) == e
+
+
+# -- the node contract: immutable, equal by type and fields, hashed once
+
+
+def test_pi_and_imag_differ():
+    assert ex.Pi() != ex.Imag()
+    assert ex.Pi() == ex.Pi()
+
+
+def test_equal_trees_built_separately_are_equal_and_hash_alike():
+    a = ex.parse_expr("sin(x)*2 + pi - i/y")
+    b = ex.parse_expr("sin(x)*2 + pi - i/y")
+    assert a is not b
+    assert a == b and hash(a) == hash(b)
+    # the hash of a node is that of its field tuple
+    assert hash(a) == hash((a.op, a.left, a.right))
+    assert a != ex.parse_expr("sin(x)*2 + pi - i/z")
+
+
+def test_nodes_of_different_types_with_equal_fields_differ():
+    x = ex.Var("x")
+    nodes = [ex.Expr(), ex.Pi(), ex.Imag(), ex.Num(x), ex.Var(x), ex.Neg(x)]
+    for a in nodes:
+        for b in nodes:
+            assert (a == b) == (a is b)
+
+
+def test_a_node_refuses_assignment():
+    node = ex.parse_expr("x + 1")
+    with pytest.raises(AttributeError):
+        node.op = "-"
+    with pytest.raises(AttributeError):
+        del node.left
+    with pytest.raises(AttributeError):
+        node.extra = None
+    assert ex.to_source(node) == "x + 1"
+
+
+def test_node_reprs_name_their_fields():
+    assert repr(ex.BinOp("+", ex.Var("x"), ex.Num(1.0))) == (
+        "BinOp(op='+', left=Var(name='x'), right=Num(value=1.0))"
+    )
+    assert repr(ex.Call("sin", (ex.Var("x"),))) == "Call(fn='sin', args=(Var(name='x'),))"
+    assert repr(ex.Num(2.5)) == "Num(value=2.5)"
+    assert repr(ex.Pi()) == "Pi()"

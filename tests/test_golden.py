@@ -22,3 +22,12 @@ def test_line_gives_its_recorded_outcomes(entry):
 def test_the_corpus_holds_every_bad_config_line():
     lines = {tuple(entry["argv"]) for entry in CORPUS}
     assert [argv for argv in BAD_CONFIG if argv not in lines] == []
+
+
+def test_the_script_exits_1_when_a_line_moved(monkeypatch, capsys):
+    entry = next(e for e in CORPUS if e["name"].startswith("bad_config/"))
+    monkeypatch.setattr(golden_corpus, "load", lambda: [dict(entry)])
+    assert golden_corpus.main([]) == 0
+    monkeypatch.setattr(golden_corpus, "load", lambda: [{**entry, "stderr": "moved"}])
+    assert golden_corpus.main([]) == 1
+    assert capsys.readouterr().out.endswith("1 of 1 lines moved\n")

@@ -1,7 +1,6 @@
 """Covers, their local data and nerves, and grids are built complete and
 never change: a cover compiles its formulas on first use and keeps them."""
 
-import dataclasses
 import importlib
 import inspect
 import pkgutil
@@ -13,21 +12,24 @@ import pytest
 import gqlab
 from gqlab import catalog
 from gqlab import expr as ex
-from gqlab.cli import _apply_corruption
+from gqlab.cli import RunConfig, _apply_corruption
 from gqlab.prequantum import (
+    ConfigurationError,
     LocalData,
     pullback,
     refine,
     split_boxes,
 )
+from gqlab.record import Record
 
 
-# The classes that stay frozen dataclasses (README, "Immutability"): as
-# tuples, expression nodes with equal parts would compare equal across
-# types; the others normalize their input in __post_init__, keep a cache
-# or need an instance __dict__ for cached_property.  Every other record is
-# a NamedTuple.
-DATACLASSES = {
+# The records that are not tuples (README, "Immutability"): as tuples,
+# expression nodes with equal parts would compare equal across types; the
+# others normalize or validate their input in __init__, keep a cache or need
+# an instance __dict__ for cached_property.  Each derives from
+# record.Record; every other record is a NamedTuple.
+PLAIN_RECORDS = {
+    "record.Record",
     "expr.Expr", "expr.Num", "expr.Pi", "expr.Imag", "expr.Var", "expr.Neg",
     "expr.BinOp", "expr.Call",
     "prequantum.LocalData", "prequantum.Nerve", "prequantum.TrivializationCover",
@@ -40,14 +42,17 @@ def _is_named_tuple(cls) -> bool:
     return issubclass(cls, tuple) and hasattr(cls, "_fields")
 
 
-def _gqlab_records():
+def _gqlab_classes():
     for info in pkgutil.iter_modules(gqlab.__path__):
         module = importlib.import_module(f"gqlab.{info.name}")
         for _, obj in inspect.getmembers(module, inspect.isclass):
-            if obj.__module__ == module.__name__ and (
-                dataclasses.is_dataclass(obj) or _is_named_tuple(obj)
-            ):
+            if obj.__module__ == module.__name__:
                 yield obj
+
+
+def _gqlab_records():
+    """Every record class: a NamedTuple or a class with _fields."""
+    return [c for c in _gqlab_classes() if hasattr(c, "_fields")]
 
 
 def _name(cls) -> str:
@@ -55,25 +60,41 @@ def _name(cls) -> str:
 
 
 def test_every_gqlab_record_is_immutable():
-    found = list(_gqlab_records())
+    found = _gqlab_records()
     assert len(found) > 20
-    mutable = [_name(c) for c in found
-               if dataclasses.is_dataclass(c) and not c.__dataclass_params__.frozen]
-    assert mutable == []
     for cls in found:
-        if dataclasses.is_dataclass(cls):
-            continue
-        record = cls._make([None] * len(cls._fields))
+        # a plain record is made past its __init__, which would validate
+        if _is_named_tuple(cls):
+            record = cls._make([None] * len(cls._fields))
+        else:
+            record = cls.__new__(cls)
         for name in cls._fields:
             with pytest.raises(AttributeError):
                 setattr(record, name, None)
+            with pytest.raises(AttributeError):
+                delattr(record, name)
         with pytest.raises(AttributeError):
             record.extra = None
 
 
-def test_only_the_listed_classes_are_dataclasses():
-    found = {_name(c) for c in _gqlab_records() if dataclasses.is_dataclass(c)}
-    assert found == DATACLASSES
+def test_the_listed_classes_are_the_records_that_are_not_tuples():
+    found = {_name(c) for c in _gqlab_records() if not _is_named_tuple(c)}
+    assert found == PLAIN_RECORDS
+    assert [_name(c) for c in _gqlab_classes() if hasattr(c, "__dataclass_fields__")] == []
+
+
+def test_replace_builds_the_copy_anew():
+    data = catalog.example("torus", k=1).cover.data
+    copy = data._replace(transitions=dict(data.transitions))
+    assert isinstance(copy.transitions, MappingProxyType)
+    assert copy == data and copy.transitions is not data.transitions
+    cfg = RunConfig("cohomology", grid=8)
+    assert cfg._replace(grid=16) == RunConfig("cohomology", grid=16)
+    assert hash(cfg._replace(grid=16)) == hash(RunConfig("cohomology", grid=16))
+    with pytest.raises(ConfigurationError, match="grid"):
+        cfg._replace(grid=0)
+    with pytest.raises(TypeError):
+        cfg._replace(nonesuch=1)
 
 
 KINDS = ("builtin", "pullback", "refine")
@@ -95,11 +116,11 @@ def covers():
 def test_cover_attributes_cannot_be_assigned(covers, kind):
     cover = covers[kind]
     for name in ("nerve", "data", "elements"):
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(AttributeError):
             setattr(cover, name, getattr(cover, name))
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):
         cover.data.transitions = {}
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):
         cover.nerve.cells = {}
 
 
@@ -121,9 +142,9 @@ def test_cover_contents_are_read_only(covers, kind):
 
 
 def _mutable_values(obj, path, seen):
-    """The paths under obj to a dict or list value, following dataclass
-    fields, mappings and tuples (a NamedTuple's by field name); a cover's
-    compile cache is exempt."""
+    """The paths under obj to a dict or list value, following the fields of
+    records, mappings and tuples (a NamedTuple's by field name); a cover's
+    compile cache is no field."""
     if id(obj) in seen:
         return []
     seen.add(id(obj))
@@ -133,11 +154,8 @@ def _mutable_values(obj, path, seen):
         items = zip(obj._fields, obj) if _is_named_tuple(type(obj)) else enumerate(obj)
     elif isinstance(obj, MappingProxyType):
         items = obj.items()
-    elif dataclasses.is_dataclass(obj):
-        items = (
-            (f.name, getattr(obj, f.name)) for f in dataclasses.fields(obj)
-            if f.name != "_programs"  # filled on first use, see prequantum
-        )
+    elif isinstance(obj, Record):
+        items = zip(obj._fields, obj._values())
     else:
         return []
     return [p for key, value in items for p in _mutable_values(value, f"{path}.{key}", seen)]

@@ -1,7 +1,6 @@
 """Covers, local-data laws, refinement."""
 
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -93,7 +92,7 @@ def _scaled_transition(cover, pair, factor):
     """A copy of the cover with the transition of pair scaled by factor."""
     transitions = dict(cover.data.transitions)
     transitions[pair] = ex.mul(ex.Num(factor), transitions[pair])
-    return replace(cover, data=replace(cover.data, transitions=transitions))
+    return cover._replace(data=cover.data._replace(transitions=transitions))
 
 
 def test_corrupted_transition_fails_cocycle(models):
@@ -520,15 +519,15 @@ def test_check_local_data_refuses_a_nerve_below_degree_2(models):
     cover = models("torus", k=1).cover
     lam = dict(cover.data.transitions)
     lam[(0, 1)] = ex.mul(ex.Num(1.01), lam[(0, 1)])
-    corrupt = replace(cover, data=LocalData(lam, cover.data.potentials))
+    corrupt = cover._replace(data=LocalData(lam, cover.data.potentials))
     assert not check_local_data(corrupt).passed
     for depth in (0, 1):
         nerve = build_nerve(cover.manifold, cover.elements, depth)
         with pytest.raises(ConfigurationError, match="degree-2"):
-            check_local_data(replace(corrupt, nerve=nerve))
+            check_local_data(corrupt._replace(nerve=nerve))
     # cells above degree 2 carry no law, so depth 2 checks what depth 3 does
     nerve = build_nerve(cover.manifold, cover.elements, 2)
-    assert check_local_data(replace(cover, nerve=nerve)) == check_local_data(cover)
+    assert check_local_data(cover._replace(nerve=nerve)) == check_local_data(cover)
 
 
 def test_refine_builds_its_nerve_at_least_to_degree_1(models):
@@ -691,7 +690,7 @@ def test_batched_transitions_equal_the_per_pair_calls_bit_for_bit(models, monkey
     rng = np.random.default_rng(5)
     moved = missing_checked = 0
     for name, cover in _transition_cases(models):
-        cover = replace(cover)  # compiles its own formulas
+        cover = cover._replace()  # compiles its own formulas
         manifold = cover.manifold
         a, b, pts = [], [], []
         for cell in cover.nerve.cells.values():
