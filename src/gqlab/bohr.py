@@ -10,10 +10,13 @@ and root-solves each multiple of 2 pi that the unwrapped action crosses,
 so BS values need not be hit by the sample grid.
 
 Leaves come from a LeafAtlas, which threads each membership pattern (the
-set of elements a leaf crosses) once and builds the leaves of a batch of
-labels from those threadings.  holonomy takes a batch of leaves and shares
-its transport quadrature and transition evaluations, with the arithmetic of
-a scalar product so that batching moves no bit of a result.
+set of elements a leaf crosses) once and hands a batch of labels back as
+arrays, one LeafGroup per pattern.  holonomy takes those groups and
+returns the action and holonomy of every label as arrays, from one
+transport quadrature call and one transition call, with the arithmetic of
+a scalar product so that batching moves no bit of a result.  The census
+reads those arrays; it builds a Leaf and a HolonomyResult only for the
+rows of its report.
 """
 
 from __future__ import annotations
@@ -38,18 +41,26 @@ class HolonomyUndefinedError(ValueError):
     pass
 
 
-class LeafSegment(NamedTuple):
-    element: int
-    t0: float  # element-frame leaf parameter bounds
-    t1: float
-    c_elem: float  # transverse label lifted into the element frame
+class LeafGroup(NamedTuple):
+    """The leaves of the labels of a batch that share one membership
+    pattern: n labels, each in k segments, in leaf order, and s switch
+    points, k - 1 on a line leaf, k on a circle leaf, 0 on a leaf that one
+    element holds whole."""
+
+    rows: np.ndarray  # (n,) the labels' positions in their batch
+    labels: np.ndarray  # (n,)
+    elements: np.ndarray  # (k,) the segments' elements
+    t0: np.ndarray  # (k,) element-frame leaf parameter bounds
+    t1: np.ndarray  # (k,)
+    lifted: np.ndarray  # (n, k) each label lifted into each segment's element frame
+    switch_points: np.ndarray  # (n, s, 2) canonical coords; switch j joins segments j, j + 1
 
 
 class Leaf(NamedTuple):
+    """A row of a census report."""
+
     label: float
     topology: str  # circle | line | point
-    segments: tuple
-    switch_points: np.ndarray  # canonical coords; entry i joins segment i, i+1
     singular: bool = False
     point: tuple | None = None
 
@@ -60,6 +71,12 @@ class HolonomyResult(NamedTuple):
     action: float  # accumulated integral of theta plus transition phases
     nearest_multiple: int
     residual: float  # action - 2 pi * nearest_multiple
+
+    @classmethod
+    def of(cls, hol: complex, action: float) -> HolonomyResult:
+        nearest = nearest_multiple(action)
+        return cls(hol, math.atan2(hol.imag, hol.real), action, nearest,
+                   action - TWO_PI * nearest)
 
     def as_dict(self) -> dict:
         return {
@@ -193,8 +210,8 @@ class LeafAtlas:
         self.threadings = 0  # patterns threaded
 
     def _threading(self, pattern: tuple, c: float) -> tuple:
-        """Segments (element, t0, t1, element position) and switch
-        parameters of the leaves of one membership pattern."""
+        """The segments' elements, t0, t1 and element positions, as arrays,
+        and the switch parameters of the leaves of one membership pattern."""
         found = self._threadings.get(pattern)
         if found is not None:
             return found
@@ -209,18 +226,18 @@ class LeafAtlas:
         else:
             whole = self.frame.whole[positions].tolist()
             segments, switches = _thread_circle(cands, whole, period, c)
-        found = (
-            [(el, t0, t1, positions[j]) for el, t0, t1, j in segments],
-            np.array(switches),
-        )
+        els, t0s, t1s, js = zip(*segments)
+        found = (np.array(els), np.array(t0s), np.array(t1s),
+                 [positions[j] for j in js], np.array(switches))
         self._threadings[pattern] = found
         self.threadings += 1
         return found
 
     def leaves(self, labels) -> list:
-        """The leaves through labels, in their order: circle leaves when the
-        polarization's leaves close, line leaves otherwise.  A label whose
-        leaf crosses no element, or finds a gap, raises CoverageError."""
+        """The leaves through labels, one LeafGroup per membership pattern
+        in order of first use: circle leaves when the polarization's leaves
+        close, line leaves otherwise.  A label whose leaf crosses no
+        element, or finds a gap, raises CoverageError."""
         labels = np.asarray(labels, dtype=float)
         if not len(labels):
             return []
@@ -229,38 +246,25 @@ class LeafAtlas:
         for row, crossed in enumerate(inside.tolist()):
             groups.setdefault(tuple(crossed), []).append(row)
         values = labels.tolist()
-        threaded = [  # (rows, segments, switch parameters) per pattern
-            (rows, *self._threading(pattern, values[rows[0]]))
-            for pattern, rows in groups.items()
-        ]
+        threaded = [(np.array(rows), self._threading(pattern, values[rows[0]]))
+                    for pattern, rows in groups.items()]
         # the switch points of the whole batch, by one curve call; points
         # are computed row by row, so each is what a call for its leaf
         # alone gives
-        closed = self.polarization.leaf_period is not None
-        crossing = [(rows, sw) for rows, _, sw in threaded if len(sw)]
+        cs = np.concatenate([labels[rows].repeat(len(th[4])) for rows, th in threaded])
+        ts = np.concatenate(  # each pattern's parameters, once per label
+            [np.repeat(th[4][None, :], len(rows), axis=0).ravel() for rows, th in threaded]
+        )
         pts = np.empty((0, 2))
-        if crossing:
-            cs = np.concatenate(
-                [np.repeat(labels[rows], len(sw)) for rows, sw in crossing]
-            )
-            ts = np.concatenate(  # each pattern's parameters, once per label
-                [np.repeat(sw[None, :], len(rows), axis=0).ravel()
-                 for rows, sw in crossing]
-            )
+        if len(cs):
             pts = self.cover.manifold.reduce(self.polarization.curve_points(cs, ts))
-        topology = "circle" if closed else "line"
-        leaves = [None] * len(values)
-        start = 0
-        for rows, segments, switches in threaded:
-            n, k = len(rows), len(switches)
-            switch_pts = pts[start : start + n * k].reshape(n, k, 2)
-            start += n * k
-            els, t0s, t1s, positions = zip(*segments)
-            lifts = lifted[rows][:, list(positions)].tolist()
-            for row, lift, here in zip(rows, lifts, switch_pts):
-                segs = tuple(map(LeafSegment, els, t0s, t1s, lift))
-                leaves[row] = Leaf(values[row], topology, segs, here)
-        return leaves
+        out, start = [], 0
+        for rows, (els, t0s, t1s, positions, switches) in threaded:
+            n, s = len(rows), len(switches)
+            out.append(LeafGroup(rows, labels[rows], els, t0s, t1s, lifted[rows][:, positions],
+                                 pts[start : start + n * s].reshape(n, s, 2)))
+            start += n * s
+        return out
 
 
 def _label_slack(a: float, b: float) -> float:
@@ -278,10 +282,12 @@ def _spans_a_period(pol: Polarization, lo: float, hi: float) -> bool:
     return pol.label_periodic and hi - lo >= period - _label_slack(lo, hi)
 
 
-def enumerate_leaves(atlas: LeafAtlas, crange: tuple, count: int) -> list:
-    """Leaves at `count` fiber-map values in crange, threaded on atlas,
-    plus its polarization's singular points as point leaves, labelled by
-    the root polarization (a pushforward keeps labels leafwise)."""
+def enumerate_leaves(atlas: LeafAtlas, crange: tuple, count: int) -> tuple:
+    """The leaves at `count` fiber-map values in crange, threaded on atlas,
+    and its polarization's singular points, labelled by the root
+    polarization (a pushforward keeps labels leafwise).  Returns (labels,
+    groups, points): the sampled labels, their atlas.leaves groups, and
+    the point leaves as (label, point) pairs."""
     if count < 1:
         raise ConfigurationError("count must be >= 1")
     pol = atlas.polarization
@@ -308,22 +314,9 @@ def enumerate_leaves(atlas: LeafAtlas, crange: tuple, count: int) -> list:
         # the point leaves below represent these labels
         near = np.abs(values[:, None] - singular_labels[None, :]) < 1e-9
         values = values[~near.any(axis=1)]
-    leaves = atlas.leaves(values)
-    if len(singular):
-        # Declared singular points always join the census as point leaves.
-        points = np.array(pol.singular_points, dtype=float).reshape(-1, 2)
-        for p, c in zip(points.tolist(), singular_labels.tolist()):
-            leaves.append(
-                Leaf(
-                    label=c,
-                    topology="point",
-                    segments=(),
-                    switch_points=np.empty((0, 2)),
-                    singular=True,
-                    point=tuple(p),
-                )
-            )
-    return leaves
+    # declared singular points always join the census as point leaves
+    points = np.array(pol.singular_points, dtype=float).reshape(-1, 2).tolist()
+    return values, atlas.leaves(values), list(zip(singular_labels.tolist(), map(tuple, points)))
 
 
 # ---------------------------------------------------------------------------
@@ -339,90 +332,92 @@ def nearest_multiple(action: float) -> int:
     return lower if x - lower <= 0.5 + 1e-9 else lower + 1
 
 
-def holonomy(transport: LeafTransport, leaves) -> list:
-    """Parallel transport around closed leaves: a HolonomyResult for each
-    leaf of a sequence, in order, on the cover and polarization of
-    transport.
+def _times(re, im, zr, zi) -> tuple:
+    """(re + i im)(zr + i zi) on float arrays, rounded as Python rounds a
+    complex product: two real products, then one subtraction or addition."""
+    return re * zr - im * zi, re * zi + im * zr
+
+
+def _ranges(counts: np.ndarray, starts) -> np.ndarray:
+    """starts[i] + arange(counts[i]) for every i, concatenated."""
+    ends = counts.cumsum()
+    return np.arange(ends[-1]) + (starts - ends + counts).repeat(counts)
+
+
+def holonomy(transport: LeafTransport, groups) -> tuple:
+    """Parallel transport around closed leaves: the actions (n,) and the
+    holonomies (n,) of the leaves of LeafAtlas groups, in the order of
+    their labels' batch, on the cover and polarization of transport.
 
     The convention matches the cochain transport: a value f in the alpha
     trivialization becomes lambda_{alpha beta} f in the beta trivialization,
     and moving along the leaf multiplies by exp(-i integral theta).
 
-    The leaves of a batch share their kernel work: one transport.integral
-    call for all their leaf segments, which integrates the distinct ones
-    missing from its cache in one quadrature call, one cover.transition
-    call for the switch points between two distinct elements, which
-    evaluates each distinct transition formula once, and one exp call.
-    Each holonomy is then the product of its segment factors and its
-    transitions, in leaf order, of Python complex numbers, with math.atan2
-    for the phases.  NumPy's array complex multiply can round differently
-    from a scalar product, and np.arctan2 from math.atan2, so neither is
-    used: a batch gives every result bit for bit as a single leaf does.
-    transport fills and reuses its cache, and counts the transition
-    formulas evaluated.
+    The groups share their kernel work: one transport.integral call for all
+    their leaf segments, which integrates the distinct ones missing from
+    its cache in one quadrature call, one cover.transition call for the
+    switch points between two distinct elements, which evaluates each
+    distinct transition formula once, and one exp call.  A leaf's action
+    is the sum of its segments' real integrals, in leaf order, less the
+    turns of its transitions, each from math.atan2; its holonomy is the
+    product of its segment factors and then its transitions.  A batch runs
+    as one table, a row a leaf and a column a step, with each complex
+    product split into real ufuncs (_times): the float operations of one
+    leaf's scalar loop, each rounded once.  NumPy's array complex multiply
+    can fuse a multiply and an add, and so round otherwise, and
+    np.arctan2 can differ from math.atan2, so neither is used: a batch
+    gives every result bit for bit as a single leaf does.  transport fills
+    and reuses its cache, and counts the transition formulas evaluated.
     """
-    batch = list(leaves)
-    if any(leaf.topology == "line" for leaf in batch):
-        raise HolonomyUndefinedError(
-            "holonomy is undefined for noncompact (line) leaves"
-        )
-    circles = [leaf for leaf in batch if leaf.topology != "point"]
+    groups = list(groups)
+    if not groups:
+        return np.zeros(0), np.ones(0, dtype=np.complex128)
+    if transport.polarization.leaf_period is None:
+        raise HolonomyUndefinedError("holonomy is undefined for noncompact (line) leaves")
 
-    # the segment integrals and switch transitions of the batch, flat in
-    # leaf order; switch s of a circle leaf joins its segments s and s + 1,
-    # cyclically, and a leaf in one segment has no switch
-    before, after = [], []  # the elements either side of each switch
-    for leaf in circles:
-        if len(leaf.switch_points):
-            elements = [seg.element for seg in leaf.segments]
-            before += elements
-            after += elements[1:] + elements[:1]
-    segments = [seg for leaf in circles for seg in leaf.segments]
-    # LeafSegment columns: element, t0, t1, c_elem
-    integrals = transport.integral(*zip(*segments)) if segments else np.empty(0)
-    lams = np.ones(len(before), dtype=np.complex128)
-    if before:  # one transition call, on the switches between two elements
-        a, b = np.array(before), np.array(after)
-        moved = np.flatnonzero(a != b)
-        points = np.concatenate([leaf.switch_points for leaf in circles])[moved]
-        a, b = a[moved], b[moved]
+    # every leaf's segments and then its switches, flat, group by group and
+    # leaf by leaf; a leaf's segments are its group's, from `first` on in the
+    # concatenated columns, and its switch j joins segments j and j + 1,
+    # cyclically
+    reps = [len(g.rows) for g in groups]
+    kg, sg = np.array([(len(g.elements), g.switch_points.shape[1]) for g in groups]).T
+    k, s, first = kg.repeat(reps), sg.repeat(reps), (kg.cumsum() - kg).repeat(reps)
+    elements, t0, t1 = (np.concatenate(col) for col in
+                        zip(*((g.elements, g.t0, g.t1) for g in groups)))
+    seg = _ranges(k, first)
+    x = transport.integral(elements[seg], t0[seg], t1[seg],
+                           np.concatenate([g.lifted.ravel() for g in groups]))
+    arg = np.empty(len(x), dtype=np.complex128)  # -1j * x, as Python forms it
+    arg.real, arg.imag = _times(-0.0, -1.0, x.real, x.imag)
+    j = _ranges(s, 0)
+    before, after = (elements[first.repeat(s) + i] for i in (j, (j + 1) % k.repeat(s)))
+    lam, turn = np.ones(len(j), dtype=np.complex128), np.zeros(len(j))
+    moved = before != after  # a switch within one element is 1
+    if moved.any():
+        a, b = before[moved], after[moved]
+        points = np.concatenate([g.switch_points.reshape(-1, 2) for g in groups])
         cover = transport.cover
         transport.transition_batches += len(set(cover.transition_formulas(a, b).tolist()))
-        lams[moved] = cover.transition(a, b, points)
-    integrals = integrals.tolist()
-    reals = [val.real for val in integrals]
-    factors = np.exp([-1j * val for val in integrals]).tolist()
-    lams = lams.tolist()
-    turns = [math.atan2(lam.imag, lam.real) for lam in lams]
+        lam[moved] = got = cover.transition(a, b, points[moved])
+        turn[moved] = list(map(math.atan2, got.imag.tolist(), got.real.tolist()))
 
-    out = []
-    k = j = 0
-    for leaf in batch:
-        if leaf.topology == "point":
-            out.append(HolonomyResult(1.0 + 0.0j, 0.0, 0.0, 0, 0.0))
-            continue
-        action = 0.0
-        hol = 1.0 + 0.0j
-        n, m = len(leaf.segments), len(leaf.switch_points)
-        for s in range(k, k + n):
-            action += reals[s]
-            hol *= factors[s]
-        for s in range(j, j + m):
-            hol *= lams[s]
-            action -= turns[s]
-        k += n
-        j += m
-        nearest = nearest_multiple(action)
-        out.append(
-            HolonomyResult(
-                holonomy=hol,
-                phase=math.atan2(hol.imag, hol.real),
-                action=action,
-                nearest_multiple=nearest,
-                residual=action - TWO_PI * nearest,
-            )
-        )
-    return out
+    # a column a step and a row a leaf: its factors, then its transitions,
+    # after leading 1s and 0s, which leave the product 1 + 0j and the sum
+    # +0.0 bit for bit; a - t is a + (-t) in IEEE 754
+    width, n = int((k + s).max()), len(k)
+    terms, z = np.zeros((width, n)), np.ones((width, n), dtype=np.complex128)
+    at = _ranges(k, width - k - s), np.arange(n).repeat(k)
+    terms[at], z[at] = x.real, np.exp(arg)
+    at = _ranges(s, width - s), np.arange(n).repeat(s)
+    terms[at], z[at] = -turn, lam
+    acc, re, im = np.zeros(n), np.ones(n), np.zeros(n)
+    for col in range(width):
+        acc = acc + terms[col]
+        re, im = _times(re, im, z[col].real, z[col].imag)
+    hol = np.empty(n, dtype=np.complex128)
+    hol.real, hol.imag = re, im
+    order = np.argsort(np.concatenate([g.rows for g in groups]))
+    return acc[order], hol[order]
 
 
 # ---------------------------------------------------------------------------
@@ -606,32 +601,30 @@ def bs_census(
     """
     transport = LeafTransport(cover, pol)
     atlas = LeafAtlas(cover, pol)
-    leaves = enumerate_leaves(atlas, crange, count)
-    hols = iter(holonomy(transport, [leaf for leaf in leaves if leaf.topology != "line"]))
-    entries = []
-    sampled = []  # (label, action) of the circle leaves
-    lines = singular_bs = 0
-    for leaf in leaves:
-        if leaf.topology == "line":
-            lines += 1
-            entries.append(BSEntry(leaf, None, include_lines))
-            continue
-        hres = next(hols)
-        if leaf.topology == "point":
-            singular_bs += 1
-        else:
-            sampled.append((leaf.label, hres.action))
-        entries.append(BSEntry(leaf, hres, abs(hres.phase) < tol))
+    labels, groups, points = enumerate_leaves(atlas, crange, count)
+    closed = pol.leaf_period is not None
+    actions, hols = holonomy(transport, groups if closed else [])
+    # a Leaf and a HolonomyResult for each report row, and for no other label
+    if closed:
+        results = map(HolonomyResult.of, hols.tolist(), actions.tolist())
+        entries = [BSEntry(Leaf(c, "circle"), h, abs(h.phase) < tol)
+                   for c, h in zip(labels.tolist(), results)]
+    else:
+        entries = [BSEntry(Leaf(c, "line"), None, include_lines) for c in labels.tolist()]
+    for c, p in points:
+        h = HolonomyResult.of(1.0 + 0.0j, 0.0)
+        entries.append(BSEntry(Leaf(c, "point", True, p), h, abs(h.phase) < tol))
 
-    def sample(found: list) -> np.ndarray:
+    def sample(cs, found) -> np.ndarray:
         """Rows (label, action, flux) in label order."""
-        rows = np.array(found)
+        rows = np.column_stack([cs, found])
         rows = rows[np.argsort(rows[:, 0], kind="stable")]
         return np.column_stack([rows, transport.flux(rows[:, 0])])
 
     period = pol.label_range[1] - pol.label_range[0] if pol.label_periodic else None
-    rows = sample(sampled) if sampled else np.empty((0, 3))
-    spans = bool(sampled) and _spans_a_period(pol, *crange)
+    lines = 0 if closed else len(labels)
+    rows = sample(labels, actions) if len(actions) else np.empty((0, 3))
+    spans = len(actions) > 0 and _spans_a_period(pol, *crange)
     closes = spans and rows[-1, 0] < rows[0, 0] + period
     if closes:  # the first sample again, one period on
         rows = np.vstack([rows, rows[:1] + [period, 0.0, 0.0]])
@@ -657,8 +650,7 @@ def bs_census(
             )
         refinements += 1
         mids = (0.5 * (rows[missed, 0] + rows[missed + 1, 0])).tolist()
-        found = holonomy(transport, atlas.leaves(mids))
-        rows = np.vstack([rows, sample([(c, h.action) for c, h in zip(mids, found)])])
+        rows = np.vstack([rows, sample(mids, holonomy(transport, atlas.leaves(mids))[0])])
         rows = rows[np.argsort(rows[:, 0], kind="stable")]
 
     # one r per sample decides its location, its turn and its brackets' signs
@@ -688,7 +680,7 @@ def bs_census(
         nonlocal root_steps, root_labels
         root_steps += 1
         root_labels += len(labels)
-        return [h.action for h in holonomy(transport, atlas.leaves(labels))]
+        return holonomy(transport, atlas.leaves(labels))[0].tolist()
 
     locations = [c for _, c in located] + _crossings(brackets, actions_at)
     if closes:  # the closing step's locations, back into the window
@@ -709,8 +701,8 @@ def bs_census(
         entries=tuple(entries),
         bs_locations=tuple(unique),
         q_bs_smooth=len(unique),
-        q_bs_singular=singular_bs,
-        q_bs=len(unique) + singular_bs + (lines if include_lines else 0),
+        q_bs_singular=len(points),
+        q_bs=len(unique) + len(points) + (lines if include_lines else 0),
         lines_excluded=0 if include_lines else lines,
         tol=tol,
         action_change=float(change),

@@ -325,9 +325,9 @@ def test_transport_leaf_identity(models):
     assert np.allclose([p["label"] for p in pairs], [0.4, 0.8, 1.2], atol=1e-12)
     for pair in pairs:
         c = pair["label"]
-        leaves = enumerate_leaves(LeafAtlas(exm.cover, pol), (c, c), 1)
-        h1 = holonomy(LeafTransport(exm.cover, pol), leaves)[0]
-        assert pair["holonomy_source"] == [h1.holonomy.real, h1.holonomy.imag]
+        _, groups, _ = enumerate_leaves(LeafAtlas(exm.cover, pol), (c, c), 1)
+        (h1,) = holonomy(LeafTransport(exm.cover, pol), groups)[1].tolist()
+        assert pair["holonomy_source"] == [h1.real, h1.imag]
         assert abs(complex(*pair["holonomy_source"])
                    - complex(*pair["holonomy_target"])) < 1e-12
 
@@ -358,10 +358,10 @@ def test_transport_leaf_shear_maps_lines_to_lines(models):
     phi = catalog.make_map(exm, "shear")
     comp = build_complementary(phi, exm)
     pushed = pushforward_polarization(phi, pol)
-    moved = enumerate_leaves(LeafAtlas(comp.base, pushed), (0.5, 0.5), 1)[0]
-    assert moved.topology == "line" and moved.label == 0.5
+    labels, moved, _ = enumerate_leaves(LeafAtlas(comp.base, pushed), (0.5, 0.5), 1)
+    assert pushed.leaf_period is None and labels.tolist() == [0.5]  # a line leaf
     with pytest.raises(HolonomyUndefinedError):
-        holonomy(LeafTransport(comp.base, pushed), [moved])
+        holonomy(LeafTransport(comp.base, pushed), moved)
     # so the census pairing has no pair to compare across the map
     rep = verify_theorem_2(comp, pol, (-1.0, 1.0), count=5)
     assert rep.passed and rep.payload["leaf_pairs"] == []
@@ -374,12 +374,8 @@ def test_leaf_transport_round_trip_is_identity_on_labels(models):
     comp = build_complementary(phi, exm)
     assert isinstance(comp, ComplementaryCover)
     pushed = pushforward_polarization(phi, pol)
-    labels = [
-        l.label for l in enumerate_leaves(LeafAtlas(exm.cover, pol), (0, TWO_PI), 6)
-    ]
-    back = [
-        l.label for l in enumerate_leaves(LeafAtlas(comp.base, pushed), (0, TWO_PI), 6)
-    ]
+    labels = enumerate_leaves(LeafAtlas(exm.cover, pol), (0, TWO_PI), 6)[0]
+    back = enumerate_leaves(LeafAtlas(comp.base, pushed), (0, TWO_PI), 6)[0]
     assert np.allclose(sorted(labels), sorted(back), atol=1e-10)
 
 
@@ -538,14 +534,21 @@ def test_theorem_2_leaf_pairs_reuse_the_census_integrals(models, monkeypatch, na
     assert [t.integrals_computed for t in transports] == after_censuses[-1]
     # and the pairs are the holonomies a fresh transport gives, exactly
     pushed = pushforward_polarization(phi, pol)
-    leaves = {leaf.label: leaf for leaf in enumerate_leaves(
-        LeafAtlas(exm.cover, pol), exm.census_range, 33)}
-    moved = {leaf.label: leaf for leaf in enumerate_leaves(
-        LeafAtlas(comp.base, pushed), exm.census_range, 33)}
-    assert len(rep.payload["leaf_pairs"]) == len(leaves) == len(moved)
+    atlas, moved = LeafAtlas(exm.cover, pol), LeafAtlas(comp.base, pushed)
+    labels, _, points = enumerate_leaves(atlas, exm.census_range, 33)
+    labels_there, _, points_there = enumerate_leaves(moved, exm.census_range, 33)
+    assert labels.tolist() == labels_there.tolist()
+    assert [c for c, _ in points] == [c for c, _ in points_there]
+    assert len(rep.payload["leaf_pairs"]) == len(labels) + len(points)
     for pair in rep.payload["leaf_pairs"]:
-        here = holonomy(LeafTransport(exm.cover, pol), [leaves[pair["label"]]])[0].holonomy
-        there = holonomy(LeafTransport(comp.base, pushed), [moved[pair["label"]]])[0].holonomy
+        c = pair["label"]
+        if pair["topology"] == "point":  # trivial holonomy on both sides
+            assert c in [u for u, _ in points]
+            assert pair["holonomy_source"] == pair["holonomy_target"] == [1.0, 0.0]
+            continue
+        assert c in labels.tolist()
+        (here,) = holonomy(LeafTransport(exm.cover, pol), atlas.leaves([c]))[1].tolist()
+        (there,) = holonomy(LeafTransport(comp.base, pushed), moved.leaves([c]))[1].tolist()
         assert pair["holonomy_source"] == [here.real, here.imag]
         assert pair["holonomy_target"] == [there.real, there.imag]
 

@@ -3,6 +3,7 @@
 import json
 import math
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -13,7 +14,6 @@ from gqlab.action import build_complementary
 from gqlab.bohr import (
     CoverageError,
     HolonomyUndefinedError,
-    Leaf,
     LeafAtlas,
     bs_census,
     enumerate_leaves,
@@ -28,63 +28,70 @@ from gqlab.transport import LeafTransport
 TWO_PI = 2.0 * math.pi
 
 
+def _holonomies(cover, pol, crange, count):
+    """The labels of a sampled label range and their HolonomyResults, one
+    holonomy batch on a fresh transport."""
+    labels, groups, _ = enumerate_leaves(LeafAtlas(cover, pol), crange, count)
+    actions, hols = holonomy(LeafTransport(cover, pol), groups)
+    return labels, list(map(bohr.HolonomyResult.of, hols.tolist(), actions.tolist()))
+
+
 def test_cylinder_leaf_enumeration(models):
     exm = models("cylinder")
-    leaves = enumerate_leaves(LeafAtlas(exm.cover, exm.polarization()), (-2.5, 2.5), 11)
-    circles = [l for l in leaves if l.topology == "circle"]
-    assert len(circles) == 11 and len(leaves) == 11  # no singular leaves
-    assert np.allclose([l.label for l in circles], np.linspace(-2.5, 2.5, 11))
+    pol = exm.polarization()
+    labels, groups, points = enumerate_leaves(LeafAtlas(exm.cover, pol), (-2.5, 2.5), 11)
+    assert pol.leaf_period is not None  # circle leaves
+    assert len(labels) == 11 and points == []  # no singular leaves
+    assert sum(len(g.rows) for g in groups) == 11
+    assert np.allclose(labels, np.linspace(-2.5, 2.5, 11))
 
 
 def test_sphere_enumeration_includes_poles(models):
     exm = models("sphere", k=2)
-    leaves = enumerate_leaves(LeafAtlas(exm.cover, exm.polarization()), (0.25, 1.75), 7)
-    points = [l for l in leaves if l.topology == "point"]
-    assert len(points) == 2 and all(l.singular for l in points)
-    assert sorted(l.label for l in points) == [0.0, 2.0]
+    pol = exm.polarization()
+    _, _, points = enumerate_leaves(LeafAtlas(exm.cover, pol), (0.25, 1.75), 7)
+    assert len(points) == 2
+    assert sorted(c for c, _ in points) == [0.0, 2.0]
+    assert [p for _, p in points] == [tuple(map(float, p)) for p in pol.singular_points]
 
 
 def test_torus_loops_close_through_the_cover(models):
     exm = models("torus", k=1)
     pol = exm.polarization()
-    leaves = enumerate_leaves(LeafAtlas(exm.cover, pol), (0.0, TWO_PI), 8)
-    assert len(leaves) == 8
-    for leaf in leaves:
-        total = sum(seg.t1 - seg.t0 for seg in leaf.segments)
-        assert abs(total - TWO_PI) < 1e-9  # the loop closes
-        assert len(leaf.switch_points) == len(leaf.segments)
-        for j, pt in enumerate(leaf.switch_points):
-            a = leaf.segments[j].element
-            b = leaf.segments[(j + 1) % len(leaf.segments)].element
+    labels, groups, _ = enumerate_leaves(LeafAtlas(exm.cover, pol), (0.0, TWO_PI), 8)
+    assert len(labels) == 8 == sum(len(g.rows) for g in groups)
+    for g in groups:
+        k = len(g.elements)
+        assert abs(np.sum(g.t1 - g.t0) - TWO_PI) < 1e-9  # the loop closes
+        assert g.switch_points.shape == (len(g.rows), k, 2)
+        for j in range(k):
+            a, b = g.elements[j], g.elements[(j + 1) % k]
             # on the torus an element holds a point iff the point lifts into it
             for el in (a, b):
-                assert not np.isnan(exm.cover.member_points(el, pt)).any()
+                assert not np.isnan(exm.cover.member_points(el, g.switch_points[:, j])).any()
 
 
 def test_plane_line_leaves(models):
     exm = models("plane")
-    leaves = enumerate_leaves(LeafAtlas(exm.cover, exm.polarization()), (-2.0, 2.0), 5)
-    assert all(l.topology == "line" for l in leaves)
+    pol = exm.polarization()
+    _, groups, _ = enumerate_leaves(LeafAtlas(exm.cover, pol), (-2.0, 2.0), 5)
+    assert pol.leaf_period is None  # line leaves
     with pytest.raises(HolonomyUndefinedError):
-        holonomy(LeafTransport(exm.cover, exm.polarization()), leaves[:1])
+        holonomy(LeafTransport(exm.cover, pol), groups[:1])
 
 
 def test_point_leaf_holonomy_is_trivial(models):
     exm = models("sphere", k=1)
-    point = [
-        l
-        for l in enumerate_leaves(LeafAtlas(exm.cover, exm.polarization()), (0.3, 0.7), 3)
-        if l.topology == "point"
-    ][0]
-    h = holonomy(LeafTransport(exm.cover, exm.polarization()), [point])[0]
-    assert h.holonomy == 1.0 and h.action == 0.0
+    rep = bs_census(exm.cover, exm.polarization(), (0.3, 0.7), 3)
+    points = [e for e in rep.entries if e.leaf.topology == "point"]
+    assert points and all(e.leaf.singular and e.is_bs for e in points)
+    for e in points:
+        assert e.holonomy.holonomy == 1.0 and e.holonomy.action == 0.0
 
 
 def test_cylinder_action_closed_form(models):
     exm = models("cylinder")
-    pol = exm.polarization()
-    leaf = enumerate_leaves(LeafAtlas(exm.cover, pol), (1.0, 1.0), 1)[0]
-    h = holonomy(LeafTransport(exm.cover, pol), [leaf])[0]
+    _, (h,) = _holonomies(exm.cover, exm.polarization(), (1.0, 1.0), 1)
     assert abs(h.action - TWO_PI) < 1e-10  # loop integral of p dx at p = 1
     assert abs(h.holonomy - 1.0) < 1e-10 and abs(h.phase) < 1e-10
     assert h.nearest_multiple == 1 and abs(h.residual) < 1e-10
@@ -123,8 +130,7 @@ def test_torus_holonomy_closed_form(models):
     exm = models("torus", k=3)
     pol = exm.polarization()
     for c, is_bs in ((2 * math.pi / 5, False), (2 * math.pi / 3, True)):
-        leaf = enumerate_leaves(LeafAtlas(exm.cover, pol), (c, c), 1)[0]
-        h = holonomy(LeafTransport(exm.cover, pol), [leaf])[0]
+        _, (h,) = _holonomies(exm.cover, pol, (c, c), 1)
         assert abs(h.holonomy - np.exp(-1j * 3 * c)) < 1e-10
         assert (abs(h.phase) < 1e-10) == is_bs
         assert abs(h.action - 3 * c) < 1e-10
@@ -141,28 +147,30 @@ def test_torus_holonomy_closed_form(models):
 )
 def test_holonomy_is_unitary(models, name, params, crange):
     exm = models(name, **params)
-    pol = exm.polarization()
-    for leaf in enumerate_leaves(LeafAtlas(exm.cover, pol), crange, 9):
-        if leaf.topology == "line":
-            continue
-        h = holonomy(LeafTransport(exm.cover, pol), [leaf])[0]
+    _, results = _holonomies(exm.cover, exm.polarization(), crange, 9)
+    assert len(results) == 9
+    for h in results:
         assert abs(abs(h.holonomy) - 1.0) < 1e-10
+
+
+def _rotated(group, shift):
+    """The leaves of group threaded from their segment shift on."""
+    def turn(a):
+        return np.roll(a, -shift, axis=1 if a.ndim > 1 else 0)
+
+    return group._replace(elements=turn(group.elements), t0=turn(group.t0),
+                          t1=turn(group.t1), lifted=turn(group.lifted),
+                          switch_points=turn(group.switch_points))
 
 
 def test_holonomy_independent_of_starting_segment(models):
     exm = models("torus", k=2)
     pol = exm.polarization()
-    leaf = enumerate_leaves(LeafAtlas(exm.cover, pol), (1.1, 1.1), 1)[0]
-    h = holonomy(LeafTransport(exm.cover, pol), [leaf])[0]
-    for shift in range(1, len(leaf.segments)):
-        rotated = Leaf(
-            leaf.label,
-            leaf.topology,
-            leaf.segments[shift:] + leaf.segments[:shift],
-            np.vstack([leaf.switch_points[shift:], leaf.switch_points[:shift]]),
-        )
-        h2 = holonomy(LeafTransport(exm.cover, pol), [rotated])[0]
-        assert abs(h.holonomy - h2.holonomy) < 1e-10
+    _, (group,) = enumerate_leaves(LeafAtlas(exm.cover, pol), (1.1, 1.1), 1)[:2]
+    _, h = holonomy(LeafTransport(exm.cover, pol), [group])
+    for shift in range(1, len(group.elements)):
+        _, h2 = holonomy(LeafTransport(exm.cover, pol), [_rotated(group, shift)])
+        assert abs(h[0] - h2[0]) < 1e-10
 
 
 def test_holonomy_invariant_under_refinement(models):
@@ -172,11 +180,11 @@ def test_holonomy_invariant_under_refinement(models):
     pol = exm.polarization()
     fine, _ = refine(exm.cover, split_boxes(exm.cover))
     for c in (0.7, 2.9, 5.1):
-        leaf = enumerate_leaves(LeafAtlas(exm.cover, pol), (c, c), 1)[0]
-        leaf_f = enumerate_leaves(LeafAtlas(fine, pol), (c, c), 1)[0]
-        assert len(leaf_f.segments) > len(leaf.segments)
-        h = holonomy(LeafTransport(exm.cover, pol), [leaf])[0]
-        hf = holonomy(LeafTransport(fine, pol), [leaf_f])[0]
+        (group,) = LeafAtlas(exm.cover, pol).leaves([c])
+        (group_f,) = LeafAtlas(fine, pol).leaves([c])
+        assert len(group_f.elements) > len(group.elements)
+        _, (h,) = _holonomies(exm.cover, pol, (c, c), 1)
+        _, (hf,) = _holonomies(fine, pol, (c, c), 1)
         assert abs(h.holonomy - hf.holonomy) < 1e-10
 
 
@@ -557,9 +565,9 @@ def test_census_computes_each_holonomy_once(models, monkeypatch):
     calls = []
     real = bohr.holonomy
 
-    def counting(transport, leaves):
-        calls.extend(leaf.label for leaf in leaves)
-        return real(transport, leaves)
+    def counting(transport, groups):
+        calls.extend(c for g in groups for c in g.labels.tolist())
+        return real(transport, groups)
 
     monkeypatch.setattr(bohr, "holonomy", counting)
     exm = models("torus", k=3)
@@ -797,13 +805,13 @@ def test_census_holonomies_equal_fresh_transport_bit_for_bit(models, monkeypatch
     seen = []
     real = bohr.holonomy
 
-    def recording(transport, leaves):
-        out = real(transport, leaves)
+    def recording(transport, groups):
+        actions, hols = real(transport, groups)
         seen.extend(
-            (transport.cover, transport.polarization, leaf, h)
-            for leaf, h in zip(leaves, out)
+            (transport.cover, transport.polarization, _one(g, i), actions[row], hols[row])
+            for g in groups for i, row in enumerate(g.rows.tolist())
         )
-        return out
+        return actions, hols
 
     monkeypatch.setattr(bohr, "holonomy", recording)
     for name, cover, pol, crange, count in _census_cases(models):
@@ -811,8 +819,9 @@ def test_census_holonomies_equal_fresh_transport_bit_for_bit(models, monkeypatch
         rep = bs_census(cover, pol, crange, count)
         assert rep.root_holonomy_evaluations > 0 or name.startswith("disk"), name
         assert rep.transport_batches < rep.transport_integrals, name
-        for cover_, pol_, leaf, got in seen:
-            assert real(LeafTransport(cover_, pol_), [leaf]) == [got], (name, leaf.label)
+        for cover_, pol_, one, action, hol in seen:
+            fresh = real(LeafTransport(cover_, pol_), [one])
+            assert _same_bits(fresh, (action, hol)), (name, one.labels[0])
 
 
 @pytest.mark.parametrize(
@@ -827,26 +836,57 @@ def test_census_holonomies_equal_fresh_transport_bit_for_bit(models, monkeypatch
 )
 def test_census_holonomy_calls_add_up(models, monkeypatch, name, params, crange,
                                       count, include_lines):
-    # holonomy calls of a census minus its sampled non-line leaves are the
+    # the holonomy labels of a census less its sampled circle leaves are the
     # root-solving evaluations it reports
     calls = []
     batches = []
     real = bohr.holonomy
 
-    def counting(transport, leaves):
-        calls.extend(leaf.label for leaf in leaves)
-        batches.append(len(leaves))
-        return real(transport, leaves)
+    def counting(transport, groups):
+        calls.extend(c for g in groups for c in g.labels.tolist())
+        batches.append(len(groups))
+        return real(transport, groups)
 
     monkeypatch.setattr(bohr, "holonomy", counting)
     exm = models(name, **params)
     rep = bs_census(exm.cover, exm.polarization(), crange, count,
                     include_lines=include_lines)
-    sampled = sum(1 for e in rep.entries if e.leaf.topology != "line")
+    sampled = sum(1 for e in rep.entries if e.leaf.topology == "circle")
     assert rep.census_refinements == 0
     assert len(calls) - sampled == rep.root_holonomy_evaluations
     # one batch of sampled leaves, then one per batch of the crossing searches
     assert len(batches) == 1 + rep.root_steps
+
+
+@pytest.mark.parametrize(
+    "name,params,crange,count,flux",
+    [
+        ("torus", {"k": 3}, (0.05, 6.3332), 33, 1.0),  # wrap bracket
+        ("sphere", {"k": 4}, (0.3, 3.75), 25, 1.0),  # point leaves
+        ("torus", {"k": 8}, (0.0, TWO_PI), 24, 3.0),  # refinement rounds
+    ],
+)
+def test_census_builds_records_only_for_its_report_rows(models, monkeypatch, name, params,
+                                                        crange, count, flux):
+    # the root searches and refinement rounds read actions from arrays: a
+    # Leaf and a HolonomyResult exist only for the rows of the report
+    made = {"Leaf": 0, "HolonomyResult": 0}
+    for cls_name in made:
+        real = getattr(bohr, cls_name)
+
+        def __new__(cls, *args, _real=real, _name=cls_name, **kwargs):
+            made[_name] += 1
+            return _real.__new__(cls, *args, **kwargs)
+
+        monkeypatch.setattr(bohr, cls_name, type(cls_name, (real,), {"__new__": __new__}))
+    real_flux = LeafTransport.flux
+    monkeypatch.setattr(LeafTransport, "flux", lambda self, cs: flux * real_flux(self, cs))
+    exm = models(name, **params)
+    rep = bs_census(exm.cover, exm.polarization(), crange, count)
+    assert (rep.census_refinements > 0) == (flux != 1.0)
+    assert rep.root_holonomy_evaluations > 0 or rep.census_refinements > 0
+    assert made == {"Leaf": len(rep.entries), "HolonomyResult": len(rep.entries)}
+    assert all(type(e.leaf).__name__ == "Leaf" for e in rep.entries)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
@@ -867,6 +907,17 @@ def test_census_counts_each_leaf_once_on_wide_periodic_windows(models, k):
 
 # ---------------------------------------------------------------------------
 # Leaf atlas and batched holonomy, against per-label references
+
+
+class RefLeaf(NamedTuple):
+    """One leaf threaded on its own: segments (element, t0, t1, lifted
+    label) in leaf order and switch points, entry j joining segments j and
+    j + 1."""
+
+    label: float
+    topology: str
+    segments: tuple
+    switch_points: np.ndarray
 
 
 def _reference_candidates(cover, pol, c):
@@ -902,8 +953,8 @@ def _reference_circle(cover, pol, c, phi=None):
     for idx, t0, t1, c_elem in cands:
         if t1 - t0 >= period - 1e-9:
             start = t0 + 0.5 * ((t1 - t0) - period)
-            seg = bohr.LeafSegment(idx, start, start + period, c_elem)
-            return Leaf(c, "circle", (seg,), np.empty((0, 2)))
+            return RefLeaf(c, "circle", ((idx, start, start + period, c_elem),),
+                           np.empty((0, 2)))
     items = []
     for idx, t0, t1, c_elem in cands:
         a = math.fmod(t0, period)
@@ -937,12 +988,12 @@ def _reference_circle(cover, pol, c, phi=None):
         raise CoverageError(f"leaf {c} did not close while threading the cover")
     segments, u_prev = [], switches[-1] - period
     for (_, _, idx, off, c_elem), u_next in zip(placements, switches):
-        segments.append(bohr.LeafSegment(idx, u_prev + off, u_next + off, c_elem))
+        segments.append((idx, u_prev + off, u_next + off, c_elem))
         u_prev = u_next
     pts = pol.curve_points(c, np.array(switches))
     if phi is not None:
         pts = phi.apply_inverse(pts)
-    return Leaf(c, "circle", tuple(segments), cover.manifold.reduce(pts))
+    return RefLeaf(c, "circle", tuple(segments), cover.manifold.reduce(pts))
 
 
 def _reference_line(cover, pol, c, phi=None):
@@ -959,14 +1010,14 @@ def _reference_line(cover, pol, c, phi=None):
         if n1 <= cur_end:
             continue
         switch = 0.5 * (n0 + cur_end)
-        segments.append(bohr.LeafSegment(cur[0], cur[1], switch, cur[2]))
+        segments.append((cur[0], cur[1], switch, cur[2]))
         switches.append(switch)
         cur, cur_end = (nidx, switch, nc), n1
-    segments.append(bohr.LeafSegment(cur[0], cur[1], cur_end, cur[2]))
+    segments.append((cur[0], cur[1], cur_end, cur[2]))
     pts = pol.curve_points(c, np.array(switches))
     if phi is not None:
         pts = phi.apply_inverse(pts)
-    return Leaf(c, "line", tuple(segments), cover.manifold.reduce(pts))
+    return RefLeaf(c, "line", tuple(segments), cover.manifold.reduce(pts))
 
 
 def _source(cover):
@@ -990,18 +1041,45 @@ def _bits(x) -> str:
     return float(x).hex()
 
 
-def _assert_same_leaf(got, want):
-    assert _bits(got.label) == _bits(want.label)
-    assert got.topology == want.topology
-    assert len(got.segments) == len(want.segments)
-    for s, r in zip(got.segments, want.segments):
-        assert s.element == r.element
-        assert [_bits(v) for v in (s.t0, s.t1, s.c_elem)] == [
-            _bits(v) for v in (r.t0, r.t1, r.c_elem)
-        ]
-    assert got.switch_points.shape == want.switch_points.shape
-    assert got.switch_points.dtype == want.switch_points.dtype
-    assert got.switch_points.tobytes() == want.switch_points.tobytes()
+def _same_bits(got, want) -> bool:
+    """Whether an (action, holonomy) pair of arrays of one label holds
+    the bits of a scalar pair."""
+    (action,), (hol,) = (v.tolist() for v in got)
+    return [_bits(v) for v in (action, hol.real, hol.imag)] == [
+        _bits(v) for v in (want[0], want[1].real, want[1].imag)
+    ]
+
+
+def _one(group, i):
+    """Row i of a LeafGroup as a group of its own."""
+    return group._replace(rows=np.zeros(1, dtype=int), labels=group.labels[i : i + 1],
+                          lifted=group.lifted[i : i + 1],
+                          switch_points=group.switch_points[i : i + 1])
+
+
+def _assert_same_leaf(group, i, topology, want):
+    """Row i of a LeafGroup of the given topology is the leaf want."""
+    assert _bits(group.labels[i]) == _bits(want.label)
+    assert topology == want.topology
+    assert len(group.elements) == len(want.segments)
+    for j, r in enumerate(want.segments):
+        assert group.elements[j] == r[0]
+        got = (group.t0[j], group.t1[j], group.lifted[i, j])
+        assert [_bits(v) for v in got] == [_bits(v) for v in r[1:]]
+    got = group.switch_points[i]
+    assert got.shape == want.switch_points.shape
+    assert got.dtype == want.switch_points.dtype
+    assert got.tobytes() == want.switch_points.tobytes()
+
+
+def _assert_same_leaves(groups, labels, topology, want):
+    """The groups of a batch of labels hold every label once, each the
+    leaf want[label]."""
+    rows = sorted(row for g in groups for row in g.rows.tolist())
+    assert rows == list(range(len(labels)))
+    for g in groups:
+        for i, row in enumerate(g.rows.tolist()):
+            _assert_same_leaf(g, i, topology, want[labels[row]])
 
 
 def _atlas_cases(models):
@@ -1076,16 +1154,15 @@ def test_atlas_leaves_equal_per_label_threading(models, monkeypatch):
         assert len(good) > 13, name
         threaded.clear()
         atlas = bohr.LeafAtlas(cover, pol)
-        for got, c in zip(atlas.leaves(good), good):
-            _assert_same_leaf(got, want[c])
+        topology = "line" if pol.leaf_period is None else "circle"
+        _assert_same_leaves(atlas.leaves(good), good, topology, want)
         # one threading per membership pattern, and none on a second pass
         src, root = _source(cover), pol.root
         patterns = {
             frozenset(r[0] for r in _reference_candidates(src, root, c)) for c in good
         }
         assert atlas.threadings == len(threaded) == len(patterns), name
-        for got, c in zip(atlas.leaves(good[::-1]), good[::-1]):
-            _assert_same_leaf(got, want[c])
+        _assert_same_leaves(atlas.leaves(good[::-1]), good[::-1], topology, want)
         assert atlas.threadings == len(threaded) == len(patterns), name
         for c, message in failing.items():
             with pytest.raises(CoverageError) as exc:
@@ -1103,17 +1180,15 @@ def test_atlas_names_a_label_that_crosses_no_element(models):
 def _reference_holonomy(cover, pol, leaf, transport):
     """The holonomy of one leaf as a product of scalars, one one-entry
     integral and one single-point transition call at a time."""
-    if leaf.topology == "point":
-        return bohr.HolonomyResult(1.0 + 0.0j, 0.0, 0.0, 0, 0.0)
     action, hol = 0.0, 1.0 + 0.0j
-    for seg in leaf.segments:
-        val = complex(transport.integral([seg.element], [seg.t0], [seg.t1], [seg.c_elem])[0])
+    for element, t0, t1, c_elem in leaf.segments:
+        val = complex(transport.integral([element], [t0], [t1], [c_elem])[0])
         action += val.real
         hol *= np.exp(-1j * val)
     nseg = len(leaf.segments)
     for j in range(len(leaf.switch_points)):
-        a = leaf.segments[j].element
-        b = leaf.segments[(j + 1) % nseg].element
+        a = leaf.segments[j][0]
+        b = leaf.segments[(j + 1) % nseg][0]
         lam = cover.transition(a, b, leaf.switch_points[j])[0]
         hol *= lam
         action -= math.atan2(lam.imag, lam.real)
@@ -1193,27 +1268,32 @@ def test_batched_holonomy_equals_the_per_leaf_product_bit_for_bit(models):
     ] + _gauged_cases(models)
     switches = gauged_switches = 0
     for name, cover, pol, crange, plain in cases:
-        leaves = enumerate_leaves(LeafAtlas(cover, pol), crange, 60)
+        labels, groups, _ = enumerate_leaves(LeafAtlas(cover, pol), crange, 60)
         transport = LeafTransport(cover, pol)
-        got = holonomy(transport, leaves)
+        actions, hols = holonomy(transport, groups)
         batches = transport.transition_batches
-        for leaf, h in zip(leaves, got):
-            want = _reference_holonomy(cover, pol, leaf, transport)
-            assert _same_result(h, want), (name, leaf.label, h, want)
-            assert _same_result(holonomy(transport, [leaf])[0], want)
+        results = list(map(bohr.HolonomyResult.of, hols.tolist(), actions.tolist()))
+        for g in groups:
+            for i, row in enumerate(g.rows.tolist()):
+                leaf = _reference_leaf(cover, pol, labels[row])
+                want = _reference_holonomy(cover, pol, leaf, transport)
+                assert _same_result(results[row], want), (name, leaf.label, want)
+                one = holonomy(transport, [_one(g, i)])
+                assert _same_bits(one, (want.action, want.holonomy)), (name, leaf.label)
         pairs = {
-            (leaf.segments[j].element, leaf.segments[(j + 1) % len(leaf.segments)].element)
-            for leaf in leaves for j in range(len(leaf.switch_points))
+            (g.elements[j], g.elements[(j + 1) % len(g.elements)])
+            for g in groups for j in range(g.switch_points.shape[1])
         }
         # one evaluator run per distinct transition formula among the pairs
         formulas = {cover.data.transition_expr(a, b) for a, b in pairs if a != b}
         assert batches == len(formulas), name
-        switches += sum(len(leaf.switch_points) for leaf in leaves)
+        switches += sum(g.switch_points.shape[0] * g.switch_points.shape[1] for g in groups)
         if plain is not None:  # a change of gauge leaves every holonomy
             base = holonomy(
-                LeafTransport(*plain), enumerate_leaves(LeafAtlas(*plain), crange, 60)
+                LeafTransport(*plain), enumerate_leaves(LeafAtlas(*plain), crange, 60)[1]
+            )[1]
+            assert np.all(np.abs(hols - base) < 1e-10), name
+            gauged_switches += sum(
+                g.switch_points.shape[0] * g.switch_points.shape[1] for g in groups
             )
-            for h, h0 in zip(got, base):
-                assert abs(h.holonomy - h0.holonomy) < 1e-10, name
-            gauged_switches += sum(len(leaf.switch_points) for leaf in leaves)
     assert gauged_switches > 500 and switches > 2000

@@ -1,6 +1,8 @@
 """The array evaluator: scalar and array calls, deep programs, totality,
 tuple programs, and the programs that formula owners compile once."""
 
+from typing import NamedTuple
+
 import numpy as np
 import pytest
 
@@ -78,9 +80,17 @@ def _element_points(cover, a):
     return cover.manifold.reduce(cover.nerve.cells[((a,), 0)].samples)
 
 
+class Segment(NamedTuple):
+    element: int
+    t0: float
+    t1: float
+    c_elem: float  # the label lifted into the element frame
+
+
 def _segments(exm, pol):
-    leaves = bohr.enumerate_leaves(bohr.LeafAtlas(exm.cover, pol), exm.census_range, 3)
-    return [seg for leaf in leaves if leaf.topology != "point" for seg in leaf.segments]
+    _, groups, _ = bohr.enumerate_leaves(bohr.LeafAtlas(exm.cover, pol), exm.census_range, 3)
+    return [Segment(*seg) for g in groups for lifted in g.lifted.tolist()
+            for seg in zip(g.elements.tolist(), g.t0.tolist(), g.t1.tolist(), lifted)]
 
 
 def _segment_ts(seg):

@@ -642,11 +642,8 @@ def test_pullback_data_is_the_chain_through_the_map(models, monkeypatch, name, p
     # no map
     pulled = pullback(src, phi)
     transport = LeafTransport(pulled, pushforward_polarization(phi, pol))
-    circles = [
-        leaf for leaf in enumerate_leaves(LeafAtlas(src, pol), exm.census_range, 3)
-        if leaf.topology != "point"
-    ]
-    seg = circles[0].segments[0]
+    group = enumerate_leaves(LeafAtlas(src, pol), exm.census_range, 3)[1][0]
+    element, t0, t1, c_elem = group.elements[0], group.t0[0], group.t1[0], group.lifted[0, 0]
 
     def refuse(*args, **kwargs):
         raise AssertionError("the map was evaluated")
@@ -661,8 +658,8 @@ def test_pullback_data_is_the_chain_through_the_map(models, monkeypatch, name, p
             a, b = cell.indices
             pulled.transition(a, b, pts)
             pulled.transition_dlog(a, b, pts)
-    ts = np.linspace(seg.t0, seg.t1, 5)
-    values = transport.integrand(seg.element)(np.array([seg.c_elem]), ts)
+    ts = np.linspace(t0, t1, 5)
+    values = transport.integrand(element)(np.array([c_elem]), ts)
     assert np.all(np.isfinite(values))
 
 

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from gqlab import quadrature
 from gqlab.quadrature import QuadratureError, integrate
 
 
@@ -254,3 +255,14 @@ def test_non_finite_estimate_of_one_row_raises_at_once():
     with pytest.raises(QuadratureError, match=r"non-finite estimate on \[1.0, 2.0\]"):
         integrate(g, [0.0, 1.0], [1.0, 2.0])
     assert seen[0] == 44
+
+
+@pytest.mark.parametrize("n", [7, 15])
+def test_node_tables_are_leggauss_bit_for_bit(n):
+    from numpy.polynomial.legendre import leggauss
+
+    nodes, weights = leggauss(n)
+    table = {7: (quadrature._X7, quadrature._W7), 15: (quadrature._X15, quadrature._W15)}
+    for got, want in zip(table[n], (nodes, weights)):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
