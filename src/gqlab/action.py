@@ -107,11 +107,10 @@ class ComplementaryCover(NamedTuple):
         }
 
 
-def gauge_potentials(naive, pulled, targets: dict, counters: dict) -> dict:
+def gauge_potentials(naive, pulled, elements: np.ndarray, pts, counters: dict):
     """f_a, the primitive of the closed gauge 1-form theta_naive - phi^* theta
-    on element a that vanishes at the element's center, at targets[a]: a
-    list of (n, 2) arrays of canonical points.  Returns the values in the
-    same layout, a list of (n,) arrays per element.
+    on element a that vanishes at the element's center, at each canonical
+    point of pts, (n, 2), for a = elements[i]; returns the (n,) values.
 
     The path to a target runs along x from the center to the target's x0,
     then along y at x0, both legs in the element's own frame
@@ -121,9 +120,10 @@ def gauge_potentials(naive, pulled, targets: dict, counters: dict) -> dict:
     integrals and the points evaluated.
     """
     coords = naive.manifold.coords
-    out = {}
-    for a, parts in targets.items():
-        lifted = naive.member_points(a, np.concatenate(parts))
+    out = np.empty(len(pts), dtype=np.complex128)
+    for a in np.flatnonzero(np.bincount(elements)).tolist():
+        rows = np.flatnonzero(elements == a)
+        lifted = naive.member_points(a, pts[rows])
         if np.any(np.isnan(lifted)):
             raise ConfigurationError(
                 f"potential of element {a} requested outside the element"
@@ -159,9 +159,65 @@ def gauge_potentials(naive, pulled, targets: dict, counters: dict) -> dict:
         legs_int = np.zeros(len(starts), dtype=np.complex128)
         legs_int[live] = integrate(legs, starts[live], ends[live])
         counters["gauge_integrals"] += len(live)
-        f = legs_int[: len(x0s)][x_leg] + legs_int[len(x0s) :]
-        out[a] = np.split(f, np.cumsum([len(p) for p in parts[:-1]]))
+        out[rows] = legs_int[: len(x0s)][x_leg] + legs_int[len(x0s) :]
     return out
+
+
+def overlap_constants(naive, pulled, counters: dict) -> tuple:
+    """Steps 2 and 3 of build_complementary on the nerve naive and pulled
+    share: (gauge_closedness_max, constants, constancy_max, ratios), with
+    the ratio samples of each overlap cell by key.  counters gains the
+    gauge integrals' counts.
+
+    Each step makes one accessor call per cover on all the samples of its
+    degree; the maxima, means and spreads are taken cell by cell, on
+    slices, so every value is the one a cell-by-cell construction gives.
+    """
+    manifold, nerve = naive.manifold, naive.nerve
+    # Step 2: the gauge 1-form g = theta_naive - phi^* theta must be closed;
+    # a cell whose residual has no value drops out of the fold
+    s0 = nerve.samples(0, manifold)
+    (el,) = s0.members.T
+    resid = np.abs(naive.curvature(el, s0.points) - pulled.curvature(el, s0.points))
+    cell_resids = np.split(resid, np.cumsum(s0.sizes)[:-1])
+    closed_max = max([0.0] + [float(np.max(r)) for r in cell_resids])
+    if closed_max > CLOSEDNESS_TOL:
+        raise InternalConsistencyError(
+            f"gauge 1-form is not closed (residual {closed_max:.3e}); "
+            "naive pulled-back data is inconsistent"
+        )
+
+    # Step 3: constants e = lambda_naive e^{-i(f_a - f_b)} / phi^* lambda,
+    # which must be constant on each overlap.
+    s1 = nerve.samples(1, manifold)
+    if not s1.keys:  # one element: no overlaps
+        return closed_max, {}, 0.0, {}
+    a, b = s1.members.T
+    n = len(s1.points)
+    f = gauge_potentials(  # each cell's samples for a, then each cell's for b
+        naive, pulled, np.broadcast_to(s1.members, (n, 2)).T.ravel(),
+        np.concatenate([s1.points] * 2), counters,
+    )
+    ratios = (
+        naive.transition(a, b, s1.points)
+        * np.exp(-1j * (f[:n] - f[n:]))
+        / pulled.transition(a, b, s1.points)
+    )
+    constants = {}
+    constancy_max = 0.0
+    cell_ratios = {}
+    for key, ratio in zip(s1.keys, np.split(ratios, np.cumsum(s1.sizes)[:-1])):
+        mean = complex(np.mean(ratio))
+        spread = float(np.max(np.abs(ratio - mean)))
+        constancy_max = max(constancy_max, spread)
+        if spread > 1e-8 * (1.0 + abs(mean)):
+            raise InternalConsistencyError(
+                f"cocycle constant on overlap {key} is not constant "
+                f"(spread {spread:.3e})"
+            )
+        constants[(*key[0], key[1])] = mean
+        cell_ratios[key] = ratio
+    return closed_max, constants, constancy_max, cell_ratios
 
 
 def build_complementary(phi: Symplectomorphism, example):
@@ -173,9 +229,10 @@ def build_complementary(phi: Symplectomorphism, example):
     onto the pullback of the source potentials by integrating the (verified
     closed) difference along axis-aligned two-segment paths, (3) compare
     gauged transitions with pulled-back ones, check the ratios are constant
-    on each overlap component, and solve them as a coboundary over the nerve
-    graph.  Any independent cycle whose product of constants is away from 1
-    certifies that no complementary cover exists for this choice.
+    on each overlap component (overlap_constants), and solve them as a
+    coboundary over the nerve graph.  Any independent cycle whose product
+    of constants is away from 1 certifies that no complementary cover
+    exists for this choice.
     """
     cover = example.cover
     cover.nerve.require_degree(1, "build_complementary")
@@ -185,77 +242,23 @@ def build_complementary(phi: Symplectomorphism, example):
                 f"element {el.index} is not contractible; the construction "
                 "requires a good cover"
             )
-    manifold = cover.manifold
     pulled = pullback(cover, phi)
-    nerve = pulled.nerve
     naive = TrivializationCover(
-        manifold=manifold,
+        manifold=cover.manifold,
         omega=cover.omega,
         elements=pulled.elements,
         data=example.data_builder([el.box for el in pulled.elements]),
-        nerve=nerve,
+        nerve=pulled.nerve,
     )
-
-    # Step 2: the gauge 1-form g = theta_naive - phi^* theta must be closed.
-    closed_max = 0.0
-    for key, cell in nerve.cells.items():
-        if cell.degree != 0 or len(cell.samples) == 0:
-            continue
-        pts = manifold.reduce(cell.samples)
-        resid = np.abs(
-            naive.curvature(cell.indices[0], pts)
-            - pulled.curvature(cell.indices[0], pts)
-        )
-        closed_max = max(closed_max, float(np.max(resid)))
-    if closed_max > CLOSEDNESS_TOL:
-        raise InternalConsistencyError(
-            f"gauge 1-form is not closed (residual {closed_max:.3e}); "
-            "naive pulled-back data is inconsistent"
-        )
-
-    # Step 3: constants e = lambda_naive e^{-i(f_a - f_b)} / phi^* lambda.
-    cells = [
-        (key, cell, manifold.reduce(cell.samples))
-        for key, cell in sorted(nerve.cells.items())
-        if cell.degree == 1 and len(cell.samples)
-    ]
-    targets: dict = {}
-    for _, cell, pts in cells:
-        for a in cell.indices:
-            targets.setdefault(a, []).append(pts)
     counters = {"gauge_integrals": 0, "gauge_nodes": 0}
-    # each element's values come back in the order its cells were added
-    f_alpha = {
-        a: iter(values)
-        for a, values in gauge_potentials(naive, pulled, targets, counters).items()
-    }
-    constants = {}
-    constancy_max = 0.0
-    certificate_samples = {}
-    for key, cell, pts in cells:
-        a, b = cell.indices
-        f_a, f_b = next(f_alpha[a]), next(f_alpha[b])
-        ratio = (
-            naive.transition(a, b, pts)
-            * np.exp(-1j * (f_a - f_b))
-            / pulled.transition(a, b, pts)
-        )
-        mean = complex(np.mean(ratio))
-        spread = float(np.max(np.abs(ratio - mean)))
-        constancy_max = max(constancy_max, spread)
-        if spread > 1e-8 * (1.0 + abs(mean)):
-            raise InternalConsistencyError(
-                f"cocycle constant on overlap {key} is not constant "
-                f"(spread {spread:.3e})"
-            )
-        constants[(a, b, cell.comp)] = mean
-        certificate_samples[key] = ratio
+    closed_max, constants, constancy_max, certificate_samples = overlap_constants(
+        naive, pulled, counters
+    )
 
     # Step 4: solve w_b / w_a = e_ab over the nerve graph by spanning tree.
     n_elem = len(cover.elements)
     w = {0: 1.0 + 0.0j}
     parent = {0: None}
-    order = [0]
     edges = sorted(constants)
     adjacency = {}
     for a, b, comp in edges:
@@ -272,7 +275,6 @@ def build_complementary(phi: Symplectomorphism, example):
             w[u] = w[v] / e_val if reverse else w[v] * e_val
             parent[u] = (v, edge)
             tree_edges.add(edge)
-            order.append(u)
             queue.append(u)
     if len(w) != n_elem:
         missing = sorted(set(range(n_elem)) - set(w))

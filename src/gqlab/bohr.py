@@ -22,6 +22,7 @@ rows of its report.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from typing import NamedTuple
 
 import numpy as np
@@ -523,23 +524,9 @@ class BSReport(NamedTuple):
     # between the first sampled circle leaf and the last (or the first one a
     # period on, on a window that closes)
     action_change: float
-    # root-solving and transport work, reported under timing rather than in
-    # the payload
-    root_brackets: int
-    root_holonomy_evaluations: int
-    root_steps: int  # holonomy batches of the crossing searches
-    census_refinements: int  # midpoint rounds of the unwrapping
-    transport_integrals: int  # label integrals computed
-    transport_batches: int  # quadrature calls
-    leaf_patterns: int  # membership patterns threaded
-    transition_batches: int  # transition formulas evaluated by the holonomies
-
-    @property
-    def counters(self) -> dict:
-        names = ("root_brackets", "root_holonomy_evaluations", "root_steps",
-                 "census_refinements", "transport_integrals", "transport_batches",
-                 "leaf_patterns", "transition_batches")
-        return {name: getattr(self, name) for name in names}
+    # root-solving, transport and leaf work, reported under timing rather
+    # than in the payload (docs/conventions.md, "Reports")
+    counters: Mapping
 
     def as_dict(self) -> dict:
         return {
@@ -706,14 +693,16 @@ def bs_census(
         lines_excluded=0 if include_lines else lines,
         tol=tol,
         action_change=float(change),
-        root_brackets=len(brackets),
-        root_holonomy_evaluations=root_labels,
-        root_steps=root_steps,
-        census_refinements=refinements,
-        transport_integrals=transport.integrals_computed,
-        transport_batches=transport.batches,
-        leaf_patterns=atlas.threadings,
-        transition_batches=transport.transition_batches,
+        counters={
+            "root_brackets": len(brackets),
+            "root_holonomy_evaluations": root_labels,
+            "root_steps": root_steps,
+            "census_refinements": refinements,
+            "transport_integrals": transport.integrals_computed,
+            "transport_batches": transport.batches,
+            "leaf_patterns": atlas.threadings,
+            "transition_batches": transport.transition_batches,
+        },
     )
 
 

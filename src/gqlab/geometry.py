@@ -40,9 +40,6 @@ class Box(NamedTuple):
     lo: tuple
     hi: tuple
 
-    def width(self, axis: int) -> float:
-        return self.hi[axis] - self.lo[axis]
-
     def center(self) -> tuple:
         return tuple(0.5 * (l + h) for l, h in zip(self.lo, self.hi))
 
@@ -63,14 +60,20 @@ class Box(NamedTuple):
         return Box(lo, hi)
 
     def grid(self, n: int) -> np.ndarray:
-        """Deterministic interior sample grid, (n*n, 2)."""
-        axes = [
-            np.linspace(self.lo[a] + 1e-3 * self.width(a),
-                        self.hi[a] - 1e-3 * self.width(a), n)
-            for a in range(2)
-        ]
-        gx, gy = np.meshgrid(axes[0], axes[1], indexing="ij")
-        return np.column_stack([gx.ravel(), gy.ravel()])
+        """Deterministic interior sample grid (inset_grids), (n*n, 2)."""
+        return inset_grids(np.array([self.lo], float), np.array([self.hi], float), n)[0]
+
+
+def inset_grids(lo: np.ndarray, hi: np.ndarray, n: int) -> np.ndarray:
+    """The interior sample grid of each box (rows of lo, hi), (boxes, n*n,
+    2): the ij meshgrid of n points per axis, inset by 1e-3 of the box's
+    width."""
+    inset = 1e-3 * (hi - lo)
+    axes = np.linspace(lo + inset, hi - inset, n, axis=1)  # (boxes, n, 2)
+    grid = np.empty((len(lo), n, n, 2))
+    grid[..., 0] = axes[:, :, None, 0]
+    grid[..., 1] = axes[:, None, :, 1]
+    return grid.reshape(len(lo), n * n, 2)
 
 
 class Manifold(NamedTuple):
@@ -88,19 +91,21 @@ class Manifold(NamedTuple):
                 arr[:, axis] = np.mod(arr[:, axis], period)
         return arr
 
-    def lift_into(self, pts, box: Box, tol: float = 1e-9) -> np.ndarray:
+    def lift_into(self, pts, box, tol: float = 1e-9) -> np.ndarray:
         """Representative of each point in the box frame (periodic unrolling).
 
-        Periodic coordinates are shifted by whole periods toward the box;
-        rows whose periodic coordinates cannot reach the box become nan.
-        Non-periodic coordinates pass through (membership is a separate
-        question, answered against the box bounds by the caller).
+        box is a Box, or a pair (lo, hi) of corner arrays indexed by axis
+        first: (2,) for one box, (2, n) for one box per point.  Periodic
+        coordinates are shifted by whole periods toward the box; rows whose
+        periodic coordinates cannot reach the box become nan.  Non-periodic
+        coordinates pass through (membership is a separate question,
+        answered against the box bounds by the caller).
         """
         arr = as_points(pts).copy()
         for axis, period in enumerate(self.periods):
             if period is None:
                 continue
-            lo, hi = box.lo[axis], box.hi[axis]
+            lo, hi = box[0][axis], box[1][axis]
             mid = 0.5 * (lo + hi)
             arr[:, axis] += period * np.round((mid - arr[:, axis]) / period)
             bad = (arr[:, axis] < lo - tol) | (arr[:, axis] > hi + tol)
@@ -139,10 +144,7 @@ class SymplecticForm(NamedTuple):
 def eval_at(e, coords: tuple, pts: np.ndarray):
     """Evaluate an expression, or a program over coords, at (n, 2) points."""
     values = {coords[0]: pts[:, 0], coords[1]: pts[:, 1]}
-    out = kernels.evaluate(e, values)
-    if np.ndim(out) == 0:
-        out = np.full(len(pts), out, dtype=np.complex128)
-    return out
+    return kernels.evaluate(e, values)
 
 
 def _rows(vals: np.ndarray) -> np.ndarray:

@@ -26,7 +26,7 @@ from gqlab.bohr import (
 )
 from gqlab.cech import TransversalGrid, delta, half_offset_labels, random_projected_cochain
 from gqlab.geometry import as_points, eval_at, pushforward_polarization
-from gqlab.prequantum import ConfigurationError, check_local_data
+from gqlab.prequantum import ConfigurationError, TrivializationCover, check_local_data
 from gqlab.quadrature import integrate
 from gqlab.transport import LeafTransport
 
@@ -148,15 +148,22 @@ def test_batched_gauge_integrals_match_scalar_construction(
             assert abs(batched.tree_solution[v] - w) < 1e-12
 
 
-def _per_cell_gauge_potentials(naive, pulled, targets, counters):
-    """f_a at each overlap cell's samples as the construction computed it
-    before its gauge integrals were gathered by element: per cell, both
+def _per_cell_gauge_potentials(naive, pulled, elements, pts, counters):
+    """f_a at the targets as the construction computed it before its gauge
+    integrals were gathered by element: per overlap cell and member, both
     legs at every target, each node reduced to canonical coordinates and
     lifted back into the element to evaluate the gauge form as one
-    two-part program."""
+    two-part program.  The targets are laid out as overlap_constants
+    passes them: each cell's samples for its first member, then each
+    cell's samples for its second."""
     manifold = naive.manifold
-    out = {}
-    for a, parts in targets.items():
+    sizes = naive.nerve.samples(1, manifold).sizes
+    assert len(pts) == 2 * sizes.sum()
+    out = np.empty(len(pts), dtype=np.complex128)
+    ends = np.cumsum(np.tile(sizes, 2)).tolist()
+    for start, end in zip([0] + ends[:-1], ends):
+        assert np.all(elements[start:end] == elements[start])
+        a = int(elements[start])
         pairs = zip(naive.data.potentials[a], pulled.data.potentials[a])
         prog = program.compile_expr(
             tuple(ex.BinOp("-", tn, tp) for tn, tp in pairs), manifold.coords
@@ -186,7 +193,7 @@ def _per_cell_gauge_potentials(naive, pulled, targets, counters):
 
             return integrate(leg0, base[0], x0s) + integrate(leg1, base[1], x1s)
 
-        out[a] = [f_alpha(pts) for pts in parts]
+        out[start:end] = f_alpha(pts[start:end])
     return out
 
 
@@ -225,6 +232,137 @@ def test_gauge_integrals_by_element_match_the_per_cell_construction(
     assert 0 < counters["gauge_integrals"] < counters["gauge_nodes"]
 
 
+def _per_cell_overlap_constants(naive, pulled, counters):
+    """Steps 2 and 3 of build_complementary as the construction ran before
+    it read each degree's samples in one accessor call per cover: per
+    cell, one curvature call per cover on each element, and one transition
+    call per cover on each overlap.  The reference for overlap_constants."""
+    manifold, nerve = naive.manifold, naive.nerve
+    closed_max = 0.0
+    for cell in nerve.cells.values():
+        if cell.degree != 0 or len(cell.samples) == 0:
+            continue
+        pts = manifold.reduce(cell.samples)
+        resid = np.abs(
+            naive.curvature(cell.indices[0], pts) - pulled.curvature(cell.indices[0], pts)
+        )
+        closed_max = max(closed_max, float(np.max(resid)))
+    if closed_max > action.CLOSEDNESS_TOL:
+        raise InternalConsistencyError(f"gauge 1-form is not closed ({closed_max:.3e})")
+    cells = [
+        (key, cell, manifold.reduce(cell.samples))
+        for key, cell in sorted(nerve.cells.items())
+        if cell.degree == 1 and len(cell.samples)
+    ]
+    # one gauge_potentials call: each cell's samples for a, then for b
+    elements = [np.repeat(cell.indices, len(pts)) for _, cell, pts in cells]
+    targets = [np.tile(pts, (2, 1)) for *_, pts in cells]
+    f = action.gauge_potentials(
+        naive, pulled, np.concatenate([np.empty(0, int)] + elements),
+        np.concatenate([np.empty((0, 2))] + targets), counters,
+    )
+    f_cells = np.split(f, np.cumsum([len(t) for t in targets])[:-1])
+    constants, constancy_max, ratios = {}, 0.0, {}
+    for (key, cell, pts), f_cell in zip(cells, f_cells):
+        a, b = cell.indices
+        f_a, f_b = np.split(f_cell, 2)
+        ratio = (
+            naive.transition(a, b, pts)
+            * np.exp(-1j * (f_a - f_b))
+            / pulled.transition(a, b, pts)
+        )
+        mean = complex(np.mean(ratio))
+        spread = float(np.max(np.abs(ratio - mean)))
+        constancy_max = max(constancy_max, spread)
+        if spread > 1e-8 * (1.0 + abs(mean)):
+            raise InternalConsistencyError(f"overlap {key} is not constant ({spread:.3e})")
+        constants[(a, b, cell.comp)] = mean
+        ratios[key] = ratio
+    return closed_max, constants, constancy_max, ratios
+
+
+# every map the catalog offers, with both sides of the obstruction
+# dichotomy where a model has two, and the identity
+COMPLEMENTARY_CASES = [
+    ("plane", {}, "identity"),
+    ("plane", {}, "shear"),
+    ("plane", {}, "rot:0.3"),
+    ("plane", {}, "translate:0.5,0.25"),
+    ("plane", {"granularity": 2}, "shear"),
+    ("plane", {"granularity": 2}, "rot:0.3"),
+    ("cylinder", {}, "translate:1.5"),
+    ("cylinder", {}, "pshift:0.4"),
+    ("cylinder", {}, "pshift:1"),
+    ("torus", {"k": 2}, "translate:0.7,0"),
+    ("torus", {"k": 2}, f"translate:{math.pi:.17g},0"),
+    ("torus", {"k": 3, "granularity": 4}, "translate:0.7,0.3"),
+    ("sphere", {"k": 3}, "rot:1.0"),
+    ("disk", {}, "rot:0.7"),
+]
+
+
+def test_complementary_cases_cover_every_catalog_map(models):
+    params = {"torus": {"k": 1}, "sphere": {"k": 1}}
+    offered = {
+        (name, spec)
+        for name in catalog.EXAMPLE_NAMES
+        for spec in models(name, **params.get(name, {})).map_specs
+        if spec != "identity"
+    }
+    cases = {(name, spec.partition(":")[0]) for name, _, spec in COMPLEMENTARY_CASES}
+    assert cases - {("plane", "identity")} == offered
+
+
+@pytest.mark.parametrize("name, params, spec", COMPLEMENTARY_CASES)
+def test_overlap_constants_match_the_per_cell_construction(
+    models, monkeypatch, name, params, spec
+):
+    # one accessor call per cover and degree, and the means, spreads and
+    # maxima on each cell's slice: every value keeps its bits
+    exm = models(name, **params)
+    phi = catalog.make_map(exm, spec)
+    batched = build_complementary(phi, exm)
+    monkeypatch.setattr(action, "overlap_constants", _per_cell_overlap_constants)
+    per_cell = build_complementary(phi, exm)
+    assert type(batched) is type(per_cell)
+    # repr tells NaNs apart from numbers and keeps every bit
+    assert repr(batched.constants) == repr(per_cell.constants)
+    assert repr(batched.as_dict()) == repr(per_cell.as_dict())
+    assert batched.counters == per_cell.counters
+    if isinstance(per_cell, ComplementaryCover):
+        assert repr(batched.tree_solution) == repr(per_cell.tree_solution)
+    else:
+        assert batched.witness_cycle == per_cell.witness_cycle
+        assert repr(batched.cycle_product) == repr(per_cell.cycle_product)
+
+
+@pytest.mark.parametrize("name, params, spec", [
+    ("plane", {}, "shear"),  # one element
+    ("sphere", {"k": 3}, "rot:1.0"),  # two
+    ("cylinder", {}, "pshift:1"),  # three
+    ("torus", {"k": 2, "granularity": 4}, "translate:0.7,0"),  # sixteen, obstructed
+])
+def test_complementary_cover_makes_one_accessor_call_per_cover(
+    models, monkeypatch, name, params, spec
+):
+    exm = models(name, **params)
+    phi = catalog.make_map(exm, spec)
+    calls = []
+
+    def counting(accessor, method):
+        def counted(self, *args):
+            calls.append(accessor)
+            return method(self, *args)
+        return counted
+
+    for accessor in ("curvature", "transition"):
+        method = getattr(TrivializationCover, accessor)
+        monkeypatch.setattr(TrivializationCover, accessor, counting(accessor, method))
+    build_complementary(phi, exm)
+    assert calls.count("curvature") == 2
+    assert calls.count("transition") <= 2
+
+
 def test_gauge_potential_outside_its_element_is_a_config_error(models):
     # the lifted targets are checked before any quadrature, so the error
     # names the element instead of a non-finite integration bound
@@ -237,7 +375,8 @@ def test_gauge_potential_outside_its_element_is_a_config_error(models):
     counters = {"gauge_integrals": 0, "gauge_nodes": 0}
     with pytest.raises(ConfigurationError, match="element 0 requested outside"):
         action.gauge_potentials(
-            exm.cover, exm.cover, {0: [inside, outside]}, counters
+            exm.cover, exm.cover, np.array([0, 0]), np.concatenate([inside, outside]),
+            counters,
         )
     assert counters == {"gauge_integrals": 0, "gauge_nodes": 0}
 

@@ -375,7 +375,7 @@ def _assert_located(rep, want):
     assert len(got) == len(want)
     assert np.max(np.abs(np.array(got) - want), initial=0.0) <= 1e-11
     # the probe pair closes each bracket; bisection would take about 37
-    assert rep.root_holonomy_evaluations <= 12 * rep.root_brackets
+    assert rep.counters["root_holonomy_evaluations"] <= 12 * rep.counters["root_brackets"]
 
 
 @pytest.mark.parametrize("k", range(1, 9))
@@ -398,7 +398,7 @@ def test_census_locations_on_the_cylinder(models, crange):
     _assert_located(rep, want)
     # one bracket per location that is not a sample
     sampled = {e.leaf.label for e in rep.entries}
-    assert rep.root_brackets == len(set(rep.bs_locations) - sampled)
+    assert rep.counters["root_brackets"] == len(set(rep.bs_locations) - sampled)
 
 
 def test_census_counts_a_sample_exactly_on_a_multiple_of_2pi(models):
@@ -557,7 +557,7 @@ def test_census_minus_one_crossing_gives_no_location(models):
     # the real axis; the action crosses no multiple of 2 pi, so no bracket
     exm = models("torus", k=1)
     rep = bs_census(exm.cover, exm.polarization(), (2.5, 3.8), 9)
-    assert rep.root_brackets == 0 and rep.root_holonomy_evaluations == 0
+    assert rep.counters["root_brackets"] == 0 and rep.counters["root_holonomy_evaluations"] == 0
     assert rep.bs_locations == () and rep.q_bs == 0
 
 
@@ -572,9 +572,9 @@ def test_census_computes_each_holonomy_once(models, monkeypatch):
     monkeypatch.setattr(bohr, "holonomy", counting)
     exm = models("torus", k=3)
     rep = bs_census(exm.cover, exm.polarization(), (0.05, 6.3332), 33)
-    assert rep.q_bs == 3 and rep.census_refinements == 0
+    assert rep.q_bs == 3 and rep.counters["census_refinements"] == 0
     # every label a search evaluates is read
-    assert len(calls) == len(rep.entries) + rep.root_holonomy_evaluations
+    assert len(calls) == len(rep.entries) + rep.counters["root_holonomy_evaluations"]
     assert len(set(calls)) == len(calls)
 
 
@@ -598,7 +598,7 @@ def test_coarse_counts_find_every_bs_leaf(models, count):
     exm = models("torus", k=8)
     rep = bs_census(exm.cover, exm.polarization(), exm.census_range, count)
     _assert_located(rep, [TWO_PI * m / 8 for m in range(8)])
-    assert rep.q_bs == 8 and rep.census_refinements == 0
+    assert rep.q_bs == 8 and rep.counters["census_refinements"] == 0
 
 
 def test_a_flux_the_steps_disagree_with_exits_1(capsys, monkeypatch):
@@ -624,7 +624,7 @@ def test_a_flux_the_steps_disagree_with_exits_1(capsys, monkeypatch):
     # with the same flux, a finer census resolves its steps in a few rounds
     exm = catalog.example("torus", k=8)
     rep = bs_census(exm.cover, exm.polarization(), exm.census_range, 24)
-    assert 0 < rep.census_refinements <= bohr.REFINE_ROUNDS
+    assert 0 < rep.counters["census_refinements"] <= bohr.REFINE_ROUNDS
 
 
 # ---------------------------------------------------------------------------
@@ -817,8 +817,8 @@ def test_census_holonomies_equal_fresh_transport_bit_for_bit(models, monkeypatch
     for name, cover, pol, crange, count in _census_cases(models):
         seen.clear()
         rep = bs_census(cover, pol, crange, count)
-        assert rep.root_holonomy_evaluations > 0 or name.startswith("disk"), name
-        assert rep.transport_batches < rep.transport_integrals, name
+        assert rep.counters["root_holonomy_evaluations"] > 0 or name.startswith("disk"), name
+        assert rep.counters["transport_batches"] < rep.counters["transport_integrals"], name
         for cover_, pol_, one, action, hol in seen:
             fresh = real(LeafTransport(cover_, pol_), [one])
             assert _same_bits(fresh, (action, hol)), (name, one.labels[0])
@@ -852,10 +852,10 @@ def test_census_holonomy_calls_add_up(models, monkeypatch, name, params, crange,
     rep = bs_census(exm.cover, exm.polarization(), crange, count,
                     include_lines=include_lines)
     sampled = sum(1 for e in rep.entries if e.leaf.topology == "circle")
-    assert rep.census_refinements == 0
-    assert len(calls) - sampled == rep.root_holonomy_evaluations
+    assert rep.counters["census_refinements"] == 0
+    assert len(calls) - sampled == rep.counters["root_holonomy_evaluations"]
     # one batch of sampled leaves, then one per batch of the crossing searches
-    assert len(batches) == 1 + rep.root_steps
+    assert len(batches) == 1 + rep.counters["root_steps"]
 
 
 @pytest.mark.parametrize(
@@ -883,8 +883,8 @@ def test_census_builds_records_only_for_its_report_rows(models, monkeypatch, nam
     monkeypatch.setattr(LeafTransport, "flux", lambda self, cs: flux * real_flux(self, cs))
     exm = models(name, **params)
     rep = bs_census(exm.cover, exm.polarization(), crange, count)
-    assert (rep.census_refinements > 0) == (flux != 1.0)
-    assert rep.root_holonomy_evaluations > 0 or rep.census_refinements > 0
+    assert (rep.counters["census_refinements"] > 0) == (flux != 1.0)
+    assert rep.counters["root_holonomy_evaluations"] > 0 or rep.counters["census_refinements"] > 0
     assert made == {"Leaf": len(rep.entries), "HolonomyResult": len(rep.entries)}
     assert all(type(e.leaf).__name__ == "Leaf" for e in rep.entries)
 

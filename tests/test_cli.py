@@ -466,10 +466,11 @@ def test_each_benchmark_census_line_takes_one_lockstep_step(capsys, monkeypatch)
             capsys.readouterr()
             assert len(censuses) == 2, op.argv
             for rep in censuses:
-                assert rep.root_steps == (rep.root_brackets > 0), op.argv
-                assert rep.root_holonomy_evaluations == 2 * rep.root_brackets, op.argv
-                assert rep.census_refinements == 0, op.argv
-                searched += rep.root_brackets > 0
+                counts = rep.counters
+                assert counts["root_steps"] == (counts["root_brackets"] > 0), op.argv
+                assert counts["root_holonomy_evaluations"] == 2 * counts["root_brackets"], op.argv
+                assert counts["census_refinements"] == 0, op.argv
+                searched += counts["root_brackets"] > 0
     assert searched > 0
 
 

@@ -500,18 +500,31 @@ def test_batched_local_data_equals_the_per_cell_check(models):
     assert failing >= 3 * 6  # three corruptions of each builtin with overlaps
 
 
-def test_local_data_check_counts_its_evaluator_runs(models):
+def test_local_data_check_counts_its_evaluator_runs(models, monkeypatch):
     cover = models("torus", k=3).cover
-    rep = check_local_data(cover)
-    n = len(cover.elements)
-    formulas = len(set(cover.data.transitions.values()))
-    # curvature and potential: one run per element, and one for omega;
-    # the inverse, cocycle and dlog laws: at most one per formula each; a
-    # cell by cell check runs 2, 5 and 3 programs per cell of degree 0, 1, 2
-    runs = rep.counters["local_data_formulas"]
+    check_local_data(cover)  # compiles the cover's programs
+    rep, runs = _evaluator_runs(monkeypatch, lambda: check_local_data(cover))
+    assert rep.counters["local_data_formulas"] == len(runs)
+    # the 9 elements share one potential formula, so the curvature call,
+    # the two potential calls and omega run once each; the two inverse
+    # calls, the dlog call and the three cocycle calls run once per
+    # distinct transition formula among their pairs
+    assert len(set(cover.data.potentials.values())) == 1 < len(cover.elements)
+
+    def formulas(pairs):
+        return len({cover.data.transition_expr(i, j) for i, j in pairs})
+
     cells = [c for c in cover.nerve.cells.values() if c.degree <= 2]
-    per_cell = sum((2, 5, 3)[c.degree] for c in cells)
-    assert 2 * n + 1 < runs <= 2 * n + 1 + 3 * formulas < per_cell / 10
+    pairs = [c.indices for c in cells if c.degree == 1]
+    triples = [c.indices for c in cells if c.degree == 2]
+    assert len(runs) == (
+        4 + 2 * formulas(pairs) + formulas((b, a) for a, b in pairs)
+        + formulas((a, b) for a, b, _ in triples)
+        + formulas((b, c) for _, b, c in triples)
+        + formulas((a, c) for a, _, c in triples)
+    )
+    # a cell by cell check runs 2, 5 and 3 programs per cell of degree 0, 1, 2
+    assert len(runs) < sum((2, 5, 3)[c.degree] for c in cells) / 10
 
 
 def test_check_local_data_refuses_a_nerve_below_degree_2(models):
@@ -683,38 +696,51 @@ def test_pullback_transition_cases_cover_the_catalog_maps():
     }
 
 
+def _mixed_pairs(cover, rng):
+    """(a, b, pts): the samples of every cell of degree 0 and 1 of cover,
+    reduced, each with its first and last member as (a, b) and again as
+    (b, a), shuffled; a == b on degree 0.  Both members hold the point."""
+    manifold = cover.manifold
+    a, b, pts = [], [], []
+    for cell in cover.nerve.cells.values():
+        if cell.degree > 1 or len(cell.samples) == 0:
+            continue
+        x = manifold.reduce(cell.samples)
+        first, last = cell.indices[0], cell.indices[-1]  # equal in degree 0
+        for i, j in ((first, last), (last, first)):
+            a += [i] * len(x)
+            b += [j] * len(x)
+            pts.append(x)
+    order = rng.permutation(len(a))
+    return np.array(a)[order], np.array(b)[order], np.concatenate(pts)[order]
+
+
+def _evaluator_runs(monkeypatch, call):
+    """call's result and the programs it ran."""
+    runs = []
+    evaluate = kernels.evaluate
+
+    def counted(e, values):
+        runs.append(e)
+        return evaluate(e, values)
+
+    monkeypatch.setattr(kernels, "evaluate", counted)
+    try:
+        return call(), runs
+    finally:
+        monkeypatch.undo()
+
+
 def test_batched_transitions_equal_the_per_pair_calls_bit_for_bit(models, monkeypatch):
     rng = np.random.default_rng(5)
     moved = missing_checked = 0
     for name, cover in _transition_cases(models):
         cover = cover._replace()  # compiles its own formulas
-        manifold = cover.manifold
-        a, b, pts = [], [], []
-        for cell in cover.nerve.cells.values():
-            if cell.degree > 1 or len(cell.samples) == 0:
-                continue
-            x = manifold.reduce(cell.samples)
-            first, last = cell.indices[0], cell.indices[-1]  # equal in degree 0
-            for i, j in ((first, last), (last, first)):
-                a += [i] * len(x)
-                b += [j] * len(x)
-                pts.append(x)
-        order = rng.permutation(len(a))
-        a, b = np.array(a)[order], np.array(b)[order]
-        pts = np.concatenate(pts)[order]
+        a, b, pts = _mixed_pairs(cover, rng)
         assert np.any(a == b), name
         moved += int(np.sum(a != b))
 
-        runs = []
-        evaluate = kernels.evaluate
-
-        def counted(e, values):
-            runs.append(e)
-            return evaluate(e, values)
-
-        monkeypatch.setattr(kernels, "evaluate", counted)
-        got = cover.transition(a, b, pts)
-        monkeypatch.undo()
+        got, runs = _evaluator_runs(monkeypatch, lambda: cover.transition(a, b, pts))
         formulas = {cover.data.transition_expr(i, j) for i, j in zip(a, b) if i != j}
         assert len(runs) == len(formulas), name
         for i, j in set(zip(a.tolist(), b.tolist())):
@@ -733,3 +759,37 @@ def test_batched_transitions_equal_the_per_pair_calls_bit_for_bit(models, monkey
                 cover.transition(np.array([0, i]), np.array([0, j]), pts[:2])
         missing_checked += len(gaps[:1])
     assert moved > 10000 and missing_checked > 0
+
+
+def test_batched_element_accessors_equal_the_per_element_calls_bit_for_bit(
+    models, monkeypatch
+):
+    # potential and curvature on one element per point, transition_dlog on
+    # one pair per point: one run per distinct formula, and the bits of a
+    # call on each element or pair alone
+    rng = np.random.default_rng(7)
+    shared = 0
+    for name, cover in _transition_cases(models):
+        cover = cover._replace()  # compiles its own formulas
+        a, b, pts = _mixed_pairs(cover, rng)
+        potentials = {cover.data.potentials[i] for i in a.tolist()}
+        shared += len(potentials) < len(set(a.tolist()))
+        calls = {
+            "potential": (lambda i, j, x: cover.potential(i, x), len(potentials)),
+            "curvature": (lambda i, j, x: (cover.curvature(i, x),), len(potentials)),
+            "transition_dlog": (
+                cover.transition_dlog,
+                len({cover.data.transition_expr(i, j) for i, j in zip(a, b) if i != j}),
+            ),
+        }
+        for accessor, (call, formulas) in calls.items():
+            got, runs = _evaluator_runs(monkeypatch, lambda: call(a, b, pts))
+            assert len(runs) == formulas, (name, accessor)
+            assert all(part.shape == (len(pts),) for part in got), (name, accessor)
+            for i, j in set(zip(a.tolist(), b.tolist())):
+                rows = np.flatnonzero((a == i) & (b == j))
+                for g, w in zip(got, call(i, j, pts[rows])):
+                    assert g[rows].tobytes() == w.tobytes(), (name, accessor, i, j)
+        dlog = cover.transition_dlog(a, b, pts)
+        assert all(np.all(part[a == b] == 0.0) for part in dlog), name
+    assert shared > 0  # elements that share a potential formula run it once

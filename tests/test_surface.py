@@ -34,6 +34,7 @@ KEEP = {
     "cech.vector_to_cochain": "tests/test_cech.py::test_leaf_blocks_match_pointwise_delta",
     "geometry.Box.intersect":
         "tests/test_prequantum.py::test_nerve_matches_pairwise_construction",
+    "prequantum.LocalData.transition_expr": "criterion rank-stability (through refine)",
     "prequantum.refine": "criterion rank-stability",
     "prequantum.split_boxes": "criterion rank-stability",
     "prequantum._axis_splits": "criterion rank-stability (through split_boxes)",
