@@ -204,9 +204,9 @@ class LeafAtlas:
     def __init__(self, cover: TrivializationCover, pol: Polarization):
         self.cover = cover
         self.polarization = pol
-        cells = cover.nerve.degree(0)
-        self._elements = [cell.indices[0] for cell in cells]
-        self.frame = LeafFrame.of(cover.manifold, pol, [cell.box for cell in cells])
+        elements = cover.nerve.degree(0)
+        self._elements = elements.members[:, 0].tolist()
+        self.frame = LeafFrame.of(cover.manifold, pol, elements.lo, elements.hi)
         self._threadings: dict = {}  # membership pattern -> threading
         self.threadings = 0  # patterns threaded
 

@@ -9,12 +9,17 @@ all act on these per-leaf values, with parallel-transport factors supplied
 by adaptive quadrature of the connection potential along the leaf: the
 transport integrals of one call share one quadrature loop.
 
+The grid keeps, per nerve degree, one column per quantity over the
+degree's (cell, label) entries, cell after cell in the nerve's row order
+(GridDegree); every operation gathers from these columns and the nerve's
+tables, by row, and cochains keep the cell keys.
+
 Čech ranks are computed from the differential on the image subspaces (one
 coefficient per leaf label per nerve cell, taken in the trivialization of
 the cell's first member).  Transport never leaves a leaf, so it is
 assembled as one dense block per leaf label, and its singular values are
 the union of the blocks' (docs/conventions.md, "Ranks").  Each degree is
-assembled in one pass: its leaf segments gathered from per-cell frame
+assembled in one pass: its leaf segments gathered from per-degree frame
 tables, one transport call (one quadrature loop) for all of its entries,
 one transition call for all of them (one evaluator run per distinct
 transition formula), and one accumulation per block shape into a stack of
@@ -34,6 +39,7 @@ import numpy as np
 
 from .geometry import LeafFrame, Polarization
 from .prequantum import ConfigurationError, TrivializationCover
+from .record import read_only
 from .transport import LeafTransport
 
 
@@ -56,73 +62,83 @@ def half_offset_labels(lo: float, hi: float, count: int) -> np.ndarray:
     return lo + step * (np.arange(count) + 0.5)
 
 
-class CellGrid(NamedTuple):
-    label_idx: np.ndarray  # indices into the global label array
-    c_cell: np.ndarray  # label values lifted into the cell frame
-    t_bp: float  # leaf parameter of the basepoints: mid-cell
-    closed: bool  # leaf closes inside the cell: no nonzero polarized values
-    base_points: np.ndarray  # canonical coords of the leaf basepoints, (L, 2)
+class GridDegree(NamedTuple):
+    """The retained leaf labels of the cells of one nerve degree, as
+    read-only columns: one entry per (cell, label), cell after cell in the
+    nerve's row order, labels ascending within a cell."""
 
-    @property
-    def count(self) -> int:
-        return len(self.label_idx)
+    starts: np.ndarray  # (cells + 1,): cell r's entries are starts[r]:starts[r + 1]
+    cells: np.ndarray  # the row of each entry's cell
+    label_idx: np.ndarray  # each entry's index into the grid's labels
+    c_cell: np.ndarray  # each entry's label lifted into its cell's frame
+    base_points: np.ndarray  # (entries, 2): canonical coords of the leaf basepoints
+    t_bp: np.ndarray  # (cells,): leaf parameter of the basepoints, mid-cell
+    closed: np.ndarray  # (cells,): the leaf closes inside: no nonzero polarized values
+
+
+# the columns of a degree without cells, which grids share
+_NO_CELLS = GridDegree(*read_only(
+    np.zeros(1, dtype=int), np.empty(0, dtype=int), np.empty(0, dtype=int), np.empty(0),
+    np.empty((0, 2)), np.empty(0), np.empty(0, dtype=bool),
+))
 
 
 class TransversalGrid(NamedTuple):
     """Shared leaf discretization of a cover for one polarization.
 
-    build makes it complete: every cell's labels and basepoints, the nerve
-    keys by degree, the LeafFrame of the nerve's cells (how leaves cross
-    them, the rule the leaf atlas uses too), and the leaf transport whose
-    integral cache is the only state that changes after construction.
+    build makes it complete: one GridDegree per nerve degree, with every
+    cell's labels and basepoints, the LeafFrame of the nerve's cells,
+    degree after degree (how leaves cross them, the rule the leaf atlas
+    uses too), and the leaf transport whose integral cache is the only
+    state that changes after construction.
     """
 
     cover: TrivializationCover
     polarization: Polarization
     labels: np.ndarray
-    cells: dict  # nerve cell key -> CellGrid
-    closed_cells: tuple
-    keys_by_degree: dict  # degree -> sorted nerve keys
-    frame: LeafFrame  # of the nerve's cells
+    degrees: tuple  # the GridDegree of each nerve degree
+    frame: LeafFrame  # of the nerve's cells, degree after degree
     leaf_transport: LeafTransport
 
     # -- construction -------------------------------------------------------
 
     @classmethod
     def build(cls, cover, polarization, labels) -> "TransversalGrid":
+        """The grid of labels: one crossing mask of every nerve cell and
+        label, whose nonzero entries, cell by cell, are the columns of
+        every degree, and one curve call for all their basepoints."""
         labels = np.asarray(labels, dtype=float)
-        pol = polarization
-        manifold = cover.manifold
-        keys = list(cover.nerve.cells)
+        pol, manifold, tables = polarization, cover.manifold, cover.nerve.degrees
         frame = LeafFrame.of(
-            manifold, pol, [cell.box for cell in cover.nerve.cells.values()]
+            manifold, pol,
+            np.concatenate([table.lo for table in tables]),
+            np.concatenate([table.hi for table in tables]),
         )
         lifted, inside = frame.lift(labels)
         # a cell that holds a whole leaf carries no nonzero polarized values
-        kept = [np.flatnonzero(col) for col in (inside & ~frame.whole).T]
-        c_cells = [lifted[idx, j] for j, idx in enumerate(kept)]
-        t_bps = (0.5 * (frame.leaf_lo + frame.leaf_hi)).tolist()
-        closed = frame.whole.tolist()
+        cell, label = np.nonzero((inside & ~frame.whole).T)
+        c = lifted[label, cell]
+        t_bp = 0.5 * (frame.leaf_lo + frame.leaf_hi)
         # the basepoints of every cell in one curve call; it acts point by
         # point, so each cell gets what a call on its own labels gives
-        counts = [len(idx) for idx in kept]
-        c = np.concatenate(c_cells + [np.empty(0)])
-        points = manifold.reduce(pol.curve_points(c, np.repeat(t_bps, counts)))
-        parts = np.split(points, np.cumsum(counts)[:-1])
-        cells = {
-            key: CellGrid(*row)
-            for key, *row in zip(keys, kept, c_cells, t_bps, closed, parts)
-        }
-        by_degree: dict = {}
-        for key in sorted(keys):
-            by_degree.setdefault(len(key[0]) - 1, []).append(key)
+        points = manifold.reduce(pol.curve_points(c, t_bp[cell]))
+        bounds = np.cumsum([0] + [len(table.keys) for table in tables]).tolist()
+        starts = np.searchsorted(cell, np.arange(bounds[-1] + 1))
+        degrees = []
+        for lo, hi in zip(bounds, bounds[1:]):
+            if lo == hi:
+                degrees.append(_NO_CELLS)
+                continue
+            a, b = int(starts[lo]), int(starts[hi])
+            degrees.append(GridDegree(*read_only(
+                starts[lo : hi + 1] - a, cell[a:b] - lo, label[a:b], c[a:b],
+                points[a:b], t_bp[lo:hi], frame.whole[lo:hi],
+            )))
         return cls(
             cover=cover,
             polarization=pol,
             labels=labels,
-            cells=cells,
-            closed_cells=tuple(key for key, shut in zip(keys, closed) if shut),
-            keys_by_degree={d: tuple(ks) for d, ks in by_degree.items()},
+            degrees=tuple(degrees),
             frame=frame,
             leaf_transport=LeafTransport(cover, pol),
         )
@@ -133,14 +149,18 @@ class TransversalGrid(NamedTuple):
 
     def degree_keys(self, n: int) -> tuple:
         """The keys of the nerve cells of degree n, sorted."""
-        return self.keys_by_degree.get(n, ())
+        return self.cover.nerve.degrees[n].keys if n < len(self.degrees) else ()
+
+    def span(self, key) -> tuple:
+        """(degree, slice): the entries of the cell key in its degree's
+        columns."""
+        degree, row = self.nerve.locate(key)
+        starts = self.degrees[degree].starts
+        return degree, slice(int(starts[row]), int(starts[row + 1]))
 
     @property
     def n_labels_retained(self) -> int:
-        used = set()
-        for key in self.degree_keys(0):
-            used.update(self.cells[key].label_idx.tolist())
-        return len(used)
+        return int(np.count_nonzero(np.bincount(self.degrees[0].label_idx, minlength=1)))
 
     # -- geometry helpers ----------------------------------------------------
 
@@ -148,28 +168,32 @@ class TransversalGrid(NamedTuple):
         """Nerve cell of sub_indices whose overlap contains the super cell,
         and the shift of its first member in the super cell's frame: the
         face of the super cell that drops the other members, one at a time."""
-        sup = self.nerve.cells[super_key]
-        key = super_key
-        for m in sup.indices:
-            if m not in sub_indices and len(key[0]) > 1:
-                key = self.nerve.faces[key][key[0].index(m)][0]
-        if not sub_indices or key[0] != tuple(sub_indices):
+        nerve = self.nerve
+        sup_degree, sup_row = nerve.locate(super_key)
+        degree, row, members = sup_degree, sup_row, list(super_key[0])
+        for m in super_key[0]:
+            if m not in sub_indices and len(members) > 1:
+                j = members.index(m)
+                row = int(nerve.degree(degree).faces[row, j])
+                degree -= 1
+                del members[j]
+        if not sub_indices or tuple(members) != tuple(sub_indices):
             raise ConfigurationError(
-                f"{tuple(sub_indices)} is not a sub-tuple of {sup.indices}"
+                f"{tuple(sub_indices)} is not a sub-tuple of {super_key[0]}"
             )
-        return key, sup.shifts[sup.indices.index(sub_indices[0])]
+        shifts = nerve.degree(sup_degree).shifts[sup_row, super_key[0].index(sub_indices[0])]
+        return nerve.degree(degree).keys[row], tuple(shifts.tolist())
 
     # -- parallel transport --------------------------------------------------
 
-    def frames(self, keys):
+    def frames(self, n: int):
         """The leaf parameter of the basepoints and the shift of the labels
-        of every cell of keys, all of one degree, in the frame of each of
-        its members: two (cells, members) arrays t and shift.  In member
-        m's frame the leaf segment from cell f to cell k runs from t[f, m]
-        to t[k, m], at the labels c_cell of f plus shift[f, m]."""
-        t_bp = np.array([self.cells[key].t_bp for key in keys])
-        dt, shift = self.frame.offsets([self.nerve.cells[key].shifts for key in keys])
-        return t_bp[:, None] + dt, shift
+        of every cell of degree n, in the frame of each of its members:
+        two (cells, members) arrays t and shift.  In member m's frame the
+        leaf segment from cell f to cell k runs from t[f, m] to t[k, m],
+        at the labels c_cell of f plus shift[f, m]."""
+        dt, shift = self.frame.offsets(self.nerve.degree(n).shifts)
+        return self.degrees[n].t_bp[:, None] + dt, shift
 
 
 def half_offset_grid(cover, polarization, count: int) -> TransversalGrid:
@@ -194,20 +218,22 @@ class TrivCochain(NamedTuple):
 
 
 def zero_cochain(grid: TransversalGrid, degree: int) -> TrivCochain:
+    counts = np.diff(grid.degrees[degree].starts).tolist()
     data = {
-        key: np.zeros((degree + 1, grid.cells[key].count), dtype=np.complex128)
-        for key in grid.degree_keys(degree)
+        key: np.zeros((degree + 1, count), dtype=np.complex128)
+        for key, count in zip(grid.degree_keys(degree), counts)
     }
     return TrivCochain(degree, data)
 
 
-def _side_by_side(grid: TransversalGrid, keys, degree: int, values) -> TrivCochain:
-    """The cochain of degree on keys whose tuples sit side by side in the
-    columns of values, one cell after another in key order (views)."""
-    data, start = {}, 0
-    for key in keys:
-        stop = start + grid.cells[key].count
-        data[key], start = values[:, start:stop], stop
+def _side_by_side(grid: TransversalGrid, degree: int, values) -> TrivCochain:
+    """The cochain of degree whose tuples sit side by side in the columns
+    of values, as the cells' entries do in the degree's columns (views)."""
+    starts = grid.degrees[degree].starts.tolist()
+    data = {
+        key: values[:, start:stop]
+        for key, start, stop in zip(grid.degree_keys(degree), starts, starts[1:])
+    }
     return TrivCochain(degree, data)
 
 
@@ -216,25 +242,25 @@ def random_projected_cochain(grid, degree: int, rng) -> TrivCochain:
     order, then all of them projected by one project_to_image call."""
     keys = list(grid.degree_keys(degree))
     raw = [np.empty((degree + 1, 0))]
-    for key in keys:
-        shape = (degree + 1, grid.cells[key].count)
+    for count in np.diff(grid.degrees[degree].starts).tolist():
+        shape = (degree + 1, count)
         raw.append(rng.normal(size=shape) + 1j * rng.normal(size=shape))
     projected = project_to_image(grid, keys, np.concatenate(raw, axis=1))
-    return _side_by_side(grid, keys, degree, projected)
+    return _side_by_side(grid, degree, projected)
 
 
 # ---------------------------------------------------------------------------
 # Operations
 
 
-def _member_transitions(grid: TransversalGrid, keys) -> np.ndarray:
-    """lambda_{a_k a_j} between the members a of every cell of keys, all of
-    one degree, at the cell's basepoints: a (members, members, labels)
-    array, the cells' labels side by side in key order.  One transition
-    call, which evaluates each distinct transition formula once."""
-    cells = [grid.cells[key] for key in keys]
-    members = np.repeat(_members(keys), [cg.count for cg in cells], axis=0).T
-    base = np.concatenate([cg.base_points for cg in cells])
+def _member_transitions(grid: TransversalGrid, degree: int, entries) -> np.ndarray:
+    """lambda_{a_k a_j} between the members a of the cell of each of the
+    given entries of a degree's columns, at the entry's basepoint: a
+    (members, members, entries) array.  One transition call, which
+    evaluates each distinct transition formula once."""
+    columns = grid.degrees[degree]
+    members = grid.nerve.degree(degree).members[columns.cells[entries]].T
+    base = columns.base_points[entries]
     n = len(members)
     lam = grid.cover.transition(
         np.repeat(members, n, axis=0).ravel(),
@@ -244,17 +270,12 @@ def _member_transitions(grid: TransversalGrid, keys) -> np.ndarray:
     return lam.reshape(n, n, len(base))
 
 
-def _members(keys) -> np.ndarray:
-    """The member indices of nerve cells of one degree, a (cells, members)
-    array."""
-    return np.array([key[0] for key in keys], dtype=int).reshape(len(keys), -1)
-
-
-def _distinct(keys) -> tuple:
-    """The distinct keys, in order of first appearance, and the index of
-    each key among them."""
-    index = {key: i for i, key in enumerate(dict.fromkeys(keys))}
-    return list(index), np.array([index[key] for key in keys], dtype=int)
+def _entries(grid: TransversalGrid, keys) -> tuple:
+    """(degree, entries): the entries of the cells of keys, all of one
+    degree, side by side in the degree's columns."""
+    spans = [grid.span(key) for key in keys]
+    entries = [np.arange(span.start, span.stop) for _, span in spans]
+    return spans[0][0], np.concatenate(entries)
 
 
 def project_to_image(grid: TransversalGrid, key, tup: np.ndarray) -> np.ndarray:
@@ -269,7 +290,7 @@ def project_to_image(grid: TransversalGrid, key, tup: np.ndarray) -> np.ndarray:
     n1 = tup.shape[0]
     out = np.zeros(tup.shape, dtype=np.complex128)
     if tup.shape[1]:
-        lam = _member_transitions(grid, key if isinstance(key, list) else [key])
+        lam = _member_transitions(grid, *_entries(grid, key if isinstance(key, list) else [key]))
         for k in range(n1):
             out += lam[k] * tup[k]
     return out / n1
@@ -278,7 +299,8 @@ def project_to_image(grid: TransversalGrid, key, tup: np.ndarray) -> np.ndarray:
 def psi(grid: TransversalGrid, key, g: np.ndarray) -> np.ndarray:
     """Tuple representation of a section given in the cell's reference
     trivialization (the first member)."""
-    indices, base = key[0], grid.cells[key].base_points
+    degree, span = grid.span(key)
+    indices, base = key[0], grid.degrees[degree].base_points[span]
     out = np.empty((len(indices), len(g)), dtype=np.complex128)
     for j, b in enumerate(indices):
         out[j] = grid.cover.transition(indices[0], b, base) * g
@@ -287,7 +309,8 @@ def psi(grid: TransversalGrid, key, g: np.ndarray) -> np.ndarray:
 
 def phi(grid: TransversalGrid, key, tup: np.ndarray) -> np.ndarray:
     """Left inverse of psi: average back to the reference trivialization."""
-    indices, base = key[0], grid.cells[key].base_points
+    degree, span = grid.span(key)
+    indices, base = key[0], grid.degrees[degree].base_points[span]
     acc = np.zeros(tup.shape[1], dtype=np.complex128)
     for j, b in enumerate(indices):
         acc += grid.cover.transition(b, indices[0], base) * tup[j]
@@ -304,61 +327,82 @@ def res(grid: TransversalGrid, sub_key, super_key, values) -> np.ndarray:
     gives the restriction.  Lists of keys, pair by pair (subs of one
     degree, supers of one degree), with a mapping from each sub key to its
     values (a cochain's data) give the restrictions of all pairs side by
-    side in the columns of one array.  Either way the entries (pair, super
-    label, sub member) are gathered from tables of the distinct cells:
-    one frames call per degree, one transport call and one transition
-    call (docs/conventions.md, "Ranks").
+    side in the columns of one array (_restrict).
     """
     if not isinstance(sub_key, list):
         sub_key, super_key, values = [sub_key], [super_key], {sub_key: values}
-    subs, sub_of = _distinct(sub_key)
-    sups, sup_of = _distinct(super_key)
-    sub, sup = _members(subs)[sub_of], _members(sups)[sup_of]  # per pair
-    same = sup[:, :, None] == sub[:, None, :]  # pairs x super x sub members
+    nerve = grid.nerve
+    (sub_degree, _), (sup_degree, _) = nerve.locate(sub_key[0]), nerve.locate(super_key[0])
+    sub = np.array([nerve.degree(sub_degree).row(key) for key in sub_key], dtype=int)
+    sup = np.array([nerve.degree(sup_degree).row(key) for key in super_key], dtype=int)
+    pairs = _pairs(grid, (sub_degree, sub), (sup_degree, sup))
+    f = np.zeros((sub_degree + 1, grid.degrees[sub_degree].starts[-1]), dtype=np.complex128)
+    for key in dict.fromkeys(sub_key):
+        f[:, grid.span(key)[1]] = values[key]
+    return _restrict(grid, pairs, f)
+
+
+def _pairs(grid: TransversalGrid, subs: tuple, sups: tuple) -> tuple:
+    """Pairs of cells, the subs and the supers given as (degree, rows):
+    (subs, sups, the members of each, and where each super member is each
+    sub member, pairs x super x sub members).  A sub that is not a
+    sub-tuple of its super raises."""
+    nerve = grid.nerve
+    sub = nerve.degree(subs[0]).members[subs[1]]
+    sup = nerve.degree(sups[0]).members[sups[1]]
+    same = sup[:, :, None] == sub[:, None, :]
     outside = np.flatnonzero(~same.any(axis=1).all(axis=1))
     if len(outside):
         b = outside[0]
         raise ConfigurationError(
-            f"{sub_key[b][0]} is not a sub-tuple of {super_key[b][0]}"
+            f"{tuple(sub[b].tolist())} is not a sub-tuple of {tuple(sup[b].tolist())}"
         )
-    sub_cells = [grid.cells[key] for key in subs]
-    sup_cells = [grid.cells[key] for key in sups]
+    return subs, sups, sub, sup, same
+
+
+def _restrict(grid: TransversalGrid, pairs: tuple, f: np.ndarray) -> np.ndarray:
+    """res of the pairs of cells of _pairs, with the values f of the whole
+    sub degree side by side in its columns.
+
+    The entries (pair, super label, sub member) are gathered from the
+    degrees' tables: one frames call per degree, one transport call and
+    one transition call (docs/conventions.md, "Ranks").
+    """
+    (sub_degree, sub_row), (sup_degree, sup_row), sub, sup, same = pairs
+    sub_cols, sup_cols = grid.degrees[sub_degree], grid.degrees[sup_degree]
     n1, n = sub.shape[1], sup.shape[1]
-    sup_count = np.array([cg.count for cg in sup_cells], dtype=int)
-    n_sup = sup_count[sup_of]
+    n_sup = np.diff(sup_cols.starts)[sup_row]
     out = np.zeros((n, int(n_sup.sum())), dtype=np.complex128)
     if not out.shape[1]:
         return out
-    # entry: a pair and a label of its super cell, at position `row` of the
-    # super cells' labels side by side, and at column `col` of the sub
-    # cells' values side by side (-1 where the sub cell does not carry it)
-    pair = np.repeat(np.arange(len(sub_key)), n_sup)
-    shift_rows = (np.cumsum(sup_count) - sup_count)[sup_of] - (np.cumsum(n_sup) - n_sup)
+    # entry: a pair and a label of its super cell, at entry `row` of the
+    # super degree's columns and at entry `col` of the sub degree's (-1
+    # where the sub cell does not carry it)
+    pair = np.repeat(np.arange(len(sub_row)), n_sup)
+    shift_rows = sup_cols.starts[sup_row] - (np.cumsum(n_sup) - n_sup)
     row = np.arange(len(pair)) + np.repeat(shift_rows, n_sup)
-    labels = np.concatenate([cg.label_idx for cg in sup_cells])[row]
-    sub_table, _ = _coefficient_table(grid, subs, sum(cg.count for cg in sub_cells))
-    col = sub_table[sub_of[pair], labels]
-    closed = np.array([cg.closed for cg in sub_cells])[sub_of[pair]]
+    labels = sup_cols.label_idx[row]
+    col = _coefficient_table(sub_cols, len(grid.labels))[sub_row[pair], labels]
+    closed = sub_cols.closed[sub_row[pair]]
     if np.any((col < 0) & ~closed):
         missing = labels[(col < 0) & ~closed].min()
         raise LeafMismatchError(f"label {missing} does not cross the cell")
     e = np.flatnonzero(col >= 0)
     pe, col, row = pair[e], col[e], row[e]
-    s, u = sub_of[pe], sup_of[pe]
+    s, u = sub_row[pe], sup_row[pe]
     at = same.argmax(axis=1)[pe].T  # each sub member's place in the super cell
     # transport of every sub member in its own frame, from the sub cell's
     # basepoints to the super cell's
-    t0, shift = grid.frames(subs)
-    t1 = grid.frames(sups)[0]
-    c_sub = np.concatenate([cg.c_cell for cg in sub_cells])
+    t0, shift = grid.frames(sub_degree)
+    t1 = grid.frames(sup_degree)[0]
     integrals = grid.leaf_transport.integral(
         sub[pe].T.ravel(), t0[s].T.ravel(), t1[u, at].ravel(),
-        (c_sub[col] + shift[s].T).ravel(),
+        (sub_cols.c_cell[col] + shift[s].T).ravel(),
     )
-    f = np.concatenate([values[key] for key in subs], axis=1)
     moved = f[:, col] * np.exp(-1j * integrals).reshape(n1, len(e))
-    lam = _member_transitions(grid, sups)
-    lam = lam[at[:, None, :], np.arange(n)[None, :, None], row]
+    entries, where = np.unique(row, return_inverse=True)
+    lam = _member_transitions(grid, sup_degree, entries)
+    lam = lam[at[:, None, :], np.arange(n)[None, :, None], where]
     acc = np.zeros((n, len(e)), dtype=np.complex128)
     for k in range(n1):
         acc += lam[k] * moved[k]
@@ -369,35 +413,31 @@ def res(grid: TransversalGrid, sub_key, super_key, values) -> np.ndarray:
 def delta(grid: TransversalGrid, cochain: TrivCochain) -> TrivCochain:
     """The twisted Cech differential via the restriction maps: on each cell,
     the alternating sum over its faces j of res(face j, cell), all cells
-    and faces of the degree in one res call.  A degree whose cells are all
-    closed is zero."""
+    and faces of the degree in one _restrict call.  A degree whose cells
+    are all closed is zero."""
     degree = cochain.degree + 1
     if degree > grid.nerve.max_degree:
         raise ConfigurationError(f"nerve holds no degree-{degree} cells")
-    keys = list(grid.degree_keys(degree))
-    total = sum(grid.cells[key].count for key in keys)
+    total = int(grid.degrees[degree].starts[-1])
     if not total:
         return zero_cochain(grid, degree)
-    faces = [grid.nerve.faces[key][j][0] for j in range(degree + 1) for key in keys]
-    terms = res(grid, faces, keys * (degree + 1), cochain.data)
+    faces = grid.nerve.degree(degree).faces  # (cells, faces)
+    pairs = _pairs(
+        grid,
+        (degree - 1, faces.T.ravel()),  # face j of every cell, j after j
+        (degree, np.tile(np.arange(len(faces)), degree + 1)),
+    )
+    values = [np.empty((degree, 0))] + [cochain.data[key] for key in grid.degree_keys(degree - 1)]
+    terms = _restrict(grid, pairs, np.concatenate(values, axis=1))
     terms = terms.reshape(degree + 1, degree + 1, total)
     acc = np.zeros((degree + 1, total), dtype=np.complex128)
     for j in range(degree + 1):
         acc += terms[:, j] if j % 2 == 0 else -terms[:, j]
-    return _side_by_side(grid, keys, degree, acc)
+    return _side_by_side(grid, degree, acc)
 
 
 # ---------------------------------------------------------------------------
 # Matrix assembly and ranks
-
-
-def _block_offsets(grid: TransversalGrid, degree: int):
-    keys = grid.degree_keys(degree)
-    offsets, total = {}, 0
-    for key in keys:
-        offsets[key] = total
-        total += grid.cells[key].count
-    return keys, offsets, total
 
 
 class LeafBlocks(NamedTuple):
@@ -433,16 +473,12 @@ class LeafBlocks(NamedTuple):
         return np.sort(np.concatenate(sv + [np.zeros(n)]))[::-1][:n]
 
 
-def _coefficient_table(grid: TransversalGrid, keys, total: int):
-    """cells x global labels: the coefficient index of each cell's label,
-    -1 where the cell does not carry it; and the label of each index."""
-    idx = [grid.cells[key].label_idx for key in keys]
-    labels = np.concatenate(idx + [np.empty(0, int)])
-    table = np.full((len(keys), len(grid.labels)), -1)
-    table[np.repeat(np.arange(len(keys)), [len(i) for i in idx]), labels] = (
-        np.arange(total)
-    )
-    return table, labels
+def _coefficient_table(columns: GridDegree, n_labels: int) -> np.ndarray:
+    """cells x global labels: the coefficient index (entry) of each cell's
+    label, -1 where the cell does not carry it."""
+    table = np.full((len(columns.starts) - 1, n_labels), -1)
+    table[columns.cells, columns.label_idx] = np.arange(len(columns.cells))
+    return table
 
 
 def _by_label(labels: np.ndarray, n_labels: int):
@@ -457,36 +493,38 @@ def _by_label(labels: np.ndarray, n_labels: int):
 
 
 def delta_matrix(grid: TransversalGrid, degree: int) -> tuple:
-    """delta on image coefficients as LeafBlocks, with index maps.
+    """delta on image coefficients as LeafBlocks, with index maps: per
+    degree, (keys, starts, total), cell r's coefficients at starts[r] ..
+    starts[r + 1] - 1.
 
     Coefficients parameterize each cell's image tuples by the component in
-    the first member's trivialization, one per retained leaf label.  The
-    degree is assembled in one pass (docs/conventions.md, "Ranks"): its
-    entries, in (cell, face, label) order, come from one broadcast of
-    cells x labels tables; the transitions of all entries are one
+    the first member's trivialization, one per retained leaf label: the
+    entries of the degree's grid columns.  The degree is assembled in one
+    pass (docs/conventions.md, "Ranks"): its entries, in (cell, face,
+    label) order, come from one broadcast of cells x labels tables and the
+    nerve's face table; the transitions of all entries are one
     cover.transition call, and their transport integrals one
     LeafTransport.integral call.
     """
-    src_keys, src_off, n_src = _block_offsets(grid, degree)
-    dst_keys, dst_off, n_dst = _block_offsets(grid, degree + 1)
-    index_maps = (src_keys, src_off, n_src), (dst_keys, dst_off, n_dst)
+    src, dst = grid.degrees[degree], grid.degrees[degree + 1]
+    n_src, n_dst = len(src.cells), len(dst.cells)
+    index_maps = (
+        (grid.degree_keys(degree), src.starts, n_src),
+        (grid.degree_keys(degree + 1), dst.starts, n_dst),
+    )
     if n_dst == 0 or n_src == 0:
         return LeafBlocks((n_dst, n_src), (), ()), *index_maps
     n_labels = len(grid.labels)
-    dst_tab, row_label = _coefficient_table(grid, dst_keys, n_dst)
-    src_tab, col_label = _coefficient_table(grid, src_keys, n_src)
-    src_index = {key: i for i, key in enumerate(src_keys)}
-    faces = np.array(  # cells x faces, in the nerve's face order
-        [[src_index[f] for f, _ in grid.nerve.faces[key]] for key in dst_keys]
-    )
-    face_tab = src_tab[faces]  # cells x faces x labels
+    dst_tab = _coefficient_table(dst, n_labels)
+    src_tab = _coefficient_table(src, n_labels)
+    cells = grid.nerve.degree(degree + 1)
+    face_tab = src_tab[cells.faces]  # cells x faces x labels
     cell, j, g = np.nonzero((dst_tab[:, None, :] >= 0) & (face_tab >= 0))
     rows, cols = dst_tab[cell, g], face_tab[cell, j, g]
     # face j drops the cell's j-th member, so the face's first member, beta0,
     # sits at position 1 of the cell for face 0 and at position 0 otherwise
     at = (j == 0).astype(int)
-    members = np.array([grid.nerve.cells[key].indices for key in dst_keys])
-    beta0, ref = members[cell, at], members[cell, 0]
+    beta0, ref = cells.members[cell, at], cells.members[cell, 0]
 
     # lambda_{beta0, ref} at the cell's basepoints, ones when beta0 == ref:
     # one transition call for the degree
@@ -496,23 +534,21 @@ def delta_matrix(grid: TransversalGrid, degree: int) -> tuple:
     if len(moved):
         cover = grid.cover
         formulas = len(set(cover.transition_formulas(beta0[moved], ref[moved]).tolist()))
-        base = np.concatenate([grid.cells[key].base_points for key in dst_keys])
-        lam[moved] = cover.transition(beta0[moved], ref[moved], base[rows[moved]])
+        lam[moved] = cover.transition(beta0[moved], ref[moved], dst.base_points[rows[moved]])
     # transport in beta0's frame from the face's basepoints to the cell's,
     # on the face's labels: one integral call for the whole degree
-    face = faces[cell, j]
-    face_t, face_shift = grid.frames(src_keys)
-    cell_t = grid.frames(dst_keys)[0]
-    c_cell = np.concatenate([grid.cells[key].c_cell for key in src_keys])
+    face = cells.faces[cell, j]
+    face_t, face_shift = grid.frames(degree)
+    cell_t = grid.frames(degree + 1)[0]
     integrals = grid.leaf_transport.integral(
-        beta0, face_t[face, 0], cell_t[cell, at], c_cell[cols] + face_shift[face, 0]
+        beta0, face_t[face, 0], cell_t[cell, at], src.c_cell[cols] + face_shift[face, 0]
     )
     sign = 1 - 2 * (j % 2)
     vals = sign * lam * np.exp(-1j * integrals)
 
     # one zero stack per block shape, filled in entry order
-    n_rows, row_rank, row_order, row_start = _by_label(row_label, n_labels)
-    n_cols, col_rank, col_order, col_start = _by_label(col_label, n_labels)
+    n_rows, row_rank, row_order, row_start = _by_label(dst.label_idx, n_labels)
+    n_cols, col_rank, col_order, col_start = _by_label(src.label_idx, n_labels)
     labels = np.flatnonzero((n_rows > 0) & (n_cols > 0))
     shapes, stack_of = np.unique(
         n_rows[labels] * (n_src + 1) + n_cols[labels], return_inverse=True
@@ -542,12 +578,11 @@ def delta_matrix(grid: TransversalGrid, degree: int) -> tuple:
 
 
 def vector_to_cochain(grid, degree: int, vec: np.ndarray) -> TrivCochain:
-    keys, off, _ = _block_offsets(grid, degree)
     out = zero_cochain(grid, degree)
-    for key in keys:
-        cg = grid.cells[key]
-        if cg.count:
-            out.data[key] = psi(grid, key, vec[off[key] : off[key] + cg.count])
+    starts = grid.degrees[degree].starts.tolist()
+    for key, start, stop in zip(grid.degree_keys(degree), starts, starts[1:]):
+        if stop > start:
+            out.data[key] = psi(grid, key, vec[start:stop])
     return out
 
 
@@ -625,12 +660,14 @@ def cohomology_ranks(
             f"degree cap {max_degree} exceeds nerve bound {nerve_bound}"
         )
     n_labels = len(grid.labels)
-    for key in grid.degree_keys(0):
-        cg = grid.cells[key]
-        if cg.count == 0 and not cg.closed:
-            raise ResolutionError(
-                f"grid of {n_labels} labels resolves no leaf in element {key[0][0]}"
-            )
+    elements = grid.degrees[0]
+    starts = elements.starts
+    unresolved = np.flatnonzero((starts[1:] == starts[:-1]) & ~elements.closed)
+    if len(unresolved):
+        element = grid.nerve.degree(0).members[unresolved[0], 0]
+        raise ResolutionError(
+            f"grid of {n_labels} labels resolves no leaf in element {element}"
+        )
     mats = [delta_matrix(grid, n)[0] for n in range(max_degree + 1)]
     rank_info = [_numerical_rank(m.singular_values(), threshold) for m in mats]
     retained = grid.n_labels_retained

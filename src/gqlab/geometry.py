@@ -69,7 +69,12 @@ def inset_grids(lo: np.ndarray, hi: np.ndarray, n: int) -> np.ndarray:
     2): the ij meshgrid of n points per axis, inset by 1e-3 of the box's
     width."""
     inset = 1e-3 * (hi - lo)
-    axes = np.linspace(lo + inset, hi - inset, n, axis=1)  # (boxes, n, 2)
+    start, stop = lo + inset, hi - inset
+    # np.linspace(start, stop, n, axis=1), bit for bit: i * step + start,
+    # and stop itself last
+    axes = np.arange(n, dtype=float)[:, None] * ((stop - start) / (n - 1))[:, None, :]
+    axes += start[:, None, :]
+    axes[:, -1] = stop  # (boxes, n, 2)
     grid = np.empty((len(lo), n, n, 2))
     grid[..., 0] = axes[:, :, None, 0]
     grid[..., 1] = axes[:, None, :, 1]
@@ -305,10 +310,9 @@ class LeafFrame(NamedTuple):
     shift_periods: tuple  # (leaf, label): by how far, per unit shift
 
     @classmethod
-    def of(cls, manifold: Manifold, pol: Polarization, boxes) -> "LeafFrame":
+    def of(cls, manifold: Manifold, pol: Polarization, lo, hi) -> "LeafFrame":
+        """The frame of the boxes whose corners are the rows of lo and hi."""
         root = pol.root
-        lo = np.array([b.lo for b in boxes], dtype=float).reshape(-1, 2)
-        hi = np.array([b.hi for b in boxes], dtype=float).reshape(-1, 2)
         if root.kind == "radial":
             half = np.min(np.column_stack([hi, -lo]), axis=1)
             windows = (np.zeros(len(lo)), 0.5 * half * half,

@@ -18,21 +18,24 @@ formula among its points once, on all of that formula's points.
 
 The nerve records every nonempty multi-overlap up to a degree its builder
 chooses (MAX_DEGREE unless told otherwise, see docs/conventions.md
-"Nerve"), one cell per connected component, with interior sample points,
-per-member unrolling shifts, and face links; this is the combinatorial
-carrier for the cochain complex, the consistency checks, and the holonomy
-loop threading.  It depends only on the manifold and the element boxes, so
-every constructor builds it from those (build_nerve) before the cover, and
-hands the cover complete to that degree: a cover, its local data and its
-nerve are frozen, their dicts read-only, and the formulas a cover compiles
-on first use stay valid.  A reader of degree-n cells refuses a nerve that
-stops below n (require_degree).
+"Nerve"), one cell per connected component, as one table per degree
+(NerveDegree): a row per cell in sorted key order, with its members,
+box, per-member unrolling shifts, faces as rows of the degree below, and
+interior sample points.  It is the combinatorial carrier for the cochain
+complex, the consistency checks, and the holonomy loop threading.  It
+depends only on the manifold and the element boxes, so every constructor
+builds it from those (build_nerve) before the cover, and hands the cover
+complete to that degree: a cover, its local data and its nerve are
+frozen, their dicts and arrays read-only, and the formulas a cover
+compiles on first use stay valid.  A reader of degree-n cells refuses a
+nerve that stops below n (require_degree).
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections.abc import Mapping
-from functools import cached_property
+from functools import cached_property, lru_cache
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -49,7 +52,7 @@ from .geometry import (
     eval_at,
     inset_grids,
 )
-from .record import Record
+from .record import Record, read_only
 
 MAX_DEGREE = 3  # the default nerve: tuples up to 4 indices, cochain degrees 0..3
 
@@ -90,26 +93,33 @@ class LocalData(Record):
             raise ConfigurationError(f"no transition for pair ({a}, {b})") from None
 
 
-class NerveCell(NamedTuple):
-    indices: tuple  # strictly increasing element indices
-    comp: int  # component number within this index tuple
-    box: Box  # in the frame of the first member
-    shifts: tuple  # per member: integer period multiples into its frame
-    samples: np.ndarray  # interior points, cell frame
+class NerveDegree(NamedTuple):
+    """The cells of one nerve degree d as read-only columns, one row per
+    cell in sorted key order (docs/conventions.md "Nerve")."""
 
-    @property
-    def key(self):
-        return (self.indices, self.comp)
+    keys: tuple  # (indices, comp) per cell, sorted
+    members: np.ndarray  # (cells, d + 1): the element indices, increasing
+    comps: np.ndarray  # (cells,): component number within the index tuple
+    lo: np.ndarray  # (cells, 2): the box corners, in the first member's frame
+    hi: np.ndarray
+    shifts: np.ndarray  # (cells, d + 1, 2): per member, period multiples into its frame
+    faces: np.ndarray  # (cells, d + 1): face j drops member j, a row of degree d - 1
+    bases: np.ndarray  # (cells, d + 1, 2): face j's frame offset
+    samples: np.ndarray  # (points, 2): interior points, cell frame, cell after cell
+    sizes: np.ndarray  # (cells,): samples per cell
 
-    @property
-    def degree(self) -> int:
-        return len(self.indices) - 1
+    def row(self, key) -> int:
+        """The row of the cell key; a key this degree lacks raises."""
+        row = bisect_left(self.keys, key)
+        if row == len(self.keys) or self.keys[row] != key:
+            raise ConfigurationError(f"no nerve cell {key}")
+        return row
 
 
 class DegreeSamples(NamedTuple):
     """The samples of the cells of one nerve degree that have any."""
 
-    keys: list  # the cells' keys, sorted
+    keys: tuple  # the cells' keys, sorted
     sizes: np.ndarray  # samples per cell
     points: np.ndarray  # (points, 2): the samples, reduced, cell after cell
     # (points, degree + 1): the cell's members at each point; a degree of
@@ -118,29 +128,36 @@ class DegreeSamples(NamedTuple):
 
 
 class Nerve(Record):
-    def __init__(self, cells: Mapping, faces: Mapping, max_degree: int):
-        cells = MappingProxyType(dict(cells))  # key -> NerveCell
-        # key -> tuple of (face key, frame offset (int, int))
-        faces = MappingProxyType(dict(faces))
+    def __init__(self, degrees):
+        degrees = tuple(degrees)  # the NerveDegree of each degree, 0 .. max_degree
         self._set(locals())
 
-    def degree(self, n: int):
-        return [c for c in self.cells.values() if c.degree == n]
+    @property
+    def max_degree(self) -> int:
+        return len(self.degrees) - 1
+
+    def degree(self, n: int) -> NerveDegree:
+        return self.degrees[n]
+
+    def locate(self, key) -> tuple:
+        """(degree, row) of the cell key; a key this nerve lacks raises."""
+        degree = len(key[0]) - 1
+        if not 0 <= degree <= self.max_degree:
+            raise ConfigurationError(f"no nerve cell {key}")
+        return degree, self.degrees[degree].row(key)
 
     def samples(self, n: int, manifold: Manifold) -> DegreeSamples:
-        """The samples of the degree-n cells that have any, as arrays: one
-        pass over the nerve, and one reduce call for all the points."""
-        listed = sorted(
-            (key, cell.samples) for key, cell in self.cells.items()
-            if len(key[0]) == n + 1 and len(cell.samples)
-        )
-        keys = [key for key, _ in listed]
+        """The samples of the degree-n cells that have any, as arrays read
+        off the degree's table, with one reduce call for all the points."""
+        table = self.degrees[n]
+        keys, sizes, members = table.keys, table.sizes, table.members
         if not keys:
-            members = np.empty((0, n + 1), dtype=int)
-            return DegreeSamples(keys, members[:, 0], np.empty((0, 2)), members)
-        sizes = np.array([len(pts) for _, pts in listed])
-        points = manifold.reduce(np.concatenate([pts for _, pts in listed]))
-        members = np.array([key[0] for key in keys])
+            return DegreeSamples(keys, sizes, table.samples, members)
+        if not sizes.all():  # the disk drops samples outside its domain
+            kept = np.flatnonzero(sizes)
+            keys = tuple(keys[r] for r in kept.tolist())
+            sizes, members = sizes[kept], members[kept]
+        points = manifold.reduce(table.samples)
         members = members[0] if len(keys) == 1 else members.repeat(sizes, axis=0)
         return DegreeSamples(keys, sizes, points, members)
 
@@ -154,7 +171,7 @@ class Nerve(Record):
             )
 
     def __len__(self):
-        return len(self.cells)
+        return sum(len(table.keys) for table in self.degrees)
 
 
 # the outputs of the program of a formula, by the accessor that runs it
@@ -328,7 +345,7 @@ def pullback(cover: TrivializationCover, phi: Symplectomorphism) -> Trivializati
     element is its source box moved by -s when phi is a translation by s,
     and otherwise the source box, though the element is phi^-1 of that box
     (which is why refine refuses a pullback cover).  The nerve keeps the
-    source cells and faces; its samples are the phi-preimages of the
+    source tables but their samples, which are the phi-preimages of the
     source samples.
     """
     manifold = cover.manifold
@@ -339,16 +356,14 @@ def pullback(cover: TrivializationCover, phi: Symplectomorphism) -> Trivializati
     ]
     # the samples of every cell move in one map call; the map acts row by
     # row, so each cell gets what a call on its own samples gives
-    source_cells = cover.nerve.cells
-    sizes = np.cumsum([len(cell.samples) for cell in source_cells.values()])
-    samples = np.concatenate([cell.samples for cell in source_cells.values()])
+    source = cover.nerve.degrees
+    samples = np.concatenate([table.samples for table in source])
     moved = manifold.reduce(phi.apply_inverse(manifold.reduce(samples)))
-    parts = np.split(moved, sizes[:-1])
-    cells = {
-        key: cell._replace(samples=part)
-        for (key, cell), part in zip(source_cells.items(), parts)
-    }
-    nerve = Nerve(cells=cells, faces=cover.nerve.faces, max_degree=cover.nerve.max_degree)
+    ends = np.cumsum([len(table.samples) for table in source])
+    nerve = Nerve(
+        table._replace(samples=read_only(part))
+        for table, part in zip(source, np.split(moved, ends[:-1]))
+    )
     up = dict(zip(manifold.coords, phi.forward))
     jac = phi.jacobian_exprs()
 
@@ -390,129 +405,164 @@ def _period_vec(manifold: Manifold) -> np.ndarray:
 
 
 def _degree_samples(manifold: Manifold, lo: np.ndarray, hi: np.ndarray,
-                    degree: int) -> list:
-    """Interior sample grid of each box (rows of lo, hi) of one degree:
-    the inset_grids of n points per axis, fewer the higher the degree;
-    points outside the domain (the disk) are dropped.
+                    degree: int) -> tuple:
+    """Interior sample grid of each box (rows of lo, hi) of one degree, as
+    (points, sizes): the inset_grids of n points per axis, fewer the
+    higher the degree, box after box; points outside the domain (the
+    disk) are dropped.
     """
     n = max(3, 10 - 2 * degree)
-    grid = inset_grids(lo, hi, n)
+    points = inset_grids(lo, hi, n).reshape(-1, 2)
     if manifold.disk_radius is None:
-        return list(grid)
-    keep = manifold.in_domain(manifold.reduce(grid.reshape(-1, 2)))
-    return [pts[k] for pts, k in zip(grid, keep.reshape(len(lo), n * n))]
+        return points, np.full(len(lo), n * n)
+    keep = manifold.in_domain(manifold.reduce(points))
+    return points[keep], keep.reshape(len(lo), n * n).sum(axis=1)
+
+
+def _degree_table(manifold, members, comps, lo, hi, shifts, faces, bases) -> NerveDegree:
+    """The read-only NerveDegree of sorted columns, with its keys and
+    samples.  A face missing from faces (-1) raises: the nerve would not
+    be closed under faces."""
+    keys = tuple(zip(map(tuple, members.tolist()), comps.tolist()))
+    if (faces < 0).any():
+        missing = np.flatnonzero((faces < 0).any(axis=1))[0]
+        raise ConfigurationError(f"nerve not closed under faces at {keys[missing]}")
+    samples, sizes = _degree_samples(manifold, lo, hi, members.shape[1] - 1)
+    return NerveDegree(keys, *read_only(members, comps, lo, hi, shifts, faces, bases,
+                                         samples, sizes))
+
+
+@lru_cache(maxsize=None)
+def _empty_degree(degree: int) -> NerveDegree:
+    """The table of a degree without cells; read-only, so nerves share it."""
+    ints = np.empty((0, degree + 1), dtype=int)
+    return NerveDegree((), *read_only(
+        ints, np.empty(0, dtype=int), np.empty((0, 2)), np.empty((0, 2)),
+        np.empty((0, degree + 1, 2), dtype=int), ints, np.empty((0, degree + 1, 2), dtype=int),
+        np.empty((0, 2)), np.empty(0, dtype=int),
+    ))
+
+
+# a shift vector, of components -2 .. 2 (a candidate shift minus another),
+# read as two base-5 digits: dot(shift + 2, _DIGITS) is 0 .. 24
+_DIGITS = np.array([5, 1])
+
+
+def _nonempty(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Whether each box (lo, hi: (..., 2)) is at least 1e-9 wide on both
+    axes."""
+    width = hi - lo
+    return ~((width[..., 0] < 1e-9) | (width[..., 1] < 1e-9))
+
+
+def _lookup(codes: np.ndarray, rows: np.ndarray, query: np.ndarray) -> np.ndarray:
+    """rows[i] where codes[i] (ascending) equals the query, -1 where no
+    code does."""
+    at = np.minimum(np.searchsorted(codes, query), len(codes) - 1)
+    return np.where(codes[at] == query, rows[at], -1)
 
 
 def build_nerve(manifold: Manifold, elements, max_degree: int = MAX_DEGREE) -> Nerve:
     """Enumerate the multi-overlap components of the element boxes on the
-    manifold, up to degree max_degree (tuples of max_degree + 1 indices).
+    manifold, up to degree max_degree (tuples of max_degree + 1 indices),
+    as one NerveDegree table per degree, in sorted key order.
 
     Degree 1 intersects every element with every element of higher index
     under every period shift (_shift_candidates) in one broadcast; overlaps
     narrower than 1e-9 on either axis are empty.  From degree 2 on, a
-    frontier cell lies inside its first member's box, so it meets no
-    (element, shift) pair that box does not: its candidates are the
-    degree-1 overlaps of its first member with elements above its last
-    member, all intersected in one gather.  The survivors register in
-    (frontier cell, element, shift) order, and the k-th cell on an index
-    tuple gets comp k.  The build stops at the first degree with no cells.
-    See docs/conventions.md "Nerve".
+    cell of the degree below (its parent) lies inside its first member's
+    box, so it meets no (element, shift) pair that box does not: its
+    candidates are the degree-1 overlaps of its first member with
+    elements above its last member, all intersected in one gather.  The
+    survivors are registered in (parent row, element, shift) order, and
+    the k-th cell on an index tuple gets comp k.  Face d of a cell grown
+    from parent f is f, and face j < d is the cell grown from face j of f
+    with the same element and the shift minus that face's base: one
+    lookup per degree of the codes (parent row, element, shift) of the
+    degree below, -1 where a face is missing (_degree_table raises).
+    Degrees past the first one without cells are empty tables.  See
+    docs/conventions.md "Nerve".
     """
-    shift_cands = _shift_candidates(manifold)
-    offsets = -np.array(shift_cands) * _period_vec(manifold)  # (shifts, 2)
-    ids = [el.index for el in elements]
-    id_arr = np.array(ids)
-    el_lo = np.array([el.box.lo for el in elements], dtype=float).reshape(-1, 2)
-    el_hi = np.array([el.box.hi for el in elements], dtype=float).reshape(-1, 2)
-    # every element box under every shift: (elements, shifts, 2)
-    shifted_lo = el_lo[:, None, :] + offsets
-    shifted_hi = el_hi[:, None, :] + offsets
-    cells: dict = {}
-    faces: dict = {}
-    by_shape: dict = {}  # (indices, shifts) -> key
-    comps: dict = {}  # indices -> cells registered on it so far
-
-    def register(degree, indices, shifts, boxes, lo, hi):
-        out = []
-        samples = _degree_samples(manifold, lo, hi, degree)
-        for idx, sh, box, pts in zip(indices, shifts, boxes, samples):
-            comp = comps.get(idx, 0)
-            comps[idx] = comp + 1
-            cell = NerveCell(indices=idx, comp=comp, box=box, shifts=sh, samples=pts)
-            cells[cell.key] = cell
-            by_shape[(idx, sh)] = cell.key
-            out.append(cell)
-        return out
-
-    frontier = register(
-        0,
-        [(i,) for i in ids],
-        [((0, 0),)] * len(elements),
-        [el.box for el in elements],
-        el_lo,
-        el_hi,
+    cands = np.array(_shift_candidates(manifold))  # (shifts, 2)
+    offsets = -cands * _period_vec(manifold)
+    order = np.argsort([el.index for el in elements], kind="stable")
+    elements = [elements[p] for p in order.tolist()]  # by index: a position is a degree-0 row
+    ids = np.array([el.index for el in elements], dtype=int)
+    n_el = len(ids)
+    per_parent = 25 * n_el  # the codes of one parent: (element, shift) pairs
+    lo = np.array([el.box.lo for el in elements], dtype=float).reshape(-1, 2)
+    hi = np.array([el.box.hi for el in elements], dtype=float).reshape(-1, 2)
+    table = _degree_table(
+        manifold, ids[:, None], np.zeros(n_el, dtype=int), lo, hi,
+        np.zeros((n_el, 1, 2), dtype=int), np.empty((n_el, 0), dtype=int),
+        np.empty((n_el, 0, 2), dtype=int),
     )
-    lo, hi = el_lo, el_hi
-    position = {i: p for p, i in enumerate(ids)}
+    degrees = [table]
+    last = np.arange(n_el)  # the element position of each cell's last member
     for degree in range(1, max_degree + 1):
-        if not frontier:
-            break
-        last = np.array([cell.indices[-1] for cell in frontier])
         if degree == 1:
-            # (element, element, shift, axis)
-            new_lo = np.maximum(lo[:, None, None, :], shifted_lo)
-            new_hi = np.minimum(hi[:, None, None, :], shifted_hi)
-            keep = ~np.any(new_hi - new_lo < 1e-9, axis=-1)
-            keep &= (id_arr > last[:, None])[:, :, None]
-            f, e, s = np.nonzero(keep)
+            # every element box under every shift, (elements, shifts, 2),
+            # against every element box: (element, element, shift, axis)
+            new_lo = np.maximum(lo[:, None, None, :], lo[:, None, :] + offsets)
+            new_hi = np.minimum(hi[:, None, None, :], hi[:, None, :] + offsets)
+            keep = _nonempty(new_lo, new_hi) & (last > last[:, None])[:, :, None]
+            f, e, s = keep.nonzero()
             lo, hi = new_lo[f, e, s], new_hi[f, e, s]
-            # the (element, shift) pairs each element's box meets, in order
-            pair_e, pair_s = e, s
-            n_pairs = np.bincount(f, minlength=len(ids))
-            pair_start = np.cumsum(n_pairs) - n_pairs
+            shift = cands[s]
+            pair_code = e * 25 + (shift + 2) @ _DIGITS  # within the parent's codes
+            # the overlaps of each element with the elements above it, as
+            # rows of degree 1, in order, padded with -1
+            n_pairs = np.bincount(f, minlength=n_el)
+            slot = np.arange(len(f)) - (np.cumsum(n_pairs) - n_pairs)[f]
+            pairs = np.full((n_el, n_pairs.max(initial=0)), -1)
+            pairs[f, slot] = np.arange(len(f))
+            pair_e, pair_lo, pair_hi = e[pairs], lo[pairs], hi[pairs]
+            pair_e[pairs < 0] = -1  # above no member
+            pair_codes, pair_shifts, first = pair_code, shift, f
         else:
-            # the candidates of each frontier cell: its first member's pairs
-            # with elements above its last member
-            first = np.array([position[cell.indices[0]] for cell in frontier])
-            counts = n_pairs[first]
-            f = np.repeat(np.arange(len(frontier)), counts)
-            skip = pair_start[first] - (np.cumsum(counts) - counts)
-            p = np.arange(len(f)) + np.repeat(skip, counts)
-            e, s = pair_e[p], pair_s[p]
-            above = id_arr[e] > last[f]
-            f, e, s = f[above], e[above], s[above]
-            new_lo = np.maximum(lo[f], shifted_lo[e, s])
-            new_hi = np.minimum(hi[f], shifted_hi[e, s])
-            keep = ~np.any(new_hi - new_lo < 1e-9, axis=-1)
-            f, e, s = f[keep], e[keep], s[keep]
-            lo, hi = new_lo[keep], new_hi[keep]
-        f, e, s = f.tolist(), e.tolist(), s.tolist()
-        frontier = register(
-            degree,
-            [frontier[i].indices + (ids[j],) for i, j in zip(f, e)],
-            [frontier[i].shifts + (shift_cands[j],) for i, j in zip(f, s)],
-            [Box(tuple(l), tuple(h)) for l, h in zip(lo.tolist(), hi.tolist())],
-            lo,
-            hi,
-        )
-
-    # Face links: deleting the j-th index lands in a unique smaller cell.
-    for cell in cells.values():
-        if cell.degree == 0:
-            continue
-        links = []
-        for j in range(len(cell.indices)):
-            sub_idx = cell.indices[:j] + cell.indices[j + 1 :]
-            sub_shift = cell.shifts[:j] + cell.shifts[j + 1 :]
-            base = sub_shift[0]
-            norm = tuple((a - base[0], b - base[1]) for a, b in sub_shift)
-            key = by_shape.get((sub_idx, norm))
-            if key is None:  # pragma: no cover - construction guarantees it
-                raise ConfigurationError(f"nerve not closed under faces at {cell.key}")
-            links.append((key, base))
-        faces[cell.key] = tuple(links)
-
-    return Nerve(cells=cells, faces=faces, max_degree=max_degree)
+            # the candidates of each parent: its first member's overlaps
+            # with elements above its last member, in one gather
+            e = pair_e[first]  # (parents, pairs)
+            new_lo = np.maximum(lo[:, None, :], pair_lo[first])
+            new_hi = np.minimum(hi[:, None, :], pair_hi[first])
+            keep = _nonempty(new_lo, new_hi) & (e > last[:, None])
+            f, k = keep.nonzero()
+            e, lo, hi = e[f, k], new_lo[f, k], new_hi[f, k]
+            pair = pairs[first[f], k]
+            pair_code, shift, first = pair_codes[pair], pair_shifts[pair], first[f]
+        if not len(f):
+            break
+        codes = f * per_parent + pair_code  # ascending: registration order
+        rows = np.arange(len(f))
+        members = np.concatenate([table.members[f], ids[e][:, None]], axis=1)
+        if table.comps.any():
+            # parents sharing an index tuple interleave their children:
+            # sort by index tuple, stably, as the keys sort
+            order = np.lexsort(members.T[::-1])
+            rows[order] = rows.copy()
+            f, e, lo, hi, members = f[order], e[order], lo[order], hi[order], members[order]
+            pair_code, shift, first = pair_code[order], shift[order], first[order]
+        comps = np.zeros(len(f), dtype=int)
+        repeated = (members[1:] == members[:-1]).all(axis=1)  # the row above's tuple
+        if repeated.any():
+            new = np.concatenate([[True], ~repeated])  # the first row of a tuple
+            comps = np.arange(len(f)) - np.flatnonzero(new)[np.cumsum(new) - 1]
+        shifts = np.concatenate([table.shifts[f], shift[:, None, :]], axis=1)
+        bases = np.zeros_like(shifts)
+        bases[:, 0] = shifts[:, 1]
+        if degree == 1:  # face 0 is the element's own cell, face 1 the parent
+            faces = np.stack([e, f], axis=1)
+        else:
+            faces = np.empty((len(f), degree + 1), dtype=int)
+            faces[:, :-1] = _lookup(lookup[0], lookup[1], face_codes[f] + pair_code[:, None])
+            faces[:, -1] = f
+        table = _degree_table(manifold, members, comps, lo, hi, shifts, faces, bases)
+        degrees.append(table)
+        # the code of face j's children: its row, and the shift less its base
+        face_codes = faces * per_parent - bases @ _DIGITS
+        lookup, last = (codes, rows), e
+    degrees += [_empty_degree(d) for d in range(len(degrees), max_degree + 1)]
+    return Nerve(degrees)
 
 
 # ---------------------------------------------------------------------------
@@ -647,8 +697,7 @@ def refine(cover: TrivializationCover, targets: list) -> tuple:
 
     nerve = build_nerve(manifold, fine_elements, max(1, cover.nerve.max_degree))
     transitions = {}
-    for cell in nerve.degree(1):
-        a, b = cell.indices
+    for a, b in nerve.degree(1).members.tolist():
         ca, cb = assignment[a], assignment[b]
         transitions[(a, b)] = cover.data.transition_expr(ca, cb)
         transitions[(b, a)] = cover.data.transition_expr(cb, ca)

@@ -49,3 +49,11 @@ class Record:
 
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
+
+
+def read_only(*arrays):
+    """The numpy arrays, made read-only (views of them are too); one array
+    alone comes back bare."""
+    for arr in arrays:
+        arr.flags.writeable = False
+    return arrays[0] if len(arrays) == 1 else arrays

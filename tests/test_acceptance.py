@@ -29,6 +29,8 @@ from gqlab.cech import (
 )
 from gqlab.prequantum import refine, split_boxes
 
+from cells import grid_cell
+
 TWO_PI = 2.0 * math.pi
 
 BUILTIN_COVERS = [
@@ -130,13 +132,13 @@ def test_psi_phi_round_trip(models):
             keys = [
                 key
                 for key in grid.degree_keys(degree)
-                if grid.cells[key].count > 0
+                if grid_cell(grid, key).count > 0
             ]
             if not keys:
                 continue
             for _ in range(100):
                 key = keys[rng.integers(len(keys))]
-                L = grid.cells[key].count
+                L = grid_cell(grid, key).count
                 g = rng.normal(size=L) + 1j * rng.normal(size=L)
                 tup = psi(grid, key, g)
                 assert np.max(np.abs(phi(grid, key, tup) - g)) < 1e-12
@@ -151,7 +153,7 @@ def test_res_laws(models):
     # identity on image tuples
     count = 0
     for key in grid.degree_keys(1):
-        L = grid.cells[key].count
+        L = grid_cell(grid, key).count
         if L == 0:
             continue
         tup = psi(grid, key, rng.normal(size=L) + 1j * rng.normal(size=L))
@@ -161,12 +163,12 @@ def test_res_laws(models):
     # composition over random triples
     checked = 0
     for key in grid.degree_keys(2):
-        if grid.cells[key].count == 0:
+        if grid_cell(grid, key).count == 0:
             continue
         a, b, _ = key[0]
         sub_key, _ = grid.sub_cell_for(key, (a,))
         mid_key, _ = grid.sub_cell_for(key, (a, b))
-        L = grid.cells[sub_key].count
+        L = grid_cell(grid, sub_key).count
         tup = psi(grid, sub_key, rng.normal(size=L) + 1j * rng.normal(size=L))
         direct = res(grid, sub_key, key, tup)
         via = res(grid, mid_key, key, res(grid, sub_key, mid_key, tup))

@@ -30,6 +30,8 @@ from gqlab.prequantum import ConfigurationError, TrivializationCover, check_loca
 from gqlab.quadrature import integrate
 from gqlab.transport import LeafTransport
 
+from cells import degree_cells, nerve_cells
+
 TWO_PI = 2.0 * math.pi
 
 
@@ -40,12 +42,12 @@ def test_identity_complementary_reproduces_original_data(models):
     assert isinstance(comp, ComplementaryCover)
     assert comp.certificate_max < 1e-12
     assert all(abs(w - 1.0) < 1e-12 for w in comp.tree_solution.values())
-    for cell in exm.cover.nerve.degree(1):
+    for cell in degree_cells(exm.cover.nerve, 1):
         pts = exm.manifold.reduce(cell.samples)
         a, b = cell.indices
         diff = comp.base.transition(a, b, pts) - exm.cover.transition(a, b, pts)
         assert np.max(np.abs(diff)) < 1e-12
-    for cell in exm.cover.nerve.degree(0):
+    for cell in degree_cells(exm.cover.nerve, 0):
         pts = exm.manifold.reduce(cell.samples)
         t0 = comp.base.potential(cell.indices[0], pts)
         t1 = exm.cover.potential(cell.indices[0], pts)
@@ -239,7 +241,7 @@ def _per_cell_overlap_constants(naive, pulled, counters):
     call per cover on each overlap.  The reference for overlap_constants."""
     manifold, nerve = naive.manifold, naive.nerve
     closed_max = 0.0
-    for cell in nerve.cells.values():
+    for cell in nerve_cells(nerve).values():
         if cell.degree != 0 or len(cell.samples) == 0:
             continue
         pts = manifold.reduce(cell.samples)
@@ -251,7 +253,7 @@ def _per_cell_overlap_constants(naive, pulled, counters):
         raise InternalConsistencyError(f"gauge 1-form is not closed ({closed_max:.3e})")
     cells = [
         (key, cell, manifold.reduce(cell.samples))
-        for key, cell in sorted(nerve.cells.items())
+        for key, cell in sorted(nerve_cells(nerve).items())
         if cell.degree == 1 and len(cell.samples)
     ]
     # one gauge_potentials call: each cell's samples for a, then for b

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from gqlab import catalog, cech
+from gqlab import catalog
 from gqlab.action import build_complementary
 from gqlab.bohr import LeafAtlas, bs_census
 from gqlab.cech import (
@@ -26,9 +26,11 @@ from gqlab.cech import (
     vector_to_cochain,
     zero_cochain,
 )
-from gqlab.geometry import pushforward_polarization
+from gqlab.geometry import LeafFrame, pushforward_polarization
 from gqlab.prequantum import ConfigurationError, pullback, refine, split_boxes
 from gqlab.transport import LeafTransport
+
+from cells import degree_cells, grid_cell, grid_cells, nerve_cells, nerve_faces
 
 TWO_PI = 2.0 * math.pi
 
@@ -59,12 +61,12 @@ def _segment(grid, member, from_key, to_key, pos_from):
     """(c_elem, t0, t1) of the leaf segment between two cells' basepoints,
     in the member element's frame, read off the nerve cell by cell: the
     reference for the tables of TransversalGrid.frames."""
-    cf, ct = grid.cells[from_key], grid.cells[to_key]
+    cf, ct = grid_cell(grid, from_key), grid_cell(grid, to_key)
     base = grid.polarization.root
     la = 1 if base.kind != "axis" else base.leaf_axis
     periods = grid.cover.manifold.periods
     p_leaf = periods[la] or 0.0
-    nerve = grid.nerve.cells
+    nerve = nerve_cells(grid.nerve)
     sh_f = nerve[from_key].shifts[nerve[from_key].indices.index(member)]
     sh_t = nerve[to_key].shifts[nerve[to_key].indices.index(member)]
     t0 = cf.t_bp + sh_f[la] * p_leaf
@@ -78,7 +80,7 @@ def _segment(grid, member, from_key, to_key, pos_from):
 
 def _lam(grid, key, a, b):
     """lambda_ab at the basepoints of a cell."""
-    return grid.cover.transition(a, b, grid.cells[key].base_points)
+    return grid.cover.transition(a, b, grid_cell(grid, key).base_points)
 
 
 def _one(transport, member, c, t0, t1):
@@ -93,7 +95,7 @@ def test_project_is_idempotent_and_fixes_image(models):
     exm, grid = _grid(models, "torus", n=16, k=1)
     rng = np.random.default_rng(0)
     for key in grid.degree_keys(1) + grid.degree_keys(2):
-        L = grid.cells[key].count
+        L = grid_cell(grid, key).count
         if L == 0:
             continue
         n1 = len(key[0])
@@ -109,7 +111,7 @@ def test_project_is_idempotent_and_fixes_image(models):
 def test_project_on_single_element_is_identity(models):
     exm, grid = _grid(models, "plane", n=8)
     key = ((0,), 0)
-    raw = np.ones((1, grid.cells[key].count), dtype=complex) * (2 + 1j)
+    raw = np.ones((1, grid_cell(grid, key).count), dtype=complex) * (2 + 1j)
     assert np.array_equal(project_to_image(grid, key, raw), raw)
 
 
@@ -117,7 +119,7 @@ def test_psi_phi_inverse_pair(models):
     exm, grid = _grid(models, "torus", n=16, k=2)
     rng = np.random.default_rng(1)
     for key in grid.degree_keys(1) + grid.degree_keys(2) + grid.degree_keys(3):
-        L = grid.cells[key].count
+        L = grid_cell(grid, key).count
         if L == 0:
             continue
         g = rng.normal(size=L) + 1j * rng.normal(size=L)
@@ -130,7 +132,7 @@ def test_psi_phi_inverse_pair(models):
 def test_psi_output_satisfies_image_characterization(models):
     exm, grid = _grid(models, "torus", n=16, k=3)
     key = grid.degree_keys(1)[0]
-    g = np.ones(grid.cells[key].count, dtype=complex)
+    g = np.ones(grid_cell(grid, key).count, dtype=complex)
     tup = psi(grid, key, g)
     indices = key[0]
     for j in range(len(indices)):
@@ -148,7 +150,7 @@ def test_res_identity_on_image(models):
     exm, grid = _grid(models, "torus", n=16, k=1)
     rng = np.random.default_rng(2)
     for key in grid.degree_keys(1)[:6]:
-        L = grid.cells[key].count
+        L = grid_cell(grid, key).count
         if L == 0:
             continue
         tup = psi(grid, key, rng.normal(size=L) + 1j * rng.normal(size=L))
@@ -161,12 +163,12 @@ def test_res_composition_law(models):
     rng = np.random.default_rng(3)
     checked = 0
     for key in grid.degree_keys(2):
-        if grid.cells[key].count == 0:
+        if grid_cell(grid, key).count == 0:
             continue
         a, b, c = key[0]
         sub_key, _ = grid.sub_cell_for(key, (a,))
         mid_key, _ = grid.sub_cell_for(key, (a, b))
-        L = grid.cells[sub_key].count
+        L = grid_cell(grid, sub_key).count
         tup = psi(grid, sub_key, rng.normal(size=L) + 1j * rng.normal(size=L))
         direct = res(grid, sub_key, key, tup)
         via = res(grid, mid_key, key, res(grid, sub_key, mid_key, tup))
@@ -187,12 +189,12 @@ def test_untwisted_res_is_plain_averaging(models):
     exm, grid = _grid(models, "circle-flat", n=5)
     key = ((0, 1), 0)
     sub_key, _ = grid.sub_cell_for(key, (0,))
-    L = grid.cells[sub_key].count
+    L = grid_cell(grid, sub_key).count
     vals = (np.arange(L) + 1.0 + 0.5j).reshape(1, L)
     out = res(grid, sub_key, key, vals)
-    Lp = grid.cells[key].count
-    sub_labels = grid.cells[sub_key].label_idx
-    positions = np.searchsorted(sub_labels, grid.cells[key].label_idx)
+    Lp = grid_cell(grid, key).count
+    sub_labels = grid_cell(grid, sub_key).label_idx
+    positions = np.searchsorted(sub_labels, grid_cell(grid, key).label_idx)
     expected = vals[0][positions]
     assert np.array_equal(out[0], expected)
     assert np.array_equal(out[1], expected)
@@ -216,12 +218,12 @@ def test_delta_reduces_to_classical_coboundary_untwisted(models):
               1: rng.normal(size=4) + 1j * rng.normal(size=4)}
     c = zero_cochain(grid, 0)
     for el, vals in values.items():
-        cg = grid.cells[((el,), 0)]
+        cg = grid_cell(grid, ((el,), 0))
         c.data[((el,), 0)][0] = vals[cg.label_idx]
     d = delta(grid, c)
     for comp in (0, 1):
         key = ((0, 1), comp)
-        cg = grid.cells[key]
+        cg = grid_cell(grid, key)
         f0 = values[0][cg.label_idx]
         f1 = values[1][cg.label_idx]
         classical = f1 - f0  # (delta c)_{ab} = c_b - c_a
@@ -256,20 +258,26 @@ def test_delta_beyond_nerve_degree_errors(models):
 # --- the batched differential against its per-face reference -----------------
 
 
+def _frame_of(grid, key):
+    """The row of TransversalGrid.frames for one cell: (t, shift)."""
+    degree, row = grid.nerve.locate(key)
+    t, shift = grid.frames(degree)
+    return t[row], shift[row]
+
+
 def _pointwise_res(grid, transport, sub_key, super_key, values):
     """res one (sub, super) pair at a time, as delta ran it face by face:
     one transport call per pair, one transition call per member pair.  The
     reference for the batched res."""
-    sub = grid.nerve.cells[sub_key].indices
-    sup = grid.nerve.cells[super_key].indices
-    cg_sub, cg_sup = grid.cells[sub_key], grid.cells[super_key]
+    sub, sup = sub_key[0], super_key[0]
+    cg_sub, cg_sup = grid_cell(grid, sub_key), grid_cell(grid, super_key)
     n1, count = len(sub), cg_sup.count
     if cg_sub.closed or cg_sup.closed:
         return np.zeros((len(sup), count), dtype=np.complex128)
     pos_sub = np.searchsorted(cg_sub.label_idx, cg_sup.label_idx)
     assert np.array_equal(cg_sub.label_idx[pos_sub], cg_sup.label_idx)
-    (t0,), (shift,) = grid.frames([sub_key])
-    t1 = grid.frames([super_key])[0][0, [sup.index(m) for m in sub]]
+    t0, shift = _frame_of(grid, sub_key)
+    t1 = _frame_of(grid, super_key)[0][[sup.index(m) for m in sub]]
     integrals = transport.integral(
         np.array(sub).repeat(count), t0.repeat(count), t1.repeat(count),
         (cg_sub.c_cell[pos_sub] + shift[:, None]).ravel(),
@@ -286,8 +294,9 @@ def _pointwise_delta(grid, cochain):
     """delta as the alternating sum of its per-face restrictions."""
     transport = LeafTransport(grid.cover, grid.polarization)
     out = zero_cochain(grid, cochain.degree + 1)
+    faces = nerve_faces(grid.nerve)
     for key, acc in out.data.items():
-        for j, (face_key, _) in enumerate(grid.nerve.faces[key]):
+        for j, (face_key, _) in enumerate(faces[key]):
             values = cochain.data[face_key]
             term = _pointwise_res(grid, transport, face_key, key, values)
             acc += term if j % 2 == 0 else -term
@@ -459,7 +468,7 @@ def _with_bs_labels(k, n):
 
 def _position_labels(grid, degree):
     return np.concatenate(
-        [grid.cells[key].label_idx for key in grid.degree_keys(degree)]
+        [grid_cell(grid, key).label_idx for key in grid.degree_keys(degree)]
     )
 
 
@@ -551,14 +560,15 @@ def test_sheaf_cohomology_sits_on_the_bs_leaves(models, k):
 
 def _face_segments(grid):
     """(member, c_elem, t0, t1) of every face segment delta_matrix uses."""
+    faces = nerve_faces(grid.nerve)
     for key in grid.degree_keys(1):
-        cg = grid.cells[key]
-        for face_key, _ in grid.nerve.faces[key]:
-            fcg = grid.cells[face_key]
+        cg = grid_cell(grid, key)
+        for face_key, _ in faces[key]:
+            fcg = grid_cell(grid, face_key)
             carried = cg.label_idx[np.isin(cg.label_idx, fcg.label_idx)]
             if fcg.closed or carried.size == 0:
                 continue
-            member = grid.nerve.cells[face_key].indices[0]
+            member = face_key[0][0]
             yield (member,) + _segment(
                 grid, member, face_key, key, np.searchsorted(fcg.label_idx, carried)
             )
@@ -638,18 +648,20 @@ def test_entry_integrals_group_by_segment(models, kind):
 def _reference_blocks(grid, degree):
     """delta_matrix's blocks assembled label by label, with one one-label
     transport call per entry."""
-    src_keys, src_off, _ = cech._block_offsets(grid, degree)
-    dst_keys, dst_off, _ = cech._block_offsets(grid, degree + 1)
+    src_keys, dst_keys = grid.degree_keys(degree), grid.degree_keys(degree + 1)
+    src_off = dict(zip(src_keys, grid.degrees[degree].starts.tolist()))
+    dst_off = dict(zip(dst_keys, grid.degrees[degree + 1].starts.tolist()))
+    faces = nerve_faces(grid.nerve)
     transport = LeafTransport(grid.cover, grid.polarization)
     rows, cols, vals = [], [], [np.empty(0, complex)]
     for key in dst_keys:
-        cg = grid.cells[key]
+        cg = grid_cell(grid, key)
         if cg.closed:
             continue
-        ref = grid.nerve.cells[key].indices[0]
-        for j, (face_key, _) in enumerate(grid.nerve.faces[key]):
-            fcg = grid.cells[face_key]
-            beta0 = grid.nerve.cells[face_key].indices[0]
+        ref = key[0][0]
+        for j, (face_key, _) in enumerate(faces[key]):
+            fcg = grid_cell(grid, face_key)
+            beta0 = face_key[0][0]
             lam = _lam(grid, key, beta0, ref)
             pos_face, fac = [], []
             for pos, gidx in enumerate(cg.label_idx):
@@ -664,8 +676,8 @@ def _reference_blocks(grid, degree):
             # the products of delta_matrix, one array per face
             vals.append((-1) ** j * lam[pos_face] * np.array(fac, complex))
     rows, cols, vals = np.array(rows, int), np.array(cols, int), np.concatenate(vals)
-    row_label = np.concatenate([grid.cells[k].label_idx for k in dst_keys] + [[]])
-    col_label = np.concatenate([grid.cells[k].label_idx for k in src_keys] + [[]])
+    row_label = np.concatenate([grid_cell(grid, k).label_idx for k in dst_keys] + [[]])
+    col_label = np.concatenate([grid_cell(grid, k).label_idx for k in src_keys] + [[]])
     blocks = []
     for g in np.intersect1d(row_label, col_label):
         r, c = np.flatnonzero(row_label == g), np.flatnonzero(col_label == g)
@@ -744,10 +756,43 @@ def test_grid_basepoints_equal_a_curve_call_per_cell(models):
     # gets, bit for bit, what a call on its own labels gives
     for name, grid in _assembly_grids(models).items():
         pol, manifold = grid.polarization, grid.cover.manifold
-        for key, cg in grid.cells.items():
+        for key, cg in grid_cells(grid).items():
             own = manifold.reduce(pol.curve_points(cg.c_cell, np.full(cg.count, cg.t_bp)))
             assert cg.base_points.shape == (cg.count, 2), (name, key)
             assert cg.base_points.tobytes() == own.tobytes(), (name, key)
+
+
+def _per_cell_grid(grid):
+    """key -> (label_idx, c_cell, t_bp, closed) of every cell, found cell
+    by cell from its box as the grid found them one flatnonzero at a time."""
+    pol, manifold = grid.polarization, grid.cover.manifold
+    out = {}
+    for key, cell in nerve_cells(grid.nerve).items():
+        lo, hi = np.array([cell.box.lo]), np.array([cell.box.hi])
+        frame = LeafFrame.of(manifold, pol, lo, hi)
+        lifted, inside = frame.lift(grid.labels)
+        closed = bool(frame.whole[0])
+        kept = np.flatnonzero(inside[:, 0] & ~closed)
+        t_bp = float(0.5 * (frame.leaf_lo[0] + frame.leaf_hi[0]))
+        out[key] = (kept, lifted[kept, 0], t_bp, closed)
+    return out
+
+
+def test_grid_columns_equal_the_per_cell_grid(models):
+    # the one crossing mask's nonzero entries, cell by cell, are each
+    # cell's own labels, lifted labels and basepoint parameter
+    for name, grid in _assembly_grids(models).items():
+        for degree, columns in enumerate(grid.degrees):
+            table = grid.nerve.degree(degree)
+            assert len(columns.starts) == len(table.keys) + 1, name
+            assert np.array_equal(np.diff(columns.starts), np.bincount(
+                columns.cells, minlength=len(table.keys)))
+        want = _per_cell_grid(grid)
+        for key, cg in grid_cells(grid).items():
+            label_idx, c_cell, t_bp, closed = want[key]
+            assert cg.label_idx.tobytes() == label_idx.tobytes(), (name, key)
+            assert cg.c_cell.tobytes() == c_cell.tobytes(), (name, key)
+            assert (cg.t_bp, cg.closed) == (t_bp, closed), (name, key)
 
 
 def _frame_cases(models):
@@ -780,8 +825,8 @@ def test_grid_cells_cross_leaves_as_the_atlas_elements_do(models):
         grid = TransversalGrid.build(cover, pol, half_offset_labels(lo, hi, 24))
         atlas = LeafAtlas(cover, pol)
         lifted, inside = atlas.frame.lift(grid.labels)
-        for p, cell in enumerate(cover.nerve.degree(0)):
-            cg = grid.cells[cell.key]
+        for p, cell in enumerate(degree_cells(cover.nerve, 0)):
+            cg = grid_cell(grid, cell.key)
             assert cg.closed == bool(atlas.frame.whole[p]), (name, cell.key)
             if not cg.closed:
                 assert np.array_equal(cg.label_idx, np.flatnonzero(inside[:, p])), name
@@ -797,12 +842,13 @@ def test_sub_cell_for_follows_the_faces_of_the_refined_torus(models):
     grid = TransversalGrid.build(fine, pol, half_offset_labels(0.0, TWO_PI, 8))
     periods = [p or 0.0 for p in fine.manifold.periods]
     checked = 0
-    for key, sup in fine.nerve.cells.items():
+    cells = nerve_cells(fine.nerve)
+    for key, sup in cells.items():
         for n in range(1, len(sup.indices) + 1):
             for sub in itertools.combinations(sup.indices, n):
                 sub_key, off = grid.sub_cell_for(key, sub)
                 assert sub_key[0] == sub
-                box = fine.nerve.cells[sub_key].box
+                box = cells[sub_key].box
                 shifted = sup.box.shifted((off[0] * periods[0], off[1] * periods[1]))
                 for a in range(2):
                     assert box.lo[a] <= shifted.lo[a] + 1e-12, (key, sub)
@@ -815,31 +861,47 @@ def test_sub_cell_for_follows_the_faces_of_the_refined_torus(models):
     assert checked > 1000
 
 
+def _without(grid, key, drop):
+    """The grid with the entries of cell key at the labels drop removed,
+    and the cell closed when closed is set."""
+    degree, span = grid.span(key)
+    columns = grid.degrees[degree]
+    keep = np.ones(len(columns.cells), dtype=bool)
+    keep[span] = ~np.isin(columns.label_idx[span], drop)
+    row = grid.nerve.degree(degree).row(key)
+    starts = columns.starts.copy()
+    starts[row + 1 :] -= int(np.count_nonzero(~keep))
+    trimmed = columns._replace(
+        starts=starts, cells=columns.cells[keep], label_idx=columns.label_idx[keep],
+        c_cell=columns.c_cell[keep], base_points=columns.base_points[keep],
+    )
+    degrees = list(grid.degrees)
+    degrees[degree] = trimmed
+    return grid._replace(degrees=tuple(degrees))
+
+
 def test_res_names_the_smallest_label_its_sub_cell_lacks(models):
     exm, grid = _grid(models, "torus", n=12, k=2)
-    key = next(k for k in grid.degree_keys(1) if grid.cells[k].count >= 2)
-    face_key = grid.nerve.faces[key][0][0]
-    cg = grid.cells[face_key]
-    carried = grid.cells[key].label_idx
-    keep = ~np.isin(cg.label_idx, carried[:2])
-    trimmed = cg._replace(
-        label_idx=cg.label_idx[keep], c_cell=cg.c_cell[keep],
-        base_points=cg.base_points[keep],
-    )
-    broken = grid._replace(cells={**grid.cells, face_key: trimmed})
+    key = next(k for k in grid.degree_keys(1) if grid_cell(grid, k).count >= 2)
+    face_key = nerve_faces(grid.nerve)[key][0][0]
+    carried = grid_cell(grid, key).label_idx
+    broken = _without(grid, face_key, carried[:2])
+    trimmed = grid_cell(broken, face_key)
     with pytest.raises(LeafMismatchError, match=f"label {carried[0]} "):
         res(broken, face_key, key, np.ones((1, trimmed.count), dtype=complex))
     # in a batch too: delta restricts from every face at once
     with pytest.raises(LeafMismatchError, match=f"label {carried[0]} "):
         delta(broken, zero_cochain(broken, 0))
     # a closed sub cell carries no labels and restricts to zeros
-    closed = trimmed._replace(
-        label_idx=np.empty(0, int), c_cell=np.empty(0),
-        base_points=np.empty((0, 2)), closed=True,
-    )
-    shut = grid._replace(cells={**grid.cells, face_key: closed})
+    shut = _without(grid, face_key, grid_cell(grid, face_key).label_idx)
+    degree, row = grid.nerve.locate(face_key)
+    closed = shut.degrees[degree].closed.copy()
+    closed[row] = True
+    degrees = list(shut.degrees)
+    degrees[degree] = degrees[degree]._replace(closed=closed)
+    shut = shut._replace(degrees=tuple(degrees))
     out = res(shut, face_key, key, np.empty((1, 0), dtype=complex))
-    assert out.shape == (2, grid.cells[key].count) and not out.any()
+    assert out.shape == (2, grid_cell(grid, key).count) and not out.any()
 
 
 @pytest.mark.parametrize("kind", ["generic", "pullback"])
@@ -848,11 +910,12 @@ def test_batched_res_matches_per_label_transport(models, kind):
     transport = LeafTransport(grid.cover, grid.polarization)
     rng = np.random.default_rng(3)
     checked = 0
+    faces = nerve_faces(grid.nerve)
     for key in grid.degree_keys(1):
-        sup, cg_sup = grid.nerve.cells[key], grid.cells[key]
-        for face_key, _ in grid.nerve.faces[key]:
-            cg_sub = grid.cells[face_key]
-            sub = grid.nerve.cells[face_key].indices
+        cg_sup = grid_cell(grid, key)
+        for face_key, _ in faces[key]:
+            cg_sub = grid_cell(grid, face_key)
+            sub = face_key[0]
             vals = rng.normal(size=(len(sub), cg_sub.count)) + 0j
             moved = np.zeros((len(sub), cg_sup.count), dtype=complex)
             for k, member in enumerate(sub):
@@ -860,7 +923,7 @@ def test_batched_res_matches_per_label_transport(models, kind):
                     q = int(np.searchsorted(cg_sub.label_idx, gidx))
                     c, t0, t1 = _segment(grid, member, face_key, key, q)
                     moved[k, p] = vals[k, q] * np.exp(-1j * _one(transport, member, c, t0, t1))
-            ref = sup.indices[0]  # component 0 of the super tuple
+            ref = key[0][0]  # component 0 of the super tuple
             want = sum(
                 _lam(grid, key, a, ref) * moved[k]
                 for k, a in enumerate(sub)
@@ -875,7 +938,7 @@ def test_closed_degrees_assemble_the_empty_operator(models):
     grids = _assembly_grids(models)
     for name in ("sphere", "disk"):
         grid = grids[name]
-        assert set(grid.closed_cells) == set(grid.nerve.cells)
+        assert all(columns.closed.all() for columns in grid.degrees)
         for degree in range(min(3, grid.nerve.max_degree)):
             op, (_, _, n_src), (_, _, n_dst) = delta_matrix(grid, degree)
             assert op.shape == (n_dst, n_src) == (0, 0)
@@ -888,15 +951,16 @@ def _assembly_work(grid, degree):
     """The distinct leaf segments and non-identity element pairs of the
     entries of one degree, found pair by pair."""
     segments, pairs = set(), set()
+    faces = nerve_faces(grid.nerve)
     for key in grid.degree_keys(degree + 1):
-        cg = grid.cells[key]
-        ref = grid.nerve.cells[key].indices[0]
-        for face_key, _ in grid.nerve.faces[key]:
-            fcg = grid.cells[face_key]
+        cg = grid_cell(grid, key)
+        ref = key[0][0]
+        for face_key, _ in faces[key]:
+            fcg = grid_cell(grid, face_key)
             carried = cg.label_idx[np.isin(cg.label_idx, fcg.label_idx)]
             if carried.size == 0:
                 continue
-            beta0 = grid.nerve.cells[face_key].indices[0]
+            beta0 = face_key[0][0]
             pos = np.searchsorted(fcg.label_idx, carried)
             _, t0, t1 = _segment(grid, beta0, face_key, key, pos)
             segments.add((beta0, t0, t1))

@@ -12,6 +12,7 @@ import pytest
 import gqlab
 from gqlab import catalog
 from gqlab import expr as ex
+from gqlab.cech import half_offset_grid
 from gqlab.cli import RunConfig, _apply_corruption
 from gqlab.prequantum import (
     ConfigurationError,
@@ -21,6 +22,8 @@ from gqlab.prequantum import (
     split_boxes,
 )
 from gqlab.record import Record
+
+from cells import degree_cells
 
 
 # The records that are not tuples (README, "Immutability"): as tuples,
@@ -121,24 +124,51 @@ def test_cover_attributes_cannot_be_assigned(covers, kind):
     with pytest.raises(AttributeError):
         cover.data.transitions = {}
     with pytest.raises(AttributeError):
-        cover.nerve.cells = {}
+        cover.nerve.degrees = ()
 
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_cover_contents_are_read_only(covers, kind):
     cover = covers[kind]
     pair = next(iter(cover.data.transitions))
-    key = next(iter(cover.nerve.cells))
     with pytest.raises(TypeError):
         cover.data.transitions[pair] = ex.ONE
     with pytest.raises(TypeError):
         cover.data.potentials[0] = (ex.ZERO, ex.ZERO)
     with pytest.raises(TypeError):
-        cover.nerve.cells[key] = cover.nerve.cells[key]
-    with pytest.raises(TypeError):
-        cover.nerve.faces[key] = ()
+        cover.nerve.degrees[0] = cover.nerve.degrees[0]
     with pytest.raises(TypeError):
         cover.elements[0] = cover.elements[0]
+    for table in cover.nerve.degrees:
+        assert len(table.keys)  # the torus has cells of every degree
+        with pytest.raises(TypeError):
+            table.keys[0] = table.keys[0]
+        _assert_read_only(table[1:])
+
+
+def _assert_read_only(arrays):
+    """Every array refuses a write, and so do its views."""
+    for arr in arrays:
+        assert isinstance(arr, np.ndarray) and not arr.flags.writeable
+        if not arr.size:  # degree 0 has no faces
+            continue
+        with pytest.raises(ValueError, match="read-only"):
+            arr[(0,) * arr.ndim] = arr[(0,) * arr.ndim]
+        with pytest.raises(ValueError, match="read-only"):
+            arr[:1][(0,) * arr.ndim] = arr[(0,) * arr.ndim]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_grid_columns_are_read_only(covers, kind):
+    cover = covers[kind]
+    pol = catalog.example("torus", k=2).polarization()
+    grid = half_offset_grid(cover, pol, 16)
+    with pytest.raises(AttributeError):
+        grid.degrees = ()
+    with pytest.raises(TypeError):
+        grid.degrees[0] = grid.degrees[0]
+    for columns in grid.degrees:
+        _assert_read_only(columns)
 
 
 def _mutable_values(obj, path, seen):
@@ -182,7 +212,7 @@ def test_local_data_keeps_its_own_copy():
 
 def test_corrupted_copy_compiles_its_own_transition():
     exm = catalog.example("torus", k=1)
-    (cell,) = [c for c in exm.cover.nerve.degree(1) if c.indices == (0, 1)]
+    (cell,) = [c for c in degree_cells(exm.cover.nerve, 1) if c.indices == (0, 1)]
     pts = exm.manifold.reduce(cell.samples)
     before = exm.cover.transition(0, 1, pts)  # compiled and cached here
     bad = _apply_corruption(exm, "lam:0,1:1.01")

@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import gqlab
-from gqlab import cli, expr, program
+from gqlab import cli, expr, prequantum, program
 
 SRC = Path(gqlab.__file__).resolve().parent
 
@@ -25,6 +25,7 @@ KEEP = {
     "catalog.untwisted_circle_example": "criterion untwisted-degeneration",
     "catalog.untwisted_circle_example.data_builder": "criterion untwisted-degeneration",
     "cech.TransversalGrid.sub_cell_for": "criterion res-laws",
+    "cech.res": "criterion res-laws",
     "cech.TrivCochain.norm": "criterion delta-squared-zero",
     "cech.psi": "criterion psi-phi-isomorphism",
     "cech.phi": "criterion psi-phi-isomorphism",
@@ -115,7 +116,8 @@ def sweep(tmp_path_factory):
     gqlab function it called."""
     tmp = tmp_path_factory.mktemp("surface")
     # a cached result would hide the calls behind it
-    for cached in (cli._parser, program.compile_expr, expr.differentiate):
+    for cached in (cli._parser, program.compile_expr, expr.differentiate,
+                   prequantum._empty_degree):
         cached.cache_clear()
     codes = []
     code_objects = set()
