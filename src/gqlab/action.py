@@ -20,7 +20,6 @@ label.
 
 from __future__ import annotations
 
-from collections import Counter
 from collections.abc import Mapping
 from types import MappingProxyType
 from typing import NamedTuple
@@ -28,7 +27,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import expr as ex
-from . import kernels, program
+from . import kernels, program, trace
 # enumerate_leaves and holonomy stay bound here: perfbench/tracing.py wraps
 # action.enumerate_leaves and action.holonomy
 from .bohr import UnresolvedCensusError, bs_census, enumerate_leaves, holonomy  # noqa: F401
@@ -65,12 +64,11 @@ class InternalConsistencyError(RuntimeError):
 
 
 class CocycleObstruction(NamedTuple):
-    constants: dict  # (a, b, comp) -> complex, a < b
+    constants: Mapping  # (a, b, comp) -> complex, a < b; read-only
     witness_cycle: tuple  # element indices around an unsolvable cycle
     cycle_product: complex
     deviation: float  # |product - 1|
     constancy_max: float
-    counters: Mapping = MappingProxyType({})  # work done
 
     def as_dict(self) -> dict:
         return {
@@ -89,12 +87,11 @@ class ComplementaryCover(NamedTuple):
     base: TrivializationCover  # pullback cover carrying the exact pulled-back data
     source: TrivializationCover
     phi: Symplectomorphism
-    constants: dict  # the solved cocycle e
-    tree_solution: dict  # w per element with w_b / w_a = e_ab
+    constants: Mapping  # the solved cocycle e; read-only
+    tree_solution: Mapping  # w per element with w_b / w_a = e_ab; read-only
     gauge_closedness_max: float
     constancy_max: float
     certificate_max: float  # gauged naive data vs pulled-back data, sampled
-    counters: Mapping = MappingProxyType({})  # work done
 
     def as_dict(self) -> dict:
         return {
@@ -107,7 +104,7 @@ class ComplementaryCover(NamedTuple):
         }
 
 
-def gauge_potentials(naive, pulled, elements: np.ndarray, pts, counters: dict):
+def gauge_potentials(naive, pulled, elements: np.ndarray, pts):
     """f_a, the primitive of the closed gauge 1-form theta_naive - phi^* theta
     on element a that vanishes at the element's center, at each canonical
     point of pts, (n, 2), for a = elements[i]; returns the (n,) values.
@@ -116,8 +113,8 @@ def gauge_potentials(naive, pulled, elements: np.ndarray, pts, counters: dict):
     then along y at x0, both legs in the element's own frame
     (docs/conventions.md, "Gauge integrals").  One integrate call per
     element integrates the x leg once per distinct x0 and the y leg once per
-    target, one row per leg that is not empty.  counters gains the leg
-    integrals and the points evaluated.
+    target, one row per leg that is not empty.  Counts the leg integrals
+    (gauge_integrals) and the points evaluated (gauge_nodes).
     """
     coords = naive.manifold.coords
     out = np.empty(len(pts), dtype=np.complex128)
@@ -153,27 +150,29 @@ def gauge_potentials(naive, pulled, elements: np.ndarray, pts, counters: dict):
                     kernels.evaluate(g_y, {coords[0]: np.repeat(x_y, n), coords[1]: ty}),
                 ]
             )
-            counters["gauge_nodes"] += ts.size
+            trace.count("gauge_nodes", ts.size)
             return vals.reshape(ts.shape)
 
         legs_int = np.zeros(len(starts), dtype=np.complex128)
         legs_int[live] = integrate(legs, starts[live], ends[live])
-        counters["gauge_integrals"] += len(live)
+        trace.count("gauge_integrals", len(live))
         out[rows] = legs_int[: len(x0s)][x_leg] + legs_int[len(x0s) :]
     return out
 
 
-def overlap_constants(naive, pulled, counters: dict) -> tuple:
+def overlap_constants(naive, pulled) -> tuple:
     """Steps 2 and 3 of build_complementary on the nerve naive and pulled
     share: (gauge_closedness_max, constants, constancy_max, ratios), with
-    the ratio samples of each overlap cell by key.  counters gains the
-    gauge integrals' counts.
+    the ratio samples of each overlap cell by key.  The gauge counters read
+    0 when no overlap needs a gauge integral.
 
     Each step makes one accessor call per cover on all the samples of its
     degree; the maxima, means and spreads are taken cell by cell, on
     slices, so every value is the one a cell-by-cell construction gives.
     """
     manifold, nerve = naive.manifold, naive.nerve
+    trace.count("gauge_integrals", 0)
+    trace.count("gauge_nodes", 0)
     # Step 2: the gauge 1-form g = theta_naive - phi^* theta must be closed;
     # a cell whose residual has no value drops out of the fold
     s0 = nerve.samples(0, manifold)
@@ -196,7 +195,7 @@ def overlap_constants(naive, pulled, counters: dict) -> tuple:
     n = len(s1.points)
     f = gauge_potentials(  # each cell's samples for a, then each cell's for b
         naive, pulled, np.broadcast_to(s1.members, (n, 2)).T.ravel(),
-        np.concatenate([s1.points] * 2), counters,
+        np.concatenate([s1.points] * 2),
     )
     ratios = (
         naive.transition(a, b, s1.points)
@@ -250,10 +249,7 @@ def build_complementary(phi: Symplectomorphism, example):
         data=example.data_builder([el.box for el in pulled.elements]),
         nerve=pulled.nerve,
     )
-    counters = {"gauge_integrals": 0, "gauge_nodes": 0}
-    closed_max, constants, constancy_max, certificate_samples = overlap_constants(
-        naive, pulled, counters
-    )
+    closed_max, constants, constancy_max, certificate_samples = overlap_constants(naive, pulled)
 
     # Step 4: solve w_b / w_a = e_ab over the nerve graph by spanning tree.
     n_elem = len(cover.elements)
@@ -303,12 +299,11 @@ def build_complementary(phi: Symplectomorphism, example):
             worst = (dev, complex(product), tuple(cycle))
     if worst is not None and worst[0] > 1e-6:
         return CocycleObstruction(
-            constants=constants,
+            constants=MappingProxyType(constants),
             witness_cycle=worst[2],
             cycle_product=worst[1],
             deviation=worst[0],
             constancy_max=constancy_max,
-            counters=counters,
         )
 
     # Step 5: certificate that the gauged naive data equals the pullback.
@@ -321,12 +316,11 @@ def build_complementary(phi: Symplectomorphism, example):
         base=pulled,
         source=cover,
         phi=phi,
-        constants=constants,
-        tree_solution=w,
+        constants=MappingProxyType(constants),
+        tree_solution=MappingProxyType(w),
         gauge_closedness_max=closed_max,
         constancy_max=constancy_max,
         certificate_max=cert,
-        counters=counters,
     )
 
 
@@ -355,7 +349,6 @@ class CorrespondenceReport(NamedTuple):
     passed: bool
     witness: dict | None = None
     payload: Mapping = MappingProxyType({})
-    counters: Mapping = MappingProxyType({})  # work done
 
     def as_dict(self) -> dict:
         return {
@@ -383,6 +376,7 @@ def verify_theorem_1(
     # from its transport cache, the commutation check
     grid_src = half_offset_grid(comp.source, pol, grid_n)
     grid_dst = half_offset_grid(comp.base, pushed, grid_n)
+    trace.count("grid_builds", 2)
     ranks_src = cohomology_ranks(grid_src, threshold)
     ranks_dst = cohomology_ranks(grid_dst, threshold)
     equal = all(
@@ -402,18 +396,10 @@ def verify_theorem_1(
                     commute, float(np.max(np.abs(lhs.data[key] - rhs.data[key])))
                 )
     passed = equal and commute < COMMUTATION_TOL
-    counters = Counter(grid_builds=2)
-    for rep in (ranks_src, ranks_dst):
-        counters.update(rep.counters)
-    # the grids' transport counts include the commutation check's misses
-    transports = (grid_src.leaf_transport, grid_dst.leaf_transport)
-    counters["transport_integrals"] = sum(t.integrals_computed for t in transports)
-    counters["transport_batches"] = sum(t.batches for t in transports)
     return CorrespondenceReport(
         theorem=1,
         status="ok",
         passed=passed,
-        counters=dict(counters),
         payload={
             "ranks": {
                 "source": [d.betti for d in ranks_src.degrees],
@@ -488,13 +474,10 @@ def verify_theorem_2(
         and census_src.q_bs == census_dst.q_bs
         and hol_max < HOLONOMY_TOL
     )
-    counters = Counter(census_src.counters)
-    counters.update(census_dst.counters)
     return CorrespondenceReport(
         theorem=2,
         status="ok",
         passed=passed,
-        counters=dict(counters),
         payload={
             "q_bs": {"source": census_src.q_bs, "target": census_dst.q_bs},
             "bs_locations": {

@@ -22,11 +22,11 @@ rows of its report.
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping
 from typing import NamedTuple
 
 import numpy as np
 
+from . import trace
 from .geometry import LeafFrame, Polarization
 from .prequantum import ConfigurationError, TrivializationCover
 from .transport import LeafTransport
@@ -208,7 +208,7 @@ class LeafAtlas:
         self._elements = elements.members[:, 0].tolist()
         self.frame = LeafFrame.of(cover.manifold, pol, elements.lo, elements.hi)
         self._threadings: dict = {}  # membership pattern -> threading
-        self.threadings = 0  # patterns threaded
+        trace.count("leaf_patterns", 0)  # one per pattern threaded
 
     def _threading(self, pattern: tuple, c: float) -> tuple:
         """The segments' elements, t0, t1 and element positions, as arrays,
@@ -231,7 +231,7 @@ class LeafAtlas:
         found = (np.array(els), np.array(t0s), np.array(t1s),
                  [positions[j] for j in js], np.array(switches))
         self._threadings[pattern] = found
-        self.threadings += 1
+        trace.count("leaf_patterns")
         return found
 
     def leaves(self, labels) -> list:
@@ -368,7 +368,7 @@ def holonomy(transport: LeafTransport, groups) -> tuple:
     can fuse a multiply and an add, and so round otherwise, and
     np.arctan2 can differ from math.atan2, so neither is used: a batch
     gives every result bit for bit as a single leaf does.  transport fills
-    and reuses its cache, and counts the transition formulas evaluated.
+    and reuses its cache.
     """
     groups = list(groups)
     if not groups:
@@ -397,9 +397,7 @@ def holonomy(transport: LeafTransport, groups) -> tuple:
     if moved.any():
         a, b = before[moved], after[moved]
         points = np.concatenate([g.switch_points.reshape(-1, 2) for g in groups])
-        cover = transport.cover
-        transport.transition_batches += len(set(cover.transition_formulas(a, b).tolist()))
-        lam[moved] = got = cover.transition(a, b, points[moved])
+        lam[moved] = got = transport.cover.transition(a, b, points[moved])
         turn[moved] = list(map(math.atan2, got.imag.tolist(), got.real.tolist()))
 
     # a column a step and a row a leaf: its factors, then its transitions,
@@ -524,9 +522,6 @@ class BSReport(NamedTuple):
     # between the first sampled circle leaf and the last (or the first one a
     # period on, on a window that closes)
     action_change: float
-    # root-solving, transport and leaf work, reported under timing rather
-    # than in the payload (docs/conventions.md, "Reports")
-    counters: Mapping
 
     def as_dict(self) -> dict:
         return {
@@ -584,10 +579,14 @@ def bs_census(
     most one transport quadrature call and one transition call.  The
     brackets are searched together, one holonomy batch for every bracket
     still open; on a near-linear action the first batch, two labels either
-    side of each secant estimate, closes all of them.
+    side of each secant estimate, closes all of them.  The census counts its
+    refinement rounds, its brackets, its root steps and the labels they
+    evaluate (docs/conventions.md, "Reports").
     """
     transport = LeafTransport(cover, pol)
     atlas = LeafAtlas(cover, pol)
+    for name in ("census_refinements", "root_steps", "root_holonomy_evaluations"):
+        trace.count(name, 0)  # reported when no round or step needs them
     labels, groups, points = enumerate_leaves(atlas, crange, count)
     closed = pol.leaf_period is not None
     actions, hols = holonomy(transport, groups if closed else [])
@@ -636,6 +635,7 @@ def bs_census(
                 f"step the flux predicts after {REFINE_ROUNDS} refinement rounds"
             )
         refinements += 1
+        trace.count("census_refinements")
         mids = (0.5 * (rows[missed, 0] + rows[missed + 1, 0])).tolist()
         rows = np.vstack([rows, sample(mids, holonomy(transport, atlas.leaves(mids))[0])])
         rows = rows[np.argsort(rows[:, 0], kind="stable")]
@@ -661,12 +661,11 @@ def bs_census(
                 v0, v1 = a[i] + TWO_PI * (n[i] - t), a[i + 1] + TWO_PI * (n[i + 1] - t)
                 brackets.append((c[i], v0, c[i + 1], v1))
 
-    root_steps = root_labels = 0
+    trace.count("root_brackets", len(brackets))
 
     def actions_at(labels: list) -> list:
-        nonlocal root_steps, root_labels
-        root_steps += 1
-        root_labels += len(labels)
+        trace.count("root_steps")
+        trace.count("root_holonomy_evaluations", len(labels))
         return holonomy(transport, atlas.leaves(labels))[0].tolist()
 
     locations = [c for _, c in located] + _crossings(brackets, actions_at)
@@ -693,16 +692,6 @@ def bs_census(
         lines_excluded=0 if include_lines else lines,
         tol=tol,
         action_change=float(change),
-        counters={
-            "root_brackets": len(brackets),
-            "root_holonomy_evaluations": root_labels,
-            "root_steps": root_steps,
-            "census_refinements": refinements,
-            "transport_integrals": transport.integrals_computed,
-            "transport_batches": transport.batches,
-            "leaf_patterns": atlas.threadings,
-            "transition_batches": transport.transition_batches,
-        },
     )
 
 

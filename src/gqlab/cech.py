@@ -31,12 +31,11 @@ call per degree, and the block assembly is tested against it.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
-from types import MappingProxyType
 from typing import NamedTuple
 
 import numpy as np
 
+from . import trace
 from .geometry import LeafFrame, Polarization
 from .prequantum import ConfigurationError, TrivializationCover
 from .record import read_only
@@ -323,22 +322,12 @@ def res(grid: TransversalGrid, sub_key, super_key, values) -> np.ndarray:
     Component j on the super tuple is (1/(n+1)) sum_k lambda_{sub_k, sup_j}
     f_k, each f_k first transported along its own element from the
     sub-cell's basepoints to the super-cell's; a pair with a closed cell
-    gives zeros.  One pair of keys with the sub cell's (n+1, count) values
-    gives the restriction.  Lists of keys, pair by pair (subs of one
-    degree, supers of one degree), with a mapping from each sub key to its
-    values (a cochain's data) give the restrictions of all pairs side by
-    side in the columns of one array (_restrict).
+    gives zeros.  values are the sub cell's (n+1, count) values.
     """
-    if not isinstance(sub_key, list):
-        sub_key, super_key, values = [sub_key], [super_key], {sub_key: values}
-    nerve = grid.nerve
-    (sub_degree, _), (sup_degree, _) = nerve.locate(sub_key[0]), nerve.locate(super_key[0])
-    sub = np.array([nerve.degree(sub_degree).row(key) for key in sub_key], dtype=int)
-    sup = np.array([nerve.degree(sup_degree).row(key) for key in super_key], dtype=int)
-    pairs = _pairs(grid, (sub_degree, sub), (sup_degree, sup))
+    (sub_degree, sub), (sup_degree, sup) = map(grid.nerve.locate, (sub_key, super_key))
+    pairs = _pairs(grid, (sub_degree, np.array([sub])), (sup_degree, np.array([sup])))
     f = np.zeros((sub_degree + 1, grid.degrees[sub_degree].starts[-1]), dtype=np.complex128)
-    for key in dict.fromkeys(sub_key):
-        f[:, grid.span(key)[1]] = values[key]
+    f[:, grid.span(sub_key)[1]] = values
     return _restrict(grid, pairs, f)
 
 
@@ -454,7 +443,6 @@ class LeafBlocks(NamedTuple):
     shape: tuple  # (n_dst, n_src)
     blocks: tuple  # (label, rows, cols, matrix), ascending label
     stacks: tuple
-    transition_batches: int = 0  # transition formulas evaluated to assemble it
 
     def __matmul__(self, vec: np.ndarray) -> np.ndarray:
         out = np.zeros(self.shape[:1] + np.shape(vec)[1:], dtype=np.complex128)
@@ -530,11 +518,8 @@ def delta_matrix(grid: TransversalGrid, degree: int) -> tuple:
     # one transition call for the degree
     lam = np.ones(len(rows), dtype=np.complex128)
     moved = np.flatnonzero(beta0 != ref)
-    formulas = 0
     if len(moved):
-        cover = grid.cover
-        formulas = len(set(cover.transition_formulas(beta0[moved], ref[moved]).tolist()))
-        lam[moved] = cover.transition(beta0[moved], ref[moved], dst.base_points[rows[moved]])
+        lam[moved] = grid.cover.transition(beta0[moved], ref[moved], dst.base_points[rows[moved]])
     # transport in beta0's frame from the face's basepoints to the cell's,
     # on the face's labels: one integral call for the whole degree
     face = cells.faces[cell, j]
@@ -573,7 +558,7 @@ def delta_matrix(grid: TransversalGrid, degree: int) -> tuple:
         mat = stacks[s][k]
         r, c = mat.shape
         blocks.append((g, row_order[r0 : r0 + r], col_order[c0 : c0 + c], mat))
-    op = LeafBlocks((n_dst, n_src), tuple(blocks), stacks, formulas)
+    op = LeafBlocks((n_dst, n_src), tuple(blocks), stacks)
     return op, *index_maps
 
 
@@ -616,7 +601,6 @@ class RankReport(NamedTuple):
     n_labels: int
     n_labels_retained: int
     threshold: float
-    counters: Mapping = MappingProxyType({})  # work done
 
     def as_dict(self) -> dict:
         return {
@@ -652,7 +636,8 @@ def cohomology_ranks(
     Ranks come from singular values with the stated relative threshold; the
     report keeps the spectrum edges and the gap at the cut so borderline
     decisions are auditable.  The grid keeps its transport integrals for
-    the caller to reuse.
+    the caller to reuse.  Counts the blocks (leaf_blocks) and the stacked
+    SVDs (svd_calls) of the operators.
     """
     nerve_bound = grid.nerve.max_degree - 1
     if max_degree > nerve_bound:
@@ -688,17 +673,11 @@ def cohomology_ranks(
                 betti_per_leaf=(betti / retained) if retained else None,
             )
         )
-    transport = grid.leaf_transport
+    trace.count("leaf_blocks", sum(len(m.blocks) for m in mats))
+    trace.count("svd_calls", sum(len(m.stacks) for m in mats))
     return RankReport(
         degrees=tuple(ranks),
         n_labels=n_labels,
         n_labels_retained=retained,
         threshold=threshold,
-        counters={
-            "transport_integrals": transport.integrals_computed,
-            "transport_batches": transport.batches,
-            "leaf_blocks": sum(len(m.blocks) for m in mats),
-            "svd_calls": sum(len(m.stacks) for m in mats),
-            "transition_batches": sum(m.transition_batches for m in mats),
-        },
     )

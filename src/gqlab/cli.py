@@ -17,9 +17,8 @@ import json
 import math
 import sys
 import time
-from collections import Counter
 
-from . import __version__, catalog
+from . import __version__, catalog, trace
 from . import expr as ex
 from .action import (
     CocycleObstruction,
@@ -213,21 +212,20 @@ def _apply_corruption(exm: catalog.Example, spec: str) -> catalog.Example:
     return exm._replace(cover=cover)
 
 
-def _report(cfg: RunConfig, payload: dict, passed: bool, seconds: float) -> dict:
+def _report(cfg: RunConfig, exm, counts: dict, payload: dict, passed: bool, t0: float) -> dict:
+    """A report.  Its timing holds the seconds since t0 and, as counters,
+    the counts of the command's block (formula_runs 0 when it ran no cover
+    formula) and the number of nerve cells its example built."""
+    seconds = time.perf_counter() - t0
+    counters = {"formula_runs": 0, **counts, "nerve_cells": len(exm.cover.nerve)}
     return {
         "schema": REPORT_SCHEMA,
         "tool": {"name": "gqlab", "version": __version__},
         "config": cfg.to_dict(),
         "pass": passed,
         "payload": payload,
-        "timing": {"seconds": seconds},
+        "timing": {"seconds": seconds, "counters": counters},
     }
-
-
-def _counters(exm: catalog.Example, work=None) -> dict:
-    """A report's timing.counters: the work counters of the run and the
-    number of nerve cells its example built."""
-    return {**(work or {}), "nerve_cells": len(exm.cover.nerve)}
 
 
 def _open_for_writing(path: str, what: str, **kwargs):
@@ -323,7 +321,7 @@ def _map_check(exm: catalog.Example, phi, tol: float) -> dict:
     }
 
 
-def cmd_check(cfg: RunConfig, args) -> int:
+def cmd_check(cfg: RunConfig, args, counts: dict) -> int:
     t0 = time.perf_counter()
     exm = _example_from_config(cfg)
     local = check_local_data(exm.cover, cfg.tol)
@@ -333,8 +331,7 @@ def cmd_check(cfg: RunConfig, args) -> int:
         phi = catalog.make_map(exm, cfg.map)
         payload["symplectomorphism"] = _map_check(exm, phi, cfg.tol)
         passed = passed and payload["symplectomorphism"]["pass"]
-    report = _report(cfg, payload, passed, time.perf_counter() - t0)
-    report["timing"]["counters"] = _counters(exm, local.counters)
+    report = _report(cfg, exm, counts, payload, passed, t0)
     lines = [
         _local_data_line(local),
         f"check: {'pass' if passed else 'FAIL'} (tol {cfg.tol:g})",
@@ -343,7 +340,7 @@ def cmd_check(cfg: RunConfig, args) -> int:
     return 0 if passed else 1
 
 
-def cmd_bs(cfg: RunConfig, args) -> int:
+def cmd_bs(cfg: RunConfig, args, counts: dict) -> int:
     t0 = time.perf_counter()
     exm = _example_from_config(cfg)
     pol = exm.polarization(cfg.polarization)
@@ -354,8 +351,7 @@ def cmd_bs(cfg: RunConfig, args) -> int:
         )
     except UnresolvedCensusError as exc:  # a count the census cannot vouch for
         payload = {"census": {"unresolved": str(exc)}, "range": list(crange)}
-        report = _report(cfg, payload, False, time.perf_counter() - t0)
-        report["timing"]["counters"] = _counters(exm)
+        report = _report(cfg, exm, counts, payload, False, t0)
         _emit(report, args, [f"census unresolved: {exc}"])
         return 1
     payload = {"census": census.as_dict(), "range": list(crange)}
@@ -366,8 +362,7 @@ def cmd_bs(cfg: RunConfig, args) -> int:
             "interior_count": lattice_count(1e-6, cfg.k - 1e-6),
         }
     passed = True
-    report = _report(cfg, payload, passed, time.perf_counter() - t0)
-    report["timing"]["counters"] = _counters(exm, census.counters)
+    report = _report(cfg, exm, counts, payload, passed, t0)
     if getattr(args, "csv", None):
         _write_leaf_csv(args.csv, census)
     locs = ", ".join(f"{c:.10g}" for c in census.bs_locations)
@@ -403,15 +398,14 @@ def _write_leaf_csv(path: str, census) -> None:
             )
 
 
-def cmd_cohomology(cfg: RunConfig, args) -> int:
+def cmd_cohomology(cfg: RunConfig, args, counts: dict) -> int:
     t0 = time.perf_counter()
     exm = _example_from_config(cfg)
     pol = exm.polarization(cfg.polarization)
     grid = half_offset_grid(exm.cover, pol, cfg.grid)
     rank = cohomology_ranks(grid, cfg.rank_tol, cfg.max_degree)
     payload = {"cohomology": rank.as_dict()}
-    report = _report(cfg, payload, True, time.perf_counter() - t0)
-    report["timing"]["counters"] = _counters(exm, rank.counters)
+    report = _report(cfg, exm, counts, payload, True, t0)
     lines = [
         "degree  dim   rank(delta)  betti  betti/leaf",
         *(
@@ -424,7 +418,7 @@ def cmd_cohomology(cfg: RunConfig, args) -> int:
     return 0
 
 
-def cmd_act(cfg: RunConfig, args) -> int:
+def cmd_act(cfg: RunConfig, args, counts: dict) -> int:
     t0 = time.perf_counter()
     exm = _example_from_config(cfg)
     phi = catalog.make_map(exm, cfg.map)
@@ -434,8 +428,7 @@ def cmd_act(cfg: RunConfig, args) -> int:
     local = check_local_data(exm.cover, cfg.tol)
 
     def refuse(status: str, payload: dict, line: str) -> int:
-        report = _report(cfg, {**payload, "status": status}, False, time.perf_counter() - t0)
-        report["timing"]["counters"] = _counters(exm, local.counters)
+        report = _report(cfg, exm, counts, {**payload, "status": status}, False, t0)
         _emit(report, args, [line, f"status: {status}"])
         return 1
 
@@ -456,8 +449,6 @@ def cmd_act(cfg: RunConfig, args) -> int:
         return refuse("invalid_map", {"symplectomorphism": mapped},
                       f"map: symplectic={mapped['symplectic_max']:.3e} "
                       f"inverse={mapped['inverse_max']:.3e}")
-    counters = Counter(built.counters)
-    counters.update(local.counters)
     if isinstance(built, CocycleObstruction):  # no theorem has its hypothesis
         reports = [
             CorrespondenceReport(
@@ -477,13 +468,11 @@ def cmd_act(cfg: RunConfig, args) -> int:
     status = "ok"
     for w, rep in zip(which, reports):
         payload[w] = rep.as_dict()
-        counters.update(rep.counters)
         passed = passed and rep.passed
         if rep.status != "ok":
             status = rep.status
     payload["status"] = status
-    report = _report(cfg, payload, passed, time.perf_counter() - t0)
-    report["timing"]["counters"] = _counters(exm, counters)
+    report = _report(cfg, exm, counts, payload, passed, t0)
     lines = [f"status: {status}"]
     for w in which:
         lines.append(f"{w}: {'pass' if payload[w]['pass'] else 'FAIL'}")
@@ -601,7 +590,8 @@ def main(argv=None) -> int:
             "cohomology": cmd_cohomology,
             "act": cmd_act,
         }[args.command]
-        return handler(cfg, args)
+        with trace.counting() as counts:  # one block per command
+            return handler(cfg, args, counts)
     except (
         ConfigurationError,
         ResolutionError,

@@ -14,7 +14,8 @@ The four accessors (transition, transition_dlog, potential, curvature)
 take an element or a pair, or int arrays of one per point.  A cover
 numbers its transition and its potential formulas by expression and
 compiles each program once, on first use; a call runs each distinct
-formula among its points once, on all of that formula's points.
+formula among its points once, on all of that formula's points, and
+counts each run (formula_runs).
 
 The nerve records every nonempty multi-overlap up to a degree its builder
 chooses (MAX_DEGREE unless told otherwise, see docs/conventions.md
@@ -42,7 +43,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import expr as ex
-from . import program
+from . import program, trace
 from .geometry import (
     Box,
     Manifold,
@@ -205,19 +206,18 @@ class TrivializationCover(Record):
     # -- local data evaluation (canonical coordinate inputs) ----------------
     #
     # a and b are element indices, or int arrays of one per point, broadcast
-    # against each other; each call runs _formula_values once, which appends
-    # the number of formulas it ran to runs when one is given.
+    # against each other; each call runs _formula_values once.
 
-    def transition(self, a, b, pts, runs: list | None = None) -> np.ndarray:
+    def transition(self, a, b, pts) -> np.ndarray:
         """lambda_ab at points; 1 where a == b."""
-        return self._formula_values("transition", self.transition_formulas(a, b), pts, runs)[0]
+        return self._formula_values("transition", self.transition_formulas(a, b), pts)[0]
 
-    def transition_dlog(self, a, b, pts, runs: list | None = None) -> tuple:
+    def transition_dlog(self, a, b, pts) -> tuple:
         """(d lambda_ab / lambda_ab) components; branch free."""
-        lam, d0, d1 = self._formula_values("dlog", self.transition_formulas(a, b), pts, runs)
+        lam, d0, d1 = self._formula_values("dlog", self.transition_formulas(a, b), pts)
         return d0 / lam, d1 / lam
 
-    def potential(self, a, pts, runs: list | None = None) -> tuple:
+    def potential(self, a, pts) -> tuple:
         """theta_a components at canonical points, in element a's frame."""
         lifted = self.member_points(a, pts)
         outside = np.isnan(lifted).any(axis=1)
@@ -226,12 +226,12 @@ class TrivializationCover(Record):
             raise ConfigurationError(
                 f"potential of element {a} requested outside the element"
             )
-        return tuple(self._formula_values("potential", self._element_table[0][a], lifted, runs))
+        return tuple(self._formula_values("potential", self._element_table[0][a], lifted))
 
-    def curvature(self, a, pts, runs: list | None = None) -> np.ndarray:
+    def curvature(self, a, pts) -> np.ndarray:
         """d(theta_a) coefficient (the dx^dy component) at canonical points."""
         lifted = self.member_points(a, pts)
-        d0t1, d1t0 = self._formula_values("curvature", self._element_table[0][a], lifted, runs)
+        d0t1, d1t0 = self._formula_values("curvature", self._element_table[0][a], lifted)
         return d0t1 - d1t0
 
     def transition_formulas(self, a, b):
@@ -245,21 +245,20 @@ class TrivializationCover(Record):
             raise ConfigurationError(f"no transition for pair ({a}, {b})")
         return form
 
-    def _formula_values(self, kind: str, form, pts: np.ndarray, runs) -> np.ndarray:
+    def _formula_values(self, kind: str, form, pts: np.ndarray) -> np.ndarray:
         """The parts of kind (_PARTS) at pts by formula, (parts, n): form is
         one formula number or one per point.  Each distinct formula runs
-        once, on its own points; a call of one formula gathers and scatters
-        none.  Formula -1, an element's transition to itself, runs nothing:
-        its parts are 1 and then 0s, those of the constant 1.  runs, a list
-        or None, gains the number of formulas run."""
+        once, on its own points, and counts one formula_runs; a call of one
+        formula gathers and scatters none.  Formula -1, an element's
+        transition to itself, runs nothing: its parts are 1 and then 0s,
+        those of the constant 1."""
         form, pts = np.asarray(form), as_points(pts)
         if form.ndim == 0 and form >= 0:  # one formula: nothing to group
             counts, present = [0], [int(form)]
         else:
             counts = np.bincount(form.ravel() + 1).tolist()  # points per formula, -1 first
             present = [f for f, k in enumerate(counts[1:]) if k]  # the formulas to run
-        if runs is not None:
-            runs.append(len(present))
+        trace.count("formula_runs", len(present))
         coords = self.manifold.coords
         if len(present) == 1 and not counts[0]:
             return eval_at(self._program(kind, present[0]), coords, pts)
@@ -576,7 +575,6 @@ class LocalDataReport(NamedTuple):
     compatibility_max: float
     tol: float
     cells_checked: int
-    counters: Mapping = MappingProxyType({})  # work done
 
     @property
     def passed(self) -> bool:
@@ -613,7 +611,8 @@ def check_local_data(cover: TrivializationCover, tol: float = 1e-8) -> LocalData
     accessor call per term on all of them, which runs each distinct formula
     among the term's cells once.  The maximum over all cells is the maximum
     of the per-cell maxima, so every residual is the one a cell-by-cell
-    check gives.  counters["local_data_formulas"] counts the evaluator runs.
+    check gives.  The omega run counts one formula_runs, as an accessor's
+    runs do.
     """
     if len(cover.nerve) == 0:
         raise ConfigurationError("cover has an empty nerve")
@@ -622,25 +621,21 @@ def check_local_data(cover: TrivializationCover, tol: float = 1e-8) -> LocalData
     s0, s1, s2 = (cover.nerve.samples(n, manifold) for n in range(3))
     laws = ("cocycle", "inverse", "curvature", "compatibility")
     resid = dict.fromkeys(laws, np.zeros(1))  # 0 for a law without cells
-    runs = []  # the formulas each accessor call ran
     if s0.keys:  # d theta_a = omega on each element; omega runs once
         (a,), pts = s0.members.T, s0.points
         omega = cover.omega.eval(manifold, pts)
-        resid["curvature"] = np.abs(cover.curvature(a, pts, runs) - omega)
-        runs.append(1)
+        trace.count("formula_runs")
+        resid["curvature"] = np.abs(cover.curvature(a, pts) - omega)
     if s1.keys:  # lambda_ab lambda_ba = 1, and the compatibility
         (a, b), pts = s1.members.T, s1.points
-        resid["inverse"] = np.abs(
-            cover.transition(a, b, pts, runs) * cover.transition(b, a, pts, runs) - 1.0
-        )
-        ta, tb = cover.potential(a, pts, runs), cover.potential(b, pts, runs)
-        dlog = cover.transition_dlog(a, b, pts, runs)
+        resid["inverse"] = np.abs(cover.transition(a, b, pts) * cover.transition(b, a, pts) - 1.0)
+        ta, tb = cover.potential(a, pts), cover.potential(b, pts)
+        dlog = cover.transition_dlog(a, b, pts)
         resid["compatibility"] = np.abs(np.subtract(ta, tb) + 1j * np.array(dlog))
     if s2.keys:  # the cocycle law
         (a, b, c), pts = s2.members.T, s2.points
         resid["cocycle"] = np.abs(
-            cover.transition(a, b, pts, runs) * cover.transition(b, c, pts, runs)
-            - cover.transition(a, c, pts, runs)
+            cover.transition(a, b, pts) * cover.transition(b, c, pts) - cover.transition(a, c, pts)
         )
     return LocalDataReport(
         # np.max keeps a NaN (Python's max drops it): a residual with no
@@ -648,7 +643,6 @@ def check_local_data(cover: TrivializationCover, tol: float = 1e-8) -> LocalData
         **{f"{law}_max": float(resid[law].max()) for law in laws},
         tol=tol,
         cells_checked=len(s0.keys) + len(s1.keys) + len(s2.keys),
-        counters={"local_data_formulas": sum(runs)},
     )
 
 

@@ -14,7 +14,8 @@ and a label, as holonomies and the differential need them: integral
 integrates the distinct entries missing from its cache in one quadrature
 call, one row per entry, each row bit for bit its one-entry batch.  flux
 gives the label derivative of the leaf action, the census's prediction of
-how far the action steps between two labels.
+how far the action steps between two labels.  Both count their quadrature
+calls (transport_batches) and the rows integrated (transport_integrals).
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from itertools import compress, repeat
 import numpy as np
 
 from . import expr as ex
-from . import kernels, program
+from . import kernels, program, trace
 from .quadrature import integrate
 
 
@@ -50,9 +51,8 @@ class LeafTransport:
         self._integrands: dict = {}  # member, and its program -> run
         self._integrals: dict = {}
         self._flux = None  # (run of the flux integrand, whether it reads t)
-        self.integrals_computed = 0  # label integrals, cache misses
-        self.batches = 0  # quadrature calls
-        self.transition_batches = 0  # transition formulas run by holonomies
+        trace.count("transport_integrals", 0)  # 0 until it integrates
+        trace.count("transport_batches", 0)
 
     def integrand(self, member: int):
         """run(cs, ts): theta_member(leaf'(t)) at the labels cs and the
@@ -97,10 +97,9 @@ class LeafTransport:
         period = self.polarization.leaf_period
         if not along:
             return period * run(cs, np.zeros(1))[:, 0].real
-        out = integrate(lambda ts: run(cs, ts), 0.0, np.full(len(cs), period)).real
-        self.integrals_computed += len(cs)
-        self.batches += 1
-        return out
+        trace.count("transport_integrals", len(cs))
+        trace.count("transport_batches")
+        return integrate(lambda ts: run(cs, ts), 0.0, np.full(len(cs), period)).real
 
     def integral(self, elements, t0, t1, labels) -> np.ndarray:
         """The integral of theta along every entry i, the leaf segment
@@ -148,9 +147,9 @@ class LeafTransport:
                         out[r] = run(cs[r], ts[r])
                     return out
 
+                trace.count("transport_integrals", len(new))
+                trace.count("transport_batches")
                 got = integrate(f, new[:, 2], new[:, 3]).tolist()
                 cache.update(zip(compress(miss, live.tolist()), got))
-                self.integrals_computed += len(got)
-                self.batches += 1
             vals = list(map(cache.get, keys, repeat(0j)))
         return np.array(vals, dtype=np.complex128)

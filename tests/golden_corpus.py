@@ -18,6 +18,7 @@ the printed text, so it does not move with the report's layout.
                                            # exits 1 if any did
     python tests/golden_corpus.py --write  # record what every line gives now
     python tests/golden_corpus.py --dump reports.json  # every line's report
+                                                       # and timing.counters
     python tests/golden_corpus.py --diff reports.json  # how far they moved
 
 A change that means to move an outcome records the corpus anew with
@@ -25,7 +26,8 @@ A change that means to move an outcome records the corpus anew with
 name and argv to corpus.json and run --write.  To say how far a change
 moves the reports, dump them on a checkout of its parent and diff the dump
 on the change: the diff prints the largest change of each float field
-(list indices written *), and every other value that differs.
+(list indices written *), and every other value that differs, every
+counter under timing/counters among them.  A dump keeps no seconds.
 """
 
 from __future__ import annotations
@@ -82,27 +84,28 @@ def _sha(value) -> str:
 
 def _run(argv: list) -> tuple:
     """Run one command line in process: (exit code, stderr, its report minus
-    timing, or None when it printed none).  A printed report must be
-    exactly the one line json.dumps(sort_keys=True) gives for it."""
+    timing, or None when it printed none, and its timing.counters, or
+    None).  A printed report must be exactly the one line
+    json.dumps(sort_keys=True) gives for it."""
     from gqlab.cli import main
 
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(list(argv))
     text = out.getvalue()
-    report = None
+    report = counters = None
     if text:
         report = json.loads(text)
         if text != json.dumps(report, sort_keys=True) + "\n":
             raise AssertionError(f"report of {argv} is not compact json.dumps text")
-        report.pop("timing")
-    return code, err.getvalue(), report
+        counters = report.pop("timing").get("counters")
+    return code, err.getvalue(), report, counters
 
 
 def run_line(argv: list) -> dict:
     """The exit code, stderr, and the sha256 and outcome digest of the
     report minus timing (None when it printed no report) of one line."""
-    code, err, report = _run(argv)
+    code, err, report, _ = _run(argv)
     got = {"exit_code": code, "stderr": err, "sha256": None, "digest": None}
     if report is not None:
         outcomes: list = []
@@ -152,6 +155,7 @@ def diff(dump: dict, corpus: list) -> None:
                          f"{was['stderr']!r} -> {now[1]!r}")
         here: dict = {}
         _compare(was["report"], now[2], name, "", here, other)
+        _compare(was["counters"], now[3], f"{name}/timing/counters", "", {}, other)
         for field, (change, where) in here.items():
             if change >= floats.get(field, (0.0,))[0]:
                 floats[field] = (change, where)
@@ -174,8 +178,9 @@ def main(argv=None) -> int:
     if args.dump:
         dump = {}
         for entry in corpus:
-            code, err, report = _run(entry["argv"])
-            dump[entry["name"]] = {"exit_code": code, "stderr": err, "report": report}
+            code, err, report, counters = _run(entry["argv"])
+            dump[entry["name"]] = {"exit_code": code, "stderr": err, "report": report,
+                                   "counters": counters}
         Path(args.dump).write_text(json.dumps(dump, indent=1, sort_keys=True) + "\n")
         print(f"wrote the reports of {len(dump)} lines to {args.dump}")
         return 0

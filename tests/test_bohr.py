@@ -8,7 +8,7 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 
-from gqlab import bohr, catalog
+from gqlab import bohr, catalog, trace
 from gqlab import expr as ex
 from gqlab.action import build_complementary
 from gqlab.bohr import (
@@ -370,12 +370,21 @@ def _in_window(labels, lo, period):
     return sorted(lo + (c - lo) % period for c in labels)
 
 
-def _assert_located(rep, want):
+def _counted_census(*args, **kwargs) -> tuple:
+    """bs_census's report, and the counts it made."""
+    with trace.counting() as counts:
+        rep = bs_census(*args, **kwargs)
+    return rep, counts
+
+
+def _assert_located(census, want):
+    rep, counts = census
     got = sorted(rep.bs_locations)
     assert len(got) == len(want)
     assert np.max(np.abs(np.array(got) - want), initial=0.0) <= 1e-11
     # the probe pair closes each bracket; bisection would take about 37
-    assert rep.counters["root_holonomy_evaluations"] <= 12 * rep.counters["root_brackets"]
+    assert counts["root_holonomy_evaluations"] <= 12 * counts["root_brackets"]
+    return rep, counts
 
 
 @pytest.mark.parametrize("k", range(1, 9))
@@ -385,20 +394,20 @@ def test_census_locations_on_the_torus(models, k):
     labels = [TWO_PI * m / k for m in range(k)]
     for count in (24, 48, 96):
         for lo in (0.0, 0.37 * TWO_PI / k, 1.9):
-            rep = bs_census(exm.cover, pol, (lo, lo + TWO_PI), count)
-            _assert_located(rep, _in_window(labels, lo, TWO_PI))
+            census = _counted_census(exm.cover, pol, (lo, lo + TWO_PI), count)
+            rep, _ = _assert_located(census, _in_window(labels, lo, TWO_PI))
             assert rep.q_bs == k
 
 
 @pytest.mark.parametrize("crange", [(-2.5, 2.5), (-1.7, 1.9), (-3.2, 0.45)])
 def test_census_locations_on_the_cylinder(models, crange):
     exm = models("cylinder")
-    rep = bs_census(exm.cover, exm.polarization(), crange, 33)
+    census = _counted_census(exm.cover, exm.polarization(), crange, 33)
     want = [m for m in range(-4, 5) if crange[0] < m < crange[1]]
-    _assert_located(rep, want)
+    rep, counts = _assert_located(census, want)
     # one bracket per location that is not a sample
     sampled = {e.leaf.label for e in rep.entries}
-    assert rep.counters["root_brackets"] == len(set(rep.bs_locations) - sampled)
+    assert counts["root_brackets"] == len(set(rep.bs_locations) - sampled)
 
 
 def test_census_counts_a_sample_exactly_on_a_multiple_of_2pi(models):
@@ -547,8 +556,8 @@ def test_a_single_sample_torus_period_counts_k_leaves(capsys):
 def test_census_locations_on_the_sphere(models, k):
     exm = models("sphere", k=k)
     for crange in ((0.3, k - 0.25), (0.45, k - 0.6)):
-        rep = bs_census(exm.cover, exm.polarization(), crange, 4 * k + 9)
-        _assert_located(rep, list(range(1, k)))
+        census = _counted_census(exm.cover, exm.polarization(), crange, 4 * k + 9)
+        rep, _ = _assert_located(census, list(range(1, k)))
         assert rep.q_bs_singular == 2
 
 
@@ -556,8 +565,8 @@ def test_census_minus_one_crossing_gives_no_location(models):
     # the torus k=1 holonomy exp(-i c) is -1 at c = pi, the only crossing of
     # the real axis; the action crosses no multiple of 2 pi, so no bracket
     exm = models("torus", k=1)
-    rep = bs_census(exm.cover, exm.polarization(), (2.5, 3.8), 9)
-    assert rep.counters["root_brackets"] == 0 and rep.counters["root_holonomy_evaluations"] == 0
+    rep, counts = _counted_census(exm.cover, exm.polarization(), (2.5, 3.8), 9)
+    assert counts["root_brackets"] == 0 and counts["root_holonomy_evaluations"] == 0
     assert rep.bs_locations == () and rep.q_bs == 0
 
 
@@ -571,10 +580,10 @@ def test_census_computes_each_holonomy_once(models, monkeypatch):
 
     monkeypatch.setattr(bohr, "holonomy", counting)
     exm = models("torus", k=3)
-    rep = bs_census(exm.cover, exm.polarization(), (0.05, 6.3332), 33)
-    assert rep.q_bs == 3 and rep.counters["census_refinements"] == 0
+    rep, counts = _counted_census(exm.cover, exm.polarization(), (0.05, 6.3332), 33)
+    assert rep.q_bs == 3 and counts["census_refinements"] == 0
     # every label a search evaluates is read
-    assert len(calls) == len(rep.entries) + rep.counters["root_holonomy_evaluations"]
+    assert len(calls) == len(rep.entries) + counts["root_holonomy_evaluations"]
     assert len(set(calls)) == len(calls)
 
 
@@ -596,9 +605,9 @@ def test_coarse_counts_find_every_bs_leaf(models, count):
     # the phase steps by 1.6 pi (count 10) or 16 pi / 3 (count 3) between
     # samples, yet the flux puts each step on its branch: no refinement
     exm = models("torus", k=8)
-    rep = bs_census(exm.cover, exm.polarization(), exm.census_range, count)
-    _assert_located(rep, [TWO_PI * m / 8 for m in range(8)])
-    assert rep.q_bs == 8 and rep.counters["census_refinements"] == 0
+    census = _counted_census(exm.cover, exm.polarization(), exm.census_range, count)
+    rep, counts = _assert_located(census, [TWO_PI * m / 8 for m in range(8)])
+    assert rep.q_bs == 8 and counts["census_refinements"] == 0
 
 
 def test_a_flux_the_steps_disagree_with_exits_1(capsys, monkeypatch):
@@ -613,6 +622,10 @@ def test_a_flux_the_steps_disagree_with_exits_1(capsys, monkeypatch):
     message = report["payload"]["census"]["unresolved"]
     assert "between labels 0.0 and 0.13" in message
     assert f"after {bohr.REFINE_ROUNDS} refinement rounds" in message
+    # the report counts the work done before the census gave up
+    counters = report["timing"]["counters"]
+    assert counters["census_refinements"] == bohr.REFINE_ROUNDS
+    assert counters["transport_integrals"] > 0
     assert main(argv) == 1
     assert capsys.readouterr().out.startswith("census unresolved: the leaf action between")
     # theorem 2 runs two censuses: it fails with the census's reason
@@ -623,8 +636,8 @@ def test_a_flux_the_steps_disagree_with_exits_1(capsys, monkeypatch):
     assert thm2["status"] == "census-unresolved" and thm2["pass"] is False
     # with the same flux, a finer census resolves its steps in a few rounds
     exm = catalog.example("torus", k=8)
-    rep = bs_census(exm.cover, exm.polarization(), exm.census_range, 24)
-    assert 0 < rep.counters["census_refinements"] <= bohr.REFINE_ROUNDS
+    _, counts = _counted_census(exm.cover, exm.polarization(), exm.census_range, 24)
+    assert 0 < counts["census_refinements"] <= bohr.REFINE_ROUNDS
 
 
 # ---------------------------------------------------------------------------
@@ -816,9 +829,9 @@ def test_census_holonomies_equal_fresh_transport_bit_for_bit(models, monkeypatch
     monkeypatch.setattr(bohr, "holonomy", recording)
     for name, cover, pol, crange, count in _census_cases(models):
         seen.clear()
-        rep = bs_census(cover, pol, crange, count)
-        assert rep.counters["root_holonomy_evaluations"] > 0 or name.startswith("disk"), name
-        assert rep.counters["transport_batches"] < rep.counters["transport_integrals"], name
+        _, counts = _counted_census(cover, pol, crange, count)
+        assert counts["root_holonomy_evaluations"] > 0 or name.startswith("disk"), name
+        assert counts["transport_batches"] < counts["transport_integrals"], name
         for cover_, pol_, one, action, hol in seen:
             fresh = real(LeafTransport(cover_, pol_), [one])
             assert _same_bits(fresh, (action, hol)), (name, one.labels[0])
@@ -849,13 +862,13 @@ def test_census_holonomy_calls_add_up(models, monkeypatch, name, params, crange,
 
     monkeypatch.setattr(bohr, "holonomy", counting)
     exm = models(name, **params)
-    rep = bs_census(exm.cover, exm.polarization(), crange, count,
-                    include_lines=include_lines)
+    rep, counts = _counted_census(exm.cover, exm.polarization(), crange, count,
+                                  include_lines=include_lines)
     sampled = sum(1 for e in rep.entries if e.leaf.topology == "circle")
-    assert rep.counters["census_refinements"] == 0
-    assert len(calls) - sampled == rep.counters["root_holonomy_evaluations"]
+    assert counts["census_refinements"] == 0
+    assert len(calls) - sampled == counts["root_holonomy_evaluations"]
     # one batch of sampled leaves, then one per batch of the crossing searches
-    assert len(batches) == 1 + rep.counters["root_steps"]
+    assert len(batches) == 1 + counts["root_steps"]
 
 
 @pytest.mark.parametrize(
@@ -882,9 +895,9 @@ def test_census_builds_records_only_for_its_report_rows(models, monkeypatch, nam
     real_flux = LeafTransport.flux
     monkeypatch.setattr(LeafTransport, "flux", lambda self, cs: flux * real_flux(self, cs))
     exm = models(name, **params)
-    rep = bs_census(exm.cover, exm.polarization(), crange, count)
-    assert (rep.counters["census_refinements"] > 0) == (flux != 1.0)
-    assert rep.counters["root_holonomy_evaluations"] > 0 or rep.counters["census_refinements"] > 0
+    rep, counts = _counted_census(exm.cover, exm.polarization(), crange, count)
+    assert (counts["census_refinements"] > 0) == (flux != 1.0)
+    assert counts["root_holonomy_evaluations"] > 0 or counts["census_refinements"] > 0
     assert made == {"Leaf": len(rep.entries), "HolonomyResult": len(rep.entries)}
     assert all(type(e.leaf).__name__ == "Leaf" for e in rep.entries)
 
@@ -1153,17 +1166,19 @@ def test_atlas_leaves_equal_per_label_threading(models, monkeypatch):
         good = [c for c in labels if c in want]
         assert len(good) > 13, name
         threaded.clear()
-        atlas = bohr.LeafAtlas(cover, pol)
-        topology = "line" if pol.leaf_period is None else "circle"
-        _assert_same_leaves(atlas.leaves(good), good, topology, want)
+        with trace.counting() as counts:
+            atlas = bohr.LeafAtlas(cover, pol)
+            topology = "line" if pol.leaf_period is None else "circle"
+            _assert_same_leaves(atlas.leaves(good), good, topology, want)
         # one threading per membership pattern, and none on a second pass
         src, root = _source(cover), pol.root
         patterns = {
             frozenset(r[0] for r in _reference_candidates(src, root, c)) for c in good
         }
-        assert atlas.threadings == len(threaded) == len(patterns), name
-        _assert_same_leaves(atlas.leaves(good[::-1]), good[::-1], topology, want)
-        assert atlas.threadings == len(threaded) == len(patterns), name
+        assert counts["leaf_patterns"] == len(threaded) == len(patterns), name
+        with trace.counting() as again:
+            _assert_same_leaves(atlas.leaves(good[::-1]), good[::-1], topology, want)
+        assert again == {} and len(threaded) == len(patterns), name
         for c, message in failing.items():
             with pytest.raises(CoverageError) as exc:
                 atlas.leaves([good[0], c, good[-1]])
@@ -1270,8 +1285,8 @@ def test_batched_holonomy_equals_the_per_leaf_product_bit_for_bit(models):
     for name, cover, pol, crange, plain in cases:
         labels, groups, _ = enumerate_leaves(LeafAtlas(cover, pol), crange, 60)
         transport = LeafTransport(cover, pol)
-        actions, hols = holonomy(transport, groups)
-        batches = transport.transition_batches
+        with trace.counting() as counts:
+            actions, hols = holonomy(transport, groups)
         results = list(map(bohr.HolonomyResult.of, hols.tolist(), actions.tolist()))
         for g in groups:
             for i, row in enumerate(g.rows.tolist()):
@@ -1286,7 +1301,7 @@ def test_batched_holonomy_equals_the_per_leaf_product_bit_for_bit(models):
         }
         # one evaluator run per distinct transition formula among the pairs
         formulas = {cover.data.transition_expr(a, b) for a, b in pairs if a != b}
-        assert batches == len(formulas), name
+        assert counts.get("formula_runs", 0) == len(formulas), name
         switches += sum(g.switch_points.shape[0] * g.switch_points.shape[1] for g in groups)
         if plain is not None:  # a change of gauge leaves every holonomy
             base = holonomy(

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from gqlab import catalog
+from gqlab import catalog, trace
 from gqlab.action import build_complementary
 from gqlab.bohr import LeafAtlas, bs_census
 from gqlab.cech import (
@@ -581,31 +581,34 @@ def test_label_array_integral_matches_scalar_calls(models, kind):
     assert segments
     batched = LeafTransport(grid.cover, grid.polarization)
     scalar = LeafTransport(grid.cover, grid.polarization)  # one label a call
-    for member, c_elem, t0, t1 in segments:
-        n = len(c_elem)
-        got = batched.integral([member] * n, [t0] * n, [t1] * n, c_elem)
+    with trace.counting() as counts:
+        got = [batched.integral([member] * len(c_elem), [t0] * len(c_elem),
+                                [t1] * len(c_elem), c_elem)
+               for member, c_elem, t0, t1 in segments]
+    for (member, c_elem, t0, t1), vals in zip(segments, got):
         want = np.array([_one(scalar, member, c, t0, t1) for c in c_elem])
-        assert got.shape == c_elem.shape
-        assert np.all(np.abs(got - want) <= 1e-14 * np.maximum(1.0, np.abs(want)))
+        assert vals.shape == c_elem.shape
+        assert np.all(np.abs(vals - want) <= 1e-14 * np.maximum(1.0, np.abs(want)))
     # one quadrature call per segment at most; later one-label calls hit
     # the cache
-    assert batched.batches <= len(segments) < batched.integrals_computed
-    batches = batched.batches
-    for member, c_elem, t0, t1 in segments:
-        n = len(c_elem)
-        vals = batched.integral([member] * n, [t0] * n, [t1] * n, c_elem)
-        for c, val in zip(c_elem, vals):
-            assert _one(batched, member, c, t0, t1) == val
-    assert batched.batches == batches
+    assert counts["transport_batches"] <= len(segments) < counts["transport_integrals"]
+    with trace.counting() as again:
+        for member, c_elem, t0, t1 in segments:
+            n = len(c_elem)
+            vals = batched.integral([member] * n, [t0] * n, [t1] * n, c_elem)
+            for c, val in zip(c_elem, vals):
+                assert _one(batched, member, c, t0, t1) == val
+    assert again == {}
 
 
 def test_label_array_integral_of_empty_interval_or_no_labels(models):
     exm = models("torus", k=2)
     transport = LeafTransport(exm.cover, exm.polarization())
-    got = transport.integral([0] * 3, [0.3] * 3, [0.3] * 3, np.array([0.5, 1.0, 1.5]))
+    with trace.counting() as counts:
+        got = transport.integral([0] * 3, [0.3] * 3, [0.3] * 3, np.array([0.5, 1.0, 1.5]))
+        assert transport.integral([], [], [], np.empty(0)).shape == (0,)
     assert got.shape == (3,) and np.all(got == 0)
-    assert transport.integral([], [], [], np.empty(0)).shape == (0,)
-    assert transport.batches == 0
+    assert counts == {}  # no quadrature call
 
 
 @pytest.mark.parametrize("kind", ["generic", "pullback"])
@@ -626,23 +629,26 @@ def test_entry_integrals_group_by_segment(models, kind):
     assert len(segments) > 1 and len(distinct) < len(entries)
 
     transport = LeafTransport(grid.cover, grid.polarization)
-    got = transport.integral(*entries.T)
-    assert transport.batches == 1 and transport.integrals_computed == len(distinct)
+    with trace.counting() as counts:
+        got = transport.integral(*entries.T)
+    assert counts == {"transport_integrals": len(distinct), "transport_batches": 1}
     # every entry is its one-entry batch, bit for bit
     one = LeafTransport(grid.cover, grid.polarization)
     want = [_one(one, int(m), c, t0, t1) for m, t0, t1, c in entries.tolist()]
     assert got.view(float).tolist() == np.array(want).view(float).tolist()
     # the cache answers a second batch in another order without quadrature
-    again = transport.integral(*entries[::-1].T)
-    assert np.array_equal(again, got[::-1]) and transport.batches == 1
-    assert transport.integral([], [], [], []).shape == (0,)
+    with trace.counting() as counts:
+        again = transport.integral(*entries[::-1].T)
+        assert transport.integral([], [], [], []).shape == (0,)
+    assert np.array_equal(again, got[::-1]) and counts == {}
     # a batch with some misses makes one more call, for the misses alone
     extra = entries[entries[:, 1] != entries[:, 2]][:3].copy()
     extra[:, 3] += 1e-3
-    transport.integral(*np.concatenate([entries, extra]).T)
+    with trace.counting() as counts:
+        transport.integral(*np.concatenate([entries, extra]).T)
     misses = {(int(m), t0, t1, c) for m, t0, t1, c in extra.tolist()} - distinct
-    assert transport.batches == 2
-    assert transport.integrals_computed == len(distinct) + len(misses) > len(distinct)
+    assert counts == {"transport_integrals": len(misses), "transport_batches": 1}
+    assert misses
 
 
 def _reference_blocks(grid, degree):
@@ -940,11 +946,12 @@ def test_closed_degrees_assemble_the_empty_operator(models):
         grid = grids[name]
         assert all(columns.closed.all() for columns in grid.degrees)
         for degree in range(min(3, grid.nerve.max_degree)):
-            op, (_, _, n_src), (_, _, n_dst) = delta_matrix(grid, degree)
+            with trace.counting() as counts:
+                op, (_, _, n_src), (_, _, n_dst) = delta_matrix(grid, degree)
             assert op.shape == (n_dst, n_src) == (0, 0)
             assert op.blocks == () and op.stacks == ()
             assert op.singular_values().shape == (0,)
-            assert op.transition_batches == 0
+            assert counts == {}  # no formula run, no integral
 
 
 def _assembly_work(grid, degree):
@@ -999,14 +1006,14 @@ def test_delta_matrix_sweeps_each_segment_and_pair_once(models, monkeypatch, nam
     for degree in range(3):
         for found in calls.values():
             found.clear()
-        batches = grid.leaf_transport.batches
-        op = delta_matrix(grid, degree)[0]
+        with trace.counting() as counts:
+            delta_matrix(grid, degree)
         segments, pairs = _assembly_work(grid, degree)
         checked += len(calls["integral"]) > 0 and len(calls["transition"]) > 0
         # one integral call, and at most one quadrature sweep, per degree,
         # on the leaf segments the entries need
         assert len(calls["integral"]) <= 1
-        assert grid.leaf_transport.batches - batches <= 1
+        assert counts.get("transport_batches", 0) <= 1
         assert set().union(*calls["integral"]) <= segments
         # one transition call per degree, on the element pairs the entries
         # need, with one evaluator run per distinct formula among them
@@ -1014,7 +1021,7 @@ def test_delta_matrix_sweeps_each_segment_and_pair_once(models, monkeypatch, nam
         called = set().union(*calls["transition"])
         assert called <= pairs
         formulas = {grid.cover.data.transition_expr(a, b) for a, b in called}
-        assert op.transition_batches == len(formulas)
+        assert counts.get("formula_runs", 0) == len(formulas)
     assert checked
 
 

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gqlab import action, catalog
+from gqlab import action, catalog, trace
 from gqlab import expr as ex
 from gqlab.cli import ACT_READS, READS, RunConfig, _apply_corruption, main
 from gqlab.prequantum import ConfigurationError, check_local_data
@@ -448,12 +448,14 @@ def test_each_benchmark_census_line_takes_one_lockstep_step(capsys, monkeypatch)
             assert counters["census_refinements"] == 0, op.argv
     # so does each of the two censuses of theorem 2 on an invariance line
     # that passes; a census with no bracket (the plane's) takes no batch
-    censuses = []
+    censuses = []  # the counts of each census
     census = action.bs_census
 
     def recording(*args):
-        censuses.append(census(*args))
-        return censuses[-1]
+        with trace.counting() as counts:
+            rep = census(*args)
+        censuses.append(counts)
+        return rep
 
     monkeypatch.setattr(action, "bs_census", recording)
     searched = 0
@@ -465,8 +467,7 @@ def test_each_benchmark_census_line_takes_one_lockstep_step(capsys, monkeypatch)
             assert main(list(op.argv)) == 0
             capsys.readouterr()
             assert len(censuses) == 2, op.argv
-            for rep in censuses:
-                counts = rep.counters
+            for counts in censuses:
                 assert counts["root_steps"] == (counts["root_brackets"] > 0), op.argv
                 assert counts["root_holonomy_evaluations"] == 2 * counts["root_brackets"], op.argv
                 assert counts["census_refinements"] == 0, op.argv
@@ -566,8 +567,8 @@ def test_non_finite_report_value_is_internal_error(capsys, monkeypatch):
 
     real = cli._report
 
-    def poisoned(cfg, payload, passed, seconds):
-        return real(cfg, {**payload, "bad": float("nan")}, passed, seconds)
+    def poisoned(cfg, exm, counts, payload, passed, t0):
+        return real(cfg, exm, counts, {**payload, "bad": float("nan")}, passed, t0)
 
     monkeypatch.setattr(cli, "_report", poisoned)
     code, out, err = run_cli(capsys, "bs", "--example", "sphere", "--k", "2")
@@ -670,7 +671,7 @@ def test_cohomology_reports_work_counters(capsys):
     counters = report["timing"]["counters"]
     assert set(counters) == {
         "transport_integrals", "transport_batches", "leaf_blocks", "svd_calls",
-        "transition_batches", "nerve_cells",
+        "formula_runs", "nerve_cells",
     }
     # one quadrature sweep per face, each for several labels
     assert 0 < counters["transport_batches"] < counters["transport_integrals"]
@@ -698,7 +699,7 @@ def test_bs_reports_transport_counters(capsys, monkeypatch):
     assert set(counters) == {
         "root_brackets", "root_holonomy_evaluations", "root_steps",
         "census_refinements", "transport_integrals", "transport_batches",
-        "leaf_patterns", "transition_batches", "nerve_cells",
+        "leaf_patterns", "formula_runs", "nerve_cells",
     }
     # the sampled leaves and each root batch share one sweep per segment
     assert 0 < counters["transport_batches"] < counters["transport_integrals"]
@@ -713,8 +714,8 @@ def test_bs_reports_transport_counters(capsys, monkeypatch):
     )
     assert 0 < counters["leaf_patterns"] <= 9 < threaded
     formulas = len(set(covers[0].data.transitions.values()))
-    assert 0 < len(covers) <= counters["transition_batches"] <= formulas * len(covers)
-    assert counters["transition_batches"] < threaded
+    assert 0 < len(covers) <= counters["formula_runs"] <= formulas * len(covers)
+    assert counters["formula_runs"] < threaded
     assert "transport" not in json.dumps(report["payload"])
     _, again = run_json(capsys, *argv)
     assert again["timing"]["counters"] == counters
@@ -724,8 +725,8 @@ def test_check_reports_the_evaluator_runs_of_its_law_check(capsys):
     code, report = run_json(capsys, "check", "--example", "torus", "--k", "3")
     assert code == 0
     counters = report["timing"]["counters"]
-    assert set(counters) == {"local_data_formulas", "nerve_cells"}
-    assert 0 < counters["local_data_formulas"] < counters["nerve_cells"]
+    assert set(counters) == {"formula_runs", "nerve_cells"}
+    assert 0 < counters["formula_runs"] < counters["nerve_cells"]
     assert "counters" not in json.dumps(report["payload"])
 
 
@@ -738,9 +739,8 @@ def test_act_reports_work_counters(capsys):
     assert set(counters) == {
         "gauge_integrals", "gauge_nodes", "grid_builds",
         "transport_integrals", "transport_batches", "leaf_blocks", "svd_calls",
-        "transition_batches", "root_brackets", "root_holonomy_evaluations",
+        "formula_runs", "root_brackets", "root_holonomy_evaluations",
         "root_steps", "census_refinements", "leaf_patterns", "nerve_cells",
-        "local_data_formulas",
     }
     assert counters["grid_builds"] == 2
     # each leg integral takes at least one 7/15-point pass
@@ -753,7 +753,7 @@ def test_act_reports_work_counters(capsys):
     code, report = run_json(capsys, *argv[:-1], "translate:0.7,0")
     assert code == 1
     assert set(report["timing"]["counters"]) == {
-        "gauge_integrals", "gauge_nodes", "nerve_cells", "local_data_formulas",
+        "gauge_integrals", "gauge_nodes", "nerve_cells", "formula_runs",
     }
     # (theorem 2 reads no --grid)
     code, report = run_json(capsys, *argv[:5], *argv[7:], "--verify", "thm2")

@@ -3,6 +3,7 @@ never change: a cover compiles its formulas on first use and keeps them."""
 
 import importlib
 import inspect
+import math
 import pkgutil
 from types import MappingProxyType
 
@@ -12,6 +13,7 @@ import pytest
 import gqlab
 from gqlab import catalog
 from gqlab import expr as ex
+from gqlab.action import build_complementary
 from gqlab.cech import half_offset_grid
 from gqlab.cli import RunConfig, _apply_corruption
 from gqlab.prequantum import (
@@ -198,6 +200,21 @@ def test_builtin_example_holds_no_mutable_value(name):
     assert _mutable_values(exm, name, set()) == []
     with pytest.raises(TypeError):
         exm.polarizations["other"] = exm.polarization()
+
+
+@pytest.mark.parametrize("spec, kind", [
+    (f"translate:{math.pi:.17g},0", "ComplementaryCover"),
+    ("translate:0.7,0", "CocycleObstruction"),
+])
+def test_complementary_results_hold_no_mutable_value(spec, kind):
+    # both results of build_complementary, the solved cocycle and its tree
+    # solution, or the obstruction's constants, are read-only mappings
+    exm = catalog.example("torus", k=2)
+    built = build_complementary(catalog.make_map(exm, spec), exm)
+    assert type(built).__name__ == kind
+    assert _mutable_values(built, kind, set()) == []
+    with pytest.raises(TypeError):
+        built.constants[(0, 1, 0)] = 1.0
 
 
 def test_local_data_keeps_its_own_copy():

@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from gqlab import catalog, kernels
+from gqlab import catalog, kernels, trace
 from gqlab import expr as ex
 from gqlab.prequantum import (
     MAX_DEGREE,
@@ -674,8 +674,9 @@ def test_batched_local_data_equals_the_per_cell_check(models):
 def test_local_data_check_counts_its_evaluator_runs(models, monkeypatch):
     cover = models("torus", k=3).cover
     check_local_data(cover)  # compiles the cover's programs
-    rep, runs = _evaluator_runs(monkeypatch, lambda: check_local_data(cover))
-    assert rep.counters["local_data_formulas"] == len(runs)
+    with trace.counting() as counts:
+        _, runs = _evaluator_runs(monkeypatch, lambda: check_local_data(cover))
+    assert counts == {"formula_runs": len(runs)}
     # the 9 elements share one potential formula, so the curvature call,
     # the two potential calls and omega run once each; the two inverse
     # calls, the dlog call and the three cocycle calls run once per
@@ -954,8 +955,9 @@ def test_batched_element_accessors_equal_the_per_element_calls_bit_for_bit(
             ),
         }
         for accessor, (call, formulas) in calls.items():
-            got, runs = _evaluator_runs(monkeypatch, lambda: call(a, b, pts))
-            assert len(runs) == formulas, (name, accessor)
+            with trace.counting() as counts:
+                got, runs = _evaluator_runs(monkeypatch, lambda: call(a, b, pts))
+            assert len(runs) == formulas == counts["formula_runs"], (name, accessor)
             assert all(part.shape == (len(pts),) for part in got), (name, accessor)
             for i, j in set(zip(a.tolist(), b.tolist())):
                 rows = np.flatnonzero((a == i) & (b == j))
