@@ -3,30 +3,30 @@
 Polarized functions on a cover element solve a transport equation along
 each leaf, so they are determined by one complex value per leaf crossing
 the element; the discretization stores exactly those values on a shared
-transversal grid of leaf labels.  The lambda-weighted restriction maps, the
-differential, and the projection onto tuples representing honest sections
-all act on these per-leaf values, with parallel-transport factors supplied
-by adaptive quadrature of the connection potential along the leaf: the
-transport integrals of one call share one quadrature loop.
+transversal grid of leaf labels.  The lambda-weighted restriction maps
+and the differential act on these per-leaf values, with
+parallel-transport factors supplied by adaptive quadrature of the
+connection potential along the leaf: the transport integrals of one call
+share one quadrature loop.
 
 The grid keeps, per nerve degree, one column per quantity over the
 degree's (cell, label) entries, cell after cell in the nerve's row order
 (GridDegree); every operation gathers from these columns and the nerve's
-tables, by row, and cochains keep the cell keys.
+tables, by row.
 
-Čech ranks are computed from the differential on the image subspaces (one
-coefficient per leaf label per nerve cell, taken in the trivialization of
-the cell's first member).  Transport never leaves a leaf, so it is
-assembled as one dense block per leaf label, and its singular values are
+The differential acts on the image subspaces: one coefficient per leaf
+label per nerve cell, taken in the trivialization of the cell's first
+member, which psi turns into the tuple over all members.  Transport never
+leaves a leaf, so the differential is assembled as one dense block per
+leaf label, and its singular values, from which the Čech ranks come, are
 the union of the blocks' (docs/conventions.md, "Ranks").  Each degree is
 assembled in one pass: its leaf segments gathered from per-degree frame
 tables, one transport call (one quadrature loop) for all of its entries,
 one transition call for all of them (one evaluator run per distinct
 transition formula), and one accumulation per block shape into a stack of
-blocks.  The pointwise differential on cochains (delta, through res) is an
-independent implementation of the same operator, on tuples over all
-members of each cell; it too makes one transport call and one transition
-call per degree, and the block assembly is tested against it.
+blocks.  The ranks, delta on coefficient vectors and so theorem 1's
+commutation check all read these blocks, the one implementation of the
+differential; the tests check the blocks against a per-face reference.
 """
 
 from __future__ import annotations
@@ -204,51 +204,6 @@ def half_offset_grid(cover, polarization, count: int) -> TransversalGrid:
 
 
 # ---------------------------------------------------------------------------
-# Cochain data
-
-
-class TrivCochain(NamedTuple):
-    degree: int
-    data: dict  # cell key -> ndarray (degree + 1, n_labels(cell))
-
-    def norm(self) -> float:
-        vals = [np.max(np.abs(v)) for v in self.data.values() if v.size]
-        return float(max(vals)) if vals else 0.0
-
-
-def zero_cochain(grid: TransversalGrid, degree: int) -> TrivCochain:
-    counts = np.diff(grid.degrees[degree].starts).tolist()
-    data = {
-        key: np.zeros((degree + 1, count), dtype=np.complex128)
-        for key, count in zip(grid.degree_keys(degree), counts)
-    }
-    return TrivCochain(degree, data)
-
-
-def _side_by_side(grid: TransversalGrid, degree: int, values) -> TrivCochain:
-    """The cochain of degree whose tuples sit side by side in the columns
-    of values, as the cells' entries do in the degree's columns (views)."""
-    starts = grid.degrees[degree].starts.tolist()
-    data = {
-        key: values[:, start:stop]
-        for key, start, stop in zip(grid.degree_keys(degree), starts, starts[1:])
-    }
-    return TrivCochain(degree, data)
-
-
-def random_projected_cochain(grid, degree: int, rng) -> TrivCochain:
-    """A random cochain in the image: each cell's tuple drawn from rng in key
-    order, then all of them projected by one project_to_image call."""
-    keys = list(grid.degree_keys(degree))
-    raw = [np.empty((degree + 1, 0))]
-    for count in np.diff(grid.degrees[degree].starts).tolist():
-        shape = (degree + 1, count)
-        raw.append(rng.normal(size=shape) + 1j * rng.normal(size=shape))
-    projected = project_to_image(grid, keys, np.concatenate(raw, axis=1))
-    return _side_by_side(grid, degree, projected)
-
-
-# ---------------------------------------------------------------------------
 # Operations
 
 
@@ -277,33 +232,23 @@ def _entries(grid: TransversalGrid, keys) -> tuple:
     return spans[0][0], np.concatenate(entries)
 
 
-def project_to_image(grid: TransversalGrid, key, tup: np.ndarray) -> np.ndarray:
-    """Average a tuple into the image of the section representation.
-
-    Components become f_j = (1/(n+1)) sum_k lambda_{a_k a_j} f_k; the map is
-    idempotent and fixes exactly the tuples representing honest sections.
-    key is one cell, or a list of cells of one degree whose tuples sit side
-    by side in the columns of tup; either way the transitions are one
-    transition call at the cells' basepoints.
-    """
-    n1 = tup.shape[0]
-    out = np.zeros(tup.shape, dtype=np.complex128)
-    if tup.shape[1]:
-        lam = _member_transitions(grid, *_entries(grid, key if isinstance(key, list) else [key]))
-        for k in range(n1):
-            out += lam[k] * tup[k]
-    return out / n1
-
-
 def psi(grid: TransversalGrid, key, g: np.ndarray) -> np.ndarray:
     """Tuple representation of a section given in the cell's reference
-    trivialization (the first member)."""
-    degree, span = grid.span(key)
-    indices, base = key[0], grid.degrees[degree].base_points[span]
-    out = np.empty((len(indices), len(g)), dtype=np.complex128)
-    for j, b in enumerate(indices):
-        out[j] = grid.cover.transition(indices[0], b, base) * g
-    return out
+    trivialization (the first member): component j is lambda_{a_0 a_j} g.
+
+    key is one cell, or a list of cells of one degree whose coefficients
+    sit side by side in g; either way the transitions are one transition
+    call at the cells' basepoints.
+    """
+    degree, entries = _entries(grid, key if isinstance(key, list) else [key])
+    columns = grid.degrees[degree]
+    members = grid.nerve.degree(degree).members[columns.cells[entries]].T
+    lam = grid.cover.transition(
+        np.broadcast_to(members[0], members.shape).ravel(),
+        members.ravel(),
+        np.concatenate([columns.base_points[entries]] * len(members)),
+    )
+    return lam.reshape(members.shape) * g
 
 
 def phi(grid: TransversalGrid, key, tup: np.ndarray) -> np.ndarray:
@@ -399,32 +344,6 @@ def _restrict(grid: TransversalGrid, pairs: tuple, f: np.ndarray) -> np.ndarray:
     return out
 
 
-def delta(grid: TransversalGrid, cochain: TrivCochain) -> TrivCochain:
-    """The twisted Cech differential via the restriction maps: on each cell,
-    the alternating sum over its faces j of res(face j, cell), all cells
-    and faces of the degree in one _restrict call.  A degree whose cells
-    are all closed is zero."""
-    degree = cochain.degree + 1
-    if degree > grid.nerve.max_degree:
-        raise ConfigurationError(f"nerve holds no degree-{degree} cells")
-    total = int(grid.degrees[degree].starts[-1])
-    if not total:
-        return zero_cochain(grid, degree)
-    faces = grid.nerve.degree(degree).faces  # (cells, faces)
-    pairs = _pairs(
-        grid,
-        (degree - 1, faces.T.ravel()),  # face j of every cell, j after j
-        (degree, np.tile(np.arange(len(faces)), degree + 1)),
-    )
-    values = [np.empty((degree, 0))] + [cochain.data[key] for key in grid.degree_keys(degree - 1)]
-    terms = _restrict(grid, pairs, np.concatenate(values, axis=1))
-    terms = terms.reshape(degree + 1, degree + 1, total)
-    acc = np.zeros((degree + 1, total), dtype=np.complex128)
-    for j in range(degree + 1):
-        acc += terms[:, j] if j % 2 == 0 else -terms[:, j]
-    return _side_by_side(grid, degree, acc)
-
-
 # ---------------------------------------------------------------------------
 # Matrix assembly and ranks
 
@@ -492,7 +411,8 @@ def delta_matrix(grid: TransversalGrid, degree: int) -> tuple:
     label) order, come from one broadcast of cells x labels tables and the
     nerve's face table; the transitions of all entries are one
     cover.transition call, and their transport integrals one
-    LeafTransport.integral call.
+    LeafTransport.integral call.  An open face that lacks a label its cell
+    carries raises LeafMismatchError, naming the smallest such label.
     """
     src, dst = grid.degrees[degree], grid.degrees[degree + 1]
     n_src, n_dst = len(src.cells), len(dst.cells)
@@ -507,7 +427,14 @@ def delta_matrix(grid: TransversalGrid, degree: int) -> tuple:
     src_tab = _coefficient_table(src, n_labels)
     cells = grid.nerve.degree(degree + 1)
     face_tab = src_tab[cells.faces]  # cells x faces x labels
-    cell, j, g = np.nonzero((dst_tab[:, None, :] >= 0) & (face_tab >= 0))
+    carried, found = dst_tab[:, None, :] >= 0, face_tab >= 0
+    # a cell lies inside each of its faces, so an open face carries every
+    # label of the cell
+    lacking = carried & ~found & ~src.closed[cells.faces][:, :, None]
+    if lacking.any():
+        missing = np.nonzero(lacking)[2].min()
+        raise LeafMismatchError(f"label {missing} does not cross the cell")
+    cell, j, g = np.nonzero(carried & found)
     rows, cols = dst_tab[cell, g], face_tab[cell, j, g]
     # face j drops the cell's j-th member, so the face's first member, beta0,
     # sits at position 1 of the cell for face 0 and at position 0 otherwise
@@ -562,13 +489,12 @@ def delta_matrix(grid: TransversalGrid, degree: int) -> tuple:
     return op, *index_maps
 
 
-def vector_to_cochain(grid, degree: int, vec: np.ndarray) -> TrivCochain:
-    out = zero_cochain(grid, degree)
-    starts = grid.degrees[degree].starts.tolist()
-    for key, start, stop in zip(grid.degree_keys(degree), starts, starts[1:]):
-        if stop > start:
-            out.data[key] = psi(grid, key, vec[start:stop])
-    return out
+def delta(grid: TransversalGrid, degree: int, vec: np.ndarray) -> np.ndarray:
+    """The twisted Cech differential of vec, image coefficients of degree:
+    the degree-(degree + 1) coefficients that the blocks of delta_matrix
+    give.  A degree whose cells are all closed maps to zeros."""
+    grid.nerve.require_degree(degree + 1, "delta")
+    return delta_matrix(grid, degree)[0] @ vec
 
 
 class DegreeRank(NamedTuple):

@@ -1,8 +1,8 @@
 """Parallel transport of polarized values along leaves.
 
 One shared implementation of the transport factor exp(-i integral theta)
-serves the cochain machinery, the holonomy computation, and the chain map,
-so the sign conventions (docs/conventions.md) cannot drift apart.
+serves the assembly of the differential and the holonomy computation, so
+the sign conventions (docs/conventions.md) cannot drift apart.
 
 The integrand theta(leaf'(t)) is composed symbolically, the potential
 components substituted with the polarization's leaf curve, and compiled

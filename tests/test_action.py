@@ -13,7 +13,6 @@ from gqlab.action import (
     InternalConsistencyError,
     ComplementaryCover,
     build_complementary,
-    chain_map,
     verify_theorem_1,
     verify_theorem_2,
 )
@@ -24,7 +23,7 @@ from gqlab.bohr import (
     enumerate_leaves,
     holonomy,
 )
-from gqlab.cech import TransversalGrid, delta, half_offset_labels, random_projected_cochain
+from gqlab.cech import TransversalGrid, delta, half_offset_labels, psi
 from gqlab.geometry import as_points, eval_at, pushforward_polarization
 from gqlab.prequantum import ConfigurationError, TrivializationCover, check_local_data
 from gqlab.quadrature import integrate
@@ -416,37 +415,23 @@ def _grids_for(exm, phi, comp, n):
     )
 
 
-def test_chain_map_identity_and_linearity(models):
-    exm = models("torus", k=1)
-    phi = catalog.make_map(exm, "identity")
-    comp = build_complementary(phi, exm)
-    gs, gd = _grids_for(exm, phi, comp, 16)
-    rng = np.random.default_rng(0)
-    c = random_projected_cochain(gs, 0, rng)
-    moved = chain_map(c)
-    assert all(np.array_equal(c.data[k], moved.data[k]) for k in c.data)
-    z = random_projected_cochain(gs, 0, rng)
-    for k in z.data:
-        z.data[k][:] = 0
-    assert chain_map(z).norm() == 0.0
-
-
 def test_chain_map_commutes_with_delta(models):
+    # the chain map is the identity on coefficients; in tuple form the two
+    # sides' differentials agree on every member of every cell
     exm = models("torus", k=2)
     phi = catalog.make_map(exm, f"translate:{math.pi:.17g},0")
     comp = build_complementary(phi, exm)
     gs, gd = _grids_for(exm, phi, comp, 16)
     rng = np.random.default_rng(1)
     for degree in (0, 1):
-        c = random_projected_cochain(gs, degree, rng)
-        lhs = delta(gd, chain_map(c))
-        rhs = chain_map(delta(gs, c))
-        worst = max(
-            (np.max(np.abs(lhs.data[k] - rhs.data[k]))
-             for k in lhs.data if lhs.data[k].size),
-            default=0.0,
-        )
-        assert worst < 1e-9
+        n = int(gs.degrees[degree].starts[-1])
+        assert n == gd.degrees[degree].starts[-1]
+        v = rng.normal(size=n) + 1j * rng.normal(size=n)
+        keys = list(gs.degree_keys(degree + 1))
+        lhs = psi(gd, keys, delta(gd, degree, v))
+        rhs = psi(gs, keys, delta(gs, degree, v))
+        assert lhs.shape == (degree + 2, gs.degrees[degree + 1].starts[-1])
+        assert np.max(np.abs(lhs - rhs)) < 1e-9
 
 
 def _complementary(exm, spec):
@@ -599,6 +584,21 @@ def test_theorem_1_fails_on_a_corrupted_target_transition(models):
     pol = exm.polarization()
     assert verify_theorem_1(comp, pol, grid_n=16).passed
     rep = verify_theorem_1(corrupted, pol, grid_n=16)
+    assert rep.status == "ok" and not rep.passed
+    assert rep.payload["commutation_residual"] > 1e-6
+
+
+@pytest.mark.parametrize("a,b", [(0, 1), (1, 0), (0, 2), (2, 0)])
+def test_theorem_1_fails_on_either_orientation_of_a_corrupted_transition(models, a, b):
+    # the blocks read lambda_{a,b} only for a > b; the tuple form of the
+    # commutation check reads both orientations
+    exm = models("torus", k=2)
+    comp = build_complementary(catalog.make_map(exm, f"translate:{math.pi:.17g},0"), exm)
+    data = comp.base.data
+    transitions = dict(data.transitions)
+    transitions[a, b] = ex.mul(ex.Num(1.01), transitions[a, b])
+    base = comp.base._replace(data=data._replace(transitions=transitions))
+    rep = verify_theorem_1(comp._replace(base=base), exm.polarization(), grid_n=16)
     assert rep.status == "ok" and not rep.passed
     assert rep.payload["commutation_residual"] > 1e-6
 

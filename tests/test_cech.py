@@ -1,4 +1,4 @@
-"""The trivialization complex: transport, projections, delta, ranks."""
+"""The trivialization complex: transport, the psi/phi pair, res, delta, ranks."""
 
 import itertools
 import math
@@ -19,12 +19,8 @@ from gqlab.cech import (
     half_offset_grid,
     half_offset_labels,
     phi,
-    project_to_image,
     psi,
-    random_projected_cochain,
     res,
-    vector_to_cochain,
-    zero_cochain,
 )
 from gqlab.geometry import LeafFrame, pushforward_polarization
 from gqlab.prequantum import ConfigurationError, pullback, refine, split_boxes
@@ -88,31 +84,7 @@ def _one(transport, member, c, t0, t1):
     return transport.integral([member], [t0], [t1], [c])[0]
 
 
-# --- image projection and the psi/phi pair ----------------------------------
-
-
-def test_project_is_idempotent_and_fixes_image(models):
-    exm, grid = _grid(models, "torus", n=16, k=1)
-    rng = np.random.default_rng(0)
-    for key in grid.degree_keys(1) + grid.degree_keys(2):
-        L = grid_cell(grid, key).count
-        if L == 0:
-            continue
-        n1 = len(key[0])
-        raw = rng.normal(size=(n1, L)) + 1j * rng.normal(size=(n1, L))
-        once = project_to_image(grid, key, raw)
-        twice = project_to_image(grid, key, once)
-        assert np.max(np.abs(twice - once)) < 1e-10
-        g = rng.normal(size=L) + 1j * rng.normal(size=L)
-        image = psi(grid, key, g)
-        assert np.max(np.abs(project_to_image(grid, key, image) - image)) < 1e-12
-
-
-def test_project_on_single_element_is_identity(models):
-    exm, grid = _grid(models, "plane", n=8)
-    key = ((0,), 0)
-    raw = np.ones((1, grid_cell(grid, key).count), dtype=complex) * (2 + 1j)
-    assert np.array_equal(project_to_image(grid, key, raw), raw)
+# --- the psi/phi pair ---------------------------------------------------------
 
 
 def test_psi_phi_inverse_pair(models):
@@ -203,10 +175,17 @@ def test_untwisted_res_is_plain_averaging(models):
 # --- the differential ---------------------------------------------------------
 
 
+def _coefficients(grid, degree, rng):
+    """A random coefficient vector of degree."""
+    n = int(grid.degrees[degree].starts[-1])
+    return rng.normal(size=n) + 1j * rng.normal(size=n)
+
+
 def test_delta_of_zero_is_zero(models):
     exm, grid = _grid(models, "torus", n=12, k=1)
-    z = zero_cochain(grid, 0)
-    assert delta(grid, z).norm() == 0.0
+    z = np.zeros(grid.degrees[0].starts[-1], dtype=complex)
+    d = delta(grid, 0, z)
+    assert d.shape == (grid.degrees[1].starts[-1],) and not d.any()
 
 
 def test_delta_reduces_to_classical_coboundary_untwisted(models):
@@ -216,19 +195,20 @@ def test_delta_reduces_to_classical_coboundary_untwisted(models):
     rng = np.random.default_rng(4)
     values = {0: rng.normal(size=4) + 1j * rng.normal(size=4),
               1: rng.normal(size=4) + 1j * rng.normal(size=4)}
-    c = zero_cochain(grid, 0)
+    c = np.zeros(grid.degrees[0].starts[-1], dtype=complex)
     for el, vals in values.items():
-        cg = grid_cell(grid, ((el,), 0))
-        c.data[((el,), 0)][0] = vals[cg.label_idx]
-    d = delta(grid, c)
+        key = ((el,), 0)
+        c[grid.span(key)[1]] = vals[grid_cell(grid, key).label_idx]
+    d = delta(grid, 0, c)
     for comp in (0, 1):
         key = ((0, 1), comp)
         cg = grid_cell(grid, key)
         f0 = values[0][cg.label_idx]
         f1 = values[1][cg.label_idx]
         classical = f1 - f0  # (delta c)_{ab} = c_b - c_a
-        assert np.array_equal(d.data[key][0], classical)
-        assert np.array_equal(d.data[key][1], classical)
+        tup = psi(grid, key, d[grid.span(key)[1]])
+        assert np.array_equal(tup[0], classical)
+        assert np.array_equal(tup[1], classical)
 
 
 @pytest.mark.parametrize(
@@ -243,19 +223,19 @@ def test_delta_squared_vanishes(models, name, params):
         if not grid.degree_keys(degree + 2):
             continue
         for _ in range(10):
-            c = random_projected_cochain(grid, degree, rng)
-            dd = delta(grid, delta(grid, c))
-            assert dd.norm() < 1e-10 * (1.0 + c.norm())
+            v = _coefficients(grid, degree, rng)
+            dd = delta(grid, degree + 1, delta(grid, degree, v))
+            size = np.max(np.abs(v), initial=0.0)
+            assert np.max(np.abs(dd), initial=0.0) < 1e-10 * (1.0 + size)
 
 
 def test_delta_beyond_nerve_degree_errors(models):
     exm, grid = _grid(models, "torus", n=12, k=1)
-    c3 = zero_cochain(grid, 3)
-    with pytest.raises(ConfigurationError):
-        delta(grid, c3)
+    with pytest.raises(ConfigurationError, match="degree-4"):
+        delta(grid, 3, np.zeros(grid.degrees[3].starts[-1], dtype=complex))
 
 
-# --- the batched differential against its per-face reference -----------------
+# --- the block differential against its per-face reference -------------------
 
 
 def _frame_of(grid, key):
@@ -266,9 +246,8 @@ def _frame_of(grid, key):
 
 
 def _pointwise_res(grid, transport, sub_key, super_key, values):
-    """res one (sub, super) pair at a time, as delta ran it face by face:
-    one transport call per pair, one transition call per member pair.  The
-    reference for the batched res."""
+    """res one (sub, super) pair at a time: one transport call per pair,
+    one transition call per member pair."""
     sub, sup = sub_key[0], super_key[0]
     cg_sub, cg_sup = grid_cell(grid, sub_key), grid_cell(grid, super_key)
     n1, count = len(sub), cg_sup.count
@@ -290,38 +269,36 @@ def _pointwise_res(grid, transport, sub_key, super_key, values):
     return out / n1
 
 
-def _pointwise_delta(grid, cochain):
-    """delta as the alternating sum of its per-face restrictions."""
+def _tuples(grid, degree, vec):
+    """Cell key -> the tuple over the cell's members of the coefficients
+    vec of degree, by psi cell by cell."""
+    starts = grid.degrees[degree].starts.tolist()
+    return {
+        key: psi(grid, key, vec[start:stop])
+        for key, start, stop in zip(grid.degree_keys(degree), starts, starts[1:])
+    }
+
+
+def _pointwise_delta(grid, degree, tuples):
+    """delta on the tuples of degree (cell key -> (n+1, count) array) as
+    the alternating sum of its per-face restrictions: the tuples of
+    degree + 1.  The reference for the blocks of delta_matrix."""
     transport = LeafTransport(grid.cover, grid.polarization)
-    out = zero_cochain(grid, cochain.degree + 1)
     faces = nerve_faces(grid.nerve)
-    for key, acc in out.data.items():
+    out = {}
+    for key in grid.degree_keys(degree + 1):
+        acc = np.zeros((degree + 2, grid_cell(grid, key).count), dtype=np.complex128)
         for j, (face_key, _) in enumerate(faces[key]):
-            values = cochain.data[face_key]
-            term = _pointwise_res(grid, transport, face_key, key, values)
+            term = _pointwise_res(grid, transport, face_key, key, tuples[face_key])
             acc += term if j % 2 == 0 else -term
+        out[key] = acc
     return out
 
 
-def _pointwise_projected_cochain(grid, degree, rng):
-    """random_projected_cochain cell by cell, one transition call per
-    member pair."""
-    out = zero_cochain(grid, degree)
-    for key, arr in out.data.items():
-        raw = rng.normal(size=arr.shape) + 1j * rng.normal(size=arr.shape)
-        indices = key[0]
-        for j, b in enumerate(indices):
-            for k, a in enumerate(indices):
-                arr[j] += _lam(grid, key, a, b) * raw[k]
-        out.data[key] = arr / len(indices)
-    return out
-
-
-def _assert_same_cochain(got, want):
-    assert got.degree == want.degree and list(got.data) == list(want.data)
-    for key, arr in want.data.items():
-        assert got.data[key].shape == arr.shape, key
-        assert got.data[key].tobytes() == arr.tobytes(), key
+def _max_difference(got, want):
+    assert list(got) == list(want)
+    return max((float(np.max(np.abs(got[k] - want[k]))) for k in want if want[k].size),
+               default=0.0)
 
 
 _POINTWISE_CASES = [
@@ -339,6 +316,8 @@ _POINTWISE_CASES = [
 @pytest.mark.parametrize("name,params,spec", _POINTWISE_CASES)
 def test_delta_and_projection_equal_the_per_face_reference(models, monkeypatch, name,
                                                            params, spec, side):
+    # psi, the projection of coefficients onto image tuples, is bit for bit
+    # its per-cell form; delta is the per-face differential on those tuples
     from gqlab.prequantum import TrivializationCover
 
     exm = models(name, **params)
@@ -366,17 +345,19 @@ def test_delta_and_projection_equal_the_per_face_reference(models, monkeypatch, 
     nonzero = 0
     # degree 2 sums three face members, where the order of the sums shows
     for degree in (0, 1, 2):
+        v = _coefficients(grid, degree, np.random.default_rng(degree))
+        per_cell = _tuples(grid, degree, v)
+        if per_cell:  # a degree without cells has no psi call to make
+            calls.update(integral=0, transition=0)
+            tuples = psi(grid, list(per_cell), v)
+            assert calls["integral"] == 0 and calls["transition"] <= 1
+            assert tuples.tobytes() == np.concatenate(list(per_cell.values()), axis=1).tobytes()
         calls.update(integral=0, transition=0)
-        c = random_projected_cochain(grid, degree, np.random.default_rng(degree))
-        assert calls["integral"] == 0 and calls["transition"] <= 1
-        _assert_same_cochain(
-            c, _pointwise_projected_cochain(grid, degree, np.random.default_rng(degree))
-        )
-        calls.update(integral=0, transition=0)
-        d = delta(grid, c)
+        d = delta(grid, degree, v)
         assert calls["integral"] <= 1 and calls["transition"] <= 1
-        _assert_same_cochain(d, _pointwise_delta(grid, c))
-        nonzero += sum(int(np.count_nonzero(v)) for v in d.data.values())
+        got = _tuples(grid, degree + 1, d)
+        assert _max_difference(got, _pointwise_delta(grid, degree, per_cell)) < 1e-10
+        nonzero += int(np.count_nonzero(d))
     # every cell of the sphere and the disk is closed, and the one-element
     # plane has no overlaps
     closed_or_single = name in ("sphere", "disk") or params == {"granularity": 1}
@@ -387,19 +368,10 @@ def test_matrix_delta_matches_pointwise_delta(models):
     exm, grid = _grid(models, "torus", n=16, k=2)
     rng = np.random.default_rng(6)
     for degree in (0, 1):
-        mat, (_, _, n_src), _ = delta_matrix(grid, degree)
-        vec = rng.normal(size=n_src) + 1j * rng.normal(size=n_src)
-        c = vector_to_cochain(grid, degree, vec)
-        direct = delta(grid, c)
-        via_matrix = vector_to_cochain(grid, degree + 1, mat @ vec)
-        worst = 0.0
-        for key in direct.data:
-            if direct.data[key].size:
-                worst = max(
-                    worst,
-                    float(np.max(np.abs(direct.data[key] - via_matrix.data[key]))),
-                )
-        assert worst < 1e-10
+        vec = _coefficients(grid, degree, rng)
+        via_matrix = _tuples(grid, degree + 1, delta(grid, degree, vec))
+        direct = _pointwise_delta(grid, degree, _tuples(grid, degree, vec))
+        assert _max_difference(via_matrix, direct) < 1e-10
 
 
 # --- cohomology ranks ---------------------------------------------------------
@@ -507,11 +479,10 @@ def test_leaf_blocks_match_pointwise_delta(models, name, params, kind):
         op, (_, _, n_src), (_, _, n_dst) = delta_matrix(grid, degree)
         assert op.shape == (n_dst, n_src)
         vec = rng.normal(size=n_src) + 1j * rng.normal(size=n_src)
-        c = vector_to_cochain(grid, degree, vec)
-        direct = delta(grid, c)
-        via_blocks = vector_to_cochain(grid, degree + 1, op @ vec)
-        for key, want in direct.data.items():
-            assert np.allclose(via_blocks.data[key], want, atol=1e-10, rtol=0)
+        direct = _pointwise_delta(grid, degree, _tuples(grid, degree, vec))
+        via_blocks = _tuples(grid, degree + 1, op @ vec)
+        for key, want in direct.items():
+            assert np.allclose(via_blocks[key], want, atol=1e-10, rtol=0)
 
 
 @pytest.mark.parametrize("name,params,kind", _blocks_cases())
@@ -895,9 +866,9 @@ def test_res_names_the_smallest_label_its_sub_cell_lacks(models):
     trimmed = grid_cell(broken, face_key)
     with pytest.raises(LeafMismatchError, match=f"label {carried[0]} "):
         res(broken, face_key, key, np.ones((1, trimmed.count), dtype=complex))
-    # in a batch too: delta restricts from every face at once
+    # in a batch too: delta assembles from every face at once
     with pytest.raises(LeafMismatchError, match=f"label {carried[0]} "):
-        delta(broken, zero_cochain(broken, 0))
+        delta(broken, 0, np.zeros(broken.degrees[0].starts[-1], dtype=complex))
     # a closed sub cell carries no labels and restricts to zeros
     shut = _without(grid, face_key, grid_cell(grid, face_key).label_idx)
     degree, row = grid.nerve.locate(face_key)

@@ -26,13 +26,12 @@ KEEP = {
     "catalog.untwisted_circle_example.data_builder": "criterion untwisted-degeneration",
     "cech.TransversalGrid.sub_cell_for": "criterion res-laws",
     "cech.res": "criterion res-laws",
-    "cech.TrivCochain.norm": "criterion delta-squared-zero",
-    "cech.psi": "criterion psi-phi-isomorphism",
+    "cech._pairs": "criterion res-laws (through res)",
+    "cech._restrict": "criterion res-laws (through res)",
+    "cech._member_transitions": "criterion res-laws (through res)",
     "cech.phi": "criterion psi-phi-isomorphism",
-    "cech.LeafBlocks.__matmul__": "tests/test_cech.py::test_leaf_blocks_match_pointwise_delta",
     "cech.LeafBlocks.toarray":
         "tests/test_cech.py::test_leaf_blocks_spectrum_matches_dense_svd",
-    "cech.vector_to_cochain": "tests/test_cech.py::test_leaf_blocks_match_pointwise_delta",
     "geometry.Box.intersect":
         "tests/test_prequantum.py::test_nerve_matches_pairwise_construction",
     "prequantum.LocalData.transition_expr": "criterion rank-stability (through refine)",
