@@ -3,11 +3,11 @@
 Polarized functions on a cover element solve a transport equation along
 each leaf, so they are determined by one complex value per leaf crossing
 the element; the discretization stores exactly those values on a shared
-transversal grid of leaf labels.  The lambda-weighted restriction maps
-and the differential act on these per-leaf values, with
-parallel-transport factors supplied by adaptive quadrature of the
-connection potential along the leaf: the transport integrals of one call
-share one quadrature loop.
+transversal grid of leaf labels.  The differential, the alternating sum
+of the lambda-weighted restrictions to each cell from its faces, acts on
+these per-leaf values, with parallel-transport factors supplied by
+adaptive quadrature of the connection potential along the leaf: the
+transport integrals of one call share one quadrature loop.
 
 The grid keeps, per nerve degree, one column per quantity over the
 degree's (cell, label) entries, cell after cell in the nerve's row order
@@ -161,28 +161,6 @@ class TransversalGrid(NamedTuple):
     def n_labels_retained(self) -> int:
         return int(np.count_nonzero(np.bincount(self.degrees[0].label_idx, minlength=1)))
 
-    # -- geometry helpers ----------------------------------------------------
-
-    def sub_cell_for(self, super_key, sub_indices: tuple):
-        """Nerve cell of sub_indices whose overlap contains the super cell,
-        and the shift of its first member in the super cell's frame: the
-        face of the super cell that drops the other members, one at a time."""
-        nerve = self.nerve
-        sup_degree, sup_row = nerve.locate(super_key)
-        degree, row, members = sup_degree, sup_row, list(super_key[0])
-        for m in super_key[0]:
-            if m not in sub_indices and len(members) > 1:
-                j = members.index(m)
-                row = int(nerve.degree(degree).faces[row, j])
-                degree -= 1
-                del members[j]
-        if not sub_indices or tuple(members) != tuple(sub_indices):
-            raise ConfigurationError(
-                f"{tuple(sub_indices)} is not a sub-tuple of {super_key[0]}"
-            )
-        shifts = nerve.degree(sup_degree).shifts[sup_row, super_key[0].index(sub_indices[0])]
-        return nerve.degree(degree).keys[row], tuple(shifts.tolist())
-
     # -- parallel transport --------------------------------------------------
 
     def frames(self, n: int):
@@ -207,23 +185,6 @@ def half_offset_grid(cover, polarization, count: int) -> TransversalGrid:
 # Operations
 
 
-def _member_transitions(grid: TransversalGrid, degree: int, entries) -> np.ndarray:
-    """lambda_{a_k a_j} between the members a of the cell of each of the
-    given entries of a degree's columns, at the entry's basepoint: a
-    (members, members, entries) array.  One transition call, which
-    evaluates each distinct transition formula once."""
-    columns = grid.degrees[degree]
-    members = grid.nerve.degree(degree).members[columns.cells[entries]].T
-    base = columns.base_points[entries]
-    n = len(members)
-    lam = grid.cover.transition(
-        np.repeat(members, n, axis=0).ravel(),
-        np.concatenate([members] * n).ravel(),
-        np.concatenate([base] * (n * n)),
-    )
-    return lam.reshape(n, n, len(base))
-
-
 def _entries(grid: TransversalGrid, keys) -> tuple:
     """(degree, entries): the entries of the cells of keys, all of one
     degree, side by side in the degree's columns."""
@@ -232,15 +193,14 @@ def _entries(grid: TransversalGrid, keys) -> tuple:
     return spans[0][0], np.concatenate(entries)
 
 
-def psi(grid: TransversalGrid, key, g: np.ndarray) -> np.ndarray:
-    """Tuple representation of a section given in the cell's reference
+def psi(grid: TransversalGrid, keys: list, g: np.ndarray) -> np.ndarray:
+    """Tuple representation of sections given in each cell's reference
     trivialization (the first member): component j is lambda_{a_0 a_j} g.
 
-    key is one cell, or a list of cells of one degree whose coefficients
-    sit side by side in g; either way the transitions are one transition
-    call at the cells' basepoints.
+    keys are cells of one degree whose coefficients sit side by side in g;
+    the transitions are one transition call at the cells' basepoints.
     """
-    degree, entries = _entries(grid, key if isinstance(key, list) else [key])
+    degree, entries = _entries(grid, keys)
     columns = grid.degrees[degree]
     members = grid.nerve.degree(degree).members[columns.cells[entries]].T
     lam = grid.cover.transition(
@@ -259,89 +219,6 @@ def phi(grid: TransversalGrid, key, tup: np.ndarray) -> np.ndarray:
     for j, b in enumerate(indices):
         acc += grid.cover.transition(b, indices[0], base) * tup[j]
     return acc / len(indices)
-
-
-def res(grid: TransversalGrid, sub_key, super_key, values) -> np.ndarray:
-    """Weighted restriction from a sub-tuple's overlap to a super-tuple's.
-
-    Component j on the super tuple is (1/(n+1)) sum_k lambda_{sub_k, sup_j}
-    f_k, each f_k first transported along its own element from the
-    sub-cell's basepoints to the super-cell's; a pair with a closed cell
-    gives zeros.  values are the sub cell's (n+1, count) values.
-    """
-    (sub_degree, sub), (sup_degree, sup) = map(grid.nerve.locate, (sub_key, super_key))
-    pairs = _pairs(grid, (sub_degree, np.array([sub])), (sup_degree, np.array([sup])))
-    f = np.zeros((sub_degree + 1, grid.degrees[sub_degree].starts[-1]), dtype=np.complex128)
-    f[:, grid.span(sub_key)[1]] = values
-    return _restrict(grid, pairs, f)
-
-
-def _pairs(grid: TransversalGrid, subs: tuple, sups: tuple) -> tuple:
-    """Pairs of cells, the subs and the supers given as (degree, rows):
-    (subs, sups, the members of each, and where each super member is each
-    sub member, pairs x super x sub members).  A sub that is not a
-    sub-tuple of its super raises."""
-    nerve = grid.nerve
-    sub = nerve.degree(subs[0]).members[subs[1]]
-    sup = nerve.degree(sups[0]).members[sups[1]]
-    same = sup[:, :, None] == sub[:, None, :]
-    outside = np.flatnonzero(~same.any(axis=1).all(axis=1))
-    if len(outside):
-        b = outside[0]
-        raise ConfigurationError(
-            f"{tuple(sub[b].tolist())} is not a sub-tuple of {tuple(sup[b].tolist())}"
-        )
-    return subs, sups, sub, sup, same
-
-
-def _restrict(grid: TransversalGrid, pairs: tuple, f: np.ndarray) -> np.ndarray:
-    """res of the pairs of cells of _pairs, with the values f of the whole
-    sub degree side by side in its columns.
-
-    The entries (pair, super label, sub member) are gathered from the
-    degrees' tables: one frames call per degree, one transport call and
-    one transition call (docs/conventions.md, "Ranks").
-    """
-    (sub_degree, sub_row), (sup_degree, sup_row), sub, sup, same = pairs
-    sub_cols, sup_cols = grid.degrees[sub_degree], grid.degrees[sup_degree]
-    n1, n = sub.shape[1], sup.shape[1]
-    n_sup = np.diff(sup_cols.starts)[sup_row]
-    out = np.zeros((n, int(n_sup.sum())), dtype=np.complex128)
-    if not out.shape[1]:
-        return out
-    # entry: a pair and a label of its super cell, at entry `row` of the
-    # super degree's columns and at entry `col` of the sub degree's (-1
-    # where the sub cell does not carry it)
-    pair = np.repeat(np.arange(len(sub_row)), n_sup)
-    shift_rows = sup_cols.starts[sup_row] - (np.cumsum(n_sup) - n_sup)
-    row = np.arange(len(pair)) + np.repeat(shift_rows, n_sup)
-    labels = sup_cols.label_idx[row]
-    col = _coefficient_table(sub_cols, len(grid.labels))[sub_row[pair], labels]
-    closed = sub_cols.closed[sub_row[pair]]
-    if np.any((col < 0) & ~closed):
-        missing = labels[(col < 0) & ~closed].min()
-        raise LeafMismatchError(f"label {missing} does not cross the cell")
-    e = np.flatnonzero(col >= 0)
-    pe, col, row = pair[e], col[e], row[e]
-    s, u = sub_row[pe], sup_row[pe]
-    at = same.argmax(axis=1)[pe].T  # each sub member's place in the super cell
-    # transport of every sub member in its own frame, from the sub cell's
-    # basepoints to the super cell's
-    t0, shift = grid.frames(sub_degree)
-    t1 = grid.frames(sup_degree)[0]
-    integrals = grid.leaf_transport.integral(
-        sub[pe].T.ravel(), t0[s].T.ravel(), t1[u, at].ravel(),
-        (sub_cols.c_cell[col] + shift[s].T).ravel(),
-    )
-    moved = f[:, col] * np.exp(-1j * integrals).reshape(n1, len(e))
-    entries, where = np.unique(row, return_inverse=True)
-    lam = _member_transitions(grid, sup_degree, entries)
-    lam = lam[at[:, None, :], np.arange(n)[None, :, None], where]
-    acc = np.zeros((n, len(e)), dtype=np.complex128)
-    for k in range(n1):
-        acc += lam[k] * moved[k]
-    out[:, e] = acc / n1
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -368,9 +245,6 @@ class LeafBlocks(NamedTuple):
         for _, rows, cols, mat in self.blocks:
             out[rows] = mat @ vec[cols]
         return out
-
-    def toarray(self) -> np.ndarray:
-        return self @ np.eye(self.shape[1])
 
     def singular_values(self) -> np.ndarray:
         """The union of the blocks' singular values, descending, padded with

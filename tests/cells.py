@@ -1,16 +1,24 @@
-"""Per-cell views of the nerve's and the transversal grid's tables.
+"""Per-cell views of the nerve's and the transversal grid's tables, and
+the per-face reference for the differential.
 
 The program keeps one table per degree; tests that check cells one at a
 time read them through these views: a Cell per nerve cell (its members,
 comp, box, shifts and samples, as the per-cell nerve kept them), the faces
 as (face key, base) pairs, and a GridCell per grid cell.
+
+The reference restricts image tuples one (sub cell, super cell) pair at a
+time (pointwise_res) and sums those restrictions over the faces of each
+cell (pointwise_delta).  The blocks of cech.delta_matrix are checked
+against it, and criterion res-laws checks it obeys the restriction laws.
 """
 
 from typing import NamedTuple
 
 import numpy as np
 
+from gqlab.cech import psi
 from gqlab.geometry import Box
+from gqlab.transport import LeafTransport
 
 
 class Cell(NamedTuple):
@@ -84,3 +92,72 @@ def grid_cell(grid, key) -> GridCell:
 def grid_cells(grid) -> dict:
     """key -> GridCell of every nerve cell."""
     return {key: grid_cell(grid, key) for table in grid.nerve.degrees for key in table.keys}
+
+
+# --- the per-face reference ---------------------------------------------------
+
+
+def cell_transition(grid, key, a, b):
+    """lambda_ab at the basepoints of a cell."""
+    return grid.cover.transition(a, b, grid_cell(grid, key).base_points)
+
+
+def cell_frame(grid, key):
+    """The row of TransversalGrid.frames for one cell: (t, shift)."""
+    degree, row = grid.nerve.locate(key)
+    t, shift = grid.frames(degree)
+    return t[row], shift[row]
+
+
+def pointwise_res(grid, transport, sub_key, super_key, values):
+    """The weighted restriction of the sub cell's tuple values, (n+1,
+    count), to the super cell: component j is (1/(n+1)) sum_k
+    lambda_{sub_k, sup_j} f_k, each f_k first transported along its own
+    element from the sub cell's basepoints to the super cell's; a closed
+    cell gives zeros.  One transport call per pair, one transition call
+    per member pair."""
+    sub, sup = sub_key[0], super_key[0]
+    cg_sub, cg_sup = grid_cell(grid, sub_key), grid_cell(grid, super_key)
+    n1, count = len(sub), cg_sup.count
+    if cg_sub.closed or cg_sup.closed:
+        return np.zeros((len(sup), count), dtype=np.complex128)
+    pos_sub = np.searchsorted(cg_sub.label_idx, cg_sup.label_idx)
+    assert np.array_equal(cg_sub.label_idx[pos_sub], cg_sup.label_idx)
+    t0, shift = cell_frame(grid, sub_key)
+    t1 = cell_frame(grid, super_key)[0][[sup.index(m) for m in sub]]
+    integrals = transport.integral(
+        np.array(sub).repeat(count), t0.repeat(count), t1.repeat(count),
+        (cg_sub.c_cell[pos_sub] + shift[:, None]).ravel(),
+    )
+    moved = values[:, pos_sub] * np.exp(-1j * integrals).reshape(n1, count)
+    out = np.zeros((len(sup), count), dtype=np.complex128)
+    for j, bj in enumerate(sup):
+        for k, ak in enumerate(sub):
+            out[j] += cell_transition(grid, super_key, ak, bj) * moved[k]
+    return out / n1
+
+
+def cell_tuples(grid, degree, vec):
+    """Cell key -> the tuple over the cell's members of the coefficients
+    vec of degree, by psi cell by cell."""
+    starts = grid.degrees[degree].starts.tolist()
+    return {
+        key: psi(grid, [key], vec[start:stop])
+        for key, start, stop in zip(grid.degree_keys(degree), starts, starts[1:])
+    }
+
+
+def pointwise_delta(grid, degree, tuples):
+    """delta on the tuples of degree (cell key -> (n+1, count) array) as
+    the alternating sum of its per-face restrictions: the tuples of
+    degree + 1."""
+    transport = LeafTransport(grid.cover, grid.polarization)
+    faces = nerve_faces(grid.nerve)
+    out = {}
+    for key in grid.degree_keys(degree + 1):
+        acc = np.zeros((degree + 2, grid_cell(grid, key).count), dtype=np.complex128)
+        for j, (face_key, _) in enumerate(faces[key]):
+            term = pointwise_res(grid, transport, face_key, key, tuples[face_key])
+            acc += term if j % 2 == 0 else -term
+        out[key] = acc
+    return out

@@ -24,11 +24,12 @@ from gqlab.cech import (
     half_offset_labels,
     phi,
     psi,
-    res,
 )
 from gqlab.prequantum import refine, split_boxes
 
-from cells import grid_cell
+from gqlab.transport import LeafTransport
+
+from cells import grid_cell, nerve_faces, pointwise_res
 
 TWO_PI = 2.0 * math.pi
 
@@ -141,38 +142,43 @@ def test_psi_phi_round_trip(models):
                 key = keys[rng.integers(len(keys))]
                 L = grid_cell(grid, key).count
                 g = rng.normal(size=L) + 1j * rng.normal(size=L)
-                tup = psi(grid, key, g)
+                tup = psi(grid, [key], g)
                 assert np.max(np.abs(phi(grid, key, tup) - g)) < 1e-12
-                back = psi(grid, key, phi(grid, key, tup))
+                back = psi(grid, [key], phi(grid, key, tup))
                 assert np.max(np.abs(back - tup)) < 1e-12
 
 
 @criterion("res-laws")
 def test_res_laws(models):
+    # on the per-face reference that delta's blocks are checked against
     rng = np.random.default_rng(10)
     grid = _grid_for(models("torus", k=2), 16)
+    transport = LeafTransport(grid.cover, grid.polarization)
     # identity on image tuples
     count = 0
     for key in grid.degree_keys(1):
         L = grid_cell(grid, key).count
         if L == 0:
             continue
-        tup = psi(grid, key, rng.normal(size=L) + 1j * rng.normal(size=L))
-        assert np.max(np.abs(res(grid, key, key, tup) - tup)) < 1e-12
+        tup = psi(grid, [key], rng.normal(size=L) + 1j * rng.normal(size=L))
+        back = pointwise_res(grid, transport, key, key, tup)
+        assert np.max(np.abs(back - tup)) < 1e-12
         count += 1
     assert count > 10
-    # composition over random triples
+    # composition sub -> mid -> super, the sub cells found through the faces
+    faces = nerve_faces(grid.nerve)
     checked = 0
     for key in grid.degree_keys(2):
         if grid_cell(grid, key).count == 0:
             continue
-        a, b, _ = key[0]
-        sub_key, _ = grid.sub_cell_for(key, (a,))
-        mid_key, _ = grid.sub_cell_for(key, (a, b))
+        mid_key = faces[key][2][0]  # (a, b) of (a, b, c)
+        sub_key = faces[mid_key][1][0]  # (a,)
         L = grid_cell(grid, sub_key).count
-        tup = psi(grid, sub_key, rng.normal(size=L) + 1j * rng.normal(size=L))
-        direct = res(grid, sub_key, key, tup)
-        via = res(grid, mid_key, key, res(grid, sub_key, mid_key, tup))
+        tup = psi(grid, [sub_key], rng.normal(size=L) + 1j * rng.normal(size=L))
+        direct = pointwise_res(grid, transport, sub_key, key, tup)
+        via = pointwise_res(
+            grid, transport, mid_key, key, pointwise_res(grid, transport, sub_key, mid_key, tup)
+        )
         assert np.max(np.abs(direct - via)) < 1e-10
         checked += 1
     assert checked > 10
