@@ -24,9 +24,9 @@ assembled in one pass: its leaf segments gathered from per-degree frame
 tables, one transport call (one quadrature loop) for all of its entries,
 one transition call for all of them (one evaluator run per distinct
 transition formula), and one accumulation per block shape into a stack of
-blocks.  The ranks, delta on coefficient vectors and so theorem 1's
-commutation check all read these blocks, the one implementation of the
-differential; the tests check the blocks against a per-face reference.
+blocks with their rows and columns: the one implementation of the
+differential, which the ranks decompose, delta applies and theorem 1 reuses
+from its ranks; the tests check the blocks against a per-face reference.
 """
 
 from __future__ import annotations
@@ -229,28 +229,21 @@ class LeafBlocks(NamedTuple):
     """delta on image coefficients as one dense block per leaf label.
 
     Transport never leaves a leaf, so delta couples only coefficients on
-    the same global label.  Each block is (label, rows, cols, matrix): the
-    matrix maps the degree-n coefficients at positions cols to the
-    degree-(n+1) ones at positions rows.  Rows of labels without a block
-    are zero.  The matrices are views into stacks, one (n, rows, cols)
-    array per block shape.
+    the same global label.  The blocks of one shape form a stack
+    (labels, rows, cols, blocks), ascending label: block i maps the
+    degree-n coefficients at positions cols[i] to the degree-(n+1) ones at
+    positions rows[i] on leaf label labels[i].  Rows of labels without a
+    block are zero.  The arrays are read-only.
     """
 
     shape: tuple  # (n_dst, n_src)
-    blocks: tuple  # (label, rows, cols, matrix), ascending label
-    stacks: tuple
-
-    def __matmul__(self, vec: np.ndarray) -> np.ndarray:
-        out = np.zeros(self.shape[:1] + np.shape(vec)[1:], dtype=np.complex128)
-        for _, rows, cols, mat in self.blocks:
-            out[rows] = mat @ vec[cols]
-        return out
+    stacks: tuple  # (labels (n,), rows (n, r), cols (n, c), blocks (n, r, c))
 
     def singular_values(self) -> np.ndarray:
         """The union of the blocks' singular values, descending, padded with
         zeros to min(shape); one stacked SVD per block shape."""
         n = min(self.shape)
-        sv = [np.linalg.svd(stack, compute_uv=False).ravel() for stack in self.stacks]
+        sv = [np.linalg.svd(blocks, compute_uv=False).ravel() for *_, blocks in self.stacks]
         return np.sort(np.concatenate(sv + [np.zeros(n)]))[::-1][:n]
 
 
@@ -288,6 +281,7 @@ def delta_matrix(grid: TransversalGrid, degree: int) -> tuple:
     LeafTransport.integral call.  An open face that lacks a label its cell
     carries raises LeafMismatchError, naming the smallest such label.
     """
+    grid.nerve.require_degree(degree + 1, "delta_matrix")
     src, dst = grid.degrees[degree], grid.degrees[degree + 1]
     n_src, n_dst = len(src.cells), len(dst.cells)
     index_maps = (
@@ -295,7 +289,7 @@ def delta_matrix(grid: TransversalGrid, degree: int) -> tuple:
         (grid.degree_keys(degree + 1), dst.starts, n_dst),
     )
     if n_dst == 0 or n_src == 0:
-        return LeafBlocks((n_dst, n_src), (), ()), *index_maps
+        return LeafBlocks((n_dst, n_src), ()), *index_maps
     n_labels = len(grid.labels)
     dst_tab = _coefficient_table(dst, n_labels)
     src_tab = _coefficient_table(src, n_labels)
@@ -332,43 +326,42 @@ def delta_matrix(grid: TransversalGrid, degree: int) -> tuple:
     sign = 1 - 2 * (j % 2)
     vals = sign * lam * np.exp(-1j * integrals)
 
-    # one zero stack per block shape, filled in entry order
+    # one zero stack per block shape, filled in entry order; a block's rows
+    # and cols are its label's slice of the ascending order of each degree
     n_rows, row_rank, row_order, row_start = _by_label(dst.label_idx, n_labels)
     n_cols, col_rank, col_order, col_start = _by_label(src.label_idx, n_labels)
     labels = np.flatnonzero((n_rows > 0) & (n_cols > 0))
     shapes, stack_of = np.unique(
         n_rows[labels] * (n_src + 1) + n_cols[labels], return_inverse=True
     )
-    sizes, slot, _, _ = _by_label(stack_of, len(shapes))
-    stacks = tuple(
-        np.zeros((size, *divmod(shape, n_src + 1)), dtype=np.complex128)
-        for size, shape in zip(sizes.tolist(), shapes.tolist())
-    )
+    sizes, slot, by_stack, first = _by_label(stack_of, len(shapes))
     block_of = np.full(n_labels, -1)
     block_of[labels] = np.arange(len(labels))
     entry_block = block_of[g]
     entry_stack = stack_of[entry_block]
-    for s, stack in enumerate(stacks):
+    stacks = []
+    for s, (size, shape, lo) in enumerate(zip(sizes.tolist(), shapes.tolist(), first.tolist())):
+        r, c = divmod(shape, n_src + 1)
+        block_labels = labels[by_stack[lo : lo + size]]
+        blocks = np.zeros((size, r, c), dtype=np.complex128)
         e = np.flatnonzero(entry_stack == s)
-        place = slot[entry_block[e]], row_rank[rows[e]], col_rank[cols[e]]
-        np.add.at(stack, place, vals[e])
-    blocks = []
-    for g, s, k, r0, c0 in zip(
-        *(a.tolist() for a in (labels, stack_of, slot, row_start[labels], col_start[labels]))
-    ):
-        mat = stacks[s][k]
-        r, c = mat.shape
-        blocks.append((g, row_order[r0 : r0 + r], col_order[c0 : c0 + c], mat))
-    op = LeafBlocks((n_dst, n_src), tuple(blocks), stacks)
-    return op, *index_maps
+        np.add.at(blocks, (slot[entry_block[e]], row_rank[rows[e]], col_rank[cols[e]]), vals[e])
+        block_rows = row_order[row_start[block_labels, None] + np.arange(r)]
+        block_cols = col_order[col_start[block_labels, None] + np.arange(c)]
+        stacks.append(read_only(block_labels, block_rows, block_cols, blocks))
+    return LeafBlocks((n_dst, n_src), tuple(stacks)), *index_maps
 
 
-def delta(grid: TransversalGrid, degree: int, vec: np.ndarray) -> np.ndarray:
-    """The twisted Cech differential of vec, image coefficients of degree:
-    the degree-(degree + 1) coefficients that the blocks of delta_matrix
-    give.  A degree whose cells are all closed maps to zeros."""
-    grid.nerve.require_degree(degree + 1, "delta")
-    return delta_matrix(grid, degree)[0] @ vec
+def delta(op: LeafBlocks, vec: np.ndarray) -> np.ndarray:
+    """The twisted Cech differential op (delta_matrix's) applied to vec,
+    image coefficients of its source degree, one batched matmul per stack;
+    vec may carry trailing axes.  A degree whose cells are all closed maps
+    to zeros."""
+    out = np.zeros(op.shape[:1] + vec.shape[1:], dtype=np.complex128)
+    for _, rows, cols, blocks in op.stacks:
+        prod = np.matmul(blocks, vec[cols].reshape(*cols.shape, -1))
+        out[rows] = prod.reshape(rows.shape + vec.shape[1:])
+    return out
 
 
 class DegreeRank(NamedTuple):
@@ -401,6 +394,7 @@ class RankReport(NamedTuple):
     n_labels: int
     n_labels_retained: int
     threshold: float
+    operators: tuple  # the LeafBlocks of each degree, which as_dict leaves out
 
     def as_dict(self) -> dict:
         return {
@@ -435,9 +429,9 @@ def cohomology_ranks(
 
     Ranks come from singular values with the stated relative threshold; the
     report keeps the spectrum edges and the gap at the cut so borderline
-    decisions are auditable.  The grid keeps its transport integrals for
-    the caller to reuse.  Counts the blocks (leaf_blocks) and the stacked
-    SVDs (svd_calls) of the operators.
+    decisions are auditable.  The report keeps the operator of each
+    degree, for a caller that applies delta on the same grid.  Counts the
+    blocks (leaf_blocks) and the stacked SVDs (svd_calls) of the operators.
     """
     nerve_bound = grid.nerve.max_degree - 1
     if max_degree > nerve_bound:
@@ -473,11 +467,12 @@ def cohomology_ranks(
                 betti_per_leaf=(betti / retained) if retained else None,
             )
         )
-    trace.count("leaf_blocks", sum(len(m.blocks) for m in mats))
+    trace.count("leaf_blocks", sum(len(labels) for m in mats for labels, *_ in m.stacks))
     trace.count("svd_calls", sum(len(m.stacks) for m in mats))
     return RankReport(
         degrees=tuple(ranks),
         n_labels=n_labels,
         n_labels_retained=retained,
         threshold=threshold,
+        operators=tuple(mats),
     )

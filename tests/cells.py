@@ -10,13 +10,14 @@ The reference restricts image tuples one (sub cell, super cell) pair at a
 time (pointwise_res) and sums those restrictions over the faces of each
 cell (pointwise_delta).  The blocks of cech.delta_matrix are checked
 against it, and criterion res-laws checks it obeys the restriction laws.
+grid_delta assembles one degree's operator and applies it.
 """
 
 from typing import NamedTuple
 
 import numpy as np
 
-from gqlab.cech import psi
+from gqlab.cech import delta, delta_matrix, psi
 from gqlab.geometry import Box
 from gqlab.transport import LeafTransport
 
@@ -145,6 +146,12 @@ def cell_tuples(grid, degree, vec):
         key: psi(grid, [key], vec[start:stop])
         for key, start, stop in zip(grid.degree_keys(degree), starts, starts[1:])
     }
+
+
+def grid_delta(grid, degree, vec):
+    """delta on the coefficients vec of degree: the operator delta_matrix
+    assembles, applied."""
+    return delta(delta_matrix(grid, degree)[0], vec)
 
 
 def pointwise_delta(grid, degree, tuples):

@@ -11,7 +11,6 @@ import math
 import time
 
 import numpy as np
-import pytest
 
 from gqlab import catalog, cli
 from gqlab.action import build_complementary, verify_theorem_1, verify_theorem_2
@@ -19,7 +18,6 @@ from gqlab.bohr import bs_census, lattice_count
 from gqlab.cech import (
     TransversalGrid,
     cohomology_ranks,
-    delta,
     half_offset_grid,
     half_offset_labels,
     phi,
@@ -29,7 +27,7 @@ from gqlab.prequantum import refine, split_boxes
 
 from gqlab.transport import LeafTransport
 
-from cells import grid_cell, nerve_faces, pointwise_res
+from cells import grid_cell, grid_delta, nerve_faces, pointwise_res
 
 TWO_PI = 2.0 * math.pi
 
@@ -118,7 +116,7 @@ def test_delta_squared_vanishes_on_all_builtin_covers(models):
             n = int(grid.degrees[degree].starts[-1])
             for _ in range(100):
                 v = rng.normal(size=n) + 1j * rng.normal(size=n)
-                dd = delta(grid, degree + 1, delta(grid, degree, v))
+                dd = grid_delta(grid, degree + 1, grid_delta(grid, degree, v))
                 size = np.max(np.abs(v), initial=0.0)
                 assert np.max(np.abs(dd), initial=0.0) < 1e-10 * (1.0 + size)
     elapsed = time.perf_counter() - start

@@ -23,13 +23,13 @@ from gqlab.bohr import (
     enumerate_leaves,
     holonomy,
 )
-from gqlab.cech import TransversalGrid, delta, half_offset_labels, psi
+from gqlab.cech import TransversalGrid, half_offset_labels, psi
 from gqlab.geometry import as_points, eval_at, pushforward_polarization
 from gqlab.prequantum import ConfigurationError, TrivializationCover, check_local_data
 from gqlab.quadrature import integrate
 from gqlab.transport import LeafTransport
 
-from cells import degree_cells, nerve_cells
+from cells import degree_cells, grid_delta, nerve_cells
 
 TWO_PI = 2.0 * math.pi
 
@@ -428,8 +428,8 @@ def test_chain_map_commutes_with_delta(models):
         assert n == gd.degrees[degree].starts[-1]
         v = rng.normal(size=n) + 1j * rng.normal(size=n)
         keys = list(gs.degree_keys(degree + 1))
-        lhs = psi(gd, keys, delta(gd, degree, v))
-        rhs = psi(gs, keys, delta(gs, degree, v))
+        lhs = psi(gd, keys, grid_delta(gd, degree, v))
+        rhs = psi(gs, keys, grid_delta(gs, degree, v))
         assert lhs.shape == (degree + 2, gs.degrees[degree + 1].starts[-1])
         assert np.max(np.abs(lhs - rhs)) < 1e-9
 
@@ -528,6 +528,29 @@ def test_theorem_1_two_element_plane_shear(models):
     rep = verify_theorem_1(_complementary(exm, "shear"), exm.polarization(), grid_n=24)
     assert rep.passed and rep.payload["ranks"]["equal"]
     assert rep.payload["commutation_residual"] < 1e-9
+
+
+@pytest.mark.parametrize(
+    "name,params,spec",
+    [("torus", {"k": 2}, f"translate:{math.pi:.17g},0"), ("plane", {"granularity": 2}, "shear")],
+)
+def test_theorem_1_assembles_each_degree_once_per_side(models, monkeypatch, name, params,
+                                                       spec):
+    # the commutation check applies the operators the ranks assembled
+    from gqlab import cech
+
+    exm = models(name, **params)
+    comp = _complementary(exm, spec)
+    assemble, degrees = cech.delta_matrix, []
+
+    def counted(grid, degree):
+        degrees.append(degree)
+        return assemble(grid, degree)
+
+    monkeypatch.setattr(cech, "delta_matrix", counted)
+    rep = verify_theorem_1(comp, exm.polarization())
+    assert rep.passed
+    assert sorted(degrees) == [0, 0, 1, 1, 2, 2]
 
 
 def test_theorem_1_obstructed_reports_hypothesis_failure(capsys):

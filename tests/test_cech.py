@@ -33,6 +33,7 @@ from cells import (
     degree_cells,
     grid_cell,
     grid_cells,
+    grid_delta,
     nerve_cells,
     nerve_faces,
     pointwise_delta,
@@ -132,7 +133,7 @@ def _coefficients(grid, degree, rng):
 def test_delta_of_zero_is_zero(models):
     exm, grid = _grid(models, "torus", n=12, k=1)
     z = np.zeros(grid.degrees[0].starts[-1], dtype=complex)
-    d = delta(grid, 0, z)
+    d = grid_delta(grid, 0, z)
     assert d.shape == (grid.degrees[1].starts[-1],) and not d.any()
 
 
@@ -147,7 +148,7 @@ def test_delta_reduces_to_classical_coboundary_untwisted(models):
     for el, vals in values.items():
         key = ((el,), 0)
         c[grid.span(key)[1]] = vals[grid_cell(grid, key).label_idx]
-    d = delta(grid, 0, c)
+    d = grid_delta(grid, 0, c)
     for comp in (0, 1):
         key = ((0, 1), comp)
         cg = grid_cell(grid, key)
@@ -172,7 +173,7 @@ def test_delta_squared_vanishes(models, name, params):
             continue
         for _ in range(10):
             v = _coefficients(grid, degree, rng)
-            dd = delta(grid, degree + 1, delta(grid, degree, v))
+            dd = grid_delta(grid, degree + 1, grid_delta(grid, degree, v))
             size = np.max(np.abs(v), initial=0.0)
             assert np.max(np.abs(dd), initial=0.0) < 1e-10 * (1.0 + size)
 
@@ -180,7 +181,7 @@ def test_delta_squared_vanishes(models, name, params):
 def test_delta_beyond_nerve_degree_errors(models):
     exm, grid = _grid(models, "torus", n=12, k=1)
     with pytest.raises(ConfigurationError, match="degree-4"):
-        delta(grid, 3, np.zeros(grid.degrees[3].starts[-1], dtype=complex))
+        delta_matrix(grid, 3)
 
 
 # --- the block differential against its per-face reference -------------------
@@ -244,7 +245,7 @@ def test_delta_and_projection_equal_the_per_face_reference(models, monkeypatch, 
             assert calls["integral"] == 0 and calls["transition"] <= 1
             assert tuples.tobytes() == np.concatenate(list(per_cell.values()), axis=1).tobytes()
         calls.update(integral=0, transition=0)
-        d = delta(grid, degree, v)
+        d = grid_delta(grid, degree, v)
         assert calls["integral"] <= 1 and calls["transition"] <= 1
         got = cell_tuples(grid, degree + 1, d)
         assert _max_difference(got, pointwise_delta(grid, degree, per_cell)) < 1e-10
@@ -260,7 +261,7 @@ def test_matrix_delta_matches_pointwise_delta(models):
     rng = np.random.default_rng(6)
     for degree in (0, 1):
         vec = _coefficients(grid, degree, rng)
-        via_matrix = cell_tuples(grid, degree + 1, delta(grid, degree, vec))
+        via_matrix = cell_tuples(grid, degree + 1, grid_delta(grid, degree, vec))
         direct = pointwise_delta(grid, degree, cell_tuples(grid, degree, vec))
         assert _max_difference(via_matrix, direct) < 1e-10
 
@@ -339,6 +340,11 @@ def _rank(sv, threshold=1e-8):
     return int(np.sum(sv > threshold * sv[0])) if sv.size and sv[0] > 0 else 0
 
 
+def _blocks(op):
+    """(label, rows, cols, matrix) of every block of op, ascending label."""
+    return sorted((b for stack in op.stacks for b in zip(*stack)), key=lambda b: b[0])
+
+
 def _blocks_cases():
     cases = []
     for k in (1, 2, 3):
@@ -371,7 +377,7 @@ def test_leaf_blocks_match_pointwise_delta(models, name, params, kind):
         assert op.shape == (n_dst, n_src)
         vec = rng.normal(size=n_src) + 1j * rng.normal(size=n_src)
         direct = pointwise_delta(grid, degree, cell_tuples(grid, degree, vec))
-        via_blocks = cell_tuples(grid, degree + 1, op @ vec)
+        via_blocks = cell_tuples(grid, degree + 1, delta(op, vec))
         for key, want in direct.items():
             assert np.allclose(via_blocks[key], want, atol=1e-10, rtol=0)
 
@@ -382,7 +388,7 @@ def test_leaf_blocks_spectrum_matches_dense_svd(models, name, params, kind):
     for degree in (0, 1, 2):
         op, _, _ = delta_matrix(grid, degree)
         sv = op.singular_values()
-        sv_dense = np.linalg.svd(op @ np.eye(op.shape[1]), compute_uv=False)
+        sv_dense = np.linalg.svd(delta(op, np.eye(op.shape[1])), compute_uv=False)
         assert _rank(sv) == _rank(sv_dense)
         assert np.all(np.abs(sv[:3] - sv_dense[:3]) <= 1e-12 * sv_dense[:3])
 
@@ -400,11 +406,11 @@ def test_sheaf_cohomology_sits_on_the_bs_leaves(models, k):
     rep = cohomology_ranks(grid)
     assert [d.betti for d in rep.degrees] == [k, k, 0]
     # degree 0: the labels whose coefficients delta does not fill
-    op, _, _ = delta_matrix(grid, 0)
+    op = rep.operators[0]
     cut = rep.threshold * op.singular_values()[0]
     block_rank = {
         g: int(np.sum(np.linalg.svd(mat, compute_uv=False) > cut))
-        for g, _, _, mat in op.blocks
+        for g, _, _, mat in _blocks(op)
     }
     col_label = _position_labels(grid, 0)
     kernel = [
@@ -599,7 +605,7 @@ def test_delta_matrix_blocks_equal_the_per_label_assembly(models):
     n_blocks = 0
     for name, grid in _assembly_grids(models).items():
         for degree in range(min(3, grid.nerve.max_degree)):
-            got = delta_matrix(grid, degree)[0].blocks
+            got = _blocks(delta_matrix(grid, degree)[0])
             want = _reference_blocks(grid, degree)
             assert len(got) == len(want), (name, degree)
             for (g, r, c, mat), (g2, r2, c2, mat2) in zip(got, want):
@@ -613,7 +619,7 @@ def test_stacked_block_spectrum_is_the_per_block_union(models):
     for name, grid in _assembly_grids(models).items():
         for degree in range(min(3, grid.nerve.max_degree)):
             op = delta_matrix(grid, degree)[0]
-            sv = [np.linalg.svd(b[3], compute_uv=False) for b in op.blocks]
+            sv = [np.linalg.svd(b[3], compute_uv=False) for b in _blocks(op)]
             n = min(op.shape)
             want = np.sort(np.concatenate(sv + [np.zeros(n)]))[::-1][:n]
             assert np.array_equal(op.singular_values(), want), (name, degree)
@@ -730,7 +736,7 @@ def test_res_names_the_smallest_label_its_sub_cell_lacks(models):
     broken = _without(grid, face_key, carried[:2])
     # delta assembles from every face at once, and names the smallest label
     with pytest.raises(LeafMismatchError, match=f"label {carried[0]} "):
-        delta(broken, 0, np.zeros(broken.degrees[0].starts[-1], dtype=complex))
+        grid_delta(broken, 0, np.zeros(broken.degrees[0].starts[-1], dtype=complex))
     # a closed face carries no labels and adds nothing to its cells
     shut = _without(grid, face_key, grid_cell(grid, face_key).label_idx)
     degree, row = grid.nerve.locate(face_key)
@@ -740,7 +746,7 @@ def test_res_names_the_smallest_label_its_sub_cell_lacks(models):
     degrees[degree] = degrees[degree]._replace(closed=closed)
     shut = shut._replace(degrees=tuple(degrees))
     v = _coefficients(shut, 0, np.random.default_rng(8))
-    got = cell_tuples(shut, 1, delta(shut, 0, v))
+    got = cell_tuples(shut, 1, grid_delta(shut, 0, v))
     assert got[key].any()
     assert _max_difference(got, pointwise_delta(shut, 0, cell_tuples(shut, 0, v))) < 1e-10
 
@@ -754,7 +760,7 @@ def test_closed_degrees_assemble_the_empty_operator(models):
             with trace.counting() as counts:
                 op, (_, _, n_src), (_, _, n_dst) = delta_matrix(grid, degree)
             assert op.shape == (n_dst, n_src) == (0, 0)
-            assert op.blocks == () and op.stacks == ()
+            assert op.stacks == ()
             assert op.singular_values().shape == (0,)
             assert counts == {}  # no formula run, no integral
 

@@ -14,7 +14,7 @@ import gqlab
 from gqlab import catalog
 from gqlab import expr as ex
 from gqlab.action import build_complementary
-from gqlab.cech import half_offset_grid
+from gqlab.cech import cohomology_ranks, half_offset_grid
 from gqlab.cli import RunConfig, _apply_corruption
 from gqlab.prequantum import (
     ConfigurationError,
@@ -171,6 +171,12 @@ def test_grid_columns_are_read_only(covers, kind):
         grid.degrees[0] = grid.degrees[0]
     for columns in grid.degrees:
         _assert_read_only(columns)
+    # a rank report keeps the operators it assembled, as read-only stacks
+    ranks = cohomology_ranks(grid)
+    stacks = [stack for op in ranks.operators for stack in op.stacks]
+    assert stacks and _mutable_values(ranks, "ranks", set()) == []
+    for stack in stacks:
+        _assert_read_only(stack)
 
 
 def _mutable_values(obj, path, seen):
