@@ -355,10 +355,10 @@ def holonomy(transport: LeafTransport, groups) -> tuple:
     and moving along the leaf multiplies by exp(-i integral theta).
 
     The groups share their kernel work: one transport.integral call for all
-    their leaf segments, which integrates the distinct ones missing from
-    its cache in one quadrature call, one cover.transition call for the
-    switch points between two distinct elements, which evaluates each
-    distinct transition formula once, and one exp call.  A leaf's action
+    their leaf segments, which integrates the distinct ones in one
+    quadrature call, one cover.transition call for the switch points
+    between two distinct elements, which evaluates each distinct
+    transition formula once, and one exp call.  A leaf's action
     is the sum of its segments' real integrals, in leaf order, less the
     turns of its transitions, each from math.atan2; its holonomy is the
     product of its segment factors and then its transitions.  A batch runs
@@ -367,8 +367,9 @@ def holonomy(transport: LeafTransport, groups) -> tuple:
     leaf's scalar loop, each rounded once.  NumPy's array complex multiply
     can fuse a multiply and an add, and so round otherwise, and
     np.arctan2 can differ from math.atan2, so neither is used: a batch
-    gives every result bit for bit as a single leaf does.  transport fills
-    and reuses its cache.
+    gives every result bit for bit as a single leaf does.  transport keeps
+    no integral between calls, so no result depends on what was asked
+    before.
     """
     groups = list(groups)
     if not groups:

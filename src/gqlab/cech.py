@@ -88,8 +88,9 @@ class TransversalGrid(NamedTuple):
     build makes it complete: one GridDegree per nerve degree, with every
     cell's labels and basepoints, the LeafFrame of the nerve's cells,
     degree after degree (how leaves cross them, the rule the leaf atlas
-    uses too), and the leaf transport whose integral cache is the only
-    state that changes after construction.
+    uses too), and the leaf transport.  The transport keeps no integral
+    between calls, so nothing in a grid changes after build but its
+    transport's memo of compiled integrands.
     """
 
     cover: TrivializationCover
@@ -209,16 +210,6 @@ def psi(grid: TransversalGrid, keys: list, g: np.ndarray) -> np.ndarray:
         np.concatenate([columns.base_points[entries]] * len(members)),
     )
     return lam.reshape(members.shape) * g
-
-
-def phi(grid: TransversalGrid, key, tup: np.ndarray) -> np.ndarray:
-    """Left inverse of psi: average back to the reference trivialization."""
-    degree, span = grid.span(key)
-    indices, base = key[0], grid.degrees[degree].base_points[span]
-    acc = np.zeros(tup.shape[1], dtype=np.complex128)
-    for j, b in enumerate(indices):
-        acc += grid.cover.transition(b, indices[0], base) * tup[j]
-    return acc / len(indices)
 
 
 # ---------------------------------------------------------------------------

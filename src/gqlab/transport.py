@@ -6,21 +6,21 @@ the sign conventions (docs/conventions.md) cannot drift apart.
 
 The integrand theta(leaf'(t)) is composed symbolically, the potential
 components substituted with the polarization's leaf curve, and compiled
-once per element.  A pullback cover holds the pulled-back potentials as
-formulas and is paired with the pushforward polarization, whose curve is
-the preimage of the source curve, so it needs no other integrand.  Every
-call works on a batch of entries, each a leaf segment (element, t0, t1)
-and a label, as holonomies and the differential need them: integral
-integrates the distinct entries missing from its cache in one quadrature
-call, one row per entry, each row bit for bit its one-entry batch.  flux
-gives the label derivative of the leaf action, the census's prediction of
-how far the action steps between two labels.  Both count their quadrature
+once per distinct potential.  A pullback cover holds the pulled-back
+potentials as formulas and is paired with the pushforward polarization,
+whose curve is the preimage of the source curve, so it needs no other
+integrand.  Every call works on a batch of entries, each a leaf segment
+(element, t0, t1) and a label, as holonomies and the differential need
+them: integral tells the call's entries apart by their bits and
+integrates the distinct ones in one quadrature call, one row per entry,
+each row bit for bit its one-entry batch.  It keeps no integral between
+calls, so a result never depends on what was asked before.  flux gives
+the label derivative of the leaf action, the census's prediction of how
+far the action steps between two labels.  Both count their quadrature
 calls (transport_batches) and the rows integrated (transport_integrals).
 """
 
 from __future__ import annotations
-
-from itertools import compress, repeat
 
 import numpy as np
 
@@ -48,8 +48,7 @@ class LeafTransport:
     def __init__(self, cover, polarization):
         self.cover = cover
         self.polarization = polarization
-        self._integrands: dict = {}  # member, and its program -> run
-        self._integrals: dict = {}
+        self._integrands: dict = {}  # member, potential and program -> run
         self._flux = None  # (run of the flux integrand, whether it reads t)
         trace.count("transport_integrals", 0)  # 0 until it integrates
         trace.count("transport_batches", 0)
@@ -57,22 +56,26 @@ class LeafTransport:
     def integrand(self, member: int):
         """run(cs, ts): theta_member(leaf'(t)) at the labels cs and the
         nodes ts, an array (len(cs), k) of each label's nodes or k nodes
-        shared by all labels; returns (len(cs), k) values.  Members whose
+        shared by all labels; returns (len(cs), k) values.  The integrand
+        of each distinct potential is composed once, and members whose
         integrands are one formula share one run."""
-        run = self._integrands.get(member)
+        memo = self._integrands
+        run = memo.get(member)
         if run is not None:
             return run
-        coords = self.cover.manifold.coords
         theta = self.cover.data.potentials[member]
-        curve = self.polarization.curve
-        sub = {coords[0]: curve[0], coords[1]: curve[1]}
-        integrand = ex.add(
-            ex.mul(ex.substitute(theta[0], sub), ex.differentiate(curve[0], "t")),
-            ex.mul(ex.substitute(theta[1], sub), ex.differentiate(curve[1], "t")),
-        )
-        prog = program.compile_expr(integrand, ("c", "t"))
-        run = self._integrands.setdefault(prog, _runner(prog))
-        self._integrands[member] = run
+        run = memo.get(theta)
+        if run is None:
+            coords = self.cover.manifold.coords
+            curve = self.polarization.curve
+            sub = {coords[0]: curve[0], coords[1]: curve[1]}
+            integrand = ex.add(
+                ex.mul(ex.substitute(theta[0], sub), ex.differentiate(curve[0], "t")),
+                ex.mul(ex.substitute(theta[1], sub), ex.differentiate(curve[1], "t")),
+            )
+            prog = program.compile_expr(integrand, ("c", "t"))
+            run = memo[theta] = memo.setdefault(prog, _runner(prog))
+        memo[member] = run
         return run
 
     def flux(self, labels) -> np.ndarray:
@@ -107,49 +110,45 @@ class LeafTransport:
         frame.  The four arguments are equal-length sequences, one column
         each.
 
-        An entry is cached under the bytes of its four values.  An empty
-        segment gives 0 without quadrature.  The distinct entries missing
-        from the cache go to one quadrature call, one row each, in which
-        every distinct integrand is evaluated once per bisection level, on
-        the rows of the elements it belongs to.
+        An empty segment gives 0 without quadrature.  The live entries are
+        told apart by the bits of their four values, so -0.0 and 0.0 are
+        two entries, and the distinct ones, in order of first appearance,
+        go to one quadrature call, one row each, in which every distinct
+        integrand is evaluated once per bisection level, on the rows of the
+        elements it belongs to.  Nothing is kept between calls.
         """
         rows = np.empty((len(t0), 4))
         rows[:, 0], rows[:, 1], rows[:, 2], rows[:, 3] = elements, labels, t0, t1
-        # bytes keys are hashed once each and never tracked by the garbage
-        # collector, unlike tuples of floats
-        keys = rows.view(np.dtype((np.void, 32))).ravel().tolist()
-        cache = self._integrals
-        vals = list(map(cache.get, keys))
-        if None in vals:
-            # the distinct misses, in order of appearance
-            miss = dict.fromkeys([key for key, val in zip(keys, vals) if val is None])
-            new = np.frombuffer(b"".join(miss), dtype=float).reshape(-1, 4)
-            live = new[:, 2] != new[:, 3]  # an empty segment stays 0
-            if live.any():
-                new = new[live]
-                members, cs = new[:, 0].astype(int), new[:, 1]
-                # one run per distinct integrand, on the rows of every
-                # element whose integrand it is
-                shared: dict = {}  # run -> its number
-                number = np.zeros(members.max() + 1, dtype=int)  # by member
-                for member in sorted(set(members.tolist())):
-                    run = self.integrand(member)
-                    number[member] = shared.setdefault(run, len(shared))
-                row_run = number[members]
-                runs = [(run, np.flatnonzero(row_run == j))
-                        for run, j in shared.items()]
+        out = np.zeros(len(rows), dtype=np.complex128)
+        live = np.flatnonzero(rows[:, 2] != rows[:, 3])  # an empty segment is 0
+        if not live.size:
+            return out
+        keys = rows[live].view(np.dtype((np.void, 32))).ravel()
+        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        order = np.argsort(first)  # the distinct rows, in order of appearance
+        new = rows[live[first[order]]]
+        at = np.empty_like(order)  # each distinct row's place in new
+        at[order] = np.arange(len(order))
+        members, cs = new[:, 0].astype(int), new[:, 1]
+        # one run per distinct integrand, on the rows of every element
+        # whose integrand it is
+        shared: dict = {}  # run -> its number
+        number = np.zeros(members.max() + 1, dtype=int)  # by member
+        for member in sorted(set(members.tolist())):
+            run = self.integrand(member)
+            number[member] = shared.setdefault(run, len(shared))
+        row_run = number[members]
+        runs = [(run, np.flatnonzero(row_run == j)) for run, j in shared.items()]
 
-                def f(ts):
-                    if len(runs) == 1:  # every row: no copies of rows
-                        return runs[0][0](cs, ts)
-                    out = np.empty(ts.shape, dtype=np.complex128)
-                    for run, r in runs:
-                        out[r] = run(cs[r], ts[r])
-                    return out
+        def f(ts):
+            if len(runs) == 1:  # every row: no copies of rows
+                return runs[0][0](cs, ts)
+            vals = np.empty(ts.shape, dtype=np.complex128)
+            for run, r in runs:
+                vals[r] = run(cs[r], ts[r])
+            return vals
 
-                trace.count("transport_integrals", len(new))
-                trace.count("transport_batches")
-                got = integrate(f, new[:, 2], new[:, 3]).tolist()
-                cache.update(zip(compress(miss, live.tolist()), got))
-            vals = list(map(cache.get, keys, repeat(0j)))
-        return np.array(vals, dtype=np.complex128)
+        trace.count("transport_integrals", len(new))
+        trace.count("transport_batches")
+        out[live] = integrate(f, new[:, 2], new[:, 3])[at[inverse]]
+        return out

@@ -10,7 +10,9 @@ The reference restricts image tuples one (sub cell, super cell) pair at a
 time (pointwise_res) and sums those restrictions over the faces of each
 cell (pointwise_delta).  The blocks of cech.delta_matrix are checked
 against it, and criterion res-laws checks it obeys the restriction laws.
-grid_delta assembles one degree's operator and applies it.
+grid_delta assembles one degree's operator and applies it, and phi, the
+left inverse of cech.psi on one cell, averages a tuple back to the cell's
+reference trivialization.
 """
 
 from typing import NamedTuple
@@ -136,6 +138,16 @@ def pointwise_res(grid, transport, sub_key, super_key, values):
         for k, ak in enumerate(sub):
             out[j] += cell_transition(grid, super_key, ak, bj) * moved[k]
     return out / n1
+
+
+def phi(grid, key, tup):
+    """Left inverse of cech.psi on one cell: average the tuple back to the
+    reference trivialization (the first member)."""
+    indices, base = key[0], grid_cell(grid, key).base_points
+    acc = np.zeros(tup.shape[1], dtype=np.complex128)
+    for j, b in enumerate(indices):
+        acc += grid.cover.transition(b, indices[0], base) * tup[j]
+    return acc / len(indices)
 
 
 def cell_tuples(grid, degree, vec):

@@ -20,14 +20,13 @@ from gqlab.cech import (
     cohomology_ranks,
     half_offset_grid,
     half_offset_labels,
-    phi,
     psi,
 )
 from gqlab.prequantum import refine, split_boxes
 
 from gqlab.transport import LeafTransport
 
-from cells import grid_cell, grid_delta, nerve_faces, pointwise_res
+from cells import grid_cell, grid_delta, nerve_faces, phi, pointwise_res
 
 TWO_PI = 2.0 * math.pi
 

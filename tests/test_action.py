@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from gqlab import action, catalog, program, trace
+from gqlab import action, catalog, cech, program, trace
 from gqlab import expr as ex
 from gqlab.action import (
     CocycleObstruction,
@@ -537,8 +537,6 @@ def test_theorem_1_two_element_plane_shear(models):
 def test_theorem_1_assembles_each_degree_once_per_side(models, monkeypatch, name, params,
                                                        spec):
     # the commutation check applies the operators the ranks assembled
-    from gqlab import cech
-
     exm = models(name, **params)
     comp = _complementary(exm, spec)
     assemble, degrees = cech.delta_matrix, []
@@ -582,16 +580,34 @@ def test_theorem_1_builds_one_grid_per_side(models, monkeypatch):
         return grids[-1]
 
     monkeypatch.setattr(TransversalGrid, "build", classmethod(counted))
+    # the distinct live entries of each transport call, and how many of the
+    # calls each delta_matrix call makes
+    integral, matrix = LeafTransport.integral, cech.delta_matrix
+    distinct, inside = [], []
+
+    def counted_integral(self, elements, t0, t1, labels):
+        rows = np.column_stack([elements, labels, t0, t1]).astype(float)
+        distinct.append(len({r.tobytes() for r in rows[rows[:, 2] != rows[:, 3]]}))
+        return integral(self, elements, t0, t1, labels)
+
+    def counted_matrix(grid, degree):
+        before = len(distinct)
+        out = matrix(grid, degree)
+        inside.append(len(distinct) - before)
+        return out
+
+    monkeypatch.setattr(LeafTransport, "integral", counted_integral)
+    monkeypatch.setattr(cech, "delta_matrix", counted_matrix)
     with trace.counting() as counts:
         rep = verify_theorem_1(comp, exm.polarization(), grid_n=16)
     assert rep.passed and len(grids) == 2
     assert counts["grid_builds"] == 2
     assert grids[0].cover is exm.cover and grids[1].cover is comp.base
-    # the commutation check's transport integrals are counted with the
-    # ranks': one per integral the two grids' transports hold
-    assert counts["transport_integrals"] == sum(
-        len(g.leaf_transport._integrals) for g in grids
-    )
+    # every transport call is one of the ranks' delta_matrix calls, which
+    # integrates its distinct live entries once: the commutation check
+    # adds no integral
+    assert len(inside) == 6 and sum(inside) == len(distinct) > 0
+    assert counts["transport_integrals"] == sum(distinct) > 0
 
 
 def test_theorem_1_fails_on_a_corrupted_target_transition(models):

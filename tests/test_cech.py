@@ -1,7 +1,8 @@
 """The trivialization complex: transport, the psi/phi pair, delta, ranks.
 
 delta's blocks are checked against the per-face reference of cells.py,
-which restricts image tuples one (face, cell) pair at a time."""
+which restricts image tuples one (face, cell) pair at a time; phi, psi's
+left inverse, lives there too."""
 
 import math
 
@@ -20,7 +21,6 @@ from gqlab.cech import (
     delta_matrix,
     half_offset_grid,
     half_offset_labels,
-    phi,
     psi,
 )
 from gqlab.geometry import LeafFrame, pushforward_polarization
@@ -36,6 +36,7 @@ from cells import (
     grid_delta,
     nerve_cells,
     nerve_faces,
+    phi,
     pointwise_delta,
 )
 
@@ -457,16 +458,20 @@ def test_label_array_integral_matches_scalar_calls(models, kind):
         want = np.array([_one(scalar, member, c, t0, t1) for c in c_elem])
         assert vals.shape == c_elem.shape
         assert np.all(np.abs(vals - want) <= 1e-14 * np.maximum(1.0, np.abs(want)))
-    # one quadrature call per segment at most; later one-label calls hit
-    # the cache
-    assert counts["transport_batches"] <= len(segments) < counts["transport_integrals"]
-    with trace.counting() as again:
-        for member, c_elem, t0, t1 in segments:
-            n = len(c_elem)
-            vals = batched.integral([member] * n, [t0] * n, [t1] * n, c_elem)
-            for c, val in zip(c_elem, vals):
-                assert _one(batched, member, c, t0, t1) == val
-    assert again == {}
+    # each call integrates its distinct live entries once, in one
+    # quadrature call at most
+    rows = [len(set(c_elem.tolist())) if t0 != t1 else 0
+            for _, c_elem, t0, t1 in segments]
+    assert counts["transport_batches"] == sum(map(bool, rows)) <= len(segments)
+    assert counts["transport_integrals"] == sum(rows) > len(segments)
+    # a repeated call, and each of its entries as a batch of one, give the
+    # same bits
+    for (member, c_elem, t0, t1), vals in zip(segments, got):
+        n = len(c_elem)
+        again = batched.integral([member] * n, [t0] * n, [t1] * n, c_elem)
+        assert again.tobytes() == vals.tobytes()
+        for c, val in zip(c_elem, vals):
+            assert _one(batched, member, c, t0, t1) == val
 
 
 def test_label_array_integral_of_empty_interval_or_no_labels(models):
@@ -479,19 +484,25 @@ def test_label_array_integral_of_empty_interval_or_no_labels(models):
     assert counts == {}  # no quadrature call
 
 
-@pytest.mark.parametrize("kind", ["generic", "pullback"])
-def test_entry_integrals_group_by_segment(models, kind):
-    # shuffled entries with repeats: one quadrature row per distinct entry
-    # missing from the cache, all of them in one quadrature call
-    grid = _blocks_grid(models, "torus", {"k": 2}, kind)
-    rng = np.random.default_rng(5)
+def _entries(grid, seed):
+    """Shuffled (member, t0, t1, c) rows of the face segments of grid, half
+    of each segment's labels, with repeats."""
+    rng = np.random.default_rng(seed)
     rows = [
         (member, t0, t1, c)
         for member, c_elem, t0, t1 in _face_segments(grid)
         for c in c_elem[: 1 + len(c_elem) // 2]
     ]
     rows += [rows[i] for i in rng.integers(len(rows), size=len(rows))]  # repeats
-    entries = np.array(rows)[rng.permutation(len(rows))]
+    return np.array(rows)[rng.permutation(len(rows))]
+
+
+@pytest.mark.parametrize("kind", ["generic", "pullback"])
+def test_entry_integrals_group_by_segment(models, kind):
+    # shuffled entries with repeats: one quadrature row per distinct live
+    # entry, all of them in one quadrature call
+    grid = _blocks_grid(models, "torus", {"k": 2}, kind)
+    entries = _entries(grid, 5)
     segments = {(int(m), t0, t1) for m, t0, t1, _ in entries.tolist()}
     distinct = {(int(m), t0, t1, c) for m, t0, t1, c in entries.tolist() if t0 != t1}
     assert len(segments) > 1 and len(distinct) < len(entries)
@@ -504,19 +515,48 @@ def test_entry_integrals_group_by_segment(models, kind):
     one = LeafTransport(grid.cover, grid.polarization)
     want = [_one(one, int(m), c, t0, t1) for m, t0, t1, c in entries.tolist()]
     assert got.view(float).tolist() == np.array(want).view(float).tolist()
-    # the cache answers a second batch in another order without quadrature
+    # a second batch in another order integrates the same distinct entries
+    # once more, in one call, and gives the same bits
     with trace.counting() as counts:
         again = transport.integral(*entries[::-1].T)
         assert transport.integral([], [], [], []).shape == (0,)
-    assert np.array_equal(again, got[::-1]) and counts == {}
-    # a batch with some misses makes one more call, for the misses alone
+    assert again.tobytes() == got[::-1].tobytes()
+    assert counts == {"transport_integrals": len(distinct), "transport_batches": 1}
+    # a batch with new entries makes one call, for every distinct entry
     extra = entries[entries[:, 1] != entries[:, 2]][:3].copy()
     extra[:, 3] += 1e-3
     with trace.counting() as counts:
-        transport.integral(*np.concatenate([entries, extra]).T)
-    misses = {(int(m), t0, t1, c) for m, t0, t1, c in extra.tolist()} - distinct
-    assert counts == {"transport_integrals": len(misses), "transport_batches": 1}
-    assert misses
+        more = transport.integral(*np.concatenate([entries, extra]).T)
+    added = {(int(m), t0, t1, c) for m, t0, t1, c in extra.tolist()} - distinct
+    assert added
+    assert counts == {"transport_integrals": len(distinct | added),
+                      "transport_batches": 1}
+    assert more[: len(entries)].tobytes() == got.tobytes()
+
+
+@pytest.mark.parametrize("kind", ["generic", "pullback"])
+def test_entry_integrals_do_not_depend_on_call_history(models, kind):
+    grid = _blocks_grid(models, "torus", {"k": 2}, kind)
+    entries = _entries(grid, 7)
+    fresh = LeafTransport(grid.cover, grid.polarization).integral(*entries.T)
+    # the same entries after an unrelated call, and reversed
+    transport = LeafTransport(grid.cover, grid.polarization)
+    other = entries[entries[:, 1] != entries[:, 2]][:5].copy()
+    other[:, 3] += 0.25
+    transport.integral(*other.T)
+    assert transport.integral(*entries.T).tobytes() == fresh.tobytes()
+    assert transport.integral(*entries[::-1].T).tobytes() == fresh[::-1].tobytes()
+    # entries that differ only in the sign of a zero label are two rows
+    member, t0, t1 = entries[entries[:, 1] != entries[:, 2]][0, :3].tolist()
+    with trace.counting() as counts:
+        signed = transport.integral([member] * 3, [t0] * 3, [t1] * 3, [0.0, -0.0, 0.0])
+    assert counts == {"transport_integrals": 2, "transport_batches": 1}
+    assert signed[0] == signed[2]
+    # an all-empty batch makes no quadrature call
+    with trace.counting() as counts:
+        empty = transport.integral(entries[:, 0], entries[:, 1], entries[:, 1],
+                                   entries[:, 3])
+    assert counts == {} and empty.tobytes() == bytes(16 * len(entries))
 
 
 def _reference_blocks(grid, degree):

@@ -239,6 +239,35 @@ def test_transport_integrands_match_per_expression(models, name, params, maps):
             assert np.all(np.abs(got - chain) <= 1e-12 * np.maximum(1.0, np.abs(chain)))
 
 
+@pytest.mark.parametrize("name,params", [("torus", {"k": 3}), ("cylinder", {}),
+                                         ("plane", {"granularity": 2})])
+def test_transport_composes_each_distinct_potential_once(models, monkeypatch, name,
+                                                         params):
+    # the elements of a cover that share a potential formula share its
+    # composed integrand: one substitution per component, not per element
+    exm = models(name, **params)
+    potentials = exm.cover.data.potentials
+    transport = LeafTransport(exm.cover, exm.polarization())
+    substitute, depth, top = ex.substitute, [0], []
+
+    def counted(e, mapping):
+        if not depth[0]:
+            top.append(e)
+        depth[0] += 1
+        try:
+            return substitute(e, mapping)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(ex, "substitute", counted)
+    runs = [transport.integrand(a) for a in sorted(potentials)]
+    again = [transport.integrand(a) for a in sorted(potentials)]
+    distinct = set(potentials.values())
+    assert len(top) == 2 * len(distinct)
+    assert len({id(run) for run in runs}) <= len(distinct)
+    assert [id(run) for run in again] == [id(run) for run in runs]
+
+
 def test_owners_compile_once(models, monkeypatch):
     exm = models("cylinder")
     cover, pol = exm.cover, exm.polarization()

@@ -24,7 +24,6 @@ SRC = Path(gqlab.__file__).resolve().parent
 KEEP = {
     "catalog.untwisted_circle_example": "criterion untwisted-degeneration",
     "catalog.untwisted_circle_example.data_builder": "criterion untwisted-degeneration",
-    "cech.phi": "criterion psi-phi-isomorphism",
     "geometry.Box.intersect":
         "tests/test_prequantum.py::test_nerve_matches_pairwise_construction",
     "prequantum.LocalData.transition_expr": "criterion rank-stability (through refine)",
