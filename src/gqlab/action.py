@@ -107,12 +107,17 @@ def gauge_potentials(naive, pulled, elements: np.ndarray, pts):
     on element a that vanishes at the element's center, at each canonical
     point of pts, (n, 2), for a = elements[i]; returns the (n,) values.
 
-    The path to a target runs along x from the center to the target's x0,
-    then along y at x0, both legs in the element's own frame
-    (docs/conventions.md, "Gauge integrals").  One integrate call per
-    element integrates the x leg once per distinct x0 and the y leg once per
-    target, one row per leg that is not empty.  Counts the leg integrals
-    (gauge_integrals) and the points evaluated (gauge_nodes).
+    The path to a target runs along x from the center (x_c, y_c) to the
+    target's x0, then along y at x0, both legs in the element's own frame
+    (docs/conventions.md, "Gauge integrals").  The x legs depend only on
+    x0 and are taken once per distinct x0, the y legs once per target; an
+    empty leg is 0 and is not evaluated.  A leg whose component of the
+    gauge form does not read the leg's variable is that component's value
+    at the leg's start times the leg's length: g_0(x_c, y_c) (x0 - x_c)
+    for an x leg, g_1(x0, y_c) (x1 - y_c) for a y leg.  The other legs are
+    the rows of one integrate call per element.  Counts the closed-form
+    legs (gauge_exact), the integrated ones (gauge_integrals) and the
+    points at which the gauge form was evaluated (gauge_nodes).
     """
     coords = naive.manifold.coords
     out = np.empty(len(pts), dtype=np.complex128)
@@ -125,36 +130,51 @@ def gauge_potentials(naive, pulled, elements: np.ndarray, pts):
             )
         # BinOp, not ex.sub, which folds 0 - x into -x and can flip the sign
         # of a zero that the difference of the two potentials keeps
-        g_x, g_y = (
-            program.compile_expr(ex.BinOp("-", tn, tp), coords)
+        diffs = [
+            ex.BinOp("-", tn, tp)
             for tn, tp in zip(naive.data.potentials[a], pulled.data.potentials[a])
-        )
+        ]
+        g_x, g_y = (program.compile_expr(d, coords) for d in diffs)
+        exact_x, exact_y = (c not in ex.free_vars(d) for c, d in zip(coords, diffs))
         x_base, y_base = naive.elements[a].box.center()
         x0s, x_leg = np.unique(lifted[:, 0], return_inverse=True)
-        # the x legs, then the y legs; empty legs are 0 and not evaluated
-        starts = np.repeat([x_base, y_base], [len(x0s), len(lifted)])
-        ends = np.concatenate([x0s, lifted[:, 1]])
-        live = np.flatnonzero(starts != ends)
-        n_x = int(np.count_nonzero(live < len(x0s)))  # the live x legs
-        x_y = lifted[live[n_x:] - len(x0s), 0]
+        x_legs = np.zeros(len(x0s), dtype=np.complex128)
+        y_legs = np.zeros(len(lifted), dtype=np.complex128)
+        lx = np.flatnonzero(x0s != x_base)  # the legs that are not empty
+        ly = np.flatnonzero(lifted[:, 1] != y_base)
+        if exact_x and lx.size:  # one value at the center serves every x leg
+            g0 = kernels.evaluate(g_x, {coords[0]: x_base, coords[1]: y_base})
+            x_legs[lx] = g0 * (x0s[lx] - x_base)
+            trace.count("gauge_exact", lx.size)
+            trace.count("gauge_nodes")
+            lx = lx[:0]
+        if exact_y and ly.size:
+            g1 = kernels.evaluate(g_y, {coords[0]: lifted[ly, 0], coords[1]: y_base})
+            y_legs[ly] = g1 * (lifted[ly, 1] - y_base)
+            trace.count("gauge_exact", ly.size)
+            trace.count("gauge_nodes", ly.size)
+            ly = ly[:0]
+        if lx.size + ly.size:  # the other legs, the x legs first, in one call
+            x_y = lifted[ly, 0]
 
-        def legs(ts):
-            """g_x at (t, y_base) on the x legs, g_y at (x0, t) on the y legs."""
-            n = ts.shape[1]
-            tx, ty = ts[:n_x].ravel(), ts[n_x:].ravel()
-            vals = np.concatenate(
-                [
-                    kernels.evaluate(g_x, {coords[0]: tx, coords[1]: y_base}),
-                    kernels.evaluate(g_y, {coords[0]: np.repeat(x_y, n), coords[1]: ty}),
-                ]
-            )
-            trace.count("gauge_nodes", ts.size)
-            return vals.reshape(ts.shape)
+            def legs(ts):
+                """g_x at (t, y_base) on the x legs, g_y at (x0, t) on the y legs."""
+                n = ts.shape[1]
+                tx, ty = ts[: lx.size].ravel(), ts[lx.size :].ravel()
+                vals = np.concatenate(
+                    [
+                        kernels.evaluate(g_x, {coords[0]: tx, coords[1]: y_base}),
+                        kernels.evaluate(g_y, {coords[0]: np.repeat(x_y, n), coords[1]: ty}),
+                    ]
+                )
+                trace.count("gauge_nodes", ts.size)
+                return vals.reshape(ts.shape)
 
-        legs_int = np.zeros(len(starts), dtype=np.complex128)
-        legs_int[live] = integrate(legs, starts[live], ends[live])
-        trace.count("gauge_integrals", len(live))
-        out[rows] = legs_int[: len(x0s)][x_leg] + legs_int[len(x0s) :]
+            starts = np.repeat([x_base, y_base], [lx.size, ly.size])
+            legs_int = integrate(legs, starts, np.concatenate([x0s[lx], lifted[ly, 1]]))
+            x_legs[lx], y_legs[ly] = legs_int[: lx.size], legs_int[lx.size :]
+            trace.count("gauge_integrals", lx.size + ly.size)
+        out[rows] = x_legs[x_leg] + y_legs
     return out
 
 
@@ -169,6 +189,7 @@ def overlap_constants(naive, pulled) -> tuple:
     slices, so every value is the one a cell-by-cell construction gives.
     """
     manifold, nerve = naive.manifold, naive.nerve
+    trace.count("gauge_exact", 0)
     trace.count("gauge_integrals", 0)
     trace.count("gauge_nodes", 0)
     # Step 2: the gauge 1-form g = theta_naive - phi^* theta must be closed;

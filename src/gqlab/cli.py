@@ -426,29 +426,25 @@ def cmd_act(cfg: RunConfig, args, counts: dict) -> int:
     crange = cfg.range or exm.census_range
     which = cfg.verify_targets
     local = check_local_data(exm.cover, cfg.tol)
+    mapped = _map_check(exm, phi, cfg.tol)
 
     def refuse(status: str, payload: dict, line: str) -> int:
         report = _report(cfg, exm, counts, {**payload, "status": status}, False, t0)
         _emit(report, args, [line, f"status: {status}"])
         return 1
 
-    # invariance means nothing for data that breaks the bundle laws
+    # invariance means nothing for data that breaks the bundle laws, nor for
+    # a map that is no symplectomorphism to tol (one whose arguments swamp
+    # float precision), as `check --map` gives it
     if not local.passed:
         return refuse("invalid_local_data", {"local_data": local.as_dict()},
                       _local_data_line(local))
-    # one complementary cover (or obstruction) serves both theorems
-    try:
-        built = build_complementary(phi, exm)
-    except InternalConsistencyError:
-        # a map whose arguments swamp float precision breaks the cover's
-        # invariants; when it is no symplectomorphism to tol, that is the
-        # verdict, as `check --map` gives it
-        mapped = _map_check(exm, phi, cfg.tol)
-        if mapped["pass"]:
-            raise
+    if not mapped["pass"]:
         return refuse("invalid_map", {"symplectomorphism": mapped},
                       f"map: symplectic={mapped['symplectic_max']:.3e} "
                       f"inverse={mapped['inverse_max']:.3e}")
+    # one complementary cover (or obstruction) serves both theorems
+    built = build_complementary(phi, exm)
     if isinstance(built, CocycleObstruction):  # no theorem has its hypothesis
         reports = [
             CorrespondenceReport(

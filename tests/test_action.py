@@ -149,26 +149,35 @@ def test_batched_gauge_integrals_match_scalar_construction(
             assert abs(batched.tree_solution[v] - w) < 1e-12
 
 
-def _per_cell_gauge_potentials(naive, pulled, elements, pts):
+def _per_cell_gauge_potentials(naive, pulled, elements, pts, closed_form=True, sizes=None):
     """f_a at the targets as the construction computed it before its gauge
     integrals were gathered by element: per overlap cell and member, both
     legs at every target, each node reduced to canonical coordinates and
     lifted back into the element to evaluate the gauge form as one
-    two-part program.  The targets are laid out as overlap_constants
-    passes them: each cell's samples for its first member, then each
-    cell's samples for its second."""
+    two-part program.  With closed_form, a leg whose component does not
+    read the leg's variable is that component at the leg's start times
+    the leg's length, and an empty leg is 0; without it, every leg is
+    integrated.  The targets are laid out as overlap_constants passes
+    them: each cell's samples for its first member, then each cell's
+    samples for its second; or in runs of one element each, of the given
+    sizes."""
     manifold = naive.manifold
-    sizes = naive.nerve.samples(1, manifold).sizes
-    assert len(pts) == 2 * sizes.sum()
+    if sizes is None:
+        sizes = np.tile(naive.nerve.samples(1, manifold).sizes, 2)
+    assert len(pts) == sizes.sum()
     out = np.empty(len(pts), dtype=np.complex128)
-    ends = np.cumsum(np.tile(sizes, 2)).tolist()
+    ends = np.cumsum(sizes).tolist()
     for start, end in zip([0] + ends[:-1], ends):
         assert np.all(elements[start:end] == elements[start])
         a = int(elements[start])
-        pairs = zip(naive.data.potentials[a], pulled.data.potentials[a])
-        prog = program.compile_expr(
-            tuple(ex.BinOp("-", tn, tp) for tn, tp in pairs), manifold.coords
+        diffs = tuple(
+            ex.BinOp("-", tn, tp)
+            for tn, tp in zip(naive.data.potentials[a], pulled.data.potentials[a])
         )
+        prog = program.compile_expr(diffs, manifold.coords)
+        exact = [
+            closed_form and c not in ex.free_vars(d) for c, d in zip(manifold.coords, diffs)
+        ]
         box = naive.elements[a].box
         base = box.center()
 
@@ -180,7 +189,7 @@ def _per_cell_gauge_potentials(naive, pulled, elements, pts):
                 )
             return eval_at(prog, manifold.coords, lifted)
 
-        def f_alpha(targets, base=base, box=box, gauge_form=gauge_form):
+        def f_alpha(targets, base=base, box=box, gauge_form=gauge_form, exact=exact):
             lift = manifold.lift_into(as_points(targets), box)
             x0s, x1s = lift[:, 0], lift[:, 1]
 
@@ -192,7 +201,13 @@ def _per_cell_gauge_potentials(naive, pulled, elements, pts):
                 pts = np.column_stack([np.repeat(x0s, ts.shape[1]), ts.ravel()])
                 return gauge_form(manifold.reduce(pts))[1].reshape(ts.shape)
 
-            return integrate(leg0, base[0], x0s) + integrate(leg1, base[1], x1s)
+            def leg(g, start, stops, closed):
+                if not closed:
+                    return integrate(g, start, stops)
+                at_start = g(np.full((len(stops), 1), start))[:, 0]
+                return np.where(stops != start, at_start * (stops - start), 0)
+
+            return leg(leg0, base[0], x0s, exact[0]) + leg(leg1, base[1], x1s, exact[1])
 
         out[start:end] = f_alpha(pts[start:end])
     return out
@@ -213,8 +228,10 @@ def _per_cell_gauge_potentials(naive, pulled, elements, pts):
 def test_gauge_integrals_by_element_match_the_per_cell_construction(
     models, monkeypatch, name, params, spec
 ):
-    # one quadrature per element, x legs once per distinct x0, the gauge
-    # form evaluated in the element frame: the same bits as per cell
+    # one quadrature per element for the legs that need it, x legs once per
+    # distinct x0, closed-form legs where a component does not read its
+    # leg's variable, the gauge form evaluated in the element frame: the
+    # same bits as per cell
     exm = models(name, **params)
     phi = catalog.make_map(exm, spec)
     with trace.counting() as counters:
@@ -230,7 +247,66 @@ def test_gauge_integrals_by_element_match_the_per_cell_construction(
     else:
         assert by_element.witness_cycle == per_cell.witness_cycle
         assert by_element.cycle_product == per_cell.cycle_product
-    assert 0 < counters["gauge_integrals"] < counters["gauge_nodes"]
+    assert 0 < counters["gauge_exact"] + counters["gauge_integrals"]
+    assert 15 * counters["gauge_integrals"] <= counters["gauge_nodes"]
+
+
+# the components of the gauge form that do not read their leg's variable,
+# (x leg, y leg), the same on every element of the cover
+@pytest.mark.parametrize(
+    "name, params, spec, closed",
+    [
+        ("torus", {"k": 2}, f"translate:{math.pi:.17g},0", (True, True)),
+        ("torus", {"k": 2}, "translate:0.7,0", (True, True)),
+        ("cylinder", {}, "pshift:1", (True, True)),
+        ("cylinder", {}, "pshift:0.4", (True, True)),
+        ("sphere", {"k": 3}, "rot:1.0", (True, True)),
+        ("plane", {"granularity": 2}, "shear", (True, False)),
+        ("plane", {"granularity": 2}, "rot:0.3", (False, False)),
+        ("disk", {}, "rot:0.7", (False, False)),
+    ],
+)
+def test_closed_form_gauge_legs_equal_their_integrals(
+    models, monkeypatch, name, params, spec, closed
+):
+    exm = models(name, **params)
+    phi = catalog.make_map(exm, spec)
+    covers = []
+    overlap_constants = action.overlap_constants
+
+    def kept(naive, pulled):
+        covers.append((naive, pulled))
+        return overlap_constants(naive, pulled)
+
+    monkeypatch.setattr(action, "overlap_constants", kept)
+    build_complementary(phi, exm)
+    ((naive, pulled),) = covers
+    # every element's own samples: the disk has no overlap
+    s0 = naive.nerve.samples(0, naive.manifold)
+    elements = np.repeat([cell[0] for cell, _ in s0.keys], s0.sizes)
+    pts = s0.points
+    got = action.gauge_potentials(naive, pulled, elements, pts)
+    want = _per_cell_gauge_potentials(
+        naive, pulled, elements, pts, closed_form=False, sizes=s0.sizes
+    )
+    assert np.all(np.abs(got - want) <= 1e-13 * np.maximum(1.0, np.abs(want)))
+    for a in np.unique(elements).tolist():
+        # every leg that is not empty is closed or integrated, as its
+        # component reads its variable or not
+        rows = elements == a
+        lifted = naive.member_points(a, pts[rows])
+        center = naive.elements[a].box.center()
+        live = (
+            np.count_nonzero(np.unique(lifted[:, 0]) != center[0]),
+            np.count_nonzero(lifted[:, 1] != center[1]),
+        )
+        with trace.counting() as counts:
+            action.gauge_potentials(naive, pulled, elements[rows], pts[rows])
+        assert min(live) > 0
+        assert counts.get("gauge_exact", 0) == sum(n for n, c in zip(live, closed) if c)
+        assert counts.get("gauge_integrals", 0) == sum(
+            n for n, c in zip(live, closed) if not c
+        )
 
 
 def _per_cell_overlap_constants(naive, pulled):

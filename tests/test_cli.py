@@ -737,23 +737,31 @@ def test_act_reports_work_counters(capsys):
     assert code == 0
     counters = report["timing"]["counters"]
     assert set(counters) == {
-        "gauge_integrals", "gauge_nodes", "grid_builds",
+        "gauge_exact", "gauge_integrals", "gauge_nodes", "grid_builds",
         "transport_integrals", "transport_batches", "leaf_blocks", "svd_calls",
         "formula_runs", "root_brackets", "root_holonomy_evaluations",
         "root_steps", "census_refinements", "leaf_patterns", "nerve_cells",
     }
     assert counters["grid_builds"] == 2
-    # each leg integral takes at least one 7/15-point pass
-    assert 0 < 22 * counters["gauge_integrals"] <= counters["gauge_nodes"]
+    # the torus translation's gauge form reads neither leg's variable: every
+    # leg is in closed form, one point per x leg's element and per y leg
+    assert counters["gauge_integrals"] == 0 < counters["gauge_exact"]
+    assert 0 < counters["gauge_nodes"] <= counters["gauge_exact"]
     assert "counters" not in json.dumps(report["payload"])
     _, again = run_json(capsys, *argv)
     assert again["timing"]["counters"] == counters
-    # theorem 2 alone builds no grid; an obstructed map integrates the gauge
-    # form and stops there
+    # the plane shear's y legs are integrated, each at least one 15-point pass
+    code, report = run_json(capsys, "act", "--example", "plane", "--granularity", "2",
+                            "--grid", "16", "--map", "shear")
+    counters = report["timing"]["counters"]
+    assert code == 0 and counters["gauge_exact"] > 0
+    assert 0 < 15 * counters["gauge_integrals"] <= counters["gauge_nodes"]
+    # theorem 2 alone builds no grid; an obstructed map takes the gauge
+    # legs and stops there
     code, report = run_json(capsys, *argv[:-1], "translate:0.7,0")
     assert code == 1
     assert set(report["timing"]["counters"]) == {
-        "gauge_integrals", "gauge_nodes", "nerve_cells", "formula_runs",
+        "gauge_exact", "gauge_integrals", "gauge_nodes", "nerve_cells", "formula_runs",
     }
     # (theorem 2 reads no --grid)
     code, report = run_json(capsys, *argv[:5], *argv[7:], "--verify", "thm2")

@@ -175,13 +175,17 @@ def test_bad_config_exits_2_with_no_warning(argv):
     assert [str(w.message) for w in caught] == []
 
 
-# maps whose arguments swamp float precision: the complementary cover's
-# invariants break, and the sampled map check says why
+# maps whose arguments swamp float precision: the sampled map check refuses
+# them before the complementary cover is built, as `check --map` does
 SWAMPED_MAPS = [
     ("--example", "cylinder", "--map", "pshift:1e10"),
     ("--example", "torus", "--k", "1", "--map", "translate:1e15,0"),
     ("--example", "torus", "--k", "1", "--map", "translate:0,1e15"),
     ("--example", "plane", "--granularity", "2", "--map", "translate:1e300,0"),
+    ("--example", "plane", "--granularity", "2", "--map", "translate:1e17,0"),
+    ("--example", "plane", "--granularity", "1", "--map", "translate:1e300,0"),
+    ("--example", "sphere", "--k", "2", "--map", "rot:1e17"),
+    ("--example", "torus", "--k", "1", "--map", "translate:1e300,0"),
 ]
 
 

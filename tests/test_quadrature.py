@@ -151,7 +151,7 @@ def test_nan_on_a_subinterval_where_its_row_is_accepted_is_ignored():
     # the constant row is accepted on [0, 1] at once; once the peak row is
     # bisected, the constant row turns NaN, which nothing may read
     def f(t):
-        late = t.shape[1] > 22
+        late = t.shape[1] > 15
         return np.array([np.full(t.shape[1], np.nan if late else 1.0) + 0j, _sharp(t[1])])
 
     got = integrate(f, 0.0, [1.0, 1.0])
@@ -163,13 +163,13 @@ def test_nan_on_a_subinterval_where_its_row_is_accepted_is_ignored():
 def test_nan_in_an_open_row_raises_at_once():
     # the peak row is open on both halves of [0, 1] and NaN there
     def f(t):
-        late = t.shape[1] > 22
+        late = t.shape[1] > 15
         return np.array([np.full(t.shape[1], 1.0 + 0j), _sharp(t[1]) * (np.nan if late else 1)])
 
     g, seen = _counting(f)
     with pytest.raises(QuadratureError, match=r"non-finite estimate on \[0.0, 0.5\]"):
         integrate(g, 0.0, [1.0, 1.0])
-    assert seen[0] == 2 * 22 + 2 * 44  # one bisection, then it stops
+    assert seen[0] == 2 * 15 + 2 * 30  # one bisection, then it stops
 
 
 # --- vector-valued integrands ---------------------------------------------------
@@ -236,16 +236,15 @@ def test_non_finite_estimate_raises_at_once(f, m):
     g, seen = _counting(f)
     with pytest.raises(QuadratureError, match=r"non-finite estimate on \[0.0, 1.0\]"):
         integrate(g, *_same(0.0, 1.0, m))
-    assert seen[0] == 22 * m  # the first 7+15 nodes of each row, no bisection
+    assert seen[0] == 15 * m  # the first 15 nodes of each row, no bisection
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_overflowing_estimate_is_not_accepted():
-    # huge values on the 15-point nodes only: I15 overflows while I7 = 0, and
-    # err = inf passes the relative test tol * (1 + |I15|) = inf
-    x15 = np.polynomial.legendre.leggauss(15)[0]
-    nodes = 0.5 + 0.5 * np.delete(x15, 7)  # all but the shared midpoint
-    f = lambda t: np.where(np.isin(t, nodes), 1.5e308, 0.0) + 0j  # noqa: E731
+    # huge values on the 8 Kronrod nodes only: K15 overflows while G7 = 0,
+    # and err = inf passes the relative test tol * (1 + |K15|) = inf
+    nodes = 0.5 + 0.5 * quadrature._X[7:]
+    f = lambda t: np.where(np.isin(t, nodes), np.finfo(float).max, 0.0) + 0j  # noqa: E731
     with pytest.raises(QuadratureError, match=r"non-finite estimate on \[0.0, 1.0\]"):
         _integral(f, 0.0, 1.0)
 
@@ -254,15 +253,26 @@ def test_non_finite_estimate_of_one_row_raises_at_once():
     g, seen = _counting(lambda t: np.where([[False], [True]], np.nan, t) + 0j)
     with pytest.raises(QuadratureError, match=r"non-finite estimate on \[1.0, 2.0\]"):
         integrate(g, [0.0, 1.0], [1.0, 2.0])
-    assert seen[0] == 44
+    assert seen[0] == 30
 
 
-@pytest.mark.parametrize("n", [7, 15])
-def test_node_tables_are_leggauss_bit_for_bit(n):
+def test_node_tables_are_leggauss_bit_for_bit():
     from numpy.polynomial.legendre import leggauss
 
-    nodes, weights = leggauss(n)
-    table = {7: (quadrature._X7, quadrature._W7), 15: (quadrature._X15, quadrature._W15)}
-    for got, want in zip(table[n], (nodes, weights)):
+    for got, want in zip((quadrature._X7, quadrature._W7), leggauss(7)):
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
+
+
+def test_kronrod_table_nests_the_gauss_rule():
+    from numpy.polynomial.legendre import leggauss
+
+    nodes, weights = quadrature._X, quadrature._WK
+    assert nodes.shape == weights.shape == (15,)
+    assert nodes[:7].tobytes() == leggauss(7)[0].tobytes()  # G7 is a slice
+    assert len(set(nodes.tolist())) == 15 and np.all(np.abs(nodes) < 1)
+    assert weights.sum() == 2.0
+    # exact for polynomials of degree 3 * 7 + 1 = 22, and no higher
+    for j in range(23):
+        assert abs((weights * nodes**j).sum() - (1 + (-1) ** j) / (j + 1)) < 1e-15, j
+    assert 1e-9 < abs((weights * nodes**24).sum() - 2 / 25) < 1e-8
