@@ -287,6 +287,8 @@ def cmd_parse_expr(args) -> int:
         values = {}
         for item in args.at.split(","):
             name, _, val = item.partition("=")
+            if name in values:
+                raise ConfigurationError(f"--at gives {name!r} more than once")
             try:
                 values[name] = complex(val)
             except ValueError:

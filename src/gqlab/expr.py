@@ -4,7 +4,7 @@ Every formula in the workbench (symplectic coefficients, connection
 potentials, transition functions, maps, leaf curves) is an immutable syntax
 tree over named coordinates.  Trees support exact symbolic differentiation,
 substitution, a canonical printer whose output re-parses to the same tree,
-and compilation to a flat program for the array evaluator.
+and compilation to a straight-line NumPy function for the array evaluator.
 
 Supported nodes: numeric literals, ``pi``, the imaginary unit ``i``, named
 variables, ``+ - * / ^`` (``**`` is accepted as a synonym for ``^``), unary

@@ -1,34 +1,17 @@
-"""The expression evaluator: a NumPy stack machine over compiled programs.
+"""The expression evaluator: runs the straight-line NumPy function that
+program.compile_expr generates for each program.
 
-Operates on whole arrays per opcode: complex128 throughout, principal
-branches for log/sqrt/pow, atan2 on real parts, and invalid operations
-produce nan/inf rather than raising.  A tuple program leaves one row per
-part; each row sees exactly the ufunc sequence of the part's own program.
+Works on whole arrays per node: complex128 throughout, principal branches
+for log/sqrt/pow, atan2 on real parts, and invalid operations produce
+nan/inf rather than raising.  A tuple program leaves one row per part;
+each row sees exactly the ufunc sequence of the part's own program.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .program import (
-    OP_ADD,
-    OP_ATAN2,
-    OP_CONST,
-    OP_COS,
-    OP_DIV,
-    OP_EXP,
-    OP_LOG,
-    OP_MUL,
-    OP_NEG,
-    OP_POW,
-    OP_POWI,
-    OP_SIN,
-    OP_SQRT,
-    OP_SUB,
-    OP_VAR,
-    Program,
-    compile_expr,
-)
+from .program import Program, compile_expr
 
 
 def run(prog, cols, n: int | None = None) -> np.ndarray:
@@ -38,56 +21,11 @@ def run(prog, cols, n: int | None = None) -> np.ndarray:
     program."""
     if n is None:
         n = cols.shape[1] if cols.ndim == 2 else 0
-    stack = np.empty((prog.max_stack, n), dtype=np.complex128)
-    consts = prog.consts
-    top = -1
     with np.errstate(all="ignore"):
-        for op, arg in prog.code:
-            if op == OP_CONST:
-                top += 1
-                stack[top] = consts[arg]
-            elif op == OP_VAR:
-                top += 1
-                stack[top] = cols[arg]
-            elif op == OP_ADD:
-                stack[top - 1] += stack[top]
-                top -= 1
-            elif op == OP_SUB:
-                stack[top - 1] -= stack[top]
-                top -= 1
-            elif op == OP_MUL:
-                stack[top - 1] *= stack[top]
-                top -= 1
-            elif op == OP_DIV:
-                stack[top - 1] /= stack[top]
-                top -= 1
-            elif op == OP_NEG:
-                np.negative(stack[top], out=stack[top])
-            elif op == OP_POW:
-                stack[top - 1] **= stack[top]
-                top -= 1
-            elif op == OP_POWI:
-                stack[top] **= arg
-            elif op == OP_EXP:
-                np.exp(stack[top], out=stack[top])
-            elif op == OP_LOG:
-                np.log(stack[top], out=stack[top])
-            elif op == OP_SIN:
-                np.sin(stack[top], out=stack[top])
-            elif op == OP_COS:
-                np.cos(stack[top], out=stack[top])
-            elif op == OP_SQRT:
-                np.sqrt(stack[top], out=stack[top])
-            elif op == OP_ATAN2:
-                stack[top - 1] = np.arctan2(
-                    stack[top - 1].real, stack[top].real
-                ).astype(np.complex128)
-                top -= 1
-            else:  # pragma: no cover
-                raise RuntimeError(f"bad opcode {op}")
+        rows = prog.run(cols, n)
     if prog.outputs is None:
-        return stack[0].copy()
-    return stack[: prog.outputs].copy()
+        return rows[0].copy()
+    return rows[: prog.outputs].copy()
 
 
 def evaluate(e, values: dict):
@@ -112,7 +50,7 @@ def evaluate(e, values: dict):
             scalar = False
             n = len(values[k])
             break
-    # each input is cast into the stack as it is loaded: no (nvars, n)
+    # each input is cast into its row as it is loaded: no (nvars, n)
     # complex copy of the inputs, which on large batches costs more than the
     # arithmetic
     out = run(prog, [values[k] for k in names], n)

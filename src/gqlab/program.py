@@ -1,14 +1,31 @@
-"""Compilation of expression trees to flat stack programs.
+"""Compilation of expression trees to straight-line NumPy functions.
 
-A program is the input of the evaluator in kernels.py: a postorder opcode
-tape over a complex stack, with a constant pool and positional variables.
-The tape and the pool are tuples of Python ints and complex numbers, so
-the evaluator dispatches without unpacking NumPy scalars.
+A program is the input of the evaluator in kernels.py.  compile_expr
+walks the tree in postorder and writes one NumPy statement per node into
+the source of a function run(cols, n): the function fills the rows of a
+complex (rows, n) array s, reusing them as a stack whose every row is
+fixed at compile time, and returns s.  Each statement is one line of this
+table and nothing else:
+
+    variable j              s[r] = cols[j]
+    constant (pi, i, 2.5)   s[r] = kN
+    a + b  (- * / ^)        s[r] += s[r+1]   (-=, *=, /=, **=)
+    a ^ p, p an integer     s[r] **= p       (2 <= |p| <= 32)
+    -a, exp log sin cos     np.negative(s[r], out=s[r]), np.exp(...), ...
+      sqrt
+    atan2(a, b)             s[r] = np.arctan2(s[r].real, s[r+1].real)
+
+No input text reaches the source: a variable is named by its column
+index and a constant by the name kN it is bound to in the function's
+namespace, which holds only NumPy and those constants.  So formulas of
+one shape have one source, and share the code compiled from it.  The
+source is kept on the program, so an evaluator result can be explained by
+reading it.
 
 A program computes one expression or a tuple of them.  The parts of a
 tuple are emitted one after another, the way the arguments of a function
 call are: part j is computed on top of the finished parts 0..j-1 and ends
-in stack row j.  Each part runs exactly the operations of its own
+in row j.  Each part runs exactly the operations of its own
 single-expression program, so its values are bit-identical to that
 program's.
 
@@ -21,46 +38,32 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import NamedTuple
+from typing import Callable, NamedTuple
+
+import numpy as np
 
 from . import expr as ex
 
-OP_CONST = 0
-OP_VAR = 1
-OP_ADD = 2
-OP_SUB = 3
-OP_MUL = 4
-OP_DIV = 5
-OP_NEG = 6
-OP_POW = 7
-OP_POWI = 8
-OP_EXP = 9
-OP_LOG = 10
-OP_SIN = 11
-OP_COS = 12
-OP_SQRT = 13
-OP_ATAN2 = 14
-
-_FN_OPS = {
-    "exp": OP_EXP,
-    "log": OP_LOG,
-    "sin": OP_SIN,
-    "cos": OP_COS,
-    "sqrt": OP_SQRT,
-    "atan2": OP_ATAN2,
+_CALLS = {
+    "exp": "np.exp(s[{r}], out=s[{r}])",
+    "log": "np.log(s[{r}], out=s[{r}])",
+    "sin": "np.sin(s[{r}], out=s[{r}])",
+    "cos": "np.cos(s[{r}], out=s[{r}])",
+    "sqrt": "np.sqrt(s[{r}], out=s[{r}])",
+    "atan2": "s[{r}] = np.arctan2(s[{r}].real, s[{r1}].real)",
 }
 
 
 class Program(NamedTuple):
-    code: tuple  # ((opcode, argument), ...) of Python ints
-    consts: tuple  # pool of Python complex numbers
+    run: Callable  # run(cols, n) -> complex128 (rows, n); row j is output j
     var_names: tuple  # variable j is input column j
-    max_stack: int
+    source: str  # the Python source of run
     outputs: int | None = None  # number of parts; None for one expression
 
 
-def _emit(e, code, consts, const_index, var_index):
-    """Append postorder ops for e; return stack growth high-water mark."""
+def _emit(e, r, lines, consts, var_index) -> int:
+    """Append the statements that leave e's value in row r; return the
+    number of rows they use."""
     if isinstance(e, ex.Num):
         key = complex(e.value)
     elif isinstance(e, ex.Pi):
@@ -70,44 +73,49 @@ def _emit(e, code, consts, const_index, var_index):
     else:
         key = None
     if key is not None:
-        idx = const_index.setdefault(key, len(consts))
-        if idx == len(consts):
-            consts.append(key)
-        code.append((OP_CONST, idx))
-        return 1
+        name = consts.setdefault(key, f"k{len(consts)}")
+        lines.append(f"s[{r}] = {name}")
+        return r + 1
     if isinstance(e, ex.Var):
-        code.append((OP_VAR, var_index[e.name]))
-        return 1
+        lines.append(f"s[{r}] = cols[{var_index[e.name]}]")
+        return r + 1
     if isinstance(e, ex.Neg):
-        depth = _emit(e.arg, code, consts, const_index, var_index)
-        code.append((OP_NEG, 0))
-        return depth
+        rows = _emit(e.arg, r, lines, consts, var_index)
+        lines.append(f"np.negative(s[{r}], out=s[{r}])")
+        return rows
     if isinstance(e, ex.BinOp):
         if e.op == "^":
             p = ex._num(e.right)
             if p is not None and p == int(p) and 2 <= abs(p) <= 32:
-                depth = _emit(e.left, code, consts, const_index, var_index)
-                code.append((OP_POWI, int(p)))
-                return depth
-        d1 = _emit(e.left, code, consts, const_index, var_index)
-        d2 = _emit(e.right, code, consts, const_index, var_index)
-        op = {"+": OP_ADD, "-": OP_SUB, "*": OP_MUL, "/": OP_DIV, "^": OP_POW}[e.op]
-        code.append((op, 0))
-        return max(d1, 1 + d2)
+                rows = _emit(e.left, r, lines, consts, var_index)
+                lines.append(f"s[{r}] **= {int(p)}")
+                return rows
+        op = "**" if e.op == "^" else e.op
+        rows = _emit(e.left, r, lines, consts, var_index)
+        rows = max(rows, _emit(e.right, r + 1, lines, consts, var_index))
+        lines.append(f"s[{r}] {op}= s[{r + 1}]")
+        return rows
     if isinstance(e, ex.Call):
-        depth = _emit_parts(e.args, code, consts, const_index, var_index)
-        code.append((_FN_OPS[e.fn], 0))
-        return depth
+        rows = _emit_parts(e.args, r, lines, consts, var_index)
+        lines.append(_CALLS[e.fn].format(r=r, r1=r + 1))
+        return rows
     raise TypeError(f"cannot compile {e!r}")
 
 
-def _emit_parts(parts, code, consts, const_index, var_index):
-    """Emit parts one after another, part j ending in stack row j; return
-    the stack high-water mark."""
-    depth = 0
+def _emit_parts(parts, r, lines, consts, var_index) -> int:
+    """Emit parts one after another, part j ending in row r + j; return the
+    number of rows they use."""
+    rows = 0
     for j, part in enumerate(parts):
-        depth = max(depth, j + _emit(part, code, consts, const_index, var_index))
-    return depth
+        rows = max(rows, _emit(part, r + j, lines, consts, var_index))
+    return rows
+
+
+@lru_cache(maxsize=8192)
+def _code(source: str):
+    """The code of a program's source, shared by every program that has
+    that source: compile() costs several times what emitting it does."""
+    return compile(source, "<gqlab program>", "exec")
 
 
 @lru_cache(maxsize=8192)
@@ -117,14 +125,21 @@ def compile_expr(e, var_names: tuple) -> Program:
     missing = frozenset().union(*map(ex.free_vars, parts)) - set(var_names)
     if missing:
         raise ValueError(f"unbound variables {sorted(missing)}")
-    code: list = []
-    consts: list = []
+    lines: list = []
+    consts: dict = {}  # complex value -> its name in the namespace
     var_index = {name: j for j, name in enumerate(var_names)}
-    max_stack = _emit_parts(parts, code, consts, {}, var_index)
+    rows = _emit_parts(parts, 0, lines, consts, var_index)
+    source = "\n    ".join(
+        ["def run(cols, n):", f"s = np.empty(({rows}, n), np.complex128)"]
+        + lines
+        + ["return s\n"]
+    )
+    namespace = {"__builtins__": {}, "np": np}
+    namespace.update((name, value) for value, name in consts.items())
+    exec(_code(source), namespace)
     return Program(
-        code=tuple(code),
-        consts=tuple(consts),
+        run=namespace["run"],
         var_names=var_names,
-        max_stack=max_stack,
+        source=source,
         outputs=len(parts) if isinstance(e, tuple) else None,
     )

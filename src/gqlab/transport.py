@@ -33,7 +33,7 @@ def _runner(prog: program.Program):
     """run(cs, ts) of a program over ("c", "t"): its values at the labels cs
     and the nodes ts, an array (len(cs), k) of each label's nodes or k
     nodes shared by all labels, as a (len(cs), k) array.  The columns go to
-    the evaluator as real arrays, which it casts into its stack as it
+    the evaluator as real arrays, which it casts into its rows as it
     loads them, without the copies that adding 0j would allocate."""
 
     def run(cs: np.ndarray, ts: np.ndarray) -> np.ndarray:

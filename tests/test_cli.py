@@ -359,6 +359,7 @@ def test_act_builds_the_complementary_cover_once(capsys, monkeypatch):
         ("parse-expr", "x", "--at", "x="),
         ("parse-expr", "x", "--at", "y"),
         ("parse-expr", "x+y", "--at", "x=1"),
+        ("parse-expr", "x", "--at", "x=1,x=2"),
         ("parse-expr", "1e400"),
         ("check", "--example", "plane", "--out", "/nonexistent/dir/r.json"),
         ("bs", "--example", "torus", "--csv", "/nonexistent/dir/r.csv"),
