@@ -11,22 +11,24 @@ transport integrals of one call share one quadrature loop.
 
 The grid keeps, per nerve degree, one column per quantity over the
 degree's (cell, label) entries, cell after cell in the nerve's row order
-(GridDegree); every operation gathers from these columns and the nerve's
-tables, by row.
+(GridDegree), and their order by label (LabelOrder); every operation
+gathers from these columns and the nerve's tables, by row.
 
 The differential acts on the image subspaces: one coefficient per leaf
 label per nerve cell, taken in the trivialization of the cell's first
 member, which psi turns into the tuple over all members.  Transport never
 leaves a leaf, so the differential is assembled as one dense block per
 leaf label, and its singular values, from which the Čech ranks come, are
-the union of the blocks' (docs/conventions.md, "Ranks").  Each degree is
-assembled in one pass: its leaf segments gathered from per-degree frame
-tables, one transport call (one quadrature loop) for all of its entries,
-one transition call for all of them (one evaluator run per distinct
-transition formula), and one accumulation per block shape into a stack of
-blocks with their rows and columns: the one implementation of the
-differential, which the ranks decompose, delta applies and theorem 1 reuses
-from its ranks; the tests check the blocks against a per-face reference.
+the union of the blocks' (docs/conventions.md, "Ranks").  The grid's
+build computes the entries of every degree in one pass (DeltaEntries):
+their leaf segments gathered from per-degree frame tables, one transport
+call (one quadrature loop) for the entries of all degrees, so a segment
+two degrees share is integrated once, and one transition call for all of
+them (one evaluator run per distinct transition formula).  delta_matrix
+stacks a degree's entries, one accumulation per block shape, into blocks
+with their rows and columns: the one implementation of the differential,
+which the ranks decompose, delta applies and theorem 1 reuses from its
+ranks; the tests check the blocks against a per-face reference.
 """
 
 from __future__ import annotations
@@ -82,15 +84,39 @@ _NO_CELLS = GridDegree(*read_only(
 ))
 
 
+class LabelOrder(NamedTuple):
+    """The entries of one degree by label, as read-only columns; a degree
+    without entries has the empty order, which nothing reads."""
+
+    counts: np.ndarray  # (labels,): the entries on each label
+    rank: np.ndarray  # (entries,): each entry's place among its label's entries
+    order: np.ndarray  # (entries,): the entries, by label, stably
+    starts: np.ndarray  # (labels,): each label's first place in order
+
+
+class DeltaEntries(NamedTuple):
+    """The nonzero entries of delta from one degree into the next, as
+    read-only columns in (cell, face, label) order (docs/conventions.md,
+    "Ranks"); missing is the smallest label an open face lacks though its
+    cell carries it, -1 when there is none, and then there are no
+    entries."""
+
+    rows: np.ndarray  # each entry's coefficient of the degree above
+    cols: np.ndarray  # its coefficient of the degree
+    labels: np.ndarray  # its label's index into the grid's labels
+    values: np.ndarray  # (-1)^j lambda_{beta0, ref} exp(-i integral)
+    missing: int
+
+
 class TransversalGrid(NamedTuple):
     """Shared leaf discretization of a cover for one polarization.
 
     build makes it complete: one GridDegree per nerve degree, with every
     cell's labels and basepoints, the LeafFrame of the nerve's cells,
     degree after degree (how leaves cross them, the rule the leaf atlas
-    uses too), and the leaf transport.  The transport keeps no integral
-    between calls, so nothing in a grid changes after build but its
-    transport's memo of compiled integrands.
+    uses too), each degree's LabelOrder, and the DeltaEntries of every
+    degree of the differential the nerve reaches.  Nothing in a grid
+    changes after build.
     """
 
     cover: TrivializationCover
@@ -98,7 +124,8 @@ class TransversalGrid(NamedTuple):
     labels: np.ndarray
     degrees: tuple  # the GridDegree of each nerve degree
     frame: LeafFrame  # of the nerve's cells, degree after degree
-    leaf_transport: LeafTransport
+    orders: tuple  # the LabelOrder of each nerve degree
+    deltas: tuple  # the DeltaEntries of delta from each degree but the last
 
     # -- construction -------------------------------------------------------
 
@@ -106,7 +133,8 @@ class TransversalGrid(NamedTuple):
     def build(cls, cover, polarization, labels) -> "TransversalGrid":
         """The grid of labels: one crossing mask of every nerve cell and
         label, whose nonzero entries, cell by cell, are the columns of
-        every degree, and one curve call for all their basepoints."""
+        every degree, and one curve call for all their basepoints; then
+        of_columns."""
         labels = np.asarray(labels, dtype=float)
         pol, manifold, tables = polarization, cover.manifold, cover.nerve.degrees
         frame = LeafFrame.of(
@@ -134,14 +162,70 @@ class TransversalGrid(NamedTuple):
                 starts[lo : hi + 1] - a, cell[a:b] - lo, label[a:b], c[a:b],
                 points[a:b], t_bp[lo:hi], frame.whole[lo:hi],
             )))
-        return cls(
-            cover=cover,
-            polarization=pol,
-            labels=labels,
-            degrees=tuple(degrees),
-            frame=frame,
-            leaf_transport=LeafTransport(cover, pol),
+        return cls.of_columns(cover, pol, labels, tuple(degrees), frame)
+
+    @classmethod
+    def of_columns(cls, cover, polarization, labels, degrees, frame) -> "TransversalGrid":
+        """The grid of the columns of each degree: their label orders and
+        the entries of delta from every degree but the last, assembled in
+        one pass (docs/conventions.md, "Ranks").  The tables of each degree
+        with coefficients (coefficients by cell and label, basepoint
+        parameters and label shifts by cell and member) are built once,
+        for both degrees of delta that read it, and a degree without
+        coefficients builds none; the entries of every degree are gathered from
+        them, and their transitions are one cover.transition call and
+        their transport integrals one LeafTransport.integral call, so a
+        segment that two degrees share is integrated once.  A degree whose
+        open face lacks a label its cell carries keeps that label, for
+        delta_matrix to raise, and no entries."""
+        n_labels = len(labels)
+        transport = LeafTransport(cover, polarization)
+        orders, tables = [], []
+        for columns, table in zip(degrees, cover.nerve.degrees):
+            if len(columns.cells) == 0:  # no coefficients, so no delta reads it
+                orders.append(_NO_ORDER)
+                tables.append(None)
+                continue
+            orders.append(LabelOrder(*read_only(*_by_label(columns.label_idx, n_labels))))
+            # the coefficients by cell and label, and per cell and member t
+            # and shift: in member m's frame the leaf segment from cell f to
+            # cell k runs from t[f, m] to t[k, m], at the labels c_cell of f
+            # plus shift[f, m]
+            dt, shift = frame.offsets(table.shifts)
+            tables.append(
+                (_coefficient_table(columns, n_labels), columns.t_bp[:, None] + dt, shift)
+            )
+        parts = [
+            -1 if src is None or dst is None else _delta_part(
+                cover.nerve.degree(n + 1), degrees[n], degrees[n + 1], src, dst
+            )
+            for n, (src, dst) in enumerate(zip(tables, tables[1:]))
+        ]
+        gathered = [part for part in parts if not isinstance(part, int)]
+        if gathered:
+            rows, cols, g, sign, beta0, ref, t0, t1, c, points = (
+                np.concatenate(column) for column in zip(*gathered)
+            )
+            # lambda_{beta0, ref} at the cells' basepoints, ones when
+            # beta0 == ref, and the transport in beta0's frame from the
+            # face's basepoints to the cell's, on the face's labels: one
+            # call each for the entries of every degree
+            lam = np.ones(len(rows), dtype=np.complex128)
+            moved = np.flatnonzero(beta0 != ref)
+            if len(moved):
+                lam[moved] = cover.transition(beta0[moved], ref[moved], points)
+            values = sign * lam * np.exp(-1j * transport.integral(beta0, t0, t1, c))
+            ends = np.cumsum([0] + [len(part[0]) for part in gathered]).tolist()
+            split = (
+                tuple(column[a:b] for column in (rows, cols, g, values))
+                for a, b in zip(ends, ends[1:])
+            )
+        deltas = tuple(
+            _NO_ENTRIES._replace(missing=part) if isinstance(part, int)
+            else DeltaEntries(*read_only(*next(split)), -1)
+            for part in parts
         )
+        return cls(cover, polarization, labels, degrees, frame, tuple(orders), deltas)
 
     @property
     def nerve(self):
@@ -160,18 +244,48 @@ class TransversalGrid(NamedTuple):
 
     @property
     def n_labels_retained(self) -> int:
-        return int(np.count_nonzero(np.bincount(self.degrees[0].label_idx, minlength=1)))
+        return int(np.count_nonzero(self.orders[0].counts))
 
-    # -- parallel transport --------------------------------------------------
 
-    def frames(self, n: int):
-        """The leaf parameter of the basepoints and the shift of the labels
-        of every cell of degree n, in the frame of each of its members:
-        two (cells, members) arrays t and shift.  In member m's frame the
-        leaf segment from cell f to cell k runs from t[f, m] to t[k, m],
-        at the labels c_cell of f plus shift[f, m]."""
-        dt, shift = self.frame.offsets(self.nerve.degree(n).shifts)
-        return self.degrees[n].t_bp[:, None] + dt, shift
+# the order of a degree without coefficients, which no delta reads, and the
+# entries of a degree of delta with none, which grids share
+_NO_ORDER = LabelOrder(*read_only(*(np.empty(0, dtype=int) for _ in LabelOrder._fields)))
+_NO_ENTRIES = DeltaEntries(*read_only(
+    np.empty(0, dtype=int), np.empty(0, dtype=int), np.empty(0, dtype=int),
+    np.empty(0, dtype=np.complex128),
+), -1)
+
+
+def _delta_part(cells, src, dst, src_tables, dst_tables):
+    """The entries of delta from the degree of src (GridDegree) into the
+    degree of dst, whose nerve cells are cells, in (cell, face, label)
+    order from one broadcast of the cells x labels coefficient tables
+    through the nerve's face table, as columns (rows, cols, labels, signs,
+    beta0, ref, t0, t1, c, points): each entry's transport segment from t0
+    to t1 in beta0's frame at the face label c, and the basepoints of the
+    entries with beta0 != ref.  The tables of a degree are its
+    coefficients by cell and label and its frame tables t and shift.  An
+    open face that lacks a label its cell carries stands for no entries,
+    as the smallest such label."""
+    (src_tab, face_t, face_shift), (dst_tab, cell_t, _) = src_tables, dst_tables
+    face_tab = src_tab[cells.faces]  # cells x faces x labels
+    carried, found = dst_tab[:, None, :] >= 0, face_tab >= 0
+    # a cell lies inside each of its faces, so an open face carries every
+    # label of the cell
+    lacking = carried & ~found & ~src.closed[cells.faces][:, :, None]
+    if lacking.any():
+        return int(np.nonzero(lacking)[2].min())
+    cell, j, g = np.nonzero(carried & found)
+    rows, cols = dst_tab[cell, g], face_tab[cell, j, g]
+    # face j drops the cell's j-th member, so the face's first member, beta0,
+    # sits at position 1 of the cell for face 0 and at position 0 otherwise
+    at = (j == 0).astype(int)
+    beta0, ref = cells.members[cell, at], cells.members[cell, 0]
+    face = cells.faces[cell, j]
+    return (
+        rows, cols, g, 1 - 2 * (j % 2), beta0, ref, face_t[face, 0], cell_t[cell, at],
+        src.c_cell[cols] + face_shift[face, 0], dst.base_points[rows[beta0 != ref]],
+    )
 
 
 def half_offset_grid(cover, polarization, count: int) -> TransversalGrid:
@@ -264,13 +378,11 @@ def delta_matrix(grid: TransversalGrid, degree: int) -> tuple:
 
     Coefficients parameterize each cell's image tuples by the component in
     the first member's trivialization, one per retained leaf label: the
-    entries of the degree's grid columns.  The degree is assembled in one
-    pass (docs/conventions.md, "Ranks"): its entries, in (cell, face,
-    label) order, come from one broadcast of cells x labels tables and the
-    nerve's face table; the transitions of all entries are one
-    cover.transition call, and their transport integrals one
-    LeafTransport.integral call.  An open face that lacks a label its cell
-    carries raises LeafMismatchError, naming the smallest such label.
+    entries of the degree's grid columns.  The blocks are stacked from the
+    degree's DeltaEntries, which the grid's build assembled, and the label
+    orders of the two degrees; delta_matrix computes no transition and no
+    transport.  An open face that lacks a label its cell carries raises
+    LeafMismatchError, naming the smallest such label.
     """
     grid.nerve.require_degree(degree + 1, "delta_matrix")
     src, dst = grid.degrees[degree], grid.degrees[degree + 1]
@@ -281,52 +393,20 @@ def delta_matrix(grid: TransversalGrid, degree: int) -> tuple:
     )
     if n_dst == 0 or n_src == 0:
         return LeafBlocks((n_dst, n_src), ()), *index_maps
-    n_labels = len(grid.labels)
-    dst_tab = _coefficient_table(dst, n_labels)
-    src_tab = _coefficient_table(src, n_labels)
-    cells = grid.nerve.degree(degree + 1)
-    face_tab = src_tab[cells.faces]  # cells x faces x labels
-    carried, found = dst_tab[:, None, :] >= 0, face_tab >= 0
-    # a cell lies inside each of its faces, so an open face carries every
-    # label of the cell
-    lacking = carried & ~found & ~src.closed[cells.faces][:, :, None]
-    if lacking.any():
-        missing = np.nonzero(lacking)[2].min()
+    rows, cols, g, vals, missing = grid.deltas[degree]
+    if missing >= 0:
         raise LeafMismatchError(f"label {missing} does not cross the cell")
-    cell, j, g = np.nonzero(carried & found)
-    rows, cols = dst_tab[cell, g], face_tab[cell, j, g]
-    # face j drops the cell's j-th member, so the face's first member, beta0,
-    # sits at position 1 of the cell for face 0 and at position 0 otherwise
-    at = (j == 0).astype(int)
-    beta0, ref = cells.members[cell, at], cells.members[cell, 0]
-
-    # lambda_{beta0, ref} at the cell's basepoints, ones when beta0 == ref:
-    # one transition call for the degree
-    lam = np.ones(len(rows), dtype=np.complex128)
-    moved = np.flatnonzero(beta0 != ref)
-    if len(moved):
-        lam[moved] = grid.cover.transition(beta0[moved], ref[moved], dst.base_points[rows[moved]])
-    # transport in beta0's frame from the face's basepoints to the cell's,
-    # on the face's labels: one integral call for the whole degree
-    face = cells.faces[cell, j]
-    face_t, face_shift = grid.frames(degree)
-    cell_t = grid.frames(degree + 1)[0]
-    integrals = grid.leaf_transport.integral(
-        beta0, face_t[face, 0], cell_t[cell, at], src.c_cell[cols] + face_shift[face, 0]
-    )
-    sign = 1 - 2 * (j % 2)
-    vals = sign * lam * np.exp(-1j * integrals)
 
     # one zero stack per block shape, filled in entry order; a block's rows
     # and cols are its label's slice of the ascending order of each degree
-    n_rows, row_rank, row_order, row_start = _by_label(dst.label_idx, n_labels)
-    n_cols, col_rank, col_order, col_start = _by_label(src.label_idx, n_labels)
+    n_rows, row_rank, row_order, row_start = grid.orders[degree + 1]
+    n_cols, col_rank, col_order, col_start = grid.orders[degree]
     labels = np.flatnonzero((n_rows > 0) & (n_cols > 0))
     shapes, stack_of = np.unique(
         n_rows[labels] * (n_src + 1) + n_cols[labels], return_inverse=True
     )
     sizes, slot, by_stack, first = _by_label(stack_of, len(shapes))
-    block_of = np.full(n_labels, -1)
+    block_of = np.full(len(grid.labels), -1)
     block_of[labels] = np.arange(len(labels))
     entry_block = block_of[g]
     entry_stack = stack_of[entry_block]

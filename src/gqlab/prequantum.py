@@ -21,15 +21,17 @@ The nerve records every nonempty multi-overlap up to a degree its builder
 chooses (MAX_DEGREE unless told otherwise, see docs/conventions.md
 "Nerve"), one cell per connected component, as one table per degree
 (NerveDegree): a row per cell in sorted key order, with its members,
-box, per-member unrolling shifts, faces as rows of the degree below, and
-interior sample points.  It is the combinatorial carrier for the cochain
-complex, the consistency checks, and the holonomy loop threading.  It
-depends only on the manifold and the element boxes, so every constructor
-builds it from those (build_nerve) before the cover, and hands the cover
-complete to that degree: a cover, its local data and its nerve are
-frozen, their dicts and arrays read-only, and the formulas a cover
-compiles on first use stay valid.  A reader of degree-n cells refuses a
-nerve that stops below n (require_degree).
+box, per-member unrolling shifts, and faces as rows of the degree below.
+It is the combinatorial carrier for the cochain complex, the consistency
+checks, and the holonomy loop threading.  It depends only on the manifold
+and the element boxes, so every constructor builds it from those
+(build_nerve) before the cover, and hands the cover complete to that
+degree: a cover, its local data and its nerve are frozen, their dicts and
+arrays read-only, and the formulas a cover compiles on first use stay
+valid.  The interior sample points of a degree, which only the law checks
+read, are computed from its boxes when read (Nerve.samples), so a command
+that reads none builds none.  A reader of degree-n cells refuses a nerve
+that stops below n (require_degree).
 """
 
 from __future__ import annotations
@@ -106,8 +108,6 @@ class NerveDegree(NamedTuple):
     shifts: np.ndarray  # (cells, d + 1, 2): per member, period multiples into its frame
     faces: np.ndarray  # (cells, d + 1): face j drops member j, a row of degree d - 1
     bases: np.ndarray  # (cells, d + 1, 2): face j's frame offset
-    samples: np.ndarray  # (points, 2): interior points, cell frame, cell after cell
-    sizes: np.ndarray  # (cells,): samples per cell
 
     def row(self, key) -> int:
         """The row of the cell key; a key this degree lacks raises."""
@@ -129,8 +129,10 @@ class DegreeSamples(NamedTuple):
 
 
 class Nerve(Record):
-    def __init__(self, degrees):
+    def __init__(self, degrees, pulled_by=()):
         degrees = tuple(degrees)  # the NerveDegree of each degree, 0 .. max_degree
+        # the maps whose preimages the samples are, in the order they apply
+        pulled_by = tuple(pulled_by)
         self._set(locals())
 
     @property
@@ -148,17 +150,22 @@ class Nerve(Record):
         return degree, self.degrees[degree].row(key)
 
     def samples(self, n: int, manifold: Manifold) -> DegreeSamples:
-        """The samples of the degree-n cells that have any, as arrays read
-        off the degree's table, with one reduce call for all the points."""
+        """The samples of the degree-n cells that have any, computed on
+        read from the degree's boxes (_degree_samples), each map of
+        pulled_by taking them to its preimages in one call, and all the
+        points reduced in one call."""
         table = self.degrees[n]
-        keys, sizes, members = table.keys, table.sizes, table.members
+        keys, members = table.keys, table.members
         if not keys:
-            return DegreeSamples(keys, sizes, table.samples, members)
+            return DegreeSamples(keys, np.zeros(0, dtype=int), np.empty((0, 2)), members)
+        points, sizes = _degree_samples(manifold, table.lo, table.hi, n)
+        for phi in self.pulled_by:
+            points = manifold.reduce(phi.apply_inverse(manifold.reduce(points)))
         if not sizes.all():  # the disk drops samples outside its domain
             kept = np.flatnonzero(sizes)
             keys = tuple(keys[r] for r in kept.tolist())
             sizes, members = sizes[kept], members[kept]
-        points = manifold.reduce(table.samples)
+        points = manifold.reduce(points)
         members = members[0] if len(keys) == 1 else members.repeat(sizes, axis=0)
         return DegreeSamples(keys, sizes, points, members)
 
@@ -344,8 +351,8 @@ def pullback(cover: TrivializationCover, phi: Symplectomorphism) -> Trivializati
     element is its source box moved by -s when phi is a translation by s,
     and otherwise the source box, though the element is phi^-1 of that box
     (which is why refine refuses a pullback cover).  The nerve keeps the
-    source tables but their samples, which are the phi-preimages of the
-    source samples.
+    source tables, and its samples are the phi-preimages of the source
+    samples (Nerve.pulled_by).
     """
     manifold = cover.manifold
     shift = _shift_vector(phi, manifold)
@@ -353,16 +360,8 @@ def pullback(cover: TrivializationCover, phi: Symplectomorphism) -> Trivializati
         el if shift is None else el._replace(box=el.box.shifted(tuple(-shift)))
         for el in cover.elements
     ]
-    # the samples of every cell move in one map call; the map acts row by
-    # row, so each cell gets what a call on its own samples gives
-    source = cover.nerve.degrees
-    samples = np.concatenate([table.samples for table in source])
-    moved = manifold.reduce(phi.apply_inverse(manifold.reduce(samples)))
-    ends = np.cumsum([len(table.samples) for table in source])
-    nerve = Nerve(
-        table._replace(samples=read_only(part))
-        for table, part in zip(source, np.split(moved, ends[:-1]))
-    )
+    source = cover.nerve
+    nerve = Nerve(source.degrees, source.pulled_by + (phi,))
     up = dict(zip(manifold.coords, phi.forward))
     jac = phi.jacobian_exprs()
 
@@ -418,17 +417,15 @@ def _degree_samples(manifold: Manifold, lo: np.ndarray, hi: np.ndarray,
     return points[keep], keep.reshape(len(lo), n * n).sum(axis=1)
 
 
-def _degree_table(manifold, members, comps, lo, hi, shifts, faces, bases) -> NerveDegree:
-    """The read-only NerveDegree of sorted columns, with its keys and
-    samples.  A face missing from faces (-1) raises: the nerve would not
-    be closed under faces."""
+def _degree_table(members, comps, lo, hi, shifts, faces, bases) -> NerveDegree:
+    """The read-only NerveDegree of sorted columns, with its keys.  A face
+    missing from faces (-1) raises: the nerve would not be closed under
+    faces."""
     keys = tuple(zip(map(tuple, members.tolist()), comps.tolist()))
     if (faces < 0).any():
         missing = np.flatnonzero((faces < 0).any(axis=1))[0]
         raise ConfigurationError(f"nerve not closed under faces at {keys[missing]}")
-    samples, sizes = _degree_samples(manifold, lo, hi, members.shape[1] - 1)
-    return NerveDegree(keys, *read_only(members, comps, lo, hi, shifts, faces, bases,
-                                         samples, sizes))
+    return NerveDegree(keys, *read_only(members, comps, lo, hi, shifts, faces, bases))
 
 
 @lru_cache(maxsize=None)
@@ -438,7 +435,6 @@ def _empty_degree(degree: int) -> NerveDegree:
     return NerveDegree((), *read_only(
         ints, np.empty(0, dtype=int), np.empty((0, 2)), np.empty((0, 2)),
         np.empty((0, degree + 1, 2), dtype=int), ints, np.empty((0, degree + 1, 2), dtype=int),
-        np.empty((0, 2)), np.empty(0, dtype=int),
     ))
 
 
@@ -492,7 +488,7 @@ def build_nerve(manifold: Manifold, elements, max_degree: int = MAX_DEGREE) -> N
     lo = np.array([el.box.lo for el in elements], dtype=float).reshape(-1, 2)
     hi = np.array([el.box.hi for el in elements], dtype=float).reshape(-1, 2)
     table = _degree_table(
-        manifold, ids[:, None], np.zeros(n_el, dtype=int), lo, hi,
+        ids[:, None], np.zeros(n_el, dtype=int), lo, hi,
         np.zeros((n_el, 1, 2), dtype=int), np.empty((n_el, 0), dtype=int),
         np.empty((n_el, 0, 2), dtype=int),
     )
@@ -555,7 +551,7 @@ def build_nerve(manifold: Manifold, elements, max_degree: int = MAX_DEGREE) -> N
             faces = np.empty((len(f), degree + 1), dtype=int)
             faces[:, :-1] = _lookup(lookup[0], lookup[1], face_codes[f] + pair_code[:, None])
             faces[:, -1] = f
-        table = _degree_table(manifold, members, comps, lo, hi, shifts, faces, bases)
+        table = _degree_table(members, comps, lo, hi, shifts, faces, bases)
         degrees.append(table)
         # the code of face j's children: its row, and the shift less its base
         face_codes = faces * per_parent - bases @ _DIGITS

@@ -3,8 +3,8 @@ the per-face reference for the differential.
 
 The program keeps one table per degree; tests that check cells one at a
 time read them through these views: a Cell per nerve cell (its members,
-comp, box, shifts and samples, as the per-cell nerve kept them), the faces
-as (face key, base) pairs, and a GridCell per grid cell.
+comp, box, shifts, and its samples as Nerve.samples computes them), the
+faces as (face key, base) pairs, and a GridCell per grid cell.
 
 The reference restricts image tuples one (sub cell, super cell) pair at a
 time (pointwise_res) and sums those restrictions over the faces of each
@@ -29,7 +29,7 @@ class Cell(NamedTuple):
     comp: int  # component number within this index tuple
     box: Box  # in the frame of the first member
     shifts: tuple  # per member: integer period multiples into its frame
-    samples: np.ndarray  # interior points, cell frame
+    samples: np.ndarray  # interior points, reduced
 
     @property
     def key(self):
@@ -40,17 +40,22 @@ class Cell(NamedTuple):
         return len(self.indices) - 1
 
 
-def nerve_cells(nerve) -> dict:
-    """key -> Cell of every nerve cell, degree after degree, in key order."""
+def nerve_cells(nerve, manifold) -> dict:
+    """key -> Cell of every nerve cell, degree after degree, in key order;
+    a cell's samples are its part of Nerve.samples, empty when it has
+    none."""
     out = {}
-    for table in nerve.degrees:
-        ends = np.cumsum(table.sizes).tolist()
-        for row, (key, end) in enumerate(zip(table.keys, ends)):
+    for n, table in enumerate(nerve.degrees):
+        s = nerve.samples(n, manifold)
+        ends = np.cumsum(s.sizes).tolist()
+        samples = {key: s.points[end - size : end]
+                   for key, size, end in zip(s.keys, s.sizes.tolist(), ends)}
+        for row, key in enumerate(table.keys):
             out[key] = Cell(
                 key[0], key[1],
                 Box(tuple(table.lo[row].tolist()), tuple(table.hi[row].tolist())),
                 tuple(map(tuple, table.shifts[row].tolist())),
-                table.samples[end - table.sizes[row] : end],
+                samples.get(key, np.empty((0, 2))),
             )
     return out
 
@@ -64,9 +69,9 @@ def nerve_faces(nerve) -> dict:
     return out
 
 
-def degree_cells(nerve, n: int) -> list:
+def degree_cells(nerve, manifold, n: int) -> list:
     """The Cells of degree n, in key order."""
-    return [cell for cell in nerve_cells(nerve).values() if cell.degree == n]
+    return [cell for cell in nerve_cells(nerve, manifold).values() if cell.degree == n]
 
 
 class GridCell(NamedTuple):
@@ -106,10 +111,14 @@ def cell_transition(grid, key, a, b):
 
 
 def cell_frame(grid, key):
-    """The row of TransversalGrid.frames for one cell: (t, shift)."""
+    """The leaf parameter of a cell's basepoints and the shift of its
+    labels in the frame of each of its members: (t, shift), one value per
+    member.  In member m's frame the leaf segment from cell f to cell k
+    runs from t of f to t of k at m, at the labels c_cell of f plus the
+    shift of f at m."""
     degree, row = grid.nerve.locate(key)
-    t, shift = grid.frames(degree)
-    return t[row], shift[row]
+    dt, shift = grid.frame.offsets(grid.nerve.degree(degree).shifts[row])
+    return grid.degrees[degree].t_bp[row] + dt, shift
 
 
 def pointwise_res(grid, transport, sub_key, super_key, values):

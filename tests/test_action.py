@@ -41,13 +41,13 @@ def test_identity_complementary_reproduces_original_data(models):
     assert isinstance(comp, ComplementaryCover)
     assert comp.certificate_max < 1e-12
     assert all(abs(w - 1.0) < 1e-12 for w in comp.tree_solution.values())
-    for cell in degree_cells(exm.cover.nerve, 1):
-        pts = exm.manifold.reduce(cell.samples)
+    for cell in degree_cells(exm.cover.nerve, exm.manifold, 1):
+        pts = cell.samples
         a, b = cell.indices
         diff = comp.base.transition(a, b, pts) - exm.cover.transition(a, b, pts)
         assert np.max(np.abs(diff)) < 1e-12
-    for cell in degree_cells(exm.cover.nerve, 0):
-        pts = exm.manifold.reduce(cell.samples)
+    for cell in degree_cells(exm.cover.nerve, exm.manifold, 0):
+        pts = cell.samples
         t0 = comp.base.potential(cell.indices[0], pts)
         t1 = exm.cover.potential(cell.indices[0], pts)
         assert max(np.max(np.abs(a - b)) for a, b in zip(t0, t1)) < 1e-12
@@ -316,10 +316,10 @@ def _per_cell_overlap_constants(naive, pulled):
     call per cover on each overlap.  The reference for overlap_constants."""
     manifold, nerve = naive.manifold, naive.nerve
     closed_max = 0.0
-    for cell in nerve_cells(nerve).values():
+    for cell in nerve_cells(nerve, manifold).values():
         if cell.degree != 0 or len(cell.samples) == 0:
             continue
-        pts = manifold.reduce(cell.samples)
+        pts = cell.samples
         resid = np.abs(
             naive.curvature(cell.indices[0], pts) - pulled.curvature(cell.indices[0], pts)
         )
@@ -327,8 +327,8 @@ def _per_cell_overlap_constants(naive, pulled):
     if closed_max > action.CLOSEDNESS_TOL:
         raise InternalConsistencyError(f"gauge 1-form is not closed ({closed_max:.3e})")
     cells = [
-        (key, cell, manifold.reduce(cell.samples))
-        for key, cell in sorted(nerve_cells(nerve).items())
+        (key, cell, cell.samples)
+        for key, cell in sorted(nerve_cells(nerve, manifold).items())
         if cell.degree == 1 and len(cell.samples)
     ]
     # one gauge_potentials call: each cell's samples for a, then for b
@@ -648,42 +648,50 @@ def test_theorem_1_builds_one_grid_per_side(models, monkeypatch):
     exm = models("torus", k=2)
     phi = catalog.make_map(exm, f"translate:{math.pi:.17g},0")
     comp = build_complementary(phi, exm)
-    build = TransversalGrid.build.__func__
-    grids = []
+    # per grid build, its transport calls (the distinct live entries of
+    # each) and its transition calls; and those each delta_matrix makes
+    build, integral, transition = (
+        TransversalGrid.build.__func__, LeafTransport.integral, TrivializationCover.transition
+    )
+    matrix = cech.delta_matrix
+    grids, inside, calls = [], [], {"integral": [], "transition": 0}
 
     def counted(cls, *args, **kwargs):
+        calls.update(integral=[], transition=0)
         grids.append(build(cls, *args, **kwargs))
+        inside.append((list(calls["integral"]), calls["transition"]))
         return grids[-1]
-
-    monkeypatch.setattr(TransversalGrid, "build", classmethod(counted))
-    # the distinct live entries of each transport call, and how many of the
-    # calls each delta_matrix call makes
-    integral, matrix = LeafTransport.integral, cech.delta_matrix
-    distinct, inside = [], []
 
     def counted_integral(self, elements, t0, t1, labels):
         rows = np.column_stack([elements, labels, t0, t1]).astype(float)
-        distinct.append(len({r.tobytes() for r in rows[rows[:, 2] != rows[:, 3]]}))
+        calls["integral"].append(len({r.tobytes() for r in rows[rows[:, 2] != rows[:, 3]]}))
         return integral(self, elements, t0, t1, labels)
 
+    def counted_transition(self, *args):
+        calls["transition"] += 1
+        return transition(self, *args)
+
     def counted_matrix(grid, degree):
-        before = len(distinct)
+        calls.update(integral=[], transition=0)
         out = matrix(grid, degree)
-        inside.append(len(distinct) - before)
+        assert calls == {"integral": [], "transition": 0}
         return out
 
+    monkeypatch.setattr(TransversalGrid, "build", classmethod(counted))
     monkeypatch.setattr(LeafTransport, "integral", counted_integral)
+    monkeypatch.setattr(TrivializationCover, "transition", counted_transition)
     monkeypatch.setattr(cech, "delta_matrix", counted_matrix)
     with trace.counting() as counts:
         rep = verify_theorem_1(comp, exm.polarization(), grid_n=16)
     assert rep.passed and len(grids) == 2
     assert counts["grid_builds"] == 2
     assert grids[0].cover is exm.cover and grids[1].cover is comp.base
-    # every transport call is one of the ranks' delta_matrix calls, which
-    # integrates its distinct live entries once: the commutation check
-    # adds no integral
-    assert len(inside) == 6 and sum(inside) == len(distinct) > 0
-    assert counts["transport_integrals"] == sum(distinct) > 0
+    # each build makes one transport call and one transition call for the
+    # entries of every degree; delta_matrix makes neither, and the
+    # commutation check adds no integral
+    assert [(len(found), n) for found, n in inside] == [(1, 1), (1, 1)]
+    assert counts["transport_integrals"] == sum(found[0] for found, _ in inside) > 0
+    assert counts["transport_batches"] == 2
 
 
 def test_theorem_1_fails_on_a_corrupted_target_transition(models):

@@ -74,9 +74,12 @@ def _segment(grid, member, from_key, to_key, pos_from):
     la = 1 if base.kind != "axis" else base.leaf_axis
     periods = grid.cover.manifold.periods
     p_leaf = periods[la] or 0.0
-    nerve = nerve_cells(grid.nerve)
-    sh_f = nerve[from_key].shifts[nerve[from_key].indices.index(member)]
-    sh_t = nerve[to_key].shifts[nerve[to_key].indices.index(member)]
+
+    def shift(key):  # the member's shift in the cell key
+        degree, row = grid.nerve.locate(key)
+        return grid.nerve.degree(degree).shifts[row, key[0].index(member)].tolist()
+
+    sh_f, sh_t = shift(from_key), shift(to_key)
     t0 = cf.t_bp + sh_f[la] * p_leaf
     t1 = ct.t_bp + sh_t[la] * p_leaf
     c_elem = cf.c_cell[pos_from]
@@ -681,7 +684,7 @@ def _per_cell_grid(grid):
     by cell from its box as the grid found them one flatnonzero at a time."""
     pol, manifold = grid.polarization, grid.cover.manifold
     out = {}
-    for key, cell in nerve_cells(grid.nerve).items():
+    for key, cell in nerve_cells(grid.nerve, manifold).items():
         lo, hi = np.array([cell.box.lo]), np.array([cell.box.hi])
         frame = LeafFrame.of(manifold, pol, lo, hi)
         lifted, inside = frame.lift(grid.labels)
@@ -739,7 +742,7 @@ def test_grid_cells_cross_leaves_as_the_atlas_elements_do(models):
         grid = TransversalGrid.build(cover, pol, half_offset_labels(lo, hi, 24))
         atlas = LeafAtlas(cover, pol)
         lifted, inside = atlas.frame.lift(grid.labels)
-        for p, cell in enumerate(degree_cells(cover.nerve, 0)):
+        for p, cell in enumerate(degree_cells(cover.nerve, cover.manifold, 0)):
             cg = grid_cell(grid, cell.key)
             assert cg.closed == bool(atlas.frame.whole[p]), (name, cell.key)
             if not cg.closed:
@@ -749,9 +752,15 @@ def test_grid_cells_cross_leaves_as_the_atlas_elements_do(models):
                 assert cg.count == 0, (name, cell.key)
 
 
+def _of_degrees(grid, degrees):
+    """The grid of the same cover and labels with the columns degrees:
+    their label orders and delta's entries assembled anew."""
+    return TransversalGrid.of_columns(grid.cover, grid.polarization, grid.labels,
+                                      tuple(degrees), grid.frame)
+
+
 def _without(grid, key, drop):
-    """The grid with the entries of cell key at the labels drop removed,
-    and the cell closed when closed is set."""
+    """The grid with the entries of cell key at the labels drop removed."""
     degree, span = grid.span(key)
     columns = grid.degrees[degree]
     keep = np.ones(len(columns.cells), dtype=bool)
@@ -765,7 +774,7 @@ def _without(grid, key, drop):
     )
     degrees = list(grid.degrees)
     degrees[degree] = trimmed
-    return grid._replace(degrees=tuple(degrees))
+    return _of_degrees(grid, degrees)
 
 
 def test_res_names_the_smallest_label_its_sub_cell_lacks(models):
@@ -784,7 +793,7 @@ def test_res_names_the_smallest_label_its_sub_cell_lacks(models):
     closed[row] = True
     degrees = list(shut.degrees)
     degrees[degree] = degrees[degree]._replace(closed=closed)
-    shut = shut._replace(degrees=tuple(degrees))
+    shut = _of_degrees(shut, degrees)
     v = _coefficients(shut, 0, np.random.default_rng(8))
     got = cell_tuples(shut, 1, grid_delta(shut, 0, v))
     assert got[key].any()
@@ -832,19 +841,20 @@ def _assembly_work(grid, degree):
 )
 def test_delta_matrix_sweeps_each_segment_and_pair_once(models, monkeypatch, name,
                                                         params, n):
+    # the grid's build makes one transport call and one transition call for
+    # the entries of every degree, on the union of the segments and the
+    # element pairs they need, so a row two degrees share is integrated
+    # once; delta_matrix only stacks, and makes neither call
     from gqlab.prequantum import TrivializationCover
 
     exm = models(name, **params)
     pol = exm.polarization()
     labels = half_offset_labels(pol.label_range[0], pol.label_range[1], n)
-    grid = TransversalGrid.build(exm.cover, pol, labels)
     calls = {"integral": [], "transition": []}
     integral, transition = LeafTransport.integral, TrivializationCover.transition
 
     def counted_integral(self, elements, t0, t1, labels):
-        calls["integral"].append(
-            {(int(m), a, b) for m, a, b in zip(elements, t0.tolist(), t1.tolist())}
-        )
+        calls["integral"].append(np.column_stack([elements, labels, t0, t1]).astype(float))
         return integral(self, elements, t0, t1, labels)
 
     def counted_transition(self, a, b, pts):
@@ -853,27 +863,35 @@ def test_delta_matrix_sweeps_each_segment_and_pair_once(models, monkeypatch, nam
 
     monkeypatch.setattr(LeafTransport, "integral", counted_integral)
     monkeypatch.setattr(TrivializationCover, "transition", counted_transition)
-    checked = 0
-    for degree in range(3):
-        for found in calls.values():
-            found.clear()
-        with trace.counting() as counts:
+    with trace.counting() as counts:
+        grid = TransversalGrid.build(exm.cover, pol, labels)
+    work = [_assembly_work(grid, degree) for degree in range(grid.nerve.max_degree)]
+    segments = set().union(*(segs for segs, _ in work))
+    pairs = set().union(*(pairs for _, pairs in work))
+    assert len(calls["integral"]) == 1 and counts["transport_batches"] == 1
+    (rows,) = calls["integral"]
+    assert {(int(m), a, b) for m, _, a, b in rows.tolist()} == segments
+
+    def distinct(rows):  # the live rows, told apart by their bits
+        return {row.tobytes() for row in rows if row[2] != row[3]}
+
+    assert counts["transport_integrals"] == len(distinct(rows))
+    # the call holds the entries degree after degree; a row two degrees
+    # share (the torus has some) is integrated once
+    ends = np.cumsum([len(entries.rows) for entries in grid.deltas])
+    assert ends[-1] == len(rows)
+    shared = sum(map(len, map(distinct, np.split(rows, ends[:-1])))) - len(distinct(rows))
+    assert shared > 0 if name == "torus" else shared == 0
+    # one evaluator run per distinct transition formula among the pairs
+    assert len(calls["transition"]) == 1 and calls["transition"][0] == pairs
+    formulas = {grid.cover.data.transition_expr(a, b) for a, b in pairs}
+    assert counts["formula_runs"] == len(formulas)
+    for found in calls.values():
+        found.clear()
+    with trace.counting() as counts:
+        for degree in range(grid.nerve.max_degree):
             delta_matrix(grid, degree)
-        segments, pairs = _assembly_work(grid, degree)
-        checked += len(calls["integral"]) > 0 and len(calls["transition"]) > 0
-        # one integral call, and at most one quadrature sweep, per degree,
-        # on the leaf segments the entries need
-        assert len(calls["integral"]) <= 1
-        assert counts.get("transport_batches", 0) <= 1
-        assert set().union(*calls["integral"]) <= segments
-        # one transition call per degree, on the element pairs the entries
-        # need, with one evaluator run per distinct formula among them
-        assert len(calls["transition"]) <= 1
-        called = set().union(*calls["transition"])
-        assert called <= pairs
-        formulas = {grid.cover.data.transition_expr(a, b) for a, b in called}
-        assert counts.get("formula_runs", 0) == len(formulas)
-    assert checked
+    assert calls == {"integral": [], "transition": []} and counts == {}
 
 
 @pytest.mark.parametrize("name,k", [("torus", 1), ("torus", 2), ("torus", 3),

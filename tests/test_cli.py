@@ -682,6 +682,49 @@ def test_cohomology_reports_work_counters(capsys):
     assert again["timing"]["counters"] == counters
 
 
+def test_cohomology_integrates_each_distinct_entry_once(capsys, monkeypatch):
+    # one transport call for the grid: every degree's entries, a row that
+    # two degrees share integrated once
+    from gqlab.transport import LeafTransport
+
+    rows = []
+    integral = LeafTransport.integral
+
+    def recorded(self, elements, t0, t1, labels):
+        rows.append(np.column_stack([elements, labels, t0, t1]).astype(float))
+        return integral(self, elements, t0, t1, labels)
+
+    monkeypatch.setattr(LeafTransport, "integral", recorded)
+    code, report = run_json(capsys, "cohomology", "--example", "torus", "--k", "2",
+                            "--grid", "32")
+    assert code == 0 and len(rows) == 1
+    live = {row.tobytes() for row in rows[0] if row[2] != row[3]}
+    counters = report["timing"]["counters"]
+    assert counters["transport_batches"] == 1
+    assert counters["transport_integrals"] == len(live) > 0
+
+
+@pytest.mark.parametrize("name", sorted(catalog.PARAMETERS))
+def test_bs_and_cohomology_compute_no_samples(capsys, monkeypatch, name):
+    # a nerve's samples are computed when a law reads them: bs and
+    # cohomology read none, check reads degrees 0 to 2
+    from gqlab import prequantum
+
+    sampled = []
+    sampler = prequantum._degree_samples
+
+    def counted(manifold, lo, hi, degree):
+        sampled.append(degree)
+        return sampler(manifold, lo, hi, degree)
+
+    monkeypatch.setattr(prequantum, "_degree_samples", counted)
+    assert run_json(capsys, "bs", "--example", name, "--count", "5")[0] == 0
+    assert run_json(capsys, "cohomology", "--example", name, "--grid", "8")[0] == 0
+    assert sampled == []
+    assert run_json(capsys, "check", "--example", name)[0] == 0
+    assert 0 < len(sampled) <= 3 and sampled == sorted(set(sampled))
+
+
 def test_bs_reports_transport_counters(capsys, monkeypatch):
     import gqlab.bohr as bohr
 

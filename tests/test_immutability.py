@@ -171,6 +171,13 @@ def test_grid_columns_are_read_only(covers, kind):
         grid.degrees[0] = grid.degrees[0]
     for columns in grid.degrees:
         _assert_read_only(columns)
+    # the label orders and delta's entries that build assembled
+    for order in grid.orders:
+        _assert_read_only(order)
+    assert any(len(entries.rows) for entries in grid.deltas)
+    for entries in grid.deltas:
+        _assert_read_only(entries[:-1])
+    assert _mutable_values(grid, "grid", set()) == []
     # a rank report keeps the operators it assembled, as read-only stacks
     ranks = cohomology_ranks(grid)
     stacks = [stack for op in ranks.operators for stack in op.stacks]
@@ -235,8 +242,8 @@ def test_local_data_keeps_its_own_copy():
 
 def test_corrupted_copy_compiles_its_own_transition():
     exm = catalog.example("torus", k=1)
-    (cell,) = [c for c in degree_cells(exm.cover.nerve, 1) if c.indices == (0, 1)]
-    pts = exm.manifold.reduce(cell.samples)
+    (cell,) = [c for c in degree_cells(exm.cover.nerve, exm.manifold, 1) if c.indices == (0, 1)]
+    pts = cell.samples
     before = exm.cover.transition(0, 1, pts)  # compiled and cached here
     bad = _apply_corruption(exm, "lam:0,1:1.01")
     np.testing.assert_allclose(bad.cover.transition(0, 1, pts), 1.01 * before, rtol=1e-15)

@@ -161,10 +161,10 @@ def _jacobian(phi, pts, inverse=False):
 
 def _element_points(cover, a):
     """Canonical interior points of element a: its nerve cell samples."""
-    elements = cover.nerve.degree(0)
-    row = elements.row(((a,), 0))
+    elements = cover.nerve.samples(0, cover.manifold)
+    row = elements.keys.index(((a,), 0))
     end = np.cumsum(elements.sizes)[row]
-    return cover.manifold.reduce(elements.samples[end - elements.sizes[row] : end])
+    return elements.points[end - elements.sizes[row] : end]
 
 
 class Segment(NamedTuple):

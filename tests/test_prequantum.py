@@ -119,7 +119,7 @@ def test_transition_antisymmetry_on_random_samples(models):
     exm = models("torus", k=2)
     cover = exm.cover
     rng = np.random.default_rng(5)
-    for cell in degree_cells(cover.nerve, 1):
+    for cell in degree_cells(cover.nerve, cover.manifold, 1):
         a, b = cell.indices
         lo, hi = np.array(cell.box.lo), np.array(cell.box.hi)
         pts = cover.manifold.reduce(rng.uniform(lo, hi, size=(100, 2)))
@@ -133,9 +133,9 @@ def test_transitions_are_well_defined_on_the_manifold(models):
         cover = models(name, **params).cover
         periods = np.array([p or 0.0 for p in cover.manifold.periods])
         rng = np.random.default_rng(2)
-        for cell in degree_cells(cover.nerve, 1):
+        for cell in degree_cells(cover.nerve, cover.manifold, 1):
             a, b = cell.indices
-            pts = cover.manifold.reduce(cell.samples)
+            pts = cell.samples
             shifted = pts + periods * rng.integers(-2, 3, size=pts.shape)
             diff = cover.transition(a, b, pts) - cover.transition(a, b, shifted)
             assert np.max(np.abs(diff)) < 1e-12
@@ -203,9 +203,9 @@ def test_refinement_functoriality(models):
         t2 = fine2.potential(el.index, pts)
         td = direct.potential(el.index, pts)
         assert max(np.max(np.abs(a - b)) for a, b in zip(t2, td)) == 0.0
-    for cell in degree_cells(fine2.nerve, 1):
+    for cell in degree_cells(fine2.nerve, fine2.manifold, 1):
         a, b = cell.indices
-        pts = cover.manifold.reduce(cell.samples)
+        pts = cell.samples
         diff = fine2.transition(a, b, pts) - direct.transition(a, b, pts)
         assert np.max(np.abs(diff)) == 0.0
 
@@ -367,26 +367,27 @@ def _reference_nerve(manifold, elements, max_tuple=MAX_DEGREE + 1):
     return cells, _face_links(cells)
 
 
-def _assert_same_nerve(got, want, max_degree=MAX_DEGREE):
+def _assert_same_nerve(got, want, manifold, max_degree=MAX_DEGREE):
     """The tables of got hold the reference's cells, bit for bit: keys
-    sorted within each degree, members, comps, boxes, shifts and samples,
-    and face keys with their bases."""
+    sorted within each degree, members, comps, boxes and shifts, and face
+    keys with their bases; and Nerve.samples gives each cell's reference
+    samples (cell frame) reduced."""
     want_cells, want_faces = want
     assert got.max_degree == max_degree
     for degree, table in enumerate(got.degrees):
         assert list(table.keys) == sorted(table.keys)
         assert all(len(key[0]) == degree + 1 for key in table.keys)
-        assert len(table.samples) == table.sizes.sum()
-    cells = nerve_cells(got)
+    cells = nerve_cells(got, manifold)
     assert sorted(cells) == sorted(want_cells)
     for key, w in want_cells.items():
         g = cells[key]
         assert (g.indices, g.comp, g.shifts) == (w.indices, w.comp, w.shifts)
         for mine, theirs in ((g.box.lo, w.box.lo), (g.box.hi, w.box.hi)):
             assert np.array(mine, float).tobytes() == np.array(theirs, float).tobytes()
-        assert g.samples.dtype == w.samples.dtype
-        assert g.samples.shape == w.samples.shape, key
-        assert g.samples.tobytes() == w.samples.tobytes(), key
+        reduced = manifold.reduce(w.samples)
+        assert g.samples.dtype == reduced.dtype
+        assert g.samples.shape == reduced.shape, key
+        assert g.samples.tobytes() == reduced.tobytes(), key
     assert nerve_faces(got) == want_faces
 
 
@@ -420,12 +421,13 @@ def _table_cases(models):
 def test_nerve_tables_match_the_per_cell_build(models):
     for name, cover in _table_cases(models):
         got = build_nerve(cover.manifold, cover.elements)
-        _assert_same_nerve(got, _per_cell_nerve(cover.manifold, cover.elements))
-        _assert_same_nerve(cover.nerve, _per_cell_nerve(cover.manifold, cover.elements))
+        want = _per_cell_nerve(cover.manifold, cover.elements)
+        _assert_same_nerve(got, want, cover.manifold)
+        _assert_same_nerve(cover.nerve, want, cover.manifold)
     manifold, elements = _wide_circle_cover()
     nerve = build_nerve(manifold, elements)
     assert max(nerve.degree(3).comps) >= 3  # several components per tuple
-    _assert_same_nerve(nerve, _per_cell_nerve(manifold, elements))
+    _assert_same_nerve(nerve, _per_cell_nerve(manifold, elements), manifold)
 
 
 @pytest.mark.parametrize("name,params,spec", [
@@ -443,7 +445,43 @@ def test_pullback_nerve_matches_the_per_cell_build(models, name, params, spec):
         key: cell._replace(samples=manifold.reduce(phi.apply_inverse(manifold.reduce(cell.samples))))
         for key, cell in cells.items()
     }
-    _assert_same_nerve(pullback(exm.cover, phi).nerve, (moved, faces))
+    _assert_same_nerve(pullback(exm.cover, phi).nerve, (moved, faces), manifold)
+
+
+@pytest.mark.parametrize("name,params,spec", [
+    ("plane", {"granularity": 2}, None), ("cylinder", {}, None), ("torus", {"k": 3}, None),
+    ("sphere", {"k": 3}, None), ("disk", {}, None),
+    ("torus", {"k": 2}, "translate:0.7,0.3"), ("sphere", {"k": 3}, "rot:1.0"),
+])
+def test_nerve_samples_are_computed_on_read_to_the_eager_bits(models, name, params, spec):
+    # the nerve stores no samples: Nerve.samples computes each degree's on
+    # read, and gives what the eager build handed out, bit for bit: the
+    # cells with samples in key order, their sizes, each cell's per-cell
+    # samples (pulled back by the map first, for a pullback) reduced, and
+    # the members at each point
+    exm = models(name, **params)
+    manifold, cover = exm.manifold, exm.cover
+    cells, _ = _per_cell_nerve(manifold, cover.elements)
+    if spec is not None:
+        phi = catalog.make_map(exm, spec)
+        cover = pullback(cover, phi)
+        cells = {
+            key: cell._replace(samples=manifold.reduce(phi.apply_inverse(manifold.reduce(cell.samples))))
+            for key, cell in cells.items()
+        }
+    assert not any("samples" in table._fields for table in cover.nerve.degrees)
+    for n in range(cover.nerve.max_degree + 1):
+        got = cover.nerve.samples(n, manifold)
+        want = sorted((key, cell) for key, cell in cells.items()
+                      if cell.degree == n and len(cell.samples))
+        assert got.keys == tuple(key for key, _ in want)
+        assert got.sizes.tolist() == [len(cell.samples) for _, cell in want]
+        points = [cell.samples for _, cell in want] or [np.empty((0, 2))]
+        assert got.points.tobytes() == manifold.reduce(np.concatenate(points)).tobytes()
+        members = np.array([key[0] for key, _ in want], dtype=int).reshape(-1, n + 1)
+        # one cell gives its one row, so the accessors get scalars
+        members = members[0] if len(want) == 1 else members.repeat(got.sizes, axis=0)
+        assert np.array_equal(got.members, members)
 
 
 def test_a_face_missing_from_the_table_raises(models):
@@ -457,10 +495,11 @@ def test_a_face_missing_from_the_table_raises(models):
     faces[5, 1] = -1
     columns = (table.members, table.comps, table.lo, table.hi, table.shifts)
     with pytest.raises(ConfigurationError, match=re.escape(f"closed under faces at {table.keys[5]}")):
-        _degree_table(cover.manifold, *(np.array(c) for c in columns), faces, np.array(table.bases))
-    whole = _degree_table(cover.manifold, *(np.array(c) for c in columns),
+        _degree_table(*(np.array(c) for c in columns), faces, np.array(table.bases))
+    whole = _degree_table(*(np.array(c) for c in columns),
                           np.array(table.faces), np.array(table.bases))
-    assert whole.keys == table.keys and whole.samples.tobytes() == table.samples.tobytes()
+    assert whole.keys == table.keys
+    assert all(np.array_equal(a, b) for a, b in zip(whole[1:], table[1:]))
 
 
 NERVE_CASES = (
@@ -478,6 +517,7 @@ def test_nerve_matches_pairwise_construction(models, name, params):
     _assert_same_nerve(
         build_nerve(cover.manifold, cover.elements),
         _reference_nerve(cover.manifold, cover.elements),
+        cover.manifold,
     )
 
 
@@ -487,7 +527,8 @@ def test_nerve_matches_pairwise_construction(models, name, params):
 def test_nerve_matches_pairwise_construction_after_refine(models, name, params):
     fine, _ = refine(models(name, **params).cover,
                      split_boxes(models(name, **params).cover))
-    _assert_same_nerve(fine.nerve, _reference_nerve(fine.manifold, fine.elements))
+    _assert_same_nerve(fine.nerve, _reference_nerve(fine.manifold, fine.elements),
+                       fine.manifold)
 
 
 def _dense_nerve(manifold, elements, max_tuple=MAX_DEGREE + 1):
@@ -549,13 +590,15 @@ def test_nerve_matches_the_dense_broadcast(models, name, params):
     _assert_same_nerve(
         build_nerve(cover.manifold, cover.elements),
         _dense_nerve(cover.manifold, cover.elements),
+        cover.manifold,
     )
 
 
 def test_refined_nerve_matches_the_dense_broadcast(models):
     fine, _ = refine(models("torus", k=2).cover, split_boxes(models("torus", k=2).cover))
     assert len(fine.nerve.degree(3).keys)  # the refined torus has cells of every degree
-    _assert_same_nerve(fine.nerve, _dense_nerve(fine.manifold, fine.elements))
+    _assert_same_nerve(fine.nerve, _dense_nerve(fine.manifold, fine.elements),
+                       fine.manifold)
 
 
 # ---------------------------------------------------------------------------
@@ -569,17 +612,17 @@ def test_refined_nerve_matches_the_dense_broadcast(models):
 ])
 def test_shallow_nerve_is_the_full_nerve_cut_off(models, name, params):
     cover = models(name, **params).cover
-    full = cover.nerve
+    full_cells, full_faces = _per_cell_nerve(cover.manifold, cover.elements)
     for depth in range(MAX_DEGREE):
         got = build_nerve(cover.manifold, cover.elements, depth)
         assert got.max_degree == depth
         want = (
-            {key: cell for key, cell in nerve_cells(full).items() if cell.degree <= depth},
-            {key: f for key, f in nerve_faces(full).items() if len(key[0]) <= depth + 1},
+            {key: cell for key, cell in full_cells.items() if cell.degree <= depth},
+            {key: f for key, f in full_faces.items() if len(key[0]) <= depth + 1},
         )
-        _assert_same_nerve(got, want, depth)
+        _assert_same_nerve(got, want, cover.manifold, depth)
         shallow = catalog.example(name, nerve_degree=depth, **params).cover
-        _assert_same_nerve(shallow.nerve, want, depth)
+        _assert_same_nerve(shallow.nerve, want, cover.manifold, depth)
 
 
 def _per_cell_local_data(cover, tol=1e-8):
@@ -592,8 +635,8 @@ def _per_cell_local_data(cover, tol=1e-8):
         worst[law] = float(np.maximum(worst[law], np.max(resid)))
 
     checked = 0
-    for cell in nerve_cells(cover.nerve).values():
-        pts = manifold.reduce(cell.samples)
+    for cell in nerve_cells(cover.nerve, manifold).values():
+        pts = cell.samples
         if len(pts) == 0 or cell.degree > 2:
             continue
         checked += 1
@@ -686,7 +729,7 @@ def test_local_data_check_counts_its_evaluator_runs(models, monkeypatch):
     def formulas(pairs):
         return len({cover.data.transition_expr(i, j) for i, j in pairs})
 
-    cells = [c for c in nerve_cells(cover.nerve).values() if c.degree <= 2]
+    cells = [c for c in nerve_cells(cover.nerve, cover.manifold).values() if c.degree <= 2]
     pairs = [c.indices for c in cells if c.degree == 1]
     triples = [c.indices for c in cells if c.degree == 2]
     assert len(runs) == (
@@ -806,8 +849,8 @@ def test_pullback_data_is_the_chain_through_the_map(models, monkeypatch, name, p
     assert check_local_data(pulled).passed
     manifold = src.manifold
     cells = [
-        (cell, manifold.reduce(cell.samples))
-        for cell in nerve_cells(pulled.nerve).values()
+        (cell, cell.samples)
+        for cell in nerve_cells(pulled.nerve, manifold).values()
         if cell.degree <= 1 and len(cell.samples)
     ]
     for cell, pts in cells:
@@ -874,10 +917,10 @@ def _mixed_pairs(cover, rng):
     (b, a), shuffled; a == b on degree 0.  Both members hold the point."""
     manifold = cover.manifold
     a, b, pts = [], [], []
-    for cell in nerve_cells(cover.nerve).values():
+    for cell in nerve_cells(cover.nerve, manifold).values():
         if cell.degree > 1 or len(cell.samples) == 0:
             continue
-        x = manifold.reduce(cell.samples)
+        x = cell.samples
         first, last = cell.indices[0], cell.indices[-1]  # equal in degree 0
         for i, j in ((first, last), (last, first)):
             a += [i] * len(x)
