@@ -422,6 +422,16 @@ def verify_theorem_1(
     )
 
 
+def _leaf_columns(census) -> tuple:
+    """A census's leaf labels in report order, and its closed leaves'
+    labels, topologies and holonomies: the sampled circle leaves, then the
+    point leaves, whose holonomy is 1."""
+    circles, points = census.labels.tolist(), [c for c, _ in census.points]
+    return (circles + list(census.lines) + points, circles + points,
+            ["circle"] * len(circles) + ["point"] * len(points),
+            census.holonomies.tolist() + [1.0 + 0.0j] * len(points))
+
+
 def verify_theorem_2(
     comp: ComplementaryCover,
     pol: Polarization,
@@ -433,10 +443,11 @@ def verify_theorem_2(
     bijection matching holonomies, and the BS censuses agree.
 
     comp.phi carries the leaf of P through a label to the leaf of phi(P)
-    through the same label, so the two censuses sample the same labels and
-    the leaf pairs are their closed entries side by side: the source
-    holonomy in comp.source, the target one in comp.base.  A sampled label
-    that differs between them raises InternalConsistencyError."""
+    through the same label, so the two censuses sample the same labels, and
+    the leaf pairs are their label and holonomy columns side by side, the
+    point leaves after them: the source holonomy in comp.source, the target
+    one in comp.base.  A sampled label that differs between them raises
+    InternalConsistencyError."""
     pushed = pushforward_polarization(comp.phi, pol)
     try:
         census_src = bs_census(comp.source, pol, crange, count, tol)
@@ -445,28 +456,25 @@ def verify_theorem_2(
         return CorrespondenceReport(
             2, "census-unresolved", False, payload={"unresolved": str(exc)}
         )
-    if len(census_src.entries) != len(census_dst.entries):
+    (labels, closed, kinds, hols), (there_labels, _, _, there_hols) = (
+        _leaf_columns(census) for census in (census_src, census_dst)
+    )
+    if len(labels) != len(there_labels):
         raise InternalConsistencyError(
-            f"censuses sample {len(census_src.entries)} and "
-            f"{len(census_dst.entries)} leaves across the map"
+            f"censuses sample {len(labels)} and {len(there_labels)} leaves across the map"
         )
+    for c, u in zip(labels, there_labels):
+        if c != u:
+            raise InternalConsistencyError(f"census leaf {c!r} meets label {u!r} across the map")
     hol_max = 0.0
     pairs = []
-    for src, dst in zip(census_src.entries, census_dst.entries):
-        if src.leaf.label != dst.leaf.label:
-            raise InternalConsistencyError(
-                f"census leaf {src.leaf.label!r} meets label "
-                f"{dst.leaf.label!r} across the map"
-            )
-        if src.leaf.topology == "line":
-            continue
-        here, there = src.holonomy.holonomy, dst.holonomy.holonomy
+    for c, kind, here, there in zip(closed, kinds, hols, there_hols):
         diff = abs(here - there)
         hol_max = max(hol_max, diff)
         pairs.append(
             {
-                "label": src.leaf.label,
-                "topology": src.leaf.topology,
+                "label": c,
+                "topology": kind,
                 "holonomy_source": [here.real, here.imag],
                 "holonomy_target": [there.real, there.imag],
                 "difference": diff,

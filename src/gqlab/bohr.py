@@ -15,8 +15,8 @@ arrays, one LeafGroup per pattern.  holonomy takes those groups and
 returns the action and holonomy of every label as arrays, from one
 transport quadrature call and one transition call, with the arithmetic of
 a scalar product so that batching moves no bit of a result.  The census
-reads those arrays; it builds a Leaf and a HolonomyResult only for the
-rows of its report.
+reports its sampled leaves as those arrays, columns from which each
+report field is derived; it builds no record per leaf.
 """
 
 from __future__ import annotations
@@ -55,38 +55,6 @@ class LeafGroup(NamedTuple):
     t1: np.ndarray  # (k,)
     lifted: np.ndarray  # (n, k) each label lifted into each segment's element frame
     switch_points: np.ndarray  # (n, s, 2) canonical coords; switch j joins segments j, j + 1
-
-
-class Leaf(NamedTuple):
-    """A row of a census report."""
-
-    label: float
-    topology: str  # circle | line | point
-    singular: bool = False
-    point: tuple | None = None
-
-
-class HolonomyResult(NamedTuple):
-    holonomy: complex
-    phase: float  # principal argument of the holonomy, in (-pi, pi]
-    action: float  # accumulated integral of theta plus transition phases
-    nearest_multiple: int
-    residual: float  # action - 2 pi * nearest_multiple
-
-    @classmethod
-    def of(cls, hol: complex, action: float) -> HolonomyResult:
-        nearest = nearest_multiple(action)
-        return cls(hol, math.atan2(hol.imag, hol.real), action, nearest,
-                   action - TWO_PI * nearest)
-
-    def as_dict(self) -> dict:
-        return {
-            "holonomy": [self.holonomy.real, self.holonomy.imag],
-            "phase": self.phase,
-            "action": self.action,
-            "nearest_multiple": self.nearest_multiple,
-            "residual": self.residual,
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -324,13 +292,15 @@ def enumerate_leaves(atlas: LeafAtlas, crange: tuple, count: int) -> tuple:
 # Holonomy
 
 
-def nearest_multiple(action: float) -> int:
-    """The m for which 2 pi m is nearest to action.  An action within 1e-9
-    multiples of an odd multiple of pi is a tie, which rounding noise would
-    otherwise decide; it takes the lower multiple, so its residual is +pi."""
-    x = action / TWO_PI
-    lower = math.floor(x)
-    return lower if x - lower <= 0.5 + 1e-9 else lower + 1
+def nearest_multiples(actions: np.ndarray) -> np.ndarray:
+    """The m for which 2 pi m is nearest to each action, as whole floats.
+    An action within 1e-9 multiples of an odd multiple of pi is a tie,
+    which rounding noise would otherwise decide; it takes the lower
+    multiple, so its residual is +pi.  A zero m is +0.0, so action - 2 pi m
+    rounds as it does with the integer m."""
+    x = actions / TWO_PI
+    lower = np.floor(x)
+    return lower + (x - lower > 0.5 + 1e-9)
 
 
 def _times(re, im, zr, zi) -> tuple:
@@ -505,14 +475,26 @@ def _branches(rows: np.ndarray) -> tuple:
     return np.concatenate([[0.0], -np.cumsum(turns)]), missed
 
 
-class BSEntry(NamedTuple):
+class Leaf(NamedTuple):
+    label: float
+    topology: str  # circle | line | point
+    singular: bool
+
+
+class Entry(NamedTuple):
+    """A row of a census report, as BSReport.entries builds it on read."""
+
     leaf: Leaf
-    holonomy: HolonomyResult | None
     is_bs: bool
 
 
 class BSReport(NamedTuple):
-    entries: tuple
+    # the sampled circle leaves, as read-only columns from one holonomy batch
+    labels: np.ndarray  # (n,)
+    actions: np.ndarray  # (n,)
+    holonomies: np.ndarray  # (n,)
+    lines: tuple  # the sampled line leaves' labels
+    points: tuple  # the point leaves as (label, point) pairs; their holonomy is 1
     bs_locations: tuple  # root-solved labels of smooth BS circle leaves
     q_bs_smooth: int
     q_bs_singular: int
@@ -525,6 +507,29 @@ class BSReport(NamedTuple):
     action_change: float
 
     def as_dict(self) -> dict:
+        """The report, its leaves in rows: circle leaves, line leaves, point
+        leaves.  A circle leaf's phase is math.atan2 of its holonomy, its
+        nearest_multiple m is nearest_multiples' and its residual is its
+        action less 2 pi m; it is BS when |phase| < tol."""
+        actions, tol = self.actions, self.tol
+        re, im = self.holonomies.real.tolist(), self.holonomies.imag.tolist()
+        phases = list(map(math.atan2, im, re))
+        m = nearest_multiples(actions)
+        leaves = [
+            {"label": c, "topology": "circle", "singular": False, "is_bs": abs(p) < tol,
+             "holonomy": [x, y], "phase": p, "action": a, "nearest_multiple": int(k),
+             "residual": r}
+            for c, x, y, p, a, k, r in zip(self.labels.tolist(), re, im, phases,
+                                          actions.tolist(), m.tolist(),
+                                          (actions - TWO_PI * m).tolist())
+        ]
+        # line leaves are BS when the census counts them (lines_excluded is 0),
+        # and a point leaf's holonomy 1 gives its fields by the same rules
+        leaves += [{"label": c, "topology": "line", "singular": False,
+                    "is_bs": not self.lines_excluded} for c in self.lines]
+        leaves += [{"label": c, "topology": "point", "singular": True, "is_bs": 0.0 < tol,
+                    "holonomy": [1.0, 0.0], "phase": 0.0, "action": 0.0,
+                    "nearest_multiple": 0, "residual": 0.0} for c, _ in self.points]
         return {
             "q_bs": self.q_bs,
             "q_bs_smooth": self.q_bs_smooth,
@@ -532,17 +537,15 @@ class BSReport(NamedTuple):
             "bs_locations": list(self.bs_locations),
             "lines_excluded": self.lines_excluded,
             "tol": self.tol,
-            "leaves": [
-                {
-                    "label": e.leaf.label,
-                    "topology": e.leaf.topology,
-                    "singular": e.leaf.singular,
-                    "is_bs": e.is_bs,
-                    **(e.holonomy.as_dict() if e.holonomy else {}),
-                }
-                for e in self.entries
-            ],
+            "leaves": leaves,
         }
+
+    @property
+    def entries(self) -> tuple:
+        """The rows of as_dict as Entry records, built on read: gqlab reads
+        the columns, perfbench/tracing.py these rows."""
+        return tuple(Entry(Leaf(r["label"], r["topology"], r["singular"]), r["is_bs"])
+                     for r in self.as_dict()["leaves"])
 
 
 def bs_census(
@@ -591,16 +594,8 @@ def bs_census(
     labels, groups, points = enumerate_leaves(atlas, crange, count)
     closed = pol.leaf_period is not None
     actions, hols = holonomy(transport, groups if closed else [])
-    # a Leaf and a HolonomyResult for each report row, and for no other label
-    if closed:
-        results = map(HolonomyResult.of, hols.tolist(), actions.tolist())
-        entries = [BSEntry(Leaf(c, "circle"), h, abs(h.phase) < tol)
-                   for c, h in zip(labels.tolist(), results)]
-    else:
-        entries = [BSEntry(Leaf(c, "line"), None, include_lines) for c in labels.tolist()]
-    for c, p in points:
-        h = HolonomyResult.of(1.0 + 0.0j, 0.0)
-        entries.append(BSEntry(Leaf(c, "point", True, p), h, abs(h.phase) < tol))
+    for column in (labels, actions, hols):
+        column.flags.writeable = False
 
     def sample(cs, found) -> np.ndarray:
         """Rows (label, action, flux) in label order."""
@@ -685,7 +680,11 @@ def bs_census(
 
     change = rows[-1, 1] - rows[0, 1] + TWO_PI * branches[-1] if len(rows) else 0.0
     return BSReport(
-        entries=tuple(entries),
+        labels=labels if closed else actions,  # a line census's columns are empty
+        actions=actions,
+        holonomies=hols,
+        lines=() if closed else tuple(labels.tolist()),
+        points=tuple(points),
         bs_locations=tuple(unique),
         q_bs_smooth=len(unique),
         q_bs_singular=len(points),

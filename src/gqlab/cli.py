@@ -366,7 +366,7 @@ def cmd_bs(cfg: RunConfig, args, counts: dict) -> int:
     passed = True
     report = _report(cfg, exm, counts, payload, passed, t0)
     if getattr(args, "csv", None):
-        _write_leaf_csv(args.csv, census)
+        _write_leaf_csv(args.csv, payload["census"]["leaves"])
     locs = ", ".join(f"{c:.10g}" for c in census.bs_locations)
     lines = [
         f"q_bs = {census.q_bs} (smooth {census.q_bs_smooth}, "
@@ -377,26 +377,18 @@ def cmd_bs(cfg: RunConfig, args, counts: dict) -> int:
     return 0
 
 
-def _write_leaf_csv(path: str, census) -> None:
+def _write_leaf_csv(path: str, leaves: list) -> None:
+    """The rows of a census report's leaves; a line leaf's holonomy cells are empty."""
     with _open_for_writing(path, "leaf CSV", newline="") as fh:
         writer = csv_mod.writer(fh)
         writer.writerow(
             ["label", "topology", "singular", "is_bs", "action", "phase",
              "holonomy_re", "holonomy_im"]
         )
-        for entry in census.entries:
-            h = entry.holonomy
+        for leaf in leaves:
             writer.writerow(
-                [
-                    entry.leaf.label,
-                    entry.leaf.topology,
-                    entry.leaf.singular,
-                    entry.is_bs,
-                    h.action if h else "",
-                    h.phase if h else "",
-                    h.holonomy.real if h else "",
-                    h.holonomy.imag if h else "",
-                ]
+                [leaf["label"], leaf["topology"], leaf["singular"], leaf["is_bs"],
+                 leaf.get("action", ""), leaf.get("phase", ""), *leaf.get("holonomy", ("", ""))]
             )
 
 

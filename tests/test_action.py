@@ -837,9 +837,9 @@ def test_theorem_2_names_a_label_the_censuses_do_not_share(models, monkeypatch,
         calls.append(rep)
         if len(calls) % 2:
             return rep
-        entries = list(rep.entries)
-        entries[3] = entries[3]._replace(leaf=entries[3].leaf._replace(label=0.1234))
-        return rep._replace(entries=tuple(entries))
+        labels = rep.labels.copy()
+        labels[3] = 0.1234
+        return rep._replace(labels=labels)
 
     monkeypatch.setattr(action, "bs_census", census)
     exm = models("torus", k=2)

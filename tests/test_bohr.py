@@ -28,12 +28,38 @@ from gqlab.transport import LeafTransport
 TWO_PI = 2.0 * math.pi
 
 
+def nearest_multiple(action: float) -> int:
+    """The scalar floor rule, the oracle of bohr.nearest_multiples: the m
+    for which 2 pi m is nearest to action, the lower one within 1e-9
+    multiples of an odd multiple of pi."""
+    x = action / TWO_PI
+    lower = math.floor(x)
+    return lower if x - lower <= 0.5 + 1e-9 else lower + 1
+
+
+class HolonomyResult(NamedTuple):
+    """One circle leaf's report fields, by the scalar formulas: the oracle of
+    the census's columns."""
+
+    holonomy: complex
+    phase: float
+    action: float
+    nearest_multiple: int
+    residual: float
+
+    @classmethod
+    def of(cls, hol: complex, action: float):
+        nearest = nearest_multiple(action)
+        return cls(hol, math.atan2(hol.imag, hol.real), action, nearest,
+                   action - TWO_PI * nearest)
+
+
 def _holonomies(cover, pol, crange, count):
     """The labels of a sampled label range and their HolonomyResults, one
     holonomy batch on a fresh transport."""
     labels, groups, _ = enumerate_leaves(LeafAtlas(cover, pol), crange, count)
     actions, hols = holonomy(LeafTransport(cover, pol), groups)
-    return labels, list(map(bohr.HolonomyResult.of, hols.tolist(), actions.tolist()))
+    return labels, list(map(HolonomyResult.of, hols.tolist(), actions.tolist()))
 
 
 def test_cylinder_leaf_enumeration(models):
@@ -83,10 +109,10 @@ def test_plane_line_leaves(models):
 def test_point_leaf_holonomy_is_trivial(models):
     exm = models("sphere", k=1)
     rep = bs_census(exm.cover, exm.polarization(), (0.3, 0.7), 3)
-    points = [e for e in rep.entries if e.leaf.topology == "point"]
-    assert points and all(e.leaf.singular and e.is_bs for e in points)
-    for e in points:
-        assert e.holonomy.holonomy == 1.0 and e.holonomy.action == 0.0
+    points = [r for r in rep.as_dict()["leaves"] if r["topology"] == "point"]
+    assert points and all(r["singular"] and r["is_bs"] for r in points)
+    for r in points:
+        assert r["holonomy"] == [1.0, 0.0] and r["action"] == 0.0
 
 
 def test_cylinder_action_closed_form(models):
@@ -103,27 +129,124 @@ def test_a_tie_takes_the_lower_multiple():
     for m, lower in ((3, 1), (-5, -3)):
         for action in (m * math.pi * (1 - 2.0**-52), m * math.pi,
                        m * math.pi * (1 + 2.0**-52)):
-            assert bohr.nearest_multiple(action) == lower
+            assert nearest_multiple(action) == lower
             assert abs(action - TWO_PI * lower - math.pi) < 1e-14
     # within 1e-9 multiples of the tie, and beyond it
     x = 2.5 * TWO_PI
-    assert bohr.nearest_multiple(x * (1 + 1e-10)) == 2
-    assert bohr.nearest_multiple(x * (1 + 1e-9)) == 3
-    assert bohr.nearest_multiple(x * (1 - 1e-9)) == 2
+    assert nearest_multiple(x * (1 + 1e-10)) == 2
+    assert nearest_multiple(x * (1 + 1e-9)) == 3
+    assert nearest_multiple(x * (1 - 1e-9)) == 2
     others = (0.0, 2.9 * math.pi, 3.1 * math.pi, -0.9 * math.pi)
-    assert [bohr.nearest_multiple(a) for a in others] == [0, 1, 2, 0]
+    assert [nearest_multiple(a) for a in others] == [0, 1, 2, 0]
+    # the census's array rule gives the scalar rule's multiples
+    actions = [m * math.pi * (1 + e) for m in (3, -5) for e in (-2.0**-52, 0.0, 2.0**-52)]
+    actions += [x * (1 + 1e-10), x * (1 + 1e-9), x * (1 - 1e-9), *others]
+    got = bohr.nearest_multiples(np.array(actions)).tolist()
+    assert got == list(map(nearest_multiple, actions))
+
+
+def _oracle_rows(rep) -> list:
+    """A census report's leaf rows by the scalar formulas, from its columns."""
+
+    def row(c, topology, hol, action):
+        h = HolonomyResult.of(hol, action)
+        return {"label": c, "topology": topology, "singular": topology == "point",
+                "is_bs": abs(h.phase) < rep.tol, "holonomy": [hol.real, hol.imag],
+                "phase": h.phase, "action": action, "nearest_multiple": h.nearest_multiple,
+                "residual": h.residual}
+
+    return (
+        [row(c, "circle", h, a) for c, h, a in
+         zip(rep.labels.tolist(), rep.holonomies.tolist(), rep.actions.tolist())]
+        + [{"label": c, "topology": "line", "singular": False, "is_bs": not rep.lines_excluded}
+           for c in rep.lines]
+        + [row(c, "point", 1.0 + 0.0j, 0.0) for c, _ in rep.points]
+    )
+
+
+def _typed_bits(rows) -> list:
+    """Rows with each value as its type and, for a float, its float.hex."""
+
+    def bits(v):
+        if isinstance(v, list):
+            return [bits(x) for x in v]
+        return type(v).__name__, v.hex() if isinstance(v, float) else v
+
+    return [{key: bits(v) for key, v in r.items()} for r in rows]
+
+
+@pytest.mark.parametrize("name,params,crange,include_lines", [
+    *(("torus", {"k": k}, None, False) for k in (1, 2, 3)),
+    ("cylinder", {}, None, False),
+    *(("sphere", {"k": k}, None, False) for k in (2, 3, 4)),
+    ("disk", {}, None, False),
+    # far labels, on the cylinder `bs --range 1e10:10000000002` builds
+    ("cylinder", {"p_max": 10000000003.0}, (1e10, 10000000002.0), False),
+    ("plane", {}, None, False),
+    ("plane", {}, None, True),
+])
+def test_census_rows_are_the_scalar_formulas_of_its_columns(models, name, params, crange,
+                                                            include_lines):
+    exm = models(name, **params)
+    pol = exm.polarization()
+    crange = crange or exm.census_range
+    rep = bs_census(exm.cover, pol, crange, 33, include_lines=include_lines)
+    # the columns are the holonomy batch of the sampled labels, read-only
+    labels, groups, points = enumerate_leaves(LeafAtlas(exm.cover, pol), crange, 33)
+    closed = pol.leaf_period is not None
+    actions, hols = holonomy(LeafTransport(exm.cover, pol), groups if closed else [])
+    assert rep.labels.tobytes() == (labels if closed else actions).tobytes()
+    assert rep.lines == (() if closed else tuple(labels.tolist()))
+    assert rep.actions.tobytes() == actions.tobytes()
+    assert rep.holonomies.tobytes() == hols.tobytes()
+    assert rep.points == tuple(points)
+    for column in (rep.labels, rep.actions, rep.holonomies):
+        assert not column.flags.writeable
+    leaves = rep.as_dict()["leaves"]
+    assert len(leaves) == len(labels) + len(points)
+    assert _typed_bits(leaves) == _typed_bits(_oracle_rows(rep))
+
+
+def test_census_rows_follow_the_scalar_formulas_on_edge_actions(models):
+    # ties within 1e-9 multiples of an odd multiple of pi, negative actions,
+    # signed zeros, and holonomies at -1 whose phase takes the sign of
+    # their imaginary part
+    exm = models("torus", k=2)
+    rep = bs_census(exm.cover, exm.polarization(), exm.census_range, 5)
+    actions = [m * math.pi + TWO_PI * d for m in (1, 3, -1, -5, 7)
+               for d in (-1.5e-9, -1e-9, -5e-10, 0.0, 5e-10, 1e-9, 1.5e-9)]
+    actions += [math.pi * (1 + e) for e in (-2.0**-52, 2.0**-52)]
+    # an action whose x - floor(x) is 0.5 + 1e-9 exactly, the last of a
+    # tie, and one whose phase is exactly tol, 1e-8, so not BS
+    edge = len(actions)
+    actions += [3.141592659872978, -1e-8]
+    actions += [-0.3, -TWO_PI, -7.5, -1e-300, -0.0, 0.0, 1e-12, -1e-12]
+    hols = [complex(math.cos(a), -math.sin(a)) for a in actions]
+    hols += [complex(-1.0, 0.0), complex(-1.0, -0.0), complex(-1.0, 1e-17),
+             complex(-1.0, -1e-17), complex(1.0, -0.0), complex(0.0, -0.0)]
+    actions += [math.pi, -math.pi, 3 * math.pi, -3 * math.pi, -0.0, 0.0]
+    n = len(actions)
+    synthetic = rep._replace(labels=np.linspace(0.0, 1.0, n), actions=np.array(actions),
+                             holonomies=np.array(hols))
+    leaves = synthetic.as_dict()["leaves"]
+    assert _typed_bits(leaves) == _typed_bits(_oracle_rows(synthetic))
+    phases = [r["phase"] for r in leaves[n - 6 : n - 2]]
+    assert phases == [math.pi, -math.pi, math.pi, -math.pi]
+    # pi less or plus 2 pi d: the tie holds to d = 5e-10, not at 1.5e-9
+    assert [leaves[i]["nearest_multiple"] for i in (0, 1, 2, 3, 4, 6)] == [0] * 5 + [1]
+    assert leaves[edge]["nearest_multiple"] == 0
+    assert leaves[edge + 1]["phase"] == rep.tol and not leaves[edge + 1]["is_bs"]
 
 
 def test_tie_leaves_report_residual_plus_pi(models):
     # leaf 3 pi / 2 of the Chern-2 torus has action 3 pi and holonomy -1
     exm = models("torus", k=2)
     rep = bs_census(exm.cover, exm.polarization(), (0.0, TWO_PI), 24)
-    ties = [e.holonomy for e in rep.entries
-            if abs(abs(e.holonomy.phase) - math.pi) < 1e-9]
+    ties = [r for r in rep.as_dict()["leaves"] if abs(abs(r["phase"]) - math.pi) < 1e-9]
     assert len(ties) == 2
-    for h in ties:
-        assert abs(h.residual - math.pi) < 1e-9
-        assert h.nearest_multiple == math.floor(h.action / TWO_PI)
+    for r in ties:
+        assert abs(r["residual"] - math.pi) < 1e-9
+        assert r["nearest_multiple"] == math.floor(r["action"] / TWO_PI)
 
 
 def test_torus_holonomy_closed_form(models):
@@ -879,11 +1002,12 @@ def test_census_holonomy_calls_add_up(models, monkeypatch, name, params, crange,
         ("torus", {"k": 8}, (0.0, TWO_PI), 24, 3.0),  # refinement rounds
     ],
 )
-def test_census_builds_records_only_for_its_report_rows(models, monkeypatch, name, params,
-                                                        crange, count, flux):
-    # the root searches and refinement rounds read actions from arrays: a
-    # Leaf and a HolonomyResult exist only for the rows of the report
-    made = {"Leaf": 0, "HolonomyResult": 0}
+def test_census_builds_no_per_row_record(models, monkeypatch, name, params, crange, count,
+                                         flux):
+    # the census, its root searches and its refinement rounds keep the
+    # sampled leaves as the holonomy batch's arrays: no Leaf or Entry is
+    # built until a reader asks for the report's entries
+    made = {"Leaf": 0, "Entry": 0}
     for cls_name in made:
         real = getattr(bohr, cls_name)
 
@@ -898,8 +1022,16 @@ def test_census_builds_records_only_for_its_report_rows(models, monkeypatch, nam
     rep, counts = _counted_census(exm.cover, exm.polarization(), crange, count)
     assert (counts["census_refinements"] > 0) == (flux != 1.0)
     assert counts["root_holonomy_evaluations"] > 0 or counts["census_refinements"] > 0
-    assert made == {"Leaf": len(rep.entries), "HolonomyResult": len(rep.entries)}
-    assert all(type(e.leaf).__name__ == "Leaf" for e in rep.entries)
+    assert made == {"Leaf": 0, "Entry": 0}
+    # the sampled leaves are columns; the rest of the report holds no record
+    columns = (rep.labels, rep.actions, rep.holonomies)
+    assert all(type(c) is np.ndarray and c.shape == (count,) for c in columns)
+    assert rep.lines == () and len(rep.points) == rep.q_bs_singular
+    for field in rep[len(columns):]:
+        assert isinstance(field, (int, float, tuple)) and not hasattr(field, "_fields")
+    # one Leaf and one Entry per report row, on read
+    rows = len(rep.entries)
+    assert rows == count + len(rep.points) and made == {"Leaf": rows, "Entry": rows}
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
@@ -1207,9 +1339,7 @@ def _reference_holonomy(cover, pol, leaf, transport):
         lam = cover.transition(a, b, leaf.switch_points[j])[0]
         hol *= lam
         action -= math.atan2(lam.imag, lam.real)
-    nearest = bohr.nearest_multiple(action)
-    return bohr.HolonomyResult(complex(hol), math.atan2(hol.imag, hol.real), action,
-                               nearest, action - TWO_PI * nearest)
+    return HolonomyResult.of(complex(hol), action)
 
 
 def _same_result(got, want) -> bool:
@@ -1287,7 +1417,7 @@ def test_batched_holonomy_equals_the_per_leaf_product_bit_for_bit(models):
         transport = LeafTransport(cover, pol)
         with trace.counting() as counts:
             actions, hols = holonomy(transport, groups)
-        results = list(map(bohr.HolonomyResult.of, hols.tolist(), actions.tolist()))
+        results = list(map(HolonomyResult.of, hols.tolist(), actions.tolist()))
         for g in groups:
             for i, row in enumerate(g.rows.tolist()):
                 leaf = _reference_leaf(cover, pol, labels[row])

@@ -88,6 +88,33 @@ def test_bs_csv_output(tmp_path, capsys):
     assert {"label", "topology", "is_bs", "action"} <= set(rows[0])
 
 
+@pytest.mark.parametrize("argv", [
+    ("--example", "torus", "--k", "2"),
+    ("--example", "sphere", "--k", "3"),  # point leaves
+    ("--example", "plane", "--include-lines"),  # line leaves: no holonomy cells
+])
+def test_bs_csv_rows_are_the_json_leaves(tmp_path, capsys, argv):
+    path = tmp_path / "leaves.csv"
+    code, report = run_json(capsys, "bs", *argv, "--csv", str(path))
+    assert code == 0
+    with path.open(newline="") as fh:
+        header, *rows = list(csv.reader(fh))
+    assert header == ["label", "topology", "singular", "is_bs", "action", "phase",
+                      "holonomy_re", "holonomy_im"]
+    leaves = report["payload"]["census"]["leaves"]
+    topologies = {leaf["topology"] for leaf in leaves}
+    assert topologies == {"torus": {"circle"}, "sphere": {"circle", "point"},
+                          "plane": {"line"}}[argv[1]]
+    # str of a float is its repr, which reads back to the same bits
+    want = [
+        [str(leaf["label"]), leaf["topology"], str(leaf["singular"]), str(leaf["is_bs"]),
+         str(leaf.get("action", "")), str(leaf.get("phase", "")),
+         *map(str, leaf.get("holonomy", ("", "")))]
+        for leaf in leaves
+    ]
+    assert rows == want
+
+
 def test_cohomology_stability_across_grids(capsys):
     reports = {}
     for grid in ("32", "64"):

@@ -1,15 +1,15 @@
 """In-process interleaved A/B timing of two gqlab source trees.
 
-    python3 tools/ab_rounds.py OLD NEW --workload census [--pairs 20]
+    python3 tools/ab_rounds.py OLD NEW --workload census [--seed 1] [--pairs 20]
     python3 tools/ab_rounds.py OLD NEW --pairs 20 -- act --example sphere --k 3
 
 OLD and NEW are checkouts (directories holding src/gqlab).  Both packages
 are imported into this one process under the names gqlab_old and
 gqlab_new; gqlab uses only relative imports, so each tree runs its own
 code.  A pair runs the work once on each tree, the tree that goes first
-alternating from pair to pair: the seed-1 round of a perfbench workload
-(perfbench/workloads.py of NEW, every operation through the tree's
-cli.main), or one given command line, repeated to fill about 0.25 s.
+alternating from pair to pair: the round of a perfbench workload for
+--seed (default 1; perfbench/workloads.py of NEW, every operation through
+the tree's cli.main), or one given command line, repeated to fill about 0.25 s.
 Before the pairs, the work runs once untimed on each tree.  The last line
 printed is the median time ratio new/old, its quartiles, and the number
 of pairs NEW won.
@@ -71,6 +71,7 @@ def main(argv=None) -> int:
     parser.add_argument("old", type=Path)
     parser.add_argument("new", type=Path)
     parser.add_argument("--workload", choices=("census", "ranks", "invariance"))
+    parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--pairs", type=int, default=20)
     argv = sys.argv[1:] if argv is None else argv
     split = argv.index("--") if "--" in argv else len(argv)
@@ -84,8 +85,8 @@ def main(argv=None) -> int:
         sys.path.insert(0, str(args.new / "perfbench"))
         import workloads
 
-        lines = [op.argv for op in workloads.round_ops(args.workload, 1)]
-        what = f"{args.workload} seed 1 ({len(lines)} operations)"
+        lines = [op.argv for op in workloads.round_ops(args.workload, args.seed)]
+        what = f"{args.workload} seed {args.seed} ({len(lines)} operations)"
     else:
         lines = [tuple(args.command) + ("--json",)]
         what = " ".join(args.command)
