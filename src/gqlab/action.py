@@ -15,9 +15,8 @@ holonomies.  The target side is the pullback cover with the pushforward
 polarization, which carry phi between them (pulled-back formulas, moved
 leaf curves and singular points), so no point is moved through the map
 here: the chain map is the identity on the coefficients of the two grids,
-theorem 1 applies the two sides' differentials (the operators that their
-rank reports keep) to one coefficient vector and compares them in tuple
-form, and theorem 2 pairs the leaves of the source census with those of
+theorem 1 applies the two sides' differentials (the blocks that their
+grids keep) to one coefficient vector and compares them in tuple form, and theorem 2 pairs the leaves of the source census with those of
 the target census, label by label.
 """
 
@@ -379,11 +378,11 @@ def verify_theorem_1(
     basepoints are the phi-preimages of the source ones, where f o phi
     takes the values of f.  So the check draws a random coefficient vector
     v per degree from seed and compares psi(delta_dst v) with
-    psi(delta_src v), the operators the rank reports keep, in tuple form,
-    which reads the transitions of every overlap in both orientations."""
+    psi(delta_src v), with the blocks each grid keeps, in tuple form, which
+    reads the transitions of every overlap in both orientations."""
     pushed = pushforward_polarization(comp.phi, pol)
-    # one grid per side, on the same labels; the operators its ranks
-    # assembled serve the commutation check
+    # one grid per side, on the same labels; its blocks serve the ranks
+    # and the commutation check
     grid_src = half_offset_grid(comp.source, pol, grid_n)
     grid_dst = half_offset_grid(comp.base, pushed, grid_n)
     trace.count("grid_builds", 2)
@@ -400,8 +399,8 @@ def verify_theorem_1(
             continue
         n = int(grid_src.degrees[degree].starts[-1])
         v = rng.normal(size=n) + 1j * rng.normal(size=n)
-        lhs = psi(grid_dst, keys, delta(ranks_dst.operators[degree], v))
-        rhs = psi(grid_src, keys, delta(ranks_src.operators[degree], v))
+        lhs = psi(grid_dst, keys, delta(grid_dst.operators[degree], v))
+        rhs = psi(grid_src, keys, delta(grid_src.operators[degree], v))
         commute = max(commute, float(np.max(np.abs(lhs - rhs), initial=0.0)))
     passed = equal and commute < COMMUTATION_TOL
     return CorrespondenceReport(

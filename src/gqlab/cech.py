@@ -11,24 +11,24 @@ transport integrals of one call share one quadrature loop.
 
 The grid keeps, per nerve degree, one column per quantity over the
 degree's (cell, label) entries, cell after cell in the nerve's row order
-(GridDegree), and their order by label (LabelOrder); every operation
-gathers from these columns and the nerve's tables, by row.
+(GridDegree); every operation gathers from these columns and the nerve's
+tables, by row.
 
 The differential acts on the image subspaces: one coefficient per leaf
 label per nerve cell, taken in the trivialization of the cell's first
 member, which psi turns into the tuple over all members.  Transport never
-leaves a leaf, so the differential is assembled as one dense block per
-leaf label, and its singular values, from which the Čech ranks come, are
-the union of the blocks' (docs/conventions.md, "Ranks").  The grid's
-build computes the entries of every degree in one pass (DeltaEntries):
-their leaf segments gathered from per-degree frame tables, one transport
-call (one quadrature loop) for the entries of all degrees, so a segment
-two degrees share is integrated once, and one transition call for all of
-them (one evaluator run per distinct transition formula).  delta_matrix
-stacks a degree's entries, one accumulation per block shape, into blocks
-with their rows and columns: the one implementation of the differential,
-which the ranks decompose, delta applies and theorem 1 reuses from its
-ranks; the tests check the blocks against a per-face reference.
+leaves a leaf, so the differential is one dense block per leaf label
+(LeafBlocks), and its singular values, from which the Čech ranks come,
+are the union of the blocks' (docs/conventions.md, "Ranks").  The grid's
+build computes the entries of every degree in one pass: their leaf
+segments gathered from per-degree frame tables, one transport call (one
+quadrature loop) for the entries of all degrees, so a segment two degrees
+share is integrated once, and one transition call for all of them (one
+evaluator run per distinct transition formula); then it stacks each
+degree's entries into its blocks, and keeps only the blocks.  They are
+the one implementation of the differential, which delta_matrix hands
+out, the ranks decompose and delta applies; the tests check them against
+a per-face reference.
 """
 
 from __future__ import annotations
@@ -84,39 +84,14 @@ _NO_CELLS = GridDegree(*read_only(
 ))
 
 
-class LabelOrder(NamedTuple):
-    """The entries of one degree by label, as read-only columns; a degree
-    without entries has the empty order, which nothing reads."""
-
-    counts: np.ndarray  # (labels,): the entries on each label
-    rank: np.ndarray  # (entries,): each entry's place among its label's entries
-    order: np.ndarray  # (entries,): the entries, by label, stably
-    starts: np.ndarray  # (labels,): each label's first place in order
-
-
-class DeltaEntries(NamedTuple):
-    """The nonzero entries of delta from one degree into the next, as
-    read-only columns in (cell, face, label) order (docs/conventions.md,
-    "Ranks"); missing is the smallest label an open face lacks though its
-    cell carries it, -1 when there is none, and then there are no
-    entries."""
-
-    rows: np.ndarray  # each entry's coefficient of the degree above
-    cols: np.ndarray  # its coefficient of the degree
-    labels: np.ndarray  # its label's index into the grid's labels
-    values: np.ndarray  # (-1)^j lambda_{beta0, ref} exp(-i integral)
-    missing: int
-
-
 class TransversalGrid(NamedTuple):
     """Shared leaf discretization of a cover for one polarization.
 
     build makes it complete: one GridDegree per nerve degree, with every
     cell's labels and basepoints, the LeafFrame of the nerve's cells,
     degree after degree (how leaves cross them, the rule the leaf atlas
-    uses too), each degree's LabelOrder, and the DeltaEntries of every
-    degree of the differential the nerve reaches.  Nothing in a grid
-    changes after build.
+    uses too), and the LeafBlocks of every degree of the differential the
+    nerve reaches.  Nothing in a grid changes after build.
     """
 
     cover: TrivializationCover
@@ -124,8 +99,10 @@ class TransversalGrid(NamedTuple):
     labels: np.ndarray
     degrees: tuple  # the GridDegree of each nerve degree
     frame: LeafFrame  # of the nerve's cells, degree after degree
-    orders: tuple  # the LabelOrder of each nerve degree
-    deltas: tuple  # the DeltaEntries of delta from each degree but the last
+    operators: tuple  # the LeafBlocks of delta from each degree but the last
+    # per degree of delta, the smallest label an open face lacks though its
+    # cell carries it, -1 when there is none; the degree has no blocks then
+    missing: tuple
 
     # -- construction -------------------------------------------------------
 
@@ -166,27 +143,29 @@ class TransversalGrid(NamedTuple):
 
     @classmethod
     def of_columns(cls, cover, polarization, labels, degrees, frame) -> "TransversalGrid":
-        """The grid of the columns of each degree: their label orders and
-        the entries of delta from every degree but the last, assembled in
-        one pass (docs/conventions.md, "Ranks").  The tables of each degree
-        with coefficients (coefficients by cell and label, basepoint
-        parameters and label shifts by cell and member) are built once,
-        for both degrees of delta that read it, and a degree without
-        coefficients builds none; the entries of every degree are gathered from
-        them, and their transitions are one cover.transition call and
-        their transport integrals one LeafTransport.integral call, so a
-        segment that two degrees share is integrated once.  A degree whose
-        open face lacks a label its cell carries keeps that label, for
-        delta_matrix to raise, and no entries."""
+        """The grid of the columns of each degree, with the blocks of delta
+        from every degree but the last, assembled in one pass
+        (docs/conventions.md, "Ranks").  The tables of each degree with
+        coefficients (coefficients by cell and label, basepoint parameters
+        and label shifts by cell and member) and its order by label are
+        built once, for both degrees of delta that read them, and a degree
+        without coefficients builds none; the entries of every degree are
+        gathered from the tables, their transitions are one
+        cover.transition call and their transport integrals one
+        LeafTransport.integral call, so a segment that two degrees share is
+        integrated once, and each degree's entries are stacked into its
+        blocks.  A degree whose open face lacks a label its cell carries
+        keeps that label in missing, for delta_matrix to raise, and no
+        blocks.  Counts the blocks (leaf_blocks)."""
         n_labels = len(labels)
         transport = LeafTransport(cover, polarization)
         orders, tables = [], []
         for columns, table in zip(degrees, cover.nerve.degrees):
             if len(columns.cells) == 0:  # no coefficients, so no delta reads it
-                orders.append(_NO_ORDER)
+                orders.append(None)
                 tables.append(None)
                 continue
-            orders.append(LabelOrder(*read_only(*_by_label(columns.label_idx, n_labels))))
+            orders.append(_by_label(columns.label_idx, n_labels))
             # the coefficients by cell and label, and per cell and member t
             # and shift: in member m's frame the leaf segment from cell f to
             # cell k runs from t[f, m] to t[k, m], at the labels c_cell of f
@@ -220,12 +199,14 @@ class TransversalGrid(NamedTuple):
                 tuple(column[a:b] for column in (rows, cols, g, values))
                 for a, b in zip(ends, ends[1:])
             )
-        deltas = tuple(
-            _NO_ENTRIES._replace(missing=part) if isinstance(part, int)
-            else DeltaEntries(*read_only(*next(split)), -1)
-            for part in parts
+        operators = tuple(
+            LeafBlocks((len(dst.cells), len(src.cells)), ()) if isinstance(part, int)
+            else _stack_blocks(*next(split), orders[n + 1], orders[n])
+            for n, (part, src, dst) in enumerate(zip(parts, degrees, degrees[1:]))
         )
-        return cls(cover, polarization, labels, degrees, frame, tuple(orders), deltas)
+        trace.count("leaf_blocks", sum(len(ls) for op in operators for ls, *_ in op.stacks))
+        missing = tuple(part if isinstance(part, int) else -1 for part in parts)
+        return cls(cover, polarization, labels, degrees, frame, operators, missing)
 
     @property
     def nerve(self):
@@ -244,16 +225,7 @@ class TransversalGrid(NamedTuple):
 
     @property
     def n_labels_retained(self) -> int:
-        return int(np.count_nonzero(self.orders[0].counts))
-
-
-# the order of a degree without coefficients, which no delta reads, and the
-# entries of a degree of delta with none, which grids share
-_NO_ORDER = LabelOrder(*read_only(*(np.empty(0, dtype=int) for _ in LabelOrder._fields)))
-_NO_ENTRIES = DeltaEntries(*read_only(
-    np.empty(0, dtype=int), np.empty(0, dtype=int), np.empty(0, dtype=int),
-    np.empty(0, dtype=np.complex128),
-), -1)
+        return int(np.count_nonzero(np.bincount(self.degrees[0].label_idx)))
 
 
 def _delta_part(cells, src, dst, src_tables, dst_tables):
@@ -371,42 +343,21 @@ def _by_label(labels: np.ndarray, n_labels: int):
     return counts, rank, order, starts
 
 
-def delta_matrix(grid: TransversalGrid, degree: int) -> tuple:
-    """delta on image coefficients as LeafBlocks, with index maps: per
-    degree, (keys, starts, total), cell r's coefficients at starts[r] ..
-    starts[r + 1] - 1.
-
-    Coefficients parameterize each cell's image tuples by the component in
-    the first member's trivialization, one per retained leaf label: the
-    entries of the degree's grid columns.  The blocks are stacked from the
-    degree's DeltaEntries, which the grid's build assembled, and the label
-    orders of the two degrees; delta_matrix computes no transition and no
-    transport.  An open face that lacks a label its cell carries raises
-    LeafMismatchError, naming the smallest such label.
-    """
-    grid.nerve.require_degree(degree + 1, "delta_matrix")
-    src, dst = grid.degrees[degree], grid.degrees[degree + 1]
-    n_src, n_dst = len(src.cells), len(dst.cells)
-    index_maps = (
-        (grid.degree_keys(degree), src.starts, n_src),
-        (grid.degree_keys(degree + 1), dst.starts, n_dst),
-    )
-    if n_dst == 0 or n_src == 0:
-        return LeafBlocks((n_dst, n_src), ()), *index_maps
-    rows, cols, g, vals, missing = grid.deltas[degree]
-    if missing >= 0:
-        raise LeafMismatchError(f"label {missing} does not cross the cell")
-
-    # one zero stack per block shape, filled in entry order; a block's rows
-    # and cols are its label's slice of the ascending order of each degree
-    n_rows, row_rank, row_order, row_start = grid.orders[degree + 1]
-    n_cols, col_rank, col_order, col_start = grid.orders[degree]
+def _stack_blocks(rows, cols, g, vals, row_orders, col_orders) -> LeafBlocks:
+    """The LeafBlocks of the entries (rows, cols, labels g, vals) of delta
+    from one degree into the next, with the _by_label orders of the two
+    degrees' coefficients: one zero stack per block shape, filled by one
+    np.add.at in entry order; a block's rows and cols are its label's slice
+    of the ascending order of each degree."""
+    n_rows, row_rank, row_order, row_start = row_orders
+    n_cols, col_rank, col_order, col_start = col_orders
+    n_src = len(col_rank)
     labels = np.flatnonzero((n_rows > 0) & (n_cols > 0))
     shapes, stack_of = np.unique(
         n_rows[labels] * (n_src + 1) + n_cols[labels], return_inverse=True
     )
     sizes, slot, by_stack, first = _by_label(stack_of, len(shapes))
-    block_of = np.full(len(grid.labels), -1)
+    block_of = np.full(len(n_rows), -1)
     block_of[labels] = np.arange(len(labels))
     entry_block = block_of[g]
     entry_stack = stack_of[entry_block]
@@ -420,7 +371,30 @@ def delta_matrix(grid: TransversalGrid, degree: int) -> tuple:
         block_rows = row_order[row_start[block_labels, None] + np.arange(r)]
         block_cols = col_order[col_start[block_labels, None] + np.arange(c)]
         stacks.append(read_only(block_labels, block_rows, block_cols, blocks))
-    return LeafBlocks((n_dst, n_src), tuple(stacks)), *index_maps
+    return LeafBlocks((len(row_rank), n_src), tuple(stacks))
+
+
+def delta_matrix(grid: TransversalGrid, degree: int) -> tuple:
+    """delta on image coefficients as LeafBlocks, with index maps: per
+    degree, (keys, starts, total), cell r's coefficients at starts[r] ..
+    starts[r + 1] - 1.
+
+    Coefficients parameterize each cell's image tuples by the component in
+    the first member's trivialization, one per retained leaf label: the
+    entries of the degree's grid columns.  The blocks are the grid's, which
+    its build stacked; delta_matrix computes nothing.  An open face that
+    lacks a label its cell carries raises LeafMismatchError, naming the
+    smallest such label.
+    """
+    grid.nerve.require_degree(degree + 1, "delta_matrix")
+    src, dst = grid.degrees[degree], grid.degrees[degree + 1]
+    if grid.missing[degree] >= 0:
+        raise LeafMismatchError(f"label {grid.missing[degree]} does not cross the cell")
+    return (
+        grid.operators[degree],
+        (grid.degree_keys(degree), src.starts, len(src.cells)),
+        (grid.degree_keys(degree + 1), dst.starts, len(dst.cells)),
+    )
 
 
 def delta(op: LeafBlocks, vec: np.ndarray) -> np.ndarray:
@@ -465,7 +439,6 @@ class RankReport(NamedTuple):
     n_labels: int
     n_labels_retained: int
     threshold: float
-    operators: tuple  # the LeafBlocks of each degree, which as_dict leaves out
 
     def as_dict(self) -> dict:
         return {
@@ -500,9 +473,8 @@ def cohomology_ranks(
 
     Ranks come from singular values with the stated relative threshold; the
     report keeps the spectrum edges and the gap at the cut so borderline
-    decisions are auditable.  The report keeps the operator of each
-    degree, for a caller that applies delta on the same grid.  Counts the
-    blocks (leaf_blocks) and the stacked SVDs (svd_calls) of the operators.
+    decisions are auditable.  Counts the stacked SVDs (svd_calls) of the
+    grid's blocks.
     """
     nerve_bound = grid.nerve.max_degree - 1
     if max_degree > nerve_bound:
@@ -538,12 +510,10 @@ def cohomology_ranks(
                 betti_per_leaf=(betti / retained) if retained else None,
             )
         )
-    trace.count("leaf_blocks", sum(len(labels) for m in mats for labels, *_ in m.stacks))
     trace.count("svd_calls", sum(len(m.stacks) for m in mats))
     return RankReport(
         degrees=tuple(ranks),
         n_labels=n_labels,
         n_labels_retained=retained,
         threshold=threshold,
-        operators=tuple(mats),
     )

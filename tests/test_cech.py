@@ -410,7 +410,7 @@ def test_sheaf_cohomology_sits_on_the_bs_leaves(models, k):
     rep = cohomology_ranks(grid)
     assert [d.betti for d in rep.degrees] == [k, k, 0]
     # degree 0: the labels whose coefficients delta does not fill
-    op = rep.operators[0]
+    op = grid.operators[0]
     cut = rep.threshold * op.singular_values()[0]
     block_rank = {
         g: int(np.sum(np.linalg.svd(mat, compute_uv=False) > cut))
@@ -800,6 +800,81 @@ def test_res_names_the_smallest_label_its_sub_cell_lacks(models):
     assert _max_difference(got, pointwise_delta(shut, 0, cell_tuples(shut, 0, v))) < 1e-10
 
 
+
+def test_cohomology_ranks_refuses_in_order_before_a_leaf_mismatch(models):
+    # build keeps a mismatch for delta_matrix to raise, so the checks that
+    # cohomology_ranks makes first still come first: the degree cap, then
+    # an element that resolves no leaf
+    exm, grid = _grid(models, "torus", n=12, k=2)
+    key = next(k for k in grid.degree_keys(1) if grid_cell(grid, k).count >= 2)
+    face_key = nerve_faces(grid.nerve)[key][0][0]
+    carried = grid_cell(grid, key).label_idx
+    broken = _without(grid, face_key, carried[:2])
+    assert broken.missing[0] == carried[0] and broken.operators[0].stacks == ()
+    with pytest.raises(ConfigurationError, match="degree cap 3 exceeds nerve bound 2"):
+        cohomology_ranks(broken, max_degree=3)
+    with pytest.raises(LeafMismatchError, match=f"label {carried[0]} "):
+        cohomology_ranks(broken)
+    # the element keeps no label: unresolved, and its cells' labels mismatch
+    bare = _without(grid, face_key, grid_cell(grid, face_key).label_idx)
+    assert bare.missing[0] >= 0
+    with pytest.raises(LeafMismatchError):
+        delta_matrix(bare, 0)
+    with pytest.raises(ConfigurationError, match="degree cap"):
+        cohomology_ranks(bare, max_degree=3)
+    with pytest.raises(ResolutionError, match="resolves no leaf in element"):
+        cohomology_ranks(bare)
+
+
+def test_delta_is_stacked_once_per_grid(models, monkeypatch):
+    # build stacks the blocks of each degree of delta that has entries, once;
+    # delta_matrix hands out the grid's blocks, and the ranks and theorem
+    # 1's commutation check apply them without stacking anew
+    from gqlab import action, cech
+    from gqlab.action import verify_theorem_1
+
+    stack, make_grid = cech._stack_blocks, action.half_offset_grid
+    stacked, grids = [], []
+
+    def counted(*args):
+        stacked.append(stack(*args))
+        return stacked[-1]
+
+    def built(*args):
+        grids.append(make_grid(*args))
+        return grids[-1]
+
+    def with_entries(grid):
+        return [op for op, src, dst in zip(grid.operators, grid.degrees, grid.degrees[1:])
+                if len(src.cells) and len(dst.cells)]
+
+    monkeypatch.setattr(cech, "_stack_blocks", counted)
+    monkeypatch.setattr(action, "half_offset_grid", built)
+    exm = models("torus", k=2)
+    pol = exm.polarization()
+    grid = half_offset_grid(exm.cover, pol, 16)
+    ops = with_entries(grid)
+    assert len(ops) == len(grid.operators) == grid.nerve.max_degree
+    assert len(stacked) == len(ops) and all(a is b for a, b in zip(stacked, ops))
+    stacked.clear()
+    for degree in range(grid.nerve.max_degree):
+        assert delta_matrix(grid, degree)[0] is grid.operators[degree]
+    cohomology_ranks(grid)
+    assert stacked == []
+    # theorem 1 stacks only in its two grids' builds
+    comp = build_complementary(catalog.make_map(exm, f"translate:{math.pi:.17g},0"), exm)
+    assert verify_theorem_1(comp, pol, grid_n=16).passed
+    ops = [op for g in grids for op in with_entries(g)]
+    assert len(grids) == 2 and len(stacked) == len(ops) > 0
+    assert all(a is b for a, b in zip(stacked, ops))
+    # a degree without coefficients on either side stacks nothing
+    sphere = models("sphere", k=2)
+    stacked.clear()
+    grid = half_offset_grid(sphere.cover, sphere.polarization(), 16)
+    assert with_entries(grid) == [] and stacked == []
+    assert all(op.stacks == () for op in grid.operators)
+
+
 def test_closed_degrees_assemble_the_empty_operator(models):
     grids = _assembly_grids(models)
     for name in ("sphere", "disk"):
@@ -816,8 +891,9 @@ def test_closed_degrees_assemble_the_empty_operator(models):
 
 def _assembly_work(grid, degree):
     """The distinct leaf segments and non-identity element pairs of the
-    entries of one degree, found pair by pair."""
-    segments, pairs = set(), set()
+    entries of one degree, found pair by pair, and the number of entries:
+    one per (cell, face, label) the cell and its face both carry."""
+    segments, pairs, entries = set(), set(), 0
     faces = nerve_faces(grid.nerve)
     for key in grid.degree_keys(degree + 1):
         cg = grid_cell(grid, key)
@@ -825,6 +901,7 @@ def _assembly_work(grid, degree):
         for face_key, _ in faces[key]:
             fcg = grid_cell(grid, face_key)
             carried = cg.label_idx[np.isin(cg.label_idx, fcg.label_idx)]
+            entries += carried.size
             if carried.size == 0:
                 continue
             beta0 = face_key[0][0]
@@ -833,7 +910,7 @@ def _assembly_work(grid, degree):
             segments.add((beta0, t0, t1))
             if beta0 != ref:
                 pairs.add((beta0, ref))
-    return segments, pairs
+    return segments, pairs, entries
 
 
 @pytest.mark.parametrize(
@@ -844,7 +921,7 @@ def test_delta_matrix_sweeps_each_segment_and_pair_once(models, monkeypatch, nam
     # the grid's build makes one transport call and one transition call for
     # the entries of every degree, on the union of the segments and the
     # element pairs they need, so a row two degrees share is integrated
-    # once; delta_matrix only stacks, and makes neither call
+    # once; delta_matrix hands out the grid's blocks, and makes neither call
     from gqlab.prequantum import TrivializationCover
 
     exm = models(name, **params)
@@ -866,8 +943,8 @@ def test_delta_matrix_sweeps_each_segment_and_pair_once(models, monkeypatch, nam
     with trace.counting() as counts:
         grid = TransversalGrid.build(exm.cover, pol, labels)
     work = [_assembly_work(grid, degree) for degree in range(grid.nerve.max_degree)]
-    segments = set().union(*(segs for segs, _ in work))
-    pairs = set().union(*(pairs for _, pairs in work))
+    segments = set().union(*(segs for segs, _, _ in work))
+    pairs = set().union(*(pairs for _, pairs, _ in work))
     assert len(calls["integral"]) == 1 and counts["transport_batches"] == 1
     (rows,) = calls["integral"]
     assert {(int(m), a, b) for m, _, a, b in rows.tolist()} == segments
@@ -878,7 +955,7 @@ def test_delta_matrix_sweeps_each_segment_and_pair_once(models, monkeypatch, nam
     assert counts["transport_integrals"] == len(distinct(rows))
     # the call holds the entries degree after degree; a row two degrees
     # share (the torus has some) is integrated once
-    ends = np.cumsum([len(entries.rows) for entries in grid.deltas])
+    ends = np.cumsum([entries for _, _, entries in work])
     assert ends[-1] == len(rows)
     shared = sum(map(len, map(distinct, np.split(rows, ends[:-1])))) - len(distinct(rows))
     assert shared > 0 if name == "torus" else shared == 0
