@@ -11,12 +11,13 @@ so BS values need not be hit by the sample grid.
 
 Leaves come from a LeafAtlas, which threads each membership pattern (the
 set of elements a leaf crosses) once and hands a batch of labels back as
-arrays, one LeafGroup per pattern.  holonomy takes those groups and
-returns the action and holonomy of every label as arrays, from one
-transport quadrature call and one transition call, with the arithmetic of
-a scalar product so that batching moves no bit of a result.  The census
-reports its sampled leaves as those arrays, columns from which each
-report field is derived; it builds no record per leaf.
+one Leaves batch: flat columns, leaf after leaf in the order of the
+labels.  holonomy reads those columns and returns the action and holonomy
+of every label as arrays, in the same order, from one transport
+quadrature call and one transition call, with the arithmetic of a scalar
+product so that batching moves no bit of a result.  The census reports
+its sampled leaves as those arrays, columns from which each report field
+is derived; it builds no record per leaf.
 """
 
 from __future__ import annotations
@@ -42,19 +43,21 @@ class HolonomyUndefinedError(ValueError):
     pass
 
 
-class LeafGroup(NamedTuple):
-    """The leaves of the labels of a batch that share one membership
-    pattern: n labels, each in k segments, in leaf order, and s switch
+class Leaves(NamedTuple):
+    """The leaves through a batch of labels, in the batch's order, as flat
+    columns: leaf i has k[i] segments, in leaf order, and s[i] switch
     points, k - 1 on a line leaf, k on a circle leaf, 0 on a leaf that one
-    element holds whole."""
+    element holds whole.  The segment and switch columns run leaf after
+    leaf."""
 
-    rows: np.ndarray  # (n,) the labels' positions in their batch
     labels: np.ndarray  # (n,)
-    elements: np.ndarray  # (k,) the segments' elements
-    t0: np.ndarray  # (k,) element-frame leaf parameter bounds
-    t1: np.ndarray  # (k,)
-    lifted: np.ndarray  # (n, k) each label lifted into each segment's element frame
-    switch_points: np.ndarray  # (n, s, 2) canonical coords; switch j joins segments j, j + 1
+    k: np.ndarray  # (n,) segments per leaf
+    s: np.ndarray  # (n,) switch points per leaf
+    elements: np.ndarray  # (sum k,) the segments' elements
+    t0: np.ndarray  # (sum k,) element-frame leaf parameter bounds
+    t1: np.ndarray  # (sum k,)
+    lifted: np.ndarray  # (sum k,) the label lifted into the segment's element frame
+    switch_points: np.ndarray  # (sum s, 2) canonical coords; switch j joins segments j, j + 1
 
 
 # ---------------------------------------------------------------------------
@@ -160,13 +163,13 @@ class LeafAtlas:
     through that pattern: the label enters as each segment's lifted label
     and through the switch points on its curve.  So a batch of labels is
     lifted into every element in one broadcast (LeafFrame.lift, the rule
-    the transversal grid uses for its cells) and grouped by pattern; a
-    pattern is threaded the first time it is met, and the switch points of
-    the whole batch come from one curve_points call.  The element boxes
-    are the degree-0 cells of the cover's nerve, which a pullback cover
-    keeps from its source, and the switch points lie on the polarization's
-    own curve (phi^{-1} o gamma for a pushforward), so a pullback cover is
-    threaded like any other.
+    the transversal grid uses for its cells); a pattern is threaded the
+    first time it is met, and the switch points of the whole batch come
+    from one curve_points call.  The element boxes are the degree-0 cells
+    of the cover's nerve, which a pullback cover keeps from its source,
+    and the switch points lie on the polarization's own curve (phi^{-1} o
+    gamma for a pushforward), so a pullback cover is threaded like any
+    other.
     """
 
     def __init__(self, cover: TrivializationCover, pol: Polarization):
@@ -197,43 +200,35 @@ class LeafAtlas:
             segments, switches = _thread_circle(cands, whole, period, c)
         els, t0s, t1s, js = zip(*segments)
         found = (np.array(els), np.array(t0s), np.array(t1s),
-                 [positions[j] for j in js], np.array(switches))
+                 np.array([positions[j] for j in js]), np.array(switches))
         self._threadings[pattern] = found
         trace.count("leaf_patterns")
         return found
 
-    def leaves(self, labels) -> list:
-        """The leaves through labels, one LeafGroup per membership pattern
-        in order of first use: circle leaves when the polarization's leaves
-        close, line leaves otherwise.  A label whose leaf crosses no
-        element, or finds a gap, raises CoverageError."""
+    def leaves(self, labels) -> Leaves:
+        """The leaves through labels, in their order: circle leaves when
+        the polarization's leaves close, line leaves otherwise.  A label
+        whose leaf crosses no element, or finds a gap, raises
+        CoverageError."""
         labels = np.asarray(labels, dtype=float)
         if not len(labels):
-            return []
+            none, nothing = np.zeros(0, dtype=int), np.zeros(0)
+            return Leaves(labels, none, none, none, nothing, nothing, nothing, np.zeros((0, 2)))
         lifted, inside = self.frame.lift(labels)
-        groups: dict = {}  # membership pattern -> label rows, in first use
-        for row, crossed in enumerate(inside.tolist()):
-            groups.setdefault(tuple(crossed), []).append(row)
-        values = labels.tolist()
-        threaded = [(np.array(rows), self._threading(pattern, values[rows[0]]))
-                    for pattern, rows in groups.items()]
+        threaded = [self._threading(tuple(crossed), c)
+                    for crossed, c in zip(inside.tolist(), labels.tolist())]
+        els, t0s, t1s, positions, ts = (np.concatenate(col) for col in zip(*threaded))
+        k = np.array([len(th[0]) for th in threaded])
+        s = np.array([len(th[4]) for th in threaded])
         # the switch points of the whole batch, by one curve call; points
         # are computed row by row, so each is what a call for its leaf
         # alone gives
-        cs = np.concatenate([labels[rows].repeat(len(th[4])) for rows, th in threaded])
-        ts = np.concatenate(  # each pattern's parameters, once per label
-            [np.repeat(th[4][None, :], len(rows), axis=0).ravel() for rows, th in threaded]
-        )
-        pts = np.empty((0, 2))
-        if len(cs):
-            pts = self.cover.manifold.reduce(self.polarization.curve_points(cs, ts))
-        out, start = [], 0
-        for rows, (els, t0s, t1s, positions, switches) in threaded:
-            n, s = len(rows), len(switches)
-            out.append(LeafGroup(rows, labels[rows], els, t0s, t1s, lifted[rows][:, positions],
-                                 pts[start : start + n * s].reshape(n, s, 2)))
-            start += n * s
-        return out
+        pts = np.zeros((0, 2))
+        if len(ts):
+            pts = self.cover.manifold.reduce(
+                self.polarization.curve_points(labels.repeat(s), ts))
+        return Leaves(labels, k, s, els, t0s, t1s,
+                      lifted[np.arange(len(labels)).repeat(k), positions], pts)
 
 
 def _label_slack(a: float, b: float) -> float:
@@ -255,8 +250,8 @@ def enumerate_leaves(atlas: LeafAtlas, crange: tuple, count: int) -> tuple:
     """The leaves at `count` fiber-map values in crange, threaded on atlas,
     and its polarization's singular points, labelled by the root
     polarization (a pushforward keeps labels leafwise).  Returns (labels,
-    groups, points): the sampled labels, their atlas.leaves groups, and
-    the point leaves as (label, point) pairs."""
+    leaves, points): the sampled labels, their atlas.leaves batch, and the
+    point leaves as (label, point) pairs."""
     if count < 1:
         raise ConfigurationError("count must be >= 1")
     pol = atlas.polarization
@@ -315,17 +310,17 @@ def _ranges(counts: np.ndarray, starts) -> np.ndarray:
     return np.arange(ends[-1]) + (starts - ends + counts).repeat(counts)
 
 
-def holonomy(transport: LeafTransport, groups) -> tuple:
+def holonomy(transport: LeafTransport, leaves: Leaves) -> tuple:
     """Parallel transport around closed leaves: the actions (n,) and the
-    holonomies (n,) of the leaves of LeafAtlas groups, in the order of
-    their labels' batch, on the cover and polarization of transport.
+    holonomies (n,) of a LeafAtlas batch, in the order of its labels, on
+    the cover and polarization of transport.
 
     The convention matches the cochain transport: a value f in the alpha
     trivialization becomes lambda_{alpha beta} f in the beta trivialization,
     and moving along the leaf multiplies by exp(-i integral theta).
 
-    The groups share their kernel work: one transport.integral call for all
-    their leaf segments, which integrates the distinct ones in one
+    The leaves of a batch share their kernel work: one transport.integral
+    call for all their segments, which integrates the distinct ones in one
     quadrature call, one cover.transition call for the switch points
     between two distinct elements, which evaluates each distinct
     transition formula once, and one exp call.  A leaf's action
@@ -341,34 +336,24 @@ def holonomy(transport: LeafTransport, groups) -> tuple:
     no integral between calls, so no result depends on what was asked
     before.
     """
-    groups = list(groups)
-    if not groups:
+    k, s, elements = leaves.k, leaves.s, leaves.elements
+    if not len(k):
         return np.zeros(0), np.ones(0, dtype=np.complex128)
     if transport.polarization.leaf_period is None:
         raise HolonomyUndefinedError("holonomy is undefined for noncompact (line) leaves")
 
-    # every leaf's segments and then its switches, flat, group by group and
-    # leaf by leaf; a leaf's segments are its group's, from `first` on in the
-    # concatenated columns, and its switch j joins segments j and j + 1,
-    # cyclically
-    reps = [len(g.rows) for g in groups]
-    kg, sg = np.array([(len(g.elements), g.switch_points.shape[1]) for g in groups]).T
-    k, s, first = kg.repeat(reps), sg.repeat(reps), (kg.cumsum() - kg).repeat(reps)
-    elements, t0, t1 = (np.concatenate(col) for col in
-                        zip(*((g.elements, g.t0, g.t1) for g in groups)))
-    seg = _ranges(k, first)
-    x = transport.integral(elements[seg], t0[seg], t1[seg],
-                           np.concatenate([g.lifted.ravel() for g in groups]))
+    x = transport.integral(elements, leaves.t0, leaves.t1, leaves.lifted)
     arg = np.empty(len(x), dtype=np.complex128)  # -1j * x, as Python forms it
     arg.real, arg.imag = _times(-0.0, -1.0, x.real, x.imag)
-    j = _ranges(s, 0)
+    # a leaf's segments start at `first` in the flat columns, and its switch
+    # j joins segments j and j + 1, cyclically
+    first, j = k.cumsum() - k, _ranges(s, 0)
     before, after = (elements[first.repeat(s) + i] for i in (j, (j + 1) % k.repeat(s)))
     lam, turn = np.ones(len(j), dtype=np.complex128), np.zeros(len(j))
     moved = before != after  # a switch within one element is 1
     if moved.any():
         a, b = before[moved], after[moved]
-        points = np.concatenate([g.switch_points.reshape(-1, 2) for g in groups])
-        lam[moved] = got = transport.cover.transition(a, b, points[moved])
+        lam[moved] = got = transport.cover.transition(a, b, leaves.switch_points[moved])
         turn[moved] = list(map(math.atan2, got.imag.tolist(), got.real.tolist()))
 
     # a column a step and a row a leaf: its factors, then its transitions,
@@ -386,8 +371,7 @@ def holonomy(transport: LeafTransport, groups) -> tuple:
         re, im = _times(re, im, z[col].real, z[col].imag)
     hol = np.empty(n, dtype=np.complex128)
     hol.real, hol.imag = re, im
-    order = np.argsort(np.concatenate([g.rows for g in groups]))
-    return acc[order], hol[order]
+    return acc, hol
 
 
 # ---------------------------------------------------------------------------
@@ -501,10 +485,6 @@ class BSReport(NamedTuple):
     q_bs: int
     lines_excluded: int
     tol: float
-    # the unwrapped action's change over the samples: the integral of omega
-    # between the first sampled circle leaf and the last (or the first one a
-    # period on, on a window that closes)
-    action_change: float
 
     def as_dict(self) -> dict:
         """The report, its leaves in rows: circle leaves, line leaves, point
@@ -591,9 +571,9 @@ def bs_census(
     atlas = LeafAtlas(cover, pol)
     for name in ("census_refinements", "root_steps", "root_holonomy_evaluations"):
         trace.count(name, 0)  # reported when no round or step needs them
-    labels, groups, points = enumerate_leaves(atlas, crange, count)
+    labels, leaves, points = enumerate_leaves(atlas, crange, count)
     closed = pol.leaf_period is not None
-    actions, hols = holonomy(transport, groups if closed else [])
+    actions, hols = holonomy(transport, leaves if closed else atlas.leaves([]))
     for column in (labels, actions, hols):
         column.flags.writeable = False
 
@@ -678,7 +658,6 @@ def bs_census(
         if not any(same_leaf(c, u) for u in unique):
             unique.append(c)
 
-    change = rows[-1, 1] - rows[0, 1] + TWO_PI * branches[-1] if len(rows) else 0.0
     return BSReport(
         labels=labels if closed else actions,  # a line census's columns are empty
         actions=actions,
@@ -691,7 +670,6 @@ def bs_census(
         q_bs=len(unique) + len(points) + (lines if include_lines else 0),
         lines_excluded=0 if include_lines else lines,
         tol=tol,
-        action_change=float(change),
     )
 
 

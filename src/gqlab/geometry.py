@@ -225,7 +225,6 @@ class Polarization(Record):
         label_periodic: bool = False,
         singular_points: tuple = (),
         base: Polarization | None = None,
-        map: Symplectomorphism | None = None,
     ):
         self._set(locals())
 
@@ -427,5 +426,4 @@ def pushforward_polarization(phi: Symplectomorphism, pol: Polarization) -> Polar
         label_periodic=pol.label_periodic,
         singular_points=singular,
         base=pol,
-        map=phi,
     )

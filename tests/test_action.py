@@ -530,8 +530,8 @@ def test_transport_leaf_identity(models):
     assert np.allclose([p["label"] for p in pairs], [0.4, 0.8, 1.2], atol=1e-12)
     for pair in pairs:
         c = pair["label"]
-        _, groups, _ = enumerate_leaves(LeafAtlas(exm.cover, pol), (c, c), 1)
-        (h1,) = holonomy(LeafTransport(exm.cover, pol), groups)[1].tolist()
+        _, leaves, _ = enumerate_leaves(LeafAtlas(exm.cover, pol), (c, c), 1)
+        (h1,) = holonomy(LeafTransport(exm.cover, pol), leaves)[1].tolist()
         assert pair["holonomy_source"] == [h1.real, h1.imag]
         assert abs(complex(*pair["holonomy_source"])
                    - complex(*pair["holonomy_target"])) < 1e-12

@@ -57,18 +57,18 @@ class HolonomyResult(NamedTuple):
 def _holonomies(cover, pol, crange, count):
     """The labels of a sampled label range and their HolonomyResults, one
     holonomy batch on a fresh transport."""
-    labels, groups, _ = enumerate_leaves(LeafAtlas(cover, pol), crange, count)
-    actions, hols = holonomy(LeafTransport(cover, pol), groups)
+    labels, leaves, _ = enumerate_leaves(LeafAtlas(cover, pol), crange, count)
+    actions, hols = holonomy(LeafTransport(cover, pol), leaves)
     return labels, list(map(HolonomyResult.of, hols.tolist(), actions.tolist()))
 
 
 def test_cylinder_leaf_enumeration(models):
     exm = models("cylinder")
     pol = exm.polarization()
-    labels, groups, points = enumerate_leaves(LeafAtlas(exm.cover, pol), (-2.5, 2.5), 11)
+    labels, leaves, points = enumerate_leaves(LeafAtlas(exm.cover, pol), (-2.5, 2.5), 11)
     assert pol.leaf_period is not None  # circle leaves
     assert len(labels) == 11 and points == []  # no singular leaves
-    assert sum(len(g.rows) for g in groups) == 11
+    assert leaves.labels.tobytes() == labels.tobytes()  # one leaf a label, in order
     assert np.allclose(labels, np.linspace(-2.5, 2.5, 11))
 
 
@@ -84,26 +84,27 @@ def test_sphere_enumeration_includes_poles(models):
 def test_torus_loops_close_through_the_cover(models):
     exm = models("torus", k=1)
     pol = exm.polarization()
-    labels, groups, _ = enumerate_leaves(LeafAtlas(exm.cover, pol), (0.0, TWO_PI), 8)
-    assert len(labels) == 8 == sum(len(g.rows) for g in groups)
-    for g in groups:
-        k = len(g.elements)
-        assert abs(np.sum(g.t1 - g.t0) - TWO_PI) < 1e-9  # the loop closes
-        assert g.switch_points.shape == (len(g.rows), k, 2)
+    labels, leaves, _ = enumerate_leaves(LeafAtlas(exm.cover, pol), (0.0, TWO_PI), 8)
+    assert len(labels) == 8 == len(leaves.labels)
+    for leaf in _each(leaves):
+        k = len(leaf.elements)
+        assert abs(np.sum(leaf.t1 - leaf.t0) - TWO_PI) < 1e-9  # the loop closes
+        assert leaf.switch_points.shape == (k, 2)
         for j in range(k):
-            a, b = g.elements[j], g.elements[(j + 1) % k]
+            a, b = leaf.elements[j], leaf.elements[(j + 1) % k]
             # on the torus an element holds a point iff the point lifts into it
             for el in (a, b):
-                assert not np.isnan(exm.cover.member_points(el, g.switch_points[:, j])).any()
+                point = leaf.switch_points[j : j + 1]
+                assert not np.isnan(exm.cover.member_points(el, point)).any()
 
 
 def test_plane_line_leaves(models):
     exm = models("plane")
     pol = exm.polarization()
-    _, groups, _ = enumerate_leaves(LeafAtlas(exm.cover, pol), (-2.0, 2.0), 5)
+    _, leaves, _ = enumerate_leaves(LeafAtlas(exm.cover, pol), (-2.0, 2.0), 5)
     assert pol.leaf_period is None  # line leaves
     with pytest.raises(HolonomyUndefinedError):
-        holonomy(LeafTransport(exm.cover, pol), groups[:1])
+        holonomy(LeafTransport(exm.cover, pol), leaves)
 
 
 def test_point_leaf_holonomy_is_trivial(models):
@@ -192,9 +193,10 @@ def test_census_rows_are_the_scalar_formulas_of_its_columns(models, name, params
     crange = crange or exm.census_range
     rep = bs_census(exm.cover, pol, crange, 33, include_lines=include_lines)
     # the columns are the holonomy batch of the sampled labels, read-only
-    labels, groups, points = enumerate_leaves(LeafAtlas(exm.cover, pol), crange, 33)
+    atlas = LeafAtlas(exm.cover, pol)
+    labels, leaves, points = enumerate_leaves(atlas, crange, 33)
     closed = pol.leaf_period is not None
-    actions, hols = holonomy(LeafTransport(exm.cover, pol), groups if closed else [])
+    actions, hols = holonomy(LeafTransport(exm.cover, pol), leaves if closed else atlas.leaves([]))
     assert rep.labels.tobytes() == (labels if closed else actions).tobytes()
     assert rep.lines == (() if closed else tuple(labels.tolist()))
     assert rep.actions.tobytes() == actions.tobytes()
@@ -276,23 +278,23 @@ def test_holonomy_is_unitary(models, name, params, crange):
         assert abs(abs(h.holonomy) - 1.0) < 1e-10
 
 
-def _rotated(group, shift):
-    """The leaves of group threaded from their segment shift on."""
+def _rotated(leaf, shift):
+    """A one-leaf batch threaded from its segment shift on."""
     def turn(a):
-        return np.roll(a, -shift, axis=1 if a.ndim > 1 else 0)
+        return np.roll(a, -shift, axis=0)
 
-    return group._replace(elements=turn(group.elements), t0=turn(group.t0),
-                          t1=turn(group.t1), lifted=turn(group.lifted),
-                          switch_points=turn(group.switch_points))
+    return leaf._replace(elements=turn(leaf.elements), t0=turn(leaf.t0), t1=turn(leaf.t1),
+                         lifted=turn(leaf.lifted), switch_points=turn(leaf.switch_points))
 
 
 def test_holonomy_independent_of_starting_segment(models):
     exm = models("torus", k=2)
     pol = exm.polarization()
-    _, (group,) = enumerate_leaves(LeafAtlas(exm.cover, pol), (1.1, 1.1), 1)[:2]
-    _, h = holonomy(LeafTransport(exm.cover, pol), [group])
-    for shift in range(1, len(group.elements)):
-        _, h2 = holonomy(LeafTransport(exm.cover, pol), [_rotated(group, shift)])
+    _, leaf = enumerate_leaves(LeafAtlas(exm.cover, pol), (1.1, 1.1), 1)[:2]
+    assert len(leaf.labels) == 1 and leaf.s.tolist() == leaf.k.tolist()
+    _, h = holonomy(LeafTransport(exm.cover, pol), leaf)
+    for shift in range(1, len(leaf.elements)):
+        _, h2 = holonomy(LeafTransport(exm.cover, pol), _rotated(leaf, shift))
         assert abs(h[0] - h2[0]) < 1e-10
 
 
@@ -303,9 +305,9 @@ def test_holonomy_invariant_under_refinement(models):
     pol = exm.polarization()
     fine, _ = refine(exm.cover, split_boxes(exm.cover))
     for c in (0.7, 2.9, 5.1):
-        (group,) = LeafAtlas(exm.cover, pol).leaves([c])
-        (group_f,) = LeafAtlas(fine, pol).leaves([c])
-        assert len(group_f.elements) > len(group.elements)
+        leaf = LeafAtlas(exm.cover, pol).leaves([c])
+        leaf_f = LeafAtlas(fine, pol).leaves([c])
+        assert len(leaf_f.elements) > len(leaf.elements)
         _, (h,) = _holonomies(exm.cover, pol, (c, c), 1)
         _, (hf,) = _holonomies(fine, pol, (c, c), 1)
         assert abs(h.holonomy - hf.holonomy) < 1e-10
@@ -697,9 +699,9 @@ def test_census_computes_each_holonomy_once(models, monkeypatch):
     calls = []
     real = bohr.holonomy
 
-    def counting(transport, groups):
-        calls.extend(c for g in groups for c in g.labels.tolist())
-        return real(transport, groups)
+    def counting(transport, leaves):
+        calls.extend(leaves.labels.tolist())
+        return real(transport, leaves)
 
     monkeypatch.setattr(bohr, "holonomy", counting)
     exm = models("torus", k=3)
@@ -711,15 +713,28 @@ def test_census_computes_each_holonomy_once(models, monkeypatch):
 
 
 @pytest.mark.parametrize("k", range(1, 9))
-def test_census_steps_add_up_to_the_volume(models, k):
+def test_census_steps_add_up_to_the_volume(models, monkeypatch, k):
     # over one label period the unwrapped action steps by the integral of
-    # omega over the torus, 2 pi k, whatever the sampling
+    # omega over the torus, 2 pi k, whatever the sampling: the unwrapping
+    # the census settles on, that of its last _branches call, changes by it
+    # between the first sample and the first one a period on
+    settled = []
+    real = bohr._branches
+
+    def recording(rows):
+        branches, missed = real(rows)
+        settled.append((rows, branches))
+        return branches, missed
+
+    monkeypatch.setattr(bohr, "_branches", recording)
     exm = models("torus", k=k)
     pol = exm.polarization()
     for crange, count in (((0.0, TWO_PI), 24), ((0.4, 0.4 + TWO_PI), 33),
                           ((-1.9, TWO_PI - 1.9), 10), ((0.0, TWO_PI), 3)):
         rep = bs_census(exm.cover, pol, crange, count)
-        assert abs(rep.action_change - TWO_PI * k) <= 1e-9, (crange, count)
+        rows, branches = settled[-1]
+        change = rows[-1, 1] - rows[0, 1] + TWO_PI * branches[-1]
+        assert abs(change - TWO_PI * k) <= 1e-9, (crange, count)
         assert rep.q_bs_smooth == k, (crange, count)
 
 
@@ -941,11 +956,11 @@ def test_census_holonomies_equal_fresh_transport_bit_for_bit(models, monkeypatch
     seen = []
     real = bohr.holonomy
 
-    def recording(transport, groups):
-        actions, hols = real(transport, groups)
+    def recording(transport, leaves):
+        actions, hols = real(transport, leaves)
         seen.extend(
-            (transport.cover, transport.polarization, _one(g, i), actions[row], hols[row])
-            for g in groups for i, row in enumerate(g.rows.tolist())
+            (transport.cover, transport.polarization, leaf, action, hol)
+            for leaf, action, hol in zip(_each(leaves), actions, hols)
         )
         return actions, hols
 
@@ -956,7 +971,7 @@ def test_census_holonomies_equal_fresh_transport_bit_for_bit(models, monkeypatch
         assert counts["root_holonomy_evaluations"] > 0 or name.startswith("disk"), name
         assert counts["transport_batches"] < counts["transport_integrals"], name
         for cover_, pol_, one, action, hol in seen:
-            fresh = real(LeafTransport(cover_, pol_), [one])
+            fresh = real(LeafTransport(cover_, pol_), one)
             assert _same_bits(fresh, (action, hol)), (name, one.labels[0])
 
 
@@ -978,10 +993,10 @@ def test_census_holonomy_calls_add_up(models, monkeypatch, name, params, crange,
     batches = []
     real = bohr.holonomy
 
-    def counting(transport, groups):
-        calls.extend(c for g in groups for c in g.labels.tolist())
-        batches.append(len(groups))
-        return real(transport, groups)
+    def counting(transport, leaves):
+        calls.extend(leaves.labels.tolist())
+        batches.append(len(leaves.labels))
+        return real(transport, leaves)
 
     monkeypatch.setattr(bohr, "holonomy", counting)
     exm = models(name, **params)
@@ -1195,36 +1210,44 @@ def _same_bits(got, want) -> bool:
     ]
 
 
-def _one(group, i):
-    """Row i of a LeafGroup as a group of its own."""
-    return group._replace(rows=np.zeros(1, dtype=int), labels=group.labels[i : i + 1],
-                          lifted=group.lifted[i : i + 1],
-                          switch_points=group.switch_points[i : i + 1])
+def _one(leaves, i):
+    """Leaf i of a batch as a batch of its own."""
+    k_end, s_end = leaves.k[: i + 1].sum(), leaves.s[: i + 1].sum()
+    seg = slice(k_end - leaves.k[i], k_end)
+    return bohr.Leaves(leaves.labels[i : i + 1], leaves.k[i : i + 1], leaves.s[i : i + 1],
+                       leaves.elements[seg], leaves.t0[seg], leaves.t1[seg], leaves.lifted[seg],
+                       leaves.switch_points[s_end - leaves.s[i] : s_end])
 
 
-def _assert_same_leaf(group, i, topology, want):
-    """Row i of a LeafGroup of the given topology is the leaf want."""
-    assert _bits(group.labels[i]) == _bits(want.label)
+def _each(leaves) -> list:
+    """The leaves of a batch, each a batch of its own, in label order."""
+    return [_one(leaves, i) for i in range(len(leaves.labels))]
+
+
+def _assert_same_leaf(leaf, topology, want):
+    """A one-leaf batch of the given topology is the leaf want."""
+    assert [_bits(c) for c in leaf.labels.tolist()] == [_bits(want.label)]
     assert topology == want.topology
-    assert len(group.elements) == len(want.segments)
+    assert leaf.k.tolist() == [len(want.segments)]
+    assert leaf.s.tolist() == [len(want.switch_points)]
     for j, r in enumerate(want.segments):
-        assert group.elements[j] == r[0]
-        got = (group.t0[j], group.t1[j], group.lifted[i, j])
+        assert leaf.elements[j] == r[0]
+        got = (leaf.t0[j], leaf.t1[j], leaf.lifted[j])
         assert [_bits(v) for v in got] == [_bits(v) for v in r[1:]]
-    got = group.switch_points[i]
+    got = leaf.switch_points
     assert got.shape == want.switch_points.shape
     assert got.dtype == want.switch_points.dtype
     assert got.tobytes() == want.switch_points.tobytes()
 
 
-def _assert_same_leaves(groups, labels, topology, want):
-    """The groups of a batch of labels hold every label once, each the
-    leaf want[label]."""
-    rows = sorted(row for g in groups for row in g.rows.tolist())
-    assert rows == list(range(len(labels)))
-    for g in groups:
-        for i, row in enumerate(g.rows.tolist()):
-            _assert_same_leaf(g, i, topology, want[labels[row]])
+def _assert_same_leaves(leaves, labels, topology, want):
+    """A batch of labels holds every label once, in their order, each the
+    leaf want[label], and its flat columns hold its leaves and no more."""
+    assert len(leaves.labels) == len(labels)
+    assert len(leaves.elements) == len(leaves.t0) == len(leaves.t1) == len(leaves.lifted)
+    assert len(leaves.elements) == leaves.k.sum() and len(leaves.switch_points) == leaves.s.sum()
+    for leaf, c in zip(_each(leaves), labels):
+        _assert_same_leaf(leaf, topology, want[c])
 
 
 def _atlas_cases(models):
@@ -1324,6 +1347,104 @@ def test_atlas_names_a_label_that_crosses_no_element(models):
         atlas.leaves([0.5, 9.0, 1.0, -9.5])
 
 
+def test_atlas_leaves_of_no_labels_are_empty_columns(models):
+    # an empty batch on circle and on line leaves alike: every column empty,
+    # and holonomy gives empty arrays without asking whether leaves close
+    for name, params in (("torus", {"k": 3}), ("plane", {})):
+        exm = models(name, **params)
+        pol = exm.polarization()
+        leaves = LeafAtlas(exm.cover, pol).leaves([])
+        assert [col.shape for col in leaves] == [(0,)] * 7 + [(0, 2)], name
+        assert [col.dtype.kind for col in leaves] == list("fiiiffff"), name
+        actions, hols = holonomy(LeafTransport(exm.cover, pol), leaves)
+        assert actions.shape == hols.shape == (0,) and hols.dtype == np.complex128, name
+
+
+@pytest.mark.parametrize("name,params", [("sphere", {"k": 3}), ("disk", {})])
+def test_batch_with_no_switch_points(models, name, params):
+    # one element holds each leaf whole: one segment a leaf, no switch
+    # point and no transition in the batch, and each holonomy is its leaf's
+    exm = models(name, **params)
+    pol = exm.polarization()
+    labels = np.linspace(*exm.census_range, 9)
+    leaves = LeafAtlas(exm.cover, pol).leaves(labels)
+    assert leaves.k.tolist() == [1] * 9 and leaves.s.tolist() == [0] * 9
+    assert leaves.switch_points.shape == (0, 2)
+    transport = LeafTransport(exm.cover, pol)
+    with trace.counting() as counts:
+        actions, hols = holonomy(transport, leaves)
+    assert counts.get("formula_runs", 0) == 0
+    for c, one, action, hol in zip(labels.tolist(), _each(leaves), actions.tolist(),
+                                   hols.tolist()):
+        want = _reference_holonomy(exm.cover, pol, _reference_leaf(exm.cover, pol, c),
+                                   transport)
+        assert _same_result(HolonomyResult.of(hol, action), want), c
+        assert _same_bits(holonomy(transport, one), (want.action, want.holonomy)), c
+
+
+def test_atlas_batch_mixing_leaves_with_and_without_switch_points(models):
+    # the plane refined into a left box and two right boxes that overlap
+    # about y = 0: the vertical lines at -2, 0 and -3 lie in the left box
+    # whole, the one at 2 switches once between the right boxes
+    from gqlab.geometry import Box
+    from gqlab.prequantum import refine
+
+    exm = models("plane", granularity=1)
+    pol = exm.polarization("vertical")
+    fine, _ = refine(exm.cover, [Box((-4.4, -4.4), (0.6, 4.4)), Box((-0.6, -4.4), (4.4, 0.3)),
+                                 Box((-0.6, -0.3), (4.4, 4.4))])
+    labels = [-2.0, 0.0, 2.0, -3.0]
+    leaves = LeafAtlas(fine, pol).leaves(labels)
+    assert leaves.k.tolist() == [1, 1, 2, 1] and leaves.s.tolist() == [0, 0, 1, 0]
+    want = {c: _reference_leaf(fine, pol, c) for c in labels}
+    _assert_same_leaves(leaves, labels, "line", want)
+
+
+def _joined(*batches):
+    """Batches of leaves as one batch, leaf after leaf."""
+    return bohr.Leaves(*(np.concatenate(cols) for cols in zip(*batches)))
+
+
+def test_holonomy_of_a_batch_mixing_leaves_with_and_without_switch_points(models):
+    # no builtin circle cover mixes the two, so a leaf of the torus joins
+    # one taken a whole period in its first segment's trivialization: its
+    # factor alone, no switch; each leaf of the mixed batch is its own
+    # batch.  The gauge makes every transition at a switch point differ
+    # from 1, so a switch read from the wrong segments shows
+    exm = models("torus", k=3)
+    cover, pol = _gauged(exm.cover), exm.polarization()
+    transport = LeafTransport(cover, pol)
+    leaves = LeafAtlas(cover, pol).leaves([0.7, 2.9])
+    first = _one(leaves, 0)
+    whole = first._replace(k=np.array([1]), s=np.array([0]), elements=first.elements[:1],
+                           t0=first.t0[:1], t1=first.t0[:1] + TWO_PI,
+                           lifted=first.lifted[:1], switch_points=np.zeros((0, 2)))
+    batch = _joined(whole, first, whole, _one(leaves, 1), whole)
+    assert batch.s.tolist() == [0, 3, 0, 3, 0]
+    actions, hols = holonomy(transport, batch)
+    for i, one in enumerate(_each(batch)):
+        assert _same_bits(holonomy(transport, one), (actions[i], hols[i])), i
+
+
+@pytest.mark.parametrize("name,params", [("torus", {"k": 3}), ("cylinder", {}),
+                                         ("sphere", {"k": 4})])
+def test_labels_in_any_order_come_back_in_that_order(models, name, params):
+    # a batch keeps the order of its labels, repeats included, and each
+    # action and holonomy is bit for bit that of the sorted batch
+    exm = models(name, **params)
+    pol = exm.polarization()
+    atlas, transport = LeafAtlas(exm.cover, pol), LeafTransport(exm.cover, pol)
+    labels = np.linspace(*exm.census_range, 17)
+    actions, hols = holonomy(transport, atlas.leaves(labels))
+    for order in (np.arange(17)[::-1], np.random.default_rng(7).permutation(17),
+                  np.array([4, 0, 16, 4, 9, 0, 3])):
+        leaves = atlas.leaves(labels[order])
+        assert leaves.labels.tobytes() == labels[order].tobytes()
+        got = holonomy(transport, leaves)
+        assert got[0].tobytes() == actions[order].tobytes()
+        assert got[1].tobytes() == hols[order].tobytes()
+
+
 def _reference_holonomy(cover, pol, leaf, transport):
     """The holonomy of one leaf as a product of scalars, one one-entry
     integral and one single-point transition call at a time."""
@@ -1413,32 +1534,29 @@ def test_batched_holonomy_equals_the_per_leaf_product_bit_for_bit(models):
     ] + _gauged_cases(models)
     switches = gauged_switches = 0
     for name, cover, pol, crange, plain in cases:
-        labels, groups, _ = enumerate_leaves(LeafAtlas(cover, pol), crange, 60)
+        labels, leaves, _ = enumerate_leaves(LeafAtlas(cover, pol), crange, 60)
         transport = LeafTransport(cover, pol)
         with trace.counting() as counts:
-            actions, hols = holonomy(transport, groups)
+            actions, hols = holonomy(transport, leaves)
         results = list(map(HolonomyResult.of, hols.tolist(), actions.tolist()))
-        for g in groups:
-            for i, row in enumerate(g.rows.tolist()):
-                leaf = _reference_leaf(cover, pol, labels[row])
-                want = _reference_holonomy(cover, pol, leaf, transport)
-                assert _same_result(results[row], want), (name, leaf.label, want)
-                one = holonomy(transport, [_one(g, i)])
-                assert _same_bits(one, (want.action, want.holonomy)), (name, leaf.label)
+        for c, one, result in zip(labels.tolist(), _each(leaves), results):
+            leaf = _reference_leaf(cover, pol, c)
+            want = _reference_holonomy(cover, pol, leaf, transport)
+            assert _same_result(result, want), (name, leaf.label, want)
+            assert _same_bits(holonomy(transport, one), (want.action, want.holonomy)), \
+                (name, leaf.label)
         pairs = {
-            (g.elements[j], g.elements[(j + 1) % len(g.elements)])
-            for g in groups for j in range(g.switch_points.shape[1])
+            (one.elements[j], one.elements[(j + 1) % len(one.elements)])
+            for one in _each(leaves) for j in range(len(one.switch_points))
         }
         # one evaluator run per distinct transition formula among the pairs
         formulas = {cover.data.transition_expr(a, b) for a, b in pairs if a != b}
         assert counts.get("formula_runs", 0) == len(formulas), name
-        switches += sum(g.switch_points.shape[0] * g.switch_points.shape[1] for g in groups)
+        switches += len(leaves.switch_points)
         if plain is not None:  # a change of gauge leaves every holonomy
             base = holonomy(
                 LeafTransport(*plain), enumerate_leaves(LeafAtlas(*plain), crange, 60)[1]
             )[1]
             assert np.all(np.abs(hols - base) < 1e-10), name
-            gauged_switches += sum(
-                g.switch_points.shape[0] * g.switch_points.shape[1] for g in groups
-            )
+            gauged_switches += len(leaves.switch_points)
     assert gauged_switches > 500 and switches > 2000

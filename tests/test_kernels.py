@@ -175,9 +175,9 @@ class Segment(NamedTuple):
 
 
 def _segments(exm, pol):
-    _, groups, _ = bohr.enumerate_leaves(bohr.LeafAtlas(exm.cover, pol), exm.census_range, 3)
-    return [Segment(*seg) for g in groups for lifted in g.lifted.tolist()
-            for seg in zip(g.elements.tolist(), g.t0.tolist(), g.t1.tolist(), lifted)]
+    _, leaves, _ = bohr.enumerate_leaves(bohr.LeafAtlas(exm.cover, pol), exm.census_range, 3)
+    return [Segment(*seg) for seg in zip(leaves.elements.tolist(), leaves.t0.tolist(),
+                                         leaves.t1.tolist(), leaves.lifted.tolist())]
 
 
 def _segment_ts(seg):

@@ -870,8 +870,8 @@ def test_pullback_data_is_the_chain_through_the_map(models, monkeypatch, name, p
     # no map
     pulled = pullback(src, phi)
     transport = LeafTransport(pulled, pushforward_polarization(phi, pol))
-    group = enumerate_leaves(LeafAtlas(src, pol), exm.census_range, 3)[1][0]
-    element, t0, t1, c_elem = group.elements[0], group.t0[0], group.t1[0], group.lifted[0, 0]
+    leaves = enumerate_leaves(LeafAtlas(src, pol), exm.census_range, 3)[1]
+    element, t0, t1, c_elem = leaves.elements[0], leaves.t0[0], leaves.t1[0], leaves.lifted[0]
 
     def refuse(*args, **kwargs):
         raise AssertionError("the map was evaluated")

@@ -9,6 +9,8 @@ leaves KEEP.
 """
 
 import ast
+import contextlib
+import io
 import sys
 from pathlib import Path
 
@@ -75,8 +77,8 @@ def _lines(tmp):
 
 def _poisoned_report(real):
     """cli._report with a NaN in the payload: the internal-error path."""
-    def report(cfg, payload, passed, seconds):
-        return real(cfg, {**payload, "bad": float("nan")}, passed, seconds)
+    def report(cfg, exm, counts, payload, passed, t0):
+        return real(cfg, exm, counts, {**payload, "bad": float("nan")}, passed, t0)
     return report
 
 
@@ -105,8 +107,8 @@ def _defined_functions() -> dict:
 
 @pytest.fixture(scope="module")
 def sweep(tmp_path_factory):
-    """The exit codes of the sweep and the (file, first line) of every
-    gqlab function it called."""
+    """The exit codes of the sweep, the (file, first line) of every gqlab
+    function it called, and the stderr of its internal-error line."""
     tmp = tmp_path_factory.mktemp("surface")
     # a cached result would hide the calls behind it
     for cached in (cli._parser, program.compile_expr, expr.differentiate,
@@ -120,26 +122,31 @@ def sweep(tmp_path_factory):
             code_objects.add(frame.f_code)
 
     real_report = cli._report
+    poisoned = io.StringIO()
     sys.setprofile(profile)
     try:
         for argv in _lines(tmp):
             codes.append(cli.main(list(argv)))
         cli._report = _poisoned_report(real_report)
-        codes.append(cli.main(["bs", "--example", "sphere", "--k", "2", "--count", "3"]))
+        with contextlib.redirect_stderr(poisoned):
+            codes.append(cli.main(["bs", "--example", "sphere", "--k", "2", "--count", "3"]))
     finally:
         sys.setprofile(None)
         cli._report = real_report
     calls = {(str(Path(c.co_filename).resolve()), c.co_firstlineno) for c in code_objects}
-    return codes, calls
+    return codes, calls, poisoned.getvalue()
 
 
 def test_the_sweep_takes_every_exit_path(sweep):
-    codes, _ = sweep
+    codes, _, poisoned = sweep
     assert set(codes) == {0, 1, 2, 3}
+    # the NaN reaches the strict JSON check, the invariant it violates
+    assert codes[-1] == 3
+    assert poisoned.startswith("internal invariant violation: report is not strict JSON")
 
 
 def test_functions_no_command_reaches_are_the_kept_ones(sweep):
-    _, calls = sweep
+    _, calls, _ = sweep
     unreached = {name for key, name in _defined_functions().items() if key not in calls}
     assert sorted(unreached - KEEP.keys()) == []  # delete it, or keep it with its reader
     assert sorted(KEEP.keys() - unreached) == []  # a command reaches it now
