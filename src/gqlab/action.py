@@ -402,7 +402,8 @@ def verify_theorem_1(
         lhs = psi(grid_dst, keys, delta(grid_dst.operators[degree], v))
         rhs = psi(grid_src, keys, delta(grid_src.operators[degree], v))
         commute = max(commute, float(np.max(np.abs(lhs - rhs), initial=0.0)))
-    passed = equal and commute < COMMUTATION_TOL
+    sound = all(d.betti >= 0 for r in (ranks_src, ranks_dst) for d in r.degrees)  # dimensions
+    passed = equal and sound and commute < COMMUTATION_TOL
     return CorrespondenceReport(
         theorem=1,
         status="ok",

@@ -11,13 +11,13 @@ so BS values need not be hit by the sample grid.
 
 Leaves come from a LeafAtlas, which threads each membership pattern (the
 set of elements a leaf crosses) once and hands a batch of labels back as
-one Leaves batch: flat columns, leaf after leaf in the order of the
-labels.  holonomy reads those columns and returns the action and holonomy
-of every label as arrays, in the same order, from one transport
-quadrature call and one transition call, with the arithmetic of a scalar
-product so that batching moves no bit of a result.  The census reports
-its sampled leaves as those arrays, columns from which each report field
-is derived; it builds no record per leaf.
+flat Leaves columns, leaf after leaf in the order of the labels.
+leaf_actions reads them and returns every label's action, in that order,
+from one transport quadrature call and one transition call; holonomy adds
+the holonomies, with the arithmetic of a scalar product, so that batching
+moves no bit of a result.  The census's one holonomy batch, its sampled
+leaves, is the columns its report derives each field from; its
+refinement and root steps read actions alone.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ class Leaves(NamedTuple):
     columns: leaf i has k[i] segments, in leaf order, and s[i] switch
     points, k - 1 on a line leaf, k on a circle leaf, 0 on a leaf that one
     element holds whole.  The segment and switch columns run leaf after
-    leaf."""
+    leaf; switch j of a leaf joins its segments j and j + 1, cyclically."""
 
     labels: np.ndarray  # (n,)
     k: np.ndarray  # (n,) segments per leaf
@@ -57,7 +57,8 @@ class Leaves(NamedTuple):
     t0: np.ndarray  # (sum k,) element-frame leaf parameter bounds
     t1: np.ndarray  # (sum k,)
     lifted: np.ndarray  # (sum k,) the label lifted into the segment's element frame
-    switch_points: np.ndarray  # (sum s, 2) canonical coords; switch j joins segments j, j + 1
+    switch_points: np.ndarray  # (sum s, 2) canonical coords
+    switch_pairs: np.ndarray  # (sum s, 2) the elements of the segments each switch joins
 
 
 # ---------------------------------------------------------------------------
@@ -159,13 +160,14 @@ class LeafAtlas:
 
     A label's membership pattern is the set of elements its leaf crosses.
     On box covers the threading of a leaf, its segments (element, t0, t1)
-    and the parameters of its switch points, depends on the label only
-    through that pattern: the label enters as each segment's lifted label
-    and through the switch points on its curve.  So a batch of labels is
-    lifted into every element in one broadcast (LeafFrame.lift, the rule
-    the transversal grid uses for its cells); a pattern is threaded the
-    first time it is met, and the switch points of the whole batch come
-    from one curve_points call.  The element boxes are the degree-0 cells
+    and its switches (parameter, and the elements of the segments each
+    joins), depends on the label only through that pattern: the label
+    enters as each segment's lifted label and through the switch points on
+    its curve.  So a batch of labels is lifted into every element in one
+    broadcast (LeafFrame.lift, the rule the transversal grid uses for its
+    cells); a pattern is threaded into two arrays the first time it is
+    met, and the switch points of the whole batch come from one
+    curve_points call.  The element boxes are the degree-0 cells
     of the cover's nerve, which a pullback cover keeps from its source,
     and the switch points lie on the polarization's own curve (phi^{-1} o
     gamma for a pushforward), so a pullback cover is threaded like any
@@ -182,11 +184,9 @@ class LeafAtlas:
         trace.count("leaf_patterns", 0)  # one per pattern threaded
 
     def _threading(self, pattern: tuple, c: float) -> tuple:
-        """The segments' elements, t0, t1 and element positions, as arrays,
-        and the switch parameters of the leaves of one membership pattern."""
-        found = self._threadings.get(pattern)
-        if found is not None:
-            return found
+        """The threading of a new membership pattern's leaves: float rows
+        (element, t0, t1, element position) per segment and (parameter,
+        element before, element after) per switch, and their counts."""
         positions = [p for p, crossed in enumerate(pattern) if crossed]
         if not positions:
             raise CoverageError(f"leaf {c} crosses no cover element")
@@ -198,9 +198,10 @@ class LeafAtlas:
         else:
             whole = self.frame.whole[positions].tolist()
             segments, switches = _thread_circle(cands, whole, period, c)
-        els, t0s, t1s, js = zip(*segments)
-        found = (np.array(els), np.array(t0s), np.array(t1s),
-                 np.array([positions[j] for j in js]), np.array(switches))
+        k, els = len(segments), [seg[0] for seg in segments]
+        found = (np.array([(e, t0, t1, positions[j]) for e, t0, t1, j in segments], dtype=float),
+                 np.array([(t, els[j], els[(j + 1) % k]) for j, t in enumerate(switches)],
+                          dtype=float).reshape(-1, 3), k, len(switches))
         self._threadings[pattern] = found
         trace.count("leaf_patterns")
         return found
@@ -213,22 +214,25 @@ class LeafAtlas:
         labels = np.asarray(labels, dtype=float)
         if not len(labels):
             none, nothing = np.zeros(0, dtype=int), np.zeros(0)
-            return Leaves(labels, none, none, none, nothing, nothing, nothing, np.zeros((0, 2)))
+            return Leaves(labels, none, none, none, nothing, nothing, nothing,
+                          np.zeros((0, 2)), np.zeros((0, 2), dtype=int))
         lifted, inside = self.frame.lift(labels)
-        threaded = [self._threading(tuple(crossed), c)
-                    for crossed, c in zip(inside.tolist(), labels.tolist())]
-        els, t0s, t1s, positions, ts = (np.concatenate(col) for col in zip(*threaded))
-        k = np.array([len(th[0]) for th in threaded])
-        s = np.array([len(th[4]) for th in threaded])
+        known = self._threadings.get
+        threaded = [known(p) or self._threading(p, c)
+                    for p, c in zip(map(tuple, inside.tolist()), labels.tolist())]
+        segments, switches, k, s = zip(*threaded)
+        segments, switches, k, s = (np.concatenate(segments), np.concatenate(switches),
+                                    np.array(k), np.array(s))
         # the switch points of the whole batch, by one curve call; points
         # are computed row by row, so each is what a call for its leaf
         # alone gives
         pts = np.zeros((0, 2))
-        if len(ts):
+        if len(switches):
             pts = self.cover.manifold.reduce(
-                self.polarization.curve_points(labels.repeat(s), ts))
-        return Leaves(labels, k, s, els, t0s, t1s,
-                      lifted[np.arange(len(labels)).repeat(k), positions], pts)
+                self.polarization.curve_points(labels.repeat(s), switches[:, 0]))
+        lifted = lifted[np.arange(len(labels)).repeat(k), segments[:, 3].astype(int)]
+        return Leaves(labels, k, s, segments[:, 0].astype(int), segments[:, 1], segments[:, 2],
+                      lifted, pts, switches[:, 1:].astype(int))
 
 
 def _label_slack(a: float, b: float) -> float:
@@ -310,6 +314,38 @@ def _ranges(counts: np.ndarray, starts) -> np.ndarray:
     return np.arange(ends[-1]) + (starts - ends + counts).repeat(counts)
 
 
+def leaf_actions(transport: LeafTransport, leaves: Leaves) -> tuple:
+    """The actions (n,) of a LeafAtlas batch of closed leaves, in the order
+    of its labels, on transport's cover and polarization, and what holonomy
+    multiplies: the segment integrals, the switch transitions, their
+    (row, column) places in a table of a column a leaf, and its height.
+    One integral call takes the distinct segments, one transition call the
+    switches between two elements (one within an element is 1).  An
+    action is the real integrals less the turns (math.atan2: np.arctan2
+    can round otherwise), added in leaf order down the table from a leading
+    +0.0 by np.add.accumulate, as one leaf's loop does (np.add.reduce sums
+    a lone column pairwise)."""
+    k, s = leaves.k, leaves.s
+    if transport.polarization.leaf_period is None:
+        raise HolonomyUndefinedError("holonomy is undefined for noncompact (line) leaves")
+    x = transport.integral(leaves.elements, leaves.t0, leaves.t1, leaves.lifted)
+    before, after = leaves.switch_pairs.T
+    lam, turn = np.ones(len(before), dtype=np.complex128), np.zeros(len(before))
+    moved = before != after
+    if moved.any():
+        lam[moved] = got = transport.cover.transition(
+            before[moved], after[moved], leaves.switch_points[moved])
+        turn[moved] = list(map(math.atan2, got.imag.tolist(), got.real.tolist()))
+    # a leaf's segments, then its switches, right-aligned; a - t is a + (-t)
+    n, width = len(k), int((k + s).max())
+    steps = np.concatenate([k, s])
+    at = (_ranges(steps, np.concatenate([width - k - s, width - s])),
+          (np.arange(2 * n) % n).repeat(steps))
+    terms = np.zeros((width + 1, n))
+    terms[1:][at] = np.concatenate([x.real, -turn])
+    return np.add.accumulate(terms, axis=0)[-1], x, lam, at, width
+
+
 def holonomy(transport: LeafTransport, leaves: Leaves) -> tuple:
     """Parallel transport around closed leaves: the actions (n,) and the
     holonomies (n,) of a LeafAtlas batch, in the order of its labels, on
@@ -319,59 +355,26 @@ def holonomy(transport: LeafTransport, leaves: Leaves) -> tuple:
     trivialization becomes lambda_{alpha beta} f in the beta trivialization,
     and moving along the leaf multiplies by exp(-i integral theta).
 
-    The leaves of a batch share their kernel work: one transport.integral
-    call for all their segments, which integrates the distinct ones in one
-    quadrature call, one cover.transition call for the switch points
-    between two distinct elements, which evaluates each distinct
-    transition formula once, and one exp call.  A leaf's action
-    is the sum of its segments' real integrals, in leaf order, less the
-    turns of its transitions, each from math.atan2; its holonomy is the
-    product of its segment factors and then its transitions.  A batch runs
-    as one table, a row a leaf and a column a step, with each complex
-    product split into real ufuncs (_times): the float operations of one
-    leaf's scalar loop, each rounded once.  NumPy's array complex multiply
-    can fuse a multiply and an add, and so round otherwise, and
-    np.arctan2 can differ from math.atan2, so neither is used: a batch
-    gives every result bit for bit as a single leaf does.  transport keeps
-    no integral between calls, so no result depends on what was asked
-    before.
+    A leaf's holonomy is its segment factors, from one exp call, then its
+    transitions, multiplied down the table of leaf_actions after leading
+    1 + 0j, each complex product split into real ufuncs (_times): NumPy's
+    array complex multiply can fuse a multiply and an add.  So a batch
+    gives every result bit for bit as a single leaf does, whatever was
+    asked before.
     """
-    k, s, elements = leaves.k, leaves.s, leaves.elements
-    if not len(k):
+    if not len(leaves.k):  # the batch of a census of line leaves
         return np.zeros(0), np.ones(0, dtype=np.complex128)
-    if transport.polarization.leaf_period is None:
-        raise HolonomyUndefinedError("holonomy is undefined for noncompact (line) leaves")
-
-    x = transport.integral(elements, leaves.t0, leaves.t1, leaves.lifted)
+    actions, x, lam, at, width = leaf_actions(transport, leaves)
     arg = np.empty(len(x), dtype=np.complex128)  # -1j * x, as Python forms it
     arg.real, arg.imag = _times(-0.0, -1.0, x.real, x.imag)
-    # a leaf's segments start at `first` in the flat columns, and its switch
-    # j joins segments j and j + 1, cyclically
-    first, j = k.cumsum() - k, _ranges(s, 0)
-    before, after = (elements[first.repeat(s) + i] for i in (j, (j + 1) % k.repeat(s)))
-    lam, turn = np.ones(len(j), dtype=np.complex128), np.zeros(len(j))
-    moved = before != after  # a switch within one element is 1
-    if moved.any():
-        a, b = before[moved], after[moved]
-        lam[moved] = got = transport.cover.transition(a, b, leaves.switch_points[moved])
-        turn[moved] = list(map(math.atan2, got.imag.tolist(), got.real.tolist()))
-
-    # a column a step and a row a leaf: its factors, then its transitions,
-    # after leading 1s and 0s, which leave the product 1 + 0j and the sum
-    # +0.0 bit for bit; a - t is a + (-t) in IEEE 754
-    width, n = int((k + s).max()), len(k)
-    terms, z = np.zeros((width, n)), np.ones((width, n), dtype=np.complex128)
-    at = _ranges(k, width - k - s), np.arange(n).repeat(k)
-    terms[at], z[at] = x.real, np.exp(arg)
-    at = _ranges(s, width - s), np.arange(n).repeat(s)
-    terms[at], z[at] = -turn, lam
-    acc, re, im = np.zeros(n), np.ones(n), np.zeros(n)
-    for col in range(width):
-        acc = acc + terms[col]
-        re, im = _times(re, im, z[col].real, z[col].imag)
-    hol = np.empty(n, dtype=np.complex128)
+    z = np.ones((width, len(actions)), dtype=np.complex128)
+    z[at] = np.concatenate([np.exp(arg), lam])
+    re, im = np.ones_like(actions), np.zeros_like(actions)
+    for col in z:
+        re, im = _times(re, im, col.real, col.imag)
+    hol = np.empty(len(actions), dtype=np.complex128)
     hol.real, hol.imag = re, im
-    return acc, hol
+    return actions, hol
 
 
 # ---------------------------------------------------------------------------
@@ -560,12 +563,12 @@ def bs_census(
 
     The census threads on one LeafAtlas, so each membership pattern is
     threaded once.  The sampled leaves take one holonomy batch, with at
-    most one transport quadrature call and one transition call.  The
-    brackets are searched together, one holonomy batch for every bracket
-    still open; on a near-linear action the first batch, two labels either
-    side of each secant estimate, closes all of them.  The census counts its
-    refinement rounds, its brackets, its root steps and the labels they
-    evaluate (docs/conventions.md, "Reports").
+    most one transport quadrature call and one transition call.  A
+    refinement round and a root step read one leaf_actions batch each, a
+    step for every bracket still open; on a near-linear action the first
+    step, two labels either side of each secant estimate, closes all
+    brackets.  The census counts its refinement rounds, its brackets, its
+    root steps and the labels they evaluate (docs/conventions.md, "Reports").
     """
     transport = LeafTransport(cover, pol)
     atlas = LeafAtlas(cover, pol)
@@ -613,7 +616,7 @@ def bs_census(
         refinements += 1
         trace.count("census_refinements")
         mids = (0.5 * (rows[missed, 0] + rows[missed + 1, 0])).tolist()
-        rows = np.vstack([rows, sample(mids, holonomy(transport, atlas.leaves(mids))[0])])
+        rows = np.vstack([rows, sample(mids, leaf_actions(transport, atlas.leaves(mids))[0])])
         rows = rows[np.argsort(rows[:, 0], kind="stable")]
 
     # one r per sample decides its location, its turn and its brackets' signs
@@ -642,7 +645,7 @@ def bs_census(
     def actions_at(labels: list) -> list:
         trace.count("root_steps")
         trace.count("root_holonomy_evaluations", len(labels))
-        return holonomy(transport, atlas.leaves(labels))[0].tolist()
+        return leaf_actions(transport, atlas.leaves(labels))[0].tolist()
 
     locations = [c for _, c in located] + _crossings(brackets, actions_at)
     if closes:  # the closing step's locations, back into the window

@@ -242,9 +242,9 @@ def _open_for_writing(path: str, what: str, **kwargs):
 def _emit(report: dict, args, summary_lines) -> None:
     # strict RFC 8259 JSON on one line: a value with no finite answer is
     # written as null where it is produced, so a NaN or infinity reaching
-    # here is a fault
+    # here is a fault; a report is a fresh tree, which holds no cycle
     try:
-        text = json.dumps(report, sort_keys=True, allow_nan=False)
+        text = json.dumps(report, sort_keys=True, allow_nan=False, check_circular=False)
     except ValueError as exc:
         raise InternalConsistencyError(f"report is not strict JSON: {exc}") from None
     out = getattr(args, "out", None)
@@ -399,7 +399,8 @@ def cmd_cohomology(cfg: RunConfig, args, counts: dict) -> int:
     grid = half_offset_grid(exm.cover, pol, cfg.grid)
     rank = cohomology_ranks(grid, cfg.rank_tol, cfg.max_degree)
     payload = {"cohomology": rank.as_dict()}
-    report = _report(cfg, exm, counts, payload, True, t0)
+    negative = ", ".join(str(d.degree) for d in rank.degrees if d.betti < 0)  # unsound ranks
+    report = _report(cfg, exm, counts, payload, not negative, t0)
     lines = [
         "degree  dim   rank(delta)  betti  betti/leaf",
         *(
@@ -407,9 +408,10 @@ def cmd_cohomology(cfg: RunConfig, args, counts: dict) -> int:
             f"{d.betti:>5}  {d.betti_per_leaf if d.betti_per_leaf is not None else '-'}"
             for d in rank.degrees
         ),
+        *([f"cohomology: FAIL (negative Betti number in degree {negative})"] if negative else []),
     ]
     _emit(report, args, lines)
-    return 0
+    return 1 if negative else 0
 
 
 def cmd_act(cfg: RunConfig, args, counts: dict) -> int:

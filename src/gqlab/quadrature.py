@@ -83,22 +83,22 @@ def integrate(f, a, b, tol: float = 1e-12, max_depth: int = 24):
         # summed elementwise: a matrix product rounds by batch shape
         g7 = halfs * (vals[:, :, :7] * _W7).sum(-1)
         k15 = halfs * (vals * _WK).sum(-1)
-        bad = active & ~np.isfinite(k15)
-        if bad.any():
-            j, r = divmod(int(np.flatnonzero(bad.T)[0]), m)
-            raise QuadratureError(f"non-finite estimate on [{los[r, j]}, {his[r, j]}]")
+        if not np.isfinite(k15).all():  # the open rows' estimates must be finite
+            bad = active & ~np.isfinite(k15)
+            if bad.any():
+                j, r = divmod(int(np.flatnonzero(bad.T)[0]), m)
+                raise QuadratureError(f"non-finite estimate on [{los[r, j]}, {his[r, j]}]")
         err = np.abs(k15 - g7)
-        keep = err <= tol * (1.0 + np.abs(k15))
-        # each row's sum runs left to right; the zeros of rows not accepted
-        # on a subinterval add exactly nothing to a total that is never -0
-        added = np.where(active & keep, k15, 0.0)
-        totals = np.add.accumulate(
-            np.concatenate([totals[:, None], added], axis=1), axis=1
-        )[:, -1]
-        active &= ~keep
-        split = active.any(axis=0)
-        if not split.any():
+        keep = (err <= tol * (1.0 + np.abs(k15))) & active  # accepted here
+        # each row's sum runs left to right from its total; the zeros of rows
+        # not accepted add exactly nothing to a total that is never -0
+        added = np.where(keep, k15, 0.0)
+        added[:, 0] += totals
+        totals = np.add.accumulate(added, axis=1)[:, -1]
+        active ^= keep
+        if not active.any():
             break
+        split = active.any(axis=0)
         if depth >= max_depth:
             j = int(np.flatnonzero(split)[0])
             r = int(np.flatnonzero(active[:, j])[0])

@@ -29,17 +29,21 @@ from . import kernels, program, trace
 from .quadrature import integrate
 
 
-def _runner(prog: program.Program):
+def _runner(prog: program.Program, along: bool):
     """run(cs, ts) of a program over ("c", "t"): its values at the labels cs
     and the nodes ts, an array (len(cs), k) of each label's nodes or k
-    nodes shared by all labels, as a (len(cs), k) array.  The columns go to
-    the evaluator as real arrays, which it casts into its rows as it
-    loads them, without the copies that adding 0j would allocate."""
+    nodes shared by all labels, as a (len(cs), k) array; a program that
+    does not read t (along False) is evaluated once per label, its t column
+    unread, and that value stands at every node.  The columns go to the
+    evaluator as real arrays, which it casts into its rows as it loads
+    them, without the copies that adding 0j would allocate."""
 
     def run(cs: np.ndarray, ts: np.ndarray) -> np.ndarray:
-        ts = np.broadcast_to(ts, (len(cs), np.shape(ts)[-1]))
-        columns = {"c": np.repeat(cs, ts.shape[1]), "t": ts.ravel()}
-        return kernels.evaluate(prog, columns).reshape(ts.shape)
+        shape = (len(cs), np.shape(ts)[-1])
+        if not along:
+            return np.broadcast_to(kernels.evaluate(prog, {"c": cs, "t": cs})[:, None], shape)
+        columns = {"c": np.repeat(cs, shape[1]), "t": np.broadcast_to(ts, shape).ravel()}
+        return kernels.evaluate(prog, columns).reshape(shape)
 
     return run
 
@@ -57,8 +61,8 @@ class LeafTransport:
         """run(cs, ts): theta_member(leaf'(t)) at the labels cs and the
         nodes ts, an array (len(cs), k) of each label's nodes or k nodes
         shared by all labels; returns (len(cs), k) values.  The integrand
-        of each distinct potential is composed once, and members whose
-        integrands are one formula share one run."""
+        of each distinct potential is composed once (and whether it reads
+        t), and members whose integrands are one formula share one run."""
         memo = self._integrands
         run = memo.get(member)
         if run is not None:
@@ -66,15 +70,15 @@ class LeafTransport:
         theta = self.cover.data.potentials[member]
         run = memo.get(theta)
         if run is None:
-            coords = self.cover.manifold.coords
-            curve = self.polarization.curve
-            sub = {coords[0]: curve[0], coords[1]: curve[1]}
+            (u, v), (x, y) = self.cover.manifold.coords, self.polarization.curve
+            sub = {u: x, v: y}
             integrand = ex.add(
-                ex.mul(ex.substitute(theta[0], sub), ex.differentiate(curve[0], "t")),
-                ex.mul(ex.substitute(theta[1], sub), ex.differentiate(curve[1], "t")),
+                ex.mul(ex.substitute(theta[0], sub), ex.differentiate(x, "t")),
+                ex.mul(ex.substitute(theta[1], sub), ex.differentiate(y, "t")),
             )
             prog = program.compile_expr(integrand, ("c", "t"))
-            run = memo[theta] = memo.setdefault(prog, _runner(prog))
+            along = "t" in ex.free_vars(integrand)
+            run = memo[theta] = memo.setdefault(prog, _runner(prog, along))
         memo[member] = run
         return run
 
@@ -93,8 +97,8 @@ class LeafTransport:
                 ex.mul(ex.differentiate(y, "c"), ex.differentiate(x, "t")),
             )
             integrand = ex.mul(w, jac)
-            run = _runner(program.compile_expr(integrand, ("c", "t")))
-            self._flux = (run, "t" in ex.free_vars(integrand))
+            along = "t" in ex.free_vars(integrand)
+            self._flux = (_runner(program.compile_expr(integrand, ("c", "t")), along), along)
         run, along = self._flux
         cs = np.asarray(labels, dtype=float)
         period = self.polarization.leaf_period
@@ -111,11 +115,13 @@ class LeafTransport:
         each.
 
         An empty segment gives 0 without quadrature.  The live entries are
-        told apart by the bits of their four values, so -0.0 and 0.0 are
-        two entries, and the distinct ones, in order of first appearance,
-        go to one quadrature call, one row each, in which every distinct
-        integrand is evaluated once per bisection level, on the rows of the
-        elements it belongs to.  Nothing is kept between calls.
+        told apart by their bits (so -0.0 and 0.0 are two entries): a stable
+        np.lexsort of their int64 bit patterns puts equal rows together,
+        first appearance first.  The distinct ones, in order of first
+        appearance, go to one quadrature call, one row each, in which every
+        distinct integrand is evaluated once per bisection level on the rows
+        of the elements it belongs to, once per label if it does not read t.
+        Nothing is kept between calls.
         """
         rows = np.empty((len(t0), 4))
         rows[:, 0], rows[:, 1], rows[:, 2], rows[:, 3] = elements, labels, t0, t1
@@ -123,12 +129,15 @@ class LeafTransport:
         live = np.flatnonzero(rows[:, 2] != rows[:, 3])  # an empty segment is 0
         if not live.size:
             return out
-        keys = rows[live].view(np.dtype((np.void, 32))).ravel()
-        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-        order = np.argsort(first)  # the distinct rows, in order of appearance
-        new = rows[live[first[order]]]
-        at = np.empty_like(order)  # each distinct row's place in new
-        at[order] = np.arange(len(order))
+        bits = rows[live].view(np.int64)
+        order = np.lexsort(bits.T)
+        ranked = bits[order]
+        starts = np.concatenate([[True], (ranked[1:] != ranked[:-1]).any(axis=1)])  # run starts
+        first, heads = np.zeros(len(order), dtype=bool), order[starts]
+        first[heads] = True
+        at = np.empty_like(order)  # each live row's place among the first appearances
+        at[order] = (first.cumsum() - 1)[heads][starts.cumsum() - 1]
+        new = rows[live[first]]
         members, cs = new[:, 0].astype(int), new[:, 1]
         # one run per distinct integrand, on the rows of every element
         # whose integrand it is
@@ -150,5 +159,5 @@ class LeafTransport:
 
         trace.count("transport_integrals", len(new))
         trace.count("transport_batches")
-        out[live] = integrate(f, new[:, 2], new[:, 3])[at[inverse]]
+        out[live] = integrate(f, new[:, 2], new[:, 3])[at]
         return out

@@ -726,6 +726,25 @@ def test_theorem_1_fails_on_either_orientation_of_a_corrupted_transition(models,
     assert rep.payload["commutation_residual"] > 1e-6
 
 
+def test_theorem_1_fails_when_a_betti_number_is_negative(models, monkeypatch):
+    # ranks that leave a negative Betti number are unsound, even where the
+    # two sides agree on them
+    real = action.cohomology_ranks
+
+    def lowered(grid, threshold=1e-8, max_degree=2):
+        rep = real(grid, threshold, max_degree)
+        low = rep.degrees[1]._replace(betti=rep.degrees[1].betti - 9)
+        return rep._replace(degrees=(rep.degrees[0], low, *rep.degrees[2:]))
+
+    exm = models("torus", k=2)
+    comp = build_complementary(catalog.make_map(exm, f"translate:{math.pi:.17g},0"), exm)
+    assert verify_theorem_1(comp, exm.polarization(), grid_n=16).passed
+    monkeypatch.setattr(action, "cohomology_ranks", lowered)
+    rep = verify_theorem_1(comp, exm.polarization(), grid_n=16)
+    assert rep.payload["ranks"]["equal"] and min(rep.payload["ranks"]["source"]) < 0
+    assert rep.status == "ok" and not rep.passed
+
+
 def test_theorem_reuses_only_a_cover_built_for_its_map(models):
     exm = models("cylinder")
     phi = catalog.make_map(exm, "pshift:1")

@@ -8,7 +8,7 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 
-from gqlab import bohr, catalog, trace
+from gqlab import bohr, catalog, kernels, program, trace
 from gqlab import expr as ex
 from gqlab.action import build_complementary
 from gqlab.bohr import (
@@ -19,6 +19,7 @@ from gqlab.bohr import (
     enumerate_leaves,
     holonomy,
     lattice_count,
+    leaf_actions,
 )
 from gqlab.cli import main
 from gqlab.geometry import pushforward_polarization
@@ -284,7 +285,19 @@ def _rotated(leaf, shift):
         return np.roll(a, -shift, axis=0)
 
     return leaf._replace(elements=turn(leaf.elements), t0=turn(leaf.t0), t1=turn(leaf.t1),
-                         lifted=turn(leaf.lifted), switch_points=turn(leaf.switch_points))
+                         lifted=turn(leaf.lifted), switch_points=turn(leaf.switch_points),
+                         switch_pairs=turn(leaf.switch_pairs))
+
+
+def _pairs_of_segments(leaves):
+    """The (before, after) elements of each switch, from the segment
+    columns: switch j of a leaf joins its segments j and j + 1, cyclically."""
+    pairs, first = [], 0
+    for k, s in zip(leaves.k.tolist(), leaves.s.tolist()):
+        els = leaves.elements[first : first + k].tolist()
+        pairs += [(els[j], els[(j + 1) % k]) for j in range(s)]
+        first += k
+    return pairs
 
 
 def test_holonomy_independent_of_starting_segment(models):
@@ -294,7 +307,9 @@ def test_holonomy_independent_of_starting_segment(models):
     assert len(leaf.labels) == 1 and leaf.s.tolist() == leaf.k.tolist()
     _, h = holonomy(LeafTransport(exm.cover, pol), leaf)
     for shift in range(1, len(leaf.elements)):
-        _, h2 = holonomy(LeafTransport(exm.cover, pol), _rotated(leaf, shift))
+        rotated = _rotated(leaf, shift)
+        assert list(map(tuple, rotated.switch_pairs.tolist())) == _pairs_of_segments(rotated)
+        _, h2 = holonomy(LeafTransport(exm.cover, pol), rotated)
         assert abs(h[0] - h2[0]) < 1e-10
 
 
@@ -696,14 +711,16 @@ def test_census_minus_one_crossing_gives_no_location(models):
 
 
 def test_census_computes_each_holonomy_once(models, monkeypatch):
+    # every batch, the sampled one that holonomy takes and the root steps,
+    # passes through leaf_actions
     calls = []
-    real = bohr.holonomy
+    real = bohr.leaf_actions
 
     def counting(transport, leaves):
         calls.extend(leaves.labels.tolist())
         return real(transport, leaves)
 
-    monkeypatch.setattr(bohr, "holonomy", counting)
+    monkeypatch.setattr(bohr, "leaf_actions", counting)
     exm = models("torus", k=3)
     rep, counts = _counted_census(exm.cover, exm.polarization(), (0.05, 6.3332), 33)
     assert rep.q_bs == 3 and counts["census_refinements"] == 0
@@ -951,10 +968,10 @@ def _census_cases(models):
 
 
 def test_census_holonomies_equal_fresh_transport_bit_for_bit(models, monkeypatch):
-    # every holonomy of a census, sampled or root-solved, reads prefetched
-    # integrals; it equals a per-leaf holonomy with a fresh transport exactly
-    seen = []
-    real = bohr.holonomy
+    # every holonomy of a census, sampled, and every action, sampled or
+    # root-solved, equals a per-leaf holonomy with a fresh transport exactly
+    seen, acted = [], []
+    real, real_actions = bohr.holonomy, bohr.leaf_actions
 
     def recording(transport, leaves):
         actions, hols = real(transport, leaves)
@@ -964,15 +981,29 @@ def test_census_holonomies_equal_fresh_transport_bit_for_bit(models, monkeypatch
         )
         return actions, hols
 
+    def recording_actions(transport, leaves):
+        got = real_actions(transport, leaves)
+        acted.extend((transport.cover, transport.polarization, leaf, action)
+                     for leaf, action in zip(_each(leaves), got[0].tolist()))
+        return got
+
     monkeypatch.setattr(bohr, "holonomy", recording)
+    monkeypatch.setattr(bohr, "leaf_actions", recording_actions)
     for name, cover, pol, crange, count in _census_cases(models):
         seen.clear()
+        acted.clear()
         _, counts = _counted_census(cover, pol, crange, count)
         assert counts["root_holonomy_evaluations"] > 0 or name.startswith("disk"), name
         assert counts["transport_batches"] < counts["transport_integrals"], name
-        for cover_, pol_, one, action, hol in seen:
+        assert len(acted) == len(seen) + counts["root_holonomy_evaluations"], name
+        # the fresh batches below pass through the recorders too
+        census_seen, census_acted = list(seen), list(acted)
+        for cover_, pol_, one, action, hol in census_seen:
             fresh = real(LeafTransport(cover_, pol_), one)
             assert _same_bits(fresh, (action, hol)), (name, one.labels[0])
+        for cover_, pol_, one, action in census_acted:
+            fresh = real(LeafTransport(cover_, pol_), one)[0].tolist()
+            assert [_bits(a) for a in fresh] == [_bits(action)], (name, one.labels[0])
 
 
 @pytest.mark.parametrize(
@@ -987,26 +1018,36 @@ def test_census_holonomies_equal_fresh_transport_bit_for_bit(models, monkeypatch
 )
 def test_census_holonomy_calls_add_up(models, monkeypatch, name, params, crange,
                                       count, include_lines):
-    # the holonomy labels of a census less its sampled circle leaves are the
+    # the action labels of a census less its sampled circle leaves are the
     # root-solving evaluations it reports
     calls = []
-    batches = []
-    real = bohr.holonomy
+    batches = []  # those that read actions alone
+    holonomies = []
+    real, real_actions = bohr.holonomy, bohr.leaf_actions
 
     def counting(transport, leaves):
         calls.extend(leaves.labels.tolist())
-        batches.append(len(leaves.labels))
-        return real(transport, leaves)
+        if len(holonomies) == 1:  # after the sampled batch
+            batches.append(len(leaves.labels))
+        return real_actions(transport, leaves)
 
-    monkeypatch.setattr(bohr, "holonomy", counting)
+    def counting_holonomies(transport, leaves):
+        got = real(transport, leaves)
+        holonomies.append(len(leaves.labels))
+        return got
+
+    monkeypatch.setattr(bohr, "leaf_actions", counting)
+    monkeypatch.setattr(bohr, "holonomy", counting_holonomies)
     exm = models(name, **params)
     rep, counts = _counted_census(exm.cover, exm.polarization(), crange, count,
                                   include_lines=include_lines)
     sampled = sum(1 for e in rep.entries if e.leaf.topology == "circle")
     assert counts["census_refinements"] == 0
     assert len(calls) - sampled == counts["root_holonomy_evaluations"]
-    # one batch of sampled leaves, then one per batch of the crossing searches
-    assert len(batches) == 1 + counts["root_steps"]
+    # one batch of sampled leaves, the census's only holonomy batch, then
+    # one per batch of the crossing searches
+    assert holonomies == [sampled]
+    assert len(batches) == counts["root_steps"]
 
 
 @pytest.mark.parametrize(
@@ -1216,7 +1257,8 @@ def _one(leaves, i):
     seg = slice(k_end - leaves.k[i], k_end)
     return bohr.Leaves(leaves.labels[i : i + 1], leaves.k[i : i + 1], leaves.s[i : i + 1],
                        leaves.elements[seg], leaves.t0[seg], leaves.t1[seg], leaves.lifted[seg],
-                       leaves.switch_points[s_end - leaves.s[i] : s_end])
+                       leaves.switch_points[s_end - leaves.s[i] : s_end],
+                       leaves.switch_pairs[s_end - leaves.s[i] : s_end])
 
 
 def _each(leaves) -> list:
@@ -1354,9 +1396,10 @@ def test_atlas_leaves_of_no_labels_are_empty_columns(models):
         exm = models(name, **params)
         pol = exm.polarization()
         leaves = LeafAtlas(exm.cover, pol).leaves([])
-        assert [col.shape for col in leaves] == [(0,)] * 7 + [(0, 2)], name
-        assert [col.dtype.kind for col in leaves] == list("fiiiffff"), name
-        actions, hols = holonomy(LeafTransport(exm.cover, pol), leaves)
+        assert [col.shape for col in leaves] == [(0,)] * 7 + [(0, 2)] * 2, name
+        assert [col.dtype.kind for col in leaves] == list("fiiiffffi"), name
+        transport = LeafTransport(exm.cover, pol)
+        actions, hols = holonomy(transport, leaves)
         assert actions.shape == hols.shape == (0,) and hols.dtype == np.complex128, name
 
 
@@ -1369,7 +1412,7 @@ def test_batch_with_no_switch_points(models, name, params):
     labels = np.linspace(*exm.census_range, 9)
     leaves = LeafAtlas(exm.cover, pol).leaves(labels)
     assert leaves.k.tolist() == [1] * 9 and leaves.s.tolist() == [0] * 9
-    assert leaves.switch_points.shape == (0, 2)
+    assert leaves.switch_points.shape == leaves.switch_pairs.shape == (0, 2)
     transport = LeafTransport(exm.cover, pol)
     with trace.counting() as counts:
         actions, hols = holonomy(transport, leaves)
@@ -1418,9 +1461,11 @@ def test_holonomy_of_a_batch_mixing_leaves_with_and_without_switch_points(models
     first = _one(leaves, 0)
     whole = first._replace(k=np.array([1]), s=np.array([0]), elements=first.elements[:1],
                            t0=first.t0[:1], t1=first.t0[:1] + TWO_PI,
-                           lifted=first.lifted[:1], switch_points=np.zeros((0, 2)))
+                           lifted=first.lifted[:1], switch_points=np.zeros((0, 2)),
+                           switch_pairs=np.zeros((0, 2), dtype=int))
     batch = _joined(whole, first, whole, _one(leaves, 1), whole)
     assert batch.s.tolist() == [0, 3, 0, 3, 0]
+    assert list(map(tuple, batch.switch_pairs.tolist())) == _pairs_of_segments(batch)
     actions, hols = holonomy(transport, batch)
     for i, one in enumerate(_each(batch)):
         assert _same_bits(holonomy(transport, one), (actions[i], hols[i])), i
@@ -1560,3 +1605,152 @@ def test_batched_holonomy_equals_the_per_leaf_product_bit_for_bit(models):
             assert np.all(np.abs(hols - base) < 1e-10), name
             gauged_switches += len(leaves.switch_points)
     assert gauged_switches > 500 and switches > 2000
+
+
+def _threaded(cover, pol, labels):
+    """The leaves of the labels that thread on the cover."""
+    atlas = LeafAtlas(cover, pol)
+
+    def threads(c):
+        try:
+            atlas.leaves([c])
+        except CoverageError:
+            return False
+        return True
+
+    return atlas.leaves([c for c in labels if threads(c)])
+
+
+def test_leaf_actions_equal_the_holonomy_actions_bit_for_bit(models):
+    # on every builtin model, gauged cover and pullback: the batch, and each
+    # leaf as a batch of its own, whose lone column np.add.reduce would sum
+    # pairwise
+    cases = [(name, cover, pol, labels) for name, cover, pol, labels in _atlas_cases(models)
+             if pol.leaf_period is not None]
+    cases += [(name, cover, pol, np.linspace(*crange, 41))
+              for name, cover, pol, crange, _ in _gauged_cases(models)]
+    widest = 0
+    for name, cover, pol, labels in cases:
+        leaves = _threaded(cover, pol, labels)
+        transport = LeafTransport(cover, pol)
+        actions = holonomy(transport, leaves)[0]
+        assert leaf_actions(transport, leaves)[0].tobytes() == actions.tobytes(), name
+        for i, one in enumerate(_each(leaves)):
+            got = leaf_actions(transport, one)[0]
+            assert got.tobytes() == actions[i : i + 1].tobytes(), (name, one.labels[0])
+        widest = max(widest, int((leaves.k + leaves.s).max()))
+    # no builtin leaf takes 8 steps, where a pairwise sum starts to round
+    # otherwise; gauged torus leaves cut into 8 to 23 uneven segments take
+    # as many, and each action is the scalar loop's, alone and in a batch
+    assert widest < 8
+    exm = models("torus", k=3)
+    cover, pol = _gauged(exm.cover), exm.polarization()
+    transport = LeafTransport(cover, pol)
+    rng = np.random.default_rng(5)
+    for c in np.linspace(0.1, 6.1, 16):
+        leaf = _one(LeafAtlas(cover, pol).leaves([c]), 0)
+        k = rng.integers(8, 24)
+        start = leaf.t0[0]
+        t = np.concatenate([[start], start + np.sort(rng.uniform(0, TWO_PI, k - 1)),
+                            [start + TWO_PI]])
+        wide = leaf._replace(k=np.array([k]), s=np.array([0]),
+                             elements=leaf.elements[:1].repeat(k), t0=t[:-1], t1=t[1:],
+                             lifted=leaf.lifted[:1].repeat(k), switch_points=np.zeros((0, 2)),
+                             switch_pairs=np.zeros((0, 2), dtype=int))
+        acc = 0.0
+        for x in transport.integral(wide.elements, wide.t0, wide.t1, wide.lifted).real.tolist():
+            acc += x
+        assert [_bits(a) for a in leaf_actions(transport, wide)[0].tolist()] == [_bits(acc)], c
+        mixed = leaf_actions(transport, _joined(leaf, wide, leaf))[0].tolist()
+        assert _bits(mixed[1]) == _bits(acc), c
+
+
+def test_switch_pairs_join_the_segments_of_each_switch(models):
+    # switch j of a leaf joins its segments j and j + 1, the last switch of
+    # a circle leaf its last segment and its first
+    for name, cover, pol, labels in _atlas_cases(models):
+        leaves = _threaded(cover, pol, labels)
+        assert leaves.switch_pairs.dtype.kind == "i", name
+        assert list(map(tuple, leaves.switch_pairs.tolist())) == _pairs_of_segments(leaves), name
+
+
+@pytest.mark.parametrize(
+    "name,params,crange,count,flux",
+    [
+        ("torus", {"k": 3}, (0.05, 6.3332), 33, 1.0),  # root steps
+        ("sphere", {"k": 4}, (0.3, 3.75), 25, 1.0),
+        ("torus", {"k": 8}, (0.0, TWO_PI), 24, 3.0),  # refinement rounds
+    ],
+)
+def test_census_root_and_refinement_steps_form_no_complex_holonomy(
+        models, monkeypatch, name, params, crange, count, flux):
+    # the sampled batch is the census's one holonomy, and its complex
+    # products all come before the later batches, which read actions only
+    steps = []
+    real, real_actions, real_times = bohr.holonomy, bohr.leaf_actions, bohr._times
+
+    def holonomy_(transport, leaves):
+        steps.append("holonomy")
+        return real(transport, leaves)
+
+    def leaf_actions_(transport, leaves):
+        steps.append(len(leaves.labels))
+        return real_actions(transport, leaves)
+
+    def times_(*args):
+        steps.append("product")
+        return real_times(*args)
+
+    for attr, fn in (("holonomy", holonomy_), ("leaf_actions", leaf_actions_),
+                     ("_times", times_)):
+        monkeypatch.setattr(bohr, attr, fn)
+    real_flux = LeafTransport.flux
+    monkeypatch.setattr(LeafTransport, "flux", lambda self, cs: flux * real_flux(self, cs))
+    exm = models(name, **params)
+    _, counts = _counted_census(exm.cover, exm.polarization(), crange, count)
+    later = steps[2:]
+    products = later.count("product")
+    assert steps[:2] == ["holonomy", count] and products > 0
+    assert later[:products] == ["product"] * products
+    batches = later[products:]
+    assert all(type(n) is int for n in batches) and batches
+    assert len(batches) == counts["root_steps"] + counts["census_refinements"]
+    assert (counts["census_refinements"] > 0) == (flux != 1.0)
+
+
+def test_an_integrand_that_does_not_read_t_is_evaluated_once_per_label(models, monkeypatch):
+    # its one value per label is, bit for bit, what the program gives at
+    # every node; an integrand that reads t is evaluated at every node
+    cases = [(name, models(name, **params)) for name, params in
+             [("torus", {"k": 3}), ("cylinder", {}), ("sphere", {"k": 4}), ("disk", {})]]
+    cases = [(name, exm.cover, exm.polarization()) for name, exm in cases]
+    cases += [(name, cover, pol) for name, cover, pol, _, _ in _gauged_cases(models)]
+    points = []  # the points of each evaluation of an integrand
+    real = kernels.evaluate
+
+    def counting(prog, values):
+        points.append(len(values["c"]))
+        return real(prog, values)
+
+    rng = np.random.default_rng(3)
+    along = set()
+    for name, cover, pol in cases:
+        transport = LeafTransport(cover, pol)
+        (u, v), (x, y) = cover.manifold.coords, pol.curve
+        for member, theta in cover.data.potentials.items():
+            sub = {u: x, v: y}
+            integrand = ex.add(ex.mul(ex.substitute(theta[0], sub), ex.differentiate(x, "t")),
+                               ex.mul(ex.substitute(theta[1], sub), ex.differentiate(y, "t")))
+            prog = program.compile_expr(integrand, ("c", "t"))
+            cs, ts = rng.uniform(0.2, 1.9, 4), rng.uniform(-3.0, 3.0, (4, 15))
+            run = transport.integrand(member)
+            points.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(kernels, "evaluate", counting)
+                got = run(cs, ts)
+            want = real(prog, {"c": np.repeat(cs, 15), "t": ts.ravel()})
+            assert got.shape == (4, 15) and got.tobytes() == want.reshape(4, 15).tobytes()
+            reads_t = "t" in ex.free_vars(integrand)
+            assert points == [60 if reads_t else 4], name
+            along.add(reads_t)
+    assert along == {True, False}

@@ -136,6 +136,18 @@ def test_cohomology_degree_cap_guard(capsys):
     assert code == 2
 
 
+def test_cohomology_with_a_negative_betti_number_fails(capsys):
+    # a corrupted transition breaks the cocycle law, and the ranks of delta
+    # then leave Betti numbers no dimension can have
+    argv = ("cohomology", "--example", "torus", "--k", "2", "--corrupt", "lam:1,0:1.01")
+    code, report = run_json(capsys, *argv)
+    assert code == 1 and report["pass"] is False
+    assert [d["betti"] for d in report["payload"]["cohomology"]["degrees"]] == [0, -7, -7]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and err == ""
+    assert out.splitlines()[-1] == "cohomology: FAIL (negative Betti number in degree 1, 2)"
+
+
 def test_act_sphere_rotation_passes(capsys):
     code, report = run_json(
         capsys, "act", "--example", "sphere", "--k", "3",
@@ -755,14 +767,14 @@ def test_bs_and_cohomology_compute_no_samples(capsys, monkeypatch, name):
 def test_bs_reports_transport_counters(capsys, monkeypatch):
     import gqlab.bohr as bohr
 
-    covers = []  # the cover of each holonomy batch
-    holonomy = bohr.holonomy
+    covers = []  # the cover of each batch, sampled or root step
+    leaf_actions = bohr.leaf_actions
 
     def counted(transport, leaves):
         covers.append(transport.cover)
-        return holonomy(transport, leaves)
+        return leaf_actions(transport, leaves)
 
-    monkeypatch.setattr(bohr, "holonomy", counted)
+    monkeypatch.setattr(bohr, "leaf_actions", counted)
     argv = ("bs", "--example", "torus", "--k", "3", "--range", "0.05:6.3332")
     code, report = run_json(capsys, *argv)
     assert code == 0
@@ -774,8 +786,8 @@ def test_bs_reports_transport_counters(capsys, monkeypatch):
     }
     # the sampled leaves and each root batch share one sweep per segment
     assert 0 < counters["transport_batches"] < counters["transport_integrals"]
-    # each membership pattern is threaded once; each holonomy batch makes
-    # one transition call, which runs each distinct transition formula of
+    # each membership pattern is threaded once; each batch makes one
+    # transition call, which runs each distinct transition formula of
     # its switches once: at least one and at most the cover's formulas per
     # batch, fewer than one per leaf (one per switch would be three per
     # leaf on this granularity-3 torus)
