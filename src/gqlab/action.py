@@ -134,7 +134,7 @@ def gauge_potentials(naive, pulled, elements: np.ndarray, pts):
             for tn, tp in zip(naive.data.potentials[a], pulled.data.potentials[a])
         ]
         g_x, g_y = (program.compile_expr(d, coords) for d in diffs)
-        exact_x, exact_y = (c not in ex.free_vars(d) for c, d in zip(coords, diffs))
+        exact_x, exact_y = coords[0] not in g_x.reads, coords[1] not in g_y.reads
         x_base, y_base = naive.elements[a].box.center()
         x0s, x_leg = np.unique(lifted[:, 0], return_inverse=True)
         x_legs = np.zeros(len(x0s), dtype=np.complex128)

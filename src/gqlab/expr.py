@@ -63,7 +63,9 @@ class Num(Expr):
 
     def __init__(self, value: float):
         _set(self, "value", value)
-        self._seal((value,))
+        # -0.0 == 0.0, but the two are different literals: the key holds the
+        # sign of a zero
+        self._seal((value, value == 0 and math.copysign(1.0, value)))
 
 
 class Pi(Expr):
@@ -124,11 +126,13 @@ def _num(e: Expr):
 
 # Smart constructors fold the identities that differentiation produces in
 # bulk (x+0, x*1, x*0, x^1, ...); anything fancier is not worth the risk of
-# changing evaluation semantics.
+# changing evaluation semantics.  Two literals fold to one only when the
+# result is finite: an overflow or 0/0 stays an operation, which the
+# evaluator computes to the inf or nan it is.
 
 def add(a: Expr, b: Expr) -> Expr:
     av, bv = _num(a), _num(b)
-    if av is not None and bv is not None:
+    if av is not None and bv is not None and math.isfinite(av + bv):
         return Num(av + bv)
     if av == 0.0:
         return b
@@ -139,7 +143,7 @@ def add(a: Expr, b: Expr) -> Expr:
 
 def sub(a: Expr, b: Expr) -> Expr:
     av, bv = _num(a), _num(b)
-    if av is not None and bv is not None:
+    if av is not None and bv is not None and math.isfinite(av - bv):
         return Num(av - bv)
     if bv == 0.0:
         return a
@@ -150,7 +154,7 @@ def sub(a: Expr, b: Expr) -> Expr:
 
 def mul(a: Expr, b: Expr) -> Expr:
     av, bv = _num(a), _num(b)
-    if av is not None and bv is not None:
+    if av is not None and bv is not None and math.isfinite(av * bv):
         return Num(av * bv)
     if av == 0.0 or bv == 0.0:
         return ZERO
@@ -167,12 +171,14 @@ def mul(a: Expr, b: Expr) -> Expr:
 
 def div(a: Expr, b: Expr) -> Expr:
     av, bv = _num(a), _num(b)
+    if av is not None and bv is not None:
+        if bv != 0.0 and math.isfinite(av / bv):
+            return Num(av / bv)
+        return BinOp("/", a, b)
     if av == 0.0:
         return ZERO
     if bv == 1.0:
         return a
-    if av is not None and bv is not None and bv != 0.0:
-        return Num(av / bv)
     return BinOp("/", a, b)
 
 
@@ -365,7 +371,10 @@ _PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4, "atom": 5}
 def _print(e: Expr) -> tuple[str, int]:
     if isinstance(e, Num):
         v = e.value
-        text = str(int(v)) if v == int(v) and abs(v) < 1e15 else repr(v)
+        if v == 0 and math.copysign(1.0, v) < 0:
+            text = "-0"  # re-parses to neg(Num(0.0)), which is Num(-0.0)
+        else:
+            text = str(int(v)) if v == int(v) and abs(v) < 1e15 else repr(v)
         # a leading minus binds like unary negation, not like an atom
         prec = _PRECEDENCE["neg"] if text.startswith("-") else _PRECEDENCE["atom"]
         return text, prec
@@ -404,21 +413,6 @@ def to_source(e: Expr) -> str:
 
 # ---------------------------------------------------------------------------
 # Calculus and structural operations
-
-
-def free_vars(e: Expr) -> frozenset:
-    if isinstance(e, Var):
-        return frozenset((e.name,))
-    if isinstance(e, Neg):
-        return free_vars(e.arg)
-    if isinstance(e, BinOp):
-        return free_vars(e.left) | free_vars(e.right)
-    if isinstance(e, Call):
-        out = frozenset()
-        for a in e.args:
-            out |= free_vars(a)
-        return out
-    return frozenset()
 
 
 @lru_cache(maxsize=4096)

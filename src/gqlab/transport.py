@@ -29,14 +29,16 @@ from . import kernels, program, trace
 from .quadrature import integrate
 
 
-def _runner(prog: program.Program, along: bool):
+def _runner(prog: program.Program):
     """run(cs, ts) of a program over ("c", "t"): its values at the labels cs
     and the nodes ts, an array (len(cs), k) of each label's nodes or k
     nodes shared by all labels, as a (len(cs), k) array; a program that
-    does not read t (along False) is evaluated once per label, its t column
-    unread, and that value stands at every node.  The columns go to the
-    evaluator as real arrays, which it casts into its rows as it loads
+    does not read t (by its reads) is evaluated once per label, its t
+    column unread, and that value stands at every node.  The columns go to
+    the evaluator as real arrays, which it casts into its rows as it loads
     them, without the copies that adding 0j would allocate."""
+
+    along = "t" in prog.reads
 
     def run(cs: np.ndarray, ts: np.ndarray) -> np.ndarray:
         shape = (len(cs), np.shape(ts)[-1])
@@ -53,7 +55,7 @@ class LeafTransport:
         self.cover = cover
         self.polarization = polarization
         self._integrands: dict = {}  # member, potential and program -> run
-        self._flux = None  # (run of the flux integrand, whether it reads t)
+        self._flux = None  # the flux integrand's program, and its run
         trace.count("transport_integrals", 0)  # 0 until it integrates
         trace.count("transport_batches", 0)
 
@@ -61,8 +63,8 @@ class LeafTransport:
         """run(cs, ts): theta_member(leaf'(t)) at the labels cs and the
         nodes ts, an array (len(cs), k) of each label's nodes or k nodes
         shared by all labels; returns (len(cs), k) values.  The integrand
-        of each distinct potential is composed once (and whether it reads
-        t), and members whose integrands are one formula share one run."""
+        of each distinct potential is composed and compiled once, and
+        members whose integrands are one formula share one run."""
         memo = self._integrands
         run = memo.get(member)
         if run is not None:
@@ -77,8 +79,7 @@ class LeafTransport:
                 ex.mul(ex.substitute(theta[1], sub), ex.differentiate(y, "t")),
             )
             prog = program.compile_expr(integrand, ("c", "t"))
-            along = "t" in ex.free_vars(integrand)
-            run = memo[theta] = memo.setdefault(prog, _runner(prog, along))
+            run = memo[theta] = memo.setdefault(prog, _runner(prog))
         memo[member] = run
         return run
 
@@ -96,13 +97,12 @@ class LeafTransport:
                 ex.mul(ex.differentiate(x, "c"), ex.differentiate(y, "t")),
                 ex.mul(ex.differentiate(y, "c"), ex.differentiate(x, "t")),
             )
-            integrand = ex.mul(w, jac)
-            along = "t" in ex.free_vars(integrand)
-            self._flux = (_runner(program.compile_expr(integrand, ("c", "t")), along), along)
-        run, along = self._flux
+            prog = program.compile_expr(ex.mul(w, jac), ("c", "t"))
+            self._flux = (prog, _runner(prog))
+        prog, run = self._flux
         cs = np.asarray(labels, dtype=float)
         period = self.polarization.leaf_period
-        if not along:
+        if "t" not in prog.reads:
             return period * run(cs, np.zeros(1))[:, 0].real
         trace.count("transport_integrals", len(cs))
         trace.count("transport_batches")

@@ -30,6 +30,7 @@ from gqlab.quadrature import integrate
 from gqlab.transport import LeafTransport
 
 from cells import degree_cells, grid_delta, nerve_cells
+from trees import free_vars
 
 TWO_PI = 2.0 * math.pi
 
@@ -176,7 +177,7 @@ def _per_cell_gauge_potentials(naive, pulled, elements, pts, closed_form=True, s
         )
         prog = program.compile_expr(diffs, manifold.coords)
         exact = [
-            closed_form and c not in ex.free_vars(d) for c, d in zip(manifold.coords, diffs)
+            closed_form and c not in free_vars(d) for c, d in zip(manifold.coords, diffs)
         ]
         box = naive.elements[a].box
         base = box.center()

@@ -26,6 +26,8 @@ from gqlab.geometry import pushforward_polarization
 from gqlab.prequantum import LocalData, TrivializationCover, pullback
 from gqlab.transport import LeafTransport
 
+from trees import free_vars
+
 TWO_PI = 2.0 * math.pi
 
 
@@ -1750,7 +1752,7 @@ def test_an_integrand_that_does_not_read_t_is_evaluated_once_per_label(models, m
                 got = run(cs, ts)
             want = real(prog, {"c": np.repeat(cs, 15), "t": ts.ravel()})
             assert got.shape == (4, 15) and got.tobytes() == want.reshape(4, 15).tobytes()
-            reads_t = "t" in ex.free_vars(integrand)
+            reads_t = "t" in free_vars(integrand)
             assert points == [60 if reads_t else 4], name
             along.add(reads_t)
     assert along == {True, False}

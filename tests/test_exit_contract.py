@@ -15,7 +15,7 @@ import tempfile
 import warnings
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gqlab import catalog
@@ -101,8 +101,17 @@ def _strict(text):
     return json.loads(text, parse_constant=reject)
 
 
+# derivatives whose literals fold to a value that is not finite
+FOLDS = [
+    (("parse-expr", "x*1e200*1e200", "--diff", "x"), "d/dx: 1e+200*1e+200"),
+    (("parse-expr", "x/0", "--diff", "x"), "d/dx: 0/0"),
+]
+
+
 @settings(max_examples=120, deadline=None, derandomize=True)
 @given(st.one_of(_common_argv(), _parse_expr_argv()))
+@example(list(FOLDS[0][0]))
+@example(list(FOLDS[1][0]))
 def test_every_argv_keeps_the_exit_code_contract(argv):
     argv = list(argv)
     out, err = io.StringIO(), io.StringIO()
@@ -124,6 +133,15 @@ def test_every_argv_keeps_the_exit_code_contract(argv):
         if "--out" in argv and code in (0, 1):
             with open(argv[argv.index("--out") + 1]) as fh:
                 _strict(fh.read())
+
+
+@pytest.mark.parametrize("argv, line", FOLDS)
+def test_a_fold_that_is_not_finite_stays_an_operation(argv, line):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    assert (code, err.getvalue()) == (0, "")
+    assert out.getvalue().splitlines()[-1] == line
 
 
 # command lines that must end in a config error, with nothing on stderr but

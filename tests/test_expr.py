@@ -4,10 +4,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gqlab import expr as ex
+
+from trees import free_vars
 
 
 def test_literal_evaluation():
@@ -98,7 +100,7 @@ def test_unknown_identifier_rejected_with_declared_variables():
     with pytest.raises(ex.ParseError, match="unknown identifier"):
         ex.parse_expr("x + q", variables={"x", "y"})
     e = ex.parse_expr("x + q")  # without a declaration any name parses
-    assert ex.free_vars(e) == {"x", "q"}
+    assert free_vars(e) == {"x", "q"}
 
 
 def test_unknown_function_rejected():
@@ -159,8 +161,47 @@ def _exprs(depth):
 
 @settings(max_examples=300, deadline=None)
 @given(_exprs(4))
+@example(ex.Num(-0.0))
+@example(ex.mul(ex.Num(1e200), ex.Num(1e200)))
+@example(ex.div(ex.Num(10.0), ex.Num(5e-324)))
+@example(ex.div(ex.ZERO, ex.ZERO))
 def test_printer_round_trip(e):
     assert ex.parse_expr(ex.to_source(e)) == e
+
+
+def test_two_literals_fold_only_to_a_finite_literal():
+    big, x = ex.Num(1e200), ex.Var("x")
+    assert ex.mul(big, big) == ex.BinOp("*", big, big)
+    assert ex.add(ex.Num(1.5e308), ex.Num(1.5e308)).op == "+"
+    assert ex.sub(ex.Num(-1.5e308), ex.Num(1.5e308)).op == "-"
+    assert ex.div(ex.Num(10.0), ex.Num(5e-324)).op == "/"
+    assert ex.div(ex.ZERO, ex.ZERO) == ex.BinOp("/", ex.ZERO, ex.ZERO)
+    assert ex.div(ex.Num(1.0), ex.ZERO).op == "/"
+    assert ex.mul(ex.Num(2.0), ex.Num(3.0)) == ex.Num(6.0)
+    assert ex.div(ex.ZERO, ex.Num(-4.0)) == ex.Num(-0.0)
+    # the derivative of x/0 is 0/0, not 0
+    assert ex.to_source(ex.differentiate(ex.parse_expr("x/0"), "x")) == "0/0"
+    assert np.isnan(ex.evaluate(ex.differentiate(ex.parse_expr("x/0"), "x"), {"x": 1.0}))
+    assert ex.to_source(ex.differentiate(ex.parse_expr("x*1e200*1e200"), "x")) == (
+        "1e+200*1e+200")
+    assert ex.evaluate(ex.mul(x, ex.mul(big, big)), {"x": 1.0}).real == math.inf
+
+
+def test_signed_zero_literals_are_two_literals():
+    x, y = ex.Var("x"), ex.Var("y")
+    plus, minus = ex.Num(0.0), ex.Num(-0.0)
+    assert plus != minus and hash(plus) != hash(minus)
+    assert ex.Num(0) == plus and ex.Num(1.0) == ex.Num(1)
+    assert ex.to_source(minus) == "-0" and ex.parse_expr("-0") == minus
+    assert ex.to_source(ex.BinOp("-", x, minus)) == "x - -0"
+    # what the evaluator and differentiate give does not depend on what
+    # they were asked before
+    ex.evaluate(ex.BinOp("+", x, plus), {"x": -0.0})
+    got = ex.evaluate(ex.BinOp("+", x, minus), {"x": -0.0})
+    assert math.copysign(1.0, got.real) == -1.0
+    ex.differentiate(ex.BinOp("*", x, ex.BinOp("+", y, plus)), "x")
+    d = ex.differentiate(ex.BinOp("*", x, ex.BinOp("+", y, minus)), "x")
+    assert d == ex.BinOp("+", y, minus)
 
 
 # -- the node contract: immutable, equal by type and fields, hashed once

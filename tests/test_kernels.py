@@ -1,5 +1,6 @@
 """The array evaluator: scalar and array calls, deep programs, totality,
-tuple programs, and the programs that formula owners compile once."""
+tuple programs, repeated subtrees computed once, and the programs that
+formula owners compile once."""
 
 import re
 from typing import NamedTuple
@@ -13,6 +14,8 @@ from gqlab.geometry import pushforward_polarization
 from gqlab.prequantum import pullback
 from gqlab.program import compile_expr
 from gqlab.transport import LeafTransport
+
+from trees import free_vars, node_by_node, subtrees
 
 
 def test_program_deeper_than_64_evaluates():
@@ -394,3 +397,133 @@ def test_owners_compile_once(models, monkeypatch):
     assert calls == []
     monkeypatch.undo()
     assert program.compile_expr.cache_info().misses == misses
+
+
+# ---------------------------------------------------------------------------
+# A repeated subtree is computed once and loaded where it recurs; every
+# value is still the tree's, node by node, bit for bit.
+
+# formulas that repeat subtrees, within a part and across the parts of a
+# tuple, and literals of both signed zeros
+SHARED = [
+    ("sin(x)*sin(x) + cos(x*y)/cos(x*y)",),
+    ("sqrt(2*x)*cos(y) + sqrt(2*x)*sin(y) - sqrt(2*x)*cos(y)*sin(y)",),
+    ("(x + y)^2 - (x + y)^y + exp(-(x + y)) * (x + y)^-3",),
+    ("atan2(y, x) * atan2(y, x) + log(atan2(y, x) - x)",),
+    ("sin(x)*y", "sin(x)*y + 1", "x - sin(x)*y", "exp(sin(x)*y)"),
+    ("x + 0", "x + -0", "(x + 0)*(y - -0)", "(x + -0)*(y - 0)"),
+    ("sqrt(2*x)", "sqrt(2*x)^2", "x*sqrt(2*x) + y*sqrt(2*x)"),
+]
+
+_STORE_OR_LOAD = re.compile(r"s\[-?\d+\] = (cols\[\d+\]|k\d+|s\[-?\d+\])")
+
+
+def _computing(prog):
+    """The statements of prog that run a ufunc: all but the allocation, the
+    loads of variables, constants and kept rows, and the stores."""
+    body = prog.source.splitlines()[2:-1]
+    return [line for line in body if not _STORE_OR_LOAD.fullmatch(line.strip())]
+
+
+def _parts(sources):
+    parts = tuple(ex.parse_expr(s) for s in sources)
+    return parts if len(parts) > 1 else parts[0]
+
+
+def _check_against_the_tree(e, var_names, cols):
+    prog = compile_expr(e, var_names)
+    n = len(next(iter(cols.values())))
+    got = kernels.evaluate(prog, cols)
+    parts = e if isinstance(e, tuple) else (e,)
+    want = np.stack([node_by_node(part, cols, n) for part in parts])
+    _same(got.reshape(want.shape), want)
+    assert len(_computing(prog)) == len(subtrees(e))
+    return prog
+
+
+@pytest.mark.parametrize("sources", SHARED, ids=[" ; ".join(s) for s in SHARED])
+def test_shared_subtrees_equal_the_tree_node_by_node(sources):
+    e = _parts(sources)
+    for x, y in ((_X, _Y), (_X.real.copy(), _Y.real.copy())):
+        prog = _check_against_the_tree(e, ("x", "y"), {"x": x, "y": y})
+    assert "s[-1]" in prog.source  # something was kept
+    # every kept row is stored once and loaded at least once
+    for row in set(re.findall(r"s\[-\d+\]", prog.source)):
+        assert prog.source.count(f"{row} = s[") == 1
+        assert prog.source.count(f"= {row}") >= 1
+
+
+def test_a_signed_zero_literal_is_its_own_constant():
+    prog = compile_expr(_parts(("x + 0", "x + -0")), ("x",))
+    got = kernels.evaluate(prog, {"x": np.array([-0.0])})
+    assert np.signbit(got.real).tolist() == [[False], [True]]
+    assert len(set(re.findall(r"k\d+", prog.source))) == 2
+
+
+def _flux_integrand(cover, pol):
+    (u, v), (x, y) = cover.manifold.coords, pol.curve
+    w = ex.substitute(cover.omega.coefficient, {u: x, v: y})
+    jac = ex.sub(
+        ex.mul(ex.differentiate(x, "c"), ex.differentiate(y, "t")),
+        ex.mul(ex.differentiate(y, "c"), ex.differentiate(x, "t")),
+    )
+    return ex.mul(w, jac)
+
+
+def _builtin_formulas(exm, maps):
+    """The leaf integrands and flux integrands that transport composes on
+    the model, for every polarization and on the pullback by each map, and
+    the gauge forms of the complementary covers, as two lists: formulas
+    over ("c", "t") and formulas over the model's coordinates."""
+    pairs = [(exm.cover, pol) for pol in exm.polarizations.values()]
+    gauge = []
+    for spec in maps:
+        phi = catalog.make_map(exm, spec)
+        pulled = pullback(exm.cover, phi)
+        pairs.append((pulled, pushforward_polarization(phi, exm.polarization())))
+        naive = exm.data_builder([el.box for el in pulled.elements])
+        for a, comps in sorted(pulled.data.potentials.items()):
+            gauge += [ex.BinOp("-", tn, tp) for tn, tp in zip(naive.potentials[a], comps)]
+    along = [_flux_integrand(cover, pol) for cover, pol in pairs]
+    along += [_base_integrand(cover, pol, a) for cover, pol in pairs
+              for a in sorted(cover.data.potentials)]
+    return along, gauge
+
+
+@pytest.mark.parametrize("name,params,maps", CASES, ids=CASE_IDS)
+def test_builtin_programs_read_their_free_variables(models, name, params, maps):
+    exm = models(name, **params)
+    along, gauge = _builtin_formulas(exm, maps)
+    assert along and gauge
+    for formulas, var_names in ((along, ("c", "t")), (gauge, exm.manifold.coords)):
+        for e in formulas:
+            assert compile_expr(e, var_names).reads == free_vars(e)
+        union = frozenset().union(*map(free_vars, formulas))
+        assert compile_expr(tuple(formulas), var_names).reads == union
+
+
+@pytest.mark.parametrize("name,params,maps", CASES, ids=CASE_IDS)
+def test_builtin_programs_equal_the_tree_node_by_node(models, name, params, maps):
+    exm = models(name, **params)
+    along, gauge = _builtin_formulas(exm, maps)
+    rng = np.random.default_rng(5)
+    cols = {"c": np.concatenate([rng.uniform(0.1, 2.0, 8), _X]),
+            "t": np.concatenate([rng.uniform(-3.0, 3.0, 8), _Y])}
+    pts = exm.manifold.sample_grid(3)
+    xy = {c: np.concatenate([pts[:, j], _X.real]) for j, c in enumerate(exm.manifold.coords)}
+    for formulas, var_names, values in ((along, ("c", "t"), cols),
+                                        (gauge, exm.manifold.coords, xy)):
+        for e in formulas:
+            _check_against_the_tree(e, var_names, values)
+        _check_against_the_tree(tuple(formulas), var_names, values)
+
+
+def test_the_disk_pullback_integrand_shares_its_subtrees(models):
+    exm = models("disk")
+    phi = catalog.make_map(exm, "rot:0.7")
+    pulled = pullback(exm.cover, phi)
+    pushed = pushforward_polarization(phi, exm.polarization())
+    for a in sorted(pulled.data.potentials):
+        prog = compile_expr(_base_integrand(pulled, pushed, a), ("c", "t"))
+        statements = prog.source.splitlines()[1:-1]  # all but def and return
+        assert len(statements) <= 80  # 234 with one statement per node
