@@ -394,13 +394,12 @@ def verify_theorem_1(
     rng = np.random.default_rng(seed)
     commute = 0.0
     for degree in (0, 1):
-        keys = list(grid_src.degree_keys(degree + 1))
-        if not keys:
+        if not grid_src.degree_keys(degree + 1):
             continue
         n = int(grid_src.degrees[degree].starts[-1])
         v = rng.normal(size=n) + 1j * rng.normal(size=n)
-        lhs = psi(grid_dst, keys, delta(grid_dst.operators[degree], v))
-        rhs = psi(grid_src, keys, delta(grid_src.operators[degree], v))
+        lhs = psi(grid_dst, degree + 1, delta(grid_dst.operators[degree], v))
+        rhs = psi(grid_src, degree + 1, delta(grid_src.operators[degree], v))
         commute = max(commute, float(np.max(np.abs(lhs - rhs), initial=0.0)))
     sound = all(d.betti >= 0 for r in (ranks_src, ranks_dst) for d in r.degrees)  # dimensions
     passed = equal and sound and commute < COMMUTATION_TOL
@@ -437,7 +436,6 @@ def verify_theorem_2(
     pol: Polarization,
     crange: tuple,
     count: int = 33,
-    tol: float = 1e-8,
 ) -> CorrespondenceReport:
     """Bohr-Sommerfeld invariance: the leaf map is a label-preserving
     bijection matching holonomies, and the BS censuses agree.
@@ -447,11 +445,11 @@ def verify_theorem_2(
     the leaf pairs are their label and holonomy columns side by side, the
     point leaves after them: the source holonomy in comp.source, the target
     one in comp.base.  A sampled label that differs between them raises
-    InternalConsistencyError."""
+    InternalConsistencyError.  A census's tol sets only is_bs, unreported."""
     pushed = pushforward_polarization(comp.phi, pol)
     try:
-        census_src = bs_census(comp.source, pol, crange, count, tol)
-        census_dst = bs_census(comp.base, pushed, crange, count, tol)
+        census_src = bs_census(comp.source, pol, crange, count)
+        census_dst = bs_census(comp.base, pushed, crange, count)
     except UnresolvedCensusError as exc:
         return CorrespondenceReport(
             2, "census-unresolved", False, payload={"unresolved": str(exc)}

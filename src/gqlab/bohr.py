@@ -44,11 +44,11 @@ class HolonomyUndefinedError(ValueError):
 
 
 class Leaves(NamedTuple):
-    """The leaves through a batch of labels, in the batch's order, as flat
-    columns: leaf i has k[i] segments, in leaf order, and s[i] switch
-    points, k - 1 on a line leaf, k on a circle leaf, 0 on a leaf that one
-    element holds whole.  The segment and switch columns run leaf after
-    leaf; switch j of a leaf joins its segments j and j + 1, cyclically."""
+    """The circle leaves through a batch of labels, in the batch's order,
+    as flat columns: leaf i has k[i] segments, in leaf order, and s[i]
+    switch points, k of them, or 0 on a leaf that one element holds whole.
+    The segment and switch columns run leaf after leaf; switch j of a leaf
+    joins its segments j and j + 1, cyclically."""
 
     labels: np.ndarray  # (n,)
     k: np.ndarray  # (n,) segments per leaf
@@ -130,32 +130,8 @@ def _thread_circle(cands: list, whole: list, period: float, c: float) -> tuple:
     return segments, switches
 
 
-def _thread_line(cands: list, c: float) -> tuple:
-    """Thread a line leaf through the elements it crosses, as
-    _thread_circle does a circle leaf."""
-    order = sorted(range(len(cands)), key=lambda j: (cands[j][1], cands[j][0]))
-    segments = []
-    switches = []
-    idx, t0, t1 = cands[order[0]]
-    cur_end = t1
-    cur = (idx, t0, order[0])
-    for j in order[1:]:
-        nidx, n0, n1 = cands[j]
-        if n0 >= cur_end - 1e-12:
-            raise CoverageError(f"cover leaves a gap on the line leaf {c}")
-        if n1 <= cur_end:
-            continue
-        switch = 0.5 * (n0 + cur_end)
-        segments.append((cur[0], cur[1], switch, cur[2]))
-        switches.append(switch)
-        cur = (nidx, switch, j)
-        cur_end = n1
-    segments.append((cur[0], cur[1], cur_end, cur[2]))
-    return segments, switches
-
-
 class LeafAtlas:
-    """The leaves of a polarization on a cover, threaded once per
+    """The circle leaves of a polarization on a cover, threaded once per
     membership pattern.
 
     A label's membership pattern is the set of elements its leaf crosses.
@@ -171,7 +147,9 @@ class LeafAtlas:
     of the cover's nerve, which a pullback cover keeps from its source,
     and the switch points lie on the polarization's own curve (phi^{-1} o
     gamma for a pushforward), so a pullback cover is threaded like any
-    other.
+    other.  A line leaf is contractible, so the census counts it from its
+    label alone: check_crossing asks only that it cross an element, and no
+    line leaf is threaded.
     """
 
     def __init__(self, cover: TrivializationCover, pol: Polarization):
@@ -192,12 +170,8 @@ class LeafAtlas:
             raise CoverageError(f"leaf {c} crosses no cover element")
         lo, hi = self.frame.leaf_lo.tolist(), self.frame.leaf_hi.tolist()
         cands = [(self._elements[p], lo[p], hi[p]) for p in positions]
-        period = self.polarization.leaf_period
-        if period is None:
-            segments, switches = _thread_line(cands, c)
-        else:
-            whole = self.frame.whole[positions].tolist()
-            segments, switches = _thread_circle(cands, whole, period, c)
+        whole = self.frame.whole[positions].tolist()
+        segments, switches = _thread_circle(cands, whole, self.polarization.leaf_period, c)
         k, els = len(segments), [seg[0] for seg in segments]
         found = (np.array([(e, t0, t1, positions[j]) for e, t0, t1, j in segments], dtype=float),
                  np.array([(t, els[j], els[(j + 1) % k]) for j, t in enumerate(switches)],
@@ -206,11 +180,16 @@ class LeafAtlas:
         trace.count("leaf_patterns")
         return found
 
+    def check_crossing(self, labels) -> None:
+        """Raise CoverageError, as leaves does, for the first of labels
+        whose leaf crosses no element."""
+        crossing = self.frame.lift(labels)[1].any(axis=1).tolist()
+        if not all(crossing):
+            raise CoverageError(f"leaf {labels[crossing.index(False)]} crosses no cover element")
+
     def leaves(self, labels) -> Leaves:
-        """The leaves through labels, in their order: circle leaves when
-        the polarization's leaves close, line leaves otherwise.  A label
-        whose leaf crosses no element, or finds a gap, raises
-        CoverageError."""
+        """The circle leaves through labels, in their order.  A label whose
+        leaf crosses no element, or finds a gap, raises CoverageError."""
         labels = np.asarray(labels, dtype=float)
         if not len(labels):
             none, nothing = np.zeros(0, dtype=int), np.zeros(0)
@@ -255,7 +234,8 @@ def enumerate_leaves(atlas: LeafAtlas, crange: tuple, count: int) -> tuple:
     and its polarization's singular points, labelled by the root
     polarization (a pushforward keeps labels leafwise).  Returns (labels,
     leaves, points): the sampled labels, their atlas.leaves batch, and the
-    point leaves as (label, point) pairs."""
+    point leaves as (label, point) pairs.  Line leaves are not threaded:
+    their labels pass atlas.check_crossing and their batch is empty."""
     if count < 1:
         raise ConfigurationError("count must be >= 1")
     pol = atlas.polarization
@@ -284,7 +264,12 @@ def enumerate_leaves(atlas: LeafAtlas, crange: tuple, count: int) -> tuple:
         values = values[~near.any(axis=1)]
     # declared singular points always join the census as point leaves
     points = np.array(pol.singular_points, dtype=float).reshape(-1, 2).tolist()
-    return values, atlas.leaves(values), list(zip(singular_labels.tolist(), map(tuple, points)))
+    if pol.leaf_period is None:
+        atlas.check_crossing(values)
+        leaves = atlas.leaves([])
+    else:
+        leaves = atlas.leaves(values)
+    return values, leaves, list(zip(singular_labels.tolist(), map(tuple, points)))
 
 
 # ---------------------------------------------------------------------------
@@ -559,7 +544,8 @@ def bs_census(
     crossing of -1 opens nothing.  Locations a period apart are one leaf.
     Point leaves (declared singular points) are BS with trivial holonomy.
     Noncompact line leaves are excluded from the count unless include_lines
-    is set (they all admit covariantly constant sections).
+    is set (they all admit covariantly constant sections); a line leaf is
+    counted from its label, and only checked to cross an element.
 
     The census threads on one LeafAtlas, so each membership pattern is
     threaded once.  The sampled leaves take one holonomy batch, with at
@@ -576,7 +562,7 @@ def bs_census(
         trace.count(name, 0)  # reported when no round or step needs them
     labels, leaves, points = enumerate_leaves(atlas, crange, count)
     closed = pol.leaf_period is not None
-    actions, hols = holonomy(transport, leaves if closed else atlas.leaves([]))
+    actions, hols = holonomy(transport, leaves)
     for column in (labels, actions, hols):
         column.flags.writeable = False
 
@@ -676,10 +662,10 @@ def bs_census(
     )
 
 
-def lattice_count(lo: float, hi: float, tol: float = 1e-9) -> int:
-    """Number of integer points in the closed interval [lo, hi]."""
+def lattice_count(lo: float, hi: float) -> int:
+    """Number of integer points in [lo, hi], each end widened by 1e-9."""
     if hi < lo:
         return 0
-    first = math.ceil(lo - tol)
-    last = math.floor(hi + tol)
+    first = math.ceil(lo - 1e-9)
+    last = math.floor(hi + 1e-9)
     return max(0, last - first + 1)

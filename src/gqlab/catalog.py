@@ -130,18 +130,15 @@ def _assemble(
 # plane
 
 
-def _plane_example(
-    granularity: int = 1, half_width: float = 4.0, nerve_degree: int = MAX_DEGREE
-) -> Example:
+def _plane_example(granularity: int = 1, nerve_degree: int = MAX_DEGREE) -> Example:
     x, y = Var("x"), Var("y")
     manifold = Manifold(
         name="plane",
         coords=("x", "y"),
         periods=(None, None),
-        window=Box((-half_width, -half_width), (half_width, half_width)),
+        window=Box((-4.0, -4.0), (4.0, 4.0)),
     )
-    pad = 0.4
-    big = half_width + pad
+    big = 4.4  # the window and a pad of 0.4
     if granularity == 1:
         boxes = [Box((-big, -big), (big, big))]
         # theta = (x dy - y dx) / 2
@@ -347,7 +344,8 @@ def _sphere_example(k: int, nerve_degree: int = MAX_DEGREE) -> Example:
 # disk
 
 
-def _disk_example(radius: float = 3.2, nerve_degree: int = MAX_DEGREE) -> Example:
+def _disk_example(nerve_degree: int = MAX_DEGREE) -> Example:
+    radius = 3.2
     x, y = Var("x"), Var("y")
     manifold = Manifold(
         name="disk",

@@ -111,8 +111,8 @@ class TransversalGrid(NamedTuple):
         """The grid of labels: one crossing mask of every nerve cell and
         label, whose nonzero entries, cell by cell, are the columns of
         every degree, and one curve call for all their basepoints; then
-        of_columns."""
-        labels = np.asarray(labels, dtype=float)
+        of_columns.  The grid keeps a read-only copy of labels."""
+        labels = read_only(np.array(labels, dtype=float))
         pol, manifold, tables = polarization, cover.manifold, cover.nerve.degrees
         frame = LeafFrame.of(
             manifold, pol,
@@ -216,13 +216,6 @@ class TransversalGrid(NamedTuple):
         """The keys of the nerve cells of degree n, sorted."""
         return self.cover.nerve.degrees[n].keys if n < len(self.degrees) else ()
 
-    def span(self, key) -> tuple:
-        """(degree, slice): the entries of the cell key in its degree's
-        columns."""
-        degree, row = self.nerve.locate(key)
-        starts = self.degrees[degree].starts
-        return degree, slice(int(starts[row]), int(starts[row + 1]))
-
     @property
     def n_labels_retained(self) -> int:
         return int(np.count_nonzero(np.bincount(self.degrees[0].label_idx)))
@@ -272,28 +265,19 @@ def half_offset_grid(cover, polarization, count: int) -> TransversalGrid:
 # Operations
 
 
-def _entries(grid: TransversalGrid, keys) -> tuple:
-    """(degree, entries): the entries of the cells of keys, all of one
-    degree, side by side in the degree's columns."""
-    spans = [grid.span(key) for key in keys]
-    entries = [np.arange(span.start, span.stop) for _, span in spans]
-    return spans[0][0], np.concatenate(entries)
-
-
-def psi(grid: TransversalGrid, keys: list, g: np.ndarray) -> np.ndarray:
+def psi(grid: TransversalGrid, degree: int, g: np.ndarray) -> np.ndarray:
     """Tuple representation of sections given in each cell's reference
     trivialization (the first member): component j is lambda_{a_0 a_j} g.
 
-    keys are cells of one degree whose coefficients sit side by side in g;
-    the transitions are one transition call at the cells' basepoints.
+    g holds a coefficient per entry of the degree's columns; the
+    transitions are one transition call at the entries' basepoints.
     """
-    degree, entries = _entries(grid, keys)
     columns = grid.degrees[degree]
-    members = grid.nerve.degree(degree).members[columns.cells[entries]].T
+    members = grid.nerve.degree(degree).members[columns.cells].T
     lam = grid.cover.transition(
         np.broadcast_to(members[0], members.shape).ravel(),
         members.ravel(),
-        np.concatenate([columns.base_points[entries]] * len(members)),
+        np.concatenate([columns.base_points] * len(members)),
     )
     return lam.reshape(members.shape) * g
 

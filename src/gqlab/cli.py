@@ -452,7 +452,7 @@ def cmd_act(cfg: RunConfig, args, counts: dict) -> int:
         reports = [
             verify_theorem_1(built, pol, cfg.grid, cfg.rank_tol, cfg.seed)
             if w == "thm1"
-            else verify_theorem_2(built, pol, crange, cfg.count, cfg.tol)
+            else verify_theorem_2(built, pol, crange, cfg.count)
             for w in which
         ]
     payload: dict = {}

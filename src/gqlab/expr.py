@@ -29,6 +29,11 @@ class ParseError(ValueError):
 
 FUNCTIONS = {"exp": 1, "log": 1, "sin": 1, "cos": 1, "sqrt": 1, "atan2": 2}
 
+# how deep a parsed source may nest, and its tree be: the parser, printer,
+# differentiate, substitute and compile_expr recurse per level, and at 64
+# levels a derivative four times as deep stays inside 1000 frames
+MAX_DEPTH = 64
+
 
 _set = object.__setattr__
 
@@ -271,6 +276,7 @@ class _Parser:
         self.tokens = tokens
         self.pos = 0
         self.variables = variables
+        self.level = 0  # parse_unary calls open: the outermost, and one a nesting
 
     def peek(self):
         return self.tokens[self.pos]
@@ -303,14 +309,20 @@ class _Parser:
         return node
 
     def parse_unary(self) -> Expr:
-        if self.peek()[0] == "-":
+        # every nesting (parentheses, a call, a sign, a power) opens one more
+        # parse_unary, so the parser recurses at most MAX_DEPTH levels deep
+        kind, _, pos = self.peek()
+        self.level += 1
+        if self.level > MAX_DEPTH + 1:
+            raise ParseError(f"source nests deeper than {MAX_DEPTH} levels", pos)
+        if kind in ("-", "+"):
             self.advance()
             # neg() folds literal negation, so "-1" parses to the literal
-            return neg(self.parse_unary())
-        if self.peek()[0] == "+":
-            self.advance()
-            return self.parse_unary()
-        return self.parse_power()
+            node = neg(self.parse_unary()) if kind == "-" else self.parse_unary()
+        else:
+            node = self.parse_power()
+        self.level -= 1
+        return node
 
     def parse_power(self) -> Expr:
         base = self.parse_atom()
@@ -352,13 +364,29 @@ class _Parser:
         raise ParseError(f"unexpected token {value!r}", pos)
 
 
+def _depth(e: Expr) -> int:
+    """The operations on e's longest path to a leaf, level by level."""
+    depth, level = 0, [e]
+    while True:
+        level = [child for node in level for child in (
+            (node.arg,) if isinstance(node, Neg) else (node.left, node.right)
+            if isinstance(node, BinOp) else node.args if isinstance(node, Call) else ())]
+        if not level:
+            return depth
+        depth += 1
+
+
 def parse_expr(source: str, variables=None) -> Expr:
-    """Parse a formula.  If `variables` is given, names outside it reject."""
+    """Parse a formula.  If `variables` is given, names outside it reject.
+    Parentheses, calls, signs and powers nested, or a tree, more than
+    MAX_DEPTH deep are refused."""
     parser = _Parser(_tokenize(source), variables)
     node = parser.parse_expr()
     tok = parser.peek()
     if tok[0] != "end":
         raise ParseError(f"trailing input {tok[1]!r}", tok[2])
+    if _depth(node) > MAX_DEPTH:
+        raise ParseError(f"formula is more than {MAX_DEPTH} operations deep", 0)
     return node
 
 
@@ -434,6 +462,8 @@ def differentiate(e: Expr, name: str) -> Expr:
         if e.op == "*":
             return add(mul(da, b), mul(a, db))
         if e.op == "/":
+            if _num(da) == 0.0 and _num(db) == 0.0:  # b * b may underflow to 0
+                return ZERO
             return div(sub(mul(da, b), mul(a, db)), mul(b, b))
         if e.op == "^":
             bv = _num(b)

@@ -36,7 +36,6 @@ that stops below n (require_degree).
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections.abc import Mapping
 from functools import cached_property, lru_cache
 from types import MappingProxyType
@@ -109,13 +108,6 @@ class NerveDegree(NamedTuple):
     faces: np.ndarray  # (cells, d + 1): face j drops member j, a row of degree d - 1
     bases: np.ndarray  # (cells, d + 1, 2): face j's frame offset
 
-    def row(self, key) -> int:
-        """The row of the cell key; a key this degree lacks raises."""
-        row = bisect_left(self.keys, key)
-        if row == len(self.keys) or self.keys[row] != key:
-            raise ConfigurationError(f"no nerve cell {key}")
-        return row
-
 
 class DegreeSamples(NamedTuple):
     """The samples of the cells of one nerve degree that have any."""
@@ -141,13 +133,6 @@ class Nerve(Record):
 
     def degree(self, n: int) -> NerveDegree:
         return self.degrees[n]
-
-    def locate(self, key) -> tuple:
-        """(degree, row) of the cell key; a key this nerve lacks raises."""
-        degree = len(key[0]) - 1
-        if not 0 <= degree <= self.max_degree:
-            raise ConfigurationError(f"no nerve cell {key}")
-        return degree, self.degrees[degree].row(key)
 
     def samples(self, n: int, manifold: Manifold) -> DegreeSamples:
         """The samples of the degree-n cells that have any, computed on
@@ -194,7 +179,6 @@ class TrivializationCover(Record):
         elements: tuple,
         data: LocalData,
         nerve: Nerve,  # build_nerve(manifold, elements)
-        pullback_of: tuple | None = None,  # (source cover, map), for refine's guard
     ):
         elements = tuple(elements)
         self._set(locals())
@@ -383,7 +367,6 @@ def pullback(cover: TrivializationCover, phi: Symplectomorphism) -> Trivializati
         elements=elements,
         data=data,
         nerve=nerve,
-        pullback_of=(cover, phi),
     )
 
 
@@ -655,9 +638,10 @@ def refine(cover: TrivializationCover, targets: list) -> tuple:
     coarse element's frame so that potentials keep their branch.  The fine
     nerve goes as deep as the coarse one, and at least to degree 1, whose
     cells give the fine transitions.  Returns the fine cover and the
-    read-only assignment fine index -> coarse index.
+    read-only assignment fine index -> coarse index.  A pullback cover
+    (Nerve.pulled_by) is refused.
     """
-    if cover.pullback_of is not None:
+    if cover.nerve.pulled_by:
         raise RefinementError("refine operates on base covers")
     manifold = cover.manifold
     periods = _period_vec(manifold)
@@ -704,31 +688,20 @@ def refine(cover: TrivializationCover, targets: list) -> tuple:
     return fine, MappingProxyType(assignment)
 
 
-def split_boxes(cover: TrivializationCover, factor: int = 2, overlap: float = 0.25):
-    """Quadrant-style subdivision targets for a one-step refinement."""
+def split_boxes(cover: TrivializationCover):
+    """Quadrant subdivision targets for a one-step refinement: each box
+    halved on each axis, halves padded by min(0.25, an eighth of the box)."""
     targets = []
     for el in cover.elements:
-        for axis_parts in _axis_splits(el.box, factor, overlap):
-            targets.append(axis_parts)
+        box = el.box
+        edges = [np.linspace(box.lo[a], box.hi[a], 3) for a in range(2)]
+        pads = [min(0.25, 0.125 * (box.hi[a] - box.lo[a])) for a in range(2)]
+        for ix in range(2):
+            for iy in range(2):
+                lo = (max(box.lo[0], edges[0][ix] - pads[0]),
+                      max(box.lo[1], edges[1][iy] - pads[1]))
+                hi = (min(box.hi[0], edges[0][ix + 1] + pads[0]),
+                      min(box.hi[1], edges[1][iy + 1] + pads[1]))
+                targets.append(Box(lo, hi))
     return targets
-
-
-def _axis_splits(box: Box, factor: int, overlap: float):
-    pieces = []
-    edges = [
-        np.linspace(box.lo[a], box.hi[a], factor + 1) for a in range(2)
-    ]
-    pads = [min(overlap, 0.25 * (box.hi[a] - box.lo[a]) / factor) for a in range(2)]
-    for ix in range(factor):
-        for iy in range(factor):
-            lo = (
-                max(box.lo[0], edges[0][ix] - pads[0]),
-                max(box.lo[1], edges[1][iy] - pads[1]),
-            )
-            hi = (
-                min(box.hi[0], edges[0][ix + 1] + pads[0]),
-                min(box.hi[1], edges[1][iy + 1] + pads[1]),
-            )
-            pieces.append(Box(lo, hi))
-    return pieces
 

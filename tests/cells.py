@@ -4,7 +4,11 @@ the per-face reference for the differential.
 The program keeps one table per degree; tests that check cells one at a
 time read them through these views: a Cell per nerve cell (its members,
 comp, box, shifts, and its samples as Nerve.samples computes them), the
-faces as (face key, base) pairs, and a GridCell per grid cell.
+faces as (face key, base) pairs, and a GridCell per grid cell.  A cell's
+row and its grid entries are found by key (cell_row, cell_span), and
+cell_psi is cech.psi on some cells of a degree.  element_segments gives a
+stretch of leaf in each element it crosses, line leaves too, which the
+program does not thread.
 
 The reference restricts image tuples one (sub cell, super cell) pair at a
 time (pointwise_res) and sums those restrictions over the faces of each
@@ -15,12 +19,13 @@ left inverse of cech.psi on one cell, averages a tuple back to the cell's
 reference trivialization.
 """
 
+from bisect import bisect_left
 from typing import NamedTuple
 
 import numpy as np
 
 from gqlab.cech import delta, delta_matrix, psi
-from gqlab.geometry import Box
+from gqlab.geometry import Box, LeafFrame
 from gqlab.transport import LeafTransport
 
 
@@ -74,6 +79,20 @@ def degree_cells(nerve, manifold, n: int) -> list:
     return [cell for cell in nerve_cells(nerve, manifold).values() if cell.degree == n]
 
 
+def element_segments(cover, pol, labels) -> list:
+    """(element, t0, t1, lifted label) for each label, in order, and each
+    element its leaf crosses, in element order: the element's whole leaf
+    window, as LeafFrame gives it."""
+    elements = cover.nerve.degree(0)
+    frame = LeafFrame.of(cover.manifold, pol, elements.lo, elements.hi)
+    lifted, inside = frame.lift(labels)
+    return [
+        (int(elements.members[p, 0]), float(frame.leaf_lo[p]), float(frame.leaf_hi[p]),
+         float(lifted[c, p]))
+        for c, p in zip(*np.nonzero(inside))
+    ]
+
+
 class GridCell(NamedTuple):
     label_idx: np.ndarray  # indices into the global label array
     c_cell: np.ndarray  # label values lifted into the cell frame
@@ -86,11 +105,42 @@ class GridCell(NamedTuple):
         return len(self.label_idx)
 
 
+def cell_row(nerve, key) -> tuple:
+    """(degree, row) of the nerve cell key; a key the nerve lacks raises
+    KeyError."""
+    degree = len(key[0]) - 1
+    keys = nerve.degrees[degree].keys if 0 <= degree < len(nerve.degrees) else ()
+    row = bisect_left(keys, key)
+    if row == len(keys) or keys[row] != key:
+        raise KeyError(f"no nerve cell {key}")
+    return degree, row
+
+
+def cell_span(grid, key) -> tuple:
+    """(degree, slice): the entries of the cell key in its degree's
+    columns."""
+    degree, row = cell_row(grid.nerve, key)
+    starts = grid.degrees[degree].starts
+    return degree, slice(int(starts[row]), int(starts[row + 1]))
+
+
+def cell_psi(grid, keys, g):
+    """cech.psi on the cells keys, all of one degree, whose coefficients
+    sit side by side in g: psi of the whole degree, with zeros on the other
+    cells, read at the cells' entries."""
+    spans = [cell_span(grid, key) for key in keys]
+    degree = spans[0][0]
+    entries = np.concatenate([np.arange(span.start, span.stop) for _, span in spans])
+    coefficients = np.zeros(int(grid.degrees[degree].starts[-1]), dtype=np.complex128)
+    coefficients[entries] = g
+    return psi(grid, degree, coefficients)[:, entries]
+
+
 def grid_cell(grid, key) -> GridCell:
     """The grid's entries of the cell key."""
-    degree, span = grid.span(key)
+    degree, span = cell_span(grid, key)
     columns = grid.degrees[degree]
-    row = grid.nerve.degree(degree).row(key)
+    row = cell_row(grid.nerve, key)[1]
     return GridCell(
         columns.label_idx[span], columns.c_cell[span], float(columns.t_bp[row]),
         bool(columns.closed[row]), columns.base_points[span],
@@ -116,7 +166,7 @@ def cell_frame(grid, key):
     member.  In member m's frame the leaf segment from cell f to cell k
     runs from t of f to t of k at m, at the labels c_cell of f plus the
     shift of f at m."""
-    degree, row = grid.nerve.locate(key)
+    degree, row = cell_row(grid.nerve, key)
     dt, shift = grid.frame.offsets(grid.nerve.degree(degree).shifts[row])
     return grid.degrees[degree].t_bp[row] + dt, shift
 
@@ -164,7 +214,7 @@ def cell_tuples(grid, degree, vec):
     vec of degree, by psi cell by cell."""
     starts = grid.degrees[degree].starts.tolist()
     return {
-        key: psi(grid, [key], vec[start:stop])
+        key: cell_psi(grid, [key], vec[start:stop])
         for key, start, stop in zip(grid.degree_keys(degree), starts, starts[1:])
     }
 

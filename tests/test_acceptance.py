@@ -20,13 +20,12 @@ from gqlab.cech import (
     cohomology_ranks,
     half_offset_grid,
     half_offset_labels,
-    psi,
 )
 from gqlab.prequantum import refine, split_boxes
 
 from gqlab.transport import LeafTransport
 
-from cells import grid_cell, grid_delta, nerve_faces, phi, pointwise_res
+from cells import cell_psi, grid_cell, grid_delta, nerve_faces, phi, pointwise_res
 
 TWO_PI = 2.0 * math.pi
 
@@ -139,9 +138,9 @@ def test_psi_phi_round_trip(models):
                 key = keys[rng.integers(len(keys))]
                 L = grid_cell(grid, key).count
                 g = rng.normal(size=L) + 1j * rng.normal(size=L)
-                tup = psi(grid, [key], g)
+                tup = cell_psi(grid, [key], g)
                 assert np.max(np.abs(phi(grid, key, tup) - g)) < 1e-12
-                back = psi(grid, [key], phi(grid, key, tup))
+                back = cell_psi(grid, [key], phi(grid, key, tup))
                 assert np.max(np.abs(back - tup)) < 1e-12
 
 
@@ -157,7 +156,7 @@ def test_res_laws(models):
         L = grid_cell(grid, key).count
         if L == 0:
             continue
-        tup = psi(grid, [key], rng.normal(size=L) + 1j * rng.normal(size=L))
+        tup = cell_psi(grid, [key], rng.normal(size=L) + 1j * rng.normal(size=L))
         back = pointwise_res(grid, transport, key, key, tup)
         assert np.max(np.abs(back - tup)) < 1e-12
         count += 1
@@ -171,7 +170,7 @@ def test_res_laws(models):
         mid_key = faces[key][2][0]  # (a, b) of (a, b, c)
         sub_key = faces[mid_key][1][0]  # (a,)
         L = grid_cell(grid, sub_key).count
-        tup = psi(grid, [sub_key], rng.normal(size=L) + 1j * rng.normal(size=L))
+        tup = cell_psi(grid, [sub_key], rng.normal(size=L) + 1j * rng.normal(size=L))
         direct = pointwise_res(grid, transport, sub_key, key, tup)
         via = pointwise_res(
             grid, transport, mid_key, key, pointwise_res(grid, transport, sub_key, mid_key, tup)

@@ -22,6 +22,7 @@ from gqlab.bohr import (
     bs_census,
     enumerate_leaves,
     holonomy,
+    leaf_actions,
 )
 from gqlab.cech import TransversalGrid, half_offset_labels, psi
 from gqlab.geometry import as_points, eval_at, pushforward_polarization
@@ -504,9 +505,8 @@ def test_chain_map_commutes_with_delta(models):
         n = int(gs.degrees[degree].starts[-1])
         assert n == gd.degrees[degree].starts[-1]
         v = rng.normal(size=n) + 1j * rng.normal(size=n)
-        keys = list(gs.degree_keys(degree + 1))
-        lhs = psi(gd, keys, grid_delta(gd, degree, v))
-        rhs = psi(gs, keys, grid_delta(gs, degree, v))
+        lhs = psi(gd, degree + 1, grid_delta(gd, degree, v))
+        rhs = psi(gs, degree + 1, grid_delta(gs, degree, v))
         assert lhs.shape == (degree + 2, gs.degrees[degree + 1].starts[-1])
         assert np.max(np.abs(lhs - rhs)) < 1e-9
 
@@ -565,9 +565,10 @@ def test_transport_leaf_shear_maps_lines_to_lines(models):
     comp = build_complementary(phi, exm)
     pushed = pushforward_polarization(phi, pol)
     labels, moved, _ = enumerate_leaves(LeafAtlas(comp.base, pushed), (0.5, 0.5), 1)
-    assert pushed.leaf_period is None and labels.tolist() == [0.5]  # a line leaf
+    # a line leaf: its label is sampled, and no leaf is threaded
+    assert pushed.leaf_period is None and labels.tolist() == [0.5] and moved.k.size == 0
     with pytest.raises(HolonomyUndefinedError):
-        holonomy(LeafTransport(comp.base, pushed), moved)
+        leaf_actions(LeafTransport(comp.base, pushed), moved)
     # so the census pairing has no pair to compare across the map
     rep = verify_theorem_2(comp, pol, (-1.0, 1.0), count=5)
     assert rep.passed and rep.payload["leaf_pairs"] == []

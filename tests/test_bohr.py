@@ -102,12 +102,17 @@ def test_torus_loops_close_through_the_cover(models):
 
 
 def test_plane_line_leaves(models):
+    # a line leaf is not threaded: its label is sampled, the batch is empty
+    # and no membership pattern is threaded, and its holonomy is undefined
     exm = models("plane")
     pol = exm.polarization()
-    _, leaves, _ = enumerate_leaves(LeafAtlas(exm.cover, pol), (-2.0, 2.0), 5)
+    with trace.counting() as counts:
+        labels, leaves, _ = enumerate_leaves(LeafAtlas(exm.cover, pol), (-2.0, 2.0), 5)
     assert pol.leaf_period is None  # line leaves
+    assert labels.tolist() == [-2.0, -1.0, 0.0, 1.0, 2.0] and leaves.k.size == 0
+    assert counts["leaf_patterns"] == 0
     with pytest.raises(HolonomyUndefinedError):
-        holonomy(LeafTransport(exm.cover, pol), leaves)
+        leaf_actions(LeafTransport(exm.cover, pol), leaves)
 
 
 def test_point_leaf_holonomy_is_trivial(models):
@@ -1199,45 +1204,20 @@ def _reference_circle(cover, pol, c, phi=None):
     return RefLeaf(c, "circle", tuple(segments), cover.manifold.reduce(pts))
 
 
-def _reference_line(cover, pol, c, phi=None):
-    cands = _reference_candidates(cover, pol, c)
-    if not cands:
-        raise CoverageError(f"leaf {c} crosses no cover element")
-    cands.sort(key=lambda r: (r[1], r[0]))
-    segments, switches = [], []
-    idx, t0, t1, c_elem = cands[0]
-    cur_end, cur = t1, (idx, t0, c_elem)
-    for nidx, n0, n1, nc in cands[1:]:
-        if n0 >= cur_end - 1e-12:
-            raise CoverageError(f"cover leaves a gap on the line leaf {c}")
-        if n1 <= cur_end:
-            continue
-        switch = 0.5 * (n0 + cur_end)
-        segments.append((cur[0], cur[1], switch, cur[2]))
-        switches.append(switch)
-        cur, cur_end = (nidx, switch, nc), n1
-    segments.append((cur[0], cur[1], cur_end, cur[2]))
-    pts = pol.curve_points(c, np.array(switches))
-    if phi is not None:
-        pts = phi.apply_inverse(pts)
-    return RefLeaf(c, "line", tuple(segments), cover.manifold.reduce(pts))
+def _source(cover, pulled):
+    """The cover a pullback cover was pulled back from, or the cover;
+    pulled is (source cover, map), or None for a cover of no map."""
+    return cover if pulled is None else pulled[0]
 
 
-def _source(cover):
-    """The cover a pullback cover was pulled back from, or the cover."""
-    return cover.pullback_of[0] if cover.pullback_of is not None else cover
-
-
-def _reference_leaf(cover, pol, c):
-    """The leaf through c threaded per label; on a pullback cover threaded
-    on the source, with its switch points moved through phi^{-1}."""
-    phi = None
-    if cover.pullback_of is not None:
-        cover, phi = cover.pullback_of
-        pol = pol.base
-    if pol.leaf_period is None:
-        return _reference_line(cover, pol, c, phi)
-    return _reference_circle(cover, pol, c, phi)
+def _reference_leaf(cover, pol, c, pulled=None):
+    """The circle leaf through c threaded per label; on a pullback cover,
+    pulled = (source cover, map), threaded on the source, with its switch
+    points moved through phi^{-1}."""
+    if pulled is None:
+        return _reference_circle(cover, pol, c)
+    source, phi = pulled
+    return _reference_circle(source, pol.base, c, phi)
 
 
 def _bits(x) -> str:
@@ -1295,23 +1275,24 @@ def _assert_same_leaves(leaves, labels, topology, want):
 
 
 def _atlas_cases(models):
-    """(name, cover, polarization, labels): census-range labels, labels
-    within 1e-9 of the elements' label edges, and on the torus labels
-    shifted by a period."""
+    """(name, cover, polarization, labels, pulled) on every model with
+    circle leaves, and pullbacks: census-range labels, labels within 1e-9
+    of the elements' label edges, and on the torus labels shifted by a
+    period; pulled is (source cover, map) on a pullback cover, else
+    None."""
     cases = []
 
     def labels_for(cover, pol, lo, hi, periodic):
         labels = list(np.linspace(lo, hi, 13))
-        geom = _source(cover)
         root = pol.root
         if root.kind == "radial":
-            for el in geom.elements:
+            for el in cover.elements:
                 b = el.box
                 half = min(b.hi[0], b.hi[1], -b.lo[0], -b.lo[1])
                 edge = 0.5 * half * half
                 labels += [edge - 5e-10, edge - 2e-9, edge + 5e-10]
         else:
-            for el in geom.elements:
+            for el in cover.elements:
                 for edge in el.box.interval(root.label_axis):
                     labels += [edge + d for d in (-2e-9, -9e-10, -5e-10, 0.0,
                                                   5e-10, 9e-10, 1.1e-9, 2e-9)]
@@ -1323,20 +1304,19 @@ def _atlas_cases(models):
         exm = models("torus", k=k)
         pol = exm.polarization()
         cases.append((f"torus-{k}", exm.cover, pol,
-                      labels_for(exm.cover, pol, 0.0, TWO_PI, True)))
-    for name, params in [("cylinder", {}), ("disk", {}), ("plane", {})] + [
+                      labels_for(exm.cover, pol, 0.0, TWO_PI, True), None))
+    for name, params in [("cylinder", {}), ("disk", {})] + [
         ("sphere", {"k": k}) for k in range(2, 7)
     ]:
         exm = models(name, **params)
         pol = exm.polarization()
         lo, hi = exm.census_range
         cases.append((name + str(params.get("k", "")), exm.cover, pol,
-                      labels_for(exm.cover, pol, lo, hi, False)))
+                      labels_for(exm.cover, pol, lo, hi, False), None))
     for name, params, spec in [
         ("sphere", {"k": 3}, "rot:1"),
         ("cylinder", {}, "pshift:1"),
         ("torus", {"k": 2}, "translate:pi,0"),
-        ("plane", {"granularity": 2}, "shear"),
     ]:
         exm = models(name, **params)
         phi = catalog.make_map(exm, spec)
@@ -1344,22 +1324,21 @@ def _atlas_cases(models):
         pushed = pushforward_polarization(phi, exm.polarization())
         lo, hi = exm.census_range
         cases.append((f"{name}-{spec}", comp.base, pushed,
-                      labels_for(comp.base, pushed, lo, hi, name == "torus")))
+                      labels_for(exm.cover, pushed, lo, hi, name == "torus"),
+                      (exm.cover, phi)))
     return cases
 
 
 def test_atlas_leaves_equal_per_label_threading(models, monkeypatch):
     threaded = []
-    real_circle, real_line = bohr._thread_circle, bohr._thread_line
+    real_circle = bohr._thread_circle
     monkeypatch.setattr(bohr, "_thread_circle",
                         lambda *a: threaded.append(a) or real_circle(*a))
-    monkeypatch.setattr(bohr, "_thread_line",
-                        lambda *a: threaded.append(a) or real_line(*a))
-    for name, cover, pol, labels in _atlas_cases(models):
+    for name, cover, pol, labels, pulled in _atlas_cases(models):
         want, failing = {}, {}
         for c in labels:
             try:
-                want[c] = _reference_leaf(cover, pol, c)
+                want[c] = _reference_leaf(cover, pol, c, pulled)
             except CoverageError as exc:
                 failing[c] = str(exc)
         good = [c for c in labels if c in want]
@@ -1367,16 +1346,15 @@ def test_atlas_leaves_equal_per_label_threading(models, monkeypatch):
         threaded.clear()
         with trace.counting() as counts:
             atlas = bohr.LeafAtlas(cover, pol)
-            topology = "line" if pol.leaf_period is None else "circle"
-            _assert_same_leaves(atlas.leaves(good), good, topology, want)
+            _assert_same_leaves(atlas.leaves(good), good, "circle", want)
         # one threading per membership pattern, and none on a second pass
-        src, root = _source(cover), pol.root
+        src, root = _source(cover, pulled), pol.root
         patterns = {
             frozenset(r[0] for r in _reference_candidates(src, root, c)) for c in good
         }
         assert counts["leaf_patterns"] == len(threaded) == len(patterns), name
         with trace.counting() as again:
-            _assert_same_leaves(atlas.leaves(good[::-1]), good[::-1], topology, want)
+            _assert_same_leaves(atlas.leaves(good[::-1]), good[::-1], "circle", want)
         assert again == {} and len(threaded) == len(patterns), name
         for c, message in failing.items():
             with pytest.raises(CoverageError) as exc:
@@ -1389,11 +1367,22 @@ def test_atlas_names_a_label_that_crosses_no_element(models):
     atlas = bohr.LeafAtlas(exm.cover, exm.polarization())
     with pytest.raises(CoverageError, match=r"^leaf 9\.0 crosses no cover element$"):
         atlas.leaves([0.5, 9.0, 1.0, -9.5])
+    # line leaves, which are not threaded, are named alike: the first label
+    # off the cover, in sample order
+    exm = models("plane", granularity=2)
+    for pol in exm.polarizations.values():
+        atlas = LeafAtlas(exm.cover, pol)
+        with pytest.raises(CoverageError, match=r"^leaf 5\.0 crosses no cover element$"):
+            enumerate_leaves(atlas, (3.0, 7.0), 3)
+        atlas.check_crossing([-4.3, 0.0, 4.3])
+        with pytest.raises(CoverageError, match=r"^leaf -4\.5 crosses no cover element$"):
+            atlas.check_crossing([0.0, -4.5, 9.0])
 
 
 def test_atlas_leaves_of_no_labels_are_empty_columns(models):
-    # an empty batch on circle and on line leaves alike: every column empty,
-    # and holonomy gives empty arrays without asking whether leaves close
+    # an empty batch on circle and on line leaves alike, as a line census
+    # takes: every column empty, and holonomy gives empty arrays without
+    # asking whether leaves close
     for name, params in (("torus", {"k": 3}), ("plane", {})):
         exm = models(name, **params)
         pol = exm.polarization()
@@ -1425,24 +1414,6 @@ def test_batch_with_no_switch_points(models, name, params):
                                    transport)
         assert _same_result(HolonomyResult.of(hol, action), want), c
         assert _same_bits(holonomy(transport, one), (want.action, want.holonomy)), c
-
-
-def test_atlas_batch_mixing_leaves_with_and_without_switch_points(models):
-    # the plane refined into a left box and two right boxes that overlap
-    # about y = 0: the vertical lines at -2, 0 and -3 lie in the left box
-    # whole, the one at 2 switches once between the right boxes
-    from gqlab.geometry import Box
-    from gqlab.prequantum import refine
-
-    exm = models("plane", granularity=1)
-    pol = exm.polarization("vertical")
-    fine, _ = refine(exm.cover, [Box((-4.4, -4.4), (0.6, 4.4)), Box((-0.6, -4.4), (4.4, 0.3)),
-                                 Box((-0.6, -0.3), (4.4, 4.4))])
-    labels = [-2.0, 0.0, 2.0, -3.0]
-    leaves = LeafAtlas(fine, pol).leaves(labels)
-    assert leaves.k.tolist() == [1, 1, 2, 1] and leaves.s.tolist() == [0, 0, 1, 0]
-    want = {c: _reference_leaf(fine, pol, c) for c in labels}
-    _assert_same_leaves(leaves, labels, "line", want)
 
 
 def _joined(*batches):
@@ -1546,8 +1517,9 @@ def _gauged(cover):
 
 
 def _gauged_cases(models):
-    """(name, cover, polarization, label range, the ungauged pair) on gauged
-    covers and on pullbacks of them."""
+    """(name, cover, polarization, label range, the ungauged pair, pulled)
+    on gauged covers and on pullbacks of them; pulled is (source cover,
+    map) on a pullback, else None."""
     cases = []
     for name, params, crange in [
         ("torus", {"k": 3}, (0.0, TWO_PI)),
@@ -1557,7 +1529,7 @@ def _gauged_cases(models):
     ]:
         exm = models(name, **params)
         pol = exm.polarization()
-        cases.append((name, _gauged(exm.cover), pol, crange, (exm.cover, pol)))
+        cases.append((name, _gauged(exm.cover), pol, crange, (exm.cover, pol), None))
     for name, params, spec, crange in [
         ("sphere", {"k": 3}, "rot:1", (0.3, 2.75)),
         ("cylinder", {}, "pshift:1", (-2.5, 2.5)),
@@ -1566,8 +1538,9 @@ def _gauged_cases(models):
         exm = models(name, **params)
         phi = catalog.make_map(exm, spec)
         pushed = pushforward_polarization(phi, exm.polarization())
-        cases.append((f"{name}-{spec}", pullback(_gauged(exm.cover), phi), pushed,
-                      crange, (pullback(exm.cover, phi), pushed)))
+        gauged = _gauged(exm.cover)
+        cases.append((f"{name}-{spec}", pullback(gauged, phi), pushed,
+                      crange, (pullback(exm.cover, phi), pushed), (gauged, phi)))
     return cases
 
 
@@ -1575,19 +1548,18 @@ def test_batched_holonomy_equals_the_per_leaf_product_bit_for_bit(models):
     # NumPy's array complex multiply and np.arctan2 round differently from
     # scalar products and math.atan2 on some inputs; the batch must not
     cases = [
-        (name, cover, pol, (labels[0], labels[12]), None)
-        for name, cover, pol, labels in _atlas_cases(models)
-        if pol.leaf_period is not None
+        (name, cover, pol, (labels[0], labels[12]), None, pulled)
+        for name, cover, pol, labels, pulled in _atlas_cases(models)
     ] + _gauged_cases(models)
     switches = gauged_switches = 0
-    for name, cover, pol, crange, plain in cases:
+    for name, cover, pol, crange, plain, pulled in cases:
         labels, leaves, _ = enumerate_leaves(LeafAtlas(cover, pol), crange, 60)
         transport = LeafTransport(cover, pol)
         with trace.counting() as counts:
             actions, hols = holonomy(transport, leaves)
         results = list(map(HolonomyResult.of, hols.tolist(), actions.tolist()))
         for c, one, result in zip(labels.tolist(), _each(leaves), results):
-            leaf = _reference_leaf(cover, pol, c)
+            leaf = _reference_leaf(cover, pol, c, pulled)
             want = _reference_holonomy(cover, pol, leaf, transport)
             assert _same_result(result, want), (name, leaf.label, want)
             assert _same_bits(holonomy(transport, one), (want.action, want.holonomy)), \
@@ -1627,10 +1599,9 @@ def test_leaf_actions_equal_the_holonomy_actions_bit_for_bit(models):
     # on every builtin model, gauged cover and pullback: the batch, and each
     # leaf as a batch of its own, whose lone column np.add.reduce would sum
     # pairwise
-    cases = [(name, cover, pol, labels) for name, cover, pol, labels in _atlas_cases(models)
-             if pol.leaf_period is not None]
+    cases = [case[:4] for case in _atlas_cases(models)]
     cases += [(name, cover, pol, np.linspace(*crange, 41))
-              for name, cover, pol, crange, _ in _gauged_cases(models)]
+              for name, cover, pol, crange, *_ in _gauged_cases(models)]
     widest = 0
     for name, cover, pol, labels in cases:
         leaves = _threaded(cover, pol, labels)
@@ -1670,7 +1641,7 @@ def test_leaf_actions_equal_the_holonomy_actions_bit_for_bit(models):
 def test_switch_pairs_join_the_segments_of_each_switch(models):
     # switch j of a leaf joins its segments j and j + 1, the last switch of
     # a circle leaf its last segment and its first
-    for name, cover, pol, labels in _atlas_cases(models):
+    for name, cover, pol, labels, _ in _atlas_cases(models):
         leaves = _threaded(cover, pol, labels)
         assert leaves.switch_pairs.dtype.kind == "i", name
         assert list(map(tuple, leaves.switch_pairs.tolist())) == _pairs_of_segments(leaves), name
@@ -1726,7 +1697,7 @@ def test_an_integrand_that_does_not_read_t_is_evaluated_once_per_label(models, m
     cases = [(name, models(name, **params)) for name, params in
              [("torus", {"k": 3}), ("cylinder", {}), ("sphere", {"k": 4}), ("disk", {})]]
     cases = [(name, exm.cover, exm.polarization()) for name, exm in cases]
-    cases += [(name, cover, pol) for name, cover, pol, _, _ in _gauged_cases(models)]
+    cases += [(name, cover, pol) for name, cover, pol, *_ in _gauged_cases(models)]
     points = []  # the points of each evaluation of an integrand
     real = kernels.evaluate
 

@@ -76,6 +76,30 @@ def test_bs_sphere_reports_counts_separately(capsys):
     assert lattice["count"] == 3 and lattice["interior_count"] == 1
 
 
+@pytest.mark.parametrize("granularity", ["1", "2"])
+@pytest.mark.parametrize("polarization", ["vertical", "horizontal"])
+def test_bs_line_census_threads_no_leaf(capsys, granularity, polarization):
+    # a line leaf is counted from its label: the payload is what threading
+    # each line leaf gave, and no membership pattern is threaded
+    code, report = run_json(capsys, "bs", "--example", "plane", "--granularity", granularity,
+                            "--polarization", polarization, "--count", "3", "--include-lines")
+    lines = [{"is_bs": True, "label": c, "singular": False, "topology": "line"}
+             for c in (-3.5, 0.0, 3.5)]
+    assert code == 0 and report["payload"] == {
+        "census": {"bs_locations": [], "leaves": lines, "lines_excluded": 0, "q_bs": 3,
+                   "q_bs_singular": 0, "q_bs_smooth": 0, "tol": 1e-08},
+        "range": [-3.5, 3.5],
+    }
+    assert report["timing"]["counters"]["leaf_patterns"] == 0
+
+
+def test_bs_line_leaf_off_the_cover_is_config_error(capsys):
+    code, out, err = run_cli(capsys, "bs", "--example", "plane", "--range", "100:200",
+                             "--include-lines")
+    assert (code, out) == (2, "")
+    assert err == "config error: leaf 100.0 crosses no cover element\n"
+
+
 def test_bs_csv_output(tmp_path, capsys):
     path = tmp_path / "leaves.csv"
     code, _ = run_json(

@@ -101,10 +101,23 @@ def _strict(text):
     return json.loads(text, parse_constant=reject)
 
 
-# derivatives whose literals fold to a value that is not finite
+# derivatives whose literals fold to a value that is not finite, and the
+# quotient of two constants, whose derivative is 0 though b * b underflows
 FOLDS = [
     (("parse-expr", "x*1e200*1e200", "--diff", "x"), "d/dx: 1e+200*1e+200"),
     (("parse-expr", "x/0", "--diff", "x"), "d/dx: 0/0"),
+    (("parse-expr", "10/5e-324", "--diff", "x"), "d/dx: 0"),
+]
+
+# formulas nested or deep past expr.MAX_DEPTH, which the parser refuses
+# before any recursion runs out
+_DEEP = "(" * 300 + "1" + ")" * 300
+DEEP = [
+    ("parse-expr", "(" * 300 + "x" + ")" * 300),
+    ("parse-expr", "^".join(["x"] * 1001)),
+    ("parse-expr", "+".join(["x"] * 20000), "--diff", "x"),
+    ("act", "--example", "torus", "--k", "1", "--map", f"translate:{_DEEP},0",
+     "--verify", "thm2"),
 ]
 
 
@@ -112,6 +125,11 @@ FOLDS = [
 @given(st.one_of(_common_argv(), _parse_expr_argv()))
 @example(list(FOLDS[0][0]))
 @example(list(FOLDS[1][0]))
+@example(list(FOLDS[2][0]))
+@example(list(DEEP[0]))
+@example(list(DEEP[1]))
+@example(list(DEEP[2]))
+@example(list(DEEP[3]))
 def test_every_argv_keeps_the_exit_code_contract(argv):
     argv = list(argv)
     out, err = io.StringIO(), io.StringIO()
@@ -180,7 +198,7 @@ BAD_CONFIG = [
 ]
 
 
-@pytest.mark.parametrize("argv", BAD_CONFIG)
+@pytest.mark.parametrize("argv", BAD_CONFIG + DEEP)
 def test_bad_config_exits_2_with_no_warning(argv):
     out, err = io.StringIO(), io.StringIO()
     with warnings.catch_warnings(record=True) as caught:

@@ -204,6 +204,49 @@ def test_signed_zero_literals_are_two_literals():
     assert d == ex.BinOp("+", y, minus)
 
 
+def test_a_quotient_of_constants_differentiates_to_zero():
+    # at b = 5e-324, b * b underflows to 0 and the quotient rule gave 0/0;
+    # with b < 0 it gave -0, now 0
+    for source in ("10/5e-324", "1/-2", "pi/3", "(2*pi)/(1e-200*1e-200)"):
+        assert ex.differentiate(ex.parse_expr(source), "x") == ex.ZERO, source
+    # a quotient that varies keeps the quotient rule
+    assert ex.to_source(ex.differentiate(ex.parse_expr("2/x"), "x")) == "-2/(x*x)"
+    assert ex.to_source(ex.differentiate(ex.parse_expr("x/0"), "x")) == "0/0"
+
+
+# -- how deep a source may nest, and its tree may be
+
+# each shape at n levels nests n deep, or is a tree n operations deep
+DEEP_SHAPES = {
+    "parentheses": lambda n: "(" * n + "x" + ")" * n,
+    "sum": lambda n: "+".join(["x"] * (n + 1)),
+    "quotient": lambda n: "/".join(["x"] * (n + 1)),
+    "powers": lambda n: "^".join(["x"] * (n + 1)),
+    "left powers": lambda n: "(" * (n - 1) + "x" + "^x)" * (n - 1) + "^x",
+    "signs": lambda n: "-" * n + "x",
+    "calls": lambda n: "sqrt(" * n + "x" + ")" * n,
+    "atan2": lambda n: "atan2(x, " * n + "x" + ")" * n,
+    "nested quotients": lambda n: "x/(" * n + "x" + ")" * n,
+}
+
+
+@pytest.mark.parametrize("shape", DEEP_SHAPES)
+def test_a_formula_at_the_depth_bound_runs_everywhere(shape):
+    e = ex.parse_expr(DEEP_SHAPES[shape](ex.MAX_DEPTH))
+    assert ex.parse_expr(ex.to_source(e)) == e
+    d = ex.differentiate(e, "x")
+    ex.to_source(d)
+    for tree in (e, d):
+        ex.substitute(tree, {"x": ex.parse_expr("y*y")})
+        assert ex.evaluate(tree, {"x": np.array([0.5, 2.0])}).shape == (2,)
+
+
+@pytest.mark.parametrize("shape", DEEP_SHAPES)
+def test_a_formula_past_the_depth_bound_is_refused(shape):
+    with pytest.raises(ex.ParseError, match=f"than {ex.MAX_DEPTH} "):
+        ex.parse_expr(DEEP_SHAPES[shape](ex.MAX_DEPTH + 1))
+
+
 # -- the node contract: immutable, equal by type and fields, hashed once
 
 

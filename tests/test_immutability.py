@@ -14,7 +14,7 @@ import gqlab
 from gqlab import catalog
 from gqlab import expr as ex
 from gqlab.action import build_complementary
-from gqlab.cech import cohomology_ranks, half_offset_grid
+from gqlab.cech import TransversalGrid, cohomology_ranks, half_offset_grid
 from gqlab.cli import RunConfig, _apply_corruption
 from gqlab.prequantum import (
     ConfigurationError,
@@ -177,6 +177,20 @@ def test_grid_columns_are_read_only(covers, kind):
     for stack in stacks:
         _assert_read_only(stack)
     assert _mutable_values(cohomology_ranks(grid), "ranks", set()) == []
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_grid_keeps_its_own_read_only_labels_and_frame(covers, kind):
+    # the grid's blocks are built on the labels it was given: a later write
+    # to the caller's array reaches neither its labels nor its frame
+    pol = catalog.example("torus", k=2).polarization()
+    labels = np.linspace(0.1, 6.1, 16)
+    grid = TransversalGrid.build(covers[kind], pol, labels)
+    labels[:] = 99.0
+    assert grid.labels.tolist() == np.linspace(0.1, 6.1, 16).tolist()
+    frame = [arr for arr in grid.frame if isinstance(arr, np.ndarray)]
+    assert len(frame) == 5  # the label and leaf windows and whole
+    _assert_read_only([grid.labels, *frame])
 
 
 def _mutable_values(obj, path, seen):

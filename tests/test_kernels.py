@@ -8,13 +8,14 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 
-from gqlab import bohr, catalog, kernels, program
+from gqlab import catalog, kernels, program
 from gqlab import expr as ex
 from gqlab.geometry import pushforward_polarization
 from gqlab.prequantum import pullback
 from gqlab.program import compile_expr
 from gqlab.transport import LeafTransport
 
+from cells import element_segments
 from trees import free_vars, node_by_node, subtrees
 
 
@@ -155,9 +156,11 @@ def _real_columns(exprs, values):
 
 
 def _jacobian(phi, pts, inverse=False):
+    """DPhi, or D(phi^-1) when inverse is set, at pts, entry by entry."""
     out = np.empty((len(pts), 2, 2))
-    for a, row in enumerate(phi.jacobian_exprs(inverse)):
-        for b, e in enumerate(row):
+    for a, comp in enumerate(phi.inverse if inverse else phi.forward):
+        for b, name in enumerate(phi.coords):
+            e = ex.differentiate(comp, name)
             out[:, a, b] = kernels.evaluate(e, _cols(phi.coords, pts)).real
     return out
 
@@ -178,9 +181,8 @@ class Segment(NamedTuple):
 
 
 def _segments(exm, pol):
-    _, leaves, _ = bohr.enumerate_leaves(bohr.LeafAtlas(exm.cover, pol), exm.census_range, 3)
-    return [Segment(*seg) for seg in zip(leaves.elements.tolist(), leaves.t0.tolist(),
-                                         leaves.t1.tolist(), leaves.lifted.tolist())]
+    labels = np.linspace(*exm.census_range, 3)
+    return [Segment(*seg) for seg in element_segments(exm.cover, pol, labels)]
 
 
 def _segment_ts(seg):
@@ -241,8 +243,7 @@ def test_maps_match_per_expression(models, name, params, maps):
             values = _cols(coords, pts)
             _same(phi.apply(pts), _real_columns(phi.forward, values))
             _same(phi.apply_inverse(pts), _real_columns(phi.inverse, values))
-            for inverse in (False, True):
-                _same(phi.jacobian(pts, inverse=inverse), _jacobian(phi, pts, inverse))
+            _same(phi.jacobian(pts), _jacobian(phi, pts))
 
 
 def test_translation_jacobian_has_constant_entries(models):
@@ -252,6 +253,17 @@ def test_translation_jacobian_has_constant_entries(models):
     jac = phi.jacobian(pts)
     _same(jac, _jacobian(phi, pts))
     _same(jac, np.broadcast_to(np.eye(2), (len(pts), 2, 2)).copy())
+
+
+@pytest.mark.parametrize("name,params,spec", [("disk", {}, "rot:0.7"),
+                                              ("torus", {"k": 2}, "translate:0.7,0.3")])
+def test_a_map_compiles_its_map_inverse_and_jacobian(models, name, params, spec):
+    # three programs, each on its first use, and no inverse Jacobian
+    phi = catalog.make_map(models(name, **params), spec)
+    programs = phi._programs
+    assert sorted(programs) == ["inverse", "jacobian", "map"]
+    assert programs["jacobian"].outputs == 4
+    assert programs["map"].outputs == programs["inverse"].outputs == 2
 
 
 @pytest.mark.parametrize("name,params,maps", CASES, ids=CASE_IDS)
@@ -278,9 +290,9 @@ def _base_integrand(cover, pol, member):
     )
 
 
-def _pullback_integrand(pullback, pol, member, c, ts):
-    """The pulled-back integrand, one expression per evaluation."""
-    src, phi = pullback.pullback_of
+def _pullback_integrand(pullback, src, phi, pol, member, c, ts):
+    """The integrand of the pullback of src by phi, one expression per
+    evaluation."""
     coords = src.manifold.coords
     values = {"c": complex(c), "t": ts + 0j}
     up = _real_columns(pol.curve, values)
@@ -322,7 +334,7 @@ def test_transport_integrands_match_per_expression(models, name, params, maps):
             want = kernels.evaluate(_base_integrand(pulled, pushed, seg.element), values)
             _same(got, want)
             # and the chain rule through the map, to rounding
-            chain = _pullback_integrand(pulled, pol, seg.element, seg.c_elem, ts)
+            chain = _pullback_integrand(pulled, exm.cover, phi, pol, seg.element, seg.c_elem, ts)
             assert np.all(np.abs(got - chain) <= 1e-12 * np.maximum(1.0, np.abs(chain)))
 
 
@@ -372,7 +384,6 @@ def test_owners_compile_once(models, monkeypatch):
         phi.apply(pts)
         phi.apply_inverse(pts)
         phi.jacobian(pts)
-        phi.jacobian(pts, inverse=True)
         cover.potential(a, _element_points(cover, a))
         cover.transition(a, b, pts)
         pol.curve_points(seg.c_elem, ts)

@@ -24,11 +24,10 @@ from gqlab.prequantum import (
     refine,
     split_boxes,
 )
-from gqlab.bohr import LeafAtlas, enumerate_leaves
 from gqlab.geometry import Box, Symplectomorphism, pushforward_polarization
 from gqlab.transport import LeafTransport
 
-from cells import Cell, degree_cells, nerve_cells, nerve_faces
+from cells import Cell, degree_cells, element_segments, nerve_cells, nerve_faces
 
 BUILTINS = [
     ("plane", {}),
@@ -217,6 +216,19 @@ def test_overhanging_target_is_rejected(models):
         refine(cover, [huge])
 
 
+@pytest.mark.parametrize("name,params,spec", [("torus", {"k": 2}, "translate:0.7,0.3"),
+                                              ("plane", {"granularity": 2}, "shear")])
+def test_refine_refuses_a_pullback_cover(models, name, params, spec):
+    # a pullback's element boxes are not its elements: its nerve says it
+    # was pulled back, and refine reads that
+    exm = models(name, **params)
+    pulled = pullback(exm.cover, catalog.make_map(exm, spec))
+    assert pulled.nerve.pulled_by and not exm.cover.nerve.pulled_by
+    with pytest.raises(RefinementError, match="^refine operates on base covers$"):
+        refine(pulled, split_boxes(pulled))
+    refine(exm.cover, split_boxes(exm.cover))
+
+
 def test_torus_rejects_degenerate_granularity():
     with pytest.raises(ConfigurationError):
         catalog.example("torus", k=1, granularity=2)
@@ -248,6 +260,14 @@ def _inset_samples(manifold, lo, hi, degree):
         return list(grid)
     keep = manifold.in_domain(manifold.reduce(grid.reshape(-1, 2)))
     return [pts[k] for pts, k in zip(grid, keep.reshape(len(lo), n * n))]
+
+
+def _intersect(a, b):
+    """The common box of boxes a and b, or None when it is narrower than
+    1e-9 on an axis."""
+    lo = tuple(max(u, v) for u, v in zip(a.lo, b.lo))
+    hi = tuple(min(u, v) for u, v in zip(a.hi, b.hi))
+    return None if any(h - l < 1e-9 for l, h in zip(lo, hi)) else Box(lo, hi)
 
 
 def _face_links(cells):
@@ -359,7 +379,7 @@ def _reference_nerve(manifold, elements, max_tuple=MAX_DEGREE + 1):
                     continue
                 for s in _shift_candidates(manifold):
                     shift = (-s[0] * periods[0], -s[1] * periods[1])
-                    inter = cell.box.intersect(el.box.shifted(shift))
+                    inter = _intersect(cell.box, el.box.shifted(shift))
                     if inter is not None:
                         new.append(register(cell.indices + (el.index,),
                                             cell.shifts + (s,), inter))
@@ -870,8 +890,7 @@ def test_pullback_data_is_the_chain_through_the_map(models, monkeypatch, name, p
     # no map
     pulled = pullback(src, phi)
     transport = LeafTransport(pulled, pushforward_polarization(phi, pol))
-    leaves = enumerate_leaves(LeafAtlas(src, pol), exm.census_range, 3)[1]
-    element, t0, t1, c_elem = leaves.elements[0], leaves.t0[0], leaves.t1[0], leaves.lifted[0]
+    element, t0, t1, c_elem = element_segments(src, pol, np.linspace(*exm.census_range, 3))[0]
 
     def refuse(*args, **kwargs):
         raise AssertionError("the map was evaluated")

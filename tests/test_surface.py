@@ -28,12 +28,9 @@ KEEP = {
         "perfbench/tracing.py, whose census invoker counts the report's non-line entries",
     "catalog.untwisted_circle_example": "criterion untwisted-degeneration",
     "catalog.untwisted_circle_example.data_builder": "criterion untwisted-degeneration",
-    "geometry.Box.intersect":
-        "tests/test_prequantum.py::test_nerve_matches_pairwise_construction",
     "prequantum.LocalData.transition_expr": "criterion rank-stability (through refine)",
     "prequantum.refine": "criterion rank-stability",
     "prequantum.split_boxes": "criterion rank-stability",
-    "prequantum._axis_splits": "criterion rank-stability (through split_boxes)",
     "record.Record.__init_subclass__": "runs at import, as each record class is defined",
     "record.Record.__eq__":
         "tests/test_prequantum.py::test_refine_builds_its_nerve_at_least_to_degree_1",
