@@ -13,11 +13,11 @@ Leaves come from a LeafAtlas, which threads each membership pattern (the
 set of elements a leaf crosses) once and hands a batch of labels back as
 flat Leaves columns, leaf after leaf in the order of the labels.
 leaf_actions reads them and returns every label's action, in that order,
-from one transport quadrature call and one transition call; holonomy adds
-the holonomies, with the arithmetic of a scalar product, so that batching
-moves no bit of a result.  The census's one holonomy batch, its sampled
-leaves, is the columns its report derives each field from; its
-refinement and root steps read actions alone.
+from one transport quadrature call and one transition call, summed leaf by
+leaf by np.bincount; holonomy adds the holonomies, a modulus times
+exp(-i action).  The census's one holonomy batch, its sampled leaves, is
+the columns its report derives each field from; its refinement and root
+steps read actions alone.
 """
 
 from __future__ import annotations
@@ -189,12 +189,16 @@ class LeafAtlas:
 
     def leaves(self, labels) -> Leaves:
         """The circle leaves through labels, in their order.  A label whose
-        leaf crosses no element, or finds a gap, raises CoverageError."""
+        leaf crosses no element, or finds a gap, raises CoverageError; a
+        label of line leaves raises HolonomyUndefinedError."""
         labels = np.asarray(labels, dtype=float)
         if not len(labels):
             none, nothing = np.zeros(0, dtype=int), np.zeros(0)
             return Leaves(labels, none, none, none, nothing, nothing, nothing,
                           np.zeros((0, 2)), np.zeros((0, 2), dtype=int))
+        if self.polarization.leaf_period is None:
+            raise HolonomyUndefinedError("holonomy is undefined for noncompact (line) "
+                                         "leaves, so the atlas threads none")
         lifted, inside = self.frame.lift(labels)
         known = self._threadings.get
         threaded = [known(p) or self._threading(p, c)
@@ -287,32 +291,15 @@ def nearest_multiples(actions: np.ndarray) -> np.ndarray:
     return lower + (x - lower > 0.5 + 1e-9)
 
 
-def _times(re, im, zr, zi) -> tuple:
-    """(re + i im)(zr + i zi) on float arrays, rounded as Python rounds a
-    complex product: two real products, then one subtraction or addition."""
-    return re * zr - im * zi, re * zi + im * zr
-
-
-def _ranges(counts: np.ndarray, starts) -> np.ndarray:
-    """starts[i] + arange(counts[i]) for every i, concatenated."""
-    ends = counts.cumsum()
-    return np.arange(ends[-1]) + (starts - ends + counts).repeat(counts)
-
-
 def leaf_actions(transport: LeafTransport, leaves: Leaves) -> tuple:
     """The actions (n,) of a LeafAtlas batch of closed leaves, in the order
     of its labels, on transport's cover and polarization, and what holonomy
-    multiplies: the segment integrals, the switch transitions, their
-    (row, column) places in a table of a column a leaf, and its height.
-    One integral call takes the distinct segments, one transition call the
-    switches between two elements (one within an element is 1).  An
-    action is the real integrals less the turns (math.atan2: np.arctan2
-    can round otherwise), added in leaf order down the table from a leading
-    +0.0 by np.add.accumulate, as one leaf's loop does (np.add.reduce sums
-    a lone column pairwise)."""
-    k, s = leaves.k, leaves.s
-    if transport.polarization.leaf_period is None:
-        raise HolonomyUndefinedError("holonomy is undefined for noncompact (line) leaves")
+    reads besides: the segment integrals, the switch transitions, and the
+    leaf of each, segments then switches.  One integral call takes the
+    distinct segments, one transition call the switches between two
+    elements (one within an element is 1).  An action is the real integrals
+    less the turns (math.atan2: np.arctan2 can round otherwise), summed by
+    np.bincount in input order from 0.0, as one leaf's loop adds them."""
     x = transport.integral(leaves.elements, leaves.t0, leaves.t1, leaves.lifted)
     before, after = leaves.switch_pairs.T
     lam, turn = np.ones(len(before), dtype=np.complex128), np.zeros(len(before))
@@ -321,14 +308,9 @@ def leaf_actions(transport: LeafTransport, leaves: Leaves) -> tuple:
         lam[moved] = got = transport.cover.transition(
             before[moved], after[moved], leaves.switch_points[moved])
         turn[moved] = list(map(math.atan2, got.imag.tolist(), got.real.tolist()))
-    # a leaf's segments, then its switches, right-aligned; a - t is a + (-t)
-    n, width = len(k), int((k + s).max())
-    steps = np.concatenate([k, s])
-    at = (_ranges(steps, np.concatenate([width - k - s, width - s])),
-          (np.arange(2 * n) % n).repeat(steps))
-    terms = np.zeros((width + 1, n))
-    terms[1:][at] = np.concatenate([x.real, -turn])
-    return np.add.accumulate(terms, axis=0)[-1], x, lam, at, width
+    n = len(leaves.k)
+    leaf = np.concatenate([np.arange(n).repeat(leaves.k), np.arange(n).repeat(leaves.s)])
+    return np.bincount(leaf, np.concatenate([x.real, -turn]), n), x, lam, leaf
 
 
 def holonomy(transport: LeafTransport, leaves: Leaves) -> tuple:
@@ -340,26 +322,16 @@ def holonomy(transport: LeafTransport, leaves: Leaves) -> tuple:
     trivialization becomes lambda_{alpha beta} f in the beta trivialization,
     and moving along the leaf multiplies by exp(-i integral theta).
 
-    A leaf's holonomy is its segment factors, from one exp call, then its
-    transitions, multiplied down the table of leaf_actions after leading
-    1 + 0j, each complex product split into real ufuncs (_times): NumPy's
-    array complex multiply can fuse a multiply and an add.  So a batch
-    gives every result bit for bit as a single leaf does, whatever was
-    asked before.
+    A leaf's holonomy is its modulus times exp(-i action), the modulus exp
+    of its integrals' imaginary parts and its transitions' log-moduli,
+    summed as the action is: a transition off the unit circle still shows,
+    and a batch gives every result bit for bit as a single leaf does.
     """
     if not len(leaves.k):  # the batch of a census of line leaves
         return np.zeros(0), np.ones(0, dtype=np.complex128)
-    actions, x, lam, at, width = leaf_actions(transport, leaves)
-    arg = np.empty(len(x), dtype=np.complex128)  # -1j * x, as Python forms it
-    arg.real, arg.imag = _times(-0.0, -1.0, x.real, x.imag)
-    z = np.ones((width, len(actions)), dtype=np.complex128)
-    z[at] = np.concatenate([np.exp(arg), lam])
-    re, im = np.ones_like(actions), np.zeros_like(actions)
-    for col in z:
-        re, im = _times(re, im, col.real, col.imag)
-    hol = np.empty(len(actions), dtype=np.complex128)
-    hol.real, hol.imag = re, im
-    return actions, hol
+    actions, x, lam, leaf = leaf_actions(transport, leaves)
+    logs = np.bincount(leaf, np.concatenate([x.imag, np.log(np.abs(lam))]), len(actions))
+    return actions, np.exp(logs - 1j * actions)
 
 
 # ---------------------------------------------------------------------------
@@ -476,20 +448,18 @@ class BSReport(NamedTuple):
 
     def as_dict(self) -> dict:
         """The report, its leaves in rows: circle leaves, line leaves, point
-        leaves.  A circle leaf's phase is math.atan2 of its holonomy, its
-        nearest_multiple m is nearest_multiples' and its residual is its
-        action less 2 pi m; it is BS when |phase| < tol."""
+        leaves.  A circle leaf's nearest_multiple m is nearest_multiples', its
+        residual r its action less 2 pi m, its phase 0.0 - r (never -0.0),
+        the argument of exp(-i action), so -pi at a tie; BS when |r| < tol."""
         actions, tol = self.actions, self.tol
         re, im = self.holonomies.real.tolist(), self.holonomies.imag.tolist()
-        phases = list(map(math.atan2, im, re))
         m = nearest_multiples(actions)
         leaves = [
-            {"label": c, "topology": "circle", "singular": False, "is_bs": abs(p) < tol,
-             "holonomy": [x, y], "phase": p, "action": a, "nearest_multiple": int(k),
+            {"label": c, "topology": "circle", "singular": False, "is_bs": abs(r) < tol,
+             "holonomy": [x, y], "phase": 0.0 - r, "action": a, "nearest_multiple": int(k),
              "residual": r}
-            for c, x, y, p, a, k, r in zip(self.labels.tolist(), re, im, phases,
-                                          actions.tolist(), m.tolist(),
-                                          (actions - TWO_PI * m).tolist())
+            for c, x, y, a, k, r in zip(self.labels.tolist(), re, im, actions.tolist(),
+                                       m.tolist(), (actions - TWO_PI * m).tolist())
         ]
         # line leaves are BS when the census counts them (lines_excluded is 0),
         # and a point leaf's holonomy 1 gives its fields by the same rules

@@ -49,20 +49,20 @@ class QuadratureError(RuntimeError):
     pass
 
 
-def integrate(f, a, b, tol: float = 1e-12, max_depth: int = 24):
+def integrate(f, a, b):
     """Integrals of the rows of f, row r over [a[r], b[r]].
 
     a and b broadcast to a common (m,) shape.  f maps an (m, k) array of
     nodes, row r on row r's own subintervals, to the (m, k) complex values
     of the rows there.  Tolerance is absolute-plus-relative: a row is
     accepted on a subinterval when its Gauss and Kronrod estimates agree,
-    |K15 - G7| <= tol * (1 + |K15|), and there it adds K15; the
+    |K15 - G7| <= 1e-12 (1 + |K15|), and there it adds K15; the
     subintervals on which any row is still open are bisected.  Once a row
     is accepted on a subinterval, its later values there are never added,
     checked or split on, and a row with a == b starts accepted with
-    integral 0.  Accepted estimates are added left to
-    right in bisection order.  A non-finite estimate of an open row raises
-    at once.
+    integral 0.  Accepted estimates are added left to right in bisection
+    order.  A non-finite estimate of an open row raises QuadratureError at
+    once, and so does a row still open after 24 bisections.
     """
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     los = np.minimum(a, b).reshape(-1, 1)  # row r's subintervals, by position
@@ -89,7 +89,7 @@ def integrate(f, a, b, tol: float = 1e-12, max_depth: int = 24):
                 j, r = divmod(int(np.flatnonzero(bad.T)[0]), m)
                 raise QuadratureError(f"non-finite estimate on [{los[r, j]}, {his[r, j]}]")
         err = np.abs(k15 - g7)
-        keep = (err <= tol * (1.0 + np.abs(k15))) & active  # accepted here
+        keep = (err <= 1e-12 * (1.0 + np.abs(k15))) & active  # accepted here
         # each row's sum runs left to right from its total; the zeros of rows
         # not accepted add exactly nothing to a total that is never -0
         added = np.where(keep, k15, 0.0)
@@ -99,7 +99,7 @@ def integrate(f, a, b, tol: float = 1e-12, max_depth: int = 24):
         if not active.any():
             break
         split = active.any(axis=0)
-        if depth >= max_depth:
+        if depth >= 24:
             j = int(np.flatnonzero(split)[0])
             r = int(np.flatnonzero(active[:, j])[0])
             raise QuadratureError(

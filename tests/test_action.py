@@ -22,7 +22,6 @@ from gqlab.bohr import (
     bs_census,
     enumerate_leaves,
     holonomy,
-    leaf_actions,
 )
 from gqlab.cech import TransversalGrid, half_offset_labels, psi
 from gqlab.geometry import as_points, eval_at, pushforward_polarization
@@ -99,7 +98,7 @@ def test_cylinder_momentum_shift_dichotomy(models):
     assert isinstance(whole, ComplementaryCover)
 
 
-def _per_row_integrate(f, a, b, tol=1e-12, max_depth=24):
+def _per_row_integrate(f, a, b):
     """One adaptive integral of one row per target, as the construction ran
     before its gauge integrals were batched: f sees the row's nodes in
     every row, and only the row's own values are read."""
@@ -107,10 +106,7 @@ def _per_row_integrate(f, a, b, tol=1e-12, max_depth=24):
     m = len(a)
     return np.array(
         [
-            integrate(
-                lambda ts, j=j: f(np.repeat(ts, m, axis=0))[j : j + 1],
-                a[j], b[j], tol, max_depth,
-            )[0]
+            integrate(lambda ts, j=j: f(np.repeat(ts, m, axis=0))[j : j + 1], a[j], b[j])[0]
             for j in range(m)
         ],
         dtype=np.complex128,
@@ -567,8 +563,8 @@ def test_transport_leaf_shear_maps_lines_to_lines(models):
     labels, moved, _ = enumerate_leaves(LeafAtlas(comp.base, pushed), (0.5, 0.5), 1)
     # a line leaf: its label is sampled, and no leaf is threaded
     assert pushed.leaf_period is None and labels.tolist() == [0.5] and moved.k.size == 0
-    with pytest.raises(HolonomyUndefinedError):
-        leaf_actions(LeafTransport(comp.base, pushed), moved)
+    with pytest.raises(HolonomyUndefinedError):  # and the atlas threads none
+        LeafAtlas(comp.base, pushed).leaves(labels)
     # so the census pairing has no pair to compare across the map
     rep = verify_theorem_2(comp, pol, (-1.0, 1.0), count=5)
     assert rep.passed and rep.payload["leaf_pairs"] == []

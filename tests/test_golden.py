@@ -30,4 +30,8 @@ def test_the_script_exits_1_when_a_line_moved(monkeypatch, capsys):
     assert golden_corpus.main([]) == 0
     monkeypatch.setattr(golden_corpus, "load", lambda: [{**entry, "stderr": "moved"}])
     assert golden_corpus.main([]) == 1
-    assert capsys.readouterr().out.endswith("1 of 1 lines moved\n")
+    assert capsys.readouterr().out.endswith("1 of 1 lines moved, 1 beyond their sha256\n")
+    # a line whose sha256 alone moved still fails, and the last line says so
+    monkeypatch.setattr(golden_corpus, "load", lambda: [{**entry, "sha256": "moved"}])
+    assert golden_corpus.main([]) == 1
+    assert capsys.readouterr().out.endswith("1 of 1 lines moved, 0 beyond their sha256\n")

@@ -9,9 +9,9 @@ from gqlab import quadrature
 from gqlab.quadrature import QuadratureError, integrate
 
 
-def _integral(g, a, b, **kw):
+def _integral(g, a, b):
     """The integral of g over [a, b], as a batch of one row."""
-    return integrate(lambda t: g(t[0])[None], a, b, **kw)[0]
+    return integrate(lambda t: g(t[0])[None], a, b)[0]
 
 
 def test_chern_action_closed_form():
@@ -48,19 +48,19 @@ def test_sharp_peak_needs_adaptivity():
 
 def test_divergence_reported():
     with pytest.raises(QuadratureError):
-        _integral(lambda t: 1.0 / (t + 0j), 0.0, 1.0, max_depth=12)
+        _integral(lambda t: 1.0 / (t + 0j), 0.0, 1.0)
 
 
 def test_empty_interval():
     assert _integral(lambda t: t, 2.0, 2.0) == 0.0
 
 
-def _per_target(f, a, b, **kw):
+def _per_target(f, a, b):
     """One one-row integral per row of f, over that row's interval."""
     a, b = np.broadcast_arrays(np.atleast_1d(a), np.atleast_1d(b))
     return np.array(
         [
-            integrate(lambda t, j=j: f(t, np.array([j])), a[j], b[j], **kw)[0]
+            integrate(lambda t, j=j: f(t, np.array([j])), a[j], b[j])[0]
             for j in range(len(a))
         ]
     )
@@ -103,7 +103,7 @@ def test_intervals_broadcast_and_orient():
 def test_empty_and_divergent_rows():
     assert np.all(integrate(lambda t: t + 0j, [1.0, 2.0], [1.0, 2.0]) == 0)
     with pytest.raises(QuadratureError):
-        integrate(lambda t: 1.0 / (t + 0j), [0.0, 1.0], [1.0, 2.0], max_depth=12)
+        integrate(lambda t: 1.0 / (t + 0j), [0.0, 1.0], [1.0, 2.0])
     with pytest.raises(QuadratureError):
         integrate(lambda t: t + 0j, 0.0, [1.0, np.nan])
 
