@@ -135,7 +135,7 @@ def gauge_potentials(naive, pulled, elements: np.ndarray, pts):
         ]
         g_x, g_y = (program.compile_expr(d, coords) for d in diffs)
         exact_x, exact_y = coords[0] not in g_x.reads, coords[1] not in g_y.reads
-        x_base, y_base = naive.elements[a].box.center()
+        x_base, y_base = naive.elements[a].center()
         x0s, x_leg = np.unique(lifted[:, 0], return_inverse=True)
         x_legs = np.zeros(len(x0s), dtype=np.complex128)
         y_legs = np.zeros(len(lifted), dtype=np.complex128)
@@ -253,18 +253,12 @@ def build_complementary(phi: Symplectomorphism, example):
     """
     cover = example.cover
     cover.nerve.require_degree(1, "build_complementary")
-    for el in cover.elements:
-        if not el.contractible:
-            raise ConfigurationError(
-                f"element {el.index} is not contractible; the construction "
-                "requires a good cover"
-            )
     pulled = pullback(cover, phi)
     naive = TrivializationCover(
         manifold=cover.manifold,
         omega=cover.omega,
         elements=pulled.elements,
-        data=example.data_builder([el.box for el in pulled.elements]),
+        data=example.data_builder(pulled.elements),
         nerve=pulled.nerve,
     )
     closed_max, constants, constancy_max, certificate_samples = overlap_constants(naive, pulled)

@@ -299,7 +299,8 @@ def leaf_actions(transport: LeafTransport, leaves: Leaves) -> tuple:
     distinct segments, one transition call the switches between two
     elements (one within an element is 1).  An action is the real integrals
     less the turns (math.atan2: np.arctan2 can round otherwise), summed by
-    np.bincount in input order from 0.0, as one leaf's loop adds them."""
+    np.bincount in input order from 0.0, as one leaf's loop adds them
+    (float even for an empty batch, for which np.bincount gives ints)."""
     x = transport.integral(leaves.elements, leaves.t0, leaves.t1, leaves.lifted)
     before, after = leaves.switch_pairs.T
     lam, turn = np.ones(len(before), dtype=np.complex128), np.zeros(len(before))
@@ -310,7 +311,8 @@ def leaf_actions(transport: LeafTransport, leaves: Leaves) -> tuple:
         turn[moved] = list(map(math.atan2, got.imag.tolist(), got.real.tolist()))
     n = len(leaves.k)
     leaf = np.concatenate([np.arange(n).repeat(leaves.k), np.arange(n).repeat(leaves.s)])
-    return np.bincount(leaf, np.concatenate([x.real, -turn]), n), x, lam, leaf
+    actions = np.bincount(leaf, np.concatenate([x.real, -turn]), n).astype(float, copy=False)
+    return actions, x, lam, leaf
 
 
 def holonomy(transport: LeafTransport, leaves: Leaves) -> tuple:
@@ -327,8 +329,6 @@ def holonomy(transport: LeafTransport, leaves: Leaves) -> tuple:
     summed as the action is: a transition off the unit circle still shows,
     and a batch gives every result bit for bit as a single leaf does.
     """
-    if not len(leaves.k):  # the batch of a census of line leaves
-        return np.zeros(0), np.ones(0, dtype=np.complex128)
     actions, x, lam, leaf = leaf_actions(transport, leaves)
     logs = np.bincount(leaf, np.concatenate([x.imag, np.log(np.abs(lam))]), len(actions))
     return actions, np.exp(logs - 1j * actions)

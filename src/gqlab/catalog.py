@@ -33,7 +33,6 @@ from .geometry import (
 from .prequantum import (
     MAX_DEGREE,
     ConfigurationError,
-    CoverElement,
     LocalData,
     TrivializationCover,
     build_nerve,
@@ -102,16 +101,15 @@ def _assemble(
     census_range: tuple,
     nerve_degree: int = MAX_DEGREE,
 ) -> Example:
-    """The model on `manifold`: one contractible cover element per box,
-    with the family's local data on those boxes and the nerve built to
+    """The model on `manifold`: one cover element per box, with the
+    family's local data on those boxes and the nerve built to
     nerve_degree.  The first of `polarizations` is the default."""
-    elements = [CoverElement(n, box, True) for n, box in enumerate(boxes)]
     cover = TrivializationCover(
         manifold=manifold,
         omega=omega,
-        elements=elements,
+        elements=boxes,
         data=data_builder(boxes),
-        nerve=build_nerve(manifold, elements, nerve_degree),
+        nerve=build_nerve(manifold, boxes, nerve_degree),
     )
     return Example(
         name=manifold.name,

@@ -323,9 +323,11 @@ def _map_check(exm: catalog.Example, phi, tol: float) -> dict:
     }
 
 
-def cmd_check(cfg: RunConfig, args, counts: dict) -> int:
-    t0 = time.perf_counter()
-    exm = _example_from_config(cfg)
+# check, bs, cohomology and act each return (payload, passed, summary
+# lines); main turns them into the report and the exit code
+
+
+def cmd_check(cfg: RunConfig, args, exm: catalog.Example) -> tuple:
     local = check_local_data(exm.cover, cfg.tol)
     payload = {"local_data": local.as_dict()}
     passed = local.passed
@@ -333,18 +335,14 @@ def cmd_check(cfg: RunConfig, args, counts: dict) -> int:
         phi = catalog.make_map(exm, cfg.map)
         payload["symplectomorphism"] = _map_check(exm, phi, cfg.tol)
         passed = passed and payload["symplectomorphism"]["pass"]
-    report = _report(cfg, exm, counts, payload, passed, t0)
     lines = [
         _local_data_line(local),
         f"check: {'pass' if passed else 'FAIL'} (tol {cfg.tol:g})",
     ]
-    _emit(report, args, lines)
-    return 0 if passed else 1
+    return payload, passed, lines
 
 
-def cmd_bs(cfg: RunConfig, args, counts: dict) -> int:
-    t0 = time.perf_counter()
-    exm = _example_from_config(cfg)
+def cmd_bs(cfg: RunConfig, args, exm: catalog.Example) -> tuple:
     pol = exm.polarization(cfg.polarization)
     crange = cfg.range or exm.census_range
     try:
@@ -353,9 +351,7 @@ def cmd_bs(cfg: RunConfig, args, counts: dict) -> int:
         )
     except UnresolvedCensusError as exc:  # a count the census cannot vouch for
         payload = {"census": {"unresolved": str(exc)}, "range": list(crange)}
-        report = _report(cfg, exm, counts, payload, False, t0)
-        _emit(report, args, [f"census unresolved: {exc}"])
-        return 1
+        return payload, False, [f"census unresolved: {exc}"]
     payload = {"census": census.as_dict(), "range": list(crange)}
     if cfg.example == "sphere":
         payload["lattice"] = {
@@ -363,8 +359,6 @@ def cmd_bs(cfg: RunConfig, args, counts: dict) -> int:
             "count": lattice_count(0.0, float(cfg.k)),
             "interior_count": lattice_count(1e-6, cfg.k - 1e-6),
         }
-    passed = True
-    report = _report(cfg, exm, counts, payload, passed, t0)
     if getattr(args, "csv", None):
         _write_leaf_csv(args.csv, payload["census"]["leaves"])
     locs = ", ".join(f"{c:.10g}" for c in census.bs_locations)
@@ -373,8 +367,7 @@ def cmd_bs(cfg: RunConfig, args, counts: dict) -> int:
         f"singular {census.q_bs_singular}, lines excluded {census.lines_excluded})",
         f"BS locations: [{locs}]",
     ]
-    _emit(report, args, lines)
-    return 0
+    return payload, True, lines
 
 
 def _write_leaf_csv(path: str, leaves: list) -> None:
@@ -392,15 +385,12 @@ def _write_leaf_csv(path: str, leaves: list) -> None:
             )
 
 
-def cmd_cohomology(cfg: RunConfig, args, counts: dict) -> int:
-    t0 = time.perf_counter()
-    exm = _example_from_config(cfg)
+def cmd_cohomology(cfg: RunConfig, args, exm: catalog.Example) -> tuple:
     pol = exm.polarization(cfg.polarization)
     grid = half_offset_grid(exm.cover, pol, cfg.grid)
     rank = cohomology_ranks(grid, cfg.rank_tol, cfg.max_degree)
     payload = {"cohomology": rank.as_dict()}
     negative = ", ".join(str(d.degree) for d in rank.degrees if d.betti < 0)  # unsound ranks
-    report = _report(cfg, exm, counts, payload, not negative, t0)
     lines = [
         "degree  dim   rank(delta)  betti  betti/leaf",
         *(
@@ -410,35 +400,27 @@ def cmd_cohomology(cfg: RunConfig, args, counts: dict) -> int:
         ),
         *([f"cohomology: FAIL (negative Betti number in degree {negative})"] if negative else []),
     ]
-    _emit(report, args, lines)
-    return 1 if negative else 0
+    return payload, not negative, lines
 
 
-def cmd_act(cfg: RunConfig, args, counts: dict) -> int:
-    t0 = time.perf_counter()
-    exm = _example_from_config(cfg)
+def cmd_act(cfg: RunConfig, args, exm: catalog.Example) -> tuple:
     phi = catalog.make_map(exm, cfg.map)
     pol = exm.polarization(cfg.polarization)
     crange = cfg.range or exm.census_range
     which = cfg.verify_targets
     local = check_local_data(exm.cover, cfg.tol)
     mapped = _map_check(exm, phi, cfg.tol)
-
-    def refuse(status: str, payload: dict, line: str) -> int:
-        report = _report(cfg, exm, counts, {**payload, "status": status}, False, t0)
-        _emit(report, args, [line, f"status: {status}"])
-        return 1
-
     # invariance means nothing for data that breaks the bundle laws, nor for
     # a map that is no symplectomorphism to tol (one whose arguments swamp
     # float precision), as `check --map` gives it
     if not local.passed:
-        return refuse("invalid_local_data", {"local_data": local.as_dict()},
-                      _local_data_line(local))
+        return ({"local_data": local.as_dict(), "status": "invalid_local_data"}, False,
+                [_local_data_line(local), "status: invalid_local_data"])
     if not mapped["pass"]:
-        return refuse("invalid_map", {"symplectomorphism": mapped},
-                      f"map: symplectic={mapped['symplectic_max']:.3e} "
-                      f"inverse={mapped['inverse_max']:.3e}")
+        line = (f"map: symplectic={mapped['symplectic_max']:.3e} "
+                f"inverse={mapped['inverse_max']:.3e}")
+        return ({"symplectomorphism": mapped, "status": "invalid_map"}, False,
+                [line, "status: invalid_map"])
     # one complementary cover (or obstruction) serves both theorems
     built = build_complementary(phi, exm)
     if isinstance(built, CocycleObstruction):  # no theorem has its hypothesis
@@ -464,12 +446,10 @@ def cmd_act(cfg: RunConfig, args, counts: dict) -> int:
         if rep.status != "ok":
             status = rep.status
     payload["status"] = status
-    report = _report(cfg, exm, counts, payload, passed, t0)
     lines = [f"status: {status}"]
     for w in which:
         lines.append(f"{w}: {'pass' if payload[w]['pass'] else 'FAIL'}")
-    _emit(report, args, lines)
-    return 0 if passed else 1
+    return payload, passed, lines
 
 
 # ---------------------------------------------------------------------------
@@ -576,14 +556,18 @@ def main(argv=None) -> int:
         if args.command == "parse-expr":
             return cmd_parse_expr(args)
         cfg = _config_from_args(args.command, args)
-        handler = {
+        command = {
             "check": cmd_check,
             "bs": cmd_bs,
             "cohomology": cmd_cohomology,
             "act": cmd_act,
         }[args.command]
+        t0 = time.perf_counter()
         with trace.counting() as counts:  # one block per command
-            return handler(cfg, args, counts)
+            exm = _example_from_config(cfg)
+            payload, passed, lines = command(cfg, args, exm)
+        _emit(_report(cfg, exm, counts, payload, passed, t0), args, lines)
+        return 0 if passed else 1
     except (
         ConfigurationError,
         ResolutionError,

@@ -67,12 +67,6 @@ class RefinementError(ValueError):
     pass
 
 
-class CoverElement(NamedTuple):
-    index: int
-    box: Box
-    contractible: bool
-
-
 class LocalData(Record):
     """Transition functions and connection potentials as expressions.
 
@@ -176,7 +170,7 @@ class TrivializationCover(Record):
         self,
         manifold: Manifold,
         omega: SymplecticForm,
-        elements: tuple,
+        elements: tuple,  # element a is the Box elements[a]
         data: LocalData,
         nerve: Nerve,  # build_nerve(manifold, elements)
     ):
@@ -189,7 +183,7 @@ class TrivializationCover(Record):
         """Lift canonical points into the unrolled frame of element index,
         or of one element per point (an int array)."""
         if np.ndim(index) == 0:
-            return self.manifold.lift_into(as_points(pts), self.elements[index].box)
+            return self.manifold.lift_into(as_points(pts), self.elements[index])
         lo, hi = self._element_boxes
         box = lo.take(index, axis=1), hi.take(index, axis=1)
         return self.manifold.lift_into(as_points(pts), box)
@@ -306,8 +300,8 @@ class TrivializationCover(Record):
         with equal potentials share a number."""
         numbers: dict = {}  # (theta_0, theta_1) -> formula number
         form = np.array(
-            [numbers.setdefault(self.data.potentials[el.index], len(numbers))
-             for el in self.elements]
+            [numbers.setdefault(self.data.potentials[a], len(numbers))
+             for a in range(len(self.elements))]
         )
         return form, tuple(numbers)
 
@@ -315,7 +309,7 @@ class TrivializationCover(Record):
     def _element_boxes(self) -> np.ndarray:
         """The element boxes' lo and hi corners, (2, 2, elements): per-point
         lifting reads them, a call for one element reads its box."""
-        return np.array([el.box for el in self.elements], dtype=float).transpose(1, 2, 0)
+        return np.array(self.elements, dtype=float).transpose(1, 2, 0)
 
 
 def _shift_vector(phi: Symplectomorphism, manifold: Manifold) -> np.ndarray | None:
@@ -340,10 +334,9 @@ def pullback(cover: TrivializationCover, phi: Symplectomorphism) -> Trivializati
     """
     manifold = cover.manifold
     shift = _shift_vector(phi, manifold)
-    elements = [
-        el if shift is None else el._replace(box=el.box.shifted(tuple(-shift)))
-        for el in cover.elements
-    ]
+    elements = cover.elements
+    if shift is not None:
+        elements = [box.shifted(tuple(-shift)) for box in elements]
     source = cover.nerve
     nerve = Nerve(source.degrees, source.pulled_by + (phi,))
     up = dict(zip(manifold.coords, phi.forward))
@@ -463,15 +456,12 @@ def build_nerve(manifold: Manifold, elements, max_degree: int = MAX_DEGREE) -> N
     """
     cands = np.array(_shift_candidates(manifold))  # (shifts, 2)
     offsets = -cands * _period_vec(manifold)
-    order = np.argsort([el.index for el in elements], kind="stable")
-    elements = [elements[p] for p in order.tolist()]  # by index: a position is a degree-0 row
-    ids = np.array([el.index for el in elements], dtype=int)
-    n_el = len(ids)
+    n_el = len(elements)  # element a is the degree-0 row a
     per_parent = 25 * n_el  # the codes of one parent: (element, shift) pairs
-    lo = np.array([el.box.lo for el in elements], dtype=float).reshape(-1, 2)
-    hi = np.array([el.box.hi for el in elements], dtype=float).reshape(-1, 2)
+    lo = np.array([box.lo for box in elements], dtype=float).reshape(-1, 2)
+    hi = np.array([box.hi for box in elements], dtype=float).reshape(-1, 2)
     table = _degree_table(
-        ids[:, None], np.zeros(n_el, dtype=int), lo, hi,
+        np.arange(n_el)[:, None], np.zeros(n_el, dtype=int), lo, hi,
         np.zeros((n_el, 1, 2), dtype=int), np.empty((n_el, 0), dtype=int),
         np.empty((n_el, 0, 2), dtype=int),
     )
@@ -512,7 +502,7 @@ def build_nerve(manifold: Manifold, elements, max_degree: int = MAX_DEGREE) -> N
             break
         codes = f * per_parent + pair_code  # ascending: registration order
         rows = np.arange(len(f))
-        members = np.concatenate([table.members[f], ids[e][:, None]], axis=1)
+        members = np.concatenate([table.members[f], e[:, None]], axis=1)
         if table.comps.any():
             # parents sharing an index tuple interleave their children:
             # sort by index tuple, stably, as the keys sort
@@ -632,14 +622,13 @@ def check_local_data(cover: TrivializationCover, tol: float = 1e-8) -> LocalData
 def refine(cover: TrivializationCover, targets: list) -> tuple:
     """Restricted refinement: fine data is the coarse data through the map.
 
-    targets is a list of Boxes (or (Box, contractible) pairs), each of which
-    must fit inside some element of the source cover, possibly after a
-    period shift; the stored fine box is then expressed in the containing
-    coarse element's frame so that potentials keep their branch.  The fine
-    nerve goes as deep as the coarse one, and at least to degree 1, whose
-    cells give the fine transitions.  Returns the fine cover and the
-    read-only assignment fine index -> coarse index.  A pullback cover
-    (Nerve.pulled_by) is refused.
+    targets is a list of Boxes, each of which must fit inside some element
+    of the source cover, possibly after a period shift; the stored fine box
+    is then expressed in the containing coarse element's frame so that
+    potentials keep their branch.  The fine nerve goes as deep as the
+    coarse one, and at least to degree 1, whose cells give the fine
+    transitions.  Returns the fine cover and the read-only assignment fine
+    index -> coarse index.  A pullback cover (Nerve.pulled_by) is refused.
     """
     if cover.nerve.pulled_by:
         raise RefinementError("refine operates on base covers")
@@ -648,26 +637,23 @@ def refine(cover: TrivializationCover, targets: list) -> tuple:
     shift_cands = _shift_candidates(manifold)
     fine_elements = []
     assignment = {}
-    for fine_index, target in enumerate(targets):
-        box, contractible = (target, None) if isinstance(target, Box) else target
+    for fine_index, box in enumerate(targets):
         # the first source element that holds the box shifted by whole periods
         fits = (
-            (el, shifted)
-            for el in cover.elements
+            (a, shifted)
+            for a, coarse in enumerate(cover.elements)
             for shifted in (box.shifted((s[0] * periods[0], s[1] * periods[1]))
                             for s in shift_cands)
-            if all(shifted.lo[i] >= el.box.lo[i] - 1e-12
-                   and shifted.hi[i] <= el.box.hi[i] + 1e-12 for i in range(2))
+            if all(shifted.lo[i] >= coarse.lo[i] - 1e-12
+                   and shifted.hi[i] <= coarse.hi[i] + 1e-12 for i in range(2))
         )
-        el, shifted = next(fits, (None, None))
-        if el is None:
+        a, shifted = next(fits, (None, None))
+        if a is None:
             raise RefinementError(
                 f"target element {fine_index} with box {box} fits in no source element"
             )
-        if contractible is None:
-            contractible = el.contractible
-        fine_elements.append(CoverElement(fine_index, shifted, contractible))
-        assignment[fine_index] = el.index
+        fine_elements.append(shifted)
+        assignment[fine_index] = a
 
     nerve = build_nerve(manifold, fine_elements, max(1, cover.nerve.max_degree))
     transitions = {}
@@ -675,9 +661,7 @@ def refine(cover: TrivializationCover, targets: list) -> tuple:
         ca, cb = assignment[a], assignment[b]
         transitions[(a, b)] = cover.data.transition_expr(ca, cb)
         transitions[(b, a)] = cover.data.transition_expr(cb, ca)
-    potentials = {
-        el.index: cover.data.potentials[assignment[el.index]] for el in fine_elements
-    }
+    potentials = {a: cover.data.potentials[c] for a, c in assignment.items()}
     fine = TrivializationCover(
         manifold=manifold,
         omega=cover.omega,
@@ -692,8 +676,7 @@ def split_boxes(cover: TrivializationCover):
     """Quadrant subdivision targets for a one-step refinement: each box
     halved on each axis, halves padded by min(0.25, an eighth of the box)."""
     targets = []
-    for el in cover.elements:
-        box = el.box
+    for box in cover.elements:
         edges = [np.linspace(box.lo[a], box.hi[a], 3) for a in range(2)]
         pads = [min(0.25, 0.125 * (box.hi[a] - box.lo[a])) for a in range(2)]
         for ix in range(2):

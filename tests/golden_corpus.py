@@ -87,7 +87,8 @@ def _run(argv: list) -> tuple:
     """Run one command line in process: (exit code, stderr, its report minus
     timing, or None when it printed none, and its timing.counters, or
     None).  A printed report must be exactly the one line
-    json.dumps(sort_keys=True) gives for it."""
+    json.dumps(sort_keys=True) gives for it, and must pass exactly when the
+    line exits 0."""
     from gqlab.cli import main
 
     out, err = io.StringIO(), io.StringIO()
@@ -99,6 +100,8 @@ def _run(argv: list) -> tuple:
         report = json.loads(text)
         if text != json.dumps(report, sort_keys=True) + "\n":
             raise AssertionError(f"report of {argv} is not compact json.dumps text")
+        if report["pass"] is not (code == 0):
+            raise AssertionError(f"report of {argv} reads pass {report['pass']} on exit {code}")
         counters = report.pop("timing").get("counters")
     return code, err.getvalue(), report, counters
 

@@ -176,7 +176,7 @@ def _per_cell_gauge_potentials(naive, pulled, elements, pts, closed_form=True, s
         exact = [
             closed_form and c not in free_vars(d) for c, d in zip(manifold.coords, diffs)
         ]
-        box = naive.elements[a].box
+        box = naive.elements[a]
         base = box.center()
 
         def gauge_form(pts, a=a, prog=prog):
@@ -293,7 +293,7 @@ def test_closed_form_gauge_legs_equal_their_integrals(
         # component reads its variable or not
         rows = elements == a
         lifted = naive.member_points(a, pts[rows])
-        center = naive.elements[a].box.center()
+        center = naive.elements[a].center()
         live = (
             np.count_nonzero(np.unique(lifted[:, 0]) != center[0]),
             np.count_nonzero(lifted[:, 1] != center[1]),
@@ -445,8 +445,7 @@ def test_gauge_potential_outside_its_element_is_a_config_error(models):
     # the lifted targets are checked before any quadrature, so the error
     # names the element instead of a non-finite integration bound
     exm = models("torus", k=2)
-    box = exm.cover.elements[0].box
-    x, y = box.center()
+    x, y = exm.cover.elements[0].center()
     outside = np.array([[x + math.pi, y]])
     assert np.isnan(exm.cover.member_points(0, outside)).all()  # both axes periodic
     inside = np.array([[x + 0.1, y]])
@@ -457,14 +456,6 @@ def test_gauge_potential_outside_its_element_is_a_config_error(models):
             exm.cover, exm.cover, np.array([0, 0]), np.concatenate([inside, outside])
         )
     assert counts == {}  # nothing was integrated
-
-
-def test_non_contractible_cover_rejected(models):
-    exm = models("plane")
-    el, *rest = exm.cover.elements
-    cover = exm.cover._replace(elements=(el._replace(contractible=False), *rest))
-    with pytest.raises(ConfigurationError, match="contractible"):
-        build_complementary(catalog.make_map(exm, "identity"), exm._replace(cover=cover))
 
 
 def test_complementary_cover_refuses_a_nerve_without_overlaps(models):

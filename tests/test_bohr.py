@@ -230,6 +230,22 @@ def test_census_rows_are_the_scalar_formulas_of_its_columns(models, name, params
     assert _typed_bits(leaves) == _typed_bits(_oracle_rows(rep))
 
 
+def test_an_empty_batch_gives_float_actions_and_complex_holonomies(models, capsys):
+    # np.bincount gives ints on empty input; a batch of no leaves is still
+    # a batch of actions and holonomies
+    exm = models("torus", k=3)
+    pol = exm.polarization()
+    transport, leaves = LeafTransport(exm.cover, pol), LeafAtlas(exm.cover, pol).leaves([])
+    assert leaf_actions(transport, leaves)[0].dtype == np.float64
+    actions, hols = holonomy(transport, leaves)
+    assert (actions.dtype, hols.dtype, len(actions), len(hols)) == (
+        np.float64, np.complex128, 0, 0)
+    # both samples of this sphere census are poles, so its batch is empty
+    assert main(["bs", "--example", "sphere", "--k", "2", "--range", "0:2",
+                 "--count", "2", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["payload"]["census"]["q_bs"] == 2
+
+
 def test_census_rows_follow_the_scalar_formulas_on_edge_actions(models):
     # ties within 1e-9 multiples of an odd multiple of pi, negative actions,
     # signed zeros, and holonomies at -1 whatever the sign of their
@@ -1163,22 +1179,22 @@ def _reference_candidates(cover, pol, c):
     """(element, t0, t1, lifted label) per element the leaf c crosses."""
     out = []
     if pol.kind == "radial":
-        for el in cover.elements:
-            half = min(el.box.hi[0], el.box.hi[1], -el.box.lo[0], -el.box.lo[1])
+        for a, box in enumerate(cover.elements):
+            half = min(box.hi[0], box.hi[1], -box.lo[0], -box.lo[1])
             if 0.0 < c < 0.5 * half * half:
-                out.append((el.index, 0.0, TWO_PI, c))
+                out.append((a, 0.0, TWO_PI, c))
         return out
     la, ta = pol.label_axis, pol.leaf_axis
     period_label = cover.manifold.periods[la]
-    for el in cover.elements:
-        lo, hi = el.box.interval(la)
+    for a, box in enumerate(cover.elements):
+        lo, hi = box.interval(la)
         c_lift = c
         if period_label is not None:
             mid = 0.5 * (lo + hi)
             c_lift = c + period_label * round((mid - c) / period_label)
         if lo + 1e-9 < c_lift < hi - 1e-9:
-            t0, t1 = el.box.interval(ta)
-            out.append((el.index, t0, t1, c_lift))
+            t0, t1 = box.interval(ta)
+            out.append((a, t0, t1, c_lift))
     return out
 
 
@@ -1317,14 +1333,13 @@ def _atlas_cases(models):
         labels = list(np.linspace(lo, hi, 13))
         root = pol.root
         if root.kind == "radial":
-            for el in cover.elements:
-                b = el.box
+            for b in cover.elements:
                 half = min(b.hi[0], b.hi[1], -b.lo[0], -b.lo[1])
                 edge = 0.5 * half * half
                 labels += [edge - 5e-10, edge - 2e-9, edge + 5e-10]
         else:
-            for el in cover.elements:
-                for edge in el.box.interval(root.label_axis):
+            for box in cover.elements:
+                for edge in box.interval(root.label_axis):
                     labels += [edge + d for d in (-2e-9, -9e-10, -5e-10, 0.0,
                                                   5e-10, 9e-10, 1.1e-9, 2e-9)]
         if periodic:

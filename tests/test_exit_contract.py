@@ -144,8 +144,8 @@ def test_every_argv_keeps_the_exit_code_contract(argv):
         if code == 2:
             assert "config error:" in err.getvalue(), argv
         if "--json" in argv and argv[0] != "parse-expr":
-            if code in (0, 1):
-                _strict(out.getvalue())
+            if code in (0, 1):  # a report passes exactly when its command exits 0
+                assert _strict(out.getvalue())["pass"] is (code == 0), argv
             else:
                 assert out.getvalue() == "", argv
         if "--out" in argv and code in (0, 1):

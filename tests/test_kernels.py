@@ -492,7 +492,7 @@ def _builtin_formulas(exm, maps):
         phi = catalog.make_map(exm, spec)
         pulled = pullback(exm.cover, phi)
         pairs.append((pulled, pushforward_polarization(phi, exm.polarization())))
-        naive = exm.data_builder([el.box for el in pulled.elements])
+        naive = exm.data_builder(pulled.elements)
         for a, comps in sorted(pulled.data.potentials.items()):
             gauge += [ex.BinOp("-", tn, tp) for tn, tp in zip(naive.potentials[a], comps)]
     along = [_flux_integrand(cover, pol) for cover, pol in pairs]

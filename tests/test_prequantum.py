@@ -51,7 +51,7 @@ def _inside(cover, index, pts):
     """Whether each canonical point lies in element index of a cover that
     is not a pullback: in the element's box once unrolled into its frame
     (within 1e-9), and in the domain."""
-    box = cover.elements[index].box
+    box = cover.elements[index]
     lifted = cover.member_points(index, pts)  # nan where no unrolling reaches
     inside = (lifted >= np.array(box.lo) - 1e-9) & (lifted <= np.array(box.hi) + 1e-9)
     return inside.all(axis=1) & cover.manifold.in_domain(pts)
@@ -61,19 +61,17 @@ def _coverage_gaps(cover, grid=40):
     """The number of window grid points that lie in no element."""
     pts = cover.manifold.sample_grid(grid)
     covered = np.zeros(len(pts), dtype=bool)
-    for el in cover.elements:
-        covered |= _inside(cover, el.index, pts)
+    for a in range(len(cover.elements)):
+        covered |= _inside(cover, a, pts)
     return int(np.sum(~covered))
 
 
 def _refinement_gaps(fine, coarse, assignment, samples=6):
     """The fine elements with a grid sample outside their coarse element."""
     return [
-        el.index
-        for el in fine.elements
-        if not _inside(
-            coarse, assignment[el.index], fine.manifold.reduce(el.box.grid(samples))
-        ).all()
+        a
+        for a, box in enumerate(fine.elements)
+        if not _inside(coarse, assignment[a], fine.manifold.reduce(box.grid(samples))).all()
     ]
 
 
@@ -155,25 +153,19 @@ def test_nerve_closed_under_faces(models):
 
 def test_self_refinement_is_identity(models):
     cover = models("torus", k=1).cover
-    fine, refmap = refine(cover, [el.box for el in cover.elements])
-    assert dict(refmap) == {el.index: el.index for el in cover.elements}
+    fine, refmap = refine(cover, cover.elements)
+    assert dict(refmap) == {a: a for a in range(len(cover.elements))}
     with pytest.raises(TypeError):
         refmap[0] = 1
     assert _refinement_gaps(fine, cover, refmap) == []
 
 
-def test_refine_takes_boxes_and_box_contractible_pairs(models):
-    # a Box is a tuple too: a bare box keeps its source element's flag, and
-    # a (box, contractible) pair sets its own
+def test_refine_keeps_target_boxes_as_elements(models):
+    # a target box that fits its source element as given is stored as given
     cover = models("torus", k=2).cover
-    boxes = [el.box for el in cover.elements]
-    flags = [not el.contractible for el in cover.elements]
-    plain, _ = refine(cover, boxes)
-    paired, _ = refine(cover, list(zip(boxes, flags)))
-    assert [el.box for el in plain.elements] == boxes
-    assert [el.box for el in paired.elements] == boxes
-    assert [el.contractible for el in plain.elements] == [not f for f in flags]
-    assert [el.contractible for el in paired.elements] == flags
+    boxes = list(cover.elements)
+    fine, _ = refine(cover, boxes)
+    assert list(fine.elements) == boxes
 
 
 def test_split_refinement_passes_checks(models):
@@ -192,15 +184,13 @@ def test_refinement_functoriality(models):
     fine1, map1 = refine(cover, split_boxes(cover))
     fine2, map2 = refine(fine1, split_boxes(fine1))
     composite = {f: map1[map2[f]] for f in map2}
-    direct, dmap = refine(cover, [el.box for el in fine2.elements])
+    direct, dmap = refine(cover, fine2.elements)
     assert composite == dict(dmap)
     rng = np.random.default_rng(1)
-    for el in fine2.elements:
-        pts = cover.manifold.reduce(
-            rng.uniform(el.box.lo, el.box.hi, size=(20, 2))
-        )
-        t2 = fine2.potential(el.index, pts)
-        td = direct.potential(el.index, pts)
+    for a, box in enumerate(fine2.elements):
+        pts = cover.manifold.reduce(rng.uniform(box.lo, box.hi, size=(20, 2)))
+        t2 = fine2.potential(a, pts)
+        td = direct.potential(a, pts)
         assert max(np.max(np.abs(a - b)) for a, b in zip(t2, td)) == 0.0
     for cell in degree_cells(fine2.nerve, fine2.manifold, 1):
         a, b = cell.indices
@@ -293,10 +283,10 @@ def _per_cell_nerve(manifold, elements, max_degree=MAX_DEGREE):
     link loop."""
     shift_cands = _shift_candidates(manifold)
     offsets = -np.array(shift_cands) * _period_vec(manifold)
-    ids = [el.index for el in elements]
+    ids = list(range(len(elements)))
     id_arr = np.array(ids)
-    el_lo = np.array([el.box.lo for el in elements], dtype=float).reshape(-1, 2)
-    el_hi = np.array([el.box.hi for el in elements], dtype=float).reshape(-1, 2)
+    el_lo = np.array([box.lo for box in elements], dtype=float).reshape(-1, 2)
+    el_hi = np.array([box.hi for box in elements], dtype=float).reshape(-1, 2)
     shifted_lo = el_lo[:, None, :] + offsets
     shifted_hi = el_hi[:, None, :] + offsets
     cells, comps = {}, {}
@@ -313,7 +303,7 @@ def _per_cell_nerve(manifold, elements, max_degree=MAX_DEGREE):
         return out
 
     frontier = register(0, [(i,) for i in ids], [((0, 0),)] * len(elements),
-                        [el.box for el in elements], el_lo, el_hi)
+                        list(elements), el_lo, el_hi)
     lo, hi = el_lo, el_hi
     position = {i: p for p, i in enumerate(ids)}
     for degree in range(1, max_degree + 1):
@@ -370,19 +360,18 @@ def _reference_nerve(manifold, elements, max_tuple=MAX_DEGREE + 1):
         cells[(indices, comp)] = Cell(indices, comp, box, shifts, samples)
         return cells[(indices, comp)]
 
-    frontier = [register((el.index,), ((0, 0),), el.box) for el in elements]
+    frontier = [register((a,), ((0, 0),), box) for a, box in enumerate(elements)]
     for _size in range(2, max_tuple + 1):
         new = []
         for cell in frontier:
-            for el in elements:
-                if el.index <= cell.indices[-1]:
+            for a, box in enumerate(elements):
+                if a <= cell.indices[-1]:
                     continue
                 for s in _shift_candidates(manifold):
                     shift = (-s[0] * periods[0], -s[1] * periods[1])
-                    inter = _intersect(cell.box, el.box.shifted(shift))
+                    inter = _intersect(cell.box, box.shifted(shift))
                     if inter is not None:
-                        new.append(register(cell.indices + (el.index,),
-                                            cell.shifts + (s,), inter))
+                        new.append(register(cell.indices + (a,), cell.shifts + (s,), inter))
         frontier = new
     return cells, _face_links(cells)
 
@@ -415,13 +404,10 @@ def _wide_circle_cover():
     """Four elements each 0.8 of the torus period wide: every pair and
     triple overlaps in several components, so the children of a degree
     interleave by index tuple and the table must sort them."""
-    from gqlab.prequantum import CoverElement
-
     exm = catalog.example("torus", k=1)
     period = 2.0 * math.pi
     elements = [
-        CoverElement(i, Box((i * period / 4, 0.3 * i),
-                            (i * period / 4 + 0.8 * period, 0.3 * i + 0.75 * period)), True)
+        Box((i * period / 4, 0.3 * i), (i * period / 4 + 0.8 * period, 0.3 * i + 0.75 * period))
         for i in range(4)
     ]
     return exm.manifold, elements
@@ -557,9 +543,9 @@ def _dense_nerve(manifold, elements, max_tuple=MAX_DEGREE + 1):
     shift) survivors in order."""
     shift_cands = _shift_candidates(manifold)
     offsets = -np.array(shift_cands) * _period_vec(manifold)
-    ids = np.array([el.index for el in elements])
-    el_lo = np.array([el.box.lo for el in elements], dtype=float).reshape(-1, 2)
-    el_hi = np.array([el.box.hi for el in elements], dtype=float).reshape(-1, 2)
+    ids = np.arange(len(elements))
+    el_lo = np.array([box.lo for box in elements], dtype=float).reshape(-1, 2)
+    el_hi = np.array([box.hi for box in elements], dtype=float).reshape(-1, 2)
     shifted_lo = el_lo[:, None, :] + offsets
     shifted_hi = el_hi[:, None, :] + offsets
     cells, comps = {}, {}
@@ -574,7 +560,7 @@ def _dense_nerve(manifold, elements, max_tuple=MAX_DEGREE + 1):
         return out
 
     frontier = register(0, [(i,) for i in ids.tolist()], [((0, 0),)] * len(elements),
-                        [el.box for el in elements], el_lo, el_hi)
+                        list(elements), el_lo, el_hi)
     lo, hi = el_lo, el_hi
     for degree in range(1, max_tuple):
         new_lo = np.maximum(lo[:, None, None, :], shifted_lo)
@@ -815,9 +801,9 @@ def test_torus_transitions_equal_the_per_pair_construction(models):
         for g in range(3, 9):
             exm = models("torus", k=k, granularity=g)
             cover, build = exm.cover, exm.data_builder
-            for layout in ([el.box for el in cover.elements],
+            for layout in (cover.elements,
                            split_boxes(cover),
-                           [el.box.shifted((0.7, -2.0)) for el in cover.elements]):
+                           [box.shifted((0.7, -2.0)) for box in cover.elements]):
                 got = build(layout).transitions
                 want = reference(layout, k)
                 assert list(got.items()) == list(want.items()), (k, g)
