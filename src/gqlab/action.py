@@ -395,7 +395,7 @@ def verify_theorem_1(
         lhs = psi(grid_dst, degree + 1, delta(grid_dst.operators[degree], v))
         rhs = psi(grid_src, degree + 1, delta(grid_src.operators[degree], v))
         commute = max(commute, float(np.max(np.abs(lhs - rhs), initial=0.0)))
-    sound = all(d.betti >= 0 for r in (ranks_src, ranks_dst) for d in r.degrees)  # dimensions
+    sound = not (ranks_src.negative_degrees or ranks_dst.negative_degrees)  # dimensions
     passed = equal and sound and commute < COMMUTATION_TOL
     return CorrespondenceReport(
         theorem=1,
@@ -439,7 +439,7 @@ def verify_theorem_2(
     the leaf pairs are their label and holonomy columns side by side, the
     point leaves after them: the source holonomy in comp.source, the target
     one in comp.base.  A sampled label that differs between them raises
-    InternalConsistencyError.  A census's tol sets only is_bs, unreported."""
+    InternalConsistencyError."""
     pushed = pushforward_polarization(comp.phi, pol)
     try:
         census_src = bs_census(comp.source, pol, crange, count)

@@ -16,8 +16,8 @@ leaf_actions reads them and returns every label's action, in that order,
 from one transport quadrature call and one transition call, summed leaf by
 leaf by np.bincount; holonomy adds the holonomies, a modulus times
 exp(-i action).  The census's one holonomy batch, its sampled leaves, is
-the columns its report derives each field from; its refinement and root
-steps read actions alone.
+the columns its report derives each field from, beside the census's own
+is_bs verdicts; its refinement and root steps read actions alone.
 """
 
 from __future__ import annotations
@@ -28,11 +28,9 @@ from typing import NamedTuple
 import numpy as np
 
 from . import trace
-from .geometry import LeafFrame, Polarization
+from .geometry import TWO_PI, LeafFrame, Polarization
 from .prequantum import ConfigurationError, TrivializationCover
 from .transport import LeafTransport
-
-TWO_PI = 2.0 * math.pi
 
 
 class CoverageError(ValueError):
@@ -437,6 +435,7 @@ class BSReport(NamedTuple):
     labels: np.ndarray  # (n,)
     actions: np.ndarray  # (n,)
     holonomies: np.ndarray  # (n,)
+    is_bs: np.ndarray  # (n,) bool: whether the census located the leaf
     lines: tuple  # the sampled line leaves' labels
     points: tuple  # the point leaves as (label, point) pairs; their holonomy is 1
     bs_locations: tuple  # root-solved labels of smooth BS circle leaves
@@ -444,28 +443,29 @@ class BSReport(NamedTuple):
     q_bs_singular: int
     q_bs: int
     lines_excluded: int
-    tol: float
 
     def as_dict(self) -> dict:
         """The report, its leaves in rows: circle leaves, line leaves, point
         leaves.  A circle leaf's nearest_multiple m is nearest_multiples', its
         residual r its action less 2 pi m, its phase 0.0 - r (never -0.0),
-        the argument of exp(-i action), so -pi at a tie; BS when |r| < tol."""
-        actions, tol = self.actions, self.tol
+        the argument of exp(-i action), so -pi at a tie; its is_bs is the
+        census's."""
+        actions = self.actions
         re, im = self.holonomies.real.tolist(), self.holonomies.imag.tolist()
         m = nearest_multiples(actions)
         leaves = [
-            {"label": c, "topology": "circle", "singular": False, "is_bs": abs(r) < tol,
+            {"label": c, "topology": "circle", "singular": False, "is_bs": bs,
              "holonomy": [x, y], "phase": 0.0 - r, "action": a, "nearest_multiple": int(k),
              "residual": r}
-            for c, x, y, a, k, r in zip(self.labels.tolist(), re, im, actions.tolist(),
-                                       m.tolist(), (actions - TWO_PI * m).tolist())
+            for c, bs, x, y, a, k, r in zip(self.labels.tolist(), self.is_bs.tolist(), re, im,
+                                           actions.tolist(), m.tolist(),
+                                           (actions - TWO_PI * m).tolist())
         ]
         # line leaves are BS when the census counts them (lines_excluded is 0),
         # and a point leaf's holonomy 1 gives its fields by the same rules
         leaves += [{"label": c, "topology": "line", "singular": False,
                     "is_bs": not self.lines_excluded} for c in self.lines]
-        leaves += [{"label": c, "topology": "point", "singular": True, "is_bs": 0.0 < tol,
+        leaves += [{"label": c, "topology": "point", "singular": True, "is_bs": True,
                     "holonomy": [1.0, 0.0], "phase": 0.0, "action": 0.0,
                     "nearest_multiple": 0, "residual": 0.0} for c, _ in self.points]
         return {
@@ -474,7 +474,6 @@ class BSReport(NamedTuple):
             "q_bs_singular": self.q_bs_singular,
             "bs_locations": list(self.bs_locations),
             "lines_excluded": self.lines_excluded,
-            "tol": self.tol,
             "leaves": leaves,
         }
 
@@ -486,12 +485,34 @@ class BSReport(NamedTuple):
                      for r in self.as_dict()["leaves"])
 
 
+def _one_per_leaf(locations: list, period: float | None) -> tuple:
+    """The least label of each leaf among locations, in label order.  Two
+    labels are one leaf when they lie within _label_slack of each other, or
+    of a whole number of periods apart on a periodic label.  In the order
+    of their offsets in the period (of their labels, if there is none) a
+    leaf's locations are neighbours, the last and the first across the
+    period."""
+
+    def same_leaf(c: float, u: float) -> bool:
+        gap = math.remainder(c - u, period) if period else c - u
+        return abs(gap) < _label_slack(c, u)
+
+    runs = []  # the locations of each leaf, in offset order
+    for c in sorted(locations, key=(lambda c: (c % period, c)) if period else None):
+        if runs and same_leaf(runs[-1][-1], c):
+            runs[-1].append(c)
+        else:
+            runs.append([c])
+    if period and len(runs) > 1 and same_leaf(runs[-1][-1], runs[0][0]):
+        runs[0] += runs.pop()
+    return tuple(sorted(min(run) for run in runs))
+
+
 def bs_census(
     cover: TrivializationCover,
     pol: Polarization,
     crange: tuple,
     count: int,
-    tol: float = 1e-8,
     include_lines: bool = False,
 ) -> BSReport:
     """Bohr-Sommerfeld census over a label range.
@@ -507,11 +528,12 @@ def bs_census(
     than MISMATCH raises ConfigurationError.  One r per sample, its
     unwrapped action U less the nearest multiple 2 pi m, decides it: it is
     located at m when |r| <= ROUNDING (|U| + |c A'(c)|), its rounding, and
-    its turn is m - (r < 0).  Neighbours located at one multiple are one
-    location, the one with the least |r|.  A step brackets each multiple
-    above the lower of its turns up to the higher one, unless an end is
-    located at it; _crossings locates the root to 1e-12 in the label.  A
-    crossing of -1 opens nothing.  Locations a period apart are one leaf.
+    its turn is m - (r < 0); a sampled leaf is BS (is_bs) when its sample
+    is located.  Neighbours located at one multiple are one location, the
+    one with the least |r|.  A step brackets each multiple above the lower
+    of its turns up to the higher one, unless an end is located at it;
+    _crossings locates the root to 1e-12 in the label.  A crossing of -1
+    opens nothing.  Locations a period apart are one leaf (_one_per_leaf).
     Point leaves (declared singular points) are BS with trivial holonomy.
     Noncompact line leaves are excluded from the count unless include_lines
     is set (they all admit covariantly constant sections); a line leaf is
@@ -536,19 +558,20 @@ def bs_census(
     for column in (labels, actions, hols):
         column.flags.writeable = False
 
-    def sample(cs, found) -> np.ndarray:
-        """Rows (label, action, flux) in label order."""
-        rows = np.column_stack([cs, found])
+    def sample(cs, found, index) -> np.ndarray:
+        """Rows (label, action, flux, sample index) in label order."""
+        rows = np.column_stack([cs, found, index])
         rows = rows[np.argsort(rows[:, 0], kind="stable")]
-        return np.column_stack([rows, transport.flux(rows[:, 0])])
+        return np.column_stack([rows[:, :2], transport.flux(rows[:, 0]), rows[:, 2]])
 
     period = pol.label_range[1] - pol.label_range[0] if pol.label_periodic else None
     lines = 0 if closed else len(labels)
-    rows = sample(labels, actions) if len(actions) else np.empty((0, 3))
+    rows = sample(labels, actions, np.arange(len(actions))) if len(actions) else np.empty((0, 4))
     spans = len(actions) > 0 and _spans_a_period(pol, *crange)
     closes = spans and rows[-1, 0] < rows[0, 0] + period
-    if closes:  # the first sample again, one period on
-        rows = np.vstack([rows, rows[:1] + [period, 0.0, 0.0]])
+    if closes:  # the first sample again, one period on; its index is -1, as a midpoint's
+        rows = np.vstack([rows, rows[:1] + [period, 0.0, 0.0, 0.0]])
+        rows[-1, 3] = -1.0
 
     refinements = 0
     while True:
@@ -572,13 +595,18 @@ def bs_census(
         refinements += 1
         trace.count("census_refinements")
         mids = (0.5 * (rows[missed, 0] + rows[missed + 1, 0])).tolist()
-        rows = np.vstack([rows, sample(mids, leaf_actions(transport, atlas.leaves(mids))[0])])
+        found = leaf_actions(transport, atlas.leaves(mids))[0]
+        rows = np.vstack([rows, sample(mids, found, np.full(len(mids), -1.0))])
         rows = rows[np.argsort(rows[:, 0], kind="stable")]
 
     # one r per sample decides its location, its turn and its brackets' signs
     m = np.round(unwrapped / TWO_PI)
     r = rows[:, 1] + TWO_PI * (branches - m)
     at = np.abs(r) <= ROUNDING * size
+    is_bs = np.zeros(len(actions), dtype=bool)  # a sample is BS where it is located
+    sampled = rows[:, 3] >= 0.0
+    is_bs[rows[sampled, 3].astype(int)] = at[sampled]
+    is_bs.flags.writeable = False
     c, a, n, m, k = (x.tolist() for x in (rows[:, 0], rows[:, 1], branches, m, m - (r < 0.0)))
     located = []  # (|r|, label): at large labels neighbours share a location
     for i in np.flatnonzero(at).tolist():
@@ -606,29 +634,20 @@ def bs_census(
     locations = [c for _, c in located] + _crossings(brackets, actions_at)
     if closes:  # the closing step's locations, back into the window
         locations = [c - period if c >= crange[1] else c for c in locations]
-
-    # one location per leaf: labels a multiple of the period apart coincide
-    def same_leaf(c: float, u: float) -> bool:
-        gap = math.remainder(c - u, period) if period else c - u
-        return abs(gap) < _label_slack(c, u)
-
-    unique = []
-    for c in sorted(locations):
-        if not any(same_leaf(c, u) for u in unique):
-            unique.append(c)
+    unique = _one_per_leaf(locations, period)
 
     return BSReport(
         labels=labels if closed else actions,  # a line census's columns are empty
         actions=actions,
         holonomies=hols,
+        is_bs=is_bs,
         lines=() if closed else tuple(labels.tolist()),
         points=tuple(points),
-        bs_locations=tuple(unique),
+        bs_locations=unique,
         q_bs_smooth=len(unique),
         q_bs_singular=len(points),
         q_bs=len(unique) + len(points) + (lines if include_lines else 0),
         lines_excluded=0 if include_lines else lines,
-        tol=tol,
     )
 
 

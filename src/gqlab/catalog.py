@@ -27,6 +27,7 @@ from .geometry import (
     Polarization,
     SymplecticForm,
     Symplectomorphism,
+    TWO_PI,
     axis_polarization,
     identity_map,
 )
@@ -38,8 +39,6 @@ from .prequantum import (
     build_nerve,
 )
 from .record import Record
-
-TWO_PI = 2.0 * math.pi
 
 EXAMPLE_NAMES = ("plane", "cylinder", "torus", "sphere", "disk")
 # the parameters each model takes from the command line: the Chern number

@@ -404,33 +404,22 @@ class DegreeRank(NamedTuple):
     betti: int
     betti_per_leaf: float | None
 
-    def as_dict(self) -> dict:
-        return {
-            "degree": self.degree,
-            "dim_cochains": self.dim_cochains,
-            "delta_shape": list(self.delta_shape),
-            "delta_rank": self.delta_rank,
-            "sv_head": list(self.sv_head),
-            "sv_tail": list(self.sv_tail),
-            "sv_gap": self.sv_gap,
-            "betti": self.betti,
-            "betti_per_leaf": self.betti_per_leaf,
-        }
-
 
 class RankReport(NamedTuple):
-    degrees: tuple
+    degrees: tuple  # a DegreeRank per degree
     n_labels: int
     n_labels_retained: int
     threshold: float
 
+    @property
+    def negative_degrees(self) -> tuple:
+        """The degrees whose Betti number is negative, which no complex
+        has: ranks that cannot be sound."""
+        return tuple(d.degree for d in self.degrees if d.betti < 0)
+
     def as_dict(self) -> dict:
-        return {
-            "degrees": [d.as_dict() for d in self.degrees],
-            "n_labels": self.n_labels,
-            "n_labels_retained": self.n_labels_retained,
-            "threshold": self.threshold,
-        }
+        # its tuples are written as JSON arrays
+        return {**self._asdict(), "degrees": [d._asdict() for d in self.degrees]}
 
 
 def _numerical_rank(sv: np.ndarray, threshold: float):

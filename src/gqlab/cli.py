@@ -44,7 +44,7 @@ MODEL_FLAGS = ("k", "granularity", "p_max")  # each model takes some (catalog.PA
 _READS_ALWAYS = frozenset({"example", *MODEL_FLAGS, "corrupt", "out", "json"})
 READS = {
     "check": _READS_ALWAYS | {"map", "tol"},
-    "bs": _READS_ALWAYS | {"polarization", "range", "count", "tol", "include_lines", "csv"},
+    "bs": _READS_ALWAYS | {"polarization", "range", "count", "include_lines", "csv"},
     "cohomology": _READS_ALWAYS | {"polarization", "grid", "max_degree", "rank_tol"},
     "act": _READS_ALWAYS | {"map", "polarization", "tol", "verify"},
 }
@@ -304,9 +304,10 @@ def cmd_parse_expr(args) -> int:
 
 
 def _local_data_line(local) -> str:
-    return (
-        f"local data: cocycle={local.cocycle_max:.3e} inverse={local.inverse_max:.3e} "
-        f"curvature={local.curvature_max:.3e} compatibility={local.compatibility_max:.3e}"
+    """A LocalDataReport's law residuals, each named by its law."""
+    return "local data: " + " ".join(
+        f"{name.removesuffix('_max')}={value:.3e}"
+        for name, value in local._asdict().items() if name.endswith("_max")
     )
 
 
@@ -346,9 +347,7 @@ def cmd_bs(cfg: RunConfig, args, exm: catalog.Example) -> tuple:
     pol = exm.polarization(cfg.polarization)
     crange = cfg.range or exm.census_range
     try:
-        census = bs_census(
-            exm.cover, pol, crange, cfg.count, cfg.tol, cfg.include_lines
-        )
+        census = bs_census(exm.cover, pol, crange, cfg.count, cfg.include_lines)
     except UnresolvedCensusError as exc:  # a count the census cannot vouch for
         payload = {"census": {"unresolved": str(exc)}, "range": list(crange)}
         return payload, False, [f"census unresolved: {exc}"]
@@ -390,7 +389,7 @@ def cmd_cohomology(cfg: RunConfig, args, exm: catalog.Example) -> tuple:
     grid = half_offset_grid(exm.cover, pol, cfg.grid)
     rank = cohomology_ranks(grid, cfg.rank_tol, cfg.max_degree)
     payload = {"cohomology": rank.as_dict()}
-    negative = ", ".join(str(d.degree) for d in rank.degrees if d.betti < 0)  # unsound ranks
+    negative = ", ".join(map(str, rank.negative_degrees))
     lines = [
         "degree  dim   rank(delta)  betti  betti/leaf",
         *(

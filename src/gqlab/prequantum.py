@@ -182,8 +182,6 @@ class TrivializationCover(Record):
     def member_points(self, index, pts) -> np.ndarray:
         """Lift canonical points into the unrolled frame of element index,
         or of one element per point (an int array)."""
-        if np.ndim(index) == 0:
-            return self.manifold.lift_into(as_points(pts), self.elements[index])
         lo, hi = self._element_boxes
         box = lo.take(index, axis=1), hi.take(index, axis=1)
         return self.manifold.lift_into(as_points(pts), box)
@@ -307,8 +305,8 @@ class TrivializationCover(Record):
 
     @cached_property
     def _element_boxes(self) -> np.ndarray:
-        """The element boxes' lo and hi corners, (2, 2, elements): per-point
-        lifting reads them, a call for one element reads its box."""
+        """The element boxes' lo and hi corners, (2, 2, elements):
+        member_points takes the columns of one element, or of one per point."""
         return np.array(self.elements, dtype=float).transpose(1, 2, 0)
 
 
@@ -538,6 +536,7 @@ def build_nerve(manifold: Manifold, elements, max_degree: int = MAX_DEGREE) -> N
 
 
 class LocalDataReport(NamedTuple):
+    # the largest residual of each law, <law>_max: these fields are the laws
     cocycle_max: float
     inverse_max: float
     curvature_max: float
@@ -547,23 +546,12 @@ class LocalDataReport(NamedTuple):
 
     @property
     def passed(self) -> bool:
-        return (
-            self.cocycle_max < self.tol
-            and self.inverse_max < self.tol
-            and self.curvature_max < self.tol
-            and self.compatibility_max < self.tol
-        )
+        """Whether every law residual is below tol; a NaN one fails."""
+        return all(value < self.tol for name, value in self._asdict().items()
+                   if name.endswith("_max"))
 
     def as_dict(self) -> dict:
-        return {
-            "cocycle_max": self.cocycle_max,
-            "inverse_max": self.inverse_max,
-            "curvature_max": self.curvature_max,
-            "compatibility_max": self.compatibility_max,
-            "tol": self.tol,
-            "cells_checked": self.cells_checked,
-            "pass": self.passed,
-        }
+        return {**self._asdict(), "pass": self.passed}
 
 
 def check_local_data(cover: TrivializationCover, tol: float = 1e-8) -> LocalDataReport:
@@ -588,28 +576,29 @@ def check_local_data(cover: TrivializationCover, tol: float = 1e-8) -> LocalData
     cover.nerve.require_degree(2, "check_local_data")
     manifold = cover.manifold
     s0, s1, s2 = (cover.nerve.samples(n, manifold) for n in range(3))
-    laws = ("cocycle", "inverse", "curvature", "compatibility")
-    resid = dict.fromkeys(laws, np.zeros(1))  # 0 for a law without cells
+    # a residual per law, LocalDataReport's <law>_max; 0 for a law without cells
+    resid = {name: np.zeros(1) for name in LocalDataReport._fields if name.endswith("_max")}
     if s0.keys:  # d theta_a = omega on each element; omega runs once
         (a,), pts = s0.members.T, s0.points
         omega = cover.omega.eval(manifold, pts)
         trace.count("formula_runs")
-        resid["curvature"] = np.abs(cover.curvature(a, pts) - omega)
+        resid["curvature_max"] = np.abs(cover.curvature(a, pts) - omega)
     if s1.keys:  # lambda_ab lambda_ba = 1, and the compatibility
         (a, b), pts = s1.members.T, s1.points
-        resid["inverse"] = np.abs(cover.transition(a, b, pts) * cover.transition(b, a, pts) - 1.0)
+        inverse = cover.transition(a, b, pts) * cover.transition(b, a, pts)
+        resid["inverse_max"] = np.abs(inverse - 1.0)
         ta, tb = cover.potential(a, pts), cover.potential(b, pts)
         dlog = cover.transition_dlog(a, b, pts)
-        resid["compatibility"] = np.abs(np.subtract(ta, tb) + 1j * np.array(dlog))
+        resid["compatibility_max"] = np.abs(np.subtract(ta, tb) + 1j * np.array(dlog))
     if s2.keys:  # the cocycle law
         (a, b, c), pts = s2.members.T, s2.points
-        resid["cocycle"] = np.abs(
+        resid["cocycle_max"] = np.abs(
             cover.transition(a, b, pts) * cover.transition(b, c, pts) - cover.transition(a, c, pts)
         )
     return LocalDataReport(
         # np.max keeps a NaN (Python's max drops it): a residual with no
         # value fails
-        **{f"{law}_max": float(resid[law].max()) for law in laws},
+        **{law: float(values.max()) for law, values in resid.items()},
         tol=tol,
         cells_checked=len(s0.keys) + len(s1.keys) + len(s2.keys),
     )

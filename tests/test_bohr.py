@@ -167,22 +167,40 @@ def test_a_tie_takes_the_lower_multiple():
     assert got == list(map(nearest_multiple, actions))
 
 
-def _oracle_rows(rep) -> list:
-    """A census report's leaf rows by the scalar formulas, from its columns."""
+def _located(labels: list, actions: list, flux: list) -> list:
+    """Whether the census locates each sampled leaf, by its rule in scalar
+    form, for a census that takes no refinement round: the actions, in
+    label order, are unwrapped by the trapezoid rule on the flux A', and a
+    leaf is located when r, its unwrapped action U less the nearest
+    multiple of 2 pi, lies within ROUNDING (|U| + |c A'(c)|)."""
+    n, located = 0.0, []
+    for i, (c, a, f) in enumerate(zip(labels, actions, flux)):
+        if i:
+            step = (a - actions[i - 1]) - 0.5 * (f + flux[i - 1]) * (c - labels[i - 1])
+            n -= round(step / TWO_PI)
+        u = a + TWO_PI * n
+        r = a + TWO_PI * (n - round(u / TWO_PI))
+        located.append(abs(r) <= bohr.ROUNDING * (abs(u) + abs(c * f)))
+    return located
 
-    def row(c, topology, hol, action):
+
+def _oracle_rows(rep, located: list) -> list:
+    """A census report's leaf rows by the scalar formulas, from its columns;
+    located says which sampled circle leaves are BS."""
+
+    def row(c, topology, hol, action, is_bs):
         h = HolonomyResult.of(hol, action)
         return {"label": c, "topology": topology, "singular": topology == "point",
-                "is_bs": abs(h.residual) < rep.tol, "holonomy": [hol.real, hol.imag],
+                "is_bs": is_bs, "holonomy": [hol.real, hol.imag],
                 "phase": h.phase, "action": action, "nearest_multiple": h.nearest_multiple,
                 "residual": h.residual}
 
     return (
-        [row(c, "circle", h, a) for c, h, a in
-         zip(rep.labels.tolist(), rep.holonomies.tolist(), rep.actions.tolist())]
+        [row(c, "circle", h, a, bs) for c, h, a, bs in
+         zip(rep.labels.tolist(), rep.holonomies.tolist(), rep.actions.tolist(), located)]
         + [{"label": c, "topology": "line", "singular": False, "is_bs": not rep.lines_excluded}
            for c in rep.lines]
-        + [row(c, "point", 1.0 + 0.0j, 0.0) for c, _ in rep.points]
+        + [row(c, "point", 1.0 + 0.0j, 0.0, True) for c, _ in rep.points]
     )
 
 
@@ -212,22 +230,92 @@ def test_census_rows_are_the_scalar_formulas_of_its_columns(models, name, params
     exm = models(name, **params)
     pol = exm.polarization()
     crange = crange or exm.census_range
-    rep = bs_census(exm.cover, pol, crange, 33, include_lines=include_lines)
+    rep, counts = _counted_census(exm.cover, pol, crange, 33, include_lines=include_lines)
+    assert counts["census_refinements"] == 0  # as _located asks
     # the columns are the holonomy batch of the sampled labels, read-only
     atlas = LeafAtlas(exm.cover, pol)
     labels, leaves, points = enumerate_leaves(atlas, crange, 33)
     closed = pol.leaf_period is not None
-    actions, hols = holonomy(LeafTransport(exm.cover, pol), leaves if closed else atlas.leaves([]))
+    transport = LeafTransport(exm.cover, pol)
+    actions, hols = holonomy(transport, leaves if closed else atlas.leaves([]))
     assert rep.labels.tobytes() == (labels if closed else actions).tobytes()
     assert rep.lines == (() if closed else tuple(labels.tolist()))
     assert rep.actions.tobytes() == actions.tobytes()
     assert rep.holonomies.tobytes() == hols.tobytes()
     assert rep.points == tuple(points)
-    for column in (rep.labels, rep.actions, rep.holonomies):
+    for column in (rep.labels, rep.actions, rep.holonomies, rep.is_bs):
         assert not column.flags.writeable
+    circles = rep.labels.tolist()
+    located = _located(circles, rep.actions.tolist(), transport.flux(rep.labels).tolist())
+    assert rep.is_bs.dtype == bool and rep.is_bs.tolist() == located
     leaves = rep.as_dict()["leaves"]
     assert len(leaves) == len(labels) + len(points)
-    assert _typed_bits(leaves) == _typed_bits(_oracle_rows(rep))
+    assert _typed_bits(leaves) == _typed_bits(_oracle_rows(rep, located))
+
+
+def _torus_windows(k: int) -> list:
+    """The (window, count) pairs of the torus census tests: period windows
+    at three offsets and three counts, and for k <= 4 wider windows."""
+    windows = [((lo, lo + TWO_PI), count) for count in (24, 48, 96)
+               for lo in (0.0, 0.37 * TWO_PI / k, 1.9)]
+    if k <= 4:
+        windows += [((lo, lo + periods * TWO_PI), int(12 * k * periods) + 3)
+                    for periods in (1.5, 2.0, 2.5, 3.2)
+                    for lo in (-7.0, 0.0, 0.3 * TWO_PI / k, 2.9)]
+    return windows
+
+
+@pytest.mark.parametrize("name,params,windows", [
+    *(("torus", {"k": k}, _torus_windows(k)) for k in range(1, 9)),
+    ("cylinder", {}, [((-2.5, 2.5), 33), ((-1.7, 1.9), 33), ((-3.2, 0.45), 33),
+                      ((-2.5, 2.5), 11), ((-1.2, 1.2), 11)]),
+    ("cylinder", {"p_max": 1000003.5}, [((999999.5, 1000002.5), 7)]),
+    *(("sphere", {"k": k}, [((0.3, k - 0.25), 4 * k + 9), ((0.45, k - 0.6), 4 * k + 9)])
+      for k in range(2, 7)),
+    ("sphere", {"k": 2}, [((0.25, 1.75), 13)]),
+    ("disk", {}, [((0.25, 4.87), 33)]),
+])
+def test_a_sampled_leaf_is_bs_exactly_where_the_census_locates_it(models, name, params,
+                                                                    windows):
+    # below labels of 10^6 a located sample is its own location, so the BS
+    # rows are the sampled labels that are a location, up to whole periods
+    exm = models(name, **params)
+    pol = exm.polarization()
+    period = pol.label_range[1] - pol.label_range[0] if pol.label_periodic else None
+    for crange, count in windows:
+        rep = bs_census(exm.cover, pol, crange, count)
+        located = [any(abs(math.remainder(c - u, period) if period else c - u) < 1e-9
+                       for u in rep.bs_locations) for c in rep.labels.tolist()]
+        assert rep.is_bs.tolist() == located, (crange, count)
+
+
+@pytest.mark.parametrize("name,params,crange,count", [
+    ("cylinder", {"p_max": 10000000003.0}, (1e10, 10000000002.0), 3),
+    ("cylinder", {"p_max": 1e13 + 4.0}, (1e13, 1e13 + 3.0), 301),
+    ("torus", {"k": 3}, (TWO_PI * 1e12, TWO_PI * 1e12 + TWO_PI), 1001),
+])
+def test_a_sampled_location_of_a_far_label_is_bs(models, name, params, crange, count):
+    # far out several samples in a row can be located at one multiple: each
+    # is BS, and the one with the least residual is the location
+    exm = models(name, **params)
+    rep = bs_census(exm.cover, exm.polarization(), crange, count)
+    bs = rep.labels[rep.is_bs].tolist()
+    assert {c for c in rep.labels.tolist() if c in rep.bs_locations} <= set(bs)
+    assert len(bs) >= rep.q_bs_smooth
+
+
+def test_bs_rows_read_the_census_verdict_at_far_labels(capsys):
+    # |residual| at 1e10 is about 1e-6, far above a tolerance of 1e-8 and
+    # within the action's rounding: the census locates all three samples,
+    # and their rows say so
+    argv = ["bs", "--example", "cylinder", "--range", "1e10:10000000002", "--count", "3",
+            "--json"]
+    assert main(argv) == 0
+    census = json.loads(capsys.readouterr().out)["payload"]["census"]
+    assert census["q_bs"] == 3
+    assert census["bs_locations"] == [1e10, 10000000001.0, 10000000002.0]
+    assert [r["is_bs"] for r in census["leaves"]] == [True, True, True]
+    assert "tol" not in census
 
 
 def test_an_empty_batch_gives_float_actions_and_complex_holonomies(models, capsys):
@@ -256,7 +344,7 @@ def test_census_rows_follow_the_scalar_formulas_on_edge_actions(models):
                for d in (-1.5e-9, -1e-9, -5e-10, 0.0, 5e-10, 1e-9, 1.5e-9)]
     actions += [math.pi * (1 + e) for e in (-2.0**-52, 2.0**-52)]
     # an action whose x - floor(x) is 0.5 + 1e-9 exactly, the last of a
-    # tie, and one whose phase is exactly tol, 1e-8, so not BS
+    # tie, and one whose phase is exactly 1e-8
     edge = len(actions)
     actions += [3.141592659872978, -1e-8]
     actions += [-0.3, -TWO_PI, -7.5, -1e-300, -0.0, 0.0, 1e-12, -1e-12]
@@ -265,17 +353,18 @@ def test_census_rows_follow_the_scalar_formulas_on_edge_actions(models):
              complex(-1.0, -1e-17), complex(1.0, -0.0), complex(0.0, -0.0)]
     actions += [math.pi, -math.pi, 3 * math.pi, -3 * math.pi, -0.0, 0.0]
     n = len(actions)
+    located = [i % 3 == 0 for i in range(n)]  # the rows echo the census's column
     synthetic = rep._replace(labels=np.linspace(0.0, 1.0, n), actions=np.array(actions),
-                             holonomies=np.array(hols))
+                             holonomies=np.array(hols), is_bs=np.array(located))
     leaves = synthetic.as_dict()["leaves"]
-    assert _typed_bits(leaves) == _typed_bits(_oracle_rows(synthetic))
+    assert _typed_bits(leaves) == _typed_bits(_oracle_rows(synthetic, located))
     phases = [r["phase"] for r in leaves[n - 6 : n - 2]]
     assert phases == [-math.pi] * 4
     assert all(r["phase"] == -r["residual"] for r in leaves)
     # pi less or plus 2 pi d: the tie holds to d = 5e-10, not at 1.5e-9
     assert [leaves[i]["nearest_multiple"] for i in (0, 1, 2, 3, 4, 6)] == [0] * 5 + [1]
     assert leaves[edge]["nearest_multiple"] == 0
-    assert leaves[edge + 1]["phase"] == rep.tol and not leaves[edge + 1]["is_bs"]
+    assert leaves[edge + 1]["phase"] == 1e-8
 
 
 def test_tie_leaves_report_residual_plus_pi(models):
@@ -1134,8 +1223,10 @@ def test_census_builds_no_per_row_record(models, monkeypatch, name, params, cran
     assert counts["root_holonomy_evaluations"] > 0 or counts["census_refinements"] > 0
     assert made == {"Leaf": 0, "Entry": 0}
     # the sampled leaves are columns; the rest of the report holds no record
-    columns = (rep.labels, rep.actions, rep.holonomies)
+    columns = (rep.labels, rep.actions, rep.holonomies, rep.is_bs)
     assert all(type(c) is np.ndarray and c.shape == (count,) for c in columns)
+    # each sample's verdict reaches its own row, past the refinement midpoints
+    assert rep.is_bs.tolist() == [c in rep.bs_locations for c in rep.labels.tolist()]
     assert rep.lines == () and len(rep.points) == rep.q_bs_singular
     for field in rep[len(columns):]:
         assert isinstance(field, (int, float, tuple)) and not hasattr(field, "_fields")
@@ -1158,6 +1249,50 @@ def test_census_counts_each_leaf_once_on_wide_periodic_windows(models, k):
             phases = np.sort(np.mod(np.array(rep.bs_locations) * k / TWO_PI, k))
             assert np.allclose(phases, np.round(phases), atol=1e-8)
             assert len(set(np.round(phases).astype(int) % k)) == k
+
+
+def _one_per_leaf_by_scan(locations: list, period) -> tuple:
+    """The reference of bohr._one_per_leaf: every location in label order,
+    kept unless it is one leaf with a location kept before it."""
+
+    def same_leaf(c, u):
+        gap = math.remainder(c - u, period) if period else c - u
+        return abs(gap) < bohr._label_slack(c, u)
+
+    kept = []
+    for c in sorted(locations):
+        if not any(same_leaf(c, u) for u in kept):
+            kept.append(c)
+    return tuple(kept)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_one_location_per_leaf_keeps_what_the_scan_keeps(seed):
+    # leaves well apart, each located 1-3 times, shifted by whole periods
+    # (on a periodic label) and jittered within the label slack; a leaf at
+    # offset 0 has copies on both sides of the period's end
+    rng = np.random.default_rng(seed)
+    for period in (TWO_PI, None):
+        base = float(rng.choice([0.0, -50.0, 1e3, 1e6]))
+        width = period or 40.0
+        offsets = width / 500 * np.sort(rng.choice(500, size=rng.integers(1, 30), replace=False))
+        locations = []
+        for offset in offsets.tolist():
+            for _ in range(rng.integers(1, 4)):
+                c = base + offset + (rng.integers(-2, 3) * period if period else 0.0)
+                locations.append(c + rng.uniform(-0.25, 0.25) * bohr._label_slack(c, c))
+        rng.shuffle(locations)
+        want = _one_per_leaf_by_scan(locations, period)
+        assert len(want) == len(offsets)
+        assert bohr._one_per_leaf(locations, period) == want
+
+
+def test_census_of_a_torus_of_many_leaves_locates_each_once(models):
+    k = 2000
+    exm = models("torus", k=k)
+    rep = bs_census(exm.cover, exm.polarization(), exm.census_range, 5)
+    assert rep.q_bs == k
+    assert np.allclose(rep.bs_locations, TWO_PI * np.arange(k) / k, atol=1e-8, rtol=0)
 
 
 # ---------------------------------------------------------------------------

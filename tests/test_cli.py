@@ -87,7 +87,7 @@ def test_bs_line_census_threads_no_leaf(capsys, granularity, polarization):
              for c in (-3.5, 0.0, 3.5)]
     assert code == 0 and report["payload"] == {
         "census": {"bs_locations": [], "leaves": lines, "lines_excluded": 0, "q_bs": 3,
-                   "q_bs_singular": 0, "q_bs_smooth": 0, "tol": 1e-08},
+                   "q_bs_singular": 0, "q_bs_smooth": 0},
         "range": [-3.5, 3.5],
     }
     assert report["timing"]["counters"]["leaf_patterns"] == 0
@@ -342,6 +342,18 @@ def test_config_echo_lists_the_settings_the_command_reads(capsys, argv):
     if argv[0] == "bs":
         assert report["config"]["range"] == [-1.0, 1.0]
         assert not {"grid", "max_degree", "rank_tol", "seed", "verify"} & set(report["config"])
+
+
+def test_only_check_and_act_read_tol(capsys):
+    # the census decides is_bs by its own rule, so --tol is the law
+    # tolerance of check and act alone
+    code, out, err = run_cli(capsys, "bs", "--example", "torus", "--tol", "1e-6")
+    assert (code, out, err) == (2, "", "config error: bs does not read --tol\n")
+    for argv in (("check", "--example", "torus"),
+                 ("act", "--example", "torus", "--k", "2", "--map", "translate:pi,0",
+                  "--verify", "thm2", "--count", "8")):
+        code, report = run_json(capsys, *argv, "--tol", "1e-6")
+        assert code == 0 and report["config"]["tol"] == 1e-6, argv
 
 
 _ACT_ECHO = {"command", "example", "k", "granularity", "p_max", "corrupt",
