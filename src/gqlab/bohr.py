@@ -13,7 +13,7 @@ Leaves come from a LeafAtlas, which threads each membership pattern (the
 set of elements a leaf crosses) once and hands a batch of labels back as
 flat Leaves columns, leaf after leaf in the order of the labels.
 leaf_actions reads them and returns every label's action, in that order,
-from one transport quadrature call and one transition call, summed leaf by
+from one transport call and one transition call, summed leaf by
 leaf by np.bincount; holonomy adds the holonomies, a modulus times
 exp(-i action).  The census's one holonomy batch, its sampled leaves, is
 the columns its report derives each field from, beside the census's own
@@ -294,7 +294,7 @@ def leaf_actions(transport: LeafTransport, leaves: Leaves) -> tuple:
     of its labels, on transport's cover and polarization, and what holonomy
     reads besides: the segment integrals, the switch transitions, and the
     leaf of each, segments then switches.  One integral call takes the
-    distinct segments, one transition call the switches between two
+    segments, one transition call the switches between two
     elements (one within an element is 1).  An action is the real integrals
     less the turns (math.atan2: np.arctan2 can round otherwise), summed by
     np.bincount in input order from 0.0, as one leaf's loop adds them
@@ -532,8 +532,9 @@ def bs_census(
     is located.  Neighbours located at one multiple are one location, the
     one with the least |r|.  A step brackets each multiple above the lower
     of its turns up to the higher one, unless an end is located at it;
-    _crossings locates the root to 1e-12 in the label.  A crossing of -1
-    opens nothing.  Locations a period apart are one leaf (_one_per_leaf).
+    _crossings locates the root to 1e-12 in the label, and a sample that
+    it closes on is located.  A crossing of -1 opens nothing.  Locations a
+    period apart are one leaf (_one_per_leaf).
     Point leaves (declared singular points) are BS with trivial holonomy.
     Noncompact line leaves are excluded from the count unless include_lines
     is set (they all admit covariantly constant sections); a line leaf is
@@ -541,7 +542,7 @@ def bs_census(
 
     The census threads on one LeafAtlas, so each membership pattern is
     threaded once.  The sampled leaves take one holonomy batch, with at
-    most one transport quadrature call and one transition call.  A
+    most two transport quadrature calls and one transition call.  A
     refinement round and a root step read one leaf_actions batch each, a
     step for every bracket still open; on a near-linear action the first
     step, two labels either side of each secant estimate, closes all
@@ -603,10 +604,6 @@ def bs_census(
     m = np.round(unwrapped / TWO_PI)
     r = rows[:, 1] + TWO_PI * (branches - m)
     at = np.abs(r) <= ROUNDING * size
-    is_bs = np.zeros(len(actions), dtype=bool)  # a sample is BS where it is located
-    sampled = rows[:, 3] >= 0.0
-    is_bs[rows[sampled, 3].astype(int)] = at[sampled]
-    is_bs.flags.writeable = False
     c, a, n, m, k = (x.tolist() for x in (rows[:, 0], rows[:, 1], branches, m, m - (r < 0.0)))
     located = []  # (|r|, label): at large labels neighbours share a location
     for i in np.flatnonzero(at).tolist():
@@ -632,6 +629,12 @@ def bs_census(
         return leaf_actions(transport, atlas.leaves(labels))[0].tolist()
 
     locations = [c for _, c in located] + _crossings(brackets, actions_at)
+    ended = set(locations)  # a root search may close on a sample: it is located too
+    at[[i for i, x in enumerate(c) if x in ended]] = True
+    is_bs = np.zeros(len(actions), dtype=bool)  # a sample is BS where it is located
+    sampled = rows[:, 3] >= 0.0
+    is_bs[rows[sampled, 3].astype(int)] = at[sampled]
+    is_bs.flags.writeable = False
     if closes:  # the closing step's locations, back into the window
         locations = [c - period if c >= crange[1] else c for c in locations]
     unique = _one_per_leaf(locations, period)

@@ -6,8 +6,9 @@ the element; the discretization stores exactly those values on a shared
 transversal grid of leaf labels.  The differential, the alternating sum
 of the lambda-weighted restrictions to each cell from its faces, acts on
 these per-leaf values, with parallel-transport factors supplied by
-adaptive quadrature of the connection potential along the leaf: the
-transport integrals of one call share one quadrature loop.
+adaptive quadrature of the connection potential along the leaf, or its
+closed form where the potential does not vary along it: the transport
+integrals of one call share at most two quadrature calls.
 
 The grid keeps, per nerve degree, one column per quantity over the
 degree's (cell, label) entries, cell after cell in the nerve's row order
@@ -21,9 +22,8 @@ leaves a leaf, so the differential is one dense block per leaf label
 (LeafBlocks), and its singular values, from which the Čech ranks come,
 are the union of the blocks' (docs/conventions.md, "Ranks").  The grid's
 build computes the entries of every degree in one pass: their leaf
-segments gathered from per-degree frame tables, one transport call (one
-quadrature loop) for the entries of all degrees, so a segment two degrees
-share is integrated once, and one transition call for all of them (one
+segments gathered from per-degree frame tables, one transport call for
+the entries of all degrees, and one transition call for all of them (one
 evaluator run per distinct transition formula); then it stacks each
 degree's entries into its blocks, and keeps only the blocks.  They are
 the one implementation of the differential, which delta_matrix hands
@@ -152,11 +152,10 @@ class TransversalGrid(NamedTuple):
         without coefficients builds none; the entries of every degree are
         gathered from the tables, their transitions are one
         cover.transition call and their transport integrals one
-        LeafTransport.integral call, so a segment that two degrees share is
-        integrated once, and each degree's entries are stacked into its
-        blocks.  A degree whose open face lacks a label its cell carries
-        keeps that label in missing, for delta_matrix to raise, and no
-        blocks.  Counts the blocks (leaf_blocks)."""
+        LeafTransport.integral call, and each degree's entries are stacked
+        into its blocks.  A degree whose open face lacks a label its cell
+        carries keeps that label in missing, for delta_matrix to raise, and
+        no blocks.  Counts the blocks (leaf_blocks)."""
         n_labels = len(labels)
         transport = LeafTransport(cover, polarization)
         orders, tables = [], []

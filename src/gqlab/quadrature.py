@@ -54,13 +54,13 @@ def integrate(f, a, b):
 
     a and b broadcast to a common (m,) shape.  f maps an (m, k) array of
     nodes, row r on row r's own subintervals, to the (m, k) complex values
-    of the rows there.  Tolerance is absolute-plus-relative: a row is
-    accepted on a subinterval when its Gauss and Kronrod estimates agree,
-    |K15 - G7| <= 1e-12 (1 + |K15|), and there it adds K15; the
-    subintervals on which any row is still open are bisected.  Once a row
-    is accepted on a subinterval, its later values there are never added,
-    checked or split on, and a row with a == b starts accepted with
-    integral 0.  Accepted estimates are added left to right in bisection
+    of the rows there, or to (m, 1) values v if each row is constant: row
+    r is then v[r] (b[r] - a[r]).  A row is accepted on a subinterval when
+    its Gauss and Kronrod estimates agree, |K15 - G7| <= 1e-12 (1 + |K15|),
+    and there it adds K15; subintervals where any row is open are bisected.
+    Once accepted on a subinterval, a row's later values there are never
+    added, checked or split on; a row with a == b starts accepted with
+    integral +0.  Accepted estimates are added left to right in bisection
     order.  A non-finite estimate of an open row raises QuadratureError at
     once, and so does a row still open after 24 bisections.
     """
@@ -79,15 +79,18 @@ def integrate(f, a, b):
         mids, halfs = 0.5 * (los + his), 0.5 * (his - los)
         nodes = mids[:, :, None] + halfs[:, :, None] * _X
         vals = np.asarray(f(nodes.reshape(m, 15 * n)), dtype=np.complex128)
-        vals = vals.reshape(m, n, 15)
-        # summed elementwise: a matrix product rounds by batch shape
-        g7 = halfs * (vals[:, :, :7] * _W7).sum(-1)
-        k15 = halfs * (vals * _WK).sum(-1)
+        if constant := vals.shape == (m, 1):  # each row is v (b - a), in closed form
+            k15 = np.where(active, vals, 0.0) * (his - los)
+        else:  # summed elementwise: a matrix product rounds by batch shape
+            g7 = halfs * (vals.reshape(m, n, 15)[:, :, :7] * _W7).sum(-1)
+            k15 = halfs * (vals.reshape(m, n, 15) * _WK).sum(-1)
         if not np.isfinite(k15).all():  # the open rows' estimates must be finite
             bad = active & ~np.isfinite(k15)
             if bad.any():
                 j, r = divmod(int(np.flatnonzero(bad.T)[0]), m)
                 raise QuadratureError(f"non-finite estimate on [{los[r, j]}, {his[r, j]}]")
+        if constant:
+            return sign * k15[:, 0]
         err = np.abs(k15 - g7)
         keep = (err <= 1e-12 * (1.0 + np.abs(k15))) & active  # accepted here
         # each row's sum runs left to right from its total; the zeros of rows

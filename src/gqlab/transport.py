@@ -11,16 +11,18 @@ potentials as formulas and is paired with the pushforward polarization,
 whose curve is the preimage of the source curve, so it needs no other
 integrand.  Every call works on a batch of entries, each a leaf segment
 (element, t0, t1) and a label, as holonomies and the differential need
-them: integral tells the call's entries apart by their bits and
-integrates the distinct ones in one quadrature call, one row per entry,
-each row bit for bit its one-entry batch.  It keeps no integral between
-calls, so a result never depends on what was asked before.  flux gives
-the label derivative of the leaf action, the census's prediction of how
-far the action steps between two labels.  Both count their quadrature
-calls (transport_batches) and the rows integrated (transport_integrals).
+them: integral integrates every live entry, one row each and bit for bit
+its one-entry batch, those whose integrand does not read t in closed form
+(transport_exact).  It keeps no integral between calls, so a result never
+depends on what was asked before.  flux gives the label derivative of the
+leaf action, the census's prediction of how far the action steps between
+two labels.  Both count their quadrature calls (transport_batches) and
+the rows integrated (transport_integrals).
 """
 
 from __future__ import annotations
+
+from functools import partial
 
 import numpy as np
 
@@ -33,21 +35,33 @@ def _runner(prog: program.Program):
     """run(cs, ts) of a program over ("c", "t"): its values at the labels cs
     and the nodes ts, an array (len(cs), k) of each label's nodes or k
     nodes shared by all labels, as a (len(cs), k) array; a program that
-    does not read t (by its reads) is evaluated once per label, its t
-    column unread, and that value stands at every node.  The columns go to
+    does not read t (by its reads; run.along) is evaluated once per label,
+    its t column unread, as the one column (len(cs), 1).  The columns go to
     the evaluator as real arrays, which it casts into its rows as it loads
     them, without the copies that adding 0j would allocate."""
 
     along = "t" in prog.reads
 
     def run(cs: np.ndarray, ts: np.ndarray) -> np.ndarray:
-        shape = (len(cs), np.shape(ts)[-1])
         if not along:
-            return np.broadcast_to(kernels.evaluate(prog, {"c": cs, "t": cs})[:, None], shape)
+            return kernels.evaluate(prog, {"c": cs, "t": cs})[:, None]
+        shape = (len(cs), np.shape(ts)[-1])
         columns = {"c": np.repeat(cs, shape[1]), "t": np.broadcast_to(ts, shape).ravel()}
         return kernels.evaluate(prog, columns).reshape(shape)
 
+    run.along = along
     return run
+
+
+def _values(runs: list, cs: np.ndarray, ts: np.ndarray) -> np.ndarray:
+    """integrate's f on rows at the labels cs and the nodes ts: each (run,
+    its rows) of runs evaluated once, on its rows; all read t or none does."""
+    if len(runs) == 1:  # every row: no copies of rows
+        return runs[0][0](cs, ts)
+    vals = np.empty((len(cs), ts.shape[1] if runs[0][0].along else 1), dtype=np.complex128)
+    for run, r in runs:
+        vals[r] = run(cs[r], ts[r])
+    return vals
 
 
 class LeafTransport:
@@ -55,16 +69,17 @@ class LeafTransport:
         self.cover = cover
         self.polarization = polarization
         self._integrands: dict = {}  # member, potential and program -> run
-        self._flux = None  # the flux integrand's program, and its run
-        trace.count("transport_integrals", 0)  # 0 until it integrates
-        trace.count("transport_batches", 0)
+        self._flux = None  # the flux integrand's run
+        for name in ("transport_integrals", "transport_batches", "transport_exact"):
+            trace.count(name, 0)  # 0 until it integrates
 
     def integrand(self, member: int):
         """run(cs, ts): theta_member(leaf'(t)) at the labels cs and the
         nodes ts, an array (len(cs), k) of each label's nodes or k nodes
-        shared by all labels; returns (len(cs), k) values.  The integrand
-        of each distinct potential is composed and compiled once, and
-        members whose integrands are one formula share one run."""
+        shared by all labels; returns (len(cs), k) values, or (len(cs), 1)
+        if it does not read t.  The integrand of each distinct potential is
+        composed and compiled once, and members whose integrands are one
+        formula share one run."""
         memo = self._integrands
         run = memo.get(member)
         if run is not None:
@@ -97,12 +112,10 @@ class LeafTransport:
                 ex.mul(ex.differentiate(x, "c"), ex.differentiate(y, "t")),
                 ex.mul(ex.differentiate(y, "c"), ex.differentiate(x, "t")),
             )
-            prog = program.compile_expr(ex.mul(w, jac), ("c", "t"))
-            self._flux = (prog, _runner(prog))
-        prog, run = self._flux
-        cs = np.asarray(labels, dtype=float)
+            self._flux = _runner(program.compile_expr(ex.mul(w, jac), ("c", "t")))
+        run, cs = self._flux, np.asarray(labels, dtype=float)
         period = self.polarization.leaf_period
-        if "t" not in prog.reads:
+        if not run.along:
             return period * run(cs, np.zeros(1))[:, 0].real
         trace.count("transport_integrals", len(cs))
         trace.count("transport_batches")
@@ -114,50 +127,32 @@ class LeafTransport:
         frame.  The four arguments are equal-length sequences, one column
         each.
 
-        An empty segment gives 0 without quadrature.  The live entries are
-        told apart by their bits (so -0.0 and 0.0 are two entries): a stable
-        np.lexsort of their int64 bit patterns puts equal rows together,
-        first appearance first.  The distinct ones, in order of first
-        appearance, go to one quadrature call, one row each, in which every
-        distinct integrand is evaluated once per bisection level on the rows
-        of the elements it belongs to, once per label if it does not read t.
-        Nothing is kept between calls.
+        An empty segment gives 0.  The live entries go to at most two
+        quadrature calls, one row each: first those whose integrand does
+        not read t, in closed form, so a row's path and bits depend on its
+        own integrand alone.  A call evaluates each distinct integrand once
+        per bisection level, on its elements' rows.  Nothing is kept.
         """
-        rows = np.empty((len(t0), 4))
-        rows[:, 0], rows[:, 1], rows[:, 2], rows[:, 3] = elements, labels, t0, t1
-        out = np.zeros(len(rows), dtype=np.complex128)
-        live = np.flatnonzero(rows[:, 2] != rows[:, 3])  # an empty segment is 0
+        t0, t1 = np.asarray(t0, dtype=float), np.asarray(t1, dtype=float)
+        out = np.zeros(len(t0), dtype=np.complex128)
+        live = np.flatnonzero(t0 != t1)  # an empty segment is 0
         if not live.size:
             return out
-        bits = rows[live].view(np.int64)
-        order = np.lexsort(bits.T)
-        ranked = bits[order]
-        starts = np.concatenate([[True], (ranked[1:] != ranked[:-1]).any(axis=1)])  # run starts
-        first, heads = np.zeros(len(order), dtype=bool), order[starts]
-        first[heads] = True
-        at = np.empty_like(order)  # each live row's place among the first appearances
-        at[order] = (first.cumsum() - 1)[heads][starts.cumsum() - 1]
-        new = rows[live[first]]
-        members, cs = new[:, 0].astype(int), new[:, 1]
-        # one run per distinct integrand, on the rows of every element
-        # whose integrand it is
-        shared: dict = {}  # run -> its number
+        members = np.asarray(elements, dtype=int)[live]
+        cs, t0, t1 = np.asarray(labels, dtype=float)[live], t0[live], t1[live]
+        shared: dict = {}  # each distinct integrand's run -> its number
         number = np.zeros(members.max() + 1, dtype=int)  # by member
         for member in sorted(set(members.tolist())):
-            run = self.integrand(member)
-            number[member] = shared.setdefault(run, len(shared))
+            number[member] = shared.setdefault(self.integrand(member), len(shared))
         row_run = number[members]
-        runs = [(run, np.flatnonzero(row_run == j)) for run, j in shared.items()]
-
-        def f(ts):
-            if len(runs) == 1:  # every row: no copies of rows
-                return runs[0][0](cs, ts)
-            vals = np.empty(ts.shape, dtype=np.complex128)
-            for run, r in runs:
-                vals[r] = run(cs[r], ts[r])
-            return vals
-
-        trace.count("transport_integrals", len(new))
-        trace.count("transport_batches")
-        out[live] = integrate(f, new[:, 2], new[:, 3])[at]
+        along = np.array([run.along for run in shared])[row_run]
+        trace.count("transport_integrals", len(live))
+        trace.count("transport_exact", int((~along).sum()))
+        for reads_t in (False, True):  # the rows in closed form first
+            rows = np.flatnonzero(along == reads_t)
+            runs = [(run, np.flatnonzero(row_run[rows] == j))
+                    for run, j in shared.items() if run.along == reads_t]
+            if runs:
+                trace.count("transport_batches")
+                out[live[rows]] = integrate(partial(_values, runs, cs[rows]), t0[rows], t1[rows])
         return out

@@ -265,7 +265,7 @@ def _torus_windows(k: int) -> list:
     return windows
 
 
-@pytest.mark.parametrize("name,params,windows", [
+_WINDOWS = [  # (model, params, [(window, count)]) of the census windows below
     *(("torus", {"k": k}, _torus_windows(k)) for k in range(1, 9)),
     ("cylinder", {}, [((-2.5, 2.5), 33), ((-1.7, 1.9), 33), ((-3.2, 0.45), 33),
                       ((-2.5, 2.5), 11), ((-1.2, 1.2), 11)]),
@@ -274,7 +274,10 @@ def _torus_windows(k: int) -> list:
       for k in range(2, 7)),
     ("sphere", {"k": 2}, [((0.25, 1.75), 13)]),
     ("disk", {}, [((0.25, 4.87), 33)]),
-])
+]
+
+
+@pytest.mark.parametrize("name,params,windows", _WINDOWS)
 def test_a_sampled_leaf_is_bs_exactly_where_the_census_locates_it(models, name, params,
                                                                     windows):
     # below labels of 10^6 a located sample is its own location, so the BS
@@ -316,6 +319,34 @@ def test_bs_rows_read_the_census_verdict_at_far_labels(capsys):
     assert census["bs_locations"] == [1e10, 10000000001.0, 10000000002.0]
     assert [r["is_bs"] for r in census["leaves"]] == [True, True, True]
     assert "tol" not in census
+
+
+@pytest.mark.parametrize("name,params,windows", _WINDOWS + [
+    ("cylinder", {}, [((1e-13, 3.0000000000001), 4)]),
+    ("cylinder", {"p_max": 10000000003.0}, [((1e10, 10000000002.0), 3)]),
+    ("cylinder", {"p_max": 1e13 + 4.0}, [((1e13, 1e13 + 3.0), 301)]),
+    ("torus", {"k": 3}, [((TWO_PI * 1e12, TWO_PI * 1e12 + TWO_PI), 1001)]),
+    *(("torus", {"k": k}, [((0.0, TWO_PI), 24)]) for k in (1, 2, 3)),
+])
+def test_a_sampled_label_among_the_locations_is_bs(models, name, params, windows):
+    # whether its rounding locates it or a root search closes on it
+    exm = models(name, **params)
+    for crange, count in windows:
+        rep = bs_census(exm.cover, exm.polarization(), crange, count)
+        found = set(rep.bs_locations)
+        assert all(bs for c, bs in zip(rep.labels.tolist(), rep.is_bs.tolist()) if c in found)
+
+
+def test_a_root_search_that_closes_on_a_sample_makes_its_row_bs(capsys):
+    # each integer crossing lies 1e-13 below a sample: the root search
+    # closes on the sample, whose |residual| 6.3e-13 is within the search's
+    # 1e-12 and above the sample's rounding
+    argv = ["bs", "--example", "cylinder", "--range", "0.0000000000001:3.0000000000001",
+            "--count", "4", "--json"]
+    assert main(argv) == 0
+    census = json.loads(capsys.readouterr().out)["payload"]["census"]
+    assert census["bs_locations"] == [1.0000000000001, 2.0000000000001, 3.0000000000001]
+    assert [r["is_bs"] for r in census["leaves"]] == [False, True, True, True]
 
 
 def test_an_empty_batch_gives_float_actions_and_complex_holonomies(models, capsys):
@@ -1869,8 +1900,9 @@ def test_census_root_and_refinement_steps_form_no_complex_holonomy(
 
 
 def test_an_integrand_that_does_not_read_t_is_evaluated_once_per_label(models, monkeypatch):
-    # its one value per label is, bit for bit, what the program gives at
-    # every node; an integrand that reads t is evaluated at every node
+    # its one value per label, a column of its own, is bit for bit what the
+    # program gives at every node; an integrand that reads t is evaluated
+    # at every node
     cases = [(name, models(name, **params)) for name, params in
              [("torus", {"k": 3}), ("cylinder", {}), ("sphere", {"k": 4}), ("disk", {})]]
     cases = [(name, exm.cover, exm.polarization()) for name, exm in cases]
@@ -1899,8 +1931,9 @@ def test_an_integrand_that_does_not_read_t_is_evaluated_once_per_label(models, m
                 patch.setattr(kernels, "evaluate", counting)
                 got = run(cs, ts)
             want = real(prog, {"c": np.repeat(cs, 15), "t": ts.ravel()})
-            assert got.shape == (4, 15) and got.tobytes() == want.reshape(4, 15).tobytes()
             reads_t = "t" in free_vars(integrand)
+            assert run.along == reads_t and got.shape == (4, 15 if reads_t else 1)
+            assert np.broadcast_to(got, (4, 15)).tobytes() == want.reshape(4, 15).tobytes()
             assert points == [60 if reads_t else 4], name
             along.add(reads_t)
     assert along == {True, False}

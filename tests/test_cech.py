@@ -10,8 +10,10 @@ import numpy as np
 import pytest
 
 from gqlab import catalog, trace
+from gqlab import expr as ex
+from gqlab import transport as transport_module
 from gqlab.action import build_complementary
-from gqlab.bohr import LeafAtlas, bs_census
+from gqlab.bohr import LeafAtlas, bs_census, enumerate_leaves
 from gqlab.cech import (
     LeafMismatchError,
     ResolutionError,
@@ -24,7 +26,8 @@ from gqlab.cech import (
     psi,
 )
 from gqlab.geometry import LeafFrame, pushforward_polarization
-from gqlab.prequantum import ConfigurationError, pullback
+from gqlab.prequantum import ConfigurationError, LocalData, TrivializationCover, pullback
+from gqlab.quadrature import integrate
 from gqlab.transport import LeafTransport
 
 from cells import (
@@ -464,10 +467,8 @@ def test_label_array_integral_matches_scalar_calls(models, kind):
         want = np.array([_one(scalar, member, c, t0, t1) for c in c_elem])
         assert vals.shape == c_elem.shape
         assert np.all(np.abs(vals - want) <= 1e-14 * np.maximum(1.0, np.abs(want)))
-    # each call integrates its distinct live entries once, in one
-    # quadrature call at most
-    rows = [len(set(c_elem.tolist())) if t0 != t1 else 0
-            for _, c_elem, t0, t1 in segments]
+    # each call integrates its live entries, in one quadrature call at most
+    rows = [len(c_elem) if t0 != t1 else 0 for _, c_elem, t0, t1 in segments]
     assert counts["transport_batches"] == sum(map(bool, rows)) <= len(segments)
     assert counts["transport_integrals"] == sum(rows) > len(segments)
     # a repeated call, and each of its entries as a batch of one, give the
@@ -505,37 +506,40 @@ def _entries(grid, seed):
 
 @pytest.mark.parametrize("kind", ["generic", "pullback"])
 def test_entry_integrals_group_by_segment(models, kind):
-    # shuffled entries with repeats: one quadrature row per distinct live
-    # entry, all of them in one quadrature call
+    # shuffled entries with repeats: one quadrature row per live entry, a
+    # repeated entry integrated again; the torus's integrands, and those of
+    # its translation's pullback, do not read t, so every row is taken in
+    # closed form, all of them in one quadrature call
     grid = _blocks_grid(models, "torus", {"k": 2}, kind)
     entries = _entries(grid, 5)
     segments = {(int(m), t0, t1) for m, t0, t1, _ in entries.tolist()}
+    live = int((entries[:, 1] != entries[:, 2]).sum())
     distinct = {(int(m), t0, t1, c) for m, t0, t1, c in entries.tolist() if t0 != t1}
-    assert len(segments) > 1 and len(distinct) < len(entries)
+    assert len(segments) > 1 and len(distinct) < live < len(entries)
 
     transport = LeafTransport(grid.cover, grid.polarization)
+    assert not any(transport.integrand(m).along for m, _, _ in segments)
+    counted = {"transport_integrals": live, "transport_exact": live, "transport_batches": 1}
     with trace.counting() as counts:
         got = transport.integral(*entries.T)
-    assert counts == {"transport_integrals": len(distinct), "transport_batches": 1}
+    assert counts == counted
     # every entry is its one-entry batch, bit for bit
     one = LeafTransport(grid.cover, grid.polarization)
     want = [_one(one, int(m), c, t0, t1) for m, t0, t1, c in entries.tolist()]
     assert got.view(float).tolist() == np.array(want).view(float).tolist()
-    # a second batch in another order integrates the same distinct entries
-    # once more, in one call, and gives the same bits
+    # a second batch in another order integrates every live entry once
+    # more, in one call, and gives the same bits
     with trace.counting() as counts:
         again = transport.integral(*entries[::-1].T)
         assert transport.integral([], [], [], []).shape == (0,)
     assert again.tobytes() == got[::-1].tobytes()
-    assert counts == {"transport_integrals": len(distinct), "transport_batches": 1}
-    # a batch with new entries makes one call, for every distinct entry
+    assert counts == counted
+    # a batch with new entries makes one call, for every live entry
     extra = entries[entries[:, 1] != entries[:, 2]][:3].copy()
     extra[:, 3] += 1e-3
     with trace.counting() as counts:
         more = transport.integral(*np.concatenate([entries, extra]).T)
-    added = {(int(m), t0, t1, c) for m, t0, t1, c in extra.tolist()} - distinct
-    assert added
-    assert counts == {"transport_integrals": len(distinct | added),
+    assert counts == {"transport_integrals": live + 3, "transport_exact": live + 3,
                       "transport_batches": 1}
     assert more[: len(entries)].tobytes() == got.tobytes()
 
@@ -552,17 +556,121 @@ def test_entry_integrals_do_not_depend_on_call_history(models, kind):
     transport.integral(*other.T)
     assert transport.integral(*entries.T).tobytes() == fresh.tobytes()
     assert transport.integral(*entries[::-1].T).tobytes() == fresh[::-1].tobytes()
-    # entries that differ only in the sign of a zero label are two rows
+    # entries that differ only in the sign of a zero label are each a row
     member, t0, t1 = entries[entries[:, 1] != entries[:, 2]][0, :3].tolist()
     with trace.counting() as counts:
         signed = transport.integral([member] * 3, [t0] * 3, [t1] * 3, [0.0, -0.0, 0.0])
-    assert counts == {"transport_integrals": 2, "transport_batches": 1}
-    assert signed[0] == signed[2]
+    assert counts == {"transport_integrals": 3, "transport_exact": 3, "transport_batches": 1}
+    assert signed[0].tobytes() == signed[2].tobytes()
     # an all-empty batch makes no quadrature call
     with trace.counting() as counts:
         empty = transport.integral(entries[:, 0], entries[:, 1], entries[:, 1],
                                    entries[:, 3])
     assert counts == {} and empty.tobytes() == bytes(16 * len(entries))
+
+
+def _loop_integrals(transport, elements, t0, t1, labels):
+    """transport.integral's rows, each by the Gauss-Kronrod loop: the one
+    column of an integrand that does not read t stands at every node."""
+    elements, cs = np.asarray(elements, dtype=int), np.asarray(labels, dtype=float)
+
+    def f(ts):
+        vals = np.empty(ts.shape, dtype=np.complex128)
+        for member in set(elements.tolist()):
+            r = np.flatnonzero(elements == member)
+            vals[r] = transport.integrand(member)(cs[r], ts[r])
+        return vals
+
+    return integrate(f, np.asarray(t0, dtype=float), np.asarray(t1, dtype=float))
+
+
+# each builtin model, with a cover that has face entries, and a map of
+# each of its specs
+_MAPPED = {
+    "plane": ({"granularity": 2}, ("identity", "shear", "rot:0.3", "translate:0.5,0.25")),
+    "cylinder": ({}, ("identity", "translate:1.5", "pshift:0.4")),
+    "torus": ({"k": 3}, ("identity", "translate:0.7,0.3")),
+    "sphere": ({"k": 2}, ("identity", "rot:1.0")),
+    "disk": ({}, ("identity", "rot:0.7")),
+}
+
+
+def _transport_batches(models):
+    """(case, transport, batches) on every builtin model and on its pullback
+    by each map spec: a census batch of sampled leaves and a grid's face
+    entries, each as (elements, t0, t1, labels) columns, those that are not
+    empty."""
+    for name, (params, specs) in _MAPPED.items():
+        exm = models(name, **params)
+        assert {spec.partition(":")[0] for spec in specs} == set(exm.map_specs)
+        pol = exm.polarization()
+        pairs = [(name, exm.cover, pol)]
+        for spec in specs:
+            phi = catalog.make_map(exm, spec)
+            pairs.append((f"{name}-{spec}", pullback(exm.cover, phi),
+                          pushforward_polarization(phi, pol)))
+        for case, cover, pol in pairs:
+            _, leaves, _ = enumerate_leaves(LeafAtlas(cover, pol), exm.census_range, 24)
+            grid = TransversalGrid.build(cover, pol, half_offset_labels(*exm.census_range, 16))
+            faces = [(m, t0, t1, c) for m, c_elem, t0, t1 in _face_segments(grid)
+                     for c in c_elem.tolist()]
+            batches = [(leaves.elements, leaves.t0, leaves.t1, leaves.lifted),
+                       tuple(np.array(col) for col in zip(*faces))]
+            yield case, LeafTransport(cover, pol), [b for b in batches if len(b) and len(b[0])]
+
+
+def test_closed_form_rows_agree_with_the_quadrature_loop(models):
+    # a row whose integrand does not read t is v (t1 - t0), the loop's
+    # value to 1e-14 relative; a row that reads t is the loop's, bit for bit
+    rows = {False: 0, True: 0}  # rows checked, by whether they read t
+    for case, transport, batches in _transport_batches(models):
+        for elements, t0, t1, labels in batches:
+            got = transport.integral(elements, t0, t1, labels)
+            want = _loop_integrals(transport, elements, t0, t1, labels)
+            along = np.array([transport.integrand(int(m)).along for m in elements])
+            exact = ~along
+            assert np.all(np.abs(got - want)[exact] <= 1e-14 * np.abs(want)[exact]), case
+            assert got[along].tobytes() == want[along].tobytes(), case
+            rows[False] += int(exact.sum())
+            rows[True] += int(along.sum())
+    assert rows[False] > rows[True] > 0
+
+
+def test_a_mixed_batch_splits_by_integrand_and_keeps_each_row(models, monkeypatch):
+    # on a torus whose even elements carry an integrand that reads t and
+    # whose odd ones do not, a census batch makes two quadrature calls,
+    # the closed-form rows first, and each row is its one-row batch
+    exm = models("torus", k=2)
+    cover, pol = exm.cover, exm.polarization()
+    wave = ex.parse_expr("0.3*cos(x1 + 2*x2)", set(cover.manifold.coords))
+    potentials = {a: (ex.add(theta[0], wave), theta[1]) if a % 2 == 0 else theta
+                  for a, theta in cover.data.potentials.items()}
+    mixed = TrivializationCover(
+        manifold=cover.manifold, omega=cover.omega, elements=cover.elements,
+        data=LocalData(cover.data.transitions, potentials), nerve=cover.nerve,
+    )
+    _, leaves, _ = enumerate_leaves(LeafAtlas(mixed, pol), exm.census_range, 12)
+    columns = (leaves.elements, leaves.t0, leaves.t1, leaves.lifted)
+    live = leaves.t0 != leaves.t1
+    odd = live & (leaves.elements % 2 == 1)
+    assert odd.any() and (live & ~odd).any()
+
+    calls = []
+
+    def counted(f, a, b):
+        calls.append(len(np.atleast_1d(a)))
+        return integrate(f, a, b)
+
+    transport = LeafTransport(mixed, pol)
+    monkeypatch.setattr(transport_module, "integrate", counted)
+    with trace.counting() as counts:
+        got = transport.integral(*columns)
+    assert calls == [int(odd.sum()), int((live & ~odd).sum())]
+    assert counts == {"transport_integrals": int(live.sum()),
+                      "transport_exact": int(odd.sum()), "transport_batches": 2}
+    one = LeafTransport(mixed, pol)
+    want = [_one(one, int(m), c, t0, t1) for m, t0, t1, c in zip(*map(np.ndarray.tolist, columns))]
+    assert got.view(float).tolist() == np.array(want).view(float).tolist()
 
 
 def _reference_blocks(grid, degree):
@@ -923,8 +1031,8 @@ def test_delta_matrix_sweeps_each_segment_and_pair_once(models, monkeypatch, nam
                                                         params, n):
     # the grid's build makes one transport call and one transition call for
     # the entries of every degree, on the union of the segments and the
-    # element pairs they need, so a row two degrees share is integrated
-    # once; delta_matrix hands out the grid's blocks, and makes neither call
+    # element pairs they need; a row two degrees share is integrated in
+    # each; delta_matrix hands out the grid's blocks, and makes neither call
     from gqlab.prequantum import TrivializationCover
 
     exm = models(name, **params)
@@ -955,9 +1063,12 @@ def test_delta_matrix_sweeps_each_segment_and_pair_once(models, monkeypatch, nam
     def distinct(rows):  # the live rows, told apart by their bits
         return {row.tobytes() for row in rows if row[2] != row[3]}
 
-    assert counts["transport_integrals"] == len(distinct(rows))
+    # every live row is integrated, in closed form: neither model's
+    # integrands read t
+    live = int((rows[:, 2] != rows[:, 3]).sum())
+    assert counts["transport_integrals"] == counts["transport_exact"] == live
     # the call holds the entries degree after degree; a row two degrees
-    # share (the torus has some) is integrated once
+    # share (the torus has some) is integrated in each
     ends = np.cumsum([entries for _, _, entries in work])
     assert ends[-1] == len(rows)
     shared = sum(map(len, map(distinct, np.split(rows, ends[:-1])))) - len(distinct(rows))

@@ -746,20 +746,22 @@ def test_cohomology_reports_work_counters(capsys):
     assert code == 0
     counters = report["timing"]["counters"]
     assert set(counters) == {
-        "transport_integrals", "transport_batches", "leaf_blocks", "svd_calls",
-        "formula_runs", "nerve_cells",
+        "transport_integrals", "transport_batches", "transport_exact", "leaf_blocks",
+        "svd_calls", "formula_runs", "nerve_cells",
     }
-    # one quadrature sweep per face, each for several labels
+    # one quadrature sweep per face, each for several labels; no torus
+    # integrand reads t, so every row is in closed form
     assert 0 < counters["transport_batches"] < counters["transport_integrals"]
+    assert counters["transport_exact"] == counters["transport_integrals"]
     assert 0 < counters["svd_calls"] < counters["leaf_blocks"]
     assert "counters" not in json.dumps(report["payload"])
     _, again = run_json(capsys, *argv)
     assert again["timing"]["counters"] == counters
 
 
-def test_cohomology_integrates_each_distinct_entry_once(capsys, monkeypatch):
-    # one transport call for the grid: every degree's entries, a row that
-    # two degrees share integrated once
+def test_cohomology_integrates_each_live_entry_once(capsys, monkeypatch):
+    # one transport call for the grid, every degree's entries: each live row
+    # integrated as given, in one closed-form quadrature call on the torus
     from gqlab.transport import LeafTransport
 
     rows = []
@@ -773,10 +775,10 @@ def test_cohomology_integrates_each_distinct_entry_once(capsys, monkeypatch):
     code, report = run_json(capsys, "cohomology", "--example", "torus", "--k", "2",
                             "--grid", "32")
     assert code == 0 and len(rows) == 1
-    live = {row.tobytes() for row in rows[0] if row[2] != row[3]}
+    live = int((rows[0][:, 2] != rows[0][:, 3]).sum())
     counters = report["timing"]["counters"]
     assert counters["transport_batches"] == 1
-    assert counters["transport_integrals"] == len(live) > 0
+    assert counters["transport_integrals"] == counters["transport_exact"] == live > 0
 
 
 @pytest.mark.parametrize("name", sorted(catalog.PARAMETERS))
@@ -818,7 +820,7 @@ def test_bs_reports_transport_counters(capsys, monkeypatch):
     assert set(counters) == {
         "root_brackets", "root_holonomy_evaluations", "root_steps",
         "census_refinements", "transport_integrals", "transport_batches",
-        "leaf_patterns", "formula_runs", "nerve_cells",
+        "transport_exact", "leaf_patterns", "formula_runs", "nerve_cells",
     }
     # the sampled leaves and each root batch share one sweep per segment
     assert 0 < counters["transport_batches"] < counters["transport_integrals"]
@@ -857,7 +859,7 @@ def test_act_reports_work_counters(capsys):
     counters = report["timing"]["counters"]
     assert set(counters) == {
         "gauge_exact", "gauge_integrals", "gauge_nodes", "grid_builds",
-        "transport_integrals", "transport_batches", "leaf_blocks", "svd_calls",
+        "transport_integrals", "transport_batches", "transport_exact", "leaf_blocks", "svd_calls",
         "formula_runs", "root_brackets", "root_holonomy_evaluations",
         "root_steps", "census_refinements", "leaf_patterns", "nerve_cells",
     }

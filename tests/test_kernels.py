@@ -309,6 +309,14 @@ def _pullback_integrand(pullback, src, phi, pol, member, c, ts):
     return t0 * v[:, 0] + t1 * v[:, 1]
 
 
+def _at_nodes(run, c, ts):
+    """run at the label c and the nodes ts, one value per node: a run whose
+    program does not read t returns one column, its value at every node."""
+    vals = run(np.array([c]), ts)
+    assert vals.shape == (1, len(ts) if run.along else 1)
+    return np.broadcast_to(vals, (1, len(ts)))[0]
+
+
 @pytest.mark.parametrize("name,params,maps", CASES, ids=CASE_IDS)
 def test_transport_integrands_match_per_expression(models, name, params, maps):
     exm = models(name, **params)
@@ -320,7 +328,7 @@ def test_transport_integrands_match_per_expression(models, name, params, maps):
         ts = _segment_ts(seg)
         values = {"c": complex(seg.c_elem), "t": ts + 0j}
         want = kernels.evaluate(_base_integrand(exm.cover, pol, seg.element), values)
-        _same(transport.integrand(seg.element)(np.array([seg.c_elem]), ts)[0], want)
+        _same(_at_nodes(transport.integrand(seg.element), seg.c_elem, ts), want)
     for spec in maps:
         phi = catalog.make_map(exm, spec)
         pulled = pullback(exm.cover, phi)
@@ -329,7 +337,7 @@ def test_transport_integrands_match_per_expression(models, name, params, maps):
         for seg in segments:
             ts = _segment_ts(seg)
             values = {"c": complex(seg.c_elem), "t": ts + 0j}
-            got = moved.integrand(seg.element)(np.array([seg.c_elem]), ts)[0]
+            got = _at_nodes(moved.integrand(seg.element), seg.c_elem, ts)
             # the pulled potentials along the pushed curve, bit for bit
             want = kernels.evaluate(_base_integrand(pulled, pushed, seg.element), values)
             _same(got, want)

@@ -276,3 +276,37 @@ def test_kronrod_table_nests_the_gauss_rule():
     for j in range(23):
         assert abs((weights * nodes**j).sum() - (1 + (-1) ** j) / (j + 1)) < 1e-15, j
     assert 1e-9 < abs((weights * nodes**24).sum() - 2 / 25) < 1e-8
+
+
+def _constant(values):
+    """An integrand constant along its rows: one column, whatever the nodes."""
+    column = np.asarray(values, dtype=np.complex128)[:, None]
+    return lambda t: column
+
+
+def test_constant_rows_are_their_value_times_their_length():
+    v = np.array([2.5 - 1j, -3.0, 0.5j, 1e-300])
+    a, b = np.array([0.0, 1.0, -2.0, 0.0]), np.array([1.5, 0.25, 4.0, 3.0])
+    got = integrate(_constant(v), a, b)
+    assert got.tobytes() == (v * (b - a)).tobytes()
+    # b < a is v (b - a), negative length and all
+    assert got[1] == -3.0 * -0.75
+    # the loop on the same value at every node agrees to rounding
+    loop = integrate(lambda t: np.broadcast_to(v[:, None], t.shape), a, b)
+    assert np.all(np.abs(got - loop) <= 1e-14 * np.abs(loop))
+    # each row is its one-row batch
+    for r in range(len(v)):
+        assert integrate(_constant(v[r:r + 1]), a[r], b[r]).tobytes() == got[r].tobytes()
+
+
+def test_constant_row_of_zero_length_is_plus_zero():
+    # also for a negative or non-finite value: a == b is never integrated
+    got = integrate(_constant([-2.0, -1j, np.nan, np.inf]), [1.0] * 4, [1.0] * 4)
+    assert got.shape == (4,) and got.tobytes() == bytes(got.nbytes)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+def test_non_finite_constant_on_a_live_row_raises(bad):
+    with pytest.raises(QuadratureError, match=r"non-finite estimate on \[1.0, 2.0\]"):
+        integrate(_constant([1.0, bad, bad]), [0.0, 2.0, 3.0], [1.0, 1.0, 3.0])
