@@ -8,7 +8,8 @@ compatibility theta_a - theta_b = -i dlambda/lambda, parallel transport
 factor exp(-i integral theta)); the consistency checker is the oracle for
 that claim.  Each family also knows how to re-instantiate its local data on
 a translated/pulled-back element layout (Example.data_builder), which is
-what seeds the complementary-cover construction.
+what seeds the complementary-cover construction.  Its transitions are on
+the pairs prequantum.overlaps finds, the nerve's rule: no search of its own.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from .prequantum import (
     LocalData,
     TrivializationCover,
     build_nerve,
+    overlaps,
 )
 from .record import Record
 
@@ -56,8 +58,9 @@ class Example(Record):
     """A fully assembled model: cover, form, polarizations, map factory.
 
     data_builder gives the family's local data on any layout of element
-    boxes (a list of Boxes, one per element index); the cover's data is
-    its value on the cover's own boxes.
+    boxes (a list of Boxes, one per element index), with transitions on
+    the layout's overlapping pairs (prequantum.overlaps); the cover's data
+    is its value on the cover's own boxes.
     """
 
     def __init__(
@@ -176,22 +179,6 @@ def _plane_example(granularity: int = 1, nerve_degree: int = MAX_DEGREE) -> Exam
 # torus
 
 
-_TORUS_NU = np.array([0, 1, -1])  # period offsets, in the order they are tried
-
-
-def _torus_row_offsets(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """For every ordered pair (a, b) of intervals (rows of lo, hi), the first
-    nu of (0, 1, -1) for which [lo_b, hi_b] + nu * period meets [lo_a, hi_a]
-    by more than 1e-9, so that lift_a = lift_b + nu * period on their
-    overlap; 2 where no nu does."""
-    shift = _TORUS_NU * TWO_PI  # (nu,)
-    meets = (
-        np.minimum(hi[:, None, None], hi[None, :, None] + shift)
-        - np.maximum(lo[:, None, None], lo[None, :, None] + shift)
-    ) > 1e-9  # (a, b, nu)
-    return np.where(meets.any(axis=2), _TORUS_NU[meets.argmax(axis=2)], 2)
-
-
 def _torus_example(
     k: int, granularity: int = 3, nerve_degree: int = MAX_DEGREE
 ) -> Example:
@@ -216,24 +203,18 @@ def _torus_example(
     cuts = [(n * TWO_PI / g - m, (n + 1) * TWO_PI / g + m) for n in range(g)]
     boxes = [Box((i1[0], i2[0]), (i1[1], i2[1])) for i2 in cuts for i1 in cuts]
 
-    # the transition across a row offset nu is exp(i k nu x1), one formula
-    # per offset shared by every pair with that offset
+    # the transition across row offset nu (lift_a = lift_b + nu * period) is
+    # exp(i k nu x1), one formula per offset; a pair of shift s has nu = -s[1]
     by_offset = {
         nu: ex.ONE if nu == 0 else call("exp", mul(Imag(), mul(Num(float(k * nu)), x1)))
         for nu in (0, 1, -1)
     }
 
     def data_builder(layout):
-        lo = np.array([box.lo for box in layout], dtype=float)
-        hi = np.array([box.hi for box in layout], dtype=float)
-        nu_col = _torus_row_offsets(lo[:, 0], hi[:, 0])
-        nu_row = _torus_row_offsets(lo[:, 1], hi[:, 1])
-        overlap = (nu_col != 2) & (nu_row != 2)
-        np.fill_diagonal(overlap, False)
-        a, b = np.nonzero(overlap)  # in (a, b) order
+        a, b, shift, _, _ = overlaps(manifold, layout)
         transitions = {
-            (i, j): by_offset[nu]
-            for i, j, nu in zip(a.tolist(), b.tolist(), nu_row[a, b].tolist())
+            (i, j): by_offset[-s]
+            for i, j, s in zip(a.tolist(), b.tolist(), shift[:, 1].tolist())
         }
         potentials = {n: theta for n in range(len(layout))}
         return LocalData(transitions=transitions, potentials=potentials)
@@ -275,10 +256,10 @@ def _cylinder_example(
     ]
 
     def data_builder(layout):
-        n = len(layout)
+        a, b, *_ = overlaps(manifold, layout)
         return LocalData(
-            transitions={(a, b): ex.ONE for a in range(n) for b in range(n) if a != b},
-            potentials={a: (p, ex.ZERO) for a in range(n)},
+            transitions=dict.fromkeys(zip(a.tolist(), b.tolist()), ex.ONE),
+            potentials={a: (p, ex.ZERO) for a in range(len(layout))},
         )
 
     # theta = p dx, so omega = dp ^ dx = -(dx ^ dp).
@@ -311,18 +292,15 @@ def _sphere_example(k: int, nerve_degree: int = MAX_DEGREE) -> Example:
 
     def data_builder(layout):
         anchors = [0.0 if box.lo[0] <= 1e-9 else float(k) for box in layout]
+        a, b, *_ = overlaps(manifold, layout)
         transitions = {}
-        potentials = {}
-        for a, anchor in enumerate(anchors):
-            # theta = (z - anchor) dphi vanishes at the pole the patch owns
-            potentials[a] = (ex.ZERO, ex.sub(z, Num(anchor)))
-            for b, other in enumerate(anchors):
-                if a != b:
-                    diff = other - anchor
-                    transitions[(a, b)] = (
-                        ex.ONE if diff == 0.0
-                        else call("exp", mul(Imag(), mul(Num(diff), phi)))
-                    )
+        for i, j in zip(a.tolist(), b.tolist()):
+            diff = anchors[j] - anchors[i]
+            transitions[(i, j)] = (
+                ex.ONE if diff == 0.0 else call("exp", mul(Imag(), mul(Num(diff), phi)))
+            )
+        # theta = (z - anchor) dphi vanishes at the pole the patch owns
+        potentials = {i: (ex.ZERO, ex.sub(z, Num(anchor))) for i, anchor in enumerate(anchors)}
         return LocalData(transitions=transitions, potentials=potentials)
 
     poles = ((0.0, 0.0), (float(k), 0.0))

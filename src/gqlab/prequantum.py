@@ -70,7 +70,8 @@ class RefinementError(ValueError):
 class LocalData(Record):
     """Transition functions and connection potentials as expressions.
 
-    transitions holds both orientations of every overlapping pair;
+    transitions holds both orientations of every overlapping pair and of
+    no other (the pairs of overlaps, the nerve's degree-1 members);
     potentials holds the two 1-form components per element.  Both are
     read-only copies of the mappings given.
     """
@@ -365,11 +366,14 @@ def pullback(cover: TrivializationCover, phi: Symplectomorphism) -> Trivializati
 # Nerve construction
 
 
-def _shift_candidates(manifold: Manifold):
-    cands = []
-    for period in manifold.periods:
-        cands.append((0,) if period is None else (-1, 0, 1))
-    return [(s0, s1) for s0 in cands[0] for s1 in cands[1]]
+def _axis_shifts(manifold: Manifold) -> list:
+    """The period multiples tried per axis: -1, 0, 1 if periodic, else 0."""
+    return [(0,) if period is None else (-1, 0, 1) for period in manifold.periods]
+
+
+def _shift_candidates(manifold: Manifold) -> list:
+    s0, s1 = _axis_shifts(manifold)
+    return [(a, b) for a in s0 for b in s1]
 
 
 def _period_vec(manifold: Manifold) -> np.ndarray:
@@ -424,6 +428,32 @@ def _nonempty(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return ~((width[..., 0] < 1e-9) | (width[..., 1] < 1e-9))
 
 
+def overlaps(manifold: Manifold, boxes) -> tuple:
+    """The one rule of which boxes meet: every ordered pair (a, b), a != b,
+    and period shift s (_shift_candidates) for which boxes[a] and boxes[b]
+    moved by -s * period overlap by at least 1e-9 on both axes, as columns
+    (a, b, shift, lo, hi) in (a, b, shift) order, the overlap in a's frame.
+    Each axis tests its intervals alone, as an (axis shifts, a, b) array."""
+    n = len(boxes)
+    corners = np.array([box.lo + box.hi for box in boxes], dtype=float).reshape(n, 4)
+    cands = np.array(_shift_candidates(manifold))  # (shifts, 2), the first axis slowest
+    offsets = -cands * _period_vec(manifold)
+    n1 = len(_axis_shifts(manifold)[1])  # axis 0 tries every n1-th offset, axis 1 the first n1
+    meets = []
+    for axis, offset in enumerate((offsets[::n1, 0, None, None], offsets[:n1, 1, None, None])):
+        lo, hi = corners[:, axis], corners[:, axis + 2]
+        width = np.minimum(hi[:, None], hi + offset)
+        width -= np.maximum(lo[:, None], lo + offset)
+        meets.append(width >= 1e-9)
+    meet = meets[0][:, None] & meets[1]  # (axis 0 shifts, axis 1 shifts, a, b)
+    meet.reshape(len(cands), n * n)[:, :: n + 1] = False  # a != b
+    a, b, s = meet.reshape(len(cands), n, n).transpose(1, 2, 0).nonzero()
+    # take, not fancy indexing: a few rows are most calls, and take is cheaper
+    at_a, at_b, offset = corners.take(a, axis=0), corners.take(b, axis=0), offsets.take(s, axis=0)
+    lo = np.maximum(at_a[:, :2], at_b[:, :2] + offset)
+    return a, b, cands.take(s, axis=0), lo, np.minimum(at_a[:, 2:], at_b[:, 2:] + offset)
+
+
 def _lookup(codes: np.ndarray, rows: np.ndarray, query: np.ndarray) -> np.ndarray:
     """rows[i] where codes[i] (ascending) equals the query, -1 where no
     code does."""
@@ -436,12 +466,10 @@ def build_nerve(manifold: Manifold, elements, max_degree: int = MAX_DEGREE) -> N
     manifold, up to degree max_degree (tuples of max_degree + 1 indices),
     as one NerveDegree table per degree, in sorted key order.
 
-    Degree 1 intersects every element with every element of higher index
-    under every period shift (_shift_candidates) in one broadcast; overlaps
-    narrower than 1e-9 on either axis are empty.  From degree 2 on, a
-    cell of the degree below (its parent) lies inside its first member's
-    box, so it meets no (element, shift) pair that box does not: its
-    candidates are the degree-1 overlaps of its first member with
+    Degree 1 is the rows a < b of overlaps(manifold, elements).  From
+    degree 2 on, a cell of the degree below (its parent) lies inside its
+    first member's box, so it meets no (element, shift) pair that box does
+    not: its candidates are the degree-1 overlaps of its first member with
     elements above its last member, all intersected in one gather.  The
     survivors are registered in (parent row, element, shift) order, and
     the k-th cell on an index tuple gets comp k.  Face d of a cell grown
@@ -452,8 +480,6 @@ def build_nerve(manifold: Manifold, elements, max_degree: int = MAX_DEGREE) -> N
     Degrees past the first one without cells are empty tables.  See
     docs/conventions.md "Nerve".
     """
-    cands = np.array(_shift_candidates(manifold))  # (shifts, 2)
-    offsets = -cands * _period_vec(manifold)
     n_el = len(elements)  # element a is the degree-0 row a
     per_parent = 25 * n_el  # the codes of one parent: (element, shift) pairs
     lo = np.array([box.lo for box in elements], dtype=float).reshape(-1, 2)
@@ -467,14 +493,9 @@ def build_nerve(manifold: Manifold, elements, max_degree: int = MAX_DEGREE) -> N
     last = np.arange(n_el)  # the element position of each cell's last member
     for degree in range(1, max_degree + 1):
         if degree == 1:
-            # every element box under every shift, (elements, shifts, 2),
-            # against every element box: (element, element, shift, axis)
-            new_lo = np.maximum(lo[:, None, None, :], lo[:, None, :] + offsets)
-            new_hi = np.minimum(hi[:, None, None, :], hi[:, None, :] + offsets)
-            keep = _nonempty(new_lo, new_hi) & (last > last[:, None])[:, :, None]
-            f, e, s = keep.nonzero()
-            lo, hi = new_lo[f, e, s], new_hi[f, e, s]
-            shift = cands[s]
+            f, e, shift, lo, hi = overlaps(manifold, elements)
+            above = f < e
+            f, e, shift, lo, hi = f[above], e[above], shift[above], lo[above], hi[above]
             pair_code = e * 25 + (shift + 2) @ _DIGITS  # within the parent's codes
             # the overlaps of each element with the elements above it, as
             # rows of degree 1, in order, padded with -1

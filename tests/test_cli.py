@@ -53,6 +53,18 @@ def test_bad_corruption_spec_is_config_error(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("example", ["cylinder", "torus"])
+def test_corrupting_a_pair_that_does_not_overlap_is_config_error(capsys, example):
+    # elements 0 and 2 of a granularity-5 cover do not meet, so no law reads
+    # their transition, and the cover has none to corrupt
+    code, out, err = run_cli(
+        capsys, "check", "--example", example, "--granularity", "5",
+        "--corrupt", "lam:0,2:1.01",
+    )
+    assert (code, out) == (2, "")
+    assert err == "config error: no transition (0, 2) to corrupt\n"
+
+
 def test_bs_torus_counts(capsys):
     code, report = run_json(capsys, "bs", "--example", "torus", "--k", "3")
     assert code == 0

@@ -2,6 +2,7 @@
 
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -585,6 +586,8 @@ DENSE_CASES = (
     + [("cylinder", {"granularity": g}) for g in (3, 4, 5)]
     + [("sphere", {"k": k}) for k in range(2, 7)]
     + [("disk", {}), ("plane", {"granularity": 1}), ("plane", {"granularity": 2})]
+    # granularities up to 12, appended so the earlier cases keep their ids
+    + [("torus", {"k": 2, "granularity": g}) for g in range(9, 13)]
 )
 
 
@@ -811,6 +814,51 @@ def test_torus_transitions_equal_the_per_pair_construction(models):
             # one formula object per row offset
             assert len({id(lam) for lam in cover.data.transitions.values()}) <= 3
     assert pairs > 3000
+
+
+# ---------------------------------------------------------------------------
+# One overlap rule: every data builder keys its transitions by the pairs the
+# nerve records, on the cover's boxes and on every pulled-back layout
+
+OVERLAP_CASES = (
+    [("torus", {"k": 2, "granularity": g}) for g in range(3, 13)]
+    + [("cylinder", {"granularity": g}) for g in range(2, 9)]
+    + [("sphere", {"k": k}) for k in range(1, 5)]
+    + [("plane", {"granularity": 1}), ("plane", {"granularity": 2}), ("disk", {}),
+       ("circle-flat", {})]
+)
+# an argument that moves points, for each map that takes one
+MAP_ARGUMENTS = {"translate": "translate:0.7,0.3", "rot": "rot:0.3", "pshift": "pshift:0.4"}
+
+
+def _both_orientations(nerve) -> set:
+    pairs = {tuple(pair) for pair in nerve.degree(1).members.tolist()}
+    return pairs | {(b, a) for a, b in pairs}
+
+
+@pytest.mark.parametrize("name,params", OVERLAP_CASES)
+def test_transitions_are_both_orientations_of_the_nerve_pairs(models, name, params):
+    exm = models(name, **params)
+    cover = exm.cover
+    assert set(cover.data.transitions) == _both_orientations(cover.nerve)
+    for spec in exm.map_specs:
+        pulled = pullback(cover, catalog.make_map(exm, MAP_ARGUMENTS.get(spec, spec)))
+        built = exm.data_builder(pulled.elements)
+        assert set(built.transitions) == _both_orientations(pulled.nerve), spec
+
+
+def test_the_overlap_step_of_a_large_cover_stays_small():
+    # each axis tests its intervals alone, (axis shifts, n, n), never the
+    # (n, n, shifts, 2) broadcast of both, which peaked at 142 MiB on this cover
+    cover = catalog.example("torus", k=3, granularity=24, nerve_degree=0).cover
+    tracemalloc.start()
+    try:
+        nerve = build_nerve(cover.manifold, cover.elements, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(nerve.degree(1).keys) == 576 * 4  # each element meets its 8 neighbours
+    assert peak < 64 * 2**20
 
 
 # ---------------------------------------------------------------------------
