@@ -258,7 +258,7 @@ def build_complementary(phi: Symplectomorphism, example):
         manifold=cover.manifold,
         omega=cover.omega,
         elements=pulled.elements,
-        data=example.data_builder(pulled.elements),
+        data=example.data_builder(pulled.elements, pulled.nerve.pairs),
         nerve=pulled.nerve,
     )
     closed_max, constants, constancy_max, certificate_samples = overlap_constants(naive, pulled)

@@ -9,7 +9,7 @@ factor exp(-i integral theta)); the consistency checker is the oracle for
 that claim.  Each family also knows how to re-instantiate its local data on
 a translated/pulled-back element layout (Example.data_builder), which is
 what seeds the complementary-cover construction.  Its transitions are on
-the pairs prequantum.overlaps finds, the nerve's rule: no search of its own.
+the pairs the layout's nerve holds (Nerve.pairs): no search of its own.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ from .prequantum import (
     LocalData,
     TrivializationCover,
     build_nerve,
-    overlaps,
 )
 from .record import Record
 
@@ -58,9 +57,9 @@ class Example(Record):
     """A fully assembled model: cover, form, polarizations, map factory.
 
     data_builder gives the family's local data on any layout of element
-    boxes (a list of Boxes, one per element index), with transitions on
-    the layout's overlapping pairs (prequantum.overlaps); the cover's data
-    is its value on the cover's own boxes.
+    boxes (a list of Boxes, one per element index) and its overlapping
+    pairs (Nerve.pairs), with transitions on those pairs; the cover's data
+    is its value on the cover's own boxes and nerve.
     """
 
     def __init__(
@@ -69,7 +68,7 @@ class Example(Record):
         manifold: Manifold,
         omega: SymplecticForm,
         cover: TrivializationCover,
-        data_builder: Callable,  # list of Boxes -> LocalData
+        data_builder: Callable,  # (list of Boxes, Nerve.pairs) -> LocalData
         polarizations: MappingProxyType,  # name -> Polarization
         default_polarization: str,
         map_specs: tuple,  # names accepted by make_map
@@ -103,15 +102,16 @@ def _assemble(
     census_range: tuple,
     nerve_degree: int = MAX_DEGREE,
 ) -> Example:
-    """The model on `manifold`: one cover element per box, with the
-    family's local data on those boxes and the nerve built to
-    nerve_degree.  The first of `polarizations` is the default."""
+    """The model on `manifold`: one cover element per box, with the nerve
+    built to nerve_degree and the family's local data on those boxes and
+    the nerve's pairs.  The first of `polarizations` is the default."""
+    nerve = build_nerve(manifold, boxes, nerve_degree)
     cover = TrivializationCover(
         manifold=manifold,
         omega=omega,
         elements=boxes,
-        data=data_builder(boxes),
-        nerve=build_nerve(manifold, boxes, nerve_degree),
+        data=data_builder(boxes, nerve.pairs),
+        nerve=nerve,
     )
     return Example(
         name=manifold.name,
@@ -160,7 +160,7 @@ def _plane_example(granularity: int = 1, nerve_degree: int = MAX_DEGREE) -> Exam
     else:
         raise ConfigurationError("plane granularity must be 1 or 2")
 
-    def data_builder(layout):
+    def data_builder(layout, pairs):
         return data
 
     return _assemble(
@@ -210,8 +210,8 @@ def _torus_example(
         for nu in (0, 1, -1)
     }
 
-    def data_builder(layout):
-        a, b, shift, _, _ = overlaps(manifold, layout)
+    def data_builder(layout, pairs):
+        a, b, shift = pairs
         transitions = {
             (i, j): by_offset[-s]
             for i, j, s in zip(a.tolist(), b.tolist(), shift[:, 1].tolist())
@@ -255,8 +255,8 @@ def _cylinder_example(
         for n in range(g)
     ]
 
-    def data_builder(layout):
-        a, b, *_ = overlaps(manifold, layout)
+    def data_builder(layout, pairs):
+        a, b, _ = pairs
         return LocalData(
             transitions=dict.fromkeys(zip(a.tolist(), b.tolist()), ex.ONE),
             potentials={a: (p, ex.ZERO) for a in range(len(layout))},
@@ -290,9 +290,9 @@ def _sphere_example(k: int, nerve_degree: int = MAX_DEGREE) -> Example:
         Box((0.35 * k, 0.0), (float(k), TWO_PI)),  # south patch
     ]
 
-    def data_builder(layout):
+    def data_builder(layout, pairs):
         anchors = [0.0 if box.lo[0] <= 1e-9 else float(k) for box in layout]
-        a, b, *_ = overlaps(manifold, layout)
+        a, b, _ = pairs
         transitions = {}
         for i, j in zip(a.tolist(), b.tolist()):
             diff = anchors[j] - anchors[i]
@@ -333,7 +333,7 @@ def _disk_example(nerve_degree: int = MAX_DEGREE) -> Example:
     boxes = [Box((-big, -big), (big, big))]
     theta = (mul(Num(-0.5), y), mul(Num(0.5), x))
 
-    def data_builder(layout):
+    def data_builder(layout, pairs):
         return LocalData(transitions={}, potentials={0: theta})
 
     half_r2 = 0.5 * radius * radius
@@ -379,7 +379,7 @@ def untwisted_circle_example() -> Example:
     ]
     zero_form = (ex.ZERO, ex.ZERO)
 
-    def data_builder(layout):
+    def data_builder(layout, pairs):
         return LocalData(
             transitions={(0, 1): ex.ONE, (1, 0): ex.ONE},
             potentials={0: zero_form, 1: zero_form},

@@ -21,17 +21,18 @@ The nerve records every nonempty multi-overlap up to a degree its builder
 chooses (MAX_DEGREE unless told otherwise, see docs/conventions.md
 "Nerve"), one cell per connected component, as one table per degree
 (NerveDegree): a row per cell in sorted key order, with its members,
-box, per-member unrolling shifts, and faces as rows of the degree below.
-It is the combinatorial carrier for the cochain complex, the consistency
-checks, and the holonomy loop threading.  It depends only on the manifold
-and the element boxes, so every constructor builds it from those
-(build_nerve) before the cover, and hands the cover complete to that
-degree: a cover, its local data and its nerve are frozen, their dicts and
-arrays read-only, and the formulas a cover compiles on first use stay
-valid.  The interior sample points of a degree, which only the law checks
-read, are computed from its boxes when read (Nerve.samples), so a command
-that reads none builds none.  A reader of degree-n cells refuses a nerve
-that stops below n (require_degree).
+box, per-member unrolling shifts, and faces as rows of the degree below,
+and at every degree the ordered overlapping pairs (Nerve.pairs).  It is
+the combinatorial carrier for the local data, the cochain complex, the
+consistency checks, and the holonomy loop threading.  It depends only on
+the manifold and the element boxes, so every constructor builds it from
+those (build_nerve) before the cover, and hands the cover complete to
+that degree: a cover, its local data and its nerve are frozen, their
+dicts and arrays read-only, and the formulas a cover compiles on first
+use stay valid.  The interior sample points of a degree, which only the
+law checks read, are computed from its boxes when read (Nerve.samples),
+so a command that reads none builds none.  A reader of degree-n cells
+refuses a nerve that stops below n (require_degree).
 """
 
 from __future__ import annotations
@@ -71,7 +72,7 @@ class LocalData(Record):
     """Transition functions and connection potentials as expressions.
 
     transitions holds both orientations of every overlapping pair and of
-    no other (the pairs of overlaps, the nerve's degree-1 members);
+    no other (Nerve.pairs: a data builder takes the boxes and their pairs);
     potentials holds the two 1-form components per element.  Both are
     read-only copies of the mappings given.
     """
@@ -116,8 +117,9 @@ class DegreeSamples(NamedTuple):
 
 
 class Nerve(Record):
-    def __init__(self, degrees, pulled_by=()):
+    def __init__(self, degrees, pairs, pulled_by=()):
         degrees = tuple(degrees)  # the NerveDegree of each degree, 0 .. max_degree
+        # pairs: (a, b, shift), read-only, of every ordered overlapping pair (overlaps)
         # the maps whose preimages the samples are, in the order they apply
         pulled_by = tuple(pulled_by)
         self._set(locals())
@@ -328,8 +330,8 @@ def pullback(cover: TrivializationCover, phi: Symplectomorphism) -> Trivializati
     element is its source box moved by -s when phi is a translation by s,
     and otherwise the source box, though the element is phi^-1 of that box
     (which is why refine refuses a pullback cover).  The nerve keeps the
-    source tables, and its samples are the phi-preimages of the source
-    samples (Nerve.pulled_by).
+    source tables and pairs, and its samples are the phi-preimages of the
+    source samples (Nerve.pulled_by).
     """
     manifold = cover.manifold
     shift = _shift_vector(phi, manifold)
@@ -337,7 +339,7 @@ def pullback(cover: TrivializationCover, phi: Symplectomorphism) -> Trivializati
     if shift is not None:
         elements = [box.shifted(tuple(-shift)) for box in elements]
     source = cover.nerve
-    nerve = Nerve(source.degrees, source.pulled_by + (phi,))
+    nerve = Nerve(source.degrees, source.pairs, source.pulled_by + (phi,))
     up = dict(zip(manifold.coords, phi.forward))
     jac = phi.jacobian_exprs()
 
@@ -464,9 +466,10 @@ def _lookup(codes: np.ndarray, rows: np.ndarray, query: np.ndarray) -> np.ndarra
 def build_nerve(manifold: Manifold, elements, max_degree: int = MAX_DEGREE) -> Nerve:
     """Enumerate the multi-overlap components of the element boxes on the
     manifold, up to degree max_degree (tuples of max_degree + 1 indices),
-    as one NerveDegree table per degree, in sorted key order.
+    as one NerveDegree table per degree, in sorted key order, and at every
+    degree the pairs of its one overlaps(manifold, elements) (Nerve.pairs).
 
-    Degree 1 is the rows a < b of overlaps(manifold, elements).  From
+    Degree 1 is the rows a < b of those pairs.  From
     degree 2 on, a cell of the degree below (its parent) lies inside its
     first member's box, so it meets no (element, shift) pair that box does
     not: its candidates are the degree-1 overlaps of its first member with
@@ -490,12 +493,12 @@ def build_nerve(manifold: Manifold, elements, max_degree: int = MAX_DEGREE) -> N
         np.empty((n_el, 0, 2), dtype=int),
     )
     degrees = [table]
+    overlap = overlaps(manifold, elements)
     last = np.arange(n_el)  # the element position of each cell's last member
     for degree in range(1, max_degree + 1):
         if degree == 1:
-            f, e, shift, lo, hi = overlaps(manifold, elements)
-            above = f < e
-            f, e, shift, lo, hi = f[above], e[above], shift[above], lo[above], hi[above]
+            above = overlap[0] < overlap[1]
+            f, e, shift, lo, hi = (column[above] for column in overlap)
             pair_code = e * 25 + (shift + 2) @ _DIGITS  # within the parent's codes
             # the overlaps of each element with the elements above it, as
             # rows of degree 1, in order, padded with -1
@@ -549,7 +552,7 @@ def build_nerve(manifold: Manifold, elements, max_degree: int = MAX_DEGREE) -> N
         face_codes = faces * per_parent - bases @ _DIGITS
         lookup, last = (codes, rows), e
     degrees += [_empty_degree(d) for d in range(len(degrees), max_degree + 1)]
-    return Nerve(degrees)
+    return Nerve(degrees, read_only(*overlap[:3]))
 
 
 # ---------------------------------------------------------------------------
@@ -636,9 +639,9 @@ def refine(cover: TrivializationCover, targets: list) -> tuple:
     of the source cover, possibly after a period shift; the stored fine box
     is then expressed in the containing coarse element's frame so that
     potentials keep their branch.  The fine nerve goes as deep as the
-    coarse one, and at least to degree 1, whose cells give the fine
-    transitions.  Returns the fine cover and the read-only assignment fine
-    index -> coarse index.  A pullback cover (Nerve.pulled_by) is refused.
+    coarse one, and its pairs are the fine transitions.  Returns the fine
+    cover and the read-only assignment fine index -> coarse index.  A
+    pullback cover (Nerve.pulled_by) is refused.
     """
     if cover.nerve.pulled_by:
         raise RefinementError("refine operates on base covers")
@@ -665,12 +668,10 @@ def refine(cover: TrivializationCover, targets: list) -> tuple:
         fine_elements.append(shifted)
         assignment[fine_index] = a
 
-    nerve = build_nerve(manifold, fine_elements, max(1, cover.nerve.max_degree))
-    transitions = {}
-    for a, b in nerve.degree(1).members.tolist():
-        ca, cb = assignment[a], assignment[b]
-        transitions[(a, b)] = cover.data.transition_expr(ca, cb)
-        transitions[(b, a)] = cover.data.transition_expr(cb, ca)
+    nerve = build_nerve(manifold, fine_elements, cover.nerve.max_degree)
+    a, b, _ = nerve.pairs
+    transitions = {(i, j): cover.data.transition_expr(assignment[i], assignment[j])
+                   for i, j in zip(a.tolist(), b.tolist())}
     potentials = {a: cover.data.potentials[c] for a, c in assignment.items()}
     fine = TrivializationCover(
         manifold=manifold,

@@ -4,12 +4,13 @@ import csv
 import importlib
 import json
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from gqlab import action, catalog, trace
+from gqlab import action, catalog, prequantum, trace
 from gqlab import expr as ex
 from gqlab.cli import ACT_READS, READS, RunConfig, _apply_corruption, main
 from gqlab.prequantum import ConfigurationError, check_local_data
@@ -316,6 +317,31 @@ def test_examples_listing_builds_no_overlaps(capsys, monkeypatch):
     built = _built_nerves(monkeypatch)
     assert run_cli(capsys, "examples")[0] == 0
     assert [degree for degree, _ in built] == [0] * len(catalog.EXAMPLE_NAMES)
+
+
+@pytest.mark.parametrize("argv,want", [
+    (("bs", "--example", "torus", "--k", "2"), 1),
+    (("check", "--example", "torus", "--k", "2"), 1),
+    (("cohomology", *TORUS), 1),
+    ((*ACT, "--verify", "thm1,thm2"), 1),  # the pulled cover reads the source's pairs
+    # a one-element cover searches too, about 30 us, where its builder did not
+    (("bs", "--example", "plane"), 1),
+    (("bs", "--example", "disk"), 1),
+    (("examples",), len(catalog.EXAMPLE_NAMES)),  # one per model's nerve
+])
+def test_each_command_searches_the_pairs_once_per_cover(capsys, monkeypatch, argv, want):
+    searches = []
+    real = prequantum.overlaps
+
+    def spy(*args):
+        searches.append(args[0].name)
+        return real(*args)
+
+    for module in list(sys.modules.values()):  # every gqlab name bound to it
+        if module.__name__.startswith("gqlab") and vars(module).get("overlaps") is real:
+            monkeypatch.setattr(module, "overlaps", spy)
+    assert run_cli(capsys, *argv)[0] == 0
+    assert len(searches) == want
 
 
 @pytest.mark.parametrize("example", ["torus", "cylinder", "plane"])

@@ -141,6 +141,7 @@ def test_cover_contents_are_read_only(covers, kind):
         cover.nerve.degrees[0] = cover.nerve.degrees[0]
     with pytest.raises(TypeError):
         cover.elements[0] = cover.elements[0]
+    _assert_read_only(cover.nerve.pairs)
     for table in cover.nerve.degrees:
         assert len(table.keys)  # the torus has cells of every degree
         with pytest.raises(TypeError):

@@ -11,7 +11,7 @@ import pytest
 from gqlab import catalog, kernels, program
 from gqlab import expr as ex
 from gqlab.geometry import pushforward_polarization
-from gqlab.prequantum import pullback
+from gqlab.prequantum import overlaps, pullback
 from gqlab.program import compile_expr
 from gqlab.transport import LeafTransport
 
@@ -500,7 +500,7 @@ def _builtin_formulas(exm, maps):
         phi = catalog.make_map(exm, spec)
         pulled = pullback(exm.cover, phi)
         pairs.append((pulled, pushforward_polarization(phi, exm.polarization())))
-        naive = exm.data_builder(pulled.elements)
+        naive = exm.data_builder(pulled.elements, overlaps(exm.manifold, pulled.elements)[:3])
         for a, comps in sorted(pulled.data.potentials.items()):
             gauge += [ex.BinOp("-", tn, tp) for tn, tp in zip(naive.potentials[a], comps)]
     along = [_flux_integrand(cover, pol) for cover, pol in pairs]

@@ -21,6 +21,7 @@ from gqlab.prequantum import (
     _shift_candidates,
     build_nerve,
     check_local_data,
+    overlaps,
     pullback,
     refine,
     split_boxes,
@@ -767,8 +768,8 @@ def test_check_local_data_refuses_a_nerve_below_degree_2(models):
     assert check_local_data(cover._replace(nerve=nerve)) == check_local_data(cover)
 
 
-def test_refine_builds_its_nerve_at_least_to_degree_1(models):
-    for depth, want in ((0, 1), (1, 1), (2, 2), (3, 3)):
+def test_refine_builds_its_nerve_to_the_coarse_degree(models):
+    for depth, want in ((0, 0), (1, 1), (2, 2), (3, 3)):
         cover = catalog.example("torus", k=2, nerve_degree=depth).cover
         fine, _ = refine(cover, split_boxes(cover))
         assert fine.nerve.max_degree == want
@@ -807,7 +808,7 @@ def test_torus_transitions_equal_the_per_pair_construction(models):
             for layout in (cover.elements,
                            split_boxes(cover),
                            [box.shifted((0.7, -2.0)) for box in cover.elements]):
-                got = build(layout).transitions
+                got = build(layout, overlaps(exm.manifold, layout)[:3]).transitions
                 want = reference(layout, k)
                 assert list(got.items()) == list(want.items()), (k, g)
                 pairs += len(got)
@@ -817,8 +818,9 @@ def test_torus_transitions_equal_the_per_pair_construction(models):
 
 
 # ---------------------------------------------------------------------------
-# One overlap rule: every data builder keys its transitions by the pairs the
-# nerve records, on the cover's boxes and on every pulled-back layout
+# One pair search per cover: the nerve keeps the pairs overlaps finds, and
+# every data builder keys its transitions by them, on the cover's boxes and
+# on every pulled-back layout, whose pairs are the source's
 
 OVERLAP_CASES = (
     [("torus", {"k": 2, "granularity": g}) for g in range(3, 13)]
@@ -831,20 +833,27 @@ OVERLAP_CASES = (
 MAP_ARGUMENTS = {"translate": "translate:0.7,0.3", "rot": "rot:0.3", "pshift": "pshift:0.4"}
 
 
-def _both_orientations(nerve) -> set:
-    pairs = {tuple(pair) for pair in nerve.degree(1).members.tolist()}
-    return pairs | {(b, a) for a, b in pairs}
+def _pair_keys(nerve) -> set:
+    a, b, _ = nerve.pairs
+    return set(zip(a.tolist(), b.tolist()))
 
 
 @pytest.mark.parametrize("name,params", OVERLAP_CASES)
 def test_transitions_are_both_orientations_of_the_nerve_pairs(models, name, params):
     exm = models(name, **params)
-    cover = exm.cover
-    assert set(cover.data.transitions) == _both_orientations(cover.nerve)
+    cover, manifold = exm.cover, exm.manifold
+    keys = _pair_keys(cover.nerve)
+    assert set(cover.data.transitions) == keys == {(b, a) for a, b in keys}
+    members = {tuple(pair) for pair in cover.nerve.degree(1).members.tolist()}
+    assert members == {(a, b) for a, b in keys if a < b}
     for spec in exm.map_specs:
         pulled = pullback(cover, catalog.make_map(exm, MAP_ARGUMENTS.get(spec, spec)))
-        built = exm.data_builder(pulled.elements)
-        assert set(built.transitions) == _both_orientations(pulled.nerve), spec
+        # the premise of the reuse: a pulled layout has its source's pairs
+        searched = overlaps(manifold, pulled.elements)[:3]
+        for got, want in zip(searched, pulled.nerve.pairs, strict=True):
+            assert np.array_equal(got, want), spec
+        built = exm.data_builder(pulled.elements, pulled.nerve.pairs)
+        assert set(built.transitions) == _pair_keys(pulled.nerve), spec
 
 
 def test_the_overlap_step_of_a_large_cover_stays_small():

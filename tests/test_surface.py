@@ -33,7 +33,7 @@ KEEP = {
     "prequantum.split_boxes": "criterion rank-stability",
     "record.Record.__init_subclass__": "runs at import, as each record class is defined",
     "record.Record.__eq__":
-        "tests/test_prequantum.py::test_refine_builds_its_nerve_at_least_to_degree_1",
+        "tests/test_prequantum.py::test_refine_builds_its_nerve_to_the_coarse_degree",
     "record.Record.__hash__": "tests/test_immutability.py::test_replace_builds_the_copy_anew",
     "record.Record.__repr__": "tests/test_expr.py::test_node_reprs_name_their_fields",
     "record.Record.__setattr__": "tests/test_immutability.py::test_every_gqlab_record_is_immutable",
