@@ -110,13 +110,12 @@ def gauge_potentials(naive, pulled, elements: np.ndarray, pts):
     target's x0, then along y at x0, both legs in the element's own frame
     (docs/conventions.md, "Gauge integrals").  The x legs depend only on
     x0 and are taken once per distinct x0, the y legs once per target; an
-    empty leg is 0 and is not evaluated.  A leg whose component of the
-    gauge form does not read the leg's variable is that component's value
-    at the leg's start times the leg's length: g_0(x_c, y_c) (x0 - x_c)
-    for an x leg, g_1(x0, y_c) (x1 - y_c) for a y leg.  The other legs are
-    the rows of one integrate call per element.  Counts the closed-form
-    legs (gauge_exact), the integrated ones (gauge_integrals) and the
-    points at which the gauge form was evaluated (gauge_nodes).
+    empty leg is 0 and is not evaluated.  An element's x legs are the rows
+    of one integrate call and its y legs of another, each in closed form
+    if its component of the gauge form does not read the leg's variable.
+    Counts the closed-form legs (gauge_exact), the integrated ones
+    (gauge_integrals) and the points at which the gauge form was evaluated
+    (gauge_nodes).
     """
     coords = naive.manifold.coords
     out = np.empty(len(pts), dtype=np.complex128)
@@ -129,52 +128,38 @@ def gauge_potentials(naive, pulled, elements: np.ndarray, pts):
             )
         # BinOp, not ex.sub, which folds 0 - x into -x and can flip the sign
         # of a zero that the difference of the two potentials keeps
-        diffs = [
-            ex.BinOp("-", tn, tp)
+        g_x, g_y = (
+            program.compile_expr(ex.BinOp("-", tn, tp), coords)
             for tn, tp in zip(naive.data.potentials[a], pulled.data.potentials[a])
-        ]
-        g_x, g_y = (program.compile_expr(d, coords) for d in diffs)
-        exact_x, exact_y = coords[0] not in g_x.reads, coords[1] not in g_y.reads
+        )
         x_base, y_base = naive.elements[a].center()
         x0s, x_leg = np.unique(lifted[:, 0], return_inverse=True)
-        x_legs = np.zeros(len(x0s), dtype=np.complex128)
-        y_legs = np.zeros(len(lifted), dtype=np.complex128)
-        lx = np.flatnonzero(x0s != x_base)  # the legs that are not empty
-        ly = np.flatnonzero(lifted[:, 1] != y_base)
-        if exact_x and lx.size:  # one value at the center serves every x leg
-            g0 = kernels.evaluate(g_x, {coords[0]: x_base, coords[1]: y_base})
-            x_legs[lx] = g0 * (x0s[lx] - x_base)
-            trace.count("gauge_exact", lx.size)
-            trace.count("gauge_nodes")
-            lx = lx[:0]
-        if exact_y and ly.size:
-            g1 = kernels.evaluate(g_y, {coords[0]: lifted[ly, 0], coords[1]: y_base})
-            y_legs[ly] = g1 * (lifted[ly, 1] - y_base)
-            trace.count("gauge_exact", ly.size)
-            trace.count("gauge_nodes", ly.size)
-            ly = ly[:0]
-        if lx.size + ly.size:  # the other legs, the x legs first, in one call
-            x_y = lifted[ly, 0]
-
-            def legs(ts):
-                """g_x at (t, y_base) on the x legs, g_y at (x0, t) on the y legs."""
-                n = ts.shape[1]
-                tx, ty = ts[: lx.size].ravel(), ts[lx.size :].ravel()
-                vals = np.concatenate(
-                    [
-                        kernels.evaluate(g_x, {coords[0]: tx, coords[1]: y_base}),
-                        kernels.evaluate(g_y, {coords[0]: np.repeat(x_y, n), coords[1]: ty}),
-                    ]
-                )
-                trace.count("gauge_nodes", ts.size)
-                return vals.reshape(ts.shape)
-
-            starts = np.repeat([x_base, y_base], [lx.size, ly.size])
-            legs_int = integrate(legs, starts, np.concatenate([x0s[lx], lifted[ly, 1]]))
-            x_legs[lx], y_legs[ly] = legs_int[: lx.size], legs_int[lx.size :]
-            trace.count("gauge_integrals", lx.size + ly.size)
-        out[rows] = x_legs[x_leg] + y_legs
+        ys = np.full(len(x0s), y_base)
+        out[rows] = (_legs(g_x, 0, ys, x_base, x0s)[x_leg]
+                     + _legs(g_y, 1, lifted[:, 0], y_base, lifted[:, 1]))
     return out
+
+
+def _legs(g, axis: int, fixed, start, stops) -> np.ndarray:
+    """The integrals of the program g over coordinate axis from start to
+    each of stops, the other coordinate at fixed (one per leg), as the rows
+    of one integrate call; an empty leg is 0 and is not evaluated."""
+    legs = np.zeros(len(stops), dtype=np.complex128)
+    live = np.flatnonzero(stops != start)
+    if not live.size:
+        return legs
+    coord, other = g.var_names[axis], g.var_names[1 - axis]
+    fixed = fixed[live]
+
+    def values(ts):
+        trace.count("gauge_nodes", ts.size)
+        columns = {coord: ts.ravel(), other: np.repeat(fixed, ts.shape[1])}
+        return kernels.evaluate(g, columns).reshape(ts.shape)
+
+    constant = coord not in g.reads
+    trace.count("gauge_exact" if constant else "gauge_integrals", live.size)
+    legs[live] = integrate(values, start, stops[live], constant=constant)
+    return legs
 
 
 def overlap_constants(naive, pulled) -> tuple:
@@ -191,6 +176,7 @@ def overlap_constants(naive, pulled) -> tuple:
     trace.count("gauge_exact", 0)
     trace.count("gauge_integrals", 0)
     trace.count("gauge_nodes", 0)
+    trace.count("quadrature_bisections", 0)
     # Step 2: the gauge 1-form g = theta_naive - phi^* theta must be closed;
     # a cell whose residual has no value drops out of the fold
     s0 = nerve.samples(0, manifold)

@@ -541,11 +541,11 @@ def bs_census(
     counted from its label, and only checked to cross an element.
 
     The census threads on one LeafAtlas, so each membership pattern is
-    threaded once.  The sampled leaves take one holonomy batch, with at
-    most two transport quadrature calls and one transition call.  A
-    refinement round and a root step read one leaf_actions batch each, a
-    step for every bracket still open; on a near-linear action the first
-    step, two labels either side of each secant estimate, closes all
+    threaded once.  The sampled leaves take one holonomy batch, with one
+    transport quadrature call per distinct integrand and one transition
+    call.  A refinement round and a root step read one leaf_actions batch
+    each, a step for every bracket still open; on a near-linear action the
+    first step, two labels either side of each secant estimate, closes all
     brackets.  The census counts its refinement rounds, its brackets, its
     root steps and the labels they evaluate (docs/conventions.md, "Reports").
     """

@@ -8,7 +8,7 @@ of the lambda-weighted restrictions to each cell from its faces, acts on
 these per-leaf values, with parallel-transport factors supplied by
 adaptive quadrature of the connection potential along the leaf, or its
 closed form where the potential does not vary along it: the transport
-integrals of one call share at most two quadrature calls.
+integrals of one call share one quadrature call per distinct integrand.
 
 The grid keeps, per nerve degree, one column per quantity over the
 degree's (cell, label) entries, cell after cell in the nerve's row order

@@ -468,10 +468,18 @@ def _add_common(sp):
     sp.add_argument("--example", choices=catalog.EXAMPLE_NAMES)
     sp.add_argument("--k", type=int)
     sp.add_argument("--granularity", type=int)
-    sp.add_argument("--p-max", type=float, dest="p_max")
+    sp.add_argument(
+        "--p-max", type=float, dest="p_max",
+        help="the cylinder's half height, 3.5 by default; without it, a --range "
+        "beyond ±2.5 widens it to |range| + 1, but it never widens the census window",
+    )
     sp.add_argument("--map", help="e.g. shear, rot:0.7, translate:0.5,0")
     sp.add_argument("--polarization")
-    sp.add_argument("--range", help="label range lo:hi")
+    sp.add_argument(
+        "--range",
+        help="label range lo:hi; default: the model's census window, which for "
+        "the cylinder is -2.5:2.5 whatever --p-max is",
+    )
     sp.add_argument("--count", type=int)
     sp.add_argument("--grid", type=int)
     sp.add_argument("--max-degree", type=int, dest="max_degree")

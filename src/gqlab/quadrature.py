@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import trace
+
 # The 7-point Gauss-Legendre rule on [-1, 1], bit for bit what
 # numpy.polynomial.legendre.leggauss(7) gives (tests/test_quadrature.py
 # checks it); as literals they spare every process the import of
@@ -49,20 +51,25 @@ class QuadratureError(RuntimeError):
     pass
 
 
-def integrate(f, a, b):
+def integrate(f, a, b, constant=False):
     """Integrals of the rows of f, row r over [a[r], b[r]].
 
     a and b broadcast to a common (m,) shape.  f maps an (m, k) array of
     nodes, row r on row r's own subintervals, to the (m, k) complex values
-    of the rows there, or to (m, 1) values v if each row is constant: row
-    r is then v[r] (b[r] - a[r]).  A row is accepted on a subinterval when
-    its Gauss and Kronrod estimates agree, |K15 - G7| <= 1e-12 (1 + |K15|),
-    and there it adds K15; subintervals where any row is open are bisected.
-    Once accepted on a subinterval, a row's later values there are never
-    added, checked or split on; a row with a == b starts accepted with
-    integral +0.  Accepted estimates are added left to right in bisection
-    order.  A non-finite estimate of an open row raises QuadratureError at
-    once, and so does a row still open after 24 bisections.
+    of the rows there.  A row is accepted on a subinterval when its Gauss
+    and Kronrod estimates agree, |K15 - G7| <= 1e-12 (1 + |K15|), and there
+    it adds K15; subintervals where any row is open are bisected.  Once
+    accepted on a subinterval, a row's later values there are never added,
+    checked or split on; a row with a == b starts accepted with integral
+    +0.  Accepted estimates are added left to right in bisection order.
+
+    With constant, the caller says that no row reads its variable: f is
+    called once, on each row's midpoint as an (m, 1) array, and row r is
+    its value v[r] times b[r] - a[r], in closed form.
+
+    A non-finite estimate of an open row raises QuadratureError at once,
+    and so does a row still open after 24 bisections.  Counts the open
+    subintervals of the rows that it bisects (quadrature_bisections).
     """
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     los = np.minimum(a, b).reshape(-1, 1)  # row r's subintervals, by position
@@ -70,27 +77,27 @@ def integrate(f, a, b):
     if not (np.isfinite(los).all() and np.isfinite(his).all()):
         raise QuadratureError("integration bounds must be finite")
     m = len(los)
-    sign = np.where(b < a, -1.0, 1.0).reshape(m)
+    trace.count("quadrature_bisections", 0)
     active = (a != b).reshape(m, 1)  # row r still open on subinterval j
+    if constant:
+        if not active.any():
+            return np.zeros(m, dtype=np.complex128)
+        vals = np.asarray(f(0.5 * (los + his)), dtype=np.complex128).reshape(m, 1)
+        k15 = np.where(active, vals, 0.0) * (b - a).reshape(m, 1)
+        _check_finite(k15, active, los, his)
+        return k15[:, 0]
+    sign = np.where(b < a, -1.0, 1.0).reshape(m)
     totals = np.zeros(m, dtype=np.complex128)
     depth = 0
     while active.any():
         n = los.shape[1]
         mids, halfs = 0.5 * (los + his), 0.5 * (his - los)
         nodes = mids[:, :, None] + halfs[:, :, None] * _X
-        vals = np.asarray(f(nodes.reshape(m, 15 * n)), dtype=np.complex128)
-        if constant := vals.shape == (m, 1):  # each row is v (b - a), in closed form
-            k15 = np.where(active, vals, 0.0) * (his - los)
-        else:  # summed elementwise: a matrix product rounds by batch shape
-            g7 = halfs * (vals.reshape(m, n, 15)[:, :, :7] * _W7).sum(-1)
-            k15 = halfs * (vals.reshape(m, n, 15) * _WK).sum(-1)
-        if not np.isfinite(k15).all():  # the open rows' estimates must be finite
-            bad = active & ~np.isfinite(k15)
-            if bad.any():
-                j, r = divmod(int(np.flatnonzero(bad.T)[0]), m)
-                raise QuadratureError(f"non-finite estimate on [{los[r, j]}, {his[r, j]}]")
-        if constant:
-            return sign * k15[:, 0]
+        vals = np.asarray(f(nodes.reshape(m, 15 * n)), dtype=np.complex128).reshape(m, n, 15)
+        # summed elementwise: a matrix product rounds by batch shape
+        g7 = halfs * (vals[:, :, :7] * _W7).sum(-1)
+        k15 = halfs * (vals * _WK).sum(-1)
+        _check_finite(k15, active, los, his)
         err = np.abs(k15 - g7)
         keep = (err <= 1e-12 * (1.0 + np.abs(k15))) & active  # accepted here
         # each row's sum runs left to right from its total; the zeros of rows
@@ -109,6 +116,7 @@ def integrate(f, a, b):
                 f"no convergence on [{los[r, j]}, {his[r, j]}] "
                 f"(err {err[active[:, j], j].max():.3e})"
             )
+        trace.count("quadrature_bisections", int(active.sum()))
         # the children of a subinterval stay next to each other, so every
         # row keeps its left-to-right order
         los = np.stack([los[:, split], mids[:, split]], axis=-1).reshape(m, -1)
@@ -116,3 +124,12 @@ def integrate(f, a, b):
         active = np.repeat(active[:, split], 2, axis=1)
         depth += 1
     return sign * totals
+
+
+def _check_finite(k15, active, los, his) -> None:
+    """Raise QuadratureError on the first open (row, subinterval) whose
+    estimate is not finite, subinterval by subinterval."""
+    bad = active & ~np.isfinite(k15)
+    if bad.any():
+        j, r = divmod(int(np.flatnonzero(bad.T)[0]), len(k15))
+        raise QuadratureError(f"non-finite estimate on [{los[r, j]}, {his[r, j]}]")

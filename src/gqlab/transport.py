@@ -11,13 +11,14 @@ potentials as formulas and is paired with the pushforward polarization,
 whose curve is the preimage of the source curve, so it needs no other
 integrand.  Every call works on a batch of entries, each a leaf segment
 (element, t0, t1) and a label, as holonomies and the differential need
-them: integral integrates every live entry, one row each and bit for bit
-its one-entry batch, those whose integrand does not read t in closed form
-(transport_exact).  It keeps no integral between calls, so a result never
-depends on what was asked before.  flux gives the label derivative of the
-leaf action, the census's prediction of how far the action steps between
-two labels.  Both count their quadrature calls (transport_batches) and
-the rows integrated (transport_integrals).
+them: integral integrates every live entry in one quadrature call per
+distinct integrand, one row each and bit for bit its one-entry batch,
+those whose integrand does not read t in closed form (transport_exact).
+It keeps no integral between calls, so a result never depends on what
+was asked before.  flux gives the label derivative of the leaf action,
+the census's prediction of how far the action steps between two labels.
+Both count their quadrature calls (transport_batches) and the rows
+integrated (transport_integrals).
 """
 
 from __future__ import annotations
@@ -34,34 +35,18 @@ from .quadrature import integrate
 def _runner(prog: program.Program):
     """run(cs, ts) of a program over ("c", "t"): its values at the labels cs
     and the nodes ts, an array (len(cs), k) of each label's nodes or k
-    nodes shared by all labels, as a (len(cs), k) array; a program that
-    does not read t (by its reads; run.along) is evaluated once per label,
-    its t column unread, as the one column (len(cs), 1).  The columns go to
-    the evaluator as real arrays, which it casts into its rows as it loads
-    them, without the copies that adding 0j would allocate."""
-
-    along = "t" in prog.reads
+    nodes shared by all labels, as a (len(cs), k) array; run.along says
+    whether it reads t (by its reads).  The columns go to the evaluator as
+    real arrays, which it casts into its rows as it loads them, without
+    the copies that adding 0j would allocate."""
 
     def run(cs: np.ndarray, ts: np.ndarray) -> np.ndarray:
-        if not along:
-            return kernels.evaluate(prog, {"c": cs, "t": cs})[:, None]
         shape = (len(cs), np.shape(ts)[-1])
         columns = {"c": np.repeat(cs, shape[1]), "t": np.broadcast_to(ts, shape).ravel()}
         return kernels.evaluate(prog, columns).reshape(shape)
 
-    run.along = along
+    run.along = "t" in prog.reads
     return run
-
-
-def _values(runs: list, cs: np.ndarray, ts: np.ndarray) -> np.ndarray:
-    """integrate's f on rows at the labels cs and the nodes ts: each (run,
-    its rows) of runs evaluated once, on its rows; all read t or none does."""
-    if len(runs) == 1:  # every row: no copies of rows
-        return runs[0][0](cs, ts)
-    vals = np.empty((len(cs), ts.shape[1] if runs[0][0].along else 1), dtype=np.complex128)
-    for run, r in runs:
-        vals[r] = run(cs[r], ts[r])
-    return vals
 
 
 class LeafTransport:
@@ -70,15 +55,16 @@ class LeafTransport:
         self.polarization = polarization
         self._integrands: dict = {}  # member, potential and program -> run
         self._flux = None  # the flux integrand's run
-        for name in ("transport_integrals", "transport_batches", "transport_exact"):
+        for name in ("transport_integrals", "transport_batches", "transport_exact",
+                     "quadrature_bisections"):
             trace.count(name, 0)  # 0 until it integrates
 
     def integrand(self, member: int):
         """run(cs, ts): theta_member(leaf'(t)) at the labels cs and the
         nodes ts, an array (len(cs), k) of each label's nodes or k nodes
-        shared by all labels; returns (len(cs), k) values, or (len(cs), 1)
-        if it does not read t.  The integrand of each distinct potential is
-        composed and compiled once, and members whose integrands are one
+        shared by all labels; returns (len(cs), k) values, and run.along
+        says whether it reads t.  The integrand of each distinct potential
+        is composed and compiled once, and members whose integrands are one
         formula share one run."""
         memo = self._integrands
         run = memo.get(member)
@@ -102,9 +88,8 @@ class LeafTransport:
         """The label derivative of the leaf action at each label:
         A'(c) = integral of omega(d_c gamma, d_t gamma) dt over one leaf
         period, which no gauge choice changes.  One quadrature call, one
-        row per label; the integrand is compiled on the first call.  An
-        integrand that does not depend on t integrates to the period times
-        its value, with no quadrature."""
+        row per label, in closed form if the integrand does not read t;
+        the integrand is compiled on the first call."""
         if self._flux is None:
             (u, v), (x, y) = self.cover.manifold.coords, self.polarization.curve
             w = ex.substitute(self.cover.omega.coefficient, {u: x, v: y})
@@ -113,13 +98,9 @@ class LeafTransport:
                 ex.mul(ex.differentiate(y, "c"), ex.differentiate(x, "t")),
             )
             self._flux = _runner(program.compile_expr(ex.mul(w, jac), ("c", "t")))
-        run, cs = self._flux, np.asarray(labels, dtype=float)
-        period = self.polarization.leaf_period
-        if not run.along:
-            return period * run(cs, np.zeros(1))[:, 0].real
-        trace.count("transport_integrals", len(cs))
-        trace.count("transport_batches")
-        return integrate(lambda ts: run(cs, ts), 0.0, np.full(len(cs), period)).real
+        cs = np.asarray(labels, dtype=float)
+        period = np.full(len(cs), self.polarization.leaf_period)
+        return self._integrate(self._flux, cs, 0.0, period).real
 
     def integral(self, elements, t0, t1, labels) -> np.ndarray:
         """The integral of theta along every entry i, the leaf segment
@@ -127,11 +108,9 @@ class LeafTransport:
         frame.  The four arguments are equal-length sequences, one column
         each.
 
-        An empty segment gives 0.  The live entries go to at most two
-        quadrature calls, one row each: first those whose integrand does
-        not read t, in closed form, so a row's path and bits depend on its
-        own integrand alone.  A call evaluates each distinct integrand once
-        per bisection level, on its elements' rows.  Nothing is kept.
+        An empty segment gives 0.  The live entries go to one quadrature
+        call per distinct integrand among them, one row each, so a row's
+        path and bits depend on its own integrand alone.  Nothing is kept.
         """
         t0, t1 = np.asarray(t0, dtype=float), np.asarray(t1, dtype=float)
         out = np.zeros(len(t0), dtype=np.complex128)
@@ -145,14 +124,17 @@ class LeafTransport:
         for member in sorted(set(members.tolist())):
             number[member] = shared.setdefault(self.integrand(member), len(shared))
         row_run = number[members]
-        along = np.array([run.along for run in shared])[row_run]
-        trace.count("transport_integrals", len(live))
-        trace.count("transport_exact", int((~along).sum()))
-        for reads_t in (False, True):  # the rows in closed form first
-            rows = np.flatnonzero(along == reads_t)
-            runs = [(run, np.flatnonzero(row_run[rows] == j))
-                    for run, j in shared.items() if run.along == reads_t]
-            if runs:
-                trace.count("transport_batches")
-                out[live[rows]] = integrate(partial(_values, runs, cs[rows]), t0[rows], t1[rows])
+        for run, j in shared.items():
+            rows = np.flatnonzero(row_run == j)
+            out[live[rows]] = self._integrate(run, cs[rows], t0[rows], t1[rows])
         return out
+
+    @staticmethod
+    def _integrate(run, cs, t0, t1) -> np.ndarray:
+        """The integral of run at the labels cs over [t0, t1], one row per
+        label, in one quadrature call, in closed form if run does not read
+        t; counted."""
+        trace.count("transport_integrals", len(cs))
+        trace.count("transport_batches")
+        trace.count("transport_exact", 0 if run.along else len(cs))
+        return integrate(partial(run, cs), t0, t1, constant=not run.along)

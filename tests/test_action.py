@@ -98,7 +98,7 @@ def test_cylinder_momentum_shift_dichotomy(models):
     assert isinstance(whole, ComplementaryCover)
 
 
-def _per_row_integrate(f, a, b):
+def _per_row_integrate(f, a, b, constant=False):
     """One adaptive integral of one row per target, as the construction ran
     before its gauge integrals were batched: f sees the row's nodes in
     every row, and only the row's own values are read."""
@@ -106,7 +106,8 @@ def _per_row_integrate(f, a, b):
     m = len(a)
     return np.array(
         [
-            integrate(lambda ts, j=j: f(np.repeat(ts, m, axis=0))[j : j + 1], a[j], b[j])[0]
+            integrate(lambda ts, j=j: f(np.repeat(ts, m, axis=0))[j : j + 1], a[j], b[j],
+                      constant=constant)[0]
             for j in range(m)
         ],
         dtype=np.complex128,

@@ -1756,6 +1756,24 @@ def _gauged_cases(models):
     return cases
 
 
+def test_bisections_of_a_holonomy_batch_are_counted_leaf_by_leaf(models):
+    # the gauged sphere's leaves need bisections, the gauged torus's and
+    # cylinder's do not; a batch counts what its leaves count one by one
+    bisected = set()
+    for name, cover, pol, crange, *_ in _gauged_cases(models):
+        _, leaves, _ = enumerate_leaves(LeafAtlas(cover, pol), crange, 12)
+        transport = LeafTransport(cover, pol)
+        with trace.counting() as batch:
+            holonomy(transport, leaves)
+        with trace.counting() as one_by_one:
+            for one in _each(leaves):
+                holonomy(transport, one)
+        assert batch["quadrature_bisections"] == one_by_one["quadrature_bisections"], name
+        if batch["quadrature_bisections"]:
+            bisected.add(name)
+    assert bisected == {"sphere", "sphere-rot:1"}
+
+
 def test_batched_holonomy_equals_the_per_leaf_product_bit_for_bit(models):
     # each leaf of a batch is, bit for bit, the leaf as a batch of its own,
     # and its action is the scalar loop's; its holonomy, exp(-i action)
@@ -1900,9 +1918,10 @@ def test_census_root_and_refinement_steps_form_no_complex_holonomy(
 
 
 def test_an_integrand_that_does_not_read_t_is_evaluated_once_per_label(models, monkeypatch):
-    # its one value per label, a column of its own, is bit for bit what the
-    # program gives at every node; an integrand that reads t is evaluated
-    # at every node
+    # the run is bit for bit what the program gives at every node; an
+    # integral of its segments evaluates it once per label, at the
+    # segment's midpoint, if it does not read t, and at 15 nodes per
+    # subinterval if it does
     cases = [(name, models(name, **params)) for name, params in
              [("torus", {"k": 3}), ("cylinder", {}), ("sphere", {"k": 4}), ("disk", {})]]
     cases = [(name, exm.cover, exm.polarization()) for name, exm in cases]
@@ -1926,14 +1945,17 @@ def test_an_integrand_that_does_not_read_t_is_evaluated_once_per_label(models, m
             prog = program.compile_expr(integrand, ("c", "t"))
             cs, ts = rng.uniform(0.2, 1.9, 4), rng.uniform(-3.0, 3.0, (4, 15))
             run = transport.integrand(member)
+            want = real(prog, {"c": np.repeat(cs, 15), "t": ts.ravel()})
+            reads_t = "t" in free_vars(integrand)
+            assert run.along == reads_t
+            assert run(cs, ts).tobytes() == want.reshape(4, 15).tobytes()
             points.clear()
             with monkeypatch.context() as patch:
                 patch.setattr(kernels, "evaluate", counting)
-                got = run(cs, ts)
-            want = real(prog, {"c": np.repeat(cs, 15), "t": ts.ravel()})
-            reads_t = "t" in free_vars(integrand)
-            assert run.along == reads_t and got.shape == (4, 15 if reads_t else 1)
-            assert np.broadcast_to(got, (4, 15)).tobytes() == want.reshape(4, 15).tobytes()
-            assert points == [60 if reads_t else 4], name
+                transport.integral([member] * 4, np.zeros(4), np.full(4, 0.5), cs)
+            if reads_t:
+                assert points and all(n % 60 == 0 for n in points), name
+            else:
+                assert points == [4], name
             along.add(reads_t)
     assert along == {True, False}

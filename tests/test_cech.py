@@ -519,7 +519,8 @@ def test_entry_integrals_group_by_segment(models, kind):
 
     transport = LeafTransport(grid.cover, grid.polarization)
     assert not any(transport.integrand(m).along for m, _, _ in segments)
-    counted = {"transport_integrals": live, "transport_exact": live, "transport_batches": 1}
+    counted = {"transport_integrals": live, "transport_exact": live, "transport_batches": 1,
+               "quadrature_bisections": 0}
     with trace.counting() as counts:
         got = transport.integral(*entries.T)
     assert counts == counted
@@ -540,7 +541,7 @@ def test_entry_integrals_group_by_segment(models, kind):
     with trace.counting() as counts:
         more = transport.integral(*np.concatenate([entries, extra]).T)
     assert counts == {"transport_integrals": live + 3, "transport_exact": live + 3,
-                      "transport_batches": 1}
+                      "transport_batches": 1, "quadrature_bisections": 0}
     assert more[: len(entries)].tobytes() == got.tobytes()
 
 
@@ -560,7 +561,8 @@ def test_entry_integrals_do_not_depend_on_call_history(models, kind):
     member, t0, t1 = entries[entries[:, 1] != entries[:, 2]][0, :3].tolist()
     with trace.counting() as counts:
         signed = transport.integral([member] * 3, [t0] * 3, [t1] * 3, [0.0, -0.0, 0.0])
-    assert counts == {"transport_integrals": 3, "transport_exact": 3, "transport_batches": 1}
+    assert counts == {"transport_integrals": 3, "transport_exact": 3, "transport_batches": 1,
+                      "quadrature_bisections": 0}
     assert signed[0].tobytes() == signed[2].tobytes()
     # an all-empty batch makes no quadrature call
     with trace.counting() as counts:
@@ -570,8 +572,8 @@ def test_entry_integrals_do_not_depend_on_call_history(models, kind):
 
 
 def _loop_integrals(transport, elements, t0, t1, labels):
-    """transport.integral's rows, each by the Gauss-Kronrod loop: the one
-    column of an integrand that does not read t stands at every node."""
+    """transport.integral's rows, each by the Gauss-Kronrod loop, whether
+    its integrand reads t or not."""
     elements, cs = np.asarray(elements, dtype=int), np.asarray(labels, dtype=float)
 
     def f(ts):
@@ -638,8 +640,9 @@ def test_closed_form_rows_agree_with_the_quadrature_loop(models):
 
 def test_a_mixed_batch_splits_by_integrand_and_keeps_each_row(models, monkeypatch):
     # on a torus whose even elements carry an integrand that reads t and
-    # whose odd ones do not, a census batch makes two quadrature calls,
-    # the closed-form rows first, and each row is its one-row batch
+    # whose odd ones do not, a census batch makes one quadrature call per
+    # integrand, in the order of their first members, the odd ones' in
+    # closed form, and each row is its one-row batch
     exm = models("torus", k=2)
     cover, pol = exm.cover, exm.polarization()
     wave = ex.parse_expr("0.3*cos(x1 + 2*x2)", set(cover.manifold.coords))
@@ -657,17 +660,18 @@ def test_a_mixed_batch_splits_by_integrand_and_keeps_each_row(models, monkeypatc
 
     calls = []
 
-    def counted(f, a, b):
-        calls.append(len(np.atleast_1d(a)))
-        return integrate(f, a, b)
+    def counted(f, a, b, constant=False):
+        calls.append((len(np.atleast_1d(a)), constant))
+        return integrate(f, a, b, constant=constant)
 
     transport = LeafTransport(mixed, pol)
     monkeypatch.setattr(transport_module, "integrate", counted)
     with trace.counting() as counts:
         got = transport.integral(*columns)
-    assert calls == [int(odd.sum()), int((live & ~odd).sum())]
+    assert calls == [(int((live & ~odd).sum()), False), (int(odd.sum()), True)]
     assert counts == {"transport_integrals": int(live.sum()),
-                      "transport_exact": int(odd.sum()), "transport_batches": 2}
+                      "transport_exact": int(odd.sum()), "transport_batches": 2,
+                      "quadrature_bisections": 0}
     one = LeafTransport(mixed, pol)
     want = [_one(one, int(m), c, t0, t1) for m, t0, t1, c in zip(*map(np.ndarray.tolist, columns))]
     assert got.view(float).tolist() == np.array(want).view(float).tolist()

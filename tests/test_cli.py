@@ -1,5 +1,6 @@
 """CLI behavior: exit codes, reports, determinism, CSV."""
 
+import argparse
 import csv
 import importlib
 import json
@@ -785,7 +786,7 @@ def test_cohomology_reports_work_counters(capsys):
     counters = report["timing"]["counters"]
     assert set(counters) == {
         "transport_integrals", "transport_batches", "transport_exact", "leaf_blocks",
-        "svd_calls", "formula_runs", "nerve_cells",
+        "svd_calls", "formula_runs", "nerve_cells", "quadrature_bisections",
     }
     # one quadrature sweep per face, each for several labels; no torus
     # integrand reads t, so every row is in closed form
@@ -859,6 +860,7 @@ def test_bs_reports_transport_counters(capsys, monkeypatch):
         "root_brackets", "root_holonomy_evaluations", "root_steps",
         "census_refinements", "transport_integrals", "transport_batches",
         "transport_exact", "leaf_patterns", "formula_runs", "nerve_cells",
+        "quadrature_bisections",
     }
     # the sampled leaves and each root batch share one sweep per segment
     assert 0 < counters["transport_batches"] < counters["transport_integrals"]
@@ -900,12 +902,13 @@ def test_act_reports_work_counters(capsys):
         "transport_integrals", "transport_batches", "transport_exact", "leaf_blocks", "svd_calls",
         "formula_runs", "root_brackets", "root_holonomy_evaluations",
         "root_steps", "census_refinements", "leaf_patterns", "nerve_cells",
+        "quadrature_bisections",
     }
     assert counters["grid_builds"] == 2
     # the torus translation's gauge form reads neither leg's variable: every
-    # leg is in closed form, one point per x leg's element and per y leg
+    # leg is in closed form, one point (its midpoint) per leg
     assert counters["gauge_integrals"] == 0 < counters["gauge_exact"]
-    assert 0 < counters["gauge_nodes"] <= counters["gauge_exact"]
+    assert counters["gauge_nodes"] == counters["gauge_exact"]
     assert "counters" not in json.dumps(report["payload"])
     _, again = run_json(capsys, *argv)
     assert again["timing"]["counters"] == counters
@@ -921,6 +924,7 @@ def test_act_reports_work_counters(capsys):
     assert code == 1
     assert set(report["timing"]["counters"]) == {
         "gauge_exact", "gauge_integrals", "gauge_nodes", "nerve_cells", "formula_runs",
+        "quadrature_bisections",
     }
     # (theorem 2 reads no --grid)
     code, report = run_json(capsys, *argv[:5], *argv[7:], "--verify", "thm2")
@@ -980,3 +984,87 @@ def test_commands_never_import_numpy_ma():
                           timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout == "False False False\n"
+
+
+# an act line of each builtin model; the disk has no overlap, so no gauge
+# leg, and every transport entry of the plane is an empty segment
+_ACT_LINES = {
+    "plane": ("--granularity", "2", "--map", "rot:0.3"),
+    "cylinder": ("--map", "pshift:1"),
+    "torus": ("--k", "3", "--map", "translate:0,2.0943951023931953"),
+    "sphere": ("--k", "3", "--map", "rot:1.0"),
+    "disk": ("--map", "rot:0.7"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ACT_LINES))
+def test_every_leaf_and_gauge_integral_is_a_row_of_integrate(capsys, monkeypatch, name):
+    # in bs, cohomology and act, every live transport entry, every flux
+    # label and every gauge leg that is not empty is one row of an
+    # integrate call, in closed form or not, and no command line bisects
+    from gqlab import transport
+    from gqlab.transport import LeafTransport
+
+    seen = {"transport": 0, "action": 0}  # rows that reached integrate
+    wanted = {"transport": 0, "action": 0}  # rows asked for
+
+    def counting(module, key):
+        real = module.integrate
+
+        def counted(f, a, b, constant=False):
+            seen[key] += np.broadcast(a, b).size
+            return real(f, a, b, constant=constant)
+
+        monkeypatch.setattr(module, "integrate", counted)
+
+    counting(transport, "transport")
+    counting(action, "action")
+    integral, flux, gauge = LeafTransport.integral, LeafTransport.flux, action.gauge_potentials
+
+    def counted_integral(self, elements, t0, t1, labels):
+        wanted["transport"] += int(np.count_nonzero(np.asarray(t0) != np.asarray(t1)))
+        return integral(self, elements, t0, t1, labels)
+
+    def counted_flux(self, labels):
+        wanted["transport"] += len(labels)
+        return flux(self, labels)
+
+    def counted_gauge(naive, pulled, elements, pts):
+        for a in np.unique(elements).tolist():
+            lifted = naive.member_points(a, pts[elements == a])
+            x_c, y_c = naive.elements[a].center()
+            wanted["action"] += int(np.count_nonzero(np.unique(lifted[:, 0]) != x_c)
+                                    + np.count_nonzero(lifted[:, 1] != y_c))
+        return gauge(naive, pulled, elements, pts)
+
+    monkeypatch.setattr(LeafTransport, "integral", counted_integral)
+    monkeypatch.setattr(LeafTransport, "flux", counted_flux)
+    monkeypatch.setattr(action, "gauge_potentials", counted_gauge)
+    model = ("--example", name, *_ACT_LINES[name][:-2])
+    for argv in (("bs", *model), ("cohomology", *model),
+                 ("act", *model, *_ACT_LINES[name][-2:], "--verify", "thm1,thm2")):
+        code, report = run_json(capsys, *argv)
+        assert code == 0, argv
+        assert report["timing"]["counters"]["quadrature_bisections"] == 0, argv
+    assert seen == wanted
+    assert (seen["transport"] > 0) == (name != "plane")
+    assert (seen["action"] > 0) == (name != "disk")
+
+
+def test_range_and_p_max_help_say_that_p_max_never_widens_the_census_window(capsys):
+    from gqlab import cli
+
+    (sub,) = [a for a in cli._parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    for command in ("check", "bs", "cohomology", "act"):
+        helps = {a.dest: a.help for a in sub.choices[command]._actions}
+        assert helps["range"] == (
+            "label range lo:hi; default: the model's census window, which for "
+            "the cylinder is -2.5:2.5 whatever --p-max is"
+        )
+        assert "never widens the census window" in helps["p_max"]
+    # what they say holds: a higher cylinder keeps the window's five BS leaves,
+    # and a wider range without --p-max makes the cylinder room for it
+    code, report = run_json(capsys, "bs", "--example", "cylinder", "--p-max", "10")
+    assert code == 0 and report["payload"]["census"]["q_bs"] == 5
+    assert RunConfig(command="bs", example="cylinder", range=(-3.0, 3.0)).cylinder_p_max == 4.0
+    assert RunConfig(command="bs", example="cylinder", range=(-2.5, 2.5)).cylinder_p_max == 3.5

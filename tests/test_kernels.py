@@ -310,11 +310,10 @@ def _pullback_integrand(pullback, src, phi, pol, member, c, ts):
 
 
 def _at_nodes(run, c, ts):
-    """run at the label c and the nodes ts, one value per node: a run whose
-    program does not read t returns one column, its value at every node."""
+    """run at the label c and the nodes ts, one value per node."""
     vals = run(np.array([c]), ts)
-    assert vals.shape == (1, len(ts) if run.along else 1)
-    return np.broadcast_to(vals, (1, len(ts)))[0]
+    assert vals.shape == (1, len(ts))
+    return vals[0]
 
 
 @pytest.mark.parametrize("name,params,maps", CASES, ids=CASE_IDS)

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from gqlab import quadrature
+from gqlab import quadrature, trace
 from gqlab.quadrature import QuadratureError, integrate
 
 
@@ -278,35 +278,88 @@ def test_kronrod_table_nests_the_gauss_rule():
     assert 1e-9 < abs((weights * nodes**24).sum() - 2 / 25) < 1e-8
 
 
-def _constant(values):
-    """An integrand constant along its rows: one column, whatever the nodes."""
+def _constant(values, seen=None):
+    """An integrand constant along its rows: one column, whatever the
+    nodes; a copy of every node array it is given goes to seen."""
     column = np.asarray(values, dtype=np.complex128)[:, None]
-    return lambda t: column
+
+    def f(t):
+        if seen is not None:
+            seen.append(t.copy())
+        return column
+
+    return f
+
+
+def test_a_constant_integrand_sees_each_rows_midpoint_once():
+    v = np.array([2.5 - 1j, -3.0, 0.5j, 1e-300])
+    a, b = np.array([0.0, 1.0, -2.0, 0.0]), np.array([1.5, 0.25, 4.0, 3.0])
+    seen = []
+    integrate(_constant(v, seen), a, b, constant=True)
+    assert len(seen) == 1 and seen[0].shape == (4, 1)
+    assert seen[0][:, 0].tolist() == (0.5 * (a + b)).tolist()
 
 
 def test_constant_rows_are_their_value_times_their_length():
     v = np.array([2.5 - 1j, -3.0, 0.5j, 1e-300])
     a, b = np.array([0.0, 1.0, -2.0, 0.0]), np.array([1.5, 0.25, 4.0, 3.0])
-    got = integrate(_constant(v), a, b)
+    got = integrate(_constant(v), a, b, constant=True)
     assert got.tobytes() == (v * (b - a)).tobytes()
-    # b < a is v (b - a), negative length and all
-    assert got[1] == -3.0 * -0.75
     # the loop on the same value at every node agrees to rounding
     loop = integrate(lambda t: np.broadcast_to(v[:, None], t.shape), a, b)
     assert np.all(np.abs(got - loop) <= 1e-14 * np.abs(loop))
     # each row is its one-row batch
     for r in range(len(v)):
-        assert integrate(_constant(v[r:r + 1]), a[r], b[r]).tobytes() == got[r].tobytes()
+        one = integrate(_constant(v[r:r + 1]), a[r], b[r], constant=True)
+        assert one.tobytes() == got[r].tobytes()
+
+
+def test_a_reversed_constant_row_is_its_value_times_b_minus_a():
+    v = np.array([-3.0, 2.5 - 1j, 1j, complex(-0.0, 0.0), complex(0.0, -0.0)])
+    a, b = np.full(5, 1.0), np.array([0.25, -2.0, 0.5, 0.0, -1.0])
+    got = integrate(_constant(v), a, b, constant=True)
+    assert got.tobytes() == (v * (b - a)).tobytes()
+    assert got[0] == -3.0 * -0.75
 
 
 def test_constant_row_of_zero_length_is_plus_zero():
     # also for a negative or non-finite value: a == b is never integrated
-    got = integrate(_constant([-2.0, -1j, np.nan, np.inf]), [1.0] * 4, [1.0] * 4)
-    assert got.shape == (4,) and got.tobytes() == bytes(got.nbytes)
+    seen = []
+    got = integrate(_constant([-2.0, -1j, np.nan, np.inf], seen), [1.0] * 4, [1.0] * 4,
+                    constant=True)
+    assert got.shape == (4,) and got.tobytes() == bytes(got.nbytes) and seen == []
+    # next to a live row, too
+    got = integrate(_constant([-2.0, np.nan, 3.0]), [1.0, 1.0, 0.0], [1.0, 1.0, 2.0],
+                    constant=True)
+    assert got[:2].tobytes() == bytes(32) and got[2] == 6.0
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
 def test_non_finite_constant_on_a_live_row_raises(bad):
     with pytest.raises(QuadratureError, match=r"non-finite estimate on \[1.0, 2.0\]"):
-        integrate(_constant([1.0, bad, bad]), [0.0, 2.0, 3.0], [1.0, 1.0, 3.0])
+        integrate(_constant([1.0, bad, bad]), [0.0, 2.0, 3.0], [1.0, 1.0, 3.0],
+                  constant=True)
+
+
+def test_a_one_column_value_is_no_closed_form_without_the_flag():
+    # the Gauss-Kronrod loop reads 15 values per subinterval, whatever f
+    # returns
+    with pytest.raises(ValueError):
+        integrate(_constant([1.0, 2.0]), 0.0, [1.0, 2.0])
+
+
+def test_bisections_are_counted_row_by_row():
+    # a constant and a polynomial of degree 3 are accepted at once; the
+    # sharp peak is bisected, in a batch as often as alone
+    with trace.counting() as counts:
+        integrate(_constant([2.0]), 0.0, 1.0, constant=True)
+        integrate(lambda t: t**3 - 2 * t + 0j, -1.0, 2.0)
+    assert counts == {"quadrature_bisections": 0}
+    with trace.counting() as alone:
+        for g, a, b in _MIXED:
+            integrate(g, a, b)
+    with trace.counting() as batched:
+        integrate(lambda t: np.array([g(t[r]) for r, (g, _, _) in enumerate(_MIXED)]),
+                  [a for _, a, _ in _MIXED], [b for _, _, b in _MIXED])
+    assert batched == alone and alone["quadrature_bisections"] > 9
